@@ -12,9 +12,8 @@ use cscan_bench::experiments::fig9_file::{
 };
 use cscan_bench::report::TextTable;
 use cscan_core::policy::PolicyKind;
-use cscan_storage::SegmentSummary;
+use cscan_storage::{ScratchPath, SegmentSummary};
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
 /// Geometry of the tracked run: 64 chunks x 20k rows x 6 columns is
 /// ~58 MiB logical (< 256 MiB even with both segment files on a tmpfs).
@@ -24,7 +23,9 @@ const STREAMS: usize = 8;
 const IO_THREADS: [usize; 2] = [1, 4];
 
 fn main() {
-    let dir = scratch_dir();
+    // Distinct per run and removed on return (the error paths `exit`, which
+    // leaves it behind for inspection).
+    let dir = ScratchPath::new("fig9_file");
     println!(
         "Figure 9 end-to-end — real segment files through FileStore\n\
          ({CHUNKS} chunks x {ROWS_PER_CHUNK} rows x 6 columns, {STREAMS} streams, \
@@ -33,7 +34,7 @@ fn main() {
     );
 
     let cfg = FileSweepConfig {
-        dir: dir.clone(),
+        dir: dir.to_path_buf(),
         chunks: CHUNKS,
         rows_per_chunk: ROWS_PER_CHUNK,
         streams: STREAMS,
@@ -143,15 +144,6 @@ fn main() {
         Ok(()) => println!("wrote {path}"),
         Err(e) => eprintln!("could not write {path}: {e}"),
     }
-    if let Err(e) = std::fs::remove_dir_all(&dir) {
-        eprintln!("could not clean {}: {e}", dir.display());
-    }
-}
-
-/// Scratch directory for the segment files (distinct per process, so
-/// concurrent CI jobs cannot collide).
-fn scratch_dir() -> PathBuf {
-    std::env::temp_dir().join(format!("cscan_fig9_file_{}", std::process::id()))
 }
 
 fn mib(bytes: u64) -> f64 {

@@ -23,7 +23,9 @@
 //!   (DSM) requests from one file.
 //!
 //! The writer targets `<out>.tmp` and atomically renames on success, so a
-//! killed load never leaves a partial segment under the final name.
+//! killed load never leaves a partial segment under the final name; it
+//! refuses to write over an existing `<out>.tmp`, so remove a killed
+//! load's orphan before rerunning.
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 

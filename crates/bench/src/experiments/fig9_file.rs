@@ -351,10 +351,7 @@ pub fn run_file_mix_volume(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmp_dir(tag: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("cscan_fig9_file_{tag}_{}", std::process::id()))
-    }
+    use cscan_storage::ScratchPath;
 
     #[test]
     fn pipeline_columns_match_the_demo_table() {
@@ -365,8 +362,9 @@ mod tests {
 
     #[test]
     fn file_sweep_smoke() {
+        let dir = ScratchPath::new("fig9_file_sweep");
         let cfg = FileSweepConfig {
-            dir: tmp_dir("sweep"),
+            dir: dir.to_path_buf(),
             chunks: 8,
             rows_per_chunk: 200,
             streams: 2,
@@ -406,12 +404,11 @@ mod tests {
         assert!(bytes_per_load("compressed") * 2.0 < bytes_per_load("plain"));
         let x = crossover(&points);
         assert!(x.plain_best_mib_s > 0.0 && x.compressed_best_mib_s > 0.0);
-        std::fs::remove_dir_all(&cfg.dir).expect("cleanup");
     }
 
     #[test]
     fn mix_volume_is_deterministic_and_halved() {
-        let dir = tmp_dir("mix");
+        let dir = ScratchPath::new("fig9_file_mix");
         let a = run_file_mix_volume(&dir, 6, 300).expect("mix volume");
         let b = run_file_mix_volume(&dir, 6, 300).expect("mix volume rerun");
         assert_eq!(a.plain_bytes, b.plain_bytes);
@@ -422,12 +419,11 @@ mod tests {
             "the fig9 mix must at least halve file I/O, got {:.2}x",
             a.ratio
         );
-        std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
     #[test]
     fn sim_front_end_is_metadata_faithful() {
-        let dir = tmp_dir("sim");
+        let dir = ScratchPath::new("fig9_file_sim");
         std::fs::create_dir_all(&dir).expect("mkdir");
         // Chunks must span several 64 KiB pages for the page-granular sim
         // model to see the compressed extents as fewer pages.
@@ -450,6 +446,5 @@ mod tests {
         let (file_plain, _) = measured_volume(&plain_path, 4).expect("measure plain");
         assert!(plain_bytes >= file_plain);
         assert!(plain_bytes <= file_plain + 4 * DEFAULT_PAGE_SIZE);
-        std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 }

@@ -1,9 +1,15 @@
-//! Release-mode gate: the hot consume path of the data plane — acquire a
-//! resident chunk, read its zero-copy column views, release the pin —
-//! performs **zero per-chunk heap allocations** on the consumer thread.
+//! Release-mode gates on consumer-thread heap allocations:
+//!
+//! * the hot consume path of the data plane — acquire a resident chunk,
+//!   read its zero-copy column views, release the pin — performs **zero
+//!   per-chunk allocations**;
+//! * the vectorised pipeline on top of it, `SessionSource → Filter →
+//!   HashAggregate`, performs **zero per-row allocations**: a small
+//!   constant number per chunk (the batch's column list), the same whether
+//!   a chunk holds 2 000 rows or 20 000.
 //!
 //! The whole test binary runs under a counting global allocator that tracks
-//! allocation events per thread; the measured loop drives a live threaded
+//! allocation events per thread; the measured loops drive a live threaded
 //! `ScanServer` session over a fully resident table (a warmup scan faults
 //! everything in and warms the executor's reusable scratch buffers), so
 //! every `next_chunk` takes the pure hit path.
@@ -125,4 +131,70 @@ fn consume_path_performs_zero_per_chunk_allocations() {
         })
         .fold(0i64, |a, v| a.wrapping_add(v));
     assert_eq!(checksum, expected);
+}
+
+/// Consumer-thread allocation events of one `SessionSource → Filter →
+/// HashAggregate` query over a resident `lineitem_demo` table of `CHUNKS`
+/// chunks of `rows` rows, and the aggregate's row count as a sanity check.
+fn pipeline_allocs(rows: u64) -> (u64, usize) {
+    use cscan_core::policy::PolicyKind;
+    use cscan_core::threaded::ScanServer;
+    use cscan_core::{CScanPlan, TableModel};
+    use cscan_exec::{AggFunc, Expr, Filter, HashAggregate, MemTable, Operator, SessionSource};
+    use cscan_storage::{ColumnId, ScanRanges};
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    const CHUNKS: u32 = 32;
+
+    let table = MemTable::lineitem_demo(CHUNKS as u64 * rows, rows);
+    let column = |name: &str| ColumnId::new(table.column_index(name).expect("demo column") as u16);
+    let (flag, qty) = (column("l_returnflag"), column("l_quantity"));
+    let model = TableModel::nsm_uniform(CHUNKS, rows, 16);
+    let server = ScanServer::builder(model.clone())
+        .policy(PolicyKind::Relevance)
+        .buffer_chunks(CHUNKS as u64)
+        .io_cost_per_page(Duration::ZERO)
+        .store(Arc::new(table))
+        .build();
+    let query = |label: &str| {
+        let plan = CScanPlan::new(label, ScanRanges::full(CHUNKS), model.all_columns());
+        let source = SessionSource::new(server.cscan(plan), vec![flag, qty]);
+        let filtered = Filter::new(source, Expr::col(1).le(Expr::lit(45)));
+        let mut aggregate =
+            HashAggregate::new(filtered, vec![0], vec![AggFunc::Count, AggFunc::Sum(1)]);
+        let before = thread_allocs();
+        let out = aggregate.next().expect("fault-free scan");
+        let allocs = thread_allocs() - before;
+        (allocs, out.map_or(0, |groups| groups.len()))
+    };
+    // Warmup: fault every chunk in, warm the executor's scratch.
+    query("warmup");
+    let measured = query("measured");
+    assert_eq!(server.pinned_frames(), 0);
+    assert_eq!(server.unconsumed_drops(), 0);
+    measured
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "allocation gates are measured in release builds only"
+)]
+fn vectorised_pipeline_allocates_per_chunk_never_per_row() {
+    const CHUNKS: u64 = 32;
+    let (small, groups) = pipeline_allocs(2_000);
+    let (large, _) = pipeline_allocs(20_000);
+    assert_eq!(groups, 3, "three return flags");
+    assert_eq!(
+        small, large,
+        "allocations must not depend on the rows per chunk: {small} at 2 000 rows, \
+         {large} at 20 000"
+    );
+    // One per chunk for the batch's column list; the rest is per query
+    // (selection vector, group ids, group table, delivery log, output).
+    assert!(
+        large <= CHUNKS + 32,
+        "{large} allocation events over {CHUNKS} chunks"
+    );
 }

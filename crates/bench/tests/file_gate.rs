@@ -11,15 +11,11 @@
 
 use cscan_bench::experiments::fig9_file::{self, crossover, FileSweepConfig};
 use cscan_core::policy::PolicyKind;
-use std::path::PathBuf;
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("cscan_file_gate_{tag}_{}", std::process::id()))
-}
+use cscan_storage::ScratchPath;
 
 #[test]
 fn file_backed_mix_io_volume_gate() {
-    let dir = tmp_dir("mix");
+    let dir = ScratchPath::new("file_gate_mix");
     let mix = fig9_file::run_file_mix_volume(&dir, 16, 2_000).expect("file mix volume");
     // One positioned read per column extent, nothing speculative.
     assert_eq!(mix.plain_read_calls, 16 * 6);
@@ -32,7 +28,6 @@ fn file_backed_mix_io_volume_gate() {
         mix.plain_bytes,
         mix.compressed_bytes
     );
-    std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
 #[test]
@@ -44,8 +39,9 @@ fn file_backed_mix_io_volume_gate() {
 fn file_backed_sweep_ci_scale() {
     // ~14.6 MiB plain + ~1.8 MiB compressed on the scratch filesystem —
     // comfortably tmpfs-friendly (<< 256 MiB).
+    let dir = ScratchPath::new("file_gate_sweep");
     let cfg = FileSweepConfig {
-        dir: tmp_dir("sweep"),
+        dir: dir.to_path_buf(),
         chunks: 32,
         rows_per_chunk: 10_000,
         streams: 4,
@@ -63,5 +59,4 @@ fn file_backed_sweep_ci_scale() {
     }
     let x = crossover(&points);
     assert!(x.plain_best_mib_s > 0.0 && x.compressed_best_mib_s > 0.0);
-    std::fs::remove_dir_all(&cfg.dir).expect("cleanup");
 }

@@ -261,7 +261,9 @@ impl BufferPool {
 
     /// Pins `key` if (and only if) it is already resident — unlike
     /// [`BufferPool::fetch_and_pin`] this never installs a mapping on a
-    /// miss.  Returns whether the page was pinned.
+    /// miss.  Returns whether the page was pinned; a successful pin is a
+    /// hit (the chunk-granular delivery path pins only this way, its
+    /// installs go through `fetch_and_pin` and count the misses).
     pub fn pin(&mut self, key: PageKey) -> bool {
         match self.page_table.get(&key) {
             Some(&frame) => {
@@ -270,7 +272,9 @@ impl BufferPool {
                 }
                 self.frames[frame.0].pin();
                 self.policy.on_access(frame);
+                self.stats.hits += 1;
                 self.stats.pins += 1;
+                self.obs_inc(Counter::FrameHits);
                 self.obs_inc(Counter::FramePins);
                 self.obs_gauges();
                 true

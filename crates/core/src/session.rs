@@ -45,6 +45,7 @@ use crate::AbmState;
 use crate::TableModel;
 use cscan_obs::{Counter, EventKind, QueryCounter, QueryScope, Registry, SpanKind};
 use cscan_simdisk::{SimDuration, SimTime};
+use cscan_storage::chunkdata::ColumnData;
 use cscan_storage::{ChunkId, ChunkPayload, ColumnId, FaultConfig, FaultOutcome, StoreError};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
@@ -161,6 +162,13 @@ impl PinnedChunk {
     /// Zero-copy view of one column's values, if the payload carries it.
     pub fn column(&self, col: ColumnId) -> Option<&[i64]> {
         self.payload.column(col)
+    }
+
+    /// One column's values as a shared vector that outlives this pin: the
+    /// consumer may [`PinnedChunk::complete`] first and read afterwards,
+    /// holding heap bytes but no buffer frame.
+    pub fn shared_column(&self, col: ColumnId) -> Option<ColumnData> {
+        self.payload.shared_column(col)
     }
 
     /// Number of rows in the payload (0 for metadata-only delivery).

@@ -2213,6 +2213,34 @@ mod tests {
         assert_eq!(server.pinned_frames(), 0, "all frame pins returned");
     }
 
+    /// Every delivery pins a frame that is already installed (a hit) and
+    /// every load installs one (a miss), so a scan of a resident table is
+    /// all hits and `hits + misses` accounts for every pin and install.
+    #[test]
+    fn frame_pool_counts_deliveries_as_hits_and_installs_as_misses() {
+        let (server, model, _store) = data_server(PolicyKind::Relevance, 8, 8, 1);
+        let scan = |label: &str| {
+            let handle = server.cscan(CScanPlan::new(
+                label,
+                ScanRanges::full(8),
+                model.all_columns(),
+            ));
+            while let Some(pin) = handle.next_chunk().unwrap() {
+                pin.complete();
+            }
+        };
+        scan("cold");
+        let cold = server.frame_pool_stats();
+        assert_eq!((cold.hits, cold.misses), (8, 8));
+        scan("resident");
+        let warm = server.frame_pool_stats();
+        assert_eq!((warm.hits, warm.misses), (16, 8), "a re-scan only hits");
+        assert_eq!(warm.hit_ratio(), 16.0 / 24.0);
+        // One pin per delivery plus the install's own short pin.
+        assert_eq!(warm.hits + warm.misses, warm.pins);
+        assert_eq!(server.metrics().counter(Counter::FrameHits), warm.hits);
+    }
+
     /// The acceptance criterion: a frame pinned by a `PinnedChunk` is never
     /// evicted.  A consumer holds one pin while a second scan churns the
     /// tiny buffer through many evictions; the pinned payload must stay

@@ -89,38 +89,180 @@ impl Expr {
         Expr::Between(Box::new(self), lo, hi)
     }
 
-    /// Evaluates the expression over every row of `chunk`.
+    /// Evaluates the expression over every (selected) row of `chunk`.
     pub fn eval(&self, chunk: &DataChunk) -> Vec<Value> {
+        let mut out = Vec::with_capacity(chunk.len());
+        self.eval_into(chunk, chunk.selection(), &mut out, &mut Scratch::default());
+        out
+    }
+
+    /// Overwrites `out` with the expression's value at each of `rows`
+    /// (physical indices; `None` = every physical row of `chunk`).
+    /// Intermediates live in `scratch`, so a warmed-up caller allocates
+    /// nothing.
+    pub(crate) fn eval_into(
+        &self,
+        chunk: &DataChunk,
+        rows: Option<&[u32]>,
+        out: &mut Vec<Value>,
+        scratch: &mut Scratch,
+    ) {
+        let args = (chunk, rows, scratch);
         match self {
-            Expr::Col(i) => chunk.column(*i).to_vec(),
-            Expr::Const(v) => vec![*v; chunk.len()],
-            Expr::Add(a, b) => binary(a.eval(chunk), b.eval(chunk), |x, y| x.wrapping_add(y)),
-            Expr::Sub(a, b) => binary(a.eval(chunk), b.eval(chunk), |x, y| x.wrapping_sub(y)),
-            Expr::Mul(a, b) => binary(a.eval(chunk), b.eval(chunk), |x, y| x.wrapping_mul(y)),
-            Expr::Eq(a, b) => binary(a.eval(chunk), b.eval(chunk), |x, y| (x == y) as Value),
-            Expr::Lt(a, b) => binary(a.eval(chunk), b.eval(chunk), |x, y| (x < y) as Value),
-            Expr::Le(a, b) => binary(a.eval(chunk), b.eval(chunk), |x, y| (x <= y) as Value),
-            Expr::Ge(a, b) => binary(a.eval(chunk), b.eval(chunk), |x, y| (x >= y) as Value),
-            Expr::And(a, b) => binary(a.eval(chunk), b.eval(chunk), |x, y| {
-                ((x != 0) && (y != 0)) as Value
-            }),
-            Expr::Between(e, lo, hi) => e
-                .eval(chunk)
-                .into_iter()
-                .map(|v| (v >= *lo && v <= *hi) as Value)
-                .collect(),
+            Expr::Col(c) => {
+                out.clear();
+                chunk.gather_rows(*c, rows, out);
+            }
+            Expr::Const(v) => {
+                out.clear();
+                out.resize(rows.map_or(chunk.physical_len(), <[u32]>::len), *v);
+            }
+            Expr::Add(a, b) => binary(a, b, args, out, Value::wrapping_add),
+            Expr::Sub(a, b) => binary(a, b, args, out, Value::wrapping_sub),
+            Expr::Mul(a, b) => binary(a, b, args, out, Value::wrapping_mul),
+            Expr::Eq(a, b) => binary(a, b, args, out, |x, y| (x == y) as Value),
+            Expr::Lt(a, b) => binary(a, b, args, out, |x, y| (x < y) as Value),
+            Expr::Le(a, b) => binary(a, b, args, out, |x, y| (x <= y) as Value),
+            Expr::Ge(a, b) => binary(a, b, args, out, |x, y| (x >= y) as Value),
+            Expr::And(a, b) => binary(a, b, args, out, |x, y| (x != 0 && y != 0) as Value),
+            Expr::Between(e, lo, hi) => {
+                e.eval_into(chunk, rows, out, args.2);
+                for v in out.iter_mut() {
+                    *v = (*lo <= *v && *v <= *hi) as Value;
+                }
+            }
         }
     }
 
-    /// Evaluates the expression as a boolean selection mask.
-    pub fn eval_mask(&self, chunk: &DataChunk) -> Vec<bool> {
-        self.eval(chunk).into_iter().map(|v| v != 0).collect()
+    /// Narrows the candidate rows in `sel` to those where the predicate is
+    /// non-zero.  With `all` set the candidates are every physical row of
+    /// `chunk` and `sel`'s content on entry is ignored; otherwise `sel`
+    /// lists them (ascending) and is narrowed in place.
+    ///
+    /// `And` narrows by one side, then the other; a range test on a column
+    /// reads the column directly; anything else is evaluated for the
+    /// candidates only.
+    pub(crate) fn select(
+        &self,
+        chunk: &DataChunk,
+        sel: &mut Vec<u32>,
+        all: bool,
+        scratch: &mut Scratch,
+    ) {
+        let n = all.then(|| chunk.physical_len());
+        if let Expr::And(a, b) = self {
+            a.select(chunk, sel, all, scratch);
+            b.select(chunk, sel, false, scratch);
+        } else if let Some((c, lo, hi)) = self.as_column_range() {
+            let col = chunk.physical_column(c);
+            keep(sel, n, |_, r| lo <= col[r] && col[r] <= hi);
+        } else {
+            let mut values = scratch.take();
+            let rows = if all { None } else { Some(sel.as_slice()) };
+            self.eval_into(chunk, rows, &mut values, scratch);
+            keep(sel, n, |i, _| values[i] != 0);
+            scratch.give(values);
+        }
+    }
+
+    /// `(c, lo, hi)` if the predicate is `lo <= Col(c) <= hi`: `Between` on
+    /// a column, or a column compared with a constant.
+    fn as_column_range(&self) -> Option<(usize, Value, Value)> {
+        let (a, b) = match self {
+            Expr::Between(e, lo, hi) => return Some((e.as_col()?, *lo, *hi)),
+            Expr::Eq(a, b) | Expr::Lt(a, b) | Expr::Le(a, b) | Expr::Ge(a, b) => (a, b),
+            _ => return None,
+        };
+        let (c, &Expr::Const(v)) = (a.as_col()?, &**b) else {
+            return None;
+        };
+        Some(match self {
+            Expr::Eq(..) => (c, v, v),
+            Expr::Le(..) => (c, Value::MIN, v),
+            Expr::Ge(..) => (c, v, Value::MAX),
+            // `col < MIN` holds nowhere: an empty range.
+            _ => v
+                .checked_sub(1)
+                .map_or((c, 0, -1), |hi| (c, Value::MIN, hi)),
+        })
+    }
+
+    fn as_col(&self) -> Option<usize> {
+        match self {
+            Expr::Col(c) => Some(*c),
+            _ => None,
+        }
     }
 }
 
-fn binary(a: Vec<Value>, b: Vec<Value>, f: impl Fn(Value, Value) -> Value) -> Vec<Value> {
-    debug_assert_eq!(a.len(), b.len());
-    a.into_iter().zip(b).map(|(x, y)| f(x, y)).collect()
+/// Reusable intermediate vectors of expression evaluation: as many as the
+/// deepest expression evaluated so far needed at once.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch(Vec<Vec<Value>>);
+
+impl Scratch {
+    fn take(&mut self) -> Vec<Value> {
+        self.0.pop().unwrap_or_default()
+    }
+
+    fn give(&mut self, buffer: Vec<Value>) {
+        self.0.push(buffer);
+    }
+}
+
+/// `out = f(a, b)` row by row: `a` is evaluated into `out`, `b` is read in
+/// place when it is a constant or a column of all rows, and into a scratch
+/// vector otherwise.
+fn binary(
+    a: &Expr,
+    b: &Expr,
+    (chunk, rows, scratch): (&DataChunk, Option<&[u32]>, &mut Scratch),
+    out: &mut Vec<Value>,
+    f: impl Fn(Value, Value) -> Value,
+) {
+    a.eval_into(chunk, rows, out, scratch);
+    let zip = |out: &mut Vec<Value>, rhs: &[Value]| {
+        debug_assert_eq!(out.len(), rhs.len());
+        for (x, &y) in out.iter_mut().zip(rhs) {
+            *x = f(*x, y);
+        }
+    };
+    match (b, rows) {
+        (Expr::Const(v), _) => out.iter_mut().for_each(|x| *x = f(*x, *v)),
+        (Expr::Col(c), None) => zip(out, chunk.physical_column(*c)),
+        _ => {
+            let mut rhs = scratch.take();
+            b.eval_into(chunk, rows, &mut rhs, scratch);
+            zip(out, &rhs);
+            scratch.give(rhs);
+        }
+    }
+}
+
+/// Keeps the candidates for which `pred(position, physical row)` holds.
+/// `all = Some(n)`: the candidates are rows `0..n` and `sel` is rewritten;
+/// `None`: they are `sel`'s rows, narrowed in place.  Branch-free: the row
+/// is always written and the write cursor advances by the predicate.
+fn keep(sel: &mut Vec<u32>, all: Option<usize>, pred: impl Fn(usize, usize) -> bool) {
+    let mut kept = 0;
+    match all {
+        Some(n) => {
+            sel.clear();
+            sel.resize(n, 0);
+            for r in 0..n {
+                sel[kept] = r as u32;
+                kept += pred(r, r) as usize;
+            }
+        }
+        None => {
+            for i in 0..sel.len() {
+                let r = sel[i];
+                sel[kept] = r;
+                kept += pred(i, r as usize) as usize;
+            }
+        }
+    }
+    sel.truncate(kept);
 }
 
 #[cfg(test)]
@@ -133,6 +275,13 @@ mod tests {
             ChunkId::new(0),
             vec![vec![1, 2, 3, 4], vec![10, 20, 30, 40]],
         )
+    }
+
+    /// The physical rows `pred` selects out of all of `chunk`'s.
+    fn selected(pred: &Expr, chunk: &DataChunk) -> Vec<u32> {
+        let mut sel = vec![99; 2];
+        pred.select(chunk, &mut sel, true, &mut Scratch::default());
+        sel
     }
 
     #[test]
@@ -158,7 +307,7 @@ mod tests {
             .ge(Expr::lit(2))
             .and(Expr::col(1).lt(Expr::lit(40)));
         assert_eq!(both.eval(&c), vec![0, 1, 1, 0]);
-        assert_eq!(both.eval_mask(&c), vec![false, true, true, false]);
+        assert_eq!(selected(&both, &c), vec![1, 2]);
     }
 
     #[test]
@@ -185,6 +334,6 @@ mod tests {
             .between(100, 199)
             .and(Expr::col(1).between(2, 4))
             .and(Expr::col(2).lt(Expr::lit(24)));
-        assert_eq!(pred.eval_mask(&c), vec![true, false, false, false]);
+        assert_eq!(selected(&pred, &c), vec![0]);
     }
 }

@@ -3,22 +3,30 @@
 //! The scheduling experiments of the paper only need an abstract notion of
 //! "processing a chunk"; this crate supplies the concrete side: a small
 //! MonetDB/X100-style vectorized execution layer that consumes chunks — in
-//! whatever order the ABM delivers them — and produces real query results.
+//! whatever order the ABM delivers them — and produces real query results
+//! cheaply enough that a scan is bound by I/O and sharing, not by the CPU
+//! (the regime the paper's results assume).
 //!
-//! * [`vector::DataChunk`] — a batch of column vectors tagged with the chunk
-//!   number it came from (the "virtual column" of Section 7.2);
+//! * [`vector::DataChunk`] — a batch: refcounted column vectors shared with
+//!   the buffer frame they were delivered in, an optional *selection
+//!   vector* naming the rows still alive, and the chunk number it came from
+//!   (the "virtual column" of Section 7.2).  Its module docs state the one
+//!   rule about physical and logical rows;
 //! * [`table::MemTable`] — an in-memory chunked table with deterministic
 //!   generators, standing in for the TPC-H data; it doubles as a
 //!   [`cscan_storage::ChunkStore`], so the same table feeds a live threaded
 //!   `ScanServer` *and* serves as the baseline the differential tests
 //!   compare against;
-//! * [`expr::Expr`] — scalar expressions and predicates;
+//! * [`expr::Expr`] — scalar expressions and predicates: a predicate
+//!   narrows a selection vector in place, arithmetic evaluates into
+//!   reusable scratch vectors — nothing is allocated per row or per
+//!   expression node;
 //! * [`ops`] — operators: chunk sources (including [`ops::SessionSource`],
 //!   which turns any [`cscan_core::session::ScanSession`] into a leaf of
-//!   the operator tree), filter, project, hash aggregation, and the
-//!   order-aware operators of Section 7: chunk-ordered aggregation with
-//!   boundary stitching and the (cooperative) merge join over multi-table
-//!   clustering.
+//!   the operator tree without copying a value), filter, project, hash
+//!   aggregation over a flat group table, and the order-aware operators of
+//!   Section 7: chunk-ordered aggregation with boundary stitching and the
+//!   (cooperative) merge join over multi-table clustering.
 
 #![warn(missing_docs)]
 

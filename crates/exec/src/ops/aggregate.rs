@@ -6,17 +6,22 @@
 //! *within* a chunk is ordered on the grouping key even when chunks arrive
 //! out of order, emitting interior groups immediately and stitching the
 //! groups that straddle chunk boundaries at the end.
+//!
+//! Both work a vector at a time: first every (selected) row of the batch is
+//! mapped to a dense group id — through a `GroupTable` probe, or by
+//! counting key runs — then each aggregate runs one tight loop over
+//! `(group ids, its column, the selection)` updating a flat array of its own
+//! state.  Nothing is allocated per row.
 
 use crate::ops::scan::Operator;
 use crate::vector::{DataChunk, Value};
 use cscan_core::session::ScanError;
 use cscan_storage::ChunkId;
-use std::collections::BTreeMap;
 
 /// An aggregate function over an input column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggFunc {
-    /// Sum of the column.
+    /// Sum of the column (wrapping).
     Sum(usize),
     /// Number of rows.
     Count,
@@ -26,128 +31,255 @@ pub enum AggFunc {
     Max(usize),
 }
 
-/// Running state of one aggregate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct AggState {
-    sum: i128,
-    count: u64,
-    min: Value,
-    max: Value,
-}
-
-impl AggState {
-    fn new() -> Self {
-        Self {
-            sum: 0,
-            count: 0,
-            min: Value::MAX,
-            max: Value::MIN,
+impl AggFunc {
+    /// The state of a group no row has reached yet.
+    fn identity(self) -> Value {
+        match self {
+            AggFunc::Sum(_) | AggFunc::Count => 0,
+            AggFunc::Min(_) => Value::MAX,
+            AggFunc::Max(_) => Value::MIN,
         }
     }
 
-    fn update(&mut self, v: Value) {
-        self.sum += v as i128;
-        self.count += 1;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    fn merge(&mut self, other: &AggState) {
-        self.sum += other.sum;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
+    /// Combines two partial states of the same group.
+    fn merge(self, a: Value, b: Value) -> Value {
+        match self {
+            AggFunc::Sum(_) | AggFunc::Count => a.wrapping_add(b),
+            AggFunc::Min(_) => a.min(b),
+            AggFunc::Max(_) => a.max(b),
+        }
     }
 }
 
-/// The per-group accumulators for a list of aggregate functions.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct GroupState {
-    /// One state per aggregate function (Count reuses the first slot's count).
-    states: Vec<AggState>,
-    rows: u64,
+/// Group keys → dense group ids: a flat open-addressed table whose keys
+/// live in one arena (stride = key width; zero key columns make one group).
+struct GroupTable {
+    width: usize,
+    /// Group `g`'s key is `keys[g * width..][..width]`.
+    keys: Vec<Value>,
+    groups: usize,
+    /// Linear-probed slots holding group ids, [`GroupTable::FREE`] when
+    /// unused; a power of two, at least twice `groups`.
+    slots: Vec<u32>,
 }
 
-impl GroupState {
-    fn new(num_aggs: usize) -> Self {
+impl GroupTable {
+    const FREE: u32 = u32::MAX;
+
+    fn new(width: usize) -> Self {
         Self {
-            states: vec![AggState::new(); num_aggs],
-            rows: 0,
+            width,
+            keys: Vec::new(),
+            groups: 0,
+            slots: vec![Self::FREE; 16],
         }
     }
 
-    fn update(&mut self, funcs: &[AggFunc], chunk: &DataChunk, row: usize) {
-        self.rows += 1;
-        for (state, func) in self.states.iter_mut().zip(funcs) {
-            match func {
-                AggFunc::Sum(c) | AggFunc::Min(c) | AggFunc::Max(c) => {
-                    state.update(chunk.column(*c)[row]);
+    fn len(&self) -> usize {
+        self.groups
+    }
+
+    fn key(&self, group: usize) -> &[Value] {
+        &self.keys[group * self.width..][..self.width]
+    }
+
+    /// Where `key` starts probing: a multiplicative mix of its values
+    /// (Fibonacci hashing), folded so the high bits reach the slot mask.
+    fn home(&self, key: &[Value]) -> usize {
+        let mut h = 0u64;
+        for &v in key {
+            h = (h.rotate_left(29) ^ v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        }
+        (h ^ (h >> 32)) as usize & (self.slots.len() - 1)
+    }
+
+    /// The group of `key`, created if new; `true` if this call created it.
+    /// Inlined into the per-row loops: as a call it costs more than the probe.
+    #[inline(always)]
+    fn find_or_insert(&mut self, key: &[Value]) -> (u32, bool) {
+        debug_assert_eq!(key.len(), self.width);
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home(key);
+        loop {
+            let group = self.slots[slot];
+            if group == Self::FREE {
+                return (self.insert(key), true);
+            }
+            // Element by element: a `memcmp` call costs more than a
+            // one- or two-value key.
+            if self
+                .key(group as usize)
+                .iter()
+                .zip(key)
+                .all(|(a, b)| a == b)
+            {
+                return (group, false);
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// Adds `key`, known to be absent, as the next group.
+    #[cold]
+    fn insert(&mut self, key: &[Value]) -> u32 {
+        assert!(self.groups < Self::FREE as usize, "too many groups");
+        let group = self.groups as u32;
+        self.keys.extend_from_slice(key);
+        self.groups += 1;
+        if self.groups * 2 > self.slots.len() {
+            self.slots = vec![Self::FREE; self.slots.len() * 2];
+            (0..group).for_each(|g| self.seat(g));
+        }
+        self.seat(group);
+        group
+    }
+
+    /// Puts `group` (its key already in the arena) into the first free
+    /// slot of its probe sequence.
+    fn seat(&mut self, group: u32) {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home(self.key(group as usize));
+        while self.slots[slot] != Self::FREE {
+            slot = (slot + 1) & mask;
+        }
+        self.slots[slot] = group;
+    }
+
+    /// Writes the group id of every (selected) row of `batch` into `gids`,
+    /// creating groups as new keys appear.
+    fn assign(&mut self, batch: &DataChunk, key_cols: &[usize], gids: &mut Vec<u32>) {
+        gids.clear();
+        gids.reserve(batch.physical_len());
+        if let [col] = key_cols {
+            // The common single-key case, without the probe-key staging.
+            let keys = batch.physical_column(*col);
+            batch.for_each_row(|r| gids.push(self.find_or_insert(&[keys[r]]).0));
+        } else {
+            let cols: Vec<&[Value]> = key_cols.iter().map(|&c| batch.physical_column(c)).collect();
+            let mut key = vec![0; cols.len()];
+            batch.for_each_row(|r| {
+                for (k, col) in key.iter_mut().zip(&cols) {
+                    *k = col[r];
                 }
-                AggFunc::Count => state.count += 1,
+                gids.push(self.find_or_insert(&key).0);
+            });
+        }
+    }
+}
+
+/// The running state of a list of aggregates: one flat array per
+/// aggregate, indexed by group id.
+struct Accumulators {
+    funcs: Vec<AggFunc>,
+    states: Vec<Vec<Value>>,
+}
+
+impl Accumulators {
+    fn new(funcs: &[AggFunc]) -> Self {
+        assert!(
+            !funcs.is_empty(),
+            "an aggregation needs at least one aggregate"
+        );
+        Self {
+            funcs: funcs.to_vec(),
+            states: vec![Vec::new(); funcs.len()],
+        }
+    }
+
+    /// Makes room for `groups` groups; new ones start at the identity.
+    fn resize(&mut self, groups: usize) {
+        for (state, func) in self.states.iter_mut().zip(&self.funcs) {
+            state.resize(groups, func.identity());
+        }
+    }
+
+    /// Folds every (selected) row of `batch` into the group `gids` names
+    /// for it, one loop per aggregate.
+    fn update(&mut self, batch: &DataChunk, gids: &[u32]) {
+        debug_assert_eq!(gids.len(), batch.len());
+        let sel = batch.selection();
+        for (state, func) in self.states.iter_mut().zip(&self.funcs) {
+            match *func {
+                AggFunc::Count => {
+                    for &g in gids {
+                        state[g as usize] += 1;
+                    }
+                }
+                AggFunc::Sum(c) => fold(state, gids, batch, c, sel, Value::wrapping_add),
+                AggFunc::Min(c) => fold(state, gids, batch, c, sel, Value::min),
+                AggFunc::Max(c) => fold(state, gids, batch, c, sel, Value::max),
             }
         }
     }
 
-    fn merge(&mut self, other: &GroupState) {
-        self.rows += other.rows;
-        for (a, b) in self.states.iter_mut().zip(&other.states) {
-            a.merge(b);
+    /// Merges group `from` of `other` (same aggregate list) into `into`.
+    fn merge_group(&mut self, into: usize, other: &Accumulators, from: usize) {
+        for ((state, func), theirs) in self.states.iter_mut().zip(&self.funcs).zip(&other.states) {
+            state[into] = func.merge(state[into], theirs[from]);
         }
-    }
-
-    fn finalize(&self, funcs: &[AggFunc]) -> Vec<Value> {
-        funcs
-            .iter()
-            .zip(&self.states)
-            .map(|(f, s)| match f {
-                AggFunc::Sum(_) => s.sum as Value,
-                AggFunc::Count => s.count as Value,
-                AggFunc::Min(_) => s.min,
-                AggFunc::Max(_) => s.max,
-            })
-            .collect()
     }
 }
 
-fn emit_groups(
-    groups: BTreeMap<Vec<Value>, GroupState>,
-    funcs: &[AggFunc],
-    key_width: usize,
-) -> DataChunk {
-    let mut columns: Vec<Vec<Value>> = vec![Vec::new(); key_width + funcs.len()];
-    for (key, state) in groups {
-        for (i, k) in key.iter().enumerate() {
-            columns[i].push(*k);
+/// `state[gid] = f(state[gid], value)` for every (selected) row's value of
+/// column `col`.
+fn fold(
+    state: &mut [Value],
+    gids: &[u32],
+    batch: &DataChunk,
+    col: usize,
+    sel: Option<&[u32]>,
+    f: impl Fn(Value, Value) -> Value,
+) {
+    let values = batch.physical_column(col);
+    match sel {
+        None => {
+            for (&g, &v) in gids.iter().zip(values) {
+                state[g as usize] = f(state[g as usize], v);
+            }
         }
-        for (i, v) in state.finalize(funcs).into_iter().enumerate() {
-            columns[key_width + i].push(v);
+        Some(sel) => {
+            for (&g, &r) in gids.iter().zip(sel) {
+                state[g as usize] = f(state[g as usize], values[r as usize]);
+            }
         }
     }
-    DataChunk::new(ChunkId::new(0), columns)
 }
 
-/// Order-agnostic hash (here: tree, for deterministic output order) aggregation.
+/// One output row per group — the key columns, then one column per
+/// aggregate — ordered by key.
+fn emit_sorted(table: &GroupTable, acc: &Accumulators) -> DataChunk {
+    let mut order: Vec<usize> = (0..table.len()).collect();
+    order.sort_unstable_by(|&a, &b| table.key(a).cmp(table.key(b)));
+    let keys = (0..table.width).map(|k| order.iter().map(|&g| table.key(g)[k]).collect());
+    let aggregates = acc
+        .states
+        .iter()
+        .map(|state| order.iter().map(|&g| state[g]).collect());
+    DataChunk::new(ChunkId::new(0), keys.chain(aggregates).collect())
+}
+
+/// Order-agnostic hash aggregation.
 ///
 /// The output has one row per group: the key columns followed by one column
 /// per aggregate, ordered by key.
 pub struct HashAggregate<O> {
     input: O,
     key_cols: Vec<usize>,
-    funcs: Vec<AggFunc>,
+    table: GroupTable,
+    acc: Accumulators,
+    gids: Vec<u32>,
     done: bool,
 }
 
 impl<O: Operator> HashAggregate<O> {
     /// Creates an aggregation of `funcs` grouped by `key_cols` over `input`.
     pub fn new(input: O, key_cols: Vec<usize>, funcs: Vec<AggFunc>) -> Self {
-        assert!(
-            !funcs.is_empty(),
-            "an aggregation needs at least one aggregate"
-        );
         Self {
             input,
+            table: GroupTable::new(key_cols.len()),
             key_cols,
-            funcs,
+            acc: Accumulators::new(&funcs),
+            gids: Vec::new(),
             done: false,
         }
     }
@@ -159,21 +291,12 @@ impl<O: Operator> Operator for HashAggregate<O> {
             return Ok(None);
         }
         self.done = true;
-        let mut groups: BTreeMap<Vec<Value>, GroupState> = BTreeMap::new();
-        while let Some(chunk) = self.input.next()? {
-            for row in 0..chunk.len() {
-                let key: Vec<Value> = self
-                    .key_cols
-                    .iter()
-                    .map(|&c| chunk.column(c)[row])
-                    .collect();
-                groups
-                    .entry(key)
-                    .or_insert_with(|| GroupState::new(self.funcs.len()))
-                    .update(&self.funcs, &chunk, row);
-            }
+        while let Some(batch) = self.input.next()? {
+            self.table.assign(&batch, &self.key_cols, &mut self.gids);
+            self.acc.resize(self.table.len());
+            self.acc.update(&batch, &self.gids);
         }
-        Ok(Some(emit_groups(groups, &self.funcs, self.key_cols.len())))
+        Ok(Some(emit_sorted(&self.table, &self.acc)))
     }
 }
 
@@ -187,9 +310,14 @@ impl<O: Operator> Operator for HashAggregate<O> {
 pub struct ChunkOrderedAggregate<O> {
     input: O,
     key_col: usize,
-    funcs: Vec<AggFunc>,
     /// Border groups awaiting their neighbours, merged by key.
-    pending: BTreeMap<Value, GroupState>,
+    pending_keys: GroupTable,
+    pending: Accumulators,
+    /// The key runs of the chunk being processed: run `i` has key
+    /// `run_keys[i]` and is group `i` of `runs`.
+    run_keys: Vec<Value>,
+    runs: Accumulators,
+    gids: Vec<u32>,
     /// Number of border groups that were merged with an already-pending one
     /// (i.e. actually continued across a chunk boundary).
     boundary_merges: u64,
@@ -199,15 +327,14 @@ pub struct ChunkOrderedAggregate<O> {
 impl<O: Operator> ChunkOrderedAggregate<O> {
     /// Creates the operator; `key_col` is the clustering key column.
     pub fn new(input: O, key_col: usize, funcs: Vec<AggFunc>) -> Self {
-        assert!(
-            !funcs.is_empty(),
-            "an aggregation needs at least one aggregate"
-        );
         Self {
             input,
             key_col,
-            funcs,
-            pending: BTreeMap::new(),
+            pending_keys: GroupTable::new(1),
+            pending: Accumulators::new(&funcs),
+            run_keys: Vec::new(),
+            runs: Accumulators::new(&funcs),
+            gids: Vec::new(),
             boundary_merges: 0,
             flushed: false,
         }
@@ -215,7 +342,7 @@ impl<O: Operator> ChunkOrderedAggregate<O> {
 
     /// Number of border groups currently parked, waiting for neighbours.
     pub fn pending_border_groups(&self) -> usize {
-        self.pending.len()
+        self.pending_keys.len()
     }
 
     /// Number of groups that actually continued across a chunk boundary.
@@ -223,74 +350,69 @@ impl<O: Operator> ChunkOrderedAggregate<O> {
         self.boundary_merges
     }
 
-    /// Folds one border group into the pending set.
-    fn park(&mut self, key: Value, state: GroupState) {
-        use std::collections::btree_map::Entry;
-        match self.pending.entry(key) {
-            Entry::Occupied(mut e) => {
-                e.get_mut().merge(&state);
-                self.boundary_merges += 1;
+    /// Numbers the key runs of `batch` (sorted on the key within the
+    /// chunk) and aggregates each run as a group of its own.
+    fn aggregate_runs(&mut self, batch: &DataChunk) {
+        let keys = batch.physical_column(self.key_col);
+        self.run_keys.clear();
+        self.gids.clear();
+        self.gids.reserve(batch.physical_len());
+        batch.for_each_row(|r| {
+            if self.run_keys.last() != Some(&keys[r]) {
+                self.run_keys.push(keys[r]);
             }
-            Entry::Vacant(e) => {
-                e.insert(state);
-            }
-        }
+            self.gids.push(self.run_keys.len() as u32 - 1);
+        });
+        debug_assert!(
+            self.run_keys.windows(2).all(|w| w[0] < w[1]),
+            "input is not clustered on the key column within chunk {:?}",
+            batch.chunk
+        );
+        self.runs.resize(0);
+        self.runs.resize(self.run_keys.len());
+        self.runs.update(batch, &self.gids);
+    }
+
+    /// Folds run `run` of the current chunk into the pending border groups.
+    fn park(&mut self, run: usize) {
+        let (group, new) = self.pending_keys.find_or_insert(&[self.run_keys[run]]);
+        self.pending.resize(self.pending_keys.len());
+        self.pending.merge_group(group as usize, &self.runs, run);
+        self.boundary_merges += !new as u64;
     }
 }
 
 impl<O: Operator> Operator for ChunkOrderedAggregate<O> {
     fn next(&mut self) -> Result<Option<DataChunk>, ScanError> {
         // Process input chunks until one yields interior groups to emit.
-        while let Some(chunk) = self.input.next()? {
-            if chunk.is_empty() {
+        while let Some(batch) = self.input.next()? {
+            if batch.is_empty() {
                 continue;
             }
-            // Split the chunk into key runs (the data is sorted on the key
-            // within the chunk).
-            let keys = chunk.column(self.key_col);
-            let mut runs: Vec<(Value, GroupState)> = Vec::new();
-            let mut run_start = 0usize;
-            for row in 1..=chunk.len() {
-                if row == chunk.len() || keys[row] != keys[run_start] {
-                    let mut state = GroupState::new(self.funcs.len());
-                    for r in run_start..row {
-                        state.update(&self.funcs, &chunk, r);
-                    }
-                    runs.push((keys[run_start], state));
-                    run_start = row;
-                }
-            }
-            debug_assert!(
-                runs.windows(2).all(|w| w[0].0 <= w[1].0),
-                "input is not clustered on the key column within chunk {:?}",
-                chunk.chunk
-            );
+            self.aggregate_runs(&batch);
             // The first and last runs may continue in neighbouring chunks.
-            let n = runs.len();
-            if n == 1 {
-                let (key, state) = runs.pop().expect("one run");
-                self.park(key, state);
-                continue;
+            let last = self.run_keys.len() - 1;
+            self.park(0);
+            if last > 0 {
+                self.park(last);
             }
-            let (last_key, last_state) = runs.pop().expect("non-empty");
-            let mut iter = runs.into_iter();
-            let (first_key, first_state) = iter.next().expect("non-empty");
-            self.park(first_key, first_state);
-            self.park(last_key, last_state);
-            let interior: BTreeMap<Vec<Value>, GroupState> =
-                iter.map(|(k, s)| (vec![k], s)).collect();
-            if !interior.is_empty() {
-                return Ok(Some(emit_groups(interior, &self.funcs, 1)));
+            if last > 1 {
+                // Runs are in key order already.
+                let interior = |column: &[Value]| column[1..last].to_vec();
+                let columns = std::iter::once(interior(&self.run_keys))
+                    .chain(self.runs.states.iter().map(|s| interior(s)))
+                    .collect();
+                return Ok(Some(DataChunk::new(ChunkId::new(0), columns)));
             }
         }
         // Input exhausted: flush the stitched border groups once.
         if !self.flushed {
             self.flushed = true;
-            if !self.pending.is_empty() {
-                let pending = std::mem::take(&mut self.pending);
-                let groups: BTreeMap<Vec<Value>, GroupState> =
-                    pending.into_iter().map(|(k, s)| (vec![k], s)).collect();
-                return Ok(Some(emit_groups(groups, &self.funcs, 1)));
+            if self.pending_keys.len() > 0 {
+                let stitched = emit_sorted(&self.pending_keys, &self.pending);
+                self.pending_keys = GroupTable::new(1);
+                self.pending.resize(0);
+                return Ok(Some(stitched));
             }
         }
         Ok(None)

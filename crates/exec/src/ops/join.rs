@@ -16,13 +16,15 @@ use cscan_storage::ChunkId;
 
 /// Joins two key-sorted batches on equality, producing
 /// `[key, left payload columns…, right payload columns…]`.
-/// Handles many-to-many matches.
+/// Handles many-to-many matches.  Inputs carrying a selection are
+/// compacted first; the output is dense.
 pub fn merge_join(
     left: &DataChunk,
     left_key: usize,
     right: &DataChunk,
     right_key: usize,
 ) -> DataChunk {
+    let (left, right) = (&left.clone().compact(), &right.clone().compact());
     let lk = left.column(left_key);
     let rk = right.column(right_key);
     debug_assert!(

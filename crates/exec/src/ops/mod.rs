@@ -7,6 +7,16 @@
 //! either order-agnostic (filter, project, hash aggregation) or explicitly
 //! order-aware with chunk-boundary handling (chunk-ordered aggregation, the
 //! cooperative merge join) as described in Section 7 of the paper.
+//!
+//! A batch's life: the leaf shares the delivered column vectors and has
+//! released the pin before the batch leaves it; a filter adds or narrows
+//! the selection vector and moves no data; the aggregates read columns
+//! through the selection.  Only the consumers that need dense rows —
+//! [`Project`], [`merge_join`] and [`collect`]/[`try_collect`] — compact,
+//! once, and every operator's output other than [`Filter`]'s is dense.
+//! Operators keep their scratch (selection buffer, group ids, expression
+//! intermediates) across batches, so steady state allocates per chunk, never
+//! per row.
 
 pub mod aggregate;
 pub mod join;
@@ -20,8 +30,9 @@ pub use project::Project;
 pub use scan::{ChunkSource, Operator, SessionSource};
 pub use select::Filter;
 
-use crate::vector::DataChunk;
+use crate::vector::{DataChunk, Value};
 use cscan_core::session::ScanError;
+use cscan_storage::ChunkId;
 
 /// Drains an operator, concatenating all its output rows into one chunk
 /// (convenience for tests and small results).
@@ -36,16 +47,14 @@ pub fn collect(op: &mut dyn Operator) -> DataChunk {
 /// Drains an operator, concatenating all its output rows into one chunk,
 /// propagating any scan failure.
 pub fn try_collect(op: &mut dyn Operator) -> Result<DataChunk, ScanError> {
-    let mut out: Option<DataChunk> = None;
+    let mut out: Option<(ChunkId, Vec<Vec<Value>>)> = None;
     while let Some(batch) = op.next()? {
-        match &mut out {
-            None => out = Some(batch),
-            Some(acc) => {
-                for (dst, src) in acc.columns.iter_mut().zip(batch.columns) {
-                    dst.extend(src);
-                }
-            }
+        let (_, columns) =
+            out.get_or_insert_with(|| (batch.chunk, vec![Vec::new(); batch.width()]));
+        for (col, dst) in columns.iter_mut().enumerate() {
+            batch.gather(col, dst);
         }
     }
-    Ok(out.unwrap_or_else(|| DataChunk::empty(cscan_storage::ChunkId::new(0), 0)))
+    let (chunk, columns) = out.unwrap_or((ChunkId::new(0), Vec::new()));
+    Ok(DataChunk::new(chunk, columns))
 }

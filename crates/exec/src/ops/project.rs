@@ -1,14 +1,16 @@
 //! Projection operator.
 
-use crate::expr::Expr;
+use crate::expr::{Expr, Scratch};
 use crate::ops::scan::Operator;
 use crate::vector::DataChunk;
 use cscan_core::session::ScanError;
 
-/// Computes a list of expressions over every input batch.
+/// Computes a list of expressions over every input batch.  The output is
+/// dense: an input selection is applied while the expressions are evaluated.
 pub struct Project<O> {
     input: O,
     exprs: Vec<Expr>,
+    scratch: Scratch,
 }
 
 impl<O: Operator> Project<O> {
@@ -21,7 +23,11 @@ impl<O: Operator> Project<O> {
             !exprs.is_empty(),
             "a projection needs at least one expression"
         );
-        Self { input, exprs }
+        Self {
+            input,
+            exprs,
+            scratch: Scratch::default(),
+        }
     }
 }
 
@@ -30,7 +36,15 @@ impl<O: Operator> Operator for Project<O> {
         let Some(chunk) = self.input.next()? else {
             return Ok(None);
         };
-        let columns = self.exprs.iter().map(|e| e.eval(&chunk)).collect();
+        let columns = self
+            .exprs
+            .iter()
+            .map(|e| {
+                let mut out = Vec::with_capacity(chunk.len());
+                e.eval_into(&chunk, chunk.selection(), &mut out, &mut self.scratch);
+                out
+            })
+            .collect();
         Ok(Some(DataChunk::new(chunk.chunk, columns)))
     }
 }

@@ -5,9 +5,12 @@
 //! * [`SessionSource`] — the *live* leaf: any [`ScanSession`] (a threaded
 //!   `ScanServer` handle with real pinned payloads, or the deterministic
 //!   sim shim) is a chunk source.  Chunks arrive in ABM-chosen order with
-//!   their data pinned; the leaf decodes the payload's zero-copy column
-//!   views into an owned [`DataChunk`] and releases the pin — the only
-//!   copy in the pipeline, and the moment eviction becomes legal again.
+//!   their data pinned; the leaf takes a reference on each requested
+//!   column vector (a refcount bump, no copy), completes the pin — the
+//!   moment eviction becomes legal again — and only then hands the batch
+//!   up.  A slow operator tree therefore holds heap bytes, never a buffer
+//!   frame; an evicted frame's vectors live until the last batch over
+//!   them is dropped.
 //! * [`ChunkSource`] — the in-memory baseline: replays a [`MemTable`] in an
 //!   explicit delivery order.  The differential tests drive both leaves
 //!   through identical operator trees and require bit-identical results.
@@ -94,19 +97,16 @@ impl<S: ScanSession> Operator for SessionSource<S> {
             .columns
             .iter()
             .map(|&c| {
-                pinned
-                    .column(c)
-                    .unwrap_or_else(|| {
-                        panic!(
-                            "delivered {:?} carries no data for column {c:?} — \
-                             was the server built with a store covering the scan's columns?",
-                            pinned.chunk()
-                        )
-                    })
-                    .to_vec()
+                pinned.shared_column(c).unwrap_or_else(|| {
+                    panic!(
+                        "delivered {:?} carries no data for column {c:?} — \
+                         was the server built with a store covering the scan's columns?",
+                        pinned.chunk()
+                    )
+                })
             })
             .collect();
-        let out = DataChunk::new(pinned.chunk(), columns);
+        let out = DataChunk::from_shared(pinned.chunk(), columns);
         pinned.complete();
         self.obs.inc(Counter::ExecBatches);
         self.obs.add(Counter::ExecRows, out.len() as u64);

@@ -1,20 +1,34 @@
 //! Filter (selection) operator.
 
-use crate::expr::Expr;
+use crate::expr::{Expr, Scratch};
 use crate::ops::scan::Operator;
-use crate::vector::DataChunk;
+use crate::vector::{DataChunk, Selection};
 use cscan_core::session::ScanError;
+use std::sync::Arc;
 
 /// Keeps only the rows for which a predicate evaluates to true.
+///
+/// The predicate writes a selection vector; the columns pass through
+/// untouched and uncopied (see [`crate::vector`]).
 pub struct Filter<O> {
     input: O,
     predicate: Expr,
+    /// The selection buffer, shared with the batch handed out last.  A
+    /// pull-model consumer has dropped that batch by the time it asks for
+    /// the next one, so the buffer is unique again and is reused.
+    selection: Selection,
+    scratch: Scratch,
 }
 
 impl<O: Operator> Filter<O> {
     /// Creates a filter over `input`.
     pub fn new(input: O, predicate: Expr) -> Self {
-        Self { input, predicate }
+        Self {
+            input,
+            predicate,
+            selection: Selection::default(),
+            scratch: Scratch::default(),
+        }
     }
 }
 
@@ -23,14 +37,28 @@ impl<O: Operator> Operator for Filter<O> {
         // Skip over batches that filter down to nothing so callers see a
         // steady stream of useful data (but preserve operator termination).
         loop {
-            let Some(chunk) = self.input.next()? else {
+            let Some(batch) = self.input.next()? else {
                 return Ok(None);
             };
-            let mask = self.predicate.eval_mask(&chunk);
-            let filtered = chunk.filter(&mask);
-            if !filtered.is_empty() {
-                return Ok(Some(filtered));
+            // Copies only if the consumer kept the previous batch.
+            let sel = Arc::make_mut(&mut self.selection);
+            let all = match batch.selection() {
+                Some(input) => {
+                    sel.clear();
+                    sel.extend_from_slice(input);
+                    false
+                }
+                None => true,
+            };
+            self.predicate.select(&batch, sel, all, &mut self.scratch);
+            if sel.is_empty() {
+                continue;
             }
+            return Ok(Some(if sel.len() == batch.len() {
+                batch
+            } else {
+                batch.with_selection(Arc::clone(&self.selection))
+            }));
         }
     }
 }

@@ -177,6 +177,16 @@ impl ColumnChunk {
         }
     }
 
+    /// The values as a shared vector (a refcount bump, decoding first if
+    /// necessary): what a consumer keeps to read the column after the
+    /// frame that delivered it has been released or evicted.
+    pub fn shared(&self) -> ColumnData {
+        match self {
+            ColumnChunk::Plain(d) => Arc::clone(d),
+            ColumnChunk::Compressed(l) => Arc::clone(l.values()),
+        }
+    }
+
     /// Whether the values are readable without a decode (plain, or
     /// compressed-and-already-decoded).
     pub fn is_decoded(&self) -> bool {
@@ -291,7 +301,12 @@ impl NsmChunkData {
 
     /// Zero-copy view of one column (decoding it first if compressed).
     pub fn column(&self, col: ColumnId) -> Option<&[i64]> {
-        self.columns.get(col.as_usize()).map(|c| c.as_slice())
+        self.part(col).map(|c| c.as_slice())
+    }
+
+    /// One mini-column, in whatever state it is in.
+    pub fn part(&self, col: ColumnId) -> Option<&ColumnChunk> {
+        self.columns.get(col.as_usize())
     }
 
     /// The mini-columns themselves (state-preserving access).
@@ -357,10 +372,15 @@ impl DsmChunkData {
     /// Zero-copy view of one column, if resident (decoding it first if
     /// compressed).
     pub fn column(&self, col: ColumnId) -> Option<&[i64]> {
+        self.part(col).map(|c| c.as_slice())
+    }
+
+    /// One mini-column, if resident, in whatever state it is in.
+    pub fn part(&self, col: ColumnId) -> Option<&ColumnChunk> {
         self.columns
             .binary_search_by_key(&col, |(id, _)| *id)
             .ok()
-            .map(|i| self.columns[i].1.as_slice())
+            .map(|i| &self.columns[i].1)
     }
 
     /// The resident mini-columns (state-preserving access).
@@ -455,6 +475,19 @@ impl ChunkPayload {
             ChunkPayload::Nsm(d) => d.column(col),
             ChunkPayload::Dsm(d) => d.column(col),
         }
+    }
+
+    /// One column's values as a shared vector, if present in the payload:
+    /// the same data [`ChunkPayload::column`] views, but refcounted instead
+    /// of borrowed, so it outlives the pin (the holder keeps heap bytes,
+    /// never a buffer frame).
+    pub fn shared_column(&self, col: ColumnId) -> Option<ColumnData> {
+        match self {
+            ChunkPayload::Missing => None,
+            ChunkPayload::Nsm(d) => d.part(col),
+            ChunkPayload::Dsm(d) => d.part(col),
+        }
+        .map(ColumnChunk::shared)
     }
 
     /// Ensures every column of the payload is decoded; returns the number

@@ -37,6 +37,7 @@ pub mod ids;
 pub mod nsm;
 pub mod scan;
 pub mod schema;
+pub mod scratch;
 pub mod segment;
 pub mod zonemap;
 
@@ -52,6 +53,7 @@ pub use ids::{ChunkId, ColumnId, PageId};
 pub use nsm::NsmLayout;
 pub use scan::{ChunkRange, ScanRanges};
 pub use schema::{ColumnDef, ColumnType, TableSchema};
+pub use scratch::ScratchPath;
 pub use segment::{FileStore, PreadFile, SegmentIo, SegmentSummary, SegmentWriter};
 pub use zonemap::ZoneMap;
 

@@ -358,7 +358,8 @@ pub struct SegmentSummary {
 /// an interrupted load never leaves a partial file under the final name —
 /// see the module docs for the durability story.  Dropping the writer
 /// without finishing leaves the `.tmp` orphan behind (readers never open
-/// it); rerunning the load simply overwrites it.
+/// it); [`SegmentWriter::create`] refuses to write over one, so a rerun
+/// removes it first.
 #[derive(Debug)]
 pub struct SegmentWriter {
     final_path: PathBuf,
@@ -377,6 +378,10 @@ impl SegmentWriter {
     /// Creates `<path>.tmp` and writes the header.  `schemes` fixes the
     /// column count and the per-column on-disk encoding
     /// ([`Compression::None`] = raw little-endian `i64`s).
+    ///
+    /// Fails with [`io::ErrorKind::AlreadyExists`] if `<path>.tmp` exists:
+    /// another writer is loading the same target, or an interrupted load
+    /// left its orphan behind.
     pub fn create(
         path: impl Into<PathBuf>,
         schemes: Vec<Compression>,
@@ -391,7 +396,10 @@ impl SegmentWriter {
         let mut tmp = final_path.clone().into_os_string();
         tmp.push(".tmp");
         let tmp_path = PathBuf::from(tmp);
-        let mut file = BufWriter::new(File::create(&tmp_path)?);
+        // `create_new`: two writers racing for one target (or a rerun over a
+        // crashed load's orphan) get `AlreadyExists` here instead of
+        // interleaving their bytes in a shared temp file.
+        let mut file = BufWriter::new(File::create_new(&tmp_path)?);
         file.write_all(&SEGMENT_MAGIC)?;
         Ok(SegmentWriter {
             final_path,
@@ -736,17 +744,7 @@ impl ChunkStore for FileStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    /// A unique temp path per test invocation (no tempfile dependency).
-    fn tmp_path(tag: &str) -> PathBuf {
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        std::env::temp_dir().join(format!(
-            "cscan_seg_{tag}_{}_{}.seg",
-            std::process::id(),
-            NEXT.fetch_add(1, Ordering::Relaxed)
-        ))
-    }
+    use crate::scratch::ScratchPath;
 
     /// Deterministic test table: 3 columns (plain, dict-friendly, delta-
     /// friendly), `chunks` chunks of `rows` rows.
@@ -784,7 +782,7 @@ mod tests {
 
     #[test]
     fn round_trips_nsm_and_dsm_projections() {
-        let path = tmp_path("roundtrip");
+        let path = ScratchPath::new("seg_roundtrip");
         write_segment(&path, 4, 500, schemes());
         let obs = Arc::new(Registry::new());
         let store = FileStore::open(&path)
@@ -829,13 +827,12 @@ mod tests {
         assert_eq!(snap.counter("file_read_calls"), 4);
         assert_eq!(snap.span("file_read").count(), 4);
         assert!(snap.is_consistent());
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn compressed_segment_is_smaller_and_stays_encoded_until_pinned() {
-        let plain_path = tmp_path("vol_plain");
-        let comp_path = tmp_path("vol_comp");
+        let plain_path = ScratchPath::new("seg_vol_plain");
+        let comp_path = ScratchPath::new("seg_vol_comp");
         write_segment(&plain_path, 4, 1000, vec![Compression::None; 3]);
         write_segment(&comp_path, 4, 1000, schemes());
         let plain = FileStore::open(&plain_path).unwrap();
@@ -850,13 +847,11 @@ mod tests {
             "encoded extents must travel compressed, decoding only on pin"
         );
         assert_eq!(payload.decode_all(), 2 * 1000, "two encoded columns decode");
-        std::fs::remove_file(&plain_path).unwrap();
-        std::fs::remove_file(&comp_path).unwrap();
     }
 
     #[test]
     fn plain_on_disk_bit_flip_is_corrupted_at_read() {
-        let path = tmp_path("flip_plain");
+        let path = ScratchPath::new("seg_flip_plain");
         write_segment(&path, 2, 100, vec![Compression::None; 3]);
         // Flip one byte inside the first data extent (plain column 0).
         let mut bytes = std::fs::read(&path).unwrap();
@@ -869,12 +864,11 @@ mod tests {
         );
         // The other chunk is untouched and still reads fine.
         store.materialize(ChunkId::new(1), None).unwrap();
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn encoded_on_disk_bit_flip_fails_install_time_verification() {
-        let path = tmp_path("flip_enc");
+        let path = ScratchPath::new("seg_flip_enc");
         write_segment(&path, 1, 400, schemes());
         let clean = FileStore::open(&path).unwrap();
         let dict = *clean
@@ -896,12 +890,11 @@ mod tests {
             payload.verify_checksums().unwrap_err(),
             StoreError::Corrupted
         );
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn torn_footer_refuses_to_open() {
-        let path = tmp_path("torn");
+        let path = ScratchPath::new("seg_torn");
         write_segment(&path, 2, 50, schemes());
         let good = std::fs::read(&path).unwrap();
 
@@ -926,12 +919,11 @@ mod tests {
         // And the pristine bytes still open.
         std::fs::write(&path, &good).unwrap();
         FileStore::open(&path).unwrap();
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn unfinished_writer_leaves_only_a_tmp_orphan() {
-        let path = tmp_path("atomic");
+        let path = ScratchPath::new("seg_atomic");
         {
             let mut w = SegmentWriter::create(&path, schemes()).unwrap();
             let cols: Vec<Vec<i64>> = (0..3).map(|c| column_values(0, c, 64)).collect();
@@ -950,8 +942,22 @@ mod tests {
     }
 
     #[test]
+    fn second_writer_for_one_target_is_refused() {
+        let path = ScratchPath::new("seg_collide");
+        let first = SegmentWriter::create(&path, schemes()).unwrap();
+        let second = SegmentWriter::create(&path, schemes()).unwrap_err();
+        assert_eq!(second.kind(), io::ErrorKind::AlreadyExists);
+        drop(first);
+        let tmp = PathBuf::from(format!("{}.tmp", path.display()));
+        std::fs::remove_file(&tmp).unwrap();
+        // With the orphan gone the target is writable again.
+        write_segment(&path, 1, 8, schemes());
+        FileStore::open(&path).unwrap();
+    }
+
+    #[test]
     fn writer_rejects_degenerate_chunks() {
-        let path = tmp_path("degenerate");
+        let path = ScratchPath::new("seg_degenerate");
         assert!(SegmentWriter::create(&path, vec![]).is_err());
         let mut w = SegmentWriter::create(&path, schemes()).unwrap();
         assert!(w.append_chunk(&[]).is_err(), "wrong column count");
@@ -970,7 +976,7 @@ mod tests {
 
     #[test]
     fn bad_chunk_and_column_requests_are_permanent() {
-        let path = tmp_path("bounds");
+        let path = ScratchPath::new("seg_bounds");
         write_segment(&path, 2, 10, schemes());
         let store = FileStore::open(&path).unwrap();
         assert_eq!(
@@ -983,7 +989,6 @@ mod tests {
                 .unwrap_err(),
             StoreError::Permanent
         );
-        std::fs::remove_file(&path).unwrap();
     }
 
     /// A [`SegmentIo`] decorator that fails reads overlapping a byte range.
@@ -1011,7 +1016,7 @@ mod tests {
 
     #[test]
     fn backend_errors_map_onto_the_fault_taxonomy() {
-        let path = tmp_path("iomap");
+        let path = ScratchPath::new("seg_iomap");
         write_segment(&path, 1, 20, schemes());
         let clean = FileStore::open(&path).unwrap();
         let e0 = *clean
@@ -1033,6 +1038,5 @@ mod tests {
             let store = FileStore::from_io(io).unwrap();
             assert_eq!(store.materialize(ChunkId::new(0), None).unwrap_err(), want);
         }
-        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -7,19 +7,8 @@
 
 use cscan_storage::chunkdata::ColumnChunk;
 use cscan_storage::segment::{FileStore, SegmentWriter};
-use cscan_storage::{ChunkId, ChunkPayload, ChunkStore, ColumnId, Compression};
+use cscan_storage::{ChunkId, ChunkPayload, ChunkStore, ColumnId, Compression, ScratchPath};
 use proptest::prelude::*;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-fn tmp_path() -> PathBuf {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    std::env::temp_dir().join(format!(
-        "cscan_seg_prop_{}_{}.seg",
-        std::process::id(),
-        NEXT.fetch_add(1, Ordering::Relaxed)
-    ))
-}
 
 fn arb_schemes() -> impl Strategy<Value = Vec<Compression>> {
     prop::collection::vec(
@@ -86,7 +75,7 @@ proptest! {
         rows_per_chunk in prop::collection::vec(1usize..260, 1..5),
         seed in 0u64..u64::MAX,
     ) {
-        let path = tmp_path();
+        let path = ScratchPath::new("seg_prop");
         let width = schemes.len();
         let chunk_rows =
             |c: u32| rows_per_chunk[c as usize % rows_per_chunk.len()];
@@ -146,6 +135,5 @@ proptest! {
                 );
             }
         }
-        std::fs::remove_file(&path).unwrap();
     }
 }

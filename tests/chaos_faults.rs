@@ -25,9 +25,9 @@ use cscan_exec::{
 };
 use cscan_storage::{
     ChunkId, ColumnId, CompressingStore, Compression, FaultConfig, FaultInjectingStore, FileStore,
-    ScanRanges, SegmentWriter, StoreError,
+    ScanRanges, ScratchPath, SegmentWriter, StoreError,
 };
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -354,11 +354,10 @@ fn concurrent_chaos_mixes_errors_and_successes_without_leaks() {
 // ----------------------------------------------------------------------
 
 /// Writes the chaos lineitem table as a segment file and returns its path.
-fn write_segment(tag: &str, compressed: bool) -> PathBuf {
-    let path = std::env::temp_dir().join(format!(
-        "cscan_chaos_{tag}_{}_{}.seg",
-        if compressed { "comp" } else { "plain" },
-        std::process::id()
+fn write_segment(tag: &str, compressed: bool) -> ScratchPath {
+    let path = ScratchPath::new(&format!(
+        "chaos_{tag}_{}",
+        if compressed { "comp" } else { "plain" }
     ));
     let table = lineitem();
     let schemes = if compressed {
@@ -466,9 +465,6 @@ fn file_backed_transient_faults_recover_bit_identically() {
         total_checksum_failures > 0,
         "corrupted compressed payloads must trip the install-time checksum"
     );
-    for p in paths {
-        std::fs::remove_file(p).unwrap();
-    }
 }
 
 /// The targeted bit-flip: damage one byte of one compressed extent *on
@@ -554,5 +550,4 @@ fn on_disk_bit_flip_quarantines_only_the_damaged_chunk() {
         assert_eq!(server.pinned_frames(), 0, "{policy}: leaked pins");
         assert_eq!(server.unconsumed_drops(), 0, "{policy}");
     }
-    std::fs::remove_file(path).unwrap();
 }

@@ -13,9 +13,10 @@ use cscan_core::policy::PolicyKind;
 use cscan_core::threaded::ScanServer;
 use cscan_core::{CScanPlan, ColSet, TableModel};
 use cscan_exec::MemTable;
-use cscan_storage::{ChunkId, ColumnId, Compression, FileStore, ScanRanges, SegmentWriter};
+use cscan_storage::{
+    ChunkId, ColumnId, Compression, FileStore, ScanRanges, ScratchPath, SegmentWriter,
+};
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -26,12 +27,12 @@ fn lineitem() -> MemTable {
     MemTable::lineitem_demo(CHUNKS as u64 * ROWS_PER_CHUNK, ROWS_PER_CHUNK)
 }
 
-fn write_segment(compressed: bool) -> PathBuf {
-    let path = std::env::temp_dir().join(format!(
-        "cscan_diff_{}_{}.seg",
-        if compressed { "comp" } else { "plain" },
-        std::process::id()
-    ));
+fn write_segment(compressed: bool) -> ScratchPath {
+    let path = ScratchPath::new(if compressed {
+        "diff_comp"
+    } else {
+        "diff_plain"
+    });
     let table = lineitem();
     let schemes = if compressed {
         MemTable::lineitem_demo_schemes()
@@ -138,9 +139,6 @@ fn file_backed_scans_are_bit_identical_to_memtable() {
             }
         }
     }
-    for p in paths {
-        std::fs::remove_file(p).unwrap();
-    }
 }
 
 /// Concurrent differential: several streams share one file-backed server
@@ -194,5 +192,4 @@ fn concurrent_file_backed_streams_stay_bit_identical() {
         assert_eq!(w.join().unwrap(), expected, "a stream's values diverged");
     }
     assert_eq!(server.unconsumed_drops(), 0);
-    std::fs::remove_file(path).unwrap();
 }
