@@ -1,22 +1,15 @@
-//! Classic page-level buffer manager.
+//! The data plane's buffer pool: a chunk-indexed pin ledger.
 //!
-//! This is the substrate the paper assumes already exists in every DBMS and
-//! against which the Active Buffer Manager is contrasted (Figure 1 and
-//! Section 7.1).  It provides a fixed pool of page frames, a page table,
-//! pin/unpin reference counting and pluggable replacement policies (LRU,
-//! MRU and Clock).  The `normal` scan policy is exactly "sequential reads
-//! through an LRU-buffered pool", and Section 7.1's "ABM on top of the
-//! standard buffer manager" integration is exercised by the
-//! [`pool::BufferPool::acquire_range`] API.
+//! The Active Buffer Manager decides what is loaded and what is evicted, at
+//! chunk granularity, from its own page accounting.  What is left for a
+//! buffer pool to do is hold the data and keep it from being reclaimed
+//! under a reader: [`ShardedPool`] has one slot per logical chunk — pin
+//! count and payload — and no replacement policy, page table or free list.
 
 #![warn(missing_docs)]
 
-pub mod frame;
-pub mod policy;
-pub mod pool;
-pub mod sharded;
+mod pool;
+mod sharded;
 
-pub use frame::{Frame, FrameId, PageKey};
-pub use policy::{ClockPolicy, LruPolicy, MruPolicy, ReplacementPolicy};
-pub use pool::{BufferPool, FetchOutcome, PayloadState, PoolGaugeHub, PoolStats};
-pub use sharded::{ShardGuard, ShardedPool, MAX_SHARDS};
+pub use pool::PoolStats;
+pub use sharded::{ShardedPool, MAX_SHARDS};

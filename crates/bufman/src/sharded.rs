@@ -1,99 +1,119 @@
-//! A chunk-striped buffer pool: the data plane's pin ledger without a
-//! global lock.
+//! The chunk-indexed pin ledger.
 //!
-//! [`ShardedPool`] splits one logical chunk-granularity [`BufferPool`] into
-//! a power-of-two number of independently locked shards, keyed by
-//! `chunk_id & mask`.  The hot consume path of the threaded executor —
-//! pinning a delivered frame's payload and unpinning it on release — takes
-//! exactly one shard lock, never a lock shared with the scheduler;
-//! residency *transitions* (install at commit, evict at plan/release time)
-//! are still driven by the scheduler, which nests the shard lock inside
-//! its own critical section (lock order: scheduler → shard, never the
-//! reverse).
+//! [`ShardedPool`] holds one slot per logical chunk — a pin count plus the
+//! chunk's [`ChunkPayload`] while it is resident — in a power-of-two number
+//! of mutex-guarded slot arrays: chunk `c` lives in shard `c & mask`, at
+//! slot `c >> shard_bits`.  Every operation takes exactly that one shard
+//! lock, a leaf in the executor's lock order (scheduler → shard, never the
+//! reverse), and the pool allocates nothing after construction (only a DSM
+//! merge, in `cscan_storage`, builds a new column list).
 //!
-//! Two pieces of cross-shard bookkeeping need care:
+//! The pool never chooses what leaves: the ABM plans every eviction and
+//! calls [`ShardedPool::evict`], which refuses a slot that is still pinned.
+//! What the pool does own is the bookkeeping its callers would otherwise
+//! have to remember:
 //!
-//! * **Gauges.**  Every shard mirrors its counters into the shared
-//!   [`Registry`], but a *gauge* set from one shard's local value would
-//!   clobber the others'.  The shards therefore share a [`PoolGaugeHub`]:
-//!   each shard publishes only its delta into the hub's atomics and writes
-//!   the aggregate to the registry gauge.
+//! * **Generations.**  Every chunk has a generation counter that the pool
+//!   itself advances by one on each install, payload replacement and
+//!   eviction — and on nothing else.  [`ShardedPool::pin`] and
+//!   [`ShardedPool::unpin`] return the generation they saw under the shard
+//!   lock, so release bookkeeping applied later can check that the slot was
+//!   not recycled underneath it.
 //!
-//! * **Generations.**  Each frame carries a generation counter, bumped on
-//!   every payload install and eviction.  Release-path bookkeeping that is
-//!   applied *deferred* (through the scheduler's release inbox) records
-//!   the generation it observed at unpin time, and the apply side
-//!   debug-asserts the frame has not been recycled underneath it — the
-//!   cross-shard analogue of the ABM's plan/commit epoch check.
+//! * **Gauges.**  Registry gauges are *set*, not accumulated, so the pool
+//!   keeps the cross-shard pinned and resident totals in two atomics and
+//!   publishes those.
 //!
-//! Shard-lock hold times are recorded into the registry's
-//! `shard_lock_hold` span histogram by the [`ShardGuard`] returned from
-//! [`ShardedPool::shard`], so contention on the striped fast path is
-//! observable next to the scheduler's `lock_hold`.
+//! * **Lock spans.**  Shard-lock hold times land in the registry's
+//!   `shard_lock_hold` histogram, next to the scheduler's `lock_hold`.
 
-use crate::frame::PageKey;
-use crate::policy::ReplacementPolicy;
-use crate::pool::{BufferPool, PoolGaugeHub, PoolStats};
-use cscan_obs::{Registry, SpanKind};
+use crate::pool::PoolStats;
+use cscan_obs::{Counter, Gauge, Registry, SpanKind, SpanTimer};
+use cscan_storage::{ChunkId, ChunkPayload};
 use parking_lot::{Mutex, MutexGuard};
-use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The largest shard count a pool will stripe into.  Shards beyond the
 /// chunk count (or beyond what a lock per 16-way stripe buys) only add
 /// footprint, so the count is `min(num_chunks.next_power_of_two(), 16)`.
 pub const MAX_SHARDS: usize = 16;
 
-/// A power-of-two set of independently locked [`BufferPool`] shards,
-/// striped by chunk id.  See the module docs for the locking discipline.
+/// One chunk's entry: resident exactly while `payload` is `Some`, and
+/// pinned only while resident.
+#[derive(Default)]
+struct Slot {
+    pins: u32,
+    payload: Option<ChunkPayload>,
+}
+
+/// What one shard lock protects.
+struct Shard {
+    slots: Box<[Slot]>,
+    stats: PoolStats,
+}
+
+/// The data plane's page table, pin ledger and payload store at chunk
+/// granularity.  See the module docs.
 pub struct ShardedPool {
-    shards: Box<[Mutex<BufferPool>]>,
-    mask: u64,
-    /// Per-chunk frame generations (install/evict each bump by one),
-    /// indexed by the key's page number.  Atomic so debug cross-checks can
-    /// read them without a lock.
+    shards: Box<[Mutex<Shard>]>,
+    shard_bits: u32,
+    /// One per chunk; the length is the chunk count.  Written only under
+    /// the owning shard's lock, atomic so [`ShardedPool::generation`] can
+    /// read without it.
     generations: Box<[AtomicU64]>,
-    /// Registry for shard-lock hold-time spans (`None` until
-    /// [`ShardedPool::set_observability`]).
+    /// Slots with at least one pin, over all shards.
+    pinned: AtomicU64,
+    /// Resident slots, over all shards.
+    resident: AtomicU64,
     obs: Option<Arc<Registry>>,
 }
 
+/// A locked shard plus the slot index of the chunk it was locked for.
+/// Dropping it unlocks, then records the hold time.
+struct Locked<'a> {
+    shard: MutexGuard<'a, Shard>,
+    slot: usize,
+    _held: Option<SpanTimer<'a>>,
+}
+
+impl Locked<'_> {
+    fn parts(&mut self) -> (&mut Slot, &mut PoolStats) {
+        let shard = &mut *self.shard;
+        (&mut shard.slots[self.slot], &mut shard.stats)
+    }
+}
+
 impl ShardedPool {
-    /// Creates a pool with one frame per logical chunk, striped over
+    /// Creates a pool with one slot per logical chunk, striped over
     /// `min(num_chunks.next_power_of_two(), MAX_SHARDS)` shards.
     ///
     /// # Panics
     /// Panics if `num_chunks` is zero.
-    pub fn new(num_chunks: usize, policy: impl Fn() -> Box<dyn ReplacementPolicy>) -> Self {
-        assert!(num_chunks > 0, "sharded pool needs at least one chunk");
-        let shards = num_chunks.next_power_of_two().clamp(1, MAX_SHARDS);
-        // Chunk i lives in shard i & mask; every shard gets a frame for
-        // each chunk that maps to it (ceil covers the uneven tail).
-        let per_shard = num_chunks.div_ceil(shards).max(1);
-        let hub = Arc::new(PoolGaugeHub::default());
-        let shards: Box<[Mutex<BufferPool>]> = (0..shards)
-            .map(|_| {
-                let mut pool = BufferPool::new(per_shard, policy());
-                pool.set_gauge_hub(Arc::clone(&hub));
-                Mutex::new(pool)
-            })
-            .collect();
+    pub fn new(num_chunks: usize) -> Self {
+        assert!(num_chunks > 0, "the pool needs at least one chunk");
+        let shards = num_chunks.next_power_of_two().min(MAX_SHARDS);
+        let per_shard = num_chunks.div_ceil(shards);
         Self {
-            mask: (shards.len() - 1) as u64,
-            shards,
+            shards: (0..shards)
+                .map(|_| {
+                    Mutex::new(Shard {
+                        slots: (0..per_shard).map(|_| Slot::default()).collect(),
+                        stats: PoolStats::default(),
+                    })
+                })
+                .collect(),
+            shard_bits: shards.trailing_zeros(),
             generations: (0..num_chunks).map(|_| AtomicU64::new(0)).collect(),
+            pinned: AtomicU64::new(0),
+            resident: AtomicU64::new(0),
             obs: None,
         }
     }
 
-    /// Mirrors every shard's counters and the aggregated gauges into `obs`,
-    /// and records shard-lock hold times into its `shard_lock_hold` span.
+    /// Mirrors the counters and the pinned/resident gauges into `obs`, and
+    /// records shard-lock hold times into its `shard_lock_hold` span.
     pub fn set_observability(&mut self, obs: Arc<Registry>) {
-        for shard in self.shards.iter() {
-            shard.lock().set_observability(Arc::clone(&obs));
-        }
         self.obs = Some(obs);
     }
 
@@ -102,197 +122,289 @@ impl ShardedPool {
         self.shards.len()
     }
 
-    /// Locks the shard owning `key` and returns an instrumented guard; the
-    /// hold time lands in the `shard_lock_hold` histogram on drop.
-    pub fn shard(&self, key: PageKey) -> ShardGuard<'_> {
-        let guard = self.shards[(key.page.index() & self.mask) as usize].lock();
-        ShardGuard {
-            guard,
-            acquired: Instant::now(),
-            obs: self.obs.as_deref(),
+    /// Locks `chunk`'s shard; `None` for a chunk id the pool has no slot
+    /// for.
+    fn lock(&self, chunk: ChunkId) -> Option<Locked<'_>> {
+        let c = chunk.as_usize();
+        if c >= self.generations.len() {
+            return None;
+        }
+        let shard = self.shards[c & (self.shards.len() - 1)].lock();
+        Some(Locked {
+            shard,
+            slot: c >> self.shard_bits,
+            _held: self
+                .obs
+                .as_ref()
+                .map(|obs| obs.time(SpanKind::ShardLockHold)),
+        })
+    }
+
+    fn count(&self, counter: Counter) {
+        if let Some(obs) = &self.obs {
+            obs.inc(counter);
         }
     }
 
-    /// The current generation of `key`'s frame (bumped by every payload
-    /// install and eviction).
-    pub fn generation(&self, key: PageKey) -> u64 {
+    /// Moves a cross-shard total by one and publishes it as `gauge`.
+    fn step(&self, total: &AtomicU64, gauge: Gauge, up: bool) {
+        let now = if up {
+            total.fetch_add(1, Ordering::AcqRel) + 1
+        } else {
+            total.fetch_sub(1, Ordering::AcqRel) - 1
+        };
+        if let Some(obs) = &self.obs {
+            obs.gauge_set(gauge, now);
+        }
+    }
+
+    fn bump(&self, chunk: ChunkId) {
+        self.generations[chunk.as_usize()].fetch_add(1, Ordering::AcqRel);
+    }
+
+    /// Makes `chunk` resident with `payload`, or — if it already is —
+    /// merges `payload` into what the slot holds (for DSM the union of the
+    /// column sets, see [`ChunkPayload::merged_with`]).  Counts as one pin
+    /// and one unpin, a miss for a fresh slot and a hit for a merge.
+    /// Returns false, changing nothing, for a chunk id out of range.
+    pub fn install(&self, chunk: ChunkId, payload: ChunkPayload) -> bool {
+        let Some(mut locked) = self.lock(chunk) else {
+            return false;
+        };
+        let (slot, stats) = locked.parts();
+        stats.pins += 1;
+        stats.unpins += 1;
+        self.count(Counter::FramePins);
+        self.count(Counter::FrameUnpins);
+        match &slot.payload {
+            Some(existing) => {
+                slot.payload = Some(existing.merged_with(&payload));
+                stats.hits += 1;
+                self.count(Counter::FrameHits);
+            }
+            None => {
+                slot.payload = Some(payload);
+                stats.misses += 1;
+                self.count(Counter::FrameMisses);
+                self.step(&self.resident, Gauge::ResidentFrames, true);
+            }
+        }
+        self.bump(chunk);
+        true
+    }
+
+    /// Replaces the payload of a resident chunk, pinned or not.
+    ///
+    /// # Panics
+    /// Panics if `chunk` is not resident.
+    pub fn replace_payload(&self, chunk: ChunkId, payload: ChunkPayload) {
+        let mut locked = self.lock(chunk);
+        match locked.as_mut().map(|l| l.parts().0) {
+            Some(slot) if slot.payload.is_some() => slot.payload = Some(payload),
+            _ => panic!("payload replacement for non-resident chunk {chunk}"),
+        }
+        self.bump(chunk);
+    }
+
+    /// Pins `chunk` if it is resident (a hit) and returns its generation;
+    /// `None`, counting nothing, if it is not.
+    pub fn pin(&self, chunk: ChunkId) -> Option<u64> {
+        let mut locked = self.lock(chunk)?;
+        let (slot, stats) = locked.parts();
+        slot.payload.as_ref()?;
+        slot.pins += 1;
+        stats.hits += 1;
+        stats.pins += 1;
+        self.count(Counter::FrameHits);
+        self.count(Counter::FramePins);
+        if slot.pins == 1 {
+            self.step(&self.pinned, Gauge::PinnedFrames, true);
+        }
+        Some(self.generation(chunk))
+    }
+
+    /// Returns one pin of `chunk` and the generation of its slot.
+    ///
+    /// # Panics
+    /// Panics if `chunk` is not pinned.
+    pub fn unpin(&self, chunk: ChunkId) -> u64 {
+        let mut locked = self.lock(chunk);
+        match locked.as_mut().map(|l| l.parts()) {
+            Some((slot, stats)) if slot.pins > 0 => {
+                slot.pins -= 1;
+                stats.unpins += 1;
+                self.count(Counter::FrameUnpins);
+                if slot.pins == 0 {
+                    self.step(&self.pinned, Gauge::PinnedFrames, false);
+                }
+            }
+            _ => panic!("unpin of unpinned chunk {chunk}"),
+        }
+        self.generation(chunk)
+    }
+
+    /// Drops `chunk` and its payload if it is resident and unpinned.
+    /// Returns whether it was evicted.
+    pub fn evict(&self, chunk: ChunkId) -> bool {
+        let Some(mut locked) = self.lock(chunk) else {
+            return false;
+        };
+        let (slot, stats) = locked.parts();
+        if slot.pins > 0 || slot.payload.take().is_none() {
+            return false;
+        }
+        stats.evictions += 1;
+        self.count(Counter::FrameEvictions);
+        self.step(&self.resident, Gauge::ResidentFrames, false);
+        self.bump(chunk);
+        true
+    }
+
+    /// The payload of `chunk` (a refcount bump, never a data copy), if it
+    /// is resident.
+    pub fn payload(&self, chunk: ChunkId) -> Option<ChunkPayload> {
+        self.lock(chunk)?.parts().0.payload.clone()
+    }
+
+    /// Whether `chunk` is resident.
+    pub fn contains(&self, chunk: ChunkId) -> bool {
+        self.pin_count(chunk).is_some()
+    }
+
+    /// Pin count of `chunk`, if it is resident.
+    pub fn pin_count(&self, chunk: ChunkId) -> Option<u32> {
+        let mut locked = self.lock(chunk)?;
+        let slot = locked.parts().0;
+        slot.payload.as_ref().map(|_| slot.pins)
+    }
+
+    /// The generation of `chunk`'s slot: the number of installs, payload
+    /// replacements and evictions it has seen (0 for an id out of range).
+    pub fn generation(&self, chunk: ChunkId) -> u64 {
         self.generations
-            .get(key.page.index() as usize)
-            .map(|g| g.load(Ordering::Acquire))
-            .unwrap_or(0)
-    }
-
-    /// Advances `key`'s frame generation; call on every payload install and
-    /// eviction (while holding the shard lock, so readers under the same
-    /// lock see a stable value).
-    pub fn bump_generation(&self, key: PageKey) {
-        if let Some(g) = self.generations.get(key.page.index() as usize) {
-            g.fetch_add(1, Ordering::AcqRel);
-        }
+            .get(chunk.as_usize())
+            .map_or(0, |g| g.load(Ordering::Acquire))
     }
 
     /// Counters summed over every shard.
     pub fn stats(&self) -> PoolStats {
         let mut total = PoolStats::default();
         for shard in self.shards.iter() {
-            total += shard.lock().stats();
+            total += shard.lock().stats;
         }
         total
     }
 
-    /// Frames currently pinned, summed over every shard.
+    /// Chunks currently pinned at least once.
     pub fn pinned_frames(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().pinned_frames()).sum()
+        self.pinned.load(Ordering::Acquire) as usize
     }
 
-    /// Resident frames still holding encoded payloads, summed over shards.
+    /// Chunks currently resident.
+    pub fn resident(&self) -> usize {
+        self.resident.load(Ordering::Acquire) as usize
+    }
+
+    /// Resident chunks whose payload still holds encoded (not yet decoded)
+    /// mini-columns.
     pub fn compressed_frames(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().compressed_frames())
+            .map(|shard| {
+                let shard = shard.lock();
+                shard
+                    .slots
+                    .iter()
+                    .filter(|s| s.payload.as_ref().is_some_and(|p| !p.is_fully_decoded()))
+                    .count()
+            })
             .sum()
-    }
-
-    /// Pages currently resident, summed over every shard.
-    pub fn resident(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().resident()).sum()
-    }
-
-    /// Whether `key` is currently resident (takes its shard lock).
-    pub fn contains(&self, key: PageKey) -> bool {
-        self.shard(key).contains(key)
-    }
-
-    /// Pin count of `key`, if resident (takes its shard lock).
-    pub fn pin_count(&self, key: PageKey) -> Option<u32> {
-        self.shard(key).pin_count(key)
-    }
-}
-
-impl std::fmt::Debug for ShardedPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedPool")
-            .field("shards", &self.shards.len())
-            .field("resident", &self.resident())
-            .finish()
-    }
-}
-
-/// An instrumented shard guard: derefs to the shard's [`BufferPool`] and
-/// records the lock hold time on drop.
-pub struct ShardGuard<'a> {
-    guard: MutexGuard<'a, BufferPool>,
-    acquired: Instant,
-    obs: Option<&'a Registry>,
-}
-
-impl Deref for ShardGuard<'_> {
-    type Target = BufferPool;
-    fn deref(&self) -> &BufferPool {
-        &self.guard
-    }
-}
-
-impl DerefMut for ShardGuard<'_> {
-    fn deref_mut(&mut self) -> &mut BufferPool {
-        &mut self.guard
-    }
-}
-
-impl Drop for ShardGuard<'_> {
-    fn drop(&mut self) {
-        if let Some(obs) = self.obs {
-            obs.record_span_ns(
-                SpanKind::ShardLockHold,
-                (self.acquired.elapsed().as_nanos() as u64).max(1),
-            );
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::LruPolicy;
-    use cscan_obs::Gauge;
 
-    fn pool(chunks: usize) -> ShardedPool {
-        ShardedPool::new(chunks, || Box::new(LruPolicy::new()))
-    }
-
-    fn key(c: u64) -> PageKey {
-        PageKey::new(0, c)
+    fn chunk(c: u32) -> ChunkId {
+        ChunkId::new(c)
     }
 
     #[test]
     fn shard_count_is_a_clamped_power_of_two() {
-        assert_eq!(pool(1).num_shards(), 1);
-        assert_eq!(pool(5).num_shards(), 8);
-        assert_eq!(pool(256).num_shards(), MAX_SHARDS);
+        assert_eq!(ShardedPool::new(1).num_shards(), 1);
+        assert_eq!(ShardedPool::new(5).num_shards(), 8);
+        assert_eq!(ShardedPool::new(256).num_shards(), MAX_SHARDS);
     }
 
     #[test]
     fn every_chunk_finds_a_frame_in_its_shard() {
-        let p = pool(37);
-        for c in 0..37u64 {
-            let mut shard = p.shard(key(c));
-            assert!(shard.fetch_and_pin(key(c)).is_some(), "chunk {c}");
-            shard.unpin(key(c), false);
+        // 37 chunks over 16 shards: the uneven tail still gets its slots,
+        // and the first id past the end gets none.
+        let p = ShardedPool::new(37);
+        for c in 0..37 {
+            assert!(p.install(chunk(c), ChunkPayload::Missing), "chunk {c}");
+            assert!(p.pin(chunk(c)).is_some(), "chunk {c}");
+            p.unpin(chunk(c));
         }
         assert_eq!(p.resident(), 37);
         assert_eq!(p.pinned_frames(), 0);
         assert_eq!(p.stats().misses, 37);
+        assert!(!p.install(chunk(37), ChunkPayload::Missing));
+        assert_eq!(p.pin(chunk(37)), None);
+        assert!(!p.evict(chunk(37)));
+        assert_eq!(p.payload(chunk(37)), None);
+        assert_eq!(p.resident(), 37);
     }
 
     #[test]
     fn generations_bump_on_install_and_evict() {
-        let p = pool(8);
-        let k = key(3);
-        assert_eq!(p.generation(k), 0);
-        {
-            let mut shard = p.shard(k);
-            shard.fetch_and_pin(k).unwrap();
-            shard.install_payload(k, cscan_storage::ChunkPayload::Missing);
-            p.bump_generation(k);
-            shard.unpin(k, false);
-        }
-        assert_eq!(p.generation(k), 1);
-        {
-            let mut shard = p.shard(k);
-            assert!(shard.evict_page(k));
-            p.bump_generation(k);
-        }
-        assert_eq!(p.generation(k), 2);
+        let p = ShardedPool::new(8);
+        let c = chunk(3);
+        assert_eq!(p.generation(c), 0);
+        assert!(p.install(c, ChunkPayload::Missing));
+        assert_eq!(p.generation(c), 1);
+        assert_eq!(p.pin(c), Some(1), "a pin reports, never moves, it");
+        assert!(!p.evict(c), "pinned");
+        p.replace_payload(c, ChunkPayload::Missing);
+        assert_eq!(p.unpin(c), 2);
+        assert!(p.install(c, ChunkPayload::Missing), "a merge");
+        assert!(p.evict(c));
+        assert!(!p.evict(c), "already gone");
+        assert_eq!(p.generation(c), 4);
+        assert_eq!(p.generation(chunk(4)), 0, "a neighbour's never moves");
     }
 
     #[test]
     fn gauges_aggregate_across_shards_instead_of_clobbering() {
         let obs = Arc::new(Registry::new());
-        let mut p = pool(64);
+        let mut p = ShardedPool::new(64);
         p.set_observability(Arc::clone(&obs));
-        // Pin chunks that land in different shards; a per-shard gauge_set
-        // of the local value would report 1, not the aggregate.
-        for c in [0u64, 1, 2, 3, 17, 33] {
-            p.shard(key(c)).fetch_and_pin(key(c)).unwrap();
+        // Chunks that land in different shards; a gauge set from one
+        // shard's local count would report 1, not the total.
+        for c in [0, 1, 2, 3, 17, 33] {
+            p.install(chunk(c), ChunkPayload::Missing);
+            p.pin(chunk(c)).unwrap();
         }
         assert_eq!(obs.gauge(Gauge::PinnedFrames), 6);
         assert_eq!(obs.gauge(Gauge::ResidentFrames), 6);
-        for c in [0u64, 1, 2, 3] {
-            p.shard(key(c)).unpin(key(c), false);
+        for c in [0, 1, 2, 3] {
+            p.unpin(chunk(c));
         }
         assert_eq!(obs.gauge(Gauge::PinnedFrames), 2);
         assert_eq!(obs.gauge(Gauge::ResidentFrames), 6);
+        assert!(p.evict(chunk(0)));
+        assert_eq!(obs.gauge(Gauge::ResidentFrames), 5);
+        assert_eq!((p.pinned_frames(), p.resident()), (2, 5));
     }
 
     #[test]
     fn shard_lock_holds_are_recorded() {
         let obs = Arc::new(Registry::new());
-        let mut p = pool(16);
+        let mut p = ShardedPool::new(16);
         p.set_observability(Arc::clone(&obs));
-        for c in 0..16u64 {
-            let mut shard = p.shard(key(c));
-            shard.fetch_and_pin(key(c)).unwrap();
-            shard.unpin(key(c), false);
+        for c in 0..16 {
+            p.install(chunk(c), ChunkPayload::Missing);
         }
         assert!(obs.span_hist(SpanKind::ShardLockHold).snapshot().count() >= 16);
     }

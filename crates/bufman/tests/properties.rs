@@ -1,100 +1,224 @@
-//! Property-based tests for the classic buffer pool.
+//! Model-based property tests: random install / pin / unpin / evict /
+//! replace-payload scripts against a per-chunk `(payload, pins)` reference.
 
-use cscan_bufman::{BufferPool, ClockPolicy, LruPolicy, MruPolicy, PageKey, ReplacementPolicy};
+use cscan_bufman::{PoolStats, ShardedPool};
+use cscan_obs::{Gauge, Registry};
+use cscan_storage::chunkdata::NsmChunkData;
+use cscan_storage::{ChunkId, ChunkPayload};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+use std::sync::Arc;
 
-fn make_pool(which: u8, capacity: usize) -> BufferPool {
-    let policy: Box<dyn ReplacementPolicy> = match which % 3 {
-        0 => Box::new(LruPolicy::new()),
-        1 => Box::new(MruPolicy::new()),
-        _ => Box::new(ClockPolicy::new()),
-    };
-    BufferPool::new(capacity, policy)
+const INSTALL: u8 = 0;
+const PIN: u8 = 1;
+const UNPIN: u8 = 2;
+const EVICT: u8 = 3;
+const REPLACE: u8 = 4;
+
+/// The pool under test next to what it must look like.
+struct Model {
+    pool: ShardedPool,
+    obs: Arc<Registry>,
+    /// Per chunk: the payload while resident, and the pin count.
+    slots: Vec<(Option<ChunkPayload>, u32)>,
+    generations: Vec<u64>,
+    stats: PoolStats,
+    /// Makes every installed payload distinguishable from the last.
+    next_tag: i64,
+}
+
+impl Model {
+    fn new(num_chunks: usize) -> Self {
+        let obs = Arc::new(Registry::new());
+        let mut pool = ShardedPool::new(num_chunks);
+        pool.set_observability(Arc::clone(&obs));
+        Self {
+            pool,
+            obs,
+            slots: vec![(None, 0); num_chunks],
+            generations: vec![0; num_chunks],
+            stats: PoolStats::default(),
+            next_tag: 0,
+        }
+    }
+
+    fn fresh_payload(&mut self) -> ChunkPayload {
+        self.next_tag += 1;
+        ChunkPayload::Nsm(Arc::new(NsmChunkData::new(vec![Arc::new(vec![
+            self.next_tag,
+        ])])))
+    }
+
+    /// Applies one operation to both sides and checks that they agree.  An
+    /// `id` at or past the chunk count must be refused; the two operations
+    /// that panic on misuse (unpin of an unpinned chunk, replacement of a
+    /// non-resident one) are skipped where the model says they would.
+    fn step(&mut self, op: u8, id: u32) -> Result<(), TestCaseError> {
+        let chunk = ChunkId::new(id);
+        let i = id as usize;
+        let Some(&(ref held, pins)) = self.slots.get(i) else {
+            prop_assert!(!self.pool.install(chunk, ChunkPayload::Missing));
+            prop_assert_eq!(self.pool.pin(chunk), None);
+            prop_assert!(!self.pool.evict(chunk));
+            prop_assert_eq!(self.pool.payload(chunk), None);
+            prop_assert_eq!(self.pool.generation(chunk), 0);
+            return self.check_totals();
+        };
+        let resident = held.is_some();
+        match op {
+            INSTALL => {
+                let payload = self.fresh_payload();
+                prop_assert!(self.pool.install(chunk, payload.clone()));
+                // NSM payloads do not merge: the newer one wins.
+                self.slots[i].0 = Some(payload);
+                self.generations[i] += 1;
+                self.stats.pins += 1;
+                self.stats.unpins += 1;
+                if resident {
+                    self.stats.hits += 1;
+                } else {
+                    self.stats.misses += 1;
+                }
+            }
+            PIN => {
+                let expected = resident.then_some(self.generations[i]);
+                prop_assert_eq!(self.pool.pin(chunk), expected);
+                if resident {
+                    self.slots[i].1 += 1;
+                    self.stats.pins += 1;
+                    self.stats.hits += 1;
+                }
+            }
+            UNPIN if pins > 0 => {
+                prop_assert_eq!(self.pool.unpin(chunk), self.generations[i]);
+                self.slots[i].1 -= 1;
+                self.stats.unpins += 1;
+            }
+            EVICT => {
+                let evictable = resident && pins == 0;
+                prop_assert_eq!(self.pool.evict(chunk), evictable, "pins {}", pins);
+                if evictable {
+                    self.slots[i].0 = None;
+                    self.generations[i] += 1;
+                    self.stats.evictions += 1;
+                }
+            }
+            REPLACE if resident => {
+                let payload = self.fresh_payload();
+                self.pool.replace_payload(chunk, payload.clone());
+                self.slots[i].0 = Some(payload);
+                self.generations[i] += 1;
+            }
+            _ => {}
+        }
+        self.check_chunk(i)?;
+        self.check_totals()
+    }
+
+    fn check_chunk(&self, i: usize) -> Result<(), TestCaseError> {
+        let chunk = ChunkId::new(i as u32);
+        let (payload, pins) = &self.slots[i];
+        prop_assert_eq!(self.pool.generation(chunk), self.generations[i]);
+        prop_assert_eq!(self.pool.pin_count(chunk), payload.as_ref().map(|_| *pins));
+        prop_assert_eq!(&self.pool.payload(chunk), payload);
+        Ok(())
+    }
+
+    fn check_totals(&self) -> Result<(), TestCaseError> {
+        let stats = self.pool.stats();
+        prop_assert_eq!(stats, self.stats);
+        prop_assert_eq!(stats.hits + stats.misses, stats.pins);
+        let outstanding: u64 = self.slots.iter().map(|s| s.1 as u64).sum();
+        prop_assert_eq!(stats.pins - stats.unpins, outstanding);
+        let pinned = self.slots.iter().filter(|s| s.1 > 0).count();
+        let resident = self.slots.iter().filter(|s| s.0.is_some()).count();
+        prop_assert_eq!(self.pool.pinned_frames(), pinned);
+        prop_assert_eq!(self.pool.resident(), resident);
+        prop_assert_eq!(self.obs.gauge(Gauge::PinnedFrames), pinned as u64);
+        prop_assert_eq!(self.obs.gauge(Gauge::ResidentFrames), resident as u64);
+        Ok(())
+    }
+
+    /// Every chunk, not just the last one touched: an operation on one
+    /// chunk must not have moved another's generation, pins or payload.
+    fn check_all(&self) -> Result<(), TestCaseError> {
+        (0..self.slots.len()).try_for_each(|i| self.check_chunk(i))
+    }
 }
 
 proptest! {
-    /// Whatever the access sequence, the pool never holds more pages than
-    /// frames, and hits + misses equals the number of fetches.
+    /// Any script, over any chunk count, with a few ids past the end.
+    #[test]
+    fn pool_matches_reference_model(
+        num_chunks in 1usize..301,
+        script in prop::collection::vec((0u8..5, 0u32..1000), 1..400),
+    ) {
+        let mut model = Model::new(num_chunks);
+        for (op, id) in script {
+            model.step(op, id % (num_chunks as u32 + 3))?;
+        }
+        model.check_all()?;
+    }
+
+    /// Installing ids far past the end never makes more chunks resident
+    /// than the pool has slots: exactly the in-range ones are.
     #[test]
     fn residency_never_exceeds_capacity(
-        which in 0u8..3,
-        capacity in 1usize..32,
-        accesses in prop::collection::vec(0u64..100, 1..500),
+        num_chunks in 1usize..301,
+        ids in prop::collection::vec(0u32..1000, 1..300),
     ) {
-        let mut pool = make_pool(which, capacity);
-        let mut fetches = 0u64;
-        for &p in &accesses {
-            let key = PageKey::new(0, p);
-            if let Some(_outcome) = pool.fetch_and_pin(key) {
-                pool.unpin(key, false);
-                fetches += 1;
-            }
-            prop_assert!(pool.resident() <= capacity);
+        let mut model = Model::new(num_chunks);
+        for &id in &ids {
+            model.step(INSTALL, id)?;
+            prop_assert!(model.pool.resident() <= num_chunks);
         }
-        let stats = pool.stats();
-        prop_assert_eq!(stats.hits + stats.misses, fetches);
-        prop_assert!(stats.hit_ratio() >= 0.0 && stats.hit_ratio() <= 1.0);
+        let mut in_range: Vec<u32> = ids.into_iter().filter(|&id| (id as usize) < num_chunks).collect();
+        in_range.sort_unstable();
+        in_range.dedup();
+        prop_assert_eq!(model.pool.resident(), in_range.len());
     }
 
-    /// A working set no larger than the pool is never evicted once loaded:
-    /// after the first pass every access is a hit, for every policy.
+    /// The pool picks no victims: whatever happens to the other chunks, a
+    /// resident set nobody evicts stays resident.
     #[test]
     fn small_working_set_stays_resident(
-        which in 0u8..3,
-        set_size in 1usize..16,
-        passes in 2usize..6,
+        set_size in 1u32..16,
+        others in 1u32..64,
+        script in prop::collection::vec((0u8..5, 0u32..1000), 1..300),
     ) {
-        let mut pool = make_pool(which, set_size);
-        for _ in 0..1 {
-            for p in 0..set_size as u64 {
-                let key = PageKey::new(0, p);
-                pool.fetch_and_pin(key).unwrap();
-                pool.unpin(key, false);
-            }
+        let mut model = Model::new((set_size + others) as usize);
+        for id in 0..set_size {
+            model.step(INSTALL, id)?;
         }
-        let misses_after_warmup = pool.stats().misses;
-        for _ in 0..passes {
-            for p in 0..set_size as u64 {
-                let key = PageKey::new(0, p);
-                let outcome = pool.fetch_and_pin(key).unwrap();
-                prop_assert!(outcome.is_hit());
-                pool.unpin(key, false);
-            }
+        for (op, id) in script {
+            model.step(op, set_size + id % others)?;
         }
-        prop_assert_eq!(pool.stats().misses, misses_after_warmup);
+        for id in 0..set_size {
+            prop_assert!(model.pool.contains(ChunkId::new(id)));
+        }
+        model.check_all()?;
     }
 
-    /// Pinned pages survive arbitrary pressure; fetches fail (rather than
-    /// evicting a pinned page) when everything is pinned.
+    /// Pinned chunks survive every eviction, replacement and re-install
+    /// aimed at them, with their pins intact.
     #[test]
     fn pinned_pages_survive_pressure(
-        which in 0u8..3,
-        capacity in 2usize..10,
-        pressure in prop::collection::vec(100u64..200, 10..100),
+        num_chunks in 2u32..40,
+        pressure in prop::collection::vec((0u8..3, 0u32..1000), 10..200),
     ) {
-        let mut pool = make_pool(which, capacity);
-        // Pin half the pool permanently.
-        let pinned: Vec<PageKey> = (0..capacity as u64 / 2).map(|p| PageKey::new(1, p)).collect();
-        for &k in &pinned {
-            pool.fetch_and_pin(k).unwrap();
+        let mut model = Model::new(num_chunks as usize);
+        let pinned = num_chunks / 2;
+        for id in 0..pinned {
+            model.step(INSTALL, id)?;
+            model.step(PIN, id)?;
         }
-        for &p in &pressure {
-            let key = PageKey::new(0, p);
-            if pool.fetch_and_pin(key).is_some() {
-                pool.unpin(key, false);
-            }
-            for &k in &pinned {
-                prop_assert!(pool.contains(k), "pinned page {k} was evicted");
+        for (op, id) in pressure {
+            let op = [EVICT, REPLACE, INSTALL][op as usize];
+            model.step(op, id % num_chunks)?;
+            for id in 0..pinned {
+                prop_assert_eq!(model.pool.pin_count(ChunkId::new(id)), Some(1));
             }
         }
-    }
-
-    /// acquire_range is idempotent on a pool large enough to hold the range.
-    #[test]
-    fn acquire_range_idempotent(which in 0u8..3, len in 1u64..32) {
-        let mut pool = make_pool(which, 64);
-        let keys: Vec<PageKey> = (0..len).map(|p| PageKey::new(0, p)).collect();
-        prop_assert_eq!(pool.acquire_range(&keys), Some(len));
-        prop_assert_eq!(pool.acquire_range(&keys), Some(0));
+        model.check_all()?;
     }
 }

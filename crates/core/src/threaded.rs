@@ -14,16 +14,14 @@
 //! With a [`ScanServerBuilder::store`] configured, delivery carries *data*,
 //! not just chunk ids: each committed load's payload (materialized by the
 //! [`ChunkStore`] on the I/O worker, **outside** the scheduler lock) is
-//! installed into a chunk-granularity frame of the sharded
-//! [`cscan_bufman::ShardedPool`], and every [`PinnedChunk`] a query
-//! receives holds both the ABM-side processing pin and a frame pin (a
-//! refcount on the pool frame), so eviction can never reclaim a chunk a
-//! query is still reading.  NSM and DSM payloads live behind
+//! installed into the chunk's slot of the [`cscan_bufman::ShardedPool`],
+//! and every [`PinnedChunk`] a query receives holds both the ABM-side
+//! processing pin and a frame pin (the slot's pin count), so eviction can
+//! never reclaim a chunk a query is still reading.  NSM and DSM payloads live behind
 //! [`ChunkPayload`]; [`PinnedChunk::column`] decodes them zero-copy — the
 //! hot consume path (acquire → read views → release) performs no per-chunk
 //! heap allocation and no data copies.  Without a store the server
-//! delivers [`ChunkPayload::Missing`] and behaves exactly like the
-//! historical id-only executor.
+//! delivers [`ChunkPayload::Missing`]: chunk ids and nothing else.
 //!
 //! Payloads may arrive *compressed* (a
 //! [`cscan_storage::CompressingStore`] encodes mini-columns as PDICT /
@@ -35,10 +33,10 @@
 //! encoded bytes.  Decode time is accounted as pin-wait and surfaced
 //! separately ([`ScanServer::decode_time`], [`ScanServer::values_decoded`]).
 //!
-//! The frame pool is deliberately sized at one frame per logical chunk:
+//! The frame pool has one slot per logical chunk, indexed by chunk id:
 //! buffer *capacity* is governed by the ABM's page accounting (which plans
-//! every eviction), so the pool itself never has to pick victims — it is
-//! the page table, the pin ledger and the payload store of the data plane.
+//! every eviction), so the pool has no replacement policy — it is the page
+//! table, the pin ledger and the payload store of the data plane.
 //!
 //! # Concurrency architecture
 //!
@@ -63,11 +61,12 @@
 //!   Shard-lock hold times land in the `shard_lock_hold` histogram
 //!   ([`ScanServer::shard_lock_hold_histogram`]).  Residency *transitions*
 //!   (install at commit, evict at plan time) are driven by the scheduler,
-//!   which nests the shard lock inside its critical section; every install
-//!   and eviction bumps the frame's *generation*, the cross-shard analogue
-//!   of the plan/commit epoch, so deferred release bookkeeping can
-//!   revalidate (in debug builds) that the frame it unpinned was not
-//!   recycled underneath it.
+//!   which nests the shard lock inside its critical section; the pool
+//!   itself advances the slot's *generation* on every install, payload
+//!   replacement and eviction — the cross-shard analogue of the
+//!   plan/commit epoch — so deferred release bookkeeping can revalidate
+//!   (in debug builds) that the frame it unpinned was not recycled
+//!   underneath it.
 //!
 //! * **Grant mailboxes.**  Consumers never run the policy themselves.
 //!   The scheduler — at registration, at every commit (for the queries the
@@ -77,8 +76,8 @@
 //!   the query's `QuerySlot` mailbox.  `next_chunk` takes the grant
 //!   under the slot's own mutex (shared-handle racers serialize there) and
 //!   waits on the slot's condvar otherwise.  Because the matcher calls the
-//!   identical `acquire_chunk`, the policy decisions are the same ones the
-//!   single-lock executor made.
+//!   identical `acquire_chunk`, the policy decisions are the same ones a
+//!   consumer running the policy itself would make.
 //!
 //! * **Deferred releases.**  Returning a pin pushes a small record into a
 //!   per-shard *release inbox* (pre-allocated; pushing never blocks on the
@@ -147,7 +146,7 @@ use crate::model::TableModel;
 use crate::policy::PolicyKind;
 use crate::query::QueryId;
 use crate::session::{ChunkRelease, PinnedChunk, ScanError, ScanSession};
-use cscan_bufman::{LruPolicy, PageKey, PoolStats, ShardedPool};
+use cscan_bufman::{PoolStats, ShardedPool};
 use cscan_obs::{
     Counter, EventKind, Gauge, HistogramSnapshot, QueryCounter, QueryScope, Registry, SpanKind,
     NO_QUERY,
@@ -161,12 +160,6 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// The frame-pool key of a logical chunk (the pool runs at chunk
-/// granularity: one "page" per chunk).
-fn frame_key(chunk: ChunkId) -> PageKey {
-    PageKey::new(0, chunk.index() as u64)
-}
 
 /// A delivered-but-not-yet-consumed chunk sitting in a query's mailbox:
 /// the scheduler already ran the policy ([`Abm::acquire_chunk`]) and pinned
@@ -390,57 +383,49 @@ impl Shared {
     /// Applies one returned pin: ABM release bookkeeping plus the residency
     /// consequences (dead-DSM-column shrink, or frame eviction when the
     /// ABM dropped the chunk).  The frame itself was unpinned in its shard
-    /// before the release was recorded; the caller must not hold a shard
-    /// guard.
+    /// before the release was recorded.
     fn apply_release(&self, sched: &mut Sched, release: Release) {
-        let key = frame_key(release.chunk);
+        let chunk = release.chunk;
         // The epoch-revalidation rule, deferred-release edition: the ABM
         // held this query's processing pin from unpin until now, so the
         // frame cannot have been evicted — it must still be resident, at a
         // generation no older than the one stamped at unpin time.
         debug_assert!(
-            sched.abm.state().buffered_chunk(release.chunk).is_none()
-                || (self.pool.contains(key) && self.pool.generation(key) >= release.generation),
-            "frame for {:?} was recycled under a pending release",
-            release.chunk
+            sched.abm.state().buffered_chunk(chunk).is_none()
+                || (self.pool.contains(chunk) && self.pool.generation(chunk) >= release.generation),
+            "frame for {chunk:?} was recycled under a pending release"
         );
-        sched.abm.release_delivered(release.query, release.chunk);
-        match sched.abm.state().buffered_chunk(release.chunk) {
+        sched.abm.release_delivered(release.query, chunk);
+        let Some(b) = sched.abm.state().buffered_chunk(chunk) else {
+            self.pool.evict(chunk);
+            return;
+        };
+        if !self.is_dsm {
+            return;
+        }
+        // Residency only changes under the scheduler lock, which the caller
+        // holds, so the payload read here is still the slot's when it is
+        // replaced below.
+        let Some(ChunkPayload::Dsm(data)) = self.pool.payload(chunk) else {
+            return;
+        };
+        if data.resident_columns().all(|c| b.columns.contains(c)) {
+            return;
+        }
+        match data.retained(|c| b.columns.contains(c)) {
+            Some(kept) => self
+                .pool
+                .replace_payload(chunk, ChunkPayload::Dsm(Arc::new(kept))),
             None => {
-                let mut shard = self.pool.shard(key);
-                if shard.evict_page(key) {
-                    self.pool.bump_generation(key);
-                }
+                self.pool.evict(chunk);
             }
-            Some(b) if self.is_dsm => {
-                let mut shard = self.pool.shard(key);
-                let shrunk = match shard.payload(key) {
-                    Some(ChunkPayload::Dsm(data))
-                        if data.resident_columns().any(|c| !b.columns.contains(c)) =>
-                    {
-                        Some(data.retained(|c| b.columns.contains(c)))
-                    }
-                    _ => None,
-                };
-                match shrunk {
-                    Some(Some(kept)) => {
-                        shard.install_payload(key, ChunkPayload::Dsm(Arc::new(kept)));
-                        self.pool.bump_generation(key);
-                    }
-                    Some(None) if shard.evict_page(key) => {
-                        self.pool.bump_generation(key);
-                    }
-                    _ => {}
-                }
-            }
-            _ => {}
         }
     }
 
     /// The grant matcher: if query `q` is hungry (registered, not finished,
     /// not already processing or holding a grant), runs the policy via the
-    /// *same* [`Abm::acquire_chunk`] the single-lock executor used, pins
-    /// the chosen frame in its shard, and deposits the grant into the
+    /// *same* [`Abm::acquire_chunk`] the simulation calls, pins the
+    /// chosen frame in its shard, and deposits the grant into the
     /// query's mailbox.  A finished query's slot is closed instead.  Called
     /// under the scheduler lock at every point the query's availability can
     /// improve: registration, a commit that lists it as woken, and the
@@ -476,14 +461,11 @@ impl Shared {
             // it as woken and re-enter here.
             return;
         };
-        let key = frame_key(chunk);
-        let mut shard = self.pool.shard(key);
-        if !shard.pin(key) {
+        let Some(generation) = self.pool.pin(chunk) else {
             // Invariant breach: a delivered chunk always has a resident
             // frame.  Degrade to a per-query error instead of panicking
             // under the scheduler lock.
             debug_assert!(false, "delivered {chunk:?} has no resident frame");
-            drop(shard);
             sched.abm.reject_delivered(q, chunk);
             let mut st = slot.state.lock();
             st.error = Some(ScanError {
@@ -493,9 +475,7 @@ impl Shared {
             drop(st);
             slot.cv.notify_all();
             return;
-        }
-        let generation = self.pool.generation(key);
-        drop(shard);
+        };
         let mut st = slot.state.lock();
         debug_assert!(st.grant.is_none(), "double grant for {q:?}");
         st.grant = Some(Grant { chunk, generation });
@@ -527,8 +507,7 @@ impl Shared {
             // An eagerly granted chunk nobody consumed: return the frame
             // pin and apply the release (the query is finished or being
             // finished, so this routes through the detached-pin path).
-            let key = frame_key(grant.chunk);
-            self.pool.shard(key).unpin(key, false);
+            self.pool.unpin(grant.chunk);
             self.apply_release(
                 sched,
                 Release {
@@ -617,7 +596,7 @@ impl ScanServerBuilder {
     /// Attaches the data plane: chunk payloads materialized by `store` (on
     /// the I/O workers, outside every executor lock) travel with every
     /// delivered [`PinnedChunk`].  Without a store the server delivers
-    /// [`ChunkPayload::Missing`] — the historical id-only behaviour.
+    /// [`ChunkPayload::Missing`].
     pub fn store(mut self, store: Arc<dyn ChunkStore>) -> Self {
         self.store = Some(store);
         self
@@ -684,9 +663,9 @@ impl ScanServerBuilder {
             .max(1);
         let is_dsm = self.model.is_dsm();
         let num_chunks = self.model.num_chunks() as usize;
-        // One frame per logical chunk: capacity is governed by the ABM's
-        // page accounting, so the pool never needs to pick its own victims.
-        let mut pool = ShardedPool::new(num_chunks.max(1), || Box::new(LruPolicy::new()));
+        // One slot per logical chunk: capacity is governed by the ABM's
+        // page accounting, which plans every eviction.
+        let mut pool = ShardedPool::new(num_chunks.max(1));
         let state = AbmState::new(self.model, capacity);
         let abm = Abm::new(state, self.policy.build());
         let policy_label = abm.policy_name();
@@ -773,13 +752,8 @@ fn io_worker_main(shared: Arc<Shared>, id: usize) {
         // a pinned chunk, and frame pins shadow ABM pins one-for-one, so
         // the frame release cannot fail.
         for &victim in &plan.evicted {
-            let key = frame_key(victim);
-            let mut shard = shared.pool.shard(key);
-            let freed = shard.evict_page(key);
+            let freed = shared.pool.evict(victim);
             debug_assert!(freed, "ABM evicted {victim:?} but its frame was held");
-            if freed {
-                shared.pool.bump_generation(key);
-            }
         }
         // The columns to materialize: everything for NSM (all-or-nothing),
         // exactly the missing columns for DSM (what this load adds).
@@ -919,28 +893,11 @@ fn io_worker_main(shared: Arc<Shared>, id: usize) {
         };
         let signalled = woken.len() as u64;
         if committed {
-            // Install the payload into the chunk's frame shard.  For DSM a
-            // chunk may already be partially resident: union the column
-            // sets (sharing the existing vectors — no copy).  The
-            // chunk-granular pool has a frame per chunk, so fetch_and_pin
-            // cannot fail; if the impossible happens anyway, skip the
-            // install (consumers see a Missing payload) rather than
-            // panicking under the scheduler lock.
-            let key = frame_key(plan.decision.chunk);
-            {
-                let mut shard = shared.pool.shard(key);
-                if shard.fetch_and_pin(key).is_some() {
-                    let merged = match shard.payload(key) {
-                        Some(existing) => existing.merged_with(&payload),
-                        None => payload,
-                    };
-                    shard.install_payload(key, merged);
-                    shared.pool.bump_generation(key);
-                    shard.unpin(key, false);
-                } else {
-                    debug_assert!(false, "the chunk-granular frame pool ran out of frames");
-                }
-            }
+            // Install the payload into the chunk's slot.  For DSM a chunk
+            // may already be partially resident: the pool unions the column
+            // sets (sharing the existing vectors — no copy).
+            let installed = shared.pool.install(plan.decision.chunk, payload);
+            debug_assert!(installed, "the model has no {:?}", plan.decision.chunk);
             // Deposit a grant into each woken query's mailbox — the same
             // acquire_chunk decision the consumer would have made itself.
             for q in woken.drain(..) {
@@ -1337,9 +1294,8 @@ impl CScanHandle {
     /// The fast path touches only this query's slot mutex: the scheduler
     /// deposited the grant (chunk + payload + frame pin) in advance.  Only
     /// when the mailbox stays empty past a wait timeout does the consumer
-    /// fall back to a self-match under the scheduler lock (the
-    /// belt-and-braces guard the single-lock executor kept in its wait
-    /// loop).
+    /// fall back to a self-match under the scheduler lock (a
+    /// belt-and-braces guard; grants are state, so none can be missed).
     ///
     /// If the chunk's payload arrived compressed and no earlier pin decoded
     /// it, this call performs the once-only decode — with no executor lock
@@ -1402,11 +1358,10 @@ impl CScanHandle {
                     self.shared.obs.record_span_ns(SpanKind::PinWait, ns);
                     if timed_out {
                         // Belt-and-braces: nothing granted within the
-                        // timeout — re-run the matcher ourselves, exactly
-                        // the acquire loop the single-lock executor polled
-                        // with.  This is the only place the consume path
-                        // can touch the scheduler lock, and only after a
-                        // 50 ms stall (never on the hot path).
+                        // timeout — re-run the matcher ourselves.  This
+                        // is the only place the consume path can touch the
+                        // scheduler lock, and only after a 50 ms stall
+                        // (never on the hot path).
                         drop(st);
                         {
                             let mut sched = self.shared.lock_sched();
@@ -1516,14 +1471,7 @@ impl CScanHandle {
         // payload from the shard at consume time, so an install that
         // raced the delivery (e.g. a torn frame replaced in place) is
         // what this pin actually decodes and verifies.
-        let payload = {
-            let key = frame_key(chunk);
-            let shard = self.shared.pool.shard(key);
-            match shard.payload(key) {
-                Some(p) => p.clone(),
-                None => ChunkPayload::Missing,
-            }
-        };
+        let payload = self.shared.pool.payload(chunk).unwrap_or_default();
         // Decode-on-first-pin: if the committed payload is still encoded
         // bytes, pay the decompression CPU cost here — outside every
         // executor lock (the codec debug-asserts that), shared via the
@@ -1580,13 +1528,9 @@ impl CScanHandle {
                     {
                         let mut sched = self.shared.lock_sched();
                         self.shared.service(&mut sched);
-                        let key = frame_key(chunk);
-                        self.shared.pool.shard(key).unpin(key, false);
+                        self.shared.pool.unpin(chunk);
                         if sched.abm.reject_delivered(self.query, chunk) {
-                            let mut shard = self.shared.pool.shard(key);
-                            if shard.evict_page(key) {
-                                self.shared.pool.bump_generation(key);
-                            }
+                            self.shared.pool.evict(chunk);
                         }
                         self.delivered.fetch_sub(1, Ordering::Relaxed);
                         // Re-match so the query registers as blocked and
@@ -1703,14 +1647,6 @@ impl Drop for CScanHandle {
     }
 }
 
-/// The delivered-chunk unit of the threaded executor.
-///
-/// Historical name: before the [`ScanSession`] redesign the threaded
-/// executor had its own id-only guard type; today it delivers the shared
-/// [`PinnedChunk`] (with a real payload when the server has a
-/// [`ScanServerBuilder::store`]).
-pub type ChunkGuard = PinnedChunk;
-
 /// Returns pins to the server — the release half of the consume fast path.
 ///
 /// Unpins the frame in its shard, records the release in the shard's
@@ -1731,15 +1667,10 @@ impl ChunkRelease for HandleRelease {
             // traced so tests can assert pipelines consume deliberately.
             self.shared.obs.inc(Counter::UnconsumedDrops);
         }
-        let key = frame_key(chunk);
-        {
-            let mut shard = self.shared.pool.shard(key);
-            shard.unpin(key, false);
-        }
         let entry = Release {
             query,
             chunk,
-            generation: self.shared.pool.generation(key),
+            generation: self.shared.pool.unpin(chunk),
         };
         let overflowed = {
             let mut inbox = self.shared.inbox(chunk).lock();
@@ -2275,9 +2206,8 @@ mod tests {
         // The held frame was never reclaimed: still pinned, same bytes.
         {
             let sched = server.shared.lock_sched();
-            let key = super::frame_key(held_chunk);
             assert!(
-                server.shared.pool.pin_count(key).unwrap_or(0) >= 1,
+                server.shared.pool.pin_count(held_chunk).unwrap_or(0) >= 1,
                 "the pinned frame must stay pinned"
             );
             assert!(
@@ -2496,7 +2426,7 @@ mod tests {
                     for c in 0..32u32 {
                         let chunk = cscan_storage::ChunkId::new(c);
                         assert_eq!(
-                            server.shared.pool.contains(super::frame_key(chunk)),
+                            server.shared.pool.contains(chunk),
                             state.buffered_chunk(chunk).is_some(),
                             "pool/ABM residency diverged for {chunk:?}"
                         );
@@ -2817,12 +2747,11 @@ mod tests {
         // Wait for the worker to install the (encoded) payload, then tear it
         // in place — flipped byte, recorded checksum kept — before the first
         // pin ever decodes it.
-        let key = super::frame_key(cscan_storage::ChunkId::new(0));
+        let chunk = cscan_storage::ChunkId::new(0);
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
             {
-                let mut shard = server.shared.pool.shard(key);
-                let torn = match shard.payload(key) {
+                let torn = match server.shared.pool.payload(chunk) {
                     Some(ChunkPayload::Nsm(data)) => {
                         let parts: Vec<ColumnChunk> = data
                             .parts()
@@ -2839,9 +2768,7 @@ mod tests {
                     _ => None,
                 };
                 if let Some(torn) = torn {
-                    shard.install_payload(key, torn);
-                    drop(shard);
-                    server.shared.pool.bump_generation(key);
+                    server.shared.pool.replace_payload(chunk, torn);
                     break;
                 }
             }

@@ -427,13 +427,8 @@ impl QueryScope {
         }
     }
 
-    /// Marks the scope detached (its metrics are retained until the next
-    /// [`Registry::snapshot_and_reset`]).
-    pub fn detach(&self) {
-        self.detached.store(true, Ordering::Relaxed);
-    }
-
-    /// True once [`QueryScope::detach`] ran.
+    /// True once [`Registry::detach_query`] ran (the metrics are retained
+    /// until the next [`Registry::snapshot_and_reset`]).
     pub fn is_detached(&self) -> bool {
         self.detached.load(Ordering::Relaxed)
     }
@@ -506,6 +501,11 @@ pub struct Registry {
     spans: [Log2Histogram; SpanKind::ALL.len()],
     totals: Arc<QueryTotals>,
     scopes: Mutex<Vec<Arc<QueryScope>>>,
+    /// Scopes attached and not yet detached: the value behind
+    /// [`Gauge::ActiveQueries`], which a reset zeroes but this survives.
+    /// Moved and published under the `scopes` lock, so the gauge never
+    /// keeps a stale count when attaches and detaches race.
+    active_queries: AtomicU64,
     recorder: FlightRecorder,
     /// The most recent flight-recorder dump (set on quarantine, scan error
     /// or worker panic).
@@ -548,6 +548,7 @@ impl Registry {
             spans: std::array::from_fn(|_| Log2Histogram::new()),
             totals: Arc::new(QueryTotals::new()),
             scopes: Mutex::new(Vec::new()),
+            active_queries: AtomicU64::new(0),
             recorder: FlightRecorder::new(capacity),
             last_dump: Mutex::new(None),
         }
@@ -660,23 +661,20 @@ impl Registry {
         if self.enabled {
             let mut scopes = self.scopes.lock();
             scopes.push(Arc::clone(&scope));
-            self.gauges[Gauge::ActiveQueries as usize].store(
-                scopes.iter().filter(|s| !s.is_detached()).count() as u64,
-                Ordering::Relaxed,
-            );
+            let active = self.active_queries.fetch_add(1, Ordering::Relaxed) + 1;
+            self.gauge_set(Gauge::ActiveQueries, active);
         }
         scope
     }
 
-    /// Marks `scope` detached and refreshes the active-query gauge.
+    /// Marks `scope` detached and refreshes the active-query gauge.  Only
+    /// the first detach of a scope counts.
     pub fn detach_query(&self, scope: &QueryScope) {
-        scope.detach();
-        if self.enabled {
-            let scopes = self.scopes.lock();
-            self.gauges[Gauge::ActiveQueries as usize].store(
-                scopes.iter().filter(|s| !s.is_detached()).count() as u64,
-                Ordering::Relaxed,
-            );
+        let first = !scope.detached.swap(true, Ordering::Relaxed);
+        if self.enabled && first {
+            let _scopes = self.scopes.lock();
+            let active = self.active_queries.fetch_sub(1, Ordering::Relaxed) - 1;
+            self.gauge_set(Gauge::ActiveQueries, active);
         }
     }
 
@@ -890,6 +888,30 @@ mod tests {
         assert_eq!(snap.query_total("chunks_delivered"), 0);
         assert_eq!(snap.queries[0].counters[0].1, 0);
         assert!(snap.ttfc.is_empty());
+    }
+
+    #[test]
+    fn active_query_gauge_counts_attaches_minus_first_detaches() {
+        let r = Arc::new(Registry::new());
+        let live = r.attach_query("live", "t");
+        // Nothing scrapes: every detached scope is still retained, and the
+        // gauge must not depend on walking them.
+        for i in 0..10_000 {
+            let scope = r.attach_query("q", "t");
+            assert_eq!(r.gauge(Gauge::ActiveQueries), 2, "pair {i}");
+            r.detach_query(&scope);
+            assert_eq!(r.gauge(Gauge::ActiveQueries), 1, "pair {i}");
+        }
+        let twice = r.attach_query("twice", "t");
+        r.detach_query(&twice);
+        r.detach_query(&twice);
+        assert_eq!(r.gauge(Gauge::ActiveQueries), 1, "a second detach is free");
+        // A reset zeroes the gauge, not the count behind it.
+        r.snapshot_and_reset();
+        r.detach_query(&live);
+        assert_eq!(r.gauge(Gauge::ActiveQueries), 0);
+        r.detach_query(&live);
+        assert_eq!(r.gauge(Gauge::ActiveQueries), 0, "no underflow");
     }
 
     #[test]
