@@ -6,13 +6,17 @@
 //! * the vectorised pipeline on top of it, `SessionSource → Filter →
 //!   HashAggregate`, performs **zero per-row allocations**: a small
 //!   constant number per chunk (the batch's column list), the same whether
-//!   a chunk holds 2 000 rows or 20 000.
+//!   a chunk holds 2 000 rows or 20 000;
+//! * the plain load path under it — `FileStore::materialize` into a buffer
+//!   whose evicted payloads are offered back through `recycle` — allocates
+//!   **headers only**: the column vectors, the bytes that matter, are the
+//!   recycled ones.
 //!
 //! The whole test binary runs under a counting global allocator that tracks
-//! allocation events per thread; the measured loops drive a live threaded
-//! `ScanServer` session over a fully resident table (a warmup scan faults
-//! everything in and warms the executor's reusable scratch buffers), so
-//! every `next_chunk` takes the pure hit path.
+//! allocation events and bytes per thread; the consume-path loops drive a
+//! live threaded `ScanServer` session over a fully resident table (a warmup
+//! scan faults everything in and warms the executor's reusable scratch
+//! buffers), so every `next_chunk` takes the pure hit path.
 //!
 //! Release builds only: under `debug_assertions` every scheduling decision
 //! re-runs its brute-force twin, which allocates by design.
@@ -20,11 +24,13 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-/// Counts allocation events (alloc + realloc) per thread.
+/// Counts allocation events (alloc + realloc) and the bytes they asked for,
+/// per thread.
 struct CountingAllocator;
 
 thread_local! {
     static ALLOC_EVENTS: Cell<u64> = const { Cell::new(0) };
+    static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Allocation events observed on this thread so far.
@@ -32,9 +38,16 @@ fn thread_allocs() -> u64 {
     ALLOC_EVENTS.with(|c| c.get())
 }
 
+/// Bytes requested by this thread's allocation events so far (a realloc
+/// counts its whole new size).
+fn thread_alloc_bytes() -> u64 {
+    ALLOC_BYTES.with(|c| c.get())
+}
+
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOC_EVENTS.with(|c| c.set(c.get() + 1));
+        ALLOC_BYTES.with(|c| c.set(c.get() + layout.size() as u64));
         unsafe { System.alloc(layout) }
     }
 
@@ -44,6 +57,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOC_EVENTS.with(|c| c.set(c.get() + 1));
+        ALLOC_BYTES.with(|c| c.set(c.get() + new_size as u64));
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -197,4 +211,83 @@ fn vectorised_pipeline_allocates_per_chunk_never_per_row() {
         large <= CHUNKS + 32,
         "{large} allocation events over {CHUNKS} chunks"
     );
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "allocation gates are measured in release builds only"
+)]
+fn plain_load_path_allocates_headers_only_once_the_buffer_recycles() {
+    use cscan_storage::segment::{FileStore, SegmentWriter};
+    use cscan_storage::{ChunkId, ChunkPayload, ChunkStore, ColumnId, Compression, ScratchPath};
+    use std::collections::VecDeque;
+
+    const CHUNKS: u32 = 8;
+    const ROWS: usize = 2_000;
+    const COLUMNS: u16 = 6;
+    // The benchmark's buffer: 24 resident payloads, the oldest evicted (and
+    // offered back) to make room for each load.
+    const RING: usize = 24;
+    const MEASURED: u32 = 200;
+
+    let value =
+        |chunk: u32, col: u16, row: usize| (chunk as i64) << 32 | (col as i64) << 16 | row as i64;
+    let path = ScratchPath::new("alloc_gate_plain");
+    let mut writer = SegmentWriter::create(&*path, vec![Compression::None; COLUMNS as usize])
+        .expect("scratch segment");
+    for chunk in 0..CHUNKS {
+        let columns: Vec<Vec<i64>> = (0..COLUMNS)
+            .map(|col| (0..ROWS).map(|row| value(chunk, col, row)).collect())
+            .collect();
+        let views: Vec<&[i64]> = columns.iter().map(Vec::as_slice).collect();
+        writer.append_chunk(&views).expect("append");
+    }
+    writer.finish().expect("finish");
+    let store = FileStore::open(&*path).expect("open");
+    let extent_bytes = (ROWS * 8 * COLUMNS as usize) as u64;
+
+    let mut ring: VecDeque<ChunkPayload> = VecDeque::with_capacity(RING);
+    let load = |ring: &mut VecDeque<ChunkPayload>, n: u32| {
+        if ring.len() == RING {
+            store.recycle(ring.pop_front().expect("full ring"));
+        }
+        let chunk = n % CHUNKS;
+        let payload = store
+            .materialize(ChunkId::new(chunk), None)
+            .expect("clean read");
+        // The recycled vectors hold this chunk now, not what they held.
+        for col in 0..COLUMNS {
+            let values = payload.column(ColumnId::new(col)).expect("column");
+            assert!(values
+                .iter()
+                .enumerate()
+                .all(|(row, &v)| v == value(chunk, col, row)));
+        }
+        ring.push_back(payload);
+    };
+    // Warm-up: fill the ring (every vector fresh), then go round once more
+    // so that every vector in flight has been through the free list.
+    const WARM_UP: u32 = 2 * RING as u32;
+    (0..WARM_UP).for_each(|n| load(&mut ring, n));
+    let before = thread_alloc_bytes();
+    (WARM_UP..WARM_UP + MEASURED).for_each(|n| load(&mut ring, n));
+    let per_load = (thread_alloc_bytes() - before) / MEASURED as u64;
+    assert!(
+        per_load <= 4096,
+        "a warmed-up plain load allocated {per_load} bytes for {extent_bytes} bytes of extents: \
+         the column vectors must come from the free list"
+    );
+
+    // A column something still shares is not recycled: the holder keeps
+    // reading its values while later loads land elsewhere.
+    let shared = ring.pop_back().expect("newest payload");
+    let chunk = (WARM_UP + MEASURED - 1) % CHUNKS;
+    let held = shared.shared_column(ColumnId::new(3)).expect("column");
+    store.recycle(shared);
+    (0..CHUNKS).for_each(|n| load(&mut ring, n));
+    assert!(held
+        .iter()
+        .enumerate()
+        .all(|(row, &v)| v == value(chunk, 3, row)));
 }

@@ -86,11 +86,11 @@ mod tests {
         let pool = pool_with(2, &[0, 1]);
         pool.pin(chunk(0)).unwrap();
         pool.pin(chunk(1)).unwrap();
-        assert!(!pool.evict(chunk(0)));
-        assert!(!pool.evict(chunk(1)));
+        assert!(pool.evict(chunk(0)).is_none());
+        assert!(pool.evict(chunk(1)).is_none());
         pool.unpin(chunk(0));
         // Only the unpinned one can go.
-        assert!(pool.evict(chunk(0)));
+        assert!(pool.evict(chunk(0)).is_some());
         assert!(!pool.contains(chunk(0)));
         assert!(pool.contains(chunk(1)));
         assert_eq!(pool.stats().evictions, 1);
@@ -100,10 +100,13 @@ mod tests {
     fn explicit_page_eviction() {
         let pool = pool_with(4, &[1]);
         pool.pin(chunk(1)).unwrap();
-        assert!(!pool.evict(chunk(1)), "pinned chunk cannot be evicted");
+        assert!(
+            pool.evict(chunk(1)).is_none(),
+            "pinned chunk cannot be evicted"
+        );
         pool.unpin(chunk(1));
-        assert!(pool.evict(chunk(1)));
-        assert!(!pool.evict(chunk(1)), "already gone");
+        assert!(pool.evict(chunk(1)).is_some());
+        assert!(pool.evict(chunk(1)).is_none(), "already gone");
         assert!(!pool.contains(chunk(1)));
     }
 
@@ -164,12 +167,12 @@ mod tests {
         assert_eq!(pool.payload(chunk(1)), Some(payload.clone()));
         assert_eq!(pool.payload(chunk(0)), None);
         // A pin holder keeps reading what it pinned, even across a
-        // replacement; eviction drops whatever is there.
+        // replacement; eviction hands back whatever is there.
         pool.pin(chunk(1)).unwrap();
         pool.replace_payload(chunk(1), ChunkPayload::Missing);
         assert_eq!(pool.payload(chunk(1)), Some(ChunkPayload::Missing));
         pool.unpin(chunk(1));
-        assert!(pool.evict(chunk(1)));
+        assert_eq!(pool.evict(chunk(1)), Some(ChunkPayload::Missing));
         assert_eq!(pool.payload(chunk(1)), None);
     }
 
@@ -188,7 +191,7 @@ mod tests {
         assert_eq!(pool.compressed_frames(), 0);
         assert!(pool.payload(chunk(1)).unwrap().is_fully_decoded());
         // Eviction drops both states; a fresh install is compressed again.
-        assert!(pool.evict(chunk(1)));
+        assert!(pool.evict(chunk(1)).is_some());
         pool.install(chunk(1), compressed(&values));
         assert_eq!(pool.compressed_frames(), 1);
         // A metadata-only install has nothing to decode.

@@ -9,7 +9,9 @@
 //! merge, in `cscan_storage`, builds a new column list).
 //!
 //! The pool never chooses what leaves: the ABM plans every eviction and
-//! calls [`ShardedPool::evict`], which refuses a slot that is still pinned.
+//! calls [`ShardedPool::evict`], which refuses a slot that is still pinned
+//! and hands the payload of one that is not back to the caller — to be
+//! freed, or offered to the store for reuse, outside the shard lock.
 //! What the pool does own is the bookkeeping its callers would otherwise
 //! have to remember:
 //!
@@ -243,21 +245,22 @@ impl ShardedPool {
         self.generation(chunk)
     }
 
-    /// Drops `chunk` and its payload if it is resident and unpinned.
-    /// Returns whether it was evicted.
-    pub fn evict(&self, chunk: ChunkId) -> bool {
-        let Some(mut locked) = self.lock(chunk) else {
-            return false;
-        };
+    /// Evicts `chunk` if it is resident and unpinned, and hands its payload
+    /// to the caller: the memory is freed (or offered back to the store)
+    /// wherever the caller drops it, not under the shard lock.  `None`,
+    /// changing nothing, if the chunk is pinned or not resident.
+    pub fn evict(&self, chunk: ChunkId) -> Option<ChunkPayload> {
+        let mut locked = self.lock(chunk)?;
         let (slot, stats) = locked.parts();
-        if slot.pins > 0 || slot.payload.take().is_none() {
-            return false;
+        if slot.pins > 0 {
+            return None;
         }
+        let payload = slot.payload.take()?;
         stats.evictions += 1;
         self.count(Counter::FrameEvictions);
         self.step(&self.resident, Gauge::ResidentFrames, false);
         self.bump(chunk);
-        true
+        Some(payload)
     }
 
     /// The payload of `chunk` (a refcount bump, never a data copy), if it
@@ -352,7 +355,7 @@ mod tests {
         assert_eq!(p.stats().misses, 37);
         assert!(!p.install(chunk(37), ChunkPayload::Missing));
         assert_eq!(p.pin(chunk(37)), None);
-        assert!(!p.evict(chunk(37)));
+        assert!(p.evict(chunk(37)).is_none());
         assert_eq!(p.payload(chunk(37)), None);
         assert_eq!(p.resident(), 37);
     }
@@ -365,12 +368,12 @@ mod tests {
         assert!(p.install(c, ChunkPayload::Missing));
         assert_eq!(p.generation(c), 1);
         assert_eq!(p.pin(c), Some(1), "a pin reports, never moves, it");
-        assert!(!p.evict(c), "pinned");
+        assert!(p.evict(c).is_none(), "pinned");
         p.replace_payload(c, ChunkPayload::Missing);
         assert_eq!(p.unpin(c), 2);
         assert!(p.install(c, ChunkPayload::Missing), "a merge");
-        assert!(p.evict(c));
-        assert!(!p.evict(c), "already gone");
+        assert!(p.evict(c).is_some());
+        assert!(p.evict(c).is_none(), "already gone");
         assert_eq!(p.generation(c), 4);
         assert_eq!(p.generation(chunk(4)), 0, "a neighbour's never moves");
     }
@@ -393,7 +396,7 @@ mod tests {
         }
         assert_eq!(obs.gauge(Gauge::PinnedFrames), 2);
         assert_eq!(obs.gauge(Gauge::ResidentFrames), 6);
-        assert!(p.evict(chunk(0)));
+        assert!(p.evict(chunk(0)).is_some());
         assert_eq!(obs.gauge(Gauge::ResidentFrames), 5);
         assert_eq!((p.pinned_frames(), p.resident()), (2, 5));
     }

@@ -59,7 +59,7 @@ impl Model {
         let Some(&(ref held, pins)) = self.slots.get(i) else {
             prop_assert!(!self.pool.install(chunk, ChunkPayload::Missing));
             prop_assert_eq!(self.pool.pin(chunk), None);
-            prop_assert!(!self.pool.evict(chunk));
+            prop_assert_eq!(self.pool.evict(chunk), None);
             prop_assert_eq!(self.pool.payload(chunk), None);
             prop_assert_eq!(self.pool.generation(chunk), 0);
             return self.check_totals();
@@ -95,9 +95,10 @@ impl Model {
                 self.stats.unpins += 1;
             }
             EVICT => {
-                let evictable = resident && pins == 0;
-                prop_assert_eq!(self.pool.evict(chunk), evictable, "pins {}", pins);
-                if evictable {
+                // An eviction hands back exactly the payload the slot held.
+                let evicted = if pins == 0 { held.clone() } else { None };
+                prop_assert_eq!(self.pool.evict(chunk), evicted.clone(), "pins {}", pins);
+                if evicted.is_some() {
                     self.slots[i].0 = None;
                     self.generations[i] += 1;
                     self.stats.evictions += 1;

@@ -61,7 +61,9 @@
 //!   Shard-lock hold times land in the `shard_lock_hold` histogram
 //!   ([`ScanServer::shard_lock_hold_histogram`]).  Residency *transitions*
 //!   (install at commit, evict at plan time) are driven by the scheduler,
-//!   which nests the shard lock inside its critical section; the pool
+//!   which nests the shard lock inside its critical section — the payloads
+//!   a plan evicts leave both locks with the worker, which offers them back
+//!   to the store ([`ChunkStore::recycle`]) once it holds neither; the pool
 //!   itself advances the slot's *generation* on every install, payload
 //!   replacement and eviction — the cross-shard analogue of the
 //!   plan/commit epoch — so deferred release bookkeeping can revalidate
@@ -725,6 +727,9 @@ impl ScanServerBuilder {
 fn io_worker_main(shared: Arc<Shared>, id: usize) {
     let mut plans = Vec::with_capacity(1);
     let mut woken: Vec<QueryId> = Vec::new();
+    // Payloads this worker took out of the pool (or never put in) under the
+    // scheduler lock, offered back to the store once the lock is dropped.
+    let mut unused: Vec<ChunkPayload> = Vec::new();
     loop {
         if shared.shutdown.load(Ordering::Acquire) {
             return;
@@ -747,13 +752,18 @@ fn io_worker_main(shared: Arc<Shared>, id: usize) {
             continue;
         };
         // The plan's evictions already happened inside the ABM; mirror them
-        // into the frame shards (dropping the evicted payloads) while still
-        // inside the same scheduler critical section.  The ABM never evicts
-        // a pinned chunk, and frame pins shadow ABM pins one-for-one, so
-        // the frame release cannot fail.
+        // into the frame shards while still inside the same scheduler
+        // critical section, keeping the evicted payloads — a megabyte each
+        // to free or recycle — for after it.  The ABM never evicts a pinned
+        // chunk, and frame pins shadow ABM pins one-for-one, so the frame
+        // release cannot fail.
         for &victim in &plan.evicted {
             let freed = shared.pool.evict(victim);
-            debug_assert!(freed, "ABM evicted {victim:?} but its frame was held");
+            debug_assert!(
+                freed.is_some(),
+                "ABM evicted {victim:?} but its frame was held"
+            );
+            unused.extend(freed);
         }
         // The columns to materialize: everything for NSM (all-or-nothing),
         // exactly the missing columns for DSM (what this load adds).
@@ -774,6 +784,7 @@ fn io_worker_main(shared: Arc<Shared>, id: usize) {
         // will find one (and chain onwards); if not, it re-parks.  This fans
         // a burst out across the pool without a notify_all stampede.
         shared.park.ring_one();
+        recycle(&shared, &mut unused);
         // Flight events are recorded after the scheduler guard dropped: the
         // recorder has its own (uncontended) mutex and control-plane events
         // must not stretch the scheduler's critical sections.
@@ -885,8 +896,7 @@ fn io_worker_main(shared: Arc<Shared>, id: usize) {
             }
             CommitOutcome::Cancelled | CommitOutcome::Aborted => {
                 // The last interested query detached mid-read; the pages
-                // were (or are now) released, nothing was installed, and the
-                // materialized payload is simply dropped.
+                // were (or are now) released and nothing is installed.
                 shared.obs.inc(Counter::LoadsCancelled);
                 false
             }
@@ -903,11 +913,14 @@ fn io_worker_main(shared: Arc<Shared>, id: usize) {
             for q in woken.drain(..) {
                 shared.try_grant(&mut sched, q);
             }
+        } else {
+            unused.push(payload);
         }
         shared
             .obs
             .record_span_ns(SpanKind::Commit, commit_started.elapsed().as_nanos() as u64);
         drop(sched);
+        recycle(&shared, &mut unused);
         shared.obs.event(
             if committed {
                 EventKind::LoadCommitted
@@ -922,6 +935,18 @@ fn io_worker_main(shared: Arc<Shared>, id: usize) {
         // the scheduling inputs (the chunk is evictable, its queries less
         // starved), and if that enables further loads the chain above keeps
         // the rest of the pool fed.
+    }
+}
+
+/// Offers payloads the buffer no longer holds back to the store
+/// ([`ChunkStore::recycle`]), or just drops them.  Called with no lock
+/// held: the store may keep the memory for its next load, and whatever it
+/// does not keep is freed here rather than inside a critical section.
+fn recycle(shared: &Shared, unused: &mut Vec<ChunkPayload>) {
+    for payload in unused.drain(..) {
+        if let Some(store) = &shared.store {
+            store.recycle(payload);
+        }
     }
 }
 
@@ -2219,6 +2244,73 @@ mod tests {
         pin.complete();
         holder.finish();
         assert_eq!(server.unconsumed_drops(), 0);
+    }
+
+    /// Every payload a plan evicts is offered back to the store exactly
+    /// once, by a thread that holds no scheduler guard at that moment.
+    #[test]
+    fn evicted_payloads_are_offered_back_to_the_store_outside_the_lock() {
+        #[derive(Default)]
+        struct Offers {
+            payloads: AtomicU64,
+            vectors: AtomicU64,
+            under_lock: AtomicBool,
+        }
+        struct Recycling(SeededStore, Arc<Offers>);
+        impl ChunkStore for Recycling {
+            fn materialize(
+                &self,
+                chunk: ChunkId,
+                cols: Option<&[ColumnId]>,
+            ) -> Result<ChunkPayload, StoreError> {
+                self.0.materialize(chunk, cols)
+            }
+            fn recycle(&self, payload: ChunkPayload) {
+                // A scheduler guard forbids decoding on its thread for as
+                // long as it lives (checked in debug builds), so "decoding
+                // is allowed" is "this thread holds no guard".
+                if std::panic::catch_unwind(cscan_storage::codec::assert_decode_allowed).is_err() {
+                    self.1.under_lock.store(true, Ordering::Relaxed);
+                }
+                self.1.payloads.fetch_add(1, Ordering::Relaxed);
+                payload.reclaim_plain(|_| {
+                    self.1.vectors.fetch_add(1, Ordering::Relaxed);
+                });
+            }
+        }
+        let offers = Arc::new(Offers::default());
+        let model = TableModel::nsm_uniform(16, 100, 16);
+        let server = ScanServer::builder(model.clone())
+            .policy(PolicyKind::Relevance)
+            .buffer_chunks(2)
+            .io_cost_per_page(Duration::ZERO)
+            .store(Arc::new(Recycling(
+                SeededStore::new(100, 3, 7),
+                Arc::clone(&offers),
+            )))
+            .build();
+        let scan = server.cscan(CScanPlan::new(
+            "churn",
+            ScanRanges::full(16),
+            model.all_columns(),
+        ));
+        while let Some(pin) = scan.next_chunk().unwrap() {
+            pin.complete();
+        }
+        let evictions = server.frame_pool_stats().evictions;
+        assert!(evictions >= 14, "16 chunks went through 2 frames");
+        // The worker offers after it dropped the lock, so its last offer
+        // may trail the last delivery by a moment.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while offers.payloads.load(Ordering::Relaxed) < evictions && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        assert_eq!(offers.payloads.load(Ordering::Relaxed), evictions);
+        assert!(!offers.under_lock.load(Ordering::Relaxed));
+        // Whole payloads: what nothing shares any more is the store's to
+        // reuse (a pin that is still being dropped may keep one back).
+        let vectors = offers.vectors.load(Ordering::Relaxed);
+        assert!(vectors > 0 && vectors <= 3 * evictions, "{vectors}");
     }
 
     /// Satellite regression: a `CScanPlan::from_zonemap` + `with_chunk_limit`

@@ -562,6 +562,35 @@ impl ChunkPayload {
         self.rows() * 8 * cols
     }
 
+    /// Consumes the payload and passes `keep` every plain column vector
+    /// that nothing else shares any more — the memory a store may reuse
+    /// for its next load ([`ChunkStore::recycle`]).  `Arc::try_unwrap` has
+    /// to succeed on the payload and on the column: a vector that a clone
+    /// of the payload, a pinned chunk or an operator batch still reads is
+    /// dropped (by its last holder, later), never handed over.
+    pub fn reclaim_plain(self, mut keep: impl FnMut(Vec<i64>)) {
+        let mut reclaim = |part: ColumnChunk| {
+            if let ColumnChunk::Plain(values) = part {
+                if let Ok(values) = Arc::try_unwrap(values) {
+                    keep(values);
+                }
+            }
+        };
+        match self {
+            ChunkPayload::Missing => {}
+            ChunkPayload::Nsm(d) => {
+                if let Ok(d) = Arc::try_unwrap(d) {
+                    d.columns.into_iter().for_each(reclaim);
+                }
+            }
+            ChunkPayload::Dsm(d) => {
+                if let Ok(d) = Arc::try_unwrap(d) {
+                    d.columns.into_iter().for_each(|(_, part)| reclaim(part));
+                }
+            }
+        }
+    }
+
     /// Merges a newly loaded payload into this one.  For DSM this unions
     /// the resident column sets (sharing the vectors); for NSM or
     /// metadata-only payloads the newer payload simply wins.
@@ -594,6 +623,13 @@ pub trait ChunkStore: Send + Sync {
         chunk: ChunkId,
         cols: Option<&[ColumnId]>,
     ) -> Result<ChunkPayload, StoreError>;
+
+    /// Offers back a payload the buffer evicted (or never installed), so a
+    /// store that allocates per load can reuse the memory.  Called by the
+    /// I/O workers with no lock held.  A store may keep only what
+    /// [`ChunkPayload::reclaim_plain`] yields — memory nothing else can
+    /// still read; the default just drops the payload.
+    fn recycle(&self, _payload: ChunkPayload) {}
 }
 
 /// A [`ChunkStore`] adapter that stores its inner store's chunks
@@ -656,6 +692,10 @@ impl<S: ChunkStore> ChunkStore for CompressingStore<S> {
                 ChunkPayload::Dsm(Arc::new(DsmChunkData::from_parts(parts)))
             }
         })
+    }
+
+    fn recycle(&self, payload: ChunkPayload) {
+        self.inner.recycle(payload);
     }
 }
 
@@ -804,6 +844,43 @@ mod tests {
         // A load of real data over a metadata placeholder wins.
         let n = ChunkPayload::Nsm(Arc::new(NsmChunkData::new(vec![Arc::new(vec![7])])));
         assert_eq!(p.merged_with(&n), n);
+    }
+
+    #[test]
+    fn reclaim_yields_only_plain_vectors_nothing_else_shares() {
+        fn reclaimed(payload: ChunkPayload) -> Vec<Vec<i64>> {
+            let mut out = Vec::new();
+            payload.reclaim_plain(|v| out.push(v));
+            out
+        }
+        let plain = |v: i64| ColumnChunk::Plain(Arc::new(vec![v; 4]));
+        let nsm = |parts| ChunkPayload::Nsm(Arc::new(NsmChunkData::from_parts(parts)));
+
+        // Sole owner: every plain vector comes back; an encoded column (and
+        // its decode cache) does not.
+        let encoded = ColumnChunk::encode(&[3; 4], pfor21());
+        assert_eq!(encoded.as_slice(), &[3; 4], "decoded, still not plain");
+        let got = reclaimed(nsm(vec![plain(1), encoded, plain(2)]));
+        assert_eq!(got, vec![vec![1; 4], vec![2; 4]]);
+        let dsm = DsmChunkData::from_parts(vec![(col(4), plain(5)), (col(2), plain(6))]);
+        assert_eq!(
+            reclaimed(ChunkPayload::Dsm(Arc::new(dsm))),
+            vec![vec![6; 4], vec![5; 4]]
+        );
+        assert!(reclaimed(ChunkPayload::Missing).is_empty());
+
+        // A column somebody still reads stays theirs; its neighbours go.
+        let payload = nsm(vec![plain(1), plain(2)]);
+        let held = payload.shared_column(col(0)).unwrap();
+        assert_eq!(reclaimed(payload), vec![vec![2; 4]]);
+        assert_eq!(*held, vec![1; 4]);
+
+        // A payload somebody still holds (a pinned chunk's clone) gives up
+        // nothing at all.
+        let payload = nsm(vec![plain(1)]);
+        let pinned = payload.clone();
+        assert!(reclaimed(payload).is_empty());
+        assert_eq!(pinned.column(col(0)), Some(&[1; 4][..]));
     }
 
     #[test]

@@ -168,33 +168,96 @@ fn packed_len(count: usize, bits: u32) -> usize {
 // Payload integrity checksum.
 // ---------------------------------------------------------------------
 
-/// A fast 64-bit integrity checksum over a byte stream (CRC-class error
-/// detection at memory bandwidth).
-///
-/// A multiply-xor mix over little-endian 64-bit words: every input bit
-/// diffuses through the full state within two rounds, so any single flipped
-/// bit — and any burst shorter than a word — changes the checksum with
-/// probability `1 - 2⁻⁶⁴`.  Chosen over a table-driven CRC32 because the
-/// clean consume path verifies every encoded column on first pin, and a
-/// word-at-a-time mix runs an order of magnitude faster than a byte-wise
-/// table walk (the 5% overhead budget of the fault-free path is real).
-pub fn checksum64(bytes: &[u8]) -> u64 {
-    const MIX: u64 = 0x2545_F491_4F6C_DD1D;
-    let mut h = 0x9E37_79B9_7F4A_7C15u64 ^ (bytes.len() as u64);
+/// Independent mixing chains [`checksum64`] runs side by side.
+const CHECKSUM_LANES: usize = 8;
+/// Bytes per checksum block: one little-endian word for each lane.
+const CHECKSUM_BLOCK: usize = 8 * CHECKSUM_LANES;
+/// The lanes' starting states (the SHA-512 initial hash values: eight
+/// unrelated constants nobody chose for their effect on this function).
+const LANE_SEEDS: [u64; CHECKSUM_LANES] = [
+    0x6A09_E667_F3BC_C908,
+    0xBB67_AE85_84CA_A73B,
+    0x3C6E_F372_FE94_F82B,
+    0xA54F_F53A_5F1D_36F1,
+    0x510E_527F_ADE6_82D1,
+    0x9B05_688C_2B3E_6C1F,
+    0x1F83_D9AB_FB41_BD6B,
+    0x5BE0_CD19_137E_2179,
+];
+
+/// One mixing step: absorbs word `w` into state `h`.  For a fixed `w` it is
+/// a bijection of `h` (xor, multiplication by an odd constant and a
+/// xor-shift are each invertible), and for a fixed `h` a bijection of `w` —
+/// the two facts the guarantee of [`checksum64`] rests on.
+#[inline(always)]
+fn mix(h: u64, w: u64) -> u64 {
+    let h = (h ^ w).wrapping_mul(0x2545_F491_4F6C_DD1D);
+    h ^ (h >> 29)
+}
+
+/// The little-endian word in an exact 8-byte slice.
+#[inline(always)]
+fn le_word(w: &[u8]) -> u64 {
+    u64::from_le_bytes(w.try_into().expect("exact 8-byte chunk"))
+}
+
+/// Absorbs `bytes` (fewer than [`CHECKSUM_BLOCK`]) into `h`, one
+/// little-endian word at a time, the last one zero-padded.
+fn mix_tail(mut h: u64, bytes: &[u8]) -> u64 {
     let mut words = bytes.chunks_exact(8);
     for w in &mut words {
-        let word = u64::from_le_bytes(w.try_into().expect("exact 8-byte chunk"));
-        h = (h ^ word).wrapping_mul(MIX);
-        h ^= h >> 29;
+        h = mix(h, le_word(w));
     }
     let rem = words.remainder();
     if !rem.is_empty() {
         let mut last = [0u8; 8];
         last[..rem.len()].copy_from_slice(rem);
-        h = (h ^ u64::from_le_bytes(last)).wrapping_mul(MIX);
-        h ^= h >> 29;
+        h = mix(h, u64::from_le_bytes(last));
     }
     h
+}
+
+/// A fast 64-bit integrity checksum over a byte stream (CRC-class error
+/// detection at memory bandwidth).  Its value is stored in segment files
+/// (extent and directory checksums), so the definition below is part of
+/// on-disk format version 2 and pinned by a table of golden values.
+///
+/// **Definition.**  The input is cut into 64-byte blocks of eight
+/// little-endian words.  Word `j` of every block is absorbed into lane `j`
+/// — eight chains `h = (h ^ w)·MIX; h ^= h >> 29`, each started from its
+/// own seed — so the eight multiplications of a block do not wait for one
+/// another (a single chain is bound by the latency of its multiply, a third
+/// of memory speed; eight are bound by memory).  The result is one more
+/// chain of the same step over, in this order: lane 0 … lane 7, the input
+/// length, then the words of the tail shorter than a block (the last word
+/// zero-padded).
+///
+/// **Guarantee.**  The step is a bijection of the state for any word and of
+/// the word for any state.  A change confined to one aligned word therefore
+/// changes its lane (or, in the tail, the final chain) *with certainty*,
+/// every later step of that chain keeps two different states different, and
+/// the fold absorbs the lane as a word — so the checksum changes with
+/// certainty: every single-bit flip and every burst inside a word is
+/// caught.  Anything else (several words, another length, words moved
+/// within or across the differently seeded, order-sensitively folded lanes)
+/// changes it with probability `1 − 2⁻⁶⁴`.  Not cryptographic: it detects
+/// accidents, not adversaries.
+///
+/// Chosen over a table-driven CRC32 because the load path verifies every
+/// byte it reads and the consume path every encoded column on first pin,
+/// and a word-at-a-time mix runs an order of magnitude faster than a
+/// byte-wise table walk (the 5% overhead budget of the fault-free path is
+/// real).
+pub fn checksum64(bytes: &[u8]) -> u64 {
+    let mut lanes = LANE_SEEDS;
+    let mut blocks = bytes.chunks_exact(CHECKSUM_BLOCK);
+    for block in &mut blocks {
+        for (lane, w) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = mix(*lane, le_word(w));
+        }
+    }
+    let folded = lanes.iter().fold(0x9E37_79B9_7F4A_7C15, |h, &l| mix(h, l));
+    mix_tail(mix(folded, bytes.len() as u64), blocks.remainder())
 }
 
 // ---------------------------------------------------------------------
@@ -802,6 +865,133 @@ mod tests {
         assert_eq!(checksum64(b"abcdefgh"), checksum64(b"abcdefgh"));
     }
 
+    /// The input the golden table is computed over: byte `i` is `31·i + 7`.
+    fn golden_input(len: usize) -> Vec<u8> {
+        (0..len)
+            .map(|i| (i as u8).wrapping_mul(31).wrapping_add(7))
+            .collect()
+    }
+
+    /// `checksum64` is stored in segment files.  If this table turns red the
+    /// on-disk format changed: bump `SEGMENT_VERSION`, do not edit the
+    /// numbers to match.
+    #[test]
+    fn checksum64_golden_values_pin_the_on_disk_definition() {
+        for (len, want) in [
+            (0usize, 0x9E0E_5C0F_E96B_2095u64),
+            (1, 0x793B_C618_4FC9_CA69),
+            (7, 0xA1B5_440D_F5F3_A4C3),
+            (8, 0x169A_7162_8A02_2377),
+            (63, 0x7541_A125_5CB1_FF1A),
+            (64, 0xD01A_185D_1CFD_2316),
+            (65, 0xC527_5505_BB2A_4017),
+            (4096, 0x2833_636C_6D05_D96B),
+        ] {
+            let got = checksum64(&golden_input(len));
+            assert_eq!(got, want, "{len} bytes: got {got:#018X}");
+        }
+    }
+
+    /// The doc comment of `checksum64`, transcribed word for word with
+    /// indices instead of iterators.
+    fn checksum64_by_the_book(bytes: &[u8]) -> u64 {
+        let word = |at: usize| {
+            let mut w = [0u8; 8];
+            let end = (at + 8).min(bytes.len());
+            w[..end - at].copy_from_slice(&bytes[at..end]);
+            u64::from_le_bytes(w)
+        };
+        let step = |h: u64, w: u64| {
+            let h = (h ^ w).wrapping_mul(0x2545_F491_4F6C_DD1D);
+            h ^ (h >> 29)
+        };
+        let blocks = bytes.len() / 64;
+        let mut lanes = LANE_SEEDS;
+        for block in 0..blocks {
+            for (j, lane) in lanes.iter_mut().enumerate() {
+                *lane = step(*lane, word(block * 64 + j * 8));
+            }
+        }
+        let mut h = 0x9E37_79B9_7F4A_7C15;
+        for lane in lanes {
+            h = step(h, lane);
+        }
+        h = step(h, bytes.len() as u64);
+        for at in (blocks * 64..bytes.len()).step_by(8) {
+            h = step(h, word(at));
+        }
+        h
+    }
+
+    #[test]
+    fn checksum64_is_what_its_doc_comment_says() {
+        let mut state = 0xD0C5_u64;
+        for len in checksum_lengths() {
+            let bytes = random_bytes(len, &mut state);
+            assert_eq!(
+                checksum64(&bytes),
+                checksum64_by_the_book(&bytes),
+                "{len} bytes"
+            );
+        }
+    }
+
+    /// SplitMix64: the deterministic stream the checksum properties draw
+    /// contents and positions from.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn random_bytes(len: usize, state: &mut u64) -> Vec<u8> {
+        (0..len).map(|_| splitmix(state) as u8).collect()
+    }
+
+    /// Every length the properties run over: 0..=300 (the tail on its own
+    /// and the first blocks) and 9 either side of every further multiple of
+    /// the block size up to 20 blocks.
+    fn checksum_lengths() -> Vec<usize> {
+        let mut lengths: Vec<usize> = (0..=300).collect();
+        for blocks in 5..=20 {
+            lengths.extend(blocks * CHECKSUM_BLOCK - 9..=blocks * CHECKSUM_BLOCK + 9);
+        }
+        lengths
+    }
+
+    fn word_at(bytes: &[u8], block: usize, lane: usize) -> [u8; 8] {
+        let at = block * CHECKSUM_BLOCK + lane * 8;
+        bytes[at..at + 8].try_into().unwrap()
+    }
+
+    fn swap_words(bytes: &mut [u8], a: (usize, usize), b: (usize, usize)) {
+        let (wa, wb) = (word_at(bytes, a.0, a.1), word_at(bytes, b.0, b.1));
+        let (at_a, at_b) = (
+            a.0 * CHECKSUM_BLOCK + a.1 * 8,
+            b.0 * CHECKSUM_BLOCK + b.1 * 8,
+        );
+        bytes[at_a..at_a + 8].copy_from_slice(&wb);
+        bytes[at_b..at_b + 8].copy_from_slice(&wa);
+    }
+
+    #[test]
+    fn checksum64_catches_every_single_bit_flip_up_to_300_bytes() {
+        let mut state = 0xC0FF_EE00_u64;
+        for len in 0..=300usize {
+            let clean = random_bytes(len, &mut state);
+            let sum = checksum64(&clean);
+            assert_eq!(sum, checksum64(&clean.clone()), "equal inputs agree");
+            let mut torn = clean.clone();
+            for bit in 0..len * 8 {
+                torn[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(checksum64(&torn), sum, "len {len}, bit {bit}");
+                torn[bit / 8] ^= 1 << (bit % 8);
+            }
+        }
+    }
+
     #[test]
     fn decode_forbidden_guard_nests() {
         let values = vec![1i64, 2, 3];
@@ -818,6 +1008,96 @@ mod tests {
         }
         // All scopes dropped: decoding works again.
         assert_eq!(enc.decode(), values);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Over every length of [`checksum_lengths`], with contents and
+        /// positions drawn from `seed`: each local change the doc comment
+        /// of `checksum64` names changes the sum.
+        #[test]
+        fn checksum64_changes_with_every_local_change(seed in i64::MIN..i64::MAX) {
+            let mut state = seed as u64;
+            for len in checksum_lengths() {
+                let clean = random_bytes(len, &mut state);
+                let sum = checksum64(&clean);
+                prop_assert_eq!(sum, checksum64(&clean.clone()), "equal inputs agree");
+                let blocks = len / CHECKSUM_BLOCK;
+                let mut pick = |n: usize| (splitmix(&mut state) % n as u64) as usize;
+
+                // One flipped bit: in every lane of one block, and in the tail.
+                let mut positions: Vec<usize> = Vec::new();
+                if blocks > 0 {
+                    let block = pick(blocks);
+                    positions.extend(
+                        (0..CHECKSUM_LANES).map(|lane| block * CHECKSUM_BLOCK + lane * 8 + pick(8)),
+                    );
+                }
+                if len > blocks * CHECKSUM_BLOCK {
+                    positions.push(blocks * CHECKSUM_BLOCK + pick(len - blocks * CHECKSUM_BLOCK));
+                }
+                for at in positions {
+                    let mut torn = clean.clone();
+                    torn[at] ^= 1 << pick(8);
+                    prop_assert_ne!(checksum64(&torn), sum);
+                }
+
+                // One aligned word replaced (the last one may be partial).
+                if len > 0 {
+                    let start = pick(len.div_ceil(8)) * 8;
+                    let end = (start + 8).min(len);
+                    let mut torn = clean.clone();
+                    for b in &mut torn[start..end] {
+                        *b = b.wrapping_add(1 + pick(255) as u8);
+                    }
+                    prop_assert_ne!(checksum64(&torn), sum);
+                }
+
+                // Truncated or extended (by zeros, the padding's own value,
+                // and by noise) by 1..=8 bytes.
+                for by in 1..=8usize {
+                    if by <= len {
+                        prop_assert_ne!(checksum64(&clean[..len - by]), sum);
+                    }
+                    let mut longer = clean.clone();
+                    longer.resize(len + by, 0);
+                    prop_assert_ne!(checksum64(&longer), sum);
+                    longer.truncate(len);
+                    longer.extend((0..by).map(|_| pick(256) as u8));
+                    prop_assert_ne!(checksum64(&longer), sum);
+                }
+
+                // Two unequal words swapped within one lane ...
+                if blocks >= 2 {
+                    let (a, lane) = (pick(blocks), pick(CHECKSUM_LANES));
+                    let b = (a + 1 + pick(blocks - 1)) % blocks;
+                    if word_at(&clean, a, lane) != word_at(&clean, b, lane) {
+                        let mut torn = clean.clone();
+                        swap_words(&mut torn, (a, lane), (b, lane));
+                        prop_assert_ne!(checksum64(&torn), sum);
+                    }
+                }
+                if blocks >= 1 {
+                    // ... and across two lanes, in whichever blocks.
+                    let (a, b, lane) = (pick(blocks), pick(blocks), pick(CHECKSUM_LANES));
+                    let other = (lane + 1 + pick(CHECKSUM_LANES - 1)) % CHECKSUM_LANES;
+                    if word_at(&clean, a, lane) != word_at(&clean, b, other) {
+                        let mut torn = clean.clone();
+                        swap_words(&mut torn, (a, lane), (b, other));
+                        prop_assert_ne!(checksum64(&torn), sum);
+                    }
+                    // The whole contents of two lanes exchanged.
+                    let mut torn = clean.clone();
+                    for block in 0..blocks {
+                        swap_words(&mut torn, (block, lane), (block, other));
+                    }
+                    if torn != clean {
+                        prop_assert_ne!(checksum64(&torn), sum);
+                    }
+                }
+            }
+        }
     }
 
     proptest! {

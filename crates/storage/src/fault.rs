@@ -358,6 +358,10 @@ impl<S: ChunkStore> ChunkStore for FaultInjectingStore<S> {
             }
         }
     }
+
+    fn recycle(&self, payload: ChunkPayload) {
+        self.inner.recycle(payload);
+    }
 }
 
 #[cfg(test)]
@@ -475,6 +479,33 @@ mod tests {
             .expect("corruption is not a read failure");
         assert_eq!(p.verify_checksums(), Err(StoreError::Corrupted));
         assert_eq!(compressed.corruptions_injected(), 1);
+    }
+
+    #[test]
+    fn wrappers_pass_recycled_payloads_down() {
+        /// Counts what reaches the bottom of the stack.
+        struct Sink(Arc<AtomicU64>);
+        impl ChunkStore for Sink {
+            fn materialize(
+                &self,
+                _chunk: ChunkId,
+                _cols: Option<&[ColumnId]>,
+            ) -> Result<ChunkPayload, StoreError> {
+                Ok(ChunkPayload::Missing)
+            }
+            fn recycle(&self, _payload: ChunkPayload) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let seen = Arc::new(AtomicU64::new(0));
+        let store = FaultInjectingStore::new(
+            CompressingStore::new(Sink(Arc::clone(&seen)), Vec::new()),
+            FaultConfig::default(),
+        );
+        store.recycle(ChunkPayload::Missing);
+        assert_eq!(seen.load(Ordering::Relaxed), 1);
+        // A store with nothing to reuse takes the default: the payload drops.
+        base().recycle(ChunkPayload::Missing);
     }
 
     #[test]

@@ -29,11 +29,53 @@
 //!   *encode-time* checksum, so a byte damaged on disk fails
 //!   [`ChunkPayload::verify_checksums`] at payload install exactly like a
 //!   torn in-memory read; for plain extents [`FileStore`] verifies the
-//!   checksum itself at read time.
+//!   checksum itself at read time.  A plain extent's length must be
+//!   `rows × 8`; the reader checks that once, at open.
 //! * **Trailer** — directory offset/length/checksum, chunk and column
 //!   counts, format version, and a closing magic.  A torn or truncated
 //!   footer is detected here (wrong magic, impossible bounds, checksum
 //!   mismatch) and the reader refuses to trust the segment at all.
+//!
+//! The format is at **version 2**: the layout is version 1's, the
+//! definition of [`checksum64`] (eight lanes) is not, and every extent and
+//! directory checksum on disk depends on it.  A version-1 file is refused
+//! at open ("unsupported segment version 1") rather than read through a
+//! second checksum: every segment in this repository is written by the
+//! test or benchmark that reads it.
+//!
+//! # The plain load path: read in place, recycle
+//!
+//! A plain extent *is* the column: little-endian `i64`s.  On a
+//! little-endian target [`FileStore`] therefore reads the extent straight
+//! into the `Vec<i64>` that becomes [`ColumnChunk::Plain`], through a byte
+//! view of that vector (the crate's only `unsafe`, see `ne_bytes_mut`), and
+//! verifies the checksum over those same bytes before the column is
+//! published — one copy (the read) and one pass (the checksum).  The
+//! staging buffer and the `i64::from_le_bytes` pass it used to take survive
+//! as the byte-order-agnostic fallback, compiled and tested on every target
+//! and selected by `cfg!(target_endian)`; [`SegmentWriter`] is the same
+//! pair in reverse.  On the benchmark's segment (0.92 MiB and 6 extents per
+//! chunk, page-cache reads, 24 payloads live, 2 cores) a load was 577 µs
+//! when this was sized — `pread` 132–136, the one-chain checksum 267,
+//! zero-fill plus conversion ≈ 180 — and 237–255 µs after; the box the
+//! change was finished on read 640–790 µs → 245–320 µs (ARCHITECTURE.md
+//! has the waterfall).
+//!
+//! The vector itself is recycled.  [`ChunkStore::recycle`] hands an evicted
+//! payload back; the store keeps each plain column vector that *nothing
+//! else shares* — `Arc::try_unwrap` has to succeed on the payload and on
+//! the column, so a vector an operator batch or a pinned chunk still reads
+//! is dropped, never reused — in a small bounded free list, and the next
+//! plain load pops from it instead of allocating and zero-filling.  A
+//! recycled vector is initialised memory holding stale values; every byte
+//! of it is overwritten by the read (or the load fails and nothing is
+//! published).
+//!
+//! What was *not* built is one positioned read per chunk.  A chunk's
+//! extents are contiguous, but out of the page cache six `pread`s of one
+//! extent each cost 136 µs and one `pread` of all six 132 µs — the copy is
+//! the cost, not the system call — so the store keeps one read per extent
+//! and [`SegmentIo`] its single method.
 //!
 //! # Durability
 //!
@@ -63,8 +105,8 @@
 //! (`std::os::unix::fs::FileExt::read_at`); an io_uring-style batched
 //! backend can slot in behind the same trait without touching the hub or
 //! the I/O workers.  Every read records the `file_read` span plus the
-//! `file_read_calls` / `file_bytes_read` counters on the attached
-//! [`Registry`].
+//! `file_read_calls` (extents read) / `file_bytes_read` (bytes delivered)
+//! counters on the attached [`Registry`].
 //!
 //! [`CompressingStore`]: crate::chunkdata::CompressingStore
 
@@ -81,12 +123,13 @@ use cscan_obs::{Counter, Registry, SpanKind};
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Magic bytes opening the file and closing the trailer.
 pub const SEGMENT_MAGIC: [u8; 8] = *b"cscanseg";
-/// On-disk format version this module reads and writes.
-pub const SEGMENT_VERSION: u16 = 1;
+/// On-disk format version this module reads and writes (2: the checksums
+/// are the eight-lane [`checksum64`]).
+pub const SEGMENT_VERSION: u16 = 2;
 /// Directory codec id of a plain (raw little-endian `i64`) extent; encoded
 /// extents carry their [`EncodedColumn`] wire tag instead.
 pub const CODEC_PLAIN: u8 = 0xFF;
@@ -99,6 +142,60 @@ const TRAILER_LEN: u64 = 40;
 /// Serialized bytes per directory entry: offset + length + rows + checksum
 /// (4×8) and the codec id (1).
 const EXTENT_ENTRY_LEN: u64 = 33;
+
+/// Most column vectors a [`FileStore`] keeps for reuse, as a multiple of
+/// the segment's column count.  A worker gives back what its plan evicted
+/// just before it loads, so the list only bridges that gap for each worker
+/// (the benchmark's two never filled four chunks' worth); a burst of
+/// evictions beyond it is simply freed.
+const FREE_CHUNKS: usize = 4;
+
+/// The bytes of `values` in this target's byte order — on a little-endian
+/// target, exactly the plain extent encoding (callers check
+/// `cfg!(target_endian)`).
+fn ne_bytes(values: &[i64]) -> &[u8] {
+    // SAFETY: `i64` has no padding, so all `size_of_val(values)` bytes
+    // behind the pointer are initialised (they belong to a live `&[i64]`);
+    // `u8` has alignment 1, which any `i64` pointer satisfies; `len × 8`
+    // cannot overflow because a live slice spans at most `isize::MAX`
+    // bytes; and the result borrows `values`, so nothing writes to the
+    // memory while it is alive.
+    unsafe { std::slice::from_raw_parts(values.as_ptr().cast(), std::mem::size_of_val(values)) }
+}
+
+/// [`ne_bytes`], writable: what a positioned read fills so that an extent
+/// lands in the column vector with no staging copy.  Takes *initialised*
+/// memory only — callers pass `vec![0; rows]` or a recycled vector, never
+/// spare capacity.
+fn ne_bytes_mut(values: &mut [i64]) -> &mut [u8] {
+    // SAFETY: as for `ne_bytes` — no padding, alignment 8 → 1, `len × 8`
+    // bounded by the live slice — and additionally every bit pattern is a
+    // valid `i64`, so whatever is written through the view leaves `values`
+    // valid; the result borrows `values` mutably, so it is the only access
+    // path while it is alive.
+    unsafe {
+        std::slice::from_raw_parts_mut(values.as_mut_ptr().cast(), std::mem::size_of_val(values))
+    }
+}
+
+/// The plain extent encoding of `values` on any target: little-endian
+/// words, one at a time (the byte-order-agnostic writer path).
+fn to_le_bytes(values: &[i64]) -> Vec<u8> {
+    let mut bytes = Vec::with_capacity(values.len() * 8);
+    for &v in values {
+        bytes.extend_from_slice(&v.to_le_bytes());
+    }
+    bytes
+}
+
+/// Decodes a plain extent into `values` on any target (the
+/// byte-order-agnostic reader path).  `bytes` holds `values.len()` words.
+fn from_le_bytes(bytes: &[u8], values: &mut [i64]) {
+    debug_assert_eq!(bytes.len(), values.len() * 8);
+    for (v, b) in values.iter_mut().zip(bytes.chunks_exact(8)) {
+        *v = i64::from_le_bytes(b.try_into().expect("exact 8-byte chunk"));
+    }
+}
 
 fn invalid(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
@@ -142,6 +239,13 @@ impl Extent {
         out.extend_from_slice(&self.rows.to_le_bytes());
         out.extend_from_slice(&self.checksum.to_le_bytes());
         out.push(self.codec);
+    }
+
+    /// Whether `len` is what `rows` plain values occupy: a plain extent is
+    /// its column, so the in-place read sizes its buffer from `rows` and
+    /// fills it with `len` bytes.
+    fn plain_geometry_holds(&self) -> bool {
+        self.rows.checked_mul(8) == Some(self.len)
     }
 
     fn read_from(bytes: &[u8]) -> Extent {
@@ -434,13 +538,17 @@ impl SegmentWriter {
         for (values, &scheme) in columns.iter().zip(&self.schemes) {
             let (len, checksum, codec) = match scheme {
                 Compression::None => {
-                    let mut bytes = Vec::with_capacity(values.len() * 8);
-                    for &v in *values {
-                        bytes.extend_from_slice(&v.to_le_bytes());
-                    }
-                    let checksum = checksum64(&bytes);
-                    self.file.write_all(&bytes)?;
-                    (bytes.len() as u64, checksum, CODEC_PLAIN)
+                    // On a little-endian target the column's own bytes are
+                    // the extent; elsewhere they are converted first.
+                    let converted;
+                    let bytes = if cfg!(target_endian = "little") {
+                        ne_bytes(values)
+                    } else {
+                        converted = to_le_bytes(values);
+                        &converted
+                    };
+                    self.file.write_all(bytes)?;
+                    (bytes.len() as u64, checksum64(bytes), CODEC_PLAIN)
                 }
                 _ => {
                     let enc = EncodedColumn::encode(values, scheme);
@@ -582,6 +690,11 @@ pub fn read_directory(io: &dyn SegmentIo) -> io::Result<SegmentDirectory> {
         if e.rows == 0 {
             return Err(invalid(format!("extent {i} is empty")));
         }
+        if e.codec == CODEC_PLAIN && !e.plain_geometry_holds() {
+            return Err(invalid(format!(
+                "extent {i}: plain length disagrees with row count"
+            )));
+        }
         // Every column of one chunk must agree on the row count.
         if i % num_columns as usize != 0 && e.rows != extents[i - 1].rows {
             return Err(invalid(format!("extent {i} disagrees on chunk row count")));
@@ -593,21 +706,74 @@ pub fn read_directory(io: &dyn SegmentIo) -> io::Result<SegmentDirectory> {
     })
 }
 
+/// Column vectors a [`FileStore`] got back through [`ChunkStore::recycle`],
+/// waiting for the next plain load.  Bounded, so a burst of evictions is
+/// freed rather than hoarded.
+struct FreeList {
+    vectors: Mutex<Vec<Vec<i64>>>,
+    /// Most vectors kept; one offered beyond that is dropped.
+    capacity: usize,
+}
+
+impl FreeList {
+    fn new(capacity: usize) -> FreeList {
+        FreeList {
+            vectors: Mutex::new(Vec::with_capacity(capacity)),
+            capacity,
+        }
+    }
+
+    /// A vector of `rows` initialised values: the most recently recycled
+    /// one (still holding its old values — nothing is zero-filled twice)
+    /// or, if there is none, fresh zeros.
+    fn take(&self, rows: usize) -> Vec<i64> {
+        // A poisoned lock reads as an empty list: the load allocates.
+        let recycled = self.vectors.lock().ok().and_then(|mut v| v.pop());
+        match recycled {
+            Some(mut values) => {
+                values.resize(rows, 0);
+                values
+            }
+            None => vec![0; rows],
+        }
+    }
+
+    /// Keeps `values` for a later [`FreeList::take`] if there is room.
+    fn give(&self, values: Vec<i64>) {
+        if let Ok(mut vectors) = self.vectors.lock() {
+            if vectors.len() < self.capacity {
+                vectors.push(values);
+            }
+        }
+    }
+}
+
+impl std::fmt::Debug for FreeList {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // The count, not megabytes of stale column values.
+        let kept = self.vectors.lock().map_or(0, |v| v.len());
+        write!(f, "FreeList({kept} of {})", self.capacity)
+    }
+}
+
 /// A [`ChunkStore`] serving chunks from a real segment file.
 ///
 /// The directory is read and validated once at open; every `materialize`
 /// then issues one positioned read per requested extent — `cols: None`
 /// returns the full NSM chunk (all columns), `cols: Some(subset)` reads
 /// *only* the requested columns' extents and returns a DSM payload.
-/// Encoded extents come back as lazily-decoding [`ColumnChunk::Compressed`]
-/// mini-columns carrying the footer's encode-time checksum, so the
-/// install-time [`ChunkPayload::verify_checksums`] (and the retry machinery
-/// behind it) covers the disk path with no special cases.
+/// Plain extents are read in place, checksum-verified here, and their
+/// vectors recycled (see the module docs).  Encoded extents come back as
+/// lazily-decoding [`ColumnChunk::Compressed`] mini-columns carrying the
+/// footer's encode-time checksum, so the install-time
+/// [`ChunkPayload::verify_checksums`] (and the retry machinery behind it)
+/// covers the disk path with no special cases.
 #[derive(Debug)]
 pub struct FileStore {
     io: Arc<dyn SegmentIo>,
     directory: SegmentDirectory,
     obs: Arc<Registry>,
+    free: FreeList,
 }
 
 impl FileStore {
@@ -619,10 +785,12 @@ impl FileStore {
     /// Opens a segment through a custom [`SegmentIo`] backend.
     pub fn from_io(io: Arc<dyn SegmentIo>) -> io::Result<FileStore> {
         let directory = read_directory(io.as_ref())?;
+        let free = FreeList::new(FREE_CHUNKS * directory.num_columns() as usize);
         Ok(FileStore {
             io,
             directory,
             obs: Arc::new(Registry::disabled()),
+            free,
         })
     }
 
@@ -653,64 +821,98 @@ impl FileStore {
         self.directory.chunk_rows(chunk)
     }
 
-    /// One positioned, instrumented extent read.  The span and the call
-    /// counter record regardless of outcome (so `file_read_calls` always
-    /// equals the span histogram's count); only delivered bytes land in
-    /// `file_bytes_read`.
-    fn read_extent(&self, e: &Extent) -> Result<Vec<u8>, StoreError> {
-        let mut buf = vec![0u8; e.len as usize];
+    /// One positioned, instrumented read of extent `e` into `buf` (`e.len`
+    /// bytes).  The span and the call counter record regardless of outcome
+    /// (so `file_read_calls` always equals the span histogram's count);
+    /// only delivered bytes land in `file_bytes_read`.
+    fn read_extent(&self, e: &Extent, buf: &mut [u8]) -> Result<(), StoreError> {
+        debug_assert_eq!(buf.len() as u64, e.len);
         let result = {
             let _t = self.obs.time(SpanKind::FileRead);
-            self.io.read_exact_at(&mut buf, e.offset)
+            self.io.read_exact_at(buf, e.offset)
         };
         self.obs.inc(Counter::FileReadCalls);
         match result {
             Ok(()) => {
                 self.obs.add(Counter::FileBytesRead, e.len);
-                Ok(buf)
+                Ok(())
             }
             Err(err) => Err(map_io_error(&err)),
         }
     }
 
-    /// Rebuilds one mini-column from its extent bytes.
-    fn column_chunk(&self, e: &Extent, bytes: Vec<u8>) -> Result<ColumnChunk, StoreError> {
-        if e.codec == CODEC_PLAIN {
-            // Plain columns carry no checksum once in memory, so the store
-            // is their verification point.
-            if bytes.len() as u64 != e.rows.saturating_mul(8) || checksum64(&bytes) != e.checksum {
-                return Err(StoreError::Corrupted);
-            }
-            let values: Vec<i64> = bytes
-                .chunks_exact(8)
-                .map(|b| {
-                    let mut w = [0u8; 8];
-                    w.copy_from_slice(b);
-                    i64::from_le_bytes(w)
-                })
-                .collect();
-            Ok(ColumnChunk::Plain(Arc::new(values)))
-        } else {
-            // Encoded columns keep the footer's encode-time checksum; a
-            // damaged byte surfaces at install-time verification, exactly
-            // like a torn in-memory read.
-            if bytes.first() != Some(&e.codec) {
-                return Err(StoreError::Corrupted);
-            }
-            let enc = EncodedColumn::from_parts(e.rows as usize, bytes, e.checksum)
-                .ok_or(StoreError::Corrupted)?;
-            Ok(ColumnChunk::Compressed(Arc::new(LazyColumn::new(enc))))
+    /// Reads plain extent `e` straight into `values` and verifies it there:
+    /// the little-endian path.
+    fn read_in_place(&self, e: &Extent, values: &mut [i64]) -> Result<(), StoreError> {
+        self.read_extent(e, ne_bytes_mut(values))?;
+        if checksum64(ne_bytes(values)) != e.checksum {
+            return Err(StoreError::Corrupted);
         }
+        Ok(())
+    }
+
+    /// Reads plain extent `e` into a staging buffer, verifies it, and
+    /// converts word by word into `values`: the path for any byte order.
+    fn read_converting(&self, e: &Extent, values: &mut [i64]) -> Result<(), StoreError> {
+        let mut staging = vec![0u8; e.len as usize];
+        self.read_extent(e, &mut staging)?;
+        if checksum64(&staging) != e.checksum {
+            return Err(StoreError::Corrupted);
+        }
+        from_le_bytes(&staging, values);
+        Ok(())
+    }
+
+    /// Loads a plain extent.  Plain columns carry no checksum once in
+    /// memory, so the store is their verification point: the column is
+    /// built only after its bytes verified, and a vector that failed goes
+    /// back to the free list, never out.
+    fn load_plain(&self, e: &Extent) -> Result<ColumnChunk, StoreError> {
+        // Checked at open; one compare here keeps the buffer sized from
+        // `rows` and the read sized from `len` in provable agreement.
+        if !e.plain_geometry_holds() {
+            return Err(StoreError::Corrupted);
+        }
+        let mut values = self.free.take(e.rows as usize);
+        let read = if cfg!(target_endian = "little") {
+            self.read_in_place(e, &mut values)
+        } else {
+            self.read_converting(e, &mut values)
+        };
+        match read {
+            Ok(()) => Ok(ColumnChunk::Plain(Arc::new(values))),
+            Err(error) => {
+                self.free.give(values);
+                Err(error)
+            }
+        }
+    }
+
+    /// Loads an encoded extent.  The column keeps the footer's encode-time
+    /// checksum; a damaged byte surfaces at install-time verification,
+    /// exactly like a torn in-memory read.
+    fn load_encoded(&self, e: &Extent) -> Result<ColumnChunk, StoreError> {
+        let mut bytes = vec![0u8; e.len as usize];
+        self.read_extent(e, &mut bytes)?;
+        if bytes.first() != Some(&e.codec) {
+            return Err(StoreError::Corrupted);
+        }
+        let enc = EncodedColumn::from_parts(e.rows as usize, bytes, e.checksum)
+            .ok_or(StoreError::Corrupted)?;
+        Ok(ColumnChunk::Compressed(Arc::new(LazyColumn::new(enc))))
     }
 
     /// Reads and rebuilds one column of one chunk.
     fn load_column(&self, chunk: ChunkId, col: ColumnId) -> Result<ColumnChunk, StoreError> {
-        let e = *self
+        let e = self
             .directory
             .extent(chunk, col)
             .ok_or(StoreError::Permanent)?;
-        let bytes = self.read_extent(&e)?;
-        self.column_chunk(&e, bytes)
+        if e.codec == CODEC_PLAIN {
+            self.load_plain(e)
+        } else {
+            self.load_encoded(e)
+        }
     }
 }
 
@@ -738,6 +940,10 @@ impl ChunkStore for FileStore {
                 ChunkPayload::Dsm(Arc::new(DsmChunkData::from_parts(parts)))
             }
         })
+    }
+
+    fn recycle(&self, payload: ChunkPayload) {
+        payload.reclaim_plain(|values| self.free.give(values));
     }
 }
 
@@ -853,17 +1059,160 @@ mod tests {
     fn plain_on_disk_bit_flip_is_corrupted_at_read() {
         let path = ScratchPath::new("seg_flip_plain");
         write_segment(&path, 2, 100, vec![Compression::None; 3]);
-        // Flip one byte inside the first data extent (plain column 0).
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[HEADER_LEN as usize + 11] ^= 0x40;
-        std::fs::write(&path, &bytes).unwrap();
+        let good = std::fs::read(&path).unwrap();
+        // The first data extent (plain column 0 of chunk 0) is 800 bytes:
+        // twelve checksum blocks and a 32-byte tail.  One flipped bit in
+        // each of the eight lane positions of a block, and one in the tail.
+        let flips = (0..8)
+            .map(|lane| 5 * 64 + lane * 8 + lane)
+            .chain([12 * 64 + 19]);
+        for (i, at) in flips.enumerate() {
+            let mut bytes = good.clone();
+            bytes[HEADER_LEN as usize + at] ^= 1 << (i % 8);
+            std::fs::write(&path, &bytes).unwrap();
+            let store = FileStore::open(&path).unwrap();
+            for cols in [None, Some(&[ColumnId::new(0)][..])] {
+                assert_eq!(
+                    store.materialize(ChunkId::new(0), cols).unwrap_err(),
+                    StoreError::Corrupted,
+                    "byte {at}: a torn extent is never published as a column"
+                );
+            }
+            // Both read paths refuse it, whichever this target selects.
+            let e = *store
+                .directory()
+                .extent(ChunkId::new(0), ColumnId::new(0))
+                .unwrap();
+            let mut values = vec![0i64; 100];
+            assert_eq!(
+                store.read_converting(&e, &mut values),
+                Err(StoreError::Corrupted)
+            );
+            assert_eq!(
+                store.read_in_place(&e, &mut values),
+                Err(StoreError::Corrupted)
+            );
+            // The other chunk is untouched and still reads fine — into the
+            // very vector the failed read left its torn bytes in.
+            let other = store.materialize(ChunkId::new(1), None).unwrap();
+            for col in 0..3u16 {
+                assert_eq!(
+                    other.column(ColumnId::new(col)).unwrap(),
+                    column_values(1, col, 100).as_slice()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn byte_views_are_the_values_own_bytes() {
+        let values = [i64::MIN, -1, 0, i64::MAX, 0x0102_0304_0506_0708];
+        let native: Vec<u8> = values.iter().flat_map(|v| v.to_ne_bytes()).collect();
+        assert_eq!(ne_bytes(&values), native.as_slice());
+        assert_eq!(ne_bytes(&[]), &[] as &[u8]);
+        // Written through the mutable view, the same bytes are the same
+        // values again.
+        let mut back = [7i64; 5];
+        ne_bytes_mut(&mut back).copy_from_slice(&native);
+        assert_eq!(back, values);
+        // On a little-endian target that is the extent encoding, which is
+        // what lets the store skip the converting pass.
+        let le: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+        assert_eq!(to_le_bytes(&values), le);
+        if cfg!(target_endian = "little") {
+            assert_eq!(ne_bytes(&values), le.as_slice());
+        }
+        let mut decoded = [0i64; 5];
+        from_le_bytes(&le, &mut decoded);
+        assert_eq!(decoded, values);
+    }
+
+    #[test]
+    fn in_place_and_converting_reads_agree() {
+        let path = ScratchPath::new("seg_read_paths");
+        write_segment(&path, 2, 333, vec![Compression::None; 3]);
         let store = FileStore::open(&path).unwrap();
-        assert_eq!(
-            store.materialize(ChunkId::new(0), None).unwrap_err(),
-            StoreError::Corrupted
-        );
-        // The other chunk is untouched and still reads fine.
-        store.materialize(ChunkId::new(1), None).unwrap();
+        for chunk in 0..2 {
+            for col in 0..3u16 {
+                let e = *store
+                    .directory()
+                    .extent(ChunkId::new(chunk), ColumnId::new(col))
+                    .unwrap();
+                let want = column_values(chunk, col, 333);
+                // Stale contents, as a recycled vector has.
+                let mut values = vec![-1i64; 333];
+                store.read_converting(&e, &mut values).unwrap();
+                assert_eq!(values, want, "the fallback runs on every target");
+                if cfg!(target_endian = "little") {
+                    let mut values = vec![-1i64; 333];
+                    store.read_in_place(&e, &mut values).unwrap();
+                    assert_eq!(values, want);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn recycled_vectors_are_reused_only_when_nothing_shares_them() {
+        let path = ScratchPath::new("seg_recycle");
+        write_segment(&path, 3, 200, vec![Compression::None; 3]);
+        let store = FileStore::open(&path).unwrap();
+        let address = |p: &ChunkPayload, col: u16| p.column(ColumnId::new(col)).unwrap().as_ptr();
+
+        // Unshared: the next load lands in the recycled vectors (last in,
+        // first out) and reads the new chunk's values, not the stale ones.
+        let first = store.materialize(ChunkId::new(0), None).unwrap();
+        let addresses: Vec<_> = (0..3).map(|c| address(&first, c)).collect();
+        store.recycle(first);
+        let second = store.materialize(ChunkId::new(1), None).unwrap();
+        for col in 0..3u16 {
+            assert_eq!(address(&second, col), addresses[2 - col as usize]);
+            assert_eq!(
+                second.column(ColumnId::new(col)).unwrap(),
+                column_values(1, col, 200).as_slice()
+            );
+        }
+
+        // A column an operator batch still shares is left alone: the batch
+        // keeps reading its values across the next load.
+        let held = second.shared_column(ColumnId::new(1)).unwrap();
+        let held_at = held.as_ptr();
+        store.recycle(second);
+        let third = store.materialize(ChunkId::new(2), None).unwrap();
+        assert_eq!(*held, column_values(1, 1, 200));
+        assert!((0..3).all(|c| address(&third, c) != held_at));
+
+        // So is every column of a payload something else still holds.
+        let clone = third.clone();
+        store.recycle(third);
+        assert!(store.free.vectors.lock().unwrap().is_empty());
+        for col in 0..3u16 {
+            assert_eq!(
+                clone.column(ColumnId::new(col)).unwrap(),
+                column_values(2, col, 200).as_slice()
+            );
+        }
+    }
+
+    #[test]
+    fn free_list_is_bounded_and_resizes_what_it_hands_out() {
+        let path = ScratchPath::new("seg_free_list");
+        write_segment(&path, 2, 50, vec![Compression::None; 3]);
+        let store = FileStore::open(&path).unwrap();
+        // Far more than the list keeps: the excess is dropped.
+        for _ in 0..3 * FREE_CHUNKS {
+            let fresh = NsmChunkData::new((0..3).map(|_| Arc::new(vec![9i64; 50])).collect());
+            store.recycle(ChunkPayload::Nsm(Arc::new(fresh)));
+        }
+        assert_eq!(store.free.vectors.lock().unwrap().len(), FREE_CHUNKS * 3);
+        assert_eq!(format!("{:?}", store.free), "FreeList(12 of 12)");
+        // A vector of another length comes out at the requested one.
+        assert_eq!(store.free.take(50), vec![9; 50]);
+        store.free.give(vec![9; 7]);
+        let grown = store.free.take(50);
+        assert_eq!((&grown[..7], &grown[7..]), (&[9; 7][..], &[0; 43][..]));
+        store.free.give(vec![9; 500]);
+        assert_eq!(store.free.take(50), vec![9; 50]);
     }
 
     #[test]
@@ -918,6 +1267,54 @@ mod tests {
 
         // And the pristine bytes still open.
         std::fs::write(&path, &good).unwrap();
+        FileStore::open(&path).unwrap();
+    }
+
+    #[test]
+    fn version_1_segment_is_refused_at_open() {
+        let path = ScratchPath::new("seg_v1");
+        write_segment(&path, 1, 20, schemes());
+        let mut bytes = std::fs::read(&path).unwrap();
+        // The version sits 10 bytes before the end (version, then magic).
+        let at = bytes.len() - 10;
+        assert_eq!(bytes[at..at + 2], SEGMENT_VERSION.to_le_bytes());
+        bytes[at..at + 2].copy_from_slice(&1u16.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let err = FileStore::open(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "unsupported segment version 1");
+    }
+
+    #[test]
+    fn plain_extent_whose_length_disagrees_with_its_rows_is_refused_at_open() {
+        let path = ScratchPath::new("seg_geometry");
+        write_segment(&path, 2, 40, schemes());
+        let good = std::fs::read(&path).unwrap();
+        let dir_len = 2 * 3 * EXTENT_ENTRY_LEN as usize;
+        let dir_at = good.len() - TRAILER_LEN as usize - dir_len;
+        // Patch the length of extent 3 (chunk 1, the plain column) in the
+        // directory — one word shorter, so it still lies inside the data
+        // area — and recompute the directory checksum, so that nothing but
+        // the geometry check can object.
+        let patch = |len: u64| {
+            let mut bytes = good.clone();
+            let entry = dir_at + 3 * EXTENT_ENTRY_LEN as usize;
+            assert_eq!(bytes[entry + 32], CODEC_PLAIN);
+            bytes[entry + 8..entry + 16].copy_from_slice(&len.to_le_bytes());
+            let sum = checksum64(&bytes[dir_at..dir_at + dir_len]);
+            let trailer = good.len() - TRAILER_LEN as usize;
+            bytes[trailer + 16..trailer + 24].copy_from_slice(&sum.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+        };
+        patch(40 * 8 - 8);
+        let err = FileStore::open(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(
+            err.to_string(),
+            "extent 3: plain length disagrees with row count"
+        );
+        // The same patch with the true length opens: only that check fired.
+        patch(40 * 8);
         FileStore::open(&path).unwrap();
     }
 
