@@ -18,15 +18,15 @@
 //! asynchronous I/O scheduler ([`crate::iosched`]) instead drives
 //! [`Abm::plan_loads`], which plans a whole burst of loads in one step —
 //! evicting (and thereby reserving) the victims for the entire burst up
-//! front — and [`Abm::complete_load_of`], which retires loads in whatever
+//! front — and [`Abm::commit_load`], which retires loads by key in whatever
 //! order the spindles finish them.
 //!
 //! # Plan / commit
 //!
-//! Drivers that perform the disk read outside the ABM lock (the threaded
-//! executor, and the simulation when detaches can race completions) use the
-//! *plan/commit* protocol instead of raw completion: every [`LoadPlan`] is
-//! stamped with a unique ticket and the planning [`AbmState::epoch`], and
+//! Both drivers — the threaded executor, whose disk read runs outside the
+//! ABM lock, and the simulation, where detaches can race completions — use
+//! the *plan/commit* protocol instead of raw completion: every [`LoadPlan`]
+//! is stamped with a unique ticket and the planning [`AbmState::epoch`], and
 //! [`Abm::commit_load`] revalidates the stamp under the lock before
 //! installing residency — a cancelled or superseded load's completion is
 //! dropped, and a load whose last interested query detached mid-read is
@@ -89,7 +89,7 @@ pub enum CommitOutcome<'a> {
     /// The load was installed; the listed queries were blocked waiting for
     /// the chunk and should be woken (the `signalQuery` of Figure 3).  The
     /// slice borrows the ABM's reusable scratch buffer, like
-    /// [`Abm::complete_load_of`].
+    /// [`Abm::complete_load`].
     Committed {
         /// Blocked queries interested in the arrived chunk.
         woken: &'a [QueryId],
@@ -299,7 +299,7 @@ impl Abm {
     /// the meantime: the consumption path for a still-active query
     /// ([`Abm::release_chunk`]), or the orphan-pin path
     /// ([`Abm::release_detached_pin`]) when the query detached while the
-    /// pin was outstanding.  Both session front-ends funnel every
+    /// pin was outstanding.  The threaded executor funnels every
     /// `PinnedChunk` drop through this single protocol.
     pub fn release_delivered(&mut self, q: QueryId, chunk: ChunkId) {
         let active = self
@@ -422,14 +422,11 @@ impl Abm {
         self.complete_load_of(chunk)
     }
 
-    /// Completes the outstanding load of `chunk`.  With several loads in
-    /// flight the spindles finish them in arbitrary order; the I/O scheduler
-    /// retires each by key.  Returns the blocked queries to wake, as in
-    /// [`Abm::complete_load`].
-    ///
-    /// # Panics
-    /// Panics if no load of `chunk` is in flight.
-    pub fn complete_load_of(&mut self, chunk: ChunkId) -> &[QueryId] {
+    /// Installs the outstanding load of `chunk` — the shared tail of
+    /// [`Abm::complete_load`] and a valid [`Abm::commit_load`] — and returns
+    /// the blocked queries to wake.  Panics if no load of `chunk` is in
+    /// flight; both callers have just established that one is.
+    fn complete_load_of(&mut self, chunk: ChunkId) -> &[QueryId] {
         self.state.complete_load_of(chunk);
         self.wake_scratch.clear();
         self.wake_scratch.extend(
@@ -445,7 +442,7 @@ impl Abm {
     /// plan (whose "disk read" ran outside the lock) and installs residency
     /// only if the load is still current and still interesting.
     ///
-    /// Unlike [`Abm::complete_load_of`] this never panics on a stale
+    /// Unlike [`Abm::complete_load`] this never panics on a stale
     /// completion: a load that was aborted while the read was in progress
     /// (see [`Abm::finish_query`]) — or superseded by a newer load of the
     /// same chunk — reports [`CommitOutcome::Cancelled`], and a load whose

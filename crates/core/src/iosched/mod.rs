@@ -71,9 +71,10 @@ use std::time::Duration;
 ///
 /// Retryable [`StoreError`]s (transient, timeout, corrupted) are retried up
 /// to `max_attempts` times with exponential backoff; a permanent error — or
-/// exhausting the attempt budget — quarantines the chunk.  The backoff is
-/// expressed as a wall-clock [`Duration`]: the threaded executor sleeps it
-/// for real, the simulation advances virtual time by it.
+/// exhausting the attempt budget — quarantines the chunk.  The backoff is a
+/// wall-clock [`Duration`] the threaded executor's I/O worker sleeps with no
+/// lock held; that worker is the only caller (the simulation injects no
+/// faults).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total read attempts allowed per load (including the first).
@@ -99,8 +100,7 @@ impl Default for RetryPolicy {
 pub enum FailureAction {
     /// Read the chunk again after sleeping `delay`.
     Retry {
-        /// Backoff to wait before the retry (virtual in sim, real in the
-        /// threaded executor).
+        /// Backoff to wait before the retry.
         delay: Duration,
     },
     /// Give up on the chunk: quarantine it and err its interested queries.
@@ -151,10 +151,6 @@ pub struct IoSchedStats {
     pub bursts: u64,
     /// Chunks evicted while admitting loads.
     pub evictions: u64,
-    /// Failed reads the retry policy sent back to the device.
-    pub load_retries: u64,
-    /// Loads given up on (permanent error or retry budget exhausted).
-    pub loads_failed: u64,
 }
 
 /// One load the scheduler has submitted to the device: the decision plus
@@ -164,16 +160,13 @@ struct Outstanding {
     decision: LoadDecision,
     ticket: u64,
     epoch: u64,
-    /// Device reads of this load that have failed so far (retries keep the
-    /// load — and its page reservation — in flight).
-    failed_attempts: u32,
 }
 
 /// Keeps up to `max_outstanding` chunk loads in flight against one [`Abm`].
 ///
 /// The scheduler owns no I/O itself: the driver submits each admitted
 /// [`LoadPlan`] to its device (e.g. a [`SimIoBackend`]) and calls
-/// [`IoScheduler::complete`] when the device finishes a chunk, in whatever
+/// [`IoScheduler::commit`] when the device finishes a chunk, in whatever
 /// order completions arrive.
 #[derive(Debug)]
 pub struct IoScheduler {
@@ -200,9 +193,9 @@ impl IoScheduler {
     }
 
     /// Mirrors every stats increment into `obs` (`io_loads_issued`,
-    /// `io_bursts`, `loads_completed`, `loads_cancelled`, `load_faults`,
-    /// `load_retries`, `frame_evictions`) so scheduler activity lands in the
-    /// same snapshot as the rest of the engine.
+    /// `io_bursts`, `loads_completed`, `loads_cancelled`, `frame_evictions`)
+    /// so scheduler activity lands in the same snapshot as the rest of the
+    /// engine.
     pub fn set_observability(&mut self, obs: Arc<Registry>) {
         self.obs = obs;
     }
@@ -256,7 +249,6 @@ impl IoScheduler {
                 decision: plan.decision,
                 ticket: plan.ticket,
                 epoch: plan.epoch,
-                failed_attempts: 0,
             });
             self.stats.loads_issued += 1;
             self.stats.evictions += plan.evicted.len() as u64;
@@ -269,36 +261,12 @@ impl IoScheduler {
         self.stats.peak_outstanding = self.stats.peak_outstanding.max(self.outstanding.len());
     }
 
-    /// Retires the in-flight load of `chunk`, returning its decision and the
-    /// blocked queries interested in the chunk (the `signalQuery` list; the
-    /// slice borrows the ABM's reusable scratch buffer).
-    ///
-    /// # Panics
-    /// Panics if `chunk` has no load in flight.
-    pub fn complete<'a>(
-        &mut self,
-        abm: &'a mut Abm,
-        chunk: ChunkId,
-    ) -> (LoadDecision, &'a [QueryId]) {
-        let idx = self
-            .outstanding
-            .iter()
-            .position(|o| o.decision.chunk == chunk)
-            .unwrap_or_else(|| panic!("no outstanding load of {chunk:?}"));
-        let outstanding = self.outstanding.remove(idx);
-        self.stats.loads_completed += 1;
-        self.obs.inc(Counter::LoadsCompleted);
-        let woken = abm.complete_load_of(chunk);
-        (outstanding.decision, woken)
-    }
-
     /// The commit half of the plan/commit protocol: retires the completion
     /// `(chunk, ticket)` through [`Abm::commit_load`]'s revalidation.
     /// Returns `None` when the completion is stale — the load was cancelled
     /// (see [`IoScheduler::cancel`]) or aborted at commit time — and the
-    /// committed decision plus `signalQuery` list otherwise.
-    ///
-    /// Unlike [`IoScheduler::complete`] this never panics: device
+    /// committed decision plus `signalQuery` list (the slice borrows the
+    /// ABM's reusable scratch buffer) otherwise.  Never panics: device
     /// completions for cancelled loads are expected and simply dropped.
     pub fn commit<'a>(
         &mut self,
@@ -323,51 +291,6 @@ impl IoScheduler {
                 None
             }
         }
-    }
-
-    /// Reports that the device read of `(chunk, ticket)` failed with
-    /// `error`, and decides — under `retry` — whether to read it again.
-    ///
-    /// On [`FailureAction::Retry`] the load (and its page reservation)
-    /// stays in flight: the driver sleeps the returned backoff and
-    /// resubmits the same plan; the attempt counter advances so the budget
-    /// is bounded.  On [`FailureAction::Quarantine`] the load is aborted in
-    /// the ABM (reservation released, chunk plannable again) and dropped
-    /// from the in-flight set; the caller quarantines the chunk and errs
-    /// its interested queries.  A stale `(chunk, ticket)` — the load was
-    /// cancelled while its read was failing — reports `Quarantine` without
-    /// touching anything, like [`IoScheduler::commit`] dropping a stale
-    /// completion.
-    pub fn fail(
-        &mut self,
-        abm: &mut Abm,
-        chunk: ChunkId,
-        ticket: u64,
-        error: StoreError,
-        retry: &RetryPolicy,
-    ) -> FailureAction {
-        let Some(idx) = self
-            .outstanding
-            .iter()
-            .position(|o| o.decision.chunk == chunk && o.ticket == ticket)
-        else {
-            return FailureAction::Quarantine;
-        };
-        self.outstanding[idx].failed_attempts += 1;
-        self.obs.inc(Counter::LoadFaults);
-        let action = retry.on_failure(error, self.outstanding[idx].failed_attempts);
-        match action {
-            FailureAction::Retry { .. } => {
-                self.stats.load_retries += 1;
-                self.obs.inc(Counter::LoadRetries);
-            }
-            FailureAction::Quarantine => {
-                self.outstanding.remove(idx);
-                abm.fail_load(chunk, ticket);
-                self.stats.loads_failed += 1;
-            }
-        }
-        action
     }
 
     /// Forgets the outstanding load of `chunk` after the ABM aborted it
@@ -421,8 +344,10 @@ mod tests {
         assert_eq!(chunks.len(), 4);
         assert_eq!(abm.state().reserved_pages(), 4 * 16);
         // Completing one (out of order) frees a slot; the next plan refills.
-        let victim = plans[2].decision.chunk;
-        let (decision, _woken) = sched.complete(&mut abm, victim);
+        let (victim, ticket) = (plans[2].decision.chunk, plans[2].ticket);
+        let (decision, _woken) = sched
+            .commit(&mut abm, victim, ticket)
+            .expect("the load is current");
         assert_eq!(decision.chunk, victim);
         assert_eq!(sched.in_flight(), 3);
         let mut more = Vec::new();
@@ -461,70 +386,50 @@ mod tests {
             );
             let Some(plan) = s else { break };
             seq.complete_load();
-            sched.complete(&mut pipe, plan.decision.chunk);
+            let retired = sched.commit(&mut pipe, plan.decision.chunk, p[0].ticket);
+            assert!(retired.is_some(), "nothing detached: the commit is valid");
         }
     }
 
     #[test]
-    fn failed_reads_retry_then_quarantine() {
-        let mut abm = abm(8, 4);
-        let cols = abm.state().model().all_columns();
-        abm.register_query("q", ScanRanges::full(8), cols, SimTime::ZERO);
-        let mut sched = IoScheduler::new(1);
-        let mut plans = Vec::new();
-        sched.plan(&mut abm, SimTime::ZERO, &mut plans);
-        let (chunk, ticket) = (plans[0].decision.chunk, plans[0].ticket);
-        let retry = RetryPolicy {
-            max_attempts: 3,
-            ..RetryPolicy::default()
+    fn retry_policy_backs_off_then_quarantines() {
+        let policy = RetryPolicy {
+            max_attempts: 4,
+            backoff_base: Duration::from_micros(100),
+            backoff_cap: Duration::from_micros(350),
         };
-        // Two transient failures retry (with growing backoff), keeping the
-        // load and its reservation in flight...
-        let FailureAction::Retry { delay: d1 } =
-            sched.fail(&mut abm, chunk, ticket, StoreError::Transient, &retry)
-        else {
-            panic!("first failure must retry")
-        };
-        let FailureAction::Retry { delay: d2 } =
-            sched.fail(&mut abm, chunk, ticket, StoreError::TimedOut, &retry)
-        else {
-            panic!("second failure must retry")
-        };
-        assert!(d2 >= d1, "backoff must not shrink");
-        assert_eq!(sched.in_flight(), 1);
-        assert_eq!(abm.state().num_inflight(), 1);
-        // ...the third failure exhausts the budget: the load is aborted and
-        // its pages return to the pool.
-        assert_eq!(
-            sched.fail(&mut abm, chunk, ticket, StoreError::Transient, &retry),
-            FailureAction::Quarantine
-        );
-        assert_eq!(sched.in_flight(), 0);
-        assert_eq!(abm.state().num_inflight(), 0);
-        assert_eq!(abm.state().reserved_pages(), 0);
-        assert_eq!(sched.stats().load_retries, 2);
-        assert_eq!(sched.stats().loads_failed, 1);
-        // A permanent error quarantines immediately, no budget consulted.
-        let mut more = Vec::new();
-        sched.plan(&mut abm, SimTime::ZERO, &mut more);
-        let (c2, t2) = (more[0].decision.chunk, more[0].ticket);
-        assert_eq!(
-            sched.fail(&mut abm, c2, t2, StoreError::Permanent, &retry),
-            FailureAction::Quarantine
-        );
-        // A stale (chunk, ticket) is ignored.
-        assert_eq!(
-            sched.fail(&mut abm, c2, t2, StoreError::Transient, &retry),
-            FailureAction::Quarantine
-        );
-        assert_eq!(sched.stats().loads_failed, 2);
-    }
+        // Doubles from the base, saturates at the cap, never shrinks —
+        // however many failures are reported.
+        let expected_us = [100, 200, 350, 350, 350];
+        for (i, us) in expected_us.into_iter().enumerate() {
+            assert_eq!(policy.backoff(i as u32 + 1), Duration::from_micros(us));
+        }
+        assert_eq!(policy.backoff(0), policy.backoff(1));
+        assert_eq!(policy.backoff(u32::MAX), policy.backoff_cap);
 
-    #[test]
-    #[should_panic(expected = "no outstanding load")]
-    fn completing_unknown_chunk_panics() {
-        let mut a = abm(8, 4);
-        let mut sched = IoScheduler::new(2);
-        sched.complete(&mut a, ChunkId::new(3));
+        use FailureAction::{Quarantine, Retry};
+        use StoreError::{Corrupted, Permanent, TimedOut, Transient};
+        let retry = |n| Retry {
+            delay: policy.backoff(n),
+        };
+        let table = [
+            // A permanent error quarantines on the first failure.
+            (policy, Permanent, 1, Quarantine),
+            // A retryable one is retried until the attempt budget is spent.
+            (policy, Transient, 1, retry(1)),
+            (policy, TimedOut, 2, retry(2)),
+            (policy, Corrupted, 3, retry(3)),
+            (policy, Transient, 4, Quarantine),
+            (policy, Transient, 5, Quarantine),
+            (RetryPolicy::no_retries(), Transient, 1, Quarantine),
+        ];
+        for (policy, error, failed_attempts, expected) in table {
+            assert_eq!(
+                policy.on_failure(error, failed_attempts),
+                expected,
+                "{error:?} after {failed_attempts} failed attempts of {}",
+                policy.max_attempts
+            );
+        }
     }
 }

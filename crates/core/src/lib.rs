@@ -21,31 +21,32 @@
 //! Two execution front-ends drive the same ABM:
 //!
 //! * [`sim::Simulation`] — a deterministic discrete-event simulation used to
-//!   regenerate every table and figure of the paper's evaluation;
-//! * [`threaded`] — a real multi-threaded executor (OS threads, an I/O
-//!   worker pool running the ABM main loop of Fig. 3, per-query wait slots
-//!   and per-worker doorbells instead of global condition variables) for
-//!   live use of the API.
+//!   regenerate every table and figure of the paper's evaluation.  It issues
+//!   its chunk loads through the asynchronous I/O scheduling layer
+//!   ([`iosched`]): up to K loads stay in flight (with batched,
+//!   reservation-backed eviction planning), routed to per-spindle submission
+//!   queues when the storage is modelled as an explicit RAID array.  K = 1 —
+//!   the default — reproduces the paper's sequential main loop
+//!   decision-for-decision.
+//! * [`threaded::ScanServer`] — a real multi-threaded executor (OS threads,
+//!   an I/O worker pool running the ABM main loop of Fig. 3, per-query wait
+//!   slots and per-worker doorbells instead of global condition variables)
+//!   for everything that moves bytes.  Each worker plans one load at a time
+//!   ([`Abm::plan_loads`] with a budget of 1), so `io_threads(k)` keeps up
+//!   to `k` loads in flight; a failed read is retried and, past its budget,
+//!   quarantined here and nowhere else ([`iosched::RetryPolicy`]).
 //!
-//! Queries talk to either front-end through one surface, the
-//! [`session::ScanSession`] trait (attach → `next_chunk()` → detach): the
-//! threaded server delivers [`session::PinnedChunk`]s carrying *real
-//! payloads* (materialized by a [`cscan_storage::ChunkStore`], pinned in a
-//! `cscan_bufman` frame so eviction can never reclaim data a query is
-//! reading), while [`session::SimScanServer`] is the deterministic
-//! metadata-only implementation for reproducible tests.
+//! Both retire loads through the plan/commit protocol — every plan carries
+//! a `(ticket, epoch)` stamp that [`Abm::commit_load`] revalidates, so loads
+//! whose queries detach mid-read are aborted rather than installed.
 //!
-//! Both issue their chunk loads through the asynchronous I/O scheduling
-//! layer ([`iosched`]): up to K loads stay in flight (with batched,
-//! reservation-backed eviction planning), routed to per-spindle submission
-//! queues when the storage is modelled as an explicit RAID array, and
-//! retired through the plan/commit protocol — every plan carries a
-//! `(ticket, epoch)` stamp that the commit revalidates, so loads whose
-//! queries detach mid-read are aborted rather than installed.  K = 1 — the
-//! default everywhere — reproduces the paper's sequential main loop
-//! decision-for-decision.  `ARCHITECTURE.md` diagrams the three layers
-//! (shared [`abm::ChunkIndex`] / plan-commit / targeted wakeups) and the
-//! lock-ordering rules.
+//! Queries talk to the threaded server through one surface, the
+//! [`session::ScanSession`] trait (attach → `next_chunk()` → detach), and
+//! receive [`session::PinnedChunk`]s carrying *real payloads* (materialized
+//! by a [`cscan_storage::ChunkStore`], pinned in a `cscan_bufman` frame so
+//! eviction can never reclaim data a query is reading).  `ARCHITECTURE.md`
+//! diagrams the three layers (shared [`abm::ChunkIndex`] / plan-commit /
+//! targeted wakeups) and the lock-ordering rules.
 //!
 //! ## Quick example
 //!
@@ -95,9 +96,7 @@ pub use iosched::{FailureAction, IoSchedStats, IoScheduler, RetryPolicy, SimIoBa
 pub use model::{StorageKind, TableModel};
 pub use policy::{AttachPolicy, ElevatorPolicy, NormalPolicy, Policy, PolicyKind, RelevancePolicy};
 pub use query::{QueryId, QueryState};
-pub use session::{
-    ChunkRelease, PinnedChunk, ScanError, ScanSession, SimScanServer, SimScanSession,
-};
+pub use session::{PinnedChunk, ScanError, ScanSession};
 
 // Re-export the identifiers that appear throughout the public API.
 pub use cscan_storage::{ChunkId, ColumnId, ScanRanges};

@@ -83,9 +83,9 @@
 //!
 //! * **Deferred releases.**  Returning a pin pushes a small record into a
 //!   per-shard *release inbox* (pre-allocated; pushing never blocks on the
-//!   scheduler) after unpinning the frame in its shard.  The releaser then
-//!   *try-locks* the scheduler: if free, it drains every inbox inline
-//!   (flat combining); if contended it increments `hub_shard_conflicts`
+//!   scheduler) after unpinning the frame in its shard.  The releasing
+//!   thread then *try-locks* the scheduler: if free, it drains every inbox
+//!   inline (flat combining); if contended it increments `hub_shard_conflicts`
 //!   and rings a parked I/O worker instead — every scheduler entry drains
 //!   the inboxes first, so a release is applied at most one scheduling
 //!   round later.  The ABM keeps the processing pin until the drain, so
@@ -147,7 +147,7 @@ use crate::iosched::{FailureAction, RetryPolicy};
 use crate::model::TableModel;
 use crate::policy::PolicyKind;
 use crate::query::QueryId;
-use crate::session::{ChunkRelease, PinnedChunk, ScanError, ScanSession};
+use crate::session::{PinnedChunk, ScanError, ScanSession};
 use cscan_bufman::{PoolStats, ShardedPool};
 use cscan_obs::{
     Counter, EventKind, Gauge, HistogramSnapshot, QueryCounter, QueryScope, Registry, SpanKind,
@@ -194,6 +194,16 @@ struct SlotState {
 struct QuerySlot {
     state: Mutex<SlotState>,
     cv: Condvar,
+}
+
+/// What one look at a query's mailbox found ([`CScanHandle::check_mailbox`]).
+enum Mailbox<'a> {
+    /// The answer is known: a grant to consume, or `None` — the scan is
+    /// over (limit reached, closed, finished, shut down).
+    Ready(Option<Grant>),
+    /// Nothing yet; the slot guard comes back so a blocking caller can
+    /// wait on the condvar without a window between check and wait.
+    Empty(MutexGuard<'a, SlotState>),
 }
 
 /// A pin returned by a consumer, recorded in a release inbox and applied
@@ -307,8 +317,9 @@ struct Sched {
 /// by in-flight pins, one per active query.
 const INBOX_CAPACITY: usize = 1024;
 
-/// Shared state between the I/O workers and all CScan handles.
-struct Shared {
+/// Shared state between the I/O workers, all CScan handles and every
+/// outstanding [`PinnedChunk`].
+pub(crate) struct Shared {
     /// The narrow scheduler lock: plan, commit, policy, registry,
     /// quarantine.  Never held across I/O, decode, or any wait.
     sched: Mutex<Sched>,
@@ -520,6 +531,63 @@ impl Shared {
             );
         }
         Some(slot)
+    }
+
+    /// Returns a pin to the server — the release half of the consume fast
+    /// path, run by [`PinnedChunk`]'s `Drop`.
+    ///
+    /// Unpins the frame in its shard, records the release in the shard's
+    /// inbox (both bounded, never blocking on the scheduler), then
+    /// opportunistically *try-locks* the scheduler to drain inline (flat
+    /// combining).  If the scheduler is contended, the release stays in the
+    /// inbox — counted as a `hub_shard_conflicts` — and a parked worker is
+    /// rung to drain it; every scheduler entry services the inboxes first.
+    pub(crate) fn release_pin(&self, query: QueryId, chunk: ChunkId, consumed: bool) {
+        if !consumed {
+            // The silent-drop footgun: dropping a pin still counts as
+            // consumption (the scheduler must make progress), but it is
+            // traced so tests can assert pipelines consume deliberately.
+            self.obs.inc(Counter::UnconsumedDrops);
+        }
+        let entry = Release {
+            query,
+            chunk,
+            generation: self.pool.unpin(chunk),
+        };
+        let overflowed = {
+            let mut inbox = self.inbox(chunk).lock();
+            if inbox.len() < INBOX_CAPACITY {
+                inbox.push(entry);
+                false
+            } else {
+                true
+            }
+        };
+        if overflowed {
+            // Safety valve (never hit at sane pin counts): apply inline
+            // under the scheduler lock, blocking if contended.
+            let mut sched = self.lock_sched();
+            self.service(&mut sched);
+            self.apply_release(&mut sched, entry);
+            self.try_grant(&mut sched, query);
+            return;
+        }
+        // Flat combining: drain inline if the scheduler is free; otherwise
+        // count the conflict and let a worker (or the next scheduler entry)
+        // pick the release up from the inbox.
+        match self.sched.try_lock() {
+            Some(guard) => {
+                let mut sched = SchedGuard::adopt(guard, &self.obs);
+                self.service(&mut sched);
+            }
+            None => {
+                self.obs.inc(Counter::HubShardConflicts);
+            }
+        }
+        // Either way a consumption changed the scheduling inputs — the
+        // released chunk may now be evictable, unfreezing a buffer-full
+        // planner — so ring a parked worker.
+        self.park.ring_one();
     }
 }
 
@@ -1104,9 +1172,6 @@ impl ScanServer {
         CScanHandle {
             shared: Arc::clone(&self.shared),
             slot,
-            releaser: Arc::new(HandleRelease {
-                shared: Arc::clone(&self.shared),
-            }),
             query: id,
             scope,
             attached: Instant::now(),
@@ -1279,9 +1344,6 @@ pub struct CScanHandle {
     /// This query's grant mailbox (also registered in the scheduler's slot
     /// map until `finish`).
     slot: Arc<QuerySlot>,
-    /// Shared by every pin this handle delivers (an `Arc` clone per
-    /// delivery — no per-chunk allocation).
-    releaser: Arc<HandleRelease>,
     query: QueryId,
     /// This scan's metric scope: chunk/row deliveries, pin-wait episodes
     /// and time-to-first-chunk, labelled `{query, table}`.
@@ -1329,79 +1391,44 @@ impl CScanHandle {
     /// that fails checksum verification rejects the delivery: the torn
     /// frame is dropped and the chunk re-fetched from the store.
     pub fn next_chunk(&self) -> Result<Option<PinnedChunk>, ScanError> {
-        if let Some(error) = *self.error.lock() {
-            return Err(error);
-        }
-        'deliver: loop {
-            let grant = {
-                let mut st = self.slot.state.lock();
-                loop {
-                    // A quarantined chunk closed this query's registration
-                    // and parked its error here; read (don't take) so every
-                    // consumer of a shared handle observes it.
-                    if let Some(error) = st.error {
-                        drop(st);
-                        return Err(self.fail(error));
-                    }
-                    // The chunk-limit check and the grant take share the
-                    // slot critical section, so consumers racing on a
-                    // shared handle serialize here and a LIMIT-n scan
-                    // delivers exactly n.
-                    if let Some(limit) = self.limit {
-                        if self.delivered.load(Ordering::Relaxed) >= limit {
-                            // LIMIT-style early termination: detach
-                            // mid-scan, aborting loads in flight solely on
-                            // this query's behalf.
-                            drop(st);
-                            self.finish();
-                            return Ok(None);
-                        }
-                    }
-                    if let Some(grant) = st.grant.take() {
-                        self.delivered.fetch_add(1, Ordering::Relaxed);
-                        break grant;
-                    }
-                    if st.closed
-                        || self.finished.load(Ordering::Acquire)
-                        || self.shared.shutdown.load(Ordering::Acquire)
-                    {
-                        return Ok(None);
-                    }
-                    // Nothing deliverable yet: kick a worker (planning may
-                    // be what this query is waiting for) and wait on the
-                    // mailbox.  waitForChunk of Figure 3 — only a grant for
-                    // *this* query rings the slot.
-                    self.shared.park.ring_one();
-                    let waited = Instant::now();
-                    let timed_out = self
-                        .slot
-                        .cv
-                        .wait_for(&mut st, Duration::from_millis(50))
-                        .timed_out();
-                    let ns = waited.elapsed().as_nanos() as u64;
-                    self.scope.record_pin_wait(ns);
-                    self.shared.obs.record_span_ns(SpanKind::PinWait, ns);
-                    if timed_out {
-                        // Belt-and-braces: nothing granted within the
-                        // timeout — re-run the matcher ourselves.  This
-                        // is the only place the consume path can touch the
-                        // scheduler lock, and only after a 50 ms stall
-                        // (never on the hot path).
-                        drop(st);
-                        {
-                            let mut sched = self.shared.lock_sched();
-                            self.shared.service(&mut sched);
-                            self.shared.try_grant(&mut sched, self.query);
-                        }
-                        st = self.slot.state.lock();
-                    }
+        loop {
+            let mut st = self.slot.state.lock();
+            let grant = loop {
+                st = match self.check_mailbox(st)? {
+                    Mailbox::Ready(grant) => break grant,
+                    Mailbox::Empty(st) => st,
+                };
+                // Nothing deliverable yet: kick a worker (planning may be
+                // what this query is waiting for) and wait on the mailbox.
+                // waitForChunk of Figure 3 — only a grant for *this* query
+                // rings the slot.
+                self.shared.park.ring_one();
+                let waited = Instant::now();
+                let timed_out = self
+                    .slot
+                    .cv
+                    .wait_for(&mut st, Duration::from_millis(50))
+                    .timed_out();
+                let ns = waited.elapsed().as_nanos() as u64;
+                self.scope.record_pin_wait(ns);
+                self.shared.obs.record_span_ns(SpanKind::PinWait, ns);
+                if timed_out {
+                    // Belt-and-braces: nothing granted within the timeout —
+                    // re-run the matcher ourselves.  This is the only place
+                    // the blocking path can touch the scheduler lock, and
+                    // only after a 50 ms stall (never on the hot path).
+                    drop(st);
+                    self.self_match(self.shared.lock_sched());
+                    st = self.slot.state.lock();
                 }
             };
-            match self.consume_grant(grant)? {
-                Some(pin) => return Ok(Some(pin)),
-                // Rejected delivery (torn frame re-fetched): take the next
-                // grant when the re-load commits.
-                None => continue 'deliver,
+            let Some(grant) = grant else {
+                return Ok(None);
+            };
+            // `None` is a rejected delivery (torn frame re-fetched): take
+            // the next grant when the re-load commits.
+            if let Some(pin) = self.consume_grant(grant)? {
+                return Ok(Some(pin));
             }
         }
     }
@@ -1421,66 +1448,89 @@ impl CScanHandle {
     /// moving while the caller is away.
     pub fn try_next_chunk(&self) -> Result<std::task::Poll<Option<PinnedChunk>>, ScanError> {
         use std::task::Poll;
+        loop {
+            let mut self_matched = false;
+            let grant = loop {
+                match self.check_mailbox(self.slot.state.lock())? {
+                    Mailbox::Ready(grant) => break grant,
+                    Mailbox::Empty(st) => drop(st),
+                }
+                // Mailbox empty: self-match once if the scheduler lock
+                // happens to be free (never block on it), then look again —
+                // the matcher may have deposited a grant or closed the slot.
+                let free = if self_matched {
+                    None
+                } else {
+                    self.shared.sched.try_lock()
+                };
+                let Some(guard) = free else {
+                    // Nothing deliverable right now.  Kick a worker
+                    // (planning may be what this query is waiting for) and
+                    // hand control back to the event loop.
+                    self.shared.park.ring_one();
+                    return Ok(Poll::Pending);
+                };
+                self.self_match(SchedGuard::adopt(guard, &self.shared.obs));
+                self_matched = true;
+            };
+            let Some(grant) = grant else {
+                return Ok(Poll::Ready(None));
+            };
+            if let Some(pin) = self.consume_grant(grant)? {
+                return Ok(Poll::Ready(Some(pin)));
+            }
+        }
+    }
+
+    /// The one place a delivery is decided, for the blocking and the
+    /// non-blocking path alike.  In order: the sticky error (this handle's,
+    /// then one a quarantine parked in the slot — read, not taken, so every
+    /// consumer of a shared handle observes it), the chunk limit, the grant,
+    /// and the reasons there will never be one (slot closed, scan finished,
+    /// server shutting down); otherwise the mailbox is empty and the slot
+    /// guard goes back to the caller, which differs only in how it waits.
+    ///
+    /// The limit check and the grant take share the slot critical section,
+    /// so consumers racing on a shared handle serialize here and a LIMIT-n
+    /// scan delivers exactly n.
+    fn check_mailbox<'a>(
+        &self,
+        mut st: MutexGuard<'a, SlotState>,
+    ) -> Result<Mailbox<'a>, ScanError> {
         if let Some(error) = *self.error.lock() {
             return Err(error);
         }
-        loop {
-            let grant = 'take: {
-                let mut st = self.slot.state.lock();
-                if let Some(error) = st.error {
-                    drop(st);
-                    return Err(self.fail(error));
-                }
-                if let Some(limit) = self.limit {
-                    if self.delivered.load(Ordering::Relaxed) >= limit {
-                        drop(st);
-                        self.finish();
-                        return Ok(Poll::Ready(None));
-                    }
-                }
-                if let Some(grant) = st.grant.take() {
-                    self.delivered.fetch_add(1, Ordering::Relaxed);
-                    break 'take grant;
-                }
-                if st.closed
-                    || self.finished.load(Ordering::Acquire)
-                    || self.shared.shutdown.load(Ordering::Acquire)
-                {
-                    return Ok(Poll::Ready(None));
-                }
-                drop(st);
-                // Mailbox empty: self-match if the scheduler lock happens
-                // to be free (never block on it), then re-check the slot —
-                // the matcher may have deposited a grant or closed it.
-                if let Some(guard) = self.shared.sched.try_lock() {
-                    let mut sched = SchedGuard::adopt(guard, &self.shared.obs);
-                    self.shared.service(&mut sched);
-                    self.shared.try_grant(&mut sched, self.query);
-                    drop(sched);
-                    let mut st = self.slot.state.lock();
-                    if let Some(error) = st.error {
-                        drop(st);
-                        return Err(self.fail(error));
-                    }
-                    if let Some(grant) = st.grant.take() {
-                        self.delivered.fetch_add(1, Ordering::Relaxed);
-                        break 'take grant;
-                    }
-                    if st.closed {
-                        return Ok(Poll::Ready(None));
-                    }
-                }
-                // Nothing deliverable right now.  Kick a worker (planning
-                // may be what this query is waiting for) and hand control
-                // back to the event loop.
-                self.shared.park.ring_one();
-                return Ok(Poll::Pending);
-            };
-            match self.consume_grant(grant)? {
-                Some(pin) => return Ok(Poll::Ready(Some(pin))),
-                None => continue,
-            }
+        if let Some(error) = st.error {
+            drop(st);
+            return Err(self.fail(error));
         }
+        if self
+            .limit
+            .is_some_and(|limit| self.delivered.load(Ordering::Relaxed) >= limit)
+        {
+            // LIMIT-style early termination: detach mid-scan, aborting
+            // loads in flight solely on this query's behalf.
+            drop(st);
+            self.finish();
+            return Ok(Mailbox::Ready(None));
+        }
+        if let Some(grant) = st.grant.take() {
+            self.delivered.fetch_add(1, Ordering::Relaxed);
+            return Ok(Mailbox::Ready(Some(grant)));
+        }
+        if st.closed
+            || self.finished.load(Ordering::Acquire)
+            || self.shared.shutdown.load(Ordering::Acquire)
+        {
+            return Ok(Mailbox::Ready(None));
+        }
+        Ok(Mailbox::Empty(st))
+    }
+
+    /// Runs the grant matcher for this query on the consumer's own thread.
+    fn self_match(&self, mut sched: SchedGuard<'_>) {
+        self.shared.service(&mut sched);
+        self.shared.try_grant(&mut sched, self.query);
     }
 
     /// Turns a taken grant into a [`PinnedChunk`] — payload read from the
@@ -1581,7 +1631,7 @@ impl CScanHandle {
             self.query,
             chunk,
             payload,
-            Arc::clone(&self.releaser) as Arc<dyn ChunkRelease>,
+            Arc::clone(&self.shared),
         )))
     }
 
@@ -1672,67 +1722,6 @@ impl Drop for CScanHandle {
     }
 }
 
-/// Returns pins to the server — the release half of the consume fast path.
-///
-/// Unpins the frame in its shard, records the release in the shard's
-/// inbox (both bounded, never blocking on the scheduler), then
-/// opportunistically *try-locks* the scheduler to drain inline (flat
-/// combining).  If the scheduler is contended, the release stays in the
-/// inbox — counted as a `hub_shard_conflicts` — and a parked worker is
-/// rung to drain it; every scheduler entry services the inboxes first.
-struct HandleRelease {
-    shared: Arc<Shared>,
-}
-
-impl ChunkRelease for HandleRelease {
-    fn release(&self, query: QueryId, chunk: ChunkId, consumed: bool) {
-        if !consumed {
-            // The silent-drop footgun: dropping a pin still counts as
-            // consumption (the scheduler must make progress), but it is
-            // traced so tests can assert pipelines consume deliberately.
-            self.shared.obs.inc(Counter::UnconsumedDrops);
-        }
-        let entry = Release {
-            query,
-            chunk,
-            generation: self.shared.pool.unpin(chunk),
-        };
-        let overflowed = {
-            let mut inbox = self.shared.inbox(chunk).lock();
-            if inbox.len() < INBOX_CAPACITY {
-                inbox.push(entry);
-                false
-            } else {
-                true
-            }
-        };
-        if overflowed {
-            // Safety valve (never hit at sane pin counts): apply inline
-            // under the scheduler lock, blocking if contended.
-            let mut sched = self.shared.lock_sched();
-            self.shared.service(&mut sched);
-            self.shared.apply_release(&mut sched, entry);
-            self.shared.try_grant(&mut sched, query);
-            return;
-        }
-        // Flat combining: drain inline if the scheduler is free; otherwise
-        // count the conflict and let a worker (or the next scheduler entry)
-        // pick the release up from the inbox.
-        match self.shared.sched.try_lock() {
-            Some(guard) => {
-                let mut sched = SchedGuard::adopt(guard, &self.shared.obs);
-                self.shared.service(&mut sched);
-            }
-            None => {
-                self.shared.obs.inc(Counter::HubShardConflicts);
-            }
-        }
-        // Either way a consumption changed the scheduling inputs — the
-        // released chunk may now be evictable, unfreezing a buffer-full
-        // planner — so ring a parked worker.
-        self.shared.park.ring_one();
-    }
-}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1767,6 +1756,10 @@ mod tests {
         }
         assert_eq!(seen.len(), 20);
         assert_eq!(handle.remaining_chunks(), 0);
+        assert!(
+            handle.next_chunk().unwrap().is_none(),
+            "a drained scan stays drained"
+        );
         handle.finish();
     }
 
@@ -2169,6 +2162,47 @@ mod tests {
         assert_eq!(server.pinned_frames(), 0, "all frame pins returned");
     }
 
+    /// A scan's per-query scope — label, table, time to first chunk, the
+    /// detached flag — is in the snapshot of the server that ran it, and
+    /// the scope sums agree with the query totals.
+    #[test]
+    fn live_scan_scope_appears_in_the_snapshot() {
+        let model = TableModel::nsm_uniform(8, 100, 16);
+        let server = ScanServer::builder(model.clone())
+            .buffer_chunks(4)
+            .io_cost_per_page(Duration::ZERO)
+            .store(Arc::new(SeededStore::new(100, 1, 7)))
+            .table_label("t")
+            .build();
+        let handle = server.cscan(CScanPlan::new(
+            "observed",
+            ScanRanges::full(8),
+            model.all_columns(),
+        ));
+        let mut chunks = 0;
+        while let Some(pin) = handle.next_chunk().unwrap() {
+            pin.complete();
+            chunks += 1;
+        }
+        handle.finish();
+        let snap = server.metrics().snapshot();
+        assert!(snap.is_consistent(), "scope sums must match query totals");
+        assert_eq!(snap.query_counter_sum("chunks_delivered"), chunks);
+        let q = snap
+            .queries
+            .iter()
+            .find(|q| q.label == "observed")
+            .expect("the scan's scope is in the snapshot");
+        assert_eq!(q.table, "t");
+        assert!(q.detached, "a finished scan detaches its scope");
+        assert!(q.ttfc_ns.is_some(), "time to first chunk is recorded");
+        assert_eq!(snap.counter("loads_completed"), server.io_requests());
+        assert!(
+            snap.span("materialize").count() >= 8,
+            "every load records a materialize span"
+        );
+    }
+
     /// Every delivery pins a frame that is already installed (a hit) and
     /// every load installs one (a miss), so a scan of a resident table is
     /// all hits and `hits + misses` accounts for every pin and install.
@@ -2392,26 +2426,48 @@ mod tests {
         assert_eq!(server.unconsumed_drops(), 0);
     }
 
-    /// Regression: the chunk-limit check and the delivery count are updated
-    /// under the same hub critical section, so consumers racing on a shared
-    /// handle can never deliver more than `limit_chunks` chunks.
+    /// Regression: the chunk-limit check and the grant take share one slot
+    /// critical section on *both* delivery paths — including the grant
+    /// `try_next_chunk` takes after its self-match — so consumers racing on
+    /// a shared handle, blocking or polling, never deliver more than
+    /// `limit_chunks` chunks.
     #[test]
     fn shared_handle_never_exceeds_its_chunk_limit() {
-        for _ in 0..20 {
+        use std::sync::Barrier;
+        use std::task::Poll;
+        const LIMIT: u32 = 3;
+        const RACERS: usize = 4;
+        for round in 0..200 {
             let (server, model, _store) = data_server(PolicyKind::Relevance, 8, 8, 1);
             let handle = Arc::new(
                 server.cscan(
                     CScanPlan::new("shared-limit", ScanRanges::full(8), model.all_columns())
-                        .with_chunk_limit(1),
+                        .with_chunk_limit(LIMIT),
                 ),
             );
-            let delivered = Arc::new(std::sync::atomic::AtomicU64::new(0));
-            let racers: Vec<_> = (0..2)
-                .map(|_| {
+            let delivered = Arc::new(AtomicU32::new(0));
+            let start = Arc::new(Barrier::new(RACERS));
+            let racers: Vec<_> = (0..RACERS)
+                .map(|i| {
                     let handle = Arc::clone(&handle);
                     let delivered = Arc::clone(&delivered);
+                    let start = Arc::clone(&start);
                     std::thread::spawn(move || {
-                        while let Some(pin) = handle.next_chunk().unwrap() {
+                        start.wait();
+                        loop {
+                            // Odd racers block, even ones poll.
+                            let next = if i % 2 == 1 {
+                                handle.next_chunk().unwrap()
+                            } else {
+                                match handle.try_next_chunk().unwrap() {
+                                    Poll::Ready(next) => next,
+                                    Poll::Pending => {
+                                        std::thread::yield_now();
+                                        continue;
+                                    }
+                                }
+                            };
+                            let Some(pin) = next else { break };
                             delivered.fetch_add(1, Ordering::Relaxed);
                             pin.complete();
                         }
@@ -2423,9 +2479,11 @@ mod tests {
             }
             assert_eq!(
                 delivered.load(Ordering::Relaxed),
-                1,
-                "a LIMIT-1 scan delivered more than one chunk"
+                LIMIT,
+                "round {round}: a LIMIT-{LIMIT} scan must deliver exactly {LIMIT} chunks"
             );
+            assert_eq!(server.pinned_frames(), 0, "round {round}");
+            assert_eq!(server.unconsumed_drops(), 0, "round {round}");
         }
     }
 
@@ -2754,6 +2812,14 @@ mod tests {
             }
         };
         assert_eq!(late_err, error);
+        // Quarantine is what the flight recorder exists for: the run-up is
+        // dumped automatically on the engine an operator runs.
+        let dump = server
+            .metrics()
+            .last_flight_dump()
+            .expect("quarantine must dump the flight recorder");
+        assert!(dump.contains("chunk_quarantined"), "dump: {dump}");
+        assert!(dump.contains("query_erred"), "dump: {dump}");
         // No leaks after the dust settles.
         let mut sched = server.shared.lock_sched();
         server.shared.service(&mut sched);

@@ -3,8 +3,8 @@
 //! Two leaves feed the operator tree:
 //!
 //! * [`SessionSource`] — the *live* leaf: any [`ScanSession`] (a threaded
-//!   `ScanServer` handle with real pinned payloads, or the deterministic
-//!   sim shim) is a chunk source.  Chunks arrive in ABM-chosen order with
+//!   `ScanServer` handle with real pinned payloads, or a wrapper around
+//!   one) is a chunk source.  Chunks arrive in ABM-chosen order with
 //!   their data pinned; the leaf takes a reference on each requested
 //!   column vector (a refcount bump, no copy), completes the pin — the
 //!   moment eviction becomes legal again — and only then hands the batch
@@ -36,7 +36,7 @@ pub trait Operator {
 
 /// The live leaf operator: adapts any [`ScanSession`] into an [`Operator`],
 /// so a scan → filter → aggregate pipeline runs end-to-end over a live
-/// `ScanServer` (or the sim shim) in whatever order the ABM delivers.
+/// `ScanServer` in whatever order the ABM delivers.
 ///
 /// `columns` selects (and orders) the payload columns that become the
 /// output [`DataChunk`]'s columns: output column `i` is table column

@@ -19,10 +19,11 @@
 //!   harness and [`MetricsSnapshot::render_prometheus`] for text
 //!   exposition.
 //!
-//! Both engine front-ends share the crate: the threaded `ScanServer`
-//! stamps real elapsed time, the deterministic simulation stamps *virtual*
-//! time (via [`Registry::event_at`] and [`Registry::record_span_ns`]), so
-//! seeded chaos runs keep producing byte-identical flight dumps.
+//! The threaded `ScanServer` stamps real elapsed time.  Explicit
+//! timestamps and durations ([`Registry::event_at`],
+//! [`Registry::record_span_ns`]) remain available to a deterministic
+//! driver that wants reproducible dumps; none ships — the simulation only
+//! mirrors its I/O scheduler's counters here.
 //!
 //! The crate is a dependency leaf: it knows nothing about chunks, queries
 //! or policies beyond opaque `u32`/`u64` identifiers, so every other crate

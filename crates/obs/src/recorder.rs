@@ -14,9 +14,9 @@
 //! to the registry's counters and histograms — so the recorder's mutex only
 //! sees control-plane rates.
 //!
-//! Timestamps are supplied by the caller (`at_ns`): the threaded front-end
-//! stamps real elapsed nanoseconds, the simulation stamps *virtual* time —
-//! which keeps chaos/differential dumps byte-identical across runs.
+//! Timestamps are supplied by the caller (`at_ns`): the threaded executor
+//! stamps real elapsed nanoseconds; a deterministic driver could stamp
+//! virtual time and get reproducible dumps, but none ships.
 
 use parking_lot::Mutex;
 
@@ -78,8 +78,8 @@ pub const NO_QUERY: u64 = u64::MAX;
 /// One recorded engine event.  `Copy`, fixed-size, allocation-free.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlightEvent {
-    /// Caller-supplied timestamp in nanoseconds (real elapsed time on the
-    /// threaded front-end, virtual time in the simulation).
+    /// Caller-supplied timestamp in nanoseconds (real elapsed time from
+    /// the threaded executor).
     pub at_ns: u64,
     /// What happened.
     pub kind: EventKind,

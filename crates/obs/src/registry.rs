@@ -610,9 +610,9 @@ impl Registry {
 
     // -- spans ---------------------------------------------------------
 
-    /// Records a span duration in nanoseconds.  The simulation front-end
-    /// calls this directly with *virtual* durations, keeping deterministic
-    /// runs deterministic.
+    /// Records a span duration in nanoseconds, measured by the caller
+    /// (wall-clock in the threaded executor; a deterministic driver may
+    /// pass virtual durations).
     #[inline]
     pub fn record_span_ns(&self, kind: SpanKind, ns: u64) {
         if self.enabled {
@@ -680,8 +680,10 @@ impl Registry {
 
     // -- flight recorder -----------------------------------------------
 
-    /// Records a flight event with an explicit timestamp (virtual time in
-    /// the simulation, [`Registry::now_ns`] on the threaded front-end).
+    /// Records a flight event with an explicit timestamp.
+    /// [`Registry::event`] passes [`Registry::now_ns`]; explicit stamps
+    /// remain available to a deterministic driver (virtual time gives
+    /// reproducible dumps), though none ships.
     #[inline]
     pub fn event_at(&self, at_ns: u64, kind: EventKind, chunk: u32, query: u64, aux: u64) {
         if self.enabled {

@@ -127,8 +127,8 @@ pub struct FaultConfig {
     pub corruption_rate: f64,
     /// Probability in `[0, 1]` that a read incurs an extra latency spike.
     pub latency_spike_rate: f64,
-    /// Duration of an injected latency spike (real sleep in the threaded
-    /// executor; the sim front-end never calls the store).
+    /// Duration of an injected latency spike (a real sleep on the I/O
+    /// worker that called the store).
     pub latency_spike: Duration,
     /// Chunk indices that *always* fail permanently, regardless of rates —
     /// the "one bad sector" scenario of the acceptance criteria.
