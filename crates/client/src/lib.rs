@@ -25,7 +25,7 @@
 
 use cscan_core::{CScanPlan, ScanError};
 use cscan_proto::{encode_frame, Decoder, Message, ProtoError, ServeError};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
 /// How many batches the client lets the server keep in flight.  Small
@@ -110,7 +110,6 @@ impl ColumnBatch {
 pub struct ScanClient {
     stream: TcpStream,
     dec: Decoder,
-    read_buf: Vec<u8>,
     send_buf: Vec<u8>,
     /// A dropped [`RemoteScan`] leaves its tail (in-flight batches up to
     /// `CancelOk`) on the wire; the next operation drains it first.
@@ -125,7 +124,6 @@ impl ScanClient {
         Ok(ScanClient {
             stream,
             dec: Decoder::new(),
-            read_buf: vec![0u8; 64 * 1024],
             send_buf: Vec::new(),
             pending_drain: None,
         })
@@ -138,21 +136,19 @@ impl ScanClient {
         Ok(())
     }
 
-    /// Blocks for the next frame from the server.
+    /// Blocks for the next frame from the server.  The socket is read
+    /// straight into the decoder's buffer, in reads sized to the frame.
     fn recv(&mut self) -> Result<Message, ClientError> {
         loop {
             if let Some(msg) = self.dec.next_message()? {
                 return Ok(msg);
             }
-            let n = self.stream.read(&mut self.read_buf)?;
-            if n == 0 {
+            if self.dec.read_from(&mut self.stream)? == 0 {
                 return Err(ClientError::Io(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
                     "server closed the connection",
                 )));
             }
-            let bytes = &self.read_buf[..n];
-            self.dec.feed(bytes);
         }
     }
 

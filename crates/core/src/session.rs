@@ -186,13 +186,16 @@ pub trait ScanSession {
     /// one of those three is known.
     fn next_chunk(&mut self) -> Result<Option<PinnedChunk>, ScanError>;
 
-    /// Non-blocking variant of [`ScanSession::next_chunk`] for event-loop
-    /// consumers (the serving layer multiplexes many sessions on one thread
-    /// through this).  `Ok(Poll::Ready(..))` carries exactly what
-    /// `next_chunk` would have returned; `Ok(Poll::Pending)` means nothing
-    /// is deliverable *right now* — the scan is still live and the caller
-    /// should poll again later.  This default never returns `Pending`: it
-    /// blocks in `next_chunk`, which is what a wrapper that only forwards
+    /// Non-blocking variant of [`ScanSession::next_chunk`].
+    /// `Ok(Poll::Ready(..))` carries exactly what `next_chunk` would have
+    /// returned; `Ok(Poll::Pending)` means nothing is deliverable *right
+    /// now* — the scan is still live, and nothing will tell the caller when
+    /// that changes: it has to ask again.  A consumer that wants to be
+    /// woken instead (the serving layer, which multiplexes a connection's
+    /// scans on one thread) calls
+    /// [`CScanHandle::poll_next_chunk`](crate::threaded::CScanHandle::poll_next_chunk)
+    /// with a waker.  This default never returns `Pending`: it blocks in
+    /// `next_chunk`, which is what a wrapper that only forwards
     /// `next_chunk` gets.
     fn try_next_chunk(&mut self) -> Result<std::task::Poll<Option<PinnedChunk>>, ScanError> {
         self.next_chunk().map(std::task::Poll::Ready)

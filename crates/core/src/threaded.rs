@@ -77,9 +77,11 @@
 //!   deposits the chosen chunk, its payload handle and a frame pin into
 //!   the query's `QuerySlot` mailbox.  `next_chunk` takes the grant
 //!   under the slot's own mutex (shared-handle racers serialize there) and
-//!   waits on the slot's condvar otherwise.  Because the matcher calls the
-//!   identical `acquire_chunk`, the policy decisions are the same ones a
-//!   consumer running the policy itself would make.
+//!   waits on the slot's condvar otherwise; a consumer that drives several
+//!   scans from one thread calls [`CScanHandle::poll_next_chunk`] instead,
+//!   which leaves a [`Waker`] in the empty mailbox and returns.  Because
+//!   the matcher calls the identical `acquire_chunk`, the policy decisions
+//!   are the same ones a consumer running the policy itself would make.
 //!
 //! * **Deferred releases.**  Returning a pin pushes a small record into a
 //!   per-shard *release inbox* (pre-allocated; pushing never blocks on the
@@ -94,7 +96,13 @@
 //!   lock: it touches its shard, its slot, and atomics.
 //!
 //! * **Wakeups.**  Grant deposits notify the query's own slot condvar —
-//!   a `DiskDone` for chunk `c` never stampedes the other 127 scans.
+//!   a `DiskDone` for chunk `c` never stampedes the other 127 scans — and
+//!   take the mailbox's waker, if a poller left one, in the same slot
+//!   critical section.  Every other site that ends a wait (natural close,
+//!   quarantine, `finish`, shutdown) does the same.  A waker taken under
+//!   the scheduler lock is queued and fired by the scheduler guard's drop
+//!   *after* it unlocks: a wakee that runs while the lock is still held
+//!   preempts the holder and then queues behind it.
 //!   Each I/O worker parks on its own `WorkerPark` slot; events that
 //!   change the scheduling inputs ring exactly one parked worker, and a
 //!   worker that plans successfully rings the next one before starting its
@@ -105,7 +113,8 @@
 //!
 //! * **Lock ordering.**  `scheduler → { shard, slot, inbox, park }`, and
 //!   the four leaf locks are never nested with each other.  Nothing is
-//!   ever awaited while holding the scheduler, and no payload is ever
+//!   ever awaited while holding the scheduler, no consumer's waker is
+//!   called while holding it, and no payload is ever
 //!   *materialized or decoded* under it (or under a shard lock): workers
 //!   fill payloads before re-locking for the commit, and queries read
 //!   their column views from the [`PinnedChunk`] after `next_chunk` has
@@ -160,6 +169,7 @@ use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::task::{Context, Poll, Waker};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -185,6 +195,10 @@ struct SlotState {
     /// Set when the query finished naturally, detached, or erred; waiters
     /// return `Ok(None)` (or the error above).
     closed: bool,
+    /// Who to wake when the mailbox next changes: left by the last
+    /// [`CScanHandle::poll_next_chunk`] that found it empty, taken by
+    /// whichever site changes it (deposit, close, error, shutdown).
+    waker: Option<Waker>,
 }
 
 /// A query's grant mailbox: consumers wait here, the scheduler deposits
@@ -309,6 +323,24 @@ struct Sched {
     /// summed capacity so `service` never allocates (the drain may run
     /// inline on a consumer thread).
     scratch: Vec<Release>,
+    /// Wakers taken from mailboxes changed under this lock.  Never fired
+    /// here: [`SchedGuard`]'s drop wakes them after unlocking, because a
+    /// wakee that runs while the lock is still held preempts the holder
+    /// and queues behind it.  Stays empty (and unallocated) as long as
+    /// every consumer blocks in `next_chunk`.
+    wakers: Vec<Waker>,
+}
+
+impl Sched {
+    /// Ends the waits on `slot`, whose mailbox the caller has just changed
+    /// under `st`: blocked consumers are notified now, a registered waker
+    /// is queued to fire once the scheduler lock is released.
+    fn wake_slot(&mut self, slot: &QuerySlot, mut st: MutexGuard<'_, SlotState>) {
+        let waker = st.waker.take();
+        drop(st);
+        slot.cv.notify_all();
+        self.wakers.extend(waker);
+    }
 }
 
 /// Per-inbox capacity.  A release beyond this falls back to applying
@@ -360,12 +392,7 @@ impl Shared {
 
     /// Locks the scheduler, instrumenting how long the guard is held.
     fn lock_sched(&self) -> SchedGuard<'_> {
-        SchedGuard {
-            guard: self.sched.lock(),
-            acquired: Instant::now(),
-            obs: &self.obs,
-            _no_decode: cscan_storage::codec::forbid_decode(),
-        }
+        SchedGuard::adopt(self.sched.lock(), &self.obs)
     }
 
     /// The release inbox owning `chunk`.
@@ -464,8 +491,7 @@ impl Shared {
         if query.is_finished() {
             let mut st = slot.state.lock();
             st.closed = true;
-            drop(st);
-            slot.cv.notify_all();
+            sched.wake_slot(&slot, st);
             return;
         }
         let Some(chunk) = sched.abm.acquire_chunk(q, self.now()) else {
@@ -485,22 +511,21 @@ impl Shared {
                 chunk,
                 cause: StoreError::Permanent,
             });
-            drop(st);
-            slot.cv.notify_all();
+            sched.wake_slot(&slot, st);
             return;
         };
         let mut st = slot.state.lock();
         debug_assert!(st.grant.is_none(), "double grant for {q:?}");
         st.grant = Some(Grant { chunk, generation });
-        drop(st);
-        slot.cv.notify_all();
+        sched.wake_slot(&slot, st);
     }
 
     /// Closes `q`'s slot (removing it from the registry), depositing
     /// `error` if given, and reclaims an unconsumed grant — returning its
     /// frame pin and applying its release inline.  Caller still owns
-    /// waking/`finish_query` semantics.  Returns the slot so the caller
-    /// can notify after dropping the scheduler lock.
+    /// `finish_query` semantics.  A registered waker is queued to fire when
+    /// the scheduler lock is released; the slot is returned so the caller
+    /// can notify blocked consumers at the same point.
     fn close_slot(
         &self,
         sched: &mut Sched,
@@ -514,6 +539,7 @@ impl Shared {
                 st.error = Some(error);
             }
             st.closed = true;
+            sched.wakers.extend(st.waker.take());
             st.grant.take()
         };
         if let Some(grant) = reclaimed {
@@ -592,16 +618,20 @@ impl Shared {
 }
 
 /// An instrumented scheduler guard: records the lock hold time into the
-/// `lock_hold` histogram on drop.
+/// `lock_hold` histogram on drop, then unlocks, then fires the wakers the
+/// critical section queued in [`Sched::wakers`] — in that order, so no
+/// consumer is ever woken while the scheduler lock is held.
 ///
 /// The guard also carries a [`cscan_storage::codec::DecodeForbidden`]
 /// token: any payload decode attempted while a scheduler guard is alive on
 /// the current thread trips a debug assertion — the runtime proof of the
 /// "never decode under the scheduler lock" invariant.  Nothing is ever
-/// awaited while holding this guard (consumers wait on their slot condvar,
-/// workers park in the [`WorkerPark`] — both outside the scheduler).
+/// awaited while holding this guard (consumers wait on their slot condvar
+/// or their waker, workers park in the [`WorkerPark`] — all outside the
+/// scheduler).
 struct SchedGuard<'a> {
-    guard: MutexGuard<'a, Sched>,
+    /// `Some` until drop, which releases the lock before it wakes anyone.
+    guard: Option<MutexGuard<'a, Sched>>,
     acquired: Instant,
     obs: &'a Registry,
     /// Forbids payload decoding on this thread while the guard is alive.
@@ -609,11 +639,11 @@ struct SchedGuard<'a> {
 }
 
 impl SchedGuard<'_> {
-    /// Wraps an already-acquired scheduler mutex guard (the `try_lock`
-    /// drain path) in the same instrumentation.
+    /// Wraps an acquired scheduler mutex guard (from `lock` or from the
+    /// `try_lock` drain path) in the instrumentation.
     fn adopt<'a>(guard: MutexGuard<'a, Sched>, obs: &'a Registry) -> SchedGuard<'a> {
         SchedGuard {
-            guard,
+            guard: Some(guard),
             acquired: Instant::now(),
             obs,
             _no_decode: cscan_storage::codec::forbid_decode(),
@@ -624,13 +654,13 @@ impl SchedGuard<'_> {
 impl Deref for SchedGuard<'_> {
     type Target = Sched;
     fn deref(&self) -> &Sched {
-        &self.guard
+        self.guard.as_ref().expect("held until drop")
     }
 }
 
 impl DerefMut for SchedGuard<'_> {
     fn deref_mut(&mut self) -> &mut Sched {
-        &mut self.guard
+        self.guard.as_mut().expect("held until drop")
     }
 }
 
@@ -640,6 +670,13 @@ impl Drop for SchedGuard<'_> {
             SpanKind::LockHold,
             (self.acquired.elapsed().as_nanos() as u64).max(1),
         );
+        let Some(mut guard) = self.guard.take() else {
+            return;
+        };
+        // Taking an empty list neither allocates nor frees.
+        let wakers = std::mem::take(&mut guard.wakers);
+        drop(guard);
+        wakers.into_iter().for_each(Waker::wake);
     }
 }
 
@@ -752,6 +789,7 @@ impl ScanServerBuilder {
                 slots: HashMap::new(),
                 quarantined: HashMap::new(),
                 scratch: Vec::with_capacity(num_shards * INBOX_CAPACITY),
+                wakers: Vec::new(),
             }),
             pool,
             inboxes: (0..num_shards)
@@ -1323,9 +1361,10 @@ impl Drop for ScanServer {
         self.shared.shutdown.store(true, Ordering::Release);
         self.shared.park.ring_all();
         {
-            let sched = self.shared.lock_sched();
-            for slot in sched.slots.values() {
-                let _st = slot.state.lock();
+            let mut sched = self.shared.lock_sched();
+            let Sched { slots, wakers, .. } = &mut *sched;
+            for slot in slots.values() {
+                wakers.extend(slot.state.lock().waker.take());
                 slot.cv.notify_all();
             }
         }
@@ -1337,7 +1376,9 @@ impl Drop for ScanServer {
 
 /// A handle to one registered CScan — the threaded implementation of
 /// [`ScanSession`].  Call [`CScanHandle::next_chunk`] until it returns
-/// `None`, then [`CScanHandle::finish`] (or just drop the handle).
+/// `None`, then [`CScanHandle::finish`] (or just drop the handle).  A
+/// thread that serves several handles waits for all of them at once with
+/// [`CScanHandle::poll_next_chunk`].
 #[must_use = "an attached scan holds ABM interest until finished or dropped"]
 pub struct CScanHandle {
     shared: Arc<Shared>,
@@ -1356,7 +1397,7 @@ pub struct CScanHandle {
     delivered: AtomicU32,
     /// Consecutive decode/checksum rejections (reset on a good delivery);
     /// lives on the handle so the non-blocking path carries the count
-    /// across `try_next_chunk` calls.
+    /// across `poll_next_chunk` calls.
     decode_failures: AtomicU32,
     finished: AtomicBool,
     /// Sticky scan failure: once a needed chunk is quarantined, every
@@ -1433,45 +1474,56 @@ impl CScanHandle {
         }
     }
 
-    /// Non-blocking delivery: exactly [`CScanHandle::next_chunk`] except
-    /// that instead of waiting on the mailbox condvar it returns
-    /// `Ok(Poll::Pending)`.  The serving layer's event loop multiplexes
-    /// many scans on one thread through this, so the only lock it may
-    /// *block* on is this query's own slot mutex (held for nanoseconds);
-    /// the scheduler lock is taken opportunistically — `try_lock`, the
-    /// same flat-combining discipline as the release path — to self-match
-    /// when the mailbox is empty.
+    /// Event-driven delivery: exactly [`CScanHandle::next_chunk`] except
+    /// that instead of waiting on the mailbox condvar it leaves `cx`'s
+    /// waker in the mailbox and returns `Ok(Poll::Pending)`.  Whatever next
+    /// changes the mailbox — a grant deposited, the scan closed by
+    /// [`CScanHandle::finish`] or a quarantine, the server shut down —
+    /// takes the waker and wakes it, after which polling again makes
+    /// progress.  The serving layer multiplexes a connection's scans on one
+    /// thread through this and sleeps until one of them can move.
     ///
-    /// After `Pending` the caller should poll again once progress is
-    /// plausible (a worker committed a load, a pin was released); the
-    /// handle rings one parked worker before returning so the system keeps
+    /// The waker is stored in the slot critical section that found the
+    /// mailbox empty, so a deposit either precedes that check (and is
+    /// returned) or follows the store (and fires the waker): no wake is
+    /// lost in between.  A slot holds one waker, the latest poll's.  The
+    /// only lock this may *block* on is the query's own slot mutex (held
+    /// for nanoseconds); the scheduler lock is taken opportunistically —
+    /// `try_lock`, the same flat-combining discipline as the release path —
+    /// to self-match once when the mailbox is empty.  Before returning
+    /// `Pending` the handle rings one parked worker, so the system keeps
     /// moving while the caller is away.
-    pub fn try_next_chunk(&self) -> Result<std::task::Poll<Option<PinnedChunk>>, ScanError> {
-        use std::task::Poll;
+    pub fn poll_next_chunk(
+        &self,
+        cx: &mut Context<'_>,
+    ) -> Result<Poll<Option<PinnedChunk>>, ScanError> {
         loop {
             let mut self_matched = false;
             let grant = loop {
-                match self.check_mailbox(self.slot.state.lock())? {
+                let mut st = match self.check_mailbox(self.slot.state.lock())? {
                     Mailbox::Ready(grant) => break grant,
-                    Mailbox::Empty(st) => drop(st),
-                }
+                    Mailbox::Empty(st) => st,
+                };
                 // Mailbox empty: self-match once if the scheduler lock
                 // happens to be free (never block on it), then look again —
                 // the matcher may have deposited a grant or closed the slot.
-                let free = if self_matched {
-                    None
-                } else {
-                    self.shared.sched.try_lock()
-                };
-                let Some(guard) = free else {
-                    // Nothing deliverable right now.  Kick a worker
-                    // (planning may be what this query is waiting for) and
-                    // hand control back to the event loop.
-                    self.shared.park.ring_one();
-                    return Ok(Poll::Pending);
-                };
-                self.self_match(SchedGuard::adopt(guard, &self.shared.obs));
-                self_matched = true;
+                if !self_matched {
+                    if let Some(guard) = self.shared.sched.try_lock() {
+                        // The matcher locks the slot itself.
+                        drop(st);
+                        self.self_match(SchedGuard::adopt(guard, &self.shared.obs));
+                        self_matched = true;
+                        continue;
+                    }
+                }
+                // Nothing deliverable right now.  Register for the wake
+                // while still inside the check's critical section, kick a
+                // worker (planning may be what this query is waiting for)
+                // and hand control back to the event loop.
+                st.waker = Some(cx.waker().clone());
+                drop(st);
+                self.shared.park.ring_one();
+                return Ok(Poll::Pending);
             };
             let Some(grant) = grant else {
                 return Ok(Poll::Ready(None));
@@ -1480,6 +1532,12 @@ impl CScanHandle {
                 return Ok(Poll::Ready(Some(pin)));
             }
         }
+    }
+
+    /// [`CScanHandle::poll_next_chunk`] with nobody to wake: after
+    /// `Pending` the caller has to ask again on its own schedule.
+    pub fn try_next_chunk(&self) -> Result<Poll<Option<PinnedChunk>>, ScanError> {
+        self.poll_next_chunk(&mut Context::from_waker(Waker::noop()))
     }
 
     /// The one place a delivery is decided, for the blocking and the
@@ -1703,7 +1761,7 @@ impl ScanSession for CScanHandle {
         CScanHandle::next_chunk(self)
     }
 
-    fn try_next_chunk(&mut self) -> Result<std::task::Poll<Option<PinnedChunk>>, ScanError> {
+    fn try_next_chunk(&mut self) -> Result<Poll<Option<PinnedChunk>>, ScanError> {
         CScanHandle::try_next_chunk(self)
     }
 
@@ -2485,6 +2543,127 @@ mod tests {
             assert_eq!(server.pinned_frames(), 0, "round {round}");
             assert_eq!(server.unconsumed_drops(), 0, "round {round}");
         }
+    }
+
+    /// The event-driven path end to end: a poller that does nothing but
+    /// `poll_next_chunk` and, on `Pending`, parks until its waker fires.
+    /// There is no timeout to fall back on — a lost wake parks the thread
+    /// for the whole five seconds and fails the test — so passing means
+    /// every site that ends a wait took the waker: the grant deposit, a
+    /// `finish()` from another thread, and a quarantine.
+    #[test]
+    fn poll_next_chunk_is_woken_by_the_deposit() {
+        use std::task::Wake;
+
+        /// Counts wakes and unparks the polling thread.
+        struct Unpark {
+            thread: std::thread::Thread,
+            wakes: AtomicU32,
+        }
+        impl Wake for Unpark {
+            fn wake(self: Arc<Self>) {
+                self.wakes.fetch_add(1, Ordering::SeqCst);
+                self.thread.unpark();
+            }
+        }
+        let unpark = Arc::new(Unpark {
+            thread: std::thread::current(),
+            wakes: AtomicU32::new(0),
+        });
+        let waker = Waker::from(Arc::clone(&unpark));
+        let mut cx = Context::from_waker(&waker);
+        // Polls once; on `Pending`, parks until a wake that came after the
+        // poll began (std allows spurious unparks, hence the counter).
+        let mut poll_or_park = |handle: &CScanHandle| {
+            let seen = unpark.wakes.load(Ordering::SeqCst);
+            let polled = handle.poll_next_chunk(&mut cx);
+            if matches!(polled, Ok(Poll::Pending)) {
+                let deadline = Instant::now() + Duration::from_secs(5);
+                while unpark.wakes.load(Ordering::SeqCst) == seen {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    assert!(!left.is_zero(), "parked 5 s: the wake was lost");
+                    std::thread::park_timeout(left);
+                }
+            }
+            polled
+        };
+
+        // Every load costs 16 pages x 125 us = 2 ms, so a consumer that
+        // does no work finds the mailbox empty before nearly every chunk.
+        let model = TableModel::nsm_uniform(32, 100, 16);
+        let slow_server = |store: Arc<dyn ChunkStore>| {
+            ScanServer::builder(model.clone())
+                .policy(PolicyKind::Relevance)
+                .buffer_chunks(4)
+                .io_cost_per_page(Duration::from_micros(125))
+                .store(store)
+                .build()
+        };
+        let server = slow_server(Arc::new(SeededStore::new(100, 1, 7)));
+        let full = || CScanPlan::new("polled", ScanRanges::full(32), model.all_columns());
+
+        // 1. Deposits wake the poller; every chunk arrives exactly once.
+        let handle = server.cscan(full());
+        let (mut seen, mut parks) = (vec![false; 32], 0);
+        loop {
+            match poll_or_park(&handle).expect("no faults injected") {
+                Poll::Ready(Some(pin)) => {
+                    let at = pin.chunk().index() as usize;
+                    assert!(!std::mem::replace(&mut seen[at], true), "chunk {at} twice");
+                    pin.complete();
+                }
+                Poll::Ready(None) => break,
+                Poll::Pending => parks += 1,
+            }
+        }
+        assert!(seen.iter().all(|&s| s), "every chunk delivered");
+        assert!(parks >= 8, "only {parks} parks: the wake path barely ran");
+        drop(handle);
+
+        // 2. `finish()` from another thread ends a parked poll with `None`.
+        let handle = server.cscan(full());
+        std::thread::scope(|s| {
+            let mut finisher = None;
+            loop {
+                match poll_or_park(&handle).expect("no faults injected") {
+                    Poll::Ready(Some(pin)) => pin.complete(),
+                    Poll::Ready(None) => break,
+                    // The waker is registered by now: finish under it.
+                    Poll::Pending => {
+                        finisher.get_or_insert_with(|| s.spawn(|| handle.finish()));
+                    }
+                }
+            }
+            assert!(finisher.is_some(), "the scan ended before it ever waited");
+        });
+        drop(handle);
+        assert_eq!(server.pinned_frames(), 0);
+        assert_eq!(server.unconsumed_drops(), 0);
+
+        // 3. A quarantine ends a parked poll with the error.
+        let doomed = FaultConfig {
+            permanent_chunks: vec![3],
+            ..FaultConfig::default()
+        };
+        let server = slow_server(Arc::new(FaultInjectingStore::new(
+            SeededStore::new(100, 1, 7),
+            doomed,
+        )));
+        let handle = server.cscan(CScanPlan::new(
+            "doomed",
+            ScanRanges::single(3, 4),
+            model.all_columns(),
+        ));
+        let error = loop {
+            match poll_or_park(&handle) {
+                Ok(Poll::Pending) => {}
+                Ok(Poll::Ready(_)) => panic!("the only chunk is unreadable"),
+                Err(error) => break error,
+            }
+        };
+        assert_eq!(error.chunk, cscan_storage::ChunkId::new(3));
+        assert_eq!(server.pinned_frames(), 0);
+        assert_eq!(server.unconsumed_drops(), 0);
     }
 
     #[test]

@@ -101,6 +101,10 @@ pub enum Counter {
     /// Connections shed because the consumer stalled (stopped reading or
     /// stopped requesting batches while holding open scans).
     ConnectionsShed,
+    /// Times a connection's serving thread found a batch to send only
+    /// because its belt-and-braces wait bound expired, not because anything
+    /// woke it: a missed wake-up, survived.  Expected to stay 0.
+    ServeWaitTimeouts,
     /// Column batches served over the wire protocol.
     BatchesServed,
     /// Payload bytes served over the wire protocol (encoded frame bodies).
@@ -109,7 +113,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in index order.
-    pub const ALL: [Counter; 33] = [
+    pub const ALL: [Counter; 34] = [
         Counter::LoadsCompleted,
         Counter::LoadsCancelled,
         Counter::LoadFaults,
@@ -141,6 +145,7 @@ impl Counter {
         Counter::AdmissionShed,
         Counter::ConnectionsOpened,
         Counter::ConnectionsShed,
+        Counter::ServeWaitTimeouts,
         Counter::BatchesServed,
         Counter::BytesServed,
     ];
@@ -179,6 +184,7 @@ impl Counter {
             Counter::AdmissionShed => "admission_shed",
             Counter::ConnectionsOpened => "connections_opened",
             Counter::ConnectionsShed => "connections_shed",
+            Counter::ServeWaitTimeouts => "serve_wait_timeouts",
             Counter::BatchesServed => "batches_served",
             Counter::BytesServed => "bytes_served",
         }

@@ -23,15 +23,17 @@
 //! unboundedly).  All integers are little-endian; strings are `u32` length
 //! + UTF-8 bytes; column values travel as raw `i64` words.
 //!
-//! Both sides parse with [`Decoder`]: feed it bytes as they arrive, take
+//! Both sides parse with [`Decoder`]: let it read from the socket
+//! ([`Decoder::read_from`]) or feed it bytes ([`Decoder::feed`]), take
 //! complete [`Message`]s out.  Everything here is pure byte-shuffling —
-//! no sockets — so the encode/decode paths round-trip in unit tests
-//! without a server.
+//! the only I/O is behind [`std::io::Read`] — so the encode/decode paths
+//! round-trip in unit tests without a server.
 
 #![warn(missing_docs)]
 
 use cscan_core::{CScanPlan, ColSet, ScanError};
 use cscan_storage::{ChunkId, ChunkRange, ColumnId, ScanRanges, StoreError};
+use std::io::{self, Read};
 
 mod error;
 pub use error::ServeError;
@@ -180,6 +182,10 @@ pub fn encode_batch_frame(
     rows: u32,
     columns: &[(u16, &[i64])],
 ) -> usize {
+    debug_assert!(
+        columns.iter().all(|(_, v)| v.len() == rows as usize),
+        "every column of a batch carries exactly `rows` values"
+    );
     let len_at = buf.len();
     put_u32(buf, 0); // patched below
     buf.push(4); // Batch
@@ -189,10 +195,7 @@ pub fn encode_batch_frame(
     put_u16(buf, columns.len() as u16);
     for (col, values) in columns {
         put_u16(buf, *col);
-        put_u32(buf, values.len() as u32);
-        for v in *values {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
+        put_i64s(buf, values);
     }
     let frame_len = (buf.len() - len_at - 4) as u32;
     buf[len_at..len_at + 4].copy_from_slice(&frame_len.to_le_bytes());
@@ -247,6 +250,18 @@ fn put_u32(buf: &mut Vec<u8>, v: u32) {
 
 fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends a `u32` count and then `values` as little-endian words, in one
+/// bulk pass over a pre-sized tail (a per-value `extend` re-checks the
+/// capacity two thousand times a column).
+fn put_i64s(buf: &mut Vec<u8>, values: &[i64]) {
+    put_u32(buf, values.len() as u32);
+    let at = buf.len();
+    buf.resize(at + values.len() * 8, 0);
+    for (word, v) in buf[at..].chunks_exact_mut(8).zip(values) {
+        word.copy_from_slice(&v.to_le_bytes());
+    }
 }
 
 fn put_str(buf: &mut Vec<u8>, s: &str) {
@@ -312,10 +327,7 @@ pub fn encode_frame(buf: &mut Vec<u8>, msg: &Message) {
             put_u16(buf, columns.len() as u16);
             for (col, values) in columns {
                 put_u16(buf, *col);
-                put_u32(buf, values.len() as u32);
-                for v in values {
-                    buf.extend_from_slice(&v.to_le_bytes());
-                }
+                put_i64s(buf, values);
             }
         }
         Message::ScanDone { scan_id }
@@ -380,12 +392,6 @@ impl<'a> Reader<'a> {
 
     fn u64(&mut self) -> Result<u64, ProtoError> {
         Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn i64(&mut self) -> Result<i64, ProtoError> {
-        Ok(i64::from_le_bytes(
             self.take(8)?.try_into().expect("8 bytes"),
         ))
     }
@@ -472,10 +478,16 @@ fn decode_body(type_byte: u8, body: &[u8]) -> Result<Message, ProtoError> {
                 if count > body.len().saturating_sub(r.at) / 8 {
                     return Err(ProtoError::Malformed("value count past body end"));
                 }
-                let mut values = Vec::with_capacity(count);
-                for _ in 0..count {
-                    values.push(r.i64()?);
+                if count != rows as usize {
+                    // Consumers zip a batch's columns: a short one would
+                    // silently truncate the answer.
+                    return Err(ProtoError::Malformed("column length is not the row count"));
                 }
+                let values = r
+                    .take(count * 8)?
+                    .chunks_exact(8)
+                    .map(|word| i64::from_le_bytes(word.try_into().expect("8 bytes")))
+                    .collect();
                 columns.push((col, values));
             }
             Message::Batch {
@@ -503,15 +515,29 @@ fn decode_body(type_byte: u8, body: &[u8]) -> Result<Message, ProtoError> {
     Ok(msg)
 }
 
-/// Incremental frame parser: feed bytes as the socket yields them, take
-/// complete messages out.  Both the client and every server connection own
-/// one of these per direction.
+/// The least [`Decoder::read_from`] asks its source for: small frames
+/// arrive many to a read.
+const MIN_READ: usize = 64 * 1024;
+
+/// The most [`Decoder::read_from`] reserves beyond the bytes it has
+/// actually received.  A length field never buys memory: a header claiming
+/// [`MAX_FRAME_LEN`] grows the buffer only as fast as the peer sends.
+const MAX_READ: usize = 1024 * 1024;
+
+/// Incremental frame parser: let it read from the socket (or feed it
+/// bytes), take complete messages out.  Both the client and every server
+/// connection own one of these per direction.
 #[derive(Default)]
 pub struct Decoder {
+    /// Storage.  `buf[at..filled]` holds the received, unconsumed bytes;
+    /// everything past `filled` is initialised scratch that reads land in
+    /// directly, so growing is the only time bytes are zeroed.
     buf: Vec<u8>,
-    /// Read position within `buf`; consumed bytes are compacted away
-    /// periodically rather than on every frame.
+    /// Read position; consumed bytes are compacted away when room is next
+    /// needed rather than on every frame.
     at: usize,
+    /// End of the received bytes.
+    filled: usize,
 }
 
 impl Decoder {
@@ -522,30 +548,69 @@ impl Decoder {
 
     /// Appends freshly received bytes.
     pub fn feed(&mut self, bytes: &[u8]) {
-        // Compact consumed space before growing (amortized O(1) per byte).
-        if self.at > 0 && (self.at >= self.buf.len() || self.at > 64 * 1024) {
-            self.buf.drain(..self.at);
+        self.room(bytes.len()).copy_from_slice(bytes);
+        self.filled += bytes.len();
+    }
+
+    /// Reads once from `src` straight into the decoder's buffer and returns
+    /// how many bytes arrived (`Ok(0)`: the source is at end of stream).
+    /// Asks for the rest of the frame in progress — so a large frame ends
+    /// a read where the next one starts and nothing has to move — but never
+    /// for less than 64 KiB, nor for more than 1 MiB at a time.
+    pub fn read_from(&mut self, src: &mut impl Read) -> io::Result<usize> {
+        let missing = match self.frame_len() {
+            Ok(Some(total)) => total.saturating_sub(self.pending_bytes()),
+            // Not even a length yet, or one `next_message` will refuse.
+            Ok(None) | Err(_) => 0,
+        };
+        let room = self.room(missing.clamp(MIN_READ, MAX_READ));
+        let n = loop {
+            match src.read(room) {
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                done => break done?,
+            }
+        };
+        self.filled += n;
+        Ok(n)
+    }
+
+    /// `len` writable bytes right after the received ones, compacting the
+    /// consumed prefix first (amortized O(1) per byte) and growing only if
+    /// that was not enough.
+    fn room(&mut self, len: usize) -> &mut [u8] {
+        if self.at > 0 && (self.at == self.filled || self.at > 64 * 1024) {
+            self.buf.copy_within(self.at..self.filled, 0);
+            self.filled -= self.at;
             self.at = 0;
         }
-        self.buf.extend_from_slice(bytes);
+        let end = self.filled + len;
+        if self.buf.len() < end {
+            self.buf.resize(end, 0);
+        }
+        &mut self.buf[self.filled..end]
+    }
+
+    /// Size of the frame in progress, length prefix included, once its
+    /// four length bytes are here; an impossible length is the error.
+    fn frame_len(&self) -> Result<Option<usize>, ProtoError> {
+        let Some(prefix) = self.buf[self.at..self.filled].first_chunk::<4>() else {
+            return Ok(None);
+        };
+        match u32::from_le_bytes(*prefix) {
+            0 => Err(ProtoError::EmptyFrame),
+            len if len > MAX_FRAME_LEN => Err(ProtoError::Oversized(len)),
+            len => Ok(Some(4 + len as usize)),
+        }
     }
 
     /// Takes the next complete message, `Ok(None)` if more bytes are
     /// needed.  A `ProtoError` is fatal: the stream offset can no longer
     /// be trusted and the connection should be closed.
     pub fn next_message(&mut self) -> Result<Option<Message>, ProtoError> {
-        let avail = &self.buf[self.at..];
-        if avail.len() < 4 {
+        let Some(total) = self.frame_len()? else {
             return Ok(None);
-        }
-        let len = u32::from_le_bytes(avail[..4].try_into().expect("4 bytes"));
-        if len == 0 {
-            return Err(ProtoError::EmptyFrame);
-        }
-        if len > MAX_FRAME_LEN {
-            return Err(ProtoError::Oversized(len));
-        }
-        let total = 4 + len as usize;
+        };
+        let avail = &self.buf[self.at..self.filled];
         if avail.len() < total {
             return Ok(None);
         }
@@ -556,7 +621,7 @@ impl Decoder {
 
     /// Bytes buffered but not yet consumed (diagnostics).
     pub fn pending_bytes(&self) -> usize {
-        self.buf.len() - self.at
+        self.filled - self.at
     }
 }
 
@@ -594,6 +659,11 @@ mod tests {
             .expect("complete frame");
         assert_eq!(dec.pending_bytes(), 0);
         assert_eq!(out, msg);
+        // The same bytes pulled from a reader instead of pushed.
+        let (mut dec, mut src) = (Decoder::new(), &bytes[..]);
+        while dec.read_from(&mut src).expect("a slice cannot fail") > 0 {}
+        assert_eq!(dec.next_message(), Ok(Some(msg)));
+        assert_eq!(dec.pending_bytes(), 0);
         out
     }
 
@@ -731,6 +801,74 @@ mod tests {
         let mut dec = Decoder::new();
         dec.feed(&bytes);
         assert!(matches!(dec.next_message(), Err(ProtoError::Malformed(_))));
+        // A column shorter than the batch's row count (consumers zip
+        // columns: it would silently truncate the answer).
+        let mut bytes = frame(&Message::Batch {
+            scan_id: 1,
+            chunk: 0,
+            rows: 2,
+            columns: vec![(0, vec![1, 2]), (1, vec![3, 4])],
+        });
+        let rows_at = 4 + 1 + 8 + 4;
+        bytes[rows_at..rows_at + 4].copy_from_slice(&3u32.to_le_bytes());
+        let mut dec = Decoder::new();
+        dec.feed(&bytes);
+        assert!(matches!(dec.next_message(), Err(ProtoError::Malformed(_))));
+        // A length field buys no memory: a header claiming the largest
+        // legal frame, then ten bytes, then silence.
+        let mut bytes = MAX_FRAME_LEN.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[4u8; 10]);
+        let (mut dec, mut src) = (Decoder::new(), &bytes[..]);
+        while dec.read_from(&mut src).unwrap() > 0 {
+            assert_eq!(dec.next_message(), Ok(None));
+        }
+        assert_eq!(dec.pending_bytes(), bytes.len());
+        assert!(dec.buf.len() <= MAX_READ + MIN_READ, "reserved ahead");
+        // One byte more is refused before anything is reserved for it.
+        let bytes = (MAX_FRAME_LEN + 1).to_le_bytes();
+        let (mut dec, mut src) = (Decoder::new(), &bytes[..]);
+        dec.read_from(&mut src).unwrap();
+        assert!(matches!(dec.next_message(), Err(ProtoError::Oversized(_))));
+        dec.read_from(&mut src).unwrap();
+        assert!(
+            dec.buf.len() <= 2 * MIN_READ,
+            "reserved for a refused frame"
+        );
+    }
+
+    /// `read_from` asks for what the frame in progress still lacks, so a
+    /// large frame's last read ends where the next frame starts: nothing is
+    /// left over to move, and two reads fetch a frame five used to take.
+    #[test]
+    fn read_from_sizes_its_reads_to_the_frame() {
+        /// Grants every request in full and records its size.
+        struct Recorder<'a>(&'a [u8], Vec<usize>);
+        impl Read for Recorder<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.1.push(buf.len());
+                self.0.read(buf)
+            }
+        }
+        let values = vec![7i64; 20_000];
+        let mut bytes = Vec::new();
+        for chunk in 0..2 {
+            encode_batch_frame(&mut bytes, 1, chunk, 20_000, &[(0, &values), (1, &values)]);
+        }
+        let frame_len = bytes.len() / 2;
+        let mut src = Recorder(&bytes, Vec::new());
+        let mut dec = Decoder::new();
+        for chunk in 0..2 {
+            while dec.next_message().unwrap().is_none() {
+                assert!(dec.read_from(&mut src).unwrap() > 0, "chunk {chunk}");
+            }
+            assert_eq!(dec.pending_bytes(), 0, "read past the end of frame {chunk}");
+        }
+        let per_frame = [MIN_READ, frame_len - MIN_READ];
+        assert_eq!(src.1, [per_frame, per_frame].concat());
+        assert!(
+            dec.buf.len() <= frame_len,
+            "the second frame reused the first's room"
+        );
     }
 
     #[test]

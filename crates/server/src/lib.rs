@@ -17,6 +17,13 @@
 //!   per-connection output buffer, and stall-shedding for peers that
 //!   stop reading while holding scans.
 //!
+//! Nothing in the serving path polls or naps.  A connection is a reader
+//! thread blocked in `read` and a serving thread that sleeps on a
+//! doorbell until a frame arrives, the socket drains, or the executor
+//! deposits a chunk for one of its scans — the grant mailbox wakes the
+//! connection through the waker each [`ServerScan`] carries
+//! ([`CScanHandle::poll_next_chunk`](cscan_core::threaded::CScanHandle::poll_next_chunk)).
+//!
 //! The `cscan_serve` binary wires a demo catalog to a listener; the
 //! `cscan_client` crate is the matching consumer.
 

@@ -1,10 +1,22 @@
-//! The TCP layer: accept loop, per-connection serving threads, stall
-//! shedding and server lifecycle.
+//! The TCP layer: accept loop, per-connection threads, stall shedding and
+//! server lifecycle.
 //!
-//! Each connection runs one thread with a non-blocking socket and three
-//! duties per iteration: read requests, pump admitted scans into the
-//! output buffer (round-robin, credit-gated), and flush bytes out.  Two
-//! bounds protect the server from a misbehaving peer:
+//! Nothing here polls.  Each connection runs two threads, and each blocks
+//! on exactly what can unblock it.  The *reader* blocks in `read`, decodes
+//! frames and hands them over through a bounded inbox — when that is full
+//! it waits, so a flooding peer meets TCP back-pressure, not server
+//! memory.  The *serving* thread owns the scans, their credits and the
+//! output buffer, and makes the same pass over and over: take the inbox,
+//! act on the frames, pump admitted scans into the output buffer
+//! (round-robin, credit-gated), write to the socket.  A pass that moved
+//! nothing and left nothing unsent ends in a wait on the connection's
+//! `Doorbell`, which is rung by the reader (a frame, end of stream, a
+//! framing error), by the executor through every scan's waker (a chunk was
+//! deposited for a scan that found none), and by server stop.  Writes
+//! block, but for no longer than `WAIT_BOUND` (50 ms) at a time, so a `Cancel`,
+//! a stop and the stall clock are all observed while a peer is slow.
+//!
+//! Two bounds protect the server from a misbehaving peer:
 //!
 //! * **The output buffer cap** ([`ServerConfig::outbuf_cap`]) — once a
 //!   connection has that many encoded-but-unsent bytes, pumping stops.
@@ -20,13 +32,27 @@
 use crate::catalog::Catalog;
 use crate::service::{Pump, ServerScan};
 use cscan_obs::{Counter, Gauge, Registry};
-use cscan_proto::{encode_frame, Decoder, Message, ServeError};
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use cscan_proto::{encode_frame, Decoder, Message, ProtoError, ServeError};
+use parking_lot::{Condvar, Mutex};
+use std::io::{self, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::task::{Wake, Waker};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
+
+/// The longest any thread here stays blocked without looking up: the
+/// serving thread's doorbell wait and each of its socket writes.  The
+/// executor's own 50 ms, and like it a belt-and-braces bound on a missed
+/// wake-up (counted, when it happens, as
+/// [`Counter::ServeWaitTimeouts`]) — never an interval anything is
+/// polled at: every event a connection waits for rings its doorbell.
+const WAIT_BOUND: Duration = Duration::from_millis(50);
+
+/// Decoded frames the reader may run ahead of the serving thread before
+/// it stops reading the socket.
+const INBOX_FRAMES: usize = 64;
 
 /// Network-layer knobs.
 #[derive(Debug, Clone)]
@@ -58,29 +84,56 @@ impl Default for ServerConfig {
 /// A running scan service.  Dropping the handle does *not* stop the
 /// server; call [`ServerHandle::stop`] or let a client send `Shutdown`.
 pub struct ServerHandle {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
+    stop: Arc<Stop>,
     accept: Option<JoinHandle<()>>,
 }
 
 impl ServerHandle {
     /// The bound address (useful with port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.stop.listener
     }
 
     /// Requests shutdown: the accept loop exits and every connection is
     /// told [`ServeError::ServerShutdown`] and closed.
     pub fn stop(&self) {
-        self.stop.store(true, Ordering::Release);
+        self.stop.request();
     }
 
     /// Blocks until the server has fully stopped (accept loop exited,
-    /// every connection thread joined).
+    /// every connection's threads joined).
     pub fn join(mut self) {
         if let Some(t) = self.accept.take() {
             let _ = t.join();
         }
+    }
+}
+
+/// The server-wide stop request.
+struct Stop {
+    flag: AtomicBool,
+    /// Where the acceptor listens — and blocks, until poked.
+    listener: SocketAddr,
+}
+
+impl Stop {
+    fn is_set(&self) -> bool {
+        self.flag.load(Ordering::Acquire)
+    }
+
+    /// Sets the flag and gets the acceptor out of `accept` with a
+    /// throw-away connection; the acceptor then rings every connection.
+    fn request(&self) {
+        self.flag.store(true, Ordering::Release);
+        let mut to = self.listener;
+        if to.ip().is_unspecified() {
+            // Bound to "any address": reach it through loopback.
+            to.set_ip(match to {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect_timeout(&to, Duration::from_secs(1));
     }
 }
 
@@ -92,9 +145,10 @@ pub fn serve(
     cfg: ServerConfig,
 ) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
-    let addr = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
+    let stop = Arc::new(Stop {
+        flag: AtomicBool::new(false),
+        listener: listener.local_addr()?,
+    });
     let open_conns = Arc::new(AtomicU64::new(0));
 
     let accept = {
@@ -102,44 +156,160 @@ pub fn serve(
         thread::Builder::new()
             .name("cscan-accept".into())
             .spawn(move || {
-                let mut conns: Vec<JoinHandle<()>> = Vec::new();
-                while !stop.load(Ordering::Acquire) {
-                    match listener.accept() {
+                let mut conns: Vec<(Arc<Doorbell>, JoinHandle<()>)> = Vec::new();
+                loop {
+                    let accepted = listener.accept();
+                    if stop.is_set() {
+                        // The throw-away connection (or a peer that came
+                        // too late) is dropped unanswered.
+                        break;
+                    }
+                    match accepted {
                         Ok((stream, _peer)) => {
-                            let catalog = Arc::clone(&catalog);
-                            let cfg = cfg.clone();
-                            let stop = Arc::clone(&stop);
-                            let open_conns = Arc::clone(&open_conns);
-                            conns.push(
-                                thread::Builder::new()
-                                    .name("cscan-conn".into())
-                                    .spawn(move || {
-                                        Connection::new(stream, catalog, cfg, stop, open_conns)
-                                            .run()
-                                    })
-                                    .expect("spawn connection thread"),
+                            let bell = Arc::new(Doorbell::default());
+                            let conn = Connection::new(
+                                stream,
+                                Arc::clone(&catalog),
+                                cfg.clone(),
+                                Arc::clone(&stop),
+                                Arc::clone(&open_conns),
+                                Arc::clone(&bell),
                             );
+                            let thread = thread::Builder::new()
+                                .name("cscan-conn".into())
+                                .spawn(move || conn.run())
+                                .expect("spawn connection thread");
+                            conns.push((bell, thread));
                             // Opportunistically reap finished threads so a
                             // long-lived server does not accumulate handles.
-                            conns.retain(|t| !t.is_finished());
+                            conns.retain(|(_, t)| !t.is_finished());
                         }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            thread::sleep(Duration::from_millis(5));
-                        }
-                        Err(_) => thread::sleep(Duration::from_millis(5)),
+                        // The peer gave up mid-handshake, or descriptors
+                        // ran out: nothing to do but accept again — after
+                        // a pause, so a failure that persists cannot spin.
+                        Err(_) => thread::park_timeout(WAIT_BOUND),
                     }
                 }
-                for t in conns {
+                for (bell, _) in &conns {
+                    bell.ring();
+                }
+                for (_, t) in conns {
                     let _ = t.join();
                 }
             })?
     };
 
     Ok(ServerHandle {
-        addr,
         stop,
         accept: Some(accept),
     })
+}
+
+/// One connection's wake-up: a flag under a mutex plus a condvar.  The
+/// flag makes a ring *state*: one delivered while the serving thread is in
+/// the middle of a pass is consumed by its next wait instead of being
+/// lost.  As a [`Waker`] it is what the executor calls when it deposits a
+/// chunk for one of the connection's scans.
+#[derive(Default)]
+struct Doorbell {
+    rung: Mutex<bool>,
+    cv: Condvar,
+}
+
+impl Doorbell {
+    fn ring(&self) {
+        *self.rung.lock() = true;
+        self.cv.notify_one();
+    }
+
+    /// Waits for a ring — one since the last wait counts — and consumes
+    /// it.  `true` if `bound` ran out first.
+    fn wait(&self, bound: Duration) -> bool {
+        let mut rung = self.rung.lock();
+        let mut timed_out = false;
+        if !*rung {
+            timed_out = self.cv.wait_for(&mut rung, bound).timed_out();
+        }
+        // A ring that raced the bound wins.
+        !std::mem::take(&mut *rung) && timed_out
+    }
+}
+
+impl Wake for Doorbell {
+    fn wake(self: Arc<Self>) {
+        self.ring();
+    }
+}
+
+/// Why the reader stopped.
+enum ReadEnd {
+    /// The peer closed, or the socket failed.
+    Closed,
+    /// The byte stream stopped being frames.
+    Framing(ProtoError),
+}
+
+/// What the reader thread hands the serving thread.
+#[derive(Default)]
+struct Inbox {
+    state: Mutex<InboxState>,
+    /// The reader waits here while `frames` is full.
+    room: Condvar,
+}
+
+#[derive(Default)]
+struct InboxState {
+    frames: Vec<Message>,
+    /// Set once: no frame will follow the ones above.
+    end: Option<ReadEnd>,
+    /// The serving thread is gone; the reader should go too.
+    abandoned: bool,
+}
+
+impl Inbox {
+    /// Moves everything decoded so far into `frames` (empty on entry).
+    fn take(&self, frames: &mut Vec<Message>) -> Option<ReadEnd> {
+        let mut st = self.state.lock();
+        std::mem::swap(&mut st.frames, frames);
+        let end = st.end.take();
+        drop(st);
+        if frames.len() >= INBOX_FRAMES {
+            self.room.notify_one();
+        }
+        end
+    }
+}
+
+/// A connection's reader thread: socket → [`Decoder`] → inbox, ringing
+/// the doorbell for every frame and for the end of the stream.
+fn read_loop(mut stream: TcpStream, inbox: &Inbox, bell: &Doorbell) {
+    let mut dec = Decoder::new();
+    let end = 'stream: loop {
+        loop {
+            match dec.next_message() {
+                Ok(Some(msg)) => {
+                    let mut st = inbox.state.lock();
+                    while st.frames.len() >= INBOX_FRAMES && !st.abandoned {
+                        inbox.room.wait(&mut st);
+                    }
+                    if st.abandoned {
+                        return;
+                    }
+                    st.frames.push(msg);
+                    drop(st);
+                    bell.ring();
+                }
+                Ok(None) => break,
+                Err(e) => break 'stream ReadEnd::Framing(e),
+            }
+        }
+        match dec.read_from(&mut stream) {
+            Ok(0) | Err(_) => break ReadEnd::Closed,
+            Ok(_) => {}
+        }
+    };
+    inbox.state.lock().end = Some(end);
+    bell.ring();
 }
 
 /// Why the connection loop ended (drives cleanup, not the peer).
@@ -152,22 +322,27 @@ enum Exit {
     Shed,
 }
 
+/// A connection's serving thread: everything but reading the socket.
 struct Connection {
     stream: TcpStream,
     catalog: Arc<Catalog>,
     cfg: ServerConfig,
-    stop: Arc<AtomicBool>,
+    stop: Arc<Stop>,
     open_conns: Arc<AtomicU64>,
     obs: Arc<Registry>,
-    dec: Decoder,
+    inbox: Arc<Inbox>,
+    /// Rung by the reader, by stop, and — as the waker every scan of this
+    /// connection is given — by the executor.
+    bell: Arc<Doorbell>,
     /// Encoded frames awaiting the socket; `out_at` is the send offset.
     out: Vec<u8>,
     out_at: usize,
     scans: Vec<ServerScan>,
-    /// Ids of scans that reached a terminal state; late frames addressed
-    /// to them are ignored (`NextBatch`) or acked (`Cancel`) instead of
-    /// erroring, because the client may race our `ScanDone`.
-    closed_ids: Vec<u64>,
+    /// Ids are issued in increasing order and never reused, so an id below
+    /// this one that is not in `scans` belongs to a scan that reached a
+    /// terminal state: late frames addressed to it are ignored
+    /// (`NextBatch`) or acked (`Cancel`) instead of erroring, because the
+    /// client may race our `ScanDone`.
     next_scan_id: u64,
     /// Index of the next scan to pump (round-robin fairness).
     pump_at: usize,
@@ -180,8 +355,9 @@ impl Connection {
         stream: TcpStream,
         catalog: Arc<Catalog>,
         cfg: ServerConfig,
-        stop: Arc<AtomicBool>,
+        stop: Arc<Stop>,
         open_conns: Arc<AtomicU64>,
+        bell: Arc<Doorbell>,
     ) -> Connection {
         let obs = catalog.observability();
         obs.inc(Counter::ConnectionsOpened);
@@ -194,11 +370,11 @@ impl Connection {
             stop,
             open_conns,
             obs,
-            dec: Decoder::new(),
+            inbox: Arc::new(Inbox::default()),
+            bell,
             out: Vec::new(),
             out_at: 0,
             scans: Vec::new(),
-            closed_ids: Vec::new(),
             next_scan_id: 1,
             pump_at: 0,
             last_progress: Instant::now(),
@@ -208,13 +384,32 @@ impl Connection {
 
     fn run(mut self) {
         let _ = self.stream.set_nodelay(true);
-        let _ = self.stream.set_nonblocking(true);
-        let exit = self.serve_loop();
+        let _ = self.stream.set_write_timeout(Some(WAIT_BOUND));
+        let reader = self.stream.try_clone().and_then(|stream| {
+            let (inbox, bell) = (Arc::clone(&self.inbox), Arc::clone(&self.bell));
+            thread::Builder::new()
+                .name("cscan-conn-read".into())
+                .spawn(move || read_loop(stream, &inbox, &bell))
+        });
+        let exit = if reader.is_ok() {
+            self.serve_loop()
+        } else {
+            Exit::Closed
+        };
         // Detach every scan; Drop releases the admission permits.
         for scan in &mut self.scans {
             scan.abort();
         }
         self.scans.clear();
+        // Get the reader out of wherever it blocks — `read`, or the wait
+        // for inbox room — and see it gone: the server's `join` promises
+        // that every thread is.
+        let _ = self.stream.shutdown(Shutdown::Both);
+        self.inbox.state.lock().abandoned = true;
+        self.inbox.room.notify_one();
+        if let Ok(reader) = reader {
+            let _ = reader.join();
+        }
         if matches!(exit, Exit::Shed) {
             self.obs.inc(Counter::ConnectionsShed);
         }
@@ -223,12 +418,14 @@ impl Connection {
     }
 
     fn serve_loop(&mut self) -> Exit {
-        let mut read_buf = vec![0u8; 64 * 1024];
+        let mut frames = Vec::new();
+        // Whether the pass under way follows a wait nobody ended.
+        let mut unrung = false;
         loop {
             let mut progressed = false;
 
             // Server-wide stop: say goodbye once, then drain and close.
-            if self.stop.load(Ordering::Acquire) && !self.goodbye_sent {
+            if self.stop.is_set() && !self.goodbye_sent {
                 self.goodbye_sent = true;
                 for scan in &mut self.scans {
                     scan.abort();
@@ -237,46 +434,46 @@ impl Connection {
                 self.push(&Message::serve_error(0, &ServeError::ServerShutdown));
             }
 
-            // 1. Read whatever the peer sent.
-            match self.read_some(&mut read_buf) {
-                Ok(true) => progressed = true,
-                Ok(false) => {}
-                Err(_) => return Exit::Closed,
-            }
+            // 1. Take whatever the reader decoded.
+            let end = self.inbox.take(&mut frames);
 
-            // 2. Act on complete frames.
-            loop {
-                match self.dec.next_message() {
-                    Ok(Some(msg)) => {
-                        progressed = true;
-                        match self.handle(msg) {
-                            Ok(true) => {}
-                            Ok(false) => {
-                                // Goodbye queued; flush then close below.
-                                self.goodbye_sent = true;
-                                break;
-                            }
-                            Err(_) => return Exit::Closed,
-                        }
+            // 2. Act on the frames.
+            for msg in frames.drain(..) {
+                progressed = true;
+                match self.handle(msg) {
+                    Ok(true) => {}
+                    Ok(false) => {
+                        // Goodbye queued; flush then close below.
+                        self.goodbye_sent = true;
+                        break;
                     }
-                    Ok(None) => break,
-                    Err(e) => {
-                        // Framing is broken; tell the peer why, best
-                        // effort, and drop the connection.
-                        self.push(&Message::serve_error(
-                            0,
-                            &ServeError::BadRequest(e.to_string()),
-                        ));
-                        self.flush_blocking(Duration::from_millis(250));
-                        return Exit::Closed;
-                    }
+                    Err(_) => return Exit::Closed,
+                }
+            }
+            match end {
+                None => {}
+                Some(ReadEnd::Closed) => return Exit::Closed,
+                Some(ReadEnd::Framing(e)) => {
+                    // Framing is broken; tell the peer why, best effort,
+                    // and drop the connection.
+                    self.push(&Message::serve_error(
+                        0,
+                        &ServeError::BadRequest(e.to_string()),
+                    ));
+                    self.flush_blocking(Duration::from_millis(250));
+                    return Exit::Closed;
                 }
             }
 
             // 3. Pump scans while there is credit, data and buffer room.
             if self.pump_round() {
                 progressed = true;
+                if unrung {
+                    // A chunk was waiting and nothing had said so.
+                    self.obs.inc(Counter::ServeWaitTimeouts);
+                }
             }
+            unrung = false;
 
             // 4. Push bytes to the socket.
             match self.write_some() {
@@ -285,37 +482,46 @@ impl Connection {
                 Err(_) => return Exit::Closed,
             }
 
-            if self.goodbye_sent && self.out_at >= self.out.len() {
+            if self.goodbye_sent && self.unsent() == 0 {
                 return Exit::Drained;
             }
-
             if progressed {
                 self.last_progress = Instant::now();
-            } else {
-                // Stall shedding: no progress in either direction while
-                // the peer holds scans or unsent bytes.
-                let holding = !self.scans.is_empty() || self.out_at < self.out.len();
-                if holding && self.last_progress.elapsed() > self.cfg.stall_timeout {
-                    for scan in &mut self.scans {
-                        scan.abort();
-                        self.closed_ids.push(scan.id);
-                        let id = scan.id;
-                        encode_frame(
-                            &mut self.out,
-                            &Message::serve_error(id, &ServeError::StalledConsumer),
-                        );
-                    }
-                    self.scans.clear();
-                    if self.out_at >= self.out.len() {
-                        encode_frame(
-                            &mut self.out,
-                            &Message::serve_error(0, &ServeError::StalledConsumer),
-                        );
-                    }
-                    self.flush_blocking(Duration::from_millis(250));
-                    return Exit::Shed;
+                continue;
+            }
+
+            // Stall shedding: no progress in either direction while the
+            // peer holds scans or unsent bytes.
+            let holding = !self.scans.is_empty() || self.unsent() > 0;
+            let stalled = self.last_progress.elapsed();
+            if holding && stalled > self.cfg.stall_timeout {
+                for scan in &mut self.scans {
+                    scan.abort();
+                    encode_frame(
+                        &mut self.out,
+                        &Message::serve_error(scan.id, &ServeError::StalledConsumer),
+                    );
                 }
-                thread::sleep(Duration::from_millis(1));
+                self.scans.clear();
+                if self.unsent() == 0 {
+                    self.push(&Message::serve_error(0, &ServeError::StalledConsumer));
+                }
+                self.flush_blocking(Duration::from_millis(250));
+                return Exit::Shed;
+            }
+
+            // Nothing moved.  With bytes unsent it is the socket this
+            // thread waits for, and the write above just did, for a whole
+            // slice; with none, everything else that can happen to this
+            // connection rings the doorbell, so wait there — not past the
+            // stall deadline, which rings nothing.
+            if self.unsent() == 0 {
+                let bound = if holding {
+                    WAIT_BOUND.min(self.cfg.stall_timeout.saturating_sub(stalled))
+                } else {
+                    WAIT_BOUND
+                };
+                unrung = self.bell.wait(bound);
             }
         }
     }
@@ -343,13 +549,10 @@ impl Connection {
                         let id = self.next_scan_id;
                         self.next_scan_id += 1;
                         let num_chunks = plan.num_chunks(entry.model());
-                        self.scans.push(ServerScan::new(
-                            id,
-                            handle,
-                            permit,
-                            entry.served_columns(),
-                            &plan,
-                        ));
+                        let mut scan =
+                            ServerScan::new(id, handle, permit, entry.served_columns(), &plan);
+                        scan.set_waker(Waker::from(Arc::clone(&self.bell)));
+                        self.scans.push(scan);
                         self.push(&Message::OpenOk {
                             scan_id: id,
                             num_chunks,
@@ -362,7 +565,7 @@ impl Connection {
             Message::NextBatch { scan_id, credits } => {
                 if let Some(scan) = self.scans.iter_mut().find(|s| s.id == scan_id) {
                     scan.add_credits(credits);
-                } else if !self.closed_ids.contains(&scan_id) {
+                } else if !self.was_issued(scan_id) {
                     self.push(&Message::serve_error(0, &ServeError::UnknownScan(scan_id)));
                 }
                 // Credits racing a ScanDone are silently dropped.
@@ -372,9 +575,8 @@ impl Connection {
                 if let Some(at) = self.scans.iter().position(|s| s.id == scan_id) {
                     let mut scan = self.scans.remove(at);
                     scan.abort();
-                    self.closed_ids.push(scan_id);
                     self.push(&Message::CancelOk { scan_id });
-                } else if self.closed_ids.contains(&scan_id) {
+                } else if self.was_issued(scan_id) {
                     // Cancel raced our ScanDone/Error; ack idempotently.
                     self.push(&Message::CancelOk { scan_id });
                 } else {
@@ -385,12 +587,11 @@ impl Connection {
             Message::Shutdown => {
                 for scan in &mut self.scans {
                     scan.abort();
-                    self.closed_ids.push(scan.id);
                 }
                 self.scans.clear();
                 self.push(&Message::ShutdownOk);
                 if self.cfg.exit_on_shutdown {
-                    self.stop.store(true, Ordering::Release);
+                    self.stop.request();
                 }
                 Ok(false)
             }
@@ -404,6 +605,12 @@ impl Connection {
                 Err(())
             }
         }
+    }
+
+    /// Whether this connection ever opened a scan under `id` (0 is the
+    /// connection itself, never a scan).
+    fn was_issued(&self, id: u64) -> bool {
+        (1..self.next_scan_id).contains(&id)
     }
 
     /// One fair round over all scans: keep pumping until nobody can make
@@ -430,8 +637,7 @@ impl Connection {
                     Pump::Idle => idx += 1,
                     Pump::Closed => {
                         any = true;
-                        let closed = self.scans.remove(at);
-                        self.closed_ids.push(closed.id);
+                        self.scans.remove(at);
                         // Restart the round: indices shifted.
                         break;
                     }
@@ -456,35 +662,27 @@ impl Connection {
         encode_frame(&mut self.out, msg);
     }
 
-    /// Non-blocking read; `Ok(true)` if any bytes arrived.
-    fn read_some(&mut self, buf: &mut [u8]) -> Result<bool, ()> {
-        let mut got = false;
-        loop {
-            match self.stream.read(buf) {
-                Ok(0) => return if got { Ok(got) } else { Err(()) },
-                Ok(n) => {
-                    self.dec.feed(&buf[..n]);
-                    got = true;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(got),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return Err(()),
-            }
-        }
-    }
-
-    /// Non-blocking write; `Ok(true)` if any bytes drained.
+    /// One write of everything unsent, which blocks until the socket has
+    /// taken it all or [`WAIT_BOUND`] has passed; `Ok(true)` if any bytes
+    /// drained.
     fn write_some(&mut self) -> Result<bool, ()> {
         let mut wrote = false;
-        while self.out_at < self.out.len() {
+        if self.out_at < self.out.len() {
             match self.stream.write(&self.out[self.out_at..]) {
                 Ok(0) => return Err(()),
                 Ok(n) => {
                     self.out_at += n;
                     wrote = true;
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                // The slice ran out with the socket still full (either
+                // kind, by platform), or a signal cut it short.
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock
+                            | io::ErrorKind::TimedOut
+                            | io::ErrorKind::Interrupted
+                    ) => {}
                 Err(_) => return Err(()),
             }
         }
@@ -503,15 +701,9 @@ impl Connection {
     /// full — that is often *why* we are leaving).
     fn flush_blocking(&mut self, budget: Duration) {
         let deadline = Instant::now() + budget;
-        while self.out_at < self.out.len() && Instant::now() < deadline {
-            match self.stream.write(&self.out[self.out_at..]) {
-                Ok(0) => return,
-                Ok(n) => self.out_at += n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return,
+        while self.unsent() > 0 && Instant::now() < deadline {
+            if self.write_some().is_err() {
+                return;
             }
         }
     }

@@ -1,12 +1,15 @@
 //! Per-scan serving state: credits in, encoded `Batch` frames out.
 //!
 //! A [`ServerScan`] owns the executor handle, the admission [`Permit`]
-//! and the client's credit balance.  Pumping is strictly non-blocking
-//! ([`CScanHandle::try_next_chunk`]) and a delivered pin lives only for
-//! the duration of one `encode` call — the frame is released back to the
-//! buffer pool *before* the bytes ever wait on the socket.  That is the
-//! invariant that keeps a stalled client from wedging the pool: its
-//! unsent data sits in a bounded byte buffer, never in pinned frames.
+//! and the client's credit balance.  Pumping never blocks: it polls
+//! ([`CScanHandle::poll_next_chunk`]) with the waker its connection gave
+//! it ([`ServerScan::set_waker`]), so an idle scan costs nothing until the
+//! executor deposits its next chunk and wakes the connection.  A delivered
+//! pin lives only for the duration of one `encode` call — the frame is
+//! released back to the buffer pool *before* the bytes ever wait on the
+//! socket.  That is the invariant that keeps a stalled client from wedging
+//! the pool: its unsent data sits in a bounded byte buffer, never in
+//! pinned frames.
 
 use crate::admission::Permit;
 use cscan_core::threaded::CScanHandle;
@@ -14,7 +17,7 @@ use cscan_core::{CScanPlan, ColSet};
 use cscan_obs::{Counter, Registry};
 use cscan_proto::{encode_batch_frame, encode_frame, Message};
 use cscan_storage::ColumnId;
-use std::task::Poll;
+use std::task::{Context, Poll, Waker};
 
 /// What one pump attempt did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,6 +43,8 @@ pub struct ServerScan {
     columns: Vec<(u16, ColumnId)>,
     credits: u32,
     done: bool,
+    /// Woken when a pump that found no chunk ready could find one now.
+    waker: Waker,
 }
 
 impl ServerScan {
@@ -65,7 +70,16 @@ impl ServerScan {
             columns,
             credits: 0,
             done: false,
+            waker: Waker::noop().clone(),
         }
+    }
+
+    /// Who to wake when a chunk arrives for a scan whose last
+    /// [`ServerScan::pump`] came back [`Pump::Idle`] with credit in hand.
+    /// Nobody, until this is called: such a caller has to pump again on
+    /// its own schedule.
+    pub fn set_waker(&mut self, waker: Waker) {
+        self.waker = waker;
     }
 
     /// Adds client credits (saturating — a hostile peer cannot overflow).
@@ -92,7 +106,10 @@ impl ServerScan {
         if self.credits == 0 {
             return Pump::Idle;
         }
-        match self.handle.try_next_chunk() {
+        match self
+            .handle
+            .poll_next_chunk(&mut Context::from_waker(&self.waker))
+        {
             Err(error) => {
                 self.done = true;
                 encode_frame(out, &Message::scan_error(self.id, error));

@@ -4,9 +4,11 @@
 use cscan_client::{ClientError, ScanClient};
 use cscan_core::{CScanPlan, ColSet};
 use cscan_exec::MemTable;
-use cscan_proto::ServeError;
+use cscan_obs::Counter;
+use cscan_proto::{frame, Decoder, Message, ServeError};
 use cscan_server::{serve, AdmissionConfig, Catalog, ServerConfig, TableConfig};
-use std::net::SocketAddr;
+use std::io::Write;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -59,6 +61,7 @@ fn full_scan_streams_every_chunk_once() {
     chunks_seen.sort_unstable();
     chunks_seen.dedup();
     assert_eq!(chunks_seen.len(), 32, "each chunk delivered exactly once");
+    assert_no_batch_waited_out_a_bound(&catalog);
 
     drop(scan);
     drop(client);
@@ -91,6 +94,7 @@ fn two_tables_serve_concurrently_on_one_catalog() {
     for t in threads {
         t.join().unwrap();
     }
+    assert_no_batch_waited_out_a_bound(&catalog);
 
     wait_for_zero_pins(&catalog);
     handle.stop();
@@ -159,6 +163,70 @@ fn dropped_scan_cancels_lazily_and_client_recovers() {
 
     drop(scan);
     drop(client);
+    wait_for_zero_pins(&catalog);
+    handle.stop();
+    handle.join();
+}
+
+/// Scan ids are issued in increasing order, so the server needs no list of
+/// closed scans to tell a frame that raced a scan's end (ignored, or acked)
+/// from one for a scan that never was (`UnknownScan`, 204): the boundary is
+/// the next id it would issue.
+#[test]
+fn frames_for_closed_scans_are_tolerated_and_for_unissued_ones_refused() {
+    let (catalog, handle) = demo_server(AdmissionConfig::default());
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    let mut dec = Decoder::new();
+    // Sends the frames, returns the next frame to arrive.
+    let mut request = |msgs: &[Message]| -> Message {
+        for msg in msgs {
+            stream.write_all(&frame(msg)).expect("send");
+        }
+        loop {
+            if let Some(reply) = dec.next_message().expect("well-formed reply") {
+                return reply;
+            }
+            assert!(dec.read_from(&mut stream).expect("read") > 0, "closed");
+        }
+    };
+    let refused = |reply: Message| match reply {
+        Message::Error { scan_id, code, .. } => {
+            scan_id == 0 && code == ServeError::CODE_UNKNOWN_SCAN
+        }
+        _ => false,
+    };
+    let cancel = |scan_id| Message::Cancel { scan_id };
+    let credits = |scan_id| Message::NextBatch {
+        scan_id,
+        credits: 1,
+    };
+
+    // Nothing issued yet: every id is unknown.
+    assert!(refused(request(&[cancel(1)])));
+    assert!(refused(request(&[credits(1)])));
+
+    let open = Message::OpenScan {
+        table: "lineitem".into(),
+        plan: CScanPlan::full_table("q", ColSet::first_n(1)),
+    };
+    let opened = Message::OpenOk {
+        scan_id: 1,
+        num_chunks: 32,
+    };
+    assert_eq!(request(&[open]), opened);
+    assert_eq!(request(&[cancel(1)]), Message::CancelOk { scan_id: 1 });
+    // Scan 1 is closed: late credits draw no reply at all (the frame that
+    // arrives answers the cancel behind them), and a late cancel is acked
+    // again.
+    assert_eq!(
+        request(&[credits(1), cancel(1)]),
+        Message::CancelOk { scan_id: 1 }
+    );
+    // Scan 2 was never issued.
+    assert!(refused(request(&[credits(2)])));
+    assert!(refused(request(&[cancel(2)])));
+
+    drop(stream);
     wait_for_zero_pins(&catalog);
     handle.stop();
     handle.join();
@@ -238,6 +306,14 @@ fn admission_cap_sheds_excess_with_retryable_error() {
     wait_for_zero_pins(&catalog);
     handle.stop();
     handle.join();
+}
+
+/// Every batch of the scans just run left because something rang its
+/// connection — the executor's waker, a credit frame — and none because a
+/// serving thread's belt-and-braces wait bound ran out first.
+fn assert_no_batch_waited_out_a_bound(catalog: &Catalog) {
+    let missed = catalog.observability().counter(Counter::ServeWaitTimeouts);
+    assert_eq!(missed, 0, "batches served only after a wait bound expired");
 }
 
 /// Pins are released on scan/connection teardown, but the server threads
