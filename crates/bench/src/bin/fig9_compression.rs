@@ -1,7 +1,8 @@
 //! Figure 9 — compressed mini-columns: per-codec decode bandwidth and
 //! compression ratio, the mix's compressed-vs-uncompressed I/O volume, and
-//! a live decode-on-first-pin scan.  Writes `BENCH_compression.json` so
-//! the compression trajectory is tracked across PRs.
+//! a live compressed scan (verify at pin, decode at first touch).  Writes
+//! `BENCH_compression.json` so the compression trajectory is tracked
+//! across PRs.
 
 use cscan_bench::experiments::fig9;
 use cscan_bench::report::TextTable;

@@ -10,7 +10,7 @@
 //! * the I/O volume of the lineitem demo mix with every column stored
 //!   under its matched scheme, against the same columns uncompressed;
 //! * a live threaded scan over a [`CompressingStore`], reporting how much
-//!   of the pin-wait went to first-pin decompression.
+//!   of the pin-wait went to decompressing the column it reads.
 
 use cscan_core::policy::PolicyKind;
 use cscan_core::threaded::ScanServer;
@@ -164,7 +164,8 @@ pub struct LiveCompressedPoint {
     pub rows: u64,
     /// Wall-clock seconds for the full scan.
     pub wall_secs: f64,
-    /// Seconds spent in first-pin decodes (subset of pin-wait).
+    /// Seconds spent decoding columns at their first touch (subset of
+    /// pin-wait).
     pub decode_secs: f64,
     /// Column values decompressed.
     pub values_decoded: u64,
@@ -175,7 +176,10 @@ pub struct LiveCompressedPoint {
 }
 
 /// Scans a compressed lineitem table end-to-end through the threaded
-/// executor (decode-on-first-pin on the consumer thread).
+/// executor.  The consumer reads column 0 of every chunk, so that column —
+/// and none of the other five — is decoded, on the consumer thread, the
+/// first time each chunk's copy of it is touched; `delivered_mib_s` still
+/// counts the chunk's full logical width.
 pub fn run_live_compressed(chunks: u32, rows_per_chunk: u64) -> LiveCompressedPoint {
     let table = MemTable::lineitem_demo(chunks as u64 * rows_per_chunk, rows_per_chunk);
     let width = table.width();
@@ -254,10 +258,10 @@ mod tests {
     }
 
     #[test]
-    fn live_compressed_scan_decodes_every_column_once() {
+    fn live_compressed_scan_decodes_the_touched_column_once() {
         let p = run_live_compressed(8, 500);
         assert_eq!(p.rows, 4_000);
-        assert_eq!(p.values_decoded, 4_000 * 6, "six columns per chunk");
+        assert_eq!(p.values_decoded, 4_000, "one column of six is read");
         assert!(p.decode_secs >= 0.0);
     }
 }

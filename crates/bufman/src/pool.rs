@@ -184,7 +184,7 @@ mod tests {
         let payload = compressed(&values);
         pool.install(chunk(1), payload.clone());
         assert_eq!(pool.compressed_frames(), 1);
-        // The first pin's decode flips the shared state to decoded — the
+        // A consumer's decode flips the shared state to decoded — the
         // pool sees it without re-installation because payload clones share
         // the column cache.
         assert!(payload.decode_all() > 0);

@@ -20,10 +20,14 @@
 //! both and tells the scheduler the chunk was consumed.
 //!
 //! A payload may arrive *compressed* (encoded PDICT/PFOR/PFOR-DELTA
-//! mini-columns): the server decodes it once, on first pin, after releasing
-//! its internal lock — so by the time a consumer holds a [`PinnedChunk`],
-//! its [`PinnedChunk::column`] views are plain decoded slices shared with
-//! the buffer frame.
+//! mini-columns).  The server verifies every still-encoded column's
+//! checksum when it pins the chunk, and decodes nothing: a column is
+//! decoded when a consumer first touches it through
+//! [`PinnedChunk::column`] / [`PinnedChunk::shared_column`] — once per
+//! residency, on the consumer's thread, under no executor lock — so a plan
+//! pays for the columns it reads and for no others.  The views returned are
+//! plain decoded slices shared with the buffer frame; for a plain or
+//! already decoded column the accessors are a match and a pointer read.
 //!
 //! Prefer [`PinnedChunk::complete`] over letting the pin fall out of scope:
 //! a plain drop still releases everything (so early returns and `?` are
@@ -33,8 +37,9 @@
 
 use crate::query::QueryId;
 use crate::threaded::Shared;
+use cscan_obs::QueryScope;
 use cscan_storage::chunkdata::ColumnData;
-use cscan_storage::{ChunkId, ChunkPayload, ColumnId, StoreError};
+use cscan_storage::{ChunkId, ChunkPayload, ColumnChunk, ColumnId, StoreError};
 use std::sync::Arc;
 
 /// Why a scan cannot continue: a chunk the query needs failed for good.
@@ -81,9 +86,10 @@ impl std::error::Error for ScanError {}
 /// A chunk delivered to a query, pinned for the lifetime of this value.
 ///
 /// Carries the chunk's payload (real column data, or
-/// [`ChunkPayload::Missing`] from a server built without a store) decoded
+/// [`ChunkPayload::Missing`] from a server built without a store), read
 /// zero-copy: [`PinnedChunk::column`] returns views into the pinned frame,
-/// shared — not copied — out of the buffer manager.
+/// shared — not copied — out of the buffer manager, decoding the column
+/// first if this is the first touch of it since the chunk was loaded.
 #[must_use = "dropping a PinnedChunk counts as consuming the chunk; call complete() when done"]
 pub struct PinnedChunk {
     query: QueryId,
@@ -91,6 +97,8 @@ pub struct PinnedChunk {
     payload: ChunkPayload,
     /// The server that delivered the pin, and takes it back on drop.
     server: Arc<Shared>,
+    /// The query's metric scope: a first-touch decode is pin-wait.
+    scope: Arc<QueryScope>,
     consumed: bool,
 }
 
@@ -111,12 +119,14 @@ impl PinnedChunk {
         chunk: ChunkId,
         payload: ChunkPayload,
         server: Arc<Shared>,
+        scope: Arc<QueryScope>,
     ) -> Self {
         Self {
             query,
             chunk,
             payload,
             server,
+            scope,
             consumed: false,
         }
     }
@@ -137,16 +147,48 @@ impl PinnedChunk {
         &self.payload
     }
 
-    /// Zero-copy view of one column's values, if the payload carries it.
+    /// Zero-copy view of one column's values, if the payload carries it
+    /// (and, when it had to be decoded first, the decode succeeded — see
+    /// [`PinnedChunk::try_column`]).
     pub fn column(&self, col: ColumnId) -> Option<&[i64]> {
-        self.payload.column(col)
+        self.try_column(col).ok().flatten()
     }
 
     /// One column's values as a shared vector that outlives this pin: the
     /// consumer may [`PinnedChunk::complete`] first and read afterwards,
-    /// holding heap bytes but no buffer frame.
+    /// holding heap bytes but no buffer frame.  `None` as for
+    /// [`PinnedChunk::column`].
     pub fn shared_column(&self, col: ColumnId) -> Option<ColumnData> {
-        self.payload.shared_column(col)
+        self.try_shared_column(col).ok().flatten()
+    }
+
+    /// [`PinnedChunk::column`], telling "the payload does not carry the
+    /// column" (`Ok(None)`) from "its bytes cannot be decoded" (`Err`).
+    /// The bytes passed their checksum when the chunk was pinned, so the
+    /// latter is a malformed body: the codec's panic is contained here, the
+    /// scan is closed, and this error is what its next
+    /// [`ScanSession::next_chunk`] returns too.
+    pub fn try_column(&self, col: ColumnId) -> Result<Option<&[i64]>, ScanError> {
+        Ok(self.touch(col)?.map(ColumnChunk::as_slice))
+    }
+
+    /// [`PinnedChunk::shared_column`] with the error of
+    /// [`PinnedChunk::try_column`].
+    pub fn try_shared_column(&self, col: ColumnId) -> Result<Option<ColumnData>, ScanError> {
+        Ok(self.touch(col)?.map(ColumnChunk::shared))
+    }
+
+    /// The column's part of the payload, decoded: the one place a pinned
+    /// column goes from encoded bytes to values.
+    fn touch(&self, col: ColumnId) -> Result<Option<&ColumnChunk>, ScanError> {
+        let Some(part) = self.payload.part(col) else {
+            return Ok(None);
+        };
+        if !part.is_decoded() {
+            self.server
+                .decode_column(self.query, self.chunk, &self.scope, part)?;
+        }
+        Ok(Some(part))
     }
 
     /// Number of rows in the payload (0 for [`ChunkPayload::Missing`]).

@@ -26,12 +26,15 @@
 //! Payloads may arrive *compressed* (a
 //! [`cscan_storage::CompressingStore`] encodes mini-columns as PDICT /
 //! PFOR / PFOR-DELTA bytes on the I/O worker): the commit installs the
-//! encoded bytes, and the **first pin** pays the once-only decompression —
-//! after `next_chunk` has released every executor lock (the codec
-//! debug-asserts this) — flipping the frame to its decoded state for every
-//! later pin.  Eviction drops both states; a re-load re-installs fresh
-//! encoded bytes.  Decode time is accounted as pin-wait and surfaced
-//! separately ([`ScanServer::decode_time`], [`ScanServer::values_decoded`]).
+//! encoded bytes, every pin of a payload that still holds some verifies
+//! their checksums, and a column is decompressed — once per residency —
+//! when a consumer **first touches** it through [`PinnedChunk::column`],
+//! with no executor lock held (the codec debug-asserts this), which flips
+//! that column to its decoded state for every later reader.  A plan pays
+//! for the columns it reads and no others.  Eviction drops both states; a
+//! re-load re-installs fresh encoded bytes.  Decode time is accounted as
+//! pin-wait and surfaced separately ([`ScanServer::decode_time`],
+//! [`ScanServer::values_decoded`]).
 //!
 //! The frame pool has one slot per logical chunk, indexed by chunk id:
 //! buffer *capacity* is governed by the ABM's page accounting (which plans
@@ -163,7 +166,7 @@ use cscan_obs::{
     NO_QUERY,
 };
 use cscan_simdisk::SimTime;
-use cscan_storage::{ChunkId, ChunkPayload, ChunkStore, ColumnId, StoreError};
+use cscan_storage::{ChunkId, ChunkPayload, ChunkStore, ColumnChunk, ColumnId, StoreError};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
@@ -557,6 +560,92 @@ impl Shared {
             );
         }
         Some(slot)
+    }
+
+    /// Records a contained panic of the data plane on `chunk`: the counter,
+    /// the flight event and an automatic dump of the run-up.
+    fn worker_panicked(&self, chunk: ChunkId, query: u64) {
+        self.obs.inc(Counter::WorkerPanics);
+        self.obs
+            .event(EventKind::WorkerPanic, chunk.index(), query, 0);
+        self.obs.dump_flight("worker panic");
+    }
+
+    /// Decode at first touch — the slow half of [`PinnedChunk::column`],
+    /// entered when the touched column of a pinned chunk is still encoded
+    /// bytes.  Runs on the consumer's thread with no executor lock held
+    /// (the codec debug-asserts that); the column's once-only cache makes
+    /// it happen once per residency however many pins race here.
+    ///
+    /// The consumer stalled for the elapsed time either way — as the
+    /// decoding winner, or blocked on another pin's in-flight decode of the
+    /// same column (0 values for the loser) — so both are pin-wait; only
+    /// the winner's work counts as decode output.
+    ///
+    /// The bytes passed their checksum at pin, so a codec panic here means
+    /// a malformed body, and reading it again would panic again: the panic
+    /// is contained, nothing is retried, and the scan that touched the
+    /// column ends with [`StoreError::Corrupted`].  Scans that do not touch
+    /// it are unaffected.
+    pub(crate) fn decode_column(
+        &self,
+        query: QueryId,
+        chunk: ChunkId,
+        scope: &QueryScope,
+        part: &ColumnChunk,
+    ) -> Result<(), ScanError> {
+        let started = Instant::now();
+        let outcome =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| part.ensure_decoded()));
+        let nanos = started.elapsed().as_nanos() as u64;
+        scope.record_pin_wait(nanos);
+        match outcome {
+            Ok(0) => Ok(()),
+            Ok(decoded) => {
+                self.obs.record_span_ns(SpanKind::Decode, nanos);
+                self.obs.add(Counter::DecodeNanos, nanos);
+                self.obs.add(Counter::ValuesDecoded, decoded as u64);
+                Ok(())
+            }
+            Err(_panic) => {
+                self.worker_panicked(chunk, query.0);
+                let error = ScanError {
+                    chunk,
+                    cause: StoreError::Corrupted,
+                };
+                self.fail_query(query, error);
+                Err(error)
+            }
+        }
+    }
+
+    /// Ends `q`'s scan with `error`, under the scheduler lock: closes its
+    /// registration and parks the error in its slot, where every consumer
+    /// of the handle finds it on its next call.  Pins the query still holds
+    /// stay valid until dropped.  Returns the slot, for the caller to
+    /// notify once the lock is released.
+    fn err_query(&self, sched: &mut Sched, q: QueryId, error: ScanError) -> Option<Arc<QuerySlot>> {
+        sched.abm.finish_query(q);
+        let slot = self.close_slot(sched, q, Some(error));
+        // Counted once per query: a scan that is already closed (a pin
+        // that outlived its handle, a second touch) cannot err again.
+        if slot.is_some() {
+            self.obs.inc(Counter::QueriesErred);
+        }
+        slot
+    }
+
+    /// [`Shared::err_query`] for a caller that holds no lock.
+    fn fail_query(&self, q: QueryId, error: ScanError) {
+        let slot = {
+            let mut sched = self.lock_sched();
+            self.service(&mut sched);
+            self.err_query(&mut sched, q, error)
+        };
+        if let Some(slot) = slot {
+            slot.cv.notify_all();
+        }
+        self.park.ring_one();
     }
 
     /// Returns a pin to the server — the release half of the consume fast
@@ -1086,11 +1175,7 @@ fn read_payload(
             result
         }
         Err(_panic) => {
-            shared.obs.inc(Counter::WorkerPanics);
-            shared
-                .obs
-                .event(EventKind::WorkerPanic, chunk.index(), NO_QUERY, 0);
-            shared.obs.dump_flight("worker panic");
+            shared.worker_panicked(chunk, NO_QUERY);
             // Without knowing what broke, retrying a panicking data plane
             // is gambling; fail permanently so the chunk quarantines and
             // its queries get a clean error instead of repeated panics.
@@ -1123,11 +1208,7 @@ fn quarantine_chunk(shared: &Shared, chunk: ChunkId, ticket: u64, cause: StoreEr
     let error = ScanError { chunk, cause };
     let victims: Vec<QueryId> = sched.abm.state().interested_queries(chunk).collect();
     for &q in &victims {
-        shared.obs.inc(Counter::QueriesErred);
-        sched.abm.finish_query(q);
-        if let Some(slot) = shared.close_slot(&mut sched, q, Some(error)) {
-            wake.push(slot);
-        }
+        wake.extend(shared.err_query(&mut sched, q, error));
     }
     drop(sched);
     if newly_quarantined {
@@ -1215,7 +1296,7 @@ impl ScanServer {
             attached: Instant::now(),
             limit: plan.limit_chunks,
             delivered: AtomicU32::new(0),
-            decode_failures: AtomicU32::new(0),
+            pin_rejections: AtomicU32::new(0),
             finished: AtomicBool::new(false),
             error: Mutex::new(None),
         }
@@ -1285,20 +1366,20 @@ impl ScanServer {
         Duration::from_nanos(self.shared.obs.query_total(QueryCounter::PinWaitNanos))
     }
 
-    /// Total time first-pin payload decompression took (a subset of
+    /// Total time first-touch column decompression took (a subset of
     /// [`ScanServer::pin_wait`]; always spent outside every executor lock).
     pub fn decode_time(&self) -> Duration {
         Duration::from_nanos(self.shared.obs.counter(Counter::DecodeNanos))
     }
 
-    /// Number of column values decompressed by first-pin decodes (0 when
+    /// Number of column values decompressed by first-touch decodes (0 when
     /// the store delivers plain payloads).
     pub fn values_decoded(&self) -> u64 {
         self.shared.obs.counter(Counter::ValuesDecoded)
     }
 
-    /// Number of resident frames whose payload is still encoded bytes
-    /// (committed but not yet pinned by any consumer).
+    /// Number of resident frames holding at least one column that is still
+    /// encoded bytes (one no consumer has read since the chunk was loaded).
     pub fn compressed_frames(&self) -> usize {
         self.shared.pool.compressed_frames()
     }
@@ -1320,8 +1401,7 @@ impl ScanServer {
         self.shared.obs.counter(Counter::LoadRetries)
     }
 
-    /// Payloads rejected by checksum verification (at install or at
-    /// decode-on-first-pin).
+    /// Payloads rejected by checksum verification (at install or at pin).
     pub fn checksum_failures(&self) -> u64 {
         self.shared.obs.counter(Counter::ChecksumFailures)
     }
@@ -1395,10 +1475,10 @@ pub struct CScanHandle {
     limit: Option<u32>,
     /// Chunks delivered so far (compared against `limit`).
     delivered: AtomicU32,
-    /// Consecutive decode/checksum rejections (reset on a good delivery);
-    /// lives on the handle so the non-blocking path carries the count
-    /// across `poll_next_chunk` calls.
-    decode_failures: AtomicU32,
+    /// Consecutive deliveries rejected by the pin-time checksum (reset on a
+    /// good delivery); lives on the handle so the non-blocking path carries
+    /// the count across `poll_next_chunk` calls.
+    pin_rejections: AtomicU32,
     finished: AtomicBool,
     /// Sticky scan failure: once a needed chunk is quarantined, every
     /// further `next_chunk` call returns this same error.
@@ -1425,12 +1505,13 @@ impl CScanHandle {
     /// fall back to a self-match under the scheduler lock (a
     /// belt-and-braces guard; grants are state, so none can be missed).
     ///
-    /// If the chunk's payload arrived compressed and no earlier pin decoded
-    /// it, this call performs the once-only decode — with no executor lock
-    /// held — before returning; the decompression time is accounted as
-    /// pin-wait (and separately as [`ScanServer::decode_time`]).  A decode
-    /// that fails checksum verification rejects the delivery: the torn
-    /// frame is dropped and the chunk re-fetched from the store.
+    /// If the chunk's payload still holds encoded columns, this call
+    /// verifies their checksums — with no executor lock held — before
+    /// returning; a mismatch rejects the delivery: the torn frame is
+    /// dropped and the chunk re-fetched from the store.  Decoding waits for
+    /// the consumer to touch a column ([`PinnedChunk::column`]); that time
+    /// is accounted as pin-wait (and separately as
+    /// [`ScanServer::decode_time`]).
     pub fn next_chunk(&self) -> Result<Option<PinnedChunk>, ScanError> {
         loop {
             let mut st = self.slot.state.lock();
@@ -1592,94 +1673,69 @@ impl CScanHandle {
     }
 
     /// Turns a taken grant into a [`PinnedChunk`] — payload read from the
-    /// shard, decode-on-first-pin, per-query metrics — or rejects the
+    /// shard, checksums verified, per-query metrics — or rejects the
     /// delivery (`Ok(None)`: the torn frame was evicted and the chunk
-    /// re-requested; take the next grant) or gives up (`Err`: the decode
-    /// retry budget is spent).  Shared by the blocking and non-blocking
-    /// delivery paths; the consecutive-rejection counter lives on the
-    /// handle so it survives `Pending` round-trips.
+    /// re-requested; take the next grant) or gives up (`Err`: the retry
+    /// budget is spent).  Nothing is decoded here: a column decodes when
+    /// the consumer first touches it ([`PinnedChunk::column`]).  Shared by
+    /// the blocking and non-blocking delivery paths; the
+    /// consecutive-rejection counter lives on the handle so it survives
+    /// `Pending` round-trips.
     fn consume_grant(&self, grant: Grant) -> Result<Option<PinnedChunk>, ScanError> {
         let chunk = grant.chunk;
         // The grant carries the frame *pin*, not the payload: read the
         // payload from the shard at consume time, so an install that
         // raced the delivery (e.g. a torn frame replaced in place) is
-        // what this pin actually decodes and verifies.
+        // what this pin actually verifies.
         let payload = self.shared.pool.payload(chunk).unwrap_or_default();
-        // Decode-on-first-pin: if the committed payload is still encoded
-        // bytes, pay the decompression CPU cost here — outside every
-        // executor lock (the codec debug-asserts that), shared via the
-        // column cache so later pins of the same buffered chunk skip
-        // straight past this.  The decode re-verifies checksums (the
-        // second integrity point), and runs under catch_unwind so a
-        // panicking codec is contained as a rejected delivery, not an
-        // unwinding consumer.
+        // Verify at pin: every column that is still encoded bytes is
+        // checked against its recorded checksum (the second integrity
+        // point, after install) before a consumer can decode it — outside
+        // every executor lock, and under catch_unwind so a panic is
+        // contained as a rejected delivery, not an unwinding consumer.
+        // A plain or fully decoded payload skips straight past this.
         if !payload.is_fully_decoded() {
             let started = Instant::now();
-            let outcome =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| payload.try_decode_all()))
-                    .unwrap_or_else(|_panic| {
-                        self.shared.obs.inc(Counter::WorkerPanics);
-                        self.shared.obs.event(
-                            EventKind::WorkerPanic,
-                            chunk.index(),
-                            self.query.0,
-                            0,
-                        );
-                        self.shared.obs.dump_flight("worker panic");
-                        Err(StoreError::Corrupted)
-                    });
-            let nanos = started.elapsed().as_nanos() as u64;
-            // The consumer stalled for `nanos` either way: as the
-            // decoding winner, or blocked on another pin's in-flight
-            // decode of the same columns (0 values for the loser).
-            // Both are pin-wait; only the winner's work counts as
-            // decode output.
-            self.scope.record_pin_wait(nanos);
-            match outcome {
-                Ok(decoded) => {
-                    if decoded > 0 {
-                        self.shared.obs.record_span_ns(SpanKind::Decode, nanos);
-                        self.shared.obs.add(Counter::DecodeNanos, nanos);
-                        self.shared.obs.add(Counter::ValuesDecoded, decoded as u64);
+            let verdict = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                payload.verify_checksums()
+            }))
+            .unwrap_or_else(|_panic| {
+                self.shared.worker_panicked(chunk, self.query.0);
+                Err(StoreError::Corrupted)
+            });
+            self.scope
+                .record_pin_wait(started.elapsed().as_nanos() as u64);
+            if let Err(cause) = verdict {
+                // The installed bytes are torn: reject the delivery
+                // *without* consuming — the chunk stays needed — evict the
+                // poisoned frame, and let the caller loop back so a fresh
+                // load fetches clean bytes.  This is the rare recovery
+                // path, so taking the scheduler lock here is fine.
+                self.shared.obs.inc(Counter::ChecksumFailures);
+                self.shared
+                    .obs
+                    .event(EventKind::ChecksumFailure, chunk.index(), self.query.0, 0);
+                {
+                    let mut sched = self.shared.lock_sched();
+                    self.shared.service(&mut sched);
+                    self.shared.pool.unpin(chunk);
+                    if sched.abm.reject_delivered(self.query, chunk) {
+                        self.shared.pool.evict(chunk);
                     }
+                    self.delivered.fetch_sub(1, Ordering::Relaxed);
+                    // Re-match so the query registers as blocked and
+                    // the re-load's commit wakes it.
+                    self.shared.try_grant(&mut sched, self.query);
                 }
-                Err(cause) => {
-                    // The installed bytes are torn (or the codec
-                    // panicked on them): reject the delivery *without*
-                    // consuming — the chunk stays needed — evict the
-                    // poisoned frame, and let the caller loop back so a
-                    // fresh load fetches clean bytes.  This is the rare
-                    // recovery path, so taking the scheduler lock here is
-                    // fine.
-                    self.shared.obs.inc(Counter::ChecksumFailures);
-                    self.shared.obs.event(
-                        EventKind::ChecksumFailure,
-                        chunk.index(),
-                        self.query.0,
-                        0,
-                    );
-                    {
-                        let mut sched = self.shared.lock_sched();
-                        self.shared.service(&mut sched);
-                        self.shared.pool.unpin(chunk);
-                        if sched.abm.reject_delivered(self.query, chunk) {
-                            self.shared.pool.evict(chunk);
-                        }
-                        self.delivered.fetch_sub(1, Ordering::Relaxed);
-                        // Re-match so the query registers as blocked and
-                        // the re-load's commit wakes it.
-                        self.shared.try_grant(&mut sched, self.query);
-                    }
-                    self.shared.park.ring_one();
-                    let failures = self.decode_failures.fetch_add(1, Ordering::Relaxed) + 1;
-                    if failures >= self.shared.retry.max_attempts.max(1) {
-                        return Err(self.fail(ScanError { chunk, cause }));
-                    }
-                    return Ok(None);
+                self.shared.park.ring_one();
+                let failures = self.pin_rejections.fetch_add(1, Ordering::Relaxed) + 1;
+                if failures >= self.shared.retry.max_attempts.max(1) {
+                    return Err(self.fail(ScanError { chunk, cause }));
                 }
+                return Ok(None);
             }
         }
-        self.decode_failures.store(0, Ordering::Relaxed);
+        self.pin_rejections.store(0, Ordering::Relaxed);
         self.scope
             .record_first_chunk(self.attached.elapsed().as_nanos() as u64);
         self.scope.add(QueryCounter::ChunksDelivered, 1);
@@ -1690,6 +1746,7 @@ impl CScanHandle {
             chunk,
             payload,
             Arc::clone(&self.shared),
+            Arc::clone(&self.scope),
         )))
     }
 
@@ -2770,7 +2827,7 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Compressed payloads: decode-on-first-pin lifecycle.
+    // Compressed payloads: verify at pin, decode at first touch.
     // ------------------------------------------------------------------
 
     use cscan_storage::{CompressingStore, Compression};
@@ -2782,9 +2839,9 @@ mod tests {
         }
     }
 
-    /// First pin decodes once; every later pin of the buffered chunk hits
-    /// the decoded state, and the delivered values are bit-identical to the
-    /// uncompressed store.
+    /// The first touch of a column decodes it once; every later pin of the
+    /// buffered chunk hits the decoded state, and the delivered values are
+    /// bit-identical to the uncompressed store.
     #[test]
     fn compressed_payloads_decode_on_first_pin_only() {
         const CHUNKS: u32 = 8;
@@ -2843,7 +2900,7 @@ mod tests {
     }
 
     /// Eviction drops the decoded state with the frame: a re-loaded chunk
-    /// arrives as fresh encoded bytes and its first pin decodes again.
+    /// arrives as fresh encoded bytes and its first reader decodes again.
     #[test]
     fn eviction_drops_decoded_state_and_reload_redecodes() {
         const CHUNKS: u32 = 8;
@@ -2881,6 +2938,225 @@ mod tests {
             server.decode_time() <= server.pin_wait(),
             "decode time is accounted inside pin-wait"
         );
+    }
+
+    /// Verify at pin, decode at first touch: a plan pays for the columns it
+    /// reads.  Six compressed columns, a consumer that reads two — exactly
+    /// two columns' worth of values is decoded, and the other four are
+    /// still encoded bytes in the buffer when the scan is over.
+    #[test]
+    fn only_the_columns_a_consumer_touches_are_decoded() {
+        const CHUNKS: u32 = 6;
+        const ROWS: u64 = 200;
+        const TOUCHED: [u16; 2] = [1, 4];
+        let model = TableModel::nsm_uniform(CHUNKS, ROWS, 16);
+        let inner = SeededStore::new(ROWS, 6, 31);
+        let store = CompressingStore::new(inner.clone(), vec![pfor21(); 6]);
+        let server = ScanServer::builder(model.clone())
+            .policy(PolicyKind::Relevance)
+            .buffer_chunks(CHUNKS as u64) // everything stays resident
+            .io_cost_per_page(Duration::ZERO)
+            .store(Arc::new(store))
+            .build();
+        let handle = server.cscan(CScanPlan::new(
+            "two-of-six",
+            ScanRanges::full(CHUNKS),
+            model.all_columns(),
+        ));
+        let decoded_columns = |payload: &ChunkPayload| -> Vec<u16> {
+            (0..6u16)
+                .filter(|&c| payload.part(ColumnId::new(c)).unwrap().is_decoded())
+                .collect()
+        };
+        while let Some(pin) = handle.next_chunk().unwrap() {
+            assert!(
+                decoded_columns(pin.payload()).is_empty(),
+                "a pin on its own decodes nothing"
+            );
+            for c in TOUCHED {
+                let col = ColumnId::new(c);
+                let values = pin.column(col).expect("column present");
+                for (row, &v) in values.iter().enumerate() {
+                    assert_eq!(v, inner.value(pin.chunk(), row as u64, col));
+                }
+            }
+            assert_eq!(decoded_columns(pin.payload()), TOUCHED);
+            pin.complete();
+        }
+        handle.finish();
+        assert_eq!(server.values_decoded(), CHUNKS as u64 * ROWS * 2);
+        for c in 0..CHUNKS {
+            let resident = server.shared.pool.payload(ChunkId::new(c)).unwrap();
+            assert_eq!(decoded_columns(&resident), TOUCHED, "chunk {c}");
+        }
+        assert_eq!(server.compressed_frames(), CHUNKS as usize);
+        assert!(
+            server.decode_time() <= server.pin_wait(),
+            "a first-touch decode is accounted as the query's pin-wait"
+        );
+        assert_eq!(server.unconsumed_drops(), 0);
+    }
+
+    /// Two scans hold a pin on the same buffered chunk and touch the same
+    /// columns at the same moment: each column is decoded once — the loser
+    /// of the race waits for the winner's vector — and both read it.
+    #[test]
+    fn racing_pins_decode_each_touched_column_once() {
+        const ROWS: u64 = 512;
+        let model = TableModel::nsm_uniform(1, ROWS, 16);
+        for round in 0..16 {
+            let store = CompressingStore::new(SeededStore::new(ROWS, 3, round), vec![pfor21(); 3]);
+            let server = ScanServer::builder(model.clone())
+                .policy(PolicyKind::Relevance)
+                .buffer_chunks(1)
+                .io_cost_per_page(Duration::ZERO)
+                .store(Arc::new(store))
+                .build();
+            let pinned = std::sync::Barrier::new(2);
+            let read = |label: &str| {
+                let handle = server.cscan(CScanPlan::new(
+                    label.to_string(),
+                    ScanRanges::full(1),
+                    model.all_columns(),
+                ));
+                let pin = handle.next_chunk().unwrap().expect("the one chunk");
+                // Both scans hold their pin before either touches a column.
+                pinned.wait();
+                let values: Vec<Arc<Vec<i64>>> = [0u16, 2]
+                    .iter()
+                    .map(|&c| pin.shared_column(ColumnId::new(c)).expect("column present"))
+                    .collect();
+                pin.complete();
+                values
+            };
+            let (a, b) = std::thread::scope(|s| {
+                let a = s.spawn(|| read("a"));
+                let b = s.spawn(|| read("b"));
+                (a.join().unwrap(), b.join().unwrap())
+            });
+            for (a, b) in a.iter().zip(&b) {
+                assert!(Arc::ptr_eq(a, b), "both scans read the one decoded vector");
+            }
+            assert_eq!(server.values_decoded(), ROWS * 2, "round {round}");
+            assert_eq!(server.unconsumed_drops(), 0);
+        }
+    }
+
+    /// A store whose chunk `bad_chunk` carries, in column `bad_column`, a
+    /// body cut short by a buggy writer: the checksum was computed over the
+    /// bytes as written, so it verifies; the codec cannot decode it.
+    struct MalformedColumn {
+        inner: CompressingStore<SeededStore>,
+        bad_chunk: u32,
+        bad_column: usize,
+    }
+
+    impl ChunkStore for MalformedColumn {
+        fn materialize(
+            &self,
+            chunk: ChunkId,
+            cols: Option<&[ColumnId]>,
+        ) -> Result<ChunkPayload, StoreError> {
+            use cscan_storage::{LazyColumn, NsmChunkData};
+            let payload = self.inner.materialize(chunk, cols)?;
+            let ChunkPayload::Nsm(data) = &payload else {
+                return Ok(payload);
+            };
+            if chunk.index() != self.bad_chunk {
+                return Ok(payload);
+            }
+            let mut parts = data.parts().to_vec();
+            let ColumnChunk::Compressed(lazy) = &parts[self.bad_column] else {
+                panic!("the inner store compresses every column");
+            };
+            let cut = lazy.encoded().truncated();
+            assert!(cut.verify_checksum());
+            parts[self.bad_column] = ColumnChunk::Compressed(Arc::new(LazyColumn::new(cut)));
+            Ok(ChunkPayload::Nsm(Arc::new(NsmChunkData::from_parts(parts))))
+        }
+    }
+
+    /// A checksum-valid column the codec cannot decode: the panic is
+    /// contained where the column is touched, the scan that touched it ends
+    /// with `Corrupted` (re-reading the same bytes could only panic again,
+    /// so nothing is retried), and a concurrent scan of the same chunks
+    /// that reads other columns never notices.
+    #[test]
+    fn malformed_column_fails_the_scan_that_touches_it_and_no_other() {
+        const CHUNKS: u32 = 8;
+        const ROWS: u64 = 300;
+        const BAD_CHUNK: u32 = 5;
+        let model = TableModel::nsm_uniform(CHUNKS, ROWS, 16);
+        let inner = SeededStore::new(ROWS, 3, 41);
+        let server = ScanServer::builder(model.clone())
+            .policy(PolicyKind::Relevance)
+            .buffer_chunks(3)
+            .io_cost_per_page(Duration::ZERO)
+            .store(Arc::new(MalformedColumn {
+                inner: CompressingStore::new(inner.clone(), vec![pfor21(); 3]),
+                bad_chunk: BAD_CHUNK,
+                bad_column: 2,
+            }))
+            .build();
+        let scan = |label: &str, column: u16| {
+            let col = ColumnId::new(column);
+            let handle = server.cscan(CScanPlan::new(
+                label.to_string(),
+                ScanRanges::full(CHUNKS),
+                model.all_columns(),
+            ));
+            let mut seen = 0u32;
+            loop {
+                match handle.next_chunk() {
+                    Ok(Some(pin)) => {
+                        match pin.try_column(col) {
+                            Ok(values) => {
+                                let values = values.expect("column present");
+                                assert_eq!(values[7], inner.value(pin.chunk(), 7, col));
+                                seen += 1;
+                            }
+                            Err(error) => {
+                                assert_eq!(pin.chunk().index(), BAD_CHUNK);
+                                assert_eq!(error.cause, StoreError::Corrupted);
+                                assert!(pin.column(col).is_none());
+                            }
+                        }
+                        pin.complete();
+                    }
+                    Ok(None) => return (seen, None),
+                    Err(error) => {
+                        assert_eq!(handle.next_chunk().unwrap_err(), error, "sticky");
+                        return (seen, Some(error));
+                    }
+                }
+            }
+        };
+        let (doomed, healthy) = std::thread::scope(|s| {
+            let doomed = s.spawn(|| scan("doomed", 2));
+            let healthy = s.spawn(|| scan("healthy", 0));
+            (doomed.join().unwrap(), healthy.join().unwrap())
+        });
+        assert_eq!(healthy, (CHUNKS, None), "the other scan completes");
+        let (seen, error) = doomed;
+        assert!(seen < CHUNKS);
+        assert_eq!(
+            error,
+            Some(ScanError {
+                chunk: ChunkId::new(BAD_CHUNK),
+                cause: StoreError::Corrupted,
+            })
+        );
+        assert!(server.worker_panics() >= 1);
+        assert_eq!(server.queries_erred(), 1);
+        assert_eq!(server.chunks_quarantined(), 0, "the chunk stays readable");
+        assert_eq!(server.checksum_failures(), 0, "the bytes were never torn");
+        let dump = server
+            .metrics()
+            .last_flight_dump()
+            .expect("a contained panic dumps the flight recorder");
+        assert!(dump.contains("worker_panic"), "dump: {dump}");
+        assert_eq!(server.pinned_frames(), 0);
+        assert_eq!(server.unconsumed_drops(), 0);
     }
 
     // ------------------------------------------------------------------
@@ -3060,9 +3336,9 @@ mod tests {
     }
 
     /// Satellite: the full torn-frame lifecycle — a resident chunk's
-    /// payload fails checksum at decode-on-first-pin, the delivery is
+    /// payload fails its checksum when it is pinned, the delivery is
     /// rejected without consuming, the poisoned frame is evicted, and the
-    /// re-load re-installs and re-decodes clean bytes.
+    /// re-load re-installs clean bytes, which then decode.
     #[test]
     fn torn_frame_is_rejected_re_loaded_and_re_decoded() {
         use cscan_storage::{ColumnChunk, LazyColumn, NsmChunkData};
@@ -3083,7 +3359,7 @@ mod tests {
         ));
         // Wait for the worker to install the (encoded) payload, then tear it
         // in place — flipped byte, recorded checksum kept — before the first
-        // pin ever decodes it.
+        // pin ever verifies it.
         let chunk = cscan_storage::ChunkId::new(0);
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
@@ -3112,8 +3388,8 @@ mod tests {
             assert!(Instant::now() < deadline, "the load never installed");
             std::thread::sleep(Duration::from_millis(1));
         }
-        // The pin decodes, fails verification, rejects the delivery, and the
-        // retry delivers the re-loaded clean payload — all inside one call.
+        // The pin fails verification, rejects the delivery, and the retry
+        // delivers the re-loaded clean payload — all inside one call.
         let pin = handle
             .next_chunk()
             .expect("the torn frame must be recovered, not fatal")

@@ -93,21 +93,24 @@ impl<S: ScanSession> Operator for SessionSource<S> {
             return Ok(None);
         };
         self.delivered.push(pinned.chunk());
-        let columns = self
+        // A column decodes here, at its first touch; one that cannot be
+        // decoded ends the scan.  Either way the pin was consumed.
+        let columns: Result<Vec<_>, ScanError> = self
             .columns
             .iter()
             .map(|&c| {
-                pinned.shared_column(c).unwrap_or_else(|| {
+                Ok(pinned.try_shared_column(c)?.unwrap_or_else(|| {
                     panic!(
                         "delivered {:?} carries no data for column {c:?} — \
                          was the server built with a store covering the scan's columns?",
                         pinned.chunk()
                     )
-                })
+                }))
             })
             .collect();
-        let out = DataChunk::from_shared(pinned.chunk(), columns);
+        let chunk = pinned.chunk();
         pinned.complete();
+        let out = DataChunk::from_shared(chunk, columns?);
         self.obs.inc(Counter::ExecBatches);
         self.obs.add(Counter::ExecRows, out.len() as u64);
         Ok(Some(out))
@@ -212,6 +215,53 @@ mod tests {
         let delivered: Vec<u32> =
             std::iter::from_fn(|| src.next().unwrap().map(|c| c.chunk.index())).collect();
         assert_eq!(delivered, vec![2, 0, 3]);
+    }
+
+    /// A column whose checksum-valid bytes the codec cannot decode ends the
+    /// pipeline with the scan's error — not with a panic in the leaf — and
+    /// the pin that delivered it still counts as consumed.
+    #[test]
+    fn undecodable_column_is_a_scan_error_not_a_panic() {
+        use cscan_core::policy::PolicyKind;
+        use cscan_core::threaded::ScanServer;
+        use cscan_core::{CScanPlan, ColSet, TableModel};
+        use cscan_storage::codec::EncodedColumn;
+        use cscan_storage::{
+            ChunkPayload, ChunkStore, ColumnChunk, Compression, LazyColumn, NsmChunkData,
+            ScanRanges, StoreError,
+        };
+
+        /// One chunk, one column, its body cut short under a checksum that
+        /// matches the cut.
+        struct CutShort;
+        impl ChunkStore for CutShort {
+            fn materialize(
+                &self,
+                _chunk: ChunkId,
+                _cols: Option<&[ColumnId]>,
+            ) -> Result<ChunkPayload, StoreError> {
+                let column = EncodedColumn::encode(&[7; 10], Compression::Dictionary { bits: 1 })
+                    .truncated();
+                Ok(ChunkPayload::Nsm(Arc::new(NsmChunkData::from_parts(vec![
+                    ColumnChunk::Compressed(Arc::new(LazyColumn::new(column))),
+                ]))))
+            }
+        }
+        let server = ScanServer::builder(TableModel::nsm_uniform(1, 10, 16))
+            .policy(PolicyKind::Relevance)
+            .buffer_chunks(1)
+            .io_cost_per_page(std::time::Duration::ZERO)
+            .store(Arc::new(CutShort))
+            .build();
+        let handle = server.cscan(CScanPlan::new("bad", ScanRanges::full(1), ColSet::empty()));
+        let mut source = SessionSource::new(handle, vec![ColumnId::new(0)]);
+        let error = source.next().expect_err("the column cannot be decoded");
+        assert_eq!(error.chunk, ChunkId::new(0));
+        assert_eq!(error.cause, StoreError::Corrupted);
+        assert_eq!(source.next().expect_err("sticky"), error);
+        assert_eq!(server.worker_panics(), 1);
+        assert_eq!(server.pinned_frames(), 0);
+        assert_eq!(server.unconsumed_drops(), 0);
     }
 
     #[test]

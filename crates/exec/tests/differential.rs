@@ -37,8 +37,8 @@ fn live_server(table: &MemTable, policy: PolicyKind, layout: Layout) -> ScanServ
 }
 
 /// The compressed variant: chunks travel as PFOR/PFOR-DELTA/PDICT bytes
-/// (per-column schemes matched to the lineitem demo data) and decode on
-/// first pin — the results must stay bit-identical to the plain baseline.
+/// (per-column schemes matched to the lineitem demo data) and decode at
+/// first touch — the results must stay bit-identical to the plain baseline.
 fn live_server_compressed(table: &MemTable, policy: PolicyKind, layout: Layout) -> ScanServer {
     live_server_with(table, policy, layout, true)
 }
@@ -248,7 +248,7 @@ fn merge_join_pipeline_matches_baseline() {
 
 /// The tentpole acceptance criterion: every pipeline result stays
 /// bit-identical when chunk payloads travel *compressed* (PFOR /
-/// PFOR-DELTA / PDICT mini-columns, decoded on first pin) — across all
+/// PFOR-DELTA / PDICT mini-columns, decoded at first touch) — across all
 /// four policies and both layouts.
 #[test]
 fn compressed_payload_pipelines_are_bit_identical() {

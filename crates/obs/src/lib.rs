@@ -8,7 +8,7 @@
 //!   consume path (one relaxed `fetch_add` per sample, no heap traffic);
 //! * **span timers** ([`SpanTimer`], [`SpanKind`]) for the engine's
 //!   phases — plan/commit under the hub lock, payload materialize,
-//!   decode-on-first-pin, pin-wait, retry backoff;
+//!   decode at first touch, pin-wait, retry backoff;
 //! * per-query **label dimensions** ([`QueryScope`]) so fairness and
 //!   tail-latency metrics (time-to-first-chunk, per-query pin-wait) exist
 //!   per scan, with a per-table roll-up derived at snapshot time;

@@ -53,9 +53,9 @@ pub enum Counter {
     ChunksQuarantined,
     /// Queries closed with a scan error.
     QueriesErred,
-    /// Column values decompressed by first-pin decodes.
+    /// Column values decompressed by first-touch decodes.
     ValuesDecoded,
-    /// Nanoseconds spent in first-pin payload decodes.
+    /// Nanoseconds spent in first-touch column decodes.
     DecodeNanos,
     /// Pins dropped without an explicit `complete()`.
     UnconsumedDrops,
@@ -279,7 +279,7 @@ pub enum SpanKind {
     Commit,
     /// Materializing a chunk payload (the "disk read").
     Materialize,
-    /// Decode-on-first-pin payload decompression.
+    /// Decompressing one column at its first touch.
     Decode,
     /// A consumer blocked in `next_chunk` (one wait episode).
     PinWait,

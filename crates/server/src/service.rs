@@ -12,6 +12,7 @@
 //! pinned frames.
 
 use crate::admission::Permit;
+use cscan_core::session::ScanError;
 use cscan_core::threaded::CScanHandle;
 use cscan_core::{CScanPlan, ColSet};
 use cscan_obs::{Counter, Registry};
@@ -125,12 +126,26 @@ impl ServerScan {
                 self.credits -= 1;
                 let rows = pin.rows() as u32;
                 let chunk = pin.chunk().index();
-                // Borrow the pinned columns just long enough to encode.
-                let cols: Vec<(u16, &[i64])> = self
+                // Borrow the pinned columns just long enough to encode
+                // (a compressed column decodes here, at its first touch).
+                let cols: Result<Vec<(u16, &[i64])>, ScanError> = self
                     .columns
                     .iter()
-                    .filter_map(|&(raw, col)| pin.column(col).map(|v| (raw, v)))
+                    .filter_map(|&(raw, col)| {
+                        Some(pin.try_column(col).transpose()?.map(|v| (raw, v)))
+                    })
                     .collect();
+                let cols = match cols {
+                    Ok(cols) => cols,
+                    Err(error) => {
+                        // A column that cannot be decoded ends the scan:
+                        // no batch narrower than the plan goes out.
+                        pin.complete();
+                        self.done = true;
+                        encode_frame(out, &Message::scan_error(self.id, error));
+                        return Pump::Closed;
+                    }
+                };
                 let bytes = encode_batch_frame(out, self.id, chunk, rows, &cols);
                 pin.complete();
                 obs.inc(Counter::BatchesServed);
@@ -224,5 +239,70 @@ mod tests {
         assert_eq!(batches, 4);
         drop(scan);
         assert_eq!(cat.pinned_frames(), 0, "encode-only pin lifetime");
+    }
+    /// A column the codec cannot decode closes the served scan with the
+    /// scan's error frame; no batch narrower than the plan is sent.
+    #[test]
+    fn undecodable_column_closes_the_scan_with_an_error_frame() {
+        use cscan_core::TableModel;
+        use cscan_storage::codec::EncodedColumn;
+        use cscan_storage::{
+            ChunkId, ChunkPayload, ChunkStore, ColumnChunk, Compression, LazyColumn, NsmChunkData,
+            StoreError,
+        };
+        use std::sync::Arc;
+
+        /// Column 0 plain, column 1 cut short under a checksum that
+        /// matches the cut.
+        struct CutShort;
+        impl ChunkStore for CutShort {
+            fn materialize(
+                &self,
+                _chunk: ChunkId,
+                _cols: Option<&[ColumnId]>,
+            ) -> Result<ChunkPayload, StoreError> {
+                let bad = EncodedColumn::encode(&[7; 10], Compression::Dictionary { bits: 1 })
+                    .truncated();
+                Ok(ChunkPayload::Nsm(Arc::new(NsmChunkData::from_parts(vec![
+                    ColumnChunk::Plain(Arc::new(vec![1; 10])),
+                    ColumnChunk::Compressed(Arc::new(LazyColumn::new(bad))),
+                ]))))
+            }
+        }
+        let mut cat = Catalog::new();
+        cat.add_store(
+            "t",
+            Arc::new(CutShort),
+            TableModel::nsm_uniform(1, 10, 16),
+            ColSet::first_n(2),
+            TableConfig::default(),
+        );
+        let obs = cat.observability();
+        let entry = cat.get("t").unwrap();
+        let plan = CScanPlan::full_table("t", ColSet::first_n(2));
+        let (permit, handle) = entry.open_scan(&plan).expect("admitted");
+        let mut scan = ServerScan::new(9, handle, permit, entry.served_columns(), &plan);
+        scan.add_credits(4);
+        let mut out = Vec::new();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            match scan.pump(&mut out, &obs) {
+                Pump::Closed => break,
+                Pump::Idle => assert!(Instant::now() < deadline, "executor stalled"),
+                Pump::Delivered => panic!("a batch went out without its second column"),
+            }
+        }
+        let mut dec = Decoder::new();
+        dec.feed(&out);
+        match dec.next_message().expect("well-formed").expect("complete") {
+            Message::Error { scan_id, code, .. } => {
+                assert_eq!(scan_id, 9);
+                assert_eq!(code, ScanError::WIRE_CODE);
+            }
+            other => panic!("unexpected frame {other:?}"),
+        }
+        drop(scan);
+        assert_eq!(cat.pinned_frames(), 0);
+        assert_eq!(cat.unconsumed_drops(), 0);
     }
 }

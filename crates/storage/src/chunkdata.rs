@@ -21,15 +21,20 @@
 //!
 //! A mini-column is either *plain* (a shared `Vec<i64>`) or *compressed*
 //! (PDICT / PFOR / PFOR-DELTA bytes produced by [`crate::codec`], see
-//! [`LazyColumn`]).  A compressed column decodes **lazily, exactly once**:
-//! the first reader pays the decompression CPU cost and every later reader
-//! — including later pins of the same buffered chunk, which share the
-//! column `Arc` — hits the decoded form.  Eviction drops the whole column
-//! (both states); a re-load re-installs fresh compressed bytes and the
-//! next pin re-decodes.  This is the two-state frame lifecycle the paper's
-//! Figure 9 experiments rely on: I/O moves *encoded* bytes, the CPU pays
-//! for decoding on first use, and [`ChunkPayload::physical_bytes`] vs
-//! [`ChunkPayload::logical_bytes`] exposes the traded volumes.
+//! [`LazyColumn`]).  A compressed column decodes **lazily, exactly once,
+//! and on its own**: the first reader of *that column* pays its
+//! decompression CPU cost, every later reader — including later pins of
+//! the same buffered chunk, which share the column `Arc` — hits the decoded
+//! form, and a column nobody reads stays encoded bytes.  Integrity is
+//! checked separately and earlier ([`ChunkPayload::verify_checksums`], at
+//! install and at every pin of a payload that still holds encoded
+//! columns), so decoding never runs over bytes that failed their checksum.
+//! Eviction drops the whole column (both states); a re-load re-installs
+//! fresh compressed bytes and the next reader re-decodes.  This is the
+//! two-state frame lifecycle the paper's Figure 9 experiments rely on: I/O
+//! moves *encoded* bytes, the CPU pays for decoding what is used, and
+//! [`ChunkPayload::physical_bytes`] vs [`ChunkPayload::logical_bytes`]
+//! exposes the traded volumes.
 //!
 //! Both shapes live behind the [`ChunkPayload`] enum.  Payload column
 //! vectors are individually reference-counted, so cloning a payload
@@ -438,8 +443,9 @@ impl DsmChunkData {
 /// Cloning a payload is a refcount bump — the inner data is shared, never
 /// copied — so a pinned chunk can carry its payload out of the buffer
 /// manager's lock without per-chunk allocation.  Compressed mini-columns
-/// share their decode cache across clones: the first pin decodes, later
-/// pins of the same buffered chunk read the cached vectors.
+/// share their decode cache across clones: the first reader of a column
+/// decodes it, later pins of the same buffered chunk read the cached
+/// vector.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum ChunkPayload {
     /// No data travels with the chunk (metadata-only delivery: the
@@ -467,14 +473,20 @@ impl ChunkPayload {
         }
     }
 
+    /// One mini-column, if present in the payload, in whatever state it is
+    /// in (no decode).
+    pub fn part(&self, col: ColumnId) -> Option<&ColumnChunk> {
+        match self {
+            ChunkPayload::Missing => None,
+            ChunkPayload::Nsm(d) => d.part(col),
+            ChunkPayload::Dsm(d) => d.part(col),
+        }
+    }
+
     /// Zero-copy view of one column's values, if present in the payload
     /// (decoding the column first if it is compressed and not yet decoded).
     pub fn column(&self, col: ColumnId) -> Option<&[i64]> {
-        match self {
-            ChunkPayload::Missing => None,
-            ChunkPayload::Nsm(d) => d.column(col),
-            ChunkPayload::Dsm(d) => d.column(col),
-        }
+        self.part(col).map(ColumnChunk::as_slice)
     }
 
     /// One column's values as a shared vector, if present in the payload:
@@ -482,12 +494,7 @@ impl ChunkPayload {
     /// of borrowed, so it outlives the pin (the holder keeps heap bytes,
     /// never a buffer frame).
     pub fn shared_column(&self, col: ColumnId) -> Option<ColumnData> {
-        match self {
-            ChunkPayload::Missing => None,
-            ChunkPayload::Nsm(d) => d.part(col),
-            ChunkPayload::Dsm(d) => d.part(col),
-        }
-        .map(ColumnChunk::shared)
+        self.part(col).map(ColumnChunk::shared)
     }
 
     /// Ensures every column of the payload is decoded; returns the number
@@ -501,10 +508,12 @@ impl ChunkPayload {
         }
     }
 
-    /// Verifies every compressed column's integrity checksum without
-    /// decoding anything.  This is the *install-time* verification point:
-    /// the I/O worker calls it before committing a load, so torn reads are
-    /// retried as transient faults instead of reaching a consumer.
+    /// Verifies every still-encoded column's integrity checksum without
+    /// decoding anything.  The executor calls it twice: on the I/O worker
+    /// before committing a load (torn reads are retried as transient
+    /// faults instead of entering the buffer), and on the consumer's thread
+    /// at every pin of a payload that is not yet fully decoded (a frame
+    /// damaged while resident is rejected and re-loaded).
     pub fn verify_checksums(&self) -> Result<(), StoreError> {
         match self {
             ChunkPayload::Missing => Ok(()),
@@ -513,10 +522,12 @@ impl ChunkPayload {
         }
     }
 
-    /// Checksum-verified [`ChunkPayload::decode_all`]: the *decode-time*
-    /// verification point (first pin).  A mismatch surfaces as
+    /// Checksum-verified [`ChunkPayload::decode_all`]: every column, each
+    /// verified before it is decoded.  A mismatch surfaces as
     /// [`StoreError::Corrupted`] — a retryable fault, never a decoder
-    /// panic.
+    /// panic.  (The executor decodes column by column instead, as
+    /// consumers touch them; this is for callers that want the whole
+    /// payload, such as a decode-bandwidth probe.)
     pub fn try_decode_all(&self) -> Result<usize, StoreError> {
         match self {
             ChunkPayload::Missing => Ok(0),
@@ -635,8 +646,8 @@ pub trait ChunkStore: Send + Sync {
 /// A [`ChunkStore`] adapter that stores its inner store's chunks
 /// *compressed*: each materialized mini-column is encoded under the
 /// per-column [`Compression`] scheme, so what travels to the buffer pool is
-/// the encoded bytes and the decompression CPU cost lands on the first pin
-/// (the Figure 9 trade-off, for real).
+/// the encoded bytes and the decompression CPU cost lands on whoever first
+/// reads a column (the Figure 9 trade-off, for real).
 ///
 /// Columns beyond the scheme list — and columns mapped to
 /// [`Compression::None`] — stay plain.

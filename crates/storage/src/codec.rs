@@ -22,9 +22,19 @@
 //! Every codec round-trips exactly: `decode(encode(v)) == v` for arbitrary
 //! `i64` input, including all-exception blocks (proptested).  Decoding is
 //! the CPU cost the paper's Figure 9 trades against I/O volume; the
-//! executor performs it lazily on first pin, **never under the hub lock**
-//! — which [`forbid_decode`] / [`assert_decode_allowed`] lets the threaded
+//! executor verifies a payload's checksums when it pins it and decodes a
+//! column when a consumer first touches it, **never under the hub lock** —
+//! which [`forbid_decode`] / [`assert_decode_allowed`] lets the threaded
 //! executor assert at runtime in debug builds.
+//!
+//! Packed offsets and codes are unpacked a word at a time (`unpack`): one
+//! unaligned little-endian load, a shift and a mask per value, written
+//! straight into the output vector.  Decoding trusts nothing it reads —
+//! every length, width and position taken from the body is checked before
+//! it sizes an allocation or indexes a slice, so a checksum-valid body from
+//! a buggy writer panics (and is contained by the executor as
+//! [`crate::StoreError::Corrupted`]) instead of aborting or reading out of
+//! bounds.
 
 use crate::compression::Compression;
 use std::cell::Cell;
@@ -116,52 +126,74 @@ impl<'a> BitWriter<'a> {
     }
 }
 
-/// Reads `bits`-wide values from a byte slice, little-endian bit order.
-struct BitReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    acc: u128,
-    nbits: u32,
+/// A packed width read from an encoded body: `1..=64`, or the body is
+/// corrupt (a shift by it would overflow, and 0 bits carry no values).
+fn checked_width(byte: u8) -> usize {
+    assert!(
+        (1..=64).contains(&byte),
+        "corrupt encoded column: packed width {byte}"
+    );
+    byte as usize
 }
 
-impl<'a> BitReader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Self {
-            bytes,
-            pos: 0,
-            acc: 0,
-            nbits: 0,
-        }
+/// Appends to `out` the first `count` values of `bits` width packed in
+/// `bytes` (little-endian bit order, the inverse of [`BitWriter`]), each
+/// passed through `map`.  `bytes` starts at the first value and may run on
+/// past the last one: a value is one unaligned word load, a shift and a
+/// mask, and the loads of a block's last values simply read into whatever
+/// follows it.  Only values closer than a word to the end of `bytes` go
+/// through a zero-padded copy.
+///
+/// # Panics
+/// Panics if `bytes` is shorter than `count` packed values.
+fn unpack(bytes: &[u8], bits: usize, count: usize, out: &mut Vec<i64>, map: impl Fn(u64) -> i64) {
+    assert!(
+        bytes.len() >= packed_len(count, bits),
+        "corrupt encoded column: packed values run past the body"
+    );
+    // A value starts at bit 0..=7 of its first byte, so up to 56 bits fit
+    // one 8-byte load; wider values take a 16-byte one.
+    if bits <= 56 {
+        unpack_words::<8>(bytes, bits, count, out, map);
+    } else {
+        unpack_words::<16>(bytes, bits, count, out, map);
     }
+}
 
-    fn pull(&mut self, bits: u32) -> u64 {
-        debug_assert!((1..=64).contains(&bits));
-        while self.nbits < bits {
-            let byte = self.bytes[self.pos];
-            self.pos += 1;
-            self.acc |= (byte as u128) << self.nbits;
-            self.nbits += 8;
-        }
-        let mask = if bits == 64 {
-            u64::MAX
-        } else {
-            (1u64 << bits) - 1
-        };
-        let v = (self.acc as u64) & mask;
-        self.acc >>= bits;
-        self.nbits -= bits;
-        v
-    }
-
-    /// Bytes consumed so far (the partial accumulator byte counts as read).
-    fn consumed(&self) -> usize {
-        self.pos
+/// [`unpack`] with `W`-byte loads (`8·W ≥ bits + 7`).
+fn unpack_words<const W: usize>(
+    bytes: &[u8],
+    bits: usize,
+    count: usize,
+    out: &mut Vec<i64>,
+    map: impl Fn(u64) -> i64,
+) {
+    let mask = u64::MAX >> (64 - bits);
+    let value = |bytes: &[u8], bit: usize| -> u64 {
+        let at = bit >> 3;
+        let mut word = [0u8; 16];
+        word[..W].copy_from_slice(&bytes[at..at + W]);
+        (u128::from_le_bytes(word) >> (bit & 7)) as u64 & mask
+    };
+    // Values whose whole load lies inside `bytes`: value `i` loads from
+    // byte `i·bits / 8`, which must not exceed `len − W`.
+    let whole = match bytes.len().checked_sub(W) {
+        Some(last) => ((last * 8 + 7) / bits + 1).min(count),
+        None => 0,
+    };
+    out.extend((0..whole).map(|i| map(value(bytes, i * bits))));
+    if whole < count {
+        // Fewer than `W` bytes are left from the first such value on.
+        let from = (whole * bits) >> 3;
+        let mut tail = [0u8; 32];
+        tail[..bytes.len() - from].copy_from_slice(&bytes[from..]);
+        out.extend((whole..count).map(|i| map(value(&tail, i * bits - from * 8))));
     }
 }
 
 /// Bytes needed to pack `count` values of `bits` width.
-fn packed_len(count: usize, bits: u32) -> usize {
-    (count * bits as usize).div_ceil(8)
+fn packed_len(count: usize, bits: usize) -> usize {
+    (count * bits).div_ceil(8)
 }
 
 // ---------------------------------------------------------------------
@@ -199,6 +231,12 @@ fn mix(h: u64, w: u64) -> u64 {
 #[inline(always)]
 fn le_word(w: &[u8]) -> u64 {
     u64::from_le_bytes(w.try_into().expect("exact 8-byte chunk"))
+}
+
+/// The little-endian value in an exact 8-byte slice.
+#[inline(always)]
+fn le_i64(w: &[u8]) -> i64 {
+    le_word(w) as i64
 }
 
 /// Absorbs `bytes` (fewer than [`CHECKSUM_BLOCK`]) into `h`, one
@@ -244,7 +282,7 @@ fn mix_tail(mut h: u64, bytes: &[u8]) -> u64 {
 /// accidents, not adversaries.
 ///
 /// Chosen over a table-driven CRC32 because the load path verifies every
-/// byte it reads and the consume path every encoded column on first pin,
+/// byte it reads and the consume path every still-encoded column at pin,
 /// and a word-at-a-time mix runs an order of magnitude faster than a
 /// byte-wise table walk (the 5% overhead budget of the fault-free path is
 /// real).
@@ -305,9 +343,14 @@ impl<'a> Cursor<'a> {
     }
 
     fn take(&mut self, n: usize) -> &'a [u8] {
-        let s = &self.bytes[self.pos..self.pos + n];
+        let s = &self.rest()[..n];
         self.pos += n;
         s
+    }
+
+    /// Everything not yet consumed.
+    fn rest(&self) -> &'a [u8] {
+        &self.bytes[self.pos..]
     }
 }
 
@@ -363,8 +406,9 @@ pub struct EncodedColumn {
     rows: usize,
     bytes: Vec<u8>,
     /// [`checksum64`] of `bytes` as computed at encode time.  Verified at
-    /// payload install and again at decode-on-first-pin, so a corrupted
-    /// read surfaces as a retryable fault instead of a decoder panic.
+    /// payload install and again at pin, before anything is decoded, so a
+    /// corrupted read surfaces as a retryable fault instead of a decoder
+    /// panic.
     checksum: u64,
 }
 
@@ -472,6 +516,19 @@ impl EncodedColumn {
         }
     }
 
+    /// A copy of this column cut to half its bytes under a checksum
+    /// *recomputed over the cut* — what a buggy writer leaves behind, and
+    /// the fault the checksum cannot see: it verifies, and decoding it
+    /// panics (the body ends before its rows do).
+    pub fn truncated(&self) -> EncodedColumn {
+        let bytes = self.bytes[..self.bytes.len() / 2].to_vec();
+        EncodedColumn {
+            rows: self.rows,
+            checksum: checksum64(&bytes),
+            bytes,
+        }
+    }
+
     /// Encoded size in bytes (the column's physical I/O volume).
     pub fn encoded_bytes(&self) -> usize {
         self.bytes.len()
@@ -506,23 +563,11 @@ impl EncodedColumn {
         let codec = WireCodec::from_tag(self.bytes[0]);
         let body = &self.bytes[1..];
         match codec {
-            WireCodec::Raw => {
-                let mut c = Cursor::new(body);
-                for _ in 0..self.rows {
-                    out.push(c.i64());
-                }
-            }
+            // One bulk little-endian copy.
+            WireCodec::Raw => out.extend(body[..self.rows * 8].chunks_exact(8).map(le_i64)),
             WireCodec::Dict => decode_dict(body, self.rows, out),
-            WireCodec::Pfor => decode_for_blocks(body, self.rows, out),
-            WireCodec::PforDelta => {
-                decode_for_blocks(body, self.rows, out);
-                // Invert the wrapping first-difference in place.
-                let mut acc = 0i64;
-                for v in out.iter_mut() {
-                    acc = acc.wrapping_add(*v);
-                    *v = acc;
-                }
-            }
+            WireCodec::Pfor => decode_for_blocks(body, self.rows, false, out),
+            WireCodec::PforDelta => decode_for_blocks(body, self.rows, true, out),
         }
     }
 }
@@ -583,29 +628,42 @@ fn encode_for_blocks(values: &[i64], bits: u32, out: &mut Vec<u8>) {
     }
 }
 
-fn decode_for_blocks(body: &[u8], rows: usize, out: &mut Vec<i64>) {
-    let bits = body[0] as u32;
+/// Decodes [`encode_for_blocks`]' output, appending `rows` values to `out`.
+/// Each block is unpacked, then patched from its exception list; under
+/// `delta` it is then prefix-summed in place (carrying the running value
+/// across blocks) while it is still in cache.
+fn decode_for_blocks(body: &[u8], rows: usize, delta: bool, out: &mut Vec<i64>) {
+    let bits = checked_width(body[0]);
     let mut c = Cursor::new(&body[1..]);
-    let mut decoded = 0usize;
-    while decoded < rows {
+    let end = out.len() + rows;
+    let mut acc = 0i64;
+    while out.len() < end {
         let len = c.u16() as usize;
+        assert!(
+            len <= end - out.len(),
+            "corrupt encoded column: blocks hold more than {rows} rows"
+        );
         let base = c.i64();
         let n_exc = c.u16() as usize;
-        let packed = c.take(packed_len(len, bits));
-        let mut r = BitReader::new(packed);
         let start = out.len();
-        for _ in 0..len {
-            out.push(base.wrapping_add(r.pull(bits) as i64));
-        }
-        debug_assert_eq!(r.consumed(), packed.len());
+        // The unpack may load past the block's packed values, into the
+        // exception list and the next block, but never past the body.
+        unpack(c.rest(), bits, len, out, |off| {
+            base.wrapping_add(off as i64)
+        });
+        c.take(packed_len(len, bits));
+        let block = &mut out[start..];
         for _ in 0..n_exc {
             let pos = c.u16() as usize;
-            let v = c.i64();
-            out[start + pos] = v;
+            block[pos] = c.i64();
         }
-        decoded += len;
+        if delta {
+            for v in block {
+                acc = acc.wrapping_add(*v);
+                *v = acc;
+            }
+        }
     }
-    debug_assert_eq!(decoded, rows, "corrupt encoded column: row count");
 }
 
 // ---------------------------------------------------------------------
@@ -641,22 +699,108 @@ fn encode_dict(values: &[i64], out: &mut Vec<u8>) {
 fn decode_dict(body: &[u8], rows: usize, out: &mut Vec<i64>) {
     let mut c = Cursor::new(body);
     let dict_len = c.u32() as usize;
-    let mut dict = Vec::with_capacity(dict_len);
-    for _ in 0..dict_len {
-        dict.push(c.i64());
-    }
-    let width = c.take(1)[0] as u32;
-    let packed = c.take(packed_len(rows, width));
-    let mut r = BitReader::new(packed);
-    for _ in 0..rows {
-        out.push(dict[r.pull(width) as usize]);
-    }
+    // Bound the length by the bytes that are there *before* allocating
+    // for it: a failed 32 GiB allocation aborts, which nothing contains.
+    assert!(
+        dict_len <= c.rest().len() / 8,
+        "corrupt encoded column: a {dict_len}-entry dictionary does not fit the body"
+    );
+    let dict: Vec<i64> = c.take(dict_len * 8).chunks_exact(8).map(le_i64).collect();
+    let width = checked_width(c.take(1)[0]);
+    unpack(c.rest(), width, rows, out, |code| dict[code as usize]);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The byte-at-a-time reader the codecs shipped with: it refills a
+    /// `u128` one byte at a time and hands out one value per call.  Kept as
+    /// the oracle [`unpack`] is proptested against.
+    struct BitReader<'a> {
+        bytes: &'a [u8],
+        pos: usize,
+        acc: u128,
+        nbits: u32,
+    }
+
+    impl<'a> BitReader<'a> {
+        fn new(bytes: &'a [u8]) -> Self {
+            Self {
+                bytes,
+                pos: 0,
+                acc: 0,
+                nbits: 0,
+            }
+        }
+
+        fn pull(&mut self, bits: u32) -> u64 {
+            assert!((1..=64).contains(&bits));
+            while self.nbits < bits {
+                let byte = self.bytes[self.pos];
+                self.pos += 1;
+                self.acc |= (byte as u128) << self.nbits;
+                self.nbits += 8;
+            }
+            let mask = if bits == 64 {
+                u64::MAX
+            } else {
+                (1u64 << bits) - 1
+            };
+            let v = (self.acc as u64) & mask;
+            self.acc >>= bits;
+            self.nbits -= bits;
+            v
+        }
+    }
+
+    /// Decodes an encoded column the way the parent of the word-at-a-time
+    /// unpack did: `BitReader::pull` and `push` per value, exceptions
+    /// patched after each block, the prefix sum as a last pass.
+    fn oracle_decode(enc: &EncodedColumn) -> Vec<i64> {
+        let body = &enc.bytes[1..];
+        let mut out = Vec::new();
+        match WireCodec::from_tag(enc.bytes[0]) {
+            WireCodec::Raw => {
+                let mut c = Cursor::new(body);
+                out.extend((0..enc.rows).map(|_| c.i64()));
+            }
+            WireCodec::Dict => {
+                let mut c = Cursor::new(body);
+                let dict: Vec<i64> = (0..c.u32()).map(|_| c.i64()).collect();
+                let width = c.take(1)[0] as u32;
+                let mut r = BitReader::new(c.rest());
+                out.extend((0..enc.rows).map(|_| dict[r.pull(width) as usize]));
+            }
+            codec @ (WireCodec::Pfor | WireCodec::PforDelta) => {
+                let bits = body[0] as u32;
+                let mut c = Cursor::new(&body[1..]);
+                while out.len() < enc.rows {
+                    let len = c.u16() as usize;
+                    let base = c.i64();
+                    let n_exc = c.u16() as usize;
+                    let mut r = BitReader::new(c.take(packed_len(len, bits as usize)));
+                    let start = out.len();
+                    for _ in 0..len {
+                        out.push(base.wrapping_add(r.pull(bits) as i64));
+                    }
+                    for _ in 0..n_exc {
+                        let pos = c.u16() as usize;
+                        out[start + pos] = c.i64();
+                    }
+                }
+                if codec == WireCodec::PforDelta {
+                    let mut acc = 0i64;
+                    for v in out.iter_mut() {
+                        acc = acc.wrapping_add(*v);
+                        *v = acc;
+                    }
+                }
+            }
+        }
+        out
+    }
 
     fn roundtrip(values: &[i64], scheme: Compression) -> EncodedColumn {
         let enc = EncodedColumn::encode(values, scheme);
@@ -992,6 +1136,116 @@ mod tests {
         }
     }
 
+    /// A checksum-valid body as a buggy writer might produce it.
+    fn hand_built(rows: usize, bytes: Vec<u8>) -> EncodedColumn {
+        let sum = checksum64(&bytes);
+        let enc = EncodedColumn::from_parts(rows, bytes, sum).expect("a known codec tag");
+        assert!(enc.verify_checksum());
+        enc
+    }
+
+    fn decode_panics(enc: &EncodedColumn) -> bool {
+        std::panic::catch_unwind(|| enc.decode()).is_err()
+    }
+
+    /// Lengths and widths read from the body are checked before they size
+    /// an allocation, a shift or a slice: each malformed body panics (the
+    /// failure the executor contains) — none aborts, none reads past the
+    /// body, none returns a column of the wrong length.
+    #[test]
+    fn malformed_bodies_panic_instead_of_aborting_or_overreading() {
+        let dict = |dict_len: u32, entries: &[i64], width: u8, codes: &[u8]| {
+            let mut b = vec![WireCodec::Dict.tag()];
+            put_u32(&mut b, dict_len);
+            entries.iter().for_each(|&v| put_i64(&mut b, v));
+            b.push(width);
+            b.extend_from_slice(codes);
+            b
+        };
+        // The well-formed twin decodes, so the cases below fail for the
+        // stated reason and not for a slip in the hand-built layout.
+        assert_eq!(
+            hand_built(4, dict(2, &[7, 9], 1, &[0b0110])).decode(),
+            vec![7, 9, 9, 7]
+        );
+        // A dictionary length the body cannot hold: 2^32 − 1 entries would
+        // be a 32 GiB `with_capacity`.
+        assert!(decode_panics(&hand_built(
+            4,
+            dict(u32::MAX, &[7, 9], 1, &[0b0110])
+        )));
+        assert!(decode_panics(&hand_built(
+            4,
+            dict(3, &[7, 9], 1, &[0b0110])
+        )));
+        // Code widths outside 1..=64.
+        for width in [0, 65, 255] {
+            assert!(decode_panics(&hand_built(
+                4,
+                dict(2, &[7, 9], width, &[0b0110; 40])
+            )));
+        }
+        // A code that points past the dictionary; codes that stop early.
+        assert!(decode_panics(&hand_built(
+            4,
+            dict(2, &[7, 9], 2, &[0b1110_0100])
+        )));
+        assert!(decode_panics(&hand_built(
+            64,
+            dict(2, &[7, 9], 1, &[0b0110])
+        )));
+
+        let pfor = |bits: u8, len: u16, n_exc: u16, rest: &[u8]| {
+            let mut b = vec![WireCodec::Pfor.tag(), bits];
+            put_u16(&mut b, len);
+            put_i64(&mut b, 100);
+            put_u16(&mut b, n_exc);
+            b.extend_from_slice(rest);
+            b
+        };
+        assert_eq!(
+            hand_built(3, pfor(4, 3, 0, &[0x21, 0x03])).decode(),
+            vec![101, 102, 103]
+        );
+        for bits in [0, 65, 255] {
+            assert!(decode_panics(&hand_built(3, pfor(bits, 3, 0, &[0x21; 40]))));
+        }
+        // A block longer than the column, a truncated block, and an
+        // exception patched outside its block.
+        assert!(decode_panics(&hand_built(
+            3,
+            pfor(4, 5, 0, &[0x21, 0x03, 0x00])
+        )));
+        assert!(decode_panics(&hand_built(3, pfor(4, 3, 0, &[0x21]))));
+        let mut exception = vec![0x21, 0x03];
+        put_u16(&mut exception, 3);
+        put_i64(&mut exception, -1);
+        assert!(decode_panics(&hand_built(3, pfor(4, 3, 1, &exception))));
+        // A raw column shorter than its row count.
+        let mut raw = vec![WireCodec::Raw.tag()];
+        put_i64(&mut raw, 5);
+        assert_eq!(hand_built(1, raw.clone()).decode(), vec![5]);
+        assert!(decode_panics(&hand_built(2, raw)));
+        // `truncated` is that writer on demand, for the executor's tests.
+        let values: Vec<i64> = (0..300).map(|i| i % 11).collect();
+        for scheme in [
+            Compression::None,
+            Compression::Dictionary { bits: 4 },
+            Compression::Pfor {
+                bits: 4,
+                exception_rate: 0.0,
+            },
+            Compression::PforDelta {
+                bits: 4,
+                exception_rate: 0.0,
+            },
+        ] {
+            let cut = EncodedColumn::encode(&values, scheme).truncated();
+            assert!(cut.verify_checksum(), "{scheme:?}");
+            assert!(decode_panics(&cut), "{scheme:?}");
+        }
+    }
+
     #[test]
     fn decode_forbidden_guard_nests() {
         let values = vec![1i64, 2, 3];
@@ -1095,6 +1349,73 @@ mod tests {
                     if torn != clean {
                         prop_assert_ne!(checksum64(&torn), sum);
                     }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2))]
+
+        /// The word-at-a-time unpack against the byte-at-a-time oracle, for
+        /// every width and every length up to 300 (so blocks of every
+        /// length, and tails shorter than a word): first on bare packed
+        /// fields — alone, and followed by other bytes as inside a body —
+        /// then through each codec, without and with exceptions.
+        #[test]
+        fn unpack_agrees_with_the_byte_at_a_time_reader(seed in i64::MIN..i64::MAX) {
+            let mut state = seed as u64;
+            for bits in 1..=64usize {
+                let mask = u64::MAX >> (64 - bits);
+                for len in 0..=300usize {
+                    let fields: Vec<u64> = (0..len).map(|_| splitmix(&mut state) & mask).collect();
+                    let mut packed = Vec::new();
+                    let mut w = BitWriter::new(&mut packed);
+                    fields.iter().for_each(|&f| w.push(f, bits as u32));
+                    w.finish();
+                    prop_assert_eq!(packed.len(), packed_len(len, bits));
+                    let mut r = BitReader::new(&packed);
+                    let want: Vec<i64> = (0..len).map(|_| r.pull(bits as u32) as i64).collect();
+                    let mut got = Vec::new();
+                    unpack(&packed, bits, len, &mut got, |v| v as i64);
+                    prop_assert_eq!(&got, &want, "{} bits, {} values", bits, len);
+                    packed.extend((0..len % 19).map(|_| splitmix(&mut state) as u8));
+                    got.clear();
+                    unpack(&packed, bits, len, &mut got, |v| v as i64);
+                    prop_assert_eq!(&got, &want, "{} bits, {} values, bytes after", bits, len);
+
+                    // Offsets that fit the width, then the same column with
+                    // one value in seven moved out of range.
+                    let fitting: Vec<i64> =
+                        fields.iter().map(|&f| (f >> 1) as i64 - 1_000).collect();
+                    let patched: Vec<i64> = fitting
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &v)| if i % 7 == 3 { v ^ i64::MIN } else { v })
+                        .collect();
+                    for values in [&fitting, &patched] {
+                        for scheme in [
+                            Compression::Pfor { bits: bits as u8, exception_rate: 0.0 },
+                            Compression::PforDelta { bits: bits as u8, exception_rate: 0.0 },
+                        ] {
+                            let enc = EncodedColumn::encode(values, scheme);
+                            let decoded = enc.decode();
+                            prop_assert_eq!(&decoded, &oracle_decode(&enc), "{:?}", scheme);
+                            prop_assert_eq!(&decoded, values, "{:?}", scheme);
+                        }
+                    }
+                }
+                // Dictionaries of 1..=2^16 entries give code widths 1..=16;
+                // wider codes cannot occur (a chunk has fewer rows).
+                if bits <= 16 {
+                    let distinct = 1usize << bits;
+                    let values: Vec<i64> = (0..distinct + 37)
+                        .map(|i| ((i % distinct) as i64).wrapping_mul(0x9E37_79B9))
+                        .collect();
+                    let enc = EncodedColumn::encode(&values, Compression::Dictionary { bits: 0 });
+                    let decoded = enc.decode();
+                    prop_assert_eq!(&decoded, &oracle_decode(&enc));
+                    prop_assert_eq!(&decoded, &values);
                 }
             }
         }

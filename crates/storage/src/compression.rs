@@ -12,7 +12,7 @@
 //! * **Codec selector** — [`crate::codec::EncodedColumn::encode`] and
 //!   [`crate::chunkdata::CompressingStore`] use the same value to pick the
 //!   *real* encoder, so chunk payloads actually travel as PDICT / PFOR /
-//!   PFOR-DELTA bytes and decompress on first pin.  The codec tests check
+//!   PFOR-DELTA bytes and decompress at first touch.  The codec tests check
 //!   that real encoded sizes track this model's predictions.
 //!
 //! # Equality caveat

@@ -24,7 +24,8 @@
 //! stored *compressed*: [`codec`] implements the real PDICT / PFOR /
 //! PFOR-DELTA encoders ([`compression`] keeps the width model they are
 //! validated against), and [`chunkdata::CompressingStore`] wraps any store
-//! so its payloads travel as encoded bytes that decode lazily on first pin.
+//! so its payloads travel as encoded bytes that decode lazily, a column at
+//! its first touch.
 
 #![warn(missing_docs)]
 
