@@ -1,22 +1,12 @@
 //! Reproduces Figure 5: average stream time vs. average normalized latency,
 //! relative to the relevance policy, over the fifteen SPEED×SIZE query mixes.
-//!
-//! With `--live`, instead drives the *real-payload* pipeline — concurrent
-//! scan → filter → aggregate trees over a threaded `ScanServer` through the
-//! `ScanSession` API — once per policy, and records delivered MiB/s and
-//! pin-wait time into `BENCH_exec.json`.
 
 use cscan_bench::experiments::fig5;
 use cscan_bench::report::{f2, TextTable};
 use cscan_bench::Scale;
 use cscan_core::policy::PolicyKind;
-use std::fmt::Write as _;
 
 fn main() {
-    if std::env::args().any(|a| a == "--live") {
-        run_live();
-        return;
-    }
     let scale = Scale::from_args();
     let limit = if scale == Scale::Quick { Some(6) } else { None };
     println!("Figure 5 — policy performance over query mixes ({scale:?} scale)\n");
@@ -63,79 +53,4 @@ fn main() {
         ]);
     }
     println!("{}", summary.render());
-}
-
-/// The `--live` mode: real-payload pipelines through the session API.
-fn run_live() {
-    println!(
-        "Live pipelines — {} concurrent scan→filter→aggregate trees over a \
-         threaded ScanServer\n({} chunks × {} rows, 4 I/O workers, real pinned payloads)\n",
-        fig5::LIVE_STREAMS,
-        fig5::LIVE_CHUNKS,
-        fig5::LIVE_ROWS_PER_CHUNK
-    );
-    let points = fig5::run_live(
-        fig5::LIVE_STREAMS,
-        fig5::LIVE_CHUNKS,
-        fig5::LIVE_ROWS_PER_CHUNK,
-    );
-    let mut table = TextTable::new([
-        "policy",
-        "delivered (MiB/s)",
-        "wall (s)",
-        "pin-wait (s)",
-        "ttfc p99 (ms)",
-        "pin-wait p99 (ms)",
-        "rows",
-        "chunk loads",
-    ]);
-    for p in &points {
-        table.row([
-            p.policy.name().to_string(),
-            format!("{:.1}", p.mib_per_sec),
-            format!("{:.3}", p.wall_secs),
-            format!("{:.3}", p.pin_wait_secs),
-            format!("{:.3}", p.ttfc_p99_ns as f64 / 1e6),
-            format!("{:.3}", p.pin_wait_p99_ns as f64 / 1e6),
-            p.rows.to_string(),
-            p.loads.to_string(),
-        ]);
-    }
-    println!("{}", table.render());
-
-    let json = render_live_json(&points);
-    let path = "BENCH_exec.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-}
-
-/// Renders the live points as JSON (hand-rolled: the workspace deliberately
-/// has no serde_json dependency).
-fn render_live_json(points: &[fig5::LivePoint]) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"fig5_live_pipelines\",\n  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        let sep = if i + 1 == points.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "    {{\"policy\": \"{}\", \"streams\": {}, \"delivered_mib_s\": {:.3}, \
-             \"wall_secs\": {:.3}, \"pin_wait_secs\": {:.3}, \"rows\": {}, \
-             \"delivered_mib\": {:.3}, \"chunk_loads\": {}, \"unconsumed_drops\": {}, \
-             \"ttfc_p99_ns\": {}, \"pin_wait_p99_ns\": {}}}{sep}",
-            p.policy.name(),
-            p.streams,
-            p.mib_per_sec,
-            p.wall_secs,
-            p.pin_wait_secs,
-            p.rows,
-            p.delivered_mib,
-            p.loads,
-            p.unconsumed_drops,
-            p.ttfc_p99_ns,
-            p.pin_wait_p99_ns
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
 }

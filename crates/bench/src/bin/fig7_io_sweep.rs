@@ -1,16 +1,15 @@
 //! Outstanding-I/O sweep of the asynchronous scheduler: simulated scan
 //! throughput at 64 concurrent queries on an explicit 4-spindle RAID, as
 //! the number of in-flight chunk loads grows from 1 (the paper's
-//! sequential main loop) to 8.  Writes `BENCH_io.json` so the perf
-//! trajectory is tracked across PRs.
+//! sequential main loop) to 8.  Writes `BENCH_io.json`: the sweep runs in
+//! virtual time, so the file it writes is the committed one byte for byte
+//! (`fig7::tests::committed_bench_io_json_is_what_the_sweep_renders`).
 
 use cscan_bench::experiments::fig7;
 use cscan_bench::report::TextTable;
 use cscan_bench::Scale;
-use std::fmt::Write as _;
 
-/// Concurrent single-query streams in the tracked sweep.
-const QUERIES: usize = 64;
+const QUERIES: usize = fig7::TRACKED_IO_QUERIES;
 
 fn main() {
     let scale = Scale::from_args();
@@ -18,7 +17,7 @@ fn main() {
         "Outstanding-I/O sweep — {QUERIES} concurrent FAST-20% scans, relevance policy,\n\
          4-spindle RAID striped at chunk granularity ({scale:?} scale)\n"
     );
-    let points = fig7::run_io_sweep(scale, QUERIES, 7);
+    let points = fig7::run_io_sweep(scale, QUERIES, fig7::TRACKED_IO_SEED);
 
     let mut table = TextTable::new([
         "outstanding",
@@ -50,42 +49,10 @@ fn main() {
         );
     }
 
-    let json = render_json(&points);
+    let json = fig7::render_io_sweep_json(&points);
     let path = "BENCH_io.json";
     match std::fs::write(path, &json) {
         Ok(()) => println!("wrote {path}"),
         Err(e) => eprintln!("could not write {path}: {e}"),
     }
-}
-
-/// Renders the sweep as JSON (hand-rolled: the workspace deliberately has
-/// no serde_json dependency).
-fn render_json(points: &[fig7::IoSweepPoint]) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"fig7_io_sweep\",\n  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        let sep = if i + 1 == points.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "    {{\"outstanding\": {}, \"queries\": {}, \"throughput_mib_s\": {:.3}, \
-             \"total_secs\": {:.3}, \"avg_latency_secs\": {:.3}, \"io_requests\": {}, \
-             \"peak_outstanding\": {}, \"max_queue_depth\": {}}}{sep}",
-            p.outstanding,
-            p.queries,
-            p.throughput_mib_s,
-            p.total_secs,
-            p.avg_latency,
-            p.io_requests,
-            p.peak_outstanding,
-            p.max_queue_depth
-        );
-    }
-    let speedup = match (
-        points.iter().find(|p| p.outstanding == 1),
-        points.iter().find(|p| p.outstanding == 8),
-    ) {
-        (Some(a), Some(b)) if a.throughput_mib_s > 0.0 => b.throughput_mib_s / a.throughput_mib_s,
-        _ => 0.0,
-    };
-    let _ = writeln!(out, "  ],\n  \"k8_vs_k1_speedup\": {speedup:.3}\n}}");
-    out
 }

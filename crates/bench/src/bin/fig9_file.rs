@@ -1,19 +1,17 @@
 //! Figure 9 end-to-end against real storage: the fig5 policy sweep and
 //! the fig7-style I/O-thread sweep rerun over *segment files on disk*
 //! (plain vs the Figure 9 codec mix), served through `FileStore` with
-//! positioned reads.  Writes `BENCH_file.json` so the file-backed
-//! trajectory — delivered MiB/s, read syscalls, bytes-from-disk, and the
-//! plain-vs-compressed crossover — is tracked across PRs.
+//! positioned reads.  Prints delivered MiB/s, read syscalls,
+//! bytes-from-disk and the plain-vs-compressed crossover per policy — the
+//! instrument for questions `BENCHMARK.json` (relevance only) cannot see;
+//! wall-clock, so nothing it prints is recorded.
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
-use cscan_bench::experiments::fig9_file::{
-    self, crossover, FileCrossover, FileMixVolume, FilePoint, FileSweepConfig,
-};
+use cscan_bench::experiments::fig9_file::{self, crossover, FileSweepConfig};
 use cscan_bench::report::TextTable;
 use cscan_core::policy::PolicyKind;
-use cscan_storage::{ScratchPath, SegmentSummary};
-use std::fmt::Write as _;
+use cscan_storage::ScratchPath;
 
 /// Geometry of the tracked run: 64 chunks x 20k rows x 6 columns is
 /// ~58 MiB logical (< 256 MiB even with both segment files on a tmpfs).
@@ -137,70 +135,8 @@ fn main() {
             x.plain_best_mib_s, x.compressed_best_mib_s, x.speedup, mix.ratio
         );
     }
-
-    let json = render_json(&points, &plain, &compressed, &mix, &x);
-    let path = "BENCH_file.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
 }
 
 fn mib(bytes: u64) -> f64 {
     bytes as f64 / (1024.0 * 1024.0)
-}
-
-/// Renders the measurements as JSON (hand-rolled: the workspace
-/// deliberately has no serde_json dependency).
-fn render_json(
-    points: &[FilePoint],
-    plain: &SegmentSummary,
-    compressed: &SegmentSummary,
-    mix: &FileMixVolume,
-    x: &FileCrossover,
-) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"fig9_file\",\n  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        let sep = if i + 1 == points.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "    {{\"mode\": \"{}\", \"policy\": \"{}\", \"io_threads\": {}, \
-             \"streams\": {}, \"wall_secs\": {:.4}, \"rows\": {}, \
-             \"delivered_mib_s\": {:.3}, \"file_read_calls\": {}, \
-             \"file_bytes_read_mib\": {:.3}, \"pin_wait_secs\": {:.4}, \
-             \"loads\": {}}}{sep}",
-            p.mode,
-            p.policy,
-            p.io_threads,
-            p.streams,
-            p.wall_secs,
-            p.rows,
-            p.delivered_mib_s,
-            p.file_read_calls,
-            mib(p.file_bytes_read),
-            p.pin_wait_secs,
-            p.loads
-        );
-    }
-    let _ = writeln!(
-        out,
-        "  ],\n  \"segments\": {{\"plain_file_mib\": {:.3}, \"compressed_file_mib\": {:.3}}},",
-        mib(plain.file_bytes),
-        mib(compressed.file_bytes)
-    );
-    let _ = writeln!(
-        out,
-        "  \"mix\": {{\"plain_mib\": {:.3}, \"compressed_mib\": {:.3}, \
-         \"io_volume_ratio\": {:.3}}},",
-        mib(mix.plain_bytes),
-        mib(mix.compressed_bytes),
-        mix.ratio
-    );
-    let _ = writeln!(
-        out,
-        "  \"crossover\": {{\"plain_best_mib_s\": {:.3}, \"compressed_best_mib_s\": {:.3}, \
-         \"speedup\": {:.3}, \"crossover_observed\": {}}}\n}}",
-        x.plain_best_mib_s, x.compressed_best_mib_s, x.speedup, x.crossover_observed
-    );
-    out
 }

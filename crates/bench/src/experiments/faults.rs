@@ -1,12 +1,12 @@
-//! Fault sweep — the data plane under injected I/O failures: goodput and
-//! retry counts as the transient fault rate rises, and the clean-path cost
-//! of payload checksumming.
+//! Fault sweep — the data plane under injected I/O failures: delivered rows
+//! and fault counts as the transient fault rate rises, and the clean-path
+//! cost of payload checksumming.
 //!
 //! Every point drives a real threaded [`ScanServer`] over a
 //! [`FaultInjectingStore`] wrapping compressed lineitem chunks: transient
 //! read failures are retried with backoff by the I/O workers, corrupted
 //! payloads are caught by the install-time checksum and retried, and the
-//! delivered rows are counted against wall-clock time.  The checksum
+//! delivered rows are counted.  The checksum
 //! overhead measurement times [`verify_checksums`] against the
 //! materialize-and-decode work it rides on, which is the quantity the
 //! release fault gate bounds at 5%.
@@ -30,18 +30,10 @@ use std::time::{Duration, Instant};
 pub struct FaultSweepPoint {
     /// Per-attempt transient fault probability injected into the store.
     pub fault_rate: f64,
-    /// Per-attempt payload corruption probability (caught by checksums).
-    pub corruption_rate: f64,
     /// Rows delivered to the consumer.
     pub rows: u64,
-    /// Wall-clock seconds for the full scan.
-    pub wall_secs: f64,
-    /// Logical MiB delivered per wall second (goodput).
-    pub goodput_mib_s: f64,
     /// Failed read attempts observed by the I/O workers.
     pub load_faults: u64,
-    /// Retries scheduled for those failures.
-    pub load_retries: u64,
     /// Corruptions caught by the install-time checksum.
     pub checksum_failures: u64,
     /// Chunks given up on (must be 0 in a transient-only sweep).
@@ -52,21 +44,18 @@ pub struct FaultSweepPoint {
     /// concurrently, higher-looking `load_faults` when corruptions (counted
     /// separately as `checksum_failures`) also fail the install.
     pub faults_injected: u64,
-    /// p99 single pin-wait episode, in nanoseconds (log2-bucket upper
-    /// bound) — shows how injected faults stretch consumer stalls.
-    pub pin_wait_p99_ns: u64,
 }
 
 /// Scans `chunks` compressed lineitem chunks end-to-end at each transient
-/// `rate`, returning one goodput/retry point per rate.  Rate 0.0 is the
-/// fault-free baseline the other points are read against.
+/// `rate` (payload corruptions at half of it), returning one point per
+/// rate.  Rate 0.0 is the fault-free baseline the other points are read
+/// against.
 ///
 /// All points share one observability [`Registry`]; each point reads its
 /// counters from [`Registry::snapshot_and_reset`], so a point reports only
 /// its own window and nothing accumulates across rates.
 pub fn run_fault_sweep(chunks: u32, rows_per_chunk: u64, rates: &[f64]) -> Vec<FaultSweepPoint> {
     let table = MemTable::lineitem_demo(chunks as u64 * rows_per_chunk, rows_per_chunk);
-    let width = table.width() as u64;
     let registry = Arc::new(Registry::new());
     rates
         .iter()
@@ -75,7 +64,6 @@ pub fn run_fault_sweep(chunks: u32, rows_per_chunk: u64, rates: &[f64]) -> Vec<F
                 corruption_rate: rate / 2.0,
                 ..FaultConfig::transient_only(0xFA11_5EED ^ rate.to_bits(), rate)
             };
-            let corruption_rate = config.corruption_rate;
             let store = FaultInjectingStore::new(
                 CompressingStore::new(table.clone(), MemTable::lineitem_demo_schemes()),
                 config,
@@ -95,7 +83,6 @@ pub fn run_fault_sweep(chunks: u32, rows_per_chunk: u64, rates: &[f64]) -> Vec<F
                 .observability(Arc::clone(&registry))
                 .store(Arc::new(store))
                 .build();
-            let started = Instant::now();
             let handle = server.cscan(CScanPlan::new(
                 "fault-sweep",
                 ScanRanges::full(chunks),
@@ -109,21 +96,14 @@ pub fn run_fault_sweep(chunks: u32, rows_per_chunk: u64, rates: &[f64]) -> Vec<F
                 rows += pin.rows() as u64;
                 pin.complete();
             }
-            let wall_secs = started.elapsed().as_secs_f64().max(1e-9);
-            let logical_mib = (rows * width * 8) as f64 / (1 << 20) as f64;
             let snap = registry.snapshot_and_reset();
             FaultSweepPoint {
                 fault_rate: rate,
-                corruption_rate,
                 rows,
-                wall_secs,
-                goodput_mib_s: logical_mib / wall_secs,
                 load_faults: snap.counter("load_faults"),
-                load_retries: snap.counter("load_retries"),
                 checksum_failures: snap.counter("checksum_failures"),
                 chunks_quarantined: snap.counter("chunks_quarantined"),
                 faults_injected: snap.counter("faults_injected"),
-                pin_wait_p99_ns: snap.pin_wait.p99(),
             }
         })
         .collect()

@@ -10,8 +10,6 @@ use cscan_core::policy::PolicyKind;
 use cscan_workload::lineitem::lineitem_nsm_model;
 use cscan_workload::mixes::QueryMix;
 use cscan_workload::streams::{build_streams, StreamSetup};
-use std::sync::Arc;
-use std::time::Duration;
 
 /// One point of the scatter plot.
 #[derive(Debug, Clone)]
@@ -61,123 +59,6 @@ pub fn run(scale: Scale, seed: u64, limit: Option<usize>) -> Vec<ScatterPoint> {
     points
 }
 
-// ----------------------------------------------------------------------
-// Live mode: the real-payload pipeline through the ScanSession API.
-// ----------------------------------------------------------------------
-
-/// One live measurement: `streams` concurrent scan → filter → aggregate
-/// pipelines over a threaded `ScanServer` with real payloads, per policy.
-#[derive(Debug, Clone)]
-pub struct LivePoint {
-    /// The scheduling policy.
-    pub policy: PolicyKind,
-    /// Number of concurrent pipeline threads.
-    pub streams: usize,
-    /// Wall-clock run time in seconds.
-    pub wall_secs: f64,
-    /// Rows delivered through the session API, summed over all pipelines.
-    pub rows: u64,
-    /// Payload data delivered to consumers, in MiB.
-    pub delivered_mib: f64,
-    /// Delivered payload per wall-clock second, in MiB/s.
-    pub mib_per_sec: f64,
-    /// Total time consumers spent blocked in `next_chunk` (pin-wait).
-    pub pin_wait_secs: f64,
-    /// Chunk loads the ABM committed (sharing keeps this far below
-    /// streams × chunks).
-    pub loads: u64,
-    /// Pins dropped without `complete()` — must stay zero.
-    pub unconsumed_drops: u64,
-    /// p99 time to first chunk across the run's queries, in nanoseconds
-    /// (log2-bucket upper bound, from the server's metrics snapshot).
-    pub ttfc_p99_ns: u64,
-    /// p99 single pin-wait episode, in nanoseconds (log2-bucket upper bound).
-    pub pin_wait_p99_ns: u64,
-}
-
-/// Geometry of the tracked live run.
-pub const LIVE_STREAMS: usize = 8;
-/// Chunks in the live table.
-pub const LIVE_CHUNKS: u32 = 64;
-/// Rows per chunk in the live table.
-pub const LIVE_ROWS_PER_CHUNK: u64 = 2_000;
-
-/// Runs the live-pipeline measurement once per policy: `streams` threads
-/// each drive a full Q1-style pipeline (scan → filter → hash aggregate)
-/// through [`cscan_exec::SessionSource`] over a live server whose store is
-/// the `lineitem` demo table, and the delivered-payload throughput and
-/// pin-wait time are recorded.
-pub fn run_live(streams: usize, chunks: u32, rows_per_chunk: u64) -> Vec<LivePoint> {
-    use cscan_core::threaded::ScanServer;
-    use cscan_core::{CScanPlan, ColSet, ScanRanges, TableModel};
-    use cscan_exec::{AggFunc, Expr, Filter, HashAggregate, MemTable, Operator, SessionSource};
-    use cscan_storage::ColumnId;
-
-    let table = MemTable::lineitem_demo(chunks as u64 * rows_per_chunk, rows_per_chunk);
-    let payload_bytes_per_chunk = rows_per_chunk * table.width() as u64 * 8;
-    let mut points = Vec::new();
-    for policy in PolicyKind::ALL {
-        let model = TableModel::nsm_uniform(chunks, rows_per_chunk, 16);
-        let server = Arc::new(
-            ScanServer::builder(model)
-                .policy(policy)
-                .buffer_chunks((chunks as u64 / 4).max(4))
-                .io_cost_per_page(Duration::from_micros(5))
-                .io_threads(4)
-                .store(Arc::new(table.clone()))
-                .build(),
-        );
-        let flag = ColumnId::new(table.column_index("l_returnflag").unwrap() as u16);
-        let qty = ColumnId::new(table.column_index("l_quantity").unwrap() as u16);
-        let started = std::time::Instant::now();
-        let workers: Vec<_> = (0..streams)
-            .map(|i| {
-                let server = Arc::clone(&server);
-                std::thread::spawn(move || {
-                    let handle = server.cscan(CScanPlan::new(
-                        format!("live-{i}"),
-                        ScanRanges::full(chunks),
-                        ColSet::empty(),
-                    ));
-                    let src = SessionSource::new(handle, vec![flag, qty])
-                        .with_observability(server.metrics());
-                    let filtered = Filter::new(src, Expr::col(1).le(Expr::lit(45)));
-                    let mut agg = HashAggregate::new(
-                        filtered,
-                        vec![0],
-                        vec![AggFunc::Count, AggFunc::Sum(1)],
-                    );
-                    let out = agg
-                        .next()
-                        .expect("fault-free scan")
-                        .expect("aggregate output");
-                    // Rows that entered the aggregate (count per group).
-                    out.column(1).iter().sum::<i64>() as u64
-                })
-            })
-            .collect();
-        let rows: u64 = workers.into_iter().map(|w| w.join().unwrap()).sum();
-        let wall_secs = started.elapsed().as_secs_f64().max(1e-9);
-        let delivered_chunks = streams as u64 * chunks as u64;
-        let delivered_mib = (delivered_chunks * payload_bytes_per_chunk) as f64 / (1024.0 * 1024.0);
-        let snap = server.metrics().snapshot();
-        points.push(LivePoint {
-            policy,
-            streams,
-            wall_secs,
-            rows,
-            delivered_mib,
-            mib_per_sec: delivered_mib / wall_secs,
-            pin_wait_secs: server.pin_wait().as_secs_f64(),
-            loads: server.loads_completed(),
-            unconsumed_drops: server.unconsumed_drops(),
-            ttfc_p99_ns: snap.ttfc.p99(),
-            pin_wait_p99_ns: snap.pin_wait.p99(),
-        });
-    }
-    points
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,31 +101,5 @@ mod tests {
             worse_count as f64 >= total as f64 * 0.9,
             "{worse_count}/{total} competitor points should not dominate relevance"
         );
-    }
-
-    #[test]
-    fn live_mode_smoke() {
-        // Tiny geometry: exercises the whole live path (real threads, real
-        // payloads, pipeline results) for every policy without release-build
-        // timing assumptions.
-        let points = run_live(2, 8, 200);
-        assert_eq!(points.len(), PolicyKind::ALL.len());
-        let expected_rows = points[0].rows;
-        for p in &points {
-            assert!(p.wall_secs > 0.0, "{}", p.policy);
-            assert!(p.mib_per_sec > 0.0, "{}", p.policy);
-            assert!(p.loads >= 8, "{}: every chunk read at least once", p.policy);
-            assert_eq!(p.unconsumed_drops, 0, "{}", p.policy);
-            assert!(
-                p.ttfc_p99_ns > 0,
-                "{}: every query records a time to first chunk",
-                p.policy
-            );
-            assert_eq!(
-                p.rows, expected_rows,
-                "{}: every policy aggregates the same rows",
-                p.policy
-            );
-        }
     }
 }

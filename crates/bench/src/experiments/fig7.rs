@@ -2,10 +2,11 @@
 //! queries (1–32) reading 5 %, 20 % or 50 % of the relation — plus the
 //! outstanding-I/O sweep of the asynchronous scheduler (how simulated scan
 //! throughput scales with the number of in-flight chunk loads on an
-//! explicit 4-spindle array), plus the *threaded* sweep: real OS threads
-//! against the live executor, measuring how delivered-chunk throughput,
-//! scheduler-lock and shard-lock hold times scale from 16 to 256
-//! concurrent scan threads.
+//! explicit 4-spindle array — virtual time, so its rendering is the
+//! committed `BENCH_io.json` byte for byte), plus the *threaded* scaling
+//! gate: real OS threads against the live executor, bounding how
+//! delivered-chunk throughput and shard-lock hold times scale from 16 to
+//! 256 concurrent scan threads.
 
 use crate::harness::Scale;
 use cscan_core::model::TableModel;
@@ -15,6 +16,7 @@ use cscan_simdisk::{DiskModel, RaidConfig, SimDuration, MIB};
 use cscan_workload::lineitem::{lineitem_nsm_model, NSM_CHUNK_BYTES};
 use cscan_workload::queries::QueryClass;
 use cscan_workload::streams::uniform_streams;
+use std::fmt::Write as _;
 use std::time::Duration;
 
 /// One measurement of the sweep.
@@ -130,6 +132,11 @@ pub fn io_sweep_setup(scale: Scale) -> (TableModel, SimConfig) {
     (model, config)
 }
 
+/// Concurrent single-query streams in the sweep `BENCH_io.json` records.
+pub const TRACKED_IO_QUERIES: usize = 64;
+/// Stream seed of the sweep `BENCH_io.json` records.
+pub const TRACKED_IO_SEED: u64 = 7;
+
 /// Runs the outstanding-I/O sweep: `queries` concurrent FAST-20% scans
 /// under the relevance policy, once per budget in [`OUTSTANDING`].
 pub fn run_io_sweep(scale: Scale, queries: usize, seed: u64) -> Vec<IoSweepPoint> {
@@ -165,22 +172,50 @@ pub fn run_io_sweep(scale: Scale, queries: usize, seed: u64) -> Vec<IoSweepPoint
         .collect()
 }
 
+/// Renders the outstanding-I/O sweep as the JSON committed in
+/// `BENCH_io.json` (hand-rolled: the workspace deliberately has no
+/// serde_json dependency).
+pub fn render_io_sweep_json(points: &[IoSweepPoint]) -> String {
+    let mut out = String::from("{\n  \"experiment\": \"fig7_io_sweep\",\n  \"points\": [\n");
+    for (i, p) in points.iter().enumerate() {
+        let sep = if i + 1 == points.len() { "" } else { "," };
+        let _ = writeln!(
+            out,
+            "    {{\"outstanding\": {}, \"queries\": {}, \"throughput_mib_s\": {:.3}, \
+             \"total_secs\": {:.3}, \"avg_latency_secs\": {:.3}, \"io_requests\": {}, \
+             \"peak_outstanding\": {}, \"max_queue_depth\": {}}}{sep}",
+            p.outstanding,
+            p.queries,
+            p.throughput_mib_s,
+            p.total_secs,
+            p.avg_latency,
+            p.io_requests,
+            p.peak_outstanding,
+            p.max_queue_depth
+        );
+    }
+    let speedup = match (
+        points.iter().find(|p| p.outstanding == 1),
+        points.iter().find(|p| p.outstanding == 8),
+    ) {
+        (Some(a), Some(b)) if a.throughput_mib_s > 0.0 => b.throughput_mib_s / a.throughput_mib_s,
+        _ => 0.0,
+    };
+    let _ = writeln!(out, "  ],\n  \"k8_vs_k1_speedup\": {speedup:.3}\n}}");
+    out
+}
+
 // ----------------------------------------------------------------------
-// Threaded executor sweep (real OS threads, targeted wakeups).
+// Threaded executor scaling (real OS threads, targeted wakeups).
 // ----------------------------------------------------------------------
 
-/// The concurrent scan-thread counts swept by the threaded benchmark.
-pub const THREAD_SWEEP: [usize; 4] = [16, 64, 128, 256];
-
-/// One measurement of the threaded sweep.
+/// One threaded measurement.
 #[derive(Debug, Clone)]
 pub struct ThreadSweepPoint {
     /// Number of concurrent scan (consumer) threads.
     pub threads: usize,
     /// I/O worker pool size.
     pub io_threads: usize,
-    /// Wall-clock run time in seconds.
-    pub wall_secs: f64,
     /// Chunks delivered to consumers per wall-clock second, summed over all
     /// scans — the executor's aggregate throughput.
     pub chunks_per_sec: f64,
@@ -208,9 +243,6 @@ pub struct ThreadSweepPoint {
     pub shard_lock_p99_ns: u64,
     /// Longest shard-lock hold (bucket upper bound), nanoseconds.
     pub shard_lock_max_ns: u64,
-    /// Releases whose deferred bookkeeping found the scheduler lock busy
-    /// and was left in the inbox for the next lock holder.
-    pub hub_shard_conflicts: u64,
 }
 
 /// Runs one threaded measurement: `threads` concurrent full scans of a
@@ -285,7 +317,6 @@ pub fn run_threaded_once(
     ThreadSweepPoint {
         threads,
         io_threads,
-        wall_secs,
         chunks_per_sec: total as f64 / wall_secs,
         loads: server.loads_completed(),
         lock_acquisitions: holds.count(),
@@ -297,21 +328,7 @@ pub fn run_threaded_once(
         shard_lock_p50_ns: shard_holds.p50(),
         shard_lock_p99_ns: shard_holds.p99(),
         shard_lock_max_ns: shard_holds.max_value(),
-        hub_shard_conflicts: server.hub_shard_conflicts(),
     }
-}
-
-/// Runs the tracked threaded sweep: 16/64/128/256 concurrent full scans of
-/// a 256-chunk table over a 4-worker I/O pool.  The per-page cost (50 µs,
-/// i.e. 800 µs per 16-page chunk read) keeps the 16-thread baseline
-/// I/O-bound — the fig7 regime — so the sweep measures how much consumer
-/// parallelism the executor can feed from the same shared loads before the
-/// ABM lock, not the disk, becomes the ceiling.
-pub fn run_thread_sweep() -> Vec<ThreadSweepPoint> {
-    THREAD_SWEEP
-        .iter()
-        .map(|&n| run_threaded_once(n, 4, 256, Duration::from_micros(50)))
-        .collect()
 }
 
 #[cfg(test)]
@@ -374,6 +391,21 @@ mod tests {
         assert_eq!(points[0].peak_outstanding, 1, "K=1 stays sequential");
     }
 
+    /// `BENCH_io.json` is a committed number, so a re-run must reproduce it
+    /// byte for byte: the sweep is virtual time, and this fails when either
+    /// the file or anything under `run_io_sweep` (policy, scheduler, disk
+    /// model, workload generator) drifts.  Regenerate with
+    /// `cargo run --release -p cscan_bench --bin fig7_io_sweep`.
+    #[test]
+    fn committed_bench_io_json_is_what_the_sweep_renders() {
+        let points = run_io_sweep(Scale::Quick, TRACKED_IO_QUERIES, TRACKED_IO_SEED);
+        assert_eq!(
+            render_io_sweep_json(&points),
+            include_str!("../../../../BENCH_io.json"),
+            "BENCH_io.json is stale, or the simulated sweep changed"
+        );
+    }
+
     #[test]
     fn thread_sweep_smoke() {
         // Tiny sizes: exercises the whole path (real threads, plan/commit,
@@ -416,13 +448,13 @@ mod tests {
         ignore = "thread-scaling gate is measured in release builds only"
     )]
     fn thread_sweep_throughput_scales() {
-        let points = run_thread_sweep();
-        let at = |n: usize| {
-            points
-                .iter()
-                .find(|p| p.threads == n)
-                .expect("missing point")
-        };
+        // Full scans of a 256-chunk table over a 4-worker I/O pool.  The
+        // per-page cost (50 µs, i.e. 800 µs per 16-page chunk read) keeps
+        // the 16-thread baseline I/O-bound — the fig7 regime — so the ratio
+        // measures how much consumer parallelism the executor can feed from
+        // the same shared loads before the ABM lock, not the disk, becomes
+        // the ceiling.
+        let at = |threads| run_threaded_once(threads, 4, 256, Duration::from_micros(50));
         let base = at(16);
         let wide = at(256);
         let ratio = wide.chunks_per_sec / base.chunks_per_sec;
@@ -467,7 +499,7 @@ mod tests {
         ignore = "throughput gate is measured in release builds only"
     )]
     fn io_throughput_speedup_at_64_queries() {
-        let points = run_io_sweep(Scale::Quick, 64, 7);
+        let points = run_io_sweep(Scale::Quick, TRACKED_IO_QUERIES, TRACKED_IO_SEED);
         let at = |k: usize| {
             points
                 .iter()

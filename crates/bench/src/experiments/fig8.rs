@@ -23,8 +23,8 @@ pub struct Fig8Point {
     pub num_chunks: u32,
     /// Scan size in percent.
     pub percent: u32,
-    /// Average wall-clock time of one scheduling step, in milliseconds.
-    pub scheduling_ms: f64,
+    /// Average wall-clock time of one scheduling step, in nanoseconds.
+    pub scheduling_ns: f64,
     /// Scheduling overhead as a fraction of the workload's execution time.
     pub fraction_of_execution: f64,
 }
@@ -41,8 +41,8 @@ pub const TABLE_BYTES: u64 = 2 * 1024 * 1024 * 1024;
 /// Number of concurrent queries (16 streams in the paper).
 pub const QUERIES: usize = 16;
 
-/// The heavier concurrency mixes tracked by `BENCH_scheduling.json` (the
-/// fig7/fig8 regime where scheduling cost used to dominate).
+/// The heavier concurrency mixes of the incremental-vs-brute-force
+/// comparison (the fig7/fig8 regime where scheduling cost used to dominate).
 pub const QUERY_MIXES: [usize; 3] = [16, 64, 128];
 
 fn model_for(num_chunks: u32) -> TableModel {
@@ -105,8 +105,9 @@ fn perturb(abm: &mut Abm) {
     }
 }
 
-/// Measures the average wall-clock cost of one relevance scheduling step
-/// (`next_load` + `choose_victim` + `next_chunk`) for a `queries`-query mix.
+/// Measures the average wall-clock cost, in nanoseconds, of one relevance
+/// scheduling step (`next_load` + `choose_victim` + `next_chunk`) for a
+/// `queries`-query mix.
 pub fn measure_scheduling_step(
     num_chunks: u32,
     percent: u32,
@@ -130,11 +131,11 @@ pub fn measure_scheduling_step(
         decisions += 1;
     }
     let elapsed = start.elapsed().as_secs_f64();
-    elapsed * 1000.0 / decisions.max(1) as f64
+    elapsed * 1e9 / decisions.max(1) as f64
 }
 
 /// Measures the average wall-clock cost of one `plan_load`-level decision
-/// (`RelevancePolicy::next_load` only), in milliseconds, for either the
+/// (`RelevancePolicy::next_load` only), in nanoseconds, for either the
 /// incremental (default) or the brute-force chunk selection.
 ///
 /// Between decisions the ABM is advanced by one load completion or eviction,
@@ -167,42 +168,7 @@ pub fn measure_plan_load(
         std::hint::black_box(&decision);
         decisions += 1;
     }
-    total.as_secs_f64() * 1000.0 / decisions.max(1) as f64
-}
-
-/// A prepared ABM + policy pair for repeated `next_load` measurement.
-/// Criterion benches build this once outside the sampling loop so the
-/// per-sample cost is one state perturbation plus one scheduling decision,
-/// not a full ABM construction.
-pub struct PlanLoadBench {
-    abm: Abm,
-    policy: RelevancePolicy,
-}
-
-impl PlanLoadBench {
-    /// Builds the mix, preloads a few chunks and warms the policy caches.
-    pub fn new(num_chunks: u32, percent: u32, queries: usize, brute: bool) -> Self {
-        let mut abm = build_abm(num_chunks, percent, queries, 11);
-        preload(&mut abm);
-        let mut policy = if brute {
-            RelevancePolicy::brute_force()
-        } else {
-            RelevancePolicy::new()
-        };
-        use cscan_core::policy::Policy as _;
-        std::hint::black_box(policy.next_load(abm.state(), SimTime::ZERO));
-        Self { abm, policy }
-    }
-
-    /// One perturbation + one `next_load` decision; returns whether a load
-    /// was planned.
-    pub fn step(&mut self) -> bool {
-        use cscan_core::policy::Policy as _;
-        perturb(&mut self.abm);
-        self.policy
-            .next_load(self.abm.state(), SimTime::ZERO)
-            .is_some()
-    }
+    total.as_secs_f64() * 1e9 / decisions.max(1) as f64
 }
 
 /// One row of the incremental-vs-brute-force comparison.
@@ -214,17 +180,17 @@ pub struct SpeedupPoint {
     pub num_chunks: u32,
     /// Scan size in percent.
     pub percent: u32,
-    /// ms per `next_load` decision, brute-force chunk selection.
-    pub brute_ms: f64,
-    /// ms per `next_load` decision, incremental candidate heaps.
-    pub incremental_ms: f64,
+    /// ns per `next_load` decision, brute-force chunk selection.
+    pub brute_ns: f64,
+    /// ns per `next_load` decision, incremental candidate heaps.
+    pub incremental_ns: f64,
 }
 
 impl SpeedupPoint {
     /// brute / incremental (higher is better).
     pub fn speedup(&self) -> f64 {
-        if self.incremental_ms > 0.0 {
-            self.brute_ms / self.incremental_ms
+        if self.incremental_ns > 0.0 {
+            self.brute_ns / self.incremental_ns
         } else {
             f64::INFINITY
         }
@@ -238,14 +204,14 @@ pub fn compare_plan_load(
     queries: usize,
     iterations: u32,
 ) -> SpeedupPoint {
-    let brute_ms = measure_plan_load(num_chunks, percent, queries, true, iterations);
-    let incremental_ms = measure_plan_load(num_chunks, percent, queries, false, iterations);
+    let brute_ns = measure_plan_load(num_chunks, percent, queries, true, iterations);
+    let incremental_ns = measure_plan_load(num_chunks, percent, queries, false, iterations);
     SpeedupPoint {
         queries,
         num_chunks,
         percent,
-        brute_ms,
-        incremental_ms,
+        brute_ns,
+        incremental_ns,
     }
 }
 
@@ -274,10 +240,10 @@ pub fn run(iterations: u32) -> Vec<Fig8Point> {
     let mut points = Vec::new();
     for &num_chunks in &CHUNK_COUNTS {
         for &percent in &PERCENTS {
-            let scheduling_ms = measure_scheduling_step(num_chunks, percent, QUERIES, iterations);
+            let scheduling_ns = measure_scheduling_step(num_chunks, percent, QUERIES, iterations);
             let (exec_secs, ios) = execution_time(num_chunks, percent, 3);
             // Each I/O requires one scheduling step.
-            let total_scheduling_secs = scheduling_ms / 1000.0 * ios as f64;
+            let total_scheduling_secs = scheduling_ns / 1e9 * ios as f64;
             let fraction = if exec_secs > 0.0 {
                 total_scheduling_secs / exec_secs
             } else {
@@ -286,7 +252,7 @@ pub fn run(iterations: u32) -> Vec<Fig8Point> {
             points.push(Fig8Point {
                 num_chunks,
                 percent,
-                scheduling_ms,
+                scheduling_ns,
                 fraction_of_execution: fraction,
             });
         }
@@ -307,7 +273,7 @@ mod tests {
         assert!(small >= 0.0 && large >= 0.0);
         assert!(
             large > small,
-            "more chunks must cost more scheduling time: {small} ms vs {large} ms"
+            "more chunks must cost more scheduling time: {small} ns vs {large} ns"
         );
     }
 
@@ -316,8 +282,8 @@ mod tests {
         let (exec, ios) = execution_time(256, 10, 3);
         assert!(exec > 0.0);
         assert!(ios > 0);
-        let ms = measure_scheduling_step(256, 10, QUERIES, 20);
-        let fraction = ms / 1000.0 * ios as f64 / exec;
+        let ns = measure_scheduling_step(256, 10, QUERIES, 20);
+        let fraction = ns / 1e9 * ios as f64 / exec;
         // The paper's bound: worst case below 1% of execution time — allow a
         // bit more in unoptimized debug builds.
         assert!(fraction < 0.05, "scheduling overhead fraction {fraction}");
@@ -327,7 +293,7 @@ mod tests {
     fn plan_load_measurement_is_sane() {
         // Both modes produce positive per-decision times on a small mix.
         let p = compare_plan_load(256, 100, 16, 20);
-        assert!(p.brute_ms > 0.0 && p.incremental_ms > 0.0);
+        assert!(p.brute_ns > 0.0 && p.incremental_ns > 0.0);
         assert!(p.speedup().is_finite());
     }
 
@@ -345,9 +311,9 @@ mod tests {
         let p = compare_plan_load(2048, 100, 64, 300);
         assert!(
             p.speedup() >= 5.0,
-            "expected ≥5× speedup at 64 queries: brute {} ms vs incremental {} ms ({}×)",
-            p.brute_ms,
-            p.incremental_ms,
+            "expected ≥5× speedup at 64 queries: brute {} ns vs incremental {} ns ({}×)",
+            p.brute_ns,
+            p.incremental_ns,
             p.speedup()
         );
     }

@@ -8,17 +8,14 @@
 //! * per-scheme decode bandwidth (GiB/s of decoded output) and effective
 //!   compression ratio (decoded bytes / encoded bytes);
 //! * the I/O volume of the lineitem demo mix with every column stored
-//!   under its matched scheme, against the same columns uncompressed;
-//! * a live threaded scan over a [`CompressingStore`], reporting how much
-//!   of the pin-wait went to decompressing the column it reads.
+//!   under its matched scheme, against the same columns uncompressed.
+//!
+//! The live engine's side of the question — what a scan over compressed
+//! chunks delivers — is the `scan_compressed` workload of `BENCHMARK.json`.
 
-use cscan_core::policy::PolicyKind;
-use cscan_core::threaded::ScanServer;
-use cscan_core::{CScanPlan, ColSet, TableModel};
 use cscan_exec::MemTable;
 use cscan_storage::codec::EncodedColumn;
-use cscan_storage::{ChunkId, ChunkStore, ColumnId, CompressingStore, Compression, ScanRanges};
-use std::sync::Arc;
+use cscan_storage::{ChunkId, ChunkStore, CompressingStore, Compression};
 use std::time::{Duration, Instant};
 
 /// One codec measurement point.
@@ -26,10 +23,6 @@ use std::time::{Duration, Instant};
 pub struct CodecPoint {
     /// Human-readable column/scheme description.
     pub name: &'static str,
-    /// Codec identifier (`pdict` / `pfor` / `pfor_delta`).
-    pub codec: &'static str,
-    /// Values encoded.
-    pub rows: usize,
     /// Encoded size in MiB.
     pub encoded_mib: f64,
     /// Decoded (logical) size in MiB.
@@ -111,8 +104,6 @@ pub fn run_codec_sweep(rows: usize) -> Vec<CodecPoint> {
         let decoded_bytes = rows as f64 * 8.0;
         CodecPoint {
             name,
-            codec,
-            rows,
             encoded_mib: enc.encoded_bytes() as f64 / (1 << 20) as f64,
             decoded_mib: decoded_bytes / (1 << 20) as f64,
             ratio: decoded_bytes / enc.encoded_bytes() as f64,
@@ -155,77 +146,6 @@ pub fn run_mix_volume(chunks: u32, rows_per_chunk: u64) -> MixVolume {
     }
 }
 
-/// A live compressed scan: wall time, decode share, delivered volume.
-#[derive(Debug, Clone, Copy)]
-pub struct LiveCompressedPoint {
-    /// Chunks scanned.
-    pub chunks: u32,
-    /// Rows delivered.
-    pub rows: u64,
-    /// Wall-clock seconds for the full scan.
-    pub wall_secs: f64,
-    /// Seconds spent decoding columns at their first touch (subset of
-    /// pin-wait).
-    pub decode_secs: f64,
-    /// Column values decompressed.
-    pub values_decoded: u64,
-    /// Decode bandwidth seen by the live scan (GiB/s of decoded values).
-    pub live_decode_gib_s: f64,
-    /// Logical MiB delivered per wall second.
-    pub delivered_mib_s: f64,
-}
-
-/// Scans a compressed lineitem table end-to-end through the threaded
-/// executor.  The consumer reads column 0 of every chunk, so that column —
-/// and none of the other five — is decoded, on the consumer thread, the
-/// first time each chunk's copy of it is touched; `delivered_mib_s` still
-/// counts the chunk's full logical width.
-pub fn run_live_compressed(chunks: u32, rows_per_chunk: u64) -> LiveCompressedPoint {
-    let table = MemTable::lineitem_demo(chunks as u64 * rows_per_chunk, rows_per_chunk);
-    let width = table.width();
-    let model = TableModel::nsm_uniform(chunks, rows_per_chunk, 16);
-    let store = CompressingStore::new(table, MemTable::lineitem_demo_schemes());
-    let server = ScanServer::builder(model)
-        .policy(PolicyKind::Relevance)
-        .buffer_chunks(chunks as u64 / 4 + 1)
-        .io_cost_per_page(Duration::ZERO)
-        .io_threads(2)
-        .store(Arc::new(store))
-        .build();
-    let started = Instant::now();
-    let handle = server.cscan(CScanPlan::new(
-        "fig9-live",
-        ScanRanges::full(chunks),
-        ColSet::empty(),
-    ));
-    let mut rows = 0u64;
-    let mut checksum = 0i64;
-    while let Some(pin) = handle.next_chunk().expect("fault-free scan") {
-        rows += pin.rows() as u64;
-        // Touch a column so the read is real.
-        if let Some(v) = pin.column(ColumnId::new(0)) {
-            checksum = checksum.wrapping_add(v[0]);
-        }
-        pin.complete();
-    }
-    handle.finish();
-    let wall_secs = started.elapsed().as_secs_f64();
-    std::hint::black_box(checksum);
-    let decode_secs = server.decode_time().as_secs_f64();
-    let values_decoded = server.values_decoded();
-    LiveCompressedPoint {
-        chunks,
-        rows,
-        wall_secs,
-        decode_secs,
-        values_decoded,
-        live_decode_gib_s: values_decoded as f64 * 8.0
-            / decode_secs.max(1e-9)
-            / (1u64 << 30) as f64,
-        delivered_mib_s: rows as f64 * 8.0 * width as f64 / (1 << 20) as f64 / wall_secs.max(1e-9),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,13 +175,5 @@ mod tests {
             mix.ratio
         );
         assert!(mix.compressed_mib < mix.uncompressed_mib);
-    }
-
-    #[test]
-    fn live_compressed_scan_decodes_the_touched_column_once() {
-        let p = run_live_compressed(8, 500);
-        assert_eq!(p.rows, 4_000);
-        assert_eq!(p.values_decoded, 4_000, "one column of six is read");
-        assert!(p.decode_secs >= 0.0);
     }
 }

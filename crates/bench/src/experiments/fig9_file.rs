@@ -1,13 +1,13 @@
 //! Figure 9 end-to-end against *real* storage: lineitem segment files on
 //! disk, served through [`FileStore`] with positioned reads, driven by the
-//! same scan → filter → aggregate pipelines as the fig5 live mode.
+//! scan → filter → aggregate pipelines, one thread per stream.
 //!
 //! The simulated experiments (fig2..fig9) charge a modelled per-page I/O
 //! cost; this module replaces the model with the real thing.  A table is
 //! written twice through [`SegmentWriter`] — once with every column plain,
 //! once with the Figure 9 codec mix ([`MemTable::lineitem_demo_schemes`]) —
 //! and the sweep reruns the fig5 policy comparison and the fig7-style
-//! I/O-thread scaling over both files, recording for every point:
+//! I/O-thread scaling over both files, reporting for every point:
 //!
 //! * delivered payload bandwidth (logical MiB/s through the session API),
 //! * `file_read_calls` / `file_bytes_read` from the shared observability
@@ -18,10 +18,10 @@
 //! answered by [`crossover`]: compressed wins when the ~4x smaller file
 //! (see [`run_file_mix_volume`]) buys more than the decode costs.  On a
 //! page-cache-warm tmpfs the disk is effectively RAM and plain may keep
-//! winning; `BENCH_file.json` records whichever way it lands.
+//! winning; the bin prints whichever way it lands.
 //!
 //! The sim front-end is wired metadata-faithfully: [`model_from_segment`]
-//! derives a [`TableModel`] from the segment *directory* (real on-disk
+//! derives a `TableModel` from the segment *directory* (real on-disk
 //! extent sizes → pages), so a [`Simulation`] over the compressed file
 //! schedules proportionally less I/O — [`run_sim_from_segment`] exposes
 //! that path and the tests pin sim bytes to the measured file bytes.
@@ -29,11 +29,12 @@
 use cscan_core::policy::PolicyKind;
 use cscan_core::sim::{QuerySpec, SimConfig, Simulation};
 use cscan_core::threaded::ScanServer;
-use cscan_core::{CScanPlan, ColSet, TableModel};
+use cscan_core::{CScanPlan, ColSet};
 use cscan_exec::{AggFunc, Expr, Filter, HashAggregate, MemTable, Operator, SessionSource};
 use cscan_obs::Registry;
+use cscan_server::model_from_segment;
 use cscan_storage::segment::{FileStore, SegmentSummary, SegmentWriter};
-use cscan_storage::{ChunkId, ChunkStore, ColumnId, Compression, ScanRanges, DEFAULT_PAGE_SIZE};
+use cscan_storage::{ChunkId, ChunkStore, ColumnId, Compression, ScanRanges};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -68,26 +69,6 @@ pub fn write_lineitem_segment(
     writer.finish()
 }
 
-/// Builds the ABM's [`TableModel`] from a segment's footer directory — the
-/// metadata-faithful bridge to both front-ends: chunk count and rows come
-/// straight from the directory, and pages-per-chunk from the *actual*
-/// on-disk extent bytes (so a compressed segment models proportionally
-/// less I/O, exactly like the DSM widths of the paper's Figure 9).
-pub fn model_from_segment(store: &FileStore) -> TableModel {
-    let dir = store.directory();
-    let chunks = dir.num_chunks();
-    let rows = dir.chunk_rows(ChunkId::new(0)).unwrap_or(1).max(1);
-    let pages = (0..chunks)
-        .map(|c| {
-            dir.chunk_bytes(ChunkId::new(c), None)
-                .div_ceil(DEFAULT_PAGE_SIZE)
-        })
-        .max()
-        .unwrap_or(1)
-        .max(1);
-    TableModel::nsm_uniform(chunks, rows, pages)
-}
-
 /// Runs the deterministic simulation front-end over a segment-derived
 /// model: `streams` staggered full scans under `policy`, in virtual time.
 /// Returns `(makespan_secs, sim_bytes_read)`.
@@ -118,15 +99,9 @@ pub struct FilePoint {
     pub policy: PolicyKind,
     /// I/O worker threads issuing positioned reads.
     pub io_threads: usize,
-    /// Concurrent pipeline threads.
-    pub streams: usize,
-    /// Wall-clock run time in seconds.
-    pub wall_secs: f64,
     /// Rows that entered the aggregates, summed over all pipelines.
     pub rows: u64,
-    /// Logical payload delivered to consumers, in MiB.
-    pub delivered_mib: f64,
-    /// Delivered payload per wall-clock second, in MiB/s.
+    /// Logical payload delivered per wall-clock second, in MiB/s.
     pub delivered_mib_s: f64,
     /// Positioned read calls issued against the segment file.
     pub file_read_calls: u64,
@@ -208,10 +183,7 @@ pub fn run_file_point(
         mode,
         policy,
         io_threads,
-        streams,
-        wall_secs,
         rows,
-        delivered_mib,
         delivered_mib_s: delivered_mib / wall_secs,
         file_read_calls: snap.counter("file_read_calls"),
         file_bytes_read: snap.counter("file_bytes_read"),
@@ -351,7 +323,7 @@ pub fn run_file_mix_volume(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cscan_storage::ScratchPath;
+    use cscan_storage::{ScratchPath, DEFAULT_PAGE_SIZE};
 
     #[test]
     fn pipeline_columns_match_the_demo_table() {

@@ -7,18 +7,17 @@
 //! | [`fig4`]   | Figure 4 — chunk-access-over-time traces per policy |
 //! | [`fig5`]   | Figure 5 — throughput/latency scatter over 15 query mixes |
 //! | [`fig6`]   | Figure 6 — sweep over buffer-pool capacity |
-//! | [`fig7`]   | Figure 7 — sweep over the number of concurrent queries |
+//! | [`fig7`]   | Figure 7 — sweep over the number of concurrent queries; outstanding-I/O sweep (`BENCH_io.json`); thread-scaling gate |
 //! | [`fig8`]   | Figure 8 — scheduling cost of the relevance policy |
-//! | [`fig9`]   | Figure 9 — compression: decode GiB/s and I/O volume |
+//! | [`fig9`]   | Figure 9 — compression: decode GiB/s, ratios and I/O volume |
 //! | [`fig9_file`] | Figure 9 end-to-end — real segment files through `FileStore` |
 //! | [`table3`] | Table 3 — DSM policy comparison |
 //! | [`table4`] | Table 4 — DSM column-overlap study |
-//! | [`faults`] | Fault sweep — goodput/retries under injected I/O failures |
-//! | [`serve`]  | Served scans — remote clients through the network service |
+//! | [`faults`] | Fault sweep — rows and fault counts under injected I/O failures; checksum overhead (`fault_gate`) |
+//! | [`serve`]  | Served scans — remote clients through the network service (`serve_gate`) |
 //!
 //! Table 1 of the paper is published TPC-H price/performance data (used as
-//! motivation), not an experiment, and is therefore only discussed in
-//! `EXPERIMENTS.md`.
+//! motivation), not an experiment, and is therefore not reproduced.
 
 pub mod faults;
 pub mod fig2;

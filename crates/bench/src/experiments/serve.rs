@@ -1,5 +1,5 @@
-//! The served-scan experiment behind `fig_serve`: many concurrent remote
-//! clients streaming two tables through the network service, with the
+//! The served-scan experiment behind `tests/serve_gate.rs`: many concurrent
+//! remote clients streaming two tables through the network service, with the
 //! admission cap deliberately below the offered load so the gate's
 //! queue/shed behaviour is exercised, and a fraction of clients killed
 //! mid-scan (socket dropped without `Cancel`) to prove teardown releases
@@ -42,35 +42,13 @@ pub struct ServeSweepConfig {
     pub kill_every: usize,
 }
 
-impl Default for ServeSweepConfig {
-    fn default() -> Self {
-        ServeSweepConfig {
-            clients: 40,
-            scans_per_client: 4,
-            chunks: 64,
-            rows_per_chunk: 2_000,
-            max_attached: 12,
-            max_queued: 6,
-            kill_every: 8,
-        }
-    }
-}
-
 /// What one served sweep measured.
 #[derive(Debug, Clone)]
 pub struct ServeResult {
-    /// Concurrent client connections.
-    pub clients: usize,
-    /// Tables in the served catalog.
-    pub tables: usize,
     /// Scans that streamed to completion.
     pub scans_completed: u64,
     /// Scans killed mid-stream by dropping the connection.
     pub scans_killed: u64,
-    /// Open attempts shed (or queue-timed-out) and retried by a client.
-    pub retries: u64,
-    /// Wall time of the whole sweep.
-    pub wall_secs: f64,
     /// Server-side bytes served over wall time.
     pub sustained_mib_s: f64,
     /// Median time from `open_scan` call to first batch, across all scans.
@@ -89,8 +67,6 @@ pub struct ServeResult {
     pub batches_served: u64,
     /// Bytes the server encoded and sent.
     pub bytes_served: u64,
-    /// Connections the server shed for lack of progress.
-    pub connections_shed: u64,
     /// Buffer frames still pinned after every client disconnected.
     pub pinned_after: usize,
 }
@@ -134,7 +110,6 @@ pub fn run_serve_sweep(cfg: &ServeSweepConfig) -> ServeResult {
     .expect("bind loopback");
     let addr = handle.addr();
 
-    let retries = Arc::new(AtomicU64::new(0));
     let killed = Arc::new(AtomicU64::new(0));
     let completed = Arc::new(AtomicU64::new(0));
     let peak_admitted = Arc::new(AtomicU64::new(0));
@@ -143,7 +118,6 @@ pub fn run_serve_sweep(cfg: &ServeSweepConfig) -> ServeResult {
     let workers: Vec<_> = (0..cfg.clients)
         .map(|c| {
             let cfg = cfg.clone();
-            let retries = Arc::clone(&retries);
             let killed = Arc::clone(&killed);
             let completed = Arc::clone(&completed);
             let peak = Arc::clone(&peak_admitted);
@@ -166,7 +140,6 @@ pub fn run_serve_sweep(cfg: &ServeSweepConfig) -> ServeResult {
                         match client.open_scan(table, plan) {
                             Ok(scan) => break scan,
                             Err(e) if e.is_retryable() => {
-                                retries.fetch_add(1, Ordering::Relaxed);
                                 std::thread::sleep(Duration::from_millis(2));
                             }
                             Err(e) => panic!("client {c} scan {s}: {e}"),
@@ -236,12 +209,8 @@ pub fn run_serve_sweep(cfg: &ServeSweepConfig) -> ServeResult {
     };
     let bytes_served = obs.counter(Counter::BytesServed);
     let result = ServeResult {
-        clients: cfg.clients,
-        tables: catalog.tables().len(),
         scans_completed: completed.load(Ordering::Relaxed),
         scans_killed: killed.load(Ordering::Relaxed),
-        retries: retries.load(Ordering::Relaxed),
-        wall_secs: wall.as_secs_f64(),
         sustained_mib_s: bytes_served as f64 / (1024.0 * 1024.0) / wall.as_secs_f64().max(1e-9),
         ttfb_p50: pct(0.50),
         ttfb_p99: pct(0.99),
@@ -251,7 +220,6 @@ pub fn run_serve_sweep(cfg: &ServeSweepConfig) -> ServeResult {
         peak_admitted: peak_admitted.load(Ordering::Relaxed),
         batches_served: obs.counter(Counter::BatchesServed),
         bytes_served,
-        connections_shed: obs.counter(Counter::ConnectionsShed),
         pinned_after,
     };
     handle.stop();
@@ -264,7 +232,7 @@ mod tests {
     use super::*;
 
     /// Debug-build smoke at a fraction of the CI scale: the full sweep is
-    /// exercised release-only in `tests/serve_gate.rs` and `fig_serve`.
+    /// exercised release-only in `tests/serve_gate.rs`.
     #[test]
     fn small_sweep_completes_and_leaks_nothing() {
         let cfg = ServeSweepConfig {

@@ -28,12 +28,28 @@ impl Scale {
     }
 
     /// Reads the scale from the command line (`--quick` / `--paper` or a bare
-    /// word), defaulting to `Quick`.
+    /// word), defaulting to `Quick` when no argument is given.  An argument
+    /// that is not a scale prints a usage line and exits with status 2, so a
+    /// mistyped or removed option cannot quietly run the quick figure.
     pub fn from_args() -> Scale {
-        std::env::args()
-            .skip(1)
-            .find_map(|a| Scale::parse(a.trim_start_matches('-')))
-            .unwrap_or(Scale::Quick)
+        Scale::parse_args(std::env::args().skip(1)).unwrap_or_else(|bad| {
+            let bin = std::env::args().next().unwrap_or_default();
+            eprintln!("unknown argument `{bad}`; usage: {bin} [quick|paper]");
+            std::process::exit(2)
+        })
+    }
+
+    /// The first argument's scale (`Quick` for no arguments), or the first
+    /// argument that is not a scale.
+    fn parse_args(args: impl Iterator<Item = String>) -> Result<Scale, String> {
+        let mut scale = None;
+        for arg in args {
+            match Scale::parse(arg.trim_start_matches('-')) {
+                Some(s) => scale = scale.or(Some(s)),
+                None => return Err(arg),
+            }
+        }
+        Ok(scale.unwrap_or(Scale::Quick))
     }
 
     /// TPC-H scale factor for the NSM experiments.
@@ -210,6 +226,11 @@ mod tests {
         assert_eq!(Scale::parse("PAPER"), Some(Scale::Paper));
         assert_eq!(Scale::parse("full"), Some(Scale::Paper));
         assert_eq!(Scale::parse("bogus"), None);
+        let args = |a: &[&str]| Scale::parse_args(a.iter().map(|s| s.to_string()));
+        assert_eq!(args(&[]), Ok(Scale::Quick));
+        assert_eq!(args(&["--paper"]), Ok(Scale::Paper));
+        assert_eq!(args(&["--live"]), Err("--live".to_string()));
+        assert_eq!(args(&["paper", "fast"]), Err("fast".to_string()));
         assert!(Scale::Quick.streams() < Scale::Paper.streams());
         assert!(Scale::Quick.nsm_scale_factor() < Scale::Paper.nsm_scale_factor());
     }

@@ -4,8 +4,13 @@
 //! under [`experiments`] that builds the corresponding workload, runs it
 //! through the deterministic simulation for each scheduling policy and
 //! returns structured results; the `src/bin/*` binaries print them in a
-//! layout mirroring the paper, and `EXPERIMENTS.md` records paper-vs-measured
-//! numbers.
+//! layout mirroring the paper.
+//!
+//! What is kept where: the one committed number, `BENCH_io.json`, is
+//! virtual time and a test holds a re-run to it byte for byte; bounds on the
+//! live engine are gate tests (`tests/*_gate.rs` and the release-only tests
+//! in [`experiments`]); wall-clock measurements of the live engine are
+//! `BENCHMARK.json` workloads and live nowhere else.
 //!
 //! Most experiments accept an [`Scale`]: `Quick` shrinks the data
 //! and stream counts so the whole suite runs in seconds (used by the

@@ -60,10 +60,11 @@
 //! the DSM argmax is amortized O(log candidates) per dirtied chunk.  State
 //! transitions pay O(1) per interest-counter change, with a starvation
 //! *level* crossing costing O(chunks the query still needs).  On the
-//! Figure 8 2 GB/2048-chunk mix this makes a `plan_load` decision 20–40×
-//! cheaper than the brute-force sweep at 16–128 concurrent queries (see
-//! `BENCH_scheduling.json`, regenerated by the `fig8_scheduling_cost`
-//! binary: `cargo run --release -p cscan_bench --bin fig8_scheduling_cost`).
+//! Figure 8 2 GB/2048-chunk mix this makes a `plan_load` decision 10–50×
+//! cheaper than the brute-force sweep at 16–128 concurrent queries
+//! (wall-clock, printed by `cargo run --release -p cscan_bench --bin
+//! fig8_scheduling_cost`; the release-only `incremental_speedup_at_64_queries`
+//! gate in `cscan_bench` holds it to ≥ 5× at 64).
 
 use crate::abm::{AbmState, LoadDecision, STARVATION_THRESHOLD};
 use crate::colset::ColSet;
