@@ -19,8 +19,8 @@
 //! * `--layout` only picks the chunk-geometry convention (NSM chunks are
 //!   byte-sized, DSM chunks are tuple-count partitions) — the segment
 //!   format itself always keeps per-column extents, which is what lets
-//!   `FileStore` serve both `cols: None` (NSM payloads) and column-subset
-//!   (DSM) requests from one file.
+//!   `FileStore` serve both `cols: None` (whole chunks, NSM) and
+//!   column-subset (DSM) requests from one file.
 //!
 //! The writer targets `<out>.tmp` and atomically renames on success, so a
 //! killed load never leaves a partial segment under the final name; it

@@ -13,9 +13,9 @@
 //!
 //! [`verify_checksums`]: cscan_storage::ChunkPayload::verify_checksums
 
-use cscan_core::iosched::RetryPolicy;
 use cscan_core::policy::PolicyKind;
 use cscan_core::threaded::ScanServer;
+use cscan_core::RetryPolicy;
 use cscan_core::{CScanPlan, ColSet, TableModel};
 use cscan_exec::MemTable;
 use cscan_obs::Registry;

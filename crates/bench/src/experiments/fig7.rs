@@ -77,7 +77,7 @@ pub fn run(scale: Scale, seed: u64, concurrency_limit: Option<usize>) -> Vec<Fig
 }
 
 // ----------------------------------------------------------------------
-// Outstanding-I/O sweep (the `iosched` layer).
+// Outstanding-I/O sweep (`SimConfig::max_outstanding_io`).
 // ----------------------------------------------------------------------
 
 /// The outstanding-load budgets swept.

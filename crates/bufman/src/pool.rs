@@ -50,8 +50,8 @@ impl std::ops::AddAssign for PoolStats {
 #[cfg(test)]
 mod tests {
     use crate::ShardedPool;
-    use cscan_storage::chunkdata::{ColumnChunk, NsmChunkData};
-    use cscan_storage::{ChunkId, ChunkPayload, Compression};
+    use cscan_storage::chunkdata::{ChunkData, ColumnChunk};
+    use cscan_storage::{ChunkId, ChunkPayload, ColumnId, Compression};
     use std::sync::Arc;
 
     fn chunk(c: u32) -> ChunkId {
@@ -153,15 +153,21 @@ mod tests {
     }
 
     fn compressed(values: &[i64]) -> ChunkPayload {
-        ChunkPayload::Nsm(Arc::new(NsmChunkData::from_parts(vec![
+        ChunkData::from_parts(vec![(
+            ColumnId::new(0),
             ColumnChunk::encode(values, Compression::Dictionary { bits: 3 }),
-        ])))
+        )])
+        .into()
     }
 
     #[test]
     fn payload_lives_and_dies_with_residency() {
         let pool = ShardedPool::new(2);
-        let payload = ChunkPayload::Nsm(Arc::new(NsmChunkData::new(vec![Arc::new(vec![1, 2, 3])])));
+        let payload: ChunkPayload = ChunkData::from_parts(vec![(
+            ColumnId::new(0),
+            ColumnChunk::Plain(Arc::new(vec![1, 2, 3])),
+        )])
+        .into();
         assert_eq!(pool.payload(chunk(1)), None);
         pool.install(chunk(1), payload.clone());
         assert_eq!(pool.payload(chunk(1)), Some(payload.clone()));

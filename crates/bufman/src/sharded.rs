@@ -165,8 +165,8 @@ impl ShardedPool {
     }
 
     /// Makes `chunk` resident with `payload`, or — if it already is —
-    /// merges `payload` into what the slot holds (for DSM the union of the
-    /// column sets, see [`ChunkPayload::merged_with`]).  Counts as one pin
+    /// merges `payload` into what the slot holds (the union of the column
+    /// sets, see [`ChunkPayload::merged_with`]).  Counts as one pin
     /// and one unpin, a miss for a fresh slot and a hit for a merge.
     /// Returns false, changing nothing, for a chunk id out of range.
     pub fn install(&self, chunk: ChunkId, payload: ChunkPayload) -> bool {

@@ -3,8 +3,8 @@
 
 use cscan_bufman::{PoolStats, ShardedPool};
 use cscan_obs::{Gauge, Registry};
-use cscan_storage::chunkdata::NsmChunkData;
-use cscan_storage::{ChunkId, ChunkPayload};
+use cscan_storage::chunkdata::{ChunkData, ColumnChunk};
+use cscan_storage::{ChunkId, ChunkPayload, ColumnId};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::sync::Arc;
@@ -44,9 +44,8 @@ impl Model {
 
     fn fresh_payload(&mut self) -> ChunkPayload {
         self.next_tag += 1;
-        ChunkPayload::Nsm(Arc::new(NsmChunkData::new(vec![Arc::new(vec![
-            self.next_tag,
-        ])])))
+        let tag = ColumnChunk::Plain(Arc::new(vec![self.next_tag]));
+        ChunkData::from_parts(vec![(ColumnId::new(0), tag)]).into()
     }
 
     /// Applies one operation to both sides and checks that they agree.  An
@@ -69,7 +68,7 @@ impl Model {
             INSTALL => {
                 let payload = self.fresh_payload();
                 prop_assert!(self.pool.install(chunk, payload.clone()));
-                // NSM payloads do not merge: the newer one wins.
+                // A reload of the same columns does not merge: the newer wins.
                 self.slots[i].0 = Some(payload);
                 self.generations[i] += 1;
                 self.stats.pins += 1;

@@ -8,6 +8,13 @@
 //! in flight and a reader that stops calling [`RemoteScan::next_batch`]
 //! stops the stream — backpressure is the default, not an option.
 //!
+//! The server sends `ScanDone` only to a scan that holds a credit beyond
+//! its last batch (see [`Message::NextBatch`]); a hand-written client that
+//! grants exactly `num_chunks` credits waits for it until it is shed as
+//! stalled.  This client never runs dry while it waits — it tops the window
+//! back up to full whenever fewer than half its credits are outstanding —
+//! so the rule is invisible here.
+//!
 //! ```no_run
 //! use cscan_client::ScanClient;
 //! use cscan_core::{CScanPlan, ColSet};

@@ -14,12 +14,17 @@
 //!   queries should be signalled;
 //! * [`Abm::finish_query`] — the CScan operator is closed.
 //!
-//! [`Abm::plan_load`] keeps the paper's single-outstanding main loop.  The
-//! asynchronous I/O scheduler ([`crate::iosched`]) instead drives
-//! [`Abm::plan_loads`], which plans a whole burst of loads in one step —
-//! evicting (and thereby reserving) the victims for the entire burst up
-//! front — and [`Abm::commit_load`], which retires loads by key in whatever
-//! order the spindles finish them.
+//! [`Abm::plan_load`] keeps the paper's single-outstanding main loop (the
+//! reference the property tests compare against).  Both drivers instead
+//! call [`Abm::plan_loads`], which plans a whole burst of loads in one
+//! step — evicting (and thereby reserving) the victims for the entire burst
+//! up front, so an in-flight burst can never deadlock or over-commit the
+//! pool — and [`Abm::commit_load`], which retires loads by key in whatever
+//! order the spindles finish them.  There is no materialized pending queue
+//! below the policy: every burst is planned against the live [`AbmState`],
+//! so it is re-planned by construction whenever queries register or
+//! detach.  Planning a burst of `B` loads costs `B` policy decisions plus
+//! the evictions it needs — nothing is quadratic in the budget.
 //!
 //! # Plan / commit
 //!
@@ -32,11 +37,14 @@
 //! dropped, and a load whose last interested query detached mid-read is
 //! aborted ([`Abm::finish_query`] aborts such loads eagerly; the commit
 //! check is the belt to that suspenders).  With a single worker and K = 1
-//! the protocol is decision-identical to the sequential main loop (proved
-//! by the property tests in [`crate::iosched`]).
+//! the protocol is decision-identical to the sequential main loop (checked,
+//! with the protocol's safety properties, by the tests in
+//! `abm/plan_commit_tests.rs`).
 
 mod buffer;
 pub mod index;
+#[cfg(test)]
+mod plan_commit_tests;
 #[cfg(test)]
 mod proptests;
 mod state;
@@ -110,9 +118,6 @@ pub struct Abm {
     /// Reused buffer for the wake-up list returned by [`Abm::complete_load`],
     /// so the per-load hot path performs no allocation.
     wake_scratch: Vec<QueryId>,
-    /// Loads auto-aborted by the most recent [`Abm::finish_query`] (their
-    /// last interested query detached mid-read), as `(chunk, ticket)` pairs.
-    aborted_scratch: Vec<(ChunkId, u64)>,
 }
 
 impl std::fmt::Debug for Abm {
@@ -135,7 +140,6 @@ impl Abm {
             policy,
             next_query_id: 0,
             wake_scratch: Vec::new(),
-            aborted_scratch: Vec::new(),
         }
     }
 
@@ -209,27 +213,21 @@ impl Abm {
     ///
     /// In-flight loads whose *last* interested query this detach removed are
     /// aborted immediately (their page reservations are released so other
-    /// loads can use the space); the driver reads the cancelled set from
-    /// [`Abm::aborted_loads`] and drops the corresponding device I/O — a
-    /// completion that still arrives is rejected by [`Abm::commit_load`]'s
-    /// ticket check.
+    /// loads can use the space); the device read may still be under way, and
+    /// its completion is rejected by [`Abm::commit_load`]'s ticket check.
     pub fn finish_query(&mut self, q: QueryId) -> Option<QueryState> {
         self.state.try_query(q)?;
         self.policy.on_query_finished(q, &self.state);
         let final_state = self.state.remove_query(q);
-        let mut aborted = std::mem::take(&mut self.aborted_scratch);
-        aborted.clear();
-        aborted.extend(
-            self.state
-                .inflight_loads()
-                .iter()
-                .filter(|l| self.state.num_interested(l.chunk) == 0)
-                .map(|l| (l.chunk, l.ticket)),
-        );
-        for &(chunk, _) in &aborted {
-            self.state.abort_load(chunk);
+        while let Some(dead) = self
+            .state
+            .inflight_loads()
+            .iter()
+            .find(|l| self.state.num_interested(l.chunk) == 0)
+            .map(|l| l.chunk)
+        {
+            self.state.abort_load(dead);
         }
-        self.aborted_scratch = aborted;
         Some(final_state)
     }
 
@@ -274,13 +272,6 @@ impl Abm {
         }
     }
 
-    /// The loads cancelled by the most recent [`Abm::finish_query`] (their
-    /// last interested query detached mid-read), as `(chunk, ticket)` pairs.
-    /// Overwritten by the next `finish_query` call.
-    pub fn aborted_loads(&self) -> &[(ChunkId, u64)] {
-        &self.aborted_scratch
-    }
-
     /// Returns the processing pin a since-removed query still held on
     /// `chunk`, if any.
     ///
@@ -319,7 +310,7 @@ impl Abm {
     ///
     /// This is the paper's sequential main loop: at most one load may be
     /// outstanding, and calling it while a load is in flight returns `None`.
-    /// The asynchronous scheduler uses [`Abm::plan_loads`] instead.
+    /// Both drivers use [`Abm::plan_loads`] instead.
     pub fn plan_load(&mut self, now: SimTime) -> Option<LoadPlan> {
         if self.state.num_inflight() > 0 {
             return None;

@@ -1,11 +1,13 @@
-//! Property tests of the K-outstanding I/O scheduler and the plan/commit
-//! protocol.
+//! Tests of the plan/commit protocol as both drivers use it: up to K loads
+//! in flight, each burst planned by [`Abm::plan_loads`] with a budget of K
+//! minus the loads in flight, each completion retired by
+//! [`Abm::commit_load`] under the `(ticket, epoch)` stamp of its plan.
 //!
 //! For arbitrary interleavings of query registration/detachment, chunk
 //! consumption and out-of-order load completions, with arbitrary
 //! outstanding-load budgets:
 //!
-//! * every load the scheduler admits targets a chunk some active query still
+//! * every load the ABM admits targets a chunk some active query still
 //!   needs, and a commit *never installs residency* for a chunk no active
 //!   query wants — a detach mid-read leads to an abort or a cancelled
 //!   completion, not a dead chunk in the pool,
@@ -13,12 +15,11 @@
 //!   loads, tickets are unique, and occupied plus reserved pages never
 //!   exceed the pool (re-checked from first principles here, on top of
 //!   [`AbmState::validate_counters`]),
-//! * driven by a single worker, a K=1 plan/commit scheduler takes
+//! * driven by a single worker, a K=1 plan/commit loop takes
 //!   decision-for-decision the same loads (and evictions) as the sequential
 //!   [`Abm::plan_load`] main loop.
 
-use super::IoScheduler;
-use crate::abm::{Abm, AbmState, LoadPlan};
+use crate::abm::{Abm, AbmState, CommitOutcome, LoadPlan};
 use crate::model::TableModel;
 use crate::policy::PolicyKind;
 use crate::query::QueryId;
@@ -56,11 +57,26 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn new_abm(buffer_chunks: u64) -> Abm {
-    let model = TableModel::nsm_uniform(CHUNKS, 1000, 16);
+fn abm(chunks: u32, buffer_chunks: u64) -> Abm {
+    let model = TableModel::nsm_uniform(chunks, 1000, 16);
     Abm::new(
         AbmState::new(model, buffer_chunks * 16),
         PolicyKind::Relevance.build(),
+    )
+}
+
+/// Fills the pipeline the way both drivers do: the budget is K minus the
+/// loads in flight.
+fn plan(abm: &mut Abm, k: usize, now: SimTime, out: &mut Vec<LoadPlan>) {
+    let room = k.saturating_sub(abm.state().num_inflight());
+    abm.plan_loads(now, room, out);
+}
+
+/// Retires `plan`'s completion; whether it installed residency.
+fn commit(abm: &mut Abm, plan: &LoadPlan) -> bool {
+    matches!(
+        abm.commit_load(plan.decision.chunk, plan.ticket, plan.epoch),
+        CommitOutcome::Committed { .. }
     )
 }
 
@@ -91,11 +107,10 @@ fn apply_op(op: &Op, abm: &mut Abm, active: &mut Vec<QueryId>, next_label: &mut 
     }
 }
 
-/// Drives `abm` through `ops` with a K-outstanding scheduler, checking the
+/// Drives `abm` through `ops` with up to K loads outstanding, checking the
 /// safety properties after every step.
-fn check_scheduler(k: usize, ops: &[Op]) -> Result<(), TestCaseError> {
-    let mut abm = new_abm(4);
-    let mut sched = IoScheduler::new(k);
+fn check_pipeline(k: usize, ops: &[Op]) -> Result<(), TestCaseError> {
+    let mut abm = abm(CHUNKS, 4);
     let mut active: Vec<QueryId> = Vec::new();
     let mut next_label = 0u64;
     let mut plans: Vec<LoadPlan> = Vec::new();
@@ -113,10 +128,7 @@ fn check_scheduler(k: usize, ops: &[Op]) -> Result<(), TestCaseError> {
                 if !plans.is_empty() {
                     let idx = i as usize % plans.len();
                     let plan = plans.swap_remove(idx);
-                    let committed = sched
-                        .commit(&mut abm, plan.decision.chunk, plan.ticket)
-                        .is_some();
-                    if committed {
+                    if commit(&mut abm, &plan) {
                         prop_assert!(
                             abm.state().num_interested(plan.decision.chunk) > 0,
                             "committed a load of {:?} which no query needs",
@@ -141,7 +153,7 @@ fn check_scheduler(k: usize, ops: &[Op]) -> Result<(), TestCaseError> {
         }
         // Re-fill the pipeline, as a driver would after every event.
         let before = plans.len();
-        sched.plan(&mut abm, now, &mut plans);
+        plan(&mut abm, k, now, &mut plans);
         for plan in &plans[before..] {
             // Never load a chunk nobody wants.
             prop_assert!(
@@ -151,19 +163,28 @@ fn check_scheduler(k: usize, ops: &[Op]) -> Result<(), TestCaseError> {
             );
             prop_assert!(plan.pages > 0);
         }
-        // Never more than K in flight, never two loads of one chunk, and
-        // never an over-committed pool (frames double-reserved).
-        prop_assert!(sched.in_flight() <= k);
-        prop_assert_eq!(sched.in_flight(), abm.state().num_inflight());
-        let mut chunks: Vec<_> = abm
-            .state()
-            .inflight_loads()
-            .iter()
-            .map(|l| l.chunk)
-            .collect();
-        chunks.sort_unstable();
-        chunks.dedup();
-        prop_assert_eq!(chunks.len(), abm.state().num_inflight());
+        // Never more than K in flight, never two loads of one chunk or two
+        // of one ticket, every load in flight one whose completion is still
+        // to come, and never an over-committed pool (frames
+        // double-reserved).
+        let inflight = abm.state().inflight_loads();
+        prop_assert!(inflight.len() <= k);
+        for (i, load) in inflight.iter().enumerate() {
+            prop_assert!(
+                inflight[..i]
+                    .iter()
+                    .all(|l| l.chunk != load.chunk && l.ticket != load.ticket),
+                "two loads of {:?} or two tickets {}",
+                load.chunk,
+                load.ticket
+            );
+            prop_assert!(
+                plans
+                    .iter()
+                    .any(|p| p.decision.chunk == load.chunk && p.ticket == load.ticket),
+                "a load in flight nobody will complete"
+            );
+        }
         let reserved: u64 = abm.state().inflight_loads().iter().map(|l| l.pages).sum();
         prop_assert_eq!(reserved, abm.state().reserved_pages());
         prop_assert!(
@@ -175,12 +196,11 @@ fn check_scheduler(k: usize, ops: &[Op]) -> Result<(), TestCaseError> {
 }
 
 /// Drives two identical workloads, one through the sequential
-/// [`Abm::plan_load`] loop and one through a K=1 [`IoScheduler`]; their
+/// [`Abm::plan_load`] loop and one through plan/commit with K = 1; their
 /// decision and eviction streams must be identical at every step.
 fn check_k1_degenerates(ops: &[Op]) -> Result<(), TestCaseError> {
-    let mut seq = new_abm(4);
-    let mut pipe = new_abm(4);
-    let mut sched = IoScheduler::new(1);
+    let mut seq = abm(CHUNKS, 4);
+    let mut pipe = abm(CHUNKS, 4);
     let mut seq_active: Vec<QueryId> = Vec::new();
     let mut pipe_active: Vec<QueryId> = Vec::new();
     let mut seq_label = 0u64;
@@ -217,33 +237,93 @@ fn check_k1_degenerates(ops: &[Op]) -> Result<(), TestCaseError> {
                 apply_op(op, &mut pipe, &mut pipe_active, &mut pipe_label, now);
             }
         }
-        // One sequential step vs one K=1 scheduler step.
+        // One sequential step vs one K=1 plan/commit step.
         let a = seq.plan_load(now);
         let mut b = Vec::new();
-        sched.plan(&mut pipe, now, &mut b);
+        plan(&mut pipe, 1, now, &mut b);
         prop_assert_eq!(
             a.as_ref().map(|p| p.decision),
             b.first().map(|p| p.decision),
-            "K=1 scheduler diverged from the sequential path"
+            "K=1 plan/commit diverged from the sequential path"
         );
         prop_assert_eq!(
             a.as_ref().map(|p| p.evicted.clone()),
             b.first().map(|p| p.evicted.clone()),
-            "K=1 scheduler evicted differently from the sequential path"
+            "K=1 plan/commit evicted differently from the sequential path"
         );
         if a.is_some() {
-            let stamped = b.first().expect("decision streams matched");
-            let (chunk, ticket) = (stamped.decision.chunk, stamped.ticket);
             seq.complete_load();
-            // Retire through the plan/commit path: with one worker and K=1
-            // nothing can race the read, so the commit always installs.
+            // With one worker and K=1 nothing can race the read, so the
+            // commit always installs.
             prop_assert!(
-                sched.commit(&mut pipe, chunk, ticket).is_some(),
+                commit(&mut pipe, &b[0]),
                 "a K=1 single-worker commit must never be stale"
             );
         }
     }
     Ok(())
+}
+
+#[test]
+fn keeps_k_loads_in_flight() {
+    let mut abm = abm(32, 16);
+    let cols = abm.state().model().all_columns();
+    abm.register_query("full", ScanRanges::full(32), cols, SimTime::ZERO);
+    let mut plans = Vec::new();
+    plan(&mut abm, 4, SimTime::ZERO, &mut plans);
+    assert_eq!(plans.len(), 4, "an empty pipeline fills to K");
+    assert_eq!(abm.state().num_inflight(), 4);
+    // All four target distinct chunks and are reserved.
+    let mut chunks: Vec<_> = plans.iter().map(|p| p.decision.chunk).collect();
+    chunks.sort_unstable();
+    chunks.dedup();
+    assert_eq!(chunks.len(), 4);
+    assert_eq!(abm.state().reserved_pages(), 4 * 16);
+    // Completing one (out of order) frees a slot; the next plan refills.
+    assert!(commit(&mut abm, &plans[2]), "the load is current");
+    assert_eq!(abm.state().num_inflight(), 3);
+    assert!(!commit(&mut abm, &plans[2]), "a second completion is stale");
+    let mut more = Vec::new();
+    plan(&mut abm, 4, SimTime::ZERO, &mut more);
+    assert_eq!(more.len(), 1);
+    assert_eq!(abm.state().num_inflight(), 4);
+    assert_eq!(abm.state().io_requests(), 1);
+}
+
+#[test]
+fn k1_matches_sequential_plan_load() {
+    // Two identical ABMs over the same workload: one driven by the
+    // sequential plan_load main loop, one by plan/commit with K = 1.
+    // Their decision streams must be identical.
+    let mut seq = abm(24, 4);
+    let mut pipe = abm(24, 4);
+    let cols = seq.state().model().all_columns();
+    for a in [&mut seq, &mut pipe] {
+        a.register_query("a", ScanRanges::single(0, 16), cols, SimTime::ZERO);
+        a.register_query("b", ScanRanges::single(8, 24), cols, SimTime::ZERO);
+    }
+    for _ in 0..64 {
+        let s = seq.plan_load(SimTime::ZERO);
+        let mut p = Vec::new();
+        plan(&mut pipe, 1, SimTime::ZERO, &mut p);
+        assert_eq!(
+            s.as_ref().map(|x| x.decision),
+            p.first().map(|x| x.decision),
+            "K=1 plan/commit diverged from the sequential path"
+        );
+        assert_eq!(
+            s.as_ref().map(|x| &x.evicted),
+            p.first().map(|x| &x.evicted)
+        );
+        if s.is_none() {
+            break;
+        }
+        seq.complete_load();
+        assert!(
+            commit(&mut pipe, &p[0]),
+            "nothing detached: the commit is valid"
+        );
+    }
 }
 
 proptest! {
@@ -255,10 +335,10 @@ proptest! {
         k in 1usize..=6,
         ops in prop::collection::vec(arb_op(), 1..60),
     ) {
-        check_scheduler(k, &ops)?;
+        check_pipeline(k, &ops)?;
     }
 
-    /// A K=1 scheduler is bit-identical to the sequential main loop.
+    /// K = 1 plan/commit is bit-identical to the sequential main loop.
     #[test]
     fn k1_degenerates_to_sequential(ops in prop::collection::vec(arb_op(), 1..60)) {
         check_k1_degenerates(&ops)?;

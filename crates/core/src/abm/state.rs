@@ -19,9 +19,8 @@
 //!
 //! # The queueing model
 //!
-//! Any number of chunk loads may be outstanding at once (the `iosched`
-//! layer keeps up to K in flight, the threaded executor one per I/O
-//! worker).  Each load reserves its buffer pages at [`AbmState::begin_load`]
+//! Any number of chunk loads may be outstanding at once (the simulation
+//! keeps up to K in flight, the threaded executor one per I/O worker).  Each load reserves its buffer pages at [`AbmState::begin_load`]
 //! so that [`AbmState::free_pages`] — and therefore eviction planning —
 //! accounts for the whole burst up front, and is identified by a unique
 //! *ticket*.  Loads retire in arbitrary completion order by chunk key
@@ -129,8 +128,8 @@ pub struct AbmState {
     epoch: u64,
     /// Ticket assigned to the next [`Self::begin_load`].
     next_ticket: u64,
-    /// Loads currently in flight, oldest first.  The I/O scheduler keeps up
-    /// to K of them outstanding; each reserved its buffer pages at
+    /// Loads currently in flight, oldest first.  A driver keeps up to K of
+    /// them outstanding; each reserved its buffer pages at
     /// [`Self::begin_load`] time so a burst of loads can never over-commit
     /// the pool.
     inflight: Vec<InflightLoad>,

@@ -18,27 +18,27 @@
 //! [`policy::RelevancePolicy`] (with both the NSM relevance functions of
 //! Fig. 3 and the column-aware DSM variants of Fig. 11).
 //!
-//! Two execution front-ends drive the same ABM:
+//! Two execution front-ends drive the same ABM through the same two calls,
+//! [`Abm::plan_loads`] and [`Abm::commit_load`]:
 //!
 //! * [`sim::Simulation`] — a deterministic discrete-event simulation used to
-//!   regenerate every table and figure of the paper's evaluation.  It issues
-//!   its chunk loads through the asynchronous I/O scheduling layer
-//!   ([`iosched`]): up to K loads stay in flight (with batched,
-//!   reservation-backed eviction planning), routed to per-spindle submission
-//!   queues when the storage is modelled as an explicit RAID array.  K = 1 —
-//!   the default — reproduces the paper's sequential main loop
-//!   decision-for-decision.
+//!   regenerate every table and figure of the paper's evaluation.  It keeps
+//!   up to K loads in flight (each burst planned with a budget of K minus
+//!   the loads in flight, its evictions reserved up front), routed to
+//!   per-spindle submission queues when the storage is modelled as an
+//!   explicit RAID array ([`SimIoBackend`]).  K = 1 — the default —
+//!   reproduces the paper's sequential main loop decision-for-decision.
 //! * [`threaded::ScanServer`] — a real multi-threaded executor (OS threads,
 //!   an I/O worker pool running the ABM main loop of Fig. 3, per-query wait
 //!   slots and per-worker doorbells instead of global condition variables)
 //!   for everything that moves bytes.  Each worker plans one load at a time
-//!   ([`Abm::plan_loads`] with a budget of 1), so `io_threads(k)` keeps up
-//!   to `k` loads in flight; a failed read is retried and, past its budget,
-//!   quarantined here and nowhere else ([`iosched::RetryPolicy`]).
+//!   (a budget of 1), so `io_threads(k)` keeps up to `k` loads in flight; a
+//!   failed read is retried and, past its budget, quarantined here and
+//!   nowhere else ([`RetryPolicy`]).
 //!
-//! Both retire loads through the plan/commit protocol — every plan carries
-//! a `(ticket, epoch)` stamp that [`Abm::commit_load`] revalidates, so loads
-//! whose queries detach mid-read are aborted rather than installed.
+//! Every plan carries a `(ticket, epoch)` stamp that the commit
+//! revalidates, so loads whose queries detach mid-read are aborted rather
+//! than installed.
 //!
 //! Queries talk to the threaded server through one surface, the
 //! [`session::ScanSession`] trait (attach → `next_chunk()` → detach), and
@@ -80,10 +80,10 @@ pub mod abm;
 pub mod bitset;
 pub mod colset;
 pub mod cscan;
-pub mod iosched;
 pub mod model;
 pub mod policy;
 pub mod query;
+mod retry;
 pub mod reuse;
 pub mod session;
 pub mod sim;
@@ -92,11 +92,12 @@ pub mod threaded;
 pub use abm::{Abm, AbmState, BufferedChunk, InflightLoad, LoadDecision};
 pub use colset::ColSet;
 pub use cscan::CScanPlan;
-pub use iosched::{FailureAction, IoSchedStats, IoScheduler, RetryPolicy, SimIoBackend};
 pub use model::{StorageKind, TableModel};
 pub use policy::{AttachPolicy, ElevatorPolicy, NormalPolicy, Policy, PolicyKind, RelevancePolicy};
 pub use query::{QueryId, QueryState};
+pub use retry::{FailureAction, RetryPolicy};
 pub use session::{PinnedChunk, ScanError, ScanSession};
+pub use sim::SimIoBackend;
 
 // Re-export the identifiers that appear throughout the public API.
 pub use cscan_storage::{ChunkId, ColumnId, ScanRanges};

@@ -1,19 +1,19 @@
-//! Simulated storage backends for the I/O scheduler.
+//! The simulation's storage: where an admitted load's regions go.
 //!
-//! The discrete-event simulation historically modelled the paper's RAID as a
-//! single logical device with the aggregate bandwidth.  The scheduler can
-//! still drive that, but its reason to exist is the explicit
-//! [`RaidArray`]: each admitted load's physical regions are routed to the
-//! spindles' per-arm FIFO submission queues, so several outstanding loads
-//! genuinely overlap — striped chunks fan out across arms while reads
-//! smaller than a stripe unit stay bound to one arm.
+//! The paper's RAID is modelled either as a single logical device with the
+//! aggregate bandwidth (the original runs) or as an explicit [`RaidArray`]:
+//! each admitted load's physical regions are routed to the spindles'
+//! per-arm FIFO submission queues, so several outstanding loads genuinely
+//! overlap — striped chunks fan out across arms while reads smaller than a
+//! stripe unit stay bound to one arm.  Per-spindle queue depths are sampled
+//! into a [`QueueDepthTrace`].
 
 use cscan_simdisk::{
     Disk, DiskModel, DiskStats, QueueDepthTrace, RaidArray, RaidConfig, SimDuration, SimTime,
 };
 use cscan_storage::PhysRegion;
 
-/// A simulated storage device the scheduler submits loads to: either the
+/// A simulated storage device the simulation submits loads to: either the
 /// single logical disk of the original runs or an explicit striped array
 /// with per-spindle submission queues.
 #[derive(Debug, Clone)]

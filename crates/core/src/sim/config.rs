@@ -31,7 +31,7 @@ pub struct SimConfig {
     /// routed to per-spindle submission queues and `max_outstanding_io`
     /// decides how many loads can overlap across the arms.
     pub raid: Option<RaidConfig>,
-    /// Outstanding chunk loads the I/O scheduler keeps in flight (K).  The
+    /// Outstanding chunk loads the simulation keeps in flight (K).  The
     /// default of 1 reproduces the paper's sequential main loop exactly.
     pub max_outstanding_io: usize,
     /// Buffer pool size.
@@ -96,7 +96,7 @@ impl SimConfig {
         self
     }
 
-    /// Sets the number of chunk loads the I/O scheduler keeps outstanding
+    /// Sets the number of chunk loads the simulation keeps outstanding
     /// (clamped to at least 1).
     pub fn with_outstanding_io(mut self, k: usize) -> Self {
         self.max_outstanding_io = k.max(1);

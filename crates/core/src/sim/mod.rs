@@ -3,31 +3,37 @@
 //! The simulation combines the three resources the paper's experiments
 //! exercise: simulated storage (a single aggregate [`cscan_simdisk::Disk`]
 //! or an explicit [`cscan_simdisk::RaidArray`] with per-spindle submission
-//! queues, behind a [`crate::iosched::SimIoBackend`]), a processor-sharing
-//! CPU ([`cscan_engine::SharedCpu`]) on which every running query processes
+//! queues, behind a [`SimIoBackend`]), a processor-sharing CPU
+//! ([`cscan_engine::SharedCpu`]) on which every running query processes
 //! its current chunk, and the Active Buffer Manager deciding what to read
-//! and evict.  Chunk loads are issued through the asynchronous
-//! [`crate::iosched::IoScheduler`]: with the default
-//! [`SimConfig::max_outstanding_io`] of 1 it reproduces the paper's
-//! sequential main loop decision-for-decision, while larger budgets keep
-//! several loads in flight and overlap the spindles.  Query streams start
-//! with a configurable stagger and run their queries back-to-back, exactly
-//! like the benchmark setup of Section 5.1.
+//! and evict.  Loads go through the same two calls the threaded executor's
+//! I/O workers make: whenever an event leaves the pipeline with room the
+//! driver asks [`Abm::plan_loads`] for up to
+//! [`SimConfig::max_outstanding_io`] minus the loads in flight, submits
+//! each admitted plan to the backend, and retires it with
+//! [`Abm::commit_load`] when the device finishes — in whatever order the
+//! spindles do, a completion whose load was aborted meanwhile being dropped
+//! by the stamp check.  With the default budget of 1 that is the paper's
+//! sequential main loop decision-for-decision; larger budgets keep several
+//! loads in flight and overlap the spindles.  Query streams start with a
+//! configurable stagger and run their queries back-to-back, exactly like
+//! the benchmark setup of Section 5.1.
 //!
 //! Everything runs in virtual time, so a 16-stream TPC-H-scale experiment
 //! takes milliseconds of wall-clock time and two runs with the same inputs
 //! produce byte-identical results.
 
+mod backend;
 mod config;
 mod metrics;
 mod spec;
 
+pub use backend::SimIoBackend;
 pub use config::{BufferSpec, SimConfig};
 pub use metrics::{QueryOutcome, RunResult};
 pub use spec::QuerySpec;
 
-use crate::abm::{Abm, AbmState, LoadPlan};
-use crate::iosched::{IoScheduler, SimIoBackend};
+use crate::abm::{Abm, AbmState, CommitOutcome, LoadPlan};
 use crate::model::TableModel;
 use crate::policy::PolicyKind;
 use crate::query::QueryId;
@@ -41,11 +47,17 @@ use std::collections::HashMap;
 enum Event {
     /// Start the next query of stream `stream`.
     StreamAdvance { stream: usize },
-    /// The load of `chunk` issued under `ticket` finished (loads may
-    /// complete in any order when several are in flight).  The ticket lets
-    /// the commit reject completions of loads that were aborted — and
-    /// possibly re-issued — while the event sat in the queue.
-    DiskDone { chunk: u32, ticket: u64 },
+    /// The load of `chunk` planned for `trigger` finished (loads may
+    /// complete in any order when several are in flight).  The
+    /// `(ticket, epoch)` stamp lets the commit reject completions of loads
+    /// that were aborted — and possibly re-issued — while the event sat in
+    /// the queue.
+    DiskDone {
+        chunk: ChunkId,
+        ticket: u64,
+        epoch: u64,
+        trigger: QueryId,
+    },
     /// A CPU job (query × chunk) predicted to finish; stale epochs are ignored.
     CpuDone { job: JobId, epoch: u64 },
 }
@@ -66,7 +78,6 @@ pub struct Simulation {
     policy: PolicyKind,
     config: SimConfig,
     streams: Vec<Vec<QuerySpec>>,
-    obs: Option<std::sync::Arc<cscan_obs::Registry>>,
 }
 
 impl Simulation {
@@ -77,15 +88,7 @@ impl Simulation {
             policy,
             config,
             streams: Vec::new(),
-            obs: None,
         }
-    }
-
-    /// Installs an observability registry: the I/O scheduler mirrors its
-    /// counters (`io_loads_issued`, `io_bursts`, completions, cancellations,
-    /// retries, evictions) into it during [`Simulation::run`].
-    pub fn set_observability(&mut self, obs: std::sync::Arc<cscan_obs::Registry>) {
-        self.obs = Some(obs);
     }
 
     /// Adds a stream of queries that will run back-to-back.
@@ -105,13 +108,7 @@ impl Simulation {
 
     /// Runs the simulation to completion and returns the collected metrics.
     pub fn run(&mut self) -> RunResult {
-        let mut runner = Runner::new(&self.model, self.policy, self.config, &self.streams);
-        if let Some(obs) = &self.obs {
-            runner
-                .scheduler
-                .set_observability(std::sync::Arc::clone(obs));
-        }
-        runner.run()
+        Runner::new(&self.model, self.policy, self.config, &self.streams).run()
     }
 
     /// Convenience: run a single query by itself against a cold buffer and
@@ -140,8 +137,9 @@ struct Runner<'a> {
     config: SimConfig,
     streams: &'a [Vec<QuerySpec>],
     abm: Abm,
-    scheduler: IoScheduler,
     backend: SimIoBackend,
+    /// Most loads ever in flight at once.
+    peak_outstanding_io: usize,
     cpu: SharedCpu,
     queue: EventQueue<Event>,
     cpu_epoch: u64,
@@ -174,8 +172,8 @@ impl<'a> Runner<'a> {
             config,
             streams,
             abm,
-            scheduler: IoScheduler::new(config.max_outstanding_io),
             backend: SimIoBackend::new(config.disk, config.raid),
+            peak_outstanding_io: 0,
             cpu: SharedCpu::new(config.cores),
             queue: EventQueue::new(),
             cpu_epoch: 0,
@@ -207,9 +205,12 @@ impl<'a> Runner<'a> {
             match self.queue.pop() {
                 Some((now, event)) => match event {
                     Event::StreamAdvance { stream } => self.on_stream_advance(now, stream),
-                    Event::DiskDone { chunk, ticket } => {
-                        self.on_disk_done(now, ChunkId::new(chunk), ticket)
-                    }
+                    Event::DiskDone {
+                        chunk,
+                        ticket,
+                        epoch,
+                        trigger,
+                    } => self.on_disk_done(now, chunk, ticket, epoch, trigger),
                     Event::CpuDone { job, epoch } => self.on_cpu_done(now, job, epoch),
                 },
                 None if self.abm.has_pending_work() => {
@@ -266,7 +267,7 @@ impl<'a> Runner<'a> {
             bytes_read: state.pages_read() * self.model.page_size(),
             cpu_utilization,
             disk_utilization,
-            peak_outstanding_io: self.scheduler.stats().peak_outstanding,
+            peak_outstanding_io: self.peak_outstanding_io,
             queries: self.outcomes,
             stream_starts: self.stream_starts,
             stream_ends: self.stream_ends,
@@ -307,22 +308,24 @@ impl<'a> Runner<'a> {
         self.kick_disk(now);
     }
 
-    fn on_disk_done(&mut self, now: SimTime, chunk: ChunkId, ticket: u64) {
+    fn on_disk_done(
+        &mut self,
+        now: SimTime,
+        chunk: ChunkId,
+        ticket: u64,
+        epoch: u64,
+        trigger: QueryId,
+    ) {
         // Commit through the plan/commit protocol: a completion whose load
         // was aborted mid-read (its last interested query detached) is
         // stale and must be dropped, not installed.
         let mut woken = std::mem::take(&mut self.wake_scratch);
         woken.clear();
-        let decision = match self.scheduler.commit(&mut self.abm, chunk, ticket) {
-            Some((decision, wake)) => {
-                woken.extend_from_slice(wake);
-                Some(decision)
-            }
-            None => None,
-        };
-        if self.config.record_trace {
-            if let Some(decision) = decision {
-                self.trace.record(now, chunk.index(), decision.trigger.0);
+        if let CommitOutcome::Committed { woken: wake } = self.abm.commit_load(chunk, ticket, epoch)
+        {
+            woken.extend_from_slice(wake);
+            if self.config.record_trace {
+                self.trace.record(now, chunk.index(), trigger.0);
             }
         }
         for &q in &woken {
@@ -393,20 +396,31 @@ impl<'a> Runner<'a> {
         self.reschedule_cpu(now);
     }
 
-    /// If the pipeline has room, ask the scheduler for a burst of loads and
-    /// submit each to the storage backend.
+    /// If the pipeline has room, ask the ABM for a burst of loads — victims
+    /// for the whole burst are evicted while it is planned — and submit
+    /// each to the storage backend.
     fn kick_disk(&mut self, now: SimTime) {
         let mut plans = std::mem::take(&mut self.plan_scratch);
         plans.clear();
-        self.scheduler.plan(&mut self.abm, now, &mut plans);
+        let room = self
+            .config
+            .max_outstanding_io
+            .max(1)
+            .saturating_sub(self.abm.state().num_inflight());
+        self.abm.plan_loads(now, room, &mut plans);
+        self.peak_outstanding_io = self
+            .peak_outstanding_io
+            .max(self.abm.state().num_inflight());
         for plan in &plans {
             let completed = self.backend.submit(now, &plan.regions);
             debug_assert!(completed > now, "a load must take time");
             self.queue.schedule(
                 completed,
                 Event::DiskDone {
-                    chunk: plan.decision.chunk.index(),
+                    chunk: plan.decision.chunk,
                     ticket: plan.ticket,
+                    epoch: plan.epoch,
+                    trigger: plan.decision.trigger,
                 },
             );
         }
@@ -439,12 +453,6 @@ impl<'a> Runner<'a> {
             .abm
             .finish_query(q)
             .expect("the sim closes each query exactly once");
-        // The detach may have cancelled in-flight loads this query was the
-        // last interested consumer of; forget them in the scheduler so their
-        // pending DiskDone events are recognized as stale.
-        for &(chunk, ticket) in self.abm.aborted_loads() {
-            self.scheduler.cancel(chunk, ticket);
-        }
         self.outcomes.push(QueryOutcome {
             label: state.label.clone(),
             stream: active.stream,

@@ -17,8 +17,9 @@
 //! installed into the chunk's slot of the [`cscan_bufman::ShardedPool`],
 //! and every [`PinnedChunk`] a query receives holds both the ABM-side
 //! processing pin and a frame pin (the slot's pin count), so eviction can
-//! never reclaim a chunk a query is still reading.  NSM and DSM payloads live behind
-//! [`ChunkPayload`]; [`PinnedChunk::column`] decodes them zero-copy — the
+//! never reclaim a chunk a query is still reading.  A payload is a
+//! [`ChunkPayload`] — all columns of an NSM chunk, the resident ones of a
+//! DSM chunk; [`PinnedChunk::column`] views them zero-copy — the
 //! hot consume path (acquire → read views → release) performs no per-chunk
 //! heap allocation and no data copies.  Without a store the server
 //! delivers [`ChunkPayload::Missing`]: chunk ids and nothing else.
@@ -155,10 +156,10 @@
 
 use crate::abm::{Abm, AbmState, CommitOutcome};
 use crate::cscan::CScanPlan;
-use crate::iosched::{FailureAction, RetryPolicy};
 use crate::model::TableModel;
 use crate::policy::PolicyKind;
 use crate::query::QueryId;
+use crate::retry::{FailureAction, RetryPolicy};
 use crate::session::{PinnedChunk, ScanError, ScanSession};
 use cscan_bufman::{PoolStats, ShardedPool};
 use cscan_obs::{
@@ -449,16 +450,14 @@ impl Shared {
         // Residency only changes under the scheduler lock, which the caller
         // holds, so the payload read here is still the slot's when it is
         // replaced below.
-        let Some(ChunkPayload::Dsm(data)) = self.pool.payload(chunk) else {
+        let Some(ChunkPayload::Data(data)) = self.pool.payload(chunk) else {
             return;
         };
-        if data.resident_columns().all(|c| b.columns.contains(c)) {
+        if data.column_ids().all(|c| b.columns.contains(c)) {
             return;
         }
         match data.retained(|c| b.columns.contains(c)) {
-            Some(kept) => self
-                .pool
-                .replace_payload(chunk, ChunkPayload::Dsm(Arc::new(kept))),
+            Some(kept) => self.pool.replace_payload(chunk, kept.into()),
             None => {
                 self.pool.evict(chunk);
             }
@@ -1346,12 +1345,6 @@ impl ScanServer {
             .obs
             .span_hist(SpanKind::ShardLockHold)
             .snapshot()
-    }
-
-    /// Times a release found the scheduler lock contended and deferred its
-    /// bookkeeping to the inbox instead of draining inline.
-    pub fn hub_shard_conflicts(&self) -> u64 {
-        self.shared.obs.counter(Counter::HubShardConflicts)
     }
 
     /// Number of shards the frame pool is striped into.
@@ -3057,22 +3050,22 @@ mod tests {
             chunk: ChunkId,
             cols: Option<&[ColumnId]>,
         ) -> Result<ChunkPayload, StoreError> {
-            use cscan_storage::{LazyColumn, NsmChunkData};
+            use cscan_storage::{ChunkData, LazyColumn};
             let payload = self.inner.materialize(chunk, cols)?;
-            let ChunkPayload::Nsm(data) = &payload else {
+            let ChunkPayload::Data(data) = &payload else {
                 return Ok(payload);
             };
             if chunk.index() != self.bad_chunk {
                 return Ok(payload);
             }
             let mut parts = data.parts().to_vec();
-            let ColumnChunk::Compressed(lazy) = &parts[self.bad_column] else {
+            let ColumnChunk::Compressed(lazy) = &parts[self.bad_column].1 else {
                 panic!("the inner store compresses every column");
             };
             let cut = lazy.encoded().truncated();
             assert!(cut.verify_checksum());
-            parts[self.bad_column] = ColumnChunk::Compressed(Arc::new(LazyColumn::new(cut)));
-            Ok(ChunkPayload::Nsm(Arc::new(NsmChunkData::from_parts(parts))))
+            parts[self.bad_column].1 = ColumnChunk::Compressed(Arc::new(LazyColumn::new(cut)));
+            Ok(ChunkData::from_parts(parts).into())
         }
     }
 
@@ -3341,7 +3334,7 @@ mod tests {
     /// re-load re-installs clean bytes, which then decode.
     #[test]
     fn torn_frame_is_rejected_re_loaded_and_re_decoded() {
-        use cscan_storage::{ColumnChunk, LazyColumn, NsmChunkData};
+        use cscan_storage::{ChunkData, ColumnChunk, LazyColumn};
         const ROWS: u64 = 128;
         let model = TableModel::nsm_uniform(1, ROWS, 16);
         let inner = SeededStore::new(ROWS, 1, 23);
@@ -3365,18 +3358,22 @@ mod tests {
         loop {
             {
                 let torn = match server.shared.pool.payload(chunk) {
-                    Some(ChunkPayload::Nsm(data)) => {
-                        let parts: Vec<ColumnChunk> = data
+                    Some(ChunkPayload::Data(data)) => {
+                        let parts = data
                             .parts()
                             .iter()
-                            .map(|part| match part {
-                                ColumnChunk::Compressed(lazy) => ColumnChunk::Compressed(Arc::new(
-                                    LazyColumn::new(lazy.encoded().with_flipped_byte(99)),
-                                )),
-                                plain => plain.clone(),
+                            .map(|(id, part)| match part {
+                                ColumnChunk::Compressed(lazy) => {
+                                    let torn = lazy.encoded().with_flipped_byte(99);
+                                    (
+                                        *id,
+                                        ColumnChunk::Compressed(Arc::new(LazyColumn::new(torn))),
+                                    )
+                                }
+                                plain => (*id, plain.clone()),
                             })
                             .collect();
-                        Some(ChunkPayload::Nsm(Arc::new(NsmChunkData::from_parts(parts))))
+                        Some(ChunkPayload::from(ChunkData::from_parts(parts)))
                     }
                     _ => None,
                 };

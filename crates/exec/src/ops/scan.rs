@@ -227,8 +227,8 @@ mod tests {
         use cscan_core::{CScanPlan, ColSet, TableModel};
         use cscan_storage::codec::EncodedColumn;
         use cscan_storage::{
-            ChunkPayload, ChunkStore, ColumnChunk, Compression, LazyColumn, NsmChunkData,
-            ScanRanges, StoreError,
+            ChunkData, ChunkPayload, ChunkStore, ColumnChunk, Compression, LazyColumn, ScanRanges,
+            StoreError,
         };
 
         /// One chunk, one column, its body cut short under a checksum that
@@ -242,9 +242,11 @@ mod tests {
             ) -> Result<ChunkPayload, StoreError> {
                 let column = EncodedColumn::encode(&[7; 10], Compression::Dictionary { bits: 1 })
                     .truncated();
-                Ok(ChunkPayload::Nsm(Arc::new(NsmChunkData::from_parts(vec![
+                Ok(ChunkData::from_parts(vec![(
+                    ColumnId::new(0),
                     ColumnChunk::Compressed(Arc::new(LazyColumn::new(column))),
-                ]))))
+                )])
+                .into())
             }
         }
         let server = ScanServer::builder(TableModel::nsm_uniform(1, 10, 16))

@@ -6,7 +6,7 @@
 //! given a delivered chunk id, hand me that chunk's data.
 
 use crate::vector::{DataChunk, Value};
-use cscan_storage::chunkdata::{ChunkPayload, ChunkStore, DsmChunkData, NsmChunkData};
+use cscan_storage::chunkdata::{ChunkData, ChunkPayload, ChunkStore, ColumnChunk};
 use cscan_storage::{ChunkId, ColumnId, Compression, StoreError};
 use std::sync::Arc;
 
@@ -217,21 +217,11 @@ impl ChunkStore for MemTable {
             chunk.index() < self.num_chunks(),
             "chunk {chunk:?} out of range"
         );
-        Ok(match cols {
-            None => ChunkPayload::Nsm(Arc::new(NsmChunkData::new(
-                (0..self.width())
-                    .map(|c| self.column_data(chunk, c))
-                    .collect(),
-            ))),
-            Some(cols) => ChunkPayload::Dsm(Arc::new(DsmChunkData::new(
-                cols.iter()
-                    .map(|&c| {
-                        assert!(c.as_usize() < self.width(), "column {c:?} out of range");
-                        (c, self.column_data(chunk, c.as_usize()))
-                    })
-                    .collect(),
-            ))),
-        })
+        let data = ChunkData::load(cols, self.width() as u16, |c| {
+            assert!(c.as_usize() < self.width(), "column {c:?} out of range");
+            Ok(ColumnChunk::Plain(self.column_data(chunk, c.as_usize())))
+        })?;
+        Ok(data.into())
     }
 }
 

@@ -22,8 +22,8 @@
 //! The threaded `ScanServer` stamps real elapsed time.  Explicit
 //! timestamps and durations ([`Registry::event_at`],
 //! [`Registry::record_span_ns`]) remain available to a deterministic
-//! driver that wants reproducible dumps; none ships — the simulation only
-//! mirrors its I/O scheduler's counters here.
+//! driver that wants reproducible dumps; none ships — the simulation
+//! records nothing here.
 //!
 //! The crate is a dependency leaf: it knows nothing about chunks, queries
 //! or policies beyond opaque `u32`/`u64` identifiers, so every other crate

@@ -69,10 +69,6 @@ pub enum Counter {
     FrameHits,
     /// Frame-pool fetches that required a load.
     FrameMisses,
-    /// Loads issued by the async I/O scheduler.
-    IoLoadsIssued,
-    /// Scheduling bursts run by the async I/O scheduler.
-    IoBursts,
     /// Faults injected by a fault-injecting store.
     FaultsInjected,
     /// Payload corruptions injected by a fault-injecting store.
@@ -113,7 +109,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in index order.
-    pub const ALL: [Counter; 34] = [
+    pub const ALL: [Counter; 32] = [
         Counter::LoadsCompleted,
         Counter::LoadsCancelled,
         Counter::LoadFaults,
@@ -130,8 +126,6 @@ impl Counter {
         Counter::FrameEvictions,
         Counter::FrameHits,
         Counter::FrameMisses,
-        Counter::IoLoadsIssued,
-        Counter::IoBursts,
         Counter::FaultsInjected,
         Counter::CorruptionsInjected,
         Counter::LatencySpikesInjected,
@@ -169,8 +163,6 @@ impl Counter {
             Counter::FrameEvictions => "frame_evictions",
             Counter::FrameHits => "frame_hits",
             Counter::FrameMisses => "frame_misses",
-            Counter::IoLoadsIssued => "io_loads_issued",
-            Counter::IoBursts => "io_bursts",
             Counter::FaultsInjected => "faults_injected",
             Counter::CorruptionsInjected => "corruptions_injected",
             Counter::LatencySpikesInjected => "latency_spikes_injected",

@@ -67,6 +67,13 @@ pub enum Message {
     /// Client → server: deliver up to `credits` more batches for `scan_id`.
     /// Credits are the backpressure primitive: the server never sends a
     /// batch it was not asked for, so a slow client simply stops asking.
+    ///
+    /// The server does not look at a scan that holds no credit, not even
+    /// to see that it has ended: `ScanDone` goes out only while a credit
+    /// beyond the last batch is in hand (it does not spend it).  A client
+    /// that grants exactly `num_chunks` credits in total therefore gets
+    /// every batch, never `ScanDone`, and is shed as stalled; grant at
+    /// least one more, or keep a window topped up.
     NextBatch {
         /// The scan being pulled.
         scan_id: u64,

@@ -258,8 +258,8 @@ impl Default for Catalog {
 /// Derives a [`TableModel`] from a segment's footer directory: chunk count
 /// and rows straight from the directory, pages-per-chunk from the actual
 /// on-disk extent bytes (compressed segments model proportionally less
-/// I/O).  Mirrors the bench-side bridge so served segment tables schedule
-/// exactly like local ones.
+/// I/O).  The result is a uniform NSM model sized by the largest chunk:
+/// every load reads all of a chunk's columns, whatever the scan serves.
 pub fn model_from_segment(store: &FileStore) -> TableModel {
     let dir = store.directory();
     let chunks = dir.num_chunks();

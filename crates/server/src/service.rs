@@ -100,6 +100,12 @@ impl ServerScan {
 
     /// Tries to move one batch from the executor into `out`.  Never
     /// blocks; never holds a pin beyond the encode.
+    ///
+    /// At zero credits it returns [`Pump::Idle`] *before* polling the
+    /// executor, so the end of the scan is noticed — and `ScanDone` sent —
+    /// only once a credit beyond the last batch has arrived: `n` credits
+    /// for `n` chunks yield `n` batches and then `Idle`, not `Closed`.
+    /// `ScanDone` itself spends no credit.
     pub fn pump(&mut self, out: &mut Vec<u8>, obs: &Registry) -> Pump {
         if self.done {
             return Pump::Closed;
@@ -240,6 +246,54 @@ mod tests {
         drop(scan);
         assert_eq!(cat.pinned_frames(), 0, "encode-only pin lifetime");
     }
+
+    /// The credit rule: `n` credits for `n` chunks buy `n` batches and
+    /// nothing else; the end of the scan is seen only with a credit beyond
+    /// the last batch in hand, and seeing it spends none.
+    #[test]
+    fn scan_done_needs_a_credit_beyond_the_last_batch() {
+        const CHUNKS: u32 = 4;
+        let mut cat = Catalog::new();
+        cat.add_mem_table(
+            "t",
+            MemTable::lineitem_demo(2_000, 500),
+            TableConfig::default(),
+        );
+        let obs = cat.observability();
+        let entry = cat.get("t").unwrap();
+        let plan = CScanPlan::full_table("t", ColSet::first_n(2));
+        let (permit, handle) = entry.open_scan(&plan).expect("admitted");
+        let mut scan = ServerScan::new(1, handle, permit, entry.served_columns(), &plan);
+
+        let mut out = Vec::new();
+        scan.add_credits(CHUNKS);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut delivered = 0;
+        while delivered < CHUNKS {
+            match scan.pump(&mut out, &obs) {
+                Pump::Delivered => delivered += 1,
+                Pump::Idle => assert!(Instant::now() < deadline, "executor stalled"),
+                Pump::Closed => panic!("closed after {delivered} of {CHUNKS} batches"),
+            }
+        }
+        // Every chunk is out and the scan is over, but nobody looks.
+        for _ in 0..3 {
+            assert_eq!(scan.pump(&mut out, &obs), Pump::Idle);
+        }
+        assert!(!scan.is_done());
+        let sent = out.len();
+
+        scan.add_credits(1);
+        assert_eq!(scan.pump(&mut out, &obs), Pump::Closed);
+        assert_eq!(scan.credits(), 1, "ScanDone spends no credit");
+        let mut dec = Decoder::new();
+        dec.feed(&out[sent..]);
+        assert_eq!(
+            dec.next_message().expect("well-formed"),
+            Some(Message::ScanDone { scan_id: 1 })
+        );
+    }
+
     /// A column the codec cannot decode closes the served scan with the
     /// scan's error frame; no batch narrower than the plan is sent.
     #[test]
@@ -247,7 +301,7 @@ mod tests {
         use cscan_core::TableModel;
         use cscan_storage::codec::EncodedColumn;
         use cscan_storage::{
-            ChunkId, ChunkPayload, ChunkStore, ColumnChunk, Compression, LazyColumn, NsmChunkData,
+            ChunkData, ChunkId, ChunkPayload, ChunkStore, ColumnChunk, Compression, LazyColumn,
             StoreError,
         };
         use std::sync::Arc;
@@ -263,10 +317,14 @@ mod tests {
             ) -> Result<ChunkPayload, StoreError> {
                 let bad = EncodedColumn::encode(&[7; 10], Compression::Dictionary { bits: 1 })
                     .truncated();
-                Ok(ChunkPayload::Nsm(Arc::new(NsmChunkData::from_parts(vec![
-                    ColumnChunk::Plain(Arc::new(vec![1; 10])),
-                    ColumnChunk::Compressed(Arc::new(LazyColumn::new(bad))),
-                ]))))
+                Ok(ChunkData::from_parts(vec![
+                    (ColumnId::new(0), ColumnChunk::Plain(Arc::new(vec![1; 10]))),
+                    (
+                        ColumnId::new(1),
+                        ColumnChunk::Compressed(Arc::new(LazyColumn::new(bad))),
+                    ),
+                ])
+                .into())
             }
         }
         let mut cat = Catalog::new();

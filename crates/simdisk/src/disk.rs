@@ -13,8 +13,8 @@
 //! Each [`Disk`] is a single arm with a FIFO submission queue: callers may
 //! have **any number of requests outstanding**, and the device services them
 //! strictly in submission order (a request issued while the arm is busy
-//! starts when the arm frees up — [`Disk::free_at`]).  The I/O scheduler in
-//! `cscan_core::iosched` exploits exactly this: it keeps up to K chunk loads
+//! starts when the arm frees up — [`Disk::free_at`]).  The simulation in
+//! `cscan_core::sim` exploits exactly this: it keeps up to K chunk loads
 //! in flight so that every arm of a [`crate::RaidArray`] has work queued.
 //! [`Disk::queue_depth_at`] and [`DiskStats::max_queue_depth`] report how
 //! deep the queue actually got.
@@ -184,8 +184,8 @@ impl DiskStats {
 ///
 /// The arm services one request at a time but accepts **multiple outstanding
 /// requests**: submissions made while the device is busy queue up (FIFO) and
-/// start when the arm frees up.  The `cscan_core::iosched` scheduler relies
-/// on this to keep several chunk loads in flight per spindle; drivers that
+/// start when the arm frees up.  The `cscan_core::sim` driver relies on
+/// this to keep several chunk loads in flight per spindle; drivers that
 /// want the old single-outstanding behaviour simply wait for each completion
 /// before submitting the next request.  The device is *not* tied to a global
 /// clock: the caller passes the time at which the request is issued and

@@ -12,7 +12,7 @@
 //! while an arm is busy queue FIFO behind it (see the queueing model in
 //! [`disk`] and the per-spindle submission queues in [`raid`]).  The
 //! [`trace::QueueDepthTrace`] recorder samples those queues over time for
-//! the multi-outstanding I/O scheduler's diagnostics.
+//! the diagnostics of a driver that keeps several loads outstanding.
 //!
 //! All times are virtual: nothing in this crate ever consults the wall
 //! clock, which keeps every experiment deterministic and laptop-fast.

@@ -18,8 +18,8 @@
 //! several spindles fan out and overlap; requests smaller than one stripe
 //! unit stay bound to a single arm.  A caller that keeps only one logical
 //! request outstanding therefore leaves arms idle whenever the request does
-//! not cover every spindle — which is exactly why the `cscan_core::iosched`
-//! scheduler submits multiple chunk loads at once.  [`RaidArray::queue_depths_at`]
+//! not cover every spindle — which is exactly why the `cscan_core::sim`
+//! driver submits multiple chunk loads at once.  [`RaidArray::queue_depths_at`]
 //! exposes the per-arm backlog so drivers can trace it over time.
 
 use crate::clock::SimTime;

@@ -7,15 +7,13 @@
 //! reading a real table file, which is exactly what the layer above needs:
 //! given a delivered chunk id, hand me that chunk's data.
 //!
-//! The two physical layouts of the paper produce two payload shapes:
-//!
-//! * **NSM/PAX** ([`NsmChunkData`]): a chunk is all-or-nothing and carries
-//!   *every* column.  Within the chunk the values are held as per-column
-//!   mini-columns (the PAX arrangement MonetDB/X100 uses inside NSM pages),
-//!   so consumers get contiguous `&[i64]` column views without a gather.
-//! * **DSM** ([`DsmChunkData`]): a chunk may be *partially* resident — only
-//!   the loaded column subset is present, and later loads merge further
-//!   columns in ([`ChunkPayload::merged_with`]).
+//! There is one payload shape, [`ChunkData`]: *some columns of a logical
+//! chunk*, as `(column, mini-column)` pairs sorted by column id.  Under an
+//! NSM/PAX model all columns of a chunk travel together (the values are
+//! still held as per-column mini-columns — the PAX arrangement MonetDB/X100
+//! uses inside NSM pages — so consumers get contiguous `&[i64]` views
+//! without a gather); under DSM a chunk may be *partially* resident and
+//! later loads merge further columns in ([`ChunkPayload::merged_with`]).
 //!
 //! # Compressed mini-columns
 //!
@@ -36,10 +34,9 @@
 //! [`ChunkPayload::physical_bytes`] vs [`ChunkPayload::logical_bytes`]
 //! exposes the traded volumes.
 //!
-//! Both shapes live behind the [`ChunkPayload`] enum.  Payload column
-//! vectors are individually reference-counted, so cloning a payload
-//! (handing it to a pinned chunk) and merging partial DSM payloads are
-//! refcount bumps — the hot consume path of a scan performs no per-chunk
+//! Column vectors are individually reference-counted, so cloning a
+//! [`ChunkPayload`] (handing it to a pinned chunk) and merging partial
+//! payloads are refcount bumps — the hot consume path of a scan performs no per-chunk
 //! heap allocation and no data copies once a column is decoded.
 
 use crate::codec::EncodedColumn;
@@ -256,92 +253,17 @@ impl PartialEq for ColumnChunk {
 
 impl Eq for ColumnChunk {}
 
-/// The materialized data of one NSM/PAX chunk: every column of the table,
-/// as per-chunk mini-columns.
+/// The materialized data of some columns of one chunk: every column of the
+/// table when an NSM/PAX chunk is loaded whole, the resident subset when a
+/// DSM chunk is loaded column by column.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NsmChunkData {
+pub struct ChunkData {
     rows: usize,
-    /// One mini-column per table column, indexed by [`ColumnId`].
-    columns: Vec<ColumnChunk>,
-}
-
-impl NsmChunkData {
-    /// Builds the payload from one plain vector per column (index = column
-    /// id).
-    ///
-    /// # Panics
-    /// Panics if the chunk has no columns or the columns have unequal
-    /// lengths.
-    pub fn new(columns: Vec<ColumnData>) -> Self {
-        Self::from_parts(columns.into_iter().map(ColumnChunk::Plain).collect())
-    }
-
-    /// Builds the payload from mini-columns in either state (plain or
-    /// compressed).
-    ///
-    /// # Panics
-    /// Panics if the chunk has no columns or the columns have unequal
-    /// lengths.
-    pub fn from_parts(columns: Vec<ColumnChunk>) -> Self {
-        let rows = columns
-            .first()
-            .map(|c| c.len())
-            .expect("an NSM chunk needs at least one column");
-        assert!(
-            columns.iter().all(|c| c.len() == rows),
-            "all mini-columns of an NSM chunk must have the same length"
-        );
-        Self { rows, columns }
-    }
-
-    /// Number of rows in the chunk.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns (always the full table width).
-    pub fn width(&self) -> usize {
-        self.columns.len()
-    }
-
-    /// Zero-copy view of one column (decoding it first if compressed).
-    pub fn column(&self, col: ColumnId) -> Option<&[i64]> {
-        self.part(col).map(|c| c.as_slice())
-    }
-
-    /// One mini-column, in whatever state it is in.
-    pub fn part(&self, col: ColumnId) -> Option<&ColumnChunk> {
-        self.columns.get(col.as_usize())
-    }
-
-    /// The mini-columns themselves (state-preserving access).
-    pub fn parts(&self) -> &[ColumnChunk] {
-        &self.columns
-    }
-}
-
-/// The materialized data of the *resident column subset* of one DSM chunk.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DsmChunkData {
-    rows: usize,
-    /// `(column, values)` pairs, sorted by column id.
+    /// `(column, mini-column)` pairs, sorted by column id, no repeats.
     columns: Vec<(ColumnId, ColumnChunk)>,
 }
 
-impl DsmChunkData {
-    /// Builds the payload from plain `(column, values)` pairs (any order).
-    ///
-    /// # Panics
-    /// Panics if no columns are given, lengths differ, or a column repeats.
-    pub fn new(columns: Vec<(ColumnId, ColumnData)>) -> Self {
-        Self::from_parts(
-            columns
-                .into_iter()
-                .map(|(id, d)| (id, ColumnChunk::Plain(d)))
-                .collect(),
-        )
-    }
-
+impl ChunkData {
     /// Builds the payload from `(column, mini-column)` pairs in either
     /// state (any order).
     ///
@@ -351,17 +273,36 @@ impl DsmChunkData {
         let rows = columns
             .first()
             .map(|(_, c)| c.len())
-            .expect("a DSM chunk payload needs at least one column");
+            .expect("a chunk payload needs at least one column");
         assert!(
             columns.iter().all(|(_, c)| c.len() == rows),
-            "all columns of a DSM chunk must have the same length"
+            "all columns of a chunk must have the same length"
         );
         columns.sort_by_key(|(id, _)| *id);
         assert!(
             columns.windows(2).all(|w| w[0].0 != w[1].0),
-            "duplicate column in DSM chunk payload"
+            "duplicate column in chunk payload"
         );
         Self { rows, columns }
+    }
+
+    /// Builds what a [`ChunkStore::materialize`] call asks for: the columns
+    /// of `cols`, or every column `0..width` when `cols` is `None`, each
+    /// produced by `load`.  The first failing column fails the payload.
+    ///
+    /// # Panics
+    /// As [`ChunkData::from_parts`].
+    pub fn load(
+        cols: Option<&[ColumnId]>,
+        width: u16,
+        mut load: impl FnMut(ColumnId) -> Result<ColumnChunk, StoreError>,
+    ) -> Result<Self, StoreError> {
+        let mut one = |id| Ok((id, load(id)?));
+        let columns: Result<Vec<_>, StoreError> = match cols {
+            None => (0..width).map(ColumnId::new).map(&mut one).collect(),
+            Some(cols) => cols.iter().copied().map(&mut one).collect(),
+        };
+        Ok(Self::from_parts(columns?))
     }
 
     /// Number of rows in the chunk.
@@ -369,61 +310,58 @@ impl DsmChunkData {
         self.rows
     }
 
-    /// The resident columns, in ascending column-id order.
-    pub fn resident_columns(&self) -> impl Iterator<Item = ColumnId> + '_ {
+    /// The columns present, in ascending column-id order.
+    pub fn column_ids(&self) -> impl Iterator<Item = ColumnId> + '_ {
         self.columns.iter().map(|(id, _)| *id)
     }
 
-    /// Zero-copy view of one column, if resident (decoding it first if
+    /// Zero-copy view of one column, if present (decoding it first if
     /// compressed).
     pub fn column(&self, col: ColumnId) -> Option<&[i64]> {
         self.part(col).map(|c| c.as_slice())
     }
 
-    /// One mini-column, if resident, in whatever state it is in.
+    /// One mini-column, if present, in whatever state it is in.  A payload
+    /// holding columns `0..n` — every whole-chunk load — answers by
+    /// position; a sparse one binary-searches.
     pub fn part(&self, col: ColumnId) -> Option<&ColumnChunk> {
-        self.columns
-            .binary_search_by_key(&col, |(id, _)| *id)
-            .ok()
-            .map(|i| &self.columns[i].1)
+        match self.columns.get(col.as_usize()) {
+            Some((id, part)) if *id == col => Some(part),
+            _ => self
+                .columns
+                .binary_search_by_key(&col, |(id, _)| *id)
+                .ok()
+                .map(|i| &self.columns[i].1),
+        }
     }
 
-    /// The resident mini-columns (state-preserving access).
+    /// The mini-columns present (state-preserving access).
     pub fn parts(&self) -> &[(ColumnId, ColumnChunk)] {
         &self.columns
     }
 
-    /// A new payload with `other`'s columns merged in (later loads win on
-    /// overlap, which cannot happen in practice: the ABM only loads missing
-    /// columns).  Column vectors are shared, not copied, and each keeps its
-    /// plain/compressed state (a decoded column stays decoded across the
-    /// merge).
-    pub fn merged_with(&self, other: &DsmChunkData) -> DsmChunkData {
+    /// The union of this payload and a `newer` load of the same chunk; on a
+    /// column both hold, the newer one wins.  Column vectors are shared,
+    /// not copied, and each keeps its plain/compressed state (a decoded
+    /// column stays decoded across the merge).
+    pub fn merged_with(&self, newer: &ChunkData) -> ChunkData {
         assert_eq!(
-            self.rows, other.rows,
-            "cannot merge DSM payloads with different row counts"
+            self.rows, newer.rows,
+            "cannot merge payloads with different row counts"
         );
-        let mut columns = other.columns.clone();
+        let mut columns = newer.columns.clone();
         for (id, data) in &self.columns {
-            if other.column_state(*id).is_none() {
+            if newer.part(*id).is_none() {
                 columns.push((*id, data.clone()));
             }
         }
-        DsmChunkData::from_parts(columns)
-    }
-
-    /// The mini-column of `col` without touching its decode state.
-    fn column_state(&self, col: ColumnId) -> Option<&ColumnChunk> {
-        self.columns
-            .binary_search_by_key(&col, |(id, _)| *id)
-            .ok()
-            .map(|i| &self.columns[i].1)
+        ChunkData::from_parts(columns)
     }
 
     /// A new payload keeping only the columns for which `keep` returns true
     /// (used when the ABM drops dead columns of a partially shared chunk).
     /// Returns `None` if nothing survives.
-    pub fn retained(&self, mut keep: impl FnMut(ColumnId) -> bool) -> Option<DsmChunkData> {
+    pub fn retained(&self, mut keep: impl FnMut(ColumnId) -> bool) -> Option<ChunkData> {
         let columns: Vec<(ColumnId, ColumnChunk)> = self
             .columns
             .iter()
@@ -433,7 +371,7 @@ impl DsmChunkData {
         if columns.is_empty() {
             None
         } else {
-            Some(DsmChunkData::from_parts(columns))
+            Some(ChunkData::from_parts(columns))
         }
     }
 }
@@ -452,13 +390,26 @@ pub enum ChunkPayload {
     /// deterministic simulation, or a threaded server without a store).
     #[default]
     Missing,
-    /// An NSM/PAX chunk: every column, as per-chunk mini-columns.
-    Nsm(Arc<NsmChunkData>),
-    /// A DSM chunk: the resident column subset.
-    Dsm(Arc<DsmChunkData>),
+    /// The columns of the chunk that are resident.
+    Data(Arc<ChunkData>),
+}
+
+impl From<ChunkData> for ChunkPayload {
+    fn from(data: ChunkData) -> Self {
+        ChunkPayload::Data(Arc::new(data))
+    }
 }
 
 impl ChunkPayload {
+    /// The mini-columns present (none for a metadata-only payload).
+    fn parts(&self) -> impl Iterator<Item = &ColumnChunk> {
+        let parts: &[(ColumnId, ColumnChunk)] = match self {
+            ChunkPayload::Missing => &[],
+            ChunkPayload::Data(d) => d.parts(),
+        };
+        parts.iter().map(|(_, c)| c)
+    }
+
     /// Whether the chunk carries no data.
     pub fn is_missing(&self) -> bool {
         matches!(self, ChunkPayload::Missing)
@@ -468,8 +419,7 @@ impl ChunkPayload {
     pub fn rows(&self) -> usize {
         match self {
             ChunkPayload::Missing => 0,
-            ChunkPayload::Nsm(d) => d.rows(),
-            ChunkPayload::Dsm(d) => d.rows(),
+            ChunkPayload::Data(d) => d.rows(),
         }
     }
 
@@ -478,8 +428,7 @@ impl ChunkPayload {
     pub fn part(&self, col: ColumnId) -> Option<&ColumnChunk> {
         match self {
             ChunkPayload::Missing => None,
-            ChunkPayload::Nsm(d) => d.part(col),
-            ChunkPayload::Dsm(d) => d.part(col),
+            ChunkPayload::Data(d) => d.part(col),
         }
     }
 
@@ -501,11 +450,7 @@ impl ChunkPayload {
     /// of values decoded *by this call* (0 when everything was plain or
     /// already decoded — the steady-state hit path does no work here).
     pub fn decode_all(&self) -> usize {
-        match self {
-            ChunkPayload::Missing => 0,
-            ChunkPayload::Nsm(d) => d.parts().iter().map(|c| c.ensure_decoded()).sum(),
-            ChunkPayload::Dsm(d) => d.parts().iter().map(|(_, c)| c.ensure_decoded()).sum(),
-        }
+        self.parts().map(ColumnChunk::ensure_decoded).sum()
     }
 
     /// Verifies every still-encoded column's integrity checksum without
@@ -515,11 +460,7 @@ impl ChunkPayload {
     /// at every pin of a payload that is not yet fully decoded (a frame
     /// damaged while resident is rejected and re-loaded).
     pub fn verify_checksums(&self) -> Result<(), StoreError> {
-        match self {
-            ChunkPayload::Missing => Ok(()),
-            ChunkPayload::Nsm(d) => d.parts().iter().try_for_each(|c| c.verify_checksum()),
-            ChunkPayload::Dsm(d) => d.parts().iter().try_for_each(|(_, c)| c.verify_checksum()),
-        }
+        self.parts().try_for_each(ColumnChunk::verify_checksum)
     }
 
     /// Checksum-verified [`ChunkPayload::decode_all`]: every column, each
@@ -529,48 +470,23 @@ impl ChunkPayload {
     /// consumers touch them; this is for callers that want the whole
     /// payload, such as a decode-bandwidth probe.)
     pub fn try_decode_all(&self) -> Result<usize, StoreError> {
-        match self {
-            ChunkPayload::Missing => Ok(0),
-            ChunkPayload::Nsm(d) => d
-                .parts()
-                .iter()
-                .map(|c| c.try_ensure_decoded())
-                .sum::<Result<usize, StoreError>>(),
-            ChunkPayload::Dsm(d) => d
-                .parts()
-                .iter()
-                .map(|(_, c)| c.try_ensure_decoded())
-                .sum::<Result<usize, StoreError>>(),
-        }
+        self.parts().map(ColumnChunk::try_ensure_decoded).sum()
     }
 
     /// Whether every present column is readable without a decode.
     pub fn is_fully_decoded(&self) -> bool {
-        match self {
-            ChunkPayload::Missing => true,
-            ChunkPayload::Nsm(d) => d.parts().iter().all(|c| c.is_decoded()),
-            ChunkPayload::Dsm(d) => d.parts().iter().all(|(_, c)| c.is_decoded()),
-        }
+        self.parts().all(ColumnChunk::is_decoded)
     }
 
     /// Physical bytes of the payload: encoded sizes for compressed columns,
     /// `8 × rows` for plain ones — the I/O volume this payload cost.
     pub fn physical_bytes(&self) -> usize {
-        match self {
-            ChunkPayload::Missing => 0,
-            ChunkPayload::Nsm(d) => d.parts().iter().map(|c| c.physical_bytes()).sum(),
-            ChunkPayload::Dsm(d) => d.parts().iter().map(|(_, c)| c.physical_bytes()).sum(),
-        }
+        self.parts().map(ColumnChunk::physical_bytes).sum()
     }
 
     /// Logical (decoded) bytes of the payload: `8 × rows × columns`.
     pub fn logical_bytes(&self) -> usize {
-        let cols = match self {
-            ChunkPayload::Missing => 0,
-            ChunkPayload::Nsm(d) => d.width(),
-            ChunkPayload::Dsm(d) => d.parts().len(),
-        };
-        self.rows() * 8 * cols
+        self.rows() * 8 * self.parts().count()
     }
 
     /// Consumes the payload and passes `keep` every plain column vector
@@ -580,35 +496,32 @@ impl ChunkPayload {
     /// of the payload, a pinned chunk or an operator batch still reads is
     /// dropped (by its last holder, later), never handed over.
     pub fn reclaim_plain(self, mut keep: impl FnMut(Vec<i64>)) {
-        let mut reclaim = |part: ColumnChunk| {
+        let ChunkPayload::Data(data) = self else {
+            return;
+        };
+        let Ok(data) = Arc::try_unwrap(data) else {
+            return;
+        };
+        for (_, part) in data.columns {
             if let ColumnChunk::Plain(values) = part {
                 if let Ok(values) = Arc::try_unwrap(values) {
                     keep(values);
                 }
             }
-        };
-        match self {
-            ChunkPayload::Missing => {}
-            ChunkPayload::Nsm(d) => {
-                if let Ok(d) = Arc::try_unwrap(d) {
-                    d.columns.into_iter().for_each(reclaim);
-                }
-            }
-            ChunkPayload::Dsm(d) => {
-                if let Ok(d) = Arc::try_unwrap(d) {
-                    d.columns.into_iter().for_each(|(_, part)| reclaim(part));
-                }
-            }
         }
     }
 
-    /// Merges a newly loaded payload into this one.  For DSM this unions
-    /// the resident column sets (sharing the vectors); for NSM or
-    /// metadata-only payloads the newer payload simply wins.
+    /// Merges a newly loaded payload into this one: the union of the two
+    /// column sets (sharing the vectors), the newer load winning a column
+    /// both hold.  A newer payload that covers every column of this one —
+    /// each whole-chunk reload — or either side carrying no data means the
+    /// newer payload simply wins.
     pub fn merged_with(&self, newer: &ChunkPayload) -> ChunkPayload {
         match (self, newer) {
-            (ChunkPayload::Dsm(old), ChunkPayload::Dsm(new)) => {
-                ChunkPayload::Dsm(Arc::new(old.merged_with(new)))
+            (ChunkPayload::Data(old), ChunkPayload::Data(new))
+                if old.column_ids().any(|c| new.part(c).is_none()) =>
+            {
+                old.merged_with(new).into()
             }
             (_, n) => n.clone(),
         }
@@ -617,16 +530,15 @@ impl ChunkPayload {
 
 /// A source of chunk data: the "table file" of the data plane.
 ///
-/// `cols` selects what to materialize: `None` means the whole chunk in its
-/// native NSM form (all columns — NSM chunks are all-or-nothing), while
-/// `Some(subset)` asks for a DSM payload holding exactly those columns.
-/// Implementations must be deterministic (two reads of the same chunk
-/// agree) and thread-safe: the threaded executor calls `materialize` from
-/// its I/O workers *outside* the hub lock.
+/// `cols` selects what to materialize: `Some(subset)` asks for exactly
+/// those columns, `None` for every column of the table — the same payload
+/// `Some(&all)` returns.  Implementations must be deterministic (two reads
+/// of the same chunk agree) and thread-safe: the threaded executor calls
+/// `materialize` from its I/O workers *outside* the hub lock.
 ///
 /// A read can fail: the [`StoreError`] taxonomy distinguishes retryable
 /// faults (transient, timeout, corrupted) from permanent ones, and the
-/// I/O scheduler above retries or quarantines accordingly.
+/// I/O workers above retry or quarantine accordingly.
 pub trait ChunkStore: Send + Sync {
     /// Materializes the given columns of `chunk`.
     fn materialize(
@@ -671,10 +583,6 @@ impl<S: ChunkStore> CompressingStore<S> {
             .copied()
             .unwrap_or(Compression::None)
     }
-
-    fn encode_column(&self, col: ColumnId, values: &[i64]) -> ColumnChunk {
-        ColumnChunk::encode(values, self.scheme(col))
-    }
 }
 
 impl<S: ChunkStore> ChunkStore for CompressingStore<S> {
@@ -685,22 +593,13 @@ impl<S: ChunkStore> ChunkStore for CompressingStore<S> {
     ) -> Result<ChunkPayload, StoreError> {
         Ok(match self.inner.materialize(chunk, cols)? {
             ChunkPayload::Missing => ChunkPayload::Missing,
-            ChunkPayload::Nsm(data) => {
+            ChunkPayload::Data(data) => {
                 let parts = data
                     .parts()
                     .iter()
-                    .enumerate()
-                    .map(|(i, c)| self.encode_column(ColumnId::new(i as u16), c.as_slice()))
+                    .map(|(id, c)| (*id, ColumnChunk::encode(c.as_slice(), self.scheme(*id))))
                     .collect();
-                ChunkPayload::Nsm(Arc::new(NsmChunkData::from_parts(parts)))
-            }
-            ChunkPayload::Dsm(data) => {
-                let parts = data
-                    .parts()
-                    .iter()
-                    .map(|(id, c)| (*id, self.encode_column(*id, c.as_slice())))
-                    .collect();
-                ChunkPayload::Dsm(Arc::new(DsmChunkData::from_parts(parts)))
+                ChunkData::from_parts(parts).into()
             }
         })
     }
@@ -768,18 +667,10 @@ impl ChunkStore for SeededStore {
         chunk: ChunkId,
         cols: Option<&[ColumnId]>,
     ) -> Result<ChunkPayload, StoreError> {
-        Ok(match cols {
-            None => ChunkPayload::Nsm(Arc::new(NsmChunkData::new(
-                (0..self.num_columns)
-                    .map(|c| self.column_values(chunk, ColumnId::new(c)))
-                    .collect(),
-            ))),
-            Some(cols) => ChunkPayload::Dsm(Arc::new(DsmChunkData::new(
-                cols.iter()
-                    .map(|&c| (c, self.column_values(chunk, c)))
-                    .collect(),
-            ))),
-        })
+        let data = ChunkData::load(cols, self.num_columns, |c| {
+            Ok(ColumnChunk::Plain(self.column_values(chunk, c)))
+        })?;
+        Ok(data.into())
     }
 }
 
@@ -791,14 +682,23 @@ mod tests {
         ColumnId::new(i)
     }
 
+    /// A whole-chunk payload: `parts[i]` is column `i`.
+    fn dense(parts: Vec<ColumnChunk>) -> ChunkData {
+        ChunkData::from_parts((0..).map(col).zip(parts).collect())
+    }
+
+    fn plain(values: &[i64]) -> ColumnChunk {
+        ColumnChunk::Plain(Arc::new(values.to_vec()))
+    }
+
     #[test]
     fn nsm_payload_views_every_column() {
-        let data = NsmChunkData::new(vec![Arc::new(vec![1, 2, 3]), Arc::new(vec![10, 20, 30])]);
+        let data = dense(vec![plain(&[1, 2, 3]), plain(&[10, 20, 30])]);
         assert_eq!(data.rows(), 3);
-        assert_eq!(data.width(), 2);
+        assert_eq!(data.column_ids().collect::<Vec<_>>(), vec![col(0), col(1)]);
         assert_eq!(data.column(col(1)), Some(&[10, 20, 30][..]));
         assert_eq!(data.column(col(2)), None);
-        let payload = ChunkPayload::Nsm(Arc::new(data));
+        let payload = ChunkPayload::from(data);
         assert!(!payload.is_missing());
         assert_eq!(payload.rows(), 3);
         assert_eq!(payload.column(col(0)), Some(&[1, 2, 3][..]));
@@ -806,39 +706,30 @@ mod tests {
 
     #[test]
     fn dsm_payload_merges_column_subsets() {
-        let a = DsmChunkData::new(vec![
-            (col(2), Arc::new(vec![5, 6])),
-            (col(0), Arc::new(vec![1, 2])),
-        ]);
-        assert_eq!(
-            a.resident_columns().collect::<Vec<_>>(),
-            vec![col(0), col(2)]
-        );
+        let a = ChunkData::from_parts(vec![(col(2), plain(&[5, 6])), (col(0), plain(&[1, 2]))]);
+        assert_eq!(a.column_ids().collect::<Vec<_>>(), vec![col(0), col(2)]);
         assert_eq!(a.column(col(2)), Some(&[5, 6][..]));
         assert_eq!(a.column(col(1)), None);
-        let b = DsmChunkData::new(vec![(col(1), Arc::new(vec![8, 9]))]);
+        let b = ChunkData::from_parts(vec![(col(1), plain(&[8, 9]))]);
         let merged = a.merged_with(&b);
         assert_eq!(
-            merged.resident_columns().collect::<Vec<_>>(),
+            merged.column_ids().collect::<Vec<_>>(),
             vec![col(0), col(1), col(2)]
         );
         assert_eq!(merged.column(col(0)), Some(&[1, 2][..]));
         assert_eq!(merged.column(col(1)), Some(&[8, 9][..]));
         // Via the payload enum, merging shares the vectors.
-        let pa = ChunkPayload::Dsm(Arc::new(a));
-        let pb = ChunkPayload::Dsm(Arc::new(b));
+        let pa = ChunkPayload::from(a);
+        let pb = ChunkPayload::from(b);
         let pm = pa.merged_with(&pb);
         assert_eq!(pm.column(col(2)), Some(&[5, 6][..]));
     }
 
     #[test]
     fn dsm_retained_drops_dead_columns() {
-        let d = DsmChunkData::new(vec![
-            (col(0), Arc::new(vec![1])),
-            (col(1), Arc::new(vec![2])),
-        ]);
+        let d = dense(vec![plain(&[1]), plain(&[2])]);
         let kept = d.retained(|c| c == col(1)).expect("one column survives");
-        assert_eq!(kept.resident_columns().collect::<Vec<_>>(), vec![col(1)]);
+        assert_eq!(kept.column_ids().collect::<Vec<_>>(), vec![col(1)]);
         assert!(d.retained(|_| false).is_none());
     }
 
@@ -853,8 +744,9 @@ mod tests {
         assert_eq!(p.physical_bytes(), 0);
         assert_eq!(p.logical_bytes(), 0);
         // A load of real data over a metadata placeholder wins.
-        let n = ChunkPayload::Nsm(Arc::new(NsmChunkData::new(vec![Arc::new(vec![7])])));
+        let n = ChunkPayload::from(dense(vec![plain(&[7])]));
         assert_eq!(p.merged_with(&n), n);
+        assert_eq!(n.merged_with(&p), p, "and the other way round");
     }
 
     #[test]
@@ -864,8 +756,8 @@ mod tests {
             payload.reclaim_plain(|v| out.push(v));
             out
         }
-        let plain = |v: i64| ColumnChunk::Plain(Arc::new(vec![v; 4]));
-        let nsm = |parts| ChunkPayload::Nsm(Arc::new(NsmChunkData::from_parts(parts)));
+        let plain = |v: i64| plain(&[v; 4]);
+        let nsm = |parts| ChunkPayload::from(dense(parts));
 
         // Sole owner: every plain vector comes back; an encoded column (and
         // its decode cache) does not.
@@ -873,11 +765,8 @@ mod tests {
         assert_eq!(encoded.as_slice(), &[3; 4], "decoded, still not plain");
         let got = reclaimed(nsm(vec![plain(1), encoded, plain(2)]));
         assert_eq!(got, vec![vec![1; 4], vec![2; 4]]);
-        let dsm = DsmChunkData::from_parts(vec![(col(4), plain(5)), (col(2), plain(6))]);
-        assert_eq!(
-            reclaimed(ChunkPayload::Dsm(Arc::new(dsm))),
-            vec![vec![6; 4], vec![5; 4]]
-        );
+        let dsm = ChunkData::from_parts(vec![(col(4), plain(5)), (col(2), plain(6))]);
+        assert_eq!(reclaimed(dsm.into()), vec![vec![6; 4], vec![5; 4]]);
         assert!(reclaimed(ChunkPayload::Missing).is_empty());
 
         // A column somebody still reads stays theirs; its neighbours go.
@@ -917,16 +806,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "same length")]
     fn ragged_nsm_rejected() {
-        NsmChunkData::new(vec![Arc::new(vec![1]), Arc::new(vec![1, 2])]);
+        dense(vec![plain(&[1]), plain(&[1, 2])]);
     }
 
     #[test]
     #[should_panic(expected = "duplicate column")]
     fn duplicate_dsm_column_rejected() {
-        DsmChunkData::new(vec![
-            (col(0), Arc::new(vec![1])),
-            (col(0), Arc::new(vec![2])),
-        ]);
+        ChunkData::from_parts(vec![(col(0), plain(&[1])), (col(0), plain(&[2]))]);
     }
 
     // ------------------------------------------------------------------
@@ -1012,9 +898,8 @@ mod tests {
                 _chunk: ChunkId,
                 _cols: Option<&[ColumnId]>,
             ) -> Result<ChunkPayload, StoreError> {
-                Ok(ChunkPayload::Nsm(Arc::new(NsmChunkData::new(vec![
-                    Arc::new((0..4096).map(|i| i % 3).collect()),
-                ]))))
+                let values: Vec<i64> = (0..4096).map(|i| i % 3).collect();
+                Ok(dense(vec![plain(&values)]).into())
             }
         }
         let store = CompressingStore::new(SmallValues, vec![Compression::Dictionary { bits: 2 }]);
@@ -1030,10 +915,10 @@ mod tests {
 
     #[test]
     fn dsm_merge_preserves_decode_state() {
-        let a = DsmChunkData::from_parts(vec![(col(0), ColumnChunk::encode(&[1, 2, 3], pfor21()))]);
+        let a = ChunkData::from_parts(vec![(col(0), ColumnChunk::encode(&[1, 2, 3], pfor21()))]);
         // Decode a's column, then merge a new compressed column in.
         assert_eq!(a.column(col(0)), Some(&[1, 2, 3][..]));
-        let b = DsmChunkData::from_parts(vec![(col(1), ColumnChunk::encode(&[7, 8, 9], pfor21()))]);
+        let b = ChunkData::from_parts(vec![(col(1), ColumnChunk::encode(&[7, 8, 9], pfor21()))]);
         let merged = a.merged_with(&b);
         let states: Vec<bool> = merged.parts().iter().map(|(_, c)| c.is_decoded()).collect();
         assert_eq!(

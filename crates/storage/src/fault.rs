@@ -14,9 +14,7 @@
 //! reproducible from its seed, and a bounded retry loop provably clears
 //! transient faults (attempt numbers advance, so rerolls differ).
 
-use crate::chunkdata::{
-    ChunkPayload, ChunkStore, ColumnChunk, DsmChunkData, LazyColumn, NsmChunkData,
-};
+use crate::chunkdata::{ChunkData, ChunkPayload, ChunkStore, ColumnChunk, LazyColumn};
 use crate::ids::{ChunkId, ColumnId};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -283,47 +281,18 @@ impl<S: ChunkStore> FaultInjectingStore<S> {
     /// is compressed — plain columns carry no checksum, so corrupting them
     /// would be silent.
     fn corrupt_payload(&self, payload: ChunkPayload, selector: u64) -> (ChunkPayload, bool) {
-        fn corrupt_first(parts: &mut [ColumnChunk], selector: u64) -> bool {
-            for part in parts.iter_mut() {
-                if let ColumnChunk::Compressed(lazy) = part {
-                    let torn = lazy.encoded().with_flipped_byte(selector);
-                    *part = ColumnChunk::Compressed(Arc::new(LazyColumn::new(torn)));
-                    return true;
-                }
-            }
-            false
-        }
-        match payload {
-            ChunkPayload::Missing => (ChunkPayload::Missing, false),
-            ChunkPayload::Nsm(data) => {
-                let mut parts: Vec<ColumnChunk> = data.parts().to_vec();
-                let hit = corrupt_first(&mut parts, selector);
-                if hit {
-                    (
-                        ChunkPayload::Nsm(Arc::new(NsmChunkData::from_parts(parts))),
-                        true,
-                    )
-                } else {
-                    (ChunkPayload::Nsm(data), false)
-                }
-            }
-            ChunkPayload::Dsm(data) => {
-                let mut pairs: Vec<(ColumnId, ColumnChunk)> = data.parts().to_vec();
-                let mut cols: Vec<ColumnChunk> = pairs.iter().map(|(_, c)| c.clone()).collect();
-                let hit = corrupt_first(&mut cols, selector);
-                if hit {
-                    for (pair, col) in pairs.iter_mut().zip(cols) {
-                        pair.1 = col;
-                    }
-                    (
-                        ChunkPayload::Dsm(Arc::new(DsmChunkData::from_parts(pairs))),
-                        true,
-                    )
-                } else {
-                    (ChunkPayload::Dsm(data), false)
-                }
+        let ChunkPayload::Data(data) = &payload else {
+            return (payload, false);
+        };
+        let mut parts = data.parts().to_vec();
+        for (_, part) in &mut parts {
+            if let ColumnChunk::Compressed(lazy) = part {
+                let torn = lazy.encoded().with_flipped_byte(selector);
+                *part = ColumnChunk::Compressed(Arc::new(LazyColumn::new(torn)));
+                return (ChunkData::from_parts(parts).into(), true);
             }
         }
+        (payload, false)
     }
 }
 

@@ -18,10 +18,11 @@
 //! columns into multi-range scan plans ([`scan::ScanRanges`]).
 //!
 //! [`chunkdata`] is the data plane: [`chunkdata::ChunkStore`] materializes
-//! the actual column values of a chunk as a [`chunkdata::ChunkPayload`]
-//! (PAX mini-columns for NSM, a mergeable column subset for DSM), which is
-//! what a pinned chunk hands to the query operators.  Mini-columns may be
-//! stored *compressed*: [`codec`] implements the real PDICT / PFOR /
+//! the actual column values of a chunk as a [`chunkdata::ChunkPayload`] —
+//! one shape, some columns of the chunk as per-column mini-columns: all of
+//! them when an NSM chunk is loaded, a mergeable subset under DSM — which
+//! is what a pinned chunk hands to the query operators.  Mini-columns may
+//! be stored *compressed*: [`codec`] implements the real PDICT / PFOR /
 //! PFOR-DELTA encoders ([`compression`] keeps the width model they are
 //! validated against), and [`chunkdata::CompressingStore`] wraps any store
 //! so its payloads travel as encoded bytes that decode lazily, a column at
@@ -43,8 +44,7 @@ pub mod segment;
 pub mod zonemap;
 
 pub use chunkdata::{
-    ChunkPayload, ChunkStore, ColumnChunk, CompressingStore, DsmChunkData, LazyColumn,
-    NsmChunkData, SeededStore,
+    ChunkData, ChunkPayload, ChunkStore, ColumnChunk, CompressingStore, LazyColumn, SeededStore,
 };
 pub use codec::{checksum64, EncodedColumn};
 pub use compression::Compression;

@@ -112,9 +112,7 @@
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
-use crate::chunkdata::{
-    ChunkPayload, ChunkStore, ColumnChunk, DsmChunkData, LazyColumn, NsmChunkData,
-};
+use crate::chunkdata::{ChunkData, ChunkPayload, ChunkStore, ColumnChunk, LazyColumn};
 use crate::codec::{checksum64, EncodedColumn};
 use crate::compression::Compression;
 use crate::fault::StoreError;
@@ -759,9 +757,8 @@ impl std::fmt::Debug for FreeList {
 /// A [`ChunkStore`] serving chunks from a real segment file.
 ///
 /// The directory is read and validated once at open; every `materialize`
-/// then issues one positioned read per requested extent — `cols: None`
-/// returns the full NSM chunk (all columns), `cols: Some(subset)` reads
-/// *only* the requested columns' extents and returns a DSM payload.
+/// then issues one positioned read per requested extent — every column's
+/// for `cols: None`, *only* the requested columns' for `cols: Some(subset)`.
 /// Plain extents are read in place, checksum-verified here, and their
 /// vectors recycled (see the module docs).  Encoded extents come back as
 /// lazily-decoding [`ColumnChunk::Compressed`] mini-columns carrying the
@@ -925,21 +922,10 @@ impl ChunkStore for FileStore {
         if chunk.index() >= self.directory.num_chunks() {
             return Err(StoreError::Permanent);
         }
-        Ok(match cols {
-            None => {
-                let parts = (0..self.directory.num_columns())
-                    .map(|c| self.load_column(chunk, ColumnId::new(c)))
-                    .collect::<Result<Vec<_>, _>>()?;
-                ChunkPayload::Nsm(Arc::new(NsmChunkData::from_parts(parts)))
-            }
-            Some(cols) => {
-                let parts = cols
-                    .iter()
-                    .map(|&c| Ok((c, self.load_column(chunk, c)?)))
-                    .collect::<Result<Vec<_>, StoreError>>()?;
-                ChunkPayload::Dsm(Arc::new(DsmChunkData::from_parts(parts)))
-            }
-        })
+        let data = ChunkData::load(cols, self.directory.num_columns(), |c| {
+            self.load_column(chunk, c)
+        })?;
+        Ok(data.into())
     }
 
     fn recycle(&self, payload: ChunkPayload) {
@@ -1201,8 +1187,12 @@ mod tests {
         let store = FileStore::open(&path).unwrap();
         // Far more than the list keeps: the excess is dropped.
         for _ in 0..3 * FREE_CHUNKS {
-            let fresh = NsmChunkData::new((0..3).map(|_| Arc::new(vec![9i64; 50])).collect());
-            store.recycle(ChunkPayload::Nsm(Arc::new(fresh)));
+            let fresh = ChunkData::from_parts(
+                (0..3)
+                    .map(|c| (ColumnId::new(c), ColumnChunk::Plain(Arc::new(vec![9; 50]))))
+                    .collect(),
+            );
+            store.recycle(fresh.into());
         }
         assert_eq!(store.free.vectors.lock().unwrap().len(), FREE_CHUNKS * 3);
         assert_eq!(format!("{:?}", store.free), "FreeList(12 of 12)");

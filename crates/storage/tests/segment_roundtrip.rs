@@ -100,27 +100,27 @@ proptest! {
             let chunk = ChunkId::new(c);
             prop_assert_eq!(store.chunk_rows(chunk), Some(chunk_rows(c) as u64));
 
-            // Full-chunk NSM materialization: every column, bit-identical.
+            // Whole-chunk materialization: every column, bit-identical.
             let payload = store.materialize(chunk, None).unwrap();
             payload.verify_checksums().unwrap();
-            let ChunkPayload::Nsm(data) = &payload else {
-                panic!("cols: None must produce an NSM payload");
+            let ChunkPayload::Data(data) = &payload else {
+                panic!("a segment chunk carries data");
             };
-            prop_assert_eq!(data.width(), width);
-            for (col, part) in data.parts().iter().enumerate() {
-                assert_bit_identical(part, &column(c, col), schemes[col]);
+            prop_assert_eq!(data.parts().len(), width);
+            for (id, part) in data.parts() {
+                assert_bit_identical(part, &column(c, id.as_usize()), schemes[id.as_usize()]);
             }
 
-            // DSM projection of a seed-chosen strict-or-full subset: only
-            // those columns come back, each bit-identical.
+            // Projection of a seed-chosen strict-or-full subset: only those
+            // columns come back, each bit-identical.
             let subset: Vec<ColumnId> = (0..width)
                 .filter(|col| width == 1 || (seed >> (col % 48)) & 1 == 0 || *col == 0)
                 .map(|col| ColumnId::new(col as u16))
                 .collect();
             let payload = store.materialize(chunk, Some(&subset)).unwrap();
             payload.verify_checksums().unwrap();
-            let ChunkPayload::Dsm(data) = &payload else {
-                panic!("cols: Some(..) must produce a DSM payload");
+            let ChunkPayload::Data(data) = &payload else {
+                panic!("a segment chunk carries data");
             };
             prop_assert_eq!(data.parts().len(), subset.len());
             for (id, part) in data.parts() {

@@ -9,11 +9,11 @@
 //!
 //! Run with: `cargo run --example metrics_snapshot`
 
-use cscan_core::iosched::RetryPolicy;
 use cscan_core::model::TableModel;
 use cscan_core::policy::PolicyKind;
 use cscan_core::threaded::ScanServer;
 use cscan_core::CScanPlan;
+use cscan_core::RetryPolicy;
 use cscan_storage::{FaultConfig, FaultInjectingStore, ScanRanges, SeededStore};
 use std::sync::Arc;
 use std::time::Duration;

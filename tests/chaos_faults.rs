@@ -15,9 +15,9 @@
 //! genuine on-disk bit flip that must quarantine exactly the damaged chunk
 //! through the install-time checksum.
 
-use cscan_core::iosched::RetryPolicy;
 use cscan_core::policy::PolicyKind;
 use cscan_core::threaded::{CScanHandle, ScanServer};
+use cscan_core::RetryPolicy;
 use cscan_core::{CScanPlan, ColSet, ScanError, TableModel};
 use cscan_exec::ops::{collect, try_collect};
 use cscan_exec::{

@@ -14,7 +14,8 @@ use cscan_core::threaded::ScanServer;
 use cscan_core::{CScanPlan, ColSet, TableModel};
 use cscan_exec::MemTable;
 use cscan_storage::{
-    ChunkId, ColumnId, Compression, FileStore, ScanRanges, ScratchPath, SegmentWriter,
+    ChunkId, ChunkPayload, ChunkStore, ColumnId, CompressingStore, Compression, FileStore,
+    ScanRanges, ScratchPath, SeededStore, SegmentWriter,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -192,4 +193,41 @@ fn concurrent_file_backed_streams_stay_bit_identical() {
         assert_eq!(w.join().unwrap(), expected, "a stream's values diverged");
     }
     assert_eq!(server.unconsumed_drops(), 0);
+}
+
+/// There is one payload shape: asking a store for a whole chunk (`None`)
+/// and asking it for every column by name are the same request and return
+/// the same payload — same columns, same values, same physical state — for
+/// every store, bare and wrapped in a [`CompressingStore`].
+#[test]
+fn whole_chunk_and_every_column_are_the_same_payload() {
+    fn check_one(name: &str, store: &dyn ChunkStore, width: usize) {
+        let all: Vec<ColumnId> = (0..width as u16).map(ColumnId::new).collect();
+        for c in 0..CHUNKS {
+            let chunk = ChunkId::new(c);
+            let whole = store.materialize(chunk, None).unwrap();
+            let named = store.materialize(chunk, Some(&all)).unwrap();
+            let ChunkPayload::Data(data) = &whole else {
+                panic!("{name}: chunk {c} carries no data");
+            };
+            assert_eq!(data.column_ids().collect::<Vec<_>>(), all, "{name}");
+            assert_eq!(whole.physical_bytes(), named.physical_bytes(), "{name}");
+            assert_eq!(whole.is_fully_decoded(), named.is_fully_decoded(), "{name}");
+            assert_eq!(whole, named, "{name}: chunk {c}");
+        }
+    }
+    fn check(name: &str, store: impl ChunkStore, width: usize) {
+        check_one(name, &store, width);
+        let wrapped = CompressingStore::new(store, MemTable::lineitem_demo_schemes());
+        check_one(&format!("compressing({name})"), &wrapped, width);
+    }
+    let table = lineitem();
+    let width = table.width();
+    check("seeded", SeededStore::new(ROWS_PER_CHUNK, 3, 11), 3);
+    check("memtable", table, width);
+    for compressed in [false, true] {
+        let path = write_segment(compressed);
+        let name = format!("file/compressed={compressed}");
+        check(&name, FileStore::open(&path).unwrap(), width);
+    }
 }
