@@ -11,7 +11,8 @@
 //!
 //! * delivered payload bandwidth (logical MiB/s through the session API),
 //! * `file_read_calls` / `file_bytes_read` from the shared observability
-//!   registry (one positioned read per extent — NSM reads all columns),
+//!   registry (one positioned read per extent of the columns a load
+//!   names — here all of them: the pipelines' plans name no columns),
 //! * pin-wait and load counts from the server.
 //!
 //! The Figure 9 question — does compression pay once I/O is real? — is
@@ -21,8 +22,8 @@
 //! winning; the bin prints whichever way it lands.
 //!
 //! The sim front-end is wired metadata-faithfully: [`model_from_segment`]
-//! derives a `TableModel` from the segment *directory* (real on-disk
-//! extent sizes → pages), so a [`Simulation`] over the compressed file
+//! derives a DSM `TableModel` from the segment *directory* (real on-disk
+//! extent sizes → pages per column), so a [`Simulation`] over the compressed file
 //! schedules proportionally less I/O — [`run_sim_from_segment`] exposes
 //! that path and the tests pin sim bytes to the measured file bytes.
 
@@ -413,10 +414,10 @@ mod tests {
         assert!(compressed_bytes < plain_bytes);
         assert!(compressed_secs <= plain_secs);
         // Sim bytes come from the directory's real extents, rounded up to
-        // whole pages per chunk; one full scan must stay within a page per
-        // chunk of the measured file volume.
-        let (file_plain, _) = measured_volume(&plain_path, 4).expect("measure plain");
+        // whole pages per extent (the model is per column); one full scan
+        // must stay within a page per extent of the measured file volume.
+        let (file_plain, extents) = measured_volume(&plain_path, 4).expect("measure plain");
         assert!(plain_bytes >= file_plain);
-        assert!(plain_bytes <= file_plain + 4 * DEFAULT_PAGE_SIZE);
+        assert!(plain_bytes <= file_plain + extents * DEFAULT_PAGE_SIZE);
     }
 }

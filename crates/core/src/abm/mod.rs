@@ -83,6 +83,10 @@ pub struct LoadPlan {
     pub regions: Vec<PhysRegion>,
     /// Chunks that were evicted to make room for this load.
     pub evicted: Vec<ChunkId>,
+    /// Chunks that gave up their dead columns to make room for this load
+    /// and stay resident with the rest ([`AbmState::dead_columns`]; DSM
+    /// only).  The driver drops the same columns from its payloads.
+    pub shrunk: Vec<ChunkId>,
     /// Unique identity of this load (see [`InflightLoad::ticket`]).
     pub ticket: u64,
     /// The [`AbmState::epoch`] the plan was taken under; [`Abm::commit_load`]
@@ -118,6 +122,10 @@ pub struct Abm {
     /// Reused buffer for the wake-up list returned by [`Abm::complete_load`],
     /// so the per-load hot path performs no allocation.
     wake_scratch: Vec<QueryId>,
+    /// What an admission evicted and shrank before it failed to find the
+    /// rest of its room: reported by the next plan that succeeds, so a
+    /// driver hears of every residency change it has to mirror.
+    unreported: (Vec<ChunkId>, Vec<ChunkId>),
 }
 
 impl std::fmt::Debug for Abm {
@@ -140,6 +148,7 @@ impl Abm {
             policy,
             next_query_id: 0,
             wake_scratch: Vec::new(),
+            unreported: (Vec::new(), Vec::new()),
         }
     }
 
@@ -192,13 +201,13 @@ impl Abm {
         }
     }
 
-    /// Marks `chunk` as fully consumed by `q`.  For DSM tables, columns no
-    /// other query needs are dropped eagerly to free buffer space.
+    /// Marks `chunk` as fully consumed by `q`.  Nothing leaves the buffer
+    /// here: a chunk, or a column of it, that no active query needs any more
+    /// stays cached for the next query until a load needs its pages
+    /// ([`Abm::plan_loads`] reclaims dead columns before it asks the policy
+    /// for a victim).
     pub fn release_chunk(&mut self, q: QueryId, chunk: ChunkId) {
         self.state.finish_processing(q, chunk);
-        if self.state.model().is_dsm() {
-            self.state.drop_dead_columns(chunk);
-        }
     }
 
     /// Whether query `q` has processed everything it asked for.
@@ -359,26 +368,35 @@ impl Abm {
             // A single chunk larger than the whole pool can never fit.
             return None;
         }
-        // Make room: ask the policy for victims until the load fits.
-        // `free_pages` discounts the reservations of everything already in
-        // flight, so victims secured here belong to this load alone.
-        let mut evicted = Vec::new();
+        // Make room: first the dead columns of chunks somebody still needs
+        // — no policy can name those, its victims are whole chunks — then
+        // the policy's victims, until the load fits.  `free_pages` discounts
+        // the reservations of everything already in flight, so what is
+        // secured here belongs to this load alone.
+        let (mut evicted, mut shrunk) = std::mem::take(&mut self.unreported);
         while self.state.free_pages() < pages {
-            match self.policy.choose_victim(&self.state, &decision) {
-                Some(victim) => {
-                    debug_assert!(
-                        self.state.is_evictable(victim),
-                        "policy chose unevictable victim"
-                    );
-                    self.state.evict(victim);
-                    evicted.push(victim);
-                }
-                None => {
-                    // Cannot make room now (everything is pinned, protected
-                    // or reserved by the in-flight burst).
-                    return None;
-                }
+            let Some(chunk) = self.state.reclaim_dead_columns() else {
+                break;
+            };
+            if self.state.buffered_chunk(chunk).is_some() {
+                shrunk.push(chunk);
+            } else {
+                evicted.push(chunk);
             }
+        }
+        while self.state.free_pages() < pages {
+            let Some(victim) = self.policy.choose_victim(&self.state, &decision) else {
+                // Cannot make room now (everything is pinned, protected or
+                // reserved by the in-flight burst).
+                self.unreported = (evicted, shrunk);
+                return None;
+            };
+            debug_assert!(
+                self.state.is_evictable(victim),
+                "policy chose unevictable victim"
+            );
+            self.state.evict(victim);
+            evicted.push(victim);
         }
         let regions = {
             let missing = self.state.missing_columns(decision.chunk, decision.cols);
@@ -396,6 +414,7 @@ impl Abm {
             pages,
             regions,
             evicted,
+            shrunk,
             ticket,
             epoch: self.state.epoch(),
         })
@@ -560,6 +579,44 @@ mod tests {
         abm.release_chunk(q, chunk);
         assert!(abm.plan_load(SimTime::ZERO).is_none());
         assert!(abm.is_query_finished(q));
+    }
+
+    #[test]
+    fn a_failed_admission_reports_what_it_freed_with_the_next_plan() {
+        use cscan_storage::ColumnId;
+        let model = TableModel::dsm_uniform(8, 1000, &[3; 6]);
+        let mut abm = Abm::new(AbmState::new(model, 27), Box::new(RelevancePolicy::new()));
+        let col0 = ColSet::from_columns([ColumnId::new(0)]);
+        let narrow = abm.register_query("narrow", ScanRanges::single(0, 2), col0, SimTime::ZERO);
+        // Chunk 0 resident full width, chunk 1 with columns {0, 1}: 24 of 27
+        // pages, column 1 of chunk 1 dead.
+        for (chunk, width) in [(0, 6), (1, 2)] {
+            abm.state
+                .begin_load(ChunkId::new(chunk), ColSet::first_n(width));
+            abm.state.complete_load_of(ChunkId::new(chunk));
+        }
+        assert_eq!(
+            abm.acquire_chunk(narrow, SimTime::ZERO),
+            Some(ChunkId::new(0))
+        );
+        // An 18-page load finds 3 pages free, 3 dead and 3 evictable — and
+        // the rest pinned.  It is not admitted, but chunk 1 is gone.
+        let all = ColSet::first_n(6);
+        abm.register_query("wide", ScanRanges::single(4, 5), all, SimTime::ZERO);
+        let mut plans = Vec::new();
+        abm.plan_loads(SimTime::ZERO, 1, &mut plans);
+        assert!(plans.is_empty());
+        assert!(abm.state.buffered_chunk(ChunkId::new(1)).is_none());
+        assert_eq!(abm.state.free_pages(), 9);
+        // The next plan that is admitted — `narrow`, starved now, asking
+        // for the very chunk it lost — names the earlier victims: a driver
+        // mirrors every one of them, and before it reads the chunk anew.
+        abm.release_chunk(narrow, ChunkId::new(0));
+        abm.plan_loads(SimTime::ZERO, 1, &mut plans);
+        assert_eq!(plans.len(), 1);
+        assert_eq!(plans[0].decision.chunk, ChunkId::new(1));
+        assert_eq!(plans[0].shrunk, [ChunkId::new(1)]);
+        assert_eq!(plans[0].evicted, [ChunkId::new(1)]);
     }
 
     #[test]

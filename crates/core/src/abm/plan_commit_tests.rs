@@ -20,11 +20,12 @@
 //!   [`Abm::plan_load`] main loop.
 
 use crate::abm::{Abm, AbmState, CommitOutcome, LoadPlan};
+use crate::colset::ColSet;
 use crate::model::TableModel;
 use crate::policy::PolicyKind;
 use crate::query::QueryId;
 use cscan_simdisk::SimTime;
-use cscan_storage::ScanRanges;
+use cscan_storage::{ChunkId, ColumnId, ScanRanges};
 use proptest::prelude::*;
 
 const CHUNKS: u32 = 24;
@@ -324,6 +325,123 @@ fn k1_matches_sequential_plan_load() {
             "nothing detached: the commit is valid"
         );
     }
+}
+
+/// A column store of six three-page columns under `relevance`, with room
+/// for `buffer_chunks` full-width chunks.
+fn dsm_abm(chunks: u32, buffer_chunks: u64) -> Abm {
+    let model = TableModel::dsm_uniform(chunks, 1000, &[3; 6]);
+    Abm::new(
+        AbmState::new(model, buffer_chunks * 18),
+        PolicyKind::Relevance.build(),
+    )
+}
+
+fn cols(ids: &[u16]) -> ColSet {
+    ids.iter().copied().map(ColumnId::new).collect()
+}
+
+/// Runs `q` to completion the way a K = 1 driver would, and returns the
+/// plans that took.
+fn run_scan(abm: &mut Abm, q: QueryId) -> Vec<LoadPlan> {
+    let mut taken = Vec::new();
+    while !abm.is_query_finished(q) {
+        if let Some(chunk) = abm.acquire_chunk(q, SimTime::ZERO) {
+            abm.release_chunk(q, chunk);
+            continue;
+        }
+        let mut plans = Vec::new();
+        plan(abm, 1, SimTime::ZERO, &mut plans);
+        let next = plans.pop().expect("a blocked scan has something to load");
+        assert!(commit(abm, &next), "nothing races a K=1 driver");
+        taken.push(next);
+    }
+    taken
+}
+
+#[test]
+fn a_finished_scan_leaves_its_columns_to_the_next() {
+    let mut abm = dsm_abm(16, 4);
+    let two = cols(&[1, 5]);
+    let a = abm.register_query("a", ScanRanges::single(0, 8), two, SimTime::ZERO);
+    assert_eq!(run_scan(&mut abm, a).len(), 8);
+    abm.finish_query(a);
+    // Neither the releases nor the detach gave a page back: eight chunks of
+    // two three-page columns sit in a buffer nobody is scanning.
+    assert_eq!(abm.state().used_pages(), 8 * 6);
+    assert_eq!(abm.state().num_buffered(), 8);
+
+    let b = abm.register_query("b", ScanRanges::single(0, 8), two, SimTime::ZERO);
+    let mut granted = Vec::new();
+    let mut plans = Vec::new();
+    while !abm.is_query_finished(b) {
+        plan(&mut abm, 2, SimTime::ZERO, &mut plans);
+        assert!(plans.is_empty(), "a scan of resident columns loads nothing");
+        let chunk = abm
+            .acquire_chunk(b, SimTime::ZERO)
+            .expect("every chunk is granted from the buffer");
+        abm.release_chunk(b, chunk);
+        granted.push(chunk);
+    }
+    granted.sort_unstable();
+    assert_eq!(granted, (0..8).map(ChunkId::new).collect::<Vec<_>>());
+    assert_eq!(abm.state().io_requests(), 8, "the first scan's loads");
+}
+
+#[test]
+fn dead_columns_go_before_any_column_a_query_still_needs() {
+    // Four chunks loaded full width for `wide`, which consumes them and
+    // detaches while `narrow` (column 0, not started) still needs all four:
+    // the buffer is full, three columns of every chunk are dead.
+    let mut abm = dsm_abm(8, 4);
+    let narrow = abm.register_query(
+        "narrow",
+        ScanRanges::single(0, 4),
+        cols(&[0]),
+        SimTime::ZERO,
+    );
+    let wide = abm.register_query(
+        "wide",
+        ScanRanges::single(0, 4),
+        ColSet::first_n(6),
+        SimTime::ZERO,
+    );
+    run_scan(&mut abm, wide);
+    abm.finish_query(wide);
+    assert_eq!(abm.state().free_pages(), 0);
+    assert_eq!(abm.state().available_chunks(narrow), 4);
+
+    // A second full-width scan, of other chunks, has to make room four
+    // times over.
+    let next = abm.register_query(
+        "next",
+        ScanRanges::single(4, 8),
+        ColSet::first_n(6),
+        SimTime::ZERO,
+    );
+    let taken = run_scan(&mut abm, next);
+    assert_eq!(taken.len(), 4);
+    // The first three loads fit into what the dead columns held (4 × 15
+    // pages, against 18 a load): chunks shrink to the column `narrow`
+    // reads, lowest chunk first, and nothing is evicted.
+    let shrunk: Vec<u32> = taken
+        .iter()
+        .flat_map(|p| p.shrunk.iter().map(|c| c.index()))
+        .collect();
+    assert_eq!(shrunk, [0, 1, 2, 3]);
+    for plan in &taken[..3] {
+        assert!(plan.evicted.is_empty(), "{plan:?}");
+    }
+    // The fourth finds no dead column left and takes the policy's victim:
+    // chunk 4, which `next` itself has consumed and nobody needs.  `narrow`
+    // has not lost a chunk, and holds column 0 of each and no other.
+    assert!(taken[3].shrunk.is_empty());
+    assert_eq!(taken[3].evicted, [ChunkId::new(4)]);
+    assert_eq!(abm.state().available_chunks(narrow), 4);
+    for b in abm.state().buffered().filter(|b| b.chunk.index() < 4) {
+        assert_eq!((b.columns, b.pages), (cols(&[0]), 3), "{:?}", b.chunk);
+    }
+    abm.state().validate_counters();
 }
 
 proptest! {

@@ -44,6 +44,9 @@ enum Op {
     AbortLoad { i: u8 },
     /// Evict a chunk, if evictable.
     Evict { chunk: u32 },
+    /// Reclaim the dead columns of one chunk, as an admission short of
+    /// pages does (a no-op for NSM).
+    Reclaim,
     /// Have the `i`-th active query fully process its `pick`-th available
     /// chunk, if it has one.
     Process { i: u8, pick: u8 },
@@ -65,6 +68,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (0u8..=255).prop_map(|i| Op::CompleteLoad { i }),
         (0u8..=255).prop_map(|i| Op::AbortLoad { i }),
         (0..CHUNKS).prop_map(|chunk| Op::Evict { chunk }),
+        Just(Op::Reclaim),
         (0u8..=255, 0u8..=255).prop_map(|(i, pick)| Op::Process { i, pick }),
         (0u8..=255).prop_map(|i| Op::Block { i }),
     ]
@@ -156,6 +160,13 @@ fn check_ops(model: TableModel, ops: &[Op]) -> Result<(), TestCaseError> {
                     s.evict(chunk);
                 }
             }
+            Op::Reclaim => {
+                let before = s.used_pages();
+                if let Some(chunk) = s.reclaim_dead_columns() {
+                    prop_assert!(s.used_pages() < before);
+                    prop_assert!(s.dead_columns(chunk).is_empty());
+                }
+            }
             Op::Process { i, pick } => {
                 if !active.is_empty() {
                     let q = active[i as usize % active.len()];
@@ -168,9 +179,6 @@ fn check_ops(model: TableModel, ops: &[Op]) -> Result<(), TestCaseError> {
                         let chunk = available[pick as usize % available.len()];
                         s.start_processing(q, chunk);
                         s.finish_processing(q, chunk);
-                        if s.model().is_dsm() {
-                            s.drop_dead_columns(chunk);
-                        }
                         if s.query(q).is_finished() {
                             active.retain(|&a| a != q);
                             inc.on_query_finished(q, &s);
@@ -229,7 +237,10 @@ proptest! {
     }
 
     /// DSM (three columns of different widths, partial residency, dead-column
-    /// dropping): counters and decisions survive arbitrary operation sequences.
+    /// reclaim): counters and decisions — the candidate heap of
+    /// `choose_chunk_incremental` under the interest-weighted score, the
+    /// word-walks of `next_chunk` and `choose_victim` — survive arbitrary
+    /// operation sequences.
     #[test]
     fn dsm_incremental_index_matches_brute_force(ops in prop::collection::vec(arb_op(), 1..80)) {
         check_ops(TableModel::dsm_uniform(CHUNKS, 1000, &[2, 4, 8]), &ops)?;

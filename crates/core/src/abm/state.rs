@@ -894,41 +894,58 @@ impl AbmState {
         b.pages
     }
 
-    /// Drops the resident columns of `chunk` that no active query needs
-    /// (DSM only).  Returns the pages freed.
-    ///
-    /// Only columns needed by *no* interested query are dropped, so no
-    /// query's availability can change.
-    pub(crate) fn drop_dead_columns(&mut self, chunk: ChunkId) -> u64 {
-        if !self.model.is_dsm() {
-            return 0;
+    /// The *dead* columns of `chunk`: resident columns that none of the
+    /// queries still needing the chunk reads.  Empty for a chunk nobody
+    /// needs at all — that one is an ordinary victim of the policy, as under
+    /// NSM — and for NSM, where a chunk has no column residency.
+    pub fn dead_columns(&self, chunk: ChunkId) -> ColSet {
+        let Some(b) = self.buffered_chunk(chunk) else {
+            return ColSet::EMPTY;
+        };
+        if !self.model.is_dsm() || self.index.interested(chunk) == 0 {
+            return ColSet::EMPTY;
         }
-        // A chunk with a load in flight keeps its resident columns: the
-        // load's page reservation was computed against them, and the missing
-        // set must not change between begin_load and completion.
-        if self.is_inflight(chunk) {
-            return 0;
-        }
-        let needed_cols = self
+        let live = self
             .queries
             .iter()
             .filter(|q| q.needs(chunk))
-            .fold(ColSet::empty(), |acc, q| acc.union(q.columns));
-        let Some(b) = self.buffered[chunk.as_usize()].as_mut() else {
-            return 0;
-        };
-        if b.is_pinned() {
-            return 0;
+            .fold(ColSet::EMPTY, |acc, q| acc.union(q.columns));
+        b.columns.difference(live)
+    }
+
+    /// Reclaims the dead columns ([`Self::dead_columns`]) of the first chunk
+    /// that has any and is neither pinned nor the target of an in-flight
+    /// load (whose page reservation was computed against the resident set).
+    /// Returns the chunk, which may have left the buffer altogether if every
+    /// resident column was dead.
+    ///
+    /// A chunk-granular policy cannot name these pages — its victim would
+    /// take the chunk's live columns with them — so [`crate::Abm`] asks here
+    /// before it asks the policy.  No interested query reads a dead column,
+    /// so no query's availability changes, and no load asks for one, so the
+    /// chunk a load is being admitted for may give up its own.
+    pub(crate) fn reclaim_dead_columns(&mut self) -> Option<ChunkId> {
+        if !self.model.is_dsm() {
+            return None;
         }
-        let dead = b.columns.difference(needed_cols);
-        if dead.is_empty() {
-            return 0;
-        }
+        // Columns every active query reads are dead in no chunk: when the
+        // scans are all of one width, this is the whole search.
+        let read_by_all = self
+            .queries
+            .iter()
+            .fold(self.model.all_columns(), |acc, q| acc.intersect(q.columns));
+        let (chunk, dead) = self
+            .buffered()
+            .filter(|b| !b.columns.is_subset_of(read_by_all) && self.is_evictable(b.chunk))
+            .map(|b| (b.chunk, self.dead_columns(b.chunk)))
+            .find(|(_, dead)| !dead.is_empty())?;
         let freed = self.model.chunk_pages(chunk, dead);
+        let slot = &mut self.buffered[chunk.as_usize()];
+        let b = slot.as_mut().expect("a resident chunk is buffered");
         b.columns = b.columns.difference(dead);
-        b.pages = b.pages.saturating_sub(freed);
+        b.pages -= freed;
         if b.columns.is_empty() {
-            self.buffered[chunk.as_usize()] = None;
+            *slot = None;
             self.num_buffered -= 1;
             self.index.set_resident(chunk, false);
         } else {
@@ -936,7 +953,7 @@ impl AbmState {
         }
         self.used_pages -= freed;
         self.debug_validate();
-        freed
+        Some(chunk)
     }
 
     /// Marks query `q` as starting to process `chunk` (pins the chunk).
@@ -1173,12 +1190,19 @@ mod tests {
         assert_eq!(s.complete_load(), 8);
         assert!(s.is_resident_for(QueryId(2), ChunkId::new(0)));
         assert_eq!(s.used_pages(), 14);
-        // After q1 finishes with chunk 0, column 0 is dead weight once q1 is done with it.
+        // Once q1 is done with chunk 0, column 0 is dead weight — kept until
+        // somebody asks for its pages.
         s.start_processing(QueryId(1), ChunkId::new(0));
         s.finish_processing(QueryId(1), ChunkId::new(0));
-        let freed = s.drop_dead_columns(ChunkId::new(0));
-        assert_eq!(freed, 2, "column 0 is needed by nobody anymore");
+        assert_eq!(s.used_pages(), 14, "a release reclaims nothing");
+        assert_eq!(
+            s.dead_columns(ChunkId::new(0)),
+            ColSet::from_columns([cscan_storage::ColumnId::new(0)]),
+            "column 0 is needed by nobody anymore"
+        );
+        assert_eq!(s.reclaim_dead_columns(), Some(ChunkId::new(0)));
         assert_eq!(s.used_pages(), 12);
+        assert_eq!(s.reclaim_dead_columns(), None);
         assert!(
             s.is_resident_for(QueryId(2), ChunkId::new(0)),
             "q2's columns survive"

@@ -115,10 +115,16 @@ impl ColSet {
 
     /// Iterator over the column ids in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = ColumnId> + '_ {
-        let bits = self.0;
-        (0u16..64)
-            .filter(move |i| (bits >> i) & 1 == 1)
-            .map(ColumnId::new)
+        // One step per member, not per possible column: `chunk_pages` runs
+        // this on the scheduler's per-candidate paths.
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let col = bits.trailing_zeros() as u16;
+                bits &= bits - 1;
+                ColumnId::new(col)
+            })
+        })
     }
 
     /// Materializes the set as a vector of column ids in ascending order.

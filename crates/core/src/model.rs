@@ -32,10 +32,20 @@ pub struct TableModel {
     /// `[chunk][column]` page counts for DSM; `[chunk][0]` holds the full
     /// chunk page count for NSM.
     pages: Vec<Vec<u64>>,
+    /// Column-wise maximum of `pages` over the chunks.
+    max_pages: Vec<u64>,
     /// Byte offset of each chunk (NSM) for I/O placement; empty for DSM.
     nsm_offsets: Vec<u64>,
     /// Per-column area offsets (DSM) for I/O placement; empty for NSM.
     dsm_column_offsets: Vec<u64>,
+}
+
+/// The column-wise maximum of per-chunk page rows.
+fn column_maxima(pages: &[Vec<u64>]) -> Vec<u64> {
+    let width = pages.first().map_or(0, Vec::len);
+    (0..width)
+        .map(|col| pages.iter().map(|row| row[col]).max().unwrap_or(0))
+        .collect()
 }
 
 impl TableModel {
@@ -58,6 +68,7 @@ impl TableModel {
             page_size: layout.page_size(),
             num_columns: layout.num_columns(),
             chunk_tuples,
+            max_pages: column_maxima(&pages),
             pages,
             nsm_offsets,
             dsm_column_offsets: Vec::new(),
@@ -88,6 +99,7 @@ impl TableModel {
             page_size: layout.page_size(),
             num_columns,
             chunk_tuples,
+            max_pages: column_maxima(&pages),
             pages,
             nsm_offsets: Vec::new(),
             dsm_column_offsets,
@@ -107,6 +119,7 @@ impl TableModel {
             num_columns: 1,
             chunk_tuples: vec![tuples_per_chunk; num_chunks as usize],
             pages: vec![vec![pages_per_chunk]; num_chunks as usize],
+            max_pages: vec![pages_per_chunk],
             nsm_offsets: (0..num_chunks as u64).map(|i| i * chunk_bytes).collect(),
             dsm_column_offsets: Vec::new(),
         }
@@ -131,6 +144,7 @@ impl TableModel {
             num_columns: pages_per_column.len() as u16,
             chunk_tuples: vec![tuples_per_chunk; num_chunks as usize],
             pages: vec![pages_per_column.to_vec(); num_chunks as usize],
+            max_pages: pages_per_column.to_vec(),
             nsm_offsets: Vec::new(),
             dsm_column_offsets,
         }
@@ -189,6 +203,19 @@ impl TableModel {
                     .map(|c| per_col.get(c.as_usize()).copied().unwrap_or(0))
                     .sum()
             }
+        }
+    }
+
+    /// An upper bound on [`Self::chunk_pages`] of `cols` over all chunks:
+    /// each column at its widest chunk (exact for a table whose chunks are
+    /// alike).  What lets an argmax over pages stop early.
+    pub fn max_chunk_pages(&self, cols: ColSet) -> u64 {
+        match self.kind {
+            StorageKind::Nsm => self.max_pages[0],
+            StorageKind::Dsm => cols
+                .iter()
+                .map(|c| self.max_pages.get(c.as_usize()).copied().unwrap_or(0))
+                .sum(),
         }
     }
 
@@ -291,6 +318,37 @@ mod tests {
         assert_eq!(m.chunk_pages(c, ColSet::from_columns([col(0), col(2)])), 51);
         assert_eq!(m.chunk_pages(c, m.all_columns()), 64);
         assert_eq!(m.total_pages(ColSet::from_columns([col(1)])), 8 * 13);
+    }
+
+    #[test]
+    fn max_chunk_pages_bounds_every_chunk() {
+        let uniform = TableModel::dsm_uniform(8, 100_000, &[1, 13, 50]);
+        let cols = ColSet::from_columns([col(0), col(2)]);
+        assert_eq!(
+            uniform.max_chunk_pages(cols),
+            51,
+            "exact when chunks are alike"
+        );
+        assert_eq!(
+            TableModel::nsm_uniform(4, 100, 16).max_chunk_pages(cols),
+            16
+        );
+        // A layout whose last chunk is short: the bound is the full chunks'.
+        let schema = TableSchema::new(
+            "t",
+            vec![
+                ColumnDef::new("a", ColumnType::Int64),
+                ColumnDef::new("b", ColumnType::Decimal),
+            ],
+        );
+        let ragged = TableModel::from_dsm(&DsmLayout::new(schema, 250_000, 64 * 1024, 100_000));
+        let all = ragged.all_columns();
+        let widest = (0..ragged.num_chunks())
+            .map(|c| ragged.chunk_pages(ChunkId::new(c), all))
+            .max()
+            .unwrap();
+        assert_eq!(ragged.max_chunk_pages(all), widest);
+        assert!(ragged.chunk_pages(ChunkId::new(2), all) < widest);
     }
 
     #[test]

@@ -195,7 +195,28 @@ impl Policy for ElevatorPolicy {
                 .map(|b| b.chunk),
             "index-backed elevator eviction diverged from the buffer sweep"
         );
-        victim
+        // A column store adds a case the row store does not have: a chunk
+        // somebody needs but nobody can consume as it stands, some of their
+        // columns missing — what an earlier, narrower scan left cached.  With
+        // the buffer full of those, no query holding or awaiting a chunk it
+        // can use and no load on its way, waiting frees nothing: the oldest
+        // of them goes, and its columns are read again along with the ones
+        // its queries were waiting for.
+        let stuck =
+            || state.num_inflight() == 0 && state.queries().all(|q| q.available_chunks() == 0);
+        if victim.is_some() || !stuck() {
+            return victim;
+        }
+        state
+            .buffered()
+            .filter(|b| b.chunk != load.chunk && state.is_evictable(b.chunk))
+            .filter(|b| {
+                !state
+                    .queries()
+                    .any(|q| q.needs(b.chunk) && q.columns.is_subset_of(b.columns))
+            })
+            .min_by_key(|b| b.loaded_seq)
+            .map(|b| b.chunk)
     }
 }
 
@@ -229,6 +250,42 @@ mod tests {
         let cols = s.model().all_columns();
         s.begin_load(ChunkId::new(chunk), cols);
         s.complete_load();
+    }
+
+    #[test]
+    fn a_buffer_of_chunks_nobody_can_use_gives_up_its_oldest() {
+        // What a narrow scan left cached: column 0 of chunks 0 and 1, the
+        // whole four-page buffer.  A scan of both columns needs them topped
+        // up, has nothing it can consume, and no chunk is without interest.
+        let mut s = AbmState::new(TableModel::dsm_uniform(4, 1000, &[2, 2]), 4);
+        for chunk in 0..2 {
+            s.begin_load(ChunkId::new(chunk), ColSet::first_n(1));
+            s.complete_load();
+        }
+        let wide = register(&mut s, 1, 0, 2);
+        let mut p = ElevatorPolicy::new();
+        let load = p.next_load(&s, SimTime::ZERO).expect("column 1 is missing");
+        assert_eq!(
+            (load.chunk, load.cols),
+            (ChunkId::new(0), ColSet::first_n(2))
+        );
+        assert_eq!(s.available_chunks(wide), 0);
+        assert_eq!(
+            p.choose_victim(&s, &load),
+            Some(ChunkId::new(1)),
+            "waiting would free nothing"
+        );
+        // With a query that can make progress the elevator waits, as ever.
+        let narrow = QueryId(2);
+        s.register_query(
+            narrow,
+            "narrow",
+            ScanRanges::single(1, 2),
+            ColSet::first_n(1),
+            SimTime::ZERO,
+        );
+        assert_eq!(s.available_chunks(narrow), 1);
+        assert_eq!(p.choose_victim(&s, &load), None);
     }
 
     #[test]

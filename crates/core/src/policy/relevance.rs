@@ -1,22 +1,33 @@
 //! The `relevance` policy — the paper's contribution.
 //!
-//! All decisions are made by per-chunk and per-query *relevance functions*
-//! (Figure 3 for NSM, Figure 11 for DSM):
+//! All decisions are made by per-chunk and per-query *relevance functions*.
+//! There is one formula per function — Figure 11's, with the interest term
+//! of Figure 3 as its second-order key — and the row store is its case of
+//! one page per chunk and every query reading every column:
 //!
 //! * `queryRelevance` picks which query to load a chunk for: only starved
 //!   queries (fewer than two available chunks) are considered, shorter
 //!   queries first, with a boost that grows with waiting time so long
 //!   queries are not starved forever;
-//! * `loadRelevance` picks which of that query's missing chunks to read:
-//!   chunks wanted by many starved queries first (DSM additionally divides
-//!   by the number of pages that must be read, preferring cheap loads);
-//! * `useRelevance` picks which available chunk a query consumes next:
-//!   the one with the fewest interested queries (DSM: the one occupying the
-//!   most buffer space per interested query), so that poorly-shared chunks
-//!   become evictable as early as possible;
-//! * `keepRelevance` picks eviction victims: chunks useful to almost-starved
-//!   queries are protected, otherwise the least-shared (DSM: largest per
-//!   interested query) chunk goes first.
+//! * `loadRelevance = (starved · QMAX + interested) / pages_to_load` picks
+//!   which of that query's missing chunks to read: counted are the queries
+//!   that need the chunk and share a column with the trigger, and the pages
+//!   are what has to be read to serve all of them — which is also what the
+//!   load then reads;
+//! * `useRelevance = cached_pages / interested` picks which available chunk
+//!   a query consumes next: the one occupying the most buffer space per
+//!   query that wants it, so that poorly-shared chunks become evictable as
+//!   early as possible;
+//! * `keepRelevance = (almost_starved · QMAX + interested) / cached_pages`
+//!   picks eviction victims: chunks useful to almost-starved queries are
+//!   protected, otherwise the largest per interested query goes first — and
+//!   a chunk nobody needs, at zero, before any of them.
+//!
+//! With `pages = 1` and no column sets these are Figure 3's
+//! `starved · QMAX + interested`, least-`interested` and
+//! `almost_starved · QMAX + interested`, which is how NSM tables are
+//! scored; `tests/layout_equivalence.rs` holds a DSM table whose queries
+//! read every column to the row store's decisions, one for one.
 //!
 //! # Incremental chunk argmax
 //!
@@ -34,22 +45,22 @@
 //!   highest occupied value down, intersecting each word-wise with the
 //!   trigger's needed bitset and the complement of the residency bitset —
 //!   64 chunks per instruction, independent of the trigger's scan length.
-//! * **DSM** — the relevance is a real-valued benefit/pages ratio, so each
-//!   query keeps a lazy max-heap of `(loadRelevance, chunk)` candidates
-//!   repaired from [`AbmState::changes_since`]: a decision only touches the
-//!   chunks dirtied since that query's previous decision plus any stale heap
-//!   entries it pops while validating the top.
+//! * **DSM** — the relevance is a real-valued benefit/pages ratio over the
+//!   overlapping queries only, so each query keeps a lazy max-heap of
+//!   `(loadRelevance, chunk)` candidates repaired from
+//!   [`AbmState::changes_since`]: a decision only touches the chunks dirtied
+//!   since that query's previous decision plus any stale heap entries it
+//!   pops while validating the top.
 //!
-//! The same index now also answers the other two decision points for NSM:
-//! `chooseAvailableChunk` walks `resident ∧ needed` word-wise for the
-//! least-shared resident chunk ([`AbmState::num_interested`] is O(1)), and
-//! the eviction argmin walks `resident ∧ ¬needed(trigger) ∧ ¬starved_any`
-//! (strict pass) or `resident` (relaxed pass) comparing the two cached
-//! interest counters — replacing the former O(buffered)-with-inner-sweep
-//! passes.  DSM keeps the sweeps for both (their relevances are
-//! real-valued page ratios).
+//! The other two decision points walk the same index word-wise under either
+//! model: `chooseAvailableChunk` takes the `useRelevance` argmax over
+//! `resident ∧ needed` (checking, for DSM, that the chunk holds every column
+//! the query reads) and stops at the first chunk nothing can beat, and the
+//! eviction argmin walks `resident ∧ ¬needed(trigger) ∧ ¬starved_any`
+//! (strict pass) or `resident` (relaxed pass) reading `keepRelevance` from
+//! the cached counters.
 //!
-//! Both paths choose bit-identically to the original sweep (debug builds
+//! All of them choose bit-identically to the original sweep (debug builds
 //! assert this on every decision), which is preserved behind
 //! [`RelevancePolicy::brute_force`] — the reference the property tests
 //! compare against and the baseline the Figure 8 microbenchmark measures.
@@ -78,7 +89,48 @@ use std::collections::{BinaryHeap, HashMap};
 /// Weight that makes "number of interested starved queries" dominate
 /// "number of interested queries" in the load/keep relevance functions
 /// (the paper's `Qmax`: an upper bound on the number of concurrent queries).
-const QMAX: f64 = 1024.0;
+const QMAX: u64 = 1024;
+
+/// A relevance value as the exact ratio it is — a benefit per page, or
+/// pages per query — so the per-candidate walks compare two products
+/// instead of dividing.  As long as those products stay below 2⁵³ (under
+/// `QMAX` queries weighted by `QMAX` against 2³² pages: any table this
+/// engine can hold) two different ratios are two different `f64`s, so
+/// ordering ratios and ordering their [`Ratio::value`]s — what the
+/// brute-force sweeps do — agree.
+#[derive(Debug, Clone, Copy)]
+struct Ratio {
+    num: u64,
+    den: u64,
+}
+
+impl Ratio {
+    fn value(self) -> f64 {
+        self.num as f64 / self.den as f64
+    }
+
+    /// Both sides of `self ⋛ other`, cross-multiplied.
+    fn cross(self, other: Ratio) -> (u128, u128) {
+        (
+            u128::from(self.num) * u128::from(other.den),
+            u128::from(other.num) * u128::from(self.den),
+        )
+    }
+}
+
+impl PartialEq for Ratio {
+    fn eq(&self, other: &Self) -> bool {
+        let (a, b) = self.cross(*other);
+        a == b
+    }
+}
+
+impl PartialOrd for Ratio {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        let (a, b) = self.cross(*other);
+        a.partial_cmp(&b)
+    }
+}
 
 /// One entry of a query's candidate heap: a chunk and the `loadRelevance`
 /// it had when the entry was pushed.  Ordered so that the heap maximum is
@@ -128,6 +180,37 @@ struct CandidateCache {
     heap: BinaryHeap<Candidate>,
     /// False until the first full build (or after a forced rebuild).
     valid: bool,
+}
+
+/// Who weighs on a DSM decision about one chunk taken for a query reading
+/// `cols`: the queries that still need the chunk and share a column with
+/// `cols` (Figure 11's "overlapping" queries; under NSM, or when every query
+/// reads every column, simply the chunk's interest counters).
+struct Overlap {
+    /// Overlapping interested queries.
+    interested: u32,
+    /// Those of them that are starved.
+    starved: u32,
+    /// The columns all of them read.
+    cols: ColSet,
+}
+
+impl Overlap {
+    fn of(state: &AbmState, chunk: ChunkId, cols: ColSet) -> Self {
+        let mut o = Overlap {
+            interested: 0,
+            starved: 0,
+            cols: ColSet::EMPTY,
+        };
+        for q in state.queries() {
+            if q.needs(chunk) && q.columns.overlaps(cols) {
+                o.interested += 1;
+                o.starved += u32::from(q.available_chunks() < STARVATION_THRESHOLD);
+                o.cols = o.cols.union(q.columns);
+            }
+        }
+        o
+    }
 }
 
 /// The relevance-based Cooperative Scans policy (see module docs).
@@ -189,101 +272,98 @@ impl RelevancePolicy {
         -(query.chunks_needed() as f64) + waiting / running
     }
 
-    /// `useRelevance(c, q)`: priority of *consuming* resident chunk `c`.
+    /// `useRelevance(c, q)`: priority of *consuming* resident chunk `c` —
+    /// the pages it holds for `q` per query that wants them, so poorly
+    /// shared (DSM: and big) chunks become evictable early.
     pub fn use_relevance(state: &AbmState, q: QueryId, chunk: ChunkId) -> f64 {
-        if state.model().is_dsm() {
-            // Fig. 11: prefer chunks that occupy many cached pages per
-            // interested overlapping query, so big chunks get freed early.
-            let cols = state.query(q).columns;
-            let interested = state
-                .queries()
-                .filter(|other| other.needs(chunk) && other.columns.overlaps(cols))
-                .count()
-                .max(1) as f64;
-            let cached_pages = state
-                .buffered_chunk(chunk)
-                .map(|b| state.model().chunk_pages(chunk, b.columns.intersect(cols)))
-                .unwrap_or(0) as f64;
-            cached_pages / interested
+        Self::use_ratio(state, state.query(q), chunk).value()
+    }
+
+    /// [`Self::use_relevance`] as a ratio, over a query reference (the walk
+    /// of `chooseAvailableChunk` holds one).  A chunk holding nothing but
+    /// the query's columns, wanted by the query alone — the common case of
+    /// a short scan — costs two counter reads.
+    fn use_ratio(state: &AbmState, query: &QueryState, chunk: ChunkId) -> Ratio {
+        let cols = query.columns;
+        let (pages, interested) = if state.model().is_dsm() {
+            let cached = state.buffered_chunk(chunk).map_or(0, |b| {
+                if b.columns.is_subset_of(cols) {
+                    b.pages
+                } else {
+                    state.model().chunk_pages(chunk, b.columns.intersect(cols))
+                }
+            });
+            let interested = match state.num_interested(chunk) {
+                n @ 0..=1 => n,
+                _ => Overlap::of(state, chunk, cols).interested,
+            };
+            (cached, interested)
         } else {
-            // Fig. 3: prefer chunks with the fewest interested queries.
-            QMAX - state.num_interested(chunk) as f64
+            (1, state.num_interested(chunk))
+        };
+        Ratio {
+            num: pages,
+            den: u64::from(interested.max(1)),
         }
     }
 
     /// `loadRelevance(c)`: priority of *loading* missing chunk `c` for the
-    /// triggering query.
+    /// triggering query — starved interest first, any interest second, per
+    /// page that has to be read to serve all of it (`load_columns`, which is
+    /// what the load then asks for).
     pub fn load_relevance(state: &AbmState, trigger: QueryId, chunk: ChunkId) -> f64 {
-        if state.model().is_dsm() {
-            // Fig. 11: queries = starved queries interested in the chunk that
-            // overlap the trigger's columns; benefit L = |queries|, cost Pl =
-            // pages that must be read for all columns those queries use.
+        let (starved, interested, pages) = if state.model().is_dsm() {
             let trigger_cols = state.query(trigger).columns;
-            let mut cols = ColSet::empty();
-            let mut l = 0u32;
-            for q in state.queries() {
-                if q.needs(chunk) && q.columns.overlaps(trigger_cols) && state.is_starved(q.id) {
-                    cols = cols.union(q.columns);
-                    l += 1;
-                }
-            }
-            if l == 0 {
-                // Always at least the trigger itself.
-                cols = trigger_cols;
-                l = 1;
-            }
-            let pages_to_load = state.pages_to_load(chunk, cols).max(1) as f64;
-            l as f64 / pages_to_load
+            let o = Overlap::of(state, chunk, trigger_cols);
+            let pages = state.pages_to_load(chunk, trigger_cols.union(o.cols));
+            (o.starved, o.interested, pages)
         } else {
-            state.num_interested_starved(chunk) as f64 * QMAX + state.num_interested(chunk) as f64
+            (
+                state.num_interested_starved(chunk),
+                state.num_interested(chunk),
+                1,
+            )
+        };
+        Ratio {
+            num: u64::from(starved) * QMAX + u64::from(interested),
+            den: pages.max(1),
         }
+        .value()
     }
 
     /// `keepRelevance(c)`: priority of *keeping* resident chunk `c` (the
-    /// chunk with the lowest value is evicted first).
+    /// chunk with the lowest value is evicted first) — almost-starved
+    /// interest first, any interest second, per page the chunk occupies.
+    /// By the time a victim is chosen no evictable chunk holds a dead
+    /// column, so every occupied page serves an interested query.
     pub fn keep_relevance(state: &AbmState, chunk: ChunkId) -> f64 {
-        if state.model().is_dsm() {
-            // Fig. 11: keep chunks that occupy few pages and serve many
-            // almost-starved queries; evict big, poorly-shared ones first.
-            let mut cols = ColSet::empty();
-            let mut interested_almost_starved = 0u32;
-            for q in state.queries() {
-                if q.needs(chunk) && state.is_almost_starved(q.id) {
-                    cols = cols.union(q.columns);
-                    interested_almost_starved += 1;
-                }
-            }
-            let cached = state
-                .buffered_chunk(chunk)
-                .map(|b| state.model().chunk_pages(chunk, b.columns.intersect(cols)))
-                .unwrap_or(0)
-                .max(1) as f64;
-            interested_almost_starved as f64 / cached
-        } else {
-            state.num_interested_almost_starved(chunk) as f64 * QMAX
-                + state.num_interested(chunk) as f64
+        Self::keep_ratio(state, chunk).value()
+    }
+
+    /// [`Self::keep_relevance`] as a ratio.
+    fn keep_ratio(state: &AbmState, chunk: ChunkId) -> Ratio {
+        let pages = match state.buffered_chunk(chunk) {
+            Some(b) if state.model().is_dsm() => b.pages.max(1),
+            _ => 1,
+        };
+        Ratio {
+            num: u64::from(state.num_interested_almost_starved(chunk)) * QMAX
+                + u64::from(state.num_interested(chunk)),
+            den: pages,
         }
     }
 
     /// The columns to fetch when loading `chunk` for `trigger`: the trigger's
-    /// columns plus those of any starved overlapping query interested in the
-    /// chunk (NSM: all columns).
+    /// columns plus those of every query that needs the chunk and overlaps
+    /// them — the queries `loadRelevance` counted, so one request serves all
+    /// of them instead of one now and a top-up per query later (NSM: all
+    /// columns).
     fn load_columns(state: &AbmState, trigger: QueryId, chunk: ChunkId) -> ColSet {
         if !state.model().is_dsm() {
             return state.model().all_columns();
         }
         let trigger_cols = state.query(trigger).columns;
-        let mut cols = trigger_cols;
-        for q in state.queries() {
-            if q.id != trigger
-                && q.needs(chunk)
-                && q.columns.overlaps(trigger_cols)
-                && state.is_starved(q.id)
-            {
-                cols = cols.union(q.columns);
-            }
-        }
-        cols
+        trigger_cols.union(Overlap::of(state, chunk, trigger_cols).cols)
     }
 
     // ------------------------------------------------------------------
@@ -438,10 +518,16 @@ impl RelevancePolicy {
         if self.brute {
             return Self::choose_chunk_brute(state, trigger);
         }
-        let chunk = if state.model().is_dsm() {
+        let query = state.query(trigger);
+        let chunk = if query.available_chunks() == query.chunks_needed() {
+            // Everything the query still needs is in the buffer with every
+            // column it reads (a short scan of a hot table, mostly): there
+            // is no candidate, and no reason to build a heap to find none.
+            None
+        } else if state.model().is_dsm() {
             self.choose_chunk_incremental(state, trigger)
         } else {
-            Self::choose_chunk_nsm(state, state.query(trigger))
+            Self::choose_chunk_nsm(state, query)
         };
         debug_assert_eq!(
             chunk,
@@ -453,13 +539,13 @@ impl RelevancePolicy {
 
     // ------------------------------------------------------------------
     // chooseAvailableChunk and findFreeSlot: brute-force sweeps and the
-    // word-wise NSM fast paths over the same bitset index.
+    // word-wise walks over the same bitset index.
     // ------------------------------------------------------------------
 
     /// The seed implementation of `chooseAvailableChunk`: sweep the buffer
     /// and take the `useRelevance` argmax (ties towards the lowest chunk
     /// id).  O(buffered chunks) per call, with a per-chunk query sweep for
-    /// DSM.  Reference for the NSM fast path and the DSM implementation.
+    /// DSM.  Reference for the word-wise walk.
     pub fn choose_use_chunk_brute(state: &AbmState, q: QueryId) -> Option<ChunkId> {
         let query = state.query(q);
         state
@@ -475,45 +561,53 @@ impl RelevancePolicy {
             .map(|(_, c)| c)
     }
 
-    /// Word-wise NSM `chooseAvailableChunk`: the NSM `useRelevance` is
-    /// `QMAX - interested`, so the argmax is the *least shared* chunk of
-    /// `resident ∧ needed` (NSM chunks are always fully resident, so no
-    /// column check is needed).  Walks the intersection 64 chunks per word
-    /// with an early exit once a chunk only this query wants turns up
-    /// (`interested == 1` cannot be beaten, and ascending order makes it the
-    /// tie-break winner).  Chooses bit-identically to the brute sweep.
-    fn choose_use_chunk_nsm(state: &AbmState, q: QueryId) -> Option<ChunkId> {
+    /// Word-wise `chooseAvailableChunk`: the `useRelevance` argmax over
+    /// `resident ∧ needed`, 64 chunks per word, skipping the chunk being
+    /// processed and — DSM — chunks that do not hold every column the query
+    /// reads.  Ascending order and a strict comparison break ties towards
+    /// the lowest chunk id, and the walk stops at the first chunk nothing can
+    /// beat: the query's columns at their widest, wanted by the query alone.
+    /// Chooses bit-identically to the brute sweep.
+    fn choose_use_chunk(state: &AbmState, q: QueryId) -> Option<ChunkId> {
         let query = state.query(q);
-        let needed = query.needed_words();
         let resident = state.index().resident_words();
-        let skip = query.processing;
-        let mut best: Option<(u32, u32)> = None; // (interested, chunk index)
-        for (wi, (&nw, &rw)) in needed.iter().zip(resident).enumerate() {
+        let dsm = state.model().is_dsm();
+        let cap = Ratio {
+            num: if dsm {
+                state.model().max_chunk_pages(query.columns)
+            } else {
+                1
+            },
+            den: 1,
+        };
+        let mut best: Option<(Ratio, ChunkId)> = None;
+        for (wi, (&nw, &rw)) in query.needed_words().iter().zip(resident).enumerate() {
             let mut w = nw & rw;
             while w != 0 {
-                let c = (wi * 64) as u32 + w.trailing_zeros();
+                let chunk = ChunkId::new((wi * 64) as u32 + w.trailing_zeros());
                 w &= w - 1;
-                let chunk = ChunkId::new(c);
-                if skip == Some(chunk) {
+                if query.processing == Some(chunk)
+                    || (dsm && !state.is_resident(chunk, query.columns))
+                {
                     continue;
                 }
-                let interested = state.num_interested(chunk);
-                if best.is_none_or(|(bi, _)| interested < bi) {
-                    if interested <= 1 {
+                let score = Self::use_ratio(state, query, chunk);
+                if best.is_none_or(|(b, _)| score > b) {
+                    if score >= cap {
                         return Some(chunk);
                     }
-                    best = Some((interested, c));
+                    best = Some((score, chunk));
                 }
             }
         }
-        best.map(|(_, c)| ChunkId::new(c))
+        best.map(|(_, c)| c)
     }
 
     /// The seed implementation of the eviction half of `findFreeSlot`: the
     /// strict pass (protecting the trigger's chunks and anything useful to a
     /// starved query) followed by the relaxed pass, each a full
-    /// `keepRelevance` argmin sweep over the buffer.  Reference for the NSM
-    /// fast path and the DSM implementation.
+    /// `keepRelevance` argmin sweep over the buffer.  Reference for the
+    /// word-wise walk.
     pub fn choose_victim_brute(state: &AbmState, load: &LoadDecision) -> Option<ChunkId> {
         let trigger = state.query(load.trigger);
         let strict = state
@@ -543,25 +637,22 @@ impl RelevancePolicy {
             .map(|(_, c)| c)
     }
 
-    /// Word-wise NSM victim selection over the bitset index.
+    /// Word-wise victim selection over the bitset index.
     ///
     /// The strict pass intersects `resident ∧ ¬needed(trigger) ∧
     /// ¬starved_any` — the `findFreeSlot` guards as one word-wise mask — and
-    /// the relaxed pass scans `resident` alone.  Within a pass the NSM
-    /// `keepRelevance` is `interested_almost_starved · QMAX + interested`,
-    /// lexicographic in the two cached counters (the same `< QMAX`
-    /// concurrency premise as the load argmax), so the argmin compares
-    /// integer pairs and ties break towards the lowest chunk id by walking
-    /// in ascending order.  Per-candidate work is two O(1) counter reads
-    /// plus the evictability check; non-candidates cost 1/64th of an AND.
+    /// the relaxed pass scans `resident` alone; within a pass the victim is
+    /// the `keepRelevance` argmin, ties towards the lowest chunk id by
+    /// walking in ascending order.  Per-candidate work is the evictability
+    /// check and a few O(1) reads; non-candidates cost 1/64th of an AND.
     /// Chooses bit-identically to [`Self::choose_victim_brute`].
-    fn choose_victim_nsm(state: &AbmState, load: &LoadDecision) -> Option<ChunkId> {
+    fn choose_victim_walk(state: &AbmState, load: &LoadDecision) -> Option<ChunkId> {
         let trigger = state.query(load.trigger);
         let resident = state.index().resident_words();
         let needed = trigger.needed_words();
         let starved = state.index().starved_any_words();
         let pick = |strict: bool| -> Option<ChunkId> {
-            let mut best: Option<(u32, u32, u32)> = None; // (almost, interested, chunk)
+            let mut best: Option<(Ratio, ChunkId)> = None;
             for (wi, &rw) in resident.iter().enumerate() {
                 let mut w = rw;
                 if strict {
@@ -570,23 +661,18 @@ impl RelevancePolicy {
                     w &= !nw & !sw;
                 }
                 while w != 0 {
-                    let c = (wi * 64) as u32 + w.trailing_zeros();
+                    let chunk = ChunkId::new((wi * 64) as u32 + w.trailing_zeros());
                     w &= w - 1;
-                    let chunk = ChunkId::new(c);
                     if chunk == load.chunk || !state.is_evictable(chunk) {
                         continue;
                     }
-                    let key = (
-                        state.num_interested_almost_starved(chunk),
-                        state.num_interested(chunk),
-                        c,
-                    );
-                    if best.is_none_or(|b| key < b) {
-                        best = Some(key);
+                    let keep = Self::keep_ratio(state, chunk);
+                    if best.is_none_or(|(b, _)| keep < b) {
+                        best = Some((keep, chunk));
                     }
                 }
             }
-            best.map(|(_, _, c)| ChunkId::new(c))
+            best.map(|(_, c)| c)
         };
         pick(true).or_else(|| pick(false))
     }
@@ -689,12 +775,11 @@ impl Policy for RelevancePolicy {
 
     fn next_chunk(&mut self, q: QueryId, state: &AbmState) -> Option<ChunkId> {
         // chooseAvailableChunk: the resident chunk with the highest use
-        // relevance — word-wise over the residency bitset for NSM, a
-        // buffer sweep for DSM (real-valued pages-per-query relevance).
-        if self.brute || state.model().is_dsm() {
+        // relevance, word-wise over the residency bitset.
+        if self.brute {
             return Self::choose_use_chunk_brute(state, q);
         }
-        let chunk = Self::choose_use_chunk_nsm(state, q);
+        let chunk = Self::choose_use_chunk(state, q);
         debug_assert_eq!(
             chunk,
             Self::choose_use_chunk_brute(state, q),
@@ -706,12 +791,11 @@ impl Policy for RelevancePolicy {
     fn choose_victim(&mut self, state: &AbmState, load: &LoadDecision) -> Option<ChunkId> {
         // findFreeSlot: strict pass protecting the trigger's chunks and
         // anything useful to a starved query, then the relaxed pass —
-        // word-wise over the residency / needed / starved-any bitsets for
-        // NSM, a buffer sweep for DSM.
-        if self.brute || state.model().is_dsm() {
+        // word-wise over the residency / needed / starved-any bitsets.
+        if self.brute {
             return Self::choose_victim_brute(state, load);
         }
-        let victim = Self::choose_victim_nsm(state, load);
+        let victim = Self::choose_victim_walk(state, load);
         debug_assert_eq!(
             victim,
             Self::choose_victim_brute(state, load),

@@ -64,7 +64,9 @@
 //!   per-shard mutex (striped by chunk id), never the scheduler lock.
 //!   Shard-lock hold times land in the `shard_lock_hold` histogram
 //!   ([`ScanServer::shard_lock_hold_histogram`]).  Residency *transitions*
-//!   (install at commit, evict at plan time) are driven by the scheduler,
+//!   (install at commit, evict — or, for a DSM chunk somebody still needs,
+//!   drop its dead columns — at plan time, and at no other: a released
+//!   chunk stays cached) are driven by the scheduler,
 //!   which nests the shard lock inside its critical section — the payloads
 //!   a plan evicts leave both locks with the worker, which offers them back
 //!   to the store ([`ChunkStore::recycle`]) once it holds neither; the pool
@@ -424,10 +426,10 @@ impl Shared {
             .gauge_set(Gauge::FreePages, sched.abm.state().free_pages());
     }
 
-    /// Applies one returned pin: ABM release bookkeeping plus the residency
-    /// consequences (dead-DSM-column shrink, or frame eviction when the
-    /// ABM dropped the chunk).  The frame itself was unpinned in its shard
-    /// before the release was recorded.
+    /// Applies one returned pin to the ABM.  Residency does not change
+    /// here — a released chunk stays cached, dead columns and all, until a
+    /// plan needs its pages — and the frame itself was unpinned in its
+    /// shard before the release was recorded.
     fn apply_release(&self, sched: &mut Sched, release: Release) {
         let chunk = release.chunk;
         // The epoch-revalidation rule, deferred-release edition: the ABM
@@ -440,28 +442,6 @@ impl Shared {
             "frame for {chunk:?} was recycled under a pending release"
         );
         sched.abm.release_delivered(release.query, chunk);
-        let Some(b) = sched.abm.state().buffered_chunk(chunk) else {
-            self.pool.evict(chunk);
-            return;
-        };
-        if !self.is_dsm {
-            return;
-        }
-        // Residency only changes under the scheduler lock, which the caller
-        // holds, so the payload read here is still the slot's when it is
-        // replaced below.
-        let Some(ChunkPayload::Data(data)) = self.pool.payload(chunk) else {
-            return;
-        };
-        if data.column_ids().all(|c| b.columns.contains(c)) {
-            return;
-        }
-        match data.retained(|c| b.columns.contains(c)) {
-            Some(kept) => self.pool.replace_payload(chunk, kept.into()),
-            None => {
-                self.pool.evict(chunk);
-            }
-        }
     }
 
     /// The grant matcher: if query `q` is hungry (registered, not finished,
@@ -958,6 +938,23 @@ fn io_worker_main(shared: Arc<Shared>, id: usize) {
                 "ABM evicted {victim:?} but its frame was held"
             );
             unused.extend(freed);
+        }
+        // Chunks that gave up only their dead columns keep exactly the
+        // columns the ABM still accounts (a refcount bump each); the old
+        // payload leaves with the worker like an evicted one, and the store
+        // gets the vectors nothing shares any more.
+        for &chunk in &plan.shrunk {
+            let (Some(b), Some(ChunkPayload::Data(data))) = (
+                sched.abm.state().buffered_chunk(chunk),
+                shared.pool.payload(chunk),
+            ) else {
+                // Evicted whole later in the same plan, or no data plane.
+                continue;
+            };
+            if let Some(kept) = data.retained(|c| b.columns.contains(c)) {
+                shared.pool.replace_payload(chunk, kept.into());
+            }
+            unused.push(ChunkPayload::Data(data));
         }
         // The columns to materialize: everything for NSM (all-or-nothing),
         // exactly the missing columns for DSM (what this load adds).
@@ -2220,6 +2217,7 @@ mod tests {
     // Data-plane tests: real payloads, frame pins, session semantics.
     // ------------------------------------------------------------------
 
+    use crate::colset::ColSet;
     use crate::session::ScanSession;
     use cscan_storage::{ColumnId, SeededStore};
 
@@ -2386,6 +2384,74 @@ mod tests {
         pin.complete();
         holder.finish();
         assert_eq!(server.unconsumed_drops(), 0);
+    }
+
+    /// Scans of different widths through a buffer with no room to spare: a
+    /// plan reclaims dead columns before it evicts, and the frames shrink in
+    /// the critical section that planned it — whenever the scheduler lock
+    /// is free, a frame holds the columns the ABM accounts and no other.
+    #[test]
+    fn frames_hold_exactly_the_columns_the_abm_accounts() {
+        let model = TableModel::dsm_uniform(8, 100, &[3; 6]);
+        let store = SeededStore::new(100, 6, 7);
+        let server = ScanServer::builder(model.clone())
+            .policy(PolicyKind::Relevance)
+            .buffer_chunks(4)
+            .io_cost_per_page(Duration::ZERO)
+            .store(Arc::new(store.clone()))
+            .build();
+        // Frames whose payload is column 0 alone; panics on a frame that
+        // disagrees with the ABM's account of its chunk.
+        let shrunk_frames = |server: &ScanServer| -> usize {
+            let mut sched = server.shared.lock_sched();
+            server.shared.service(&mut sched);
+            (0..8)
+                .map(ChunkId::new)
+                .filter(|&chunk| {
+                    let accounted = sched.abm.state().buffered_chunk(chunk).map(|b| b.columns);
+                    let held = match server.shared.pool.payload(chunk) {
+                        Some(ChunkPayload::Data(data)) => Some(data.column_ids().collect()),
+                        _ => None,
+                    };
+                    assert_eq!(held, accounted, "{chunk:?}");
+                    held == Some(ColSet::first_n(1))
+                })
+                .count()
+        };
+        let scan_all = |label: &str, ranges: ScanRanges| {
+            let scan = server.cscan(CScanPlan::new(label, ranges, model.all_columns()));
+            while let Some(pin) = scan.next_chunk().unwrap() {
+                pin.complete();
+            }
+            scan.finish();
+        };
+        // `narrow` needs column 0 of chunks 0..4 and consumes nothing yet;
+        // `wide` brings those chunks in full width and leaves.
+        let narrow = server.cscan(CScanPlan::new(
+            "narrow",
+            ScanRanges::single(0, 4),
+            ColSet::first_n(1),
+        ));
+        scan_all("wide", ScanRanges::single(0, 4));
+        assert_eq!(shrunk_frames(&server), 0, "a release reclaims nothing");
+        // A second full-width scan of four other chunks has to take every
+        // dead page there is; the chunk `narrow` holds a grant on is pinned
+        // and keeps its six columns.
+        scan_all("next", ScanRanges::single(4, 8));
+        assert!(shrunk_frames(&server) >= 2);
+        // What `narrow` reads through the shrunk frames is still its data.
+        let mut seen = 0;
+        while let Some(pin) = narrow.next_chunk().unwrap() {
+            let values = pin.column(ColumnId::new(0)).expect("column 0 survives");
+            for (row, &v) in values.iter().enumerate() {
+                assert_eq!(v, store.value(pin.chunk(), row as u64, ColumnId::new(0)));
+            }
+            pin.complete();
+            seen += 1;
+        }
+        assert_eq!(seen, 4);
+        shrunk_frames(&server);
+        assert_eq!(server.pinned_frames(), 0);
     }
 
     /// Every payload a plan evicts is offered back to the store exactly

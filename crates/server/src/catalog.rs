@@ -14,7 +14,7 @@ use cscan_exec::MemTable;
 use cscan_obs::Registry;
 use cscan_proto::ServeError;
 use cscan_storage::segment::FileStore;
-use cscan_storage::{ChunkId, ChunkStore, DEFAULT_PAGE_SIZE};
+use cscan_storage::{ChunkId, ChunkStore, ColumnId, DEFAULT_PAGE_SIZE};
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
@@ -25,7 +25,9 @@ use std::time::Duration;
 pub struct TableConfig {
     /// Scheduling policy for the table's ABM.
     pub policy: PolicyKind,
-    /// Buffer-pool size in chunks.
+    /// Buffer-pool size: a page budget worth this many full-width chunks.
+    /// A segment table spends it per column, so it holds proportionally
+    /// more chunks of the scans that read fewer.
     pub buffer_chunks: u64,
     /// I/O worker threads.
     pub io_threads: usize,
@@ -51,10 +53,10 @@ impl Default for TableConfig {
 pub struct TableEntry {
     name: String,
     model: TableModel,
-    /// The columns the *store* can materialize.  Distinct from the
-    /// model's column count: synthetic NSM models fold all columns into
-    /// one page column for scheduling, but the store still delivers the
-    /// real width.
+    /// The columns the *store* can materialize.  The same as the model's
+    /// for a segment table; a mem table's synthetic NSM model folds all
+    /// columns into one page column for scheduling while the store still
+    /// delivers the real width.
     columns: ColSet,
     server: ScanServer,
     admission: Admission,
@@ -94,10 +96,12 @@ impl TableEntry {
         self.validate(plan)?;
         let permit = self.admission.admit()?;
         // The executor schedules over the *model's* columns; project the
-        // requested set into them (a synthetic NSM model folds the whole
-        // chunk into one page column, and its loads materialize every
-        // store column anyway).  The wire-level column selection is
-        // applied at encode time from the original plan.
+        // requested set into them.  For a segment table that is the
+        // identity, and the scan's loads read those columns' extents and no
+        // others; a mem table's synthetic NSM model folds the whole chunk
+        // into one page column and its loads materialize every store
+        // column anyway.  The wire-level column selection is applied at
+        // encode time from the original plan.
         let mut exec_plan = plan.clone();
         exec_plan.columns = plan.columns.intersect(self.model.all_columns());
         let handle = self.server.cscan(exec_plan);
@@ -208,9 +212,11 @@ impl Catalog {
         }));
     }
 
-    /// Serves the segment file at `path` under `name`.  The model comes
-    /// from the segment's footer directory, so scheduling reflects the
-    /// real on-disk extent sizes.
+    /// Serves the segment file at `path` under `name`, as the column store
+    /// it is: the model comes from the segment's footer directory
+    /// ([`model_from_segment`]), one page count per column extent, so a
+    /// scan's loads read — and the buffer accounts — only the columns the
+    /// scan asks for.
     pub fn add_segment(
         &mut self,
         name: impl Into<String>,
@@ -255,24 +261,31 @@ impl Default for Catalog {
     }
 }
 
-/// Derives a [`TableModel`] from a segment's footer directory: chunk count
-/// and rows straight from the directory, pages-per-chunk from the actual
-/// on-disk extent bytes (compressed segments model proportionally less
-/// I/O).  The result is a uniform NSM model sized by the largest chunk:
-/// every load reads all of a chunk's columns, whatever the scan serves.
+/// Derives a [`TableModel`] from a segment's footer directory — the column
+/// store the file is: chunk count and rows straight from the directory, one
+/// page count per column from that column's on-disk extent bytes (a
+/// compressed column models proportionally less I/O).  The ABM then plans,
+/// accounts and evicts per column, and a load reads, checksums and buffers
+/// exactly the extents of the columns the scans waiting for it asked for.
+/// Uniform over chunks, each column sized by its largest extent.
 pub fn model_from_segment(store: &FileStore) -> TableModel {
     let dir = store.directory();
     let chunks = dir.num_chunks();
     let rows = dir.chunk_rows(ChunkId::new(0)).unwrap_or(1).max(1);
-    let pages = (0..chunks)
-        .map(|c| {
-            dir.chunk_bytes(ChunkId::new(c), None)
-                .div_ceil(DEFAULT_PAGE_SIZE)
+    let pages: Vec<u64> = (0..dir.num_columns())
+        .map(|col| {
+            let col = [ColumnId::new(col)];
+            (0..chunks)
+                .map(|c| {
+                    dir.chunk_bytes(ChunkId::new(c), Some(&col))
+                        .div_ceil(DEFAULT_PAGE_SIZE)
+                })
+                .max()
+                .unwrap_or(1)
+                .max(1)
         })
-        .max()
-        .unwrap_or(1)
-        .max(1);
-    TableModel::nsm_uniform(chunks, rows, pages)
+        .collect();
+    TableModel::dsm_uniform(chunks, rows, &pages)
 }
 
 #[cfg(test)]

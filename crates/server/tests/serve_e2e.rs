@@ -7,6 +7,7 @@ use cscan_exec::MemTable;
 use cscan_obs::Counter;
 use cscan_proto::{frame, Decoder, Message, ServeError};
 use cscan_server::{serve, AdmissionConfig, Catalog, ServerConfig, TableConfig};
+use cscan_storage::{ChunkId, ColumnId, Compression, ScanRanges, ScratchPath, SegmentWriter};
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -306,6 +307,127 @@ fn admission_cap_sheds_excess_with_retryable_error() {
     wait_for_zero_pins(&catalog);
     handle.stop();
     handle.join();
+}
+
+/// `lineitem_demo` (16 chunks of 500 rows, six columns) as a plain segment
+/// file, and a catalog serving it as `lineitem` from a 4-chunk buffer.
+fn segment_catalog(name: &str) -> (ScratchPath, MemTable, Catalog) {
+    let table = MemTable::lineitem_demo(8_000, 500);
+    let path = ScratchPath::new(name);
+    let mut writer =
+        SegmentWriter::create(&path, vec![Compression::None; table.width()]).expect("create");
+    for c in 0..table.num_chunks() {
+        let data = table.read_chunk_all(ChunkId::new(c));
+        let cols: Vec<&[i64]> = (0..table.width()).map(|i| data.column(i)).collect();
+        writer.append_chunk(&cols).expect("append");
+    }
+    writer.finish().expect("finish");
+    let mut catalog = Catalog::new();
+    let cfg = TableConfig {
+        buffer_chunks: 4,
+        ..TableConfig::default()
+    };
+    catalog.add_segment("lineitem", &path, cfg).expect("open");
+    (path, table, catalog)
+}
+
+/// The columns the next two tests scan: `l_quantity` and `l_returnflag`.
+const QTY: u16 = 1;
+const FLAG: u16 = 5;
+
+#[test]
+fn a_two_column_remote_scan_reads_two_extents_per_load() {
+    let (_path, table, catalog) = segment_catalog("serve_two_columns");
+    let catalog = Arc::new(catalog);
+    let handle = serve(
+        Arc::clone(&catalog),
+        "127.0.0.1:0",
+        ServerConfig {
+            exit_on_shutdown: false,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind loopback");
+
+    let mut client = ScanClient::connect(handle.addr()).expect("connect");
+    let columns = ColSet::from_columns([QTY, FLAG].map(ColumnId::new));
+    let mut scan = client
+        .open_scan("lineitem", CScanPlan::full_table("q", columns))
+        .expect("admitted");
+    let mut seen = 0;
+    while let Some(batch) = scan.next_batch().expect("clean stream") {
+        let want = table.read_chunk(ChunkId::new(batch.chunk), &[QTY as usize, FLAG as usize]);
+        assert_eq!(batch.columns.len(), 2);
+        assert_eq!(
+            batch.column(QTY),
+            Some(want.column(0)),
+            "chunk {}",
+            batch.chunk
+        );
+        assert_eq!(
+            batch.column(FLAG),
+            Some(want.column(1)),
+            "chunk {}",
+            batch.chunk
+        );
+        seen += 1;
+    }
+    assert_eq!(seen, table.num_chunks());
+    drop(scan);
+    drop(client);
+    wait_for_zero_pins(&catalog);
+
+    // The table is a column store to its scheduler: every load read the two
+    // extents asked for — a third of a full-width chunk — and no other.
+    let loads = catalog.get("lineitem").unwrap().server().loads_completed();
+    let obs = catalog.observability();
+    assert!(loads >= table.num_chunks() as u64);
+    assert_eq!(obs.counter(Counter::FileReadCalls), 2 * loads);
+    assert_eq!(obs.counter(Counter::FileBytesRead), loads * 2 * 500 * 8);
+    assert_no_batch_waited_out_a_bound(&catalog);
+    handle.stop();
+    handle.join();
+}
+
+/// Two scans of different widths over one chunk: the second loads only the
+/// column the first did not bring, and a pin taken before that install and
+/// one taken after it both read their own columns' data.
+#[test]
+fn a_wider_scan_of_a_resident_chunk_loads_the_missing_column_alone() {
+    let (_path, table, catalog) = segment_catalog("serve_widths");
+    let entry = catalog.get("lineitem").unwrap();
+    let obs = catalog.observability();
+    let want = table.read_chunk(ChunkId::new(0), &[QTY as usize, FLAG as usize]);
+    let one_chunk = |label: &str, cols: &[u16]| {
+        let cols = ColSet::from_columns(cols.iter().copied().map(ColumnId::new));
+        entry
+            .server()
+            .cscan(CScanPlan::new(label, ScanRanges::single(0, 1), cols))
+    };
+
+    let narrow = one_chunk("narrow", &[QTY]);
+    let before = narrow.next_chunk().expect("clean").expect("chunk 0");
+    assert_eq!(obs.counter(Counter::FileReadCalls), 1);
+    assert_eq!(
+        before.column(ColumnId::new(FLAG)),
+        None,
+        "not asked for, not read"
+    );
+
+    let wide = one_chunk("wide", &[QTY, FLAG]);
+    let after = wide.next_chunk().expect("clean").expect("chunk 0");
+    assert_eq!(obs.counter(Counter::FileReadCalls), 2, "column 5 alone");
+    assert_eq!(obs.counter(Counter::FileBytesRead), 2 * 500 * 8);
+    assert_eq!(entry.server().loads_completed(), 2);
+
+    assert_eq!(before.column(ColumnId::new(QTY)), Some(want.column(0)));
+    assert_eq!(after.column(ColumnId::new(QTY)), Some(want.column(0)));
+    assert_eq!(after.column(ColumnId::new(FLAG)), Some(want.column(1)));
+    before.complete();
+    after.complete();
+    narrow.finish();
+    wide.finish();
+    assert_eq!(catalog.pinned_frames(), 0);
 }
 
 /// Every batch of the scans just run left because something rang its

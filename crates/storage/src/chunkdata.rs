@@ -359,7 +359,7 @@ impl ChunkData {
     }
 
     /// A new payload keeping only the columns for which `keep` returns true
-    /// (used when the ABM drops dead columns of a partially shared chunk).
+    /// (used when a plan reclaims the dead columns of a partially shared chunk).
     /// Returns `None` if nothing survives.
     pub fn retained(&self, mut keep: impl FnMut(ColumnId) -> bool) -> Option<ChunkData> {
         let columns: Vec<(ColumnId, ColumnChunk)> = self

@@ -13,6 +13,8 @@ use cscan_core::policy::PolicyKind;
 use cscan_core::threaded::ScanServer;
 use cscan_core::{CScanPlan, ColSet, TableModel};
 use cscan_exec::MemTable;
+use cscan_obs::Registry;
+use cscan_server::model_from_segment;
 use cscan_storage::{
     ChunkId, ChunkPayload, ChunkStore, ColumnId, CompressingStore, Compression, FileStore,
     ScanRanges, ScratchPath, SeededStore, SegmentWriter,
@@ -138,6 +140,68 @@ fn file_backed_scans_are_bit_identical_to_memtable() {
                 assert_eq!(server.pinned_frames(), 0, "{label}: leaked pins");
                 assert_eq!(server.unconsumed_drops(), 0, "{label}: leaked deliveries");
             }
+        }
+    }
+}
+
+/// Figure 9's actual configuration: a segment scheduled under the model its
+/// own footer gives ([`model_from_segment`] — the column store the file is)
+/// serves a `{l_quantity, l_returnflag}` scan by reading, checksumming and
+/// decoding those two extents of every chunk and no third.  The buffer
+/// holds the table, so every policy loads each chunk exactly once and the
+/// volumes are exact.
+#[test]
+fn a_two_column_scan_reads_and_decodes_two_extents_per_load() {
+    let table = lineitem();
+    let cols: Vec<ColumnId> = ["l_quantity", "l_returnflag"]
+        .iter()
+        .map(|n| ColumnId::new(table.column_index(n).unwrap() as u16))
+        .collect();
+    for compressed in [false, true] {
+        let path = write_segment(compressed);
+        for policy in PolicyKind::ALL {
+            let label = format!("two-col-{policy}-{compressed}");
+            let obs = Arc::new(Registry::new());
+            let store = FileStore::open(&path)
+                .unwrap()
+                .with_observability(Arc::clone(&obs));
+            let extent_bytes: u64 = (0..CHUNKS)
+                .map(|c| store.directory().chunk_bytes(ChunkId::new(c), Some(&cols)))
+                .sum();
+            let model = model_from_segment(&store);
+            assert!(model.is_dsm(), "a segment file is a column store");
+            let server = ScanServer::builder(model)
+                .policy(policy)
+                .buffer_chunks(CHUNKS as u64)
+                .io_cost_per_page(Duration::ZERO)
+                .io_threads(2)
+                .store(Arc::new(store))
+                .observability(Arc::clone(&obs))
+                .build();
+            let delivered = scan_all(&server, Layout::Dsm, &cols, &label);
+            for c in 0..CHUNKS {
+                let chunk = ChunkId::new(c);
+                for (i, &col) in cols.iter().enumerate() {
+                    let baseline = table.read_chunk(chunk, &[col.as_usize()]);
+                    assert_eq!(
+                        delivered[&chunk][i],
+                        baseline.column(0),
+                        "{label}: {chunk:?}"
+                    );
+                }
+            }
+            let loads = server.loads_completed();
+            assert_eq!(loads, CHUNKS as u64, "{label}");
+            let snap = obs.snapshot();
+            assert_eq!(snap.counter("file_read_calls"), 2 * loads, "{label}");
+            assert_eq!(snap.counter("file_bytes_read"), extent_bytes, "{label}");
+            let decoded = if compressed {
+                2 * ROWS_PER_CHUNK * loads
+            } else {
+                0
+            };
+            assert_eq!(server.values_decoded(), decoded, "{label}");
+            assert_eq!(server.pinned_frames(), 0, "{label}: leaked pins");
         }
     }
 }
