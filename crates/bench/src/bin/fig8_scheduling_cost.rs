@@ -1,8 +1,9 @@
 //! Reproduces Figure 8: wall-clock cost of relevance-based scheduling and
 //! its share of total execution time, as the 2 GB relation is divided into
 //! more (smaller) chunks — plus the incremental-vs-brute-force `plan_load`
-//! comparison at the 16/64/128-query mixes.  Everything here is wall-clock
-//! and printed, not recorded: the bound on it is the release-only
+//! comparison at the 16/64/128-query mixes, on the relation stored as rows
+//! and as six columns.  Everything here is wall-clock and printed, not
+//! recorded: the bound on it is the release-only
 //! `incremental_speedup_at_64_queries` gate.
 
 use cscan_bench::experiments::fig8;
@@ -55,6 +56,7 @@ fn main() {
     // regime).
     println!("plan_load per decision: incremental scheduling index vs brute-force sweep");
     let mut cmp_table = TextTable::new([
+        "layout",
         "queries",
         "chunks",
         "scan",
@@ -62,16 +64,22 @@ fn main() {
         "incremental (ns)",
         "speedup",
     ]);
-    for &queries in &fig8::QUERY_MIXES {
-        let p = fig8::compare_plan_load(2048, 100, queries, iterations);
-        cmp_table.row([
-            p.queries.to_string(),
-            p.num_chunks.to_string(),
-            format!("{}%", p.percent),
-            format!("{:.0}", p.brute_ns),
-            format!("{:.0}", p.incremental_ns),
-            format!("{:.1}x", p.speedup()),
-        ]);
+    for (layout, model) in [
+        ("nsm", fig8::model_for(2048)),
+        ("dsm", fig8::dsm_model_for(2048)),
+    ] {
+        for &queries in &fig8::QUERY_MIXES {
+            let p = fig8::compare_plan_load(&model, 100, queries, iterations);
+            cmp_table.row([
+                layout.to_string(),
+                p.queries.to_string(),
+                p.num_chunks.to_string(),
+                format!("{}%", p.percent),
+                format!("{:.0}", p.brute_ns),
+                format!("{:.0}", p.incremental_ns),
+                format!("{:.1}x", p.speedup()),
+            ]);
+        }
     }
     println!("{}", cmp_table.render());
     println!(

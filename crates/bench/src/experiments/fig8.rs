@@ -45,19 +45,36 @@ pub const QUERIES: usize = 16;
 /// comparison (the fig7/fig8 regime where scheduling cost used to dominate).
 pub const QUERY_MIXES: [usize; 3] = [16, 64, 128];
 
-fn model_for(num_chunks: u32) -> TableModel {
-    let pages_per_chunk = (TABLE_BYTES / num_chunks as u64) / cscan_storage::DEFAULT_PAGE_SIZE;
+fn pages_per_chunk(num_chunks: u32) -> u64 {
+    (TABLE_BYTES / num_chunks as u64) / cscan_storage::DEFAULT_PAGE_SIZE
+}
+
+fn tuples_per_chunk(num_chunks: u32) -> u64 {
+    2_000_000_000 / 72 / num_chunks as u64
+}
+
+/// The 2 GB relation as a row store of `num_chunks` chunks.
+pub fn model_for(num_chunks: u32) -> TableModel {
     TableModel::nsm_uniform(
         num_chunks,
-        2_000_000_000 / 72 / num_chunks as u64,
-        pages_per_chunk,
+        tuples_per_chunk(num_chunks),
+        pages_per_chunk(num_chunks),
     )
 }
 
-/// Builds an ABM with `queries` registered queries of the given scan size and
-/// a quarter-table buffer, to exercise realistic state.
-fn build_abm(num_chunks: u32, percent: u32, queries: usize, seed: u64) -> Abm {
-    let model = model_for(num_chunks);
+/// The same 2 GB relation as a column store of six columns of unequal width
+/// (1 : 1 : 2 : 2 : 4 : 6 sixteenths of a chunk's pages).
+pub fn dsm_model_for(num_chunks: u32) -> TableModel {
+    let sixteenth = pages_per_chunk(num_chunks) / 16;
+    let widths: Vec<u64> = [1, 1, 2, 2, 4, 6].iter().map(|w| w * sixteenth).collect();
+    TableModel::dsm_uniform(num_chunks, tuples_per_chunk(num_chunks), &widths)
+}
+
+/// Builds an ABM over `model` with `queries` registered queries of the given
+/// scan size, each reading every column, and a quarter-table buffer, to
+/// exercise realistic state.
+fn build_abm(model: TableModel, percent: u32, queries: usize, seed: u64) -> Abm {
+    let num_chunks = model.num_chunks();
     let capacity = model.total_pages(model.all_columns()) / 4;
     let all_columns = model.all_columns();
     let state = AbmState::new(model, capacity.max(1));
@@ -114,7 +131,7 @@ pub fn measure_scheduling_step(
     queries: usize,
     iterations: u32,
 ) -> f64 {
-    let mut abm = build_abm(num_chunks, percent, queries, 11);
+    let mut abm = build_abm(model_for(num_chunks), percent, queries, 11);
     preload(&mut abm);
     let mut policy = RelevancePolicy::new();
     use cscan_core::policy::Policy as _;
@@ -135,20 +152,20 @@ pub fn measure_scheduling_step(
 }
 
 /// Measures the average wall-clock cost of one `plan_load`-level decision
-/// (`RelevancePolicy::next_load` only), in nanoseconds, for either the
-/// incremental (default) or the brute-force chunk selection.
+/// (`RelevancePolicy::next_load` only) over `model`, in nanoseconds, for
+/// either the index walk (default) or the brute-force chunk selection.
 ///
 /// Between decisions the ABM is advanced by one load completion or eviction,
-/// so the incremental path pays its cache-repair cost on every decision —
-/// this is the steady-state regime, not a best case over frozen state.
+/// so every decision looks at freshly changed state — the steady-state
+/// regime, not a best case over frozen state.
 pub fn measure_plan_load(
-    num_chunks: u32,
+    model: &TableModel,
     percent: u32,
     queries: usize,
     brute: bool,
     iterations: u32,
 ) -> f64 {
-    let mut abm = build_abm(num_chunks, percent, queries, 11);
+    let mut abm = build_abm(model.clone(), percent, queries, 11);
     preload(&mut abm);
     let mut policy = if brute {
         RelevancePolicy::brute_force()
@@ -156,8 +173,6 @@ pub fn measure_plan_load(
         RelevancePolicy::new()
     };
     use cscan_core::policy::Policy as _;
-    // Warm the candidate caches so steady-state decisions are measured.
-    std::hint::black_box(policy.next_load(abm.state(), SimTime::ZERO));
     let mut total = std::time::Duration::ZERO;
     let mut decisions = 0u32;
     for _ in 0..iterations {
@@ -182,7 +197,7 @@ pub struct SpeedupPoint {
     pub percent: u32,
     /// ns per `next_load` decision, brute-force chunk selection.
     pub brute_ns: f64,
-    /// ns per `next_load` decision, incremental candidate heaps.
+    /// ns per `next_load` decision, the bucket walk over the chunk index.
     pub incremental_ns: f64,
 }
 
@@ -197,18 +212,19 @@ impl SpeedupPoint {
     }
 }
 
-/// Measures brute-force vs incremental `next_load` cost for one mix.
+/// Measures brute-force vs incremental `next_load` cost for one mix over
+/// `model`.
 pub fn compare_plan_load(
-    num_chunks: u32,
+    model: &TableModel,
     percent: u32,
     queries: usize,
     iterations: u32,
 ) -> SpeedupPoint {
-    let brute_ns = measure_plan_load(num_chunks, percent, queries, true, iterations);
-    let incremental_ns = measure_plan_load(num_chunks, percent, queries, false, iterations);
+    let brute_ns = measure_plan_load(model, percent, queries, true, iterations);
+    let incremental_ns = measure_plan_load(model, percent, queries, false, iterations);
     SpeedupPoint {
         queries,
-        num_chunks,
+        num_chunks: model.num_chunks(),
         percent,
         brute_ns,
         incremental_ns,
@@ -292,29 +308,34 @@ mod tests {
     #[test]
     fn plan_load_measurement_is_sane() {
         // Both modes produce positive per-decision times on a small mix.
-        let p = compare_plan_load(256, 100, 16, 20);
-        assert!(p.brute_ns > 0.0 && p.incremental_ns > 0.0);
-        assert!(p.speedup().is_finite());
+        for model in [model_for(256), dsm_model_for(256)] {
+            let p = compare_plan_load(&model, 100, 16, 20);
+            assert!(p.brute_ns > 0.0 && p.incremental_ns > 0.0);
+            assert!(p.speedup().is_finite());
+        }
     }
 
-    /// The PR's acceptance criterion: on the 64-query mix the incremental
-    /// scheduler is at least 5× cheaper per `plan_load` decision than the
-    /// brute-force sweep.  Only meaningful in release builds — under
-    /// `debug_assertions` the incremental path re-runs the brute-force sweep
-    /// on every decision as a cross-check, so the ratio collapses by design.
+    /// On the 64-query mix the index walk is at least 5× cheaper per
+    /// `plan_load` decision than the brute-force sweep, on the row store and
+    /// on the six-column column store of the same 2 GB.  Only meaningful in
+    /// release builds — under `debug_assertions` the walk re-runs the
+    /// brute-force sweep on every decision as a cross-check, so the ratio
+    /// collapses by design.
     #[test]
     #[cfg_attr(
         debug_assertions,
         ignore = "speedup is measured in release builds only"
     )]
     fn incremental_speedup_at_64_queries() {
-        let p = compare_plan_load(2048, 100, 64, 300);
-        assert!(
-            p.speedup() >= 5.0,
-            "expected ≥5× speedup at 64 queries: brute {} ns vs incremental {} ns ({}×)",
-            p.brute_ns,
-            p.incremental_ns,
-            p.speedup()
-        );
+        for (layout, model) in [("nsm", model_for(2048)), ("dsm", dsm_model_for(2048))] {
+            let p = compare_plan_load(&model, 100, 64, 300);
+            assert!(
+                p.speedup() >= 5.0,
+                "expected ≥5× speedup at 64 queries ({layout}): brute {} ns vs incremental {} ns ({}×)",
+                p.brute_ns,
+                p.incremental_ns,
+                p.speedup()
+            );
+        }
     }
 }

@@ -15,15 +15,14 @@
 //! * **starvation-weighted interest** — per-chunk counts of interested
 //!   starved / almost-starved queries, bucketed by the starved count as
 //!   bitsets ([`ChunkIndex::starved_bucket_words`]) for the relevance
-//!   policy's descending-relevance argmax, plus the union set
+//!   policy's chunk argmax (row and column stores alike), plus the union set
 //!   ([`ChunkIndex::starved_any_words`]) for its eviction guard;
 //! * **in-flight loads** — which chunks have an outstanding read
 //!   ([`ChunkIndex::inflight_words`]), excluded from every policy's load
-//!   candidates;
-//! * **change tracking** — a strictly increasing change sequence and a
-//!   bounded log of dirtied chunks ([`ChunkIndex::changes_since`]) that lets
-//!   the DSM relevance policy repair its candidate heaps instead of
-//!   rescanning.
+//!   candidates.
+//!
+//! The index holds the current state only: no policy keeps anything derived
+//! from it between decisions, so a transition has nobody to notify.
 //!
 //! Keeping all of this in one shared structure (instead of scattered across
 //! `AbmState` fields) is what lets the traditional policies drop their
@@ -38,57 +37,6 @@
 
 use crate::bitset::ChunkBitSet;
 use cscan_storage::ChunkId;
-use std::collections::VecDeque;
-
-/// Bounded log of chunk-counter changes, newest last.  Entries are
-/// `(change sequence number, chunk index)`; the sequence is strictly
-/// increasing.  When the log overflows, the oldest entries are dropped and
-/// readers that far behind must fall back to a full rescan.
-#[derive(Debug, Clone, Default)]
-struct ChangeLog {
-    entries: VecDeque<(u64, u32)>,
-    capacity: usize,
-    /// Sequence number of the oldest change still fully covered by the log:
-    /// a reader that has seen everything up to `since` can catch up iff
-    /// `since + 1 >= floor`.
-    floor: u64,
-}
-
-impl ChangeLog {
-    fn new(capacity: usize) -> Self {
-        Self {
-            entries: VecDeque::with_capacity(capacity),
-            capacity,
-            floor: 1,
-        }
-    }
-
-    fn push(&mut self, seq: u64, chunk: u32) {
-        // Collapse immediate duplicates (a burst touching one chunk twice).
-        if let Some(last) = self.entries.back_mut() {
-            if last.1 == chunk {
-                last.0 = seq;
-                return;
-            }
-        }
-        if self.entries.len() == self.capacity {
-            if let Some((dropped_seq, _)) = self.entries.pop_front() {
-                self.floor = dropped_seq + 1;
-            }
-        }
-        self.entries.push_back((seq, chunk));
-    }
-
-    /// Iterates the chunks changed after `since`, or `None` if the log has
-    /// already dropped entries from that range.
-    fn since(&self, since: u64) -> Option<impl Iterator<Item = ChunkId> + '_> {
-        if since + 1 < self.floor {
-            return None;
-        }
-        let start = self.entries.partition_point(|&(seq, _)| seq <= since);
-        Some(self.entries.range(start..).map(|&(_, c)| ChunkId::new(c)))
-    }
-}
 
 /// The shared per-chunk scheduling index (see module docs).
 #[derive(Debug, Clone)]
@@ -102,8 +50,10 @@ pub struct ChunkIndex {
     /// Per-chunk count of interested queries that are starved *or* almost
     /// starved (`is_almost_starved` includes starved queries).
     interested_almost_starved: Vec<u32>,
-    /// Chunks with a buffered entry (any columns); the complement is the
-    /// "missing" filter of the NSM chunk argmax.
+    /// Chunks with a buffered entry (any columns).  The relevance chunk
+    /// argmax walks it twice: `resident` for the chunks still missing a
+    /// column the trigger reads (column stores only), its complement for
+    /// the chunks missing altogether.
     resident: ChunkBitSet,
     /// Chunks with `interested > 0`: the elevator sweep's candidate set and
     /// the complement of its eviction filter.
@@ -111,9 +61,10 @@ pub struct ChunkIndex {
     /// Bucket bitsets over `interested_starved`: `starved_buckets[s]` holds
     /// exactly the chunks whose starved-interest count equals `s` (s ≥ 1;
     /// chunks with zero starved interest are in no bucket).  Maintained in
-    /// O(1) per counter change, they let the NSM relevance argmax walk
-    /// candidates in descending `loadRelevance` order word-wise instead of
-    /// sweeping the trigger's whole scan range.
+    /// O(1) per counter change, they let the relevance chunk argmax walk
+    /// missing chunks from the highest starved interest down word-wise,
+    /// stopping once a bucket's `loadRelevance` bound falls below the best
+    /// chunk found, instead of sweeping the trigger's whole scan range.
     starved_buckets: Vec<ChunkBitSet>,
     /// Chunks with `interested_starved > 0` (the union of all buckets), kept
     /// in O(1) per counter change.  Its complement filters the relevance
@@ -124,11 +75,6 @@ pub struct ChunkIndex {
     /// Chunks with an outstanding load; excluded from every policy's load
     /// candidates and from eviction.
     inflight: ChunkBitSet,
-    /// Strictly increasing counter bumped on every chunk-counter or
-    /// residency change; drives the policies' incremental argmax caches.
-    change_seq: u64,
-    /// Recent changes, newest last (bounded).
-    change_log: ChangeLog,
 }
 
 impl ChunkIndex {
@@ -145,8 +91,6 @@ impl ChunkIndex {
             starved_any: ChunkBitSet::new(num_chunks),
             max_starved: 0,
             inflight: ChunkBitSet::new(num_chunks),
-            change_seq: 0,
-            change_log: ChangeLog::new((4 * num_chunks).max(64)),
         }
     }
 
@@ -231,31 +175,9 @@ impl ChunkIndex {
         self.resident.iter().map(|c| ChunkId::new(c as u32))
     }
 
-    /// The current change sequence number.  Bumped whenever a chunk's
-    /// interest counters, residency or in-flight status change.
-    #[inline]
-    pub fn change_seq(&self) -> u64 {
-        self.change_seq
-    }
-
-    /// Iterates the chunks whose counters or residency changed after the
-    /// caller's snapshot `since` (a previously observed
-    /// [`Self::change_seq`]).  Returns `None` when the bounded log no longer
-    /// reaches back that far — the caller must then rescan from scratch.
-    /// Chunks may appear multiple times.
-    pub fn changes_since(&self, since: u64) -> Option<impl Iterator<Item = ChunkId> + '_> {
-        self.change_log.since(since)
-    }
-
     // ------------------------------------------------------------------
     // Maintenance API (AbmState only).
     // ------------------------------------------------------------------
-
-    /// Records a counter/residency change of `chunk`.
-    pub(crate) fn mark_changed(&mut self, chunk: ChunkId) {
-        self.change_seq += 1;
-        self.change_log.push(self.change_seq, chunk.index());
-    }
 
     /// Sets `interested_starved[c]` to `new`, keeping the bucket bitsets and
     /// the `max_starved` hint in sync.  O(1) amortized (the shrink loop only
@@ -305,7 +227,6 @@ impl ChunkIndex {
         if level <= 1 {
             self.interested_almost_starved[c] += 1;
         }
-        self.mark_changed(chunk);
     }
 
     /// Removes one query's interest in `chunk`, previously contributed at
@@ -323,7 +244,6 @@ impl ChunkIndex {
         if level <= 1 {
             self.interested_almost_starved[c] = self.interested_almost_starved[c].saturating_sub(1);
         }
-        self.mark_changed(chunk);
     }
 
     /// Applies a starvation-*level* change of one interested query to
@@ -336,7 +256,6 @@ impl ChunkIndex {
         }
         self.interested_almost_starved[c] =
             (self.interested_almost_starved[c] as i64 + d_almost) as u32;
-        self.mark_changed(chunk);
     }
 
     /// Flips `chunk`'s residency bit.
@@ -346,7 +265,6 @@ impl ChunkIndex {
         } else {
             self.resident.remove(chunk.as_usize());
         }
-        self.mark_changed(chunk);
     }
 
     /// Flips `chunk`'s in-flight bit.
@@ -356,7 +274,6 @@ impl ChunkIndex {
         } else {
             self.inflight.remove(chunk.as_usize());
         }
-        self.mark_changed(chunk);
     }
 
     /// Number of chunks with an outstanding load.  O(words).
@@ -449,32 +366,15 @@ mod tests {
     fn residency_and_inflight_bits() {
         let mut idx = ChunkIndex::new(70);
         let c = ChunkId::new(68);
-        let before = idx.change_seq();
         idx.set_resident(c, true);
         idx.set_inflight(c, true);
         assert!(idx.is_resident(c));
         assert!(idx.is_inflight(c));
         assert_eq!(idx.inflight_len(), 1);
         assert_eq!(idx.resident_chunks().collect::<Vec<_>>(), vec![c]);
-        assert!(idx.change_seq() > before);
-        let dirty: Vec<_> = idx.changes_since(before).unwrap().collect();
-        assert_eq!(dirty, vec![c]);
         idx.set_resident(c, false);
         idx.set_inflight(c, false);
         assert!(!idx.is_resident(c));
         assert!(!idx.is_inflight(c));
-    }
-
-    #[test]
-    fn change_log_truncates_for_ancient_readers() {
-        let mut idx = ChunkIndex::new(8);
-        let snapshot = idx.change_seq();
-        for round in 0..600u32 {
-            idx.mark_changed(ChunkId::new(round % 8));
-        }
-        assert!(idx.changes_since(snapshot).is_none());
-        let recent = idx.change_seq();
-        idx.mark_changed(ChunkId::new(1));
-        assert_eq!(idx.changes_since(recent).unwrap().count(), 1);
     }
 }

@@ -6,8 +6,11 @@
 //! * every cached counter of [`AbmState`] (availability, starvation levels,
 //!   per-chunk interest split by starvation) must equal its brute-force
 //!   recomputation ([`AbmState::validate_counters`]), and
-//! * the incremental [`RelevancePolicy`] must take exactly the decisions of
-//!   its brute-force twin.
+//! * the index walks of [`RelevancePolicy`] — the chunk argmax, the
+//!   consumption argmax and the eviction argmin — must take exactly the
+//!   decisions of its brute-force twin.  `prop_assert` compares them, so a
+//!   release build checks the code that decides in production, with the
+//!   in-policy debug cross-checks compiled out.
 //!
 //! These run the *internal* mutation API directly (the simulation-level
 //! property tests in `tests/properties.rs` cover the public surface).
@@ -18,7 +21,7 @@ use crate::model::TableModel;
 use crate::policy::{Policy as _, RelevancePolicy};
 use crate::query::QueryId;
 use cscan_simdisk::SimTime;
-use cscan_storage::{ChunkId, ColumnId, ScanRanges};
+use cscan_storage::{ChunkId, ColumnDef, ColumnId, ColumnType, DsmLayout, ScanRanges, TableSchema};
 use proptest::prelude::*;
 
 const CHUNKS: u32 = 24;
@@ -92,8 +95,8 @@ fn col_set(model: &TableModel, mask: u8) -> ColSet {
 }
 
 /// Applies `ops`, asserting after every step that the cached counters match
-/// the brute-force definitions and that the incremental and brute-force
-/// relevance policies agree on the next load decision.
+/// the brute-force definitions and that the walking and brute-force
+/// relevance policies agree on every decision.
 fn check_ops(model: TableModel, ops: &[Op]) -> Result<(), TestCaseError> {
     let mut s = AbmState::new(model, 1_000_000);
     let mut inc = RelevancePolicy::new();
@@ -122,8 +125,6 @@ fn check_ops(model: TableModel, ops: &[Op]) -> Result<(), TestCaseError> {
             Op::Remove { i } => {
                 if !active.is_empty() {
                     let q = active.remove(i as usize % active.len());
-                    inc.on_query_finished(q, &s);
-                    brute.on_query_finished(q, &s);
                     s.remove_query(q);
                 }
             }
@@ -181,8 +182,6 @@ fn check_ops(model: TableModel, ops: &[Op]) -> Result<(), TestCaseError> {
                         s.finish_processing(q, chunk);
                         if s.query(q).is_finished() {
                             active.retain(|&a| a != q);
-                            inc.on_query_finished(q, &s);
-                            brute.on_query_finished(q, &s);
                             s.remove_query(q);
                         }
                     }
@@ -197,12 +196,12 @@ fn check_ops(model: TableModel, ops: &[Op]) -> Result<(), TestCaseError> {
         }
         // (a) every cached counter equals its brute-force recomputation;
         s.validate_counters();
-        // (b) the incremental policy takes exactly the brute-force decisions.
+        // (b) the walks take exactly the brute-force decisions.
         let a = inc.next_load(&s, now).map(|d| (d.trigger, d.chunk, d.cols));
         let b = brute
             .next_load(&s, now)
             .map(|d| (d.trigger, d.chunk, d.cols));
-        prop_assert_eq!(a, b, "incremental and brute-force next_load diverged");
+        prop_assert_eq!(a, b, "walk and brute-force next_load diverged");
         // (c) so do the eviction and consumption argmaxes, for every query.
         if let Some((trigger, chunk, cols)) = a {
             let load = crate::abm::LoadDecision {
@@ -213,14 +212,14 @@ fn check_ops(model: TableModel, ops: &[Op]) -> Result<(), TestCaseError> {
             prop_assert_eq!(
                 inc.choose_victim(&s, &load),
                 brute.choose_victim(&s, &load),
-                "incremental and brute-force choose_victim diverged"
+                "walk and brute-force choose_victim diverged"
             );
         }
         for &q in &active {
             prop_assert_eq!(
                 inc.next_chunk(q, &s),
                 brute.next_chunk(q, &s),
-                "incremental and brute-force next_chunk diverged"
+                "walk and brute-force next_chunk diverged"
             );
         }
     }
@@ -237,12 +236,38 @@ proptest! {
     }
 
     /// DSM (three columns of different widths, partial residency, dead-column
-    /// reclaim): counters and decisions — the candidate heap of
-    /// `choose_chunk_incremental` under the interest-weighted score, the
-    /// word-walks of `next_chunk` and `choose_victim` — survive arbitrary
-    /// operation sequences.
+    /// reclaim): counters and decisions — the bucket walk of
+    /// `choose_chunk_walk` under the interest-weighted score, the word-walks
+    /// of `next_chunk` and `choose_victim` — survive arbitrary operation
+    /// sequences.
     #[test]
     fn dsm_incremental_index_matches_brute_force(ops in prop::collection::vec(arb_op(), 1..80)) {
         check_ops(TableModel::dsm_uniform(CHUNKS, 1000, &[2, 4, 8]), &ops)?;
     }
+
+    /// DSM from a layout whose chunks differ: three columns of unequal width,
+    /// pages shared across chunk boundaries, a half-size last chunk.  Only on
+    /// such a table is the chunk argmax's page floor below what most loads
+    /// cost, so only here is the bucket bound it stops on loose.
+    #[test]
+    fn ragged_dsm_incremental_index_matches_brute_force(ops in prop::collection::vec(arb_op(), 1..80)) {
+        check_ops(ragged_dsm(), &ops)?;
+    }
+}
+
+/// 470 000 rows in 20 000-row chunks: 24 chunks, the last one half full.
+fn ragged_dsm() -> TableModel {
+    let schema = TableSchema::new(
+        "ragged",
+        vec![
+            ColumnDef::new("a", ColumnType::Int64),
+            ColumnDef::new("b", ColumnType::Char),
+            ColumnDef::new("c", ColumnType::Varchar { avg_len: 16 }),
+        ],
+    );
+    let model = TableModel::from_dsm(&DsmLayout::new(schema, 470_000, 64 * 1024, 20_000));
+    assert_eq!(model.num_chunks(), CHUNKS);
+    let all = model.all_columns();
+    assert!(model.min_chunk_pages(all) < model.max_chunk_pages(all));
+    model
 }

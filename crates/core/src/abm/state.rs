@@ -10,12 +10,13 @@
 //! # The shared chunk index
 //!
 //! All per-chunk scheduling data — interest counters split by starvation
-//! level, the residency / in-flight / starved-bucket bitsets and the bounded
-//! change log — lives in a [`ChunkIndex`] that `AbmState` maintains under
-//! every transition and *all four* policies query (see the module docs of
+//! level and the residency / in-flight / starved-bucket bitsets — lives in
+//! a [`ChunkIndex`] that `AbmState` maintains under every transition and
+//! *all four* policies query (see the module docs of
 //! [`crate::abm::index`]).  Transitions cost O(1) per interest-counter
 //! change; a starvation-*level* crossing costs O(chunks the query still
-//! needs).
+//! needs).  Policies read the index as it is at each decision and keep
+//! nothing derived from it, so no transition has to tell them anything.
 //!
 //! # The queueing model
 //!
@@ -114,7 +115,7 @@ pub struct AbmState {
     /// Number of `Some` entries in `buffered`.
     num_buffered: usize,
     /// The shared per-chunk scheduling index (interest counters, residency /
-    /// in-flight / starved-bucket bitsets, change log).
+    /// in-flight / starved-bucket bitsets).
     index: ChunkIndex,
     /// Reused scratch for starvation-level propagation.
     chunk_scratch: Vec<u32>,
@@ -186,9 +187,9 @@ impl AbmState {
         &self.model
     }
 
-    /// The shared chunk index: per-chunk interest counters, residency /
-    /// in-flight / starved bitsets and the change log, maintained by every
-    /// transition and queried by all four policies.
+    /// The shared chunk index: per-chunk interest counters and residency /
+    /// in-flight / starved bitsets, maintained by every transition and
+    /// queried by all four policies.
     #[inline]
     pub fn index(&self) -> &ChunkIndex {
         &self.index
@@ -453,25 +454,6 @@ impl AbmState {
             Some(b) => !b.is_pinned() && !self.is_inflight(chunk),
             None => false,
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Change tracking (consumed by incremental policy caches).
-    // ------------------------------------------------------------------
-
-    /// The current change sequence number.  Bumped whenever a chunk's
-    /// interest counters or residency change.
-    pub fn change_seq(&self) -> u64 {
-        self.index.change_seq()
-    }
-
-    /// Iterates the chunks whose counters or residency changed after the
-    /// caller's snapshot `since` (a previously observed [`Self::change_seq`]).
-    /// Returns `None` when the bounded log no longer reaches back that far —
-    /// the caller must then rescan from scratch.  Chunks may appear multiple
-    /// times.
-    pub fn changes_since(&self, since: u64) -> Option<impl Iterator<Item = ChunkId> + '_> {
-        self.index.changes_since(since)
     }
 
     // ------------------------------------------------------------------
@@ -764,8 +746,7 @@ impl AbmState {
             "in-flight reservations over-commit the buffer pool"
         );
         // Becoming in-flight removes the chunk from every policy's load
-        // candidate set; the change log entry lets the DSM candidate heaps
-        // notice (and re-admit it if the load is later aborted).
+        // candidate set until the load completes or is aborted.
         self.index.set_inflight(chunk, true);
         ticket
     }
@@ -866,7 +847,7 @@ impl AbmState {
         let load = self.inflight.remove(idx);
         self.reserved_pages -= load.pages;
         self.loads_aborted += 1;
-        // The chunk is a load candidate again; let the caches notice.
+        // The chunk is a load candidate again.
         self.index.set_inflight(chunk, false);
         self.debug_validate();
     }
@@ -948,8 +929,6 @@ impl AbmState {
             *slot = None;
             self.num_buffered -= 1;
             self.index.set_resident(chunk, false);
-        } else {
-            self.index.mark_changed(chunk);
         }
         self.used_pages -= freed;
         self.debug_validate();
@@ -1306,34 +1285,6 @@ mod tests {
                 s.num_interested_almost_starved_brute(chunk)
             );
         }
-    }
-
-    #[test]
-    fn change_log_reports_dirty_chunks() {
-        let mut s = nsm_state(16, 8);
-        let snapshot = s.change_seq();
-        register(&mut s, 1, 0, 4);
-        let dirty: Vec<u32> = s
-            .changes_since(snapshot)
-            .expect("log covers the gap")
-            .map(|c| c.index())
-            .collect();
-        assert_eq!(dirty, vec![0, 1, 2, 3]);
-        // A reader that is fully caught up sees nothing.
-        let now = s.change_seq();
-        assert_eq!(s.changes_since(now).expect("in range").count(), 0);
-        // Ancient readers are told to rescan once the log wraps.
-        for round in 0..200u32 {
-            let cols = s.model().all_columns();
-            let chunk = ChunkId::new(10 + round % 4);
-            s.begin_load(chunk, cols);
-            s.complete_load();
-            s.evict(chunk);
-        }
-        assert!(
-            s.changes_since(snapshot).is_none(),
-            "log must report truncation"
-        );
     }
 
     #[test]

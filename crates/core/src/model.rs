@@ -32,6 +32,8 @@ pub struct TableModel {
     /// `[chunk][column]` page counts for DSM; `[chunk][0]` holds the full
     /// chunk page count for NSM.
     pages: Vec<Vec<u64>>,
+    /// Column-wise minimum of `pages` over the chunks.
+    min_pages: Vec<u64>,
     /// Column-wise maximum of `pages` over the chunks.
     max_pages: Vec<u64>,
     /// Byte offset of each chunk (NSM) for I/O placement; empty for DSM.
@@ -40,12 +42,15 @@ pub struct TableModel {
     dsm_column_offsets: Vec<u64>,
 }
 
-/// The column-wise maximum of per-chunk page rows.
-fn column_maxima(pages: &[Vec<u64>]) -> Vec<u64> {
+/// The column-wise minimum and maximum of per-chunk page rows.
+fn column_extremes(pages: &[Vec<u64>]) -> (Vec<u64>, Vec<u64>) {
     let width = pages.first().map_or(0, Vec::len);
     (0..width)
-        .map(|col| pages.iter().map(|row| row[col]).max().unwrap_or(0))
-        .collect()
+        .map(|col| {
+            let column = pages.iter().map(|row| row[col]);
+            (column.clone().min().unwrap_or(0), column.max().unwrap_or(0))
+        })
+        .unzip()
 }
 
 impl TableModel {
@@ -63,12 +68,14 @@ impl TableModel {
             let regions = layout.chunk_regions(chunk, &all);
             nsm_offsets.push(regions.first().map(|r| r.offset).unwrap_or(0));
         }
+        let (min_pages, max_pages) = column_extremes(&pages);
         Self {
             kind: StorageKind::Nsm,
             page_size: layout.page_size(),
             num_columns: layout.num_columns(),
             chunk_tuples,
-            max_pages: column_maxima(&pages),
+            min_pages,
+            max_pages,
             pages,
             nsm_offsets,
             dsm_column_offsets: Vec::new(),
@@ -94,12 +101,14 @@ impl TableModel {
         let regions = layout.chunk_regions(ChunkId::new(0), &all);
         let mut dsm_column_offsets: Vec<u64> = regions.iter().map(|r| r.offset).collect();
         dsm_column_offsets.resize(num_columns as usize, 0);
+        let (min_pages, max_pages) = column_extremes(&pages);
         Self {
             kind: StorageKind::Dsm,
             page_size: layout.page_size(),
             num_columns,
             chunk_tuples,
-            max_pages: column_maxima(&pages),
+            min_pages,
+            max_pages,
             pages,
             nsm_offsets: Vec::new(),
             dsm_column_offsets,
@@ -119,6 +128,7 @@ impl TableModel {
             num_columns: 1,
             chunk_tuples: vec![tuples_per_chunk; num_chunks as usize],
             pages: vec![vec![pages_per_chunk]; num_chunks as usize],
+            min_pages: vec![pages_per_chunk],
             max_pages: vec![pages_per_chunk],
             nsm_offsets: (0..num_chunks as u64).map(|i| i * chunk_bytes).collect(),
             dsm_column_offsets: Vec::new(),
@@ -144,6 +154,7 @@ impl TableModel {
             num_columns: pages_per_column.len() as u16,
             chunk_tuples: vec![tuples_per_chunk; num_chunks as usize],
             pages: vec![pages_per_column.to_vec(); num_chunks as usize],
+            min_pages: pages_per_column.to_vec(),
             max_pages: pages_per_column.to_vec(),
             nsm_offsets: Vec::new(),
             dsm_column_offsets,
@@ -215,6 +226,20 @@ impl TableModel {
             StorageKind::Dsm => cols
                 .iter()
                 .map(|c| self.max_pages.get(c.as_usize()).copied().unwrap_or(0))
+                .sum(),
+        }
+    }
+
+    /// A lower bound on [`Self::chunk_pages`] of `cols` over all chunks:
+    /// each column at its narrowest chunk, a zero-page one included (exact
+    /// for a table whose chunks are alike).  What bounds a benefit per page
+    /// from above before the pages are known.
+    pub(crate) fn min_chunk_pages(&self, cols: ColSet) -> u64 {
+        match self.kind {
+            StorageKind::Nsm => self.min_pages[0],
+            StorageKind::Dsm => cols
+                .iter()
+                .map(|c| self.min_pages.get(c.as_usize()).copied().unwrap_or(0))
                 .sum(),
         }
     }
@@ -349,6 +374,12 @@ mod tests {
             .unwrap();
         assert_eq!(ragged.max_chunk_pages(all), widest);
         assert!(ragged.chunk_pages(ChunkId::new(2), all) < widest);
+        // ...and the lower bound is the short last chunk's.
+        assert_eq!(uniform.min_chunk_pages(cols), 51);
+        assert_eq!(
+            ragged.min_chunk_pages(all),
+            ragged.chunk_pages(ChunkId::new(2), all)
+        );
     }
 
     #[test]

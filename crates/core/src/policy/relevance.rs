@@ -29,36 +29,38 @@
 //! scored; `tests/layout_equivalence.rs` holds a DSM table whose queries
 //! read every column to the row store's decisions, one for one.
 //!
-//! # Incremental chunk argmax
+//! # One walk per decision point
 //!
 //! `chooseChunkToLoad` is the hot spot of a scheduling step: the seed
 //! implementation swept every chunk the triggering query still needs and
 //! recomputed `loadRelevance` for each, an O(scan length) walk per decision
 //! that dominates Figure 8's cost curve.  The default
-//! ([`RelevancePolicy::new`]) implementation is incremental instead, with a
-//! structure per storage model:
+//! ([`RelevancePolicy::new`]) argmax instead walks the bitset index of
+//! [`AbmState`], the same code for row and column stores:
 //!
-//! * **NSM** — the relevance is `interested_starved · QMAX + interested`,
-//!   lexicographic in two small integer counters, so [`AbmState`] buckets
-//!   chunks by their `interested_starved` value as bitsets (maintained in
-//!   O(1) per counter change) and the argmax walks the buckets from the
-//!   highest occupied value down, intersecting each word-wise with the
-//!   trigger's needed bitset and the complement of the residency bitset —
-//!   64 chunks per instruction, independent of the trigger's scan length.
-//! * **DSM** — the relevance is a real-valued benefit/pages ratio over the
-//!   overlapping queries only, so each query keeps a lazy max-heap of
-//!   `(loadRelevance, chunk)` candidates repaired from
-//!   [`AbmState::changes_since`]: a decision only touches the chunks dirtied
-//!   since that query's previous decision plus any stale heap entries it
-//!   pops while validating the top.
+//! * first the resident chunks that still miss some of the trigger's
+//!   columns (`needed ∧ resident ∧ ¬inflight`; a row store has none), each
+//!   scored exactly;
+//! * then `starved_buckets[s] ∧ needed ∧ ¬resident ∧ ¬inflight` from the
+//!   highest starved-interest count `s` down, 64 chunks per word.  Every
+//!   candidate in bucket `s` scores at most `(s · QMAX + active queries) /
+//!   floor`, where `floor` is the fewest pages a load of the trigger's
+//!   columns can cost (each column at its narrowest chunk; 1 for a row
+//!   store, which scores per chunk).  The walk stops at the first bucket
+//!   whose bound falls below the best score so far, and returns as soon as a
+//!   candidate reaches its bucket's bound — for a row store, a chunk every
+//!   running query wants.
 //!
-//! The other two decision points walk the same index word-wise under either
-//! model: `chooseAvailableChunk` takes the `useRelevance` argmax over
-//! `resident ∧ needed` (checking, for DSM, that the chunk holds every column
-//! the query reads) and stops at the first chunk nothing can beat, and the
-//! eviction argmin walks `resident ∧ ¬needed(trigger) ∧ ¬starved_any`
-//! (strict pass) or `resident` (relaxed pass) reading `keepRelevance` from
-//! the cached counters.
+//! Scores are exact `Ratio`s and ties go to the lowest chunk id, so the
+//! walk chooses what the sweep chooses for any number of queries, past
+//! `QMAX` too, where the starved count alone no longer orders the buckets.
+//!
+//! The other two decision points walk the same index: `chooseAvailableChunk`
+//! takes the `useRelevance` argmax over `resident ∧ needed` (checking, for
+//! DSM, that the chunk holds every column the query reads) and stops at the
+//! first chunk nothing can beat, and the eviction argmin walks `resident ∧
+//! ¬needed(trigger) ∧ ¬starved_any` (strict pass) or `resident` (relaxed
+//! pass) reading `keepRelevance` from the cached counters.
 //!
 //! All of them choose bit-identically to the original sweep (debug builds
 //! assert this on every decision), which is preserved behind
@@ -66,16 +68,20 @@
 //! compare against and the baseline the Figure 8 microbenchmark measures.
 //!
 //! Cost model: picking the trigger is O(active queries), each
-//! `queryRelevance` reading the cached starvation index in O(1).  The NSM
-//! chunk argmax is O(chunks/64 · buckets above the answer) plus O(ties);
-//! the DSM argmax is amortized O(log candidates) per dirtied chunk.  State
-//! transitions pay O(1) per interest-counter change, with a starvation
-//! *level* crossing costing O(chunks the query still needs).  On the
-//! Figure 8 2 GB/2048-chunk mix this makes a `plan_load` decision 10–50×
-//! cheaper than the brute-force sweep at 16–128 concurrent queries
-//! (wall-clock, printed by `cargo run --release -p cscan_bench --bin
-//! fig8_scheduling_cost`; the release-only `incremental_speedup_at_64_queries`
-//! gate in `cscan_bench` holds it to ≥ 5× at 64).
+//! `queryRelevance` reading the cached starvation index in O(1).  The chunk
+//! argmax is O(chunks/64 · buckets walked) plus one score per candidate
+//! met on the way — O(1) for a row store, O(active queries) for a column
+//! store, whose scores count the overlapping queries — and keeps no state
+//! between decisions.  State transitions pay O(1) per interest-counter
+//! change, with a starvation *level* crossing costing O(chunks the query
+//! still needs).  On the Figure 8 2 GB/2048-chunk mix a `plan_load`
+//! decision is 13–70× cheaper than the brute-force sweep at 16–128
+//! concurrent queries on the row store and 140–280× on the six-column
+//! store, where the sweep scores the overlap of every chunk it passes
+//! (wall-clock, printed by `cargo run --release -p
+//! cscan_bench --bin fig8_scheduling_cost`; the release-only
+//! `incremental_speedup_at_64_queries` gate in `cscan_bench` holds it to
+//! ≥ 5× at 64, on a row store and on a six-column column store).
 
 use crate::abm::{AbmState, LoadDecision, STARVATION_THRESHOLD};
 use crate::colset::ColSet;
@@ -84,7 +90,6 @@ use crate::query::{QueryId, QueryState};
 use cscan_simdisk::SimTime;
 use cscan_storage::ChunkId;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
 
 /// Weight that makes "number of interested starved queries" dominate
 /// "number of interested queries" in the load/keep relevance functions
@@ -132,56 +137,6 @@ impl PartialOrd for Ratio {
     }
 }
 
-/// One entry of a query's candidate heap: a chunk and the `loadRelevance`
-/// it had when the entry was pushed.  Ordered so that the heap maximum is
-/// the highest score, ties broken towards the *lowest* chunk id — exactly
-/// the brute-force sweep's `max_by` tie-break.
-#[derive(Debug, Clone, Copy)]
-struct Candidate {
-    score: f64,
-    chunk: ChunkId,
-}
-
-impl PartialEq for Candidate {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for Candidate {}
-
-impl PartialOrd for Candidate {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Candidate {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.score
-            .total_cmp(&other.score)
-            .then_with(|| other.chunk.cmp(&self.chunk))
-    }
-}
-
-/// Per-query incremental state for `chooseChunkToLoad`: a lazy max-heap of
-/// load candidates plus the change-log position it has caught up to.
-///
-/// Invariant (between decisions): every chunk that is currently a valid load
-/// candidate for the query has at least one heap entry carrying its *current*
-/// `loadRelevance`.  Stale entries (left behind by counter changes, or for
-/// chunks that are no longer candidates) are allowed and discarded lazily
-/// when they surface at the top.
-#[derive(Debug, Default)]
-struct CandidateCache {
-    /// The [`AbmState::change_seq`] this heap has incorporated.
-    seen_seq: u64,
-    /// Lazy max-heap of candidates (may contain stale entries).
-    heap: BinaryHeap<Candidate>,
-    /// False until the first full build (or after a forced rebuild).
-    valid: bool,
-}
-
 /// Who weighs on a DSM decision about one chunk taken for a query reading
 /// `cols`: the queries that still need the chunk and share a column with
 /// `cols` (Figure 11's "overlapping" queries; under NSM, or when every query
@@ -216,18 +171,16 @@ impl Overlap {
 /// The relevance-based Cooperative Scans policy (see module docs).
 #[derive(Debug, Default)]
 pub struct RelevancePolicy {
-    /// When set, `chooseChunkToLoad` uses the original full sweep instead of
-    /// the incremental candidate heaps (reference + benchmark baseline).
+    /// When set, every decision uses the original full sweep instead of the
+    /// index walks (reference + benchmark baseline).
     brute: bool,
-    /// Incremental `chooseChunkToLoad` state, one entry per active query.
-    caches: HashMap<QueryId, CandidateCache>,
     /// Reused trigger list for the pipelined fallback walk, so deep-slot
     /// decisions allocate nothing on the scheduling hot path.
     trigger_scratch: Vec<(f64, QueryId)>,
 }
 
 impl RelevancePolicy {
-    /// Creates the policy with incremental scheduling (the default).
+    /// Creates the policy with the index walks (the default).
     pub fn new() -> Self {
         Self::default()
     }
@@ -239,8 +192,7 @@ impl RelevancePolicy {
     pub fn brute_force() -> Self {
         Self {
             brute: true,
-            caches: HashMap::new(),
-            trigger_scratch: Vec::new(),
+            ..Self::default()
         }
     }
 
@@ -312,10 +264,14 @@ impl RelevancePolicy {
     /// page that has to be read to serve all of it (`load_columns`, which is
     /// what the load then asks for).
     pub fn load_relevance(state: &AbmState, trigger: QueryId, chunk: ChunkId) -> f64 {
+        Self::load_ratio(state, state.query(trigger), chunk).value()
+    }
+
+    /// [`Self::load_relevance`] as a ratio, over a query reference.
+    fn load_ratio(state: &AbmState, trigger: &QueryState, chunk: ChunkId) -> Ratio {
         let (starved, interested, pages) = if state.model().is_dsm() {
-            let trigger_cols = state.query(trigger).columns;
-            let o = Overlap::of(state, chunk, trigger_cols);
-            let pages = state.pages_to_load(chunk, trigger_cols.union(o.cols));
+            let o = Overlap::of(state, chunk, trigger.columns);
+            let pages = state.pages_to_load(chunk, trigger.columns.union(o.cols));
             (o.starved, o.interested, pages)
         } else {
             (
@@ -328,7 +284,6 @@ impl RelevancePolicy {
             num: u64::from(starved) * QMAX + u64::from(interested),
             den: pages.max(1),
         }
-        .value()
     }
 
     /// `keepRelevance(c)`: priority of *keeping* resident chunk `c` (the
@@ -367,28 +322,18 @@ impl RelevancePolicy {
     }
 
     // ------------------------------------------------------------------
-    // chooseChunkToLoad: brute-force sweep and incremental argmax.
+    // chooseChunkToLoad: brute-force sweep and the bucket walk.
     // ------------------------------------------------------------------
-
-    /// Whether `chunk` is something `trigger` could ask the disk for: still
-    /// needed, not already being fetched, and not already fully resident in
-    /// the columns the query reads.
-    fn is_load_candidate(state: &AbmState, trigger: &QueryState, chunk: ChunkId) -> bool {
-        trigger.needs(chunk)
-            && !state.is_inflight(chunk)
-            && state.pages_to_load(chunk, trigger.columns) > 0
-    }
 
     /// The seed implementation of `chooseChunkToLoad`: sweep every chunk the
     /// trigger still needs and take the `loadRelevance` argmax (ties towards
     /// the lowest chunk id).  O(scan length) per call.
     pub fn choose_chunk_brute(state: &AbmState, trigger: QueryId) -> Option<ChunkId> {
-        let trigger_cols = state.query(trigger).columns;
-        state
-            .query(trigger)
+        let query = state.query(trigger);
+        query
             .remaining_chunks()
-            .filter(|&c| !state.is_inflight(c) && state.pages_to_load(c, trigger_cols) > 0)
-            .map(|c| (Self::load_relevance(state, trigger, c), c))
+            .filter(|&c| !state.is_inflight(c) && state.pages_to_load(c, query.columns) > 0)
+            .map(|c| (Self::load_ratio(state, query, c).value(), c))
             .max_by(|a, b| {
                 a.0.partial_cmp(&b.0)
                     .unwrap_or(std::cmp::Ordering::Equal)
@@ -397,142 +342,103 @@ impl RelevancePolicy {
             .map(|(_, c)| c)
     }
 
-    /// Incremental NSM `chooseChunkToLoad` via the bucket-bitset index.
+    /// `chooseChunkToLoad` over the bitset index, for either storage model
+    /// (see the module docs): the resident chunks still missing a column of
+    /// the trigger's, then the starved-interest buckets from the highest
+    /// down, each bounded by `(s · QMAX + active queries) / floor`.
     ///
-    /// The NSM `loadRelevance` is `interested_starved · QMAX + interested` —
-    /// lexicographic in the pair `(interested_starved, interested)` as long
-    /// as fewer than `QMAX` queries run concurrently (the paper's premise).
-    /// `AbmState` buckets chunks by their `interested_starved` value as
-    /// bitsets, so the argmax walks the buckets from the highest occupied
-    /// value down, intersecting each word-wise with the trigger's needed set
-    /// and the complements of the residency and in-flight sets.  The first
-    /// non-empty intersection contains the winners; ties on `interested`
-    /// break towards the lowest chunk id, exactly like the brute-force sweep.
-    ///
-    /// Every candidate of a starved trigger has `interested_starved ≥ 1`
-    /// (the trigger itself is starved and interested), so the walk never
-    /// needs a bucket-0 fallback.  Cost: O(words · buckets above the answer)
-    /// plus O(ties) counter reads — independent of the trigger's scan
-    /// length, with an early exit once a candidate interests every running
-    /// query (nothing can beat it, and ascending scan order makes it the
-    /// tie-break winner).
-    fn choose_chunk_nsm(state: &AbmState, trigger: &QueryState) -> Option<ChunkId> {
+    /// A starved trigger counts itself in the starved interest of every
+    /// chunk it needs, so every missing candidate lies in some bucket
+    /// `s ≥ 1`.  A candidate in bucket `s` has at most `s` starved and at
+    /// most every active query interested, and a load of a chunk with none
+    /// of the trigger's columns resident reads at least `floor` pages.
+    /// Chooses bit-identically to [`Self::choose_chunk_brute`].
+    fn choose_chunk_walk(state: &AbmState, trigger: &QueryState) -> Option<ChunkId> {
+        let cols = trigger.columns;
         let needed = trigger.needed_words();
         let index = state.index();
         let resident = index.resident_words();
         let inflight = index.inflight_words();
-        let total_queries = state.num_queries() as u32;
-        let cols = trigger.columns;
+        let dsm = state.model().is_dsm();
+        let mut best: Option<(Ratio, ChunkId)> = None;
+        // Higher scores win, ties go to the lowest chunk id.
+        let offer = |best: &mut Option<(Ratio, ChunkId)>, score: Ratio, chunk: ChunkId| {
+            if best.is_none_or(|(b, c)| score > b || (score == b && chunk < c)) {
+                *best = Some((score, chunk));
+            }
+        };
+        if dsm {
+            for (wi, (&nw, &rw)) in needed.iter().zip(resident).enumerate() {
+                let fw = inflight.get(wi).copied().unwrap_or(0);
+                let mut w = nw & rw & !fw;
+                while w != 0 {
+                    let chunk = ChunkId::new((wi * 64) as u32 + w.trailing_zeros());
+                    w &= w - 1;
+                    if state.pages_to_load(chunk, cols) > 0 {
+                        offer(&mut best, Self::load_ratio(state, trigger, chunk), chunk);
+                    }
+                }
+            }
+        }
+        let floor = if dsm {
+            state.model().min_chunk_pages(cols).max(1)
+        } else {
+            1
+        };
+        let queries = state.num_queries() as u64;
         for s in (1..=index.max_interested_starved()).rev() {
+            let bound = Ratio {
+                num: s as u64 * QMAX + queries,
+                den: floor,
+            };
+            if best.is_some_and(|(b, _)| b > bound) {
+                break;
+            }
             let bucket = index.starved_bucket_words(s);
-            let mut best: Option<(u32, u32)> = None; // (interested, chunk index)
             for (wi, (&nw, &bw)) in needed.iter().zip(bucket).enumerate() {
                 let rw = resident.get(wi).copied().unwrap_or(0);
                 let fw = inflight.get(wi).copied().unwrap_or(0);
                 let mut w = nw & bw & !rw & !fw;
                 while w != 0 {
-                    let c = (wi * 64) as u32 + w.trailing_zeros();
+                    let chunk = ChunkId::new((wi * 64) as u32 + w.trailing_zeros());
                     w &= w - 1;
-                    let chunk = ChunkId::new(c);
                     // Mirror the brute-force candidate filter exactly (a
                     // zero-page chunk is never worth a load decision).
                     if state.pages_to_load(chunk, cols) == 0 {
                         continue;
                     }
-                    let interested = state.num_interested(chunk);
-                    if best.is_none_or(|(bi, _)| interested > bi) {
-                        if interested >= total_queries {
-                            return Some(chunk);
-                        }
-                        best = Some((interested, c));
+                    let score = Self::load_ratio(state, trigger, chunk);
+                    offer(&mut best, score, chunk);
+                    // Nothing later in this bucket can beat it, nor anything
+                    // in a lower one.
+                    if score >= bound {
+                        return best.map(|(_, c)| c);
                     }
                 }
             }
-            if let Some((_, c)) = best {
-                return Some(ChunkId::new(c));
-            }
         }
-        None
-    }
-
-    /// Incremental DSM `chooseChunkToLoad`: repair the trigger's candidate
-    /// heap from the chunks dirtied since its last decision, then pop stale
-    /// entries until the top's stored score matches the chunk's current
-    /// `loadRelevance`.  The winning entry is *peeked*, not consumed, so a
-    /// decision that is not acted upon (e.g. the load does not fit) leaves
-    /// the cache intact.  (The DSM relevance is a real-valued pages-per-
-    /// benefit ratio, so it cannot use the integer bucket index of the NSM
-    /// path.)
-    fn choose_chunk_incremental(&mut self, state: &AbmState, trigger: QueryId) -> Option<ChunkId> {
-        let query = state.query(trigger);
-        let cache = self.caches.entry(trigger).or_default();
-        let mut rebuild = !cache.valid;
-        if !rebuild {
-            match state.changes_since(cache.seen_seq) {
-                Some(dirty) => {
-                    for chunk in dirty {
-                        if Self::is_load_candidate(state, query, chunk) {
-                            let score = Self::load_relevance(state, trigger, chunk);
-                            cache.heap.push(Candidate { score, chunk });
-                        }
-                    }
-                }
-                // The bounded change log wrapped past our snapshot.
-                None => rebuild = true,
-            }
-            // Too much stale debris accumulated: a rebuild is cheaper than
-            // popping through it.
-            if cache.heap.len() > 2 * query.chunks_needed() as usize + 64 {
-                rebuild = true;
-            }
-        }
-        if rebuild {
-            cache.heap.clear();
-            for chunk in query.remaining_chunks() {
-                if state.pages_to_load(chunk, query.columns) > 0 {
-                    let score = Self::load_relevance(state, trigger, chunk);
-                    cache.heap.push(Candidate { score, chunk });
-                }
-            }
-            cache.valid = true;
-        }
-        cache.seen_seq = state.change_seq();
-        while let Some(&Candidate { score, chunk }) = cache.heap.peek() {
-            // An entry is trustworthy iff the chunk is still a candidate and
-            // its score is current.  Any change to either marked the chunk
-            // dirty, so the catch-up above pushed a fresh entry for it and
-            // this stale one can be dropped for good.
-            if Self::is_load_candidate(state, query, chunk)
-                && Self::load_relevance(state, trigger, chunk) == score
-            {
-                return Some(chunk);
-            }
-            cache.heap.pop();
-        }
-        None
+        best.map(|(_, c)| c)
     }
 
     /// `chooseChunkToLoad` for one trigger: dispatches to the brute-force
-    /// sweep or the incremental argmax, cross-checking them in debug builds.
-    fn choose_chunk_for(&mut self, state: &AbmState, trigger: QueryId) -> Option<ChunkId> {
+    /// sweep or the bucket walk, cross-checking them in debug builds.
+    fn choose_chunk_for(&self, state: &AbmState, trigger: QueryId) -> Option<ChunkId> {
         if self.brute {
             return Self::choose_chunk_brute(state, trigger);
         }
         let query = state.query(trigger);
+        // Everything the query still needs is in the buffer with every
+        // column it reads (a short scan of a hot table, mostly): there is no
+        // candidate, and no reason to walk the index to find none.
         let chunk = if query.available_chunks() == query.chunks_needed() {
-            // Everything the query still needs is in the buffer with every
-            // column it reads (a short scan of a hot table, mostly): there
-            // is no candidate, and no reason to build a heap to find none.
             None
-        } else if state.model().is_dsm() {
-            self.choose_chunk_incremental(state, trigger)
         } else {
-            Self::choose_chunk_nsm(state, query)
+            Self::choose_chunk_walk(state, query)
         };
         debug_assert_eq!(
             chunk,
             Self::choose_chunk_brute(state, trigger),
-            "incremental chunk argmax diverged from the brute-force sweep for {trigger:?}"
+            "chunk argmax walk diverged from the brute-force sweep for {trigger:?}"
         );
         chunk
     }
@@ -685,10 +591,6 @@ impl Policy for RelevancePolicy {
 
     fn kind(&self) -> PolicyKind {
         PolicyKind::Relevance
-    }
-
-    fn on_query_finished(&mut self, q: QueryId, _state: &AbmState) {
-        self.caches.remove(&q);
     }
 
     fn next_load(&mut self, state: &AbmState, now: SimTime) -> Option<LoadDecision> {
@@ -1006,10 +908,10 @@ mod tests {
     #[test]
     fn incremental_matches_brute_through_mutations() {
         // Drive the state through loads, consumption, eviction and query
-        // churn; after every step the incremental policy must pick exactly
-        // the chunk the brute-force sweep picks (the in-policy debug assert
-        // checks this too, but here we also exercise separate instances with
-        // independent cache lifetimes).
+        // churn; after every step the index walks must pick exactly the chunk
+        // the brute-force sweep picks (the in-policy debug assert checks this
+        // too; here the two are separate instances, and release builds check
+        // it as well).
         let mut s = state(40, 6);
         let mut inc = RelevancePolicy::new();
         let mut brute = RelevancePolicy::brute_force();
@@ -1029,7 +931,7 @@ mod tests {
             let again = inc
                 .next_load(s, SimTime::ZERO)
                 .map(|d| (d.trigger, d.chunk));
-            assert_eq!(a, again, "unapplied decision must not perturb the cache");
+            assert_eq!(a, again, "an unapplied decision must change nothing");
         };
         check(&mut inc, &mut brute, &s);
         for c in [10u32, 11, 12, 0, 1] {
@@ -1048,22 +950,27 @@ mod tests {
     }
 
     #[test]
-    fn incremental_survives_change_log_truncation() {
-        // Burn through far more changes than the bounded log holds between
-        // two decisions; the cache must detect the truncation and rebuild.
-        let mut s = state(16, 8);
-        let _q1 = register(&mut s, 1, 0, 8);
-        let mut inc = RelevancePolicy::new();
-        let mut brute = RelevancePolicy::brute_force();
-        let first = inc.next_load(&s, SimTime::ZERO).map(|d| d.chunk);
-        assert!(first.is_some());
-        for _ in 0..300 {
-            load(&mut s, 12);
-            s.evict(ChunkId::new(12));
+    fn past_qmax_queries_interest_outweighs_a_starved_bucket() {
+        // `QMAX` weighs starved interest above any interest only while fewer
+        // than `QMAX` queries run, and nothing caps attachment.  Here chunk 3
+        // sits in the higher bucket (starved T and L: 2·1024 + 2) but chunk 4
+        // scores more (starved T: 1024, plus T and 1 100 fed queries).
+        let mut s = state(8, 8);
+        let t = register(&mut s, 1, 3, 5);
+        let _long = register(&mut s, 2, 0, 4);
+        load(&mut s, 5);
+        load(&mut s, 6);
+        for id in 3..1103 {
+            register(&mut s, id, 4, 7);
         }
+        assert!(!s.is_starved(QueryId(3)), "chunks 5 and 6 feed the rest");
+        assert_eq!(s.num_interested_starved(ChunkId::new(3)), 2);
+        assert_eq!(s.num_interested(ChunkId::new(4)), 1101);
+        let d = RelevancePolicy::new().next_load(&s, SimTime::ZERO).unwrap();
+        assert_eq!((d.trigger, d.chunk), (t, ChunkId::new(4)));
         assert_eq!(
-            inc.next_load(&s, SimTime::ZERO).map(|d| d.chunk),
-            brute.next_load(&s, SimTime::ZERO).map(|d| d.chunk),
+            RelevancePolicy::choose_chunk_brute(&s, t),
+            Some(ChunkId::new(4))
         );
     }
 

@@ -3,8 +3,8 @@
 //! Segment files are scheduled under a DSM [`TableModel`] — one page count
 //! per column extent — whatever a scan asks for, so a full-width scan runs
 //! on the DSM code paths: per-column page sums, the `relevance` policy's
-//! candidate heaps and pages-weighted relevance functions, dead-column
-//! reclaim.  This test pins what makes that safe: the same scripted
+//! resident-first pass and page floor in its chunk argmax and its
+//! pages-weighted relevance functions, dead-column reclaim.  This test pins what makes that safe: the same scripted
 //! register / plan / commit / acquire / release / detach sequence, run
 //! against `nsm_uniform(n, t, p · k)` and against `dsm_uniform(n, t, &[p;
 //! k])` with every query asking for all `k` columns, takes the same
