@@ -21,7 +21,7 @@ use crate::model::TableModel;
 use crate::policy::{Policy as _, RelevancePolicy};
 use crate::query::QueryId;
 use cscan_simdisk::SimTime;
-use cscan_storage::{ChunkId, ColumnDef, ColumnId, ColumnType, DsmLayout, ScanRanges, TableSchema};
+use cscan_storage::{ChunkId, ColumnDef, ColumnId, ColumnType, ScanRanges, TableSchema};
 use proptest::prelude::*;
 
 const CHUNKS: u32 = 24;
@@ -245,7 +245,7 @@ proptest! {
         check_ops(TableModel::dsm_uniform(CHUNKS, 1000, &[2, 4, 8]), &ops)?;
     }
 
-    /// DSM from a layout whose chunks differ: three columns of unequal width,
+    /// DSM over a schema whose chunks differ: three columns of unequal width,
     /// pages shared across chunk boundaries, a half-size last chunk.  Only on
     /// such a table is the chunk argmax's page floor below what most loads
     /// cost, so only here is the bucket bound it stops on loose.
@@ -265,9 +265,36 @@ fn ragged_dsm() -> TableModel {
             ColumnDef::new("c", ColumnType::Varchar { avg_len: 16 }),
         ],
     );
-    let model = TableModel::from_dsm(&DsmLayout::new(schema, 470_000, 64 * 1024, 20_000));
+    let model = TableModel::dsm(&schema, 470_000, 64 * 1024, 20_000);
     assert_eq!(model.num_chunks(), CHUNKS);
     let all = model.all_columns();
     assert!(model.min_chunk_pages(all) < model.max_chunk_pages(all));
     model
+}
+
+/// The ragged table's geometry, pinned: pages per column of the first and
+/// the last chunk, and each column's pages over the whole table with the
+/// offset of its area.
+#[test]
+fn pinned_ragged_dsm_geometry() {
+    let m = ragged_dsm();
+    let pages = |c: u32| -> Vec<u64> {
+        (0..3)
+            .map(|i| m.chunk_pages(ChunkId::new(c), ColSet::from_columns([ColumnId::new(i)])))
+            .collect()
+    };
+    assert_eq!(m.total_tuples(), 470_000);
+    assert_eq!(m.total_pages(m.all_columns()), 250);
+    assert_eq!(pages(0), [3, 1, 5]);
+    assert_eq!(pages(CHUNKS - 1), [2, 1, 3]);
+    let areas: Vec<(u64, u64)> = m
+        .chunk_regions(ChunkId::new(0), m.all_columns())
+        .iter()
+        .zip(0..3)
+        .map(|(r, i)| {
+            let col = ColSet::from_columns([ColumnId::new(i)]);
+            (r.offset / m.page_size(), m.total_pages(col))
+        })
+        .collect();
+    assert_eq!(areas, [(0, 81), (58, 31), (66, 138)]);
 }

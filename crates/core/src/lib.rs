@@ -80,7 +80,11 @@ pub mod abm;
 pub mod bitset;
 pub mod colset;
 pub mod cscan;
+#[cfg(test)]
+mod dsm;
 pub mod model;
+#[cfg(test)]
+mod nsm;
 pub mod policy;
 pub mod query;
 mod retry;

@@ -3,13 +3,15 @@
 //! The ABM does not care about actual bytes; it cares about *costs*: how many
 //! tuples a chunk holds (CPU cost), how many pages each (chunk, column)
 //! combination occupies (buffer cost) and where those pages live on disk
-//! (I/O cost).  [`TableModel`] captures exactly that, pre-computed from a
-//! [`cscan_storage::Layout`] so that scheduling decisions are cheap and the
-//! model can also be constructed synthetically for unit tests and
-//! experiments.
+//! (I/O cost).  [`TableModel`] captures exactly that, pre-computed so that
+//! scheduling decisions are cheap.  It is the one place a table's geometry
+//! is worked out: [`TableModel::nsm`] and [`TableModel::dsm`] derive it from
+//! a [`cscan_storage::TableSchema`] for the paper's two storage models, and
+//! [`TableModel::nsm_uniform`] / [`TableModel::dsm_uniform`] state it
+//! directly for unit tests, parameter sweeps and segment files.
 
 use crate::colset::ColSet;
-use cscan_storage::{ChunkId, ColumnId, Layout, PhysRegion};
+use cscan_storage::{ChunkId, PhysRegion, TableSchema};
 use serde::{Deserialize, Serialize};
 
 /// Whether the table is stored row-wise (NSM/PAX) or column-wise (DSM).
@@ -42,6 +44,13 @@ pub struct TableModel {
     dsm_column_offsets: Vec<u64>,
 }
 
+/// `tuples` split into chunks of `per_chunk`, the last one short.
+fn partition(tuples: u64, per_chunk: u64) -> Vec<u64> {
+    (0..tuples.div_ceil(per_chunk))
+        .map(|c| per_chunk.min(tuples - c * per_chunk))
+        .collect()
+}
+
 /// The column-wise minimum and maximum of per-chunk page rows.
 fn column_extremes(pages: &[Vec<u64>]) -> (Vec<u64>, Vec<u64>) {
     let width = pages.first().map_or(0, Vec::len);
@@ -54,59 +63,103 @@ fn column_extremes(pages: &[Vec<u64>]) -> (Vec<u64>, Vec<u64>) {
 }
 
 impl TableModel {
-    /// Builds a model from an NSM layout.
-    pub fn from_nsm(layout: &cscan_storage::NsmLayout) -> Self {
-        let all = layout.schema().all_columns();
-        let num_chunks = layout.num_chunks();
-        let mut chunk_tuples = Vec::with_capacity(num_chunks as usize);
-        let mut pages = Vec::with_capacity(num_chunks as usize);
-        let mut nsm_offsets = Vec::with_capacity(num_chunks as usize);
-        for c in 0..num_chunks {
-            let chunk = ChunkId::new(c);
-            chunk_tuples.push(layout.chunk_tuples(chunk));
-            pages.push(vec![layout.chunk_pages(chunk, &all)]);
-            let regions = layout.chunk_regions(chunk, &all);
-            nsm_offsets.push(regions.first().map(|r| r.offset).unwrap_or(0));
-        }
+    /// The NSM/PAX table of the paper's row-storage experiments (Section
+    /// 5): `tuples` tuples of `schema`, a page holding as many whole tuples
+    /// as fit at their uncompressed width, and a chunk a fixed run of
+    /// `chunk_bytes / page_size` pages at byte offset `c × chunk_bytes`.
+    /// The last chunk may be partial and occupies only the pages its tuples
+    /// fill.
+    ///
+    /// # Panics
+    /// Panics if `tuples` is zero, if `chunk_bytes` is not a positive
+    /// multiple of `page_size`, or if a tuple does not fit in a page.
+    pub fn nsm(schema: &TableSchema, tuples: u64, page_size: u64, chunk_bytes: u64) -> Self {
+        assert!(tuples > 0, "table must contain at least one tuple");
+        assert!(
+            page_size > 0 && chunk_bytes > 0 && chunk_bytes.is_multiple_of(page_size),
+            "chunk size ({chunk_bytes}) must be a positive multiple of page size ({page_size})"
+        );
+        let tuple_width = schema.tuple_width_uncompressed();
+        assert!(tuple_width <= page_size, "a tuple must fit in one page");
+        let tuples_per_page = page_size / tuple_width;
+        let chunk_tuples = partition(tuples, tuples_per_page * (chunk_bytes / page_size));
+        let pages: Vec<Vec<u64>> = chunk_tuples
+            .iter()
+            .map(|t| vec![t.div_ceil(tuples_per_page)])
+            .collect();
         let (min_pages, max_pages) = column_extremes(&pages);
         Self {
             kind: StorageKind::Nsm,
-            page_size: layout.page_size(),
-            num_columns: layout.num_columns(),
+            page_size,
+            num_columns: schema.num_columns(),
+            nsm_offsets: (0..chunk_tuples.len() as u64)
+                .map(|c| c * chunk_bytes)
+                .collect(),
             chunk_tuples,
             min_pages,
             max_pages,
             pages,
-            nsm_offsets,
             dsm_column_offsets: Vec::new(),
         }
     }
 
-    /// Builds a model from a DSM layout.
-    pub fn from_dsm(layout: &cscan_storage::DsmLayout) -> Self {
-        let num_chunks = layout.num_chunks();
-        let num_columns = layout.num_columns();
-        let mut chunk_tuples = Vec::with_capacity(num_chunks as usize);
-        let mut pages = Vec::with_capacity(num_chunks as usize);
-        for c in 0..num_chunks {
-            let chunk = ChunkId::new(c);
-            chunk_tuples.push(layout.chunk_tuples(chunk));
-            let per_col: Vec<u64> = (0..num_columns)
-                .map(|col| layout.chunk_column_pages(chunk, ColumnId::new(col)))
-                .collect();
-            pages.push(per_col);
-        }
-        // Column area offsets: reconstruct from the layout's chunk regions of chunk 0.
-        let all = layout.schema().all_columns();
-        let regions = layout.chunk_regions(ChunkId::new(0), &all);
-        let mut dsm_column_offsets: Vec<u64> = regions.iter().map(|r| r.offset).collect();
-        dsm_column_offsets.resize(num_columns as usize, 0);
+    /// The DSM table of the paper's column-storage experiments (Section 6):
+    /// `tuples` tuples of `schema` in chunks of `chunk_tuples` tuples (the
+    /// last may hold fewer), each column in its own area of values
+    /// bit-packed at [`cscan_storage::ColumnDef::physical_bits`].  A chunk's
+    /// pages in a column are the pages its values span, so the same chunk
+    /// spans a different number of pages in each column and narrow columns
+    /// share a boundary page between neighbouring chunks.  The column areas
+    /// start at page-aligned cumulative offsets.
+    ///
+    /// # Panics
+    /// Panics if `tuples`, `page_size` or `chunk_tuples` is zero, or if the
+    /// schema has more than [`ColSet::MAX_COLUMNS`] columns.
+    pub fn dsm(schema: &TableSchema, tuples: u64, page_size: u64, chunk_tuples: u64) -> Self {
+        assert!(tuples > 0, "table must contain at least one tuple");
+        assert!(chunk_tuples > 0, "chunks must contain at least one tuple");
+        assert!(page_size > 0, "page size must be positive");
+        assert!(schema.num_columns() <= ColSet::MAX_COLUMNS);
+        let bits: Vec<u128> = schema
+            .columns()
+            .iter()
+            .map(|c| c.physical_bits() as u128)
+            .collect();
+        let page = page_size as u128;
+        let counts = partition(tuples, chunk_tuples);
+        let pages: Vec<Vec<u64>> = counts
+            .iter()
+            .enumerate()
+            .map(|(c, &n)| {
+                let start = c as u128 * chunk_tuples as u128;
+                let end = start + n as u128;
+                bits.iter()
+                    .map(|&b| {
+                        let (first, last) = (start * b / 8, (end * b).div_ceil(8));
+                        if last <= first {
+                            0
+                        } else {
+                            ((last - 1) / page - first / page + 1) as u64
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut cursor = 0u64;
+        let dsm_column_offsets = bits
+            .iter()
+            .map(|&b| {
+                let area = cursor;
+                cursor += ((tuples as u128 * b).div_ceil(8).div_ceil(page) * page) as u64;
+                area
+            })
+            .collect();
         let (min_pages, max_pages) = column_extremes(&pages);
         Self {
             kind: StorageKind::Dsm,
-            page_size: layout.page_size(),
-            num_columns,
-            chunk_tuples,
+            page_size,
+            num_columns: schema.num_columns(),
+            chunk_tuples: counts,
             min_pages,
             max_pages,
             pages,
@@ -301,11 +354,13 @@ impl TableModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cscan_storage::{ColumnDef, ColumnType, Compression, DsmLayout, NsmLayout, TableSchema};
+    use cscan_storage::{ColumnDef, ColumnId, ColumnType};
 
     fn col(i: u16) -> ColumnId {
         ColumnId::new(i)
     }
+
+    const PAGE: u64 = 64 * 1024;
 
     #[test]
     fn nsm_uniform_geometry() {
@@ -358,7 +413,7 @@ mod tests {
             TableModel::nsm_uniform(4, 100, 16).max_chunk_pages(cols),
             16
         );
-        // A layout whose last chunk is short: the bound is the full chunks'.
+        // A table whose last chunk is short: the bound is the full chunks'.
         let schema = TableSchema::new(
             "t",
             vec![
@@ -366,7 +421,7 @@ mod tests {
                 ColumnDef::new("b", ColumnType::Decimal),
             ],
         );
-        let ragged = TableModel::from_dsm(&DsmLayout::new(schema, 250_000, 64 * 1024, 100_000));
+        let ragged = TableModel::dsm(&schema, 250_000, PAGE, 100_000);
         let all = ragged.all_columns();
         let widest = (0..ragged.num_chunks())
             .map(|c| ragged.chunk_pages(ChunkId::new(c), all))
@@ -396,63 +451,6 @@ mod tests {
         let only1 = m.chunk_regions(ChunkId::new(0), ColSet::from_columns([col(1)]));
         assert_eq!(only1.len(), 1);
         assert_eq!(only1[0].len, 8 * m.page_size());
-    }
-
-    #[test]
-    fn from_nsm_layout_matches_layout() {
-        let schema = TableSchema::new(
-            "t",
-            (0..8)
-                .map(|i| ColumnDef::new(format!("c{i}"), ColumnType::Int64))
-                .collect(),
-        );
-        let layout = NsmLayout::new(schema, 500_000, 64 * 1024, 4 * 1024 * 1024);
-        let m = TableModel::from_nsm(&layout);
-        assert_eq!(m.num_chunks(), layout.num_chunks());
-        assert_eq!(m.total_tuples(), 500_000);
-        use cscan_storage::Layout as _;
-        let all_ids = layout.schema().all_columns();
-        for c in 0..m.num_chunks() {
-            let chunk = ChunkId::new(c);
-            assert_eq!(
-                m.chunk_pages(chunk, m.all_columns()),
-                layout.chunk_pages(chunk, &all_ids)
-            );
-        }
-    }
-
-    #[test]
-    fn from_dsm_layout_matches_layout() {
-        let schema = TableSchema::new(
-            "t",
-            vec![
-                ColumnDef::compressed(
-                    "a",
-                    ColumnType::Int64,
-                    Compression::PforDelta {
-                        bits: 4,
-                        exception_rate: 0.0,
-                    },
-                ),
-                ColumnDef::new("b", ColumnType::Decimal),
-                ColumnDef::new("c", ColumnType::Varchar { avg_len: 16 }),
-            ],
-        );
-        let layout = DsmLayout::new(schema, 1_000_000, 64 * 1024, 100_000);
-        let m = TableModel::from_dsm(&layout);
-        assert_eq!(m.num_chunks(), 10);
-        assert!(m.is_dsm());
-        for c in [0u32, 4, 9] {
-            let chunk = ChunkId::new(c);
-            for i in 0..3u16 {
-                assert_eq!(
-                    m.chunk_pages(chunk, ColSet::from_columns([col(i)])),
-                    layout.chunk_column_pages(chunk, col(i)),
-                    "chunk {c} column {i}"
-                );
-            }
-        }
-        assert_eq!(m.total_tuples(), 1_000_000);
     }
 
     #[test]

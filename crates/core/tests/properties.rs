@@ -1,13 +1,70 @@
 //! Property-based tests of the Cooperative Scans core: for arbitrary
 //! workloads and all four policies, the fundamental invariants of the
-//! framework must hold.
+//! framework must hold, and for arbitrary schemas the table models
+//! `TableModel::nsm` / `TableModel::dsm` build must be consistent.
 
 use cscan_core::model::TableModel;
 use cscan_core::policy::PolicyKind;
 use cscan_core::sim::{QuerySpec, SimConfig, Simulation};
-use cscan_core::ScanRanges;
+use cscan_core::{ColSet, ScanRanges};
 use cscan_simdisk::SimDuration;
+use cscan_storage::{ChunkId, ColumnDef, ColumnId, ColumnType, Compression, TableSchema};
 use proptest::prelude::*;
+
+const PAGE: u64 = 64 * 1024;
+const MIB: u64 = 1024 * 1024;
+
+fn arb_schema() -> impl Strategy<Value = TableSchema> {
+    prop::collection::vec(
+        prop_oneof![
+            Just(ColumnType::Int64),
+            Just(ColumnType::Int32),
+            Just(ColumnType::Decimal),
+            Just(ColumnType::Date),
+            Just(ColumnType::Char),
+            (4u16..64).prop_map(|n| ColumnType::Varchar { avg_len: n }),
+        ],
+        1..10,
+    )
+    .prop_map(|types| {
+        TableSchema::new(
+            "prop_table",
+            types
+                .into_iter()
+                .enumerate()
+                .map(|(i, ty)| ColumnDef::new(format!("c{i}"), ty))
+                .collect(),
+        )
+    })
+}
+
+fn arb_compressed_schema() -> impl Strategy<Value = TableSchema> {
+    prop::collection::vec(
+        prop_oneof![
+            Just(Compression::None),
+            (1u8..16).prop_map(|bits| Compression::Dictionary { bits }),
+            (1u8..32).prop_map(|bits| Compression::Pfor {
+                bits,
+                exception_rate: 0.02
+            }),
+            (1u8..8).prop_map(|bits| Compression::PforDelta {
+                bits,
+                exception_rate: 0.01
+            }),
+        ],
+        1..10,
+    )
+    .prop_map(|comps| {
+        TableSchema::new(
+            "prop_dsm",
+            comps
+                .into_iter()
+                .enumerate()
+                .map(|(i, c)| ColumnDef::compressed(format!("c{i}"), ColumnType::Int64, c))
+                .collect(),
+        )
+    })
+}
 
 /// A compact description of a random query.
 #[derive(Debug, Clone)]
@@ -215,6 +272,74 @@ proptest! {
                 result.pages_read,
                 upper * 4
             );
+        }
+    }
+
+    /// NSM: chunk tuple counts partition the table exactly and every chunk
+    /// except the last is full.
+    #[test]
+    fn nsm_chunks_partition_tuples(schema in arb_schema(), tuples in 1u64..5_000_000) {
+        let m = TableModel::nsm(&schema, tuples, PAGE, 4 * MIB);
+        prop_assert_eq!(m.total_tuples(), tuples);
+        let full = m.chunk_tuples(ChunkId::new(0));
+        for c in 0..m.num_chunks().saturating_sub(1) {
+            prop_assert_eq!(m.chunk_tuples(ChunkId::new(c)), full);
+        }
+    }
+
+    /// NSM: physical regions of different chunks never overlap and are in
+    /// table order.
+    #[test]
+    fn nsm_regions_disjoint(schema in arb_schema(), tuples in 1u64..2_000_000) {
+        let m = TableModel::nsm(&schema, tuples, PAGE, 2 * MIB);
+        let mut prev_end = 0u64;
+        for c in 0..m.num_chunks() {
+            let regions = m.chunk_regions(ChunkId::new(c), m.all_columns());
+            prop_assert_eq!(regions.len(), 1);
+            prop_assert!(regions[0].offset >= prev_end);
+            prop_assert!(regions[0].len > 0);
+            prev_end = regions[0].offset + regions[0].len;
+        }
+    }
+
+    /// DSM: chunk tuple counts partition the table; per-chunk page counts for
+    /// a subset of columns never exceed those for all columns.
+    #[test]
+    fn dsm_pages_monotone_in_columns(
+        schema in arb_compressed_schema(),
+        tuples in 1u64..3_000_000,
+        chunk_tuples in 1_000u64..500_000,
+    ) {
+        let m = TableModel::dsm(&schema, tuples, PAGE, chunk_tuples);
+        prop_assert_eq!(m.total_tuples(), tuples);
+        let all = m.all_columns();
+        let some: ColSet = all.iter().step_by(2).collect();
+        for c in (0..m.num_chunks()).step_by(7) {
+            let chunk = ChunkId::new(c);
+            prop_assert!(m.chunk_pages(chunk, some) <= m.chunk_pages(chunk, all));
+            prop_assert_eq!(m.chunk_regions(chunk, all).len(), all.len() as usize);
+        }
+    }
+
+    /// DSM: within one column the chunks' page spans run forward with no
+    /// gap: together they cover the column's area, and neighbours share at
+    /// most their boundary page, so the per-chunk pages add up to at least
+    /// the area and to less than the area plus one page per chunk.
+    #[test]
+    fn dsm_column_spans_are_ordered(
+        schema in arb_compressed_schema(),
+        tuples in 100_000u64..2_000_000,
+    ) {
+        let m = TableModel::dsm(&schema, tuples, PAGE, 50_000);
+        for (i, def) in schema.columns().iter().enumerate() {
+            let col = ColSet::from_columns([ColumnId::new(i as u16)]);
+            for c in 0..m.num_chunks() {
+                prop_assert!(m.chunk_pages(ChunkId::new(c), col) > 0);
+            }
+            let area = (tuples * def.physical_bits() as u64).div_ceil(8).div_ceil(PAGE);
+            let spanned = m.total_pages(col);
+            prop_assert!(spanned >= area, "column {} leaves a page out", i);
+            prop_assert!(spanned < area + m.num_chunks() as u64, "column {} overlaps more than a page", i);
         }
     }
 }

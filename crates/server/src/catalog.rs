@@ -217,13 +217,28 @@ impl Catalog {
     /// ([`model_from_segment`]), one page count per column extent, so a
     /// scan's loads read — and the buffer accounts — only the columns the
     /// scan asks for.
+    ///
+    /// Fails with [`io::ErrorKind::InvalidInput`] for a segment wider than
+    /// [`ColSet::MAX_COLUMNS`] columns, which the format allows and the
+    /// scheduler cannot address.
     pub fn add_segment(
         &mut self,
         name: impl Into<String>,
         path: &Path,
         cfg: TableConfig,
     ) -> io::Result<()> {
-        let store = FileStore::open(path)?.with_observability(Arc::clone(&self.obs));
+        let store = FileStore::open(path)?;
+        if store.num_columns() > ColSet::MAX_COLUMNS {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "segment has {} columns; a table can schedule at most {}",
+                    store.num_columns(),
+                    ColSet::MAX_COLUMNS
+                ),
+            ));
+        }
+        let store = store.with_observability(Arc::clone(&self.obs));
         let model = model_from_segment(&store);
         let columns = ColSet::first_n(store.num_columns());
         self.add_store(name, Arc::new(store), model, columns, cfg);
@@ -268,6 +283,10 @@ impl Default for Catalog {
 /// accounts and evicts per column, and a load reads, checksums and buffers
 /// exactly the extents of the columns the scans waiting for it asked for.
 /// Uniform over chunks, each column sized by its largest extent.
+///
+/// # Panics
+/// Panics if the segment has more than [`ColSet::MAX_COLUMNS`] columns
+/// ([`Catalog::add_segment`] refuses such a file instead).
 pub fn model_from_segment(store: &FileStore) -> TableModel {
     let dir = store.directory();
     let chunks = dir.num_chunks();
@@ -291,8 +310,7 @@ pub fn model_from_segment(store: &FileStore) -> TableModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cscan_core::ColSet;
-    use cscan_storage::ScanRanges;
+    use cscan_storage::{Compression, ScanRanges, ScratchPath, SegmentWriter};
 
     fn demo_catalog() -> Catalog {
         let mut cat = Catalog::new();
@@ -356,5 +374,20 @@ mod tests {
             Err(ServeError::BadRequest(_))
         ));
         assert_eq!(t.admission().active(), 0, "rejects never admit");
+    }
+
+    #[test]
+    fn a_segment_wider_than_a_column_set_is_refused() {
+        let path = ScratchPath::new("catalog_65_columns");
+        let mut writer = SegmentWriter::create(&path, vec![Compression::None; 65]).unwrap();
+        let column = [7i64; 4];
+        writer.append_chunk(&[&column[..]; 65]).unwrap();
+        writer.finish().unwrap();
+        let mut cat = Catalog::new();
+        let err = cat
+            .add_segment("wide", &path, TableConfig::default())
+            .expect_err("65 columns cannot be scheduled");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(cat.tables().is_empty());
     }
 }

@@ -7,8 +7,8 @@
 //!
 //! * **Width model** — [`Compression::physical_bits`] predicts the average
 //!   bits-per-value a column stored under the scheme occupies, which is
-//!   what the I/O scheduling layers (layouts, page counts, relevance
-//!   decisions) consume.
+//!   what the I/O scheduling layers (the DSM table model's page counts,
+//!   relevance decisions) consume.
 //! * **Codec selector** — [`crate::codec::EncodedColumn::encode`] and
 //!   [`crate::chunkdata::CompressingStore`] use the same value to pick the
 //!   *real* encoder, so chunk payloads actually travel as PDICT / PFOR /

@@ -1,137 +1,9 @@
-//! Property-based tests for physical layouts and scan plans.
+//! Property-based tests for scan plans.
 
-use cscan_storage::{
-    ChunkId, ChunkRange, ColumnDef, ColumnId, ColumnType, Compression, DsmLayout, Layout,
-    NsmLayout, ScanRanges, TableSchema,
-};
+use cscan_storage::{ChunkId, ChunkRange, ScanRanges};
 use proptest::prelude::*;
 
-fn arb_schema() -> impl Strategy<Value = TableSchema> {
-    prop::collection::vec(
-        prop_oneof![
-            Just(ColumnType::Int64),
-            Just(ColumnType::Int32),
-            Just(ColumnType::Decimal),
-            Just(ColumnType::Date),
-            Just(ColumnType::Char),
-            (4u16..64).prop_map(|n| ColumnType::Varchar { avg_len: n }),
-        ],
-        1..10,
-    )
-    .prop_map(|types| {
-        TableSchema::new(
-            "prop_table",
-            types
-                .into_iter()
-                .enumerate()
-                .map(|(i, ty)| ColumnDef::new(format!("c{i}"), ty))
-                .collect(),
-        )
-    })
-}
-
-fn arb_compressed_schema() -> impl Strategy<Value = TableSchema> {
-    prop::collection::vec(
-        prop_oneof![
-            Just(Compression::None),
-            (1u8..16).prop_map(|bits| Compression::Dictionary { bits }),
-            (1u8..32).prop_map(|bits| Compression::Pfor {
-                bits,
-                exception_rate: 0.02
-            }),
-            (1u8..8).prop_map(|bits| Compression::PforDelta {
-                bits,
-                exception_rate: 0.01
-            }),
-        ],
-        1..10,
-    )
-    .prop_map(|comps| {
-        TableSchema::new(
-            "prop_dsm",
-            comps
-                .into_iter()
-                .enumerate()
-                .map(|(i, c)| ColumnDef::compressed(format!("c{i}"), ColumnType::Int64, c))
-                .collect(),
-        )
-    })
-}
-
 proptest! {
-    /// NSM: chunk tuple counts partition the table exactly and every chunk
-    /// except the last is full.
-    #[test]
-    fn nsm_chunks_partition_tuples(schema in arb_schema(), tuples in 1u64..5_000_000) {
-        let layout = NsmLayout::new(schema, tuples, 64 * 1024, 4 * 1024 * 1024);
-        let total: u64 = (0..layout.num_chunks()).map(|c| layout.chunk_tuples(ChunkId::new(c))).sum();
-        prop_assert_eq!(total, tuples);
-        for c in 0..layout.num_chunks().saturating_sub(1) {
-            prop_assert_eq!(layout.chunk_tuples(ChunkId::new(c)), layout.tuples_per_chunk());
-        }
-    }
-
-    /// NSM: physical regions of different chunks never overlap and are in
-    /// table order.
-    #[test]
-    fn nsm_regions_disjoint(schema in arb_schema(), tuples in 1u64..2_000_000) {
-        let layout = NsmLayout::new(schema, tuples, 64 * 1024, 2 * 1024 * 1024);
-        let cols = layout.schema().all_columns();
-        let mut prev_end = 0u64;
-        for c in 0..layout.num_chunks() {
-            let regions = layout.chunk_regions(ChunkId::new(c), &cols);
-            prop_assert_eq!(regions.len(), 1);
-            prop_assert!(regions[0].offset >= prev_end || c == 0);
-            prop_assert!(regions[0].len > 0);
-            prev_end = regions[0].offset + regions[0].len;
-        }
-    }
-
-    /// DSM: chunk tuple counts partition the table; per-chunk page counts for
-    /// a subset of columns never exceed those for all columns.
-    #[test]
-    fn dsm_pages_monotone_in_columns(
-        schema in arb_compressed_schema(),
-        tuples in 1u64..3_000_000,
-        chunk_tuples in 1_000u64..500_000,
-    ) {
-        let layout = DsmLayout::new(schema, tuples, 64 * 1024, chunk_tuples);
-        let total: u64 = (0..layout.num_chunks()).map(|c| layout.chunk_tuples(ChunkId::new(c))).sum();
-        prop_assert_eq!(total, tuples);
-        let all = layout.schema().all_columns();
-        let some: Vec<ColumnId> = all.iter().copied().step_by(2).collect();
-        for c in (0..layout.num_chunks()).step_by(7) {
-            let chunk = ChunkId::new(c);
-            prop_assert!(layout.chunk_pages(chunk, &some) <= layout.chunk_pages(chunk, &all));
-            prop_assert_eq!(layout.chunk_regions(chunk, &all).len(), all.len());
-        }
-    }
-
-    /// DSM: the page spans of consecutive chunks within one column are
-    /// non-decreasing and contiguous-or-overlapping (no gaps, no reordering).
-    #[test]
-    fn dsm_column_spans_are_ordered(
-        schema in arb_compressed_schema(),
-        tuples in 100_000u64..2_000_000,
-    ) {
-        let layout = DsmLayout::new(schema, tuples, 64 * 1024, 50_000);
-        for col in layout.schema().all_columns() {
-            let mut prev: Option<(u64, u64)> = None;
-            for c in 0..layout.num_chunks() {
-                let span = layout.chunk_column_page_span(ChunkId::new(c), col);
-                prop_assert!(span.is_some());
-                let (first, last) = span.unwrap();
-                prop_assert!(first <= last);
-                if let Some((pf, pl)) = prev {
-                    prop_assert!(first >= pf, "spans move forward");
-                    prop_assert!(first <= pl + 1, "no page gap between adjacent chunks");
-                    prop_assert!(last >= pl);
-                }
-                prev = Some((first, last));
-            }
-        }
-    }
-
     /// ScanRanges normalization: ranges are sorted, disjoint, non-empty and
     /// `contains` agrees with the materialized chunk list.
     #[test]

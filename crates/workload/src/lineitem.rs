@@ -8,7 +8,7 @@
 //! "the lineitem table consumes over 4GB of disk space" in Section 5.1.
 
 use cscan_core::model::TableModel;
-use cscan_storage::{ColumnDef, ColumnType, Compression, DsmLayout, NsmLayout, TableSchema};
+use cscan_storage::{ColumnDef, ColumnType, Compression, TableSchema};
 
 /// Number of `lineitem` tuples per TPC-H scale factor unit.
 pub const LINEITEM_TUPLES_PER_SF: u64 = 6_000_000;
@@ -103,41 +103,31 @@ pub fn lineitem_tuples(scale_factor: u32) -> u64 {
     LINEITEM_TUPLES_PER_SF * scale_factor as u64
 }
 
-/// The NSM/PAX layout of `lineitem` at the given scale factor
-/// (64 KiB pages, 16 MiB chunks — the paper's row-storage setup).
-pub fn lineitem_nsm_layout(scale_factor: u32) -> NsmLayout {
-    NsmLayout::new(
-        lineitem_schema(),
+/// The scheduling model of the NSM/PAX `lineitem` table at the given scale
+/// factor (64 KiB pages, 16 MiB chunks — the paper's row-storage setup).
+pub fn lineitem_nsm_model(scale_factor: u32) -> TableModel {
+    TableModel::nsm(
+        &lineitem_schema(),
         lineitem_tuples(scale_factor),
         cscan_storage::DEFAULT_PAGE_SIZE,
         NSM_CHUNK_BYTES,
     )
 }
 
-/// The DSM layout of `lineitem` at the given scale factor.
-pub fn lineitem_dsm_layout(scale_factor: u32) -> DsmLayout {
-    DsmLayout::new(
-        lineitem_schema(),
+/// The scheduling model of the DSM `lineitem` table at the given scale
+/// factor (64 KiB pages, 500 000-tuple chunks).
+pub fn lineitem_dsm_model(scale_factor: u32) -> TableModel {
+    TableModel::dsm(
+        &lineitem_schema(),
         lineitem_tuples(scale_factor),
         cscan_storage::DEFAULT_PAGE_SIZE,
         DSM_CHUNK_TUPLES,
     )
 }
 
-/// The scheduling model of the NSM `lineitem` table at the given scale factor.
-pub fn lineitem_nsm_model(scale_factor: u32) -> TableModel {
-    TableModel::from_nsm(&lineitem_nsm_layout(scale_factor))
-}
-
-/// The scheduling model of the DSM `lineitem` table at the given scale factor.
-pub fn lineitem_dsm_model(scale_factor: u32) -> TableModel {
-    TableModel::from_dsm(&lineitem_dsm_layout(scale_factor))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cscan_storage::Layout;
 
     #[test]
     fn schema_shape() {
@@ -155,19 +145,17 @@ mod tests {
 
     #[test]
     fn sf10_nsm_matches_paper_scale() {
-        let layout = lineitem_nsm_layout(10);
-        let bytes = layout.total_bytes();
+        let model = lineitem_nsm_model(10);
+        let bytes = model.total_pages(model.all_columns()) * model.page_size();
         // "over 4GB": between 4 and 5 GiB.
         assert!(bytes > 4 * 1024 * 1024 * 1024, "got {bytes}");
         assert!(bytes < 5 * 1024 * 1024 * 1024, "got {bytes}");
         // A few hundred 16 MiB chunks.
         assert!(
-            (200..400).contains(&layout.num_chunks()),
+            (200..400).contains(&model.num_chunks()),
             "got {}",
-            layout.num_chunks()
+            model.num_chunks()
         );
-        let model = lineitem_nsm_model(10);
-        assert_eq!(model.num_chunks(), layout.num_chunks());
         assert!(!model.is_dsm());
         assert_eq!(model.total_tuples(), 60_000_000);
     }

@@ -9,7 +9,7 @@ use cscan_core::model::TableModel;
 use cscan_core::sim::QuerySpec;
 use cscan_core::ColSet;
 use cscan_core::ColumnId;
-use cscan_storage::{ColumnDef, ColumnType, DsmLayout, TableSchema};
+use cscan_storage::{ColumnDef, ColumnType, TableSchema};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -38,13 +38,12 @@ pub fn synthetic_schema() -> TableSchema {
 
 /// The DSM scheduling model of the synthetic table with `tuples` rows.
 pub fn synthetic_model(tuples: u64) -> TableModel {
-    let layout = DsmLayout::new(
-        synthetic_schema(),
+    TableModel::dsm(
+        &synthetic_schema(),
         tuples,
         cscan_storage::DEFAULT_PAGE_SIZE,
         SYNTHETIC_CHUNK_TUPLES.min(tuples.max(1)),
-    );
-    TableModel::from_dsm(&layout)
+    )
 }
 
 /// A 3-adjacent-column window starting at column `start` (e.g. `0` = "ABC").
