@@ -2,7 +2,7 @@
 //! its share of total execution time, as the 2 GB relation is divided into
 //! more (smaller) chunks — plus the incremental-vs-brute-force `plan_load`
 //! comparison at the 16/64/128-query mixes, on the relation stored as rows
-//! and as six columns.  Everything here is wall-clock and printed, not
+//! (whole chunks, and with a short last chunk) and as six columns.  Everything here is wall-clock and printed, not
 //! recorded: the bound on it is the release-only
 //! `incremental_speedup_at_64_queries` gate.
 
@@ -64,10 +64,7 @@ fn main() {
         "incremental (ns)",
         "speedup",
     ]);
-    for (layout, model) in [
-        ("nsm", fig8::model_for(2048)),
-        ("dsm", fig8::dsm_model_for(2048)),
-    ] {
+    for (layout, model) in fig8::layouts(2048) {
         for &queries in &fig8::QUERY_MIXES {
             let p = fig8::compare_plan_load(&model, 100, queries, iterations);
             cmp_table.row([

@@ -70,6 +70,27 @@ pub fn dsm_model_for(num_chunks: u32) -> TableModel {
     TableModel::dsm_uniform(num_chunks, tuples_per_chunk(num_chunks), &widths)
 }
 
+/// The same 2 GB relation as a row store of lineitem's 72-byte tuples,
+/// its last chunk 143/256 full as lineitem's is at scale factor 10: the one
+/// chunk of the table a load may read fewer pages of than the rest.
+pub fn ragged_model_for(num_chunks: u32) -> TableModel {
+    let page = cscan_storage::DEFAULT_PAGE_SIZE;
+    let pages = pages_per_chunk(num_chunks);
+    let schema = cscan_workload::lineitem::lineitem_schema();
+    let full = page / schema.tuple_width_uncompressed() * pages;
+    let tuples = u64::from(num_chunks - 1) * full + full * 143 / 256;
+    TableModel::nsm(&schema, tuples, page, pages * page)
+}
+
+/// The three layouts the incremental-vs-brute-force comparison runs on.
+pub fn layouts(num_chunks: u32) -> [(&'static str, TableModel); 3] {
+    [
+        ("nsm", model_for(num_chunks)),
+        ("dsm", dsm_model_for(num_chunks)),
+        ("nsm, short last chunk", ragged_model_for(num_chunks)),
+    ]
+}
+
 /// Builds an ABM over `model` with `queries` registered queries of the given
 /// scan size, each reading every column, and a quarter-table buffer, to
 /// exercise realistic state.
@@ -306,9 +327,18 @@ mod tests {
     }
 
     #[test]
+    fn the_ragged_row_store_is_short_in_its_last_chunk_only() {
+        let m = ragged_model_for(2048);
+        let all = m.all_columns();
+        let pages = |c: u32| m.chunk_pages(cscan_storage::ChunkId::new(c), all);
+        assert_eq!(m.num_chunks(), 2048);
+        assert_eq!((pages(0), pages(2046), pages(2047)), (16, 16, 9));
+    }
+
+    #[test]
     fn plan_load_measurement_is_sane() {
         // Both modes produce positive per-decision times on a small mix.
-        for model in [model_for(256), dsm_model_for(256)] {
+        for (_, model) in layouts(256) {
             let p = compare_plan_load(&model, 100, 16, 20);
             assert!(p.brute_ns > 0.0 && p.incremental_ns > 0.0);
             assert!(p.speedup().is_finite());
@@ -316,8 +346,10 @@ mod tests {
     }
 
     /// On the 64-query mix the index walk is at least 5× cheaper per
-    /// `plan_load` decision than the brute-force sweep, on the row store and
-    /// on the six-column column store of the same 2 GB.  Only meaningful in
+    /// `plan_load` decision than the brute-force sweep, on the row store, on
+    /// the six-column column store of the same 2 GB, and on the row store
+    /// whose last chunk is short — the one the walk scores before its bucket
+    /// bound, which it would otherwise never reach.  Only meaningful in
     /// release builds — under `debug_assertions` the walk re-runs the
     /// brute-force sweep on every decision as a cross-check, so the ratio
     /// collapses by design.
@@ -327,7 +359,7 @@ mod tests {
         ignore = "speedup is measured in release builds only"
     )]
     fn incremental_speedup_at_64_queries() {
-        for (layout, model) in [("nsm", model_for(2048)), ("dsm", dsm_model_for(2048))] {
+        for (layout, model) in layouts(2048) {
             let p = compare_plan_load(&model, 100, 64, 300);
             assert!(
                 p.speedup() >= 5.0,

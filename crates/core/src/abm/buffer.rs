@@ -4,13 +4,13 @@ use crate::colset::ColSet;
 use crate::query::QueryId;
 use cscan_storage::ChunkId;
 
-/// A chunk (or, for DSM, the currently resident column subset of a chunk)
-/// held in the Active Buffer Manager.
+/// A chunk — the column groups of it currently resident — held in the
+/// Active Buffer Manager.
 #[derive(Debug, Clone)]
 pub struct BufferedChunk {
     /// Which chunk this is.
     pub chunk: ChunkId,
-    /// The columns currently resident (always the full column set for NSM).
+    /// The columns currently resident, whole column groups.
     pub columns: ColSet,
     /// Number of buffer pages occupied by the resident columns.
     pub pages: u64,

@@ -7,7 +7,8 @@
 //! or word-wise (64 chunks per instruction):
 //!
 //! * **residency** — which chunks have any buffered entry
-//!   ([`ChunkIndex::resident_words`]);
+//!   ([`ChunkIndex::resident_words`]), and which of those miss some column
+//!   ([`ChunkIndex::partial_words`]);
 //! * **interest** — how many active queries still need each chunk
 //!   ([`ChunkIndex::interested`]), with the non-zero set materialized as a
 //!   bitset ([`ChunkIndex::interested_any_words`]) so the elevator sweep can
@@ -51,10 +52,11 @@ pub struct ChunkIndex {
     /// starved (`is_almost_starved` includes starved queries).
     interested_almost_starved: Vec<u32>,
     /// Chunks with a buffered entry (any columns).  The relevance chunk
-    /// argmax walks it twice: `resident` for the chunks still missing a
-    /// column the trigger reads (column stores only), its complement for
-    /// the chunks missing altogether.
+    /// argmax walks its complement for the chunks missing altogether.
     resident: ChunkBitSet,
+    /// Resident chunks missing some column of the table: the only resident
+    /// chunks a load can add to (none, on a table of one column group).
+    partial: ChunkBitSet,
     /// Chunks with `interested > 0`: the elevator sweep's candidate set and
     /// the complement of its eviction filter.
     interested_any: ChunkBitSet,
@@ -86,6 +88,7 @@ impl ChunkIndex {
             interested_starved: vec![0; num_chunks],
             interested_almost_starved: vec![0; num_chunks],
             resident: ChunkBitSet::new(num_chunks),
+            partial: ChunkBitSet::new(num_chunks),
             interested_any: ChunkBitSet::new(num_chunks),
             starved_buckets: Vec::new(),
             starved_any: ChunkBitSet::new(num_chunks),
@@ -132,6 +135,12 @@ impl ChunkIndex {
     #[inline]
     pub fn resident_words(&self) -> &[u64] {
         self.resident.words()
+    }
+
+    /// Bitset words of the resident chunks missing some column.
+    #[inline]
+    pub fn partial_words(&self) -> &[u64] {
+        self.partial.words()
     }
 
     /// Bitset words of the chunks at least one active query still needs.
@@ -258,13 +267,25 @@ impl ChunkIndex {
             (self.interested_almost_starved[c] as i64 + d_almost) as u32;
     }
 
-    /// Flips `chunk`'s residency bit.
-    pub(crate) fn set_resident(&mut self, chunk: ChunkId, resident: bool) {
+    /// Sets `chunk`'s residency bits: resident or not, and if resident,
+    /// whether some column is missing.
+    pub(crate) fn set_resident(&mut self, chunk: ChunkId, resident: bool, partial: bool) {
+        let c = chunk.as_usize();
         if resident {
-            self.resident.insert(chunk.as_usize());
+            self.resident.insert(c);
         } else {
-            self.resident.remove(chunk.as_usize());
+            self.resident.remove(c);
         }
+        if resident && partial {
+            self.partial.insert(c);
+        } else {
+            self.partial.remove(c);
+        }
+    }
+
+    /// Whether `chunk` is resident with some column missing.  O(1).
+    pub(crate) fn is_partial(&self, chunk: ChunkId) -> bool {
+        self.partial.contains(chunk.as_usize())
     }
 
     /// Flips `chunk`'s in-flight bit.
@@ -366,15 +387,17 @@ mod tests {
     fn residency_and_inflight_bits() {
         let mut idx = ChunkIndex::new(70);
         let c = ChunkId::new(68);
-        idx.set_resident(c, true);
+        idx.set_resident(c, true, true);
         idx.set_inflight(c, true);
         assert!(idx.is_resident(c));
+        assert!(idx.is_partial(c));
         assert!(idx.is_inflight(c));
         assert_eq!(idx.inflight_len(), 1);
         assert_eq!(idx.resident_chunks().collect::<Vec<_>>(), vec![c]);
-        idx.set_resident(c, false);
+        idx.set_resident(c, false, true);
         idx.set_inflight(c, false);
         assert!(!idx.is_resident(c));
+        assert!(!idx.is_partial(c));
         assert!(!idx.is_inflight(c));
     }
 }

@@ -67,7 +67,7 @@ pub struct LoadDecision {
     pub trigger: QueryId,
     /// The chunk to load.
     pub chunk: ChunkId,
-    /// The columns to make resident (ignored for NSM tables).
+    /// The columns to make resident, whole column groups.
     pub cols: ColSet,
 }
 
@@ -77,15 +77,15 @@ pub struct LoadDecision {
 pub struct LoadPlan {
     /// The underlying scheduling decision.
     pub decision: LoadDecision,
-    /// Pages that will be read (only the missing columns for DSM).
+    /// Pages that will be read (only the groups not yet resident).
     pub pages: u64,
     /// Physical regions to read.
     pub regions: Vec<PhysRegion>,
     /// Chunks that were evicted to make room for this load.
     pub evicted: Vec<ChunkId>,
     /// Chunks that gave up their dead columns to make room for this load
-    /// and stay resident with the rest ([`AbmState::dead_columns`]; DSM
-    /// only).  The driver drops the same columns from its payloads.
+    /// and stay resident with the rest ([`AbmState::dead_columns`]).  The
+    /// driver drops the same columns from its payloads.
     pub shrunk: Vec<ChunkId>,
     /// Unique identity of this load (see [`InflightLoad::ticket`]).
     pub ticket: u64,
@@ -398,15 +398,8 @@ impl Abm {
             self.state.evict(victim);
             evicted.push(victim);
         }
-        let regions = {
-            let missing = self.state.missing_columns(decision.chunk, decision.cols);
-            let cols = if self.state.model().is_dsm() {
-                missing
-            } else {
-                self.state.model().all_columns()
-            };
-            self.state.model().chunk_regions(decision.chunk, cols)
-        };
+        let missing = self.state.missing_columns(decision.chunk, decision.cols);
+        let regions = self.state.model().chunk_regions(decision.chunk, missing);
         let ticket = self.state.begin_load(decision.chunk, decision.cols);
         self.state.count_triggered_io(decision.trigger);
         Some(LoadPlan {
@@ -479,7 +472,7 @@ impl Abm {
 
     /// Emergency pressure relief: evict the least interesting evictable chunk
     /// regardless of policy preferences.  Used by drivers as a last resort
-    /// when the buffer is full of partially loaded (DSM) chunks that no query
+    /// when the buffer is full of partially loaded chunks that no query
     /// can consume.  Returns the evicted chunk, if any.
     pub fn force_evict_one(&mut self) -> Option<ChunkId> {
         let victim = self

@@ -1,8 +1,8 @@
 //! The Active Buffer Manager's shared bookkeeping.
 //!
 //! [`AbmState`] is the ground truth every scheduling policy reads: which
-//! queries are active and what they still need, which chunks (and, for DSM,
-//! which columns of them) are resident, how much buffer space is in use, and
+//! queries are active and what they still need, which chunks (and which
+//! column groups of them) are resident, how much buffer space is in use, and
 //! who is starved.  Policies never mutate this state directly; mutations go
 //! through [`crate::Abm`], which is driven by the simulation or the threaded
 //! executor.
@@ -75,7 +75,7 @@ fn level(available: u32) -> u8 {
 pub struct InflightLoad {
     /// The chunk being loaded.
     pub chunk: ChunkId,
-    /// The columns being made resident (all columns for NSM).
+    /// The columns being made resident, whole column groups.
     pub cols: ColSet,
     /// Pages reserved in the buffer pool for this load.
     pub pages: u64,
@@ -110,6 +110,10 @@ pub struct AbmState {
     /// Active queries, sorted by id (ids are assigned monotonically, so
     /// registration normally appends).
     queries: Vec<QueryState>,
+    /// The columns every active query reads (all of them while none runs).
+    read_by_all: ColSet,
+    /// The columns some active query reads.
+    read_by_any: ColSet,
     /// Resident chunks, dense slot map indexed by chunk id.
     buffered: Vec<Option<BufferedChunk>>,
     /// Number of `Some` entries in `buffered`.
@@ -155,6 +159,8 @@ impl AbmState {
         assert!(capacity_pages > 0, "buffer capacity must be positive");
         let chunks = model.num_chunks() as usize;
         Self {
+            read_by_all: model.all_columns(),
+            read_by_any: ColSet::EMPTY,
             model,
             capacity_pages,
             used_pages: 0,
@@ -233,6 +239,22 @@ impl AbmState {
     /// Iterator over active queries in registration (id) order.
     pub fn queries(&self) -> impl Iterator<Item = &QueryState> {
         self.queries.iter()
+    }
+
+    /// The columns every active query reads when they all read the same
+    /// ones — always, on a table of one column group — and `None` while
+    /// their sets differ or none runs.  O(1): maintained at registration and
+    /// removal.
+    pub(crate) fn shared_columns(&self) -> Option<ColSet> {
+        (self.read_by_all == self.read_by_any).then_some(self.read_by_any)
+    }
+
+    /// `(read_by_all, read_by_any)` recomputed from the active queries.
+    fn column_sets_brute(&self) -> (ColSet, ColSet) {
+        self.queries.iter().fold(
+            (self.model.all_columns(), ColSet::EMPTY),
+            |(all, any), q| (all.intersect(q.columns), any.union(q.columns)),
+        )
     }
 
     /// Index of query `q` in the sorted query vector.
@@ -384,19 +406,11 @@ impl AbmState {
         }
     }
 
-    /// Pages that would have to be read to make `cols` of `chunk` resident.
-    ///
-    /// For NSM a chunk is all-or-nothing: either zero (already resident) or
-    /// the full chunk.  For DSM only the missing columns are counted.
+    /// Pages that would have to be read to make `cols` of `chunk` resident:
+    /// the column groups of the missing columns, whole.
     pub fn pages_to_load(&self, chunk: ChunkId, cols: ColSet) -> u64 {
-        if self.model.is_dsm() {
-            let missing = self.missing_columns(chunk, cols);
-            self.model.chunk_pages(chunk, missing)
-        } else if self.buffered_chunk(chunk).is_some() {
-            0
-        } else {
-            self.model.chunk_pages(chunk, cols)
-        }
+        self.model
+            .chunk_pages(chunk, self.missing_columns(chunk, cols))
     }
 
     /// Number of active queries that still need `chunk`.  O(1).
@@ -538,6 +552,11 @@ impl AbmState {
             self.buffered().count(),
             "stale buffered-chunk count"
         );
+        assert_eq!(
+            (self.read_by_all, self.read_by_any),
+            self.column_sets_brute(),
+            "stale active column sets"
+        );
         for c in 0..self.model.num_chunks() {
             let chunk = ChunkId::new(c);
             let mut interested = 0;
@@ -574,6 +593,13 @@ impl AbmState {
                 self.index.is_resident(chunk),
                 self.buffered[c as usize].is_some(),
                 "stale residency bit for {chunk:?}"
+            );
+            assert_eq!(
+                self.index.is_partial(chunk),
+                self.buffered[c as usize]
+                    .as_ref()
+                    .is_some_and(|b| b.columns != self.model.all_columns()),
+                "stale partial-residency bit for {chunk:?}"
             );
         }
         // Derived sets (interested-any, starved buckets, starved-any,
@@ -657,7 +683,10 @@ impl AbmState {
     // Mutations (driven by `Abm`).
     // ------------------------------------------------------------------
 
-    /// Registers a new query.
+    /// Registers a new query.  Its columns are widened to whole column
+    /// groups ([`TableModel::whole_groups`]) here, once: a group is read
+    /// whole, so every later decision sees a query reading all of a group
+    /// or none of it.
     ///
     /// # Panics
     /// Panics if the query is already registered or reads no columns (an
@@ -672,6 +701,7 @@ impl AbmState {
         columns: ColSet,
         now: SimTime,
     ) {
+        let columns = self.model.whole_groups(columns);
         assert!(!columns.is_empty(), "{id:?} must read at least one column");
         let pos = match self.queries.binary_search_by_key(&id, |s| s.id) {
             Ok(_) => panic!("query {id:?} registered twice"),
@@ -691,6 +721,7 @@ impl AbmState {
         let lvl = level(available);
         let chunks: Vec<ChunkId> = state.remaining_chunks().collect();
         self.queries.insert(pos, state);
+        (self.read_by_all, self.read_by_any) = self.column_sets_brute();
         for chunk in chunks {
             self.index.add_interest(chunk, lvl);
         }
@@ -710,6 +741,7 @@ impl AbmState {
             .query_index(id)
             .unwrap_or_else(|| panic!("unknown query {id:?}"));
         let state = self.queries.remove(idx);
+        (self.read_by_all, self.read_by_any) = self.column_sets_brute();
         // A cancelled query may still have outstanding interest.
         let lvl = level(state.available);
         for chunk in state.remaining_chunks() {
@@ -779,39 +811,30 @@ impl AbmState {
         } = self.inflight.remove(idx);
         self.index.set_inflight(chunk, false);
         self.reserved_pages -= reserved;
-        let missing = self.missing_columns(chunk, cols);
-        let pages = if self.model.is_dsm() {
-            self.model.chunk_pages(chunk, missing)
-        } else {
-            self.model.chunk_pages(chunk, self.model.all_columns())
-        };
+        let pages = self.pages_to_load(chunk, cols);
         debug_assert_eq!(
             pages, reserved,
             "{chunk:?}: residency changed between begin_load and completion"
         );
         self.seq += 1;
         let seq = self.seq;
-        let all_columns = if self.model.is_dsm() {
-            cols
-        } else {
-            self.model.all_columns()
-        };
         let slot = &mut self.buffered[chunk.as_usize()];
         let old_columns = slot.as_ref().map(|b| b.columns).unwrap_or(ColSet::EMPTY);
         match slot {
             Some(b) => {
-                b.columns = b.columns.union(all_columns);
+                b.columns = b.columns.union(cols);
                 b.pages += pages;
                 b.loaded_seq = seq;
                 b.last_touch = seq;
             }
             None => {
-                *slot = Some(BufferedChunk::new(chunk, all_columns, pages, seq));
+                *slot = Some(BufferedChunk::new(chunk, cols, pages, seq));
                 self.num_buffered += 1;
             }
         }
-        let new_columns = old_columns.union(all_columns);
-        self.index.set_resident(chunk, true);
+        let new_columns = old_columns.union(cols);
+        self.index
+            .set_resident(chunk, true, new_columns != self.model.all_columns());
         self.used_pages += pages;
         self.io_requests += 1;
         self.pages_read += pages;
@@ -862,7 +885,7 @@ impl AbmState {
             .unwrap_or_else(|| panic!("evicting non-resident chunk {chunk:?}"));
         assert!(!b.is_pinned(), "evicting pinned chunk {chunk:?}");
         self.num_buffered -= 1;
-        self.index.set_resident(chunk, false);
+        self.index.set_resident(chunk, false, false);
         self.used_pages -= b.pages;
         // Queries that could consume this chunk lost an available chunk.
         for idx in 0..self.queries.len() {
@@ -877,21 +900,29 @@ impl AbmState {
 
     /// The *dead* columns of `chunk`: resident columns that none of the
     /// queries still needing the chunk reads.  Empty for a chunk nobody
-    /// needs at all — that one is an ordinary victim of the policy, as under
-    /// NSM — and for NSM, where a chunk has no column residency.
+    /// needs at all — that one is an ordinary victim of the policy — and on
+    /// a table of one column group, whose every query reads every column.
     pub fn dead_columns(&self, chunk: ChunkId) -> ColSet {
         let Some(b) = self.buffered_chunk(chunk) else {
             return ColSet::EMPTY;
         };
-        if !self.model.is_dsm() || self.index.interested(chunk) == 0 {
+        if self.index.interested(chunk) == 0 {
             return ColSet::EMPTY;
         }
-        let live = self
-            .queries
-            .iter()
-            .filter(|q| q.needs(chunk))
-            .fold(ColSet::EMPTY, |acc, q| acc.union(q.columns));
-        b.columns.difference(live)
+        b.columns.difference(self.live_columns(chunk))
+    }
+
+    /// The columns the queries still needing `chunk` read.  O(1) while every
+    /// active query reads the same columns.
+    pub(crate) fn live_columns(&self, chunk: ChunkId) -> ColSet {
+        match self.shared_columns() {
+            Some(shared) if self.index.interested(chunk) > 0 => shared,
+            _ => self
+                .queries
+                .iter()
+                .filter(|q| q.needs(chunk))
+                .fold(ColSet::EMPTY, |acc, q| acc.union(q.columns)),
+        }
     }
 
     /// Reclaims the dead columns ([`Self::dead_columns`]) of the first chunk
@@ -906,15 +937,13 @@ impl AbmState {
     /// so no query's availability changes, and no load asks for one, so the
     /// chunk a load is being admitted for may give up its own.
     pub(crate) fn reclaim_dead_columns(&mut self) -> Option<ChunkId> {
-        if !self.model.is_dsm() {
+        // Columns every active query reads are dead in no chunk: when every
+        // scan reads every column (always, on a table of one group), there
+        // is nothing to search.
+        let read_by_all = self.read_by_all;
+        if read_by_all == self.model.all_columns() {
             return None;
         }
-        // Columns every active query reads are dead in no chunk: when the
-        // scans are all of one width, this is the whole search.
-        let read_by_all = self
-            .queries
-            .iter()
-            .fold(self.model.all_columns(), |acc, q| acc.intersect(q.columns));
         let (chunk, dead) = self
             .buffered()
             .filter(|b| !b.columns.is_subset_of(read_by_all) && self.is_evictable(b.chunk))
@@ -925,11 +954,12 @@ impl AbmState {
         let b = slot.as_mut().expect("a resident chunk is buffered");
         b.columns = b.columns.difference(dead);
         b.pages -= freed;
-        if b.columns.is_empty() {
+        let resident = !b.columns.is_empty();
+        if !resident {
             *slot = None;
             self.num_buffered -= 1;
-            self.index.set_resident(chunk, false);
         }
+        self.index.set_resident(chunk, resident, true);
         self.used_pages -= freed;
         self.debug_validate();
         Some(chunk)

@@ -2,7 +2,7 @@
 //!
 //! A `CScan` differs from a traditional `Scan` in two ways (Section 4): it
 //! announces *all* the data it will need up-front — a range or set of ranges
-//! of a table plus, for DSM, the columns it touches — and it is willing to
+//! of a table plus the columns it touches — and it is willing to
 //! accept chunks in whatever order the ABM finds convenient.  [`CScanPlan`]
 //! is that announcement; the execution front-ends turn it into a registered
 //! query.
@@ -31,7 +31,7 @@ pub struct CScanPlan {
     /// against the model at registration).
     pub ranges: Option<ScanRanges>,
     /// The columns to read; the empty set means *all* columns (resolved at
-    /// registration; columns are ignored by NSM storage either way).
+    /// registration, where the set is widened to whole column groups).
     pub columns: ColSet,
     /// Stop after consuming this many chunks (a `LIMIT`-style early
     /// termination); `None` runs the scan to completion.  A limited session
@@ -58,8 +58,8 @@ impl CScanPlan {
         self
     }
 
-    /// Restricts the scan to a column set (DSM experiments and column
-    /// projections over the wire).
+    /// Restricts the scan to a column set (column-store experiments and
+    /// column projections over the wire).
     pub fn with_columns(mut self, columns: ColSet) -> Self {
         self.columns = columns;
         self

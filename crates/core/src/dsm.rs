@@ -66,7 +66,7 @@ mod tests {
     #[test]
     fn chunk_count_and_tuples() {
         let m = model();
-        assert!(m.is_dsm());
+        assert_eq!(m.groups().len(), 5);
         assert_eq!(m.num_chunks(), 10);
         assert_eq!(m.chunk_tuples(ChunkId::new(0)), 100_000);
         assert_eq!(m.chunk_tuples(ChunkId::new(9)), 100_000);

@@ -15,8 +15,8 @@
 //! Four scheduling policies are implemented behind one [`policy::Policy`]
 //! trait: [`policy::NormalPolicy`], [`policy::AttachPolicy`],
 //! [`policy::ElevatorPolicy`] and the paper's contribution,
-//! [`policy::RelevancePolicy`] (with both the NSM relevance functions of
-//! Fig. 3 and the column-aware DSM variants of Fig. 11).
+//! [`policy::RelevancePolicy`] (the column-aware relevance functions of
+//! Fig. 11, of which Fig. 3's row-store ones are the one-group case).
 //!
 //! Two execution front-ends drive the same ABM through the same two calls,
 //! [`Abm::plan_loads`] and [`Abm::commit_load`]:
@@ -96,7 +96,7 @@ pub mod threaded;
 pub use abm::{Abm, AbmState, BufferedChunk, InflightLoad, LoadDecision};
 pub use colset::ColSet;
 pub use cscan::CScanPlan;
-pub use model::{StorageKind, TableModel};
+pub use model::TableModel;
 pub use policy::{AttachPolicy, ElevatorPolicy, NormalPolicy, Policy, PolicyKind, RelevancePolicy};
 pub use query::{QueryId, QueryState};
 pub use retry::{FailureAction, RetryPolicy};

@@ -5,43 +5,51 @@
 //! combination occupies (buffer cost) and where those pages live on disk
 //! (I/O cost).  [`TableModel`] captures exactly that, pre-computed so that
 //! scheduling decisions are cheap.  It is the one place a table's geometry
-//! is worked out: [`TableModel::nsm`] and [`TableModel::dsm`] derive it from
-//! a [`cscan_storage::TableSchema`] for the paper's two storage models, and
-//! [`TableModel::nsm_uniform`] / [`TableModel::dsm_uniform`] state it
-//! directly for unit tests, parameter sweeps and segment files.
+//! is worked out.
+//!
+//! There is one representation for both of the paper's storage models.  A
+//! table is a set of physical *column groups*, each storing some of its
+//! logical columns in an area of its own, and a chunk occupies a run of pages
+//! in every group.  A group is read whole: asking for any of its columns
+//! costs, loads and makes resident all of them.  The row store of Section 5
+//! (NSM/PAX) is one group of every column; the column store of Section 6
+//! (DSM) is one group per column.  Nothing above the model asks which of the
+//! two it schedules.
+//!
+//! [`TableModel::nsm`] and [`TableModel::dsm`] derive the geometry from a
+//! [`cscan_storage::TableSchema`]; [`TableModel::nsm_uniform`] /
+//! [`TableModel::dsm_uniform`] state it directly for unit tests, parameter
+//! sweeps and segment files.
 
 use crate::colset::ColSet;
-use cscan_storage::{ChunkId, PhysRegion, TableSchema};
+use cscan_storage::{ChunkId, ColumnId, PhysRegion, TableSchema};
 use serde::{Deserialize, Serialize};
-
-/// Whether the table is stored row-wise (NSM/PAX) or column-wise (DSM).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum StorageKind {
-    /// NSM/PAX: chunks are all-or-nothing; the column set does not matter.
-    Nsm,
-    /// DSM: per-column physical sizes; chunks can be partially resident.
-    Dsm,
-}
 
 /// Pre-computed physical description of one table.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TableModel {
-    kind: StorageKind,
     page_size: u64,
-    num_columns: u16,
     /// Tuples per chunk.
     chunk_tuples: Vec<u64>,
-    /// `[chunk][column]` page counts for DSM; `[chunk][0]` holds the full
-    /// chunk page count for NSM.
-    pages: Vec<Vec<u64>>,
-    /// Column-wise minimum of `pages` over the chunks.
-    min_pages: Vec<u64>,
-    /// Column-wise maximum of `pages` over the chunks.
+    /// Every column of the table.
+    columns: ColSet,
+    /// The logical columns each physical group stores; together they
+    /// partition `columns`.
+    groups: Vec<ColSet>,
+    /// The group each logical column is stored in.
+    group_of: Vec<u16>,
+    /// Page counts, chunk-major: chunk `c`'s pages in group `g` are at
+    /// `c · groups + g`.
+    pages: Vec<u64>,
+    /// Byte offsets, laid out like `pages`: the group's area start plus the
+    /// pages of the chunks before, so sequential chunk order produces
+    /// sequential disk addresses within each group's area.
+    offsets: Vec<u64>,
+    /// Group-wise maximum of `pages` over the chunks.
     max_pages: Vec<u64>,
-    /// Byte offset of each chunk (NSM) for I/O placement; empty for DSM.
-    nsm_offsets: Vec<u64>,
-    /// Per-column area offsets (DSM) for I/O placement; empty for NSM.
-    dsm_column_offsets: Vec<u64>,
+    /// One bit per chunk narrower in some group than that group's widest
+    /// chunk, in the chunk index's word layout.
+    ragged: Vec<u64>,
 }
 
 /// `tuples` split into chunks of `per_chunk`, the last one short.
@@ -51,28 +59,72 @@ fn partition(tuples: u64, per_chunk: u64) -> Vec<u64> {
         .collect()
 }
 
-/// The column-wise minimum and maximum of per-chunk page rows.
-fn column_extremes(pages: &[Vec<u64>]) -> (Vec<u64>, Vec<u64>) {
-    let width = pages.first().map_or(0, Vec::len);
-    (0..width)
-        .map(|col| {
-            let column = pages.iter().map(|row| row[col]);
-            (column.clone().min().unwrap_or(0), column.max().unwrap_or(0))
-        })
-        .unzip()
+/// One group per column of `n`.
+fn column_groups(n: u16) -> Vec<ColSet> {
+    (0..n)
+        .map(|c| ColSet::from_columns([ColumnId::new(c)]))
+        .collect()
 }
 
 impl TableModel {
+    /// The constructor behind the public ones: chunk `c` spans `pages[c][g]`
+    /// pages of group `g`, whose area starts at byte `area_starts[g]`.
+    fn from_groups(
+        page_size: u64,
+        chunk_tuples: Vec<u64>,
+        groups: Vec<ColSet>,
+        pages: Vec<Vec<u64>>,
+        area_starts: &[u64],
+    ) -> Self {
+        let columns: u32 = groups.iter().map(ColSet::len).sum();
+        assert!(columns <= u32::from(ColSet::MAX_COLUMNS));
+        let mut group_of = vec![0; columns as usize];
+        for (g, cols) in groups.iter().enumerate() {
+            for col in cols.iter() {
+                group_of[col.as_usize()] = g as u16;
+            }
+        }
+        let max_pages: Vec<u64> = (0..groups.len())
+            .map(|g| pages.iter().map(|row| row[g]).max().unwrap_or(0))
+            .collect();
+        let mut ragged = vec![0u64; pages.len().div_ceil(64)];
+        for (c, row) in pages.iter().enumerate() {
+            if row.iter().zip(&max_pages).any(|(p, max)| p < max) {
+                ragged[c / 64] |= 1 << (c % 64);
+            }
+        }
+        let mut cursor = area_starts.to_vec();
+        let mut offsets = Vec::with_capacity(pages.len() * groups.len());
+        for row in &pages {
+            for (&p, at) in row.iter().zip(&mut cursor) {
+                offsets.push(*at);
+                *at += p * page_size;
+            }
+        }
+        Self {
+            page_size,
+            chunk_tuples,
+            columns: ColSet::first_n(columns as u16),
+            groups,
+            group_of,
+            pages: pages.concat(),
+            offsets,
+            max_pages,
+            ragged,
+        }
+    }
+
     /// The NSM/PAX table of the paper's row-storage experiments (Section
-    /// 5): `tuples` tuples of `schema`, a page holding as many whole tuples
-    /// as fit at their uncompressed width, and a chunk a fixed run of
-    /// `chunk_bytes / page_size` pages at byte offset `c × chunk_bytes`.
-    /// The last chunk may be partial and occupies only the pages its tuples
-    /// fill.
+    /// 5): `tuples` tuples of `schema` in one group of every column, a page
+    /// holding as many whole tuples as fit at their uncompressed width, and
+    /// a chunk a fixed run of `chunk_bytes / page_size` pages at byte offset
+    /// `c × chunk_bytes`.  The last chunk may be partial and occupies only
+    /// the pages its tuples fill.
     ///
     /// # Panics
     /// Panics if `tuples` is zero, if `chunk_bytes` is not a positive
-    /// multiple of `page_size`, or if a tuple does not fit in a page.
+    /// multiple of `page_size`, if a tuple does not fit in a page, or if the
+    /// schema has more than [`ColSet::MAX_COLUMNS`] columns.
     pub fn nsm(schema: &TableSchema, tuples: u64, page_size: u64, chunk_bytes: u64) -> Self {
         assert!(tuples > 0, "table must contain at least one tuple");
         assert!(
@@ -83,34 +135,23 @@ impl TableModel {
         assert!(tuple_width <= page_size, "a tuple must fit in one page");
         let tuples_per_page = page_size / tuple_width;
         let chunk_tuples = partition(tuples, tuples_per_page * (chunk_bytes / page_size));
-        let pages: Vec<Vec<u64>> = chunk_tuples
+        let pages = chunk_tuples
             .iter()
             .map(|t| vec![t.div_ceil(tuples_per_page)])
             .collect();
-        let (min_pages, max_pages) = column_extremes(&pages);
-        Self {
-            kind: StorageKind::Nsm,
-            page_size,
-            num_columns: schema.num_columns(),
-            nsm_offsets: (0..chunk_tuples.len() as u64)
-                .map(|c| c * chunk_bytes)
-                .collect(),
-            chunk_tuples,
-            min_pages,
-            max_pages,
-            pages,
-            dsm_column_offsets: Vec::new(),
-        }
+        let groups = vec![ColSet::first_n(schema.num_columns())];
+        Self::from_groups(page_size, chunk_tuples, groups, pages, &[0])
     }
 
     /// The DSM table of the paper's column-storage experiments (Section 6):
     /// `tuples` tuples of `schema` in chunks of `chunk_tuples` tuples (the
-    /// last may hold fewer), each column in its own area of values
-    /// bit-packed at [`cscan_storage::ColumnDef::physical_bits`].  A chunk's
-    /// pages in a column are the pages its values span, so the same chunk
-    /// spans a different number of pages in each column and narrow columns
-    /// share a boundary page between neighbouring chunks.  The column areas
-    /// start at page-aligned cumulative offsets.
+    /// last may hold fewer), one group per column, each column in its own
+    /// area of values bit-packed at
+    /// [`cscan_storage::ColumnDef::physical_bits`].  A chunk's pages in a
+    /// column are the pages its values span, so the same chunk spans a
+    /// different number of pages in each column and narrow columns share a
+    /// boundary page between neighbouring chunks.  The column areas start at
+    /// page-aligned cumulative offsets.
     ///
     /// # Panics
     /// Panics if `tuples`, `page_size` or `chunk_tuples` is zero, or if the
@@ -127,7 +168,7 @@ impl TableModel {
             .collect();
         let page = page_size as u128;
         let counts = partition(tuples, chunk_tuples);
-        let pages: Vec<Vec<u64>> = counts
+        let pages = counts
             .iter()
             .enumerate()
             .map(|(c, &n)| {
@@ -146,7 +187,7 @@ impl TableModel {
             })
             .collect();
         let mut cursor = 0u64;
-        let dsm_column_offsets = bits
+        let area_starts: Vec<u64> = bits
             .iter()
             .map(|&b| {
                 let area = cursor;
@@ -154,38 +195,17 @@ impl TableModel {
                 area
             })
             .collect();
-        let (min_pages, max_pages) = column_extremes(&pages);
-        Self {
-            kind: StorageKind::Dsm,
-            page_size,
-            num_columns: schema.num_columns(),
-            chunk_tuples: counts,
-            min_pages,
-            max_pages,
-            pages,
-            nsm_offsets: Vec::new(),
-            dsm_column_offsets,
-        }
+        let groups = column_groups(schema.num_columns());
+        Self::from_groups(page_size, counts, groups, pages, &area_starts)
     }
 
-    /// A synthetic NSM table with `num_chunks` identical chunks of
-    /// `pages_per_chunk` pages and `tuples_per_chunk` tuples.  Page size is
-    /// 64 KiB.  Handy for unit tests and parameter sweeps.
+    /// A synthetic row store: one column, `num_chunks` identical chunks of
+    /// `pages_per_chunk` pages and `tuples_per_chunk` tuples — the
+    /// one-column [`Self::dsm_uniform`], a table of one group either way.
+    /// Handy for unit tests and parameter sweeps.
     pub fn nsm_uniform(num_chunks: u32, tuples_per_chunk: u64, pages_per_chunk: u64) -> Self {
-        assert!(num_chunks > 0 && pages_per_chunk > 0 && tuples_per_chunk > 0);
-        let page_size = cscan_storage::DEFAULT_PAGE_SIZE;
-        let chunk_bytes = pages_per_chunk * page_size;
-        Self {
-            kind: StorageKind::Nsm,
-            page_size,
-            num_columns: 1,
-            chunk_tuples: vec![tuples_per_chunk; num_chunks as usize],
-            pages: vec![vec![pages_per_chunk]; num_chunks as usize],
-            min_pages: vec![pages_per_chunk],
-            max_pages: vec![pages_per_chunk],
-            nsm_offsets: (0..num_chunks as u64).map(|i| i * chunk_bytes).collect(),
-            dsm_column_offsets: Vec::new(),
-        }
+        assert!(pages_per_chunk > 0);
+        Self::dsm_uniform(num_chunks, tuples_per_chunk, &[pages_per_chunk])
     }
 
     /// A synthetic DSM table with `num_chunks` chunks, `tuples_per_chunk`
@@ -195,33 +215,23 @@ impl TableModel {
         assert!(num_chunks > 0 && tuples_per_chunk > 0 && !pages_per_column.is_empty());
         assert!(pages_per_column.len() <= ColSet::MAX_COLUMNS as usize);
         let page_size = cscan_storage::DEFAULT_PAGE_SIZE;
-        let mut dsm_column_offsets = Vec::with_capacity(pages_per_column.len());
+        let n = num_chunks as usize;
         let mut cursor = 0u64;
-        for &p in pages_per_column {
-            dsm_column_offsets.push(cursor);
-            cursor += p * num_chunks as u64 * page_size;
-        }
-        Self {
-            kind: StorageKind::Dsm,
+        let area_starts: Vec<u64> = pages_per_column
+            .iter()
+            .map(|&p| {
+                let area = cursor;
+                cursor += p * n as u64 * page_size;
+                area
+            })
+            .collect();
+        Self::from_groups(
             page_size,
-            num_columns: pages_per_column.len() as u16,
-            chunk_tuples: vec![tuples_per_chunk; num_chunks as usize],
-            pages: vec![pages_per_column.to_vec(); num_chunks as usize],
-            min_pages: pages_per_column.to_vec(),
-            max_pages: pages_per_column.to_vec(),
-            nsm_offsets: Vec::new(),
-            dsm_column_offsets,
-        }
-    }
-
-    /// Storage kind of the table.
-    pub fn kind(&self) -> StorageKind {
-        self.kind
-    }
-
-    /// True if the table is column-stored.
-    pub fn is_dsm(&self) -> bool {
-        self.kind == StorageKind::Dsm
+            vec![tuples_per_chunk; n],
+            column_groups(pages_per_column.len() as u16),
+            vec![pages_per_column.to_vec(); n],
+            &area_starts,
+        )
     }
 
     /// Physical page size in bytes.
@@ -236,12 +246,48 @@ impl TableModel {
 
     /// Number of columns.
     pub fn num_columns(&self) -> u16 {
-        self.num_columns
+        self.group_of.len() as u16
     }
 
     /// The set of all columns of this table.
     pub fn all_columns(&self) -> ColSet {
-        ColSet::first_n(self.num_columns)
+        self.columns
+    }
+
+    /// The logical columns of each physical column group.
+    pub fn groups(&self) -> &[ColSet] {
+        &self.groups
+    }
+
+    /// `cols` widened to whole column groups — what reading `cols` costs,
+    /// loads and makes resident.  A column past the table's last belongs to
+    /// its last group: a store may be wider than the model scheduling it,
+    /// and a row store's load then brings the whole row.
+    pub(crate) fn whole_groups(&self, cols: ColSet) -> ColSet {
+        let mut whole = self
+            .groups_of(cols)
+            .fold(ColSet::EMPTY, |acc, g| acc.union(self.groups[g]));
+        if !cols.is_subset_of(self.all_columns()) {
+            whole = whole.union(*self.groups.last().expect("a table has a column"));
+        }
+        whole
+    }
+
+    /// The groups storing any of `cols`, each once, in column order.
+    fn groups_of(&self, cols: ColSet) -> impl Iterator<Item = usize> + '_ {
+        let mut rest = cols.intersect(self.columns).bits();
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let g = usize::from(self.group_of[rest.trailing_zeros() as usize]);
+                rest &= !self.groups[g].bits();
+                g
+            })
+        })
+    }
+
+    /// Where chunk `chunk`'s entries of `pages` and `offsets` start.
+    fn row(&self, chunk: ChunkId) -> usize {
+        chunk.as_usize() * self.groups.len()
     }
 
     /// Tuples in `chunk`.
@@ -254,47 +300,26 @@ impl TableModel {
         self.chunk_tuples.iter().sum()
     }
 
-    /// Pages needed to hold the given columns of `chunk`.
-    ///
-    /// For NSM the column set is ignored (a chunk is all-or-nothing); an
-    /// empty set costs zero pages in DSM.
+    /// Pages needed to hold the given columns of `chunk`: every group that
+    /// stores one of them, whole.  An empty set costs zero pages.
     pub fn chunk_pages(&self, chunk: ChunkId, cols: ColSet) -> u64 {
-        match self.kind {
-            StorageKind::Nsm => self.pages[chunk.as_usize()][0],
-            StorageKind::Dsm => {
-                let per_col = &self.pages[chunk.as_usize()];
-                cols.iter()
-                    .map(|c| per_col.get(c.as_usize()).copied().unwrap_or(0))
-                    .sum()
-            }
-        }
+        let row = self.row(chunk);
+        self.groups_of(cols).map(|g| self.pages[row + g]).sum()
     }
 
     /// An upper bound on [`Self::chunk_pages`] of `cols` over all chunks:
-    /// each column at its widest chunk (exact for a table whose chunks are
-    /// alike).  What lets an argmax over pages stop early.
+    /// each group at its widest chunk, which is exact for every chunk that
+    /// is not ragged (narrower in some group than that group's widest
+    /// chunk).  What lets an argmax over pages stop early.
     pub fn max_chunk_pages(&self, cols: ColSet) -> u64 {
-        match self.kind {
-            StorageKind::Nsm => self.max_pages[0],
-            StorageKind::Dsm => cols
-                .iter()
-                .map(|c| self.max_pages.get(c.as_usize()).copied().unwrap_or(0))
-                .sum(),
-        }
+        self.groups_of(cols).map(|g| self.max_pages[g]).sum()
     }
 
-    /// A lower bound on [`Self::chunk_pages`] of `cols` over all chunks:
-    /// each column at its narrowest chunk, a zero-page one included (exact
-    /// for a table whose chunks are alike).  What bounds a benefit per page
-    /// from above before the pages are known.
-    pub(crate) fn min_chunk_pages(&self, cols: ColSet) -> u64 {
-        match self.kind {
-            StorageKind::Nsm => self.min_pages[0],
-            StorageKind::Dsm => cols
-                .iter()
-                .map(|c| self.min_pages.get(c.as_usize()).copied().unwrap_or(0))
-                .sum(),
-        }
+    /// The chunks narrower in some group than that group's widest chunk
+    /// (a short last chunk, or a column's chunks spanning one page or two),
+    /// as words of one bit per chunk.
+    pub(crate) fn ragged_words(&self) -> &[u64] {
+        &self.ragged
     }
 
     /// Bytes needed to hold the given columns of `chunk`.
@@ -315,46 +340,25 @@ impl TableModel {
         self.total_pages(all) as f64 / self.num_chunks() as f64
     }
 
-    /// The physical regions to read for the given columns of `chunk`.
-    ///
-    /// Offsets are chosen so that sequential chunk order produces sequential
-    /// disk addresses within each column area (DSM) or within the table (NSM).
+    /// The physical regions to read for the given columns of `chunk`: one
+    /// per group storing any of them, in column order.
     pub fn chunk_regions(&self, chunk: ChunkId, cols: ColSet) -> Vec<PhysRegion> {
-        match self.kind {
-            StorageKind::Nsm => {
-                let len = self.chunk_bytes(chunk, cols);
-                vec![PhysRegion {
-                    offset: self.nsm_offsets[chunk.as_usize()],
-                    len,
-                }]
-            }
-            StorageKind::Dsm => {
-                let mut out = Vec::with_capacity(cols.len() as usize);
-                for col in cols.iter() {
-                    let pages = self.pages[chunk.as_usize()][col.as_usize()];
-                    if pages == 0 {
-                        continue;
-                    }
-                    // Position within the column area: sum of the preceding chunks' pages.
-                    let preceding: u64 = (0..chunk.index())
-                        .map(|c| self.pages[c as usize][col.as_usize()])
-                        .sum();
-                    out.push(PhysRegion {
-                        offset: self.dsm_column_offsets[col.as_usize()]
-                            + preceding * self.page_size,
-                        len: pages * self.page_size,
-                    });
-                }
-                out
-            }
-        }
+        let row = self.row(chunk);
+        self.groups_of(cols)
+            .map(|g| row + g)
+            .filter(|&i| self.pages[i] > 0)
+            .map(|i| PhysRegion {
+                offset: self.offsets[i],
+                len: self.pages[i] * self.page_size,
+            })
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cscan_storage::{ColumnDef, ColumnId, ColumnType};
+    use cscan_storage::{ColumnDef, ColumnType};
 
     fn col(i: u16) -> ColumnId {
         ColumnId::new(i)
@@ -365,11 +369,10 @@ mod tests {
     #[test]
     fn nsm_uniform_geometry() {
         let m = TableModel::nsm_uniform(10, 1000, 256);
-        assert_eq!(m.kind(), StorageKind::Nsm);
-        assert!(!m.is_dsm());
+        assert_eq!(m.groups(), [m.all_columns()]);
         assert_eq!(m.num_chunks(), 10);
         assert_eq!(m.total_tuples(), 10_000);
-        assert_eq!(m.chunk_pages(ChunkId::new(3), ColSet::empty()), 256);
+        assert_eq!(m.chunk_pages(ChunkId::new(3), ColSet::empty()), 0);
         assert_eq!(m.chunk_pages(ChunkId::new(3), m.all_columns()), 256);
         assert_eq!(m.total_pages(m.all_columns()), 2560);
         assert!((m.avg_chunk_pages() - 256.0).abs() < 1e-9);
@@ -390,7 +393,7 @@ mod tests {
     #[test]
     fn dsm_uniform_respects_column_sets() {
         let m = TableModel::dsm_uniform(8, 100_000, &[1, 13, 50]);
-        assert!(m.is_dsm());
+        assert_eq!(m.groups().len(), 3);
         assert_eq!(m.num_columns(), 3);
         let c = ChunkId::new(2);
         assert_eq!(m.chunk_pages(c, ColSet::empty()), 0);
@@ -398,6 +401,24 @@ mod tests {
         assert_eq!(m.chunk_pages(c, ColSet::from_columns([col(0), col(2)])), 51);
         assert_eq!(m.chunk_pages(c, m.all_columns()), 64);
         assert_eq!(m.total_pages(ColSet::from_columns([col(1)])), 8 * 13);
+    }
+
+    #[test]
+    fn a_group_is_read_whole() {
+        let row = TableModel::nsm_uniform(4, 100, 16);
+        let one = ColSet::from_columns([col(0)]);
+        assert_eq!(row.whole_groups(one), row.all_columns());
+        // A store wider than the model: its extra columns ride in the row.
+        let wide = ColSet::from_columns([col(0), col(5)]);
+        assert_eq!(row.whole_groups(wide), row.all_columns());
+        assert_eq!(
+            row.whole_groups(ColSet::from_columns([col(5)])),
+            row.all_columns()
+        );
+        assert_eq!(row.whole_groups(ColSet::EMPTY), ColSet::EMPTY);
+        let columns = TableModel::dsm_uniform(4, 100, &[1, 2, 3]);
+        let two = ColSet::from_columns([col(0), col(2)]);
+        assert_eq!(columns.whole_groups(two), two);
     }
 
     #[test]
@@ -409,6 +430,7 @@ mod tests {
             51,
             "exact when chunks are alike"
         );
+        assert!(uniform.ragged_words().iter().all(|&w| w == 0));
         assert_eq!(
             TableModel::nsm_uniform(4, 100, 16).max_chunk_pages(cols),
             16
@@ -429,12 +451,11 @@ mod tests {
             .unwrap();
         assert_eq!(ragged.max_chunk_pages(all), widest);
         assert!(ragged.chunk_pages(ChunkId::new(2), all) < widest);
-        // ...and the lower bound is the short last chunk's.
-        assert_eq!(uniform.min_chunk_pages(cols), 51);
-        assert_eq!(
-            ragged.min_chunk_pages(all),
-            ragged.chunk_pages(ChunkId::new(2), all)
-        );
+        // ...and the short chunk is the one marked ragged.
+        assert_eq!(ragged.ragged_words(), [0b100]);
+        let row = TableModel::nsm(&schema, 250_000, PAGE, 16 * PAGE);
+        assert_eq!(row.num_chunks(), 4);
+        assert_eq!(row.ragged_words(), [0b1000]);
     }
 
     #[test]

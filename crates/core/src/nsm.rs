@@ -54,15 +54,17 @@ mod tests {
         assert_eq!(m.chunk_tuples(ChunkId::new(0)), 8192);
         assert_eq!(m.chunk_tuples(ChunkId::new(1)), 1808);
         // Partial chunk occupies fewer pages: ceil(1808/512) = 4.
-        assert_eq!(m.chunk_pages(ChunkId::new(1), ColSet::empty()), 4);
-        assert_eq!(m.chunk_pages(ChunkId::new(0), ColSet::empty()), 16);
+        assert_eq!(m.chunk_pages(ChunkId::new(1), m.all_columns()), 4);
+        assert_eq!(m.chunk_pages(ChunkId::new(0), m.all_columns()), 16);
         let last = m.chunk_regions(ChunkId::new(1), m.all_columns());
         assert_eq!((last[0].offset, last[0].len), (MIB, 4 * PAGE));
     }
 
+    /// One group stores every column, and a group is read whole.
     #[test]
     fn column_set_is_irrelevant_for_nsm() {
         let m = TableModel::nsm(&schema(), 100_000, PAGE, MIB);
+        assert_eq!(m.groups(), [m.all_columns()]);
         let one_col = ColSet::from_columns([ColumnId::new(0)]);
         let all = m.all_columns();
         let c = ChunkId::new(3);

@@ -9,7 +9,7 @@
 //! finishes, and multi-range scans — emerge from exactly this mechanism.
 
 use crate::abm::{AbmState, LoadDecision};
-use crate::policy::{lru_victim, trigger_columns, Policy, PolicyKind};
+use crate::policy::{lru_victim, Policy, PolicyKind};
 use crate::query::QueryId;
 use cscan_simdisk::SimTime;
 use cscan_storage::ChunkId;
@@ -45,18 +45,16 @@ impl AttachPolicy {
     fn next_missing(&self, state: &AbmState, q: QueryId) -> Option<ChunkId> {
         let order = self.orders.get(&q)?;
         let query = state.query(q);
-        let cols = trigger_columns(state, q);
         order
             .iter()
             .copied()
             .filter(|&c| query.needs(c) && !state.is_inflight(c))
-            .find(|&c| state.pages_to_load(c, cols) > 0)
+            .find(|&c| state.pages_to_load(c, query.columns) > 0)
     }
 
     /// How much sharing `candidate` offers a newly arriving query: the number
-    /// of chunks both still need, weighted (for DSM) by the column overlap.
+    /// of chunks both still need, weighted by the columns both read.
     fn overlap_score(
-        state: &AbmState,
         newcomer: &crate::query::QueryState,
         candidate: &crate::query::QueryState,
     ) -> u64 {
@@ -64,15 +62,7 @@ impl AttachPolicy {
             .remaining_chunks()
             .filter(|&c| newcomer.needs(c))
             .count() as u64;
-        if chunk_overlap == 0 {
-            return 0;
-        }
-        if state.model().is_dsm() {
-            let shared_cols = newcomer.columns.intersect(candidate.columns).len() as u64;
-            chunk_overlap * shared_cols
-        } else {
-            chunk_overlap
-        }
+        chunk_overlap * u64::from(newcomer.columns.intersect(candidate.columns).len())
     }
 }
 
@@ -91,7 +81,7 @@ impl Policy for AttachPolicy {
         let best = state
             .queries()
             .filter(|p| p.id != q && !p.is_finished())
-            .map(|p| (Self::overlap_score(state, newcomer, p), p.id))
+            .map(|p| (Self::overlap_score(newcomer, p), p.id))
             .filter(|&(score, _)| score > 0)
             .max_by_key(|&(score, id)| (score, std::cmp::Reverse(id)));
         let chunks = newcomer.ranges.chunks();
@@ -146,7 +136,7 @@ impl Policy for AttachPolicy {
         Some(LoadDecision {
             trigger: chosen,
             chunk,
-            cols: trigger_columns(state, chosen),
+            cols: state.query(chosen).columns,
         })
     }
 

@@ -32,29 +32,19 @@ impl ElevatorPolicy {
         self.cursor
     }
 
-    /// Columns to load for `chunk`: the union of the columns of every active
-    /// query that still needs it (the paper: "it only loads the union of all
-    /// columns needed for this position by the active queries").
-    fn union_columns(state: &AbmState, chunk: ChunkId) -> ColSet {
-        if !state.model().is_dsm() {
-            return state.model().all_columns();
-        }
-        state
-            .queries()
-            .filter(|q| q.needs(chunk))
-            .fold(ColSet::empty(), |acc, q| acc.union(q.columns))
-    }
-
     /// Finds the next chunk (starting at the cursor, wrapping once) that some
-    /// query needs and that is missing data for those queries.  Chunks whose
+    /// query needs and that is missing data for those queries.  A load reads
+    /// the union of the columns of every query that still needs the chunk
+    /// ([`AbmState::live_columns`]; the paper: "it only loads the union of
+    /// all columns needed for this position by the active queries").  Chunks whose
     /// load is already in flight are skipped, so with an asynchronous
     /// scheduler successive decisions read ahead along the sweep.
     ///
     /// The sweep walks the [`crate::abm::ChunkIndex`] word-wise —
-    /// `interested_any ∧ ¬inflight` (NSM additionally masks `¬resident`,
-    /// since a resident NSM chunk never needs a read) — so regions of the
-    /// table nobody wants cost 1/64th of an AND instead of a per-chunk
-    /// check.  Chooses identically to the original chunk-at-a-time sweep
+    /// `interested_any ∧ ¬inflight ∧ ¬(resident ∧ ¬partial)`, since a chunk
+    /// resident with every column needs no read — so regions of the table
+    /// nobody wants cost 1/64th of an AND instead of a per-chunk check.
+    /// Chooses identically to the original chunk-at-a-time sweep
     /// (debug-asserted).
     fn next_wanted(&self, state: &AbmState) -> Option<(ChunkId, ColSet)> {
         let n = state.model().num_chunks();
@@ -65,7 +55,7 @@ impl ElevatorPolicy {
         let wanted = index.interested_any_words();
         let inflight = index.inflight_words();
         let resident = index.resident_words();
-        let mask_resident = !state.model().is_dsm();
+        let partial = index.partial_words();
         let words = wanted.len();
         let start_word = (self.cursor / 64) as usize;
         let found = 'sweep: {
@@ -73,10 +63,7 @@ impl ElevatorPolicy {
             // the start word for the indices below the cursor (the wrap).
             for step in 0..=words {
                 let wi = (start_word + step) % words;
-                let mut w = wanted[wi] & !inflight[wi];
-                if mask_resident {
-                    w &= !resident[wi];
-                }
+                let mut w = wanted[wi] & !inflight[wi] & !(resident[wi] & !partial[wi]);
                 if step == 0 {
                     w &= !0u64 << (self.cursor % 64);
                 } else if step == words {
@@ -86,7 +73,7 @@ impl ElevatorPolicy {
                     let c = (wi as u32) * 64 + w.trailing_zeros();
                     w &= w - 1;
                     let chunk = ChunkId::new(c);
-                    let cols = Self::union_columns(state, chunk);
+                    let cols = state.live_columns(chunk);
                     if state.pages_to_load(chunk, cols) > 0 {
                         break 'sweep Some((chunk, cols));
                     }
@@ -112,7 +99,7 @@ impl ElevatorPolicy {
             if state.num_interested(chunk) == 0 || state.is_inflight(chunk) {
                 continue;
             }
-            let cols = Self::union_columns(state, chunk);
+            let cols = state.live_columns(chunk);
             if state.pages_to_load(chunk, cols) > 0 {
                 return Some((chunk, cols));
             }

@@ -195,17 +195,6 @@ pub(crate) fn lru_victim_brute(state: &AbmState, protect: ChunkId) -> Option<Chu
         .map(|b| b.chunk)
 }
 
-/// Shared helper: the columns that should be fetched when loading `chunk`
-/// for `trigger` under a traditional policy — the trigger's own columns
-/// (NSM tables ignore the column set entirely).
-pub(crate) fn trigger_columns(state: &AbmState, trigger: QueryId) -> crate::colset::ColSet {
-    if state.model().is_dsm() {
-        state.query(trigger).columns
-    } else {
-        state.model().all_columns()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -7,7 +7,7 @@
 //! reuse probability from Equation 1 to `CB/CT`.
 
 use crate::abm::{AbmState, LoadDecision};
-use crate::policy::{lru_victim, trigger_columns, Policy, PolicyKind};
+use crate::policy::{lru_victim, Policy, PolicyKind};
 use crate::query::QueryId;
 use cscan_simdisk::SimTime;
 use cscan_storage::ChunkId;
@@ -36,12 +36,11 @@ impl NormalPolicy {
     /// prefetching every real system performs for `normal` scans; with the
     /// async scheduler, successive decisions prefetch ever deeper.
     fn next_missing(state: &AbmState, q: QueryId) -> Option<ChunkId> {
-        let cols = trigger_columns(state, q);
-        state
-            .query(q)
+        let query = state.query(q);
+        query
             .remaining_chunks()
             .filter(|&c| !state.is_inflight(c))
-            .find(|&c| state.pages_to_load(c, cols) > 0)
+            .find(|&c| state.pages_to_load(c, query.columns) > 0)
     }
 }
 
@@ -82,7 +81,7 @@ impl Policy for NormalPolicy {
         Some(LoadDecision {
             trigger: chosen,
             chunk,
-            cols: trigger_columns(state, chosen),
+            cols: state.query(chosen).columns,
         })
     }
 

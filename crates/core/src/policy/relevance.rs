@@ -2,8 +2,8 @@
 //!
 //! All decisions are made by per-chunk and per-query *relevance functions*.
 //! There is one formula per function — Figure 11's, with the interest term
-//! of Figure 3 as its second-order key — and the row store is its case of
-//! one page per chunk and every query reading every column:
+//! of Figure 3 as its second-order key — for every table, whatever its
+//! column groups:
 //!
 //! * `queryRelevance` picks which query to load a chunk for: only starved
 //!   queries (fewer than two available chunks) are considered, shorter
@@ -23,11 +23,15 @@
 //!   protected, otherwise the largest per interested query goes first — and
 //!   a chunk nobody needs, at zero, before any of them.
 //!
-//! With `pages = 1` and no column sets these are Figure 3's
+//! Every score is normalised by pages, the row store's too.  On a table of
+//! one column group every query reads every column, so the overlapping
+//! queries are a chunk's interest counters and these are Figure 3's
 //! `starved · QMAX + interested`, least-`interested` and
-//! `almost_starved · QMAX + interested`, which is how NSM tables are
-//! scored; `tests/layout_equivalence.rs` holds a DSM table whose queries
-//! read every column to the row store's decisions, one for one.
+//! `almost_starved · QMAX + interested`, each per page of the chunk: equal
+//! chunks rank as Figure 3 ranks them, and a short last chunk ranks by what
+//! it costs.  `tests/layout_equivalence.rs` holds a table of one group per
+//! column whose queries read every column to the one-group table's
+//! decisions, one for one, on a table whose last chunk is short too.
 //!
 //! # One walk per decision point
 //!
@@ -38,27 +42,28 @@
 //! ([`RelevancePolicy::new`]) argmax instead walks the bitset index of
 //! [`AbmState`], the same code for row and column stores:
 //!
-//! * first the resident chunks that still miss some of the trigger's
-//!   columns (`needed ∧ resident ∧ ¬inflight`; a row store has none), each
-//!   scored exactly;
-//! * then `starved_buckets[s] ∧ needed ∧ ¬resident ∧ ¬inflight` from the
-//!   highest starved-interest count `s` down, 64 chunks per word.  Every
-//!   candidate in bucket `s` scores at most `(s · QMAX + active queries) /
-//!   floor`, where `floor` is the fewest pages a load of the trigger's
-//!   columns can cost (each column at its narrowest chunk; 1 for a row
-//!   store, which scores per chunk).  The walk stops at the first bucket
-//!   whose bound falls below the best score so far, and returns as soon as a
-//!   candidate reaches its bucket's bound — for a row store, a chunk every
-//!   running query wants.
+//! * first the chunks a load may cost fewer pages than a full chunk of the
+//!   trigger's columns: resident chunks that miss some column, and the
+//!   model's ragged chunks (`needed ∧ (partial ∨ ragged) ∧ ¬inflight`; a
+//!   uniform row store has neither, lineitem's has its short last chunk),
+//!   each scored exactly;
+//! * then `starved_buckets[s] ∧ needed ∧ ¬resident ∧ ¬ragged ∧ ¬inflight`
+//!   from the highest starved-interest count `s` down, 64 chunks per word.
+//!   Every candidate in bucket `s` scores at most `(s · QMAX + active
+//!   queries) / floor`, where `floor` is what a load of the trigger's
+//!   columns costs on a chunk that is not ragged: every group at its widest.
+//!   The walk stops at the first bucket whose bound falls below the best
+//!   score so far, and returns as soon as a candidate reaches its bucket's
+//!   bound — on a row store, a chunk every running query wants.
 //!
 //! Scores are exact `Ratio`s and ties go to the lowest chunk id, so the
 //! walk chooses what the sweep chooses for any number of queries, past
 //! `QMAX` too, where the starved count alone no longer orders the buckets.
 //!
 //! The other two decision points walk the same index: `chooseAvailableChunk`
-//! takes the `useRelevance` argmax over `resident ∧ needed` (checking, for
-//! DSM, that the chunk holds every column the query reads) and stops at the
-//! first chunk nothing can beat, and the eviction argmin walks `resident ∧
+//! takes the `useRelevance` argmax over `resident ∧ needed` (checking that
+//! the chunk holds every column the query reads) and stops at the first
+//! chunk nothing can beat, and the eviction argmin walks `resident ∧
 //! ¬needed(trigger) ∧ ¬starved_any` (strict pass) or `resident` (relaxed
 //! pass) reading `keepRelevance` from the cached counters.
 //!
@@ -70,20 +75,20 @@
 //! Cost model: picking the trigger is O(active queries), each
 //! `queryRelevance` reading the cached starvation index in O(1).  The chunk
 //! argmax is O(chunks/64 · buckets walked) plus one score per candidate
-//! met on the way — O(1) for a row store, O(active queries) for a column
-//! store, whose scores count the overlapping queries — and keeps no state
-//! between decisions.  State transitions pay O(1) per interest-counter
+//! met on the way — O(1) while every active query reads the same columns
+//! (always, on a table of one group), O(active queries) otherwise, when a
+//! score counts the overlapping queries — and keeps no state between
+//! decisions.  State transitions pay O(1) per interest-counter
 //! change, with a starvation *level* crossing costing O(chunks the query
 //! still needs).  On the Figure 8 2 GB/2048-chunk mix a `plan_load`
-//! decision is 13–70× cheaper than the brute-force sweep at 16–128
-//! concurrent queries on the row store and 140–280× on the six-column
-//! store, where the sweep scores the overlap of every chunk it passes
-//! (wall-clock, printed by `cargo run --release -p
+//! decision is 10–70× cheaper than the brute-force sweep at 16–128
+//! concurrent queries (wall-clock, printed by `cargo run --release -p
 //! cscan_bench --bin fig8_scheduling_cost`; the release-only
 //! `incremental_speedup_at_64_queries` gate in `cscan_bench` holds it to
-//! ≥ 5× at 64, on a row store and on a six-column column store).
+//! ≥ 5× at 64 on a row store, on a six-column column store and on a row
+//! store whose last chunk is short).
 
-use crate::abm::{AbmState, LoadDecision, STARVATION_THRESHOLD};
+use crate::abm::{AbmState, BufferedChunk, LoadDecision, STARVATION_THRESHOLD};
 use crate::colset::ColSet;
 use crate::policy::{Policy, PolicyKind};
 use crate::query::{QueryId, QueryState};
@@ -137,10 +142,10 @@ impl PartialOrd for Ratio {
     }
 }
 
-/// Who weighs on a DSM decision about one chunk taken for a query reading
+/// Who weighs on a decision about one chunk taken for a query reading
 /// `cols`: the queries that still need the chunk and share a column with
-/// `cols` (Figure 11's "overlapping" queries; under NSM, or when every query
-/// reads every column, simply the chunk's interest counters).
+/// `cols` (Figure 11's "overlapping" queries; when every active query reads
+/// the same columns, simply the chunk's interest counters).
 struct Overlap {
     /// Overlapping interested queries.
     interested: u32,
@@ -151,7 +156,17 @@ struct Overlap {
 }
 
 impl Overlap {
+    /// `cols` must be the columns of an active query.
     fn of(state: &AbmState, chunk: ChunkId, cols: ColSet) -> Self {
+        if let Some(shared) = state.shared_columns() {
+            // Every active query reads `cols`, so every interested one
+            // overlaps.
+            return Overlap {
+                interested: state.num_interested(chunk),
+                starved: state.num_interested_starved(chunk),
+                cols: shared,
+            };
+        }
         let mut o = Overlap {
             interested: 0,
             starved: 0,
@@ -226,35 +241,32 @@ impl RelevancePolicy {
 
     /// `useRelevance(c, q)`: priority of *consuming* resident chunk `c` —
     /// the pages it holds for `q` per query that wants them, so poorly
-    /// shared (DSM: and big) chunks become evictable early.
+    /// shared and big chunks become evictable early.
     pub fn use_relevance(state: &AbmState, q: QueryId, chunk: ChunkId) -> f64 {
-        Self::use_ratio(state, state.query(q), chunk).value()
+        state
+            .buffered_chunk(chunk)
+            .map_or(0.0, |b| Self::use_ratio(state, state.query(q), b).value())
     }
 
-    /// [`Self::use_relevance`] as a ratio, over a query reference (the walk
-    /// of `chooseAvailableChunk` holds one).  A chunk holding nothing but
-    /// the query's columns, wanted by the query alone — the common case of
-    /// a short scan — costs two counter reads.
-    fn use_ratio(state: &AbmState, query: &QueryState, chunk: ChunkId) -> Ratio {
+    /// [`Self::use_relevance`] as a ratio, over the query and the buffer
+    /// entry the walk of `chooseAvailableChunk` holds.  A chunk holding
+    /// nothing but the query's columns, wanted by the query alone — the
+    /// common case of a short scan — costs two counter reads.
+    fn use_ratio(state: &AbmState, query: &QueryState, b: &BufferedChunk) -> Ratio {
         let cols = query.columns;
-        let (pages, interested) = if state.model().is_dsm() {
-            let cached = state.buffered_chunk(chunk).map_or(0, |b| {
-                if b.columns.is_subset_of(cols) {
-                    b.pages
-                } else {
-                    state.model().chunk_pages(chunk, b.columns.intersect(cols))
-                }
-            });
-            let interested = match state.num_interested(chunk) {
-                n @ 0..=1 => n,
-                _ => Overlap::of(state, chunk, cols).interested,
-            };
-            (cached, interested)
+        let cached = if b.columns.is_subset_of(cols) {
+            b.pages
         } else {
-            (1, state.num_interested(chunk))
+            state
+                .model()
+                .chunk_pages(b.chunk, b.columns.intersect(cols))
+        };
+        let interested = match state.num_interested(b.chunk) {
+            n @ 0..=1 => n,
+            _ => Overlap::of(state, b.chunk, cols).interested,
         };
         Ratio {
-            num: pages,
+            num: cached,
             den: u64::from(interested.max(1)),
         }
     }
@@ -269,19 +281,10 @@ impl RelevancePolicy {
 
     /// [`Self::load_relevance`] as a ratio, over a query reference.
     fn load_ratio(state: &AbmState, trigger: &QueryState, chunk: ChunkId) -> Ratio {
-        let (starved, interested, pages) = if state.model().is_dsm() {
-            let o = Overlap::of(state, chunk, trigger.columns);
-            let pages = state.pages_to_load(chunk, trigger.columns.union(o.cols));
-            (o.starved, o.interested, pages)
-        } else {
-            (
-                state.num_interested_starved(chunk),
-                state.num_interested(chunk),
-                1,
-            )
-        };
+        let o = Overlap::of(state, chunk, trigger.columns);
+        let pages = state.pages_to_load(chunk, trigger.columns.union(o.cols));
         Ratio {
-            num: u64::from(starved) * QMAX + u64::from(interested),
+            num: u64::from(o.starved) * QMAX + u64::from(o.interested),
             den: pages.max(1),
         }
     }
@@ -297,10 +300,7 @@ impl RelevancePolicy {
 
     /// [`Self::keep_relevance`] as a ratio.
     fn keep_ratio(state: &AbmState, chunk: ChunkId) -> Ratio {
-        let pages = match state.buffered_chunk(chunk) {
-            Some(b) if state.model().is_dsm() => b.pages.max(1),
-            _ => 1,
-        };
+        let pages = state.buffered_chunk(chunk).map_or(1, |b| b.pages.max(1));
         Ratio {
             num: u64::from(state.num_interested_almost_starved(chunk)) * QMAX
                 + u64::from(state.num_interested(chunk)),
@@ -311,12 +311,8 @@ impl RelevancePolicy {
     /// The columns to fetch when loading `chunk` for `trigger`: the trigger's
     /// columns plus those of every query that needs the chunk and overlaps
     /// them — the queries `loadRelevance` counted, so one request serves all
-    /// of them instead of one now and a top-up per query later (NSM: all
-    /// columns).
+    /// of them instead of one now and a top-up per query later.
     fn load_columns(state: &AbmState, trigger: QueryId, chunk: ChunkId) -> ColSet {
-        if !state.model().is_dsm() {
-            return state.model().all_columns();
-        }
         let trigger_cols = state.query(trigger).columns;
         trigger_cols.union(Overlap::of(state, chunk, trigger_cols).cols)
     }
@@ -342,24 +338,25 @@ impl RelevancePolicy {
             .map(|(_, c)| c)
     }
 
-    /// `chooseChunkToLoad` over the bitset index, for either storage model
-    /// (see the module docs): the resident chunks still missing a column of
-    /// the trigger's, then the starved-interest buckets from the highest
+    /// `chooseChunkToLoad` over the bitset index (see the module docs): the
+    /// resident chunks missing some column and the ragged chunks, then the starved-interest buckets from the highest
     /// down, each bounded by `(s · QMAX + active queries) / floor`.
     ///
     /// A starved trigger counts itself in the starved interest of every
     /// chunk it needs, so every missing candidate lies in some bucket
     /// `s ≥ 1`.  A candidate in bucket `s` has at most `s` starved and at
-    /// most every active query interested, and a load of a chunk with none
-    /// of the trigger's columns resident reads at least `floor` pages.
+    /// most every active query interested, and a load of a chunk that is
+    /// neither resident nor ragged reads every group of the trigger's at its
+    /// widest: at least `floor` pages.
     /// Chooses bit-identically to [`Self::choose_chunk_brute`].
     fn choose_chunk_walk(state: &AbmState, trigger: &QueryState) -> Option<ChunkId> {
         let cols = trigger.columns;
         let needed = trigger.needed_words();
         let index = state.index();
         let resident = index.resident_words();
+        let partial = index.partial_words();
         let inflight = index.inflight_words();
-        let dsm = state.model().is_dsm();
+        let ragged = state.model().ragged_words();
         let mut best: Option<(Ratio, ChunkId)> = None;
         // Higher scores win, ties go to the lowest chunk id.
         let offer = |best: &mut Option<(Ratio, ChunkId)>, score: Ratio, chunk: ChunkId| {
@@ -367,24 +364,21 @@ impl RelevancePolicy {
                 *best = Some((score, chunk));
             }
         };
-        if dsm {
-            for (wi, (&nw, &rw)) in needed.iter().zip(resident).enumerate() {
-                let fw = inflight.get(wi).copied().unwrap_or(0);
-                let mut w = nw & rw & !fw;
-                while w != 0 {
-                    let chunk = ChunkId::new((wi * 64) as u32 + w.trailing_zeros());
-                    w &= w - 1;
-                    if state.pages_to_load(chunk, cols) > 0 {
-                        offer(&mut best, Self::load_ratio(state, trigger, chunk), chunk);
-                    }
+        // The chunks whose load may cost less than `floor`, scored exactly.
+        for (wi, &nw) in needed.iter().enumerate() {
+            let pw = partial.get(wi).copied().unwrap_or(0);
+            let gw = ragged.get(wi).copied().unwrap_or(0);
+            let fw = inflight.get(wi).copied().unwrap_or(0);
+            let mut w = nw & (pw | gw) & !fw;
+            while w != 0 {
+                let chunk = ChunkId::new((wi * 64) as u32 + w.trailing_zeros());
+                w &= w - 1;
+                if state.pages_to_load(chunk, cols) > 0 {
+                    offer(&mut best, Self::load_ratio(state, trigger, chunk), chunk);
                 }
             }
         }
-        let floor = if dsm {
-            state.model().min_chunk_pages(cols).max(1)
-        } else {
-            1
-        };
+        let floor = state.model().max_chunk_pages(cols).max(1);
         let queries = state.num_queries() as u64;
         for s in (1..=index.max_interested_starved()).rev() {
             let bound = Ratio {
@@ -397,8 +391,9 @@ impl RelevancePolicy {
             let bucket = index.starved_bucket_words(s);
             for (wi, (&nw, &bw)) in needed.iter().zip(bucket).enumerate() {
                 let rw = resident.get(wi).copied().unwrap_or(0);
+                let gw = ragged.get(wi).copied().unwrap_or(0);
                 let fw = inflight.get(wi).copied().unwrap_or(0);
-                let mut w = nw & bw & !rw & !fw;
+                let mut w = nw & bw & !rw & !gw & !fw;
                 while w != 0 {
                     let chunk = ChunkId::new((wi * 64) as u32 + w.trailing_zeros());
                     w &= w - 1;
@@ -450,15 +445,15 @@ impl RelevancePolicy {
 
     /// The seed implementation of `chooseAvailableChunk`: sweep the buffer
     /// and take the `useRelevance` argmax (ties towards the lowest chunk
-    /// id).  O(buffered chunks) per call, with a per-chunk query sweep for
-    /// DSM.  Reference for the word-wise walk.
+    /// id).  O(buffered chunks) per call, with a per-chunk query sweep when
+    /// the active queries' columns differ.  Reference for the word-wise walk.
     pub fn choose_use_chunk_brute(state: &AbmState, q: QueryId) -> Option<ChunkId> {
         let query = state.query(q);
         state
             .buffered()
             .filter(|b| query.needs_and_not_processing(b.chunk))
             .filter(|b| query.columns.is_subset_of(b.columns))
-            .map(|b| (Self::use_relevance(state, q, b.chunk), b.chunk))
+            .map(|b| (Self::use_ratio(state, query, b).value(), b.chunk))
             .max_by(|a, b| {
                 a.0.partial_cmp(&b.0)
                     .unwrap_or(std::cmp::Ordering::Equal)
@@ -469,21 +464,15 @@ impl RelevancePolicy {
 
     /// Word-wise `chooseAvailableChunk`: the `useRelevance` argmax over
     /// `resident ∧ needed`, 64 chunks per word, skipping the chunk being
-    /// processed and — DSM — chunks that do not hold every column the query
-    /// reads.  Ascending order and a strict comparison break ties towards
+    /// processed and chunks that do not hold every column the query reads.  Ascending order and a strict comparison break ties towards
     /// the lowest chunk id, and the walk stops at the first chunk nothing can
     /// beat: the query's columns at their widest, wanted by the query alone.
     /// Chooses bit-identically to the brute sweep.
     fn choose_use_chunk(state: &AbmState, q: QueryId) -> Option<ChunkId> {
         let query = state.query(q);
         let resident = state.index().resident_words();
-        let dsm = state.model().is_dsm();
         let cap = Ratio {
-            num: if dsm {
-                state.model().max_chunk_pages(query.columns)
-            } else {
-                1
-            },
+            num: state.model().max_chunk_pages(query.columns),
             den: 1,
         };
         let mut best: Option<(Ratio, ChunkId)> = None;
@@ -492,12 +481,13 @@ impl RelevancePolicy {
             while w != 0 {
                 let chunk = ChunkId::new((wi * 64) as u32 + w.trailing_zeros());
                 w &= w - 1;
-                if query.processing == Some(chunk)
-                    || (dsm && !state.is_resident(chunk, query.columns))
-                {
+                let Some(b) = state.buffered_chunk(chunk) else {
+                    continue;
+                };
+                if query.processing == Some(chunk) || !query.columns.is_subset_of(b.columns) {
                     continue;
                 }
-                let score = Self::use_ratio(state, query, chunk);
+                let score = Self::use_ratio(state, query, b);
                 if best.is_none_or(|(b, _)| score > b) {
                     if score >= cap {
                         return Some(chunk);
@@ -757,6 +747,33 @@ mod tests {
         assert_eq!(d.trigger, short);
         // The chosen chunk is shared by both queries (chunks 0..5 are).
         assert!(s.query(long).needs(d.chunk));
+    }
+
+    #[test]
+    fn a_short_chunk_outranks_a_full_one_of_equal_interest() {
+        // 10 000 tuples of 128 bytes in 1 MiB chunks: 16 pages, then 4.
+        let schema = cscan_storage::TableSchema::new(
+            "t",
+            (0..16)
+                .map(|i| {
+                    cscan_storage::ColumnDef::new(format!("c{i}"), cscan_storage::ColumnType::Int64)
+                })
+                .collect(),
+        );
+        let model = TableModel::nsm(&schema, 10_000, 64 * 1024, 1024 * 1024);
+        let all = model.all_columns();
+        assert_eq!(model.chunk_pages(ChunkId::new(0), all), 16);
+        assert_eq!(model.chunk_pages(ChunkId::new(1), all), 4);
+        let mut s = AbmState::new(model, 1_000);
+        let q = register(&mut s, 1, 0, 2);
+        // One starved query wants both: the same interest buys a quarter of
+        // the pages on the short chunk.
+        let d = RelevancePolicy::new().next_load(&s, SimTime::ZERO).unwrap();
+        assert_eq!((d.trigger, d.chunk), (q, ChunkId::new(1)));
+        assert_eq!(
+            RelevancePolicy::choose_chunk_brute(&s, q),
+            Some(ChunkId::new(1))
+        );
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //! and every [`PinnedChunk`] a query receives holds both the ABM-side
 //! processing pin and a frame pin (the slot's pin count), so eviction can
 //! never reclaim a chunk a query is still reading.  A payload is a
-//! [`ChunkPayload`] — all columns of an NSM chunk, the resident ones of a
-//! DSM chunk; [`PinnedChunk::column`] views them zero-copy — the
+//! [`ChunkPayload`] — the resident columns of the chunk, the whole row when
+//! a load covers every column; [`PinnedChunk::column`] views them zero-copy — the
 //! hot consume path (acquire → read views → release) performs no per-chunk
 //! heap allocation and no data copies.  Without a store the server
 //! delivers [`ChunkPayload::Missing`]: chunk ids and nothing else.
@@ -64,7 +64,7 @@
 //!   per-shard mutex (striped by chunk id), never the scheduler lock.
 //!   Shard-lock hold times land in the `shard_lock_hold` histogram
 //!   ([`ScanServer::shard_lock_hold_histogram`]).  Residency *transitions*
-//!   (install at commit, evict — or, for a DSM chunk somebody still needs,
+//!   (install at commit, evict — or, for a chunk somebody still needs,
 //!   drop its dead columns — at plan time, and at no other: a released
 //!   chunk stays cached) are driven by the scheduler,
 //!   which nests the shard lock inside its critical section — the payloads
@@ -373,9 +373,6 @@ pub(crate) struct Shared {
     park: WorkerPark,
     /// Source of chunk payloads; `None` delivers metadata-only chunks.
     store: Option<Arc<dyn ChunkStore>>,
-    /// Whether the table model is DSM (cached so workers can prepare the
-    /// column list for materialization without an extra lock round).
-    is_dsm: bool,
     shutdown: AtomicBool,
     started: Instant,
     io_cost_per_page_nanos: u64,
@@ -836,7 +833,6 @@ impl ScanServerBuilder {
             .buffer_pages
             .max(self.model.avg_chunk_pages().ceil() as u64)
             .max(1);
-        let is_dsm = self.model.is_dsm();
         let num_chunks = self.model.num_chunks() as usize;
         // One slot per logical chunk: capacity is governed by the ABM's
         // page accounting, which plans every eviction.
@@ -866,7 +862,6 @@ impl ScanServerBuilder {
             inbox_mask: (num_shards - 1) as u64,
             park: WorkerPark::new(workers),
             store: self.store,
-            is_dsm,
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
             io_cost_per_page_nanos: self.io_cost_per_page.as_nanos() as u64,
@@ -956,16 +951,12 @@ fn io_worker_main(shared: Arc<Shared>, id: usize) {
             }
             unused.push(ChunkPayload::Data(data));
         }
-        // The columns to materialize: everything for NSM (all-or-nothing),
-        // exactly the missing columns for DSM (what this load adds).
-        let dsm_cols: Option<Vec<ColumnId>> = shared.is_dsm.then(|| {
-            sched
-                .abm
-                .state()
-                .missing_columns(plan.decision.chunk, plan.decision.cols)
-                .iter()
-                .collect()
-        });
+        // The columns to materialize: exactly the missing ones (what this
+        // load adds), or the full row when the load covers every column.
+        let state = sched.abm.state();
+        let missing = state.missing_columns(plan.decision.chunk, plan.decision.cols);
+        let cols: Option<Vec<ColumnId>> =
+            (missing != state.model().all_columns()).then(|| missing.iter().collect());
         // A quarantined chunk can still be planned when a query registers
         // *after* the chunk failed for good; remember that so the store is
         // never touched for it again.
@@ -1006,7 +997,7 @@ fn io_worker_main(shared: Arc<Shared>, id: usize) {
         let chunk_idx = plan.decision.chunk.index();
         let payload = loop {
             let read_started = Instant::now();
-            let result = read_payload(&shared, plan.decision.chunk, dsm_cols.as_deref());
+            let result = read_payload(&shared, plan.decision.chunk, cols.as_deref());
             let nanos = plan.pages.saturating_mul(shared.io_cost_per_page_nanos);
             if nanos > 0 {
                 std::thread::sleep(Duration::from_nanos(nanos));
@@ -1094,8 +1085,8 @@ fn io_worker_main(shared: Arc<Shared>, id: usize) {
         };
         let signalled = woken.len() as u64;
         if committed {
-            // Install the payload into the chunk's slot.  For DSM a chunk
-            // may already be partially resident: the pool unions the column
+            // Install the payload into the chunk's slot.  A chunk may
+            // already be partially resident: the pool unions the column
             // sets (sharing the existing vectors — no copy).
             let installed = shared.pool.install(plan.decision.chunk, payload);
             debug_assert!(installed, "the model has no {:?}", plan.decision.chunk);

@@ -1,19 +1,23 @@
 //! A column store on which every query reads every column is a row store.
 //!
-//! Segment files are scheduled under a DSM [`TableModel`] — one page count
-//! per column extent — whatever a scan asks for, so a full-width scan runs
-//! on the DSM code paths: per-column page sums, the `relevance` policy's
-//! resident-first pass and page floor in its chunk argmax and its
-//! pages-weighted relevance functions, dead-column reclaim.  This test pins what makes that safe: the same scripted
-//! register / plan / commit / acquire / release / detach sequence, run
-//! against `nsm_uniform(n, t, p · k)` and against `dsm_uniform(n, t, &[p;
-//! k])` with every query asking for all `k` columns, takes the same
-//! decisions in the same order — trigger, chunk, pages, victims, wake-ups,
-//! grants — under all four policies, and ends in the same buffer.
+//! A [`TableModel`] is a set of column groups, and the scheduler never asks
+//! how many: a row store is one group of every column, a column store one
+//! group per column, and segment files are scheduled as the latter whatever
+//! a scan asks for.  A full-width scan of `k` groups of `p` pages therefore
+//! runs through per-group page sums, the overlap count of the `relevance`
+//! scores, dead-column reclaim — paths a scan of one group of `k · p`
+//! pages passes through with one group.  This test pins that the two agree:
+//! the same scripted register / plan / commit / acquire / release / detach
+//! sequence, run against both with every query asking for every column,
+//! takes the same decisions in the same order — trigger, chunk, pages,
+//! victims, wake-ups, grants — under all four policies, and ends in the same
+//! buffer.  It does so on uniform tables (`nsm_uniform(n, t, p · k)` against
+//! `dsm_uniform(n, t, &[p; k])`) and on tables whose last chunk is short,
+//! scaled alike in both, which every score normalises by its pages.
 //!
 //! Where the two layouts may differ is left out on purpose: the columns a
-//! load names (`k` of them against the row store's one) and the physical
-//! regions it reads.
+//! load names (`k` of them against the uniform row store's one) and the
+//! physical regions it reads.
 
 use cscan_core::abm::{Abm, AbmState, CommitOutcome, LoadPlan};
 use cscan_core::model::TableModel;
@@ -21,7 +25,7 @@ use cscan_core::policy::PolicyKind;
 use cscan_core::query::QueryId;
 use cscan_core::ScanRanges;
 use cscan_simdisk::SimTime;
-use cscan_storage::ChunkId;
+use cscan_storage::{ChunkId, ColumnDef, ColumnType, TableSchema};
 use proptest::prelude::*;
 
 const CHUNKS: u32 = 24;
@@ -213,20 +217,56 @@ impl Pair {
     }
 }
 
+/// One group of `columns · pages_per_column` pages per chunk against
+/// `columns` groups of `pages_per_column`.
+fn uniform_pair(columns: usize, pages_per_column: u64) -> (TableModel, TableModel) {
+    (
+        TableModel::nsm_uniform(CHUNKS, TUPLES, pages_per_column * columns as u64),
+        TableModel::dsm_uniform(CHUNKS, TUPLES, &vec![pages_per_column; columns]),
+    )
+}
+
+/// The same two layouts with a last chunk of `last_pages` pages per column
+/// (fewer than `pages_per_column`), built from one schema of `columns`
+/// eight-byte columns.  A page of `8 · columns · ROWS` bytes holds `ROWS`
+/// rows of the row store and `columns · ROWS` values of one column, so a
+/// chunk of `columns · pages_per_column · ROWS` tuples spans exactly
+/// `columns · pages_per_column` row pages and `pages_per_column` pages of
+/// each column, and the last chunk `columns · last_pages` and `last_pages`.
+fn ragged_pair(columns: usize, pages_per_column: u64, last_pages: u64) -> (TableModel, TableModel) {
+    const ROWS: u64 = 4;
+    let k = columns as u64;
+    let schema = TableSchema::new(
+        "ragged",
+        (0..columns)
+            .map(|i| ColumnDef::new(format!("c{i}"), ColumnType::Int64))
+            .collect(),
+    );
+    let page = 8 * k * ROWS;
+    let chunk_tuples = k * pages_per_column * ROWS;
+    let tuples = u64::from(CHUNKS - 1) * chunk_tuples + k * last_pages * ROWS;
+    let nsm = TableModel::nsm(&schema, tuples, page, k * pages_per_column * page);
+    let dsm = TableModel::dsm(&schema, tuples, page, chunk_tuples);
+    let last = ChunkId::new(CHUNKS - 1);
+    assert_eq!(nsm.chunk_pages(last, nsm.all_columns()), k * last_pages);
+    assert_eq!(dsm.chunk_pages(last, dsm.all_columns()), k * last_pages);
+    assert_eq!(
+        nsm.total_pages(nsm.all_columns()),
+        dsm.total_pages(dsm.all_columns())
+    );
+    (nsm, dsm)
+}
+
 /// Runs `ops` on both layouts in lockstep under `policy`, comparing every
 /// outcome as it is produced, then drains both to completion.
 fn check(
     policy: PolicyKind,
-    columns: usize,
-    pages_per_column: u64,
+    (nsm_model, dsm_model): (TableModel, TableModel),
     buffer_chunks: u64,
     k: usize,
     ops: &[Op],
 ) -> Result<(), TestCaseError> {
-    let chunk_pages = pages_per_column * columns as u64;
-    let buffer_pages = buffer_chunks * chunk_pages;
-    let nsm_model = TableModel::nsm_uniform(CHUNKS, TUPLES, chunk_pages);
-    let dsm_model = TableModel::dsm_uniform(CHUNKS, TUPLES, &vec![pages_per_column; columns]);
+    let buffer_pages = buffer_chunks * nsm_model.max_chunk_pages(nsm_model.all_columns());
     let mut pair = Pair {
         policy,
         nsm: Side::new(nsm_model, policy, buffer_pages),
@@ -287,7 +327,8 @@ fn overlapping_scans_through_a_small_buffer_decide_alike() {
         }
     }
     for policy in PolicyKind::ALL {
-        check(policy, 6, 3, 4, 2, &ops).unwrap();
+        check(policy, uniform_pair(6, 3), 4, 2, &ops).unwrap();
+        check(policy, ragged_pair(6, 3, 1), 4, 2, &ops).unwrap();
     }
 }
 
@@ -304,7 +345,24 @@ proptest! {
         k in 1usize..4,
     ) {
         for policy in PolicyKind::ALL {
-            check(policy, columns, pages_per_column, buffer_chunks, k, &ops)?;
+            check(policy, uniform_pair(columns, pages_per_column), buffer_chunks, k, &ops)?;
+        }
+    }
+
+    /// The same on a table whose last chunk is short, in both layouts alike.
+    #[test]
+    fn a_short_last_chunk_schedules_alike_in_both_layouts(
+        ops in prop::collection::vec(arb_op(), 1..160),
+        columns in 1usize..7,
+        pages_per_column in 2u64..5,
+        short in 0u64..3,
+        buffer_chunks in 2u64..9,
+        k in 1usize..4,
+    ) {
+        let last_pages = 1 + short % (pages_per_column - 1);
+        for policy in PolicyKind::ALL {
+            let pair = ragged_pair(columns, pages_per_column, last_pages);
+            check(policy, pair, buffer_chunks, k, &ops)?;
         }
     }
 }

@@ -365,9 +365,9 @@ fn assert_twins_agree(model: &TableModel, script: &Script) {
         assert_eq!(
             lazy_trace,
             eager_trace,
-            "decision traces diverged for {} on {:?} (seed {})",
+            "decision traces diverged for {} on {} column groups (seed {})",
             policy.name(),
-            model.kind(),
+            model.groups().len(),
             script.seed
         );
         assert_eq!(

@@ -54,9 +54,9 @@ pub struct TableEntry {
     name: String,
     model: TableModel,
     /// The columns the *store* can materialize.  The same as the model's
-    /// for a segment table; a mem table's synthetic NSM model folds all
-    /// columns into one page column for scheduling while the store still
-    /// delivers the real width.
+    /// for a segment table; a mem table's synthetic model is one group of
+    /// one column for scheduling while the store still delivers the real
+    /// width.
     columns: ColSet,
     server: ScanServer,
     admission: Admission,
@@ -95,16 +95,11 @@ impl TableEntry {
     pub fn open_scan(&self, plan: &CScanPlan) -> Result<(Permit, CScanHandle), ServeError> {
         self.validate(plan)?;
         let permit = self.admission.admit()?;
-        // The executor schedules over the *model's* columns; project the
-        // requested set into them.  For a segment table that is the
-        // identity, and the scan's loads read those columns' extents and no
-        // others; a mem table's synthetic NSM model folds the whole chunk
-        // into one page column and its loads materialize every store
-        // column anyway.  The wire-level column selection is applied at
-        // encode time from the original plan.
-        let mut exec_plan = plan.clone();
-        exec_plan.columns = plan.columns.intersect(self.model.all_columns());
-        let handle = self.server.cscan(exec_plan);
+        // A mem table's one-column model keeps a store column past it in
+        // its one group (`TableModel::whole_groups`), so its loads
+        // materialize the whole row; the wire-level column selection is
+        // applied at encode time from the plan.
+        let handle = self.server.cscan(plan.clone());
         Ok((permit, handle))
     }
 
@@ -179,7 +174,7 @@ impl Catalog {
 
     /// Serves an explicit `store`/`model` pair under `name`.  `columns`
     /// is the set the store can materialize ([`ChunkStore`] itself does
-    /// not expose a width, and synthetic NSM models under-report it).
+    /// not expose a width, and synthetic models under-report it).
     pub fn add_store(
         &mut self,
         name: impl Into<String>,

@@ -156,14 +156,14 @@ mod tests {
             "got {}",
             model.num_chunks()
         );
-        assert!(!model.is_dsm());
+        assert_eq!(model.groups(), [model.all_columns()]);
         assert_eq!(model.total_tuples(), 60_000_000);
     }
 
     #[test]
     fn sf40_dsm_matches_paper_scale() {
         let model = lineitem_dsm_model(40);
-        assert!(model.is_dsm());
+        assert_eq!(model.groups().len(), 15);
         assert_eq!(model.total_tuples(), 240_000_000);
         assert_eq!(model.num_chunks(), 480);
         // The full-width DSM table is smaller per tuple than NSM thanks to

@@ -134,7 +134,7 @@ mod tests {
         assert_eq!(schema.column(ColumnId::new(0)).name, "A");
         assert_eq!(schema.column(ColumnId::new(9)).name, "J");
         let model = synthetic_model(10_000_000);
-        assert!(model.is_dsm());
+        assert_eq!(model.groups().len(), 10);
         assert_eq!(model.num_chunks(), 20);
         assert_eq!(model.num_columns(), 10);
     }

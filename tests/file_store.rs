@@ -169,7 +169,11 @@ fn a_two_column_scan_reads_and_decodes_two_extents_per_load() {
                 .map(|c| store.directory().chunk_bytes(ChunkId::new(c), Some(&cols)))
                 .sum();
             let model = model_from_segment(&store);
-            assert!(model.is_dsm(), "a segment file is a column store");
+            assert_eq!(
+                model.groups().len(),
+                usize::from(model.num_columns()),
+                "a segment file is a column store"
+            );
             let server = ScanServer::builder(model)
                 .policy(policy)
                 .buffer_chunks(CHUNKS as u64)

@@ -99,6 +99,9 @@ fn decisions(rows: &[PolicyRow]) -> Vec<(PolicyKind, u64, f64)> {
 // time, so a change to a table model, a policy or the plan/commit loop that
 // moves any decision moves one of these numbers exactly.
 
+/// `relevance` scores lineitem's short last chunk (143 of 256 pages) per
+/// page like every other, so it ranks above a full chunk of equal interest:
+/// 267 loads in 41.392554 s, where a per-chunk score read 270 in 41.413602.
 #[test]
 fn pinned_table2_decisions() {
     let r = table2::run(Scale::Quick, 1234);
@@ -108,7 +111,7 @@ fn pinned_table2_decisions() {
             (PolicyKind::Normal, 564, 47.423282),
             (PolicyKind::Attach, 527, 43.476516),
             (PolicyKind::Elevator, 264, 44.101843),
-            (PolicyKind::Relevance, 270, 41.413602),
+            (PolicyKind::Relevance, 267, 41.392554),
         ]
     );
 }

@@ -11,16 +11,13 @@ use cscan_storage::ChunkId;
 use cscan_workload::lineitem::{lineitem_dsm_model, lineitem_nsm_model};
 use cscan_workload::synthetic::synthetic_model;
 
-/// Pages of `chunk` per column (one entry for a row store, whose chunks are
-/// all-or-nothing).
-fn pages_per_column(m: &TableModel, chunk: u32) -> Vec<u64> {
+/// Pages of `chunk` per column group (one entry for a row store, whose
+/// group holds every column).
+fn pages_per_group(m: &TableModel, chunk: u32) -> Vec<u64> {
     let chunk = ChunkId::new(chunk);
-    if !m.is_dsm() {
-        return vec![m.chunk_pages(chunk, m.all_columns())];
-    }
-    m.all_columns()
+    m.groups()
         .iter()
-        .map(|col| m.chunk_pages(chunk, ColSet::from_columns([col])))
+        .map(|&group| m.chunk_pages(chunk, group))
         .collect()
 }
 
@@ -35,7 +32,6 @@ fn digest(m: &TableModel) -> u64 {
     };
     eat(m.page_size());
     eat(m.num_columns() as u64);
-    eat(m.is_dsm() as u64);
     eat(m.max_chunk_pages(m.all_columns()));
     for c in 0..m.num_chunks() {
         let chunk = ChunkId::new(c);
@@ -51,15 +47,15 @@ fn digest(m: &TableModel) -> u64 {
     h
 }
 
-/// `(chunks, tuples, pages of all columns, first chunk's pages, last
-/// chunk's pages, digest)`.
+/// `(chunks, tuples, pages of all columns, first chunk's pages per group,
+/// last chunk's pages per group, digest)`.
 fn geometry(m: &TableModel) -> (u32, u64, u64, Vec<u64>, Vec<u64>, u64) {
     (
         m.num_chunks(),
         m.total_tuples(),
         m.total_pages(m.all_columns()),
-        pages_per_column(m, 0),
-        pages_per_column(m, m.num_chunks() - 1),
+        pages_per_group(m, 0),
+        pages_per_group(m, m.num_chunks() - 1),
         digest(m),
     )
 }
@@ -74,7 +70,7 @@ fn pinned_lineitem_nsm_geometry() {
             65_935,
             vec![256],
             vec![143],
-            0x4f3a_e1a1_853d_60b0
+            0x52f0_e5f6_4fd2_6b10
         )
     );
 }
@@ -89,7 +85,7 @@ fn pinned_lineitem_dsm_geometry() {
             186_175,
             vec![5, 21, 15, 31, 31, 62, 31, 31, 2, 1, 13, 13, 13, 3, 107],
             vec![5, 22, 15, 32, 32, 62, 32, 32, 3, 2, 13, 13, 13, 4, 108],
-            0xf305_8383_c083_f225
+            0x1de0_05da_5204_85d0
         )
     );
 }
@@ -104,7 +100,7 @@ fn pinned_synthetic_geometry() {
             12_400,
             vec![62; 10],
             vec![62; 10],
-            0xd6ca_c63e_c698_1429
+            0x0f7a_b5d3_0748_d374
         )
     );
 }
