@@ -312,13 +312,14 @@ pub fn run_threaded_once(
     }
     let wall_secs = started.elapsed().as_secs_f64().max(1e-9);
     let total = delivered.load(Ordering::Relaxed);
-    let holds = server.lock_hold_histogram();
-    let shard_holds = server.shard_lock_hold_histogram();
+    let snap = server.metrics().snapshot();
+    let holds = snap.span("lock_hold");
+    let shard_holds = snap.span("shard_lock_hold");
     ThreadSweepPoint {
         threads,
         io_threads,
         chunks_per_sec: total as f64 / wall_secs,
-        loads: server.loads_completed(),
+        loads: snap.counter("loads_completed"),
         lock_acquisitions: holds.count(),
         lock_p50_ns: holds.p50(),
         lock_p99_ns: holds.p99(),
@@ -473,7 +474,7 @@ mod tests {
             );
         }
         // A shard-lock hold is an indexed slot update (pin count, payload
-        // handle, generation); 64 µs of p99 is an order of magnitude of
+        // handle); 64 µs of p99 is an order of magnitude of
         // slack.  Only the p99 is gated — the recorded *max* can be an
         // arbitrary preemption artifact on a loaded (or single-core) CI
         // box, where a thread can lose the CPU while holding a shard lock.

@@ -191,9 +191,9 @@ pub fn run_file_point(
         delivered_mib_s: delivered_mib / wall_secs,
         file_read_calls: snap.counter("file_read_calls"),
         file_bytes_read: snap.counter("file_bytes_read"),
-        pin_wait_secs: server.pin_wait().as_secs_f64(),
-        loads: server.loads_completed(),
-        unconsumed_drops: server.unconsumed_drops(),
+        pin_wait_secs: snap.query_total("pin_wait_nanos") as f64 / 1e9,
+        loads: snap.counter("loads_completed"),
+        unconsumed_drops: snap.counter("unconsumed_drops"),
     })
 }
 

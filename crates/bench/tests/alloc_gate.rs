@@ -186,7 +186,12 @@ fn pipeline_allocs(rows: u64) -> (u64, usize) {
     query("warmup");
     let measured = query("measured");
     assert_eq!(server.pinned_frames(), 0);
-    assert_eq!(server.unconsumed_drops(), 0);
+    assert_eq!(
+        server
+            .metrics()
+            .counter(cscan_obs::Counter::UnconsumedDrops),
+        0
+    );
     measured
 }
 

@@ -70,7 +70,7 @@ mod tests {
     #[test]
     fn hits_and_misses_are_counted() {
         let pool = pool_with(2, &[1]);
-        assert!(pool.pin(chunk(1)).is_some());
+        assert!(pool.pin(chunk(1)));
         pool.unpin(chunk(1));
         let s = pool.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
@@ -84,8 +84,8 @@ mod tests {
     #[test]
     fn pinned_pages_are_never_victims() {
         let pool = pool_with(2, &[0, 1]);
-        pool.pin(chunk(0)).unwrap();
-        pool.pin(chunk(1)).unwrap();
+        assert!(pool.pin(chunk(0)));
+        assert!(pool.pin(chunk(1)));
         assert!(pool.evict(chunk(0)).is_none());
         assert!(pool.evict(chunk(1)).is_none());
         pool.unpin(chunk(0));
@@ -99,7 +99,7 @@ mod tests {
     #[test]
     fn explicit_page_eviction() {
         let pool = pool_with(4, &[1]);
-        pool.pin(chunk(1)).unwrap();
+        assert!(pool.pin(chunk(1)));
         assert!(
             pool.evict(chunk(1)).is_none(),
             "pinned chunk cannot be evicted"
@@ -113,7 +113,7 @@ mod tests {
     #[test]
     fn lookup_and_pin_count() {
         let pool = pool_with(8, &[7]);
-        pool.pin(chunk(7)).unwrap();
+        assert!(pool.pin(chunk(7)));
         assert!(pool.contains(chunk(7)));
         assert_eq!(pool.pin_count(chunk(7)), Some(1));
         assert_eq!(pool.pin_count(chunk(6)), None);
@@ -137,11 +137,11 @@ mod tests {
     fn pin_without_install_and_pin_stats() {
         let pool = ShardedPool::new(8);
         // pin() never installs: a miss is a no-op.
-        assert_eq!(pool.pin(chunk(5)), None);
+        assert!(!pool.pin(chunk(5)));
         assert_eq!(pool.stats().pins, 0);
         pool.install(chunk(5), ChunkPayload::Missing);
-        pool.pin(chunk(5)).unwrap();
-        pool.pin(chunk(5)).unwrap();
+        assert!(pool.pin(chunk(5)));
+        assert!(pool.pin(chunk(5)));
         assert_eq!(pool.pin_count(chunk(5)), Some(2));
         assert_eq!(pool.pinned_frames(), 1);
         pool.unpin(chunk(5));
@@ -174,7 +174,7 @@ mod tests {
         assert_eq!(pool.payload(chunk(0)), None);
         // A pin holder keeps reading what it pinned, even across a
         // replacement; eviction hands back whatever is there.
-        pool.pin(chunk(1)).unwrap();
+        assert!(pool.pin(chunk(1)));
         pool.replace_payload(chunk(1), ChunkPayload::Missing);
         assert_eq!(pool.payload(chunk(1)), Some(ChunkPayload::Missing));
         pool.unpin(chunk(1));

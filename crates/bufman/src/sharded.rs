@@ -15,13 +15,6 @@
 //! What the pool does own is the bookkeeping its callers would otherwise
 //! have to remember:
 //!
-//! * **Generations.**  Every chunk has a generation counter that the pool
-//!   itself advances by one on each install, payload replacement and
-//!   eviction — and on nothing else.  [`ShardedPool::pin`] and
-//!   [`ShardedPool::unpin`] return the generation they saw under the shard
-//!   lock, so release bookkeeping applied later can check that the slot was
-//!   not recycled underneath it.
-//!
 //! * **Gauges.**  Registry gauges are *set*, not accumulated, so the pool
 //!   keeps the cross-shard pinned and resident totals in two atomics and
 //!   publishes those.
@@ -60,10 +53,7 @@ struct Shard {
 pub struct ShardedPool {
     shards: Box<[Mutex<Shard>]>,
     shard_bits: u32,
-    /// One per chunk; the length is the chunk count.  Written only under
-    /// the owning shard's lock, atomic so [`ShardedPool::generation`] can
-    /// read without it.
-    generations: Box<[AtomicU64]>,
+    num_chunks: usize,
     /// Slots with at least one pin, over all shards.
     pinned: AtomicU64,
     /// Resident slots, over all shards.
@@ -106,7 +96,7 @@ impl ShardedPool {
                 })
                 .collect(),
             shard_bits: shards.trailing_zeros(),
-            generations: (0..num_chunks).map(|_| AtomicU64::new(0)).collect(),
+            num_chunks,
             pinned: AtomicU64::new(0),
             resident: AtomicU64::new(0),
             obs: None,
@@ -128,7 +118,7 @@ impl ShardedPool {
     /// for.
     fn lock(&self, chunk: ChunkId) -> Option<Locked<'_>> {
         let c = chunk.as_usize();
-        if c >= self.generations.len() {
+        if c >= self.num_chunks {
             return None;
         }
         let shard = self.shards[c & (self.shards.len() - 1)].lock();
@@ -160,10 +150,6 @@ impl ShardedPool {
         }
     }
 
-    fn bump(&self, chunk: ChunkId) {
-        self.generations[chunk.as_usize()].fetch_add(1, Ordering::AcqRel);
-    }
-
     /// Makes `chunk` resident with `payload`, or — if it already is —
     /// merges `payload` into what the slot holds (the union of the column
     /// sets, see [`ChunkPayload::merged_with`]).  Counts as one pin
@@ -191,7 +177,6 @@ impl ShardedPool {
                 self.step(&self.resident, Gauge::ResidentFrames, true);
             }
         }
-        self.bump(chunk);
         true
     }
 
@@ -205,15 +190,18 @@ impl ShardedPool {
             Some(slot) if slot.payload.is_some() => slot.payload = Some(payload),
             _ => panic!("payload replacement for non-resident chunk {chunk}"),
         }
-        self.bump(chunk);
     }
 
-    /// Pins `chunk` if it is resident (a hit) and returns its generation;
-    /// `None`, counting nothing, if it is not.
-    pub fn pin(&self, chunk: ChunkId) -> Option<u64> {
-        let mut locked = self.lock(chunk)?;
+    /// Pins `chunk` if it is resident (a hit); false, counting nothing, if
+    /// it is not.
+    pub fn pin(&self, chunk: ChunkId) -> bool {
+        let Some(mut locked) = self.lock(chunk) else {
+            return false;
+        };
         let (slot, stats) = locked.parts();
-        slot.payload.as_ref()?;
+        if slot.payload.is_none() {
+            return false;
+        }
         slot.pins += 1;
         stats.hits += 1;
         stats.pins += 1;
@@ -222,14 +210,14 @@ impl ShardedPool {
         if slot.pins == 1 {
             self.step(&self.pinned, Gauge::PinnedFrames, true);
         }
-        Some(self.generation(chunk))
+        true
     }
 
-    /// Returns one pin of `chunk` and the generation of its slot.
+    /// Returns one pin of `chunk`.
     ///
     /// # Panics
     /// Panics if `chunk` is not pinned.
-    pub fn unpin(&self, chunk: ChunkId) -> u64 {
+    pub fn unpin(&self, chunk: ChunkId) {
         let mut locked = self.lock(chunk);
         match locked.as_mut().map(|l| l.parts()) {
             Some((slot, stats)) if slot.pins > 0 => {
@@ -242,7 +230,6 @@ impl ShardedPool {
             }
             _ => panic!("unpin of unpinned chunk {chunk}"),
         }
-        self.generation(chunk)
     }
 
     /// Evicts `chunk` if it is resident and unpinned, and hands its payload
@@ -259,7 +246,6 @@ impl ShardedPool {
         stats.evictions += 1;
         self.count(Counter::FrameEvictions);
         self.step(&self.resident, Gauge::ResidentFrames, false);
-        self.bump(chunk);
         Some(payload)
     }
 
@@ -279,14 +265,6 @@ impl ShardedPool {
         let mut locked = self.lock(chunk)?;
         let slot = locked.parts().0;
         slot.payload.as_ref().map(|_| slot.pins)
-    }
-
-    /// The generation of `chunk`'s slot: the number of installs, payload
-    /// replacements and evictions it has seen (0 for an id out of range).
-    pub fn generation(&self, chunk: ChunkId) -> u64 {
-        self.generations
-            .get(chunk.as_usize())
-            .map_or(0, |g| g.load(Ordering::Acquire))
     }
 
     /// Counters summed over every shard.
@@ -347,35 +325,17 @@ mod tests {
         let p = ShardedPool::new(37);
         for c in 0..37 {
             assert!(p.install(chunk(c), ChunkPayload::Missing), "chunk {c}");
-            assert!(p.pin(chunk(c)).is_some(), "chunk {c}");
+            assert!(p.pin(chunk(c)), "chunk {c}");
             p.unpin(chunk(c));
         }
         assert_eq!(p.resident(), 37);
         assert_eq!(p.pinned_frames(), 0);
         assert_eq!(p.stats().misses, 37);
         assert!(!p.install(chunk(37), ChunkPayload::Missing));
-        assert_eq!(p.pin(chunk(37)), None);
+        assert!(!p.pin(chunk(37)));
         assert!(p.evict(chunk(37)).is_none());
         assert_eq!(p.payload(chunk(37)), None);
         assert_eq!(p.resident(), 37);
-    }
-
-    #[test]
-    fn generations_bump_on_install_and_evict() {
-        let p = ShardedPool::new(8);
-        let c = chunk(3);
-        assert_eq!(p.generation(c), 0);
-        assert!(p.install(c, ChunkPayload::Missing));
-        assert_eq!(p.generation(c), 1);
-        assert_eq!(p.pin(c), Some(1), "a pin reports, never moves, it");
-        assert!(p.evict(c).is_none(), "pinned");
-        p.replace_payload(c, ChunkPayload::Missing);
-        assert_eq!(p.unpin(c), 2);
-        assert!(p.install(c, ChunkPayload::Missing), "a merge");
-        assert!(p.evict(c).is_some());
-        assert!(p.evict(c).is_none(), "already gone");
-        assert_eq!(p.generation(c), 4);
-        assert_eq!(p.generation(chunk(4)), 0, "a neighbour's never moves");
     }
 
     #[test]
@@ -387,7 +347,7 @@ mod tests {
         // shard's local count would report 1, not the total.
         for c in [0, 1, 2, 3, 17, 33] {
             p.install(chunk(c), ChunkPayload::Missing);
-            p.pin(chunk(c)).unwrap();
+            assert!(p.pin(chunk(c)));
         }
         assert_eq!(obs.gauge(Gauge::PinnedFrames), 6);
         assert_eq!(obs.gauge(Gauge::ResidentFrames), 6);

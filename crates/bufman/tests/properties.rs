@@ -21,7 +21,6 @@ struct Model {
     obs: Arc<Registry>,
     /// Per chunk: the payload while resident, and the pin count.
     slots: Vec<(Option<ChunkPayload>, u32)>,
-    generations: Vec<u64>,
     stats: PoolStats,
     /// Makes every installed payload distinguishable from the last.
     next_tag: i64,
@@ -36,7 +35,6 @@ impl Model {
             pool,
             obs,
             slots: vec![(None, 0); num_chunks],
-            generations: vec![0; num_chunks],
             stats: PoolStats::default(),
             next_tag: 0,
         }
@@ -57,10 +55,9 @@ impl Model {
         let i = id as usize;
         let Some(&(ref held, pins)) = self.slots.get(i) else {
             prop_assert!(!self.pool.install(chunk, ChunkPayload::Missing));
-            prop_assert_eq!(self.pool.pin(chunk), None);
+            prop_assert!(!self.pool.pin(chunk));
             prop_assert_eq!(self.pool.evict(chunk), None);
             prop_assert_eq!(self.pool.payload(chunk), None);
-            prop_assert_eq!(self.pool.generation(chunk), 0);
             return self.check_totals();
         };
         let resident = held.is_some();
@@ -70,7 +67,6 @@ impl Model {
                 prop_assert!(self.pool.install(chunk, payload.clone()));
                 // A reload of the same columns does not merge: the newer wins.
                 self.slots[i].0 = Some(payload);
-                self.generations[i] += 1;
                 self.stats.pins += 1;
                 self.stats.unpins += 1;
                 if resident {
@@ -80,8 +76,7 @@ impl Model {
                 }
             }
             PIN => {
-                let expected = resident.then_some(self.generations[i]);
-                prop_assert_eq!(self.pool.pin(chunk), expected);
+                prop_assert_eq!(self.pool.pin(chunk), resident);
                 if resident {
                     self.slots[i].1 += 1;
                     self.stats.pins += 1;
@@ -89,7 +84,7 @@ impl Model {
                 }
             }
             UNPIN if pins > 0 => {
-                prop_assert_eq!(self.pool.unpin(chunk), self.generations[i]);
+                self.pool.unpin(chunk);
                 self.slots[i].1 -= 1;
                 self.stats.unpins += 1;
             }
@@ -99,7 +94,6 @@ impl Model {
                 prop_assert_eq!(self.pool.evict(chunk), evicted.clone(), "pins {}", pins);
                 if evicted.is_some() {
                     self.slots[i].0 = None;
-                    self.generations[i] += 1;
                     self.stats.evictions += 1;
                 }
             }
@@ -107,7 +101,6 @@ impl Model {
                 let payload = self.fresh_payload();
                 self.pool.replace_payload(chunk, payload.clone());
                 self.slots[i].0 = Some(payload);
-                self.generations[i] += 1;
             }
             _ => {}
         }
@@ -118,7 +111,6 @@ impl Model {
     fn check_chunk(&self, i: usize) -> Result<(), TestCaseError> {
         let chunk = ChunkId::new(i as u32);
         let (payload, pins) = &self.slots[i];
-        prop_assert_eq!(self.pool.generation(chunk), self.generations[i]);
         prop_assert_eq!(self.pool.pin_count(chunk), payload.as_ref().map(|_| *pins));
         prop_assert_eq!(&self.pool.payload(chunk), payload);
         Ok(())
@@ -140,7 +132,7 @@ impl Model {
     }
 
     /// Every chunk, not just the last one touched: an operation on one
-    /// chunk must not have moved another's generation, pins or payload.
+    /// chunk must not have moved another's pins or payload.
     fn check_all(&self) -> Result<(), TestCaseError> {
         (0..self.slots.len()).try_for_each(|i| self.check_chunk(i))
     }

@@ -34,8 +34,8 @@
 //! that column to its decoded state for every later reader.  A plan pays
 //! for the columns it reads and no others.  Eviction drops both states; a
 //! re-load re-installs fresh encoded bytes.  Decode time is accounted as
-//! pin-wait and surfaced separately ([`ScanServer::decode_time`],
-//! [`ScanServer::values_decoded`]).
+//! pin-wait and surfaced separately (the `decode_nanos` and
+//! `values_decoded` counters of [`ScanServer::metrics`]).
 //!
 //! The frame pool has one slot per logical chunk, indexed by chunk id:
 //! buffer *capacity* is governed by the ABM's page accounting (which plans
@@ -44,44 +44,39 @@
 //!
 //! # Concurrency architecture
 //!
-//! The executor is split into a **sharded fast path** and a **narrow
-//! scheduler lock** (see `ARCHITECTURE.md` for the full diagram):
+//! One **scheduler lock** guards every scheduling input; the consume path
+//! around it touches per-query and per-chunk leaf locks (see
+//! `ARCHITECTURE.md` for the diagram):
 //!
-//! * **The scheduler lock** (one mutex around `Sched`) protects only the
-//!   *decisions*: the [`Abm`] (plan / commit / policy choice / query
-//!   registry), the per-query grant slots' registry, and the quarantine
-//!   set.  An I/O worker holds it to *plan* a load (policy decision +
-//!   eviction + page reservation) and again to *commit* the completed read;
-//!   the simulated disk read itself — the part that takes milliseconds —
+//! * **The scheduler lock** (one mutex around `Sched`) protects the
+//!   decisions and what they read: the [`Abm`] (plan / commit / policy
+//!   choice / query registry), the per-query grant slots' registry, and the
+//!   quarantine set.  An I/O worker holds it to *plan* a load (policy
+//!   decision + eviction + page reservation) and again to *commit* the
+//!   completed read; the read itself — the part that takes milliseconds —
 //!   runs with the lock released.  Because the world can change mid-read,
 //!   every plan carries a `(ticket, epoch)` stamp and [`Abm::commit_load`]
 //!   revalidates it: a load whose last interested query detached mid-read
-//!   is aborted, never installed.  Scheduler-lock hold times land in the
-//!   `lock_hold` span histogram ([`ScanServer::lock_hold_histogram`]).
+//!   is aborted, never installed.  Hold times land in the `lock_hold` span
+//!   histogram of [`ScanServer::metrics`].
 //!
-//! * **The sharded frame pool** ([`ShardedPool`]) is the consume fast
-//!   path: pinning a delivered frame and unpinning it on release take one
-//!   per-shard mutex (striped by chunk id), never the scheduler lock.
-//!   Shard-lock hold times land in the `shard_lock_hold` histogram
-//!   ([`ScanServer::shard_lock_hold_histogram`]).  Residency *transitions*
-//!   (install at commit, evict — or, for a chunk somebody still needs,
-//!   drop its dead columns — at plan time, and at no other: a released
-//!   chunk stays cached) are driven by the scheduler,
-//!   which nests the shard lock inside its critical section — the payloads
-//!   a plan evicts leave both locks with the worker, which offers them back
-//!   to the store ([`ChunkStore::recycle`]) once it holds neither; the pool
-//!   itself advances the slot's *generation* on every install, payload
-//!   replacement and eviction — the cross-shard analogue of the
-//!   plan/commit epoch — so deferred release bookkeeping can revalidate
-//!   (in debug builds) that the frame it unpinned was not recycled
-//!   underneath it.
+//! * **The sharded frame pool** ([`ShardedPool`]) is the page table, pin
+//!   ledger and payload store: one slot per chunk behind a per-shard mutex
+//!   (striped by chunk id).  The scheduler nests a shard lock inside its
+//!   critical section for every pin count and residency change — the grant
+//!   pin, the release unpin, install at commit, and evict or shrink to the
+//!   columns still needed at plan time (a released chunk stays cached).
+//!   The payloads a plan evicts leave both locks with the worker, which
+//!   offers them back to the store ([`ChunkStore::recycle`]) once it holds
+//!   neither.  A consumer takes a shard lock bare only to read the payload
+//!   of the grant it took.
 //!
 //! * **Grant mailboxes.**  Consumers never run the policy themselves.
 //!   The scheduler — at registration, at every commit (for the queries the
-//!   arrived chunk unblocks, Figure 3's `signalQuery` list) and when a
-//!   release drains — calls [`Abm::acquire_chunk`] *for* the query and
-//!   deposits the chosen chunk, its payload handle and a frame pin into
-//!   the query's `QuerySlot` mailbox.  `next_chunk` takes the grant
+//!   arrived chunk unblocks, Figure 3's `signalQuery` list) and at every
+//!   release — calls [`Abm::acquire_chunk`] *for* the query and
+//!   deposits the chosen chunk, its frame already pinned, into the query's
+//!   `QuerySlot` mailbox.  `next_chunk` takes the grant
 //!   under the slot's own mutex (shared-handle racers serialize there) and
 //!   waits on the slot's condvar otherwise; a consumer that drives several
 //!   scans from one thread calls [`CScanHandle::poll_next_chunk`] instead,
@@ -89,17 +84,13 @@
 //!   the matcher calls the identical `acquire_chunk`, the policy decisions
 //!   are the same ones a consumer running the policy itself would make.
 //!
-//! * **Deferred releases.**  Returning a pin pushes a small record into a
-//!   per-shard *release inbox* (pre-allocated; pushing never blocks on the
-//!   scheduler) after unpinning the frame in its shard.  The releasing
-//!   thread then *try-locks* the scheduler: if free, it drains every inbox
-//!   inline (flat combining); if contended it increments `hub_shard_conflicts`
-//!   and rings a parked I/O worker instead — every scheduler entry drains
-//!   the inboxes first, so a release is applied at most one scheduling
-//!   round later.  The ABM keeps the processing pin until the drain, so
-//!   the planner can never evict a frame whose release is still in
-//!   flight.  The consume path therefore never *blocks* on the scheduler
-//!   lock: it touches its shard, its slot, and atomics.
+//! * **Releases.**  Dropping a [`PinnedChunk`] is Figure 3's
+//!   `releaseChunk`, applied where it happens: one scheduler critical
+//!   section unpins the frame, returns the ABM's processing pin
+//!   ([`Abm::release_delivered`]), re-runs the grant matcher for the query
+//!   and wakes one idle I/O worker (the released chunk may be what a
+//!   buffer-full planner was waiting to evict).  The release try-locks
+//!   first and counts a miss as `hub_shard_conflicts` before it blocks.
 //!
 //! * **Wakeups.**  Grant deposits notify the query's own slot condvar —
 //!   a `DiskDone` for chunk `c` never stampedes the other 127 scans — and
@@ -109,22 +100,30 @@
 //!   the scheduler lock is queued and fired by the scheduler guard's drop
 //!   *after* it unlocks: a wakee that runs while the lock is still held
 //!   preempts the holder and then queues behind it.
-//!   Each I/O worker parks on its own `WorkerPark` slot; events that
-//!   change the scheduling inputs ring exactly one parked worker, and a
-//!   worker that plans successfully rings the next one before starting its
-//!   read ("wake chaining").  All waits keep a 50 ms timeout purely as a
-//!   belt-and-braces guard; correctness never depends on it — grants are
-//!   *state* in the mailbox, not transient signals, so a timed-out waiter
-//!   re-checks and proceeds.
+//!   An I/O worker whose plan comes back empty waits on a condvar bound to
+//!   the scheduler mutex (`blockForNextQuery`), so its empty plan and its
+//!   sleep are one critical section, and every change to a scheduling
+//!   input — registration, release, detach, quarantine, a rejected
+//!   delivery, shutdown — is made under the same lock, which decides there
+//!   to wake a sleeping worker; the guard sends that notification as it
+//!   unlocks, for the same reason it fires wakers then.  A worker that
+//!   plans successfully wakes the next one before starting its read ("wake
+//!   chaining").  Every wait keeps a 50 ms bound as a
+//!   belt-and-braces guard: grants are *state* in the mailbox, so a
+//!   timed-out waiter re-checks and proceeds, and a bound that expires
+//!   with work waiting is counted (`worker_park_timeouts`,
+//!   `consumer_wait_timeouts`).
 //!
-//! * **Lock ordering.**  `scheduler → { shard, slot, inbox, park }`, and
-//!   the four leaf locks are never nested with each other.  Nothing is
-//!   ever awaited while holding the scheduler, no consumer's waker is
-//!   called while holding it, and no payload is ever
+//! * **Lock ordering.**  `scheduler → { shard, slot }`, and the two leaf
+//!   locks are never nested with each other.  Nothing is awaited while
+//!   holding the scheduler except its own idle condvar, which releases it;
+//!   no consumer's waker is called while holding it, and no payload is ever
 //!   *materialized or decoded* under it (or under a shard lock): workers
 //!   fill payloads before re-locking for the commit, and queries read
 //!   their column views from the [`PinnedChunk`] after `next_chunk` has
-//!   returned.
+//!   returned.  A pin therefore must not drop on a thread that holds the
+//!   scheduler lock — its release would wait for that lock forever — and
+//!   debug builds refuse it.
 //!
 //! Each of the [`ScanServerBuilder::io_threads`] workers holds at most one
 //! load outstanding, so a pool of `k` workers keeps up to `k` chunk loads
@@ -165,36 +164,27 @@ use crate::retry::{FailureAction, RetryPolicy};
 use crate::session::{PinnedChunk, ScanError, ScanSession};
 use cscan_bufman::{PoolStats, ShardedPool};
 use cscan_obs::{
-    Counter, EventKind, Gauge, HistogramSnapshot, QueryCounter, QueryScope, Registry, SpanKind,
-    NO_QUERY,
+    Counter, EventKind, Gauge, QueryCounter, QueryScope, Registry, SpanKind, NO_QUERY,
 };
 use cscan_simdisk::SimTime;
 use cscan_storage::{ChunkId, ChunkPayload, ChunkStore, ColumnChunk, ColumnId, StoreError};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// A delivered-but-not-yet-consumed chunk sitting in a query's mailbox:
-/// the scheduler already ran the policy ([`Abm::acquire_chunk`]) and pinned
-/// the chunk's frame; `next_chunk` only has to take it.
-struct Grant {
-    chunk: ChunkId,
-    /// The frame generation observed while pinning, carried through to the
-    /// deferred release for the debug-build recycling check.
-    generation: u64,
-}
-
 /// What the per-query slot mutex protects.
 #[derive(Default)]
 struct SlotState {
-    /// At most one outstanding grant (a query processes one chunk at a
-    /// time; [`crate::query::QueryState::start_processing`] enforces it).
-    grant: Option<Grant>,
+    /// The granted chunk, delivered but not yet taken: the scheduler already
+    /// ran the policy ([`Abm::acquire_chunk`]) and pinned its frame.  At
+    /// most one (a query processes one chunk at a time;
+    /// [`crate::query::QueryState::start_processing`] enforces it).
+    grant: Option<ChunkId>,
     /// Sticky per-query failure, deposited by quarantine; read (not taken)
     /// so every consumer of a shared handle observes it.
     error: Option<ScanError>,
@@ -220,100 +210,14 @@ struct QuerySlot {
 enum Mailbox<'a> {
     /// The answer is known: a grant to consume, or `None` — the scan is
     /// over (limit reached, closed, finished, shut down).
-    Ready(Option<Grant>),
+    Ready(Option<ChunkId>),
     /// Nothing yet; the slot guard comes back so a blocking caller can
     /// wait on the condvar without a window between check and wait.
     Empty(MutexGuard<'a, SlotState>),
 }
 
-/// A pin returned by a consumer, recorded in a release inbox and applied
-/// under the scheduler lock at the next drain.
-#[derive(Clone, Copy)]
-struct Release {
-    query: QueryId,
-    chunk: ChunkId,
-    /// Frame generation observed at unpin time (debug revalidation).
-    generation: u64,
-}
-
-/// One I/O worker's parking spot: a flag under a mutex plus a condvar.
-/// The flag makes rings *state*: a ring delivered while the worker is
-/// mid-loop is consumed by its next park instead of being lost.
-#[derive(Default)]
-struct ParkSlot {
-    rung: Mutex<bool>,
-    cv: Condvar,
-}
-
-/// The I/O workers' parking lot.  `mask` tracks which workers (the first
-/// 64) are currently parked, so `ring_one` can pick a victim with a CAS
-/// instead of a lock; workers beyond 64 rely on the 50 ms belt-and-braces
-/// timeout alone.
-struct WorkerPark {
-    mask: AtomicU64,
-    slots: Box<[ParkSlot]>,
-}
-
-impl WorkerPark {
-    fn new(workers: usize) -> Self {
-        Self {
-            mask: AtomicU64::new(0),
-            slots: (0..workers).map(|_| ParkSlot::default()).collect(),
-        }
-    }
-
-    /// Parks worker `id` until rung or `timeout` elapses.
-    fn park(&self, id: usize, timeout: Duration) {
-        let slot = &self.slots[id];
-        if id < 64 {
-            self.mask.fetch_or(1 << id, Ordering::AcqRel);
-        }
-        let mut rung = slot.rung.lock();
-        if !*rung {
-            slot.cv.wait_for(&mut rung, timeout);
-        }
-        *rung = false;
-        drop(rung);
-        if id < 64 {
-            self.mask.fetch_and(!(1 << id), Ordering::AcqRel);
-        }
-    }
-
-    /// Rings exactly one parked worker, if any (CAS-claims its mask bit so
-    /// concurrent ringers pick distinct victims).
-    fn ring_one(&self) {
-        loop {
-            let mask = self.mask.load(Ordering::Acquire);
-            if mask == 0 {
-                return;
-            }
-            let id = mask.trailing_zeros() as usize;
-            if self
-                .mask
-                .compare_exchange(mask, mask & !(1 << id), Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                let slot = &self.slots[id];
-                let mut rung = slot.rung.lock();
-                *rung = true;
-                slot.cv.notify_one();
-                return;
-            }
-        }
-    }
-
-    /// Rings every worker (shutdown).
-    fn ring_all(&self) {
-        for slot in self.slots.iter() {
-            let mut rung = slot.rung.lock();
-            *rung = true;
-            slot.cv.notify_all();
-        }
-    }
-}
-
-/// Everything the (narrow) scheduler lock protects: the decisions, not the
-/// data plane.
+/// Everything the scheduler lock protects: the decisions and every input
+/// to them.
 struct Sched {
     abm: Abm,
     /// Per-query grant mailboxes, by id.  The slot itself lives outside
@@ -325,10 +229,14 @@ struct Sched {
     /// selecting them: entering quarantine closes every interested query,
     /// and later registrations are failed at plan time by the workers.
     quarantined: HashMap<ChunkId, StoreError>,
-    /// Reusable drain buffer for the release inboxes, pre-sized to their
-    /// summed capacity so `service` never allocates (the drain may run
-    /// inline on a consumer thread).
-    scratch: Vec<Release>,
+    /// I/O workers asleep in [`SchedGuard::wait_idle`].
+    idle_workers: usize,
+    /// Wake-ups sent to idle workers so far.  A worker whose bounded wait
+    /// ends with this unchanged was woken by nothing.
+    worker_wakeups: u64,
+    /// Whether this critical section owes a sleeping worker a wake-up,
+    /// sent by [`SchedGuard`]'s drop after it unlocks, like the wakers.
+    wake_pending: bool,
     /// Wakers taken from mailboxes changed under this lock.  Never fired
     /// here: [`SchedGuard`]'s drop wakes them after unlocking, because a
     /// wakee that runs while the lock is still held preempts the holder
@@ -338,6 +246,17 @@ struct Sched {
 }
 
 impl Sched {
+    /// Wakes one idle I/O worker, if one sleeps: the caller changed a
+    /// scheduling input under this lock.  The notification itself is sent
+    /// after the unlock: a worker woken while the lock is held preempts the
+    /// holder on a busy core and then queues behind it.
+    fn wake_worker(&mut self) {
+        if self.idle_workers > 0 {
+            self.worker_wakeups += 1;
+            self.wake_pending = true;
+        }
+    }
+
     /// Ends the waits on `slot`, whose mailbox the caller has just changed
     /// under `st`: blocked consumers are notified now, a registered waker
     /// is queued to fire once the scheduler lock is released.
@@ -349,28 +268,20 @@ impl Sched {
     }
 }
 
-/// Per-inbox capacity.  A release beyond this falls back to applying
-/// inline under the scheduler lock (a blocking, but correct, slow path);
-/// sized so that never happens in practice — pending releases are bounded
-/// by in-flight pins, one per active query.
-const INBOX_CAPACITY: usize = 1024;
-
 /// Shared state between the I/O workers, all CScan handles and every
 /// outstanding [`PinnedChunk`].
 pub(crate) struct Shared {
-    /// The narrow scheduler lock: plan, commit, policy, registry,
-    /// quarantine.  Never held across I/O, decode, or any wait.
+    /// The scheduler lock: plan, commit, policy, registry, quarantine and
+    /// every release.  Never held across I/O, decode, or any wait but
+    /// `idle`'s.
     sched: Mutex<Sched>,
+    /// Where an I/O worker with nothing to plan sleeps, bound to `sched`:
+    /// every scheduling input changes under that lock, and the critical
+    /// section that changes one wakes a sleeper as it unlocks.
+    idle: Condvar,
     /// The data plane's sharded frame pool: page table, pin ledger and
-    /// payload store, at chunk granularity.  Pin/unpin on the consume path
-    /// take only the owning shard's lock.
+    /// payload store, at chunk granularity.
     pool: ShardedPool,
-    /// Per-shard release inboxes (indexed like the pool's shards); pushes
-    /// are bounded by `INBOX_CAPACITY` so they never allocate.
-    inboxes: Box<[Mutex<Vec<Release>>]>,
-    inbox_mask: u64,
-    /// The I/O workers' parking lot.
-    park: WorkerPark,
     /// Source of chunk payloads; `None` delivers metadata-only chunks.
     store: Option<Arc<dyn ChunkStore>>,
     shutdown: AtomicBool,
@@ -395,50 +306,7 @@ impl Shared {
 
     /// Locks the scheduler, instrumenting how long the guard is held.
     fn lock_sched(&self) -> SchedGuard<'_> {
-        SchedGuard::adopt(self.sched.lock(), &self.obs)
-    }
-
-    /// The release inbox owning `chunk`.
-    fn inbox(&self, chunk: ChunkId) -> &Mutex<Vec<Release>> {
-        &self.inboxes[(chunk.index() as u64 & self.inbox_mask) as usize]
-    }
-
-    /// Scheduler-entry housekeeping: drains every release inbox, applies
-    /// the releases to the ABM (and the residency consequences to the
-    /// pool), re-runs the grant matcher for each releasing query, and
-    /// mirrors the free-page gauge.  Called first at **every** scheduler
-    /// entry, so a deferred release is applied at most one scheduling
-    /// round after it was pushed.
-    fn service(&self, sched: &mut Sched) {
-        debug_assert!(sched.scratch.is_empty());
-        for inbox in self.inboxes.iter() {
-            let mut pending = inbox.lock();
-            sched.scratch.append(&mut pending);
-        }
-        while let Some(release) = sched.scratch.pop() {
-            self.apply_release(sched, release);
-            self.try_grant(sched, release.query);
-        }
-        self.obs
-            .gauge_set(Gauge::FreePages, sched.abm.state().free_pages());
-    }
-
-    /// Applies one returned pin to the ABM.  Residency does not change
-    /// here — a released chunk stays cached, dead columns and all, until a
-    /// plan needs its pages — and the frame itself was unpinned in its
-    /// shard before the release was recorded.
-    fn apply_release(&self, sched: &mut Sched, release: Release) {
-        let chunk = release.chunk;
-        // The epoch-revalidation rule, deferred-release edition: the ABM
-        // held this query's processing pin from unpin until now, so the
-        // frame cannot have been evicted — it must still be resident, at a
-        // generation no older than the one stamped at unpin time.
-        debug_assert!(
-            sched.abm.state().buffered_chunk(chunk).is_none()
-                || (self.pool.contains(chunk) && self.pool.generation(chunk) >= release.generation),
-            "frame for {chunk:?} was recycled under a pending release"
-        );
-        sched.abm.release_delivered(release.query, chunk);
+        SchedGuard::adopt(self.sched.lock(), self)
     }
 
     /// The grant matcher: if query `q` is hungry (registered, not finished,
@@ -447,39 +315,39 @@ impl Shared {
     /// chosen frame in its shard, and deposits the grant into the
     /// query's mailbox.  A finished query's slot is closed instead.  Called
     /// under the scheduler lock at every point the query's availability can
-    /// improve: registration, a commit that lists it as woken, and the
-    /// drain of one of its releases.
-    fn try_grant(&self, sched: &mut Sched, q: QueryId) {
+    /// improve: registration, a commit that lists it as woken, and each of
+    /// its releases.  Returns whether it deposited a grant.
+    fn try_grant(&self, sched: &mut Sched, q: QueryId) -> bool {
         let Some(slot) = sched.slots.get(&q).map(Arc::clone) else {
-            return;
+            return false;
         };
         {
             let st = slot.state.lock();
             if st.closed || st.error.is_some() || st.grant.is_some() {
-                return;
+                return false;
             }
         }
         let Some(query) = sched.abm.state().try_query(q) else {
-            return;
+            return false;
         };
         if query.processing.is_some() {
-            // The previous grant was taken and its pin is still out; the
-            // release drain re-matches when it comes back.
-            return;
+            // The previous grant was taken and its pin is still out; its
+            // release re-matches when it comes back.
+            return false;
         }
         if query.is_finished() {
             let mut st = slot.state.lock();
             st.closed = true;
             sched.wake_slot(&slot, st);
-            return;
+            return false;
         }
         let Some(chunk) = sched.abm.acquire_chunk(q, self.now()) else {
             // Nothing resident the policy would give this query; the ABM
             // marked it blocked, so the arriving chunk's commit will list
             // it as woken and re-enter here.
-            return;
+            return false;
         };
-        let Some(generation) = self.pool.pin(chunk) else {
+        if !self.pool.pin(chunk) {
             // Invariant breach: a delivered chunk always has a resident
             // frame.  Degrade to a per-query error instead of panicking
             // under the scheduler lock.
@@ -491,17 +359,18 @@ impl Shared {
                 cause: StoreError::Permanent,
             });
             sched.wake_slot(&slot, st);
-            return;
-        };
+            return false;
+        }
         let mut st = slot.state.lock();
         debug_assert!(st.grant.is_none(), "double grant for {q:?}");
-        st.grant = Some(Grant { chunk, generation });
+        st.grant = Some(chunk);
         sched.wake_slot(&slot, st);
+        true
     }
 
     /// Closes `q`'s slot (removing it from the registry), depositing
     /// `error` if given, and reclaims an unconsumed grant — returning its
-    /// frame pin and applying its release inline.  Caller still owns
+    /// frame pin and the ABM's.  Caller still owns
     /// `finish_query` semantics.  A registered waker is queued to fire when
     /// the scheduler lock is released; the slot is returned so the caller
     /// can notify blocked consumers at the same point.
@@ -521,19 +390,12 @@ impl Shared {
             sched.wakers.extend(st.waker.take());
             st.grant.take()
         };
-        if let Some(grant) = reclaimed {
-            // An eagerly granted chunk nobody consumed: return the frame
-            // pin and apply the release (the query is finished or being
-            // finished, so this routes through the detached-pin path).
-            self.pool.unpin(grant.chunk);
-            self.apply_release(
-                sched,
-                Release {
-                    query: q,
-                    chunk: grant.chunk,
-                    generation: grant.generation,
-                },
-            );
+        if let Some(chunk) = reclaimed {
+            // An eagerly granted chunk nobody consumed: return both pins
+            // (the query is finished or being finished, so this routes
+            // through the detached-pin path).
+            self.pool.unpin(chunk);
+            sched.abm.release_delivered(q, chunk);
         }
         Some(slot)
     }
@@ -615,104 +477,101 @@ impl Shared {
     fn fail_query(&self, q: QueryId, error: ScanError) {
         let slot = {
             let mut sched = self.lock_sched();
-            self.service(&mut sched);
-            self.err_query(&mut sched, q, error)
+            let slot = self.err_query(&mut sched, q, error);
+            sched.wake_worker();
+            slot
         };
         if let Some(slot) = slot {
             slot.cv.notify_all();
         }
-        self.park.ring_one();
     }
 
-    /// Returns a pin to the server — the release half of the consume fast
-    /// path, run by [`PinnedChunk`]'s `Drop`.
-    ///
-    /// Unpins the frame in its shard, records the release in the shard's
-    /// inbox (both bounded, never blocking on the scheduler), then
-    /// opportunistically *try-locks* the scheduler to drain inline (flat
-    /// combining).  If the scheduler is contended, the release stays in the
-    /// inbox — counted as a `hub_shard_conflicts` — and a parked worker is
-    /// rung to drain it; every scheduler entry services the inboxes first.
+    /// Returns a pin to the server — Figure 3's `releaseChunk`, run by
+    /// [`PinnedChunk`]'s `Drop`: one scheduler critical section unpins the
+    /// frame, returns the ABM's processing pin, re-runs the grant matcher
+    /// for the query and wakes an idle worker.  A `try_lock` miss is
+    /// counted as `hub_shard_conflicts` before the release blocks.
     pub(crate) fn release_pin(&self, query: QueryId, chunk: ChunkId, consumed: bool) {
+        // Every scheduler guard forbids decoding on its thread for as long
+        // as it lives, so this is "the thread holds no scheduler guard".
+        debug_assert!(
+            !cscan_storage::codec::decode_forbidden(),
+            "a pin of {chunk:?} was released on a thread that holds the \
+             scheduler lock: the release would wait for that lock forever"
+        );
         if !consumed {
             // The silent-drop footgun: dropping a pin still counts as
             // consumption (the scheduler must make progress), but it is
             // traced so tests can assert pipelines consume deliberately.
             self.obs.inc(Counter::UnconsumedDrops);
         }
-        let entry = Release {
-            query,
-            chunk,
-            generation: self.pool.unpin(chunk),
-        };
-        let overflowed = {
-            let mut inbox = self.inbox(chunk).lock();
-            if inbox.len() < INBOX_CAPACITY {
-                inbox.push(entry);
-                false
-            } else {
-                true
-            }
-        };
-        if overflowed {
-            // Safety valve (never hit at sane pin counts): apply inline
-            // under the scheduler lock, blocking if contended.
-            let mut sched = self.lock_sched();
-            self.service(&mut sched);
-            self.apply_release(&mut sched, entry);
-            self.try_grant(&mut sched, query);
-            return;
-        }
-        // Flat combining: drain inline if the scheduler is free; otherwise
-        // count the conflict and let a worker (or the next scheduler entry)
-        // pick the release up from the inbox.
-        match self.sched.try_lock() {
-            Some(guard) => {
-                let mut sched = SchedGuard::adopt(guard, &self.obs);
-                self.service(&mut sched);
-            }
+        let mut sched = match self.sched.try_lock() {
+            Some(guard) => SchedGuard::adopt(guard, self),
             None => {
                 self.obs.inc(Counter::HubShardConflicts);
+                self.lock_sched()
             }
-        }
-        // Either way a consumption changed the scheduling inputs — the
-        // released chunk may now be evictable, unfreezing a buffer-full
-        // planner — so ring a parked worker.
-        self.park.ring_one();
+        };
+        self.pool.unpin(chunk);
+        sched.abm.release_delivered(query, chunk);
+        self.try_grant(&mut sched, query);
+        sched.wake_worker();
     }
 }
 
-/// An instrumented scheduler guard: records the lock hold time into the
-/// `lock_hold` histogram on drop, then unlocks, then fires the wakers the
-/// critical section queued in [`Sched::wakers`] — in that order, so no
-/// consumer is ever woken while the scheduler lock is held.
+/// An instrumented scheduler guard: on drop it publishes the free-page
+/// gauge, records the lock hold time into the `lock_hold` histogram, then
+/// unlocks, then wakes the idle worker and fires the wakers the critical
+/// section queued ([`Sched::wake_pending`], [`Sched::wakers`]) — in that
+/// order, so no thread is ever woken while the scheduler lock is held.
 ///
 /// The guard also carries a [`cscan_storage::codec::DecodeForbidden`]
 /// token: any payload decode attempted while a scheduler guard is alive on
 /// the current thread trips a debug assertion — the runtime proof of the
-/// "never decode under the scheduler lock" invariant.  Nothing is ever
-/// awaited while holding this guard (consumers wait on their slot condvar
-/// or their waker, workers park in the [`WorkerPark`] — all outside the
-/// scheduler).
+/// "never decode under the scheduler lock" invariant — and so does a pin
+/// released on that thread.  The only wait under this guard is
+/// [`SchedGuard::wait_idle`], which releases the lock while it sleeps.
 struct SchedGuard<'a> {
     /// `Some` until drop, which releases the lock before it wakes anyone.
     guard: Option<MutexGuard<'a, Sched>>,
     acquired: Instant,
-    obs: &'a Registry,
+    shared: &'a Shared,
     /// Forbids payload decoding on this thread while the guard is alive.
     _no_decode: cscan_storage::codec::DecodeForbidden,
 }
 
 impl SchedGuard<'_> {
-    /// Wraps an acquired scheduler mutex guard (from `lock` or from the
-    /// `try_lock` drain path) in the instrumentation.
-    fn adopt<'a>(guard: MutexGuard<'a, Sched>, obs: &'a Registry) -> SchedGuard<'a> {
+    /// Wraps an acquired scheduler mutex guard (from `lock` or a
+    /// successful `try_lock`) in the instrumentation.
+    fn adopt<'a>(guard: MutexGuard<'a, Sched>, shared: &'a Shared) -> SchedGuard<'a> {
         SchedGuard {
             guard: Some(guard),
             acquired: Instant::now(),
-            obs,
+            shared,
             _no_decode: cscan_storage::codec::forbid_decode(),
         }
+    }
+
+    /// `blockForNextQuery`: sleeps on [`Shared::idle`] until a worker
+    /// wake-up or `timeout`, the lock released meanwhile.  The sleep is not
+    /// hold time: the hold span ends before it and restarts after.  Returns
+    /// whether the bound expired with no wake-up sent while it slept.
+    fn wait_idle(&mut self, timeout: Duration) -> bool {
+        self.shared.obs.record_span_ns(
+            SpanKind::LockHold,
+            (self.acquired.elapsed().as_nanos() as u64).max(1),
+        );
+        let guard = self.guard.as_mut().expect("held until drop");
+        debug_assert!(
+            !guard.wake_pending && guard.wakers.is_empty(),
+            "a wake-up queued before the sleep would wait for it"
+        );
+        let wakeups = guard.worker_wakeups;
+        guard.idle_workers += 1;
+        let timed_out = self.shared.idle.wait_for(guard, timeout).timed_out();
+        guard.idle_workers -= 1;
+        self.acquired = Instant::now();
+        timed_out && guard.worker_wakeups == wakeups
     }
 }
 
@@ -731,16 +590,22 @@ impl DerefMut for SchedGuard<'_> {
 
 impl Drop for SchedGuard<'_> {
     fn drop(&mut self) {
-        self.obs.record_span_ns(
-            SpanKind::LockHold,
-            (self.acquired.elapsed().as_nanos() as u64).max(1),
-        );
         let Some(mut guard) = self.guard.take() else {
             return;
         };
+        let obs = &self.shared.obs;
+        obs.gauge_set(Gauge::FreePages, guard.abm.state().free_pages());
+        obs.record_span_ns(
+            SpanKind::LockHold,
+            (self.acquired.elapsed().as_nanos() as u64).max(1),
+        );
         // Taking an empty list neither allocates nor frees.
         let wakers = std::mem::take(&mut guard.wakers);
+        let wake_worker = std::mem::take(&mut guard.wake_pending);
         drop(guard);
+        if wake_worker {
+            self.shared.idle.notify_one();
+        }
         wakers.into_iter().for_each(Waker::wake);
     }
 }
@@ -846,21 +711,18 @@ impl ScanServerBuilder {
         // residency gauges into the same registry, and its shard-lock hold
         // times into the `shard_lock_hold` histogram.
         pool.set_observability(Arc::clone(&obs));
-        let num_shards = pool.num_shards();
         let shared = Arc::new(Shared {
             sched: Mutex::new(Sched {
                 abm,
                 slots: HashMap::new(),
                 quarantined: HashMap::new(),
-                scratch: Vec::with_capacity(num_shards * INBOX_CAPACITY),
+                idle_workers: 0,
+                worker_wakeups: 0,
+                wake_pending: false,
                 wakers: Vec::new(),
             }),
+            idle: Condvar::new(),
             pool,
-            inboxes: (0..num_shards)
-                .map(|_| Mutex::new(Vec::with_capacity(INBOX_CAPACITY)))
-                .collect(),
-            inbox_mask: (num_shards - 1) as u64,
-            park: WorkerPark::new(workers),
             store: self.store,
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
@@ -875,7 +737,7 @@ impl ScanServerBuilder {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("cscan-abm-io-{i}"))
-                    .spawn(move || io_worker_main(shared, i))
+                    .spawn(move || io_worker_main(shared))
                     .expect("failed to spawn an ABM I/O worker")
             })
             .collect();
@@ -885,40 +747,47 @@ impl ScanServerBuilder {
 
 /// The ABM main loop (`main()` in Figure 3), run on every I/O worker.
 ///
-/// Drain the release inboxes and plan under the scheduler lock (mirroring
-/// the plan's evictions into the frame shards), ring the next parked
-/// worker if the plan succeeded (wake chaining), materialize the payload
-/// and perform the simulated read with no lock held, then commit under the
-/// scheduler lock — revalidating the plan's `(ticket, epoch)` stamp, so a
-/// load whose queries detached mid-read is aborted — install the payload
-/// into the chunk's frame shard, and deposit grants into the mailboxes of
-/// exactly the queries the arrived chunk unblocks.
-fn io_worker_main(shared: Arc<Shared>, id: usize) {
+/// Plan under the scheduler lock (mirroring the plan's evictions into the
+/// frame shards) or, with nothing to plan, sleep on the scheduler's idle
+/// condvar; wake the next idle worker if the plan succeeded (wake
+/// chaining), materialize the payload and perform the simulated read with
+/// no lock held, then commit under the scheduler lock — revalidating the
+/// plan's `(ticket, epoch)` stamp, so a load whose queries detached
+/// mid-read is aborted — install the payload into the chunk's frame shard,
+/// and deposit grants into the mailboxes of exactly the queries the
+/// arrived chunk unblocks.
+fn io_worker_main(shared: Arc<Shared>) {
     let mut plans = Vec::with_capacity(1);
     let mut woken: Vec<QueryId> = Vec::new();
     // Payloads this worker took out of the pool (or never put in) under the
     // scheduler lock, offered back to the store once the lock is dropped.
     let mut unused: Vec<ChunkPayload> = Vec::new();
     loop {
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
         let mut sched = shared.lock_sched();
-        shared.service(&mut sched);
-        plans.clear();
-        let now = shared.now();
-        let plan_started = Instant::now();
-        sched.abm.plan_loads(now, 1, &mut plans);
-        shared
-            .obs
-            .record_span_ns(SpanKind::Plan, plan_started.elapsed().as_nanos() as u64);
-        let Some(plan) = plans.pop() else {
-            // blockForNextQuery: park until a scheduling input changes.
-            // The timeout is a belt-and-braces guard against missed rings;
-            // correctness does not depend on it.
-            drop(sched);
-            shared.park.park(id, Duration::from_millis(50));
-            continue;
+        let mut unwoken = false;
+        let plan = loop {
+            // Shutdown sets the flag under this lock, so it is seen here
+            // or wakes the wait below.
+            if shared.shutdown.load(Ordering::Acquire) {
+                return;
+            }
+            plans.clear();
+            let now = shared.now();
+            let plan_started = Instant::now();
+            sched.abm.plan_loads(now, 1, &mut plans);
+            shared
+                .obs
+                .record_span_ns(SpanKind::Plan, plan_started.elapsed().as_nanos() as u64);
+            if let Some(plan) = plans.pop() {
+                if unwoken {
+                    shared.obs.inc(Counter::WorkerParkTimeouts);
+                }
+                break plan;
+            }
+            // blockForNextQuery: sleep until a scheduling input changes.
+            // The bound is a belt-and-braces guard; correctness does not
+            // depend on it.
+            unwoken = sched.wait_idle(Duration::from_millis(50));
         };
         // The plan's evictions already happened inside the ABM; mirror them
         // into the frame shards while still inside the same scheduler
@@ -961,11 +830,11 @@ fn io_worker_main(shared: Arc<Shared>, id: usize) {
         // *after* the chunk failed for good; remember that so the store is
         // never touched for it again.
         let already_quarantined = sched.quarantined.get(&plan.decision.chunk).copied();
+        // Wake chaining: if more loads are plannable, the next idle worker
+        // will find one (and chain onwards); if not, it sleeps again.  This
+        // fans a burst out across the pool without a notify_all stampede.
+        sched.wake_worker();
         drop(sched);
-        // Wake chaining: if more loads are plannable, the next parked worker
-        // will find one (and chain onwards); if not, it re-parks.  This fans
-        // a burst out across the pool without a notify_all stampede.
-        shared.park.ring_one();
         recycle(&shared, &mut unused);
         // Flight events are recorded after the scheduler guard dropped: the
         // recorder has its own (uncontended) mutex and control-plane events
@@ -1034,12 +903,12 @@ fn io_worker_main(shared: Arc<Shared>, id: usize) {
                             // The world may have moved on mid-retry: if the
                             // last interested query detached, the load was
                             // already aborted — stop retrying a dead ticket.
-                            let live = {
-                                let mut sched = shared.lock_sched();
-                                shared.service(&mut sched);
-                                sched.abm.state().inflight_ticket(plan.decision.chunk)
-                                    == Some(plan.ticket)
-                            };
+                            let live = shared
+                                .lock_sched()
+                                .abm
+                                .state()
+                                .inflight_ticket(plan.decision.chunk)
+                                == Some(plan.ticket);
                             if !live {
                                 shared.obs.inc(Counter::LoadsCancelled);
                                 shared
@@ -1062,7 +931,6 @@ fn io_worker_main(shared: Arc<Shared>, id: usize) {
             continue;
         };
         let mut sched = shared.lock_sched();
-        shared.service(&mut sched);
         let commit_started = Instant::now();
         woken.clear();
         let committed = match sched
@@ -1180,7 +1048,6 @@ fn read_payload(
 fn quarantine_chunk(shared: &Shared, chunk: ChunkId, ticket: u64, cause: StoreError) {
     let mut wake: Vec<Arc<QuerySlot>> = Vec::new();
     let mut sched = shared.lock_sched();
-    shared.service(&mut sched);
     if !sched.abm.fail_load(chunk, ticket) {
         // The plan went stale mid-read: its last interested query detached
         // and the load was already aborted.  Nothing to fail.
@@ -1197,6 +1064,7 @@ fn quarantine_chunk(shared: &Shared, chunk: ChunkId, ticket: u64, cause: StoreEr
     for &q in &victims {
         wake.extend(shared.err_query(&mut sched, q, error));
     }
+    sched.wake_worker();
     drop(sched);
     if newly_quarantined {
         shared.obs.inc(Counter::ChunksQuarantined);
@@ -1218,7 +1086,6 @@ fn quarantine_chunk(shared: &Shared, chunk: ChunkId, ticket: u64, cause: StoreEr
     for slot in wake {
         slot.cv.notify_all();
     }
-    shared.park.ring_one();
 }
 
 /// A running Cooperative Scans server: an Active Buffer Manager plus its I/O
@@ -1255,7 +1122,6 @@ impl ScanServer {
         let label = plan.label.clone();
         let slot = Arc::new(QuerySlot::default());
         let mut sched = self.shared.lock_sched();
-        self.shared.service(&mut sched);
         let (ranges, columns) = plan.resolve(sched.abm.state().model());
         let id = sched
             .abm
@@ -1265,6 +1131,8 @@ impl ScanServer {
         // (or close the slot straight away for an empty scan); otherwise
         // this marks the query blocked so the next commit wakes it.
         self.shared.try_grant(&mut sched, id);
+        // A new query changes the scheduling inputs: wake an idle worker.
+        sched.wake_worker();
         drop(sched);
         let scope = self
             .shared
@@ -1273,8 +1141,6 @@ impl ScanServer {
         self.shared
             .obs
             .event(EventKind::QueryAttached, cscan_obs::NO_CHUNK, id.0, 0);
-        // A new query changes the scheduling inputs: ring one parked worker.
-        self.shared.park.ring_one();
         CScanHandle {
             shared: Arc::clone(&self.shared),
             slot,
@@ -1290,22 +1156,13 @@ impl ScanServer {
     }
 
     /// The server's metrics registry: the unified observability plane every
-    /// counter, span histogram and flight event of this server lands in.
-    /// Snapshot it ([`Registry::snapshot`]) for JSON/Prometheus export, or
-    /// share it across servers via [`ScanServerBuilder::observability`].
+    /// counter, span histogram and flight event of this server lands in —
+    /// loads, faults, decodes, unconsumed drops, lock hold times and the
+    /// rest are read from here.  Snapshot it ([`Registry::snapshot`]) for
+    /// JSON/Prometheus export, or share it across servers via
+    /// [`ScanServerBuilder::observability`].
     pub fn metrics(&self) -> Arc<Registry> {
         Arc::clone(&self.shared.obs)
-    }
-
-    /// Number of chunk loads the I/O workers have committed so far.
-    pub fn loads_completed(&self) -> u64 {
-        self.shared.obs.counter(Counter::LoadsCompleted)
-    }
-
-    /// Number of loads whose read was cancelled mid-flight (their last
-    /// interested query detached before the commit).
-    pub fn loads_cancelled(&self) -> u64 {
-        self.shared.obs.counter(Counter::LoadsCancelled)
     }
 
     /// Total chunk-granularity I/O requests committed by the ABM.
@@ -1318,91 +1175,15 @@ impl ScanServer {
         self.shared.policy_label
     }
 
-    /// A snapshot of the scheduler-lock hold-time histogram (every
-    /// plan/commit/registry critical section since start-up), in
-    /// nanoseconds.
-    pub fn lock_hold_histogram(&self) -> HistogramSnapshot {
-        self.shared.obs.span_hist(SpanKind::LockHold).snapshot()
-    }
-
-    /// A snapshot of the per-shard lock hold-time histogram (the consume
-    /// fast path: frame pin/unpin and release-inbox pushes), in
-    /// nanoseconds.
-    pub fn shard_lock_hold_histogram(&self) -> HistogramSnapshot {
-        self.shared
-            .obs
-            .span_hist(SpanKind::ShardLockHold)
-            .snapshot()
-    }
-
     /// Number of shards the frame pool is striped into.
     pub fn num_pool_shards(&self) -> usize {
         self.shared.pool.num_shards()
-    }
-
-    /// Total time consumers spent blocked in `next_chunk` waiting for a
-    /// deliverable chunk (the data plane's "pin-wait" time, summed over all
-    /// sessions).
-    pub fn pin_wait(&self) -> Duration {
-        Duration::from_nanos(self.shared.obs.query_total(QueryCounter::PinWaitNanos))
-    }
-
-    /// Total time first-touch column decompression took (a subset of
-    /// [`ScanServer::pin_wait`]; always spent outside every executor lock).
-    pub fn decode_time(&self) -> Duration {
-        Duration::from_nanos(self.shared.obs.counter(Counter::DecodeNanos))
-    }
-
-    /// Number of column values decompressed by first-touch decodes (0 when
-    /// the store delivers plain payloads).
-    pub fn values_decoded(&self) -> u64 {
-        self.shared.obs.counter(Counter::ValuesDecoded)
     }
 
     /// Number of resident frames holding at least one column that is still
     /// encoded bytes (one no consumer has read since the chunk was loaded).
     pub fn compressed_frames(&self) -> usize {
         self.shared.pool.compressed_frames()
-    }
-
-    /// Number of [`PinnedChunk`]s that were dropped without
-    /// [`PinnedChunk::complete`].  A well-behaved pipeline keeps this at
-    /// zero; tests assert it.
-    pub fn unconsumed_drops(&self) -> u64 {
-        self.shared.obs.counter(Counter::UnconsumedDrops)
-    }
-
-    /// Read failures observed by the I/O workers (before retry).
-    pub fn load_faults(&self) -> u64 {
-        self.shared.obs.counter(Counter::LoadFaults)
-    }
-
-    /// Failed reads that were retried (a subset of [`ScanServer::load_faults`]).
-    pub fn load_retries(&self) -> u64 {
-        self.shared.obs.counter(Counter::LoadRetries)
-    }
-
-    /// Payloads rejected by checksum verification (at install or at pin).
-    pub fn checksum_failures(&self) -> u64 {
-        self.shared.obs.counter(Counter::ChecksumFailures)
-    }
-
-    /// Panics caught unwinding out of payload work; each became a failed
-    /// load instead of a dead worker.
-    pub fn worker_panics(&self) -> u64 {
-        self.shared.obs.counter(Counter::WorkerPanics)
-    }
-
-    /// Chunks quarantined after exhausting their retry budget (or failing
-    /// permanently).
-    pub fn chunks_quarantined(&self) -> u64 {
-        self.shared.obs.counter(Counter::ChunksQuarantined)
-    }
-
-    /// Queries closed with a [`ScanError`] because a needed chunk was
-    /// quarantined.
-    pub fn queries_erred(&self) -> u64 {
-        self.shared.obs.counter(Counter::QueriesErred)
     }
 
     /// Counters of the data plane's frame pool (fetches, pins, evictions),
@@ -1419,10 +1200,12 @@ impl ScanServer {
 
 impl Drop for ScanServer {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.park.ring_all();
         {
             let mut sched = self.shared.lock_sched();
+            // Under the lock an idle worker sleeps on: it has either not yet
+            // looked at the flag, or is asleep and gets this notification.
+            self.shared.shutdown.store(true, Ordering::Release);
+            self.shared.idle.notify_all();
             let Sched { slots, wakers, .. } = &mut *sched;
             for slot in slots.values() {
                 wakers.extend(slot.state.lock().waker.take());
@@ -1481,18 +1264,19 @@ impl CScanHandle {
     /// `selectChunk` of Figure 3.
     ///
     /// The fast path touches only this query's slot mutex: the scheduler
-    /// deposited the grant (chunk + payload + frame pin) in advance.  Only
-    /// when the mailbox stays empty past a wait timeout does the consumer
-    /// fall back to a self-match under the scheduler lock (a
-    /// belt-and-braces guard; grants are state, so none can be missed).
+    /// deposited the grant (chunk + frame pin) in advance.  Only when the
+    /// mailbox stays empty past a 50 ms wait bound does the consumer fall
+    /// back to a self-match under the scheduler lock (a belt-and-braces
+    /// guard; grants are state, so none can be missed — a self-match that
+    /// finds one is counted as `consumer_wait_timeouts`).
     ///
     /// If the chunk's payload still holds encoded columns, this call
     /// verifies their checksums — with no executor lock held — before
     /// returning; a mismatch rejects the delivery: the torn frame is
     /// dropped and the chunk re-fetched from the store.  Decoding waits for
     /// the consumer to touch a column ([`PinnedChunk::column`]); that time
-    /// is accounted as pin-wait (and separately as
-    /// [`ScanServer::decode_time`]).
+    /// is accounted as pin-wait (and separately as the `decode_nanos`
+    /// counter).
     pub fn next_chunk(&self) -> Result<Option<PinnedChunk>, ScanError> {
         loop {
             let mut st = self.slot.state.lock();
@@ -1501,11 +1285,8 @@ impl CScanHandle {
                     Mailbox::Ready(grant) => break grant,
                     Mailbox::Empty(st) => st,
                 };
-                // Nothing deliverable yet: kick a worker (planning may be
-                // what this query is waiting for) and wait on the mailbox.
-                // waitForChunk of Figure 3 — only a grant for *this* query
-                // rings the slot.
-                self.shared.park.ring_one();
+                // Nothing deliverable yet: wait on the mailbox — waitForChunk
+                // of Figure 3; only a grant for *this* query rings the slot.
                 let waited = Instant::now();
                 let timed_out = self
                     .slot
@@ -1516,21 +1297,23 @@ impl CScanHandle {
                 self.scope.record_pin_wait(ns);
                 self.shared.obs.record_span_ns(SpanKind::PinWait, ns);
                 if timed_out {
-                    // Belt-and-braces: nothing granted within the timeout —
+                    // Belt-and-braces: nothing granted within the bound —
                     // re-run the matcher ourselves.  This is the only place
                     // the blocking path can touch the scheduler lock, and
                     // only after a 50 ms stall (never on the hot path).
                     drop(st);
-                    self.self_match(self.shared.lock_sched());
+                    if self.self_match(self.shared.lock_sched()) {
+                        self.shared.obs.inc(Counter::ConsumerWaitTimeouts);
+                    }
                     st = self.slot.state.lock();
                 }
             };
-            let Some(grant) = grant else {
+            let Some(chunk) = grant else {
                 return Ok(None);
             };
             // `None` is a rejected delivery (torn frame re-fetched): take
             // the next grant when the re-load commits.
-            if let Some(pin) = self.consume_grant(grant)? {
+            if let Some(pin) = self.consume_grant(chunk)? {
                 return Ok(Some(pin));
             }
         }
@@ -1550,11 +1333,10 @@ impl CScanHandle {
     /// returned) or follows the store (and fires the waker): no wake is
     /// lost in between.  A slot holds one waker, the latest poll's.  The
     /// only lock this may *block* on is the query's own slot mutex (held
-    /// for nanoseconds); the scheduler lock is taken opportunistically —
-    /// `try_lock`, the same flat-combining discipline as the release path —
-    /// to self-match once when the mailbox is empty.  Before returning
-    /// `Pending` the handle rings one parked worker, so the system keeps
-    /// moving while the caller is away.
+    /// for nanoseconds); when the mailbox is empty the scheduler lock is
+    /// only *tried*, to self-match once, so a serving thread never waits
+    /// behind a plan or a commit.  (Dropping the pins it returns does take
+    /// the scheduler lock: a release is applied where it happens.)
     pub fn poll_next_chunk(
         &self,
         cx: &mut Context<'_>,
@@ -1573,24 +1355,21 @@ impl CScanHandle {
                     if let Some(guard) = self.shared.sched.try_lock() {
                         // The matcher locks the slot itself.
                         drop(st);
-                        self.self_match(SchedGuard::adopt(guard, &self.shared.obs));
+                        self.self_match(SchedGuard::adopt(guard, &self.shared));
                         self_matched = true;
                         continue;
                     }
                 }
                 // Nothing deliverable right now.  Register for the wake
-                // while still inside the check's critical section, kick a
-                // worker (planning may be what this query is waiting for)
-                // and hand control back to the event loop.
+                // while still inside the check's critical section and hand
+                // control back to the event loop.
                 st.waker = Some(cx.waker().clone());
-                drop(st);
-                self.shared.park.ring_one();
                 return Ok(Poll::Pending);
             };
-            let Some(grant) = grant else {
+            let Some(chunk) = grant else {
                 return Ok(Poll::Ready(None));
             };
-            if let Some(pin) = self.consume_grant(grant)? {
+            if let Some(pin) = self.consume_grant(chunk)? {
                 return Ok(Poll::Ready(Some(pin)));
             }
         }
@@ -1634,9 +1413,9 @@ impl CScanHandle {
             self.finish();
             return Ok(Mailbox::Ready(None));
         }
-        if let Some(grant) = st.grant.take() {
+        if let Some(chunk) = st.grant.take() {
             self.delivered.fetch_add(1, Ordering::Relaxed);
-            return Ok(Mailbox::Ready(Some(grant)));
+            return Ok(Mailbox::Ready(Some(chunk)));
         }
         if st.closed
             || self.finished.load(Ordering::Acquire)
@@ -1647,10 +1426,10 @@ impl CScanHandle {
         Ok(Mailbox::Empty(st))
     }
 
-    /// Runs the grant matcher for this query on the consumer's own thread.
-    fn self_match(&self, mut sched: SchedGuard<'_>) {
-        self.shared.service(&mut sched);
-        self.shared.try_grant(&mut sched, self.query);
+    /// Runs the grant matcher for this query on the consumer's own thread;
+    /// true if it deposited a grant.
+    fn self_match(&self, mut sched: SchedGuard<'_>) -> bool {
+        self.shared.try_grant(&mut sched, self.query)
     }
 
     /// Turns a taken grant into a [`PinnedChunk`] — payload read from the
@@ -1662,8 +1441,7 @@ impl CScanHandle {
     /// the blocking and non-blocking delivery paths; the
     /// consecutive-rejection counter lives on the handle so it survives
     /// `Pending` round-trips.
-    fn consume_grant(&self, grant: Grant) -> Result<Option<PinnedChunk>, ScanError> {
-        let chunk = grant.chunk;
+    fn consume_grant(&self, chunk: ChunkId) -> Result<Option<PinnedChunk>, ScanError> {
         // The grant carries the frame *pin*, not the payload: read the
         // payload from the shard at consume time, so an install that
         // raced the delivery (e.g. a torn frame replaced in place) is
@@ -1698,7 +1476,6 @@ impl CScanHandle {
                     .event(EventKind::ChecksumFailure, chunk.index(), self.query.0, 0);
                 {
                     let mut sched = self.shared.lock_sched();
-                    self.shared.service(&mut sched);
                     self.shared.pool.unpin(chunk);
                     if sched.abm.reject_delivered(self.query, chunk) {
                         self.shared.pool.evict(chunk);
@@ -1707,8 +1484,8 @@ impl CScanHandle {
                     // Re-match so the query registers as blocked and
                     // the re-load's commit wakes it.
                     self.shared.try_grant(&mut sched, self.query);
+                    sched.wake_worker();
                 }
-                self.shared.park.ring_one();
                 let failures = self.pin_rejections.fetch_add(1, Ordering::Relaxed) + 1;
                 if failures >= self.shared.retry.max_attempts.max(1) {
                     return Err(self.fail(ScanError { chunk, cause }));
@@ -1746,11 +1523,8 @@ impl CScanHandle {
 
     /// Number of chunks this scan still needs (0 once finished/detached).
     pub fn remaining_chunks(&self) -> u32 {
-        let mut sched = self.shared.lock_sched();
-        // Drain pending releases first so the count reflects completions
-        // the consumer already made.
-        self.shared.service(&mut sched);
-        sched
+        self.shared
+            .lock_sched()
             .abm
             .state()
             .try_query(self.query)
@@ -1778,11 +1552,11 @@ impl CScanHandle {
             0,
         );
         let mut sched = self.shared.lock_sched();
-        self.shared.service(&mut sched);
         sched.abm.finish_query(self.query);
         let slot = self.shared.close_slot(&mut sched, self.query, None);
         // Aborted loads release buffer pages, and one consumer fewer changes
-        // the relevance picture: ring one parked worker.
+        // the relevance picture: wake an idle worker.
+        sched.wake_worker();
         drop(sched);
         // A consumer of a shared handle may be blocked in `next_chunk` on
         // this slot; wake it so it observes the detach immediately instead
@@ -1790,7 +1564,6 @@ impl CScanHandle {
         if let Some(slot) = slot {
             slot.cv.notify_all();
         }
-        self.shared.park.ring_one();
     }
 }
 
@@ -1822,6 +1595,12 @@ impl Drop for CScanHandle {
 mod tests {
     use super::*;
     use cscan_storage::ScanRanges;
+    use std::sync::atomic::AtomicU64;
+
+    /// A counter of `server`'s registry.
+    fn counter(server: &ScanServer, counter: Counter) -> u64 {
+        server.metrics().counter(counter)
+    }
 
     fn server(policy: PolicyKind, chunks: u32, buffer_chunks: u64) -> (ScanServer, TableModel) {
         let model = TableModel::nsm_uniform(chunks, 1_000, 16);
@@ -1946,7 +1725,7 @@ mod tests {
         }
         assert_eq!(count, 5);
         assert_eq!(
-            server.unconsumed_drops(),
+            counter(&server, Counter::UnconsumedDrops),
             5,
             "every silent drop must be traced"
         );
@@ -2042,7 +1821,7 @@ mod tests {
             "four overlapping scans over a 4-deep pipeline should share: {ios}"
         );
         // Every critical section was measured.
-        let holds = server.lock_hold_histogram();
+        let holds = server.metrics().span_hist(SpanKind::LockHold).snapshot();
         assert!(holds.count() > 0);
         assert!(holds.max_value() >= holds.quantile_upper(0.5));
     }
@@ -2066,7 +1845,7 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, 6);
-        assert!(server.loads_completed() >= 6);
+        assert!(counter(&server, Counter::LoadsCompleted) >= 6);
     }
 
     /// Regression test for the ROADMAP's load-aborting item: a scan that
@@ -2106,7 +1885,7 @@ mod tests {
         }
         // The worker's commit must reject the stale completion.
         let deadline = Instant::now() + Duration::from_secs(5);
-        while server.loads_cancelled() == 0 {
+        while counter(&server, Counter::LoadsCancelled) == 0 {
             assert!(Instant::now() < deadline, "stale completion never drained");
             std::thread::sleep(Duration::from_millis(1));
         }
@@ -2177,8 +1956,7 @@ mod tests {
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
             {
-                let mut sched = server.shared.lock_sched();
-                server.shared.service(&mut sched);
+                let sched = server.shared.lock_sched();
                 let state = sched.abm.state();
                 if state.num_inflight() == 0 {
                     assert_eq!(state.num_queries(), 0);
@@ -2255,7 +2033,7 @@ mod tests {
             seen += 1;
         }
         assert_eq!(seen, 8);
-        assert_eq!(server.unconsumed_drops(), 0);
+        assert_eq!(counter(&server, Counter::UnconsumedDrops), 0);
         assert_eq!(server.pinned_frames(), 0, "all frame pins returned");
     }
 
@@ -2374,7 +2152,7 @@ mod tests {
         assert_eq!(pin.column(ColumnId::new(0)).unwrap(), &before[..]);
         pin.complete();
         holder.finish();
-        assert_eq!(server.unconsumed_drops(), 0);
+        assert_eq!(counter(&server, Counter::UnconsumedDrops), 0);
     }
 
     /// Scans of different widths through a buffer with no room to spare: a
@@ -2394,8 +2172,7 @@ mod tests {
         // Frames whose payload is column 0 alone; panics on a frame that
         // disagrees with the ABM's account of its chunk.
         let shrunk_frames = |server: &ScanServer| -> usize {
-            let mut sched = server.shared.lock_sched();
-            server.shared.service(&mut sched);
+            let sched = server.shared.lock_sched();
             (0..8)
                 .map(ChunkId::new)
                 .filter(|&chunk| {
@@ -2559,8 +2336,7 @@ mod tests {
         // The limit trips here: the session detaches mid-scan.
         assert!(handle.next_chunk().unwrap().is_none());
         {
-            let mut sched = server.shared.lock_sched();
-            server.shared.service(&mut sched);
+            let sched = server.shared.lock_sched();
             let state = sched.abm.state();
             assert_eq!(state.num_queries(), 0, "the limited scan detached");
             assert_eq!(state.reserved_pages(), 0, "reservations released");
@@ -2579,7 +2355,7 @@ mod tests {
                 let sched = server.shared.lock_sched();
                 sched.abm.state().loads_aborted()
             };
-            if aborted > 0 || server.loads_cancelled() > 0 {
+            if aborted > 0 || counter(&server, Counter::LoadsCancelled) > 0 {
                 break;
             }
             assert!(
@@ -2588,7 +2364,7 @@ mod tests {
             );
             std::thread::sleep(Duration::from_millis(1));
         }
-        assert_eq!(server.unconsumed_drops(), 0);
+        assert_eq!(counter(&server, Counter::UnconsumedDrops), 0);
     }
 
     /// Regression: the chunk-limit check and the grant take share one slot
@@ -2648,7 +2424,11 @@ mod tests {
                 "round {round}: a LIMIT-{LIMIT} scan must deliver exactly {LIMIT} chunks"
             );
             assert_eq!(server.pinned_frames(), 0, "round {round}");
-            assert_eq!(server.unconsumed_drops(), 0, "round {round}");
+            assert_eq!(
+                counter(&server, Counter::UnconsumedDrops),
+                0,
+                "round {round}"
+            );
         }
     }
 
@@ -2745,7 +2525,7 @@ mod tests {
         });
         drop(handle);
         assert_eq!(server.pinned_frames(), 0);
-        assert_eq!(server.unconsumed_drops(), 0);
+        assert_eq!(counter(&server, Counter::UnconsumedDrops), 0);
 
         // 3. A quarantine ends a parked poll with the error.
         let doomed = FaultConfig {
@@ -2770,7 +2550,7 @@ mod tests {
         };
         assert_eq!(error.chunk, cscan_storage::ChunkId::new(3));
         assert_eq!(server.pinned_frames(), 0);
-        assert_eq!(server.unconsumed_drops(), 0);
+        assert_eq!(counter(&server, Counter::UnconsumedDrops), 0);
     }
 
     #[test]
@@ -2851,8 +2631,7 @@ mod tests {
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
             {
-                let mut sched = server.shared.lock_sched();
-                server.shared.service(&mut sched);
+                let sched = server.shared.lock_sched();
                 let state = sched.abm.state();
                 if state.num_inflight() == 0 {
                     assert_eq!(state.num_queries(), 0);
@@ -2873,7 +2652,7 @@ mod tests {
             assert!(Instant::now() < deadline, "in-flight loads never drained");
             std::thread::sleep(Duration::from_millis(1));
         }
-        assert_eq!(server.unconsumed_drops(), 0);
+        assert_eq!(counter(&server, Counter::UnconsumedDrops), 0);
     }
 
     // ------------------------------------------------------------------
@@ -2927,7 +2706,7 @@ mod tests {
             assert_eq!(seen, CHUNKS);
         };
         scan("first");
-        let decoded_once = server.values_decoded();
+        let decoded_once = counter(&server, Counter::ValuesDecoded);
         assert_eq!(
             decoded_once,
             CHUNKS as u64 * ROWS * 2,
@@ -2942,11 +2721,11 @@ mod tests {
         // frames: no further decodes, no extra loads.
         scan("second");
         assert_eq!(
-            server.values_decoded(),
+            counter(&server, Counter::ValuesDecoded),
             decoded_once,
             "re-pins must hit the decoded state"
         );
-        assert_eq!(server.unconsumed_drops(), 0);
+        assert_eq!(counter(&server, Counter::UnconsumedDrops), 0);
     }
 
     /// Eviction drops the decoded state with the frame: a re-loaded chunk
@@ -2980,12 +2759,13 @@ mod tests {
             "the tiny pool must have evicted"
         );
         assert!(
-            server.values_decoded() > CHUNKS as u64 * ROWS,
+            counter(&server, Counter::ValuesDecoded) > CHUNKS as u64 * ROWS,
             "re-loaded chunks must decode again after eviction: {} values",
-            server.values_decoded()
+            counter(&server, Counter::ValuesDecoded)
         );
         assert!(
-            server.decode_time() <= server.pin_wait(),
+            counter(&server, Counter::DecodeNanos)
+                <= server.metrics().query_total(QueryCounter::PinWaitNanos),
             "decode time is accounted inside pin-wait"
         );
     }
@@ -3034,17 +2814,21 @@ mod tests {
             pin.complete();
         }
         handle.finish();
-        assert_eq!(server.values_decoded(), CHUNKS as u64 * ROWS * 2);
+        assert_eq!(
+            counter(&server, Counter::ValuesDecoded),
+            CHUNKS as u64 * ROWS * 2
+        );
         for c in 0..CHUNKS {
             let resident = server.shared.pool.payload(ChunkId::new(c)).unwrap();
             assert_eq!(decoded_columns(&resident), TOUCHED, "chunk {c}");
         }
         assert_eq!(server.compressed_frames(), CHUNKS as usize);
         assert!(
-            server.decode_time() <= server.pin_wait(),
+            counter(&server, Counter::DecodeNanos)
+                <= server.metrics().query_total(QueryCounter::PinWaitNanos),
             "a first-touch decode is accounted as the query's pin-wait"
         );
-        assert_eq!(server.unconsumed_drops(), 0);
+        assert_eq!(counter(&server, Counter::UnconsumedDrops), 0);
     }
 
     /// Two scans hold a pin on the same buffered chunk and touch the same
@@ -3087,8 +2871,12 @@ mod tests {
             for (a, b) in a.iter().zip(&b) {
                 assert!(Arc::ptr_eq(a, b), "both scans read the one decoded vector");
             }
-            assert_eq!(server.values_decoded(), ROWS * 2, "round {round}");
-            assert_eq!(server.unconsumed_drops(), 0);
+            assert_eq!(
+                counter(&server, Counter::ValuesDecoded),
+                ROWS * 2,
+                "round {round}"
+            );
+            assert_eq!(counter(&server, Counter::UnconsumedDrops), 0);
         }
     }
 
@@ -3196,17 +2984,25 @@ mod tests {
                 cause: StoreError::Corrupted,
             })
         );
-        assert!(server.worker_panics() >= 1);
-        assert_eq!(server.queries_erred(), 1);
-        assert_eq!(server.chunks_quarantined(), 0, "the chunk stays readable");
-        assert_eq!(server.checksum_failures(), 0, "the bytes were never torn");
+        assert!(counter(&server, Counter::WorkerPanics) >= 1);
+        assert_eq!(counter(&server, Counter::QueriesErred), 1);
+        assert_eq!(
+            counter(&server, Counter::ChunksQuarantined),
+            0,
+            "the chunk stays readable"
+        );
+        assert_eq!(
+            counter(&server, Counter::ChecksumFailures),
+            0,
+            "the bytes were never torn"
+        );
         let dump = server
             .metrics()
             .last_flight_dump()
             .expect("a contained panic dumps the flight recorder");
         assert!(dump.contains("worker_panic"), "dump: {dump}");
         assert_eq!(server.pinned_frames(), 0);
-        assert_eq!(server.unconsumed_drops(), 0);
+        assert_eq!(counter(&server, Counter::UnconsumedDrops), 0);
     }
 
     // ------------------------------------------------------------------
@@ -3247,12 +3043,18 @@ mod tests {
             seen += 1;
         }
         assert_eq!(seen, 20, "every chunk delivered despite the fault rate");
-        assert!(server.load_faults() > 0, "the fault stream fired");
-        assert_eq!(server.load_faults(), server.load_retries());
-        assert_eq!(server.chunks_quarantined(), 0);
-        assert_eq!(server.queries_erred(), 0);
+        assert!(
+            counter(&server, Counter::LoadFaults) > 0,
+            "the fault stream fired"
+        );
+        assert_eq!(
+            counter(&server, Counter::LoadFaults),
+            counter(&server, Counter::LoadRetries)
+        );
+        assert_eq!(counter(&server, Counter::ChunksQuarantined), 0);
+        assert_eq!(counter(&server, Counter::QueriesErred), 0);
         assert_eq!(server.pinned_frames(), 0);
-        assert_eq!(server.unconsumed_drops(), 0);
+        assert_eq!(counter(&server, Counter::UnconsumedDrops), 0);
     }
 
     #[test]
@@ -3300,8 +3102,8 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, 6);
-        assert_eq!(server.chunks_quarantined(), 1);
-        assert_eq!(server.queries_erred(), 1);
+        assert_eq!(counter(&server, Counter::ChunksQuarantined), 1);
+        assert_eq!(counter(&server, Counter::QueriesErred), 1);
         // A query registered *after* the quarantine gets the error too — the
         // plan-time short-circuit, without ever touching the store again.
         let late = server.cscan(CScanPlan::new(
@@ -3326,12 +3128,11 @@ mod tests {
         assert!(dump.contains("chunk_quarantined"), "dump: {dump}");
         assert!(dump.contains("query_erred"), "dump: {dump}");
         // No leaks after the dust settles.
-        let mut sched = server.shared.lock_sched();
-        server.shared.service(&mut sched);
+        let sched = server.shared.lock_sched();
         assert_eq!(sched.abm.state().reserved_pages(), 0);
         drop(sched);
         assert_eq!(server.shared.pool.pinned_frames(), 0);
-        assert_eq!(server.unconsumed_drops(), 0);
+        assert_eq!(counter(&server, Counter::UnconsumedDrops), 0);
     }
 
     #[test]
@@ -3378,11 +3179,11 @@ mod tests {
         }
         assert_eq!(seen, 16);
         assert!(
-            server.checksum_failures() > 0,
+            counter(&server, Counter::ChecksumFailures) > 0,
             "install-time verification must catch flipped bytes"
         );
-        assert_eq!(server.chunks_quarantined(), 0);
-        assert_eq!(server.unconsumed_drops(), 0);
+        assert_eq!(counter(&server, Counter::ChunksQuarantined), 0);
+        assert_eq!(counter(&server, Counter::UnconsumedDrops), 0);
     }
 
     /// Satellite: the full torn-frame lifecycle — a resident chunk's
@@ -3455,16 +3256,16 @@ mod tests {
         pin.complete();
         assert!(handle.next_chunk().unwrap().is_none());
         assert!(
-            server.checksum_failures() >= 1,
+            counter(&server, Counter::ChecksumFailures) >= 1,
             "the decode-time verification must have fired"
         );
         assert!(
             server.io_requests() >= 2,
             "recovery requires a fresh load of the chunk"
         );
-        assert_eq!(server.chunks_quarantined(), 0);
+        assert_eq!(counter(&server, Counter::ChunksQuarantined), 0);
         assert_eq!(server.pinned_frames(), 0);
-        assert_eq!(server.unconsumed_drops(), 0);
+        assert_eq!(counter(&server, Counter::UnconsumedDrops), 0);
     }
 
     /// A store that panics on one chunk: the worker must contain the panic
@@ -3510,7 +3311,10 @@ mod tests {
             }
         };
         assert_eq!(error.chunk, cscan_storage::ChunkId::new(5));
-        assert!(server.worker_panics() >= 1, "the panic was caught");
+        assert!(
+            counter(&server, Counter::WorkerPanics) >= 1,
+            "the panic was caught"
+        );
         // The server survived: a scan avoiding the bad chunk runs clean.
         let ok = server.cscan(CScanPlan::new(
             "ok",
@@ -3523,7 +3327,7 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, 4);
-        assert_eq!(server.unconsumed_drops(), 0);
+        assert_eq!(counter(&server, Counter::UnconsumedDrops), 0);
     }
 
     /// Satellite: the attach/detach storm under an injected fault stream —
@@ -3603,12 +3407,14 @@ mod tests {
         for w in workers {
             w.join().unwrap();
         }
-        assert!(server.load_faults() > 0, "the fault stream fired");
+        assert!(
+            counter(&server, Counter::LoadFaults) > 0,
+            "the fault stream fired"
+        );
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
             {
-                let mut sched = server.shared.lock_sched();
-                server.shared.service(&mut sched);
+                let sched = server.shared.lock_sched();
                 let state = sched.abm.state();
                 if state.num_inflight() == 0 {
                     assert_eq!(state.num_queries(), 0);
@@ -3621,7 +3427,24 @@ mod tests {
             assert!(Instant::now() < deadline, "in-flight loads never drained");
             std::thread::sleep(Duration::from_millis(1));
         }
-        assert_eq!(server.unconsumed_drops(), 0);
+        assert_eq!(counter(&server, Counter::UnconsumedDrops), 0);
+    }
+
+    /// A pin dropped on a thread that holds the scheduler lock would wait
+    /// for that lock forever in its release; debug builds refuse it first.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "released on a thread that holds the scheduler lock")]
+    fn releasing_a_pin_under_the_scheduler_lock_panics() {
+        let (server, model) = server(PolicyKind::Relevance, 2, 2);
+        let handle = server.cscan(CScanPlan::new(
+            "held",
+            ScanRanges::full(2),
+            model.all_columns(),
+        ));
+        let pin = handle.next_chunk().unwrap().expect("a chunk");
+        let _sched = server.shared.lock_sched();
+        drop(pin);
     }
 
     #[test]
@@ -3635,7 +3458,7 @@ mod tests {
         while let Some(g) = handle.next_chunk().unwrap() {
             g.complete();
         }
-        let snap = server.lock_hold_histogram();
+        let snap = server.metrics().span_hist(SpanKind::LockHold).snapshot();
         assert!(snap.count() > 0);
         let p50 = snap.quantile_upper(0.5);
         let p99 = snap.quantile_upper(0.99);

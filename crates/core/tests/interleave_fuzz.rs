@@ -98,11 +98,14 @@ fn run_seed(seed: u64) {
     }
 
     assert_eq!(server.pinned_frames(), 0, "seed {seed}: leaked pins");
-    assert_eq!(server.worker_panics(), 0, "seed {seed}");
-    assert_eq!(server.queries_erred(), 0, "seed {seed}");
     drop(server);
     let snap = obs.snapshot();
     assert!(snap.is_consistent(), "seed {seed}: inconsistent snapshot");
+    assert_eq!(snap.counter("worker_panics"), 0, "seed {seed}");
+    assert_eq!(snap.counter("queries_erred"), 0, "seed {seed}");
+    // No wait ended on its belt-and-braces bound with work waiting for it.
+    assert_eq!(snap.counter("worker_park_timeouts"), 0, "seed {seed}");
+    assert_eq!(snap.counter("consumer_wait_timeouts"), 0, "seed {seed}");
 }
 
 #[test]

@@ -261,9 +261,9 @@ mod tests {
         assert_eq!(error.chunk, ChunkId::new(0));
         assert_eq!(error.cause, StoreError::Corrupted);
         assert_eq!(source.next().expect_err("sticky"), error);
-        assert_eq!(server.worker_panics(), 1);
+        assert_eq!(server.metrics().counter(Counter::WorkerPanics), 1);
         assert_eq!(server.pinned_frames(), 0);
-        assert_eq!(server.unconsumed_drops(), 0);
+        assert_eq!(server.metrics().counter(Counter::UnconsumedDrops), 0);
     }
 
     #[test]

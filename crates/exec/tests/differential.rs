@@ -12,6 +12,7 @@ use cscan_exec::{
     merge_join, AggFunc, ChunkOrderedAggregate, ChunkSource, CooperativeMergeJoin, DataChunk, Expr,
     Filter, HashAggregate, MemTable, Operator, Project, SessionSource,
 };
+use cscan_obs::Counter;
 use cscan_storage::{ChunkId, ColumnId, CompressingStore, ScanRanges};
 use std::sync::Arc;
 use std::time::Duration;
@@ -134,7 +135,11 @@ fn filter_pipeline_matches_baseline() {
             sorted_rows(&reference),
             "{policy}/{layout:?}: filter results diverged"
         );
-        assert_eq!(server.unconsumed_drops(), 0, "{policy}/{layout:?}");
+        assert_eq!(
+            server.metrics().counter(Counter::UnconsumedDrops),
+            0,
+            "{policy}/{layout:?}"
+        );
     }
 }
 
@@ -286,10 +291,14 @@ fn compressed_payload_pipelines_are_bit_identical() {
             "{policy}/{layout:?}: compressed filter diverged"
         );
         assert!(
-            server.values_decoded() > 0,
+            server.metrics().counter(Counter::ValuesDecoded) > 0,
             "{policy}/{layout:?}: the compressed path must actually decode"
         );
-        assert_eq!(server.unconsumed_drops(), 0, "{policy}/{layout:?}");
+        assert_eq!(
+            server.metrics().counter(Counter::UnconsumedDrops),
+            0,
+            "{policy}/{layout:?}"
+        );
     }
 }
 

@@ -79,8 +79,8 @@ pub enum Counter {
     ExecBatches,
     /// Rows delivered through exec-layer session sources.
     ExecRows,
-    /// Release fast-path attempts that found the scheduler lock busy and
-    /// deferred their bookkeeping to the sharded release inbox.
+    /// Releases that found the scheduler lock held (a `try_lock` miss) and
+    /// blocked for it.
     HubShardConflicts,
     /// Positioned reads issued against segment files (one per extent).
     FileReadCalls,
@@ -105,11 +105,19 @@ pub enum Counter {
     BatchesServed,
     /// Payload bytes served over the wire protocol (encoded frame bodies).
     BytesServed,
+    /// Times an idle I/O worker slept through its belt-and-braces wait
+    /// bound with nothing notifying it, and then found a load to plan: a
+    /// missed wake-up, survived.  Expected to stay 0.
+    WorkerParkTimeouts,
+    /// Times a consumer's belt-and-braces wait bound expired and its own
+    /// run of the grant matcher then found a chunk nobody had granted it: a
+    /// missed wake-up, survived.  Expected to stay 0.
+    ConsumerWaitTimeouts,
 }
 
 impl Counter {
     /// Every counter, in index order.
-    pub const ALL: [Counter; 32] = [
+    pub const ALL: [Counter; 34] = [
         Counter::LoadsCompleted,
         Counter::LoadsCancelled,
         Counter::LoadFaults,
@@ -142,6 +150,8 @@ impl Counter {
         Counter::ServeWaitTimeouts,
         Counter::BatchesServed,
         Counter::BytesServed,
+        Counter::WorkerParkTimeouts,
+        Counter::ConsumerWaitTimeouts,
     ];
 
     /// The counter's stable metric name (snake case, no prefix).
@@ -179,6 +189,8 @@ impl Counter {
             Counter::ServeWaitTimeouts => "serve_wait_timeouts",
             Counter::BatchesServed => "batches_served",
             Counter::BytesServed => "bytes_served",
+            Counter::WorkerParkTimeouts => "worker_park_timeouts",
+            Counter::ConsumerWaitTimeouts => "consumer_wait_timeouts",
         }
     }
 }
@@ -279,8 +291,8 @@ pub enum SpanKind {
     Backoff,
     /// Scheduler-lock critical sections (hold time, not wait time).
     LockHold,
-    /// Per-shard lock critical sections on the consume fast path (frame
-    /// pin/unpin and release-inbox pushes; hold time, not wait time).
+    /// Per-shard lock critical sections of the frame pool (pin, unpin,
+    /// install, evict, payload reads; hold time, not wait time).
     ShardLockHold,
     /// One positioned read against a segment file (syscall latency).
     FileRead,

@@ -255,14 +255,6 @@ impl Catalog {
     pub fn pinned_frames(&self) -> usize {
         self.tables.iter().map(|t| t.server.pinned_frames()).sum()
     }
-
-    /// Pins dropped without an explicit consume, summed across tables.
-    pub fn unconsumed_drops(&self) -> u64 {
-        self.tables
-            .iter()
-            .map(|t| t.server.unconsumed_drops())
-            .sum()
-    }
 }
 
 impl Default for Catalog {

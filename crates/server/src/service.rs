@@ -361,6 +361,6 @@ mod tests {
         }
         drop(scan);
         assert_eq!(cat.pinned_frames(), 0);
-        assert_eq!(cat.unconsumed_drops(), 0);
+        assert_eq!(cat.observability().counter(Counter::UnconsumedDrops), 0);
     }
 }

@@ -379,7 +379,12 @@ fn a_two_column_remote_scan_reads_two_extents_per_load() {
 
     // The table is a column store to its scheduler: every load read the two
     // extents asked for — a third of a full-width chunk — and no other.
-    let loads = catalog.get("lineitem").unwrap().server().loads_completed();
+    let loads = catalog
+        .get("lineitem")
+        .unwrap()
+        .server()
+        .metrics()
+        .counter(Counter::LoadsCompleted);
     let obs = catalog.observability();
     assert!(loads >= table.num_chunks() as u64);
     assert_eq!(obs.counter(Counter::FileReadCalls), 2 * loads);
@@ -418,7 +423,7 @@ fn a_wider_scan_of_a_resident_chunk_loads_the_missing_column_alone() {
     let after = wide.next_chunk().expect("clean").expect("chunk 0");
     assert_eq!(obs.counter(Counter::FileReadCalls), 2, "column 5 alone");
     assert_eq!(obs.counter(Counter::FileBytesRead), 2 * 500 * 8);
-    assert_eq!(entry.server().loads_completed(), 2);
+    assert_eq!(entry.server().metrics().counter(Counter::LoadsCompleted), 2);
 
     assert_eq!(before.column(ColumnId::new(QTY)), Some(want.column(0)));
     assert_eq!(after.column(ColumnId::new(QTY)), Some(want.column(0)));
@@ -432,10 +437,14 @@ fn a_wider_scan_of_a_resident_chunk_loads_the_missing_column_alone() {
 
 /// Every batch of the scans just run left because something rang its
 /// connection — the executor's waker, a credit frame — and none because a
-/// serving thread's belt-and-braces wait bound ran out first.
+/// serving thread's belt-and-braces wait bound ran out first; and no I/O
+/// worker or consumer under it found work only after its own bound did.
 fn assert_no_batch_waited_out_a_bound(catalog: &Catalog) {
-    let missed = catalog.observability().counter(Counter::ServeWaitTimeouts);
+    let obs = catalog.observability();
+    let missed = obs.counter(Counter::ServeWaitTimeouts);
     assert_eq!(missed, 0, "batches served only after a wait bound expired");
+    assert_eq!(obs.counter(Counter::WorkerParkTimeouts), 0);
+    assert_eq!(obs.counter(Counter::ConsumerWaitTimeouts), 0);
 }
 
 /// Pins are released on scan/connection teardown, but the server threads

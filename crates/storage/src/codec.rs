@@ -74,12 +74,17 @@ pub fn forbid_decode() -> DecodeForbidden {
     DecodeForbidden(())
 }
 
+/// Whether a [`DecodeForbidden`] token is alive on this thread — for the
+/// executor, whether the thread holds its scheduler lock.
+pub fn decode_forbidden() -> bool {
+    DECODE_FORBIDDEN.with(|c| c.get()) > 0
+}
+
 /// Debug-asserts that the current thread is allowed to decode (i.e. it does
 /// not hold the executor's hub lock).  Called by every decode entry point.
 pub fn assert_decode_allowed() {
-    debug_assert_eq!(
-        DECODE_FORBIDDEN.with(|c| c.get()),
-        0,
+    debug_assert!(
+        !decode_forbidden(),
         "payload decode attempted while decoding is forbidden on this thread \
          (the executor must never decode under the hub lock)"
     );

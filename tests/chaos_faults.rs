@@ -23,6 +23,7 @@ use cscan_exec::ops::{collect, try_collect};
 use cscan_exec::{
     AggFunc, ChunkSource, DataChunk, Expr, Filter, HashAggregate, MemTable, Operator, SessionSource,
 };
+use cscan_obs::Counter;
 use cscan_storage::{
     ChunkId, ColumnId, CompressingStore, Compression, FaultConfig, FaultInjectingStore, FileStore,
     ScanRanges, ScratchPath, SegmentWriter, StoreError,
@@ -165,24 +166,28 @@ fn transient_fault_sweep_is_bit_identical_to_fault_free_baseline() {
                 "{policy}/{layout:?}/compressed={compressed}@{fault_rate}: results diverged under faults"
             );
             assert_eq!(
-                server.chunks_quarantined(),
+                server.metrics().counter(Counter::ChunksQuarantined),
                 0,
                 "{policy}/{layout:?}: transient faults must never quarantine"
             );
-            assert_eq!(server.queries_erred(), 0, "{policy}/{layout:?}");
+            assert_eq!(
+                server.metrics().counter(Counter::QueriesErred),
+                0,
+                "{policy}/{layout:?}"
+            );
             assert_eq!(
                 server.pinned_frames(),
                 0,
                 "{policy}/{layout:?}: leaked pins"
             );
             assert_eq!(
-                server.unconsumed_drops(),
+                server.metrics().counter(Counter::UnconsumedDrops),
                 0,
                 "{policy}/{layout:?}: leaked deliveries"
             );
-            total_faults += server.load_faults();
-            total_retries += server.load_retries();
-            total_checksum_failures += server.checksum_failures();
+            total_faults += server.metrics().counter(Counter::LoadFaults);
+            total_retries += server.metrics().counter(Counter::LoadRetries);
+            total_checksum_failures += server.metrics().counter(Counter::ChecksumFailures);
         }
     }
     assert!(
@@ -268,16 +273,23 @@ fn permanent_chunk_errs_interested_queries_and_spares_the_rest() {
             "{policy}/{layout:?}/compressed={compressed}: healthy results diverged"
         );
         assert!(
-            server.chunks_quarantined() >= 1,
+            server.metrics().counter(Counter::ChunksQuarantined) >= 1,
             "{policy}/{layout:?}: the bad chunk must be quarantined"
         );
-        assert!(server.queries_erred() >= 1, "{policy}/{layout:?}");
+        assert!(
+            server.metrics().counter(Counter::QueriesErred) >= 1,
+            "{policy}/{layout:?}"
+        );
         assert_eq!(
             server.pinned_frames(),
             0,
             "{policy}/{layout:?}: leaked pins"
         );
-        assert_eq!(server.unconsumed_drops(), 0, "{policy}/{layout:?}");
+        assert_eq!(
+            server.metrics().counter(Counter::UnconsumedDrops),
+            0,
+            "{policy}/{layout:?}"
+        );
     }
 }
 
@@ -342,11 +354,15 @@ fn concurrent_chaos_mixes_errors_and_successes_without_leaks() {
             assert_eq!(rows, (BAD - 1) as u64 * ROWS_PER_CHUNK);
         }
     }
-    assert_eq!(server.chunks_quarantined(), 1);
-    assert!(server.queries_erred() >= 4);
-    assert!(server.load_faults() > 0);
+    assert_eq!(server.metrics().counter(Counter::ChunksQuarantined), 1);
+    assert!(server.metrics().counter(Counter::QueriesErred) >= 4);
+    assert!(server.metrics().counter(Counter::LoadFaults) > 0);
     assert_eq!(server.pinned_frames(), 0, "leaked pins");
-    assert_eq!(server.unconsumed_drops(), 0, "leaked deliveries");
+    assert_eq!(
+        server.metrics().counter(Counter::UnconsumedDrops),
+        0,
+        "leaked deliveries"
+    );
 }
 
 // ----------------------------------------------------------------------
@@ -444,17 +460,29 @@ fn file_backed_transient_faults_recover_bit_identically() {
             live, reference,
             "{policy}/{layout:?}/compressed={compressed}: file-backed results diverged"
         );
-        assert_eq!(server.chunks_quarantined(), 0, "{policy}/{layout:?}");
-        assert_eq!(server.queries_erred(), 0, "{policy}/{layout:?}");
+        assert_eq!(
+            server.metrics().counter(Counter::ChunksQuarantined),
+            0,
+            "{policy}/{layout:?}"
+        );
+        assert_eq!(
+            server.metrics().counter(Counter::QueriesErred),
+            0,
+            "{policy}/{layout:?}"
+        );
         assert_eq!(
             server.pinned_frames(),
             0,
             "{policy}/{layout:?}: leaked pins"
         );
-        assert_eq!(server.unconsumed_drops(), 0, "{policy}/{layout:?}");
-        total_faults += server.load_faults();
-        total_retries += server.load_retries();
-        total_checksum_failures += server.checksum_failures();
+        assert_eq!(
+            server.metrics().counter(Counter::UnconsumedDrops),
+            0,
+            "{policy}/{layout:?}"
+        );
+        total_faults += server.metrics().counter(Counter::LoadFaults);
+        total_retries += server.metrics().counter(Counter::LoadRetries);
+        total_checksum_failures += server.metrics().counter(Counter::ChecksumFailures);
     }
     assert!(
         total_faults > 20,
@@ -540,14 +568,18 @@ fn on_disk_bit_flip_quarantines_only_the_damaged_chunk() {
             "{policy}: healthy rows diverged"
         );
         assert!(
-            server.chunks_quarantined() >= 1,
+            server.metrics().counter(Counter::ChunksQuarantined) >= 1,
             "{policy}: the damaged chunk must be quarantined"
         );
         assert!(
-            server.checksum_failures() > 0,
+            server.metrics().counter(Counter::ChecksumFailures) > 0,
             "{policy}: the damage must be caught by the checksum, not a decoder panic"
         );
         assert_eq!(server.pinned_frames(), 0, "{policy}: leaked pins");
-        assert_eq!(server.unconsumed_drops(), 0, "{policy}");
+        assert_eq!(
+            server.metrics().counter(Counter::UnconsumedDrops),
+            0,
+            "{policy}"
+        );
     }
 }

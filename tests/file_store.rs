@@ -13,7 +13,7 @@ use cscan_core::policy::PolicyKind;
 use cscan_core::threaded::ScanServer;
 use cscan_core::{CScanPlan, ColSet, TableModel};
 use cscan_exec::MemTable;
-use cscan_obs::Registry;
+use cscan_obs::{Counter, Registry};
 use cscan_server::model_from_segment;
 use cscan_storage::{
     ChunkId, ChunkPayload, ChunkStore, ColumnId, CompressingStore, Compression, FileStore,
@@ -135,10 +135,22 @@ fn file_backed_scans_are_bit_identical_to_memtable() {
                         );
                     }
                 }
-                assert_eq!(server.chunks_quarantined(), 0, "{label}");
-                assert_eq!(server.queries_erred(), 0, "{label}");
+                assert_eq!(
+                    server.metrics().counter(Counter::ChunksQuarantined),
+                    0,
+                    "{label}"
+                );
+                assert_eq!(
+                    server.metrics().counter(Counter::QueriesErred),
+                    0,
+                    "{label}"
+                );
                 assert_eq!(server.pinned_frames(), 0, "{label}: leaked pins");
-                assert_eq!(server.unconsumed_drops(), 0, "{label}: leaked deliveries");
+                assert_eq!(
+                    server.metrics().counter(Counter::UnconsumedDrops),
+                    0,
+                    "{label}: leaked deliveries"
+                );
             }
         }
     }
@@ -194,7 +206,7 @@ fn a_two_column_scan_reads_and_decodes_two_extents_per_load() {
                     );
                 }
             }
-            let loads = server.loads_completed();
+            let loads = server.metrics().counter(Counter::LoadsCompleted);
             assert_eq!(loads, CHUNKS as u64, "{label}");
             let snap = obs.snapshot();
             assert_eq!(snap.counter("file_read_calls"), 2 * loads, "{label}");
@@ -204,7 +216,11 @@ fn a_two_column_scan_reads_and_decodes_two_extents_per_load() {
             } else {
                 0
             };
-            assert_eq!(server.values_decoded(), decoded, "{label}");
+            assert_eq!(
+                server.metrics().counter(Counter::ValuesDecoded),
+                decoded,
+                "{label}"
+            );
             assert_eq!(server.pinned_frames(), 0, "{label}: leaked pins");
         }
     }
@@ -260,7 +276,7 @@ fn concurrent_file_backed_streams_stay_bit_identical() {
     for w in workers {
         assert_eq!(w.join().unwrap(), expected, "a stream's values diverged");
     }
-    assert_eq!(server.unconsumed_drops(), 0);
+    assert_eq!(server.metrics().counter(Counter::UnconsumedDrops), 0);
 }
 
 /// There is one payload shape: asking a store for a whole chunk (`None`)
