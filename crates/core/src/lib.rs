@@ -24,14 +24,14 @@
 //! * [`sim::Simulation`] — a deterministic discrete-event simulation used to
 //!   regenerate every table and figure of the paper's evaluation.  It keeps
 //!   up to K loads in flight (each burst planned with a budget of K minus
-//!   the loads in flight, its evictions reserved up front), routed to
-//!   per-spindle submission queues when the storage is modelled as an
-//!   explicit RAID array ([`SimIoBackend`]).  K = 1 — the default —
+//!   the loads in flight, its evictions reserved up front), submitted to
+//!   the per-spindle queues of one simulated RAID array
+//!   ([`cscan_simdisk::RaidArray`]).  K = 1 — the default —
 //!   reproduces the paper's sequential main loop decision-for-decision.
 //! * [`threaded::ScanServer`] — a real multi-threaded executor (OS threads,
-//!   an I/O worker pool running the ABM main loop of Fig. 3, per-query wait
-//!   slots and per-worker doorbells instead of global condition variables)
-//!   for everything that moves bytes.  Each worker plans one load at a time
+//!   an I/O worker pool running the ABM main loop of Fig. 3, per-query
+//!   grant mailboxes, and idle workers asleep on a condition variable
+//!   bound to the scheduler lock) for everything that moves bytes.  Each worker plans one load at a time
 //!   (a budget of 1), so `io_threads(k)` keeps up to `k` loads in flight; a
 //!   failed read is retried and, past its budget, quarantined here and
 //!   nowhere else ([`RetryPolicy`]).
@@ -101,7 +101,6 @@ pub use policy::{AttachPolicy, ElevatorPolicy, NormalPolicy, Policy, PolicyKind,
 pub use query::{QueryId, QueryState};
 pub use retry::{FailureAction, RetryPolicy};
 pub use session::{PinnedChunk, ScanError, ScanSession};
-pub use sim::SimIoBackend;
 
 // Re-export the identifiers that appear throughout the public API.
 pub use cscan_storage::{ChunkId, ColumnId, ScanRanges};

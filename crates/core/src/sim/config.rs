@@ -1,13 +1,11 @@
 //! Simulation configuration.
 
-use cscan_simdisk::{DiskModel, RaidConfig, SimDuration};
+use cscan_simdisk::{RaidConfig, SimDuration};
 use serde::{Deserialize, Serialize};
 
 /// How the buffer pool size is expressed.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum BufferSpec {
-    /// Absolute number of pages.
-    Pages(u64),
     /// Absolute number of bytes (rounded down to whole pages).
     Bytes(u64),
     /// Multiples of the table's average chunk size (the paper quotes buffer
@@ -23,14 +21,11 @@ pub enum BufferSpec {
 pub struct SimConfig {
     /// Number of CPU cores shared by all running queries.
     pub cores: usize,
-    /// Disk model servicing chunk loads (used when `raid` is `None`: the
-    /// array is then modelled as one logical device with the aggregate
-    /// bandwidth, as in the paper's original runs).
-    pub disk: DiskModel,
-    /// Explicit multi-spindle array.  When set, every load's regions are
-    /// routed to per-spindle submission queues and `max_outstanding_io`
-    /// decides how many loads can overlap across the arms.
-    pub raid: Option<RaidConfig>,
+    /// The storage device every load's regions are submitted to: the
+    /// paper's RAID as one aggregate spindle by default
+    /// ([`RaidConfig::paper_aggregate`]).  With several spindles
+    /// `max_outstanding_io` decides how many loads overlap across the arms.
+    pub raid: RaidConfig,
     /// Outstanding chunk loads the simulation keeps in flight (K).  The
     /// default of 1 reproduces the paper's sequential main loop exactly.
     pub max_outstanding_io: usize,
@@ -48,8 +43,7 @@ impl Default for SimConfig {
     fn default() -> Self {
         Self {
             cores: 2,
-            disk: DiskModel::paper_raid(),
-            raid: None,
+            raid: RaidConfig::paper_aggregate(),
             max_outstanding_io: 1,
             buffer: BufferSpec::Chunks(64),
             stream_stagger: SimDuration::from_secs(3),
@@ -83,16 +77,9 @@ impl SimConfig {
         self
     }
 
-    /// Sets the disk model.
-    pub fn with_disk(mut self, disk: DiskModel) -> Self {
-        self.disk = disk;
-        self
-    }
-
-    /// Models the storage as an explicit striped array with per-spindle
-    /// submission queues instead of one aggregate logical device.
+    /// Sets the storage device.
     pub fn with_raid(mut self, raid: RaidConfig) -> Self {
-        self.raid = Some(raid);
+        self.raid = raid;
         self
     }
 
@@ -123,7 +110,6 @@ impl SimConfig {
         let avg_chunk_pages = model.avg_chunk_pages().ceil() as u64;
         let total_pages = model.total_pages(model.all_columns());
         let pages = match self.buffer {
-            BufferSpec::Pages(p) => p,
             BufferSpec::Bytes(b) => b / model.page_size(),
             BufferSpec::Chunks(c) => c * avg_chunk_pages,
             BufferSpec::FractionOfTable(f) => (total_pages as f64 * f.clamp(0.0, 10.0)) as u64,
@@ -148,12 +134,6 @@ mod tests {
             256
         );
         assert_eq!(cfg.with_buffer_fraction(0.5).buffer_pages(&model), 12_800);
-        // Pages spec passes through, but never below one chunk.
-        let tiny = SimConfig {
-            buffer: BufferSpec::Pages(3),
-            ..SimConfig::default()
-        };
-        assert_eq!(tiny.buffer_pages(&model), 256);
     }
 
     #[test]
@@ -174,15 +154,21 @@ mod tests {
         assert_eq!(cfg.stream_stagger, SimDuration::from_secs(3));
         assert_eq!(cfg.buffer, BufferSpec::Chunks(64), "1 GB of 16 MB chunks");
         assert_eq!(cfg.max_outstanding_io, 1, "the paper's sequential loop");
-        assert!(cfg.raid.is_none(), "one aggregate logical device");
+        assert_eq!(
+            cfg.raid,
+            RaidConfig::paper_aggregate(),
+            "one aggregate logical device"
+        );
     }
 
     #[test]
     fn raid_and_outstanding_builders() {
-        let cfg = SimConfig::default()
-            .with_raid(RaidConfig::default())
-            .with_outstanding_io(8);
-        assert_eq!(cfg.raid.unwrap().spindles, 4);
+        let four = RaidConfig {
+            spindles: 4,
+            ..RaidConfig::paper_aggregate()
+        };
+        let cfg = SimConfig::default().with_raid(four).with_outstanding_io(8);
+        assert_eq!(cfg.raid.spindles, 4);
         assert_eq!(cfg.max_outstanding_io, 8);
         assert_eq!(
             SimConfig::default()

@@ -1,16 +1,16 @@
 //! Deterministic discrete-event simulation of concurrent Cooperative Scans.
 //!
 //! The simulation combines the three resources the paper's experiments
-//! exercise: simulated storage (a single aggregate [`cscan_simdisk::Disk`]
-//! or an explicit [`cscan_simdisk::RaidArray`] with per-spindle submission
-//! queues, behind a [`SimIoBackend`]), a processor-sharing CPU
-//! ([`cscan_engine::SharedCpu`]) on which every running query processes
-//! its current chunk, and the Active Buffer Manager deciding what to read
-//! and evict.  Loads go through the same two calls the threaded executor's
-//! I/O workers make: whenever an event leaves the pipeline with room the
-//! driver asks [`Abm::plan_loads`] for up to
-//! [`SimConfig::max_outstanding_io`] minus the loads in flight, submits
-//! each admitted plan to the backend, and retires it with
+//! exercise: simulated storage (one [`cscan_simdisk::RaidArray`] built
+//! from [`SimConfig::raid`], by default the paper's RAID as one aggregate
+//! spindle), a processor-sharing CPU ([`cscan_engine::SharedCpu`]) on
+//! which every running query processes its current chunk, and the Active
+//! Buffer Manager deciding what to read and evict.  Loads go through the
+//! same two calls the threaded executor's I/O workers make: whenever an
+//! event leaves the pipeline with room the driver asks
+//! [`Abm::plan_loads`] for up to [`SimConfig::max_outstanding_io`] minus
+//! the loads in flight, submits each admitted plan's regions to the
+//! device's per-spindle queues, and retires it with
 //! [`Abm::commit_load`] when the device finishes — in whatever order the
 //! spindles do, a completion whose load was aborted meanwhile being dropped
 //! by the stamp check.  With the default budget of 1 that is the paper's
@@ -23,12 +23,10 @@
 //! takes milliseconds of wall-clock time and two runs with the same inputs
 //! produce byte-identical results.
 
-mod backend;
 mod config;
 mod metrics;
 mod spec;
 
-pub use backend::SimIoBackend;
 pub use config::{BufferSpec, SimConfig};
 pub use metrics::{QueryOutcome, RunResult};
 pub use spec::QuerySpec;
@@ -38,7 +36,7 @@ use crate::model::TableModel;
 use crate::policy::PolicyKind;
 use crate::query::QueryId;
 use cscan_engine::{EventQueue, JobId, SharedCpu};
-use cscan_simdisk::{IoTrace, QueueDepthTrace, SimDuration, SimTime};
+use cscan_simdisk::{IoTrace, QueueDepthTrace, RaidArray, SimDuration, SimTime};
 use cscan_storage::ChunkId;
 use std::collections::HashMap;
 
@@ -101,11 +99,6 @@ impl Simulation {
         self.streams.extend(streams);
     }
 
-    /// The number of streams submitted so far.
-    pub fn num_streams(&self) -> usize {
-        self.streams.len()
-    }
-
     /// Runs the simulation to completion and returns the collected metrics.
     pub fn run(&mut self) -> RunResult {
         Runner::new(&self.model, self.policy, self.config, &self.streams).run()
@@ -137,7 +130,7 @@ struct Runner<'a> {
     config: SimConfig,
     streams: &'a [Vec<QuerySpec>],
     abm: Abm,
-    backend: SimIoBackend,
+    storage: RaidArray,
     /// Most loads ever in flight at once.
     peak_outstanding_io: usize,
     cpu: SharedCpu,
@@ -172,7 +165,7 @@ impl<'a> Runner<'a> {
             config,
             streams,
             abm,
-            backend: SimIoBackend::new(config.disk, config.raid),
+            storage: RaidArray::new(config.raid),
             peak_outstanding_io: 0,
             cpu: SharedCpu::new(config.cores),
             queue: EventQueue::new(),
@@ -252,10 +245,13 @@ impl<'a> Runner<'a> {
         } else {
             self.cpu.stats().utilization(self.config.cores, makespan)
         };
-        let disk_utilization = if makespan.is_zero() {
+        // Busy time summed over the arms, normalized by their number so a
+        // fully pipelined array reads as 1.0.
+        let arm_time = makespan.as_secs_f64() * self.storage.spindles() as f64;
+        let disk_utilization = if arm_time <= 0.0 {
             0.0
         } else {
-            self.backend.utilization(makespan)
+            (self.storage.stats().busy.as_secs_f64() / arm_time).min(1.0)
         };
         let state = self.abm.state();
         RunResult {
@@ -398,7 +394,9 @@ impl<'a> Runner<'a> {
 
     /// If the pipeline has room, ask the ABM for a burst of loads — victims
     /// for the whole burst are evicted while it is planned — and submit
-    /// each to the storage backend.
+    /// each to the storage.  A load completes when its slowest region does;
+    /// regions queue FIFO on their arm, so a load submitted behind
+    /// outstanding work starts when the arms free up.
     fn kick_disk(&mut self, now: SimTime) {
         let mut plans = std::mem::take(&mut self.plan_scratch);
         plans.clear();
@@ -412,7 +410,10 @@ impl<'a> Runner<'a> {
             .peak_outstanding_io
             .max(self.abm.state().num_inflight());
         for plan in &plans {
-            let completed = self.backend.submit(now, &plan.regions);
+            let completed = plan.regions.iter().fold(now, |done, region| {
+                let io = self.storage.submit(now, region.to_io_request());
+                done.max(io.completed_at)
+            });
             debug_assert!(completed > now, "a load must take time");
             self.queue.schedule(
                 completed,
@@ -425,7 +426,8 @@ impl<'a> Runner<'a> {
             );
         }
         if self.config.record_trace && !plans.is_empty() {
-            self.backend.sample_depths(now, &mut self.depth_trace);
+            self.depth_trace
+                .sample(now, &self.storage.queue_depths_at(now));
         }
         self.plan_scratch = plans;
     }

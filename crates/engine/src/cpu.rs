@@ -75,16 +75,6 @@ impl SharedCpu {
         self.cores
     }
 
-    /// Number of currently runnable jobs.
-    pub fn num_jobs(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// True if no job is runnable.
-    pub fn is_idle(&self) -> bool {
-        self.jobs.is_empty()
-    }
-
     /// Statistics accumulated so far (advance the CPU to "now" first if you
     /// need them to be exact).
     pub fn stats(&self) -> CpuStats {
@@ -133,14 +123,6 @@ impl SharedCpu {
             },
         );
         assert!(prev.is_none(), "job {id:?} added twice");
-    }
-
-    /// Removes a job (whether finished or not), returning its remaining demand.
-    pub fn remove_job(&mut self, now: SimTime, id: JobId) -> Option<SimDuration> {
-        self.advance(now);
-        self.jobs
-            .remove(&id)
-            .map(|j| SimDuration::from_micros(j.remaining.round() as u64))
     }
 
     /// True if the job exists and has (almost) no work left.
@@ -203,7 +185,7 @@ mod tests {
         cpu.advance(t);
         assert!(cpu.is_done(JobId(1)));
         cpu.complete_job(t, JobId(1), sec(4));
-        assert!(cpu.is_idle());
+        assert!(cpu.next_completion().is_none(), "no job is runnable");
         assert_eq!(cpu.stats().jobs_completed, 1);
     }
 
@@ -241,13 +223,14 @@ mod tests {
     fn departure_speeds_up_remaining_jobs() {
         let mut cpu = SharedCpu::new(1);
         cpu.add_job(SimTime::ZERO, JobId(1), sec(4));
-        cpu.add_job(SimTime::ZERO, JobId(2), sec(4));
-        // Remove job 2 after 2 seconds (each has 3s of work left).
-        let left = cpu.remove_job(SimTime::from_secs(2), JobId(2)).unwrap();
-        assert_eq!(left, sec(3));
+        cpu.add_job(SimTime::ZERO, JobId(2), sec(2));
+        // Both run at half speed, so job 2 finishes at t=4 with job 1 half
+        // done; alone, job 1 runs its last 2s at full speed.
         let (t, id) = cpu.next_completion().unwrap();
-        assert_eq!(id, JobId(1));
-        assert_eq!(t, SimTime::from_secs(5));
+        assert_eq!((t, id), (SimTime::from_secs(4), JobId(2)));
+        cpu.complete_job(t, id, sec(2));
+        let (t, id) = cpu.next_completion().unwrap();
+        assert_eq!((t, id), (SimTime::from_secs(6), JobId(1)));
     }
 
     #[test]
@@ -266,8 +249,6 @@ mod tests {
     fn next_completion_none_when_idle() {
         let cpu = SharedCpu::new(2);
         assert!(cpu.next_completion().is_none());
-        assert!(cpu.is_idle());
-        assert_eq!(cpu.num_jobs(), 0);
     }
 
     #[test]
@@ -282,11 +263,5 @@ mod tests {
     #[should_panic(expected = "at least one core")]
     fn zero_cores_rejected() {
         let _ = SharedCpu::new(0);
-    }
-
-    #[test]
-    fn remove_unknown_job_is_none() {
-        let mut cpu = SharedCpu::new(1);
-        assert!(cpu.remove_job(SimTime::ZERO, JobId(9)).is_none());
     }
 }

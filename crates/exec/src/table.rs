@@ -52,11 +52,6 @@ impl MemTable {
         }
     }
 
-    /// Column names in declaration order.
-    pub fn column_names(&self) -> &[String] {
-        &self.names
-    }
-
     /// Index of the column named `name`.
     pub fn column_index(&self, name: &str) -> Option<usize> {
         self.names.iter().position(|n| n == name)

@@ -57,11 +57,6 @@ impl SimTime {
     pub fn duration_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Saturating addition of a duration.
-    pub fn saturating_add(self, d: SimDuration) -> SimTime {
-        SimTime(self.0.saturating_add(d.0))
-    }
 }
 
 impl SimDuration {
@@ -100,11 +95,6 @@ impl SimDuration {
         self.0 as f64 / 1e6
     }
 
-    /// The duration as fractional milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
     /// Saturating subtraction.
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
@@ -117,12 +107,6 @@ impl SimDuration {
             "durations cannot be scaled by negative factors"
         );
         SimDuration((self.0 as f64 * factor).round() as u64)
-    }
-
-    /// Divides the duration by a positive factor, rounding to the nearest microsecond.
-    pub fn div_f64(self, divisor: f64) -> SimDuration {
-        debug_assert!(divisor > 0.0, "division by non-positive factor");
-        SimDuration((self.0 as f64 / divisor).round() as u64)
     }
 
     /// True if this is the zero duration.
@@ -201,46 +185,6 @@ impl fmt::Display for SimDuration {
     }
 }
 
-/// A monotonically advancing virtual clock.
-///
-/// The clock is the single source of "now" for a simulation.  It can only
-/// move forward; attempting to move it backwards is a logic error and
-/// panics in debug builds.
-#[derive(Debug, Clone, Default)]
-pub struct VirtualClock {
-    now: SimTime,
-}
-
-impl VirtualClock {
-    /// Creates a clock positioned at time zero.
-    pub fn new() -> Self {
-        Self { now: SimTime::ZERO }
-    }
-
-    /// The current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Advances the clock to `t`. `t` must not be earlier than the current time.
-    pub fn advance_to(&mut self, t: SimTime) {
-        debug_assert!(
-            t >= self.now,
-            "virtual clock moved backwards: {:?} -> {:?}",
-            self.now,
-            t
-        );
-        if t > self.now {
-            self.now = t;
-        }
-    }
-
-    /// Advances the clock by `d`.
-    pub fn advance_by(&mut self, d: SimDuration) {
-        self.now += d;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,30 +213,8 @@ mod tests {
     fn scaling_durations() {
         let d = SimDuration::from_secs(10);
         assert_eq!(d.mul_f64(0.5), SimDuration::from_secs(5));
-        assert_eq!(d.div_f64(4.0), SimDuration::from_millis(2500));
         assert!(SimDuration::ZERO.is_zero());
         assert!(!d.is_zero());
-    }
-
-    #[test]
-    fn clock_advances_monotonically() {
-        let mut c = VirtualClock::new();
-        assert_eq!(c.now(), SimTime::ZERO);
-        c.advance_to(SimTime::from_secs(1));
-        c.advance_by(SimDuration::from_secs(2));
-        assert_eq!(c.now(), SimTime::from_secs(3));
-        // Advancing to the same time is a no-op.
-        c.advance_to(SimTime::from_secs(3));
-        assert_eq!(c.now(), SimTime::from_secs(3));
-    }
-
-    #[test]
-    #[should_panic(expected = "virtual clock moved backwards")]
-    #[cfg(debug_assertions)]
-    fn clock_rejects_backwards_motion() {
-        let mut c = VirtualClock::new();
-        c.advance_to(SimTime::from_secs(5));
-        c.advance_to(SimTime::from_secs(4));
     }
 
     #[test]

@@ -13,26 +13,15 @@
 //! Each [`Disk`] is a single arm with a FIFO submission queue: callers may
 //! have **any number of requests outstanding**, and the device services them
 //! strictly in submission order (a request issued while the arm is busy
-//! starts when the arm frees up — [`Disk::free_at`]).  The simulation in
-//! `cscan_core::sim` exploits exactly this: it keeps up to K chunk loads
-//! in flight so that every arm of a [`crate::RaidArray`] has work queued.
+//! starts when the arm frees up).  The simulation in `cscan_core::sim`
+//! exploits exactly this: it keeps up to K chunk loads in flight so that
+//! every arm of a [`crate::RaidArray`] has work queued.
 //! [`Disk::queue_depth_at`] and [`DiskStats::max_queue_depth`] report how
 //! deep the queue actually got.
 
 use crate::clock::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-
-/// Classification of an I/O request, used for statistics and tracing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum IoKind {
-    /// A large chunk-granularity read issued by a scan.
-    ChunkRead,
-    /// A single-page read (e.g. unclustered access or the `normal` policy at page level).
-    PageRead,
-    /// A write (not exercised by the paper's experiments but supported for completeness).
-    Write,
-}
 
 /// A single I/O request against the simulated disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -41,27 +30,12 @@ pub struct IoRequest {
     pub offset: u64,
     /// Number of bytes transferred.
     pub len: u64,
-    /// Request classification.
-    pub kind: IoKind,
 }
 
 impl IoRequest {
     /// Convenience constructor for a chunk-sized read.
     pub fn chunk_read(offset: u64, len: u64) -> Self {
-        Self {
-            offset,
-            len,
-            kind: IoKind::ChunkRead,
-        }
-    }
-
-    /// Convenience constructor for a page-sized read.
-    pub fn page_read(offset: u64, len: u64) -> Self {
-        Self {
-            offset,
-            len,
-            kind: IoKind::PageRead,
-        }
+        Self { offset, len }
     }
 
     /// The first byte past the end of this request.
@@ -148,36 +122,11 @@ pub struct DiskStats {
     pub bytes: u64,
     /// Total device busy time.
     pub busy: SimDuration,
-    /// Number of chunk-granularity reads.
-    pub chunk_reads: u64,
-    /// Number of page-granularity reads.
-    pub page_reads: u64,
     /// Deepest submission queue observed (requests outstanding on the device
     /// right after a submission, including the one being serviced).  When
     /// aggregated across an array this is the maximum over the spindles, not
     /// a sum — it answers "how deep did any one arm's queue get".
     pub max_queue_depth: u64,
-}
-
-impl DiskStats {
-    /// Effective bandwidth achieved so far (bytes per second of busy time).
-    pub fn effective_bandwidth(&self) -> f64 {
-        let busy = self.busy.as_secs_f64();
-        if busy <= 0.0 {
-            0.0
-        } else {
-            self.bytes as f64 / busy
-        }
-    }
-
-    /// Fraction of requests that paid a seek.
-    pub fn seek_fraction(&self) -> f64 {
-        if self.requests == 0 {
-            0.0
-        } else {
-            self.seeks as f64 / self.requests as f64
-        }
-    }
 }
 
 /// A single simulated disk device.
@@ -215,29 +164,9 @@ impl Disk {
         }
     }
 
-    /// The model parameters of this disk.
-    pub fn model(&self) -> &DiskModel {
-        &self.model
-    }
-
-    /// The time at which the device becomes idle.
-    pub fn free_at(&self) -> SimTime {
-        self.free_at
-    }
-
-    /// Current head byte position (end of the last serviced request).
-    pub fn head_pos(&self) -> u64 {
-        self.head_pos
-    }
-
     /// Statistics accumulated so far.
     pub fn stats(&self) -> &DiskStats {
         &self.stats
-    }
-
-    /// Resets statistics (head position and availability are preserved).
-    pub fn reset_stats(&mut self) {
-        self.stats = DiskStats::default();
     }
 
     /// Whether `req` would continue sequentially from the current head position.
@@ -275,11 +204,6 @@ impl Disk {
         self.stats.busy += service;
         if !sequential {
             self.stats.seeks += 1;
-        }
-        match req.kind {
-            IoKind::ChunkRead => self.stats.chunk_reads += 1,
-            IoKind::PageRead => self.stats.page_reads += 1,
-            IoKind::Write => {}
         }
 
         IoResult {
@@ -356,8 +280,8 @@ mod tests {
         let page = 64 * crate::KIB;
         let chunk_random = m.service_time(&IoRequest::chunk_read(1, chunk), false);
         let chunk_seq = m.service_time(&IoRequest::chunk_read(0, chunk), true);
-        let page_random = m.service_time(&IoRequest::page_read(1, page), false);
-        let page_seq = m.service_time(&IoRequest::page_read(0, page), true);
+        let page_random = m.service_time(&IoRequest::chunk_read(1, page), false);
+        let page_seq = m.service_time(&IoRequest::chunk_read(0, page), true);
         let chunk_penalty = chunk_random.as_secs_f64() / chunk_seq.as_secs_f64();
         let page_penalty = page_random.as_secs_f64() / page_seq.as_secs_f64();
         assert!(
@@ -371,14 +295,13 @@ mod tests {
     }
 
     #[test]
-    fn stats_report_effective_bandwidth() {
+    fn stats_report_bytes_busy_time_and_seeks() {
         let mut d = Disk::new(model_100mbps());
         d.submit(SimTime::ZERO, IoRequest::chunk_read(0, 200 * MIB));
-        let bw = d.stats().effective_bandwidth();
-        assert!((bw - (100.0 * MIB as f64)).abs() / (100.0 * MIB as f64) < 0.01);
-        assert_eq!(d.stats().seek_fraction(), 0.0);
-        d.reset_stats();
-        assert_eq!(d.stats().requests, 0);
+        let stats = d.stats();
+        assert_eq!(stats.bytes, 200 * MIB);
+        assert_eq!(stats.busy, SimDuration::from_secs(2), "100 MiB/s");
+        assert_eq!((stats.requests, stats.seeks), (1, 0));
     }
 
     #[test]
@@ -400,26 +323,5 @@ mod tests {
         d.submit(SimTime::from_secs(10), IoRequest::chunk_read(0, MIB));
         assert_eq!(d.stats().max_queue_depth, 3);
         assert_eq!(d.queue_depth_at(SimTime::from_secs(10)), 1);
-    }
-
-    #[test]
-    fn io_kind_counters() {
-        let mut d = Disk::new(model_100mbps());
-        d.submit(SimTime::ZERO, IoRequest::chunk_read(0, MIB));
-        d.submit(
-            SimTime::ZERO,
-            IoRequest::page_read(5 * MIB, 64 * crate::KIB),
-        );
-        d.submit(
-            SimTime::ZERO,
-            IoRequest {
-                offset: 0,
-                len: MIB,
-                kind: IoKind::Write,
-            },
-        );
-        assert_eq!(d.stats().chunk_reads, 1);
-        assert_eq!(d.stats().page_reads, 1);
-        assert_eq!(d.stats().requests, 3);
     }
 }

@@ -1,12 +1,11 @@
 //! Simulated disk substrate for the Cooperative Scans reproduction.
 //!
-//! The original paper ran on a 4-way RAID delivering ~200 MB/s with direct
-//! I/O.  This crate provides the closest synthetic equivalent: a virtual
-//! clock ([`SimTime`] / [`SimDuration`]), an analytic disk model
+//! Virtual time ([`SimTime`] / [`SimDuration`]), an analytic disk model
 //! ([`DiskModel`] / [`Disk`]) that charges seek latency plus per-byte
-//! transfer time while tracking the head position, a multi-spindle
-//! [`RaidArray`] that stripes chunk reads, and an [`IoTrace`] recorder used
-//! to regenerate Figure 4 of the paper (chunk accesses over time).
+//! transfer time while tracking the head position, the [`RaidArray`] every
+//! simulated device is (the one-device model is stated in [`raid`]), and
+//! an [`IoTrace`] recorder used to regenerate Figure 4 of the paper (chunk
+//! accesses over time).
 //!
 //! Every device accepts **multiple outstanding requests**: submissions made
 //! while an arm is busy queue FIFO behind it (see the queueing model in
@@ -24,8 +23,8 @@ pub mod disk;
 pub mod raid;
 pub mod trace;
 
-pub use clock::{SimDuration, SimTime, VirtualClock};
-pub use disk::{Disk, DiskModel, DiskStats, IoKind, IoRequest, IoResult};
+pub use clock::{SimDuration, SimTime};
+pub use disk::{Disk, DiskModel, DiskStats, IoRequest, IoResult};
 pub use raid::{RaidArray, RaidConfig};
 pub use trace::{DepthEvent, IoTrace, QueueDepthTrace, TraceEvent};
 

@@ -1,12 +1,14 @@
-//! Multi-spindle (RAID-0 style) array built from [`Disk`] devices.
+//! The simulated storage device: a RAID-0 style array of [`Disk`] arms.
 //!
 //! The paper's storage facility was "a 4-way RAID system delivering slightly
-//! over 200 MB/s".  For the reproduction we either use a single logical
-//! device with the aggregate bandwidth ([`crate::DiskModel::paper_raid`]) or
-//! this explicit striped array, which splits each request across spindles so
-//! that large chunk reads enjoy the aggregate bandwidth while small page
-//! reads are bound by a single spindle — the same asymmetry the paper's
-//! motivation section leans on (many disk arms for random I/O).
+//! over 200 MB/s".  The simulator models every device as a [`RaidArray`];
+//! the paper's runs use [`RaidConfig::paper_aggregate`], that RAID as one
+//! spindle with the aggregate bandwidth and no striping, under which the
+//! array is exactly one [`Disk`].  A configuration with several spindles
+//! splits each request across them, so that large chunk reads enjoy the
+//! aggregate bandwidth while small reads are bound by a single arm — the
+//! same asymmetry the paper's motivation section leans on (many disk arms
+//! for random I/O).
 //!
 //! # Per-spindle submission queues
 //!
@@ -37,12 +39,15 @@ pub struct RaidConfig {
     pub disk: DiskModel,
 }
 
-impl Default for RaidConfig {
-    fn default() -> Self {
+impl RaidConfig {
+    /// The paper's 4-way RAID as one logical device: a single spindle with
+    /// the aggregate bandwidth ([`DiskModel::paper_raid`]) and a stripe unit
+    /// no request reaches, so every request goes to that spindle unsplit.
+    pub fn paper_aggregate() -> Self {
         Self {
-            spindles: 4,
-            stripe_unit: crate::MIB,
-            disk: DiskModel::default(),
+            spindles: 1,
+            stripe_unit: u64::MAX,
+            disk: DiskModel::paper_raid(),
         }
     }
 }
@@ -71,11 +76,6 @@ impl RaidArray {
         Self { config, disks }
     }
 
-    /// The array configuration.
-    pub fn config(&self) -> &RaidConfig {
-        &self.config
-    }
-
     /// Number of spindles.
     pub fn spindles(&self) -> usize {
         self.disks.len()
@@ -99,14 +99,7 @@ impl RaidArray {
             let len = stripe_end.min(end) - offset;
             // Physical position on the spindle: which of "its" stripes this is.
             let physical_offset = (stripe_index / n) * unit + (offset % unit);
-            out.push((
-                spindle,
-                IoRequest {
-                    offset: physical_offset,
-                    len,
-                    kind: req.kind,
-                },
-            ));
+            out.push((spindle, IoRequest::chunk_read(physical_offset, len)));
             offset += len;
         }
         out
@@ -148,23 +141,9 @@ impl RaidArray {
             total.seeks += s.seeks;
             total.bytes += s.bytes;
             total.busy += s.busy;
-            total.chunk_reads += s.chunk_reads;
-            total.page_reads += s.page_reads;
             total.max_queue_depth = total.max_queue_depth.max(s.max_queue_depth);
         }
         total
-    }
-
-    /// Per-spindle statistics.
-    pub fn per_spindle_stats(&self) -> Vec<DiskStats> {
-        self.disks.iter().map(|d| *d.stats()).collect()
-    }
-
-    /// Resets statistics on all spindles.
-    pub fn reset_stats(&mut self) {
-        for d in &mut self.disks {
-            d.reset_stats();
-        }
     }
 }
 
@@ -225,10 +204,10 @@ mod tests {
         // A 64 KiB page hits a single spindle; dominated by that spindle's seek.
         let res = raid.submit(
             SimTime::from_secs(1),
-            IoRequest::page_read(10 * MIB + 5, 64 * KIB),
+            IoRequest::chunk_read(10 * MIB + 5, 64 * KIB),
         );
         assert!(res.seeked);
-        let ms = res.service_time.as_millis_f64();
+        let ms = res.service_time.as_secs_f64() * 1e3;
         assert!((8.0..12.0).contains(&ms), "expected ~8-10ms, got {ms}ms");
         assert_eq!(raid.stats().requests, 1);
     }
@@ -263,24 +242,24 @@ mod tests {
         let mut raid = RaidArray::new(config());
         // Two overlapping chunk-sized reads, each striped over all four arms,
         // plus one page read bound to a single arm — all issued at t=0 so the
-        // per-spindle queues actually back up.
-        raid.submit(SimTime::ZERO, IoRequest::chunk_read(0, 8 * MIB));
-        raid.submit(SimTime::ZERO, IoRequest::chunk_read(8 * MIB, 8 * MIB));
-        raid.submit(SimTime::ZERO, IoRequest::page_read(MIB + 7, 64 * KIB));
-        let per = raid.per_spindle_stats();
+        // per-spindle queues actually back up.  Four bare disks fed the same
+        // parts are the per-arm reference.
+        let mut arms: Vec<Disk> = (0..4).map(|_| Disk::new(config().disk)).collect();
+        for req in [
+            IoRequest::chunk_read(0, 8 * MIB),
+            IoRequest::chunk_read(8 * MIB, 8 * MIB),
+            IoRequest::chunk_read(MIB + 7, 64 * KIB),
+        ] {
+            for (spindle, part) in raid.split(&req) {
+                arms[spindle].submit(SimTime::ZERO, part);
+            }
+            raid.submit(SimTime::ZERO, req);
+        }
+        let per: Vec<DiskStats> = arms.iter().map(|d| *d.stats()).collect();
         let total = raid.stats();
-        assert_eq!(per.len(), 4);
         assert_eq!(total.requests, per.iter().map(|s| s.requests).sum::<u64>());
         assert_eq!(total.bytes, per.iter().map(|s| s.bytes).sum::<u64>());
         assert_eq!(total.seeks, per.iter().map(|s| s.seeks).sum::<u64>());
-        assert_eq!(
-            total.chunk_reads,
-            per.iter().map(|s| s.chunk_reads).sum::<u64>()
-        );
-        assert_eq!(
-            total.page_reads,
-            per.iter().map(|s| s.page_reads).sum::<u64>()
-        );
         assert_eq!(
             total.busy,
             per.iter().fold(SimDuration::ZERO, |acc, s| acc + s.busy)
@@ -301,12 +280,22 @@ mod tests {
     }
 
     #[test]
-    fn per_spindle_stats_and_reset() {
-        let mut raid = RaidArray::new(config());
-        raid.submit(SimTime::ZERO, IoRequest::chunk_read(0, 8 * MIB));
-        assert_eq!(raid.per_spindle_stats().len(), 4);
-        assert!(raid.stats().bytes > 0);
-        raid.reset_stats();
-        assert_eq!(raid.stats().bytes, 0);
+    fn arm_bound_requests_overlap() {
+        // Chunk-granularity striping: each 8 MiB request lands on one arm,
+        // so four submitted together finish in about the time of one.
+        let mut raid = RaidArray::new(RaidConfig {
+            stripe_unit: 8 * MIB,
+            ..config()
+        });
+        let done = (0..4u64)
+            .map(|i| {
+                let req = IoRequest::chunk_read(i * 8 * MIB, 8 * MIB);
+                raid.submit(SimTime::ZERO, req).completed_at
+            })
+            .max()
+            .unwrap();
+        let secs = done.as_secs_f64();
+        assert!(secs < 0.25, "expected ~0.16s, got {secs}s");
+        assert_eq!(raid.queue_depths_at(SimTime::ZERO), vec![1; 4]);
     }
 }

@@ -171,31 +171,9 @@ impl QueueDepthTrace {
         self.events.clear();
     }
 
-    /// Number of distinct spindles seen.
-    pub fn num_spindles(&self) -> usize {
-        self.events.iter().map(|e| e.spindle + 1).max().unwrap_or(0) as usize
-    }
-
-    /// The deepest queue observed on `spindle`, if it was ever sampled.
-    pub fn max_depth_of(&self, spindle: u32) -> Option<u32> {
-        self.events
-            .iter()
-            .filter(|e| e.spindle == spindle)
-            .map(|e| e.depth)
-            .max()
-    }
-
     /// The deepest queue observed on any spindle (0 for an empty trace).
     pub fn max_depth(&self) -> u32 {
         self.events.iter().map(|e| e.depth).max().unwrap_or(0)
-    }
-
-    /// Mean sampled depth across all events (0.0 for an empty trace).
-    pub fn mean_depth(&self) -> f64 {
-        if self.events.is_empty() {
-            return 0.0;
-        }
-        self.events.iter().map(|e| e.depth as f64).sum::<f64>() / self.events.len() as f64
     }
 
     /// The sampled depths as a shared log2 histogram snapshot, for p50/p99
@@ -206,22 +184,6 @@ impl QueueDepthTrace {
             h.record(e.depth as u64);
         }
         h.snapshot()
-    }
-
-    /// Renders the samples as whitespace-separated `time_s spindle depth`
-    /// rows, one per line, for gnuplot.
-    pub fn to_gnuplot(&self) -> String {
-        let mut out = String::with_capacity(self.events.len() * 20);
-        out.push_str("# time_s\tspindle\tdepth\n");
-        for e in &self.events {
-            out.push_str(&format!(
-                "{:.3}\t{}\t{}\n",
-                e.time.as_secs_f64(),
-                e.spindle,
-                e.depth
-            ));
-        }
-        out
     }
 }
 
@@ -290,23 +252,16 @@ mod tests {
         let mut t = QueueDepthTrace::new();
         assert!(t.is_empty());
         assert_eq!(t.max_depth(), 0);
-        assert_eq!(t.mean_depth(), 0.0);
         t.sample(SimTime::from_secs(1), &[2, 0, 1, 3]);
         t.sample(SimTime::from_secs(2), &[1, 4, 0, 0]);
         assert_eq!(t.len(), 8);
-        assert_eq!(t.num_spindles(), 4);
         assert_eq!(t.max_depth(), 4);
-        assert_eq!(t.max_depth_of(0), Some(2));
-        assert_eq!(t.max_depth_of(1), Some(4));
-        assert_eq!(t.max_depth_of(9), None);
-        assert!((t.mean_depth() - 11.0 / 8.0).abs() < 1e-9);
+        let arm1 = t.events().iter().filter(|e| e.spindle == 1);
+        assert_eq!(arm1.map(|e| e.depth).collect::<Vec<_>>(), vec![0, 4]);
         let h = t.depth_histogram();
         assert_eq!(h.count(), 8);
         assert_eq!(h.sum(), 11);
         assert!(h.max_value() >= 4);
-        let g = t.to_gnuplot();
-        assert_eq!(g.lines().count(), 9);
-        assert!(g.lines().nth(1).unwrap().starts_with("1.000"));
         t.clear();
         assert!(t.is_empty());
     }

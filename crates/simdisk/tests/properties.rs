@@ -1,11 +1,14 @@
 //! Property-based tests for the simulated disk substrate.
 
-use cscan_simdisk::{Disk, DiskModel, IoRequest, RaidArray, RaidConfig, SimDuration, SimTime, MIB};
+use cscan_simdisk::{
+    Disk, DiskModel, IoRequest, RaidArray, RaidConfig, SimDuration, SimTime, KIB, MIB,
+};
 use proptest::prelude::*;
 
 proptest! {
-    /// Completion time never precedes issue time and service time is positive
-    /// for non-empty requests.
+    /// Completion time never precedes issue time, service time is positive
+    /// for non-empty requests, and the arm completes requests in submission
+    /// order.
     #[test]
     fn disk_completion_is_causal(
         offsets in prop::collection::vec(0u64..4_000_000_000u64, 1..40),
@@ -14,13 +17,15 @@ proptest! {
     ) {
         let mut disk = Disk::new(DiskModel::default());
         let mut now = SimTime::ZERO;
+        let mut last = SimTime::ZERO;
         for i in 0..offsets.len().min(lens.len()).min(gaps.len()) {
             now += SimDuration::from_micros(gaps[i]);
             let req = IoRequest::chunk_read(offsets[i], lens[i]);
             let res = disk.submit(now, req);
             prop_assert!(res.completed_at >= now);
             prop_assert!(res.service_time > SimDuration::ZERO);
-            prop_assert!(res.completed_at >= disk.free_at() || res.completed_at == disk.free_at());
+            prop_assert!(res.completed_at >= last, "FIFO: completions never reorder");
+            last = res.completed_at;
         }
     }
 
@@ -86,5 +91,47 @@ proptest! {
         let ideal = single_time.as_secs_f64() / spindles as f64;
         // Allow generous slack for the positional cost that does not parallelize.
         prop_assert!(raid_time.as_secs_f64() >= ideal * 0.5);
+    }
+
+    /// The paper's aggregate device — one spindle, no striping — is exactly
+    /// a bare disk of the same model: same completion times, seek flags,
+    /// queue depths and statistics, request for request.  Each step reads
+    /// 64 KiB pages either sequentially after the previous request, behind
+    /// it (a backward seek) or ahead of it (a forward seek), issued at once
+    /// (while the device is still busy) or after a gap that may outlast the
+    /// backlog.
+    #[test]
+    fn one_unstriped_spindle_is_a_bare_disk(
+        steps in prop::collection::vec((0u8..3, 1u64..512, 0u8..3, 0u64..400_000), 1..64),
+    ) {
+        let config = RaidConfig::paper_aggregate();
+        let mut raid = RaidArray::new(config);
+        let mut disk = Disk::new(config.disk);
+        let mut now = SimTime::ZERO;
+        let mut head = 0u64;
+        // `amount` is both the seek distance in KiB and the issue gap in µs.
+        for (i, &(direction, pages, wait, amount)) in steps.iter().enumerate() {
+            let len = pages * 64 * KIB;
+            let offset = match direction {
+                0 => head,
+                1 => head.saturating_sub(amount * KIB),
+                _ => head + amount * KIB,
+            };
+            now += match wait {
+                0 => SimDuration::ZERO,
+                1 => SimDuration::from_micros(amount),
+                _ => SimDuration::from_secs(1) + SimDuration::from_micros(amount),
+            };
+            let req = IoRequest::chunk_read(offset, len);
+            let expected = disk.submit(now, req);
+            let got = raid.submit(now, req);
+            prop_assert_eq!(got.completed_at, expected.completed_at, "step {}", i);
+            prop_assert_eq!(got.seeked, expected.seeked, "step {}", i);
+            for at in [now, expected.completed_at] {
+                prop_assert_eq!(raid.queue_depths_at(at), vec![disk.queue_depth_at(at)]);
+            }
+            prop_assert_eq!(raid.stats(), *disk.stats(), "step {}", i);
+            head = req.end();
+        }
     }
 }

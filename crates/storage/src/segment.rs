@@ -291,13 +291,6 @@ impl SegmentDirectory {
         self.extent(chunk, ColumnId::new(0)).map(|e| e.rows)
     }
 
-    /// Total rows across all chunks.
-    pub fn total_rows(&self) -> u64 {
-        (0..self.num_chunks())
-            .filter_map(|c| self.chunk_rows(ChunkId::new(c)))
-            .sum()
-    }
-
     /// The extent of `(chunk, col)`, if both exist.
     pub fn extent(&self, chunk: ChunkId, col: ColumnId) -> Option<&Extent> {
         if col.index() >= self.num_columns {
