@@ -477,6 +477,86 @@ impl<'a> Runner<'a> {
     }
 }
 
+/// Unit tests of the simulated storage device as [`Runner`] drives it: a
+/// [`RaidArray`] built from [`SimConfig::raid`], each load's regions
+/// submitted together and the load done when its slowest region is.
+#[cfg(test)]
+mod backend {
+    mod tests {
+        use crate::sim::SimConfig;
+        use cscan_simdisk::{
+            Disk, DiskModel, IoRequest, QueueDepthTrace, RaidArray, RaidConfig, SimDuration,
+            SimTime, MIB,
+        };
+        use cscan_storage::PhysRegion;
+
+        /// Submits one load's regions at `now`, as `Runner::kick_disk` does.
+        fn submit_load(storage: &mut RaidArray, now: SimTime, regions: &[PhysRegion]) -> SimTime {
+            regions.iter().fold(now, |done, region| {
+                done.max(storage.submit(now, region.to_io_request()).completed_at)
+            })
+        }
+
+        #[test]
+        fn single_backend_matches_a_plain_disk() {
+            let mut storage = RaidArray::new(SimConfig::default().raid);
+            assert_eq!(storage.spindles(), 1);
+            let region = PhysRegion {
+                offset: 0,
+                len: 16 * MIB,
+            };
+            let done = submit_load(&mut storage, SimTime::ZERO, &[region]);
+            let mut reference = Disk::new(DiskModel::paper_raid());
+            let expected = reference
+                .submit(SimTime::ZERO, IoRequest::chunk_read(0, 16 * MIB))
+                .completed_at;
+            assert_eq!(done, expected);
+            assert_eq!(storage.stats(), *reference.stats());
+        }
+
+        #[test]
+        fn raid_backend_overlaps_outstanding_loads() {
+            // Chunk-granularity striping: each 8 MiB load lands on one arm,
+            // so four loads submitted together finish in about the time of one.
+            let config = RaidConfig {
+                spindles: 4,
+                stripe_unit: 8 * MIB,
+                disk: DiskModel {
+                    bandwidth_bytes_per_sec: 50 * MIB,
+                    avg_seek: SimDuration::from_millis(5),
+                    sequential_overhead: SimDuration::ZERO,
+                },
+            };
+            let mut storage = RaidArray::new(SimConfig::default().with_raid(config).raid);
+            assert_eq!(storage.spindles(), 4);
+            let done = (0..4u64)
+                .map(|i| {
+                    let region = PhysRegion {
+                        offset: i * 8 * MIB,
+                        len: 8 * MIB,
+                    };
+                    submit_load(&mut storage, SimTime::ZERO, &[region])
+                })
+                .max()
+                .unwrap();
+            let secs = done.as_secs_f64();
+            assert!(
+                secs < 0.25,
+                "four arm-bound loads should overlap (~0.165s each), got {secs}s"
+            );
+            let mut depths = QueueDepthTrace::new();
+            depths.sample(SimTime::ZERO, &storage.queue_depths_at(SimTime::ZERO));
+            assert_eq!(depths.events().len(), 4);
+            assert_eq!(depths.max_depth(), 1, "one load per arm");
+            assert_eq!(storage.stats().requests, 4);
+            // Busy time over the arms, as the runner's disk utilization.
+            let arm_time = secs * storage.spindles() as f64;
+            let util = storage.stats().busy.as_secs_f64() / arm_time;
+            assert!(util > 0.9, "all arms busy the whole time, got {util}");
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

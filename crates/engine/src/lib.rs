@@ -25,3 +25,38 @@ pub mod stats;
 pub use cpu::{CpuStats, JobId, SharedCpu};
 pub use events::EventQueue;
 pub use stats::Summary;
+
+/// Unit tests of the simulation clock: the [`EventQueue`]'s `now`, the one
+/// source of virtual time in a run, which only moves forward.
+#[cfg(test)]
+mod clock {
+    mod tests {
+        use crate::EventQueue;
+        use cscan_simdisk::{SimDuration, SimTime};
+
+        #[test]
+        fn clock_advances_monotonically() {
+            let mut q = EventQueue::new();
+            assert_eq!(q.now(), SimTime::ZERO);
+            q.schedule(SimTime::from_secs(1), ());
+            q.pop();
+            q.schedule(q.now() + SimDuration::from_secs(2), ());
+            q.pop();
+            assert_eq!(q.now(), SimTime::from_secs(3));
+            // An event at the current time leaves the clock where it is.
+            q.schedule(SimTime::from_secs(3), ());
+            assert_eq!(q.pop(), Some((SimTime::from_secs(3), ())));
+            assert_eq!(q.now(), SimTime::from_secs(3));
+        }
+
+        #[test]
+        #[should_panic(expected = "event scheduled in the past")]
+        #[cfg(debug_assertions)]
+        fn clock_rejects_backwards_motion() {
+            let mut q = EventQueue::new();
+            q.schedule(SimTime::from_secs(5), ());
+            q.pop();
+            q.schedule(SimTime::from_secs(4), ());
+        }
+    }
+}

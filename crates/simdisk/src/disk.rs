@@ -295,12 +295,14 @@ mod tests {
     }
 
     #[test]
-    fn stats_report_bytes_busy_time_and_seeks() {
+    fn stats_report_effective_bandwidth() {
         let mut d = Disk::new(model_100mbps());
         d.submit(SimTime::ZERO, IoRequest::chunk_read(0, 200 * MIB));
         let stats = d.stats();
         assert_eq!(stats.bytes, 200 * MIB);
-        assert_eq!(stats.busy, SimDuration::from_secs(2), "100 MiB/s");
+        assert_eq!(stats.busy, SimDuration::from_secs(2));
+        let bw = stats.bytes as f64 / stats.busy.as_secs_f64();
+        assert_eq!(bw, 100.0 * MIB as f64, "bytes per second of busy time");
         assert_eq!((stats.requests, stats.seeks), (1, 0));
     }
 
