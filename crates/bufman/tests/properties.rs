@@ -1,7 +1,7 @@
 //! Model-based property tests: random install / pin / unpin / evict /
 //! replace-payload scripts against a per-chunk `(payload, pins)` reference.
 
-use cscan_bufman::{PoolStats, ShardedPool};
+use cscan_bufman::{FramePool, PoolStats};
 use cscan_obs::{Gauge, Registry};
 use cscan_storage::chunkdata::{ChunkData, ColumnChunk};
 use cscan_storage::{ChunkId, ChunkPayload, ColumnId};
@@ -17,7 +17,7 @@ const REPLACE: u8 = 4;
 
 /// The pool under test next to what it must look like.
 struct Model {
-    pool: ShardedPool,
+    pool: FramePool,
     obs: Arc<Registry>,
     /// Per chunk: the payload while resident, and the pin count.
     slots: Vec<(Option<ChunkPayload>, u32)>,
@@ -29,8 +29,7 @@ struct Model {
 impl Model {
     fn new(num_chunks: usize) -> Self {
         let obs = Arc::new(Registry::new());
-        let mut pool = ShardedPool::new(num_chunks);
-        pool.set_observability(Arc::clone(&obs));
+        let pool = FramePool::new(num_chunks, Arc::clone(&obs));
         Self {
             pool,
             obs,
@@ -55,9 +54,10 @@ impl Model {
         let i = id as usize;
         let Some(&(ref held, pins)) = self.slots.get(i) else {
             prop_assert!(!self.pool.install(chunk, ChunkPayload::Missing));
-            prop_assert!(!self.pool.pin(chunk));
+            prop_assert_eq!(self.pool.pin(chunk), None);
             prop_assert_eq!(self.pool.evict(chunk), None);
             prop_assert_eq!(self.pool.payload(chunk), None);
+            prop_assert_eq!(self.pool.pin_count(chunk), None);
             return self.check_totals();
         };
         let resident = held.is_some();
@@ -76,7 +76,8 @@ impl Model {
                 }
             }
             PIN => {
-                prop_assert_eq!(self.pool.pin(chunk), resident);
+                // A pin hands out exactly the payload the slot holds.
+                prop_assert_eq!(self.pool.pin(chunk), held.clone());
                 if resident {
                     self.slots[i].1 += 1;
                     self.stats.pins += 1;
@@ -99,8 +100,8 @@ impl Model {
             }
             REPLACE if resident => {
                 let payload = self.fresh_payload();
-                self.pool.replace_payload(chunk, payload.clone());
-                self.slots[i].0 = Some(payload);
+                let old = self.pool.replace_payload(chunk, payload.clone());
+                prop_assert_eq!(Some(old), self.slots[i].0.replace(payload));
             }
             _ => {}
         }
@@ -112,7 +113,7 @@ impl Model {
         let chunk = ChunkId::new(i as u32);
         let (payload, pins) = &self.slots[i];
         prop_assert_eq!(self.pool.pin_count(chunk), payload.as_ref().map(|_| *pins));
-        prop_assert_eq!(&self.pool.payload(chunk), payload);
+        prop_assert_eq!(self.pool.payload(chunk), payload.as_ref());
         Ok(())
     }
 
@@ -186,7 +187,7 @@ proptest! {
             model.step(op, set_size + id % others)?;
         }
         for id in 0..set_size {
-            prop_assert!(model.pool.contains(ChunkId::new(id)));
+            prop_assert!(model.pool.payload(ChunkId::new(id)).is_some());
         }
         model.check_all()?;
     }

@@ -29,10 +29,11 @@
 //!   ([`cscan_simdisk::RaidArray`]).  K = 1 — the default —
 //!   reproduces the paper's sequential main loop decision-for-decision.
 //! * [`threaded::ScanServer`] — a real multi-threaded executor (OS threads,
-//!   an I/O worker pool running the ABM main loop of Fig. 3, per-query
-//!   grant mailboxes, and idle workers asleep on a condition variable
-//!   bound to the scheduler lock) for everything that moves bytes.  Each worker plans one load at a time
-//!   (a budget of 1), so `io_threads(k)` keeps up to `k` loads in flight; a
+//!   an I/O worker pool running the ABM main loop of Fig. 3, one scheduler
+//!   lock over the ABM and its frame pool, per-query grant mailboxes, and
+//!   idle workers asleep on a condition variable bound to that lock) for
+//!   everything that moves bytes.  Each worker plans one load at a time (a
+//!   budget of 1), so `io_threads(k)` keeps up to `k` loads in flight; a
 //!   failed read is retried and, past its budget, quarantined here and
 //!   nowhere else ([`RetryPolicy`]).
 //!
@@ -46,7 +47,7 @@
 //! by a [`cscan_storage::ChunkStore`], pinned in a `cscan_bufman` frame so
 //! eviction can never reclaim data a query is reading).  `ARCHITECTURE.md`
 //! diagrams the three layers (shared [`abm::ChunkIndex`] / plan-commit /
-//! targeted wakeups) and the lock-ordering rules.
+//! targeted wakeups) and the lock order: scheduler, then a query's slot.
 //!
 //! ## Quick example
 //!

@@ -15,7 +15,7 @@
 //! A [`PinnedChunk`] is the unit of delivery.  While it is alive the chunk
 //! is pinned — in the ABM (the chunk is `pinned_by` the query, so no
 //! eviction plan may choose it) and in the chunk's
-//! [`cscan_bufman::ShardedPool`] slot (a pin count), so the payload a query
+//! [`cscan_bufman::FramePool`] slot (a pin count), so the payload a query
 //! is reading can never be reclaimed under it.  Dropping the pin releases
 //! both and tells the scheduler the chunk was consumed.
 //!

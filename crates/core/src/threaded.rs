@@ -14,10 +14,10 @@
 //! With a [`ScanServerBuilder::store`] configured, delivery carries *data*,
 //! not just chunk ids: each committed load's payload (materialized by the
 //! [`ChunkStore`] on the I/O worker, **outside** the scheduler lock) is
-//! installed into the chunk's slot of the [`cscan_bufman::ShardedPool`],
-//! and every [`PinnedChunk`] a query receives holds both the ABM-side
-//! processing pin and a frame pin (the slot's pin count), so eviction can
-//! never reclaim a chunk a query is still reading.  A payload is a
+//! installed into the chunk's slot of the [`FramePool`], and every
+//! [`PinnedChunk`] a query receives holds both the ABM-side processing pin
+//! and a frame pin (the slot's pin count), so eviction can never reclaim a
+//! chunk a query is still reading.  A payload is a
 //! [`ChunkPayload`] — the resident columns of the chunk, the whole row when
 //! a load covers every column; [`PinnedChunk::column`] views them zero-copy — the
 //! hot consume path (acquire → read views → release) performs no per-chunk
@@ -44,41 +44,41 @@
 //!
 //! # Concurrency architecture
 //!
-//! One **scheduler lock** guards every scheduling input; the consume path
-//! around it touches per-query and per-chunk leaf locks (see
-//! `ARCHITECTURE.md` for the diagram):
+//! One **scheduler lock** guards every scheduling input and the frames
+//! the decisions move; the consume path around it touches only per-query
+//! leaf locks (see `ARCHITECTURE.md` for the diagram):
 //!
 //! * **The scheduler lock** (one mutex around `Sched`) protects the
-//!   decisions and what they read: the [`Abm`] (plan / commit / policy
-//!   choice / query registry), the per-query grant slots' registry, and the
-//!   quarantine set.  An I/O worker holds it to *plan* a load (policy
-//!   decision + eviction + page reservation) and again to *commit* the
-//!   completed read; the read itself — the part that takes milliseconds —
-//!   runs with the lock released.  Because the world can change mid-read,
-//!   every plan carries a `(ticket, epoch)` stamp and [`Abm::commit_load`]
-//!   revalidates it: a load whose last interested query detached mid-read
-//!   is aborted, never installed.  Hold times land in the `lock_hold` span
-//!   histogram of [`ScanServer::metrics`].
+//!   decisions and what they read and move: the [`Abm`] (plan / commit /
+//!   policy choice / query registry), the frame pool, the per-query grant
+//!   slots' registry, and the quarantine set.  An I/O worker holds it to
+//!   *plan* a load (policy decision + eviction + page reservation) and
+//!   again to *commit* the completed read; the read itself — the part that
+//!   takes milliseconds — runs with the lock released.  Because the world
+//!   can change mid-read, every plan carries a `(ticket, epoch)` stamp and
+//!   [`Abm::commit_load`] revalidates it: a load whose last interested
+//!   query detached mid-read is aborted, never installed.  Hold times land
+//!   in the `lock_hold` span histogram of [`ScanServer::metrics`].
 //!
-//! * **The sharded frame pool** ([`ShardedPool`]) is the page table, pin
-//!   ledger and payload store: one slot per chunk behind a per-shard mutex
-//!   (striped by chunk id).  The scheduler nests a shard lock inside its
-//!   critical section for every pin count and residency change — the grant
-//!   pin, the release unpin, install at commit, and evict or shrink to the
-//!   columns still needed at plan time (a released chunk stays cached).
-//!   The payloads a plan evicts leave both locks with the worker, which
-//!   offers them back to the store ([`ChunkStore::recycle`]) once it holds
-//!   neither.  A consumer takes a shard lock bare only to read the payload
-//!   of the grant it took.
+//! * **The frame pool** ([`FramePool`]) is the page table, pin ledger and
+//!   payload store: one slot per chunk, plain state inside `Sched`.  Every
+//!   pin count and residency change is made in the scheduler critical
+//!   section of the decision it mirrors — the grant pin, the release
+//!   unpin, install at commit, and evict or shrink to the columns still
+//!   needed at plan time (a released chunk stays cached).  The payloads a
+//!   plan evicts leave the lock with the worker, which offers them back to
+//!   the store ([`ChunkStore::recycle`]) once it is released.  A consumer
+//!   never reads the pool: its grant carries the payload.
 //!
 //! * **Grant mailboxes.**  Consumers never run the policy themselves.
 //!   The scheduler — at registration, at every commit (for the queries the
 //!   arrived chunk unblocks, Figure 3's `signalQuery` list) and at every
 //!   release — calls [`Abm::acquire_chunk`] *for* the query and
-//!   deposits the chosen chunk, its frame already pinned, into the query's
-//!   `QuerySlot` mailbox.  `next_chunk` takes the grant
-//!   under the slot's own mutex (shared-handle racers serialize there) and
-//!   waits on the slot's condvar otherwise; a consumer that drives several
+//!   deposits the chosen chunk, its frame already pinned and its payload
+//!   cloned (a refcount bump), into the query's `QuerySlot` mailbox.
+//!   `next_chunk` takes the grant under the slot's own mutex
+//!   (shared-handle racers serialize there) and waits on the slot's
+//!   condvar otherwise; a consumer that drives several
 //!   scans from one thread calls [`CScanHandle::poll_next_chunk`] instead,
 //!   which leaves a [`Waker`] in the empty mailbox and returns.  Because
 //!   the matcher calls the identical `acquire_chunk`, the policy decisions
@@ -114,11 +114,10 @@
 //!   with work waiting is counted (`worker_park_timeouts`,
 //!   `consumer_wait_timeouts`).
 //!
-//! * **Lock ordering.**  `scheduler → { shard, slot }`, and the two leaf
-//!   locks are never nested with each other.  Nothing is awaited while
-//!   holding the scheduler except its own idle condvar, which releases it;
-//!   no consumer's waker is called while holding it, and no payload is ever
-//!   *materialized or decoded* under it (or under a shard lock): workers
+//! * **Lock ordering.**  `scheduler → slot`, never the reverse.  Nothing
+//!   is awaited while holding the scheduler except its own idle condvar,
+//!   which releases it; no consumer's waker is called while holding it,
+//!   and no payload is ever *materialized or decoded* under it: workers
 //!   fill payloads before re-locking for the commit, and queries read
 //!   their column views from the [`PinnedChunk`] after `next_chunk` has
 //!   returned.  A pin therefore must not drop on a thread that holds the
@@ -162,7 +161,7 @@ use crate::policy::PolicyKind;
 use crate::query::QueryId;
 use crate::retry::{FailureAction, RetryPolicy};
 use crate::session::{PinnedChunk, ScanError, ScanSession};
-use cscan_bufman::{PoolStats, ShardedPool};
+use cscan_bufman::{FramePool, PoolStats};
 use cscan_obs::{
     Counter, EventKind, Gauge, QueryCounter, QueryScope, Registry, SpanKind, NO_QUERY,
 };
@@ -180,11 +179,12 @@ use std::time::{Duration, Instant};
 /// What the per-query slot mutex protects.
 #[derive(Default)]
 struct SlotState {
-    /// The granted chunk, delivered but not yet taken: the scheduler already
-    /// ran the policy ([`Abm::acquire_chunk`]) and pinned its frame.  At
-    /// most one (a query processes one chunk at a time;
-    /// [`crate::query::QueryState::start_processing`] enforces it).
-    grant: Option<ChunkId>,
+    /// The granted chunk and its payload, delivered but not yet taken: the
+    /// scheduler already ran the policy ([`Abm::acquire_chunk`]), pinned
+    /// the frame and cloned its payload.  At most one (a query processes
+    /// one chunk at a time; [`crate::query::QueryState::start_processing`]
+    /// enforces it).
+    grant: Option<(ChunkId, ChunkPayload)>,
     /// Sticky per-query failure, deposited by quarantine; read (not taken)
     /// so every consumer of a shared handle observes it.
     error: Option<ScanError>,
@@ -198,8 +198,8 @@ struct SlotState {
 }
 
 /// A query's grant mailbox: consumers wait here, the scheduler deposits
-/// here.  Lives outside the scheduler lock — the consume path touches only
-/// this mutex (plus its frame shard).
+/// here.  Lives outside the scheduler lock — taking a grant touches only
+/// this mutex.
 #[derive(Default)]
 struct QuerySlot {
     state: Mutex<SlotState>,
@@ -210,7 +210,7 @@ struct QuerySlot {
 enum Mailbox<'a> {
     /// The answer is known: a grant to consume, or `None` — the scan is
     /// over (limit reached, closed, finished, shut down).
-    Ready(Option<ChunkId>),
+    Ready(Option<(ChunkId, ChunkPayload)>),
     /// Nothing yet; the slot guard comes back so a blocking caller can
     /// wait on the condvar without a window between check and wait.
     Empty(MutexGuard<'a, SlotState>),
@@ -220,6 +220,10 @@ enum Mailbox<'a> {
 /// to them.
 struct Sched {
     abm: Abm,
+    /// The data plane's frame pool: page table, pin ledger and payload
+    /// store, at chunk granularity.  Every pin count and residency change
+    /// is made here, in the critical section of the decision it mirrors.
+    pool: FramePool,
     /// Per-query grant mailboxes, by id.  The slot itself lives outside
     /// this lock (handles hold their own `Arc`); the map is how the
     /// scheduler finds a query's mailbox to deposit into.
@@ -243,6 +247,10 @@ struct Sched {
     /// and queues behind it.  Stays empty (and unallocated) as long as
     /// every consumer blocks in `next_chunk`.
     wakers: Vec<Waker>,
+    /// Payloads let go of under this lock (an unconsumed grant's clone, a
+    /// torn frame), offered back to the store by [`SchedGuard`]'s drop
+    /// after it unlocks, like the payloads a plan evicts.
+    reclaimed: Vec<ChunkPayload>,
 }
 
 impl Sched {
@@ -279,9 +287,6 @@ pub(crate) struct Shared {
     /// every scheduling input changes under that lock, and the critical
     /// section that changes one wakes a sleeper as it unlocks.
     idle: Condvar,
-    /// The data plane's sharded frame pool: page table, pin ledger and
-    /// payload store, at chunk granularity.
-    pool: ShardedPool,
     /// Source of chunk payloads; `None` delivers metadata-only chunks.
     store: Option<Arc<dyn ChunkStore>>,
     shutdown: AtomicBool,
@@ -312,11 +317,12 @@ impl Shared {
     /// The grant matcher: if query `q` is hungry (registered, not finished,
     /// not already processing or holding a grant), runs the policy via the
     /// *same* [`Abm::acquire_chunk`] the simulation calls, pins the
-    /// chosen frame in its shard, and deposits the grant into the
-    /// query's mailbox.  A finished query's slot is closed instead.  Called
-    /// under the scheduler lock at every point the query's availability can
-    /// improve: registration, a commit that lists it as woken, and each of
-    /// its releases.  Returns whether it deposited a grant.
+    /// chosen frame, and deposits the grant — the chunk and a clone of its
+    /// payload — into the query's mailbox.  A finished query's slot is
+    /// closed instead.  Called under the scheduler lock at every point the
+    /// query's availability can improve: registration, a commit that lists
+    /// it as woken, and each of its releases.  Returns whether it deposited
+    /// a grant.
     fn try_grant(&self, sched: &mut Sched, q: QueryId) -> bool {
         let Some(slot) = sched.slots.get(&q).map(Arc::clone) else {
             return false;
@@ -347,7 +353,11 @@ impl Shared {
             // it as woken and re-enter here.
             return false;
         };
-        if !self.pool.pin(chunk) {
+        // The frame cannot change under the grant in a way its reader
+        // would notice: an install merge only adds columns (a load fetches
+        // exactly the missing ones) and shares the resident ones, and the
+        // ABM pin just taken keeps eviction and dead-column reclaim away.
+        let Some(payload) = sched.pool.pin(chunk) else {
             // Invariant breach: a delivered chunk always has a resident
             // frame.  Degrade to a per-query error instead of panicking
             // under the scheduler lock.
@@ -360,17 +370,18 @@ impl Shared {
             });
             sched.wake_slot(&slot, st);
             return false;
-        }
+        };
         let mut st = slot.state.lock();
         debug_assert!(st.grant.is_none(), "double grant for {q:?}");
-        st.grant = Some(chunk);
+        st.grant = Some((chunk, payload));
         sched.wake_slot(&slot, st);
         true
     }
 
     /// Closes `q`'s slot (removing it from the registry), depositing
     /// `error` if given, and reclaims an unconsumed grant — returning its
-    /// frame pin and the ABM's.  Caller still owns
+    /// frame pin and the ABM's; its payload clone is offered back to the
+    /// store after the unlock ([`Sched::reclaimed`]).  Caller still owns
     /// `finish_query` semantics.  A registered waker is queued to fire when
     /// the scheduler lock is released; the slot is returned so the caller
     /// can notify blocked consumers at the same point.
@@ -390,12 +401,13 @@ impl Shared {
             sched.wakers.extend(st.waker.take());
             st.grant.take()
         };
-        if let Some(chunk) = reclaimed {
+        if let Some((chunk, payload)) = reclaimed {
             // An eagerly granted chunk nobody consumed: return both pins
             // (the query is finished or being finished, so this routes
             // through the detached-pin path).
-            self.pool.unpin(chunk);
+            sched.pool.unpin(chunk);
             sched.abm.release_delivered(q, chunk);
+            sched.reclaimed.push(payload);
         }
         Some(slot)
     }
@@ -512,7 +524,7 @@ impl Shared {
                 self.lock_sched()
             }
         };
-        self.pool.unpin(chunk);
+        sched.pool.unpin(chunk);
         sched.abm.release_delivered(query, chunk);
         self.try_grant(&mut sched, query);
         sched.wake_worker();
@@ -523,7 +535,8 @@ impl Shared {
 /// gauge, records the lock hold time into the `lock_hold` histogram, then
 /// unlocks, then wakes the idle worker and fires the wakers the critical
 /// section queued ([`Sched::wake_pending`], [`Sched::wakers`]) — in that
-/// order, so no thread is ever woken while the scheduler lock is held.
+/// order, so no thread is ever woken while the scheduler lock is held —
+/// and last offers the reclaimed grant payloads back to the store.
 ///
 /// The guard also carries a [`cscan_storage::codec::DecodeForbidden`]
 /// token: any payload decode attempted while a scheduler guard is alive on
@@ -602,11 +615,13 @@ impl Drop for SchedGuard<'_> {
         // Taking an empty list neither allocates nor frees.
         let wakers = std::mem::take(&mut guard.wakers);
         let wake_worker = std::mem::take(&mut guard.wake_pending);
+        let mut reclaimed = std::mem::take(&mut guard.reclaimed);
         drop(guard);
         if wake_worker {
             self.shared.idle.notify_one();
         }
         wakers.into_iter().for_each(Waker::wake);
+        recycle(self.shared, &mut reclaimed);
     }
 }
 
@@ -699,30 +714,27 @@ impl ScanServerBuilder {
             .max(self.model.avg_chunk_pages().ceil() as u64)
             .max(1);
         let num_chunks = self.model.num_chunks() as usize;
-        // One slot per logical chunk: capacity is governed by the ABM's
-        // page accounting, which plans every eviction.
-        let mut pool = ShardedPool::new(num_chunks.max(1));
         let state = AbmState::new(self.model, capacity);
         let abm = Abm::new(state, self.policy.build());
         let policy_label = abm.policy_name();
         let workers = self.io_threads;
         let obs = self.obs.unwrap_or_else(|| Arc::new(Registry::new()));
-        // The frame pool mirrors its pin/eviction counters and aggregated
-        // residency gauges into the same registry, and its shard-lock hold
-        // times into the `shard_lock_hold` histogram.
-        pool.set_observability(Arc::clone(&obs));
+        // One frame slot per logical chunk: capacity is governed by the
+        // ABM's page accounting, which plans every eviction.
+        let pool = FramePool::new(num_chunks.max(1), Arc::clone(&obs));
         let shared = Arc::new(Shared {
             sched: Mutex::new(Sched {
                 abm,
+                pool,
                 slots: HashMap::new(),
                 quarantined: HashMap::new(),
                 idle_workers: 0,
                 worker_wakeups: 0,
                 wake_pending: false,
                 wakers: Vec::new(),
+                reclaimed: Vec::new(),
             }),
             idle: Condvar::new(),
-            pool,
             store: self.store,
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
@@ -748,12 +760,12 @@ impl ScanServerBuilder {
 /// The ABM main loop (`main()` in Figure 3), run on every I/O worker.
 ///
 /// Plan under the scheduler lock (mirroring the plan's evictions into the
-/// frame shards) or, with nothing to plan, sleep on the scheduler's idle
+/// frame pool) or, with nothing to plan, sleep on the scheduler's idle
 /// condvar; wake the next idle worker if the plan succeeded (wake
 /// chaining), materialize the payload and perform the simulated read with
 /// no lock held, then commit under the scheduler lock — revalidating the
 /// plan's `(ticket, epoch)` stamp, so a load whose queries detached
-/// mid-read is aborted — install the payload into the chunk's frame shard,
+/// mid-read is aborted — install the payload into the chunk's frame,
 /// and deposit grants into the mailboxes of exactly the queries the
 /// arrived chunk unblocks.
 fn io_worker_main(shared: Arc<Shared>) {
@@ -790,13 +802,14 @@ fn io_worker_main(shared: Arc<Shared>) {
             unwoken = sched.wait_idle(Duration::from_millis(50));
         };
         // The plan's evictions already happened inside the ABM; mirror them
-        // into the frame shards while still inside the same scheduler
+        // into the frame pool while still inside the same scheduler
         // critical section, keeping the evicted payloads — a megabyte each
         // to free or recycle — for after it.  The ABM never evicts a pinned
         // chunk, and frame pins shadow ABM pins one-for-one, so the frame
         // release cannot fail.
+        let Sched { abm, pool, .. } = &mut *sched;
         for &victim in &plan.evicted {
-            let freed = shared.pool.evict(victim);
+            let freed = pool.evict(victim);
             debug_assert!(
                 freed.is_some(),
                 "ABM evicted {victim:?} but its frame was held"
@@ -808,17 +821,15 @@ fn io_worker_main(shared: Arc<Shared>) {
         // payload leaves with the worker like an evicted one, and the store
         // gets the vectors nothing shares any more.
         for &chunk in &plan.shrunk {
-            let (Some(b), Some(ChunkPayload::Data(data))) = (
-                sched.abm.state().buffered_chunk(chunk),
-                shared.pool.payload(chunk),
-            ) else {
+            let (Some(b), Some(ChunkPayload::Data(data))) =
+                (abm.state().buffered_chunk(chunk), pool.payload(chunk))
+            else {
                 // Evicted whole later in the same plan, or no data plane.
                 continue;
             };
             if let Some(kept) = data.retained(|c| b.columns.contains(c)) {
-                shared.pool.replace_payload(chunk, kept.into());
+                unused.push(pool.replace_payload(chunk, kept.into()));
             }
-            unused.push(ChunkPayload::Data(data));
         }
         // The columns to materialize: exactly the missing ones (what this
         // load adds), or the full row when the load covers every column.
@@ -956,7 +967,7 @@ fn io_worker_main(shared: Arc<Shared>) {
             // Install the payload into the chunk's slot.  A chunk may
             // already be partially resident: the pool unions the column
             // sets (sharing the existing vectors — no copy).
-            let installed = shared.pool.install(plan.decision.chunk, payload);
+            let installed = sched.pool.install(plan.decision.chunk, payload);
             debug_assert!(installed, "the model has no {:?}", plan.decision.chunk);
             // Deposit a grant into each woken query's mailbox — the same
             // acquire_chunk decision the consumer would have made itself.
@@ -1175,26 +1186,21 @@ impl ScanServer {
         self.shared.policy_label
     }
 
-    /// Number of shards the frame pool is striped into.
-    pub fn num_pool_shards(&self) -> usize {
-        self.shared.pool.num_shards()
-    }
-
     /// Number of resident frames holding at least one column that is still
     /// encoded bytes (one no consumer has read since the chunk was loaded).
     pub fn compressed_frames(&self) -> usize {
-        self.shared.pool.compressed_frames()
+        self.shared.lock_sched().pool.compressed_frames()
     }
 
-    /// Counters of the data plane's frame pool (fetches, pins, evictions),
-    /// summed over every shard.
+    /// Counters of the data plane's frame pool (fetches, pins, evictions).
     pub fn frame_pool_stats(&self) -> PoolStats {
-        self.shared.pool.stats()
+        self.shared.lock_sched().pool.stats()
     }
 
-    /// Number of frames currently pinned by outstanding [`PinnedChunk`]s.
+    /// Number of frames currently pinned by outstanding [`PinnedChunk`]s
+    /// and unconsumed grants.
     pub fn pinned_frames(&self) -> usize {
-        self.shared.pool.pinned_frames()
+        self.shared.lock_sched().pool.pinned_frames()
     }
 }
 
@@ -1264,7 +1270,7 @@ impl CScanHandle {
     /// `selectChunk` of Figure 3.
     ///
     /// The fast path touches only this query's slot mutex: the scheduler
-    /// deposited the grant (chunk + frame pin) in advance.  Only when the
+    /// deposited the grant (chunk, frame pin and payload) in advance.  Only when the
     /// mailbox stays empty past a 50 ms wait bound does the consumer fall
     /// back to a self-match under the scheduler lock (a belt-and-braces
     /// guard; grants are state, so none can be missed — a self-match that
@@ -1308,12 +1314,12 @@ impl CScanHandle {
                     st = self.slot.state.lock();
                 }
             };
-            let Some(chunk) = grant else {
+            let Some((chunk, payload)) = grant else {
                 return Ok(None);
             };
             // `None` is a rejected delivery (torn frame re-fetched): take
             // the next grant when the re-load commits.
-            if let Some(pin) = self.consume_grant(chunk)? {
+            if let Some(pin) = self.consume_grant(chunk, payload)? {
                 return Ok(Some(pin));
             }
         }
@@ -1366,10 +1372,10 @@ impl CScanHandle {
                 st.waker = Some(cx.waker().clone());
                 return Ok(Poll::Pending);
             };
-            let Some(chunk) = grant else {
+            let Some((chunk, payload)) = grant else {
                 return Ok(Poll::Ready(None));
             };
-            if let Some(pin) = self.consume_grant(chunk)? {
+            if let Some(pin) = self.consume_grant(chunk, payload)? {
                 return Ok(Poll::Ready(Some(pin)));
             }
         }
@@ -1413,9 +1419,9 @@ impl CScanHandle {
             self.finish();
             return Ok(Mailbox::Ready(None));
         }
-        if let Some(chunk) = st.grant.take() {
+        if let Some(grant) = st.grant.take() {
             self.delivered.fetch_add(1, Ordering::Relaxed);
-            return Ok(Mailbox::Ready(Some(chunk)));
+            return Ok(Mailbox::Ready(Some(grant)));
         }
         if st.closed
             || self.finished.load(Ordering::Acquire)
@@ -1432,8 +1438,8 @@ impl CScanHandle {
         self.shared.try_grant(&mut sched, self.query)
     }
 
-    /// Turns a taken grant into a [`PinnedChunk`] — payload read from the
-    /// shard, checksums verified, per-query metrics — or rejects the
+    /// Turns a taken grant into a [`PinnedChunk`] — the payload it carries,
+    /// checksums verified, per-query metrics — or rejects the
     /// delivery (`Ok(None)`: the torn frame was evicted and the chunk
     /// re-requested; take the next grant) or gives up (`Err`: the retry
     /// budget is spent).  Nothing is decoded here: a column decodes when
@@ -1441,12 +1447,11 @@ impl CScanHandle {
     /// the blocking and non-blocking delivery paths; the
     /// consecutive-rejection counter lives on the handle so it survives
     /// `Pending` round-trips.
-    fn consume_grant(&self, chunk: ChunkId) -> Result<Option<PinnedChunk>, ScanError> {
-        // The grant carries the frame *pin*, not the payload: read the
-        // payload from the shard at consume time, so an install that
-        // raced the delivery (e.g. a torn frame replaced in place) is
-        // what this pin actually verifies.
-        let payload = self.shared.pool.payload(chunk).unwrap_or_default();
+    fn consume_grant(
+        &self,
+        chunk: ChunkId,
+        payload: ChunkPayload,
+    ) -> Result<Option<PinnedChunk>, ScanError> {
         // Verify at pin: every column that is still encoded bytes is
         // checked against its recorded checksum (the second integrity
         // point, after install) before a consumer can decode it — outside
@@ -1476,9 +1481,10 @@ impl CScanHandle {
                     .event(EventKind::ChecksumFailure, chunk.index(), self.query.0, 0);
                 {
                     let mut sched = self.shared.lock_sched();
-                    self.shared.pool.unpin(chunk);
+                    sched.pool.unpin(chunk);
                     if sched.abm.reject_delivered(self.query, chunk) {
-                        self.shared.pool.evict(chunk);
+                        let torn = sched.pool.evict(chunk);
+                        sched.reclaimed.extend(torn);
                     }
                     self.delivered.fetch_sub(1, Ordering::Relaxed);
                     // Re-match so the query registers as blocked and
@@ -2141,7 +2147,7 @@ mod tests {
         {
             let sched = server.shared.lock_sched();
             assert!(
-                server.shared.pool.pin_count(held_chunk).unwrap_or(0) >= 1,
+                sched.pool.pin_count(held_chunk).unwrap_or(0) >= 1,
                 "the pinned frame must stay pinned"
             );
             assert!(
@@ -2177,7 +2183,7 @@ mod tests {
                 .map(ChunkId::new)
                 .filter(|&chunk| {
                     let accounted = sched.abm.state().buffered_chunk(chunk).map(|b| b.columns);
-                    let held = match server.shared.pool.payload(chunk) {
+                    let held = match sched.pool.payload(chunk) {
                         Some(ChunkPayload::Data(data)) => Some(data.column_ids().collect()),
                         _ => None,
                     };
@@ -2636,12 +2642,12 @@ mod tests {
                 if state.num_inflight() == 0 {
                     assert_eq!(state.num_queries(), 0);
                     assert_eq!(state.reserved_pages(), 0, "leaked reservations");
-                    assert_eq!(server.shared.pool.pinned_frames(), 0, "leaked frame pins");
+                    assert_eq!(sched.pool.pinned_frames(), 0, "leaked frame pins");
                     // Pool and ABM agree on residency chunk-for-chunk.
                     for c in 0..32u32 {
                         let chunk = cscan_storage::ChunkId::new(c);
                         assert_eq!(
-                            server.shared.pool.contains(chunk),
+                            sched.pool.payload(chunk).is_some(),
                             state.buffered_chunk(chunk).is_some(),
                             "pool/ABM residency diverged for {chunk:?}"
                         );
@@ -2819,7 +2825,13 @@ mod tests {
             CHUNKS as u64 * ROWS * 2
         );
         for c in 0..CHUNKS {
-            let resident = server.shared.pool.payload(ChunkId::new(c)).unwrap();
+            let resident = server
+                .shared
+                .lock_sched()
+                .pool
+                .payload(ChunkId::new(c))
+                .cloned()
+                .unwrap();
             assert_eq!(decoded_columns(&resident), TOUCHED, "chunk {c}");
         }
         assert_eq!(server.compressed_frames(), CHUNKS as usize);
@@ -2878,6 +2890,122 @@ mod tests {
             );
             assert_eq!(counter(&server, Counter::UnconsumedDrops), 0);
         }
+    }
+
+    /// A grant carries the payload it pinned, and that payload is what the
+    /// frame holds for every column the query reads.  On a column store a
+    /// narrow scan holds a grant while a wide scan's load merges more
+    /// columns into the same pinned frame; a later plan reclaims dead
+    /// columns, shrinking the narrow scan's other frame and not the pinned
+    /// one.  The narrow scan then reads the store's values through both,
+    /// and every column is decoded once.
+    #[test]
+    fn a_grant_reads_what_it_pinned_across_a_merge_and_a_shrink() {
+        const ROWS: u64 = 256;
+        let model = TableModel::dsm_uniform(4, ROWS, &[3; 3]);
+        let inner = SeededStore::new(ROWS, 3, 41);
+        let store = CompressingStore::new(inner.clone(), vec![pfor21(); 3]);
+        let server = ScanServer::builder(model.clone())
+            .policy(PolicyKind::Relevance)
+            // Three full-width chunks and one column of a fourth: the four
+            // chunks fit only once one of them is down to column 0.
+            .buffer_pages(30)
+            .io_cost_per_page(Duration::ZERO)
+            .store(Arc::new(store))
+            .build();
+        let col0 = ColumnId::new(0);
+        let columns_of = |payload: &ChunkPayload| -> Vec<u16> {
+            match payload {
+                ChunkPayload::Data(data) => data.column_ids().map(ColumnId::index).collect(),
+                ChunkPayload::Missing => Vec::new(),
+            }
+        };
+        // Column 0 of chunks 0 and 1; the first to arrive is granted.
+        let narrow = server.cscan(CScanPlan::new(
+            "narrow",
+            ScanRanges::single(0, 2),
+            ColSet::first_n(1),
+        ));
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let granted = loop {
+            if let Some((chunk, payload)) = &narrow.slot.state.lock().grant {
+                assert_eq!(columns_of(payload), [0]);
+                break *chunk;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "the narrow scan was never granted"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        };
+        let other = ChunkId::new(1 - granted.index());
+        // The wide scan loads the missing columns of both chunks — merges,
+        // one of them into the pinned frame — and decodes all three.
+        let wide = server.cscan(CScanPlan::new(
+            "wide",
+            ScanRanges::single(0, 2),
+            model.all_columns(),
+        ));
+        while let Some(pin) = wide.next_chunk().unwrap() {
+            for c in 0..3u16 {
+                let col = ColumnId::new(c);
+                let values = pin.column(col).expect("column present");
+                for (row, &v) in values.iter().enumerate() {
+                    assert_eq!(v, inner.value(pin.chunk(), row as u64, col));
+                }
+            }
+            pin.complete();
+        }
+        wide.finish();
+        assert_eq!(
+            columns_of(server.shared.lock_sched().pool.payload(granted).unwrap()).len(),
+            3,
+            "the merge reached the pinned frame"
+        );
+        // A full-width scan of the other two chunks needs their pages: the
+        // plans reclaim the dead columns 1 and 2 of the unpinned frame.
+        // The granted frame is pinned in the ABM, so no plan can touch it.
+        let later = server.cscan(CScanPlan::new(
+            "later",
+            ScanRanges::single(2, 4),
+            model.all_columns(),
+        ));
+        while let Some(pin) = later.next_chunk().unwrap() {
+            pin.complete();
+        }
+        later.finish();
+        {
+            let sched = server.shared.lock_sched();
+            assert_eq!(
+                columns_of(sched.pool.payload(other).unwrap()),
+                [0],
+                "shrunk"
+            );
+            assert_eq!(columns_of(sched.pool.payload(granted).unwrap()).len(), 3);
+            assert_eq!(sched.pool.pin_count(granted), Some(1));
+        }
+        // The narrow scan takes its grant — the pre-merge payload — and
+        // then the shrunk frame: the store's values, decoded by the wide
+        // scan into the column vectors all three frames share.
+        let mut seen = Vec::new();
+        while let Some(pin) = narrow.next_chunk().unwrap() {
+            assert_eq!(columns_of(pin.payload()), [0]);
+            let values = pin.column(col0).expect("column 0 survives");
+            for (row, &v) in values.iter().enumerate() {
+                assert_eq!(v, inner.value(pin.chunk(), row as u64, col0));
+            }
+            seen.push(pin.chunk());
+            pin.complete();
+        }
+        narrow.finish();
+        assert_eq!(seen, [granted, other]);
+        assert_eq!(
+            counter(&server, Counter::ValuesDecoded),
+            2 * 3 * ROWS,
+            "each column of chunks 0 and 1 decoded once"
+        );
+        assert_eq!(server.pinned_frames(), 0);
+        assert_eq!(counter(&server, Counter::UnconsumedDrops), 0);
     }
 
     /// A store whose chunk `bad_chunk` carries, in column `bad_column`, a
@@ -3130,8 +3258,8 @@ mod tests {
         // No leaks after the dust settles.
         let sched = server.shared.lock_sched();
         assert_eq!(sched.abm.state().reserved_pages(), 0);
+        assert_eq!(sched.pool.pinned_frames(), 0);
         drop(sched);
-        assert_eq!(server.shared.pool.pinned_frames(), 0);
         assert_eq!(counter(&server, Counter::UnconsumedDrops), 0);
     }
 
@@ -3186,10 +3314,13 @@ mod tests {
         assert_eq!(counter(&server, Counter::UnconsumedDrops), 0);
     }
 
-    /// Satellite: the full torn-frame lifecycle — a resident chunk's
-    /// payload fails its checksum when it is pinned, the delivery is
-    /// rejected without consuming, the poisoned frame is evicted, and the
-    /// re-load re-installs clean bytes, which then decode.
+    /// The full torn-frame lifecycle: a cached chunk's payload fails its
+    /// checksum when it is pinned, the delivery is rejected without
+    /// consuming, the poisoned frame is evicted, and the re-load
+    /// re-installs clean bytes, which then decode.  A grant carries the
+    /// payload it pinned, so the frame is torn while it sits in the
+    /// buffer with no grant on it, before the scan that will pin it
+    /// registers.
     #[test]
     fn torn_frame_is_rejected_re_loaded_and_re_decoded() {
         use cscan_storage::{ChunkData, ColumnChunk, LazyColumn};
@@ -3203,48 +3334,53 @@ mod tests {
             .io_cost_per_page(Duration::ZERO)
             .store(Arc::new(store))
             .build();
-        let handle = server.cscan(CScanPlan::new(
-            "lifecycle",
-            ScanRanges::full(1),
-            model.all_columns(),
-        ));
-        // Wait for the worker to install the (encoded) payload, then tear it
-        // in place — flipped byte, recorded checksum kept — before the first
-        // pin ever verifies it.
+        let scan = || {
+            server.cscan(CScanPlan::new(
+                "lifecycle",
+                ScanRanges::full(1),
+                model.all_columns(),
+            ))
+        };
+        // A first scan loads the chunk and releases it without touching
+        // its column: the cached frame still holds encoded bytes.
+        let first = scan();
+        first
+            .next_chunk()
+            .unwrap()
+            .expect("the one chunk")
+            .complete();
+        first.finish();
+        assert_eq!(server.compressed_frames(), 1);
+        // Tear it in place — flipped byte, recorded checksum kept — under
+        // the scheduler lock, so no grant can pin it half-way.
         let chunk = cscan_storage::ChunkId::new(0);
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            {
-                let torn = match server.shared.pool.payload(chunk) {
-                    Some(ChunkPayload::Data(data)) => {
-                        let parts = data
-                            .parts()
-                            .iter()
-                            .map(|(id, part)| match part {
-                                ColumnChunk::Compressed(lazy) => {
-                                    let torn = lazy.encoded().with_flipped_byte(99);
-                                    (
-                                        *id,
-                                        ColumnChunk::Compressed(Arc::new(LazyColumn::new(torn))),
-                                    )
-                                }
-                                plain => (*id, plain.clone()),
-                            })
-                            .collect();
-                        Some(ChunkPayload::from(ChunkData::from_parts(parts)))
+        {
+            let mut sched = server.shared.lock_sched();
+            let Some(ChunkPayload::Data(data)) = sched.pool.payload(chunk).cloned() else {
+                panic!("the chunk stays cached");
+            };
+            let parts = data
+                .parts()
+                .iter()
+                .map(|(id, part)| match part {
+                    ColumnChunk::Compressed(lazy) => {
+                        let torn = lazy.encoded().with_flipped_byte(99);
+                        (
+                            *id,
+                            ColumnChunk::Compressed(Arc::new(LazyColumn::new(torn))),
+                        )
                     }
-                    _ => None,
-                };
-                if let Some(torn) = torn {
-                    server.shared.pool.replace_payload(chunk, torn);
-                    break;
-                }
-            }
-            assert!(Instant::now() < deadline, "the load never installed");
-            std::thread::sleep(Duration::from_millis(1));
+                    plain => (*id, plain.clone()),
+                })
+                .collect();
+            sched
+                .pool
+                .replace_payload(chunk, ChunkData::from_parts(parts).into());
         }
-        // The pin fails verification, rejects the delivery, and the retry
+        // The second scan is granted the torn frame at registration.  The
+        // pin fails verification, rejects the delivery, and the retry
         // delivers the re-loaded clean payload — all inside one call.
+        let handle = scan();
         let pin = handle
             .next_chunk()
             .expect("the torn frame must be recovered, not fatal")
@@ -3257,7 +3393,7 @@ mod tests {
         assert!(handle.next_chunk().unwrap().is_none());
         assert!(
             counter(&server, Counter::ChecksumFailures) >= 1,
-            "the decode-time verification must have fired"
+            "the pin-time verification must have fired"
         );
         assert!(
             server.io_requests() >= 2,
@@ -3420,7 +3556,7 @@ mod tests {
                     assert_eq!(state.num_queries(), 0);
                     assert!(sched.slots.is_empty(), "leaked grant slots");
                     assert_eq!(state.reserved_pages(), 0, "leaked reservations");
-                    assert_eq!(server.shared.pool.pinned_frames(), 0, "leaked frame pins");
+                    assert_eq!(sched.pool.pinned_frames(), 0, "leaked frame pins");
                     break;
                 }
             }

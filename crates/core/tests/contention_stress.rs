@@ -1,9 +1,10 @@
-//! Shard-contention stress: hundreds of scan threads hammering two tables
-//! that share one observability registry.
+//! Contention stress: hundreds of scan threads hammering two tables that
+//! share one observability registry.
 //!
-//! The sharded executor's consume path (`next_chunk` → process → release)
-//! takes only the chunk's shard lock plus atomics; this test drives enough
-//! concurrent consumers through two independent servers to shake out lost
+//! The executor's consume path takes a grant — chunk, frame pin and
+//! payload — from the query's own mailbox, and its release is one
+//! scheduler critical section; this test drives enough concurrent
+//! consumers through two independent servers to shake out lost
 //! wakeups (a consumer parked forever on its grant mailbox would hang the
 //! test) and leaked refcounts (any pin left behind shows up in
 //! `pinned_frames` after the threads join).
@@ -93,9 +94,9 @@ fn hundreds_of_scanners_over_two_tables_leak_nothing() {
         SCAN_THREADS as u64 * NUM_CHUNKS as u64,
         "every scanner must see every chunk exactly once"
     );
-    // The hot path is instrumented: shard lock holds were recorded, and
-    // releases counted the times they found the scheduler lock held
+    // The hot path is instrumented: scheduler lock holds were recorded,
+    // and releases counted the times they found the scheduler lock held
     // (possibly zero, but the counter must exist in the snapshot).
-    assert!(snap.span("shard_lock_hold").count() > 0);
+    assert!(snap.span("lock_hold").count() > 0);
     let _ = snap.counter("hub_shard_conflicts");
 }

@@ -1,4 +1,5 @@
-//! Seeded thread-interleaving fuzzer for the sharded executor.
+//! Seeded thread-interleaving fuzzer for the threaded executor: grant
+//! mailboxes and releases around one scheduler lock.
 //!
 //! Gated behind the `interleave_fuzz` feature (run with
 //! `cargo test -p cscan_core --features interleave_fuzz`): each seed builds

@@ -1,13 +1,13 @@
-//! Decision-equivalence proof for the sharded executor's grant matcher.
+//! Decision-equivalence proof for the threaded executor's grant matcher.
 //!
-//! The sharded `threaded` front-end no longer lets consumers run the policy
-//! themselves under one global lock: the scheduler runs
-//! [`Abm::acquire_chunk`] *for* each query (at registration, at every
-//! commit's woken list, and when a release drains) and deposits the result
-//! into the query's grant mailbox.  These tests drive two [`Abm`] twins
-//! through the identical plan/commit/consume schedule — one with the lazy
-//! single-lock acquire discipline the executor used before the shard split,
-//! one with the eager mailbox discipline `threaded.rs` uses now — and
+//! The `threaded` front-end does not let consumers run the policy
+//! themselves: the scheduler runs [`Abm::acquire_chunk`] *for* each query
+//! (at registration, at every commit's woken list, and at each of its
+//! releases) and deposits the result into the query's grant mailbox.
+//! These tests drive two [`Abm`] twins through the identical
+//! plan/commit/consume schedule — one with the lazy acquire discipline, in
+//! which a consumer holds the one lock and runs the policy when it asks,
+//! one with the eager mailbox discipline `threaded.rs` uses — and
 //! assert the full decision traces (loads planned, victims evicted, commit
 //! outcomes, woken lists, per-query deliveries and starvation blocks) are
 //! bit-identical, across every policy, both storage layouts, and schedules
@@ -65,7 +65,7 @@ struct Pending {
 /// The two delivery disciplines under test.  `woken`/`consume`/`register`
 /// are the three points the executor runs the matcher; the lazy twin makes
 /// the identical `acquire_chunk` calls at the same points, the way the
-/// single-lock wait loop did when its doorbell rang.
+/// consumer-side wait loop would when its doorbell rang.
 trait Discipline {
     fn register(&mut self, abm: &mut Abm, q: QueryId, now: SimTime, trace: &mut Vec<Ev>);
     fn woken(&mut self, abm: &mut Abm, q: QueryId, now: SimTime, trace: &mut Vec<Ev>);
@@ -75,7 +75,7 @@ trait Discipline {
     fn detach(&mut self, abm: &mut Abm, q: QueryId, trace: &mut Vec<Ev>);
 }
 
-/// The pre-shard discipline: the consumer holds the (one) lock and runs
+/// The lazy discipline: the consumer holds the (one) lock and runs
 /// `acquire_chunk` itself whenever it is signalled or finishes a chunk.
 #[derive(Default)]
 struct LazyAcquire {
@@ -130,7 +130,7 @@ impl Discipline for LazyAcquire {
     }
 }
 
-/// The sharded discipline: the scheduler deposits grants eagerly; the
+/// The mailbox discipline: the scheduler deposits grants eagerly; the
 /// consumer only takes what is already in its mailbox.  This mirrors
 /// `threaded.rs`'s `try_grant` skip conditions exactly.
 #[derive(Default)]

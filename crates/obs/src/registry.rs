@@ -291,16 +291,13 @@ pub enum SpanKind {
     Backoff,
     /// Scheduler-lock critical sections (hold time, not wait time).
     LockHold,
-    /// Per-shard lock critical sections of the frame pool (pin, unpin,
-    /// install, evict, payload reads; hold time, not wait time).
-    ShardLockHold,
     /// One positioned read against a segment file (syscall latency).
     FileRead,
 }
 
 impl SpanKind {
     /// Every span kind, in index order.
-    pub const ALL: [SpanKind; 9] = [
+    pub const ALL: [SpanKind; 8] = [
         SpanKind::Plan,
         SpanKind::Commit,
         SpanKind::Materialize,
@@ -308,7 +305,6 @@ impl SpanKind {
         SpanKind::PinWait,
         SpanKind::Backoff,
         SpanKind::LockHold,
-        SpanKind::ShardLockHold,
         SpanKind::FileRead,
     ];
 
@@ -322,7 +318,6 @@ impl SpanKind {
             SpanKind::PinWait => "pin_wait",
             SpanKind::Backoff => "backoff",
             SpanKind::LockHold => "lock_hold",
-            SpanKind::ShardLockHold => "shard_lock_hold",
             SpanKind::FileRead => "file_read",
         }
     }

@@ -22,7 +22,7 @@
 //!   any other scheme stores the [`EncodedColumn`] byte stream verbatim
 //!   (leading wire-codec tag included), so what travels from disk into the
 //!   buffer pool is *still compressed* and [`CompressingStore`] semantics —
-//!   decode at first touch, never under a hub or shard lock — hold end to end.
+//!   decode at first touch, never under the scheduler lock — hold end to end.
 //! * **Directory (footer)** — per extent: byte offset, byte length, row
 //!   count, [`checksum64`], and a codec id ([`CODEC_PLAIN`] or the encoded
 //!   column's wire tag).  For encoded extents the recorded checksum is the
