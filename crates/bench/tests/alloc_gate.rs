@@ -3,10 +3,13 @@
 //! * the hot consume path of the data plane — acquire a resident chunk,
 //!   read its zero-copy column views, release the pin — performs **zero
 //!   per-chunk allocations**;
-//! * the vectorised pipeline on top of it, `SessionSource → Filter →
-//!   HashAggregate`, performs **zero per-row allocations**: a small
-//!   constant number per chunk (the batch's column list), the same whether
-//!   a chunk holds 2 000 rows or 20 000;
+//! * the vectorised pipelines on top of it, `SessionSource → Filter →
+//!   HashAggregate` and `SessionSource → Filter → ChunkOrderedAggregate`,
+//!   perform **zero per-row allocations**: a small constant number per
+//!   chunk (the batch's column list, and the ordered aggregate's batch of
+//!   interior groups), the same whether a chunk holds 2 000 rows or
+//!   20 000 — every scratch buffer (selection, group ids, remap, lanes,
+//!   key runs) is reused across batches;
 //! * the plain load path under it — `FileStore::materialize` into a buffer
 //!   whose evicted payloads are offered back through `recycle` — allocates
 //!   **headers only**: the column vectors, the bytes that matter, are the
@@ -147,14 +150,28 @@ fn consume_path_performs_zero_per_chunk_allocations() {
     assert_eq!(checksum, expected);
 }
 
+/// The aggregate on top of `SessionSource → Filter(l_quantity <= 45)`.
+#[derive(Clone, Copy)]
+enum Aggregate {
+    /// `HashAggregate(l_returnflag; count, sum)`: one result batch.
+    Hash,
+    /// `ChunkOrderedAggregate(l_orderkey; count, sum)`: a batch of interior
+    /// groups per chunk, then the stitched border groups.
+    ChunkOrdered,
+}
+
 /// Consumer-thread allocation events of one `SessionSource → Filter →
-/// HashAggregate` query over a resident `lineitem_demo` table of `CHUNKS`
-/// chunks of `rows` rows, and the aggregate's row count as a sanity check.
-fn pipeline_allocs(rows: u64) -> (u64, usize) {
+/// aggregate` query over a resident `lineitem_demo` table of `CHUNKS`
+/// chunks of `rows` rows, and the number of groups it output as a sanity
+/// check.
+fn pipeline_allocs(rows: u64, aggregate: Aggregate) -> (u64, usize) {
     use cscan_core::policy::PolicyKind;
     use cscan_core::threaded::ScanServer;
     use cscan_core::{CScanPlan, TableModel};
-    use cscan_exec::{AggFunc, Expr, Filter, HashAggregate, MemTable, Operator, SessionSource};
+    use cscan_exec::{
+        AggFunc, ChunkOrderedAggregate, Expr, Filter, HashAggregate, MemTable, Operator,
+        SessionSource,
+    };
     use cscan_storage::{ColumnId, ScanRanges};
     use std::sync::Arc;
     use std::time::Duration;
@@ -163,7 +180,11 @@ fn pipeline_allocs(rows: u64) -> (u64, usize) {
 
     let table = MemTable::lineitem_demo(CHUNKS as u64 * rows, rows);
     let column = |name: &str| ColumnId::new(table.column_index(name).expect("demo column") as u16);
-    let (flag, qty) = (column("l_returnflag"), column("l_quantity"));
+    let key = match aggregate {
+        Aggregate::Hash => column("l_returnflag"),
+        Aggregate::ChunkOrdered => column("l_orderkey"),
+    };
+    let qty = column("l_quantity");
     let model = TableModel::nsm_uniform(CHUNKS, rows, 16);
     let server = ScanServer::builder(model.clone())
         .policy(PolicyKind::Relevance)
@@ -173,14 +194,19 @@ fn pipeline_allocs(rows: u64) -> (u64, usize) {
         .build();
     let query = |label: &str| {
         let plan = CScanPlan::new(label, ScanRanges::full(CHUNKS), model.all_columns());
-        let source = SessionSource::new(server.cscan(plan), vec![flag, qty]);
+        let source = SessionSource::new(server.cscan(plan), vec![key, qty]);
         let filtered = Filter::new(source, Expr::col(1).le(Expr::lit(45)));
-        let mut aggregate =
-            HashAggregate::new(filtered, vec![0], vec![AggFunc::Count, AggFunc::Sum(1)]);
+        let funcs = vec![AggFunc::Count, AggFunc::Sum(1)];
+        let mut op: Box<dyn Operator> = match aggregate {
+            Aggregate::Hash => Box::new(HashAggregate::new(filtered, vec![0], funcs)),
+            Aggregate::ChunkOrdered => Box::new(ChunkOrderedAggregate::new(filtered, 0, funcs)),
+        };
         let before = thread_allocs();
-        let out = aggregate.next().expect("fault-free scan");
-        let allocs = thread_allocs() - before;
-        (allocs, out.map_or(0, |groups| groups.len()))
+        let mut groups = 0;
+        while let Some(batch) = op.next().expect("fault-free scan") {
+            groups += batch.len();
+        }
+        (thread_allocs() - before, groups)
     };
     // Warmup: fault every chunk in, warm the executor's scratch.
     query("warmup");
@@ -202,8 +228,8 @@ fn pipeline_allocs(rows: u64) -> (u64, usize) {
 )]
 fn vectorised_pipeline_allocates_per_chunk_never_per_row() {
     const CHUNKS: u64 = 32;
-    let (small, groups) = pipeline_allocs(2_000);
-    let (large, _) = pipeline_allocs(20_000);
+    let (small, groups) = pipeline_allocs(2_000, Aggregate::Hash);
+    let (large, _) = pipeline_allocs(20_000, Aggregate::Hash);
     assert_eq!(groups, 3, "three return flags");
     assert_eq!(
         small, large,
@@ -211,9 +237,42 @@ fn vectorised_pipeline_allocates_per_chunk_never_per_row() {
          {large} at 20 000"
     );
     // One per chunk for the batch's column list; the rest is per query
-    // (selection vector, group ids, group table, delivery log, output).
+    // (selection vector, group ids, remap, lanes, group table, delivery
+    // log, output).
     assert!(
         large <= CHUNKS + 32,
+        "{large} allocation events over {CHUNKS} chunks"
+    );
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "allocation gates are measured in release builds only"
+)]
+fn chunk_ordered_pipeline_allocates_per_chunk_never_per_row() {
+    const CHUNKS: u64 = 32;
+    let (small, small_groups) = pipeline_allocs(2_000, Aggregate::ChunkOrdered);
+    let (large, large_groups) = pipeline_allocs(20_000, Aggregate::ChunkOrdered);
+    // Four lineitems an order; an order whose four quantities all
+    // exceed 45 (one in 10 000) has no row left to group.
+    for (groups, rows) in [(small_groups, 2_000), (large_groups, 20_000)] {
+        let orders = CHUNKS as usize * rows / 4;
+        assert!(
+            groups <= orders && groups > orders * 99 / 100,
+            "{groups} groups of {orders} orders"
+        );
+    }
+    assert_eq!(
+        small, large,
+        "allocations must not depend on the rows per chunk: {small} at 2 000 rows, \
+         {large} at 20 000"
+    );
+    // Per chunk: the batch's column list and one output batch of interior
+    // groups (three columns, each a vector and its shared handle, and the
+    // column lists); the rest is per query.
+    assert!(
+        large <= 9 * CHUNKS + 48,
         "{large} allocation events over {CHUNKS} chunks"
     );
 }

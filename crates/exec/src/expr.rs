@@ -1,4 +1,16 @@
 //! Scalar expressions and predicates over data chunks.
+//!
+//! A predicate does not produce values: it writes a selection vector, the
+//! ascending physical rows that pass (see [`crate::vector`]).  `And`
+//! narrows by one side, then the other.  A comparison of a column with a
+//! constant, or `Between` on a column, is a *range select*: one unsigned
+//! compare a row reads the column in place, and for a dense batch the rows
+//! are written 64 at a time into a block buffer whose cursor advances by
+//! the verdict, then appended — the selection is not zeroed first and no
+//! branch depends on a row's verdict.  Narrowing an existing selection
+//! rewrites it in place the same way.  Anything else is evaluated into a
+//! scratch vector for the candidate rows and selected on its non-zero
+//! values.
 
 use crate::vector::{DataChunk, Value};
 use serde::{Deserialize, Serialize};
@@ -140,8 +152,8 @@ impl Expr {
     /// lists them (ascending) and is narrowed in place.
     ///
     /// `And` narrows by one side, then the other; a range test on a column
-    /// reads the column directly; anything else is evaluated for the
-    /// candidates only.
+    /// reads the column directly, as one unsigned compare a row; anything
+    /// else is evaluated for the candidates only.
     pub(crate) fn select(
         &self,
         chunk: &DataChunk,
@@ -149,18 +161,33 @@ impl Expr {
         all: bool,
         scratch: &mut Scratch,
     ) {
-        let n = all.then(|| chunk.physical_len());
         if let Expr::And(a, b) = self {
             a.select(chunk, sel, all, scratch);
             b.select(chunk, sel, false, scratch);
         } else if let Some((c, lo, hi)) = self.as_column_range() {
+            if lo > hi {
+                sel.clear();
+                return;
+            }
+            // `lo <= v <= hi` iff `v - lo`, wrapped and read unsigned, is at
+            // most `hi - lo`.
+            let span = hi.wrapping_sub(lo) as u64;
+            let within = move |v: Value| v.wrapping_sub(lo) as u64 <= span;
             let col = chunk.physical_column(c);
-            keep(sel, n, |_, r| lo <= col[r] && col[r] <= hi);
+            if all {
+                select_all(sel, col, within);
+            } else {
+                narrow(sel, |_, r| within(col[r]));
+            }
         } else {
             let mut values = scratch.take();
             let rows = if all { None } else { Some(sel.as_slice()) };
             self.eval_into(chunk, rows, &mut values, scratch);
-            keep(sel, n, |i, _| values[i] != 0);
+            if all {
+                select_all(sel, &values, |v| v != 0);
+            } else {
+                narrow(sel, |i, _| values[i] != 0);
+            }
             scratch.give(values);
         }
     }
@@ -239,28 +266,36 @@ fn binary(
     }
 }
 
-/// Keeps the candidates for which `pred(position, physical row)` holds.
-/// `all = Some(n)`: the candidates are rows `0..n` and `sel` is rewritten;
-/// `None`: they are `sel`'s rows, narrowed in place.  Branch-free: the row
-/// is always written and the write cursor advances by the predicate.
-fn keep(sel: &mut Vec<u32>, all: Option<usize>, pred: impl Fn(usize, usize) -> bool) {
+/// Rewrites `sel` as the rows `r` with `pred(values[r])`, 64 rows at a
+/// time: every row is written to a block buffer whose cursor advances by
+/// the verdict, so no branch depends on a verdict, and the block's kept
+/// rows are appended at once — `sel` is never zeroed first.
+fn select_all(sel: &mut Vec<u32>, values: &[Value], pred: impl Fn(Value) -> bool) {
+    const BLOCK: usize = 64;
+    sel.clear();
+    sel.reserve(values.len());
+    let mut kept = [0u32; BLOCK];
+    for (block, values) in values.chunks(BLOCK).enumerate() {
+        let base = (block * BLOCK) as u32;
+        let mut n = 0;
+        for (i, &v) in values.iter().enumerate() {
+            // `n <= i < BLOCK`; the mask lets the compiler see it.
+            kept[n & (BLOCK - 1)] = base + i as u32;
+            n += pred(v) as usize;
+        }
+        sel.extend_from_slice(&kept[..n]);
+    }
+}
+
+/// Keeps the rows of `sel` for which `pred(position, physical row)`
+/// holds, in place.  Branch-free: the row is always written and the write
+/// cursor advances by the verdict.
+fn narrow(sel: &mut Vec<u32>, pred: impl Fn(usize, usize) -> bool) {
     let mut kept = 0;
-    match all {
-        Some(n) => {
-            sel.clear();
-            sel.resize(n, 0);
-            for r in 0..n {
-                sel[kept] = r as u32;
-                kept += pred(r, r) as usize;
-            }
-        }
-        None => {
-            for i in 0..sel.len() {
-                let r = sel[i];
-                sel[kept] = r;
-                kept += pred(i, r as usize) as usize;
-            }
-        }
+    for i in 0..sel.len() {
+        let r = sel[i];
+        sel[kept] = r;
+        kept += pred(i, r as usize) as usize;
     }
     sel.truncate(kept);
 }

@@ -17,16 +17,23 @@
 //!   [`cscan_storage::ChunkStore`], so the same table feeds a live threaded
 //!   `ScanServer` *and* serves as the baseline the differential tests
 //!   compare against;
-//! * [`expr::Expr`] — scalar expressions and predicates: a predicate
-//!   narrows a selection vector in place, arithmetic evaluates into
-//!   reusable scratch vectors — nothing is allocated per row or per
-//!   expression node;
+//! * [`expr::Expr`] — scalar expressions and predicates: a range test on a
+//!   column writes the selection vector in 64-row blocks with no branch on
+//!   a row's verdict, other predicates narrow it in place, arithmetic
+//!   evaluates into reusable scratch vectors — nothing is allocated per row
+//!   or per expression node;
 //! * [`ops`] — operators: chunk sources (including [`ops::SessionSource`],
 //!   which turns any [`cscan_core::session::ScanSession`] into a leaf of
 //!   the operator tree without copying a value), filter, project, hash
-//!   aggregation over a flat group table, and the order-aware operators of
-//!   Section 7: chunk-ordered aggregation with boundary stitching and the
-//!   (cooperative) merge join over multi-table clustering.
+//!   aggregation (one key column through a per-batch remap to group ids,
+//!   folds over interleaved partial states when groups are few), and the
+//!   order-aware operators of Section 7: chunk-ordered aggregation with
+//!   boundary stitching and the (cooperative) merge join over multi-table
+//!   clustering.
+//!
+//! The kernels' speed is gated in release CI against the same query written
+//! as plain loops (`cscan_bench/tests/exec_gate.rs`); ARCHITECTURE.md's
+//! hot-path guarantee gives the measured figure.
 
 #![warn(missing_docs)]
 

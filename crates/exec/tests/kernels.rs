@@ -159,6 +159,36 @@ fn assert_logically_consistent(batch: &DataChunk) {
     }
 }
 
+/// `HashAggregate` over `batches` equals the oracle twice: over the dense
+/// batches, and over the selected batches `pred` leaves.
+fn assert_hash_aggregate_matches(
+    batches: &[Vec<Row>],
+    pred: &Expr,
+    key_cols: &[usize],
+    funcs: &[AggFunc],
+) {
+    let mut agg = HashAggregate::new(Replay::new(batches), key_cols.to_vec(), funcs.to_vec());
+    let out = agg.next().unwrap().unwrap();
+    assert!(agg.next().unwrap().is_none());
+    assert_eq!(
+        rows_of(&out),
+        oracle_aggregate(&flat(batches), key_cols, funcs),
+        "dense, keys {key_cols:?}, {funcs:?}"
+    );
+    let filtered = Filter::new(Replay::new(batches), pred.clone());
+    let out = collect(&mut HashAggregate::new(
+        filtered,
+        key_cols.to_vec(),
+        funcs.to_vec(),
+    ));
+    let survivors = oracle_filter(&flat(batches), pred);
+    assert_eq!(
+        rows_of(&out),
+        oracle_aggregate(&survivors, key_cols, funcs),
+        "selected by {pred:?}, keys {key_cols:?}, {funcs:?}"
+    );
+}
+
 // ----------------------------------------------------------------------
 // Generators.
 // ----------------------------------------------------------------------
@@ -290,16 +320,7 @@ proptest! {
         key_cols in arb_key_cols(),
         funcs in arb_funcs(),
     ) {
-        // Dense input.
-        let mut agg = HashAggregate::new(Replay::new(&batches), key_cols.clone(), funcs.clone());
-        let out = agg.next().unwrap().unwrap();
-        prop_assert!(agg.next().unwrap().is_none());
-        prop_assert_eq!(rows_of(&out), oracle_aggregate(&flat(&batches), &key_cols, &funcs));
-        // Input carrying a selection.
-        let filtered = Filter::new(Replay::new(&batches), pred.clone());
-        let out = collect(&mut HashAggregate::new(filtered, key_cols.clone(), funcs.clone()));
-        let survivors = oracle_filter(&flat(&batches), &pred);
-        prop_assert_eq!(rows_of(&out), oracle_aggregate(&survivors, &key_cols, &funcs));
+        assert_hash_aggregate_matches(&batches, &pred, &key_cols, &funcs);
     }
 
     #[test]
@@ -448,4 +469,177 @@ fn aggregates_of_nothing_are_empty() {
     }
     let mut ordered = ChunkOrderedAggregate::new(Replay::new(&nothing), 0, vec![AggFunc::Count]);
     assert!(ordered.next().unwrap().is_none());
+}
+
+// ----------------------------------------------------------------------
+// The edges of the kernels: the range select's 64-row blocks, the
+// one-key-column remap and its domain cutoff, and the folds' lanes.
+// ----------------------------------------------------------------------
+
+/// Every aggregate, over column 2.
+const ALL_FUNCS: [AggFunc; 4] = [
+    AggFunc::Count,
+    AggFunc::Sum(2),
+    AggFunc::Min(2),
+    AggFunc::Max(2),
+];
+
+/// `n` rows whose column 0 is `key(i)`, column 1 is `i` and column 2 a
+/// value with both signs.
+fn keyed_rows(n: usize, key: impl Fn(usize) -> i64) -> Vec<Row> {
+    (0..n)
+        .map(|i| vec![key(i), i as i64, (i as i64 * 7_919) % 2_003 - 1_000])
+        .collect()
+}
+
+/// Keeps about seven rows in ten, at uneven positions (column 2 of
+/// [`keyed_rows`] is a scrambled `-1000..=1002`).
+fn most_rows() -> Expr {
+    Expr::col(2).ge(Expr::lit(-400))
+}
+
+#[test]
+fn range_select_across_block_edges() {
+    for n in [0, 1, 63, 64, 65, 127, 128, 129, 1_000] {
+        let rows = keyed_rows(n, |i| (i % 5) as i64);
+        let batches = vec![rows];
+        for pred in [
+            Expr::col(1).ge(Expr::lit(0)),            // every row
+            Expr::col(1).lt(Expr::lit(0)),            // none
+            Expr::col(1).lt(Expr::lit(i64::MIN)),     // an empty range
+            Expr::col(0).eq(Expr::lit(3)),            // one in five
+            Expr::col(1).between(63, 64),             // straddles a block edge
+            Expr::col(2).between(i64::MIN, i64::MAX), // the full domain
+            most_rows(),                              // uneven
+            Expr::col(0)
+                .le(Expr::lit(3))
+                .and(Expr::col(2).le(Expr::lit(0))),
+        ] {
+            let got = collect(&mut Filter::new(Replay::new(&batches), pred.clone()));
+            assert_eq!(
+                rows_of(&got),
+                oracle_filter(&batches[0], &pred),
+                "{n} rows, {pred:?}"
+            );
+        }
+    }
+}
+
+/// One key column whose domain `max - min + 1` is on either side of the
+/// remap's 16 384 values, at several offsets (negative, near both ends of
+/// `i64`), dense and selected.
+#[test]
+fn key_domains_on_both_sides_of_the_remap_cutoff() {
+    for domain in [1usize, 2, 3, 16_383, 16_384, 16_385, 16_386, 40_000] {
+        for base in [0i64, -2_048, i64::MIN, i64::MAX - domain as i64 + 1] {
+            // Both ends of the domain in every batch, the middle spread.
+            let key = |i: usize| base + ((i * 2_654_435_761) % domain) as i64;
+            let rows = keyed_rows(3 * domain.min(2_000) + 7, |i| match i {
+                0 => base,
+                1 => base + (domain - 1) as i64,
+                _ => key(i),
+            });
+            let batches = vec![rows.clone(), rows[..rows.len() / 2].to_vec(), rows];
+            assert_hash_aggregate_matches(&batches, &most_rows(), &[0], &ALL_FUNCS);
+        }
+    }
+}
+
+/// `i64::MIN` and `i64::MAX` in one batch: `max - min` overflows, and the
+/// batch must fall back to probing without losing the groups a narrow
+/// batch before and after it found.
+#[test]
+fn extreme_keys_in_one_batch_overflow_the_domain() {
+    let narrow = keyed_rows(300, |i| (i % 7) as i64 - 3);
+    let extreme = keyed_rows(300, |i| match i % 5 {
+        0 => i64::MIN,
+        1 => i64::MAX,
+        2 => -1,
+        3 => i64::MIN + 1,
+        _ => (i % 7) as i64 - 3,
+    });
+    let batches = vec![narrow.clone(), extreme, narrow];
+    for funcs in [&ALL_FUNCS[..], &[AggFunc::Count]] {
+        assert_hash_aggregate_matches(&batches, &most_rows(), &[0], funcs);
+    }
+}
+
+/// A key first seen in a later batch — inside the remap's range, outside
+/// it, after the remap moved, after a batch too wide to remap — gets one
+/// group id, so the output holds one row per key.
+#[test]
+fn a_key_first_seen_later_keeps_one_group() {
+    let batches = vec![
+        keyed_rows(100, |i| (i % 2) as i64),          // {0, 1}
+        keyed_rows(100, |i| (i % 3) as i64),          // 2 is new, inside
+        keyed_rows(100, |i| 100 + (i % 4) as i64),    // the remap moves
+        keyed_rows(100, |i| (i % 5) as i64),          // back: 3, 4 new
+        keyed_rows(100, |i| 1 + (i % 2) as i64),      // inside, neither end
+        keyed_rows(100, |i| (i as i64 - 50) * 1_000), // too wide: probes
+        keyed_rows(100, |i| (i % 6) as i64 - 1),      // -1 new, 0..=4 old
+        keyed_rows(100, |i| 5_000 + (i % 2) as i64),  // far away, narrow
+        keyed_rows(100, |i| (i % 3) as i64 + 100),    // back to 100..
+    ];
+    assert_hash_aggregate_matches(&batches, &most_rows(), &[0], &ALL_FUNCS);
+    let mut agg = HashAggregate::new(Replay::new(&batches), vec![0], vec![AggFunc::Count]);
+    let out = agg.next().unwrap().unwrap();
+    let keys = out.column(0);
+    assert!(
+        keys.windows(2).all(|w| w[0] < w[1]),
+        "one row per key: {keys:?}"
+    );
+    assert_eq!(out.column(1).iter().sum::<i64>(), 900);
+}
+
+/// Group counts below, at and above the lane count and the most groups
+/// the folds keep lanes for, over batches whose length is not a multiple
+/// of the lane count.
+#[test]
+fn more_groups_than_any_lane_width() {
+    for groups in [1usize, 2, 3, 4, 5, 63, 64, 65, 66, 300, 5_000] {
+        for rows in [1usize, 3, 4, 5, 1_001] {
+            let rows = rows.max(groups / 4);
+            let batches = vec![
+                keyed_rows(rows, |i| (i % groups) as i64),
+                keyed_rows(rows + 2, |i| ((i * 31) % groups) as i64),
+            ];
+            assert_hash_aggregate_matches(&batches, &most_rows(), &[0], &ALL_FUNCS);
+        }
+    }
+}
+
+/// No key column (one group) and two key columns, over batches of
+/// several shapes, dense and selected.
+#[test]
+fn zero_and_multi_key_groupings() {
+    let batches = vec![
+        keyed_rows(1_001, |i| (i % 3) as i64),
+        Vec::new(),
+        keyed_rows(5, |i| i64::MAX - i as i64),
+        keyed_rows(700, |i| (i as i64) << 32),
+    ];
+    for key_cols in [vec![], vec![0, 1], vec![1, 0], vec![0, 2], vec![0, 0]] {
+        assert_hash_aggregate_matches(&batches, &most_rows(), &key_cols, &ALL_FUNCS);
+    }
+}
+
+/// The ordered aggregate shares the folds: runs few enough to take the
+/// lanes, and many, straddling chunk borders.
+#[test]
+fn chunk_ordered_aggregate_folds_few_and_many_runs() {
+    for run in [1usize, 3, 250, 1_000] {
+        let rows = keyed_rows(4_003, |i| (i / run) as i64 - 7);
+        let batches: Vec<Vec<Row>> = rows.chunks(999).map(<[Row]>::to_vec).collect();
+        for pred in [Expr::col(1).ge(Expr::lit(0)), most_rows()] {
+            let input = Filter::new(Replay::new(&batches), pred.clone());
+            let mut agg = ChunkOrderedAggregate::new(input, 0, ALL_FUNCS.to_vec());
+            let mut got = rows_of(&collect(&mut agg));
+            got.sort();
+            assert_eq!(
+                got,
+                oracle_aggregate(&oracle_filter(&rows, &pred), &[0], &ALL_FUNCS),
+                "runs of {run}, {pred:?}"
+            );
+        }
+    }
 }
