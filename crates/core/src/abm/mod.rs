@@ -1,13 +1,14 @@
 //! The Active Buffer Manager (ABM).
 //!
 //! The ABM owns the shared bookkeeping ([`AbmState`]) and a scheduling
-//! [`Policy`].  The execution front-ends (the discrete-event simulation and
-//! the threaded executor) drive it through a small set of operations that
+//! [`Policy`].  The scheduler core ([`crate::sched::Scheduler`]), which
+//! both execution front-ends drive, calls a small set of operations that
 //! correspond directly to the pseudo-code of Figure 3 in the paper:
 //!
 //! * [`Abm::register_query`] — `CScan` announces its data need up-front;
 //! * [`Abm::acquire_chunk`] — `selectChunk` / `chooseAvailableChunk`;
-//! * [`Abm::release_chunk`] — the query finished processing a chunk;
+//! * [`Abm::release_delivered`] — `releaseChunk`: the query finished
+//!   processing a chunk (or its pin outlived its registration);
 //! * [`Abm::plan_load`] — `chooseQueryToProcess` + `chooseChunkToLoad` +
 //!   `findFreeSlot` (eviction) rolled into one scheduling step;
 //! * [`Abm::complete_load`] — `loadChunk` finished; interested blocked
@@ -15,8 +16,8 @@
 //! * [`Abm::finish_query`] — the CScan operator is closed.
 //!
 //! [`Abm::plan_load`] keeps the paper's single-outstanding main loop (the
-//! reference the property tests compare against).  Both drivers instead
-//! call [`Abm::plan_loads`], which plans a whole burst of loads in one
+//! reference the property tests compare against).  The core instead calls
+//! [`Abm::plan_loads`], which plans a whole burst of loads in one
 //! step — evicting (and thereby reserving) the victims for the entire burst
 //! up front, so an in-flight burst can never deadlock or over-commit the
 //! pool — and [`Abm::commit_load`], which retires loads by key in whatever
@@ -29,8 +30,8 @@
 //! # Plan / commit
 //!
 //! Both drivers — the threaded executor, whose disk read runs outside the
-//! ABM lock, and the simulation, where detaches can race completions — use
-//! the *plan/commit* protocol instead of raw completion: every [`LoadPlan`]
+//! scheduler lock, and the simulation, where detaches can race
+//! completions — go through the *plan/commit* protocol instead of raw completion: every [`LoadPlan`]
 //! is stamped with a unique ticket and the planning [`AbmState::epoch`], and
 //! [`Abm::commit_load`] revalidates the stamp under the lock before
 //! installing residency — a cancelled or superseded load's completion is
@@ -201,15 +202,6 @@ impl Abm {
         }
     }
 
-    /// Marks `chunk` as fully consumed by `q`.  Nothing leaves the buffer
-    /// here: a chunk, or a column of it, that no active query needs any more
-    /// stays cached for the next query until a load needs its pages
-    /// ([`Abm::plan_loads`] reclaims dead columns before it asks the policy
-    /// for a victim).
-    pub fn release_chunk(&mut self, q: QueryId, chunk: ChunkId) {
-        self.state.finish_processing(q, chunk);
-    }
-
     /// Whether query `q` has processed everything it asked for.
     pub fn is_query_finished(&self, q: QueryId) -> bool {
         self.state.query(q).is_finished()
@@ -281,35 +273,27 @@ impl Abm {
         }
     }
 
-    /// Returns the processing pin a since-removed query still held on
-    /// `chunk`, if any.
+    /// Returns a delivered chunk's processing pin, whatever happened to the
+    /// query meanwhile — Figure 3's `releaseChunk`, the only release.  If
+    /// `q` is still processing `chunk` the chunk is consumed: `q`'s
+    /// interest in it ends.  Nothing leaves the buffer here: a chunk, or a
+    /// column of it, that no active query needs any more stays cached for
+    /// the next query until a load needs its pages ([`Abm::plan_loads`]
+    /// reclaims dead columns before it asks the policy for a victim).
     ///
-    /// [`Abm::finish_query`] deliberately leaves the pins of chunks the
-    /// query was processing in place — they are what keeps eviction away
-    /// from a frame a `PinnedChunk` is still reading.  When such a pin is
-    /// finally dropped (after the detach), the driver returns it here
-    /// instead of through [`Abm::release_chunk`], which would panic on the
-    /// unknown query.  No interest or availability bookkeeping changes: the
-    /// query's interest was already dropped at removal.
-    pub fn release_detached_pin(&mut self, q: QueryId, chunk: ChunkId) {
-        self.state.release_pin(q, chunk);
-    }
-
-    /// Returns a delivered chunk's pin, whatever happened to the query in
-    /// the meantime: the consumption path for a still-active query
-    /// ([`Abm::release_chunk`]), or the orphan-pin path
-    /// ([`Abm::release_detached_pin`]) when the query detached while the
-    /// pin was outstanding.  The threaded executor funnels every
-    /// `PinnedChunk` drop through this single protocol.
+    /// If `q` was removed while the pin was out, only the pin returns:
+    /// [`Abm::finish_query`] leaves it in place so eviction stays away from
+    /// a frame a reader still holds, and the query's interest already
+    /// dropped at removal.
     pub fn release_delivered(&mut self, q: QueryId, chunk: ChunkId) {
         let active = self
             .state
             .try_query(q)
             .is_some_and(|query| query.processing == Some(chunk));
         if active {
-            self.release_chunk(q, chunk);
+            self.state.finish_processing(q, chunk);
         } else {
-            self.release_detached_pin(q, chunk);
+            self.state.release_pin(q, chunk);
         }
     }
 
@@ -514,7 +498,7 @@ mod tests {
             assert!(guard < 1000, "no progress");
             // Drive I/O until something is available.
             if let Some(chunk) = abm.acquire_chunk(q, SimTime::ZERO) {
-                abm.release_chunk(q, chunk);
+                abm.release_delivered(q, chunk);
                 processed += 1;
                 continue;
             }
@@ -541,7 +525,7 @@ mod tests {
         let mut evictions = 0;
         while !abm.is_query_finished(q) {
             if let Some(chunk) = abm.acquire_chunk(q, SimTime::ZERO) {
-                abm.release_chunk(q, chunk);
+                abm.release_delivered(q, chunk);
                 continue;
             }
             let plan = abm.plan_load(SimTime::ZERO).expect("must be able to plan");
@@ -569,7 +553,7 @@ mod tests {
         abm.complete_load();
         // Query processes its only chunk; nothing further to load.
         let chunk = abm.acquire_chunk(q, SimTime::ZERO).unwrap();
-        abm.release_chunk(q, chunk);
+        abm.release_delivered(q, chunk);
         assert!(abm.plan_load(SimTime::ZERO).is_none());
         assert!(abm.is_query_finished(q));
     }
@@ -604,7 +588,7 @@ mod tests {
         // The next plan that is admitted — `narrow`, starved now, asking
         // for the very chunk it lost — names the earlier victims: a driver
         // mirrors every one of them, and before it reads the chunk anew.
-        abm.release_chunk(narrow, ChunkId::new(0));
+        abm.release_delivered(narrow, ChunkId::new(0));
         abm.plan_loads(SimTime::ZERO, 1, &mut plans);
         assert_eq!(plans.len(), 1);
         assert_eq!(plans[0].decision.chunk, ChunkId::new(1));
@@ -629,7 +613,7 @@ mod tests {
                     continue;
                 }
                 if let Some(c) = abm.acquire_chunk(q, SimTime::ZERO) {
-                    abm.release_chunk(q, c);
+                    abm.release_delivered(q, c);
                     progressed = true;
                 }
             }

@@ -142,7 +142,7 @@ fn check_pipeline(k: usize, ops: &[Op]) -> Result<(), TestCaseError> {
                 if !active.is_empty() {
                     let q = active[i as usize % active.len()];
                     if let Some(chunk) = abm.acquire_chunk(q, now) {
-                        abm.release_chunk(q, chunk);
+                        abm.release_delivered(q, chunk);
                         if abm.is_query_finished(q) {
                             abm.finish_query(q);
                             active.retain(|&a| a != q);
@@ -224,8 +224,8 @@ fn check_k1_degenerates(ops: &[Op]) -> Result<(), TestCaseError> {
                 let cb = pipe.acquire_chunk(qb, now);
                 prop_assert_eq!(ca, cb, "twin executions acquired different chunks");
                 let Some(chunk) = ca else { continue };
-                seq.release_chunk(qa, chunk);
-                pipe.release_chunk(qb, chunk);
+                seq.release_delivered(qa, chunk);
+                pipe.release_delivered(qb, chunk);
                 if seq.is_query_finished(qa) {
                     seq.finish_query(qa);
                     pipe.finish_query(qb);
@@ -347,7 +347,7 @@ fn run_scan(abm: &mut Abm, q: QueryId) -> Vec<LoadPlan> {
     let mut taken = Vec::new();
     while !abm.is_query_finished(q) {
         if let Some(chunk) = abm.acquire_chunk(q, SimTime::ZERO) {
-            abm.release_chunk(q, chunk);
+            abm.release_delivered(q, chunk);
             continue;
         }
         let mut plans = Vec::new();
@@ -380,7 +380,7 @@ fn a_finished_scan_leaves_its_columns_to_the_next() {
         let chunk = abm
             .acquire_chunk(b, SimTime::ZERO)
             .expect("every chunk is granted from the buffer");
-        abm.release_chunk(b, chunk);
+        abm.release_delivered(b, chunk);
         granted.push(chunk);
     }
     granted.sort_unstable();

@@ -18,8 +18,9 @@
 //! [`policy::RelevancePolicy`] (the column-aware relevance functions of
 //! Fig. 11, of which Fig. 3's row-store ones are the one-group case).
 //!
-//! Two execution front-ends drive the same ABM through the same two calls,
-//! [`Abm::plan_loads`] and [`Abm::commit_load`]:
+//! Two execution front-ends drive the ABM through one scheduler core,
+//! [`sched::Scheduler`], which makes every grant, plan, commit, release and
+//! close decision and returns its effects for the front-end to apply:
 //!
 //! * [`sim::Simulation`] — a deterministic discrete-event simulation used to
 //!   regenerate every table and figure of the paper's evaluation.  It keeps
@@ -46,8 +47,9 @@
 //! receive [`session::PinnedChunk`]s carrying *real payloads* (materialized
 //! by a [`cscan_storage::ChunkStore`], pinned in a `cscan_bufman` frame so
 //! eviction can never reclaim data a query is reading).  `ARCHITECTURE.md`
-//! diagrams the three layers (shared [`abm::ChunkIndex`] / plan-commit /
-//! targeted wakeups) and the lock order: scheduler, then a query's slot.
+//! diagrams the layers (shared [`abm::ChunkIndex`] / plan-commit / the
+//! scheduler core / targeted wakeups) and the lock order: scheduler, then a
+//! query's slot.
 //!
 //! ## Quick example
 //!
@@ -90,6 +92,7 @@ pub mod policy;
 pub mod query;
 mod retry;
 pub mod reuse;
+pub mod sched;
 pub mod session;
 pub mod sim;
 pub mod threaded;

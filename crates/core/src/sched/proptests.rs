@@ -1,0 +1,369 @@
+//! Property tests of the scheduler core alone, driven the way both
+//! front-ends drive it.
+//!
+//! A random sequence of register, plan, commit, release, reject,
+//! quarantine and close is applied to a [`Scheduler`], with the test as the
+//! driver: it holds the loads in flight and the grants it was handed (a
+//! grant of a closed query stays out as a pin until a later release), and
+//! after every step it checks that
+//!
+//! * each chunk a query needs is granted exactly once — a rejected grant is
+//!   granted again — and a query closed without an error or a detach has
+//!   consumed all of them, or as many as its limit allows;
+//! * the frame pool's pins equal the ABM's processing pins, chunk by chunk,
+//!   and the grants the driver holds, and every resident chunk has a frame;
+//! * no grant goes to a closed query, none to a query that holds one, and
+//!   none past a query's limit, and a quarantine fails exactly the queries
+//!   that still need the chunk.
+//!
+//! Drained to quiescence, no query, load, page reservation or pin is left.
+//! Replaying the same sequence takes the same decisions.
+
+use super::{Effect, Scheduler};
+use crate::abm::LoadPlan;
+use crate::colset::ColSet;
+use crate::cscan::CScanPlan;
+use crate::model::TableModel;
+use crate::policy::PolicyKind;
+use crate::query::QueryId;
+use crate::session::ScanError;
+use cscan_obs::Registry;
+use cscan_simdisk::SimTime;
+use cscan_storage::{ChunkId, ChunkPayload, ColumnId, ScanRanges, StoreError};
+use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
+
+const CHUNKS: u32 = 16;
+
+/// One driver step; indices are taken modulo what they index, so every
+/// generated sequence applies.
+#[derive(Debug, Clone)]
+enum Op {
+    /// A scan of `len` chunks from `start` over the columns of `cols` (a
+    /// mask over four), limited to `limit` chunks if that is 1 to 4.
+    Register {
+        start: u32,
+        len: u32,
+        cols: u8,
+        limit: u8,
+    },
+    /// Plan up to a pipeline of `k + 1` loads in flight.
+    Plan { k: u8 },
+    /// The `i`-th load in flight completes.
+    Commit { i: u8 },
+    /// The `i`-th held grant is released.
+    Release { i: u8 },
+    /// The `i`-th held grant is rejected as unreadable.
+    Reject { i: u8 },
+    /// The `i`-th load in flight fails for good.
+    Quarantine { i: u8 },
+    /// The `i`-th open query detaches.
+    Close { i: u8 },
+}
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    // Pipeline and consumption steps outnumber query churn, so scans make
+    // progress between registrations, detaches and failures.
+    (0u8..16, 0..CHUNKS, 1..=CHUNKS, 0u8..16, 0u8..10, 0u8..=255).prop_map(
+        |(kind, start, len, cols, limit, i)| match kind {
+            0 | 1 => Op::Register {
+                start,
+                len,
+                cols,
+                limit,
+            },
+            2..=4 => Op::Plan { k: i % 3 },
+            5..=7 => Op::Commit { i },
+            8..=12 => Op::Release { i },
+            13 => Op::Reject { i },
+            14 => Op::Quarantine { i },
+            _ => Op::Close { i },
+        },
+    )
+}
+
+/// One decision the core took, in the order it took them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Decision {
+    Planned(ChunkId, Vec<ChunkId>),
+    Committed(ChunkId, Option<usize>),
+    Granted(QueryId, ChunkId),
+    Closed(QueryId, Option<ScanError>),
+}
+
+/// What the driver knows of an open query.
+struct Open {
+    needed: BTreeSet<ChunkId>,
+    consumed: BTreeSet<ChunkId>,
+    limit: Option<u32>,
+    holds: bool,
+}
+
+/// The test as the core's driver.
+struct Driver {
+    core: Scheduler<()>,
+    pending: Vec<LoadPlan>,
+    held: Vec<(QueryId, ChunkId)>,
+    open: BTreeMap<QueryId, Open>,
+    effects: Vec<Effect<()>>,
+    trace: Vec<Decision>,
+    clock: u64,
+}
+
+impl Driver {
+    fn new(policy: PolicyKind, buffer_chunks: u64) -> Self {
+        let model = TableModel::dsm_uniform(CHUNKS, 1_000, &[2; 4]);
+        let pages = buffer_chunks * model.max_chunk_pages(model.all_columns());
+        Driver {
+            core: Scheduler::new(model, pages, policy, Arc::new(Registry::disabled())),
+            pending: Vec::new(),
+            held: Vec::new(),
+            open: BTreeMap::new(),
+            effects: Vec::new(),
+            trace: Vec::new(),
+            clock: 0,
+        }
+    }
+
+    fn step(&mut self, op: &Op) -> Result<(), TestCaseError> {
+        self.clock += 1;
+        let now = SimTime::from_micros(self.clock * 5);
+        let (mut detached, mut failed) = (None, None);
+        match *op {
+            Op::Register {
+                start,
+                len,
+                cols,
+                limit,
+            } => {
+                let end = (start + len).min(CHUNKS);
+                let columns =
+                    ColSet::from_columns((0..4).filter(|c| cols >> c & 1 == 1).map(ColumnId::new));
+                let mut plan = CScanPlan::new("q", ScanRanges::single(start, end), columns);
+                plan.limit_chunks = (1..=4).contains(&limit).then_some(u32::from(limit));
+                self.register(&plan, now);
+            }
+            Op::Plan { k } => {
+                let inflight = self.core.abm().state().num_inflight();
+                let room = (usize::from(k) + 1).saturating_sub(inflight);
+                let first = self.pending.len();
+                self.core.plan(now, room, &mut self.pending);
+                for plan in &self.pending[first..] {
+                    self.trace
+                        .push(Decision::Planned(plan.decision.chunk, plan.evicted.clone()));
+                }
+            }
+            Op::Commit { i } if !self.pending.is_empty() => {
+                let plan = self.pending.remove(usize::from(i) % self.pending.len());
+                let chunk = plan.decision.chunk;
+                let woken =
+                    self.core
+                        .commit(chunk, plan.ticket, plan.epoch, ChunkPayload::Missing, now);
+                self.trace.push(Decision::Committed(chunk, woken));
+            }
+            Op::Release { i } if !self.held.is_empty() => {
+                let (q, chunk) = self.held.remove(usize::from(i) % self.held.len());
+                if let Some(open) = self.open.get_mut(&q) {
+                    prop_assert!(
+                        open.consumed.insert(chunk),
+                        "{:?} consumed {:?} twice",
+                        q,
+                        chunk
+                    );
+                    open.holds = false;
+                }
+                self.core.release(q, chunk, now);
+            }
+            Op::Reject { i } if !self.held.is_empty() => {
+                let (q, chunk) = self.held.remove(usize::from(i) % self.held.len());
+                if let Some(open) = self.open.get_mut(&q) {
+                    open.holds = false;
+                }
+                self.core.reject(q, chunk, now);
+            }
+            Op::Quarantine { i } if !self.pending.is_empty() => {
+                let plan = self.pending.remove(usize::from(i) % self.pending.len());
+                let chunk = plan.decision.chunk;
+                // `None`: the load was already aborted, and nothing fails.
+                failed = self
+                    .core
+                    .quarantine(chunk, plan.ticket, StoreError::Permanent)
+                    .map(|_| chunk);
+            }
+            Op::Close { i } if !self.open.is_empty() => {
+                let q = *self
+                    .open
+                    .keys()
+                    .nth(usize::from(i) % self.open.len())
+                    .unwrap();
+                detached = Some(q);
+                self.core.close(q, None);
+            }
+            _ => {}
+        }
+        self.apply(detached)?;
+        if let Some(chunk) = failed {
+            let spared = self
+                .open
+                .values()
+                .any(|open| open.needed.contains(&chunk) && !open.consumed.contains(&chunk));
+            prop_assert!(
+                !spared,
+                "a query that needs {:?} outlived its quarantine",
+                chunk
+            );
+        }
+        self.check_pins()
+    }
+
+    /// Registers `plan`; its effects are checked with the step's.
+    fn register(&mut self, plan: &CScanPlan, now: SimTime) {
+        let q = self.core.register(plan, (), now);
+        let needed = self
+            .core
+            .abm()
+            .state()
+            .query(q)
+            .remaining_chunks()
+            .collect();
+        let limit = plan.limit_chunks;
+        let consumed = BTreeSet::new();
+        self.open.insert(
+            q,
+            Open {
+                needed,
+                consumed,
+                limit,
+                holds: false,
+            },
+        );
+    }
+
+    /// Checks and records what the core decided.
+    fn apply(&mut self, detached: Option<QueryId>) -> Result<(), TestCaseError> {
+        self.core.swap_effects(&mut self.effects);
+        for effect in self.effects.drain(..) {
+            match effect {
+                Effect::Grant { query, chunk, .. } => {
+                    let open = self.open.get_mut(&query);
+                    prop_assert!(
+                        open.is_some(),
+                        "{:?} granted {:?} after it closed",
+                        query,
+                        chunk
+                    );
+                    let open = open.unwrap();
+                    prop_assert!(!open.holds, "{:?} granted a second chunk", query);
+                    prop_assert!(open.needed.contains(&chunk) && !open.consumed.contains(&chunk));
+                    let under_limit = open.limit.is_none_or(|l| (open.consumed.len() as u32) < l);
+                    prop_assert!(under_limit, "{:?} granted past its limit", query);
+                    open.holds = true;
+                    self.held.push((query, chunk));
+                    self.trace.push(Decision::Granted(query, chunk));
+                }
+                Effect::Closed {
+                    query,
+                    error,
+                    totals,
+                    ..
+                } => {
+                    let open = self.open.remove(&query);
+                    prop_assert!(open.is_some(), "{:?} closed twice", query);
+                    let open = open.unwrap();
+                    prop_assert_eq!(totals.processed as usize, open.consumed.len());
+                    if let Some(error) = error {
+                        let chunk = error.chunk;
+                        let needs = open.needed.contains(&chunk) && !open.consumed.contains(&chunk);
+                        prop_assert!(
+                            needs,
+                            "{:?} failed on {:?}, which it no longer needs",
+                            query,
+                            chunk
+                        );
+                    } else if detached != Some(query) {
+                        let done = open.consumed == open.needed
+                            || open.limit == Some(open.consumed.len() as u32);
+                        prop_assert!(done, "{:?} closed before it was done", query);
+                    }
+                    self.trace.push(Decision::Closed(query, error));
+                }
+                Effect::Recycle(_) | Effect::InputsChanged => {}
+            }
+        }
+        Ok(())
+    }
+
+    /// Frame pins against ABM pins, chunk by chunk, and against the grants
+    /// the driver holds; a frame for every resident chunk.
+    fn check_pins(&self) -> Result<(), TestCaseError> {
+        let (state, pool) = (self.core.abm().state(), self.core.pool());
+        let mut total = 0;
+        for c in (0..CHUNKS).map(ChunkId::new) {
+            let abm_pins = state.buffered_chunk(c).map_or(0, |b| b.pinned_by.len());
+            let frame_pins = pool.pin_count(c).unwrap_or(0) as usize;
+            prop_assert_eq!(frame_pins, abm_pins, "pins of {:?}", c);
+            total += frame_pins;
+        }
+        prop_assert_eq!(total, self.held.len());
+        let frameless = state.buffered().find(|b| pool.payload(b.chunk).is_none());
+        prop_assert!(
+            frameless.is_none(),
+            "resident without a frame: {:?}",
+            frameless.map(|b| b.chunk)
+        );
+        Ok(())
+    }
+
+    /// Releases, commits and plans until every query has closed, then
+    /// checks that nothing is left behind.
+    fn drain(&mut self) -> Result<(), TestCaseError> {
+        for _ in 0..10_000 {
+            if self.open.is_empty() && self.pending.is_empty() && self.held.is_empty() {
+                let state = self.core.abm().state();
+                prop_assert_eq!(state.num_queries(), 0);
+                prop_assert_eq!(state.num_inflight(), 0);
+                prop_assert_eq!(state.reserved_pages(), 0);
+                prop_assert_eq!(self.core.pool().pinned_frames(), 0);
+                prop_assert!(self.core.registered().next().is_none());
+                return Ok(());
+            }
+            let stuck = self.held.is_empty() && self.pending.is_empty();
+            self.step(&Op::Release { i: 0 })?;
+            self.step(&Op::Commit { i: 0 })?;
+            self.step(&Op::Plan { k: 1 })?;
+            if stuck && self.pending.is_empty() && self.held.is_empty() {
+                // Every open query is blocked on chunks nothing can make
+                // room for: the simulator's last resort.
+                prop_assert!(self.core.force_evict(), "the core deadlocked");
+                self.apply(None)?;
+            }
+        }
+        Err(TestCaseError::fail("the core failed to quiesce"))
+    }
+}
+
+/// Runs `ops` and drains, returning the decision trace.
+fn run(policy: PolicyKind, buffer_chunks: u64, ops: &[Op]) -> Result<Vec<Decision>, TestCaseError> {
+    let mut driver = Driver::new(policy, buffer_chunks);
+    for op in ops {
+        driver.step(op)?;
+    }
+    driver.drain()?;
+    Ok(driver.trace)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn the_core_grants_each_needed_chunk_once_and_leaks_nothing(
+        ops in prop::collection::vec(arb_op(), 1..120),
+        buffer_chunks in 2u64..6,
+    ) {
+        for policy in PolicyKind::ALL {
+            let trace = run(policy, buffer_chunks, &ops)?;
+            prop_assert_eq!(&trace, &run(policy, buffer_chunks, &ops)?, "{}: replay", policy);
+        }
+    }
+}

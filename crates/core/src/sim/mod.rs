@@ -5,19 +5,22 @@
 //! from [`SimConfig::raid`], by default the paper's RAID as one aggregate
 //! spindle), a processor-sharing CPU ([`cscan_engine::SharedCpu`]) on
 //! which every running query processes its current chunk, and the Active
-//! Buffer Manager deciding what to read and evict.  Loads go through the
-//! same two calls the threaded executor's I/O workers make: whenever an
-//! event leaves the pipeline with room the driver asks
-//! [`Abm::plan_loads`] for up to [`SimConfig::max_outstanding_io`] minus
-//! the loads in flight, submits each admitted plan's regions to the
-//! device's per-spindle queues, and retires it with
-//! [`Abm::commit_load`] when the device finishes — in whatever order the
-//! spindles do, a completion whose load was aborted meanwhile being dropped
-//! by the stamp check.  With the default budget of 1 that is the paper's
-//! sequential main loop decision-for-decision; larger budgets keep several
-//! loads in flight and overlap the spindles.  Query streams start with a
-//! configurable stagger and run their queries back-to-back, exactly like
-//! the benchmark setup of Section 5.1.
+//! Buffer Manager deciding what to read and evict.  Every decision is made
+//! by the scheduler core ([`crate::sched::Scheduler`]) the threaded server
+//! calls too; the event loop pops the next event into it and applies what
+//! it returns.  A query's registration and each `CpuDone` (a release)
+//! become core calls, a grant starts a CPU job, and a close records the
+//! query's outcome and starts its stream's next query.  Whenever an event
+//! leaves the pipeline with room, the core plans up to
+//! [`SimConfig::max_outstanding_io`] minus the loads in flight; each plan's
+//! regions go to the device's per-spindle queues, and its `DiskDone` is
+//! committed in whatever order the spindles finish — a completion whose
+//! load was aborted meanwhile being dropped by the stamp check.  With the
+//! default budget of 1 that is the paper's sequential main loop
+//! decision-for-decision; larger budgets keep several loads in flight and
+//! overlap the spindles.  Query streams start with a configurable stagger
+//! and run their queries back-to-back, exactly like the benchmark setup of
+//! Section 5.1.
 //!
 //! Everything runs in virtual time, so a 16-stream TPC-H-scale experiment
 //! takes milliseconds of wall-clock time and two runs with the same inputs
@@ -31,14 +34,16 @@ pub use config::{BufferSpec, SimConfig};
 pub use metrics::{QueryOutcome, RunResult};
 pub use spec::QuerySpec;
 
-use crate::abm::{Abm, AbmState, CommitOutcome, LoadPlan};
+use crate::abm::LoadPlan;
 use crate::model::TableModel;
 use crate::policy::PolicyKind;
 use crate::query::QueryId;
+use crate::sched::{Effect, QueryTotals, Scheduler};
 use cscan_engine::{EventQueue, JobId, SharedCpu};
+use cscan_obs::Registry;
 use cscan_simdisk::{IoTrace, QueueDepthTrace, RaidArray, SimDuration, SimTime};
-use cscan_storage::ChunkId;
-use std::collections::HashMap;
+use cscan_storage::{ChunkId, ChunkPayload};
+use std::sync::{Arc, OnceLock};
 
 /// Events driving the simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,16 +63,6 @@ enum Event {
     },
     /// A CPU job (query × chunk) predicted to finish; stale epochs are ignored.
     CpuDone { job: JobId, epoch: u64 },
-}
-
-/// Per-active-query runtime bookkeeping the driver keeps outside the ABM.
-#[derive(Debug, Clone)]
-struct ActiveQuery {
-    stream: usize,
-    spec_index: usize,
-    submitted_at: SimTime,
-    /// The chunk currently being processed, if a CPU job is running.
-    processing: Option<ChunkId>,
 }
 
 /// A deterministic simulated execution of a set of query streams.
@@ -129,14 +124,17 @@ struct Runner<'a> {
     model: &'a TableModel,
     config: SimConfig,
     streams: &'a [Vec<QuerySpec>],
-    abm: Abm,
+    /// The scheduler core; a query's value is its stream and its index in
+    /// that stream.
+    core: Scheduler<(usize, usize)>,
+    /// Reused list the core's effects are applied from.
+    effects: Vec<Effect<(usize, usize)>>,
     storage: RaidArray,
     /// Most loads ever in flight at once.
     peak_outstanding_io: usize,
     cpu: SharedCpu,
     queue: EventQueue<Event>,
     cpu_epoch: u64,
-    active: HashMap<QueryId, ActiveQuery>,
     stream_cursor: Vec<usize>,
     stream_starts: Vec<SimTime>,
     stream_ends: Vec<SimTime>,
@@ -145,9 +143,6 @@ struct Runner<'a> {
     depth_trace: QueueDepthTrace,
     /// Reused buffer for the plans admitted by one scheduling burst.
     plan_scratch: Vec<LoadPlan>,
-    /// Reused copy of the ABM's wake-up list, so dispatching woken queries
-    /// does not hold the `complete_load` borrow (and allocates nothing).
-    wake_scratch: Vec<QueryId>,
 }
 
 impl<'a> Runner<'a> {
@@ -158,19 +153,21 @@ impl<'a> Runner<'a> {
         streams: &'a [Vec<QuerySpec>],
     ) -> Self {
         let capacity = config.buffer_pages(model);
-        let state = AbmState::new(model.clone(), capacity);
-        let abm = Abm::new(state, policy.build());
+        // The simulator records no metrics: every run shares one disabled
+        // registry rather than building its own.
+        static NO_METRICS: OnceLock<Arc<Registry>> = OnceLock::new();
+        let obs = Arc::clone(NO_METRICS.get_or_init(|| Arc::new(Registry::disabled())));
         Self {
             model,
             config,
             streams,
-            abm,
+            core: Scheduler::new(model.clone(), capacity, policy, obs),
+            effects: Vec::new(),
             storage: RaidArray::new(config.raid),
             peak_outstanding_io: 0,
             cpu: SharedCpu::new(config.cores),
             queue: EventQueue::new(),
             cpu_epoch: 0,
-            active: HashMap::new(),
             stream_cursor: vec![0; streams.len()],
             stream_starts: vec![SimTime::ZERO; streams.len()],
             stream_ends: vec![SimTime::ZERO; streams.len()],
@@ -178,7 +175,6 @@ impl<'a> Runner<'a> {
             trace: IoTrace::new(),
             depth_trace: QueueDepthTrace::new(),
             plan_scratch: Vec::new(),
-            wake_scratch: Vec::new(),
         }
     }
 
@@ -206,7 +202,7 @@ impl<'a> Runner<'a> {
                     } => self.on_disk_done(now, chunk, ticket, epoch, trigger),
                     Event::CpuDone { job, epoch } => self.on_cpu_done(now, job, epoch),
                 },
-                None if self.abm.has_pending_work() => {
+                None if self.core.abm().has_pending_work() => {
                     // Pressure-relief valve: with DSM partial residency it is
                     // possible (mainly under `elevator`) for the buffer to be
                     // full of chunks that are interesting to someone but
@@ -214,7 +210,7 @@ impl<'a> Runner<'a> {
                     // out the least interesting chunk and retry; if that does
                     // not unstick the system, the assert below fires.
                     let now = self.queue.now();
-                    if self.abm.force_evict_one().is_none() {
+                    if !self.core.force_evict() {
                         break;
                     }
                     self.kick_disk(now);
@@ -226,10 +222,11 @@ impl<'a> Runner<'a> {
             }
         }
 
+        let abm = self.core.abm();
         assert!(
-            !self.abm.has_pending_work(),
+            !abm.has_pending_work(),
             "simulation ended with unfinished queries (policy {} deadlocked)",
-            self.abm.policy_name()
+            abm.policy_name()
         );
 
         let makespan = self
@@ -253,9 +250,9 @@ impl<'a> Runner<'a> {
         } else {
             (self.storage.stats().busy.as_secs_f64() / arm_time).min(1.0)
         };
-        let state = self.abm.state();
+        let state = abm.state();
         RunResult {
-            policy: self.abm.policy_name().to_string(),
+            policy: abm.policy_name().to_string(),
             total_time: makespan,
             io_requests: state.io_requests(),
             loads_aborted: state.loads_aborted(),
@@ -273,7 +270,8 @@ impl<'a> Runner<'a> {
     }
 
     // ------------------------------------------------------------------
-    // Event handlers.
+    // Event handlers: each hands the event to the core, applies what it
+    // decided, then lets the disk plan.
     // ------------------------------------------------------------------
 
     fn on_stream_advance(&mut self, now: SimTime, stream: usize) {
@@ -282,25 +280,9 @@ impl<'a> Runner<'a> {
             return;
         };
         self.stream_cursor[stream] += 1;
-        let (ranges, columns) = spec.plan.resolve(self.model);
-        let id = self
-            .abm
-            .register_query(spec.label.clone(), ranges, columns, now);
-        self.active.insert(
-            id,
-            ActiveQuery {
-                stream,
-                spec_index: index,
-                submitted_at: now,
-                processing: None,
-            },
-        );
-        // An empty scan (e.g. a predicate no chunk matches) finishes immediately.
-        if self.abm.is_query_finished(id) {
-            self.finish_query(now, id);
-        } else {
-            self.try_dispatch(now, id);
-        }
+        // An empty scan (e.g. a predicate no chunk matches) closes at once.
+        self.core.register(&spec.plan, (stream, index), now);
+        self.apply(now);
         self.kick_disk(now);
     }
 
@@ -312,26 +294,17 @@ impl<'a> Runner<'a> {
         epoch: u64,
         trigger: QueryId,
     ) {
-        // Commit through the plan/commit protocol: a completion whose load
-        // was aborted mid-read (its last interested query detached) is
-        // stale and must be dropped, not installed.
-        let mut woken = std::mem::take(&mut self.wake_scratch);
-        woken.clear();
-        if let CommitOutcome::Committed { woken: wake } = self.abm.commit_load(chunk, ticket, epoch)
-        {
-            woken.extend_from_slice(wake);
-            if self.config.record_trace {
-                self.trace.record(now, chunk.index(), trigger.0);
-            }
+        // A completion whose load was aborted mid-read (its last interested
+        // query detached) is stale: the stamp check drops it.
+        let payload = ChunkPayload::Missing;
+        let committed = self
+            .core
+            .commit(chunk, ticket, epoch, payload, now)
+            .is_some();
+        if committed && self.config.record_trace {
+            self.trace.record(now, chunk.index(), trigger.0);
         }
-        for &q in &woken {
-            // A woken query may still find nothing acceptable (e.g. `normal`
-            // insists on in-order delivery); it simply stays blocked.
-            if self.active.get(&q).is_some_and(|a| a.processing.is_none()) {
-                self.try_dispatch(now, q);
-            }
-        }
-        self.wake_scratch = woken;
+        self.apply(now);
         self.kick_disk(now);
     }
 
@@ -341,33 +314,27 @@ impl<'a> Runner<'a> {
         }
         self.cpu.advance(now);
         let query = QueryId(job.0);
-        let Some(active) = self.active.get_mut(&query) else {
+        let Some(&(stream, index)) = self.core.query(query) else {
             return;
         };
-        let chunk = active
+        let chunk = self
+            .core
+            .abm()
+            .state()
+            .query(query)
             .processing
-            .take()
             .expect("CPU completion for an idle query");
         debug_assert!(
             self.cpu.is_done(job),
             "CPU completion fired early for {query:?}"
         );
-        let spec = &self.streams[active.stream][active.spec_index];
-        let work = SimDuration::from_secs_f64(spec.cpu_seconds_for(self.model.chunk_tuples(chunk)));
-        self.cpu.complete_job(now, job, work);
-        self.abm.release_chunk(query, chunk);
-
-        // LIMIT-style early termination: a query that has processed its
-        // chunk budget detaches mid-scan (cancelling any load it was the
-        // last interested consumer of — see `finish_query`).
-        let limit_hit = spec
-            .limit_chunks
-            .is_some_and(|limit| self.abm.state().query(query).processed >= limit);
-        if limit_hit || self.abm.is_query_finished(query) {
-            self.finish_query(now, query);
-        } else {
-            self.try_dispatch(now, query);
-        }
+        self.cpu
+            .complete_job(now, job, self.work(stream, index, chunk));
+        // The release closes a query that has consumed its chunks, or its
+        // chunk budget (a LIMIT-style scan detaches mid-scan, cancelling
+        // loads it was the last interested consumer of).
+        self.core.release(query, chunk, now);
+        self.apply(now);
         // Consumption changed starvation and residency interest: give the
         // disk a chance to schedule, and re-predict CPU completions.
         self.kick_disk(now);
@@ -378,18 +345,39 @@ impl<'a> Runner<'a> {
     // Actions.
     // ------------------------------------------------------------------
 
-    /// Try to hand query `q` its next chunk; start a CPU job if successful.
-    fn try_dispatch(&mut self, now: SimTime, q: QueryId) {
-        let Some(chunk) = self.abm.acquire_chunk(q, now) else {
-            return;
-        };
-        let active = self.active.get_mut(&q).expect("dispatching unknown query");
-        debug_assert!(active.processing.is_none());
-        active.processing = Some(chunk);
-        let spec = &self.streams[active.stream][active.spec_index];
-        let work = SimDuration::from_secs_f64(spec.cpu_seconds_for(self.model.chunk_tuples(chunk)));
-        self.cpu.add_job(now, JobId(q.0), work);
-        self.reschedule_cpu(now);
+    /// Applies the core's decisions: a grant starts a CPU job, a close
+    /// records the query's outcome and starts its stream's next one.
+    fn apply(&mut self, now: SimTime) {
+        let mut effects = std::mem::take(&mut self.effects);
+        self.core.swap_effects(&mut effects);
+        for effect in effects.drain(..) {
+            match effect {
+                Effect::Grant {
+                    query,
+                    chunk,
+                    to: (stream, index),
+                    ..
+                } => {
+                    let work = self.work(stream, index, chunk);
+                    self.cpu.add_job(now, JobId(query.0), work);
+                    self.reschedule_cpu(now);
+                }
+                Effect::Closed {
+                    query,
+                    to: (stream, _),
+                    totals,
+                    ..
+                } => self.record_outcome(now, query, stream, totals),
+                Effect::Recycle(_) | Effect::InputsChanged => {}
+            }
+        }
+        self.effects = effects;
+    }
+
+    /// CPU work of `chunk` for the `index`-th query of `stream`.
+    fn work(&self, stream: usize, index: usize, chunk: ChunkId) -> SimDuration {
+        let spec = &self.streams[stream][index];
+        SimDuration::from_secs_f64(spec.cpu_seconds_for(self.model.chunk_tuples(chunk)))
     }
 
     /// If the pipeline has room, ask the ABM for a burst of loads — victims
@@ -400,15 +388,17 @@ impl<'a> Runner<'a> {
     fn kick_disk(&mut self, now: SimTime) {
         let mut plans = std::mem::take(&mut self.plan_scratch);
         plans.clear();
+        let inflight = self.core.abm().state().num_inflight();
         let room = self
             .config
             .max_outstanding_io
             .max(1)
-            .saturating_sub(self.abm.state().num_inflight());
-        self.abm.plan_loads(now, room, &mut plans);
+            .saturating_sub(inflight);
+        self.core.plan(now, room, &mut plans);
+        self.apply(now);
         self.peak_outstanding_io = self
             .peak_outstanding_io
-            .max(self.abm.state().num_inflight());
+            .max(self.core.abm().state().num_inflight());
         for plan in &plans {
             let completed = plan.regions.iter().fold(now, |done, region| {
                 let io = self.storage.submit(now, region.to_io_request());
@@ -447,32 +437,22 @@ impl<'a> Runner<'a> {
         }
     }
 
-    /// Record the outcome of a finished (or limit-terminated) query and
-    /// start its stream's next one.
-    fn finish_query(&mut self, now: SimTime, q: QueryId) {
-        let active = self.active.remove(&q).expect("finishing unknown query");
-        let state = self
-            .abm
-            .finish_query(q)
-            .expect("the sim closes each query exactly once");
+    /// Records the outcome of a closed query and starts its stream's next
+    /// one.
+    fn record_outcome(&mut self, now: SimTime, q: QueryId, stream: usize, totals: QueryTotals) {
         self.outcomes.push(QueryOutcome {
-            label: state.label.clone(),
-            stream: active.stream,
+            label: totals.label,
+            stream,
             query_id: q.0,
-            submitted_at: active.submitted_at,
+            submitted_at: totals.registered_at,
             finished_at: now,
-            chunks: state.processed,
-            ios_triggered: state.ios_triggered,
-            blocked: state.total_blocked,
+            chunks: totals.processed,
+            ios_triggered: totals.ios_triggered,
+            blocked: totals.blocked,
         });
-        self.stream_ends[active.stream] = now;
-        if self.stream_cursor[active.stream] < self.streams[active.stream].len() {
-            self.queue.schedule(
-                now,
-                Event::StreamAdvance {
-                    stream: active.stream,
-                },
-            );
+        self.stream_ends[stream] = now;
+        if self.stream_cursor[stream] < self.streams[stream].len() {
+            self.queue.schedule(now, Event::StreamAdvance { stream });
         }
     }
 }

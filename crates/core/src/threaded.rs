@@ -5,24 +5,27 @@
 //! — the threaded implementation of [`ScanSession`] — that block exactly
 //! like the paper's `waitForChunk`.  The disk seek/transfer time is
 //! simulated by sleeping proportionally to the number of pages read
-//! (configurable down to zero for tests); everything else — chunk
-//! bookkeeping, policies, eviction — is the same code the deterministic
-//! simulation uses.
+//! (configurable down to zero for tests).  Every scheduling decision —
+//! grant, plan, commit, release, quarantine, close — is made by the
+//! scheduler core ([`crate::sched::Scheduler`]) the simulator drives too;
+//! this module owns the threads, the lock and the mailboxes, and applies
+//! the effects the core returns.
 //!
 //! # The data plane
 //!
 //! With a [`ScanServerBuilder::store`] configured, delivery carries *data*,
 //! not just chunk ids: each committed load's payload (materialized by the
 //! [`ChunkStore`] on the I/O worker, **outside** the scheduler lock) is
-//! installed into the chunk's slot of the [`FramePool`], and every
-//! [`PinnedChunk`] a query receives holds both the ABM-side processing pin
-//! and a frame pin (the slot's pin count), so eviction can never reclaim a
-//! chunk a query is still reading.  A payload is a
-//! [`ChunkPayload`] — the resident columns of the chunk, the whole row when
-//! a load covers every column; [`PinnedChunk::column`] views them zero-copy — the
-//! hot consume path (acquire → read views → release) performs no per-chunk
-//! heap allocation and no data copies.  Without a store the server
-//! delivers [`ChunkPayload::Missing`]: chunk ids and nothing else.
+//! installed into the chunk's slot of the core's
+//! [`cscan_bufman::FramePool`], and every [`PinnedChunk`] a query receives
+//! holds both the ABM-side processing pin and a frame pin (the slot's pin
+//! count), so eviction can never reclaim a chunk a query is still reading.
+//! A payload is a [`ChunkPayload`] — the resident columns of the chunk, the
+//! whole row when a load covers every column; [`PinnedChunk::column`] views
+//! them zero-copy — the hot consume path (acquire → read views → release)
+//! performs no per-chunk heap allocation and no data copies.  Without a
+//! store the server delivers [`ChunkPayload::Missing`]: chunk ids and
+//! nothing else.
 //!
 //! Payloads may arrive *compressed* (a
 //! [`cscan_storage::CompressingStore`] encodes mini-columns as PDICT /
@@ -37,92 +40,61 @@
 //! pin-wait and surfaced separately (the `decode_nanos` and
 //! `values_decoded` counters of [`ScanServer::metrics`]).
 //!
-//! The frame pool has one slot per logical chunk, indexed by chunk id:
-//! buffer *capacity* is governed by the ABM's page accounting (which plans
-//! every eviction), so the pool has no replacement policy — it is the page
-//! table, the pin ledger and the payload store of the data plane.
-//!
 //! # Concurrency architecture
 //!
-//! One **scheduler lock** guards every scheduling input and the frames
-//! the decisions move; the consume path around it touches only per-query
-//! leaf locks (see `ARCHITECTURE.md` for the diagram):
+//! One **scheduler lock** guards the core; the consume path around it
+//! touches only per-query leaf locks (see `ARCHITECTURE.md` for the
+//! diagram):
 //!
-//! * **The scheduler lock** (one mutex around `Sched`) protects the
-//!   decisions and what they read and move: the [`Abm`] (plan / commit /
-//!   policy choice / query registry), the frame pool, the per-query grant
-//!   slots' registry, and the quarantine set.  An I/O worker holds it to
-//!   *plan* a load (policy decision + eviction + page reservation) and
-//!   again to *commit* the completed read; the read itself — the part that
-//!   takes milliseconds — runs with the lock released.  Because the world
-//!   can change mid-read, every plan carries a `(ticket, epoch)` stamp and
-//!   [`Abm::commit_load`] revalidates it: a load whose last interested
-//!   query detached mid-read is aborted, never installed.  Hold times land
-//!   in the `lock_hold` span histogram of [`ScanServer::metrics`].
+//! * **The scheduler lock** (one mutex around `Sched`) protects the core —
+//!   the ABM, the frame pool, the per-query mailboxes' registry and the
+//!   quarantine set — and the effects it still owes.  An I/O worker holds
+//!   it to *plan* a load and again to *commit* the completed read; the
+//!   read itself — the part that takes milliseconds — runs with the lock
+//!   released.  Because the world can change mid-read, every plan carries
+//!   a `(ticket, epoch)` stamp that the commit revalidates: a load whose
+//!   last interested query detached mid-read is aborted, never installed.
+//!   Hold times land in the `lock_hold` span histogram of
+//!   [`ScanServer::metrics`].
 //!
-//! * **The frame pool** ([`FramePool`]) is the page table, pin ledger and
-//!   payload store: one slot per chunk, plain state inside `Sched`.  Every
-//!   pin count and residency change is made in the scheduler critical
-//!   section of the decision it mirrors — the grant pin, the release
-//!   unpin, install at commit, and evict or shrink to the columns still
-//!   needed at plan time (a released chunk stays cached).  The payloads a
-//!   plan evicts leave the lock with the worker, which offers them back to
-//!   the store ([`ChunkStore::recycle`]) once it is released.  A consumer
-//!   never reads the pool: its grant carries the payload.
+//! * **Effects under the lock, wake-ups after it.**  The critical section
+//!   that called the core deposits its grants (the chunk, its frame
+//!   already pinned and its payload cloned) into the queries' `QuerySlot`
+//!   mailboxes and closes the slots of closed queries before it unlocks —
+//!   lock order `scheduler → slot` — so a `finish` can never race a grant
+//!   that is not yet deposited.  The guard's drop then unlocks, wakes one
+//!   idle I/O worker if a scheduling input changed, fires the wakers
+//!   pollers left in changed mailboxes, and offers the payloads let go of
+//!   back to the store ([`ChunkStore::recycle`]): a thread woken while the
+//!   lock is held preempts the holder and then queues behind it.
 //!
-//! * **Grant mailboxes.**  Consumers never run the policy themselves.
-//!   The scheduler — at registration, at every commit (for the queries the
-//!   arrived chunk unblocks, Figure 3's `signalQuery` list) and at every
-//!   release — calls [`Abm::acquire_chunk`] *for* the query and
-//!   deposits the chosen chunk, its frame already pinned and its payload
-//!   cloned (a refcount bump), into the query's `QuerySlot` mailbox.
-//!   `next_chunk` takes the grant under the slot's own mutex
-//!   (shared-handle racers serialize there) and waits on the slot's
-//!   condvar otherwise; a consumer that drives several
-//!   scans from one thread calls [`CScanHandle::poll_next_chunk`] instead,
-//!   which leaves a [`Waker`] in the empty mailbox and returns.  Because
-//!   the matcher calls the identical `acquire_chunk`, the policy decisions
-//!   are the same ones a consumer running the policy itself would make.
-//!
-//! * **Releases.**  Dropping a [`PinnedChunk`] is Figure 3's
-//!   `releaseChunk`, applied where it happens: one scheduler critical
-//!   section unpins the frame, returns the ABM's processing pin
-//!   ([`Abm::release_delivered`]), re-runs the grant matcher for the query
-//!   and wakes one idle I/O worker (the released chunk may be what a
-//!   buffer-full planner was waiting to evict).  The release try-locks
+//! * **Consumers.**  `next_chunk` takes the grant under the slot's own
+//!   mutex (shared-handle racers serialize there) and waits on the slot's
+//!   condvar otherwise; a consumer that drives several scans from one
+//!   thread calls [`CScanHandle::poll_next_chunk`] instead, which leaves a
+//!   [`Waker`] in the empty mailbox and returns.  Dropping a
+//!   [`PinnedChunk`] is Figure 3's `releaseChunk`: one scheduler critical
+//!   section hands it to the core, which matches the query again (or
+//!   closes it at its last chunk or its limit).  The release try-locks
 //!   first and counts a miss as `hub_shard_conflicts` before it blocks.
 //!
-//! * **Wakeups.**  Grant deposits notify the query's own slot condvar —
-//!   a `DiskDone` for chunk `c` never stampedes the other 127 scans — and
-//!   take the mailbox's waker, if a poller left one, in the same slot
-//!   critical section.  Every other site that ends a wait (natural close,
-//!   quarantine, `finish`, shutdown) does the same.  A waker taken under
-//!   the scheduler lock is queued and fired by the scheduler guard's drop
-//!   *after* it unlocks: a wakee that runs while the lock is still held
-//!   preempts the holder and then queues behind it.
-//!   An I/O worker whose plan comes back empty waits on a condvar bound to
-//!   the scheduler mutex (`blockForNextQuery`), so its empty plan and its
-//!   sleep are one critical section, and every change to a scheduling
-//!   input — registration, release, detach, quarantine, a rejected
-//!   delivery, shutdown — is made under the same lock, which decides there
-//!   to wake a sleeping worker; the guard sends that notification as it
-//!   unlocks, for the same reason it fires wakers then.  A worker that
+//! * **Idle workers.**  A worker whose plan comes back empty waits on a
+//!   condvar bound to the scheduler mutex (`blockForNextQuery`), so its
+//!   empty plan and its sleep are one critical section, and every change
+//!   to a scheduling input is made under the same lock.  A worker that
 //!   plans successfully wakes the next one before starting its read ("wake
-//!   chaining").  Every wait keeps a 50 ms bound as a
-//!   belt-and-braces guard: grants are *state* in the mailbox, so a
-//!   timed-out waiter re-checks and proceeds, and a bound that expires
-//!   with work waiting is counted (`worker_park_timeouts`,
-//!   `consumer_wait_timeouts`).
+//!   chaining").  Every wait keeps a 50 ms bound as a belt-and-braces
+//!   guard: grants are *state* in the mailbox, so a timed-out waiter
+//!   re-checks and proceeds, and a bound that expires with work waiting is
+//!   counted (`worker_park_timeouts`, `consumer_wait_timeouts`).
 //!
 //! * **Lock ordering.**  `scheduler → slot`, never the reverse.  Nothing
 //!   is awaited while holding the scheduler except its own idle condvar,
 //!   which releases it; no consumer's waker is called while holding it,
-//!   and no payload is ever *materialized or decoded* under it: workers
-//!   fill payloads before re-locking for the commit, and queries read
-//!   their column views from the [`PinnedChunk`] after `next_chunk` has
-//!   returned.  A pin therefore must not drop on a thread that holds the
-//!   scheduler lock — its release would wait for that lock forever — and
-//!   debug builds refuse it.
+//!   and no payload is ever *materialized or decoded* under it.  A pin
+//!   therefore must not drop on a thread that holds the scheduler lock —
+//!   its release would wait for that lock forever — and debug builds
+//!   refuse it.
 //!
 //! Each of the [`ScanServerBuilder::io_threads`] workers holds at most one
 //! load outstanding, so a pool of `k` workers keeps up to `k` chunk loads
@@ -154,21 +126,20 @@
 //! handle.finish();
 //! ```
 
-use crate::abm::{Abm, AbmState, CommitOutcome};
 use crate::cscan::CScanPlan;
 use crate::model::TableModel;
 use crate::policy::PolicyKind;
 use crate::query::QueryId;
 use crate::retry::{FailureAction, RetryPolicy};
+use crate::sched::{Effect, Scheduler};
 use crate::session::{PinnedChunk, ScanError, ScanSession};
-use cscan_bufman::{FramePool, PoolStats};
+use cscan_bufman::PoolStats;
 use cscan_obs::{
     Counter, EventKind, Gauge, QueryCounter, QueryScope, Registry, SpanKind, NO_QUERY,
 };
 use cscan_simdisk::SimTime;
 use cscan_storage::{ChunkId, ChunkPayload, ChunkStore, ColumnChunk, ColumnId, StoreError};
 use parking_lot::{Condvar, Mutex, MutexGuard};
-use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
@@ -180,20 +151,19 @@ use std::time::{Duration, Instant};
 #[derive(Default)]
 struct SlotState {
     /// The granted chunk and its payload, delivered but not yet taken: the
-    /// scheduler already ran the policy ([`Abm::acquire_chunk`]), pinned
-    /// the frame and cloned its payload.  At most one (a query processes
-    /// one chunk at a time; [`crate::query::QueryState::start_processing`]
-    /// enforces it).
+    /// scheduler core already ran the policy, pinned the frame and cloned
+    /// its payload.  At most one (a query processes one chunk at a time;
+    /// [`crate::query::QueryState::start_processing`] enforces it).
     grant: Option<(ChunkId, ChunkPayload)>,
     /// Sticky per-query failure, deposited by quarantine; read (not taken)
     /// so every consumer of a shared handle observes it.
     error: Option<ScanError>,
-    /// Set when the query finished naturally, detached, or erred; waiters
-    /// return `Ok(None)` (or the error above).
+    /// Set when the query finished, reached its limit, detached, or erred;
+    /// waiters return `Ok(None)` (or the error above).
     closed: bool,
     /// Who to wake when the mailbox next changes: left by the last
     /// [`CScanHandle::poll_next_chunk`] that found it empty, taken by
-    /// whichever site changes it (deposit, close, error, shutdown).
+    /// whichever site changes it (deposit, close, shutdown).
     waker: Option<Waker>,
 }
 
@@ -216,23 +186,17 @@ enum Mailbox<'a> {
     Empty(MutexGuard<'a, SlotState>),
 }
 
-/// Everything the scheduler lock protects: the decisions and every input
-/// to them.
+/// Everything the scheduler lock protects: the scheduler core and what its
+/// decisions still owe the threads.
 struct Sched {
-    abm: Abm,
-    /// The data plane's frame pool: page table, pin ledger and payload
-    /// store, at chunk granularity.  Every pin count and residency change
-    /// is made here, in the critical section of the decision it mirrors.
-    pool: FramePool,
-    /// Per-query grant mailboxes, by id.  The slot itself lives outside
-    /// this lock (handles hold their own `Arc`); the map is how the
-    /// scheduler finds a query's mailbox to deposit into.
-    slots: HashMap<QueryId, Arc<QuerySlot>>,
-    /// Chunks whose loads failed for good (retry budget exhausted or a
-    /// permanent fault), with the final error.  The planner never keeps
-    /// selecting them: entering quarantine closes every interested query,
-    /// and later registrations are failed at plan time by the workers.
-    quarantined: HashMap<ChunkId, StoreError>,
+    /// The decisions and every input to them: the [`crate::Abm`], the frame
+    /// pool, the quarantine map and each registered query's mailbox.
+    core: Scheduler<Arc<QuerySlot>>,
+    /// Reused list the core's effects are applied from ([`Sched::apply`]).
+    effects: Vec<Effect<Arc<QuerySlot>>>,
+    /// Grants a close found still in their mailbox, returned to the core
+    /// once the effects at hand are applied.
+    untaken: Vec<(QueryId, ChunkId)>,
     /// I/O workers asleep in [`SchedGuard::wait_idle`].
     idle_workers: usize,
     /// Wake-ups sent to idle workers so far.  A worker whose bounded wait
@@ -247,17 +211,17 @@ struct Sched {
     /// and queues behind it.  Stays empty (and unallocated) as long as
     /// every consumer blocks in `next_chunk`.
     wakers: Vec<Waker>,
-    /// Payloads let go of under this lock (an unconsumed grant's clone, a
-    /// torn frame), offered back to the store by [`SchedGuard`]'s drop
-    /// after it unlocks, like the payloads a plan evicts.
-    reclaimed: Vec<ChunkPayload>,
+    /// Payloads let go of under this lock (evicted or shrunk frames, an
+    /// untaken grant's clone, a torn frame, a stale load's read), offered
+    /// back to the store by [`SchedGuard`]'s drop after it unlocks.
+    recycled: Vec<ChunkPayload>,
 }
 
 impl Sched {
-    /// Wakes one idle I/O worker, if one sleeps: the caller changed a
-    /// scheduling input under this lock.  The notification itself is sent
-    /// after the unlock: a worker woken while the lock is held preempts the
-    /// holder on a busy core and then queues behind it.
+    /// Wakes one idle I/O worker, if one sleeps: a scheduling input
+    /// changed under this lock.  The notification itself is sent after the
+    /// unlock: a worker woken while the lock is held preempts the holder on
+    /// a busy core and then queues behind it.
     fn wake_worker(&mut self) {
         if self.idle_workers > 0 {
             self.worker_wakeups += 1;
@@ -265,14 +229,71 @@ impl Sched {
         }
     }
 
-    /// Ends the waits on `slot`, whose mailbox the caller has just changed
-    /// under `st`: blocked consumers are notified now, a registered waker
-    /// is queued to fire once the scheduler lock is released.
-    fn wake_slot(&mut self, slot: &QuerySlot, mut st: MutexGuard<'_, SlotState>) {
-        let waker = st.waker.take();
-        drop(st);
-        slot.cv.notify_all();
-        self.wakers.extend(waker);
+    /// Applies the core's effects in the critical section that decided
+    /// them.  Grants and closes go into the mailboxes now — lock order
+    /// scheduler → slot — so a `finish` never races a grant that is not yet
+    /// deposited, and blocked consumers are notified; the wakers, a worker
+    /// wake-up and the payloads to recycle wait for [`SchedGuard`]'s drop.
+    /// A grant a close finds untaken is returned to the core, which may
+    /// decide more.
+    fn apply(&mut self, shared: &Shared) {
+        let mut effects = std::mem::take(&mut self.effects);
+        loop {
+            self.core.swap_effects(&mut effects);
+            if effects.is_empty() {
+                self.effects = effects;
+                return;
+            }
+            for effect in effects.drain(..) {
+                match effect {
+                    Effect::Grant {
+                        query,
+                        chunk,
+                        payload,
+                        to: slot,
+                    } => {
+                        let mut st = slot.state.lock();
+                        debug_assert!(st.grant.is_none(), "double grant for {query:?}");
+                        st.grant = Some((chunk, payload));
+                        self.wakers.extend(st.waker.take());
+                        drop(st);
+                        slot.cv.notify_all();
+                    }
+                    Effect::Closed {
+                        query,
+                        to: slot,
+                        error,
+                        ..
+                    } => {
+                        if let Some(error) = error {
+                            shared.obs.inc(Counter::QueriesErred);
+                            shared.obs.event(
+                                EventKind::QueryErred,
+                                error.chunk.index(),
+                                query.0,
+                                0,
+                            );
+                        }
+                        let mut st = slot.state.lock();
+                        st.error = st.error.or(error);
+                        st.closed = true;
+                        self.wakers.extend(st.waker.take());
+                        let untaken = st.grant.take();
+                        drop(st);
+                        slot.cv.notify_all();
+                        if let Some((chunk, payload)) = untaken {
+                            self.untaken.push((query, chunk));
+                            self.recycled.push(payload);
+                        }
+                    }
+                    Effect::Recycle(payload) => self.recycled.push(payload),
+                    Effect::InputsChanged => self.wake_worker(),
+                }
+            }
+            for (query, chunk) in self.untaken.drain(..) {
+                self.core.release(query, chunk, shared.now());
+            }
+        }
     }
 }
 
@@ -312,104 +333,6 @@ impl Shared {
     /// Locks the scheduler, instrumenting how long the guard is held.
     fn lock_sched(&self) -> SchedGuard<'_> {
         SchedGuard::adopt(self.sched.lock(), self)
-    }
-
-    /// The grant matcher: if query `q` is hungry (registered, not finished,
-    /// not already processing or holding a grant), runs the policy via the
-    /// *same* [`Abm::acquire_chunk`] the simulation calls, pins the
-    /// chosen frame, and deposits the grant — the chunk and a clone of its
-    /// payload — into the query's mailbox.  A finished query's slot is
-    /// closed instead.  Called under the scheduler lock at every point the
-    /// query's availability can improve: registration, a commit that lists
-    /// it as woken, and each of its releases.  Returns whether it deposited
-    /// a grant.
-    fn try_grant(&self, sched: &mut Sched, q: QueryId) -> bool {
-        let Some(slot) = sched.slots.get(&q).map(Arc::clone) else {
-            return false;
-        };
-        {
-            let st = slot.state.lock();
-            if st.closed || st.error.is_some() || st.grant.is_some() {
-                return false;
-            }
-        }
-        let Some(query) = sched.abm.state().try_query(q) else {
-            return false;
-        };
-        if query.processing.is_some() {
-            // The previous grant was taken and its pin is still out; its
-            // release re-matches when it comes back.
-            return false;
-        }
-        if query.is_finished() {
-            let mut st = slot.state.lock();
-            st.closed = true;
-            sched.wake_slot(&slot, st);
-            return false;
-        }
-        let Some(chunk) = sched.abm.acquire_chunk(q, self.now()) else {
-            // Nothing resident the policy would give this query; the ABM
-            // marked it blocked, so the arriving chunk's commit will list
-            // it as woken and re-enter here.
-            return false;
-        };
-        // The frame cannot change under the grant in a way its reader
-        // would notice: an install merge only adds columns (a load fetches
-        // exactly the missing ones) and shares the resident ones, and the
-        // ABM pin just taken keeps eviction and dead-column reclaim away.
-        let Some(payload) = sched.pool.pin(chunk) else {
-            // Invariant breach: a delivered chunk always has a resident
-            // frame.  Degrade to a per-query error instead of panicking
-            // under the scheduler lock.
-            debug_assert!(false, "delivered {chunk:?} has no resident frame");
-            sched.abm.reject_delivered(q, chunk);
-            let mut st = slot.state.lock();
-            st.error = Some(ScanError {
-                chunk,
-                cause: StoreError::Permanent,
-            });
-            sched.wake_slot(&slot, st);
-            return false;
-        };
-        let mut st = slot.state.lock();
-        debug_assert!(st.grant.is_none(), "double grant for {q:?}");
-        st.grant = Some((chunk, payload));
-        sched.wake_slot(&slot, st);
-        true
-    }
-
-    /// Closes `q`'s slot (removing it from the registry), depositing
-    /// `error` if given, and reclaims an unconsumed grant — returning its
-    /// frame pin and the ABM's; its payload clone is offered back to the
-    /// store after the unlock ([`Sched::reclaimed`]).  Caller still owns
-    /// `finish_query` semantics.  A registered waker is queued to fire when
-    /// the scheduler lock is released; the slot is returned so the caller
-    /// can notify blocked consumers at the same point.
-    fn close_slot(
-        &self,
-        sched: &mut Sched,
-        q: QueryId,
-        error: Option<ScanError>,
-    ) -> Option<Arc<QuerySlot>> {
-        let slot = sched.slots.remove(&q)?;
-        let reclaimed = {
-            let mut st = slot.state.lock();
-            if let Some(error) = error {
-                st.error = Some(error);
-            }
-            st.closed = true;
-            sched.wakers.extend(st.waker.take());
-            st.grant.take()
-        };
-        if let Some((chunk, payload)) = reclaimed {
-            // An eagerly granted chunk nobody consumed: return both pins
-            // (the query is finished or being finished, so this routes
-            // through the detached-pin path).
-            sched.pool.unpin(chunk);
-            sched.abm.release_delivered(q, chunk);
-            sched.reclaimed.push(payload);
-        }
-        Some(slot)
     }
 
     /// Records a contained panic of the data plane on `chunk`: the counter,
@@ -469,40 +392,20 @@ impl Shared {
         }
     }
 
-    /// Ends `q`'s scan with `error`, under the scheduler lock: closes its
-    /// registration and parks the error in its slot, where every consumer
-    /// of the handle finds it on its next call.  Pins the query still holds
-    /// stay valid until dropped.  Returns the slot, for the caller to
-    /// notify once the lock is released.
-    fn err_query(&self, sched: &mut Sched, q: QueryId, error: ScanError) -> Option<Arc<QuerySlot>> {
-        sched.abm.finish_query(q);
-        let slot = self.close_slot(sched, q, Some(error));
-        // Counted once per query: a scan that is already closed (a pin
-        // that outlived its handle, a second touch) cannot err again.
-        if slot.is_some() {
-            self.obs.inc(Counter::QueriesErred);
-        }
-        slot
-    }
-
-    /// [`Shared::err_query`] for a caller that holds no lock.
+    /// Ends `q`'s scan with `error`: the core closes its registration and
+    /// the error is parked in its slot, where every consumer of the handle
+    /// finds it on its next call.  Pins the query still holds stay valid
+    /// until dropped.  A scan that is already closed (a pin that outlived
+    /// its handle, a second touch) cannot err again.
     fn fail_query(&self, q: QueryId, error: ScanError) {
-        let slot = {
-            let mut sched = self.lock_sched();
-            let slot = self.err_query(&mut sched, q, error);
-            sched.wake_worker();
-            slot
-        };
-        if let Some(slot) = slot {
-            slot.cv.notify_all();
-        }
+        self.lock_sched().core.close(q, Some(error));
     }
 
     /// Returns a pin to the server — Figure 3's `releaseChunk`, run by
-    /// [`PinnedChunk`]'s `Drop`: one scheduler critical section unpins the
-    /// frame, returns the ABM's processing pin, re-runs the grant matcher
-    /// for the query and wakes an idle worker.  A `try_lock` miss is
-    /// counted as `hub_shard_conflicts` before the release blocks.
+    /// [`PinnedChunk`]'s `Drop`, applied by the core in one scheduler
+    /// critical section, which also matches the query again and wakes an
+    /// idle worker.  A `try_lock` miss is counted as `hub_shard_conflicts`
+    /// before the release blocks.
     pub(crate) fn release_pin(&self, query: QueryId, chunk: ChunkId, consumed: bool) {
         // Every scheduler guard forbids decoding on its thread for as long
         // as it lives, so this is "the thread holds no scheduler guard".
@@ -524,19 +427,17 @@ impl Shared {
                 self.lock_sched()
             }
         };
-        sched.pool.unpin(chunk);
-        sched.abm.release_delivered(query, chunk);
-        self.try_grant(&mut sched, query);
-        sched.wake_worker();
+        sched.core.release(query, chunk, self.now());
     }
 }
 
-/// An instrumented scheduler guard: on drop it publishes the free-page
-/// gauge, records the lock hold time into the `lock_hold` histogram, then
-/// unlocks, then wakes the idle worker and fires the wakers the critical
-/// section queued ([`Sched::wake_pending`], [`Sched::wakers`]) — in that
-/// order, so no thread is ever woken while the scheduler lock is held —
-/// and last offers the reclaimed grant payloads back to the store.
+/// An instrumented scheduler guard: on drop it applies the core's
+/// outstanding effects ([`Sched::apply`]), publishes the free-page gauge,
+/// records the lock hold time into the `lock_hold` histogram, then unlocks,
+/// then wakes the idle worker and fires the wakers the critical section
+/// queued ([`Sched::wake_pending`], [`Sched::wakers`]) — in that order, so
+/// no thread is ever woken while the scheduler lock is held — and last
+/// offers the payloads let go of back to the store.
 ///
 /// The guard also carries a [`cscan_storage::codec::DecodeForbidden`]
 /// token: any payload decode attempted while a scheduler guard is alive on
@@ -570,11 +471,12 @@ impl SchedGuard<'_> {
     /// hold time: the hold span ends before it and restarts after.  Returns
     /// whether the bound expired with no wake-up sent while it slept.
     fn wait_idle(&mut self, timeout: Duration) -> bool {
+        let guard = self.guard.as_mut().expect("held until drop");
+        guard.apply(self.shared);
         self.shared.obs.record_span_ns(
             SpanKind::LockHold,
             (self.acquired.elapsed().as_nanos() as u64).max(1),
         );
-        let guard = self.guard.as_mut().expect("held until drop");
         debug_assert!(
             !guard.wake_pending && guard.wakers.is_empty(),
             "a wake-up queued before the sleep would wait for it"
@@ -606,8 +508,9 @@ impl Drop for SchedGuard<'_> {
         let Some(mut guard) = self.guard.take() else {
             return;
         };
+        guard.apply(self.shared);
         let obs = &self.shared.obs;
-        obs.gauge_set(Gauge::FreePages, guard.abm.state().free_pages());
+        obs.gauge_set(Gauge::FreePages, guard.core.abm().state().free_pages());
         obs.record_span_ns(
             SpanKind::LockHold,
             (self.acquired.elapsed().as_nanos() as u64).max(1),
@@ -615,13 +518,13 @@ impl Drop for SchedGuard<'_> {
         // Taking an empty list neither allocates nor frees.
         let wakers = std::mem::take(&mut guard.wakers);
         let wake_worker = std::mem::take(&mut guard.wake_pending);
-        let mut reclaimed = std::mem::take(&mut guard.reclaimed);
+        let mut recycled = std::mem::take(&mut guard.recycled);
         drop(guard);
         if wake_worker {
             self.shared.idle.notify_one();
         }
         wakers.into_iter().for_each(Waker::wake);
-        recycle(self.shared, &mut reclaimed);
+        recycle(self.shared, &mut recycled);
     }
 }
 
@@ -713,26 +616,20 @@ impl ScanServerBuilder {
             .buffer_pages
             .max(self.model.avg_chunk_pages().ceil() as u64)
             .max(1);
-        let num_chunks = self.model.num_chunks() as usize;
-        let state = AbmState::new(self.model, capacity);
-        let abm = Abm::new(state, self.policy.build());
-        let policy_label = abm.policy_name();
         let workers = self.io_threads;
         let obs = self.obs.unwrap_or_else(|| Arc::new(Registry::new()));
-        // One frame slot per logical chunk: capacity is governed by the
-        // ABM's page accounting, which plans every eviction.
-        let pool = FramePool::new(num_chunks.max(1), Arc::clone(&obs));
+        let core = Scheduler::new(self.model, capacity, self.policy, Arc::clone(&obs));
+        let policy_label = core.abm().policy_name();
         let shared = Arc::new(Shared {
             sched: Mutex::new(Sched {
-                abm,
-                pool,
-                slots: HashMap::new(),
-                quarantined: HashMap::new(),
+                core,
+                effects: Vec::new(),
+                untaken: Vec::new(),
                 idle_workers: 0,
                 worker_wakeups: 0,
                 wake_pending: false,
                 wakers: Vec::new(),
-                reclaimed: Vec::new(),
+                recycled: Vec::new(),
             }),
             idle: Condvar::new(),
             store: self.store,
@@ -759,20 +656,18 @@ impl ScanServerBuilder {
 
 /// The ABM main loop (`main()` in Figure 3), run on every I/O worker.
 ///
-/// Plan under the scheduler lock (mirroring the plan's evictions into the
-/// frame pool) or, with nothing to plan, sleep on the scheduler's idle
-/// condvar; wake the next idle worker if the plan succeeded (wake
-/// chaining), materialize the payload and perform the simulated read with
-/// no lock held, then commit under the scheduler lock — revalidating the
-/// plan's `(ticket, epoch)` stamp, so a load whose queries detached
-/// mid-read is aborted — install the payload into the chunk's frame,
-/// and deposit grants into the mailboxes of exactly the queries the
+/// Plan through the core under the scheduler lock or, with nothing to
+/// plan, sleep on the scheduler's idle condvar; wake the next idle worker
+/// if the plan succeeded (wake chaining), materialize the payload and
+/// perform the simulated read with no lock held, then commit through the
+/// core under the scheduler lock — revalidating the plan's `(ticket,
+/// epoch)` stamp, so a load whose queries detached mid-read is aborted —
+/// which installs the payload and grants to exactly the queries the
 /// arrived chunk unblocks.
 fn io_worker_main(shared: Arc<Shared>) {
     let mut plans = Vec::with_capacity(1);
-    let mut woken: Vec<QueryId> = Vec::new();
-    // Payloads this worker took out of the pool (or never put in) under the
-    // scheduler lock, offered back to the store once the lock is dropped.
+    // Payloads this worker's critical sections let go of, offered back to
+    // the store once the lock is dropped.
     let mut unused: Vec<ChunkPayload> = Vec::new();
     loop {
         let mut sched = shared.lock_sched();
@@ -786,7 +681,7 @@ fn io_worker_main(shared: Arc<Shared>) {
             plans.clear();
             let now = shared.now();
             let plan_started = Instant::now();
-            sched.abm.plan_loads(now, 1, &mut plans);
+            sched.core.plan(now, 1, &mut plans);
             shared
                 .obs
                 .record_span_ns(SpanKind::Plan, plan_started.elapsed().as_nanos() as u64);
@@ -801,50 +696,24 @@ fn io_worker_main(shared: Arc<Shared>) {
             // depend on it.
             unwoken = sched.wait_idle(Duration::from_millis(50));
         };
-        // The plan's evictions already happened inside the ABM; mirror them
-        // into the frame pool while still inside the same scheduler
-        // critical section, keeping the evicted payloads — a megabyte each
-        // to free or recycle — for after it.  The ABM never evicts a pinned
-        // chunk, and frame pins shadow ABM pins one-for-one, so the frame
-        // release cannot fail.
-        let Sched { abm, pool, .. } = &mut *sched;
-        for &victim in &plan.evicted {
-            let freed = pool.evict(victim);
-            debug_assert!(
-                freed.is_some(),
-                "ABM evicted {victim:?} but its frame was held"
-            );
-            unused.extend(freed);
-        }
-        // Chunks that gave up only their dead columns keep exactly the
-        // columns the ABM still accounts (a refcount bump each); the old
-        // payload leaves with the worker like an evicted one, and the store
-        // gets the vectors nothing shares any more.
-        for &chunk in &plan.shrunk {
-            let (Some(b), Some(ChunkPayload::Data(data))) =
-                (abm.state().buffered_chunk(chunk), pool.payload(chunk))
-            else {
-                // Evicted whole later in the same plan, or no data plane.
-                continue;
-            };
-            if let Some(kept) = data.retained(|c| b.columns.contains(c)) {
-                unused.push(pool.replace_payload(chunk, kept.into()));
-            }
-        }
         // The columns to materialize: exactly the missing ones (what this
         // load adds), or the full row when the load covers every column.
-        let state = sched.abm.state();
+        let state = sched.core.abm().state();
         let missing = state.missing_columns(plan.decision.chunk, plan.decision.cols);
         let cols: Option<Vec<ColumnId>> =
             (missing != state.model().all_columns()).then(|| missing.iter().collect());
         // A quarantined chunk can still be planned when a query registers
         // *after* the chunk failed for good; remember that so the store is
         // never touched for it again.
-        let already_quarantined = sched.quarantined.get(&plan.decision.chunk).copied();
+        let already_quarantined = sched.core.quarantined(plan.decision.chunk);
         // Wake chaining: if more loads are plannable, the next idle worker
         // will find one (and chain onwards); if not, it sleeps again.  This
         // fans a burst out across the pool without a notify_all stampede.
         sched.wake_worker();
+        // The payloads the plan evicted — a megabyte each to free or
+        // recycle — leave the lock with the worker.
+        sched.apply(&shared);
+        unused.append(&mut sched.recycled);
         drop(sched);
         recycle(&shared, &mut unused);
         // Flight events are recorded after the scheduler guard dropped: the
@@ -916,7 +785,8 @@ fn io_worker_main(shared: Arc<Shared>) {
                             // already aborted — stop retrying a dead ticket.
                             let live = shared
                                 .lock_sched()
-                                .abm
+                                .core
+                                .abm()
                                 .state()
                                 .inflight_ticket(plan.decision.chunk)
                                 == Some(plan.ticket);
@@ -943,43 +813,25 @@ fn io_worker_main(shared: Arc<Shared>) {
         };
         let mut sched = shared.lock_sched();
         let commit_started = Instant::now();
-        woken.clear();
-        let committed = match sched
-            .abm
-            .commit_load(plan.decision.chunk, plan.ticket, plan.epoch)
-        {
-            CommitOutcome::Committed { woken: w } => {
-                // signalQuery: the scans the chunk unblocks.  Copied out of
-                // the ABM's scratch so the borrow ends before granting.
-                woken.extend_from_slice(w);
-                shared.obs.inc(Counter::LoadsCompleted);
-                true
-            }
-            CommitOutcome::Cancelled | CommitOutcome::Aborted => {
-                // The last interested query detached mid-read; the pages
-                // were (or are now) released and nothing is installed.
-                shared.obs.inc(Counter::LoadsCancelled);
-                false
-            }
-        };
-        let signalled = woken.len() as u64;
-        if committed {
-            // Install the payload into the chunk's slot.  A chunk may
-            // already be partially resident: the pool unions the column
-            // sets (sharing the existing vectors — no copy).
-            let installed = sched.pool.install(plan.decision.chunk, payload);
-            debug_assert!(installed, "the model has no {:?}", plan.decision.chunk);
-            // Deposit a grant into each woken query's mailbox — the same
-            // acquire_chunk decision the consumer would have made itself.
-            for q in woken.drain(..) {
-                shared.try_grant(&mut sched, q);
-            }
+        let chunk = plan.decision.chunk;
+        // Installed, the load grants to the scans it unblocks (signalQuery);
+        // stale — the last interested query detached mid-read — nothing is.
+        let woken = sched
+            .core
+            .commit(chunk, plan.ticket, plan.epoch, payload, shared.now());
+        let committed = woken.is_some();
+        // Counted before the grants are deposited, so a consumer that sees
+        // its chunk sees the load counted.
+        shared.obs.inc(if committed {
+            Counter::LoadsCompleted
         } else {
-            unused.push(payload);
-        }
+            Counter::LoadsCancelled
+        });
+        sched.apply(&shared);
         shared
             .obs
             .record_span_ns(SpanKind::Commit, commit_started.elapsed().as_nanos() as u64);
+        unused.append(&mut sched.recycled);
         drop(sched);
         recycle(&shared, &mut unused);
         shared.obs.event(
@@ -990,7 +842,7 @@ fn io_worker_main(shared: Arc<Shared>) {
             },
             chunk_idx,
             NO_QUERY,
-            signalled,
+            woken.unwrap_or(0) as u64,
         );
         // The worker loops straight back into planning: a completion changes
         // the scheduling inputs (the chunk is evictable, its queries less
@@ -1050,33 +902,26 @@ fn read_payload(
     }
 }
 
-/// Moves `chunk` into quarantine: aborts the failed load (releasing its
-/// page reservation), deposits the final error into the slot of every
-/// query that still needs the chunk, closes those queries' registrations —
-/// which is what stops the planner from selecting the chunk again — and
-/// wakes their blocked consumers so they observe the error immediately.
-/// Queries not interested in the chunk are untouched.
+/// Moves `chunk` into quarantine through the core: aborts the failed load
+/// (releasing its page reservation) and closes every query that still
+/// needs the chunk with the final error — which is what stops the planner
+/// from selecting it again — waking their blocked consumers so they observe
+/// the error immediately.  Queries not interested in the chunk are
+/// untouched.
 fn quarantine_chunk(shared: &Shared, chunk: ChunkId, ticket: u64, cause: StoreError) {
-    let mut wake: Vec<Arc<QuerySlot>> = Vec::new();
     let mut sched = shared.lock_sched();
-    if !sched.abm.fail_load(chunk, ticket) {
+    let newly_quarantined = sched.core.quarantined(chunk).is_none();
+    let closed = sched.core.quarantine(chunk, ticket, cause);
+    drop(sched);
+    let Some(victims) = closed else {
         // The plan went stale mid-read: its last interested query detached
         // and the load was already aborted.  Nothing to fail.
-        drop(sched);
         shared.obs.inc(Counter::LoadsCancelled);
         shared
             .obs
             .event(EventKind::LoadCancelled, chunk.index(), NO_QUERY, 0);
         return;
-    }
-    let newly_quarantined = sched.quarantined.insert(chunk, cause).is_none();
-    let error = ScanError { chunk, cause };
-    let victims: Vec<QueryId> = sched.abm.state().interested_queries(chunk).collect();
-    for &q in &victims {
-        wake.extend(shared.err_query(&mut sched, q, error));
-    }
-    sched.wake_worker();
-    drop(sched);
+    };
     if newly_quarantined {
         shared.obs.inc(Counter::ChunksQuarantined);
     }
@@ -1084,19 +929,11 @@ fn quarantine_chunk(shared: &Shared, chunk: ChunkId, ticket: u64, cause: StoreEr
         EventKind::ChunkQuarantined,
         chunk.index(),
         NO_QUERY,
-        victims.len() as u64,
+        victims as u64,
     );
-    for &q in &victims {
-        shared
-            .obs
-            .event(EventKind::QueryErred, chunk.index(), q.0, 0);
-    }
     // Quarantine is the failure the flight recorder exists for: dump the
     // run-up automatically so the evidence survives the ring's wraparound.
     shared.obs.dump_flight("chunk quarantined");
-    for slot in wake {
-        slot.cv.notify_all();
-    }
 }
 
 /// A running Cooperative Scans server: an Active Buffer Manager plus its I/O
@@ -1130,25 +967,19 @@ impl ScanServer {
 
     /// Registers a CScan and returns a handle that delivers its chunks.
     pub fn cscan(&self, plan: CScanPlan) -> CScanHandle {
-        let label = plan.label.clone();
         let slot = Arc::new(QuerySlot::default());
-        let mut sched = self.shared.lock_sched();
-        let (ranges, columns) = plan.resolve(sched.abm.state().model());
-        let id = sched
-            .abm
-            .register_query(plan.label, ranges, columns, self.shared.now());
-        sched.slots.insert(id, Arc::clone(&slot));
-        // Grant eagerly if something the query wants is already resident
-        // (or close the slot straight away for an empty scan); otherwise
-        // this marks the query blocked so the next commit wakes it.
-        self.shared.try_grant(&mut sched, id);
-        // A new query changes the scheduling inputs: wake an idle worker.
-        sched.wake_worker();
-        drop(sched);
+        // The core grants at once if something the query wants is already
+        // resident (or closes an empty scan straight away); otherwise the
+        // query is marked blocked so the next commit matches it.
+        let id =
+            self.shared
+                .lock_sched()
+                .core
+                .register(&plan, Arc::clone(&slot), self.shared.now());
         let scope = self
             .shared
             .obs
-            .attach_query(label, self.shared.table_label.clone());
+            .attach_query(plan.label, self.shared.table_label.clone());
         self.shared
             .obs
             .event(EventKind::QueryAttached, cscan_obs::NO_CHUNK, id.0, 0);
@@ -1178,7 +1009,7 @@ impl ScanServer {
 
     /// Total chunk-granularity I/O requests committed by the ABM.
     pub fn io_requests(&self) -> u64 {
-        self.shared.lock_sched().abm.state().io_requests()
+        self.shared.lock_sched().core.abm().state().io_requests()
     }
 
     /// The scheduling policy in use (cached at build; no lock taken).
@@ -1189,18 +1020,18 @@ impl ScanServer {
     /// Number of resident frames holding at least one column that is still
     /// encoded bytes (one no consumer has read since the chunk was loaded).
     pub fn compressed_frames(&self) -> usize {
-        self.shared.lock_sched().pool.compressed_frames()
+        self.shared.lock_sched().core.pool().compressed_frames()
     }
 
     /// Counters of the data plane's frame pool (fetches, pins, evictions).
     pub fn frame_pool_stats(&self) -> PoolStats {
-        self.shared.lock_sched().pool.stats()
+        self.shared.lock_sched().core.pool().stats()
     }
 
     /// Number of frames currently pinned by outstanding [`PinnedChunk`]s
     /// and unconsumed grants.
     pub fn pinned_frames(&self) -> usize {
-        self.shared.lock_sched().pool.pinned_frames()
+        self.shared.lock_sched().core.pool().pinned_frames()
     }
 }
 
@@ -1212,8 +1043,8 @@ impl Drop for ScanServer {
             // looked at the flag, or is asleep and gets this notification.
             self.shared.shutdown.store(true, Ordering::Release);
             self.shared.idle.notify_all();
-            let Sched { slots, wakers, .. } = &mut *sched;
-            for slot in slots.values() {
+            let Sched { core, wakers, .. } = &mut *sched;
+            for slot in core.registered() {
                 wakers.extend(slot.state.lock().waker.take());
                 slot.cv.notify_all();
             }
@@ -1304,7 +1135,7 @@ impl CScanHandle {
                 self.shared.obs.record_span_ns(SpanKind::PinWait, ns);
                 if timed_out {
                     // Belt-and-braces: nothing granted within the bound —
-                    // re-run the matcher ourselves.  This is the only place
+                    // match this query ourselves.  This is the only place
                     // the blocking path can touch the scheduler lock, and
                     // only after a 50 ms stall (never on the hot path).
                     drop(st);
@@ -1356,10 +1187,10 @@ impl CScanHandle {
                 };
                 // Mailbox empty: self-match once if the scheduler lock
                 // happens to be free (never block on it), then look again —
-                // the matcher may have deposited a grant or closed the slot.
+                // the core may have granted a chunk or closed the scan.
                 if !self_matched {
                     if let Some(guard) = self.shared.sched.try_lock() {
-                        // The matcher locks the slot itself.
+                        // Applying the effects locks the slot.
                         drop(st);
                         self.self_match(SchedGuard::adopt(guard, &self.shared));
                         self_matched = true;
@@ -1432,10 +1263,10 @@ impl CScanHandle {
         Ok(Mailbox::Empty(st))
     }
 
-    /// Runs the grant matcher for this query on the consumer's own thread;
-    /// true if it deposited a grant.
+    /// Matches this query on the consumer's own thread; true if the core
+    /// granted it a chunk.
     fn self_match(&self, mut sched: SchedGuard<'_>) -> bool {
-        self.shared.try_grant(&mut sched, self.query)
+        sched.core.grant(self.query, self.shared.now())
     }
 
     /// Turns a taken grant into a [`PinnedChunk`] — the payload it carries,
@@ -1481,16 +1312,8 @@ impl CScanHandle {
                     .event(EventKind::ChecksumFailure, chunk.index(), self.query.0, 0);
                 {
                     let mut sched = self.shared.lock_sched();
-                    sched.pool.unpin(chunk);
-                    if sched.abm.reject_delivered(self.query, chunk) {
-                        let torn = sched.pool.evict(chunk);
-                        sched.reclaimed.extend(torn);
-                    }
+                    sched.core.reject(self.query, chunk, self.shared.now());
                     self.delivered.fetch_sub(1, Ordering::Relaxed);
-                    // Re-match so the query registers as blocked and
-                    // the re-load's commit wakes it.
-                    self.shared.try_grant(&mut sched, self.query);
-                    sched.wake_worker();
                 }
                 let failures = self.pin_rejections.fetch_add(1, Ordering::Relaxed) + 1;
                 if failures >= self.shared.retry.max_attempts.max(1) {
@@ -1531,17 +1354,20 @@ impl CScanHandle {
     pub fn remaining_chunks(&self) -> u32 {
         self.shared
             .lock_sched()
-            .abm
+            .core
+            .abm()
             .state()
             .try_query(self.query)
             .map(|q| q.chunks_needed())
             .unwrap_or(0)
     }
 
-    /// Deregisters the scan from the ABM.  Called automatically on drop.
+    /// Deregisters the scan from the ABM, unless the core already closed it
+    /// (its last chunk or its limit was released).  Called automatically on
+    /// drop.
     ///
     /// Detaching mid-scan cancels any in-flight load this query was the
-    /// last interested consumer of (see [`Abm::finish_query`]): the pages
+    /// last interested consumer of (see [`crate::Abm::finish_query`]): the pages
     /// are released immediately, and the read's eventual completion is
     /// rejected by the commit's ticket check.  Outstanding [`PinnedChunk`]s
     /// stay valid — their frames remain pinned until each pin drops.  An
@@ -1557,19 +1383,11 @@ impl CScanHandle {
             self.query.0,
             0,
         );
-        let mut sched = self.shared.lock_sched();
-        sched.abm.finish_query(self.query);
-        let slot = self.shared.close_slot(&mut sched, self.query, None);
         // Aborted loads release buffer pages, and one consumer fewer changes
-        // the relevance picture: wake an idle worker.
-        sched.wake_worker();
-        drop(sched);
-        // A consumer of a shared handle may be blocked in `next_chunk` on
-        // this slot; wake it so it observes the detach immediately instead
-        // of via the belt-and-braces timeout.
-        if let Some(slot) = slot {
-            slot.cv.notify_all();
-        }
+        // the relevance picture: the close wakes an idle worker, and a
+        // consumer of a shared handle blocked on this slot observes the
+        // detach at once.  A scan the core already closed is left as it is.
+        self.shared.lock_sched().core.close(self.query, None);
     }
 }
 
@@ -1875,7 +1693,7 @@ mod tests {
         // Wait until the worker has a load in flight for the scan.
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
-            if server.shared.lock_sched().abm.state().num_inflight() > 0 {
+            if server.shared.lock_sched().core.abm().state().num_inflight() > 0 {
                 break;
             }
             assert!(Instant::now() < deadline, "no load ever started");
@@ -1885,9 +1703,17 @@ mod tests {
         handle.finish();
         {
             let sched = server.shared.lock_sched();
-            assert_eq!(sched.abm.state().num_inflight(), 0, "abort was not eager");
-            assert_eq!(sched.abm.state().reserved_pages(), 0, "reservation leaked");
-            assert!(sched.abm.state().loads_aborted() >= 1);
+            assert_eq!(
+                sched.core.abm().state().num_inflight(),
+                0,
+                "abort was not eager"
+            );
+            assert_eq!(
+                sched.core.abm().state().reserved_pages(),
+                0,
+                "reservation leaked"
+            );
+            assert!(sched.core.abm().state().loads_aborted() >= 1);
         }
         // The worker's commit must reject the stale completion.
         let deadline = Instant::now() + Duration::from_secs(5);
@@ -1897,11 +1723,11 @@ mod tests {
         }
         let sched = server.shared.lock_sched();
         assert_eq!(
-            sched.abm.state().io_requests(),
+            sched.core.abm().state().io_requests(),
             0,
             "a cancelled load must not install residency"
         );
-        assert_eq!(sched.abm.state().num_buffered(), 0);
+        assert_eq!(sched.core.abm().state().num_buffered(), 0);
     }
 
     /// Attach/detach storm: queries register and detach (some mid-scan)
@@ -1963,10 +1789,13 @@ mod tests {
         loop {
             {
                 let sched = server.shared.lock_sched();
-                let state = sched.abm.state();
+                let state = sched.core.abm().state();
                 if state.num_inflight() == 0 {
                     assert_eq!(state.num_queries(), 0);
-                    assert!(sched.slots.is_empty(), "leaked grant slots");
+                    assert!(
+                        sched.core.registered().next().is_none(),
+                        "leaked grant slots"
+                    );
                     assert_eq!(state.reserved_pages(), 0, "leaked reservations");
                     break;
                 }
@@ -2147,11 +1976,16 @@ mod tests {
         {
             let sched = server.shared.lock_sched();
             assert!(
-                sched.pool.pin_count(held_chunk).unwrap_or(0) >= 1,
+                sched.core.pool().pin_count(held_chunk).unwrap_or(0) >= 1,
                 "the pinned frame must stay pinned"
             );
             assert!(
-                sched.abm.state().buffered_chunk(held_chunk).is_some(),
+                sched
+                    .core
+                    .abm()
+                    .state()
+                    .buffered_chunk(held_chunk)
+                    .is_some(),
                 "the ABM may not evict a pinned chunk"
             );
         }
@@ -2182,8 +2016,13 @@ mod tests {
             (0..8)
                 .map(ChunkId::new)
                 .filter(|&chunk| {
-                    let accounted = sched.abm.state().buffered_chunk(chunk).map(|b| b.columns);
-                    let held = match sched.pool.payload(chunk) {
+                    let accounted = sched
+                        .core
+                        .abm()
+                        .state()
+                        .buffered_chunk(chunk)
+                        .map(|b| b.columns);
+                    let held = match sched.core.pool().payload(chunk) {
                         Some(ChunkPayload::Data(data)) => Some(data.column_ids().collect()),
                         _ => None,
                     };
@@ -2333,7 +2172,7 @@ mod tests {
         // otherwise race through its whole budget while every worker is
         // parked).
         let deadline = Instant::now() + Duration::from_secs(5);
-        while server.shared.lock_sched().abm.state().num_inflight() == 0 {
+        while server.shared.lock_sched().core.abm().state().num_inflight() == 0 {
             assert!(Instant::now() < deadline, "no prefetch ever started");
             std::thread::yield_now();
         }
@@ -2343,7 +2182,7 @@ mod tests {
         assert!(handle.next_chunk().unwrap().is_none());
         {
             let sched = server.shared.lock_sched();
-            let state = sched.abm.state();
+            let state = sched.core.abm().state();
             assert_eq!(state.num_queries(), 0, "the limited scan detached");
             assert_eq!(state.reserved_pages(), 0, "reservations released");
             assert_eq!(
@@ -2359,7 +2198,7 @@ mod tests {
         loop {
             let aborted = {
                 let sched = server.shared.lock_sched();
-                sched.abm.state().loads_aborted()
+                sched.core.abm().state().loads_aborted()
             };
             if aborted > 0 || counter(&server, Counter::LoadsCancelled) > 0 {
                 break;
@@ -2371,6 +2210,63 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         assert_eq!(counter(&server, Counter::UnconsumedDrops), 0);
+    }
+
+    /// A LIMIT-n scan of a resident table pins exactly n frames: the core
+    /// closes it at the release of its n-th chunk, so no grant goes past
+    /// the limit, and a scan that runs out of chunks is deregistered at
+    /// its last release, before its handle finishes.  The handle answers
+    /// `None` after its n-th grant without waiting for that pin's release.
+    #[test]
+    fn a_limited_scan_is_granted_exactly_its_limit() {
+        use std::task::Poll;
+        const CHUNKS: u32 = 16;
+        let (server, model) = server(PolicyKind::Relevance, CHUNKS, CHUNKS as u64);
+        let full = || CScanPlan::new("full", ScanRanges::full(CHUNKS), model.all_columns());
+        let warmup = server.cscan(full());
+        while let Some(pin) = warmup.next_chunk().unwrap() {
+            pin.complete();
+        }
+        let queries = || server.shared.lock_sched().core.abm().state().num_queries();
+        assert_eq!(queries(), 0, "a drained scan closes at its last release");
+        warmup.finish();
+        for limit in 1..=3 {
+            let before = server.frame_pool_stats();
+            let handle = server.cscan(full().with_chunk_limit(limit));
+            for _ in 0..limit {
+                handle
+                    .next_chunk()
+                    .unwrap()
+                    .expect("a granted chunk")
+                    .complete();
+            }
+            assert_eq!(queries(), 0, "LIMIT {limit}: closed at its last release");
+            assert!(handle.next_chunk().unwrap().is_none());
+            let after = server.frame_pool_stats();
+            assert_eq!(
+                after.pins - before.pins,
+                limit as u64,
+                "LIMIT {limit}: pins"
+            );
+            assert_eq!(
+                after.hits - before.hits,
+                limit as u64,
+                "LIMIT {limit}: grants"
+            );
+            assert_eq!(server.pinned_frames(), 0);
+        }
+        // Holding the last pin: the answer is known without its release.
+        let handle = server.cscan(full().with_chunk_limit(2));
+        handle.next_chunk().unwrap().expect("first").complete();
+        let held = handle.next_chunk().unwrap().expect("second");
+        assert!(matches!(handle.try_next_chunk(), Ok(Poll::Ready(None))));
+        held.complete();
+        assert_eq!(server.pinned_frames(), 0);
+        assert_eq!(
+            server.io_requests(),
+            CHUNKS as u64,
+            "nothing was loaded again"
+        );
     }
 
     /// Regression: the chunk-limit check and the grant take share one slot
@@ -2638,16 +2534,16 @@ mod tests {
         loop {
             {
                 let sched = server.shared.lock_sched();
-                let state = sched.abm.state();
+                let state = sched.core.abm().state();
                 if state.num_inflight() == 0 {
                     assert_eq!(state.num_queries(), 0);
                     assert_eq!(state.reserved_pages(), 0, "leaked reservations");
-                    assert_eq!(sched.pool.pinned_frames(), 0, "leaked frame pins");
+                    assert_eq!(sched.core.pool().pinned_frames(), 0, "leaked frame pins");
                     // Pool and ABM agree on residency chunk-for-chunk.
                     for c in 0..32u32 {
                         let chunk = cscan_storage::ChunkId::new(c);
                         assert_eq!(
-                            sched.pool.payload(chunk).is_some(),
+                            sched.core.pool().payload(chunk).is_some(),
                             state.buffered_chunk(chunk).is_some(),
                             "pool/ABM residency diverged for {chunk:?}"
                         );
@@ -2828,7 +2724,8 @@ mod tests {
             let resident = server
                 .shared
                 .lock_sched()
-                .pool
+                .core
+                .pool()
                 .payload(ChunkId::new(c))
                 .cloned()
                 .unwrap();
@@ -2958,7 +2855,16 @@ mod tests {
         }
         wide.finish();
         assert_eq!(
-            columns_of(server.shared.lock_sched().pool.payload(granted).unwrap()).len(),
+            columns_of(
+                server
+                    .shared
+                    .lock_sched()
+                    .core
+                    .pool()
+                    .payload(granted)
+                    .unwrap()
+            )
+            .len(),
             3,
             "the merge reached the pinned frame"
         );
@@ -2977,12 +2883,15 @@ mod tests {
         {
             let sched = server.shared.lock_sched();
             assert_eq!(
-                columns_of(sched.pool.payload(other).unwrap()),
+                columns_of(sched.core.pool().payload(other).unwrap()),
                 [0],
                 "shrunk"
             );
-            assert_eq!(columns_of(sched.pool.payload(granted).unwrap()).len(), 3);
-            assert_eq!(sched.pool.pin_count(granted), Some(1));
+            assert_eq!(
+                columns_of(sched.core.pool().payload(granted).unwrap()).len(),
+                3
+            );
+            assert_eq!(sched.core.pool().pin_count(granted), Some(1));
         }
         // The narrow scan takes its grant — the pre-merge payload — and
         // then the shrunk frame: the store's values, decoded by the wide
@@ -3257,8 +3166,8 @@ mod tests {
         assert!(dump.contains("query_erred"), "dump: {dump}");
         // No leaks after the dust settles.
         let sched = server.shared.lock_sched();
-        assert_eq!(sched.abm.state().reserved_pages(), 0);
-        assert_eq!(sched.pool.pinned_frames(), 0);
+        assert_eq!(sched.core.abm().state().reserved_pages(), 0);
+        assert_eq!(sched.core.pool().pinned_frames(), 0);
         drop(sched);
         assert_eq!(counter(&server, Counter::UnconsumedDrops), 0);
     }
@@ -3356,7 +3265,7 @@ mod tests {
         let chunk = cscan_storage::ChunkId::new(0);
         {
             let mut sched = server.shared.lock_sched();
-            let Some(ChunkPayload::Data(data)) = sched.pool.payload(chunk).cloned() else {
+            let Some(ChunkPayload::Data(data)) = sched.core.pool().payload(chunk).cloned() else {
                 panic!("the chunk stays cached");
             };
             let parts = data
@@ -3374,7 +3283,8 @@ mod tests {
                 })
                 .collect();
             sched
-                .pool
+                .core
+                .pool_mut()
                 .replace_payload(chunk, ChunkData::from_parts(parts).into());
         }
         // The second scan is granted the torn frame at registration.  The
@@ -3551,12 +3461,15 @@ mod tests {
         loop {
             {
                 let sched = server.shared.lock_sched();
-                let state = sched.abm.state();
+                let state = sched.core.abm().state();
                 if state.num_inflight() == 0 {
                     assert_eq!(state.num_queries(), 0);
-                    assert!(sched.slots.is_empty(), "leaked grant slots");
+                    assert!(
+                        sched.core.registered().next().is_none(),
+                        "leaked grant slots"
+                    );
                     assert_eq!(state.reserved_pages(), 0, "leaked reservations");
-                    assert_eq!(sched.pool.pinned_frames(), 0, "leaked frame pins");
+                    assert_eq!(sched.core.pool().pinned_frames(), 0, "leaked frame pins");
                     break;
                 }
             }

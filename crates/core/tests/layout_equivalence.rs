@@ -7,11 +7,11 @@
 //! runs through per-group page sums, the overlap count of the `relevance`
 //! scores, dead-column reclaim — paths a scan of one group of `k · p`
 //! pages passes through with one group.  This test pins that the two agree:
-//! the same scripted register / plan / commit / acquire / release / detach
-//! sequence, run against both with every query asking for every column,
-//! takes the same decisions in the same order — trigger, chunk, pages,
-//! victims, wake-ups, grants — under all four policies, and ends in the same
-//! buffer.  It does so on uniform tables (`nsm_uniform(n, t, p · k)` against
+//! the same scripted register / plan / commit / release / detach sequence,
+//! run through the scheduler core against both with every query asking for
+//! every column, takes the same decisions in the same order — trigger,
+//! chunk, pages, victims, wake-ups, grants, closes — under all four
+//! policies, and ends in the same buffer.  It does so on uniform tables (`nsm_uniform(n, t, p · k)` against
 //! `dsm_uniform(n, t, &[p; k])`) and on tables whose last chunk is short,
 //! scaled alike in both, which every score normalises by its pages.
 //!
@@ -19,14 +19,17 @@
 //! load names (`k` of them against the uniform row store's one) and the
 //! physical regions it reads.
 
-use cscan_core::abm::{Abm, AbmState, CommitOutcome, LoadPlan};
+use cscan_core::abm::LoadPlan;
 use cscan_core::model::TableModel;
 use cscan_core::policy::PolicyKind;
 use cscan_core::query::QueryId;
-use cscan_core::ScanRanges;
+use cscan_core::sched::{Effect, Scheduler};
+use cscan_core::{CScanPlan, ScanRanges};
+use cscan_obs::Registry;
 use cscan_simdisk::SimTime;
-use cscan_storage::{ChunkId, ColumnDef, ColumnType, TableSchema};
+use cscan_storage::{ChunkId, ChunkPayload, ColumnDef, ColumnType, TableSchema};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 const CHUNKS: u32 = 24;
 const TUPLES: u64 = 1_000;
@@ -43,8 +46,7 @@ enum Op {
     Plan,
     /// The `i`-th outstanding load completes (any order).
     Commit { i: u8 },
-    /// The `i`-th active query releases the chunk it holds, if any, and
-    /// asks for the next.
+    /// The `i`-th active query releases the chunk it was granted, if any.
     Consume { i: u8 },
 }
 
@@ -65,72 +67,110 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// What a plan decided, minus what the layouts are allowed to differ in.
+/// What one step decided, minus what the layouts are allowed to differ in.
 #[derive(Debug, PartialEq, Eq)]
-struct Decided {
-    trigger: QueryId,
-    chunk: ChunkId,
-    pages: u64,
-    evicted: Vec<ChunkId>,
-    shrunk: Vec<ChunkId>,
+enum Decided {
+    Planned {
+        trigger: QueryId,
+        chunk: ChunkId,
+        pages: u64,
+        evicted: Vec<ChunkId>,
+        shrunk: Vec<ChunkId>,
+    },
+    /// A completion and the blocked queries it woke, `None` for one the
+    /// core rejected (aborted or cancelled load).
+    Committed(ChunkId, Option<usize>),
+    Registered(QueryId),
+    Granted(QueryId, ChunkId),
+    Closed(QueryId),
 }
 
-/// One layout's half of the pair.
+/// One layout's half of the pair: the scheduler core, driven as the
+/// simulator drives it, with the loads in flight and the grants it handed
+/// out.
 struct Side {
-    abm: Abm,
+    core: Scheduler<()>,
     pending: Vec<LoadPlan>,
+    held: Vec<(QueryId, ChunkId)>,
+    effects: Vec<Effect<()>>,
 }
 
 impl Side {
     fn new(model: TableModel, policy: PolicyKind, buffer_pages: u64) -> Self {
+        let obs = Arc::new(Registry::disabled());
         Side {
-            abm: Abm::new(AbmState::new(model, buffer_pages), policy.build()),
+            core: Scheduler::new(model, buffer_pages, policy, obs),
             pending: Vec::new(),
+            held: Vec::new(),
+            effects: Vec::new(),
         }
     }
 
-    fn register(&mut self, start: u32, end: u32, now: SimTime) -> QueryId {
-        let cols = self.abm.state().model().all_columns();
-        self.abm
-            .register_query("q", ScanRanges::single(start, end), cols, now)
-    }
-
-    fn plan(&mut self, now: SimTime) -> Option<Decided> {
-        let mut plans = Vec::with_capacity(1);
-        self.abm.plan_loads(now, 1, &mut plans);
-        let plan = plans.pop()?;
-        let decided = Decided {
-            trigger: plan.decision.trigger,
-            chunk: plan.decision.chunk,
-            pages: plan.pages,
-            evicted: plan.evicted.clone(),
-            shrunk: plan.shrunk.clone(),
-        };
-        self.pending.push(plan);
-        Some(decided)
-    }
-
-    /// The chunk whose load completed and the queries it woke, or `None`
-    /// for a completion the ABM rejected (aborted or cancelled load).
-    fn commit(&mut self, i: usize) -> (ChunkId, Option<Vec<QueryId>>) {
-        let plan = self.pending.remove(i);
-        let chunk = plan.decision.chunk;
-        match self.abm.commit_load(chunk, plan.ticket, plan.epoch) {
-            CommitOutcome::Committed { woken } => (chunk, Some(woken.to_vec())),
-            CommitOutcome::Cancelled | CommitOutcome::Aborted => (chunk, None),
+    /// Applies `op` and returns what the core decided, in order.
+    fn step(&mut self, op: &Op, active: &[QueryId], k: usize, now: SimTime) -> Vec<Decided> {
+        let mut decided = Vec::new();
+        match *op {
+            Op::Register { start, len } => {
+                let end = (start + len).min(CHUNKS).max(start + 1);
+                let cols = self.core.abm().state().model().all_columns();
+                let plan = CScanPlan::new("q", ScanRanges::single(start, end), cols);
+                decided.push(Decided::Registered(self.core.register(&plan, (), now)));
+            }
+            Op::Detach { i } if !active.is_empty() => {
+                let q = active[i as usize % active.len()];
+                self.core.close(q, None);
+                // Its pin outlives the registration, and returns now.
+                if let Some(at) = self.held.iter().position(|&(p, _)| p == q) {
+                    let (_, chunk) = self.held.remove(at);
+                    self.core.release(q, chunk, now);
+                }
+            }
+            Op::Plan if self.pending.len() < k => {
+                let first = self.pending.len();
+                self.core.plan(now, 1, &mut self.pending);
+                decided.extend(self.pending[first..].iter().map(|plan| Decided::Planned {
+                    trigger: plan.decision.trigger,
+                    chunk: plan.decision.chunk,
+                    pages: plan.pages,
+                    evicted: plan.evicted.clone(),
+                    shrunk: plan.shrunk.clone(),
+                }));
+            }
+            Op::Commit { i } if !self.pending.is_empty() => {
+                let plan = self.pending.remove(i as usize % self.pending.len());
+                let chunk = plan.decision.chunk;
+                let payload = ChunkPayload::Missing;
+                let woken = self
+                    .core
+                    .commit(chunk, plan.ticket, plan.epoch, payload, now);
+                decided.push(Decided::Committed(chunk, woken));
+            }
+            Op::Consume { i } if !active.is_empty() => {
+                let q = active[i as usize % active.len()];
+                if let Some(at) = self.held.iter().position(|&(p, _)| p == q) {
+                    let (_, chunk) = self.held.remove(at);
+                    self.core.release(q, chunk, now);
+                }
+            }
+            _ => {}
         }
-    }
-
-    fn consume(&mut self, q: QueryId, now: SimTime) -> Option<ChunkId> {
-        if let Some(held) = self.abm.state().query(q).processing {
-            self.abm.release_delivered(q, held);
+        self.core.swap_effects(&mut self.effects);
+        for effect in self.effects.drain(..) {
+            match effect {
+                Effect::Grant { query, chunk, .. } => {
+                    self.held.push((query, chunk));
+                    decided.push(Decided::Granted(query, chunk));
+                }
+                Effect::Closed { query, .. } => decided.push(Decided::Closed(query)),
+                Effect::Recycle(_) | Effect::InputsChanged => {}
+            }
         }
-        self.abm.acquire_chunk(q, now)
+        decided
     }
 
     /// What the buffer holds: `(chunk, pages, pinned)` in chunk order.
     fn buffer(&self) -> Vec<(ChunkId, u64, bool)> {
-        let state = self.abm.state();
+        let state = self.core.abm().state();
         state
             .buffered()
             .map(|b| (b.chunk, b.pages, b.is_pinned()))
@@ -150,63 +190,26 @@ struct Pair {
 }
 
 impl Pair {
-    /// Applies `op` to both layouts and compares what each answered.
+    /// Applies `op` to both layouts and compares what each decided.
     fn step(&mut self, op: &Op) -> Result<(), TestCaseError> {
-        let Pair {
-            policy,
-            nsm,
-            dsm,
-            active,
-            ..
-        } = self;
         self.clock += 1;
         let now = SimTime::from_micros(self.clock * 7);
-        match *op {
-            Op::Register { start, len } => {
-                let end = (start + len).min(CHUNKS).max(start + 1);
-                let q = nsm.register(start, end, now);
-                prop_assert_eq!(q, dsm.register(start, end, now));
-                active.push(q);
-            }
-            Op::Detach { i } => {
-                if !active.is_empty() {
-                    let q = active.remove(i as usize % active.len());
-                    for side in [nsm, dsm] {
-                        let held = side.abm.state().query(q).processing;
-                        side.abm.finish_query(q);
-                        if let Some(chunk) = held {
-                            side.abm.release_delivered(q, chunk);
-                        }
-                    }
-                }
-            }
-            Op::Plan => {
-                if nsm.pending.len() < self.k {
-                    let decided = nsm.plan(now);
-                    prop_assert_eq!(&decided, &dsm.plan(now), "{}: plan", policy);
-                    let shrunk = decided.is_some_and(|d| !d.shrunk.is_empty());
-                    prop_assert!(!shrunk, "full-width scans leave no dead column");
-                }
-            }
-            Op::Commit { i } => {
-                if !nsm.pending.is_empty() {
-                    let i = i as usize % nsm.pending.len();
-                    prop_assert_eq!(nsm.commit(i), dsm.commit(i), "{}: commit", policy);
-                }
-            }
-            Op::Consume { i } => {
-                if !active.is_empty() {
-                    let q = active[i as usize % active.len()];
-                    let granted = nsm.consume(q, now);
-                    prop_assert_eq!(granted, dsm.consume(q, now), "{}: grant to {:?}", policy, q);
-                    if granted.is_none() && nsm.abm.is_query_finished(q) {
-                        nsm.abm.finish_query(q);
-                        dsm.abm.finish_query(q);
-                        active.retain(|&a| a != q);
-                    }
-                }
+        let decided = self.nsm.step(op, &self.active, self.k, now);
+        let twin = self.dsm.step(op, &self.active, self.k, now);
+        prop_assert_eq!(&decided, &twin, "{}: {:?}", self.policy, op);
+        for d in &decided {
+            match *d {
+                Decided::Registered(q) => self.active.push(q),
+                Decided::Closed(q) => self.active.retain(|&a| a != q),
+                _ => {}
             }
         }
+        prop_assert!(
+            !decided
+                .iter()
+                .any(|d| matches!(d, Decided::Planned { shrunk, .. } if !shrunk.is_empty())),
+            "full-width scans leave no dead column"
+        );
         prop_assert_eq!(
             self.nsm.buffer(),
             self.dsm.buffer(),
@@ -293,12 +296,13 @@ fn check(
         round += 1;
     }
     for side in [&pair.nsm, &pair.dsm] {
-        let state = side.abm.state();
+        let state = side.core.abm().state();
         state.validate_counters();
-        prop_assert!(!side.abm.has_pending_work());
+        prop_assert_eq!(state.num_queries(), 0);
         prop_assert_eq!(state.num_inflight(), 0);
+        prop_assert_eq!(side.core.pool().pinned_frames(), 0);
     }
-    let (nsm, dsm) = (pair.nsm.abm.state(), pair.dsm.abm.state());
+    let (nsm, dsm) = (pair.nsm.core.abm().state(), pair.dsm.core.abm().state());
     prop_assert_eq!(nsm.io_requests(), dsm.io_requests());
     prop_assert_eq!(nsm.pages_read(), dsm.pages_read());
     Ok(())
