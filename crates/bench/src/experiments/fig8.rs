@@ -161,7 +161,7 @@ pub fn measure_scheduling_step(
     for _ in 0..iterations {
         // One full scheduling step: pick a query & chunk to load, pick the
         // chunk a query should consume, pick a victim.
-        if let Some(decision) = policy.next_load(abm.state(), SimTime::ZERO) {
+        if let Some(decision) = policy.next_load(abm.state(), SimTime::ZERO, 0) {
             std::hint::black_box(&decision);
             let _ = std::hint::black_box(policy.choose_victim(abm.state(), &decision));
             let _ = std::hint::black_box(policy.next_chunk(decision.trigger, abm.state()));
@@ -199,7 +199,7 @@ pub fn measure_plan_load(
     for _ in 0..iterations {
         perturb(&mut abm);
         let start = Instant::now();
-        let decision = policy.next_load(abm.state(), SimTime::ZERO);
+        let decision = policy.next_load(abm.state(), SimTime::ZERO, 0);
         total += start.elapsed();
         std::hint::black_box(&decision);
         decisions += 1;

@@ -2,10 +2,12 @@
 
 use crate::colset::ColSet;
 use crate::query::QueryId;
-use cscan_storage::ChunkId;
+use cscan_storage::{ChunkId, ChunkPayload};
 
-/// A chunk — the column groups of it currently resident — held in the
-/// Active Buffer Manager.
+/// A chunk — the column groups of it currently resident, their payload and
+/// its pins — held in the Active Buffer Manager.  This is the buffer's one
+/// record of the chunk: a grant clones `payload`, and nothing else holds a
+/// resident chunk's data or pins.
 #[derive(Debug, Clone)]
 pub struct BufferedChunk {
     /// Which chunk this is.
@@ -20,14 +22,23 @@ pub struct BufferedChunk {
     /// Monotonic counter of the last time a query touched the chunk; used by
     /// LRU eviction in the traditional policies.
     pub last_touch: u64,
-    /// Queries currently processing this chunk.  A pinned chunk is never
-    /// evictable.
+    /// Queries currently processing this chunk — its pins.  A pinned chunk
+    /// is never evictable.
     pub pinned_by: Vec<QueryId>,
+    /// The resident columns' data ([`ChunkPayload::Missing`] where loads
+    /// carry none, as in the simulator).
+    pub payload: ChunkPayload,
 }
 
 impl BufferedChunk {
     /// Creates a new buffered chunk entry.
-    pub fn new(chunk: ChunkId, columns: ColSet, pages: u64, seq: u64) -> Self {
+    pub fn new(
+        chunk: ChunkId,
+        columns: ColSet,
+        pages: u64,
+        seq: u64,
+        payload: ChunkPayload,
+    ) -> Self {
         Self {
             chunk,
             columns,
@@ -38,6 +49,7 @@ impl BufferedChunk {
             // never allocates on the consumer's hot path — the entry itself
             // is built at load-commit time, off the consume path.
             pinned_by: Vec::with_capacity(2),
+            payload,
         }
     }
 
@@ -86,7 +98,13 @@ mod tests {
 
     #[test]
     fn pin_unpin_lifecycle() {
-        let mut b = BufferedChunk::new(ChunkId::new(3), ColSet::first_n(2), 10, 7);
+        let mut b = BufferedChunk::new(
+            ChunkId::new(3),
+            ColSet::first_n(2),
+            10,
+            7,
+            ChunkPayload::Missing,
+        );
         assert!(!b.is_pinned());
         b.pin(QueryId(1));
         b.pin(QueryId(2));
@@ -103,7 +121,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "without holding a pin")]
     fn unpin_without_pin_panics() {
-        let mut b = BufferedChunk::new(ChunkId::new(0), ColSet::first_n(1), 1, 0);
+        let mut b = BufferedChunk::new(
+            ChunkId::new(0),
+            ColSet::first_n(1),
+            1,
+            0,
+            ChunkPayload::Missing,
+        );
         b.unpin(QueryId(9));
     }
 }

@@ -6,7 +6,8 @@
 //! correspond directly to the pseudo-code of Figure 3 in the paper:
 //!
 //! * [`Abm::register_query`] — `CScan` announces its data need up-front;
-//! * [`Abm::acquire_chunk`] — `selectChunk` / `chooseAvailableChunk`;
+//! * [`Abm::acquire_chunk`] — `selectChunk` / `chooseAvailableChunk`: pins
+//!   the chunk and hands out its payload;
 //! * [`Abm::release_delivered`] — `releaseChunk`: the query finished
 //!   processing a chunk (or its pin outlived its registration);
 //! * [`Abm::plan_load`] — `chooseQueryToProcess` + `chooseChunkToLoad` +
@@ -52,13 +53,14 @@ mod state;
 
 pub use buffer::BufferedChunk;
 pub use index::ChunkIndex;
+pub(crate) use state::no_metrics;
 pub use state::{AbmState, CommitCheck, InflightLoad, STARVATION_THRESHOLD};
 
 use crate::colset::ColSet;
 use crate::policy::Policy;
 use crate::query::{QueryId, QueryState};
 use cscan_simdisk::SimTime;
-use cscan_storage::{ChunkId, PhysRegion, ScanRanges};
+use cscan_storage::{ChunkId, ChunkPayload, PhysRegion, ScanRanges};
 
 /// A scheduling decision: load `chunk` (the given columns of it) on behalf of
 /// the triggering query.
@@ -84,35 +86,11 @@ pub struct LoadPlan {
     pub regions: Vec<PhysRegion>,
     /// Chunks that were evicted to make room for this load.
     pub evicted: Vec<ChunkId>,
-    /// Chunks that gave up their dead columns to make room for this load
-    /// and stay resident with the rest ([`AbmState::dead_columns`]).  The
-    /// driver drops the same columns from its payloads.
-    pub shrunk: Vec<ChunkId>,
     /// Unique identity of this load (see [`InflightLoad::ticket`]).
     pub ticket: u64,
     /// The [`AbmState::epoch`] the plan was taken under; [`Abm::commit_load`]
     /// revalidates against it.
     pub epoch: u64,
-}
-
-/// What a completion meant once revalidated under the lock
-/// ([`Abm::commit_load`]).
-#[derive(Debug, PartialEq, Eq)]
-pub enum CommitOutcome<'a> {
-    /// The load was installed; the listed queries were blocked waiting for
-    /// the chunk and should be woken (the `signalQuery` of Figure 3).  The
-    /// slice borrows the ABM's reusable scratch buffer, like
-    /// [`Abm::complete_load`].
-    Committed {
-        /// Blocked queries interested in the arrived chunk.
-        woken: &'a [QueryId],
-    },
-    /// The load had already been aborted (its ticket no longer matches):
-    /// the completion is stale and nothing was installed.
-    Cancelled,
-    /// Revalidation found the chunk no longer interests any query; the load
-    /// was aborted instead of installed.
-    Aborted,
 }
 
 /// The Active Buffer Manager: shared state plus a scheduling policy.
@@ -123,10 +101,6 @@ pub struct Abm {
     /// Reused buffer for the wake-up list returned by [`Abm::complete_load`],
     /// so the per-load hot path performs no allocation.
     wake_scratch: Vec<QueryId>,
-    /// What an admission evicted and shrank before it failed to find the
-    /// rest of its room: reported by the next plan that succeeds, so a
-    /// driver hears of every residency change it has to mirror.
-    unreported: (Vec<ChunkId>, Vec<ChunkId>),
 }
 
 impl std::fmt::Debug for Abm {
@@ -149,13 +123,26 @@ impl Abm {
             policy,
             next_query_id: 0,
             wake_scratch: Vec::new(),
-            unreported: (Vec::new(), Vec::new()),
         }
     }
 
     /// Read access to the shared state.
     pub fn state(&self) -> &AbmState {
         &self.state
+    }
+
+    /// Hands over the payloads the buffer let go of since the last call —
+    /// evicted chunks', the columns a shrink dropped, stale loads' — for
+    /// the owner to free or recycle.
+    pub fn drain_released(&mut self) -> std::vec::Drain<'_, ChunkPayload> {
+        self.state.drain_released()
+    }
+
+    /// Write access to the shared state, for tests that set up or damage a
+    /// buffer directly.
+    #[cfg(test)]
+    pub(crate) fn state_mut(&mut self) -> &mut AbmState {
+        &mut self.state
     }
 
     /// The name of the active scheduling policy.
@@ -179,9 +166,10 @@ impl Abm {
     }
 
     /// The paper's `selectChunk`: picks the most relevant *resident* chunk
-    /// for query `q` and pins it for processing.  Returns `None` if nothing
-    /// is available (the query must block until a load completes).
-    pub fn acquire_chunk(&mut self, q: QueryId, now: SimTime) -> Option<ChunkId> {
+    /// for query `q`, pins it for processing and returns it with a clone of
+    /// its payload.  Returns `None` if nothing is available (the query must
+    /// block until a load completes).
+    pub fn acquire_chunk(&mut self, q: QueryId, now: SimTime) -> Option<(ChunkId, ChunkPayload)> {
         if self.state.query(q).is_finished() {
             return None;
         }
@@ -192,8 +180,7 @@ impl Abm {
                     "{q:?}: policy chose non-resident {chunk:?}"
                 );
                 self.state.unblock_query(q, now);
-                self.state.start_processing(q, chunk);
-                Some(chunk)
+                Some((chunk, self.state.start_processing(q, chunk)))
             }
             None => {
                 self.state.block_query(q, now);
@@ -252,24 +239,11 @@ impl Abm {
     /// (checksum mismatch at decode time): `q`'s processing pin is abandoned
     /// without consuming the chunk — it stays needed and will be delivered
     /// again — and the damaged residency is evicted when no other pin holds
-    /// it, so the next plan re-loads fresh bytes.  Returns whether the chunk
-    /// was evicted (the driver must mirror the eviction into its frame
-    /// pool).
-    pub fn reject_delivered(&mut self, q: QueryId, chunk: ChunkId) -> bool {
-        let active = self
-            .state
-            .try_query(q)
-            .is_some_and(|query| query.processing == Some(chunk));
-        if active {
-            self.state.abandon_processing(q, chunk);
-        } else {
-            self.state.release_pin(q, chunk);
-        }
+    /// it, so the next plan re-loads fresh bytes.
+    pub fn reject_delivered(&mut self, q: QueryId, chunk: ChunkId) {
+        self.state.abandon_processing(q, chunk);
         if self.state.is_evictable(chunk) {
             self.state.evict(chunk);
-            true
-        } else {
-            false
         }
     }
 
@@ -286,15 +260,7 @@ impl Abm {
     /// a frame a reader still holds, and the query's interest already
     /// dropped at removal.
     pub fn release_delivered(&mut self, q: QueryId, chunk: ChunkId) {
-        let active = self
-            .state
-            .try_query(q)
-            .is_some_and(|query| query.processing == Some(chunk));
-        if active {
-            self.state.finish_processing(q, chunk);
-        } else {
-            self.state.release_pin(q, chunk);
-        }
+        self.state.finish_processing(q, chunk);
     }
 
     /// One scheduling step of the ABM main loop: choose what to load next,
@@ -308,7 +274,7 @@ impl Abm {
         if self.state.num_inflight() > 0 {
             return None;
         }
-        let decision = self.policy.next_load(&self.state, now)?;
+        let decision = self.policy.next_load(&self.state, now, 0)?;
         self.admit_decision(decision)
     }
 
@@ -322,12 +288,16 @@ impl Abm {
     ///
     /// The first decision of an empty pipeline is taken by the exact
     /// sequential path of [`Abm::plan_load`] (slot 0 of
-    /// [`Policy::next_load_pipelined`]), so a driver that keeps at most one
-    /// load outstanding behaves bit-identically to the paper's main loop.
+    /// [`Policy::next_load`]), so a driver that keeps at most one load
+    /// outstanding behaves bit-identically to the paper's main loop.
+    ///
+    /// An admission that evicts or shrinks chunks and still finds no room
+    /// is not admitted, but what it freed stays free for the next plan, and
+    /// the payloads it let go of are released at once.
     pub fn plan_loads(&mut self, now: SimTime, max_new: usize, out: &mut Vec<LoadPlan>) {
         for _ in 0..max_new {
             let slot = self.state.num_inflight();
-            let Some(decision) = self.policy.next_load_pipelined(&self.state, now, slot) else {
+            let Some(decision) = self.policy.next_load(&self.state, now, slot) else {
                 break;
             };
             match self.admit_decision(decision) {
@@ -357,14 +327,12 @@ impl Abm {
         // the policy's victims, until the load fits.  `free_pages` discounts
         // the reservations of everything already in flight, so what is
         // secured here belongs to this load alone.
-        let (mut evicted, mut shrunk) = std::mem::take(&mut self.unreported);
+        let mut evicted = Vec::new();
         while self.state.free_pages() < pages {
             let Some(chunk) = self.state.reclaim_dead_columns() else {
                 break;
             };
-            if self.state.buffered_chunk(chunk).is_some() {
-                shrunk.push(chunk);
-            } else {
+            if self.state.buffered_chunk(chunk).is_none() {
                 evicted.push(chunk);
             }
         }
@@ -372,7 +340,6 @@ impl Abm {
             let Some(victim) = self.policy.choose_victim(&self.state, &decision) else {
                 // Cannot make room now (everything is pinned, protected or
                 // reserved by the in-flight burst).
-                self.unreported = (evicted, shrunk);
                 return None;
             };
             debug_assert!(
@@ -391,30 +358,30 @@ impl Abm {
             pages,
             regions,
             evicted,
-            shrunk,
             ticket,
             epoch: self.state.epoch(),
         })
     }
 
-    /// Completes the *oldest* outstanding load.  Returns the queries that
-    /// are interested in the loaded chunk and currently blocked — the driver
-    /// should wake them (the `signalQuery` of Figure 3).
+    /// Completes the *oldest* outstanding load, with no data.  Returns the
+    /// queries that are interested in the loaded chunk and currently
+    /// blocked — the driver should wake them (the `signalQuery` of
+    /// Figure 3).
     ///
     /// The returned slice borrows an internal scratch buffer (reused across
     /// loads, so the per-load hot path allocates nothing); copy it out if it
     /// must outlive the next `complete_load` call.
     pub fn complete_load(&mut self) -> &[QueryId] {
         let chunk = self.state.inflight().expect("no load in flight").0;
-        self.complete_load_of(chunk)
+        self.complete_load_of(chunk, ChunkPayload::Missing)
     }
 
-    /// Installs the outstanding load of `chunk` — the shared tail of
-    /// [`Abm::complete_load`] and a valid [`Abm::commit_load`] — and returns
-    /// the blocked queries to wake.  Panics if no load of `chunk` is in
-    /// flight; both callers have just established that one is.
-    fn complete_load_of(&mut self, chunk: ChunkId) -> &[QueryId] {
-        self.state.complete_load_of(chunk);
+    /// Installs the outstanding load of `chunk` with `payload` — the shared
+    /// tail of [`Abm::complete_load`] and a valid [`Abm::commit_load`] — and
+    /// returns the blocked queries to wake.  Panics if no load of `chunk` is
+    /// in flight; both callers have just established that one is.
+    fn complete_load_of(&mut self, chunk: ChunkId, payload: ChunkPayload) -> &[QueryId] {
+        self.state.complete_load_of(chunk, payload);
         self.wake_scratch.clear();
         self.wake_scratch.extend(
             self.state
@@ -427,26 +394,31 @@ impl Abm {
 
     /// The commit half of the plan/commit protocol: revalidates a stamped
     /// plan (whose "disk read" ran outside the lock) and installs residency
-    /// only if the load is still current and still interesting.
+    /// and `payload` only if the load is still current and still
+    /// interesting.  Returns the blocked queries to wake — a slice of the
+    /// same scratch buffer as [`Abm::complete_load`]'s — or `None` for a
+    /// stale completion, whose payload is released.
     ///
     /// Unlike [`Abm::complete_load`] this never panics on a stale
     /// completion: a load that was aborted while the read was in progress
-    /// (see [`Abm::finish_query`]) — or superseded by a newer load of the
-    /// same chunk — reports [`CommitOutcome::Cancelled`], and a load whose
-    /// last interested query detached without the driver aborting it is
-    /// aborted here ([`CommitOutcome::Aborted`]), so residency is *never*
-    /// installed for a chunk no active query wants.
-    pub fn commit_load(&mut self, chunk: ChunkId, ticket: u64, epoch: u64) -> CommitOutcome<'_> {
+    /// (see [`Abm::finish_query`]) or superseded by a newer load of the
+    /// same chunk is dropped, and a load whose last interested query
+    /// detached without the driver aborting it is aborted here, so
+    /// residency is *never* installed for a chunk no active query wants.
+    pub fn commit_load(
+        &mut self,
+        chunk: ChunkId,
+        ticket: u64,
+        epoch: u64,
+        payload: ChunkPayload,
+    ) -> Option<&[QueryId]> {
         match self.state.check_commit(chunk, ticket, epoch) {
-            CommitCheck::Cancelled => CommitOutcome::Cancelled,
-            CommitCheck::Uninteresting => {
-                self.state.abort_load(chunk);
-                CommitOutcome::Aborted
-            }
-            CommitCheck::Valid => CommitOutcome::Committed {
-                woken: self.complete_load_of(chunk),
-            },
+            CommitCheck::Valid => return Some(self.complete_load_of(chunk, payload)),
+            CommitCheck::Uninteresting => self.state.abort_load(chunk),
+            CommitCheck::Cancelled => {}
         }
+        self.state.release_payload(payload);
+        None
     }
 
     /// Whether any active query still has unprocessed chunks.
@@ -497,7 +469,7 @@ mod tests {
             guard += 1;
             assert!(guard < 1000, "no progress");
             // Drive I/O until something is available.
-            if let Some(chunk) = abm.acquire_chunk(q, SimTime::ZERO) {
+            if let Some((chunk, _)) = abm.acquire_chunk(q, SimTime::ZERO) {
                 abm.release_delivered(q, chunk);
                 processed += 1;
                 continue;
@@ -524,7 +496,7 @@ mod tests {
         let q = abm.register_query("full", ScanRanges::full(10), cols, SimTime::ZERO);
         let mut evictions = 0;
         while !abm.is_query_finished(q) {
-            if let Some(chunk) = abm.acquire_chunk(q, SimTime::ZERO) {
+            if let Some((chunk, _)) = abm.acquire_chunk(q, SimTime::ZERO) {
                 abm.release_delivered(q, chunk);
                 continue;
             }
@@ -552,15 +524,17 @@ mod tests {
         assert!(abm.plan_load(SimTime::ZERO).is_none());
         abm.complete_load();
         // Query processes its only chunk; nothing further to load.
-        let chunk = abm.acquire_chunk(q, SimTime::ZERO).unwrap();
+        let (chunk, _) = abm.acquire_chunk(q, SimTime::ZERO).unwrap();
         abm.release_delivered(q, chunk);
         assert!(abm.plan_load(SimTime::ZERO).is_none());
         assert!(abm.is_query_finished(q));
     }
 
     #[test]
-    fn a_failed_admission_reports_what_it_freed_with_the_next_plan() {
+    fn a_failed_admission_releases_what_it_freed_at_once() {
+        use cscan_storage::chunkdata::{ChunkData, ColumnChunk};
         use cscan_storage::ColumnId;
+        use std::sync::Arc;
         let model = TableModel::dsm_uniform(8, 1000, &[3; 6]);
         let mut abm = Abm::new(AbmState::new(model, 27), Box::new(RelevancePolicy::new()));
         let col0 = ColSet::from_columns([ColumnId::new(0)]);
@@ -568,16 +542,21 @@ mod tests {
         // Chunk 0 resident full width, chunk 1 with columns {0, 1}: 24 of 27
         // pages, column 1 of chunk 1 dead.
         for (chunk, width) in [(0, 6), (1, 2)] {
+            let columns = ColSet::first_n(width);
+            let parts = columns
+                .iter()
+                .map(|c| (c, ColumnChunk::Plain(Arc::new(vec![0; 4]))))
+                .collect();
+            abm.state.begin_load(ChunkId::new(chunk), columns);
             abm.state
-                .begin_load(ChunkId::new(chunk), ColSet::first_n(width));
-            abm.state.complete_load_of(ChunkId::new(chunk));
+                .complete_load_of(ChunkId::new(chunk), ChunkData::from_parts(parts).into());
         }
-        assert_eq!(
-            abm.acquire_chunk(narrow, SimTime::ZERO),
-            Some(ChunkId::new(0))
-        );
+        let granted = abm.acquire_chunk(narrow, SimTime::ZERO).map(|(c, _)| c);
+        assert_eq!(granted, Some(ChunkId::new(0)));
         // An 18-page load finds 3 pages free, 3 dead and 3 evictable — and
-        // the rest pinned.  It is not admitted, but chunk 1 is gone.
+        // the rest pinned.  It is not admitted, but chunk 1 is gone, and its
+        // payloads — the two columns, then the one a shrink kept — are
+        // released at once.
         let all = ColSet::first_n(6);
         abm.register_query("wide", ScanRanges::single(4, 5), all, SimTime::ZERO);
         let mut plans = Vec::new();
@@ -585,15 +564,23 @@ mod tests {
         assert!(plans.is_empty());
         assert!(abm.state.buffered_chunk(ChunkId::new(1)).is_none());
         assert_eq!(abm.state.free_pages(), 9);
+        let released: Vec<usize> = abm
+            .drain_released()
+            .map(|p| match p {
+                ChunkPayload::Data(data) => data.column_ids().count(),
+                ChunkPayload::Missing => 0,
+            })
+            .collect();
+        assert_eq!(released, [2, 1]);
+        assert_eq!(abm.state().frame_stats().evictions, 1);
         // The next plan that is admitted — `narrow`, starved now, asking
-        // for the very chunk it lost — names the earlier victims: a driver
-        // mirrors every one of them, and before it reads the chunk anew.
+        // for the very chunk it lost — names only what it evicted itself.
         abm.release_delivered(narrow, ChunkId::new(0));
         abm.plan_loads(SimTime::ZERO, 1, &mut plans);
         assert_eq!(plans.len(), 1);
         assert_eq!(plans[0].decision.chunk, ChunkId::new(1));
-        assert_eq!(plans[0].shrunk, [ChunkId::new(1)]);
-        assert_eq!(plans[0].evicted, [ChunkId::new(1)]);
+        assert!(plans[0].evicted.is_empty());
+        assert_eq!(abm.drain_released().count(), 0);
     }
 
     #[test]
@@ -612,7 +599,7 @@ mod tests {
                 if abm.is_query_finished(q) {
                     continue;
                 }
-                if let Some(c) = abm.acquire_chunk(q, SimTime::ZERO) {
+                if let Some((c, _)) = abm.acquire_chunk(q, SimTime::ZERO) {
                     abm.release_delivered(q, c);
                     progressed = true;
                 }

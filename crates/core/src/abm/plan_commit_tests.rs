@@ -19,13 +19,13 @@
 //!   decision-for-decision the same loads (and evictions) as the sequential
 //!   [`Abm::plan_load`] main loop.
 
-use crate::abm::{Abm, AbmState, CommitOutcome, LoadPlan};
+use crate::abm::{Abm, AbmState, LoadPlan};
 use crate::colset::ColSet;
 use crate::model::TableModel;
 use crate::policy::PolicyKind;
 use crate::query::QueryId;
 use cscan_simdisk::SimTime;
-use cscan_storage::{ChunkId, ColumnId, ScanRanges};
+use cscan_storage::{ChunkId, ChunkPayload, ColumnId, ScanRanges};
 use proptest::prelude::*;
 
 const CHUNKS: u32 = 24;
@@ -75,10 +75,9 @@ fn plan(abm: &mut Abm, k: usize, now: SimTime, out: &mut Vec<LoadPlan>) {
 
 /// Retires `plan`'s completion; whether it installed residency.
 fn commit(abm: &mut Abm, plan: &LoadPlan) -> bool {
-    matches!(
-        abm.commit_load(plan.decision.chunk, plan.ticket, plan.epoch),
-        CommitOutcome::Committed { .. }
-    )
+    let payload = ChunkPayload::Missing;
+    let (chunk, ticket, epoch) = (plan.decision.chunk, plan.ticket, plan.epoch);
+    abm.commit_load(chunk, ticket, epoch, payload).is_some()
 }
 
 /// Applies one op to an `(abm, active)` pair, using `plans` for the
@@ -141,7 +140,7 @@ fn check_pipeline(k: usize, ops: &[Op]) -> Result<(), TestCaseError> {
             Op::Process { i } => {
                 if !active.is_empty() {
                     let q = active[i as usize % active.len()];
-                    if let Some(chunk) = abm.acquire_chunk(q, now) {
+                    if let Some((chunk, _)) = abm.acquire_chunk(q, now) {
                         abm.release_delivered(q, chunk);
                         if abm.is_query_finished(q) {
                             abm.finish_query(q);
@@ -220,8 +219,8 @@ fn check_k1_degenerates(ops: &[Op]) -> Result<(), TestCaseError> {
                 }
                 let qi = i as usize % seq_active.len();
                 let (qa, qb) = (seq_active[qi], pipe_active[qi]);
-                let ca = seq.acquire_chunk(qa, now);
-                let cb = pipe.acquire_chunk(qb, now);
+                let ca = seq.acquire_chunk(qa, now).map(|(c, _)| c);
+                let cb = pipe.acquire_chunk(qb, now).map(|(c, _)| c);
                 prop_assert_eq!(ca, cb, "twin executions acquired different chunks");
                 let Some(chunk) = ca else { continue };
                 seq.release_delivered(qa, chunk);
@@ -346,7 +345,7 @@ fn cols(ids: &[u16]) -> ColSet {
 fn run_scan(abm: &mut Abm, q: QueryId) -> Vec<LoadPlan> {
     let mut taken = Vec::new();
     while !abm.is_query_finished(q) {
-        if let Some(chunk) = abm.acquire_chunk(q, SimTime::ZERO) {
+        if let Some((chunk, _)) = abm.acquire_chunk(q, SimTime::ZERO) {
             abm.release_delivered(q, chunk);
             continue;
         }
@@ -377,7 +376,7 @@ fn a_finished_scan_leaves_its_columns_to_the_next() {
     while !abm.is_query_finished(b) {
         plan(&mut abm, 2, SimTime::ZERO, &mut plans);
         assert!(plans.is_empty(), "a scan of resident columns loads nothing");
-        let chunk = abm
+        let (chunk, _) = abm
             .acquire_chunk(b, SimTime::ZERO)
             .expect("every chunk is granted from the buffer");
         abm.release_delivered(b, chunk);
@@ -419,23 +418,31 @@ fn dead_columns_go_before_any_column_a_query_still_needs() {
         ColSet::first_n(6),
         SimTime::ZERO,
     );
-    let taken = run_scan(&mut abm, next);
+    // The first load fits into what the dead columns of two chunks held
+    // (2 × 15 pages, against 18 a load): they shrink to the column
+    // `narrow` reads, lowest chunk first.
+    let narrowed = |abm: &Abm| -> Vec<u32> {
+        let buffered = abm.state().buffered();
+        buffered
+            .filter(|b| b.columns == cols(&[0]))
+            .map(|b| b.chunk.index())
+            .collect()
+    };
+    let mut first = Vec::new();
+    plan(&mut abm, 1, SimTime::ZERO, &mut first);
+    assert_eq!(narrowed(&abm), [0, 1]);
+    assert!(commit(&mut abm, &first[0]));
+    let mut taken = first;
+    taken.extend(run_scan(&mut abm, next));
     assert_eq!(taken.len(), 4);
-    // The first three loads fit into what the dead columns held (4 × 15
-    // pages, against 18 a load): chunks shrink to the column `narrow`
-    // reads, lowest chunk first, and nothing is evicted.
-    let shrunk: Vec<u32> = taken
-        .iter()
-        .flat_map(|p| p.shrunk.iter().map(|c| c.index()))
-        .collect();
-    assert_eq!(shrunk, [0, 1, 2, 3]);
+    // The next two fit into the dead columns of the other two, and nothing
+    // is evicted.
     for plan in &taken[..3] {
         assert!(plan.evicted.is_empty(), "{plan:?}");
     }
     // The fourth finds no dead column left and takes the policy's victim:
     // chunk 4, which `next` itself has consumed and nobody needs.  `narrow`
     // has not lost a chunk, and holds column 0 of each and no other.
-    assert!(taken[3].shrunk.is_empty());
     assert_eq!(taken[3].evicted, [ChunkId::new(4)]);
     assert_eq!(abm.state().available_chunks(narrow), 4);
     for b in abm.state().buffered().filter(|b| b.chunk.index() < 4) {

@@ -21,7 +21,9 @@ use crate::model::TableModel;
 use crate::policy::{Policy as _, RelevancePolicy};
 use crate::query::QueryId;
 use cscan_simdisk::SimTime;
-use cscan_storage::{ChunkId, ColumnDef, ColumnId, ColumnType, ScanRanges, TableSchema};
+use cscan_storage::{
+    ChunkId, ChunkPayload, ColumnDef, ColumnId, ColumnType, ScanRanges, TableSchema,
+};
 use proptest::prelude::*;
 
 const CHUNKS: u32 = 24;
@@ -130,7 +132,7 @@ fn check_ops(model: TableModel, ops: &[Op]) -> Result<(), TestCaseError> {
                 let cols = col_set(s.model(), cols);
                 if !s.is_inflight(chunk) && s.pages_to_load(chunk, cols) > 0 {
                     s.begin_load(chunk, cols);
-                    s.complete_load_of(chunk);
+                    s.complete_load_of(chunk, ChunkPayload::Missing);
                 }
             }
             Op::BeginLoad { chunk, cols } => {
@@ -143,7 +145,7 @@ fn check_ops(model: TableModel, ops: &[Op]) -> Result<(), TestCaseError> {
             Op::CompleteLoad { i } => {
                 if s.num_inflight() > 0 {
                     let chunk = s.inflight_loads()[i as usize % s.num_inflight()].chunk;
-                    s.complete_load_of(chunk);
+                    s.complete_load_of(chunk, ChunkPayload::Missing);
                 }
             }
             Op::AbortLoad { i } => {
@@ -194,9 +196,11 @@ fn check_ops(model: TableModel, ops: &[Op]) -> Result<(), TestCaseError> {
         // (a) every cached counter equals its brute-force recomputation;
         s.validate_counters();
         // (b) the walks take exactly the brute-force decisions.
-        let a = inc.next_load(&s, now).map(|d| (d.trigger, d.chunk, d.cols));
+        let a = inc
+            .next_load(&s, now, 0)
+            .map(|d| (d.trigger, d.chunk, d.cols));
         let b = brute
-            .next_load(&s, now)
+            .next_load(&s, now, 0)
             .map(|d| (d.trigger, d.chunk, d.cols));
         prop_assert_eq!(a, b, "walk and brute-force next_load diverged");
         // (c) so do the eviction and consumption argmaxes, for every query.

@@ -44,14 +44,24 @@
 //! definition; debug builds cross-check them after every mutation
 //! ([`AbmState::validate_counters`]), so the incremental index is
 //! behaviourally indistinguishable from brute-force bookkeeping.
+//!
+//! # The buffer
+//!
+//! A resident chunk's [`BufferedChunk`] is the buffer's one record of it,
+//! payload and pins included.  Every payload the buffer lets go of waits in
+//! one reused list for the owner ([`crate::Abm::drain_released`]); pins,
+//! installs and evictions are counted here and published to a registry.
 
 use crate::abm::buffer::BufferedChunk;
 use crate::abm::index::ChunkIndex;
 use crate::colset::ColSet;
 use crate::model::TableModel;
 use crate::query::{QueryId, QueryState};
+use cscan_bufman::PoolStats;
+use cscan_obs::{Counter, EventKind, Gauge, Registry, NO_QUERY};
 use cscan_simdisk::SimTime;
-use cscan_storage::{ChunkId, ScanRanges};
+use cscan_storage::{ChunkId, ChunkPayload, ScanRanges};
+use std::sync::{Arc, OnceLock};
 
 /// A query is *starved* when it has fewer than this many available chunks
 /// (including the one it is currently processing) — Figure 3 of the paper.
@@ -101,6 +111,13 @@ pub enum CommitCheck {
     Uninteresting,
 }
 
+/// A registry that records nothing, shared by every state built without
+/// one: a disabled registry costs one branch per record call.
+pub(crate) fn no_metrics() -> Arc<Registry> {
+    static NO_METRICS: OnceLock<Arc<Registry>> = OnceLock::new();
+    Arc::clone(NO_METRICS.get_or_init(|| Arc::new(Registry::disabled())))
+}
+
 /// The shared state of the Active Buffer Manager.
 #[derive(Debug, Clone)]
 pub struct AbmState {
@@ -148,14 +165,29 @@ pub struct AbmState {
     pages_read: u64,
     /// Total queries registered over the lifetime of this ABM.
     queries_registered: u64,
+    /// Pins, installs and evictions of the buffer.
+    frames: PoolStats,
+    /// Resident chunks with at least one pin.
+    num_pinned: usize,
+    /// Payloads with data the buffer let go of, until the owner takes them.
+    released: Vec<ChunkPayload>,
+    /// Where the frame counters, gauges and eviction events are published.
+    obs: Arc<Registry>,
 }
 
 impl AbmState {
-    /// Creates the state for `model` with a buffer pool of `capacity_pages` pages.
+    /// Creates the state for `model` with a buffer pool of `capacity_pages`
+    /// pages, publishing no metrics.
     ///
     /// # Panics
     /// Panics if the capacity is zero.
     pub fn new(model: TableModel, capacity_pages: u64) -> Self {
+        Self::with_metrics(model, capacity_pages, no_metrics())
+    }
+
+    /// [`Self::new`], publishing the buffer's counters, its pinned and
+    /// resident totals and its eviction events to `obs`.
+    pub fn with_metrics(model: TableModel, capacity_pages: u64, obs: Arc<Registry>) -> Self {
         assert!(capacity_pages > 0, "buffer capacity must be positive");
         let chunks = model.num_chunks() as usize;
         Self {
@@ -181,6 +213,10 @@ impl AbmState {
             loads_aborted: 0,
             pages_read: 0,
             queries_registered: 0,
+            frames: PoolStats::default(),
+            num_pinned: 0,
+            released: Vec::new(),
+            obs,
         }
     }
 
@@ -296,6 +332,28 @@ impl AbmState {
     /// The buffer entry for `chunk`, if resident.
     pub fn buffered_chunk(&self, chunk: ChunkId) -> Option<&BufferedChunk> {
         self.buffered.get(chunk.as_usize()).and_then(|b| b.as_ref())
+    }
+
+    /// The payload of `chunk`, if resident, for tests that damage it.
+    #[cfg(test)]
+    pub(crate) fn payload_mut(&mut self, chunk: ChunkId) -> Option<&mut ChunkPayload> {
+        let b = self.buffered.get_mut(chunk.as_usize())?.as_mut()?;
+        Some(&mut b.payload)
+    }
+
+    /// The buffer's pin, install and eviction counters.
+    pub fn frame_stats(&self) -> PoolStats {
+        self.frames
+    }
+
+    /// Number of resident chunks pinned at least once.
+    pub fn pinned_frames(&self) -> usize {
+        self.num_pinned
+    }
+
+    /// Hands over the payloads the buffer let go of since the last call.
+    pub(crate) fn drain_released(&mut self) -> std::vec::Drain<'_, ChunkPayload> {
+        self.released.drain(..)
     }
 
     /// The *oldest* in-flight load, if any.  Kept for the K=1 tests;
@@ -553,6 +611,11 @@ impl AbmState {
             "stale buffered-chunk count"
         );
         assert_eq!(
+            self.num_pinned,
+            self.buffered().filter(|b| b.is_pinned()).count(),
+            "stale pinned-chunk count"
+        );
+        assert_eq!(
             (self.read_by_all, self.read_by_any),
             self.column_sets_brute(),
             "stale active column sets"
@@ -679,6 +742,48 @@ impl AbmState {
         self.chunk_scratch = scratch;
     }
 
+    /// Keeps `payload` for the owner to recycle if it holds data.
+    pub(crate) fn release_payload(&mut self, payload: ChunkPayload) {
+        if let ChunkPayload::Data(_) = payload {
+            self.released.push(payload);
+        }
+    }
+
+    /// Counts and publishes that `b` left the buffer, and releases its
+    /// payload.
+    fn left_buffer(&mut self, b: BufferedChunk) {
+        self.num_buffered -= 1;
+        self.frames.evictions += 1;
+        self.obs.inc(Counter::FrameEvictions);
+        self.obs
+            .gauge_set(Gauge::ResidentFrames, self.num_buffered as u64);
+        self.obs
+            .event(EventKind::FrameEvicted, b.chunk.index(), NO_QUERY, 0);
+        self.release_payload(b.payload);
+    }
+
+    /// Returns `q`'s pin of `chunk` if it holds one.
+    fn release_pin(&mut self, q: QueryId, chunk: ChunkId) {
+        let Some(b) = self.buffered[chunk.as_usize()].as_mut() else {
+            return;
+        };
+        if b.unpin_if_held(q) {
+            self.frames.unpins += 1;
+            self.obs.inc(Counter::FrameUnpins);
+            if !b.is_pinned() {
+                self.num_pinned -= 1;
+                self.obs
+                    .gauge_set(Gauge::PinnedFrames, self.num_pinned as u64);
+            }
+        }
+    }
+
+    /// The index of `q` if it is registered and processing `chunk`.
+    fn processing(&self, q: QueryId, chunk: ChunkId) -> Option<usize> {
+        let idx = self.query_index(q)?;
+        (self.queries[idx].processing == Some(chunk)).then_some(idx)
+    }
+
     // ------------------------------------------------------------------
     // Mutations (driven by `Abm`).
     // ------------------------------------------------------------------
@@ -735,7 +840,7 @@ impl AbmState {
     /// If the query was still processing a chunk (a `PinnedChunk` is
     /// outstanding), that chunk's pin is deliberately *left in place* so the
     /// frame cannot be evicted under the reader; the driver returns it later
-    /// through [`Self::release_pin`].
+    /// through [`Self::finish_processing`] or [`Self::abandon_processing`].
     pub(crate) fn remove_query(&mut self, id: QueryId) -> QueryState {
         let idx = self
             .query_index(id)
@@ -783,22 +888,25 @@ impl AbmState {
         ticket
     }
 
-    /// Completes the *oldest* in-flight load.  Convenience for the
-    /// single-outstanding tests; the drivers go through
+    /// Completes the *oldest* in-flight load, with no data.  Convenience for
+    /// the single-outstanding tests; the drivers go through
     /// [`crate::Abm::commit_load`] / [`Self::complete_load_of`].
     #[cfg(test)]
     pub(crate) fn complete_load(&mut self) -> u64 {
         let chunk = self.inflight.first().expect("no load in flight").chunk;
-        self.complete_load_of(chunk)
+        self.complete_load_of(chunk, ChunkPayload::Missing)
     }
 
     /// Completes the in-flight load of `chunk` (loads may complete in any
-    /// order): its columns become resident and the reservation is converted
-    /// into occupied pages.  Returns the number of pages added.
+    /// order): its columns become resident with `payload` — merged into the
+    /// resident payload if the chunk already was ([`ChunkPayload::merged_with`])
+    /// — and the reservation is converted into occupied pages.  The install
+    /// counts as one pin and one unpin: a miss if it made the chunk
+    /// resident, a hit if it merged.  Returns the number of pages added.
     ///
     /// # Panics
     /// Panics if no load of `chunk` is in flight.
-    pub(crate) fn complete_load_of(&mut self, chunk: ChunkId) -> u64 {
+    pub(crate) fn complete_load_of(&mut self, chunk: ChunkId, payload: ChunkPayload) -> u64 {
         let idx = self
             .inflight
             .iter()
@@ -820,16 +928,27 @@ impl AbmState {
         let seq = self.seq;
         let slot = &mut self.buffered[chunk.as_usize()];
         let old_columns = slot.as_ref().map(|b| b.columns).unwrap_or(ColSet::EMPTY);
+        self.frames.pins += 1;
+        self.frames.unpins += 1;
+        self.obs.inc(Counter::FramePins);
+        self.obs.inc(Counter::FrameUnpins);
         match slot {
             Some(b) => {
                 b.columns = b.columns.union(cols);
                 b.pages += pages;
                 b.loaded_seq = seq;
                 b.last_touch = seq;
+                b.payload = b.payload.merged_with(&payload);
+                self.frames.hits += 1;
+                self.obs.inc(Counter::FrameHits);
             }
             None => {
-                *slot = Some(BufferedChunk::new(chunk, cols, pages, seq));
+                *slot = Some(BufferedChunk::new(chunk, cols, pages, seq, payload));
                 self.num_buffered += 1;
+                self.frames.misses += 1;
+                self.obs.inc(Counter::FrameMisses);
+                self.obs
+                    .gauge_set(Gauge::ResidentFrames, self.num_buffered as u64);
             }
         }
         let new_columns = old_columns.union(cols);
@@ -875,7 +994,8 @@ impl AbmState {
         self.debug_validate();
     }
 
-    /// Evicts `chunk` entirely from the buffer.  Returns the pages freed.
+    /// Evicts `chunk` entirely from the buffer, releasing its payload.
+    /// Returns the pages freed.
     ///
     /// # Panics
     /// Panics if the chunk is pinned or not resident.
@@ -884,7 +1004,6 @@ impl AbmState {
             .take()
             .unwrap_or_else(|| panic!("evicting non-resident chunk {chunk:?}"));
         assert!(!b.is_pinned(), "evicting pinned chunk {chunk:?}");
-        self.num_buffered -= 1;
         self.index.set_resident(chunk, false, false);
         self.used_pages -= b.pages;
         // Queries that could consume this chunk lost an available chunk.
@@ -894,8 +1013,10 @@ impl AbmState {
                 self.set_available(idx, self.queries[idx].available - 1);
             }
         }
+        let pages = b.pages;
+        self.left_buffer(b);
         self.debug_validate();
-        b.pages
+        pages
     }
 
     /// The *dead* columns of `chunk`: resident columns that none of the
@@ -927,9 +1048,10 @@ impl AbmState {
 
     /// Reclaims the dead columns ([`Self::dead_columns`]) of the first chunk
     /// that has any and is neither pinned nor the target of an in-flight
-    /// load (whose page reservation was computed against the resident set).
-    /// Returns the chunk, which may have left the buffer altogether if every
-    /// resident column was dead.
+    /// load (whose page reservation was computed against the resident set):
+    /// its payload keeps the columns that stay, and the one it held is
+    /// released.  Returns the chunk, which may have left the buffer
+    /// altogether if every resident column was dead.
     ///
     /// A chunk-granular policy cannot name these pages — its victim would
     /// take the chunk's live columns with them — so [`crate::Abm`] asks here
@@ -956,8 +1078,14 @@ impl AbmState {
         b.pages -= freed;
         let resident = !b.columns.is_empty();
         if !resident {
-            *slot = None;
-            self.num_buffered -= 1;
+            let b = slot.take().expect("a resident chunk is buffered");
+            self.left_buffer(b);
+        } else if let ChunkPayload::Data(data) = &b.payload {
+            let kept = data.retained(|c| b.columns.contains(c));
+            if let Some(kept) = kept {
+                let old = std::mem::replace(&mut b.payload, kept.into());
+                self.release_payload(old);
+            }
         }
         self.index.set_resident(chunk, resident, true);
         self.used_pages -= freed;
@@ -965,8 +1093,9 @@ impl AbmState {
         Some(chunk)
     }
 
-    /// Marks query `q` as starting to process `chunk` (pins the chunk).
-    pub(crate) fn start_processing(&mut self, q: QueryId, chunk: ChunkId) {
+    /// Marks query `q` as starting to process `chunk`: pins the chunk (a
+    /// hit) and returns a clone of its payload — a refcount bump.
+    pub(crate) fn start_processing(&mut self, q: QueryId, chunk: ChunkId) -> ChunkPayload {
         self.seq += 1;
         let seq = self.seq;
         self.query_mut(q).start_processing(chunk);
@@ -975,52 +1104,53 @@ impl AbmState {
             .unwrap_or_else(|| panic!("{q:?} processing non-resident chunk {chunk:?}"));
         b.pin(q);
         b.last_touch = seq;
+        let first = b.pinned_by.len() == 1;
+        let payload = b.payload.clone();
+        self.frames.hits += 1;
+        self.frames.pins += 1;
+        self.obs.inc(Counter::FrameHits);
+        self.obs.inc(Counter::FramePins);
+        if first {
+            self.num_pinned += 1;
+            self.obs
+                .gauge_set(Gauge::PinnedFrames, self.num_pinned as u64);
+        }
+        payload
     }
 
-    /// Marks query `q` as done with `chunk` (unpins, interest drops).
+    /// Marks query `q` as done with `chunk`: unpins it, and `q`'s interest
+    /// in it ends.  If `q` was removed while processing the chunk, only the
+    /// pin it left ([`Self::remove_query`]) returns.
     pub(crate) fn finish_processing(&mut self, q: QueryId, chunk: ChunkId) {
-        let idx = self
-            .query_index(q)
-            .unwrap_or_else(|| panic!("unknown query {q:?}"));
-        let old_level = level(self.queries[idx].available);
-        self.queries[idx].finish_processing(chunk);
-        // The query's interest in this chunk ends: remove its contribution
-        // from the chunk's counters at its pre-transition level.
-        self.index.remove_interest(chunk, old_level);
-        // The chunk was pinned (hence resident) for the query throughout
-        // processing, so it was counted available; consuming it drops the
-        // availability by one.
-        let available = self.queries[idx].available;
-        debug_assert!(
-            available > 0,
-            "{q:?} consumed {chunk:?} with zero availability"
-        );
-        self.set_available(idx, available - 1);
-        if let Some(b) = self.buffered[chunk.as_usize()].as_mut() {
-            b.unpin(q);
+        if let Some(idx) = self.processing(q, chunk) {
+            let old_level = level(self.queries[idx].available);
+            self.queries[idx].finish_processing(chunk);
+            // The query's interest in this chunk ends: remove its
+            // contribution from the chunk's counters at its pre-transition
+            // level.
+            self.index.remove_interest(chunk, old_level);
+            // The chunk was pinned (hence resident) for the query
+            // throughout processing, so it was counted available; consuming
+            // it drops the availability by one.
+            let available = self.queries[idx].available;
+            debug_assert!(available > 0, "{q:?} consumed {chunk:?} unavailable");
+            self.set_available(idx, available - 1);
         }
+        self.release_pin(q, chunk);
         self.debug_validate();
     }
 
     /// Un-starts `q`'s processing of `chunk` *without* consuming it: the
     /// pin returns but interest and availability stay untouched, so the
     /// chunk will be chosen for `q` again.  Used when a delivered payload
-    /// fails checksum verification and must be re-loaded.
+    /// fails checksum verification and must be re-loaded.  If `q` was
+    /// removed meanwhile, only the pin it left returns.
     pub(crate) fn abandon_processing(&mut self, q: QueryId, chunk: ChunkId) {
-        self.query_mut(q).abandon_processing(chunk);
-        if let Some(b) = self.buffered[chunk.as_usize()].as_mut() {
-            b.unpin(q);
+        if let Some(idx) = self.processing(q, chunk) {
+            self.queries[idx].abandon_processing(chunk);
         }
+        self.release_pin(q, chunk);
         self.debug_validate();
-    }
-
-    /// Releases the processing pin a since-removed query still held on
-    /// `chunk` (see [`Self::remove_query`]).  A no-op if the chunk is gone
-    /// or the query held no pin.
-    pub(crate) fn release_pin(&mut self, q: QueryId, chunk: ChunkId) {
-        if let Some(b) = self.buffered[chunk.as_usize()].as_mut() {
-            b.unpin_if_held(q);
-        }
     }
 
     /// Marks query `q` as blocked at `now`.

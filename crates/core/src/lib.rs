@@ -31,9 +31,9 @@
 //!   reproduces the paper's sequential main loop decision-for-decision.
 //! * [`threaded::ScanServer`] — a real multi-threaded executor (OS threads,
 //!   an I/O worker pool running the ABM main loop of Fig. 3, one scheduler
-//!   lock over the ABM and its frame pool, per-query grant mailboxes, and
-//!   idle workers asleep on a condition variable bound to that lock) for
-//!   everything that moves bytes.  Each worker plans one load at a time (a
+//!   lock over the ABM and the payloads in its buffer, per-query grant
+//!   mailboxes, and idle workers asleep on a condition variable bound to
+//!   that lock) for everything that moves bytes.  Each worker plans one load at a time (a
 //!   budget of 1), so `io_threads(k)` keeps up to `k` loads in flight; a
 //!   failed read is retried and, past its budget, quarantined here and
 //!   nowhere else ([`RetryPolicy`]).
@@ -45,8 +45,9 @@
 //! Queries talk to the threaded server through one surface, the
 //! [`session::ScanSession`] trait (attach → `next_chunk()` → detach), and
 //! receive [`session::PinnedChunk`]s carrying *real payloads* (materialized
-//! by a [`cscan_storage::ChunkStore`], pinned in a `cscan_bufman` frame so
-//! eviction can never reclaim data a query is reading).  `ARCHITECTURE.md`
+//! by a [`cscan_storage::ChunkStore`], held and pinned in the ABM's buffer
+//! record of the chunk, so eviction can never reclaim data a query is
+//! reading).  `ARCHITECTURE.md`
 //! diagrams the layers (shared [`abm::ChunkIndex`] / plan-commit / the
 //! scheduler core / targeted wakeups) and the lock order: scheduler, then a
 //! query's slot.

@@ -112,7 +112,7 @@ impl Policy for AttachPolicy {
         self.orders.remove(&q);
     }
 
-    fn next_load(&mut self, state: &AbmState, _now: SimTime) -> Option<LoadDecision> {
+    fn next_load(&mut self, state: &AbmState, _now: SimTime, _slot: usize) -> Option<LoadDecision> {
         let mut candidates: Vec<QueryId> = state
             .queries()
             .filter(|q| !q.is_finished())
@@ -234,7 +234,7 @@ mod tests {
         let q2 = register(&mut s, 2, 0, 20);
         p.on_register(q2, &s);
         // Both start at chunk 0; a single load satisfies both.
-        let d = p.next_load(&s, SimTime::ZERO).unwrap();
+        let d = p.next_load(&s, SimTime::ZERO, 0).unwrap();
         assert_eq!(d.chunk, ChunkId::new(0));
         load(&mut s, 0);
         assert_eq!(p.next_chunk(q1, &s), Some(ChunkId::new(0)));

@@ -117,7 +117,7 @@ impl Policy for ElevatorPolicy {
         PolicyKind::Elevator
     }
 
-    fn next_load(&mut self, state: &AbmState, _now: SimTime) -> Option<LoadDecision> {
+    fn next_load(&mut self, state: &AbmState, _now: SimTime, _slot: usize) -> Option<LoadDecision> {
         let (chunk, cols) = self.next_wanted(state)?;
         // Attribute the load to an interested query (the first one) purely
         // for accounting; the elevator itself is query-agnostic.
@@ -251,7 +251,9 @@ mod tests {
         }
         let wide = register(&mut s, 1, 0, 2);
         let mut p = ElevatorPolicy::new();
-        let load = p.next_load(&s, SimTime::ZERO).expect("column 1 is missing");
+        let load = p
+            .next_load(&s, SimTime::ZERO, 0)
+            .expect("column 1 is missing");
         assert_eq!(
             (load.chunk, load.cols),
             (ChunkId::new(0), ColSet::first_n(2))
@@ -282,7 +284,7 @@ mod tests {
         register(&mut s, 2, 10, 12);
         let mut p = ElevatorPolicy::new();
         let picked: Vec<u32> = std::iter::from_fn(|| {
-            let d = p.next_load(&s, SimTime::ZERO)?;
+            let d = p.next_load(&s, SimTime::ZERO, 0)?;
             // Simulate the load completing so the next call moves on.
             let cols = s.model().all_columns();
             s.begin_load(d.chunk, cols);
@@ -292,7 +294,7 @@ mod tests {
         .collect();
         assert_eq!(picked, vec![2, 3, 4, 10, 11]);
         assert!(
-            p.next_load(&s, SimTime::ZERO).is_none(),
+            p.next_load(&s, SimTime::ZERO, 0).is_none(),
             "everything wanted is resident"
         );
     }
@@ -304,13 +306,13 @@ mod tests {
         let mut p = ElevatorPolicy::new();
         // Serve the first query up to chunk 7.
         for expected in [5, 6, 7] {
-            let d = p.next_load(&s, SimTime::ZERO).unwrap();
+            let d = p.next_load(&s, SimTime::ZERO, 0).unwrap();
             assert_eq!(d.chunk.index(), expected);
             load(&mut s, expected);
         }
         // A new query needing earlier chunks has to wait for the wrap.
         register(&mut s, 2, 0, 2);
-        let d = p.next_load(&s, SimTime::ZERO).unwrap();
+        let d = p.next_load(&s, SimTime::ZERO, 0).unwrap();
         assert_eq!(d.chunk.index(), 0, "cursor wrapped to the beginning");
     }
 
@@ -352,7 +354,7 @@ mod tests {
     fn no_queries_means_nothing_to_do() {
         let s = state(10, 4);
         let mut p = ElevatorPolicy::new();
-        assert!(p.next_load(&s, SimTime::ZERO).is_none());
+        assert!(p.next_load(&s, SimTime::ZERO, 0).is_none());
         assert_eq!(p.cursor(), 0);
     }
 }

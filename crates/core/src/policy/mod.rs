@@ -116,35 +116,18 @@ pub trait Policy: Send {
     fn on_query_finished(&mut self, _q: QueryId, _state: &AbmState) {}
 
     /// Which chunk should the disk load next, and for whom?  `None` means
-    /// there is nothing useful to load right now.
+    /// there is nothing useful to load right now.  Driven once per free
+    /// outstanding slot by [`crate::Abm::plan_loads`]: `slot` is the number
+    /// of loads already in flight, including earlier decisions of the same
+    /// burst, which the caller has begun before asking again, so `state`
+    /// always reflects them.
     ///
     /// Chunks with a load already in flight ([`AbmState::is_inflight`]) must
-    /// never be chosen: with an asynchronous scheduler the state routinely
-    /// contains outstanding loads when the next decision is taken.
-    fn next_load(&mut self, state: &AbmState, now: SimTime) -> Option<LoadDecision>;
-
-    /// Multi-decision planning entry point, driven once per free outstanding
-    /// slot by [`crate::Abm::plan_loads`]: `slot` is the number of loads
-    /// already in flight (including earlier decisions of the same burst,
-    /// which the caller has begun before asking again, so `state` always
-    /// reflects them).
-    ///
-    /// `slot == 0` must take exactly the decision of [`Policy::next_load`] —
-    /// that keeps a K=1 pipeline bit-identical to the sequential main loop —
-    /// and the default implementation simply always delegates there, which
-    /// batches correctly for any policy whose `next_load` excludes in-flight
-    /// chunks.  Policies may override later slots to keep the pipeline full
-    /// in situations where their single-decision rule would stall (see
-    /// [`RelevancePolicy`]).
-    fn next_load_pipelined(
-        &mut self,
-        state: &AbmState,
-        now: SimTime,
-        slot: usize,
-    ) -> Option<LoadDecision> {
-        let _ = slot;
-        self.next_load(state, now)
-    }
+    /// never be chosen.  `slot == 0` is the paper's sequential main loop;
+    /// a policy may take a different decision for a later slot to keep the
+    /// pipeline full where its single-decision rule would stall (see
+    /// [`RelevancePolicy`]), and the other three ignore `slot`.
+    fn next_load(&mut self, state: &AbmState, now: SimTime, slot: usize) -> Option<LoadDecision>;
 
     /// Which resident chunk should query `q` consume next?  `None` means the
     /// query must block until a load completes.

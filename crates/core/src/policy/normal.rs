@@ -53,7 +53,7 @@ impl Policy for NormalPolicy {
         PolicyKind::Normal
     }
 
-    fn next_load(&mut self, state: &AbmState, _now: SimTime) -> Option<LoadDecision> {
+    fn next_load(&mut self, state: &AbmState, _now: SimTime, _slot: usize) -> Option<LoadDecision> {
         // Round-robin over queries that still have a missing chunk ahead of
         // their sequential cursor.
         let mut candidates: Vec<QueryId> = state
@@ -152,15 +152,15 @@ mod tests {
         let q1 = register(&mut s, 1, 0, 5);
         let q2 = register(&mut s, 2, 5, 10);
         let mut p = NormalPolicy::new();
-        let d1 = p.next_load(&s, SimTime::ZERO).unwrap();
+        let d1 = p.next_load(&s, SimTime::ZERO, 0).unwrap();
         assert_eq!(d1.trigger, q1);
         assert_eq!(d1.chunk, ChunkId::new(0));
         // Round-robin: the next decision services the other query.
-        let d2 = p.next_load(&s, SimTime::ZERO).unwrap();
+        let d2 = p.next_load(&s, SimTime::ZERO, 0).unwrap();
         assert_eq!(d2.trigger, q2);
         assert_eq!(d2.chunk, ChunkId::new(5));
         // And wraps around.
-        let d3 = p.next_load(&s, SimTime::ZERO).unwrap();
+        let d3 = p.next_load(&s, SimTime::ZERO, 0).unwrap();
         assert_eq!(d3.trigger, q1);
     }
 
@@ -173,7 +173,7 @@ mod tests {
         // Query 1 can consume chunk 0 right away...
         assert_eq!(p.next_chunk(q1, &s), Some(ChunkId::new(0)));
         // ...and the next read on its behalf prefetches chunk 1.
-        let d = p.next_load(&s, SimTime::ZERO).unwrap();
+        let d = p.next_load(&s, SimTime::ZERO, 0).unwrap();
         assert_eq!(d.chunk, ChunkId::new(1));
         assert_eq!(d.trigger, q1);
     }
@@ -187,7 +187,7 @@ mod tests {
         }
         let mut p = NormalPolicy::new();
         assert!(
-            p.next_load(&s, SimTime::ZERO).is_none(),
+            p.next_load(&s, SimTime::ZERO, 0).is_none(),
             "everything needed is already resident"
         );
     }
@@ -224,7 +224,7 @@ mod tests {
         s.start_processing(q, ChunkId::new(0));
         s.finish_processing(q, ChunkId::new(0));
         let mut p = NormalPolicy::new();
-        assert!(p.next_load(&s, SimTime::ZERO).is_none());
+        assert!(p.next_load(&s, SimTime::ZERO, 0).is_none());
         assert!(p.next_chunk(q, &s).is_none());
     }
 }

@@ -572,18 +572,12 @@ impl RelevancePolicy {
         };
         pick(true).or_else(|| pick(false))
     }
-}
 
-impl Policy for RelevancePolicy {
-    fn name(&self) -> &'static str {
-        "relevance"
-    }
-
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Relevance
-    }
-
-    fn next_load(&mut self, state: &AbmState, now: SimTime) -> Option<LoadDecision> {
+    /// `chooseQueryToProcess` + `chooseChunkToLoad`: the starved query
+    /// with the highest relevance, and its missing chunk with the highest
+    /// load relevance.  `None` if no query is starved or the top one has
+    /// nothing loadable.
+    fn top_trigger_load(&mut self, state: &AbmState, now: SimTime) -> Option<LoadDecision> {
         // chooseQueryToProcess: the starved query with the highest relevance.
         // O(active queries): every term of queryRelevance reads the cached
         // starvation index in O(1), and only starved queries have finite
@@ -609,35 +603,36 @@ impl Policy for RelevancePolicy {
             cols,
         })
     }
+}
 
-    fn next_load_pipelined(
-        &mut self,
-        state: &AbmState,
-        now: SimTime,
-        slot: usize,
-    ) -> Option<LoadDecision> {
+impl Policy for RelevancePolicy {
+    fn name(&self) -> &'static str {
+        "relevance"
+    }
+
+    fn kind(&self) -> PolicyKind {
+        PolicyKind::Relevance
+    }
+
+    fn next_load(&mut self, state: &AbmState, now: SimTime, slot: usize) -> Option<LoadDecision> {
         // Slot 0 — an empty pipeline — is exactly the sequential main loop:
         // only the top-relevance query may trigger, even if it has nothing
-        // loadable.  That keeps K=1 execution bit-identical to `next_load`.
-        if slot == 0 {
-            return self.next_load(state, now);
+        // loadable.  Later slots take the same decision when the top
+        // trigger has a loadable chunk, which it usually has.
+        let top = self.top_trigger_load(state, now);
+        if top.is_some() || slot == 0 {
+            return top;
         }
         // Later slots keep the pipeline full: the top trigger's missing
         // chunks may all be in flight already (a short scan fully covered by
         // slots 0..n), in which case the disk should work for the next most
-        // relevant starved query instead of idling.  Fast path: the argmax
-        // trigger usually has a loadable chunk, and `next_load` computes
-        // exactly that without touching the scratch list.
-        if let Some(decision) = self.next_load(state, now) {
-            return Some(decision);
-        }
-        // Slow path (the argmax trigger had nothing loadable): walk the
-        // remaining starved queries in descending queryRelevance (ties
-        // towards the lower id, like `next_load`'s argmax) and take the
-        // first that has a loadable chunk.  The sorted list's head is
-        // exactly the argmax the fast path already tried, so the walk skips
-        // it; the trigger list reuses a scratch buffer so even this path
-        // allocates nothing per decision.
+        // relevant starved query instead of idling.  Walk the remaining
+        // starved queries in descending queryRelevance (ties towards the
+        // lower id, like the top trigger's argmax) and take the first that
+        // has a loadable chunk.  The sorted list's head is exactly the
+        // argmax already tried, so the walk skips it; the trigger list
+        // reuses a scratch buffer so even this path allocates nothing per
+        // decision.
         let running = state.num_queries().max(1) as f64;
         let mut triggers = std::mem::take(&mut self.trigger_scratch);
         triggers.clear();
@@ -743,7 +738,7 @@ mod tests {
             "short queries get priority: {r_short} vs {r_long}"
         );
         let mut p = RelevancePolicy::new();
-        let d = p.next_load(&s, now).unwrap();
+        let d = p.next_load(&s, now, 0).unwrap();
         assert_eq!(d.trigger, short);
         // The chosen chunk is shared by both queries (chunks 0..5 are).
         assert!(s.query(long).needs(d.chunk));
@@ -768,7 +763,9 @@ mod tests {
         let q = register(&mut s, 1, 0, 2);
         // One starved query wants both: the same interest buys a quarter of
         // the pages on the short chunk.
-        let d = RelevancePolicy::new().next_load(&s, SimTime::ZERO).unwrap();
+        let d = RelevancePolicy::new()
+            .next_load(&s, SimTime::ZERO, 0)
+            .unwrap();
         assert_eq!((d.trigger, d.chunk), (q, ChunkId::new(1)));
         assert_eq!(
             RelevancePolicy::choose_chunk_brute(&s, q),
@@ -790,7 +787,7 @@ mod tests {
         );
         let mut p = RelevancePolicy::new();
         assert!(
-            p.next_load(&s, SimTime::ZERO).is_none(),
+            p.next_load(&s, SimTime::ZERO, 0).is_none(),
             "nobody is starved"
         );
     }
@@ -834,7 +831,7 @@ mod tests {
         let _q3 = register(&mut s, 3, 5, 10);
         // All three queries are starved; chunks 5..10 serve three of them.
         let mut p = RelevancePolicy::new();
-        let d = p.next_load(&s, SimTime::ZERO).unwrap();
+        let d = p.next_load(&s, SimTime::ZERO, 0).unwrap();
         assert!(
             d.chunk.index() >= 5,
             "chunk {:?} should be in the shared range",
@@ -911,7 +908,7 @@ mod tests {
             SimTime::ZERO,
         );
         let mut p = RelevancePolicy::new();
-        let d = p.next_load(&s, SimTime::ZERO).unwrap();
+        let d = p.next_load(&s, SimTime::ZERO, 0).unwrap();
         // Whoever triggers, the loaded columns must include the trigger's
         // columns and may include the overlapping starved partner's, but not
         // the disjoint query's column 3 unless query 3 itself triggered.
@@ -938,15 +935,15 @@ mod tests {
         let _q2 = register(&mut s, 2, 10, 35);
         let check = |inc: &mut RelevancePolicy, brute: &mut RelevancePolicy, s: &AbmState| {
             let a = inc
-                .next_load(s, SimTime::ZERO)
+                .next_load(s, SimTime::ZERO, 0)
                 .map(|d| (d.trigger, d.chunk));
             let b = brute
-                .next_load(s, SimTime::ZERO)
+                .next_load(s, SimTime::ZERO, 0)
                 .map(|d| (d.trigger, d.chunk));
             assert_eq!(a, b, "incremental and brute-force disagree");
             // Decisions are read-only: asking again changes nothing.
             let again = inc
-                .next_load(s, SimTime::ZERO)
+                .next_load(s, SimTime::ZERO, 0)
                 .map(|d| (d.trigger, d.chunk));
             assert_eq!(a, again, "an unapplied decision must change nothing");
         };
@@ -983,7 +980,9 @@ mod tests {
         assert!(!s.is_starved(QueryId(3)), "chunks 5 and 6 feed the rest");
         assert_eq!(s.num_interested_starved(ChunkId::new(3)), 2);
         assert_eq!(s.num_interested(ChunkId::new(4)), 1101);
-        let d = RelevancePolicy::new().next_load(&s, SimTime::ZERO).unwrap();
+        let d = RelevancePolicy::new()
+            .next_load(&s, SimTime::ZERO, 0)
+            .unwrap();
         assert_eq!((d.trigger, d.chunk), (t, ChunkId::new(4)));
         assert_eq!(
             RelevancePolicy::choose_chunk_brute(&s, t),

@@ -1,21 +1,22 @@
 //! The scheduler core: where the ABM's grant, commit, release and close
 //! decisions are made, for both front-ends.
 //!
-//! [`Scheduler`] holds the [`Abm`], the [`FramePool`] that mirrors its
-//! residency and pins, the quarantine map and one entry per registered
-//! query, whose value the driver chooses (the threaded server's grant
-//! mailbox, the simulator's stream and query index).  It is plain state —
+//! [`Scheduler`] holds the [`Abm`] — whose buffer records hold each
+//! resident chunk's payload and pins — the quarantine map and one entry per
+//! registered query, whose value the driver chooses (the threaded server's
+//! grant mailbox, the simulator's stream and query index).  It is plain state —
 //! no lock, no thread, no clock: `now` is an argument — and every method
 //! appends what it decided to an effect list that the driver collects with
 //! [`Scheduler::swap_effects`] and applies:
 //!
 //! * [`Effect::Grant`] — the policy chose a resident chunk for a query
-//!   (Figure 3's `selectChunk`), pinned it in the ABM and in its frame, and
-//!   cloned the frame's payload for it;
+//!   (Figure 3's `selectChunk`), and the ABM pinned it and cloned its
+//!   payload for it;
 //! * [`Effect::Closed`] — a query is over and deregistered: it consumed
 //!   every chunk it needs or as many as its limit allows, it detached, or
 //!   a chunk it needs failed for good (the error);
-//! * [`Effect::Recycle`] — a payload the buffer let go of;
+//! * [`Effect::Recycle`] — a payload the buffer let go of (evicted, shrunk
+//!   away, or a stale load's);
 //! * [`Effect::InputsChanged`] — a scheduling input changed, so an idle
 //!   loader may now find a load to plan.
 //!
@@ -29,13 +30,12 @@
 //! scheduler lock and the simulator ([`crate::sim`]) from its event loop;
 //! neither makes a scheduling decision of its own.
 
-use crate::abm::{Abm, AbmState, CommitOutcome, LoadPlan};
+use crate::abm::{Abm, AbmState, LoadPlan};
 use crate::cscan::CScanPlan;
 use crate::model::TableModel;
 use crate::policy::PolicyKind;
 use crate::query::QueryId;
 use crate::session::ScanError;
-use cscan_bufman::FramePool;
 use cscan_obs::Registry;
 use cscan_simdisk::{SimDuration, SimTime};
 use cscan_storage::{ChunkId, ChunkPayload, StoreError};
@@ -48,14 +48,14 @@ mod proptests;
 /// One decision of the core, for the driver to apply.
 #[derive(Debug)]
 pub enum Effect<T> {
-    /// `chunk` is `query`'s next chunk, pinned in the ABM and in its frame;
-    /// `payload` is a clone of the frame's.  Hand it to `to`.
+    /// `chunk` is `query`'s next chunk, pinned in the ABM; `payload` is a
+    /// clone of the buffer's.  Hand it to `to`.
     Grant {
         /// The query the chunk goes to.
         query: QueryId,
         /// The granted chunk.
         chunk: ChunkId,
-        /// The frame's payload (a refcount bump).
+        /// The chunk's payload (a refcount bump).
         payload: ChunkPayload,
         /// The driver's value for the query.
         to: T,
@@ -101,11 +101,10 @@ struct Entry<T> {
     limit: Option<u32>,
 }
 
-/// The ABM, its frame pool, the quarantine map and the registered queries,
-/// changed only through the decisions below.  See the module docs.
+/// The ABM, the quarantine map and the registered queries, changed only
+/// through the decisions below.  See the module docs.
 pub struct Scheduler<T> {
     abm: Abm,
-    pool: FramePool,
     /// Chunks whose loads failed for good, with the final error.  A query
     /// that registers later and needs one is failed when the chunk is
     /// planned again.
@@ -118,17 +117,16 @@ pub struct Scheduler<T> {
 
 impl<T: Clone> Scheduler<T> {
     /// A scheduler for `model` with a buffer of `capacity_pages` under
-    /// `policy`, mirroring its frame counters into `obs`.
+    /// `policy`, publishing the buffer's counters into `obs`.
     pub fn new(
         model: TableModel,
         capacity_pages: u64,
         policy: PolicyKind,
         obs: Arc<Registry>,
     ) -> Self {
-        let chunks = (model.num_chunks() as usize).max(1);
+        let state = AbmState::with_metrics(model, capacity_pages, obs);
         Self {
-            abm: Abm::new(AbmState::new(model, capacity_pages), policy.build()),
-            pool: FramePool::new(chunks, obs),
+            abm: Abm::new(state, policy.build()),
             quarantined: HashMap::new(),
             queries: HashMap::new(),
             effects: Vec::new(),
@@ -141,14 +139,10 @@ impl<T: Clone> Scheduler<T> {
         &self.abm
     }
 
-    /// The frame pool, for reading.
-    pub fn pool(&self) -> &FramePool {
-        &self.pool
-    }
-
+    /// The ABM, for tests that set up or damage its buffer directly.
     #[cfg(test)]
-    pub(crate) fn pool_mut(&mut self) -> &mut FramePool {
-        &mut self.pool
+    pub(crate) fn abm_mut(&mut self) -> &mut Abm {
+        &mut self.abm
     }
 
     /// The driver's value for `q`, while it is registered.
@@ -166,11 +160,14 @@ impl<T: Clone> Scheduler<T> {
         self.quarantined.get(&chunk).copied()
     }
 
-    /// Hands the effects decided so far to the driver: `into` (empty) and
-    /// the core's list trade places, so neither allocates once both have
-    /// grown to their working size.
+    /// Hands the effects decided so far to the driver, the payloads the
+    /// buffer let go of last: `into` (empty) and the core's list trade
+    /// places, so neither allocates once both have grown to their working
+    /// size.
     pub fn swap_effects(&mut self, into: &mut Vec<Effect<T>>) {
         debug_assert!(into.is_empty(), "unapplied effects would be lost");
+        let released = self.abm.drain_released().map(Effect::Recycle);
+        self.effects.extend(released);
         std::mem::swap(&mut self.effects, into);
     }
 
@@ -207,20 +204,11 @@ impl<T: Clone> Scheduler<T> {
             return false;
         }
         let to = entry.to.clone();
-        let Some(chunk) = self.abm.acquire_chunk(q, now) else {
-            return false;
-        };
-        // The frame cannot change under the grant in a way its reader
+        // The payload cannot change under the grant in a way its reader
         // would notice: an install merge only adds columns (a load fetches
         // exactly the missing ones) and shares the resident ones, and the
-        // ABM pin just taken keeps eviction and dead-column reclaim away.
-        let Some(payload) = self.pool.pin(chunk) else {
-            // Invariant breach: a delivered chunk always has a resident
-            // frame.  Fail the query rather than panic.
-            debug_assert!(false, "delivered {chunk:?} has no resident frame");
-            self.abm.reject_delivered(q, chunk);
-            let cause = StoreError::Permanent;
-            self.close(q, Some(ScanError { chunk, cause }));
+        // pin just taken keeps eviction and dead-column reclaim away.
+        let Some((chunk, payload)) = self.abm.acquire_chunk(q, now) else {
             return false;
         };
         self.effects.push(Effect::Grant {
@@ -232,45 +220,17 @@ impl<T: Clone> Scheduler<T> {
         true
     }
 
-    /// Plans up to `max_new` loads into `out` ([`Abm::plan_loads`]) and
-    /// mirrors their evictions into the frame pool; chunks that gave up
-    /// only their dead columns keep exactly the columns the ABM still
-    /// accounts.  The payloads let go of are recycled.
+    /// Plans up to `max_new` loads into `out` ([`Abm::plan_loads`]); the
+    /// payloads their evictions and shrinks let go of are recycled.
     pub fn plan(&mut self, now: SimTime, max_new: usize, out: &mut Vec<LoadPlan>) {
-        let first = out.len();
         self.abm.plan_loads(now, max_new, out);
-        for plan in &out[first..] {
-            // The ABM never evicts a pinned chunk, and frame pins shadow
-            // ABM pins one for one, so the frame is free.
-            for &victim in &plan.evicted {
-                let freed = self.pool.evict(victim);
-                debug_assert!(
-                    freed.is_some(),
-                    "ABM evicted {victim:?} but its frame was held"
-                );
-                self.effects.extend(freed.map(Effect::Recycle));
-            }
-            for &chunk in &plan.shrunk {
-                let (Some(b), Some(ChunkPayload::Data(data))) = (
-                    self.abm.state().buffered_chunk(chunk),
-                    self.pool.payload(chunk),
-                ) else {
-                    // Evicted whole later in the same plan, or no data.
-                    continue;
-                };
-                if let Some(kept) = data.retained(|c| b.columns.contains(c)) {
-                    let old = self.pool.replace_payload(chunk, kept.into());
-                    self.effects.push(Effect::Recycle(old));
-                }
-            }
-        }
     }
 
     /// Retires a load ([`Abm::commit_load`] under its plan's stamp): a
-    /// current one installs `payload` into the chunk's frame and matches
-    /// the queries it unblocks; a stale one recycles `payload`.  Returns
-    /// how many blocked queries the installed load woke, or `None` if it
-    /// was stale.
+    /// current one installs `payload` into the chunk's buffer record and
+    /// matches the queries it unblocks; a stale one recycles `payload`.
+    /// Returns how many blocked queries the installed load woke, or `None`
+    /// if it was stale.
     pub fn commit(
         &mut self,
         chunk: ChunkId,
@@ -279,15 +239,10 @@ impl<T: Clone> Scheduler<T> {
         payload: ChunkPayload,
         now: SimTime,
     ) -> Option<usize> {
-        let CommitOutcome::Committed { woken } = self.abm.commit_load(chunk, ticket, epoch) else {
-            self.effects.push(Effect::Recycle(payload));
-            return None;
-        };
+        let woken = self.abm.commit_load(chunk, ticket, epoch, payload)?;
         let mut woken_queries = std::mem::take(&mut self.scratch);
         woken_queries.clear();
         woken_queries.extend_from_slice(woken);
-        let installed = self.pool.install(chunk, payload);
-        debug_assert!(installed, "the model has no {chunk:?}");
         for &q in &woken_queries {
             self.grant(q, now);
         }
@@ -300,22 +255,17 @@ impl<T: Clone> Scheduler<T> {
     /// if `q` is still registered, otherwise just the pin of a query that
     /// closed while it was out — and matches `q` again.
     pub fn release(&mut self, q: QueryId, chunk: ChunkId, now: SimTime) {
-        self.pool.unpin(chunk);
         self.abm.release_delivered(q, chunk);
         self.grant(q, now);
         self.effects.push(Effect::InputsChanged);
     }
 
     /// Returns `q`'s pin of `chunk` *without* consuming it, because its
-    /// payload proved unusable: the chunk stays needed, the frame is
-    /// evicted unless another pin holds it (so the next load fetches fresh
-    /// bytes), and `q` is matched again.
+    /// payload proved unusable: the chunk stays needed, it is evicted
+    /// unless another pin holds it (so the next load fetches fresh bytes),
+    /// and `q` is matched again.
     pub fn reject(&mut self, q: QueryId, chunk: ChunkId, now: SimTime) {
-        self.pool.unpin(chunk);
-        if self.abm.reject_delivered(q, chunk) {
-            self.effects
-                .extend(self.pool.evict(chunk).map(Effect::Recycle));
-        }
+        self.abm.reject_delivered(q, chunk);
         self.grant(q, now);
         self.effects.push(Effect::InputsChanged);
     }
@@ -374,11 +324,77 @@ impl<T: Clone> Scheduler<T> {
     /// whose every query is blocked with nothing to plan; returns whether a
     /// chunk was evicted.
     pub fn force_evict(&mut self) -> bool {
-        let Some(victim) = self.abm.force_evict_one() else {
-            return false;
+        self.abm.force_evict_one().is_some()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::colset::ColSet;
+    use cscan_obs::Gauge;
+    use cscan_storage::chunkdata::{ChunkData, ColumnChunk};
+    use cscan_storage::{ColumnDef, ColumnId, ColumnType, ScanRanges, TableSchema};
+
+    /// A failed admission evicts before it gives up: the payload it let go
+    /// of is recycled at once, and the resident gauge counts what the ABM
+    /// holds.
+    #[test]
+    fn a_failed_plan_recycles_what_it_evicted_at_once() {
+        // Four chunks of 16, 16, 16 and 1 pages, four rows a page, and a
+        // buffer of 17 pages.
+        let schema = TableSchema::new("t", vec![ColumnDef::new("v", ColumnType::Int64)]);
+        let model = TableModel::nsm(&schema, 3 * 64 + 4, 32, 16 * 32);
+        let obs = Arc::new(Registry::new());
+        let mut core = Scheduler::new(model, 17, PolicyKind::Normal, Arc::clone(&obs));
+        let all = ColSet::first_n(1);
+        let mut effects = Vec::new();
+        // Loads the one chunk `plan` asks for, with data, and returns the
+        // grant it makes and the payload.
+        let mut load = |core: &mut Scheduler<()>| {
+            let mut plans = Vec::new();
+            core.plan(SimTime::ZERO, 1, &mut plans);
+            let plan = plans.pop().expect("a load fits");
+            let values = ColumnChunk::Plain(Arc::new(vec![plan.decision.chunk.index() as i64]));
+            let payload: ChunkPayload =
+                ChunkData::from_parts(vec![(ColumnId::new(0), values)]).into();
+            core.commit(
+                plan.decision.chunk,
+                plan.ticket,
+                plan.epoch,
+                payload.clone(),
+                SimTime::ZERO,
+            );
+            core.swap_effects(&mut effects);
+            let grant = effects.drain(..).find_map(|effect| match effect {
+                Effect::Grant { query, chunk, .. } => Some((query, chunk)),
+                _ => None,
+            });
+            (grant.expect("the load is granted"), payload)
         };
-        self.effects
-            .extend(self.pool.evict(victim).map(Effect::Recycle));
-        true
+        // Chunk 3, read by a scan that is over: cached and unpinned.
+        let short = CScanPlan::new("short", ScanRanges::single(3, 4), all);
+        core.register(&short, (), SimTime::ZERO);
+        let ((q, chunk), cached) = load(&mut core);
+        core.release(q, chunk, SimTime::ZERO);
+        // Chunk 0, granted and held.
+        let long = CScanPlan::new("long", ScanRanges::single(0, 3), all);
+        core.register(&long, (), SimTime::ZERO);
+        load(&mut core);
+        // Chunk 1 needs 16 pages: the plan evicts chunk 3, finds chunk 0
+        // pinned and gives up.
+        let mut plans = Vec::new();
+        core.plan(SimTime::ZERO, 1, &mut plans);
+        assert!(plans.is_empty());
+        core.swap_effects(&mut effects);
+        let recycled = effects.iter().any(|effect| match effect {
+            Effect::Recycle(payload) => *payload == cached,
+            _ => false,
+        });
+        assert!(recycled, "chunk 3's payload was not recycled: {effects:?}");
+        let state = core.abm().state();
+        assert_eq!(state.num_buffered(), 1);
+        assert_eq!(obs.gauge(Gauge::ResidentFrames), 1);
+        assert_eq!(state.frame_stats().evictions, 1);
     }
 }

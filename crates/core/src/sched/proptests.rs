@@ -10,8 +10,13 @@
 //! * each chunk a query needs is granted exactly once — a rejected grant is
 //!   granted again — and a query closed without an error or a detach has
 //!   consumed all of them, or as many as its limit allows;
-//! * the frame pool's pins equal the ABM's processing pins, chunk by chunk,
-//!   and the grants the driver holds, and every resident chunk has a frame;
+//! * the buffer's pins are the grants the driver holds, one for one, and a
+//!   pinned chunk is never evicted: `hits + misses == pins`, and
+//!   `pins - unpins` is the number of grants held;
+//! * every resident chunk holds a payload with exactly the columns the ABM
+//!   accounts for — installs merge, shrinks drop the dead columns;
+//! * the published counters and the pinned and resident gauges equal the
+//!   ABM's own;
 //! * no grant goes to a closed query, none to a query that holds one, and
 //!   none past a query's limit, and a quarantine fails exactly the queries
 //!   that still need the chunk.
@@ -27,8 +32,9 @@ use crate::model::TableModel;
 use crate::policy::PolicyKind;
 use crate::query::QueryId;
 use crate::session::ScanError;
-use cscan_obs::Registry;
+use cscan_obs::{Counter, Gauge, Registry};
 use cscan_simdisk::SimTime;
+use cscan_storage::chunkdata::{ChunkData, ColumnChunk};
 use cscan_storage::{ChunkId, ChunkPayload, ColumnId, ScanRanges, StoreError};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -103,6 +109,7 @@ struct Open {
 /// The test as the core's driver.
 struct Driver {
     core: Scheduler<()>,
+    obs: Arc<Registry>,
     pending: Vec<LoadPlan>,
     held: Vec<(QueryId, ChunkId)>,
     open: BTreeMap<QueryId, Open>,
@@ -115,8 +122,10 @@ impl Driver {
     fn new(policy: PolicyKind, buffer_chunks: u64) -> Self {
         let model = TableModel::dsm_uniform(CHUNKS, 1_000, &[2; 4]);
         let pages = buffer_chunks * model.max_chunk_pages(model.all_columns());
+        let obs = Arc::new(Registry::new());
         Driver {
-            core: Scheduler::new(model, pages, policy, Arc::new(Registry::disabled())),
+            core: Scheduler::new(model, pages, policy, Arc::clone(&obs)),
+            obs,
             pending: Vec::new(),
             held: Vec::new(),
             open: BTreeMap::new(),
@@ -157,9 +166,21 @@ impl Driver {
             Op::Commit { i } if !self.pending.is_empty() => {
                 let plan = self.pending.remove(usize::from(i) % self.pending.len());
                 let chunk = plan.decision.chunk;
-                let woken =
-                    self.core
-                        .commit(chunk, plan.ticket, plan.epoch, ChunkPayload::Missing, now);
+                // What a loader reads: the columns the load adds (none,
+                // for a stale load whose chunk was loaded since).
+                let state = self.core.abm().state();
+                let missing = state.missing_columns(chunk, plan.decision.cols);
+                let parts: Vec<_> = missing
+                    .iter()
+                    .map(|c| (c, ColumnChunk::Plain(Arc::new(vec![0; 2]))))
+                    .collect();
+                let payload = match parts.is_empty() {
+                    true => ChunkPayload::Missing,
+                    false => ChunkData::from_parts(parts).into(),
+                };
+                let woken = self
+                    .core
+                    .commit(chunk, plan.ticket, plan.epoch, payload, now);
                 self.trace.push(Decision::Committed(chunk, woken));
             }
             Op::Release { i } if !self.held.is_empty() => {
@@ -203,6 +224,7 @@ impl Driver {
             _ => {}
         }
         self.apply(detached)?;
+        self.check_buffer()?;
         if let Some(chunk) = failed {
             let spared = self
                 .open
@@ -214,7 +236,7 @@ impl Driver {
                 chunk
             );
         }
-        self.check_pins()
+        Ok(())
     }
 
     /// Registers `plan`; its effects are checked with the step's.
@@ -294,24 +316,44 @@ impl Driver {
         Ok(())
     }
 
-    /// Frame pins against ABM pins, chunk by chunk, and against the grants
-    /// the driver holds; a frame for every resident chunk.
-    fn check_pins(&self) -> Result<(), TestCaseError> {
-        let (state, pool) = (self.core.abm().state(), self.core.pool());
-        let mut total = 0;
-        for c in (0..CHUNKS).map(ChunkId::new) {
-            let abm_pins = state.buffered_chunk(c).map_or(0, |b| b.pinned_by.len());
-            let frame_pins = pool.pin_count(c).unwrap_or(0) as usize;
-            prop_assert_eq!(frame_pins, abm_pins, "pins of {:?}", c);
-            total += frame_pins;
+    /// The buffer against the grants the driver holds, and what it
+    /// published against what it counted.
+    fn check_buffer(&self) -> Result<(), TestCaseError> {
+        let state = self.core.abm().state();
+        let stats = state.frame_stats();
+        prop_assert_eq!(stats.hits + stats.misses, stats.pins);
+        prop_assert_eq!(stats.pins - stats.unpins, self.held.len() as u64);
+        for &(q, chunk) in &self.held {
+            let pinned = state
+                .buffered_chunk(chunk)
+                .is_some_and(|b| b.pinned_by.contains(&q));
+            prop_assert!(pinned, "{:?} holds {:?}, which is not pinned", q, chunk);
         }
-        prop_assert_eq!(total, self.held.len());
-        let frameless = state.buffered().find(|b| pool.payload(b.chunk).is_none());
-        prop_assert!(
-            frameless.is_none(),
-            "resident without a frame: {:?}",
-            frameless.map(|b| b.chunk)
+        for b in state.buffered() {
+            let ChunkPayload::Data(data) = &b.payload else {
+                return Err(TestCaseError::fail(format!("{:?} holds no data", b.chunk)));
+            };
+            let held: ColSet = data.column_ids().collect();
+            prop_assert_eq!(held, b.columns, "columns of {:?}", b.chunk);
+        }
+        let pinned = state.buffered().filter(|b| b.is_pinned()).count();
+        prop_assert_eq!(state.pinned_frames(), pinned);
+        let obs = &self.obs;
+        prop_assert_eq!(obs.gauge(Gauge::PinnedFrames), pinned as u64);
+        prop_assert_eq!(
+            obs.gauge(Gauge::ResidentFrames),
+            state.num_buffered() as u64
         );
+        let published = [
+            (Counter::FrameHits, stats.hits),
+            (Counter::FrameMisses, stats.misses),
+            (Counter::FrameEvictions, stats.evictions),
+            (Counter::FramePins, stats.pins),
+            (Counter::FrameUnpins, stats.unpins),
+        ];
+        for (counter, value) in published {
+            prop_assert_eq!(obs.counter(counter), value, "{:?}", counter);
+        }
         Ok(())
     }
 
@@ -324,7 +366,7 @@ impl Driver {
                 prop_assert_eq!(state.num_queries(), 0);
                 prop_assert_eq!(state.num_inflight(), 0);
                 prop_assert_eq!(state.reserved_pages(), 0);
-                prop_assert_eq!(self.core.pool().pinned_frames(), 0);
+                prop_assert_eq!(state.pinned_frames(), 0);
                 prop_assert!(self.core.registered().next().is_none());
                 return Ok(());
             }

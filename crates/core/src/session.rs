@@ -7,17 +7,17 @@
 //! once; the execution layer (the `cscan_exec` operator tree) consumes a
 //! scan through the trait.  [`crate::threaded::CScanHandle`] implements it
 //! — a blocking session over real OS threads, delivering pins of the
-//! [`crate::threaded::ScanServer`]'s frame pool — and wrappers around a
+//! [`crate::threaded::ScanServer`]'s buffer — and wrappers around a
 //! handle (the benchmark's tracing session) implement it too.
 //!
 //! # Pin lifecycle
 //!
 //! A [`PinnedChunk`] is the unit of delivery.  While it is alive the chunk
-//! is pinned — in the ABM (the chunk is `pinned_by` the query, so no
-//! eviction plan may choose it) and in the chunk's
-//! [`cscan_bufman::FramePool`] slot (a pin count), so the payload a query
-//! is reading can never be reclaimed under it.  Dropping the pin releases
-//! both and tells the scheduler the chunk was consumed.
+//! is pinned in the ABM's buffer record of it (the chunk is `pinned_by`
+//! the query, so no eviction plan may choose it and no dead-column reclaim
+//! may shrink it), and the pin carries a clone of the record's payload, so
+//! the data a query is reading can never be reclaimed under it.  Dropping
+//! the pin releases it and tells the scheduler the chunk was consumed.
 //!
 //! A payload may arrive *compressed* (encoded PDICT/PFOR/PFOR-DELTA
 //! mini-columns).  The server verifies every still-encoded column's
@@ -217,7 +217,7 @@ impl Drop for PinnedChunk {
 /// [`crate::threaded::CScanHandle`] implements it, and `cscan_exec`-style
 /// operator trees consume it.  Detaching mid-scan (or dropping the session)
 /// is always legal: the ABM releases the query's interest, aborts loads
-/// that were in flight solely on its behalf, and frees its frame pins as
+/// that were in flight solely on its behalf, and returns its pins as
 /// outstanding [`PinnedChunk`]s drop.
 pub trait ScanSession {
     /// Delivers the next chunk in ABM-chosen order, `Ok(None)` when the

@@ -40,10 +40,8 @@ use crate::policy::PolicyKind;
 use crate::query::QueryId;
 use crate::sched::{Effect, QueryTotals, Scheduler};
 use cscan_engine::{EventQueue, JobId, SharedCpu};
-use cscan_obs::Registry;
 use cscan_simdisk::{IoTrace, QueueDepthTrace, RaidArray, SimDuration, SimTime};
 use cscan_storage::{ChunkId, ChunkPayload};
-use std::sync::{Arc, OnceLock};
 
 /// Events driving the simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -153,10 +151,8 @@ impl<'a> Runner<'a> {
         streams: &'a [Vec<QuerySpec>],
     ) -> Self {
         let capacity = config.buffer_pages(model);
-        // The simulator records no metrics: every run shares one disabled
-        // registry rather than building its own.
-        static NO_METRICS: OnceLock<Arc<Registry>> = OnceLock::new();
-        let obs = Arc::clone(NO_METRICS.get_or_init(|| Arc::new(Registry::disabled())));
+        // The simulator records no metrics.
+        let obs = crate::abm::no_metrics();
         Self {
             model,
             config,
@@ -931,7 +927,7 @@ mod tests {
     #[test]
     fn every_policy_completes_with_outstanding_io() {
         // The pipelining must be safe for all four policies, not just
-        // relevance (the default next_load_pipelined path).
+        // relevance (the three that ignore `next_load`'s slot).
         for policy in PolicyKind::ALL {
             let r = {
                 let mut sim = Simulation::new(

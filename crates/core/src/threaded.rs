@@ -16,10 +16,10 @@
 //! With a [`ScanServerBuilder::store`] configured, delivery carries *data*,
 //! not just chunk ids: each committed load's payload (materialized by the
 //! [`ChunkStore`] on the I/O worker, **outside** the scheduler lock) is
-//! installed into the chunk's slot of the core's
-//! [`cscan_bufman::FramePool`], and every [`PinnedChunk`] a query receives
-//! holds both the ABM-side processing pin and a frame pin (the slot's pin
-//! count), so eviction can never reclaim a chunk a query is still reading.
+//! installed into the chunk's buffer record in the ABM
+//! ([`crate::abm::BufferedChunk`]), and every [`PinnedChunk`] a query
+//! receives holds the record's processing pin and a clone of its payload,
+//! so eviction can never reclaim a chunk a query is still reading.
 //! A payload is a [`ChunkPayload`] — the resident columns of the chunk, the
 //! whole row when a load covers every column; [`PinnedChunk::column`] views
 //! them zero-copy — the hot consume path (acquire → read views → release)
@@ -47,7 +47,7 @@
 //! diagram):
 //!
 //! * **The scheduler lock** (one mutex around `Sched`) protects the core —
-//!   the ABM, the frame pool, the per-query mailboxes' registry and the
+//!   the ABM with its buffer, the per-query mailboxes' registry and the
 //!   quarantine set — and the effects it still owes.  An I/O worker holds
 //!   it to *plan* a load and again to *commit* the completed read; the
 //!   read itself — the part that takes milliseconds — runs with the lock
@@ -58,8 +58,8 @@
 //!   [`ScanServer::metrics`].
 //!
 //! * **Effects under the lock, wake-ups after it.**  The critical section
-//!   that called the core deposits its grants (the chunk, its frame
-//!   already pinned and its payload cloned) into the queries' `QuerySlot`
+//!   that called the core deposits its grants (the chunk, already pinned,
+//!   and its payload cloned) into the queries' `QuerySlot`
 //!   mailboxes and closes the slots of closed queries before it unlocks —
 //!   lock order `scheduler → slot` — so a `finish` can never race a grant
 //!   that is not yet deposited.  The guard's drop then unlocks, wakes one
@@ -151,7 +151,7 @@ use std::time::{Duration, Instant};
 #[derive(Default)]
 struct SlotState {
     /// The granted chunk and its payload, delivered but not yet taken: the
-    /// scheduler core already ran the policy, pinned the frame and cloned
+    /// scheduler core already ran the policy, pinned the chunk and cloned
     /// its payload.  At most one (a query processes one chunk at a time;
     /// [`crate::query::QueryState::start_processing`] enforces it).
     grant: Option<(ChunkId, ChunkPayload)>,
@@ -189,8 +189,8 @@ enum Mailbox<'a> {
 /// Everything the scheduler lock protects: the scheduler core and what its
 /// decisions still owe the threads.
 struct Sched {
-    /// The decisions and every input to them: the [`crate::Abm`], the frame
-    /// pool, the quarantine map and each registered query's mailbox.
+    /// The decisions and every input to them: the [`crate::Abm`] and its
+    /// buffer, the quarantine map and each registered query's mailbox.
     core: Scheduler<Arc<QuerySlot>>,
     /// Reused list the core's effects are applied from ([`Sched::apply`]).
     effects: Vec<Effect<Arc<QuerySlot>>>,
@@ -211,8 +211,8 @@ struct Sched {
     /// and queues behind it.  Stays empty (and unallocated) as long as
     /// every consumer blocks in `next_chunk`.
     wakers: Vec<Waker>,
-    /// Payloads let go of under this lock (evicted or shrunk frames, an
-    /// untaken grant's clone, a torn frame, a stale load's read), offered
+    /// Payloads let go of under this lock (evicted or shrunk chunks', an
+    /// untaken grant's clone, a torn chunk's, a stale load's read), offered
     /// back to the store by [`SchedGuard`]'s drop after it unlocks.
     recycled: Vec<ChunkPayload>,
 }
@@ -716,14 +716,8 @@ fn io_worker_main(shared: Arc<Shared>) {
         unused.append(&mut sched.recycled);
         drop(sched);
         recycle(&shared, &mut unused);
-        // Flight events are recorded after the scheduler guard dropped: the
-        // recorder has its own (uncontended) mutex and control-plane events
-        // must not stretch the scheduler's critical sections.
-        for &victim in &plan.evicted {
-            shared
-                .obs
-                .event(EventKind::FrameEvicted, victim.index(), NO_QUERY, 0);
-        }
+        // The plan's flight event is recorded after the scheduler guard
+        // dropped: the recorder has its own (uncontended) mutex.
         shared.obs.event(
             EventKind::LoadPlanned,
             plan.decision.chunk.index(),
@@ -1020,18 +1014,20 @@ impl ScanServer {
     /// Number of resident frames holding at least one column that is still
     /// encoded bytes (one no consumer has read since the chunk was loaded).
     pub fn compressed_frames(&self) -> usize {
-        self.shared.lock_sched().core.pool().compressed_frames()
+        let sched = self.shared.lock_sched();
+        let buffered = sched.core.abm().state().buffered();
+        buffered.filter(|b| !b.payload.is_fully_decoded()).count()
     }
 
-    /// Counters of the data plane's frame pool (fetches, pins, evictions).
+    /// Counters of the buffer's frames (fetches, pins, evictions).
     pub fn frame_pool_stats(&self) -> PoolStats {
-        self.shared.lock_sched().core.pool().stats()
+        self.shared.lock_sched().core.abm().state().frame_stats()
     }
 
     /// Number of frames currently pinned by outstanding [`PinnedChunk`]s
     /// and unconsumed grants.
     pub fn pinned_frames(&self) -> usize {
-        self.shared.lock_sched().core.pool().pinned_frames()
+        self.shared.lock_sched().core.abm().state().pinned_frames()
     }
 }
 
@@ -1972,20 +1968,13 @@ mod tests {
             server.frame_pool_stats().evictions > 0,
             "the churn scan must have caused evictions"
         );
-        // The held frame was never reclaimed: still pinned, same bytes.
+        // The held frame was never reclaimed: still resident and pinned,
+        // same bytes.
         {
             let sched = server.shared.lock_sched();
+            let held = sched.core.abm().state().buffered_chunk(held_chunk);
             assert!(
-                sched.core.pool().pin_count(held_chunk).unwrap_or(0) >= 1,
-                "the pinned frame must stay pinned"
-            );
-            assert!(
-                sched
-                    .core
-                    .abm()
-                    .state()
-                    .buffered_chunk(held_chunk)
-                    .is_some(),
+                held.is_some_and(|b| b.is_pinned()),
                 "the ABM may not evict a pinned chunk"
             );
         }
@@ -2016,13 +2005,9 @@ mod tests {
             (0..8)
                 .map(ChunkId::new)
                 .filter(|&chunk| {
-                    let accounted = sched
-                        .core
-                        .abm()
-                        .state()
-                        .buffered_chunk(chunk)
-                        .map(|b| b.columns);
-                    let held = match sched.core.pool().payload(chunk) {
+                    let state = sched.core.abm().state();
+                    let accounted = state.buffered_chunk(chunk).map(|b| b.columns);
+                    let held = match state.buffered_chunk(chunk).map(|b| &b.payload) {
                         Some(ChunkPayload::Data(data)) => Some(data.column_ids().collect()),
                         _ => None,
                     };
@@ -2538,15 +2523,10 @@ mod tests {
                 if state.num_inflight() == 0 {
                     assert_eq!(state.num_queries(), 0);
                     assert_eq!(state.reserved_pages(), 0, "leaked reservations");
-                    assert_eq!(sched.core.pool().pinned_frames(), 0, "leaked frame pins");
-                    // Pool and ABM agree on residency chunk-for-chunk.
-                    for c in 0..32u32 {
-                        let chunk = cscan_storage::ChunkId::new(c);
-                        assert_eq!(
-                            sched.core.pool().payload(chunk).is_some(),
-                            state.buffered_chunk(chunk).is_some(),
-                            "pool/ABM residency diverged for {chunk:?}"
-                        );
+                    assert_eq!(state.pinned_frames(), 0, "leaked frame pins");
+                    // Every resident chunk holds its data.
+                    for b in state.buffered() {
+                        assert!(!b.payload.is_missing(), "{:?} holds no data", b.chunk);
                     }
                     break;
                 }
@@ -2725,8 +2705,10 @@ mod tests {
                 .shared
                 .lock_sched()
                 .core
-                .pool()
-                .payload(ChunkId::new(c))
+                .abm()
+                .state()
+                .buffered_chunk(ChunkId::new(c))
+                .map(|b| &b.payload)
                 .cloned()
                 .unwrap();
             assert_eq!(decoded_columns(&resident), TOUCHED, "chunk {c}");
@@ -2860,8 +2842,10 @@ mod tests {
                     .shared
                     .lock_sched()
                     .core
-                    .pool()
-                    .payload(granted)
+                    .abm()
+                    .state()
+                    .buffered_chunk(granted)
+                    .map(|b| &b.payload)
                     .unwrap()
             )
             .len(),
@@ -2882,16 +2866,15 @@ mod tests {
         later.finish();
         {
             let sched = server.shared.lock_sched();
+            let state = sched.core.abm().state();
             assert_eq!(
-                columns_of(sched.core.pool().payload(other).unwrap()),
+                columns_of(state.buffered_chunk(other).map(|b| &b.payload).unwrap()),
                 [0],
                 "shrunk"
             );
-            assert_eq!(
-                columns_of(sched.core.pool().payload(granted).unwrap()).len(),
-                3
-            );
-            assert_eq!(sched.core.pool().pin_count(granted), Some(1));
+            let granted = state.buffered_chunk(granted).unwrap();
+            assert_eq!(columns_of(&granted.payload).len(), 3);
+            assert_eq!(granted.pinned_by.len(), 1);
         }
         // The narrow scan takes its grant — the pre-merge payload — and
         // then the shrunk frame: the store's values, decoded by the wide
@@ -3167,7 +3150,7 @@ mod tests {
         // No leaks after the dust settles.
         let sched = server.shared.lock_sched();
         assert_eq!(sched.core.abm().state().reserved_pages(), 0);
-        assert_eq!(sched.core.pool().pinned_frames(), 0);
+        assert_eq!(sched.core.abm().state().pinned_frames(), 0);
         drop(sched);
         assert_eq!(counter(&server, Counter::UnconsumedDrops), 0);
     }
@@ -3265,7 +3248,10 @@ mod tests {
         let chunk = cscan_storage::ChunkId::new(0);
         {
             let mut sched = server.shared.lock_sched();
-            let Some(ChunkPayload::Data(data)) = sched.core.pool().payload(chunk).cloned() else {
+            let state = sched.core.abm_mut().state_mut();
+            let Some(ChunkPayload::Data(data)) =
+                state.buffered_chunk(chunk).map(|b| &b.payload).cloned()
+            else {
                 panic!("the chunk stays cached");
             };
             let parts = data
@@ -3282,10 +3268,7 @@ mod tests {
                     plain => (*id, plain.clone()),
                 })
                 .collect();
-            sched
-                .core
-                .pool_mut()
-                .replace_payload(chunk, ChunkData::from_parts(parts).into());
+            *state.payload_mut(chunk).unwrap() = ChunkData::from_parts(parts).into();
         }
         // The second scan is granted the torn frame at registration.  The
         // pin fails verification, rejects the delivery, and the retry
@@ -3469,7 +3452,7 @@ mod tests {
                         "leaked grant slots"
                     );
                     assert_eq!(state.reserved_pages(), 0, "leaked reservations");
-                    assert_eq!(sched.core.pool().pinned_frames(), 0, "leaked frame pins");
+                    assert_eq!(state.pinned_frames(), 0, "leaked frame pins");
                     break;
                 }
             }

@@ -75,7 +75,6 @@ enum Decided {
         chunk: ChunkId,
         pages: u64,
         evicted: Vec<ChunkId>,
-        shrunk: Vec<ChunkId>,
     },
     /// A completion and the blocked queries it woke, `None` for one the
     /// core rejected (aborted or cancelled load).
@@ -133,7 +132,6 @@ impl Side {
                     chunk: plan.decision.chunk,
                     pages: plan.pages,
                     evicted: plan.evicted.clone(),
-                    shrunk: plan.shrunk.clone(),
                 }));
             }
             Op::Commit { i } if !self.pending.is_empty() => {
@@ -204,10 +202,10 @@ impl Pair {
                 _ => {}
             }
         }
+        let state = self.dsm.core.abm().state();
+        let all = state.model().all_columns();
         prop_assert!(
-            !decided
-                .iter()
-                .any(|d| matches!(d, Decided::Planned { shrunk, .. } if !shrunk.is_empty())),
+            state.buffered().all(|b| b.columns == all),
             "full-width scans leave no dead column"
         );
         prop_assert_eq!(
@@ -300,7 +298,7 @@ fn check(
         state.validate_counters();
         prop_assert_eq!(state.num_queries(), 0);
         prop_assert_eq!(state.num_inflight(), 0);
-        prop_assert_eq!(side.core.pool().pinned_frames(), 0);
+        prop_assert_eq!(state.pinned_frames(), 0);
     }
     let (nsm, dsm) = (pair.nsm.core.abm().state(), pair.dsm.core.abm().state());
     prop_assert_eq!(nsm.io_requests(), dsm.io_requests());
