@@ -90,6 +90,8 @@ pub mod model;
 #[cfg(test)]
 mod nsm;
 pub mod policy;
+#[cfg(test)]
+mod pool;
 pub mod query;
 mod retry;
 pub mod reuse;
