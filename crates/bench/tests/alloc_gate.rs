@@ -13,7 +13,12 @@
 //! * the plain load path under it — `FileStore::materialize` into a buffer
 //!   whose evicted payloads are offered back through `recycle` — allocates
 //!   **headers only**: the column vectors, the bytes that matter, are the
-//!   recycled ones.
+//!   recycled ones;
+//! * the wire: pumping a resident chunk into a connection's `SendQueue`
+//!   and writing it out allocates **the same constant per batch** at 2 000
+//!   and at 20 000 rows — the queue shares the column vectors, it copies
+//!   no value — and decoding a batch off a socket allocates **the returned
+//!   columns' bytes plus a constant**.
 //!
 //! The whole test binary runs under a counting global allocator that tracks
 //! allocation events and bytes per thread; the consume-path loops drive a
@@ -354,4 +359,117 @@ fn plain_load_path_allocates_headers_only_once_the_buffer_recycles() {
         .iter()
         .enumerate()
         .all(|(row, &v)| v == value(chunk, 3, row)));
+}
+
+/// Bytes the pumping thread allocates per batch while a full scan of a
+/// resident `lineitem_demo` table of `CHUNKS` chunks of `rows` rows, two
+/// columns served, is pumped into a fresh `SendQueue` and then written
+/// out: the queue holds every batch at once, so a queue that copied
+/// values would grow by each batch's 16 bytes a row.
+fn served_bytes_per_batch(rows: u64) -> u64 {
+    use cscan_core::{CScanPlan, ColSet};
+    use cscan_exec::MemTable;
+    use cscan_proto::SendQueue;
+    use cscan_server::{Catalog, Pump, ServerScan, TableConfig};
+
+    const CHUNKS: u32 = 32;
+
+    let mut catalog = Catalog::new();
+    catalog.add_mem_table(
+        "t",
+        MemTable::lineitem_demo(CHUNKS as u64 * rows, rows),
+        TableConfig {
+            buffer_chunks: CHUNKS as u64,
+            ..TableConfig::default()
+        },
+    );
+    let obs = catalog.observability();
+    let entry = catalog.get("t").expect("registered");
+    let serve = |label: &str| {
+        let plan = CScanPlan::full_table(label, ColSet::first_n(2));
+        let (permit, handle) = entry.open_scan(&plan).expect("admitted");
+        let mut scan = ServerScan::new(1, handle, permit, entry.served_columns(), &plan);
+        scan.add_credits(u32::MAX);
+        let (before, mut batches) = (thread_alloc_bytes(), 0);
+        let mut queue = SendQueue::new();
+        loop {
+            match scan.pump(&mut queue, &obs) {
+                Pump::Delivered => batches += 1,
+                Pump::Idle => std::thread::yield_now(),
+                Pump::Closed => break,
+            }
+        }
+        while queue.unsent() > 0 {
+            queue
+                .write_to(&mut std::io::sink())
+                .expect("a sink takes all");
+        }
+        assert_eq!(batches, CHUNKS);
+        (thread_alloc_bytes() - before) / batches as u64
+    };
+    // Warmup: fault every chunk in and warm the executor's scratch.
+    serve("warmup");
+    let per_batch = serve("measured");
+    assert_eq!(catalog.pinned_frames(), 0);
+    per_batch
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "allocation gates are measured in release builds only"
+)]
+fn serving_a_resident_chunk_allocates_a_constant_per_batch() {
+    let small = served_bytes_per_batch(2_000);
+    let large = served_bytes_per_batch(20_000);
+    assert_eq!(
+        small, large,
+        "bytes a batch must not depend on its rows: {small} at 2 000 rows, {large} at 20 000"
+    );
+    // The frames' headers, the queue's pieces and the pump's column list.
+    assert!(
+        large <= 1_024,
+        "{large} bytes a batch: the queue must share the 320 KB of values, not copy them"
+    );
+}
+
+/// Bytes allocated to decode one two-column `Batch` of `rows` rows from a
+/// reader with `Decoder::read_message`, once its buffer has warmed up.
+fn decoded_bytes_per_batch(rows: u32) -> u64 {
+    use cscan_proto::{encode_batch_frame, Decoder, Message};
+
+    const BATCHES: u64 = 16;
+    let values: Vec<i64> = (0..rows as i64).collect();
+    let mut bytes = Vec::new();
+    for chunk in 0..=BATCHES as u32 {
+        encode_batch_frame(&mut bytes, 1, chunk, rows, &[(0, &values), (5, &values)]);
+    }
+    let (mut src, mut dec) = (&bytes[..], Decoder::new());
+    let mut read = |dec: &mut Decoder| match dec.read_message(&mut src).expect("well-formed") {
+        Message::Batch { columns, .. } => assert!(columns.iter().all(|(_, v)| *v == values)),
+        other => panic!("unexpected {other:?}"),
+    };
+    read(&mut dec);
+    let before = thread_alloc_bytes();
+    for _ in 0..BATCHES {
+        read(&mut dec);
+    }
+    (thread_alloc_bytes() - before) / BATCHES
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "allocation gates are measured in release builds only"
+)]
+fn decoding_a_batch_allocates_its_columns_and_a_constant() {
+    let columns = |rows: u32| 2 * rows as u64 * 8;
+    let small = decoded_bytes_per_batch(2_000) - columns(2_000);
+    let large = decoded_bytes_per_batch(20_000) - columns(20_000);
+    assert_eq!(
+        small, large,
+        "beyond its columns, a batch must cost the same at any size: {small} bytes at 2 000 \
+         rows, {large} at 20 000"
+    );
+    assert!(large <= 256, "{large} bytes a batch beyond its columns");
 }

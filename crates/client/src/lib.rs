@@ -15,6 +15,11 @@
 //! back up to full whenever fewer than half its credits are outstanding —
 //! so the rule is invisible here.
 //!
+//! A batch's values are read from the socket straight into the vectors of
+//! the [`ColumnBatch`] it becomes ([`Decoder::read_message`]): apart from
+//! the few bytes that arrive in the same read as a column's header, the
+//! kernel's copy is the only one.
+//!
 //! ```no_run
 //! use cscan_client::ScanClient;
 //! use cscan_core::{CScanPlan, ColSet};
@@ -31,7 +36,7 @@
 #![warn(missing_docs)]
 
 use cscan_core::{CScanPlan, ScanError};
-use cscan_proto::{encode_frame, Decoder, Message, ProtoError, ServeError};
+use cscan_proto::{encode_frame, Decoder, Message, ProtoError, ReadError, ServeError};
 use std::io::{self, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
@@ -80,6 +85,15 @@ impl From<io::Error> for ClientError {
 impl From<ProtoError> for ClientError {
     fn from(e: ProtoError) -> Self {
         ClientError::Proto(e)
+    }
+}
+
+impl From<ReadError> for ClientError {
+    fn from(e: ReadError) -> Self {
+        match e {
+            ReadError::Io(e) => ClientError::Io(e),
+            ReadError::Proto(e) => ClientError::Proto(e),
+        }
     }
 }
 
@@ -143,20 +157,10 @@ impl ScanClient {
         Ok(())
     }
 
-    /// Blocks for the next frame from the server.  The socket is read
-    /// straight into the decoder's buffer, in reads sized to the frame.
+    /// Blocks for the next frame from the server; a batch's values go
+    /// from the socket straight into its column vectors.
     fn recv(&mut self) -> Result<Message, ClientError> {
-        loop {
-            if let Some(msg) = self.dec.next_message()? {
-                return Ok(msg);
-            }
-            if self.dec.read_from(&mut self.stream)? == 0 {
-                return Err(ClientError::Io(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "server closed the connection",
-                )));
-            }
-        }
+        Ok(self.dec.read_message(&mut self.stream)?)
     }
 
     /// Consumes leftover frames from an abandoned scan (batches that were

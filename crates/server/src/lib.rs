@@ -10,12 +10,12 @@
 //! The design splits cleanly by what can hurt the server:
 //!
 //! * [`admission`] — too many *scans*: cap, queue, shed.
-//! * [`service`] — too many *pins*: a delivered chunk is pinned only for
-//!   the microseconds it takes to encode, never while bytes wait on a
+//! * [`service`] — too many *pins*: a delivered chunk is pinned only until
+//!   its columns' references are taken, never while bytes wait on a
 //!   socket.
 //! * [`net`] — too many *bytes* and too little *progress*: a bounded
-//!   per-connection output buffer, and stall-shedding for peers that
-//!   stop reading while holding scans.
+//!   per-connection send queue, and stall-shedding for peers that stop
+//!   reading while holding scans.
 //!
 //! Nothing in the serving path polls or naps.  A connection is a reader
 //! thread blocked in `read` and a serving thread that sleeps on a

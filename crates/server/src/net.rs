@@ -6,8 +6,8 @@
 //! frames and hands them over through a bounded inbox — when that is full
 //! it waits, so a flooding peer meets TCP back-pressure, not server
 //! memory.  The *serving* thread owns the scans, their credits and the
-//! output buffer, and makes the same pass over and over: take the inbox,
-//! act on the frames, pump admitted scans into the output buffer
+//! send queue, and makes the same pass over and over: take the inbox,
+//! act on the frames, pump admitted scans into the send queue
 //! (round-robin, credit-gated), write to the socket.  A pass that moved
 //! nothing and left nothing unsent ends in a wait on the connection's
 //! `Doorbell`, which is rung by the reader (a frame, end of stream, a
@@ -16,13 +16,18 @@
 //! block, but for no longer than `WAIT_BOUND` (50 ms) at a time, so a `Cancel`,
 //! a stop and the stall clock are all observed while a peer is slow.
 //!
+//! The send queue ([`SendQueue`]) holds a batch's header bytes and, by
+//! reference count, the column vectors the buffer manager loaded; one
+//! vectored write hands its front to the socket, so the kernel's copy is
+//! the only one a value makes on its way out.
+//!
 //! Two bounds protect the server from a misbehaving peer:
 //!
-//! * **The output buffer cap** ([`ServerConfig::outbuf_cap`]) — once a
-//!   connection has that many encoded-but-unsent bytes, pumping stops.
-//!   Combined with the encode-only pin lifetime in
-//!   [`crate::service::ServerScan`], a stalled client holds zero pinned
-//!   frames — only plain heap bytes, and a bounded amount of them.
+//! * **The output cap** ([`ServerConfig::outbuf_cap`]) — once a connection
+//!   has that many queued-but-unsent bytes, pumping stops.  Combined with
+//!   the pin discipline of [`crate::service::ServerScan`] (a pin ends
+//!   before its batch is queued), a stalled client holds zero pinned
+//!   frames — only heap vectors, and a bounded amount of them.
 //! * **The stall timeout** ([`ServerConfig::stall_timeout`]) — a
 //!   connection that neither sends requests nor drains its socket while
 //!   holding open scans (or unsent bytes) is *shed*: its scans detach,
@@ -32,9 +37,9 @@
 use crate::catalog::Catalog;
 use crate::service::{Pump, ServerScan};
 use cscan_obs::{Counter, Gauge, Registry};
-use cscan_proto::{encode_frame, Decoder, Message, ProtoError, ServeError};
+use cscan_proto::{Decoder, FrameSink, Message, ProtoError, SendQueue, ServeError};
 use parking_lot::{Condvar, Mutex};
-use std::io::{self, Write};
+use std::io;
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -59,7 +64,7 @@ const INBOX_FRAMES: usize = 64;
 pub struct ServerConfig {
     /// Concurrent open scans allowed per connection.
     pub max_scans_per_conn: usize,
-    /// Encoded-but-unsent bytes a connection may hold before pumping
+    /// Queued-but-unsent bytes a connection may hold before pumping
     /// pauses (the per-connection memory bound).
     pub outbuf_cap: usize,
     /// How long a connection may make no progress (no reads, no write
@@ -334,9 +339,8 @@ struct Connection {
     /// Rung by the reader, by stop, and — as the waker every scan of this
     /// connection is given — by the executor.
     bell: Arc<Doorbell>,
-    /// Encoded frames awaiting the socket; `out_at` is the send offset.
-    out: Vec<u8>,
-    out_at: usize,
+    /// Frames awaiting the socket.
+    out: SendQueue,
     scans: Vec<ServerScan>,
     /// Ids are issued in increasing order and never reused, so an id below
     /// this one that is not in `scans` belongs to a scan that reached a
@@ -372,8 +376,7 @@ impl Connection {
             obs,
             inbox: Arc::new(Inbox::default()),
             bell,
-            out: Vec::new(),
-            out_at: 0,
+            out: SendQueue::new(),
             scans: Vec::new(),
             next_scan_id: 1,
             pump_at: 0,
@@ -497,10 +500,8 @@ impl Connection {
             if holding && stalled > self.cfg.stall_timeout {
                 for scan in &mut self.scans {
                     scan.abort();
-                    encode_frame(
-                        &mut self.out,
-                        &Message::serve_error(scan.id, &ServeError::StalledConsumer),
-                    );
+                    self.out
+                        .put_frame(&Message::serve_error(scan.id, &ServeError::StalledConsumer));
                 }
                 self.scans.clear();
                 if self.unsent() == 0 {
@@ -614,7 +615,7 @@ impl Connection {
     }
 
     /// One fair round over all scans: keep pumping until nobody can make
-    /// progress or the output buffer reaches its cap.
+    /// progress or the send queue reaches its cap.
     fn pump_round(&mut self) -> bool {
         let mut any = false;
         loop {
@@ -655,46 +656,37 @@ impl Connection {
     }
 
     fn unsent(&self) -> usize {
-        self.out.len() - self.out_at
+        self.out.unsent()
     }
 
     fn push(&mut self, msg: &Message) {
-        encode_frame(&mut self.out, msg);
+        self.out.put_frame(msg);
     }
 
-    /// One write of everything unsent, which blocks until the socket has
-    /// taken it all or [`WAIT_BOUND`] has passed; `Ok(true)` if any bytes
-    /// drained.
+    /// One vectored write of the queue's front, which blocks until the
+    /// socket has taken it or [`WAIT_BOUND`] has passed; `Ok(true)` if any
+    /// bytes drained.
     fn write_some(&mut self) -> Result<bool, ()> {
-        let mut wrote = false;
-        if self.out_at < self.out.len() {
-            match self.stream.write(&self.out[self.out_at..]) {
-                Ok(0) => return Err(()),
-                Ok(n) => {
-                    self.out_at += n;
-                    wrote = true;
-                }
-                // The slice ran out with the socket still full (either
-                // kind, by platform), or a signal cut it short.
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock
-                            | io::ErrorKind::TimedOut
-                            | io::ErrorKind::Interrupted
-                    ) => {}
-                Err(_) => return Err(()),
+        if self.unsent() == 0 {
+            return Ok(false);
+        }
+        match self.out.write_to(&mut self.stream) {
+            Ok(0) => Err(()),
+            Ok(_) => Ok(true),
+            // The slice ran out with the socket still full (either kind,
+            // by platform), or a signal cut it short.
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock
+                        | io::ErrorKind::TimedOut
+                        | io::ErrorKind::Interrupted
+                ) =>
+            {
+                Ok(false)
             }
+            Err(_) => Err(()),
         }
-        // Compact once everything (or a large prefix) is sent.
-        if self.out_at >= self.out.len() {
-            self.out.clear();
-            self.out_at = 0;
-        } else if self.out_at > 256 * 1024 {
-            self.out.drain(..self.out_at);
-            self.out_at = 0;
-        }
-        Ok(wrote)
     }
 
     /// Best-effort bounded flush used on goodbye paths (the socket may be

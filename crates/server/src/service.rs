@@ -1,35 +1,40 @@
-//! Per-scan serving state: credits in, encoded `Batch` frames out.
+//! Per-scan serving state: credits in, `Batch` frames out.
 //!
 //! A [`ServerScan`] owns the executor handle, the admission [`Permit`]
 //! and the client's credit balance.  Pumping never blocks: it polls
 //! ([`CScanHandle::poll_next_chunk`]) with the waker its connection gave
 //! it ([`ServerScan::set_waker`]), so an idle scan costs nothing until the
 //! executor deposits its next chunk and wakes the connection.  A delivered
-//! pin lives only for the duration of one `encode` call — the frame is
-//! released back to the buffer pool *before* the bytes ever wait on the
-//! socket.  That is the invariant that keeps a stalled client from wedging
-//! the pool: its unsent data sits in a bounded byte buffer, never in
-//! pinned frames.
+//! chunk's served columns are taken as shared vectors (a reference count
+//! each) and its pin is completed *before* anything is queued — the
+//! discipline `SessionSource` follows — so the frame goes back to the
+//! buffer before any byte of it waits on the socket.  That is the
+//! invariant that keeps a stalled client from wedging the pool: its unsent
+//! batches hold vectors the buffer no longer accounts for (a reload
+//! allocates fresh ones), never pinned frames.  Where the frame goes is
+//! the caller's [`FrameSink`]: the connection's [`cscan_proto::SendQueue`],
+//! which writes the vectors to the socket as they are, or a `Vec<u8>`.
 
 use crate::admission::Permit;
 use cscan_core::session::ScanError;
 use cscan_core::threaded::CScanHandle;
 use cscan_core::{CScanPlan, ColSet};
 use cscan_obs::{Counter, Registry};
-use cscan_proto::{encode_batch_frame, encode_frame, Message};
+use cscan_proto::{FrameSink, Message};
+use cscan_storage::chunkdata::ColumnData;
 use cscan_storage::ColumnId;
 use std::task::{Context, Poll, Waker};
 
 /// What one pump attempt did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pump {
-    /// A batch was encoded into the output buffer.
+    /// A batch went into the sink.
     Delivered,
     /// Nothing to do right now: no credit, or the executor has no chunk
     /// ready (I/O still in flight).
     Idle,
     /// The scan completed or failed; its terminal frame (`ScanDone` or
-    /// `Error`) is in the output buffer and the scan should be dropped.
+    /// `Error`) is in the sink and the scan should be dropped.
     Closed,
 }
 
@@ -99,14 +104,14 @@ impl ServerScan {
     }
 
     /// Tries to move one batch from the executor into `out`.  Never
-    /// blocks; never holds a pin beyond the encode.
+    /// blocks; never holds a pin past taking the columns' references.
     ///
     /// At zero credits it returns [`Pump::Idle`] *before* polling the
     /// executor, so the end of the scan is noticed — and `ScanDone` sent —
     /// only once a credit beyond the last batch has arrived: `n` credits
     /// for `n` chunks yield `n` batches and then `Idle`, not `Closed`.
     /// `ScanDone` itself spends no credit.
-    pub fn pump(&mut self, out: &mut Vec<u8>, obs: &Registry) -> Pump {
+    pub fn pump(&mut self, out: &mut impl FrameSink, obs: &Registry) -> Pump {
         if self.done {
             return Pump::Closed;
         }
@@ -119,41 +124,40 @@ impl ServerScan {
         {
             Err(error) => {
                 self.done = true;
-                encode_frame(out, &Message::scan_error(self.id, error));
+                out.put_frame(&Message::scan_error(self.id, error));
                 Pump::Closed
             }
             Ok(Poll::Pending) => Pump::Idle,
             Ok(Poll::Ready(None)) => {
                 self.done = true;
-                encode_frame(out, &Message::ScanDone { scan_id: self.id });
+                out.put_frame(&Message::ScanDone { scan_id: self.id });
                 Pump::Closed
             }
             Ok(Poll::Ready(Some(pin))) => {
                 self.credits -= 1;
                 let rows = pin.rows() as u32;
                 let chunk = pin.chunk().index();
-                // Borrow the pinned columns just long enough to encode
-                // (a compressed column decodes here, at its first touch).
-                let cols: Result<Vec<(u16, &[i64])>, ScanError> = self
+                // A reference to each served column (a compressed column
+                // decodes here, at its first touch), then the pin goes.
+                let cols: Result<Vec<(u16, ColumnData)>, ScanError> = self
                     .columns
                     .iter()
                     .filter_map(|&(raw, col)| {
-                        Some(pin.try_column(col).transpose()?.map(|v| (raw, v)))
+                        Some(pin.try_shared_column(col).transpose()?.map(|v| (raw, v)))
                     })
                     .collect();
+                pin.complete();
                 let cols = match cols {
                     Ok(cols) => cols,
                     Err(error) => {
                         // A column that cannot be decoded ends the scan:
                         // no batch narrower than the plan goes out.
-                        pin.complete();
                         self.done = true;
-                        encode_frame(out, &Message::scan_error(self.id, error));
+                        out.put_frame(&Message::scan_error(self.id, error));
                         return Pump::Closed;
                     }
                 };
-                let bytes = encode_batch_frame(out, self.id, chunk, rows, &cols);
-                pin.complete();
+                let bytes = out.put_batch(self.id, chunk, rows, &cols);
                 obs.inc(Counter::BatchesServed);
                 obs.add(Counter::BytesServed, bytes as u64);
                 Pump::Delivered
@@ -244,7 +248,11 @@ mod tests {
         }
         assert_eq!(batches, 4);
         drop(scan);
-        assert_eq!(cat.pinned_frames(), 0, "encode-only pin lifetime");
+        assert_eq!(
+            cat.pinned_frames(),
+            0,
+            "pins end before the batch is queued"
+        );
     }
 
     /// The credit rule: `n` credits for `n` chunks buy `n` batches and

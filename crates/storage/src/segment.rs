@@ -149,9 +149,11 @@ const EXTENT_ENTRY_LEN: u64 = 33;
 const FREE_CHUNKS: usize = 4;
 
 /// The bytes of `values` in this target's byte order — on a little-endian
-/// target, exactly the plain extent encoding (callers check
-/// `cfg!(target_endian)`).
-fn ne_bytes(values: &[i64]) -> &[u8] {
+/// target, exactly the plain extent encoding and the wire's column values
+/// (callers check `cfg!(target_endian)`).  Public so that `cscan_proto`
+/// can hand a column to the socket, and take one from it, without a
+/// converting copy and without an `unsafe` of its own.
+pub fn ne_bytes(values: &[i64]) -> &[u8] {
     // SAFETY: `i64` has no padding, so all `size_of_val(values)` bytes
     // behind the pointer are initialised (they belong to a live `&[i64]`);
     // `u8` has alignment 1, which any `i64` pointer satisfies; `len × 8`
@@ -161,11 +163,11 @@ fn ne_bytes(values: &[i64]) -> &[u8] {
     unsafe { std::slice::from_raw_parts(values.as_ptr().cast(), std::mem::size_of_val(values)) }
 }
 
-/// [`ne_bytes`], writable: what a positioned read fills so that an extent
-/// lands in the column vector with no staging copy.  Takes *initialised*
-/// memory only — callers pass `vec![0; rows]` or a recycled vector, never
-/// spare capacity.
-fn ne_bytes_mut(values: &mut [i64]) -> &mut [u8] {
+/// [`ne_bytes`], writable: what a positioned read (or a socket read) fills
+/// so that an extent lands in the column vector with no staging copy.
+/// Takes *initialised* memory only — callers pass `vec![0; rows]` or a
+/// recycled vector, never spare capacity.
+pub fn ne_bytes_mut(values: &mut [i64]) -> &mut [u8] {
     // SAFETY: as for `ne_bytes` — no padding, alignment 8 → 1, `len × 8`
     // bounded by the live slice — and additionally every bit pattern is a
     // valid `i64`, so whatever is written through the view leaves `values`
