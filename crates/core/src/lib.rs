@@ -32,9 +32,11 @@
 //! * [`threaded::ScanServer`] — a real multi-threaded executor (OS threads,
 //!   an I/O worker pool running the ABM main loop of Fig. 3, one scheduler
 //!   lock over the ABM and the payloads in its buffer, per-query grant
-//!   mailboxes, and idle workers asleep on a condition variable bound to
-//!   that lock) for everything that moves bytes.  Each worker plans one load at a time (a
-//!   budget of 1), so `io_threads(k)` keeps up to `k` loads in flight; a
+//!   mailboxes whose changes ring the waiting consumers'
+//!   [`threaded::Doorbell`]s, and idle workers asleep on a condition
+//!   variable bound to that lock) for everything that moves bytes.  Each
+//!   worker plans one load at a time (a budget of 1), so
+//!   `io_threads(k)` keeps up to `k` loads in flight; a
 //!   failed read is retried and, past its budget, quarantined here and
 //!   nowhere else ([`RetryPolicy`]).
 //!

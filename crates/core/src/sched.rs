@@ -189,19 +189,19 @@ impl<T: Clone> Scheduler<T> {
     /// consumed everything it needs or as much as its limit allows.
     /// Nothing happens to a query that holds a grant or is closed, or when
     /// nothing resident suits it (the ABM marks it blocked, and the commit
-    /// of a chunk it needs matches it again).  Returns whether it granted.
-    pub fn grant(&mut self, q: QueryId, now: SimTime) -> bool {
+    /// of a chunk it needs matches it again).
+    fn grant(&mut self, q: QueryId, now: SimTime) {
         let Some(entry) = self.queries.get(&q) else {
-            return false;
+            return;
         };
         let query = self.abm.state().query(q);
         if query.processing.is_some() {
             // Its grant is still out; the release matches it again.
-            return false;
+            return;
         }
         if query.is_finished() || entry.limit.is_some_and(|limit| query.processed >= limit) {
             self.close(q, None);
-            return false;
+            return;
         }
         let to = entry.to.clone();
         // The payload cannot change under the grant in a way its reader
@@ -209,7 +209,7 @@ impl<T: Clone> Scheduler<T> {
         // exactly the missing ones) and shares the resident ones, and the
         // pin just taken keeps eviction and dead-column reclaim away.
         let Some((chunk, payload)) = self.abm.acquire_chunk(q, now) else {
-            return false;
+            return;
         };
         self.effects.push(Effect::Grant {
             query: q,
@@ -217,7 +217,6 @@ impl<T: Clone> Scheduler<T> {
             payload,
             to,
         });
-        true
     }
 
     /// Plans up to `max_new` loads into `out` ([`Abm::plan_loads`]); the

@@ -8,7 +8,10 @@
 //! scan through the trait.  [`crate::threaded::CScanHandle`] implements it
 //! — a blocking session over real OS threads, delivering pins of the
 //! [`crate::threaded::ScanServer`]'s buffer — and wrappers around a
-//! handle (the benchmark's tracing session) implement it too.
+//! handle (the benchmark's tracing session) implement it too.  The trait
+//! only blocks; a consumer that multiplexes several scans on one thread
+//! polls the handle itself with a waker
+//! ([`crate::threaded::CScanHandle::poll_next_chunk`]).
 //!
 //! # Pin lifecycle
 //!
@@ -227,21 +230,6 @@ pub trait ScanSession {
     /// closed: further calls keep returning the same error.  Blocks until
     /// one of those three is known.
     fn next_chunk(&mut self) -> Result<Option<PinnedChunk>, ScanError>;
-
-    /// Non-blocking variant of [`ScanSession::next_chunk`].
-    /// `Ok(Poll::Ready(..))` carries exactly what `next_chunk` would have
-    /// returned; `Ok(Poll::Pending)` means nothing is deliverable *right
-    /// now* — the scan is still live, and nothing will tell the caller when
-    /// that changes: it has to ask again.  A consumer that wants to be
-    /// woken instead (the serving layer, which multiplexes a connection's
-    /// scans on one thread) calls
-    /// [`CScanHandle::poll_next_chunk`](crate::threaded::CScanHandle::poll_next_chunk)
-    /// with a waker.  This default never returns `Pending`: it blocks in
-    /// `next_chunk`, which is what a wrapper that only forwards
-    /// `next_chunk` gets.
-    fn try_next_chunk(&mut self) -> Result<std::task::Poll<Option<PinnedChunk>>, ScanError> {
-        self.next_chunk().map(std::task::Poll::Ready)
-    }
 
     /// Number of chunks the scan still needs (0 once finished or detached).
     fn remaining_chunks(&self) -> u32;

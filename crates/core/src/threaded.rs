@@ -62,17 +62,21 @@
 //!   and its payload cloned) into the queries' `QuerySlot`
 //!   mailboxes and closes the slots of closed queries before it unlocks —
 //!   lock order `scheduler → slot` — so a `finish` can never race a grant
-//!   that is not yet deposited.  The guard's drop then unlocks, wakes one
-//!   idle I/O worker if a scheduling input changed, fires the wakers
-//!   pollers left in changed mailboxes, and offers the payloads let go of
-//!   back to the store ([`ChunkStore::recycle`]): a thread woken while the
-//!   lock is held preempts the holder and then queues behind it.
+//!   that is not yet deposited.  Each site that changes a mailbox moves the
+//!   slot's wakers to the guard's list; the guard's drop then unlocks,
+//!   wakes one idle I/O worker if a scheduling input changed, fires those
+//!   wakers, and offers the payloads let go of back to the store
+//!   ([`ChunkStore::recycle`]): a thread woken while the lock is held
+//!   preempts the holder and then queues behind it.
 //!
-//! * **Consumers.**  `next_chunk` takes the grant under the slot's own
-//!   mutex (shared-handle racers serialize there) and waits on the slot's
-//!   condvar otherwise; a consumer that drives several scans from one
-//!   thread calls [`CScanHandle::poll_next_chunk`] instead, which leaves a
-//!   [`Waker`] in the empty mailbox and returns.  Dropping a
+//! * **Consumers.**  There is one way to wait for a chunk.
+//!   [`CScanHandle::poll_next_chunk`] takes the grant under the slot's own
+//!   mutex (shared-handle racers serialize there) or, finding the mailbox
+//!   empty, leaves its [`Waker`] in the slot and returns `Pending`;
+//!   [`CScanHandle::next_chunk`] is that poll in a loop, waiting between
+//!   polls on its thread's [`Doorbell`] (`waitForChunk`).  A slot keeps one
+//!   list of wakers, deduplicated with [`Waker::will_wake`], so every
+//!   thread blocked on a shared handle is woken.  Dropping a
 //!   [`PinnedChunk`] is Figure 3's `releaseChunk`: one scheduler critical
 //!   section hands it to the core, which matches the query again (or
 //!   closes it at its last chunk or its limit).  The release try-locks
@@ -83,18 +87,24 @@
 //!   empty plan and its sleep are one critical section, and every change
 //!   to a scheduling input is made under the same lock.  A worker that
 //!   plans successfully wakes the next one before starting its read ("wake
-//!   chaining").  Every wait keeps a 50 ms bound as a belt-and-braces
-//!   guard: grants are *state* in the mailbox, so a timed-out waiter
-//!   re-checks and proceeds, and a bound that expires with work waiting is
-//!   counted (`worker_park_timeouts`, `consumer_wait_timeouts`).
+//!   chaining").
+//!
+//! * **One wait bound.**  Every wait here — an idle worker's, a consumer's
+//!   doorbell — and the serving layer's connection waits keep one
+//!   belt-and-braces bound, [`WAIT_BOUND`]: grants are *state* in the
+//!   mailbox and a ring is state in the doorbell, so a timed-out waiter
+//!   re-checks and proceeds, and a bound that expires with no wake-up
+//!   while work was waiting is counted (`worker_park_timeouts`,
+//!   `consumer_wait_timeouts`).
 //!
 //! * **Lock ordering.**  `scheduler → slot`, never the reverse.  Nothing
 //!   is awaited while holding the scheduler except its own idle condvar,
-//!   which releases it; no consumer's waker is called while holding it,
-//!   and no payload is ever *materialized or decoded* under it.  A pin
-//!   therefore must not drop on a thread that holds the scheduler lock —
-//!   its release would wait for that lock forever — and debug builds
-//!   refuse it.
+//!   which releases it; no waker is called while holding it (a
+//!   [`Doorbell`] refuses to ring on a thread that holds it, in debug
+//!   builds), and no payload is ever *materialized or decoded* under it.
+//!   A pin therefore must not drop on a thread that holds the scheduler
+//!   lock — its release would wait for that lock forever — and debug
+//!   builds refuse that too.
 //!
 //! Each of the [`ScanServerBuilder::io_threads`] workers holds at most one
 //! load outstanding, so a pool of `k` workers keeps up to `k` chunk loads
@@ -138,52 +148,97 @@ use cscan_obs::{
     Counter, EventKind, Gauge, QueryCounter, QueryScope, Registry, SpanKind, NO_QUERY,
 };
 use cscan_simdisk::SimTime;
+use cscan_storage::codec::{self, DecodeForbidden};
 use cscan_storage::{ChunkId, ChunkPayload, ChunkStore, ColumnChunk, ColumnId, StoreError};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
-use std::task::{Context, Poll, Waker};
+use std::task::{Context, Poll, Wake, Waker};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// What the per-query slot mutex protects.
+/// A query's grant mailbox: consumers wait here, the scheduler deposits
+/// here.  Lives outside the scheduler lock, behind its own mutex — taking
+/// a grant touches only that.
 #[derive(Default)]
-struct SlotState {
+struct QuerySlot {
     /// The granted chunk and its payload, delivered but not yet taken: the
     /// scheduler core already ran the policy, pinned the chunk and cloned
     /// its payload.  At most one (a query processes one chunk at a time;
     /// [`crate::query::QueryState::start_processing`] enforces it).
     grant: Option<(ChunkId, ChunkPayload)>,
-    /// Sticky per-query failure, deposited by quarantine; read (not taken)
-    /// so every consumer of a shared handle observes it.
+    /// The scan's failure, deposited by the close that ended it — the only
+    /// record of it; read (not taken) so every consumer of a shared handle
+    /// observes it.
     error: Option<ScanError>,
     /// Set when the query finished, reached its limit, detached, or erred;
     /// waiters return `Ok(None)` (or the error above).
     closed: bool,
-    /// Who to wake when the mailbox next changes: left by the last
-    /// [`CScanHandle::poll_next_chunk`] that found it empty, taken by
-    /// whichever site changes it (deposit, close, shutdown).
-    waker: Option<Waker>,
+    /// Who to wake when the mailbox next changes: every waker a poll that
+    /// found it empty left here, each once ([`Waker::will_wake`]), moved
+    /// out by whichever site changes it (deposit, close, shutdown).
+    wakers: Vec<Waker>,
 }
 
-/// A query's grant mailbox: consumers wait here, the scheduler deposits
-/// here.  Lives outside the scheduler lock — taking a grant touches only
-/// this mutex.
+/// The longest any wait stays blocked without looking up: an idle I/O
+/// worker's, a consumer's doorbell, and the serving layer's connection
+/// waits.  A belt-and-braces bound on a missed wake-up — counted, when it
+/// happens — never an interval anything is polled at.
+pub const WAIT_BOUND: Duration = Duration::from_millis(50);
+
+/// A thread's wake-up: a flag under a mutex plus a condvar.  The flag
+/// makes a ring *state*: one delivered while its thread is busy is consumed
+/// by the thread's next wait instead of being lost.  As a [`Waker`] it is
+/// what a grant mailbox fires when it changes; [`CScanHandle::next_chunk`]
+/// waits on one per thread, and each serving connection on its own.
 #[derive(Default)]
-struct QuerySlot {
-    state: Mutex<SlotState>,
+pub struct Doorbell {
+    rung: Mutex<bool>,
     cv: Condvar,
 }
 
-/// What one look at a query's mailbox found ([`CScanHandle::check_mailbox`]).
-enum Mailbox<'a> {
-    /// The answer is known: a grant to consume, or `None` — the scan is
-    /// over (limit reached, closed, finished, shut down).
-    Ready(Option<(ChunkId, ChunkPayload)>),
-    /// Nothing yet; the slot guard comes back so a blocking caller can
-    /// wait on the condvar without a window between check and wait.
-    Empty(MutexGuard<'a, SlotState>),
+impl Doorbell {
+    /// Rings the bell.  Never on a thread that holds the scheduler lock
+    /// (debug builds refuse it): the woken thread would preempt the holder
+    /// and then queue behind it.
+    pub fn ring(&self) {
+        // Every scheduler guard forbids decoding on its thread until it
+        // unlocks, so this is "the thread holds no scheduler guard".
+        debug_assert!(
+            !codec::decode_forbidden(),
+            "a doorbell rang on a thread that holds the scheduler lock"
+        );
+        *self.rung.lock() = true;
+        self.cv.notify_one();
+    }
+
+    /// Waits for a ring — one since the last wait counts — and consumes
+    /// it.  `true` if `bound` ran out first.
+    pub fn wait(&self, bound: Duration) -> bool {
+        let mut rung = self.rung.lock();
+        let mut timed_out = false;
+        if !*rung {
+            timed_out = self.cv.wait_for(&mut rung, bound).timed_out();
+        }
+        // A ring that raced the bound wins.
+        !std::mem::take(&mut *rung) && timed_out
+    }
+}
+
+impl Wake for Doorbell {
+    fn wake(self: Arc<Self>) {
+        self.ring();
+    }
+}
+
+thread_local! {
+    /// This thread's doorbell and the waker that rings it, for
+    /// [`CScanHandle::next_chunk`]: made once, so a wait allocates nothing.
+    static BELL: (Arc<Doorbell>, Waker) = {
+        let bell = Arc::new(Doorbell::default());
+        (Arc::clone(&bell), Waker::from(bell))
+    };
 }
 
 /// Everything the scheduler lock protects: the scheduler core and what its
@@ -191,9 +246,9 @@ enum Mailbox<'a> {
 struct Sched {
     /// The decisions and every input to them: the [`crate::Abm`] and its
     /// buffer, the quarantine map and each registered query's mailbox.
-    core: Scheduler<Arc<QuerySlot>>,
+    core: Scheduler<Arc<Mutex<QuerySlot>>>,
     /// Reused list the core's effects are applied from ([`Sched::apply`]).
-    effects: Vec<Effect<Arc<QuerySlot>>>,
+    effects: Vec<Effect<Arc<Mutex<QuerySlot>>>>,
     /// Grants a close found still in their mailbox, returned to the core
     /// once the effects at hand are applied.
     untaken: Vec<(QueryId, ChunkId)>,
@@ -205,11 +260,8 @@ struct Sched {
     /// Whether this critical section owes a sleeping worker a wake-up,
     /// sent by [`SchedGuard`]'s drop after it unlocks, like the wakers.
     wake_pending: bool,
-    /// Wakers taken from mailboxes changed under this lock.  Never fired
-    /// here: [`SchedGuard`]'s drop wakes them after unlocking, because a
-    /// wakee that runs while the lock is still held preempts the holder
-    /// and queues behind it.  Stays empty (and unallocated) as long as
-    /// every consumer blocks in `next_chunk`.
+    /// Wakers moved out of mailboxes changed under this lock, fired by
+    /// [`SchedGuard`]'s drop after it unlocks.
     wakers: Vec<Waker>,
     /// Payloads let go of under this lock (evicted or shrunk chunks', an
     /// untaken grant's clone, a torn chunk's, a stale load's read), offered
@@ -232,8 +284,8 @@ impl Sched {
     /// Applies the core's effects in the critical section that decided
     /// them.  Grants and closes go into the mailboxes now — lock order
     /// scheduler → slot — so a `finish` never races a grant that is not yet
-    /// deposited, and blocked consumers are notified; the wakers, a worker
-    /// wake-up and the payloads to recycle wait for [`SchedGuard`]'s drop.
+    /// deposited; the slots' wakers, a worker wake-up and the payloads to
+    /// recycle wait for [`SchedGuard`]'s drop.
     /// A grant a close finds untaken is returned to the core, which may
     /// decide more.
     fn apply(&mut self, shared: &Shared) {
@@ -252,12 +304,10 @@ impl Sched {
                         payload,
                         to: slot,
                     } => {
-                        let mut st = slot.state.lock();
+                        let mut st = slot.lock();
                         debug_assert!(st.grant.is_none(), "double grant for {query:?}");
                         st.grant = Some((chunk, payload));
-                        self.wakers.extend(st.waker.take());
-                        drop(st);
-                        slot.cv.notify_all();
+                        self.wakers.append(&mut st.wakers);
                     }
                     Effect::Closed {
                         query,
@@ -274,13 +324,12 @@ impl Sched {
                                 0,
                             );
                         }
-                        let mut st = slot.state.lock();
-                        st.error = st.error.or(error);
+                        let mut st = slot.lock();
+                        st.error = error;
                         st.closed = true;
-                        self.wakers.extend(st.waker.take());
+                        self.wakers.append(&mut st.wakers);
                         let untaken = st.grant.take();
                         drop(st);
-                        slot.cv.notify_all();
                         if let Some((chunk, payload)) = untaken {
                             self.untaken.push((query, chunk));
                             self.recycled.push(payload);
@@ -410,7 +459,7 @@ impl Shared {
         // Every scheduler guard forbids decoding on its thread for as long
         // as it lives, so this is "the thread holds no scheduler guard".
         debug_assert!(
-            !cscan_storage::codec::decode_forbidden(),
+            !codec::decode_forbidden(),
             "a pin of {chunk:?} was released on a thread that holds the \
              scheduler lock: the release would wait for that lock forever"
         );
@@ -440,18 +489,18 @@ impl Shared {
 /// offers the payloads let go of back to the store.
 ///
 /// The guard also carries a [`cscan_storage::codec::DecodeForbidden`]
-/// token: any payload decode attempted while a scheduler guard is alive on
-/// the current thread trips a debug assertion — the runtime proof of the
-/// "never decode under the scheduler lock" invariant — and so does a pin
-/// released on that thread.  The only wait under this guard is
-/// [`SchedGuard::wait_idle`], which releases the lock while it sleeps.
+/// token, for exactly as long as it holds the lock: any payload decode
+/// attempted meanwhile on the current thread trips a debug assertion — the
+/// runtime proof of the "never decode under the scheduler lock" invariant —
+/// and so do a pin released and a [`Doorbell`] rung on that thread.  The
+/// only wait under this guard is [`SchedGuard::wait_idle`], which releases
+/// the lock while it sleeps.
 struct SchedGuard<'a> {
-    /// `Some` until drop, which releases the lock before it wakes anyone.
-    guard: Option<MutexGuard<'a, Sched>>,
+    /// The lock and the token, `Some` until drop, which ends both before
+    /// it wakes anyone.
+    held: Option<(MutexGuard<'a, Sched>, DecodeForbidden)>,
     acquired: Instant,
     shared: &'a Shared,
-    /// Forbids payload decoding on this thread while the guard is alive.
-    _no_decode: cscan_storage::codec::DecodeForbidden,
 }
 
 impl SchedGuard<'_> {
@@ -459,10 +508,9 @@ impl SchedGuard<'_> {
     /// successful `try_lock`) in the instrumentation.
     fn adopt<'a>(guard: MutexGuard<'a, Sched>, shared: &'a Shared) -> SchedGuard<'a> {
         SchedGuard {
-            guard: Some(guard),
+            held: Some((guard, codec::forbid_decode())),
             acquired: Instant::now(),
             shared,
-            _no_decode: cscan_storage::codec::forbid_decode(),
         }
     }
 
@@ -471,7 +519,7 @@ impl SchedGuard<'_> {
     /// hold time: the hold span ends before it and restarts after.  Returns
     /// whether the bound expired with no wake-up sent while it slept.
     fn wait_idle(&mut self, timeout: Duration) -> bool {
-        let guard = self.guard.as_mut().expect("held until drop");
+        let guard = &mut self.held.as_mut().expect("held until drop").0;
         guard.apply(self.shared);
         self.shared.obs.record_span_ns(
             SpanKind::LockHold,
@@ -493,19 +541,19 @@ impl SchedGuard<'_> {
 impl Deref for SchedGuard<'_> {
     type Target = Sched;
     fn deref(&self) -> &Sched {
-        self.guard.as_ref().expect("held until drop")
+        &self.held.as_ref().expect("held until drop").0
     }
 }
 
 impl DerefMut for SchedGuard<'_> {
     fn deref_mut(&mut self) -> &mut Sched {
-        self.guard.as_mut().expect("held until drop")
+        &mut self.held.as_mut().expect("held until drop").0
     }
 }
 
 impl Drop for SchedGuard<'_> {
     fn drop(&mut self) {
-        let Some(mut guard) = self.guard.take() else {
+        let Some((mut guard, no_decode)) = self.held.take() else {
             return;
         };
         guard.apply(self.shared);
@@ -519,7 +567,7 @@ impl Drop for SchedGuard<'_> {
         let wakers = std::mem::take(&mut guard.wakers);
         let wake_worker = std::mem::take(&mut guard.wake_pending);
         let mut recycled = std::mem::take(&mut guard.recycled);
-        drop(guard);
+        drop((guard, no_decode));
         if wake_worker {
             self.shared.idle.notify_one();
         }
@@ -694,7 +742,7 @@ fn io_worker_main(shared: Arc<Shared>) {
             // blockForNextQuery: sleep until a scheduling input changes.
             // The bound is a belt-and-braces guard; correctness does not
             // depend on it.
-            unwoken = sched.wait_idle(Duration::from_millis(50));
+            unwoken = sched.wait_idle(WAIT_BOUND);
         };
         // The columns to materialize: exactly the missing ones (what this
         // load adds), or the full row when the load covers every column.
@@ -961,7 +1009,7 @@ impl ScanServer {
 
     /// Registers a CScan and returns a handle that delivers its chunks.
     pub fn cscan(&self, plan: CScanPlan) -> CScanHandle {
-        let slot = Arc::new(QuerySlot::default());
+        let slot = Arc::new(Mutex::new(QuerySlot::default()));
         // The core grants at once if something the query wants is already
         // resident (or closes an empty scan straight away); otherwise the
         // query is marked blocked so the next commit matches it.
@@ -987,7 +1035,6 @@ impl ScanServer {
             delivered: AtomicU32::new(0),
             pin_rejections: AtomicU32::new(0),
             finished: AtomicBool::new(false),
-            error: Mutex::new(None),
         }
     }
 
@@ -1041,8 +1088,7 @@ impl Drop for ScanServer {
             self.shared.idle.notify_all();
             let Sched { core, wakers, .. } = &mut *sched;
             for slot in core.registered() {
-                wakers.extend(slot.state.lock().waker.take());
-                slot.cv.notify_all();
+                wakers.append(&mut slot.lock().wakers);
             }
         }
         for handle in self.io_threads.drain(..) {
@@ -1061,7 +1107,7 @@ pub struct CScanHandle {
     shared: Arc<Shared>,
     /// This query's grant mailbox (also registered in the scheduler's slot
     /// map until `finish`).
-    slot: Arc<QuerySlot>,
+    slot: Arc<Mutex<QuerySlot>>,
     query: QueryId,
     /// This scan's metric scope: chunk/row deliveries, pin-wait episodes
     /// and time-to-first-chunk, labelled `{query, table}`.
@@ -1073,13 +1119,10 @@ pub struct CScanHandle {
     /// Chunks delivered so far (compared against `limit`).
     delivered: AtomicU32,
     /// Consecutive deliveries rejected by the pin-time checksum (reset on a
-    /// good delivery); lives on the handle so the non-blocking path carries
-    /// the count across `poll_next_chunk` calls.
+    /// good delivery); lives on the handle so the count survives `Pending`
+    /// round-trips.
     pin_rejections: AtomicU32,
     finished: AtomicBool,
-    /// Sticky scan failure: once a needed chunk is quarantined, every
-    /// further `next_chunk` call returns this same error.
-    error: Mutex<Option<ScanError>>,
 }
 
 impl CScanHandle {
@@ -1092,193 +1135,117 @@ impl CScanHandle {
     /// payload views stay valid (and the frame unevictable) until the pin
     /// is dropped — `Ok(None)` when the scan has delivered everything, hit
     /// its chunk limit, or the server shut down, or `Err` when a chunk this
-    /// query needs failed for good (quarantined after bounded retries).
-    /// The error is sticky: further calls keep returning it.  This is
-    /// `selectChunk` of Figure 3.
+    /// query needs failed for good (quarantined after bounded retries, or
+    /// undecodable).  The error is sticky: further calls keep returning it.
+    /// This is `selectChunk` of Figure 3.
     ///
-    /// The fast path touches only this query's slot mutex: the scheduler
-    /// deposited the grant (chunk, frame pin and payload) in advance.  Only when the
-    /// mailbox stays empty past a 50 ms wait bound does the consumer fall
-    /// back to a self-match under the scheduler lock (a belt-and-braces
-    /// guard; grants are state, so none can be missed — a self-match that
-    /// finds one is counted as `consumer_wait_timeouts`).
-    ///
-    /// If the chunk's payload still holds encoded columns, this call
-    /// verifies their checksums — with no executor lock held — before
-    /// returning; a mismatch rejects the delivery: the torn frame is
-    /// dropped and the chunk re-fetched from the store.  Decoding waits for
-    /// the consumer to touch a column ([`PinnedChunk::column`]); that time
-    /// is accounted as pin-wait (and separately as the `decode_nanos`
-    /// counter).
+    /// It is [`CScanHandle::poll_next_chunk`] in a loop, with this thread's
+    /// [`Doorbell`] as the waker and a wait on it between polls —
+    /// `waitForChunk`.  When the mailbox holds a grant the first poll
+    /// returns it, touching only this query's slot mutex and allocating
+    /// nothing.  A wait that runs out its [`WAIT_BOUND`] unrung and is
+    /// followed by an answer — a chunk, the end, or the error — is a missed
+    /// wake-up, counted as `consumer_wait_timeouts`.
     pub fn next_chunk(&self) -> Result<Option<PinnedChunk>, ScanError> {
-        loop {
-            let mut st = self.slot.state.lock();
-            let grant = loop {
-                st = match self.check_mailbox(st)? {
-                    Mailbox::Ready(grant) => break grant,
-                    Mailbox::Empty(st) => st,
-                };
-                // Nothing deliverable yet: wait on the mailbox — waitForChunk
-                // of Figure 3; only a grant for *this* query rings the slot.
-                let waited = Instant::now();
-                let timed_out = self
-                    .slot
-                    .cv
-                    .wait_for(&mut st, Duration::from_millis(50))
-                    .timed_out();
-                let ns = waited.elapsed().as_nanos() as u64;
-                self.scope.record_pin_wait(ns);
-                self.shared.obs.record_span_ns(SpanKind::PinWait, ns);
-                if timed_out {
-                    // Belt-and-braces: nothing granted within the bound —
-                    // match this query ourselves.  This is the only place
-                    // the blocking path can touch the scheduler lock, and
-                    // only after a 50 ms stall (never on the hot path).
-                    drop(st);
-                    if self.self_match(self.shared.lock_sched()) {
-                        self.shared.obs.inc(Counter::ConsumerWaitTimeouts);
+        BELL.with(|(bell, waker)| {
+            let mut cx = Context::from_waker(waker);
+            let mut unrung = false;
+            loop {
+                let next = match self.poll_next_chunk(&mut cx) {
+                    Ok(Poll::Ready(next)) => Ok(next),
+                    Err(error) => Err(error),
+                    Ok(Poll::Pending) => {
+                        let waited = Instant::now();
+                        unrung = bell.wait(WAIT_BOUND);
+                        let ns = waited.elapsed().as_nanos() as u64;
+                        self.scope.record_pin_wait(ns);
+                        self.shared.obs.record_span_ns(SpanKind::PinWait, ns);
+                        continue;
                     }
-                    st = self.slot.state.lock();
+                };
+                if unrung {
+                    // The answer was there and nothing had said so.
+                    self.shared.obs.inc(Counter::ConsumerWaitTimeouts);
                 }
-            };
-            let Some((chunk, payload)) = grant else {
-                return Ok(None);
-            };
-            // `None` is a rejected delivery (torn frame re-fetched): take
-            // the next grant when the re-load commits.
-            if let Some(pin) = self.consume_grant(chunk, payload)? {
-                return Ok(Some(pin));
+                return next;
             }
-        }
+        })
     }
 
-    /// Event-driven delivery: exactly [`CScanHandle::next_chunk`] except
-    /// that instead of waiting on the mailbox condvar it leaves `cx`'s
-    /// waker in the mailbox and returns `Ok(Poll::Pending)`.  Whatever next
-    /// changes the mailbox — a grant deposited, the scan closed by
-    /// [`CScanHandle::finish`] or a quarantine, the server shut down —
-    /// takes the waker and wakes it, after which polling again makes
-    /// progress.  The serving layer multiplexes a connection's scans on one
-    /// thread through this and sleeps until one of them can move.
+    /// The one place a delivery is decided.  In order: the scan's failure
+    /// (surfaced — flight dump and detach — by the first call that finds
+    /// it), the chunk limit, the grant, and the reasons there will never be
+    /// one (slot closed, scan finished, server shutting down).  Otherwise
+    /// the mailbox is empty: `cx`'s waker is left in it and the call
+    /// returns `Ok(Poll::Pending)`.  Whatever next changes the mailbox — a
+    /// grant deposited, the scan closed by [`CScanHandle::finish`], its
+    /// limit or a failure, the server shut down — wakes it, after which
+    /// polling again makes progress.  The serving layer multiplexes a
+    /// connection's scans on one thread through this.
     ///
-    /// The waker is stored in the slot critical section that found the
-    /// mailbox empty, so a deposit either precedes that check (and is
-    /// returned) or follows the store (and fires the waker): no wake is
-    /// lost in between.  A slot holds one waker, the latest poll's.  The
-    /// only lock this may *block* on is the query's own slot mutex (held
-    /// for nanoseconds); when the mailbox is empty the scheduler lock is
-    /// only *tried*, to self-match once, so a serving thread never waits
-    /// behind a plan or a commit.  (Dropping the pins it returns does take
-    /// the scheduler lock: a release is applied where it happens.)
+    /// The limit check and the grant take share the slot critical section,
+    /// so consumers racing on a shared handle serialize there and a LIMIT-n
+    /// scan delivers exactly n.  The waker is stored in that same section,
+    /// so a deposit either precedes the check (and is returned) or follows
+    /// the store (and fires the waker).  The only lock this may *block* on
+    /// is the query's own slot mutex, held for nanoseconds.  (Dropping the
+    /// pins it returns does take the scheduler lock: a release is applied
+    /// where it happens.)
+    ///
+    /// If the chunk's payload still holds encoded columns, their checksums
+    /// are verified — with no executor lock held — before it is returned; a
+    /// mismatch rejects the delivery: the torn frame is dropped and the
+    /// chunk re-fetched from the store.  Decoding waits for the consumer to
+    /// touch a column ([`PinnedChunk::column`]); that time is accounted as
+    /// pin-wait (and separately as the `decode_nanos` counter).
     pub fn poll_next_chunk(
         &self,
         cx: &mut Context<'_>,
     ) -> Result<Poll<Option<PinnedChunk>>, ScanError> {
         loop {
-            let mut self_matched = false;
-            let grant = loop {
-                let mut st = match self.check_mailbox(self.slot.state.lock())? {
-                    Mailbox::Ready(grant) => break grant,
-                    Mailbox::Empty(st) => st,
-                };
-                // Mailbox empty: self-match once if the scheduler lock
-                // happens to be free (never block on it), then look again —
-                // the core may have granted a chunk or closed the scan.
-                if !self_matched {
-                    if let Some(guard) = self.shared.sched.try_lock() {
-                        // Applying the effects locks the slot.
-                        drop(st);
-                        self.self_match(SchedGuard::adopt(guard, &self.shared));
-                        self_matched = true;
-                        continue;
-                    }
+            let mut st = self.slot.lock();
+            if let Some(error) = st.error {
+                drop(st);
+                return Err(self.surface(error));
+            }
+            if self
+                .limit
+                .is_some_and(|limit| self.delivered.load(Ordering::Relaxed) >= limit)
+            {
+                // LIMIT-style early termination: detach mid-scan, aborting
+                // loads in flight solely on this query's behalf.
+                drop(st);
+                self.finish();
+                return Ok(Poll::Ready(None));
+            }
+            let Some((chunk, payload)) = st.grant.take() else {
+                if st.closed
+                    || self.finished.load(Ordering::Acquire)
+                    || self.shared.shutdown.load(Ordering::Acquire)
+                {
+                    return Ok(Poll::Ready(None));
                 }
-                // Nothing deliverable right now.  Register for the wake
-                // while still inside the check's critical section and hand
-                // control back to the event loop.
-                st.waker = Some(cx.waker().clone());
+                if !st.wakers.iter().any(|w| w.will_wake(cx.waker())) {
+                    st.wakers.push(cx.waker().clone());
+                }
                 return Ok(Poll::Pending);
             };
-            let Some((chunk, payload)) = grant else {
-                return Ok(Poll::Ready(None));
-            };
-            if let Some(pin) = self.consume_grant(chunk, payload)? {
+            self.delivered.fetch_add(1, Ordering::Relaxed);
+            drop(st);
+            // `None` is a rejected delivery: look again.
+            if let Some(pin) = self.consume_grant(chunk, payload) {
                 return Ok(Poll::Ready(Some(pin)));
             }
         }
     }
 
-    /// [`CScanHandle::poll_next_chunk`] with nobody to wake: after
-    /// `Pending` the caller has to ask again on its own schedule.
-    pub fn try_next_chunk(&self) -> Result<Poll<Option<PinnedChunk>>, ScanError> {
-        self.poll_next_chunk(&mut Context::from_waker(Waker::noop()))
-    }
-
-    /// The one place a delivery is decided, for the blocking and the
-    /// non-blocking path alike.  In order: the sticky error (this handle's,
-    /// then one a quarantine parked in the slot — read, not taken, so every
-    /// consumer of a shared handle observes it), the chunk limit, the grant,
-    /// and the reasons there will never be one (slot closed, scan finished,
-    /// server shutting down); otherwise the mailbox is empty and the slot
-    /// guard goes back to the caller, which differs only in how it waits.
-    ///
-    /// The limit check and the grant take share the slot critical section,
-    /// so consumers racing on a shared handle serialize here and a LIMIT-n
-    /// scan delivers exactly n.
-    fn check_mailbox<'a>(
-        &self,
-        mut st: MutexGuard<'a, SlotState>,
-    ) -> Result<Mailbox<'a>, ScanError> {
-        if let Some(error) = *self.error.lock() {
-            return Err(error);
-        }
-        if let Some(error) = st.error {
-            drop(st);
-            return Err(self.fail(error));
-        }
-        if self
-            .limit
-            .is_some_and(|limit| self.delivered.load(Ordering::Relaxed) >= limit)
-        {
-            // LIMIT-style early termination: detach mid-scan, aborting
-            // loads in flight solely on this query's behalf.
-            drop(st);
-            self.finish();
-            return Ok(Mailbox::Ready(None));
-        }
-        if let Some(grant) = st.grant.take() {
-            self.delivered.fetch_add(1, Ordering::Relaxed);
-            return Ok(Mailbox::Ready(Some(grant)));
-        }
-        if st.closed
-            || self.finished.load(Ordering::Acquire)
-            || self.shared.shutdown.load(Ordering::Acquire)
-        {
-            return Ok(Mailbox::Ready(None));
-        }
-        Ok(Mailbox::Empty(st))
-    }
-
-    /// Matches this query on the consumer's own thread; true if the core
-    /// granted it a chunk.
-    fn self_match(&self, mut sched: SchedGuard<'_>) -> bool {
-        sched.core.grant(self.query, self.shared.now())
-    }
-
     /// Turns a taken grant into a [`PinnedChunk`] — the payload it carries,
-    /// checksums verified, per-query metrics — or rejects the
-    /// delivery (`Ok(None)`: the torn frame was evicted and the chunk
-    /// re-requested; take the next grant) or gives up (`Err`: the retry
-    /// budget is spent).  Nothing is decoded here: a column decodes when
-    /// the consumer first touches it ([`PinnedChunk::column`]).  Shared by
-    /// the blocking and non-blocking delivery paths; the
-    /// consecutive-rejection counter lives on the handle so it survives
-    /// `Pending` round-trips.
-    fn consume_grant(
-        &self,
-        chunk: ChunkId,
-        payload: ChunkPayload,
-    ) -> Result<Option<PinnedChunk>, ScanError> {
+    /// checksums verified, per-query metrics — or rejects the delivery
+    /// (`None`): the torn frame is evicted and the chunk re-requested, and
+    /// once the retry budget is spent the scan is closed with the error.
+    /// Nothing is decoded here: a column decodes when the consumer first
+    /// touches it ([`PinnedChunk::column`]).
+    fn consume_grant(&self, chunk: ChunkId, payload: ChunkPayload) -> Option<PinnedChunk> {
         // Verify at pin: every column that is still encoded bytes is
         // checked against its recorded checksum (the second integrity
         // point, after install) before a consumer can decode it — outside
@@ -1306,16 +1273,16 @@ impl CScanHandle {
                 self.shared
                     .obs
                     .event(EventKind::ChecksumFailure, chunk.index(), self.query.0, 0);
-                {
-                    let mut sched = self.shared.lock_sched();
-                    sched.core.reject(self.query, chunk, self.shared.now());
-                    self.delivered.fetch_sub(1, Ordering::Relaxed);
-                }
                 let failures = self.pin_rejections.fetch_add(1, Ordering::Relaxed) + 1;
+                let mut sched = self.shared.lock_sched();
+                sched.core.reject(self.query, chunk, self.shared.now());
+                self.delivered.fetch_sub(1, Ordering::Relaxed);
                 if failures >= self.shared.retry.max_attempts.max(1) {
-                    return Err(self.fail(ScanError { chunk, cause }));
+                    sched
+                        .core
+                        .close(self.query, Some(ScanError { chunk, cause }));
                 }
-                return Ok(None);
+                return None;
             }
         }
         self.pin_rejections.store(0, Ordering::Relaxed);
@@ -1324,25 +1291,23 @@ impl CScanHandle {
         self.scope.add(QueryCounter::ChunksDelivered, 1);
         self.scope
             .add(QueryCounter::RowsDelivered, payload.rows() as u64);
-        Ok(Some(PinnedChunk::new(
+        Some(PinnedChunk::new(
             self.query,
             chunk,
             payload,
             Arc::clone(&self.shared),
             Arc::clone(&self.scope),
-        )))
+        ))
     }
 
-    /// Makes `error` the handle's sticky failure and deregisters the scan.
-    fn fail(&self, error: ScanError) -> ScanError {
-        *self.error.lock() = Some(error);
-        self.shared
-            .obs
-            .event(EventKind::QueryErred, error.chunk.index(), self.query.0, 0);
-        // A surfaced ScanError is one of the flight recorder's automatic
-        // dump triggers: capture the run-up before the ring moves on.
-        self.shared.obs.dump_flight("scan error");
-        self.finish();
+    /// Returns the scan's failure; the first consumer to find it dumps the
+    /// flight recorder (a surfaced `ScanError` is one of its automatic
+    /// triggers) and detaches the handle.
+    fn surface(&self, error: ScanError) -> ScanError {
+        if !self.finished.swap(true, Ordering::AcqRel) {
+            self.shared.obs.dump_flight("scan error");
+            self.deregister();
+        }
         error
     }
 
@@ -1369,9 +1334,13 @@ impl CScanHandle {
     /// stay valid — their frames remain pinned until each pin drops.  An
     /// unconsumed grant still sitting in the mailbox is reclaimed here.
     pub fn finish(&self) {
-        if self.finished.swap(true, Ordering::AcqRel) {
-            return;
+        if !self.finished.swap(true, Ordering::AcqRel) {
+            self.deregister();
         }
+    }
+
+    /// [`CScanHandle::finish`]'s work, run once.
+    fn deregister(&self) {
         self.shared.obs.detach_query(&self.scope);
         self.shared.obs.event(
             EventKind::QueryDetached,
@@ -1390,10 +1359,6 @@ impl CScanHandle {
 impl ScanSession for CScanHandle {
     fn next_chunk(&mut self) -> Result<Option<PinnedChunk>, ScanError> {
         CScanHandle::next_chunk(self)
-    }
-
-    fn try_next_chunk(&mut self) -> Result<Poll<Option<PinnedChunk>>, ScanError> {
-        CScanHandle::try_next_chunk(self)
     }
 
     fn remaining_chunks(&self) -> u32 {
@@ -2244,7 +2209,11 @@ mod tests {
         let handle = server.cscan(full().with_chunk_limit(2));
         handle.next_chunk().unwrap().expect("first").complete();
         let held = handle.next_chunk().unwrap().expect("second");
-        assert!(matches!(handle.try_next_chunk(), Ok(Poll::Ready(None))));
+        let mut cx = Context::from_waker(Waker::noop());
+        assert!(matches!(
+            handle.poll_next_chunk(&mut cx),
+            Ok(Poll::Ready(None))
+        ));
         held.complete();
         assert_eq!(server.pinned_frames(), 0);
         assert_eq!(
@@ -2255,10 +2224,11 @@ mod tests {
     }
 
     /// Regression: the chunk-limit check and the grant take share one slot
-    /// critical section on *both* delivery paths — including the grant
-    /// `try_next_chunk` takes after its self-match — so consumers racing on
-    /// a shared handle, blocking or polling, never deliver more than
-    /// `limit_chunks` chunks.
+    /// critical section, so consumers racing on a shared handle, blocking
+    /// or polling, never deliver more than `limit_chunks` chunks.  The two
+    /// blocking racers wait on one slot with different doorbells, and every
+    /// change must ring both: a missed one runs out its wait bound and is
+    /// counted.
     #[test]
     fn shared_handle_never_exceeds_its_chunk_limit() {
         use std::sync::Barrier;
@@ -2287,7 +2257,8 @@ mod tests {
                             let next = if i % 2 == 1 {
                                 handle.next_chunk().unwrap()
                             } else {
-                                match handle.try_next_chunk().unwrap() {
+                                let mut cx = Context::from_waker(Waker::noop());
+                                match handle.poll_next_chunk(&mut cx).unwrap() {
                                     Poll::Ready(next) => next,
                                     Poll::Pending => {
                                         std::thread::yield_now();
@@ -2316,6 +2287,11 @@ mod tests {
                 0,
                 "round {round}"
             );
+            assert_eq!(
+                counter(&server, Counter::ConsumerWaitTimeouts),
+                0,
+                "round {round}: a blocked racer was not rung"
+            );
         }
     }
 
@@ -2324,7 +2300,10 @@ mod tests {
     /// There is no timeout to fall back on — a lost wake parks the thread
     /// for the whole five seconds and fails the test — so passing means
     /// every site that ends a wait took the waker: the grant deposit, a
-    /// `finish()` from another thread, and a quarantine.
+    /// `finish()` from another thread, and a quarantine.  The blocking
+    /// `next_chunk` is driven through the same three cases: it waits on its
+    /// thread's doorbell, and a ring that never came shows as a wait that
+    /// ran out its bound (`consumer_wait_timeouts`).
     #[test]
     fn poll_next_chunk_is_woken_by_the_deposit() {
         use std::task::Wake;
@@ -2393,6 +2372,28 @@ mod tests {
         assert!(seen.iter().all(|&s| s), "every chunk delivered");
         assert!(parks >= 8, "only {parks} parks: the wake path barely ran");
         drop(handle);
+        let waits = || {
+            server
+                .metrics()
+                .span_hist(SpanKind::PinWait)
+                .snapshot()
+                .count()
+        };
+        let handle = server.cscan(full());
+        let mut seen = [false; 32];
+        while let Some(pin) = handle.next_chunk().expect("no faults injected") {
+            let at = pin.chunk().index() as usize;
+            assert!(!std::mem::replace(&mut seen[at], true), "chunk {at} twice");
+            pin.complete();
+        }
+        assert!(seen.iter().all(|&s| s), "every chunk delivered");
+        assert!(
+            waits() >= 8,
+            "only {} waits: the doorbell barely rang",
+            waits()
+        );
+        assert_eq!(counter(&server, Counter::ConsumerWaitTimeouts), 0);
+        drop(handle);
 
         // 2. `finish()` from another thread ends a parked poll with `None`.
         let handle = server.cscan(full());
@@ -2411,8 +2412,32 @@ mod tests {
             assert!(finisher.is_some(), "the scan ended before it ever waited");
         });
         drop(handle);
+        let handle = server.cscan(full());
+        let delivered = std::thread::scope(|s| {
+            s.spawn(|| {
+                // A waker in the slot means the consumer waits: finish under it.
+                loop {
+                    let st = handle.slot.lock();
+                    if !st.wakers.is_empty() || st.closed {
+                        break;
+                    }
+                    drop(st);
+                    std::thread::yield_now();
+                }
+                handle.finish();
+            });
+            let mut delivered = 0;
+            while let Some(pin) = handle.next_chunk().expect("no faults injected") {
+                pin.complete();
+                delivered += 1;
+            }
+            delivered
+        });
+        assert!(delivered < 32, "the scan ended before it ever waited");
+        drop(handle);
         assert_eq!(server.pinned_frames(), 0);
         assert_eq!(counter(&server, Counter::UnconsumedDrops), 0);
+        assert_eq!(counter(&server, Counter::ConsumerWaitTimeouts), 0);
 
         // 3. A quarantine ends a parked poll with the error.
         let doomed = FaultConfig {
@@ -2421,7 +2446,7 @@ mod tests {
         };
         let server = slow_server(Arc::new(FaultInjectingStore::new(
             SeededStore::new(100, 1, 7),
-            doomed,
+            doomed.clone(),
         )));
         let handle = server.cscan(CScanPlan::new(
             "doomed",
@@ -2438,6 +2463,22 @@ mod tests {
         assert_eq!(error.chunk, cscan_storage::ChunkId::new(3));
         assert_eq!(server.pinned_frames(), 0);
         assert_eq!(counter(&server, Counter::UnconsumedDrops), 0);
+        let server = slow_server(Arc::new(FaultInjectingStore::new(
+            SeededStore::new(100, 1, 7),
+            doomed,
+        )));
+        let handle = server.cscan(CScanPlan::new(
+            "doomed",
+            ScanRanges::single(3, 4),
+            model.all_columns(),
+        ));
+        let error = handle
+            .next_chunk()
+            .expect_err("the only chunk is unreadable");
+        assert_eq!(error.chunk, cscan_storage::ChunkId::new(3));
+        assert_eq!(server.pinned_frames(), 0);
+        assert_eq!(counter(&server, Counter::UnconsumedDrops), 0);
+        assert_eq!(counter(&server, Counter::ConsumerWaitTimeouts), 0);
     }
 
     #[test]
@@ -2807,7 +2848,7 @@ mod tests {
         ));
         let deadline = Instant::now() + Duration::from_secs(5);
         let granted = loop {
-            if let Some((chunk, payload)) = &narrow.slot.state.lock().grant {
+            if let Some((chunk, payload)) = &narrow.slot.lock().grant {
                 assert_eq!(columns_of(payload), [0]);
                 break *chunk;
             }
@@ -3215,7 +3256,6 @@ mod tests {
     /// registers.
     #[test]
     fn torn_frame_is_rejected_re_loaded_and_re_decoded() {
-        use cscan_storage::{ChunkData, ColumnChunk, LazyColumn};
         const ROWS: u64 = 128;
         let model = TableModel::nsm_uniform(1, ROWS, 16);
         let inner = SeededStore::new(ROWS, 1, 23);
@@ -3243,33 +3283,7 @@ mod tests {
             .complete();
         first.finish();
         assert_eq!(server.compressed_frames(), 1);
-        // Tear it in place — flipped byte, recorded checksum kept — under
-        // the scheduler lock, so no grant can pin it half-way.
-        let chunk = cscan_storage::ChunkId::new(0);
-        {
-            let mut sched = server.shared.lock_sched();
-            let state = sched.core.abm_mut().state_mut();
-            let Some(ChunkPayload::Data(data)) =
-                state.buffered_chunk(chunk).map(|b| &b.payload).cloned()
-            else {
-                panic!("the chunk stays cached");
-            };
-            let parts = data
-                .parts()
-                .iter()
-                .map(|(id, part)| match part {
-                    ColumnChunk::Compressed(lazy) => {
-                        let torn = lazy.encoded().with_flipped_byte(99);
-                        (
-                            *id,
-                            ColumnChunk::Compressed(Arc::new(LazyColumn::new(torn))),
-                        )
-                    }
-                    plain => (*id, plain.clone()),
-                })
-                .collect();
-            *state.payload_mut(chunk).unwrap() = ChunkData::from_parts(parts).into();
-        }
+        tear_resident_frame(&server, ChunkId::new(0));
         // The second scan is granted the torn frame at registration.  The
         // pin fails verification, rejects the delivery, and the retry
         // delivers the re-loaded clean payload — all inside one call.
@@ -3295,6 +3309,112 @@ mod tests {
         assert_eq!(counter(&server, Counter::ChunksQuarantined), 0);
         assert_eq!(server.pinned_frames(), 0);
         assert_eq!(counter(&server, Counter::UnconsumedDrops), 0);
+    }
+
+    /// Tears `chunk`'s resident frame in place — a flipped byte in every
+    /// encoded column, the recorded checksums kept — under the scheduler
+    /// lock, so no grant can pin it half-way.
+    fn tear_resident_frame(server: &ScanServer, chunk: ChunkId) {
+        use cscan_storage::{ChunkData, LazyColumn};
+        let mut sched = server.shared.lock_sched();
+        let state = sched.core.abm_mut().state_mut();
+        let Some(ChunkPayload::Data(data)) =
+            state.buffered_chunk(chunk).map(|b| &b.payload).cloned()
+        else {
+            panic!("the chunk stays cached");
+        };
+        let parts = data
+            .parts()
+            .iter()
+            .map(|(id, part)| match part {
+                ColumnChunk::Compressed(lazy) => {
+                    let torn = lazy.encoded().with_flipped_byte(99);
+                    (
+                        *id,
+                        ColumnChunk::Compressed(Arc::new(LazyColumn::new(torn))),
+                    )
+                }
+                plain => (*id, plain.clone()),
+            })
+            .collect();
+        *state.payload_mut(chunk).unwrap() = ChunkData::from_parts(parts).into();
+    }
+
+    /// Every way a scan fails closes it through the core with its error, so
+    /// each erred scan is counted once in `queries_erred` and writes one
+    /// `query_erred` flight event, however often its handle reports the
+    /// error: a quarantined chunk, a column that cannot be decoded at first
+    /// touch, and a torn resident frame whose pin-time rejections spend the
+    /// retry budget (here, one attempt).
+    #[test]
+    fn every_erred_scan_is_counted_and_logged_once() {
+        const ROWS: u64 = 128;
+        let model = TableModel::nsm_uniform(8, ROWS, 16);
+        let build = |store: Arc<dyn ChunkStore>, buffer_chunks: u64| {
+            ScanServer::builder(model.clone())
+                .policy(PolicyKind::Relevance)
+                .buffer_chunks(buffer_chunks)
+                .io_cost_per_page(Duration::ZERO)
+                .retry_policy(RetryPolicy::no_retries())
+                .store(store)
+                .build()
+        };
+        let scan = |server: &ScanServer, ranges: ScanRanges| {
+            server.cscan(CScanPlan::new("erring", ranges, model.all_columns()))
+        };
+        // Drives `handle` to its error, touching column 0 of every chunk,
+        // and checks the error was recorded once.
+        let fails_once = |server: &ScanServer, handle: CScanHandle, chunk: u32| {
+            let error = loop {
+                match handle.next_chunk() {
+                    Ok(Some(pin)) => {
+                        let _ = pin.try_column(ColumnId::new(0));
+                        pin.complete();
+                    }
+                    Ok(None) => panic!("the scan must err"),
+                    Err(error) => break error,
+                }
+            };
+            assert_eq!(error.chunk, ChunkId::new(chunk));
+            assert_eq!(handle.next_chunk().unwrap_err(), error, "sticky");
+            drop(handle);
+            assert_eq!(counter(server, Counter::QueriesErred), 1);
+            let dump = server.metrics().dump_flight("test");
+            assert_eq!(dump.matches("query_erred").count(), 1, "dump: {dump}");
+            assert_eq!(server.pinned_frames(), 0);
+        };
+
+        let doomed = FaultConfig {
+            permanent_chunks: vec![3],
+            ..FaultConfig::default()
+        };
+        let inner = SeededStore::new(ROWS, 1, 23);
+        let quarantining = build(Arc::new(FaultInjectingStore::new(inner.clone(), doomed)), 4);
+        fails_once(
+            &quarantining,
+            scan(&quarantining, ScanRanges::single(2, 5)),
+            3,
+        );
+
+        let malformed = build(
+            Arc::new(MalformedColumn {
+                inner: CompressingStore::new(inner.clone(), vec![pfor21()]),
+                bad_chunk: 5,
+                bad_column: 0,
+            }),
+            4,
+        );
+        fails_once(&malformed, scan(&malformed, ScanRanges::full(8)), 5);
+
+        let torn = build(Arc::new(CompressingStore::new(inner, vec![pfor21()])), 1);
+        scan(&torn, ScanRanges::single(0, 1))
+            .next_chunk()
+            .unwrap()
+            .expect("the chunk")
+            .complete();
+        tear_resident_frame(&torn, ChunkId::new(0));
+        fails_once(&torn, scan(&torn, ScanRanges::single(0, 1)), 0);
+        assert_eq!(counter(&torn, Counter::ChecksumFailures), 1);
     }
 
     /// A store that panics on one chunk: the worker must contain the panic
@@ -3477,6 +3597,17 @@ mod tests {
         let pin = handle.next_chunk().unwrap().expect("a chunk");
         let _sched = server.shared.lock_sched();
         drop(pin);
+    }
+
+    /// A waker fired under the scheduler lock would wake a thread only to
+    /// queue it behind the holder; debug builds refuse the ring.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "a doorbell rang on a thread that holds the scheduler lock")]
+    fn ringing_a_doorbell_under_the_scheduler_lock_panics() {
+        let (server, _) = server(PolicyKind::Relevance, 2, 2);
+        let _sched = server.shared.lock_sched();
+        Doorbell::default().ring();
     }
 
     #[test]

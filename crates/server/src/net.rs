@@ -10,11 +10,14 @@
 //! act on the frames, pump admitted scans into the send queue
 //! (round-robin, credit-gated), write to the socket.  A pass that moved
 //! nothing and left nothing unsent ends in a wait on the connection's
-//! `Doorbell`, which is rung by the reader (a frame, end of stream, a
-//! framing error), by the executor through every scan's waker (a chunk was
-//! deposited for a scan that found none), and by server stop.  Writes
-//! block, but for no longer than `WAIT_BOUND` (50 ms) at a time, so a `Cancel`,
-//! a stop and the stall clock are all observed while a peer is slow.
+//! [`Doorbell`] — the executor's, whose ring is state — which is rung by
+//! the reader (a frame, end of stream, a framing error), by the executor
+//! through every scan's waker (a chunk was deposited for a scan that found
+//! none), and by server stop.  That wait and each socket write block for
+//! no longer than the executor's [`WAIT_BOUND`] at a time, so a `Cancel`,
+//! a stop and the stall clock are all observed while a peer is slow; a
+//! wait that runs out unrung with a chunk waiting is a missed wake-up,
+//! counted as [`Counter::ServeWaitTimeouts`].
 //!
 //! The send queue ([`SendQueue`]) holds a batch's header bytes and, by
 //! reference count, the column vectors the buffer manager loaded; one
@@ -36,6 +39,7 @@
 
 use crate::catalog::Catalog;
 use crate::service::{Pump, ServerScan};
+use cscan_core::threaded::{Doorbell, WAIT_BOUND};
 use cscan_obs::{Counter, Gauge, Registry};
 use cscan_proto::{Decoder, FrameSink, Message, ProtoError, SendQueue, ServeError};
 use parking_lot::{Condvar, Mutex};
@@ -43,17 +47,9 @@ use std::io;
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::task::{Wake, Waker};
+use std::task::Waker;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
-
-/// The longest any thread here stays blocked without looking up: the
-/// serving thread's doorbell wait and each of its socket writes.  The
-/// executor's own 50 ms, and like it a belt-and-braces bound on a missed
-/// wake-up (counted, when it happens, as
-/// [`Counter::ServeWaitTimeouts`]) — never an interval anything is
-/// polled at: every event a connection waits for rings its doorbell.
-const WAIT_BOUND: Duration = Duration::from_millis(50);
 
 /// Decoded frames the reader may run ahead of the serving thread before
 /// it stops reading the socket.
@@ -208,42 +204,6 @@ pub fn serve(
         stop,
         accept: Some(accept),
     })
-}
-
-/// One connection's wake-up: a flag under a mutex plus a condvar.  The
-/// flag makes a ring *state*: one delivered while the serving thread is in
-/// the middle of a pass is consumed by its next wait instead of being
-/// lost.  As a [`Waker`] it is what the executor calls when it deposits a
-/// chunk for one of the connection's scans.
-#[derive(Default)]
-struct Doorbell {
-    rung: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl Doorbell {
-    fn ring(&self) {
-        *self.rung.lock() = true;
-        self.cv.notify_one();
-    }
-
-    /// Waits for a ring — one since the last wait counts — and consumes
-    /// it.  `true` if `bound` ran out first.
-    fn wait(&self, bound: Duration) -> bool {
-        let mut rung = self.rung.lock();
-        let mut timed_out = false;
-        if !*rung {
-            timed_out = self.cv.wait_for(&mut rung, bound).timed_out();
-        }
-        // A ring that raced the bound wins.
-        !std::mem::take(&mut *rung) && timed_out
-    }
-}
-
-impl Wake for Doorbell {
-    fn wake(self: Arc<Self>) {
-        self.ring();
-    }
 }
 
 /// Why the reader stopped.
