@@ -70,17 +70,25 @@ pub fn write_lineitem_segment(
     writer.finish()
 }
 
+/// The buffer both halves of the sweep give a table of `chunks` chunks, in
+/// average-sized chunks: a quarter of the table, and no fewer than four.
+fn buffer_chunks(chunks: u32) -> u64 {
+    (u64::from(chunks) / 4).max(4)
+}
+
 /// Runs the deterministic simulation front-end over a segment-derived
-/// model: `streams` staggered full scans under `policy`, in virtual time.
-/// Returns `(makespan_secs, sim_bytes_read)`.
+/// model: `streams` staggered full scans under `policy`, in virtual time,
+/// with the buffer the live points get ([`run_file_point`]).  Returns
+/// `(makespan_secs, sim_bytes_read)`.
 pub fn run_sim_from_segment(
     path: &Path,
     policy: PolicyKind,
     streams: usize,
 ) -> io::Result<(f64, u64)> {
     let store = FileStore::open(path)?;
+    let config = SimConfig::default().with_buffer_chunks(buffer_chunks(store.num_chunks()));
     let model = model_from_segment(&store);
-    let mut sim = Simulation::new(model, policy, SimConfig::default());
+    let mut sim = Simulation::new(model, policy, config);
     for i in 0..streams {
         sim.submit_stream(vec![QuerySpec::full_scan(
             format!("sim-file-{i}"),
@@ -138,7 +146,7 @@ pub fn run_file_point(
     let server = Arc::new(
         ScanServer::builder(model)
             .policy(policy)
-            .buffer_chunks((chunks as u64 / 4).max(4))
+            .buffer_chunks(buffer_chunks(chunks))
             // Real reads replace the simulated per-page sleep.
             .io_cost_per_page(Duration::ZERO)
             .io_threads(io_threads)
@@ -422,5 +430,26 @@ mod tests {
         let (file_plain, extents) = measured_volume(&plain_path, 4).expect("measure plain");
         assert!(plain_bytes >= file_plain);
         assert!(plain_bytes <= file_plain + extents * DEFAULT_PAGE_SIZE);
+    }
+
+    /// The simulated half runs on the live half's buffer, a quarter of the
+    /// table: staggered scans then contend for it, and the four policies
+    /// read different volumes.  (On a buffer that holds the whole table
+    /// every policy reads each chunk once.)
+    #[test]
+    fn sim_front_end_policies_contend_for_the_live_buffer() {
+        let dir = ScratchPath::new("fig9_file_sim_policies");
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("plain.seg");
+        write_lineitem_segment(&path, 32, 2_000, false).expect("write plain");
+        let bytes: Vec<u64> = PolicyKind::ALL
+            .iter()
+            .map(|&policy| run_sim_from_segment(&path, policy, 4).expect("sim").1)
+            .collect();
+        assert!(
+            bytes.iter().any(|&b| b != bytes[0]),
+            "every policy read {} bytes",
+            bytes[0]
+        );
     }
 }

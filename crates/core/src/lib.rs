@@ -20,7 +20,8 @@
 //!
 //! Two execution front-ends drive the ABM through one scheduler core,
 //! [`sched::Scheduler`], which makes every grant, plan, commit, release and
-//! close decision and returns its effects for the front-end to apply:
+//! close decision, judges every failed load, and returns its effects for
+//! the front-end to apply:
 //!
 //! * [`sim::Simulation`] — a deterministic discrete-event simulation used to
 //!   regenerate every table and figure of the paper's evaluation.  It keeps
@@ -36,9 +37,9 @@
 //!   [`threaded::Doorbell`]s, and idle workers asleep on a condition
 //!   variable bound to that lock) for everything that moves bytes.  Each
 //!   worker plans one load at a time (a budget of 1), so
-//!   `io_threads(k)` keeps up to `k` loads in flight; a
-//!   failed read is retried and, past its budget, quarantined here and
-//!   nowhere else ([`RetryPolicy`]).
+//!   `io_threads(k)` keeps up to `k` loads in flight, and the only
+//!   front-end whose reads fail: past its [`RetryPolicy`] budget, the core
+//!   quarantines the chunk.
 //!
 //! Every plan carries a `(ticket, epoch)` stamp that the commit
 //! revalidates, so loads whose queries detach mid-read are aborted rather
@@ -108,7 +109,7 @@ pub use cscan::CScanPlan;
 pub use model::TableModel;
 pub use policy::{AttachPolicy, ElevatorPolicy, NormalPolicy, Policy, PolicyKind, RelevancePolicy};
 pub use query::{QueryId, QueryState};
-pub use retry::{FailureAction, RetryPolicy};
+pub use retry::RetryPolicy;
 pub use session::{PinnedChunk, ScanError, ScanSession};
 
 // Re-export the identifiers that appear throughout the public API.

@@ -9,7 +9,7 @@
 //! finishes, and multi-range scans — emerge from exactly this mechanism.
 
 use crate::abm::{AbmState, LoadDecision};
-use crate::policy::{lru_victim, Policy, PolicyKind};
+use crate::policy::{lru_victim, round_robin_load, Policy, PolicyKind};
 use crate::query::QueryId;
 use cscan_simdisk::SimTime;
 use cscan_storage::ChunkId;
@@ -113,31 +113,10 @@ impl Policy for AttachPolicy {
     }
 
     fn next_load(&mut self, state: &AbmState, _now: SimTime, _slot: usize) -> Option<LoadDecision> {
-        let mut candidates: Vec<QueryId> = state
-            .queries()
-            .filter(|q| !q.is_finished())
-            .filter(|q| self.next_missing(state, q.id).is_some())
-            .map(|q| q.id)
-            .collect();
-        if candidates.is_empty() {
-            return None;
-        }
-        candidates.sort_unstable();
-        let chosen = match self.last_serviced {
-            Some(last) => candidates
-                .iter()
-                .copied()
-                .find(|&q| q > last)
-                .unwrap_or(candidates[0]),
-            None => candidates[0],
-        };
-        self.last_serviced = Some(chosen);
-        let chunk = self.next_missing(state, chosen)?;
-        Some(LoadDecision {
-            trigger: chosen,
-            chunk,
-            cols: state.query(chosen).columns,
-        })
+        let decision =
+            round_robin_load(state, self.last_serviced, |q| self.next_missing(state, q))?;
+        self.last_serviced = Some(decision.trigger);
+        Some(decision)
     }
 
     fn next_chunk(&mut self, q: QueryId, state: &AbmState) -> Option<ChunkId> {

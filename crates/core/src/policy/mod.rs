@@ -138,6 +138,30 @@ pub trait Policy: Send {
     fn choose_victim(&mut self, state: &AbmState, load: &LoadDecision) -> Option<ChunkId>;
 }
 
+/// Shared helper: the load decision of the traditional policies (`normal`,
+/// `attach`), which service blocked queries round-robin.  Among the open
+/// queries with a chunk left to read — `next_missing` names it — the first
+/// strictly after `last_serviced` in id order is chosen, wrapping around
+/// to the lowest; the load fetches its chunk with its columns.  The caller
+/// records the chosen query, the decision's `trigger`, as its new
+/// `last_serviced`.
+pub(crate) fn round_robin_load(
+    state: &AbmState,
+    last_serviced: Option<QueryId>,
+    next_missing: impl Fn(QueryId) -> Option<ChunkId>,
+) -> Option<LoadDecision> {
+    let (trigger, chunk) = state
+        .queries()
+        .filter(|q| !q.is_finished())
+        .filter_map(|q| Some((q.id, next_missing(q.id)?)))
+        .min_by_key(|&(q, _)| (last_serviced.is_none_or(|last| q <= last), q))?;
+    Some(LoadDecision {
+        trigger,
+        chunk,
+        cols: state.query(trigger).columns,
+    })
+}
+
 /// Shared helper: the least-recently-touched evictable chunk, excluding the
 /// chunk being loaded.  This is the eviction rule of the traditional
 /// policies (`normal`, `attach`); `elevator` and `relevance` use their own.

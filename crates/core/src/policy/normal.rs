@@ -7,7 +7,7 @@
 //! reuse probability from Equation 1 to `CB/CT`.
 
 use crate::abm::{AbmState, LoadDecision};
-use crate::policy::{lru_victim, Policy, PolicyKind};
+use crate::policy::{lru_victim, round_robin_load, Policy, PolicyKind};
 use crate::query::QueryId;
 use cscan_simdisk::SimTime;
 use cscan_storage::ChunkId;
@@ -56,33 +56,10 @@ impl Policy for NormalPolicy {
     fn next_load(&mut self, state: &AbmState, _now: SimTime, _slot: usize) -> Option<LoadDecision> {
         // Round-robin over queries that still have a missing chunk ahead of
         // their sequential cursor.
-        let mut candidates: Vec<QueryId> = state
-            .queries()
-            .filter(|q| !q.is_finished())
-            .filter(|q| Self::next_missing(state, q.id).is_some())
-            .map(|q| q.id)
-            .collect();
-        if candidates.is_empty() {
-            return None;
-        }
-        candidates.sort_unstable();
-        // Service the first candidate strictly after the last serviced query,
-        // wrapping around: classic round-robin.
-        let chosen = match self.last_serviced {
-            Some(last) => candidates
-                .iter()
-                .copied()
-                .find(|&q| q > last)
-                .unwrap_or(candidates[0]),
-            None => candidates[0],
-        };
-        self.last_serviced = Some(chosen);
-        let chunk = Self::next_missing(state, chosen)?;
-        Some(LoadDecision {
-            trigger: chosen,
-            chunk,
-            cols: state.query(chosen).columns,
-        })
+        let decision =
+            round_robin_load(state, self.last_serviced, |q| Self::next_missing(state, q))?;
+        self.last_serviced = Some(decision.trigger);
+        Some(decision)
     }
 
     fn next_chunk(&mut self, q: QueryId, state: &AbmState) -> Option<ChunkId> {

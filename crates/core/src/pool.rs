@@ -10,7 +10,7 @@ mod tests {
     use crate::policy::PolicyKind;
     use crate::query::QueryId;
     use crate::sched::{Effect, Scheduler};
-    use crate::{BufferedChunk, ColSet};
+    use crate::{BufferedChunk, ColSet, RetryPolicy};
     use cscan_bufman::PoolStats;
     use cscan_obs::{Counter, Gauge, Registry};
     use cscan_simdisk::SimTime;
@@ -41,7 +41,13 @@ mod tests {
             let model = TableModel::dsm_uniform(num_chunks, 1_000, &[2, 2]);
             let pages = u64::from(num_chunks) * model.max_chunk_pages(model.all_columns());
             let obs = Arc::new(Registry::new());
-            let core = Scheduler::new(model, pages, PolicyKind::Normal, Arc::clone(&obs));
+            let core = Scheduler::new(
+                model,
+                pages,
+                PolicyKind::Normal,
+                RetryPolicy::default(),
+                Arc::clone(&obs),
+            );
             Self {
                 core,
                 obs,

@@ -1,20 +1,25 @@
 //! The scheduler core: where the ABM's grant, commit, release and close
-//! decisions are made, for both front-ends.
+//! decisions are made, for both front-ends, and what a failed load does.
 //!
 //! [`Scheduler`] holds the [`Abm`] — whose buffer records hold each
-//! resident chunk's payload and pins — the quarantine map and one entry per
-//! registered query, whose value the driver chooses (the threaded server's
-//! grant mailbox, the simulator's stream and query index).  It is plain state —
-//! no lock, no thread, no clock: `now` is an argument — and every method
-//! appends what it decided to an effect list that the driver collects with
-//! [`Scheduler::swap_effects`] and applies:
+//! resident chunk's payload and pins — the [`RetryPolicy`], the quarantine
+//! map and one entry per registered query, whose value the driver chooses
+//! (the threaded server's grant mailbox, the simulator's stream and query
+//! index).  It is plain state — no lock, no thread, no clock: `now` is an
+//! argument — and every method appends what it decided to an effect list
+//! that the driver collects with [`Scheduler::swap_effects`] and applies:
 //!
 //! * [`Effect::Grant`] — the policy chose a resident chunk for a query
 //!   (Figure 3's `selectChunk`), and the ABM pinned it and cloned its
 //!   payload for it;
 //! * [`Effect::Closed`] — a query is over and deregistered: it consumed
-//!   every chunk it needs or as many as its limit allows, it detached, or
-//!   a chunk it needs failed for good (the error);
+//!   every chunk it needs or as many as its limit allows, it detached, a
+//!   chunk it needs failed for good, or its deliveries of one were
+//!   rejected past the retry budget ([`Scheduler::reject`]) (the error);
+//! * [`Effect::Quarantined`] — a chunk failed for good: a permanent error
+//!   or a spent retry budget ([`Scheduler::load_failed`]), or a plan of a
+//!   chunk that already had ([`Scheduler::plan`]); the queries that needed
+//!   it are closed with the error;
 //! * [`Effect::Recycle`] — a payload the buffer let go of (evicted, shrunk
 //!   away, or a stale load's);
 //! * [`Effect::InputsChanged`] — a scheduling input changed, so an idle
@@ -35,12 +40,14 @@ use crate::cscan::CScanPlan;
 use crate::model::TableModel;
 use crate::policy::PolicyKind;
 use crate::query::QueryId;
+use crate::retry::RetryPolicy;
 use crate::session::ScanError;
-use cscan_obs::Registry;
+use cscan_obs::{Counter, EventKind, Registry, NO_QUERY};
 use cscan_simdisk::{SimDuration, SimTime};
 use cscan_storage::{ChunkId, ChunkPayload, StoreError};
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Duration;
 
 #[cfg(test)]
 mod proptests;
@@ -73,6 +80,15 @@ pub enum Effect<T> {
         /// What the query did.
         totals: QueryTotals,
     },
+    /// `chunk` failed for good: its load is aborted and the `closed`
+    /// queries that still needed it were closed with the error (their
+    /// [`Effect::Closed`] precede this).
+    Quarantined {
+        /// The quarantined chunk.
+        chunk: ChunkId,
+        /// How many queries the quarantine closed.
+        closed: usize,
+    },
     /// A payload the buffer no longer holds.
     Recycle(ChunkPayload),
     /// A scheduling input changed: a loader with nothing to plan may now
@@ -95,19 +111,25 @@ pub struct QueryTotals {
     pub blocked: SimDuration,
 }
 
-/// A registered query: the driver's value and the chunk limit.
+/// A registered query: the driver's value, the chunk limit and the
+/// deliveries rejected at pin since its last release.
 struct Entry<T> {
     to: T,
     limit: Option<u32>,
+    rejections: u32,
 }
 
-/// The ABM, the quarantine map and the registered queries, changed only
-/// through the decisions below.  See the module docs.
+/// The ABM, the retry policy, the quarantine map and the registered
+/// queries, changed only through the decisions below.  See the module
+/// docs.
 pub struct Scheduler<T> {
     abm: Abm,
+    retry: RetryPolicy,
+    /// Where the failure path's counters and flight events go.
+    obs: Arc<Registry>,
     /// Chunks whose loads failed for good, with the final error.  A query
-    /// that registers later and needs one is failed when the chunk is
-    /// planned again.
+    /// that registers later and needs one is closed with it when the chunk
+    /// is planned again.
     quarantined: HashMap<ChunkId, StoreError>,
     queries: HashMap<QueryId, Entry<T>>,
     effects: Vec<Effect<T>>,
@@ -117,16 +139,20 @@ pub struct Scheduler<T> {
 
 impl<T: Clone> Scheduler<T> {
     /// A scheduler for `model` with a buffer of `capacity_pages` under
-    /// `policy`, publishing the buffer's counters into `obs`.
+    /// `policy`, judging failed loads by `retry`, publishing the buffer's
+    /// and the failure path's counters into `obs`.
     pub fn new(
         model: TableModel,
         capacity_pages: u64,
         policy: PolicyKind,
+        retry: RetryPolicy,
         obs: Arc<Registry>,
     ) -> Self {
-        let state = AbmState::with_metrics(model, capacity_pages, obs);
+        let state = AbmState::with_metrics(model, capacity_pages, Arc::clone(&obs));
         Self {
             abm: Abm::new(state, policy.build()),
+            retry,
+            obs,
             quarantined: HashMap::new(),
             queries: HashMap::new(),
             effects: Vec::new(),
@@ -155,11 +181,6 @@ impl<T: Clone> Scheduler<T> {
         self.queries.values().map(|entry| &entry.to)
     }
 
-    /// The error `chunk` was quarantined with, if it was.
-    pub fn quarantined(&self, chunk: ChunkId) -> Option<StoreError> {
-        self.quarantined.get(&chunk).copied()
-    }
-
     /// Hands the effects decided so far to the driver, the payloads the
     /// buffer let go of last: `into` (empty) and the core's list trade
     /// places, so neither allocates once both have grown to their working
@@ -179,7 +200,14 @@ impl<T: Clone> Scheduler<T> {
             .abm
             .register_query(plan.label.clone(), ranges, columns, now);
         let limit = plan.limit_chunks;
-        self.queries.insert(q, Entry { to, limit });
+        self.queries.insert(
+            q,
+            Entry {
+                to,
+                limit,
+                rejections: 0,
+            },
+        );
         self.grant(q, now);
         self.effects.push(Effect::InputsChanged);
         q
@@ -221,8 +249,21 @@ impl<T: Clone> Scheduler<T> {
 
     /// Plans up to `max_new` loads into `out` ([`Abm::plan_loads`]); the
     /// payloads their evictions and shrinks let go of are recycled.
+    /// A load of a quarantined chunk, planned for a query that registered
+    /// since, is failed at once with the stored error instead — which
+    /// leaves no query needing the chunk — and its slot planned again.
     pub fn plan(&mut self, now: SimTime, max_new: usize, out: &mut Vec<LoadPlan>) {
+        let first = out.len();
         self.abm.plan_loads(now, max_new, out);
+        while let Some((at, &cause)) = out[first..]
+            .iter()
+            .enumerate()
+            .find_map(|(at, plan)| Some((at, self.quarantined.get(&plan.decision.chunk)?)))
+        {
+            let plan = out.remove(first + at);
+            self.quarantine(plan.decision.chunk, plan.ticket, cause);
+            self.abm.plan_loads(now, max_new - (out.len() - first), out);
+        }
     }
 
     /// Retires a load ([`Abm::commit_load`] under its plan's stamp): a
@@ -255,30 +296,85 @@ impl<T: Clone> Scheduler<T> {
     /// closed while it was out — and matches `q` again.
     pub fn release(&mut self, q: QueryId, chunk: ChunkId, now: SimTime) {
         self.abm.release_delivered(q, chunk);
+        if let Some(entry) = self.queries.get_mut(&q) {
+            entry.rejections = 0;
+        }
         self.grant(q, now);
         self.effects.push(Effect::InputsChanged);
     }
 
     /// Returns `q`'s pin of `chunk` *without* consuming it, because its
-    /// payload proved unusable: the chunk stays needed, it is evicted
-    /// unless another pin holds it (so the next load fetches fresh bytes),
-    /// and `q` is matched again.
-    pub fn reject(&mut self, q: QueryId, chunk: ChunkId, now: SimTime) {
+    /// payload proved unusable (`cause`): the chunk stays needed, and it is
+    /// evicted unless another pin holds it, so the next load fetches fresh
+    /// bytes.  `q` is matched again — unless this was its
+    /// [`RetryPolicy::max_attempts`]-th rejection since its last release,
+    /// which closes it with `ScanError { chunk, cause }`.
+    pub fn reject(&mut self, q: QueryId, chunk: ChunkId, cause: StoreError, now: SimTime) {
         self.abm.reject_delivered(q, chunk);
-        self.grant(q, now);
+        let budget = self.retry.max_attempts.max(1);
+        let spent = self.queries.get_mut(&q).is_some_and(|entry| {
+            entry.rejections += 1;
+            entry.rejections >= budget
+        });
+        if spent {
+            self.close(q, Some(ScanError { chunk, cause }));
+        } else {
+            self.grant(q, now);
+        }
         self.effects.push(Effect::InputsChanged);
     }
 
-    /// Records that the load of `chunk` under `ticket` failed for good:
-    /// aborts it, quarantines the chunk with `cause` and closes every query
-    /// that needs it with that error.  Returns how many it closed, or
-    /// `None` if the load was already aborted (its last interested query
-    /// detached mid-read), in which case nothing changes.
-    pub fn quarantine(&mut self, chunk: ChunkId, ticket: u64, cause: StoreError) -> Option<usize> {
-        if !self.abm.fail_load(chunk, ticket) {
+    /// Judges the `attempt`-th (1-based) failed read of `chunk` under
+    /// `ticket`: returns the backoff to sleep before reading again, or
+    /// `None` when the load is over — its ticket is dead (its last query
+    /// detached; only `loads_cancelled` changes), or `error` is permanent
+    /// or this was the [`RetryPolicy::max_attempts`]-th attempt, which
+    /// quarantines the chunk.  A ticket that dies during the backoff is
+    /// caught by the next failure or by [`Scheduler::commit`]'s stamp.
+    pub fn load_failed(
+        &mut self,
+        chunk: ChunkId,
+        ticket: u64,
+        error: StoreError,
+        attempt: u32,
+    ) -> Option<Duration> {
+        if self.abm.state().inflight_ticket(chunk) != Some(ticket) {
+            self.obs.inc(Counter::LoadsCancelled);
+            self.obs
+                .event(EventKind::LoadCancelled, chunk.index(), NO_QUERY, 0);
             return None;
         }
-        self.quarantined.insert(chunk, cause);
+        self.obs.inc(Counter::LoadFaults);
+        self.obs.event(
+            EventKind::LoadFault,
+            chunk.index(),
+            NO_QUERY,
+            u64::from(attempt),
+        );
+        if !error.is_retryable() || attempt >= self.retry.max_attempts {
+            self.quarantine(chunk, ticket, error);
+            return None;
+        }
+        let delay = self.retry.backoff(attempt);
+        self.obs.inc(Counter::LoadRetries);
+        self.obs.event(
+            EventKind::LoadRetry,
+            chunk.index(),
+            NO_QUERY,
+            delay.as_nanos() as u64,
+        );
+        Some(delay)
+    }
+
+    /// Fails the live load of `chunk` under `ticket` for good: aborts it,
+    /// quarantines the chunk with `cause` and closes every query that
+    /// needs it with that error.
+    fn quarantine(&mut self, chunk: ChunkId, ticket: u64, cause: StoreError) {
+        let aborted = self.abm.fail_load(chunk, ticket);
+        debug_assert!(aborted, "only a live load is quarantined");
+        if self.quarantined.insert(chunk, cause).is_none() {
+            self.obs.inc(Counter::ChunksQuarantined);
+        }
         let mut victims = std::mem::take(&mut self.scratch);
         victims.clear();
         victims.extend(self.abm.state().interested_queries(chunk));
@@ -287,8 +383,8 @@ impl<T: Clone> Scheduler<T> {
         }
         let closed = victims.len();
         self.scratch = victims;
+        self.effects.push(Effect::Quarantined { chunk, closed });
         self.effects.push(Effect::InputsChanged);
-        Some(closed)
     }
 
     /// Deregisters `q` ([`Abm::finish_query`]: loads in flight for it
@@ -345,7 +441,13 @@ mod tests {
         let schema = TableSchema::new("t", vec![ColumnDef::new("v", ColumnType::Int64)]);
         let model = TableModel::nsm(&schema, 3 * 64 + 4, 32, 16 * 32);
         let obs = Arc::new(Registry::new());
-        let mut core = Scheduler::new(model, 17, PolicyKind::Normal, Arc::clone(&obs));
+        let mut core = Scheduler::new(
+            model,
+            17,
+            PolicyKind::Normal,
+            RetryPolicy::default(),
+            Arc::clone(&obs),
+        );
         let all = ColSet::first_n(1);
         let mut effects = Vec::new();
         // Loads the one chunk `plan` asks for, with data, and returns the
@@ -395,5 +497,68 @@ mod tests {
         assert_eq!(state.num_buffered(), 1);
         assert_eq!(obs.gauge(Gauge::ResidentFrames), 1);
         assert_eq!(state.frame_stats().evictions, 1);
+    }
+
+    /// A failed read is retried after the policy's backoff until the error
+    /// is permanent or the attempt budget is spent, which quarantines the
+    /// chunk; a failure of a load whose ticket died changes nothing.
+    #[test]
+    fn load_failed_backs_off_then_quarantines() {
+        use StoreError::{Corrupted, Permanent, TimedOut, Transient};
+        let policy = RetryPolicy {
+            max_attempts: 4,
+            backoff_base: Duration::from_micros(100),
+            backoff_cap: Duration::from_micros(350),
+        };
+        let retry = |n| Some(policy.backoff(n));
+        // The errors of one load's failed reads, and the last one's verdict.
+        let table = [
+            // A permanent error quarantines on the first failure.
+            (policy, vec![Permanent], None),
+            // A retryable one is retried until the attempt budget is spent.
+            (policy, vec![Transient], retry(1)),
+            (policy, vec![Transient, TimedOut], retry(2)),
+            (policy, vec![Transient, TimedOut, Corrupted], retry(3)),
+            (
+                policy,
+                vec![Transient, TimedOut, Corrupted, Transient],
+                None,
+            ),
+            (policy, vec![Transient, Permanent], None),
+            (RetryPolicy::no_retries(), vec![Transient], None),
+        ];
+        let model = TableModel::nsm_uniform(4, 100, 16);
+        let chunk = ChunkId::new(1);
+        let scan = CScanPlan::new("q", ScanRanges::single(1, 2), model.all_columns());
+        for (retry, errors, expected) in table {
+            let obs = Arc::new(Registry::new());
+            let mut core =
+                Scheduler::new(model.clone(), 64, PolicyKind::Normal, retry, obs.clone());
+            core.register(&scan, (), SimTime::ZERO);
+            let mut plans = Vec::new();
+            core.plan(SimTime::ZERO, 1, &mut plans);
+            let ticket = plans[0].ticket;
+            let mut verdict = None;
+            for (attempt, &error) in (1..).zip(&errors) {
+                verdict = core.load_failed(chunk, ticket, error, attempt);
+            }
+            assert_eq!(verdict, expected, "{errors:?} under {retry:?}");
+            let quarantined = expected.is_none();
+            assert_eq!(core.quarantined.contains_key(&chunk), quarantined);
+            assert_eq!(core.queries.is_empty(), quarantined);
+            assert_eq!(obs.counter(Counter::LoadFaults), errors.len() as u64);
+            let retries = errors.len() as u64 - u64::from(quarantined);
+            assert_eq!(obs.counter(Counter::LoadRetries), retries);
+            assert_eq!(
+                obs.counter(Counter::ChunksQuarantined),
+                u64::from(quarantined)
+            );
+            // A failure of a load that is over changes nothing.
+            if quarantined {
+                assert_eq!(core.load_failed(chunk, ticket, Permanent, 1), None);
+                assert_eq!(obs.counter(Counter::LoadsCancelled), 1);
+                assert_eq!(obs.counter(Counter::ChunksQuarantined), 1);
+            }
+        }
     }
 }

@@ -1,11 +1,12 @@
 //! Property tests of the scheduler core alone, driven the way both
 //! front-ends drive it.
 //!
-//! A random sequence of register, plan, commit, release, reject,
-//! quarantine and close is applied to a [`Scheduler`], with the test as the
-//! driver: it holds the loads in flight and the grants it was handed (a
-//! grant of a closed query stays out as a pin until a later release), and
-//! after every step it checks that
+//! A random sequence of register, plan, commit, release, reject, failed
+//! read and close is applied to a [`Scheduler`] under a three-attempt
+//! [`RetryPolicy`], with the test as the driver: it holds the loads in
+//! flight, how often each failed, and the grants it was handed (a grant of
+//! a closed query stays out as a pin until a later release), and after
+//! every step it checks that
 //!
 //! * each chunk a query needs is granted exactly once — a rejected grant is
 //!   granted again — and a query closed without an error or a detach has
@@ -18,8 +19,16 @@
 //! * the published counters and the pinned and resident gauges equal the
 //!   ABM's own;
 //! * no grant goes to a closed query, none to a query that holds one, and
-//!   none past a query's limit, and a quarantine fails exactly the queries
-//!   that still need the chunk.
+//!   none past a query's limit;
+//! * a failed read is retried with the policy's backoff until its third
+//!   retryable failure or its first permanent one, which quarantines the
+//!   chunk, and a failure of a load whose ticket died changes nothing;
+//! * a quarantine closes exactly the open queries that still need the
+//!   chunk, with its error, and no load of a quarantined chunk is ever
+//!   planned: a query registered later that needs one is closed with the
+//!   stored error by the next plan instead;
+//! * a query's third rejected delivery since its last release closes it
+//!   with the rejection's cause.
 //!
 //! Drained to quiescence, no query, load, page reservation or pin is left.
 //! Replaying the same sequence takes the same decisions.
@@ -31,6 +40,7 @@ use crate::cscan::CScanPlan;
 use crate::model::TableModel;
 use crate::policy::PolicyKind;
 use crate::query::QueryId;
+use crate::retry::RetryPolicy;
 use crate::session::ScanError;
 use cscan_obs::{Counter, Gauge, Registry};
 use cscan_simdisk::SimTime;
@@ -39,8 +49,16 @@ use cscan_storage::{ChunkId, ChunkPayload, ColumnId, ScanRanges, StoreError};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
+use std::time::Duration;
 
 const CHUNKS: u32 = 16;
+
+/// Three attempts a load, three rejected deliveries a query.
+const RETRY: RetryPolicy = RetryPolicy {
+    max_attempts: 3,
+    backoff_base: Duration::from_micros(10),
+    backoff_cap: Duration::from_micros(25),
+};
 
 /// One driver step; indices are taken modulo what they index, so every
 /// generated sequence applies.
@@ -62,8 +80,8 @@ enum Op {
     Release { i: u8 },
     /// The `i`-th held grant is rejected as unreadable.
     Reject { i: u8 },
-    /// The `i`-th load in flight fails for good.
-    Quarantine { i: u8 },
+    /// A read of the `i`-th load in flight fails, for good if `permanent`.
+    Fail { i: u8, permanent: bool },
     /// The `i`-th open query detaches.
     Close { i: u8 },
 }
@@ -71,7 +89,7 @@ enum Op {
 fn arb_op() -> impl Strategy<Value = Op> {
     // Pipeline and consumption steps outnumber query churn, so scans make
     // progress between registrations, detaches and failures.
-    (0u8..16, 0..CHUNKS, 1..=CHUNKS, 0u8..16, 0u8..10, 0u8..=255).prop_map(
+    (0u8..17, 0..CHUNKS, 1..=CHUNKS, 0u8..16, 0u8..10, 0u8..=255).prop_map(
         |(kind, start, len, cols, limit, i)| match kind {
             0 | 1 => Op::Register {
                 start,
@@ -83,7 +101,10 @@ fn arb_op() -> impl Strategy<Value = Op> {
             5..=7 => Op::Commit { i },
             8..=12 => Op::Release { i },
             13 => Op::Reject { i },
-            14 => Op::Quarantine { i },
+            14 | 15 => Op::Fail {
+                i,
+                permanent: cols < 4,
+            },
             _ => Op::Close { i },
         },
     )
@@ -94,6 +115,8 @@ fn arb_op() -> impl Strategy<Value = Op> {
 enum Decision {
     Planned(ChunkId, Vec<ChunkId>),
     Committed(ChunkId, Option<usize>),
+    Failed(ChunkId, Option<Duration>),
+    Quarantined(ChunkId, usize),
     Granted(QueryId, ChunkId),
     Closed(QueryId, Option<ScanError>),
 }
@@ -104,13 +127,34 @@ struct Open {
     consumed: BTreeSet<ChunkId>,
     limit: Option<u32>,
     holds: bool,
+    /// Deliveries rejected since its last release.
+    rejections: u32,
+}
+
+/// A load in flight and its failed reads so far.
+struct Pending {
+    plan: LoadPlan,
+    failures: u32,
+}
+
+/// What one step's effects did, for the step's own checks.
+#[derive(Default)]
+struct Outcome {
+    /// Queries closed with an error, and the error.
+    erred: BTreeMap<QueryId, ScanError>,
+    /// Chunks quarantined, and how many queries each closed.
+    quarantined: Vec<(ChunkId, usize)>,
+    /// How many effects there were.
+    effects: usize,
 }
 
 /// The test as the core's driver.
 struct Driver {
     core: Scheduler<()>,
     obs: Arc<Registry>,
-    pending: Vec<LoadPlan>,
+    pending: Vec<Pending>,
+    /// The driver's record of every quarantine and its error.
+    quarantined: BTreeMap<ChunkId, StoreError>,
     held: Vec<(QueryId, ChunkId)>,
     open: BTreeMap<QueryId, Open>,
     effects: Vec<Effect<()>>,
@@ -124,9 +168,10 @@ impl Driver {
         let pages = buffer_chunks * model.max_chunk_pages(model.all_columns());
         let obs = Arc::new(Registry::new());
         Driver {
-            core: Scheduler::new(model, pages, policy, Arc::clone(&obs)),
+            core: Scheduler::new(model, pages, policy, RETRY, Arc::clone(&obs)),
             obs,
             pending: Vec::new(),
+            quarantined: BTreeMap::new(),
             held: Vec::new(),
             open: BTreeMap::new(),
             effects: Vec::new(),
@@ -138,7 +183,10 @@ impl Driver {
     fn step(&mut self, op: &Op) -> Result<(), TestCaseError> {
         self.clock += 1;
         let now = SimTime::from_micros(self.clock * 5);
-        let (mut detached, mut failed) = (None, None);
+        let mut detached = None;
+        // A close the step must make (a spent rejection budget), and a
+        // failure that must change nothing (a retry, or a dead ticket's).
+        let (mut must_err, mut must_keep) = (None, false);
         match *op {
             Op::Register {
                 start,
@@ -156,15 +204,22 @@ impl Driver {
             Op::Plan { k } => {
                 let inflight = self.core.abm().state().num_inflight();
                 let room = (usize::from(k) + 1).saturating_sub(inflight);
-                let first = self.pending.len();
-                self.core.plan(now, room, &mut self.pending);
-                for plan in &self.pending[first..] {
+                let mut plans = Vec::new();
+                self.core.plan(now, room, &mut plans);
+                for plan in plans {
+                    let chunk = plan.decision.chunk;
+                    prop_assert!(
+                        !self.quarantined.contains_key(&chunk),
+                        "a load of quarantined {:?} reached the driver",
+                        chunk
+                    );
                     self.trace
-                        .push(Decision::Planned(plan.decision.chunk, plan.evicted.clone()));
+                        .push(Decision::Planned(chunk, plan.evicted.clone()));
+                    self.pending.push(Pending { plan, failures: 0 });
                 }
             }
             Op::Commit { i } if !self.pending.is_empty() => {
-                let plan = self.pending.remove(usize::from(i) % self.pending.len());
+                let Pending { plan, .. } = self.pending.remove(usize::from(i) % self.pending.len());
                 let chunk = plan.decision.chunk;
                 // What a loader reads: the columns the load adds (none,
                 // for a stale load whose chunk was loaded since).
@@ -193,24 +248,54 @@ impl Driver {
                         chunk
                     );
                     open.holds = false;
+                    open.rejections = 0;
                 }
                 self.core.release(q, chunk, now);
             }
             Op::Reject { i } if !self.held.is_empty() => {
                 let (q, chunk) = self.held.remove(usize::from(i) % self.held.len());
+                let cause = StoreError::Corrupted;
                 if let Some(open) = self.open.get_mut(&q) {
                     open.holds = false;
+                    open.rejections += 1;
+                    if open.rejections >= RETRY.max_attempts {
+                        must_err = Some((q, ScanError { chunk, cause }));
+                    }
                 }
-                self.core.reject(q, chunk, now);
+                self.core.reject(q, chunk, cause, now);
             }
-            Op::Quarantine { i } if !self.pending.is_empty() => {
-                let plan = self.pending.remove(usize::from(i) % self.pending.len());
-                let chunk = plan.decision.chunk;
-                // `None`: the load was already aborted, and nothing fails.
-                failed = self
-                    .core
-                    .quarantine(chunk, plan.ticket, StoreError::Permanent)
-                    .map(|_| chunk);
+            Op::Fail { i, permanent } if !self.pending.is_empty() => {
+                let at = usize::from(i) % self.pending.len();
+                let Pending { plan, failures } = &mut self.pending[at];
+                let (chunk, ticket) = (plan.decision.chunk, plan.ticket);
+                *failures += 1;
+                let attempt = *failures;
+                let live = self.core.abm().state().inflight_ticket(chunk) == Some(ticket);
+                let error = match permanent {
+                    true => StoreError::Permanent,
+                    false => StoreError::Transient,
+                };
+                let verdict = self.core.load_failed(chunk, ticket, error, attempt);
+                self.trace.push(Decision::Failed(chunk, verdict));
+                let retried = live && !permanent && attempt < RETRY.max_attempts;
+                prop_assert_eq!(
+                    verdict,
+                    retried.then(|| RETRY.backoff(attempt)),
+                    "failure {} of {:?} ({:?}, live: {})",
+                    attempt,
+                    chunk,
+                    error,
+                    live
+                );
+                if verdict.is_none() {
+                    self.pending.remove(at);
+                }
+                if live && !retried {
+                    let fresh = self.quarantined.insert(chunk, error).is_none();
+                    prop_assert!(fresh, "{:?} quarantined twice", chunk);
+                } else {
+                    must_keep = true;
+                }
             }
             Op::Close { i } if !self.open.is_empty() => {
                 let q = *self
@@ -223,9 +308,28 @@ impl Driver {
             }
             _ => {}
         }
-        self.apply(detached)?;
+        let open_before: BTreeSet<QueryId> = self.open.keys().copied().collect();
+        let outcome = self.apply(detached)?;
         self.check_buffer()?;
-        if let Some(chunk) = failed {
+        if must_keep {
+            prop_assert_eq!(
+                outcome.effects,
+                0,
+                "a failure that ends nothing changed something"
+            );
+        }
+        // Each quarantine closed, with its error, every open query that
+        // still needed the chunk, and no other.
+        for &(chunk, closed) in &outcome.quarantined {
+            let cause = self.quarantined.get(&chunk).copied();
+            prop_assert!(
+                cause.is_some(),
+                "{:?} quarantined behind the driver's back",
+                chunk
+            );
+            let victims = outcome.erred.values().filter(|e| e.chunk == chunk);
+            prop_assert_eq!(victims.clone().count(), closed);
+            prop_assert!(victims.clone().all(|e| Some(e.cause) == cause));
             let spared = self
                 .open
                 .values()
@@ -234,6 +338,28 @@ impl Driver {
                 !spared,
                 "a query that needs {:?} outlived its quarantine",
                 chunk
+            );
+        }
+        // Nothing but a quarantine or a spent rejection budget errs a query,
+        // and a rejection within the budget closes nothing.
+        for (q, error) in &outcome.erred {
+            let quarantined = outcome.quarantined.iter().any(|&(c, _)| c == error.chunk);
+            let rejected = must_err == Some((*q, *error));
+            prop_assert!(quarantined || rejected, "{:?} erred with {:?}", q, error);
+        }
+        if let Some((q, error)) = must_err {
+            prop_assert_eq!(
+                outcome.erred.get(&q),
+                Some(&error),
+                "{:?}'s budget was spent",
+                q
+            );
+        } else if let Op::Reject { .. } = op {
+            let closed = open_before.iter().filter(|q| !self.open.contains_key(q));
+            prop_assert_eq!(
+                closed.count(),
+                0,
+                "a rejection within the budget closed a query"
             );
         }
         Ok(())
@@ -258,13 +384,16 @@ impl Driver {
                 consumed,
                 limit,
                 holds: false,
+                rejections: 0,
             },
         );
     }
 
     /// Checks and records what the core decided.
-    fn apply(&mut self, detached: Option<QueryId>) -> Result<(), TestCaseError> {
+    fn apply(&mut self, detached: Option<QueryId>) -> Result<Outcome, TestCaseError> {
+        let mut outcome = Outcome::default();
         self.core.swap_effects(&mut self.effects);
+        outcome.effects = self.effects.len();
         for effect in self.effects.drain(..) {
             match effect {
                 Effect::Grant { query, chunk, .. } => {
@@ -308,12 +437,19 @@ impl Driver {
                             || open.limit == Some(open.consumed.len() as u32);
                         prop_assert!(done, "{:?} closed before it was done", query);
                     }
+                    if let Some(error) = error {
+                        outcome.erred.insert(query, error);
+                    }
                     self.trace.push(Decision::Closed(query, error));
+                }
+                Effect::Quarantined { chunk, closed } => {
+                    outcome.quarantined.push((chunk, closed));
+                    self.trace.push(Decision::Quarantined(chunk, closed));
                 }
                 Effect::Recycle(_) | Effect::InputsChanged => {}
             }
         }
-        Ok(())
+        Ok(outcome)
     }
 
     /// The buffer against the grants the driver holds, and what it

@@ -38,6 +38,7 @@ use crate::abm::LoadPlan;
 use crate::model::TableModel;
 use crate::policy::PolicyKind;
 use crate::query::QueryId;
+use crate::retry::RetryPolicy;
 use crate::sched::{Effect, QueryTotals, Scheduler};
 use cscan_engine::{EventQueue, JobId, SharedCpu};
 use cscan_simdisk::{IoTrace, QueueDepthTrace, RaidArray, SimDuration, SimTime};
@@ -157,7 +158,7 @@ impl<'a> Runner<'a> {
             model,
             config,
             streams,
-            core: Scheduler::new(model.clone(), capacity, policy, obs),
+            core: Scheduler::new(model.clone(), capacity, policy, RetryPolicy::default(), obs),
             effects: Vec::new(),
             storage: RaidArray::new(config.raid),
             peak_outstanding_io: 0,
@@ -364,7 +365,8 @@ impl<'a> Runner<'a> {
                     totals,
                     ..
                 } => self.record_outcome(now, query, stream, totals),
-                Effect::Recycle(_) | Effect::InputsChanged => {}
+                // No simulated load fails, so nothing is quarantined.
+                Effect::Quarantined { .. } | Effect::Recycle(_) | Effect::InputsChanged => {}
             }
         }
         self.effects = effects;

@@ -6,10 +6,12 @@
 //! like the paper's `waitForChunk`.  The disk seek/transfer time is
 //! simulated by sleeping proportionally to the number of pages read
 //! (configurable down to zero for tests).  Every scheduling decision —
-//! grant, plan, commit, release, quarantine, close — is made by the
-//! scheduler core ([`crate::sched::Scheduler`]) the simulator drives too;
-//! this module owns the threads, the lock and the mailboxes, and applies
-//! the effects the core returns.
+//! grant, plan, commit, release, close, and what a failed read does
+//! (retry, cancel, quarantine) — is made by the scheduler core
+//! ([`crate::sched::Scheduler`]) the simulator drives too; this module
+//! owns the threads, the lock and the mailboxes, applies the effects the
+//! core returns, and keeps of the failure path only the read (under
+//! `catch_unwind`) and the sleeps the core asks for.
 //!
 //! # The data plane
 //!
@@ -46,16 +48,14 @@
 //! touches only per-query leaf locks (see `ARCHITECTURE.md` for the
 //! diagram):
 //!
-//! * **The scheduler lock** (one mutex around `Sched`) protects the core —
-//!   the ABM with its buffer, the per-query mailboxes' registry and the
-//!   quarantine set — and the effects it still owes.  An I/O worker holds
-//!   it to *plan* a load and again to *commit* the completed read; the
+//! * **The scheduler lock** (one mutex around `Sched`) protects the core
+//!   and the effects it still owes.  An I/O worker holds it to *plan* a
+//!   load, to report a failed read and to *commit* the completed one; the
 //!   read itself — the part that takes milliseconds — runs with the lock
-//!   released.  Because the world can change mid-read, every plan carries
-//!   a `(ticket, epoch)` stamp that the commit revalidates: a load whose
-//!   last interested query detached mid-read is aborted, never installed.
-//!   Hold times land in the `lock_hold` span histogram of
-//!   [`ScanServer::metrics`].
+//!   released.  Every plan carries a `(ticket, epoch)` stamp that the
+//!   commit revalidates: a load whose last interested query detached
+//!   mid-read is aborted, never installed.  Hold times land in the
+//!   `lock_hold` span histogram of [`ScanServer::metrics`].
 //!
 //! * **Effects under the lock, wake-ups after it.**  The critical section
 //!   that called the core deposits its grants (the chunk, already pinned,
@@ -85,9 +85,10 @@
 //! * **Idle workers.**  A worker whose plan comes back empty waits on a
 //!   condvar bound to the scheduler mutex (`blockForNextQuery`), so its
 //!   empty plan and its sleep are one critical section, and every change
-//!   to a scheduling input is made under the same lock.  A worker that
-//!   plans successfully wakes the next one before starting its read ("wake
-//!   chaining").
+//!   to a scheduling input is made under the same lock — unless the plan
+//!   closed queries (it failed a quarantined chunk's load): it unlocks to
+//!   wake them first.  A worker that plans wakes the next one before its
+//!   read ("wake chaining").
 //!
 //! * **One wait bound.**  Every wait here — an idle worker's, a consumer's
 //!   doorbell — and the serving layer's connection waits keep one
@@ -140,7 +141,7 @@ use crate::cscan::CScanPlan;
 use crate::model::TableModel;
 use crate::policy::PolicyKind;
 use crate::query::QueryId;
-use crate::retry::{FailureAction, RetryPolicy};
+use crate::retry::RetryPolicy;
 use crate::sched::{Effect, Scheduler};
 use crate::session::{PinnedChunk, ScanError, ScanSession};
 use cscan_bufman::PoolStats;
@@ -263,6 +264,9 @@ struct Sched {
     /// Wakers moved out of mailboxes changed under this lock, fired by
     /// [`SchedGuard`]'s drop after it unlocks.
     wakers: Vec<Waker>,
+    /// Whether a chunk was quarantined under this lock, so that
+    /// [`SchedGuard`]'s drop dumps the flight recorder after it unlocks.
+    quarantined: bool,
     /// Payloads let go of under this lock (evicted or shrunk chunks', an
     /// untaken grant's clone, a torn chunk's, a stale load's read), offered
     /// back to the store by [`SchedGuard`]'s drop after it unlocks.
@@ -279,6 +283,12 @@ impl Sched {
             self.worker_wakeups += 1;
             self.wake_pending = true;
         }
+    }
+
+    /// Whether this critical section owes a thread a wake-up, or the flight
+    /// recorder a quarantine — what only [`SchedGuard`]'s drop delivers.
+    fn owes_wakeups(&self) -> bool {
+        self.wake_pending || !self.wakers.is_empty() || self.quarantined
     }
 
     /// Applies the core's effects in the critical section that decided
@@ -335,6 +345,15 @@ impl Sched {
                             self.recycled.push(payload);
                         }
                     }
+                    Effect::Quarantined { chunk, closed } => {
+                        shared.obs.event(
+                            EventKind::ChunkQuarantined,
+                            chunk.index(),
+                            NO_QUERY,
+                            closed as u64,
+                        );
+                        self.quarantined = true;
+                    }
                     Effect::Recycle(payload) => self.recycled.push(payload),
                     Effect::InputsChanged => self.wake_worker(),
                 }
@@ -362,8 +381,6 @@ pub(crate) struct Shared {
     shutdown: AtomicBool,
     started: Instant,
     io_cost_per_page_nanos: u64,
-    /// Bounded-retry policy for failed chunk reads.
-    retry: RetryPolicy,
     /// The unified observability plane: every counter, histogram, span and
     /// flight event of this server lands here.  All recording paths are
     /// lock-free and allocation-free (see `cscan_obs`).
@@ -435,19 +452,13 @@ impl Shared {
                     chunk,
                     cause: StoreError::Corrupted,
                 };
-                self.fail_query(query, error);
+                // The core closes the scan and parks the error in its slot,
+                // where every consumer of the handle finds it; pins it
+                // still holds stay valid.  A closed scan cannot err again.
+                self.lock_sched().core.close(query, Some(error));
                 Err(error)
             }
         }
-    }
-
-    /// Ends `q`'s scan with `error`: the core closes its registration and
-    /// the error is parked in its slot, where every consumer of the handle
-    /// finds it on its next call.  Pins the query still holds stay valid
-    /// until dropped.  A scan that is already closed (a pin that outlived
-    /// its handle, a second touch) cannot err again.
-    fn fail_query(&self, q: QueryId, error: ScanError) {
-        self.lock_sched().core.close(q, Some(error));
     }
 
     /// Returns a pin to the server — Figure 3's `releaseChunk`, run by
@@ -485,8 +496,9 @@ impl Shared {
 /// records the lock hold time into the `lock_hold` histogram, then unlocks,
 /// then wakes the idle worker and fires the wakers the critical section
 /// queued ([`Sched::wake_pending`], [`Sched::wakers`]) — in that order, so
-/// no thread is ever woken while the scheduler lock is held — and last
-/// offers the payloads let go of back to the store.
+/// no thread is ever woken while the scheduler lock is held — then dumps
+/// the flight recorder if a chunk was quarantined ([`Sched::quarantined`]),
+/// and last offers the payloads let go of back to the store.
 ///
 /// The guard also carries a [`cscan_storage::codec::DecodeForbidden`]
 /// token, for exactly as long as it holds the lock: any payload decode
@@ -526,7 +538,7 @@ impl SchedGuard<'_> {
             (self.acquired.elapsed().as_nanos() as u64).max(1),
         );
         debug_assert!(
-            !guard.wake_pending && guard.wakers.is_empty(),
+            !guard.owes_wakeups(),
             "a wake-up queued before the sleep would wait for it"
         );
         let wakeups = guard.worker_wakeups;
@@ -566,12 +578,18 @@ impl Drop for SchedGuard<'_> {
         // Taking an empty list neither allocates nor frees.
         let wakers = std::mem::take(&mut guard.wakers);
         let wake_worker = std::mem::take(&mut guard.wake_pending);
+        let quarantined = std::mem::take(&mut guard.quarantined);
         let mut recycled = std::mem::take(&mut guard.recycled);
         drop((guard, no_decode));
         if wake_worker {
             self.shared.idle.notify_one();
         }
         wakers.into_iter().for_each(Waker::wake);
+        if quarantined {
+            // Quarantine is the failure the flight recorder exists for: dump
+            // the run-up so the evidence survives the ring's wraparound.
+            obs.dump_flight("chunk quarantined");
+        }
         recycle(self.shared, &mut recycled);
     }
 }
@@ -634,9 +652,10 @@ impl ScanServerBuilder {
         self
     }
 
-    /// Sets the bounded-retry policy for failed chunk reads (default:
-    /// [`RetryPolicy::default`] — 8 attempts with exponential backoff).
-    /// Retries sleep real time on the I/O worker, with no lock held.
+    /// Sets the bounded-retry policy for failed chunk reads and rejected
+    /// deliveries (default: [`RetryPolicy::default`] — 8 attempts with
+    /// exponential backoff), which the scheduler core applies.  Retries
+    /// sleep real time on the I/O worker, with no lock held.
     pub fn retry_policy(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
         self
@@ -666,7 +685,13 @@ impl ScanServerBuilder {
             .max(1);
         let workers = self.io_threads;
         let obs = self.obs.unwrap_or_else(|| Arc::new(Registry::new()));
-        let core = Scheduler::new(self.model, capacity, self.policy, Arc::clone(&obs));
+        let core = Scheduler::new(
+            self.model,
+            capacity,
+            self.policy,
+            self.retry,
+            Arc::clone(&obs),
+        );
         let policy_label = core.abm().policy_name();
         let shared = Arc::new(Shared {
             sched: Mutex::new(Sched {
@@ -677,6 +702,7 @@ impl ScanServerBuilder {
                 worker_wakeups: 0,
                 wake_pending: false,
                 wakers: Vec::new(),
+                quarantined: false,
                 recycled: Vec::new(),
             }),
             idle: Condvar::new(),
@@ -684,7 +710,6 @@ impl ScanServerBuilder {
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
             io_cost_per_page_nanos: self.io_cost_per_page.as_nanos() as u64,
-            retry: self.retry,
             obs,
             table_label: self.table_label,
             policy_label,
@@ -702,22 +727,17 @@ impl ScanServerBuilder {
     }
 }
 
-/// The ABM main loop (`main()` in Figure 3), run on every I/O worker.
-///
-/// Plan through the core under the scheduler lock or, with nothing to
-/// plan, sleep on the scheduler's idle condvar; wake the next idle worker
-/// if the plan succeeded (wake chaining), materialize the payload and
-/// perform the simulated read with no lock held, then commit through the
-/// core under the scheduler lock — revalidating the plan's `(ticket,
-/// epoch)` stamp, so a load whose queries detached mid-read is aborted —
-/// which installs the payload and grants to exactly the queries the
-/// arrived chunk unblocks.
+/// The ABM main loop (`main()` in Figure 3), run on every I/O worker:
+/// plan through the core under the scheduler lock, or sleep on its idle
+/// condvar; read with no lock held; commit through the core, whose stamp
+/// check drops a load whose queries detached mid-read.  A failed read is
+/// the core's to judge ([`Scheduler::load_failed`]).
 fn io_worker_main(shared: Arc<Shared>) {
     let mut plans = Vec::with_capacity(1);
     // Payloads this worker's critical sections let go of, offered back to
     // the store once the lock is dropped.
     let mut unused: Vec<ChunkPayload> = Vec::new();
-    loop {
+    'work: loop {
         let mut sched = shared.lock_sched();
         let mut unwoken = false;
         let plan = loop {
@@ -739,21 +759,25 @@ fn io_worker_main(shared: Arc<Shared>) {
                 }
                 break plan;
             }
+            // A plan that failed a quarantined chunk's load closed the
+            // queries that registered since: they are woken, and the flight
+            // recorder dumped, as the lock drops — not after a sleep.
+            sched.apply(&shared);
+            if sched.owes_wakeups() {
+                continue 'work;
+            }
             // blockForNextQuery: sleep until a scheduling input changes.
             // The bound is a belt-and-braces guard; correctness does not
             // depend on it.
             unwoken = sched.wait_idle(WAIT_BOUND);
         };
+        let chunk = plan.decision.chunk;
         // The columns to materialize: exactly the missing ones (what this
         // load adds), or the full row when the load covers every column.
         let state = sched.core.abm().state();
-        let missing = state.missing_columns(plan.decision.chunk, plan.decision.cols);
+        let missing = state.missing_columns(chunk, plan.decision.cols);
         let cols: Option<Vec<ColumnId>> =
             (missing != state.model().all_columns()).then(|| missing.iter().collect());
-        // A quarantined chunk can still be planned when a query registers
-        // *after* the chunk failed for good; remember that so the store is
-        // never touched for it again.
-        let already_quarantined = sched.core.quarantined(plan.decision.chunk);
         // Wake chaining: if more loads are plannable, the next idle worker
         // will find one (and chain onwards); if not, it sleeps again.  This
         // fans a burst out across the pool without a notify_all stampede.
@@ -766,29 +790,17 @@ fn io_worker_main(shared: Arc<Shared>) {
         recycle(&shared, &mut unused);
         // The plan's flight event is recorded after the scheduler guard
         // dropped: the recorder has its own (uncontended) mutex.
-        shared.obs.event(
-            EventKind::LoadPlanned,
-            plan.decision.chunk.index(),
-            NO_QUERY,
-            plan.pages,
-        );
-        if let Some(cause) = already_quarantined {
-            quarantine_chunk(&shared, plan.decision.chunk, plan.ticket, cause);
-            continue;
-        }
-        // Perform the "disk read" without holding any lock so queries keep
-        // consuming already-resident chunks (and other workers keep planning
-        // and committing) meanwhile.  Materializing the payload *is* the
-        // read; the sleep models seek/transfer time.  Failed reads are
-        // retried in place — the worker keeps the plan's ticket and
-        // reservation across attempts, sleeping the backoff with no lock
-        // held — and a spent retry budget (or a permanent fault)
-        // quarantines the chunk instead of ever panicking.
-        let mut failed_attempts = 0u32;
-        let chunk_idx = plan.decision.chunk.index();
+        shared
+            .obs
+            .event(EventKind::LoadPlanned, chunk.index(), NO_QUERY, plan.pages);
+        // Read with no lock held, so consumers and other workers carry on
+        // meanwhile: materializing the payload *is* the read, the sleep
+        // models seek/transfer time.  A failed read keeps the plan's ticket
+        // and reservation until the core ends the load.
+        let mut attempt = 0;
         let payload = loop {
             let read_started = Instant::now();
-            let result = read_payload(&shared, plan.decision.chunk, cols.as_deref());
+            let result = read_payload(&shared, chunk, cols.as_deref());
             let nanos = plan.pages.saturating_mul(shared.io_cost_per_page_nanos);
             if nanos > 0 {
                 std::thread::sleep(Duration::from_nanos(nanos));
@@ -797,78 +809,37 @@ fn io_worker_main(shared: Arc<Shared>) {
                 SpanKind::Materialize,
                 read_started.elapsed().as_nanos() as u64,
             );
-            match result {
-                Ok(payload) => break Some(payload),
-                Err(error) => {
-                    shared.obs.inc(Counter::LoadFaults);
-                    failed_attempts += 1;
-                    shared.obs.event(
-                        EventKind::LoadFault,
-                        chunk_idx,
-                        NO_QUERY,
-                        failed_attempts as u64,
-                    );
-                    match shared.retry.on_failure(error, failed_attempts) {
-                        FailureAction::Retry { delay } => {
-                            shared.obs.inc(Counter::LoadRetries);
-                            shared.obs.event(
-                                EventKind::LoadRetry,
-                                chunk_idx,
-                                NO_QUERY,
-                                delay.as_nanos() as u64,
-                            );
-                            if !delay.is_zero() {
-                                let backoff = shared.obs.time(SpanKind::Backoff);
-                                std::thread::sleep(delay);
-                                drop(backoff);
-                            }
-                            // The world may have moved on mid-retry: if the
-                            // last interested query detached, the load was
-                            // already aborted — stop retrying a dead ticket.
-                            let live = shared
-                                .lock_sched()
-                                .core
-                                .abm()
-                                .state()
-                                .inflight_ticket(plan.decision.chunk)
-                                == Some(plan.ticket);
-                            if !live {
-                                shared.obs.inc(Counter::LoadsCancelled);
-                                shared
-                                    .obs
-                                    .event(EventKind::LoadCancelled, chunk_idx, NO_QUERY, 0);
-                                break None;
-                            }
-                        }
-                        FailureAction::Quarantine => {
-                            quarantine_chunk(&shared, plan.decision.chunk, plan.ticket, error);
-                            break None;
-                        }
-                    }
-                }
+            let error = match result {
+                Ok(payload) => break payload,
+                Err(error) => error,
+            };
+            attempt += 1;
+            let verdict = shared
+                .lock_sched()
+                .core
+                .load_failed(chunk, plan.ticket, error, attempt);
+            let Some(delay) = verdict else {
+                continue 'work;
+            };
+            if !delay.is_zero() {
+                let _backoff = shared.obs.time(SpanKind::Backoff);
+                std::thread::sleep(delay);
             }
-        };
-        let Some(payload) = payload else {
-            // The failure was fully handled (quarantine or cancelled load);
-            // go straight back to planning.
-            continue;
         };
         let mut sched = shared.lock_sched();
         let commit_started = Instant::now();
-        let chunk = plan.decision.chunk;
         // Installed, the load grants to the scans it unblocks (signalQuery);
         // stale — the last interested query detached mid-read — nothing is.
         let woken = sched
             .core
             .commit(chunk, plan.ticket, plan.epoch, payload, shared.now());
-        let committed = woken.is_some();
+        let (counter, event) = match woken {
+            Some(_) => (Counter::LoadsCompleted, EventKind::LoadCommitted),
+            None => (Counter::LoadsCancelled, EventKind::LoadCancelled),
+        };
         // Counted before the grants are deposited, so a consumer that sees
         // its chunk sees the load counted.
-        shared.obs.inc(if committed {
-            Counter::LoadsCompleted
-        } else {
-            Counter::LoadsCancelled
-        });
+        shared.obs.inc(counter);
         sched.apply(&shared);
         shared
             .obs
@@ -876,16 +847,8 @@ fn io_worker_main(shared: Arc<Shared>) {
         unused.append(&mut sched.recycled);
         drop(sched);
         recycle(&shared, &mut unused);
-        shared.obs.event(
-            if committed {
-                EventKind::LoadCommitted
-            } else {
-                EventKind::LoadCancelled
-            },
-            chunk_idx,
-            NO_QUERY,
-            woken.unwrap_or(0) as u64,
-        );
+        let woken = woken.unwrap_or(0) as u64;
+        shared.obs.event(event, chunk.index(), NO_QUERY, woken);
         // The worker loops straight back into planning: a completion changes
         // the scheduling inputs (the chunk is evictable, its queries less
         // starved), and if that enables further loads the chain above keeps
@@ -944,40 +907,6 @@ fn read_payload(
     }
 }
 
-/// Moves `chunk` into quarantine through the core: aborts the failed load
-/// (releasing its page reservation) and closes every query that still
-/// needs the chunk with the final error — which is what stops the planner
-/// from selecting it again — waking their blocked consumers so they observe
-/// the error immediately.  Queries not interested in the chunk are
-/// untouched.
-fn quarantine_chunk(shared: &Shared, chunk: ChunkId, ticket: u64, cause: StoreError) {
-    let mut sched = shared.lock_sched();
-    let newly_quarantined = sched.core.quarantined(chunk).is_none();
-    let closed = sched.core.quarantine(chunk, ticket, cause);
-    drop(sched);
-    let Some(victims) = closed else {
-        // The plan went stale mid-read: its last interested query detached
-        // and the load was already aborted.  Nothing to fail.
-        shared.obs.inc(Counter::LoadsCancelled);
-        shared
-            .obs
-            .event(EventKind::LoadCancelled, chunk.index(), NO_QUERY, 0);
-        return;
-    };
-    if newly_quarantined {
-        shared.obs.inc(Counter::ChunksQuarantined);
-    }
-    shared.obs.event(
-        EventKind::ChunkQuarantined,
-        chunk.index(),
-        NO_QUERY,
-        victims as u64,
-    );
-    // Quarantine is the failure the flight recorder exists for: dump the
-    // run-up automatically so the evidence survives the ring's wraparound.
-    shared.obs.dump_flight("chunk quarantined");
-}
-
 /// A running Cooperative Scans server: an Active Buffer Manager plus its I/O
 /// worker pool.  Create scans with [`ScanServer::cscan`].
 pub struct ScanServer {
@@ -1033,7 +962,6 @@ impl ScanServer {
             attached: Instant::now(),
             limit: plan.limit_chunks,
             delivered: AtomicU32::new(0),
-            pin_rejections: AtomicU32::new(0),
             finished: AtomicBool::new(false),
         }
     }
@@ -1118,10 +1046,6 @@ pub struct CScanHandle {
     limit: Option<u32>,
     /// Chunks delivered so far (compared against `limit`).
     delivered: AtomicU32,
-    /// Consecutive deliveries rejected by the pin-time checksum (reset on a
-    /// good delivery); lives on the handle so the count survives `Pending`
-    /// round-trips.
-    pin_rejections: AtomicU32,
     finished: AtomicBool,
 }
 
@@ -1241,8 +1165,9 @@ impl CScanHandle {
 
     /// Turns a taken grant into a [`PinnedChunk`] — the payload it carries,
     /// checksums verified, per-query metrics — or rejects the delivery
-    /// (`None`): the torn frame is evicted and the chunk re-requested, and
-    /// once the retry budget is spent the scan is closed with the error.
+    /// (`None`) through the core, which evicts the torn frame and
+    /// re-requests the chunk, or closes the scan with the error once the
+    /// retry budget is spent ([`Scheduler::reject`]).
     /// Nothing is decoded here: a column decodes when the consumer first
     /// touches it ([`PinnedChunk::column`]).
     fn consume_grant(&self, chunk: ChunkId, payload: ChunkPayload) -> Option<PinnedChunk> {
@@ -1267,25 +1192,21 @@ impl CScanHandle {
                 // The installed bytes are torn: reject the delivery
                 // *without* consuming — the chunk stays needed — evict the
                 // poisoned frame, and let the caller loop back so a fresh
-                // load fetches clean bytes.  This is the rare recovery
-                // path, so taking the scheduler lock here is fine.
+                // load fetches clean bytes — or, the retry budget spent,
+                // finds the scan's error.  This is the rare recovery path,
+                // so taking the scheduler lock here is fine.
                 self.shared.obs.inc(Counter::ChecksumFailures);
                 self.shared
                     .obs
                     .event(EventKind::ChecksumFailure, chunk.index(), self.query.0, 0);
-                let failures = self.pin_rejections.fetch_add(1, Ordering::Relaxed) + 1;
-                let mut sched = self.shared.lock_sched();
-                sched.core.reject(self.query, chunk, self.shared.now());
                 self.delivered.fetch_sub(1, Ordering::Relaxed);
-                if failures >= self.shared.retry.max_attempts.max(1) {
-                    sched
-                        .core
-                        .close(self.query, Some(ScanError { chunk, cause }));
-                }
+                self.shared
+                    .lock_sched()
+                    .core
+                    .reject(self.query, chunk, cause, self.shared.now());
                 return None;
             }
         }
-        self.pin_rejections.store(0, Ordering::Relaxed);
         self.scope
             .record_first_chunk(self.attached.elapsed().as_nanos() as u64);
         self.scope.add(QueryCounter::ChunksDelivered, 1);

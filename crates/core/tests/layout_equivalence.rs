@@ -24,7 +24,7 @@ use cscan_core::model::TableModel;
 use cscan_core::policy::PolicyKind;
 use cscan_core::query::QueryId;
 use cscan_core::sched::{Effect, Scheduler};
-use cscan_core::{CScanPlan, ScanRanges};
+use cscan_core::{CScanPlan, RetryPolicy, ScanRanges};
 use cscan_obs::Registry;
 use cscan_simdisk::SimTime;
 use cscan_storage::{ChunkId, ChunkPayload, ColumnDef, ColumnType, TableSchema};
@@ -98,7 +98,7 @@ impl Side {
     fn new(model: TableModel, policy: PolicyKind, buffer_pages: u64) -> Self {
         let obs = Arc::new(Registry::disabled());
         Side {
-            core: Scheduler::new(model, buffer_pages, policy, obs),
+            core: Scheduler::new(model, buffer_pages, policy, RetryPolicy::default(), obs),
             pending: Vec::new(),
             held: Vec::new(),
             effects: Vec::new(),
@@ -160,7 +160,7 @@ impl Side {
                     decided.push(Decided::Granted(query, chunk));
                 }
                 Effect::Closed { query, .. } => decided.push(Decided::Closed(query)),
-                Effect::Recycle(_) | Effect::InputsChanged => {}
+                Effect::Quarantined { .. } | Effect::Recycle(_) | Effect::InputsChanged => {}
             }
         }
         decided
