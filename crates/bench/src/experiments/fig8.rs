@@ -8,12 +8,15 @@
 //! queries scanning 1 %, 10 % or 100 % of it, and reports the overhead as a
 //! fraction of the (simulated) execution time of the same workload.
 
-use cscan_core::abm::{Abm, AbmState};
 use cscan_core::model::TableModel;
 use cscan_core::policy::{PolicyKind, RelevancePolicy};
+use cscan_core::sched::Scheduler;
 use cscan_core::sim::{QuerySpec, SimConfig, Simulation};
-use cscan_core::ScanRanges;
+use cscan_core::{CScanPlan, RetryPolicy, ScanRanges};
+use cscan_obs::Registry;
 use cscan_simdisk::SimTime;
+use cscan_storage::ChunkPayload;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// One measurement of the sweep.
@@ -91,55 +94,67 @@ pub fn layouts(num_chunks: u32) -> [(&'static str, TableModel); 3] {
     ]
 }
 
-/// Builds an ABM over `model` with `queries` registered queries of the given
-/// scan size, each reading every column, and a quarter-table buffer, to
-/// exercise realistic state.
-fn build_abm(model: TableModel, percent: u32, queries: usize, seed: u64) -> Abm {
+/// Builds the scheduler core over `model` with `queries` registered
+/// queries of the given scan size, each reading every column, and a
+/// quarter-table buffer, to exercise realistic state.
+fn build_core(model: TableModel, percent: u32, queries: usize, seed: u64) -> Scheduler<()> {
     let num_chunks = model.num_chunks();
     let capacity = model.total_pages(model.all_columns()) / 4;
     let all_columns = model.all_columns();
-    let state = AbmState::new(model, capacity.max(1));
-    let mut abm = Abm::new(state, PolicyKind::Relevance.build());
+    let mut core = Scheduler::new(
+        model,
+        capacity.max(1),
+        PolicyKind::Relevance,
+        RetryPolicy::default(),
+        Arc::new(Registry::disabled()),
+    );
     let len = ((num_chunks as u64 * percent as u64).div_ceil(100)).max(1) as u32;
     let mut pos = seed as u32 % num_chunks;
     for q in 0..queries {
         let start = pos % num_chunks.saturating_sub(len).max(1);
-        abm.register_query(
-            format!("q{q}"),
-            ScanRanges::single(start, (start + len).min(num_chunks)),
-            all_columns,
+        let ranges = ScanRanges::single(start, (start + len).min(num_chunks));
+        core.register(
+            &CScanPlan::new(format!("q{q}"), ranges, all_columns),
+            (),
             SimTime::ZERO,
         );
         pos = pos.wrapping_mul(7).wrapping_add(13);
     }
-    abm
+    core
+}
+
+/// Plans one load and commits it at once, as a K = 1 driver would; the
+/// core's effects are dropped.  Returns whether a load was planned.
+fn load_one(core: &mut Scheduler<()>) -> bool {
+    let mut plans = Vec::new();
+    core.plan(SimTime::ZERO, 1, &mut plans);
+    let Some(plan) = plans.pop() else {
+        return false;
+    };
+    let (chunk, ticket, epoch) = (plan.decision.chunk, plan.ticket, plan.epoch);
+    core.commit(chunk, ticket, epoch, ChunkPayload::Missing, SimTime::ZERO);
+    core.swap_effects(&mut Vec::new());
+    true
 }
 
 /// Pre-loads a handful of chunks so the use/keep relevance paths have
 /// buffered state to look at, while keeping (almost) every query starved —
 /// the regime in which the scheduler actually runs.
-fn preload(abm: &mut Abm) {
-    let mut loaded = 0;
-    while loaded < 4 {
-        match abm.plan_load(SimTime::ZERO) {
-            Some(_) => {
-                abm.complete_load();
-                loaded += 1;
-            }
-            None => break,
+fn preload(core: &mut Scheduler<()>) {
+    for _ in 0..4 {
+        if !load_one(core) {
+            break;
         }
     }
 }
 
-/// Advances the ABM by one realistic state transition: complete a planned
+/// Advances the core by one realistic state transition: complete a planned
 /// load if one is possible, otherwise evict a chunk (which re-starves
 /// queries and makes the next load plannable).  Keeps the measured
 /// scheduler looking at freshly dirtied state on every decision.
-fn perturb(abm: &mut Abm) {
-    if abm.plan_load(SimTime::ZERO).is_some() {
-        abm.complete_load();
-    } else {
-        abm.force_evict_one();
+fn perturb(core: &mut Scheduler<()>) {
+    if !load_one(core) {
+        core.force_evict();
     }
 }
 
@@ -152,8 +167,8 @@ pub fn measure_scheduling_step(
     queries: usize,
     iterations: u32,
 ) -> f64 {
-    let mut abm = build_abm(model_for(num_chunks), percent, queries, 11);
-    preload(&mut abm);
+    let mut core = build_core(model_for(num_chunks), percent, queries, 11);
+    preload(&mut core);
     let mut policy = RelevancePolicy::new();
     use cscan_core::policy::Policy as _;
     let start = Instant::now();
@@ -161,10 +176,10 @@ pub fn measure_scheduling_step(
     for _ in 0..iterations {
         // One full scheduling step: pick a query & chunk to load, pick the
         // chunk a query should consume, pick a victim.
-        if let Some(decision) = policy.next_load(abm.state(), SimTime::ZERO, 0) {
+        if let Some(decision) = policy.next_load(core.state(), SimTime::ZERO, 0) {
             std::hint::black_box(&decision);
-            let _ = std::hint::black_box(policy.choose_victim(abm.state(), &decision));
-            let _ = std::hint::black_box(policy.next_chunk(decision.trigger, abm.state()));
+            let _ = std::hint::black_box(policy.choose_victim(core.state(), &decision));
+            let _ = std::hint::black_box(policy.next_chunk(decision.trigger, core.state()));
         }
         decisions += 1;
     }
@@ -172,11 +187,11 @@ pub fn measure_scheduling_step(
     elapsed * 1e9 / decisions.max(1) as f64
 }
 
-/// Measures the average wall-clock cost of one `plan_load`-level decision
+/// Measures the average wall-clock cost of one load decision
 /// (`RelevancePolicy::next_load` only) over `model`, in nanoseconds, for
 /// either the index walk (default) or the brute-force chunk selection.
 ///
-/// Between decisions the ABM is advanced by one load completion or eviction,
+/// Between decisions the core is advanced by one load completion or eviction,
 /// so every decision looks at freshly changed state — the steady-state
 /// regime, not a best case over frozen state.
 pub fn measure_plan_load(
@@ -186,8 +201,8 @@ pub fn measure_plan_load(
     brute: bool,
     iterations: u32,
 ) -> f64 {
-    let mut abm = build_abm(model.clone(), percent, queries, 11);
-    preload(&mut abm);
+    let mut core = build_core(model.clone(), percent, queries, 11);
+    preload(&mut core);
     let mut policy = if brute {
         RelevancePolicy::brute_force()
     } else {
@@ -197,9 +212,9 @@ pub fn measure_plan_load(
     let mut total = std::time::Duration::ZERO;
     let mut decisions = 0u32;
     for _ in 0..iterations {
-        perturb(&mut abm);
+        perturb(&mut core);
         let start = Instant::now();
-        let decision = policy.next_load(abm.state(), SimTime::ZERO, 0);
+        let decision = policy.next_load(core.state(), SimTime::ZERO, 0);
         total += start.elapsed();
         std::hint::black_box(&decision);
         decisions += 1;
@@ -346,7 +361,7 @@ mod tests {
     }
 
     /// On the 64-query mix the index walk is at least 5× cheaper per
-    /// `plan_load` decision than the brute-force sweep, on the row store, on
+    /// load decision than the brute-force sweep, on the row store, on
     /// the six-column column store of the same 2 GB, and on the row store
     /// whose last chunk is short — the one the walk scores before its bucket
     /// bound, which it would otherwise never reach.  Only meaningful in

@@ -4,8 +4,8 @@
 //! queries are active and what they still need, which chunks (and which
 //! column groups of them) are resident, how much buffer space is in use, and
 //! who is starved.  Policies never mutate this state directly; mutations go
-//! through [`crate::Abm`], which is driven by the simulation or the threaded
-//! executor.
+//! through the scheduler core ([`crate::sched::Scheduler`]), which both the
+//! simulation and the threaded executor drive.
 //!
 //! # The shared chunk index
 //!
@@ -49,7 +49,7 @@
 //!
 //! A resident chunk's [`BufferedChunk`] is the buffer's one record of it,
 //! payload and pins included.  Every payload the buffer lets go of waits in
-//! one reused list for the owner ([`crate::Abm::drain_released`]); pins,
+//! one reused list for the owner ([`crate::sched::Scheduler::swap_effects`]); pins,
 //! installs and evictions are counted here and published to a registry.
 
 use crate::abm::buffer::BufferedChunk;
@@ -354,12 +354,6 @@ impl AbmState {
     /// Hands over the payloads the buffer let go of since the last call.
     pub(crate) fn drain_released(&mut self) -> std::vec::Drain<'_, ChunkPayload> {
         self.released.drain(..)
-    }
-
-    /// The *oldest* in-flight load, if any.  Kept for the K=1 tests;
-    /// schedulers that pipeline use [`Self::inflight_loads`].
-    pub fn inflight(&self) -> Option<(ChunkId, ColSet)> {
-        self.inflight.first().map(|l| (l.chunk, l.cols))
     }
 
     /// All in-flight loads, oldest first.
@@ -785,7 +779,7 @@ impl AbmState {
     }
 
     // ------------------------------------------------------------------
-    // Mutations (driven by `Abm`).
+    // Mutations (driven by the scheduler core).
     // ------------------------------------------------------------------
 
     /// Registers a new query.  Its columns are widened to whole column
@@ -886,15 +880,6 @@ impl AbmState {
         // candidate set until the load completes or is aborted.
         self.index.set_inflight(chunk, true);
         ticket
-    }
-
-    /// Completes the *oldest* in-flight load, with no data.  Convenience for
-    /// the single-outstanding tests; the drivers go through
-    /// [`crate::Abm::commit_load`] / [`Self::complete_load_of`].
-    #[cfg(test)]
-    pub(crate) fn complete_load(&mut self) -> u64 {
-        let chunk = self.inflight.first().expect("no load in flight").chunk;
-        self.complete_load_of(chunk, ChunkPayload::Missing)
     }
 
     /// Completes the in-flight load of `chunk` (loads may complete in any
@@ -1054,7 +1039,7 @@ impl AbmState {
     /// altogether if every resident column was dead.
     ///
     /// A chunk-granular policy cannot name these pages — its victim would
-    /// take the chunk's live columns with them — so [`crate::Abm`] asks here
+    /// take the chunk's live columns with them — so the scheduler core asks here
     /// before it asks the policy.  No interested query reads a dead column,
     /// so no query's availability changes, and no load asks for one, so the
     /// chunk a load is being admitted for may give up its own.
@@ -1220,8 +1205,8 @@ mod tests {
         let cols = s.model().all_columns();
         assert_eq!(s.pages_to_load(ChunkId::new(3), cols), 16);
         s.begin_load(ChunkId::new(3), cols);
-        assert_eq!(s.inflight().map(|(c, _)| c), Some(ChunkId::new(3)));
-        let pages = s.complete_load();
+        assert!(s.is_inflight(ChunkId::new(3)));
+        let pages = s.complete_load_of(ChunkId::new(3), ChunkPayload::Missing);
         assert_eq!(pages, 16);
         assert_eq!(s.used_pages(), 16);
         assert_eq!(s.free_pages(), 48);
@@ -1240,7 +1225,7 @@ mod tests {
         register(&mut s, 2, 0, 10);
         let cols = s.model().all_columns();
         s.begin_load(ChunkId::new(0), cols);
-        s.complete_load();
+        s.complete_load_of(ChunkId::new(0), ChunkPayload::Missing);
         s.start_processing(QueryId(1), ChunkId::new(0));
         assert!(
             !s.is_evictable(ChunkId::new(0)),
@@ -1274,7 +1259,7 @@ mod tests {
         assert!(s.is_starved(QueryId(1)));
         for c in 0..3u32 {
             s.begin_load(ChunkId::new(c), cols);
-            s.complete_load();
+            s.complete_load_of(ChunkId::new(c), ChunkPayload::Missing);
         }
         assert_eq!(s.available_chunks(QueryId(1)), 3);
         assert!(!s.is_starved(QueryId(1)));
@@ -1317,7 +1302,10 @@ mod tests {
         // Load chunk 0 with q1's columns.
         assert_eq!(s.pages_to_load(ChunkId::new(0), c01), 6);
         s.begin_load(ChunkId::new(0), c01);
-        assert_eq!(s.complete_load(), 6);
+        assert_eq!(
+            s.complete_load_of(ChunkId::new(0), ChunkPayload::Missing),
+            6
+        );
         assert!(s.is_resident_for(QueryId(1), ChunkId::new(0)));
         assert!(
             !s.is_resident_for(QueryId(2), ChunkId::new(0)),
@@ -1326,7 +1314,10 @@ mod tests {
         // Loading for q2 only reads the missing column (8 pages).
         assert_eq!(s.pages_to_load(ChunkId::new(0), c12), 8);
         s.begin_load(ChunkId::new(0), c12);
-        assert_eq!(s.complete_load(), 8);
+        assert_eq!(
+            s.complete_load_of(ChunkId::new(0), ChunkPayload::Missing),
+            8
+        );
         assert!(s.is_resident_for(QueryId(2), ChunkId::new(0)));
         assert_eq!(s.used_pages(), 14);
         // Once q1 is done with chunk 0, column 0 is dead weight — kept until
@@ -1387,7 +1378,7 @@ mod tests {
         register(&mut s, 1, 0, 5);
         let cols = s.model().all_columns();
         s.begin_load(ChunkId::new(0), cols);
-        s.complete_load();
+        s.complete_load_of(ChunkId::new(0), ChunkPayload::Missing);
         s.start_processing(QueryId(1), ChunkId::new(0));
         s.evict(ChunkId::new(0));
     }
@@ -1417,7 +1408,7 @@ mod tests {
         register(&mut s, 3, 5, 8);
         for c in [0u32, 5, 6, 10, 11, 12] {
             s.begin_load(ChunkId::new(c), cols);
-            s.complete_load();
+            s.complete_load_of(ChunkId::new(c), ChunkPayload::Missing);
             s.validate_counters();
         }
         s.start_processing(QueryId(3), ChunkId::new(5));

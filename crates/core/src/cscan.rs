@@ -99,8 +99,8 @@ impl CScanPlan {
 
     /// Grounds the plan against a concrete table: `None` ranges become the
     /// full table, the empty column set becomes every column the model has.
-    /// Both front-ends call this at registration; the pair it returns is
-    /// exactly what [`crate::abm::Abm::register_query`] wants.
+    /// The scheduler core calls this at registration
+    /// ([`crate::sched::Scheduler::register`]).
     pub fn resolve(&self, model: &TableModel) -> (ScanRanges, ColSet) {
         let ranges = self
             .ranges

@@ -18,10 +18,11 @@
 //! [`policy::RelevancePolicy`] (the column-aware relevance functions of
 //! Fig. 11, of which Fig. 3's row-store ones are the one-group case).
 //!
-//! Two execution front-ends drive the ABM through one scheduler core,
-//! [`sched::Scheduler`], which makes every grant, plan, commit, release and
-//! close decision, judges every failed load, and returns its effects for
-//! the front-end to apply:
+//! The ABM is one type, the scheduler core [`sched::Scheduler`]: it holds
+//! the ABM's state ([`AbmState`]) and its policy, makes every grant, plan,
+//! commit, release and close decision, judges every failed load, and
+//! returns its effects for the front-end to apply.  Two execution
+//! front-ends drive it:
 //!
 //! * [`sim::Simulation`] — a deterministic discrete-event simulation used to
 //!   regenerate every table and figure of the paper's evaluation.  It keeps
@@ -51,9 +52,9 @@
 //! by a [`cscan_storage::ChunkStore`], held and pinned in the ABM's buffer
 //! record of the chunk, so eviction can never reclaim data a query is
 //! reading).  `ARCHITECTURE.md`
-//! diagrams the layers (shared [`abm::ChunkIndex`] / plan-commit / the
-//! scheduler core / targeted wakeups) and the lock order: scheduler, then a
-//! query's slot.
+//! diagrams the layers (shared [`abm::ChunkIndex`] / the scheduler core and
+//! its plan-commit protocol / targeted wakeups) and the lock order:
+//! scheduler, then a query's slot.
 //!
 //! ## Quick example
 //!
@@ -103,7 +104,7 @@ pub mod session;
 pub mod sim;
 pub mod threaded;
 
-pub use abm::{Abm, AbmState, BufferedChunk, InflightLoad, LoadDecision};
+pub use abm::{AbmState, BufferedChunk, InflightLoad, LoadDecision};
 pub use colset::ColSet;
 pub use cscan::CScanPlan;
 pub use model::TableModel;

@@ -140,7 +140,7 @@ mod tests {
     use super::*;
     use crate::abm::AbmState;
     use crate::model::TableModel;
-    use cscan_storage::ScanRanges;
+    use cscan_storage::{ChunkPayload, ScanRanges};
 
     fn state(chunks: u32, buffer_chunks: u64) -> AbmState {
         AbmState::new(
@@ -164,7 +164,7 @@ mod tests {
     fn load(s: &mut AbmState, chunk: u32) {
         let cols = s.model().all_columns();
         s.begin_load(ChunkId::new(chunk), cols);
-        s.complete_load();
+        s.complete_load_of(ChunkId::new(chunk), ChunkPayload::Missing);
     }
 
     fn process(s: &mut AbmState, q: QueryId, chunk: u32) {

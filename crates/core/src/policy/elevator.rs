@@ -212,7 +212,7 @@ mod tests {
     use super::*;
     use crate::abm::AbmState;
     use crate::model::TableModel;
-    use cscan_storage::ScanRanges;
+    use cscan_storage::{ChunkPayload, ScanRanges};
 
     fn state(chunks: u32, buffer_chunks: u64) -> AbmState {
         AbmState::new(
@@ -236,7 +236,7 @@ mod tests {
     fn load(s: &mut AbmState, chunk: u32) {
         let cols = s.model().all_columns();
         s.begin_load(ChunkId::new(chunk), cols);
-        s.complete_load();
+        s.complete_load_of(ChunkId::new(chunk), ChunkPayload::Missing);
     }
 
     #[test]
@@ -247,7 +247,7 @@ mod tests {
         let mut s = AbmState::new(TableModel::dsm_uniform(4, 1000, &[2, 2]), 4);
         for chunk in 0..2 {
             s.begin_load(ChunkId::new(chunk), ColSet::first_n(1));
-            s.complete_load();
+            s.complete_load_of(ChunkId::new(chunk), ChunkPayload::Missing);
         }
         let wide = register(&mut s, 1, 0, 2);
         let mut p = ElevatorPolicy::new();
@@ -288,7 +288,7 @@ mod tests {
             // Simulate the load completing so the next call moves on.
             let cols = s.model().all_columns();
             s.begin_load(d.chunk, cols);
-            s.complete_load();
+            s.complete_load_of(d.chunk, ChunkPayload::Missing);
             Some(d.chunk.index())
         })
         .collect();

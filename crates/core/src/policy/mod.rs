@@ -117,7 +117,7 @@ pub trait Policy: Send {
 
     /// Which chunk should the disk load next, and for whom?  `None` means
     /// there is nothing useful to load right now.  Driven once per free
-    /// outstanding slot by [`crate::Abm::plan_loads`]: `slot` is the number
+    /// outstanding slot by [`crate::sched::Scheduler::plan`]: `slot` is the number
     /// of loads already in flight, including earlier decisions of the same
     /// burst, which the caller has begun before asking again, so `state`
     /// always reflects them.

@@ -698,7 +698,7 @@ mod tests {
     use super::*;
     use crate::abm::AbmState;
     use crate::model::TableModel;
-    use cscan_storage::{ColumnId, ScanRanges};
+    use cscan_storage::{ChunkPayload, ColumnId, ScanRanges};
 
     fn state(chunks: u32, buffer_chunks: u64) -> AbmState {
         AbmState::new(
@@ -722,7 +722,7 @@ mod tests {
     fn load(s: &mut AbmState, chunk: u32) {
         let cols = s.model().all_columns();
         s.begin_load(ChunkId::new(chunk), cols);
-        s.complete_load();
+        s.complete_load_of(ChunkId::new(chunk), ChunkPayload::Missing);
     }
 
     #[test]
@@ -1013,9 +1013,9 @@ mod tests {
         // Chunk 0 resident with both columns (51 pages), chunk 1 with only
         // the narrow column (1 page).
         s.begin_load(ChunkId::new(0), wide);
-        s.complete_load();
+        s.complete_load_of(ChunkId::new(0), ChunkPayload::Missing);
         s.begin_load(ChunkId::new(1), narrow);
-        s.complete_load();
+        s.complete_load_of(ChunkId::new(1), ChunkPayload::Missing);
         let mut p = RelevancePolicy::new();
         // The wide query consumes the expensive chunk first to free it sooner.
         assert_eq!(p.next_chunk(QueryId(1), &s), Some(ChunkId::new(0)));

@@ -71,7 +71,6 @@ mod tests {
             assert_eq!(plan.decision.chunk, chunk(c));
             let missing = self
                 .core
-                .abm()
                 .state()
                 .missing_columns(chunk(c), plan.decision.cols);
             let parts = missing
@@ -114,15 +113,15 @@ mod tests {
         }
 
         fn buffered(&self, c: u32) -> Option<&BufferedChunk> {
-            self.core.abm().state().buffered_chunk(chunk(c))
+            self.core.state().buffered_chunk(chunk(c))
         }
 
         fn stats(&self) -> PoolStats {
-            self.core.abm().state().frame_stats()
+            self.core.state().frame_stats()
         }
 
         fn pinned_and_resident(&self) -> (usize, usize) {
-            let state = self.core.abm().state();
+            let state = self.core.state();
             (state.pinned_frames(), state.num_buffered())
         }
     }

@@ -1,17 +1,19 @@
-//! The scheduler core: where the ABM's grant, commit, release and close
-//! decisions are made, for both front-ends, and what a failed load does.
+//! The scheduler core: the Active Buffer Manager's decisions — grant,
+//! plan, commit, release, reject and close — made in one place for both
+//! front-ends, and what a failed load does.
 //!
-//! [`Scheduler`] holds the [`Abm`] — whose buffer records hold each
-//! resident chunk's payload and pins — the [`RetryPolicy`], the quarantine
-//! map and one entry per registered query, whose value the driver chooses
-//! (the threaded server's grant mailbox, the simulator's stream and query
-//! index).  It is plain state — no lock, no thread, no clock: `now` is an
-//! argument — and every method appends what it decided to an effect list
-//! that the driver collects with [`Scheduler::swap_effects`] and applies:
+//! [`Scheduler`] is the paper's ABM (Figure 3) as one component: it holds
+//! the [`AbmState`] — whose buffer records hold each resident chunk's
+//! payload and pins — the scheduling [`Policy`], the [`RetryPolicy`], the
+//! quarantine map and one entry per registered query, whose value the
+//! driver chooses (the threaded server's grant mailbox, the simulator's
+//! stream and query index).  It is plain state — no lock, no thread, no
+//! clock: `now` is an argument — and every method appends what it decided
+//! to an effect list that the driver collects with
+//! [`Scheduler::swap_effects`] and applies:
 //!
 //! * [`Effect::Grant`] — the policy chose a resident chunk for a query
-//!   (Figure 3's `selectChunk`), and the ABM pinned it and cloned its
-//!   payload for it;
+//!   (`selectChunk`), and the core pinned it and cloned its payload for it;
 //! * [`Effect::Closed`] — a query is over and deregistered: it consumed
 //!   every chunk it needs or as many as its limit allows, it detached, a
 //!   chunk it needs failed for good, or its deliveries of one were
@@ -31,14 +33,22 @@
 //! query therefore holds at most one grant, and none past its limit: it is
 //! closed at the release of its last chunk.
 //!
+//! [`Scheduler::plan`] is the main loop's `chooseChunkToLoad` +
+//! `findFreeSlot` for a burst of loads: each is admitted — its victims
+//! evicted and its pages reserved — before the policy is asked for the
+//! next, so a burst can never over-commit or deadlock the pool, and the
+//! first decision of an empty pipeline is the paper's sequential one.
+//! [`Scheduler::commit`] retires loads by key in whatever order the reads
+//! finish, under the stamp of their plan (see [`crate::abm`]).
+//!
 //! The threaded server ([`crate::threaded`]) calls the core under its
 //! scheduler lock and the simulator ([`crate::sim`]) from its event loop;
 //! neither makes a scheduling decision of its own.
 
-use crate::abm::{Abm, AbmState, LoadPlan};
+use crate::abm::{AbmState, CommitCheck, LoadDecision, LoadPlan};
 use crate::cscan::CScanPlan;
 use crate::model::TableModel;
-use crate::policy::PolicyKind;
+use crate::policy::{Policy, PolicyKind};
 use crate::query::QueryId;
 use crate::retry::RetryPolicy;
 use crate::session::ScanError;
@@ -55,8 +65,8 @@ mod proptests;
 /// One decision of the core, for the driver to apply.
 #[derive(Debug)]
 pub enum Effect<T> {
-    /// `chunk` is `query`'s next chunk, pinned in the ABM; `payload` is a
-    /// clone of the buffer's.  Hand it to `to`.
+    /// `chunk` is `query`'s next chunk, pinned in the buffer; `payload` is
+    /// a clone of the buffer's.  Hand it to `to`.
     Grant {
         /// The query the chunk goes to.
         query: QueryId,
@@ -119,11 +129,12 @@ struct Entry<T> {
     rejections: u32,
 }
 
-/// The ABM, the retry policy, the quarantine map and the registered
-/// queries, changed only through the decisions below.  See the module
-/// docs.
+/// The ABM's state and policy, the retry policy, the quarantine map and
+/// the registered queries, changed only through the decisions below.  See
+/// the module docs.
 pub struct Scheduler<T> {
-    abm: Abm,
+    state: AbmState,
+    policy: Box<dyn Policy>,
     retry: RetryPolicy,
     /// Where the failure path's counters and flight events go.
     obs: Arc<Registry>,
@@ -133,7 +144,7 @@ pub struct Scheduler<T> {
     quarantined: HashMap<ChunkId, StoreError>,
     queries: HashMap<QueryId, Entry<T>>,
     effects: Vec<Effect<T>>,
-    /// Reused copy of a commit's wake-up list or a quarantine's victims.
+    /// Reused list of a commit's woken queries or a quarantine's victims.
     scratch: Vec<QueryId>,
 }
 
@@ -148,9 +159,9 @@ impl<T: Clone> Scheduler<T> {
         retry: RetryPolicy,
         obs: Arc<Registry>,
     ) -> Self {
-        let state = AbmState::with_metrics(model, capacity_pages, Arc::clone(&obs));
         Self {
-            abm: Abm::new(state, policy.build()),
+            state: AbmState::with_metrics(model, capacity_pages, Arc::clone(&obs)),
+            policy: policy.build(),
             retry,
             obs,
             quarantined: HashMap::new(),
@@ -160,15 +171,26 @@ impl<T: Clone> Scheduler<T> {
         }
     }
 
-    /// The ABM, for reading.
-    pub fn abm(&self) -> &Abm {
-        &self.abm
+    /// The ABM's state — queries, buffer, loads in flight — for reading.
+    pub fn state(&self) -> &AbmState {
+        &self.state
     }
 
-    /// The ABM, for tests that set up or damage its buffer directly.
+    /// The ABM's state, for tests that set up or damage its buffer
+    /// directly.
     #[cfg(test)]
-    pub(crate) fn abm_mut(&mut self) -> &mut Abm {
-        &mut self.abm
+    pub(crate) fn state_mut(&mut self) -> &mut AbmState {
+        &mut self.state
+    }
+
+    /// The name of the scheduling policy.
+    pub fn policy_name(&self) -> &'static str {
+        self.policy.name()
+    }
+
+    /// Whether a registered query still has chunks to consume.
+    pub fn has_pending_work(&self) -> bool {
+        self.state.queries().any(|q| !q.is_finished())
     }
 
     /// The driver's value for `q`, while it is registered.
@@ -187,18 +209,19 @@ impl<T: Clone> Scheduler<T> {
     /// size.
     pub fn swap_effects(&mut self, into: &mut Vec<Effect<T>>) {
         debug_assert!(into.is_empty(), "unapplied effects would be lost");
-        let released = self.abm.drain_released().map(Effect::Recycle);
+        let released = self.state.drain_released().map(Effect::Recycle);
         self.effects.extend(released);
         std::mem::swap(&mut self.effects, into);
     }
 
     /// Registers `plan` (`CScan` announcing its data need) for `to`, and
-    /// matches it.
+    /// matches it.  Query ids count registrations from 0.
     pub fn register(&mut self, plan: &CScanPlan, to: T, now: SimTime) -> QueryId {
-        let (ranges, columns) = plan.resolve(self.abm.state().model());
-        let q = self
-            .abm
-            .register_query(plan.label.clone(), ranges, columns, now);
+        let (ranges, columns) = plan.resolve(self.state.model());
+        let q = QueryId(self.state.queries_registered());
+        self.state
+            .register_query(q, plan.label.clone(), ranges, columns, now);
+        self.policy.on_register(q, &self.state);
         let limit = plan.limit_chunks;
         self.queries.insert(
             q,
@@ -213,16 +236,17 @@ impl<T: Clone> Scheduler<T> {
         q
     }
 
-    /// Matches `q`: grants it its next chunk, or closes it if it has
-    /// consumed everything it needs or as much as its limit allows.
-    /// Nothing happens to a query that holds a grant or is closed, or when
-    /// nothing resident suits it (the ABM marks it blocked, and the commit
-    /// of a chunk it needs matches it again).
+    /// Matches `q`: grants it its next chunk — the paper's `selectChunk`,
+    /// the policy's pick among the resident chunks it needs — or closes it
+    /// if it has consumed everything it needs or as much as its limit
+    /// allows.  Nothing happens to a query that holds a grant or is
+    /// closed; one that nothing resident suits is marked blocked, and the
+    /// commit of a chunk it needs matches it again.
     fn grant(&mut self, q: QueryId, now: SimTime) {
         let Some(entry) = self.queries.get(&q) else {
             return;
         };
-        let query = self.abm.state().query(q);
+        let query = self.state.query(q);
         if query.processing.is_some() {
             // Its grant is still out; the release matches it again.
             return;
@@ -232,13 +256,20 @@ impl<T: Clone> Scheduler<T> {
             return;
         }
         let to = entry.to.clone();
+        let Some(chunk) = self.policy.next_chunk(q, &self.state) else {
+            self.state.block_query(q, now);
+            return;
+        };
+        debug_assert!(
+            self.state.is_resident_for(q, chunk),
+            "{q:?}: policy chose non-resident {chunk:?}"
+        );
+        self.state.unblock_query(q, now);
         // The payload cannot change under the grant in a way its reader
         // would notice: an install merge only adds columns (a load fetches
         // exactly the missing ones) and shares the resident ones, and the
         // pin just taken keeps eviction and dead-column reclaim away.
-        let Some((chunk, payload)) = self.abm.acquire_chunk(q, now) else {
-            return;
-        };
+        let payload = self.state.start_processing(q, chunk);
         self.effects.push(Effect::Grant {
             query: q,
             chunk,
@@ -247,14 +278,14 @@ impl<T: Clone> Scheduler<T> {
         });
     }
 
-    /// Plans up to `max_new` loads into `out` ([`Abm::plan_loads`]); the
-    /// payloads their evictions and shrinks let go of are recycled.
-    /// A load of a quarantined chunk, planned for a query that registered
-    /// since, is failed at once with the stored error instead — which
-    /// leaves no query needing the chunk — and its slot planned again.
+    /// Plans up to `max_new` loads into `out`; the payloads their
+    /// evictions and shrinks let go of are recycled.  A load of a
+    /// quarantined chunk, planned for a query that registered since, is
+    /// failed at once with the stored error instead — which leaves no query
+    /// needing the chunk — and its slot planned again.
     pub fn plan(&mut self, now: SimTime, max_new: usize, out: &mut Vec<LoadPlan>) {
         let first = out.len();
-        self.abm.plan_loads(now, max_new, out);
+        self.plan_loads(now, max_new, out);
         while let Some((at, &cause)) = out[first..]
             .iter()
             .enumerate()
@@ -262,15 +293,85 @@ impl<T: Clone> Scheduler<T> {
         {
             let plan = out.remove(first + at);
             self.quarantine(plan.decision.chunk, plan.ticket, cause);
-            self.abm.plan_loads(now, max_new - (out.len() - first), out);
+            self.plan_loads(now, max_new - (out.len() - first), out);
         }
     }
 
-    /// Retires a load ([`Abm::commit_load`] under its plan's stamp): a
-    /// current one installs `payload` into the chunk's buffer record and
-    /// matches the queries it unblocks; a stale one recycles `payload`.
-    /// Returns how many blocked queries the installed load woke, or `None`
-    /// if it was stale.
+    /// Asks the policy for up to `max_new` loads, one per free slot
+    /// ([`Policy::next_load`] with the loads already in flight as `slot`),
+    /// admitting each before asking for the next.  Stops at the first
+    /// decision that is empty or cannot be admitted.
+    fn plan_loads(&mut self, now: SimTime, max_new: usize, out: &mut Vec<LoadPlan>) {
+        for _ in 0..max_new {
+            let slot = self.state.num_inflight();
+            let Some(decision) = self.policy.next_load(&self.state, now, slot) else {
+                break;
+            };
+            match self.admit(decision) {
+                Some(plan) => out.push(plan),
+                None => break,
+            }
+        }
+    }
+
+    /// Admits one decision: checks that the load is real and can fit,
+    /// frees room until it does, reserves its pages and marks it in flight.
+    /// Returns `None`, admitting nothing, when the load is empty, larger
+    /// than the pool, or room cannot be freed — what it freed stays free.
+    fn admit(&mut self, decision: LoadDecision) -> Option<LoadPlan> {
+        let pages = self.state.pages_to_load(decision.chunk, decision.cols);
+        if pages == 0 || pages > self.state.capacity_pages() {
+            // Nothing missing (no empty I/O), or a chunk larger than the
+            // whole pool.
+            return None;
+        }
+        // Make room: first the dead columns of chunks somebody still needs
+        // — no policy can name those, its victims are whole chunks — then
+        // the policy's victims, until the load fits.  `free_pages` discounts
+        // the reservations of everything already in flight, so what is
+        // secured here belongs to this load alone.
+        let mut evicted = Vec::new();
+        while self.state.free_pages() < pages {
+            let Some(chunk) = self.state.reclaim_dead_columns() else {
+                break;
+            };
+            if self.state.buffered_chunk(chunk).is_none() {
+                evicted.push(chunk);
+            }
+        }
+        while self.state.free_pages() < pages {
+            // None: everything is pinned, protected or reserved by the
+            // loads in flight.
+            let victim = self.policy.choose_victim(&self.state, &decision)?;
+            debug_assert!(
+                self.state.is_evictable(victim),
+                "policy chose unevictable victim"
+            );
+            self.state.evict(victim);
+            evicted.push(victim);
+        }
+        let missing = self.state.missing_columns(decision.chunk, decision.cols);
+        let regions = self.state.model().chunk_regions(decision.chunk, missing);
+        let ticket = self.state.begin_load(decision.chunk, decision.cols);
+        self.state.count_triggered_io(decision.trigger);
+        Some(LoadPlan {
+            decision,
+            pages,
+            regions,
+            evicted,
+            ticket,
+            epoch: self.state.epoch(),
+        })
+    }
+
+    /// Retires a load under its plan's stamp ([`AbmState::check_commit`]):
+    /// a current one installs `payload` into the chunk's buffer record and
+    /// matches the blocked queries that need the chunk (`signalQuery`).  A
+    /// stale one — aborted or superseded while the read ran, or whose last
+    /// interested query detached, which aborts it here — recycles
+    /// `payload`, so residency is never installed for a chunk no query
+    /// wants.  Returns how many queries the install woke, or `None` if the
+    /// load was stale.
     pub fn commit(
         &mut self,
         chunk: ChunkId,
@@ -279,23 +380,40 @@ impl<T: Clone> Scheduler<T> {
         payload: ChunkPayload,
         now: SimTime,
     ) -> Option<usize> {
-        let woken = self.abm.commit_load(chunk, ticket, epoch, payload)?;
-        let mut woken_queries = std::mem::take(&mut self.scratch);
-        woken_queries.clear();
-        woken_queries.extend_from_slice(woken);
-        for &q in &woken_queries {
+        match self.state.check_commit(chunk, ticket, epoch) {
+            CommitCheck::Valid => {}
+            check => {
+                if check == CommitCheck::Uninteresting {
+                    self.state.abort_load(chunk);
+                }
+                self.state.release_payload(payload);
+                return None;
+            }
+        }
+        self.state.complete_load_of(chunk, payload);
+        let mut woken = std::mem::take(&mut self.scratch);
+        woken.clear();
+        woken.extend(
+            self.state
+                .queries()
+                .filter(|q| q.needs(chunk) && q.is_blocked())
+                .map(|q| q.id),
+        );
+        for &q in &woken {
             self.grant(q, now);
         }
-        let woken = woken_queries.len();
-        self.scratch = woken_queries;
-        Some(woken)
+        let count = woken.len();
+        self.scratch = woken;
+        Some(count)
     }
 
     /// Figure 3's `releaseChunk`: returns `q`'s pin of `chunk` — consumed
     /// if `q` is still registered, otherwise just the pin of a query that
-    /// closed while it was out — and matches `q` again.
+    /// closed while it was out — and matches `q` again.  Nothing leaves the
+    /// buffer here: a column no query needs any more stays cached until a
+    /// plan needs its pages.
     pub fn release(&mut self, q: QueryId, chunk: ChunkId, now: SimTime) {
-        self.abm.release_delivered(q, chunk);
+        self.state.finish_processing(q, chunk);
         if let Some(entry) = self.queries.get_mut(&q) {
             entry.rejections = 0;
         }
@@ -310,7 +428,10 @@ impl<T: Clone> Scheduler<T> {
     /// [`RetryPolicy::max_attempts`]-th rejection since its last release,
     /// which closes it with `ScanError { chunk, cause }`.
     pub fn reject(&mut self, q: QueryId, chunk: ChunkId, cause: StoreError, now: SimTime) {
-        self.abm.reject_delivered(q, chunk);
+        self.state.abandon_processing(q, chunk);
+        if self.state.is_evictable(chunk) {
+            self.state.evict(chunk);
+        }
         let budget = self.retry.max_attempts.max(1);
         let spent = self.queries.get_mut(&q).is_some_and(|entry| {
             entry.rejections += 1;
@@ -338,7 +459,7 @@ impl<T: Clone> Scheduler<T> {
         error: StoreError,
         attempt: u32,
     ) -> Option<Duration> {
-        if self.abm.state().inflight_ticket(chunk) != Some(ticket) {
+        if self.state.inflight_ticket(chunk) != Some(ticket) {
             self.obs.inc(Counter::LoadsCancelled);
             self.obs
                 .event(EventKind::LoadCancelled, chunk.index(), NO_QUERY, 0);
@@ -370,14 +491,18 @@ impl<T: Clone> Scheduler<T> {
     /// quarantines the chunk with `cause` and closes every query that
     /// needs it with that error.
     fn quarantine(&mut self, chunk: ChunkId, ticket: u64, cause: StoreError) {
-        let aborted = self.abm.fail_load(chunk, ticket);
-        debug_assert!(aborted, "only a live load is quarantined");
+        debug_assert_eq!(
+            self.state.inflight_ticket(chunk),
+            Some(ticket),
+            "only a live load is quarantined"
+        );
+        self.state.abort_load(chunk);
         if self.quarantined.insert(chunk, cause).is_none() {
             self.obs.inc(Counter::ChunksQuarantined);
         }
         let mut victims = std::mem::take(&mut self.scratch);
         victims.clear();
-        victims.extend(self.abm.state().interested_queries(chunk));
+        victims.extend(self.state.interested_queries(chunk));
         for &q in &victims {
             self.close(q, Some(ScanError { chunk, cause }));
         }
@@ -387,18 +512,27 @@ impl<T: Clone> Scheduler<T> {
         self.effects.push(Effect::InputsChanged);
     }
 
-    /// Deregisters `q` ([`Abm::finish_query`]: loads in flight for it
-    /// alone are aborted), with `error` if it failed.  A pin it still has
-    /// out stays valid until released.  Returns false, changing nothing,
-    /// if `q` is already closed.
+    /// Deregisters `q`, with `error` if it failed.  A load in flight that
+    /// `q` was the last to need is aborted at once — its pages return to
+    /// the pool, and its read's completion is dropped by
+    /// [`Scheduler::commit`]'s stamp check.  A pin `q` still has out stays
+    /// valid until released.  Returns false, changing nothing, if `q` is
+    /// already closed.
     pub fn close(&mut self, q: QueryId, error: Option<ScanError>) -> bool {
         let Some(Entry { to, .. }) = self.queries.remove(&q) else {
             return false;
         };
-        let state = self
-            .abm
-            .finish_query(q)
-            .expect("every registered query is in the ABM");
+        self.policy.on_query_finished(q, &self.state);
+        let state = self.state.remove_query(q);
+        while let Some(dead) = self
+            .state
+            .inflight_loads()
+            .iter()
+            .find(|l| self.state.num_interested(l.chunk) == 0)
+            .map(|l| l.chunk)
+        {
+            self.state.abort_load(dead);
+        }
         self.effects.push(Effect::Closed {
             query: q,
             to,
@@ -415,11 +549,22 @@ impl<T: Clone> Scheduler<T> {
         true
     }
 
-    /// Last-resort pressure relief ([`Abm::force_evict_one`]) for a driver
-    /// whose every query is blocked with nothing to plan; returns whether a
-    /// chunk was evicted.
+    /// Last-resort pressure relief for a driver whose every query is
+    /// blocked with nothing to plan: evicts the evictable chunk the fewest
+    /// queries need, least recently touched first, whatever the policy
+    /// prefers.  Returns whether a chunk was evicted.
     pub fn force_evict(&mut self) -> bool {
-        self.abm.force_evict_one().is_some()
+        let Some(victim) = self
+            .state
+            .buffered()
+            .filter(|b| self.state.is_evictable(b.chunk))
+            .min_by_key(|b| (self.state.num_interested(b.chunk), b.last_touch))
+            .map(|b| b.chunk)
+        else {
+            return false;
+        };
+        self.state.evict(victim);
+        true
     }
 }
 
@@ -430,6 +575,210 @@ mod tests {
     use cscan_obs::Gauge;
     use cscan_storage::chunkdata::{ChunkData, ColumnChunk};
     use cscan_storage::{ColumnDef, ColumnId, ColumnType, ScanRanges, TableSchema};
+
+    /// A `relevance` core over a row store of `chunks` 16-page chunks with
+    /// room for `buffer_chunks` of them.
+    fn relevance_core(chunks: u32, buffer_chunks: u64) -> Scheduler<()> {
+        let model = TableModel::nsm_uniform(chunks, 1000, 16);
+        let obs = Arc::new(Registry::new());
+        let retry = RetryPolicy::default();
+        Scheduler::new(model, buffer_chunks * 16, PolicyKind::Relevance, retry, obs)
+    }
+
+    /// Registers a scan of every column of `[start, end)`.
+    fn scan(core: &mut Scheduler<()>, start: u32, end: u32) -> QueryId {
+        let plan = CScanPlan::new("q", ScanRanges::single(start, end), ColSet::EMPTY);
+        core.register(&plan, (), SimTime::ZERO)
+    }
+
+    /// Plans at most one load and commits it at once, as a K = 1 driver
+    /// does: the plan, and how many queries its commit woke.
+    fn load_one(core: &mut Scheduler<()>) -> Option<(LoadPlan, usize)> {
+        let mut plans = Vec::new();
+        core.plan(SimTime::ZERO, 1, &mut plans);
+        let plan = plans.pop()?;
+        let (chunk, ticket, epoch) = (plan.decision.chunk, plan.ticket, plan.epoch);
+        let woken = core.commit(chunk, ticket, epoch, ChunkPayload::Missing, SimTime::ZERO);
+        Some((plan, woken.expect("nothing races a K = 1 driver")))
+    }
+
+    /// Consumes every chunk the core grants, releasing each at once (a
+    /// release may grant the next), until it grants none.  Returns how
+    /// many chunks were consumed, and the closed queries with the chunks
+    /// each consumed.
+    fn consume(core: &mut Scheduler<()>) -> (usize, Vec<(QueryId, u32)>) {
+        let (mut consumed, mut closed) = (0, Vec::new());
+        let (mut effects, mut grants) = (Vec::new(), Vec::new());
+        loop {
+            core.swap_effects(&mut effects);
+            for effect in effects.drain(..) {
+                match effect {
+                    Effect::Grant { query, chunk, .. } => grants.push((query, chunk)),
+                    Effect::Closed { query, totals, .. } => closed.push((query, totals.processed)),
+                    _ => {}
+                }
+            }
+            if grants.is_empty() {
+                return (consumed, closed);
+            }
+            consumed += grants.len();
+            for (q, chunk) in grants.drain(..) {
+                core.release(q, chunk, SimTime::ZERO);
+            }
+        }
+    }
+
+    #[test]
+    fn end_to_end_single_query() {
+        let mut core = relevance_core(10, 4);
+        let q = scan(&mut core, 0, 10);
+        let mut processed = 0;
+        let mut closed = Vec::new();
+        for _ in 0..1000 {
+            let (consumed, done) = consume(&mut core);
+            processed += consumed;
+            closed.extend(done);
+            if !closed.is_empty() {
+                break;
+            }
+            let (plan, woken) = load_one(&mut core).expect("blocked with nothing to load");
+            assert!(plan.pages > 0);
+            assert!(!plan.regions.is_empty());
+            assert_eq!(woken, 1, "the commit wakes the blocked scan");
+        }
+        assert_eq!(processed, 10);
+        assert_eq!(closed, [(q, 10)], "closed at the release of its last chunk");
+        assert_eq!(core.state().io_requests(), 10);
+        assert!(!core.has_pending_work());
+    }
+
+    #[test]
+    fn eviction_happens_under_pressure() {
+        let mut core = relevance_core(10, 2); // room for only two chunks
+        scan(&mut core, 0, 10);
+        let mut evictions = 0;
+        while core.has_pending_work() {
+            consume(&mut core);
+            if let Some((plan, _)) = load_one(&mut core) {
+                evictions += plan.evicted.len();
+            }
+        }
+        assert!(
+            evictions >= 8,
+            "loading 10 chunks through a 2-chunk pool must evict, got {evictions}"
+        );
+        assert!(core.state().used_pages() <= core.state().capacity_pages());
+    }
+
+    #[test]
+    fn plan_finds_nothing_without_a_chunk_to_load() {
+        let mut core = relevance_core(10, 4);
+        // No queries at all.
+        assert!(load_one(&mut core).is_none());
+        scan(&mut core, 0, 1);
+        let mut plans = Vec::new();
+        core.plan(SimTime::ZERO, 2, &mut plans);
+        assert_eq!(plans.len(), 1, "one chunk is needed");
+        assert_eq!(plans[0].decision.chunk, ChunkId::new(0));
+        // A second plan while the first is in flight finds nothing.
+        let mut more = Vec::new();
+        core.plan(SimTime::ZERO, 1, &mut more);
+        assert!(more.is_empty());
+        let plan = &plans[0];
+        let (chunk, ticket, epoch) = (plan.decision.chunk, plan.ticket, plan.epoch);
+        core.commit(chunk, ticket, epoch, ChunkPayload::Missing, SimTime::ZERO);
+        // The query consumes its only chunk; nothing further to load.
+        let (consumed, closed) = consume(&mut core);
+        assert_eq!(consumed, 1);
+        assert_eq!(closed.len(), 1);
+        assert!(load_one(&mut core).is_none());
+        assert!(!core.has_pending_work());
+    }
+
+    #[test]
+    fn a_failed_admission_releases_what_it_freed_at_once() {
+        let model = TableModel::dsm_uniform(8, 1000, &[3; 6]);
+        let obs = Arc::new(Registry::new());
+        let retry = RetryPolicy::default();
+        let mut core = Scheduler::new(model, 27, PolicyKind::Relevance, retry, obs);
+        let col0 = ColSet::from_columns([ColumnId::new(0)]);
+        let narrow = CScanPlan::new("narrow", ScanRanges::single(0, 2), col0);
+        let narrow = core.register(&narrow, (), SimTime::ZERO);
+        // Chunk 0 resident full width, chunk 1 with columns {0, 1}: 24 of 27
+        // pages, column 1 of chunk 1 dead.
+        for (chunk, width) in [(0, 6), (1, 2)] {
+            let columns = ColSet::first_n(width);
+            let parts = columns
+                .iter()
+                .map(|c| (c, ColumnChunk::Plain(Arc::new(vec![0; 4]))))
+                .collect();
+            let state = core.state_mut();
+            state.begin_load(ChunkId::new(chunk), columns);
+            state.complete_load_of(ChunkId::new(chunk), ChunkData::from_parts(parts).into());
+        }
+        core.grant(narrow, SimTime::ZERO);
+        let (grants, _) = drain(&mut core);
+        assert_eq!(grants, [(narrow, ChunkId::new(0))]);
+        // An 18-page load finds 3 pages free, 3 dead and 3 evictable — and
+        // the rest pinned.  It is not admitted, but chunk 1 is gone, and its
+        // payloads — the two columns, then the one a shrink kept — are
+        // recycled at once.
+        let wide = CScanPlan::new("wide", ScanRanges::single(4, 5), ColSet::first_n(6));
+        core.register(&wide, (), SimTime::ZERO);
+        let mut plans = Vec::new();
+        core.plan(SimTime::ZERO, 1, &mut plans);
+        assert!(plans.is_empty());
+        assert!(core.state().buffered_chunk(ChunkId::new(1)).is_none());
+        assert_eq!(core.state().free_pages(), 9);
+        let (_, recycled) = drain(&mut core);
+        assert_eq!(recycled, [2, 1]);
+        assert_eq!(core.state().frame_stats().evictions, 1);
+        // The next plan that is admitted — `narrow`, starved now, asking
+        // for the very chunk it lost — names only what it evicted itself.
+        core.release(narrow, ChunkId::new(0), SimTime::ZERO);
+        core.plan(SimTime::ZERO, 1, &mut plans);
+        assert_eq!(plans.len(), 1);
+        assert_eq!(plans[0].decision.chunk, ChunkId::new(1));
+        assert!(plans[0].evicted.is_empty());
+        assert_eq!(drain(&mut core).1, []);
+    }
+
+    /// The grants among the core's effects, and the column count of each
+    /// payload it recycles.
+    fn drain(core: &mut Scheduler<()>) -> (Vec<(QueryId, ChunkId)>, Vec<usize>) {
+        let mut effects = Vec::new();
+        core.swap_effects(&mut effects);
+        let (mut grants, mut recycled) = (Vec::new(), Vec::new());
+        for effect in effects {
+            match effect {
+                Effect::Grant { query, chunk, .. } => grants.push((query, chunk)),
+                Effect::Recycle(ChunkPayload::Data(data)) => {
+                    recycled.push(data.column_ids().count());
+                }
+                Effect::Recycle(ChunkPayload::Missing) => recycled.push(0),
+                _ => {}
+            }
+        }
+        (grants, recycled)
+    }
+
+    #[test]
+    fn two_queries_share_loaded_chunks() {
+        let mut core = relevance_core(10, 5);
+        scan(&mut core, 0, 5);
+        scan(&mut core, 0, 5);
+        let mut guard = 0;
+        while core.has_pending_work() {
+            guard += 1;
+            assert!(guard < 500);
+            if consume(&mut core).0 == 0 {
+                load_one(&mut core).expect("stuck: no progress and nothing to load");
+            }
+        }
+        // Perfect sharing: 5 chunks loaded once despite two consumers.
+        assert_eq!(core.state().io_requests(), 5);
+        assert_eq!(core.policy_name(), PolicyKind::Relevance.name());
+    }
 
     /// A failed admission evicts before it gives up: the payload it let go
     /// of is recycled at once, and the resident gauge counts what the ABM
@@ -493,7 +842,7 @@ mod tests {
             _ => false,
         });
         assert!(recycled, "chunk 3's payload was not recycled: {effects:?}");
-        let state = core.abm().state();
+        let state = core.state();
         assert_eq!(state.num_buffered(), 1);
         assert_eq!(obs.gauge(Gauge::ResidentFrames), 1);
         assert_eq!(state.frame_stats().evictions, 1);

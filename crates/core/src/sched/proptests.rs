@@ -202,7 +202,7 @@ impl Driver {
                 self.register(&plan, now);
             }
             Op::Plan { k } => {
-                let inflight = self.core.abm().state().num_inflight();
+                let inflight = self.core.state().num_inflight();
                 let room = (usize::from(k) + 1).saturating_sub(inflight);
                 let mut plans = Vec::new();
                 self.core.plan(now, room, &mut plans);
@@ -223,7 +223,7 @@ impl Driver {
                 let chunk = plan.decision.chunk;
                 // What a loader reads: the columns the load adds (none,
                 // for a stale load whose chunk was loaded since).
-                let state = self.core.abm().state();
+                let state = self.core.state();
                 let missing = state.missing_columns(chunk, plan.decision.cols);
                 let parts: Vec<_> = missing
                     .iter()
@@ -270,7 +270,7 @@ impl Driver {
                 let (chunk, ticket) = (plan.decision.chunk, plan.ticket);
                 *failures += 1;
                 let attempt = *failures;
-                let live = self.core.abm().state().inflight_ticket(chunk) == Some(ticket);
+                let live = self.core.state().inflight_ticket(chunk) == Some(ticket);
                 let error = match permanent {
                     true => StoreError::Permanent,
                     false => StoreError::Transient,
@@ -368,13 +368,7 @@ impl Driver {
     /// Registers `plan`; its effects are checked with the step's.
     fn register(&mut self, plan: &CScanPlan, now: SimTime) {
         let q = self.core.register(plan, (), now);
-        let needed = self
-            .core
-            .abm()
-            .state()
-            .query(q)
-            .remaining_chunks()
-            .collect();
+        let needed = self.core.state().query(q).remaining_chunks().collect();
         let limit = plan.limit_chunks;
         let consumed = BTreeSet::new();
         self.open.insert(
@@ -455,7 +449,7 @@ impl Driver {
     /// The buffer against the grants the driver holds, and what it
     /// published against what it counted.
     fn check_buffer(&self) -> Result<(), TestCaseError> {
-        let state = self.core.abm().state();
+        let state = self.core.state();
         let stats = state.frame_stats();
         prop_assert_eq!(stats.hits + stats.misses, stats.pins);
         prop_assert_eq!(stats.pins - stats.unpins, self.held.len() as u64);
@@ -498,7 +492,7 @@ impl Driver {
     fn drain(&mut self) -> Result<(), TestCaseError> {
         for _ in 0..10_000 {
             if self.open.is_empty() && self.pending.is_empty() && self.held.is_empty() {
-                let state = self.core.abm().state();
+                let state = self.core.state();
                 prop_assert_eq!(state.num_queries(), 0);
                 prop_assert_eq!(state.num_inflight(), 0);
                 prop_assert_eq!(state.reserved_pages(), 0);

@@ -199,7 +199,7 @@ impl<'a> Runner<'a> {
                     } => self.on_disk_done(now, chunk, ticket, epoch, trigger),
                     Event::CpuDone { job, epoch } => self.on_cpu_done(now, job, epoch),
                 },
-                None if self.core.abm().has_pending_work() => {
+                None if self.core.has_pending_work() => {
                     // Pressure-relief valve: with DSM partial residency it is
                     // possible (mainly under `elevator`) for the buffer to be
                     // full of chunks that are interesting to someone but
@@ -219,11 +219,10 @@ impl<'a> Runner<'a> {
             }
         }
 
-        let abm = self.core.abm();
         assert!(
-            !abm.has_pending_work(),
+            !self.core.has_pending_work(),
             "simulation ended with unfinished queries (policy {} deadlocked)",
-            abm.policy_name()
+            self.core.policy_name()
         );
 
         let makespan = self
@@ -247,9 +246,9 @@ impl<'a> Runner<'a> {
         } else {
             (self.storage.stats().busy.as_secs_f64() / arm_time).min(1.0)
         };
-        let state = abm.state();
+        let state = self.core.state();
         RunResult {
-            policy: abm.policy_name().to_string(),
+            policy: self.core.policy_name().to_string(),
             total_time: makespan,
             io_requests: state.io_requests(),
             loads_aborted: state.loads_aborted(),
@@ -316,7 +315,6 @@ impl<'a> Runner<'a> {
         };
         let chunk = self
             .core
-            .abm()
             .state()
             .query(query)
             .processing
@@ -386,7 +384,7 @@ impl<'a> Runner<'a> {
     fn kick_disk(&mut self, now: SimTime) {
         let mut plans = std::mem::take(&mut self.plan_scratch);
         plans.clear();
-        let inflight = self.core.abm().state().num_inflight();
+        let inflight = self.core.state().num_inflight();
         let room = self
             .config
             .max_outstanding_io
@@ -396,7 +394,7 @@ impl<'a> Runner<'a> {
         self.apply(now);
         self.peak_outstanding_io = self
             .peak_outstanding_io
-            .max(self.core.abm().state().num_inflight());
+            .max(self.core.state().num_inflight());
         for plan in &plans {
             let completed = plan.regions.iter().fold(now, |done, region| {
                 let io = self.storage.submit(now, region.to_io_request());

@@ -245,8 +245,9 @@ thread_local! {
 /// Everything the scheduler lock protects: the scheduler core and what its
 /// decisions still owe the threads.
 struct Sched {
-    /// The decisions and every input to them: the [`crate::Abm`] and its
-    /// buffer, the quarantine map and each registered query's mailbox.
+    /// The decisions and every input to them: the ABM's state and its
+    /// buffer, the policy, the quarantine map and each registered query's
+    /// mailbox.
     core: Scheduler<Arc<Mutex<QuerySlot>>>,
     /// Reused list the core's effects are applied from ([`Sched::apply`]).
     effects: Vec<Effect<Arc<Mutex<QuerySlot>>>>,
@@ -570,7 +571,7 @@ impl Drop for SchedGuard<'_> {
         };
         guard.apply(self.shared);
         let obs = &self.shared.obs;
-        obs.gauge_set(Gauge::FreePages, guard.core.abm().state().free_pages());
+        obs.gauge_set(Gauge::FreePages, guard.core.state().free_pages());
         obs.record_span_ns(
             SpanKind::LockHold,
             (self.acquired.elapsed().as_nanos() as u64).max(1),
@@ -692,7 +693,7 @@ impl ScanServerBuilder {
             self.retry,
             Arc::clone(&obs),
         );
-        let policy_label = core.abm().policy_name();
+        let policy_label = core.policy_name();
         let shared = Arc::new(Shared {
             sched: Mutex::new(Sched {
                 core,
@@ -774,7 +775,7 @@ fn io_worker_main(shared: Arc<Shared>) {
         let chunk = plan.decision.chunk;
         // The columns to materialize: exactly the missing ones (what this
         // load adds), or the full row when the load covers every column.
-        let state = sched.core.abm().state();
+        let state = sched.core.state();
         let missing = state.missing_columns(chunk, plan.decision.cols);
         let cols: Option<Vec<ColumnId>> =
             (missing != state.model().all_columns()).then(|| missing.iter().collect());
@@ -978,7 +979,7 @@ impl ScanServer {
 
     /// Total chunk-granularity I/O requests committed by the ABM.
     pub fn io_requests(&self) -> u64 {
-        self.shared.lock_sched().core.abm().state().io_requests()
+        self.shared.lock_sched().core.state().io_requests()
     }
 
     /// The scheduling policy in use (cached at build; no lock taken).
@@ -990,19 +991,19 @@ impl ScanServer {
     /// encoded bytes (one no consumer has read since the chunk was loaded).
     pub fn compressed_frames(&self) -> usize {
         let sched = self.shared.lock_sched();
-        let buffered = sched.core.abm().state().buffered();
+        let buffered = sched.core.state().buffered();
         buffered.filter(|b| !b.payload.is_fully_decoded()).count()
     }
 
     /// Counters of the buffer's frames (fetches, pins, evictions).
     pub fn frame_pool_stats(&self) -> PoolStats {
-        self.shared.lock_sched().core.abm().state().frame_stats()
+        self.shared.lock_sched().core.state().frame_stats()
     }
 
     /// Number of frames currently pinned by outstanding [`PinnedChunk`]s
     /// and unconsumed grants.
     pub fn pinned_frames(&self) -> usize {
-        self.shared.lock_sched().core.abm().state().pinned_frames()
+        self.shared.lock_sched().core.state().pinned_frames()
     }
 }
 
@@ -1237,7 +1238,6 @@ impl CScanHandle {
         self.shared
             .lock_sched()
             .core
-            .abm()
             .state()
             .try_query(self.query)
             .map(|q| q.chunks_needed())
@@ -1249,7 +1249,7 @@ impl CScanHandle {
     /// drop.
     ///
     /// Detaching mid-scan cancels any in-flight load this query was the
-    /// last interested consumer of (see [`crate::Abm::finish_query`]): the pages
+    /// last interested consumer of (see [`Scheduler::close`]): the pages
     /// are released immediately, and the read's eventual completion is
     /// rejected by the commit's ticket check.  Outstanding [`PinnedChunk`]s
     /// stay valid — their frames remain pinned until each pin drops.  An
@@ -1575,7 +1575,7 @@ mod tests {
         // Wait until the worker has a load in flight for the scan.
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
-            if server.shared.lock_sched().core.abm().state().num_inflight() > 0 {
+            if server.shared.lock_sched().core.state().num_inflight() > 0 {
                 break;
             }
             assert!(Instant::now() < deadline, "no load ever started");
@@ -1585,17 +1585,9 @@ mod tests {
         handle.finish();
         {
             let sched = server.shared.lock_sched();
-            assert_eq!(
-                sched.core.abm().state().num_inflight(),
-                0,
-                "abort was not eager"
-            );
-            assert_eq!(
-                sched.core.abm().state().reserved_pages(),
-                0,
-                "reservation leaked"
-            );
-            assert!(sched.core.abm().state().loads_aborted() >= 1);
+            assert_eq!(sched.core.state().num_inflight(), 0, "abort was not eager");
+            assert_eq!(sched.core.state().reserved_pages(), 0, "reservation leaked");
+            assert!(sched.core.state().loads_aborted() >= 1);
         }
         // The worker's commit must reject the stale completion.
         let deadline = Instant::now() + Duration::from_secs(5);
@@ -1605,11 +1597,11 @@ mod tests {
         }
         let sched = server.shared.lock_sched();
         assert_eq!(
-            sched.core.abm().state().io_requests(),
+            sched.core.state().io_requests(),
             0,
             "a cancelled load must not install residency"
         );
-        assert_eq!(sched.core.abm().state().num_buffered(), 0);
+        assert_eq!(sched.core.state().num_buffered(), 0);
     }
 
     /// Attach/detach storm: queries register and detach (some mid-scan)
@@ -1671,7 +1663,7 @@ mod tests {
         loop {
             {
                 let sched = server.shared.lock_sched();
-                let state = sched.core.abm().state();
+                let state = sched.core.state();
                 if state.num_inflight() == 0 {
                     assert_eq!(state.num_queries(), 0);
                     assert!(
@@ -1858,7 +1850,7 @@ mod tests {
         // same bytes.
         {
             let sched = server.shared.lock_sched();
-            let held = sched.core.abm().state().buffered_chunk(held_chunk);
+            let held = sched.core.state().buffered_chunk(held_chunk);
             assert!(
                 held.is_some_and(|b| b.is_pinned()),
                 "the ABM may not evict a pinned chunk"
@@ -1891,7 +1883,7 @@ mod tests {
             (0..8)
                 .map(ChunkId::new)
                 .filter(|&chunk| {
-                    let state = sched.core.abm().state();
+                    let state = sched.core.state();
                     let accounted = state.buffered_chunk(chunk).map(|b| b.columns);
                     let held = match state.buffered_chunk(chunk).map(|b| &b.payload) {
                         Some(ChunkPayload::Data(data)) => Some(data.column_ids().collect()),
@@ -2043,7 +2035,7 @@ mod tests {
         // otherwise race through its whole budget while every worker is
         // parked).
         let deadline = Instant::now() + Duration::from_secs(5);
-        while server.shared.lock_sched().core.abm().state().num_inflight() == 0 {
+        while server.shared.lock_sched().core.state().num_inflight() == 0 {
             assert!(Instant::now() < deadline, "no prefetch ever started");
             std::thread::yield_now();
         }
@@ -2053,7 +2045,7 @@ mod tests {
         assert!(handle.next_chunk().unwrap().is_none());
         {
             let sched = server.shared.lock_sched();
-            let state = sched.core.abm().state();
+            let state = sched.core.state();
             assert_eq!(state.num_queries(), 0, "the limited scan detached");
             assert_eq!(state.reserved_pages(), 0, "reservations released");
             assert_eq!(
@@ -2069,7 +2061,7 @@ mod tests {
         loop {
             let aborted = {
                 let sched = server.shared.lock_sched();
-                sched.core.abm().state().loads_aborted()
+                sched.core.state().loads_aborted()
             };
             if aborted > 0 || counter(&server, Counter::LoadsCancelled) > 0 {
                 break;
@@ -2098,7 +2090,7 @@ mod tests {
         while let Some(pin) = warmup.next_chunk().unwrap() {
             pin.complete();
         }
-        let queries = || server.shared.lock_sched().core.abm().state().num_queries();
+        let queries = || server.shared.lock_sched().core.state().num_queries();
         assert_eq!(queries(), 0, "a drained scan closes at its last release");
         warmup.finish();
         for limit in 1..=3 {
@@ -2481,7 +2473,7 @@ mod tests {
         loop {
             {
                 let sched = server.shared.lock_sched();
-                let state = sched.core.abm().state();
+                let state = sched.core.state();
                 if state.num_inflight() == 0 {
                     assert_eq!(state.num_queries(), 0);
                     assert_eq!(state.reserved_pages(), 0, "leaked reservations");
@@ -2667,7 +2659,6 @@ mod tests {
                 .shared
                 .lock_sched()
                 .core
-                .abm()
                 .state()
                 .buffered_chunk(ChunkId::new(c))
                 .map(|b| &b.payload)
@@ -2804,7 +2795,6 @@ mod tests {
                     .shared
                     .lock_sched()
                     .core
-                    .abm()
                     .state()
                     .buffered_chunk(granted)
                     .map(|b| &b.payload)
@@ -2828,7 +2818,7 @@ mod tests {
         later.finish();
         {
             let sched = server.shared.lock_sched();
-            let state = sched.core.abm().state();
+            let state = sched.core.state();
             assert_eq!(
                 columns_of(state.buffered_chunk(other).map(|b| &b.payload).unwrap()),
                 [0],
@@ -3111,8 +3101,8 @@ mod tests {
         assert!(dump.contains("query_erred"), "dump: {dump}");
         // No leaks after the dust settles.
         let sched = server.shared.lock_sched();
-        assert_eq!(sched.core.abm().state().reserved_pages(), 0);
-        assert_eq!(sched.core.abm().state().pinned_frames(), 0);
+        assert_eq!(sched.core.state().reserved_pages(), 0);
+        assert_eq!(sched.core.state().pinned_frames(), 0);
         drop(sched);
         assert_eq!(counter(&server, Counter::UnconsumedDrops), 0);
     }
@@ -3238,7 +3228,7 @@ mod tests {
     fn tear_resident_frame(server: &ScanServer, chunk: ChunkId) {
         use cscan_storage::{ChunkData, LazyColumn};
         let mut sched = server.shared.lock_sched();
-        let state = sched.core.abm_mut().state_mut();
+        let state = sched.core.state_mut();
         let Some(ChunkPayload::Data(data)) =
             state.buffered_chunk(chunk).map(|b| &b.payload).cloned()
         else {
@@ -3485,7 +3475,7 @@ mod tests {
         loop {
             {
                 let sched = server.shared.lock_sched();
-                let state = sched.core.abm().state();
+                let state = sched.core.state();
                 if state.num_inflight() == 0 {
                     assert_eq!(state.num_queries(), 0);
                     assert!(

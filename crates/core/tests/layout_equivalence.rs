@@ -111,7 +111,7 @@ impl Side {
         match *op {
             Op::Register { start, len } => {
                 let end = (start + len).min(CHUNKS).max(start + 1);
-                let cols = self.core.abm().state().model().all_columns();
+                let cols = self.core.state().model().all_columns();
                 let plan = CScanPlan::new("q", ScanRanges::single(start, end), cols);
                 decided.push(Decided::Registered(self.core.register(&plan, (), now)));
             }
@@ -168,7 +168,7 @@ impl Side {
 
     /// What the buffer holds: `(chunk, pages, pinned)` in chunk order.
     fn buffer(&self) -> Vec<(ChunkId, u64, bool)> {
-        let state = self.core.abm().state();
+        let state = self.core.state();
         state
             .buffered()
             .map(|b| (b.chunk, b.pages, b.is_pinned()))
@@ -202,7 +202,7 @@ impl Pair {
                 _ => {}
             }
         }
-        let state = self.dsm.core.abm().state();
+        let state = self.dsm.core.state();
         let all = state.model().all_columns();
         prop_assert!(
             state.buffered().all(|b| b.columns == all),
@@ -294,13 +294,13 @@ fn check(
         round += 1;
     }
     for side in [&pair.nsm, &pair.dsm] {
-        let state = side.core.abm().state();
+        let state = side.core.state();
         state.validate_counters();
         prop_assert_eq!(state.num_queries(), 0);
         prop_assert_eq!(state.num_inflight(), 0);
         prop_assert_eq!(state.pinned_frames(), 0);
     }
-    let (nsm, dsm) = (pair.nsm.core.abm().state(), pair.dsm.core.abm().state());
+    let (nsm, dsm) = (pair.nsm.core.state(), pair.dsm.core.state());
     prop_assert_eq!(nsm.io_requests(), dsm.io_requests());
     prop_assert_eq!(nsm.pages_read(), dsm.pages_read());
     Ok(())

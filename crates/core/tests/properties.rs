@@ -2,23 +2,25 @@
 //! workloads and all four policies, the fundamental invariants of the
 //! framework must hold, and for arbitrary schemas the table models
 //! `TableModel::nsm` / `TableModel::dsm` build must be consistent.  The
-//! ABM's buffer, as the buffer pool, must match a per-chunk reference of
-//! its data and pins under random loads, grants, releases and evictions.
+//! ABM's buffer, as the buffer pool, driven through the scheduler core,
+//! must match a per-chunk reference of its data and pins under random
+//! loads, grants, releases, rejections and evictions.
 
 use cscan_bufman::PoolStats;
 use cscan_core::model::TableModel;
 use cscan_core::policy::PolicyKind;
+use cscan_core::sched::{Effect, Scheduler};
 use cscan_core::sim::{QuerySpec, SimConfig, Simulation};
-use cscan_core::{Abm, AbmState, ColSet, QueryId, ScanRanges};
+use cscan_core::{CScanPlan, ColSet, QueryId, RetryPolicy, ScanRanges};
 use cscan_obs::{Counter, Gauge, Registry};
 use cscan_simdisk::{SimDuration, SimTime};
 use cscan_storage::chunkdata::{ChunkData, ColumnChunk};
 use cscan_storage::{
-    ChunkId, ChunkPayload, ColumnDef, ColumnId, ColumnType, Compression, TableSchema,
+    ChunkId, ChunkPayload, ColumnDef, ColumnId, ColumnType, Compression, StoreError, TableSchema,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 const PAGE: u64 = 64 * 1024;
@@ -356,10 +358,9 @@ proptest! {
 
 const REGISTER: u8 = 0;
 const LOAD: u8 = 1;
-const GRANT: u8 = 2;
-const RELEASE: u8 = 3;
-const REJECT: u8 = 4;
-const EVICT: u8 = 5;
+const RELEASE: u8 = 2;
+const REJECT: u8 = 3;
+const EVICT: u8 = 4;
 
 /// A chunk's data as the reference holds it: the tag each resident column
 /// was loaded with.
@@ -376,18 +377,23 @@ fn tags_of(payload: &ChunkPayload) -> Tags {
     }
 }
 
-/// The ABM's buffer under test next to what it must look like.  The
-/// policy picks what is loaded and what is evicted; the reference checks
-/// that a plan only lets go of unpinned data and predicts everything else.
+/// The ABM's buffer under test, driven through the scheduler core, next
+/// to what it must look like.  The policy picks what is loaded, granted
+/// and evicted; the reference checks that a plan only lets go of unpinned
+/// data, that every grant is of a resident chunk with exactly the data it
+/// holds, and predicts everything else.
 struct PoolModel {
-    abm: Abm,
+    core: Scheduler<()>,
     obs: Arc<Registry>,
+    effects: Vec<Effect<()>>,
     /// Per chunk: its columns' tags while resident, and the queries
     /// pinning it.
     slots: Vec<(Option<Tags>, Vec<QueryId>)>,
     stats: PoolStats,
     /// Registered queries, and the grants out in the order they were made.
     open: Vec<QueryId>,
+    /// Each registered query's columns and the chunks it has not consumed.
+    needs: BTreeMap<QueryId, (ColSet, BTreeSet<u32>)>,
     held: Vec<(QueryId, ChunkId)>,
     /// Scans register from this chunk on; grants before this index of
     /// `held` are never returned.
@@ -405,13 +411,15 @@ impl PoolModel {
         let model = TableModel::dsm_uniform(num_chunks, 1_000, &[1, 2, 3]);
         let pages = buffer_chunks * model.max_chunk_pages(model.all_columns());
         let obs = Arc::new(Registry::new());
-        let state = AbmState::with_metrics(model, pages, Arc::clone(&obs));
+        let retry = RetryPolicy::default();
         Self {
-            abm: Abm::new(state, policy.build()),
+            core: Scheduler::new(model, pages, policy, retry, Arc::clone(&obs)),
             obs,
+            effects: Vec::new(),
             slots: vec![(None, Vec::new()); num_chunks as usize],
             stats: PoolStats::default(),
             open: Vec::new(),
+            needs: BTreeMap::new(),
             held: Vec::new(),
             first_chunk: 0,
             kept_grants: 0,
@@ -420,31 +428,35 @@ impl PoolModel {
         }
     }
 
+    /// Registers a scan of `columns` of `[start, end)`.
+    fn register(&mut self, start: u32, end: u32, columns: ColSet, now: SimTime) -> QueryId {
+        let plan = CScanPlan::new("q", ScanRanges::single(start, end), columns);
+        let q = self.core.register(&plan, (), now);
+        self.open.push(q);
+        self.needs.insert(q, (columns, (start..end).collect()));
+        q
+    }
+
     /// Applies one operation to both sides and checks that they agree,
-    /// every chunk's record and the payloads the buffer let go of included.
-    /// `arg` picks the scan, query or grant the operation applies to.
+    /// every chunk's record, each grant and the payloads the buffer let go
+    /// of included.  `arg` picks the scan or grant the operation applies
+    /// to.
     fn step(&mut self, op: u8, arg: u32) -> Result<(), TestCaseError> {
         self.clock += 1;
         let now = SimTime::from_micros(self.clock);
         let mut released = Vec::new();
+        // Payloads a plan lets go of if it shrinks a chunk before it evicts
+        // it: the shrink keeps exactly the columns still read.
+        let mut shrunk_then_evicted = Vec::new();
         match op {
             REGISTER if self.open.len() < self.kept_grants + 6 => {
                 let n = self.slots.len() as u32;
                 let start = self.first_chunk + arg / 7 % (n - self.first_chunk);
                 let end = (start + 1 + arg / 7 / n % 3).min(n);
                 let cols = ColSet::from_bits(u64::from(arg % 7 + 1));
-                let q = self
-                    .abm
-                    .register_query("q", ScanRanges::single(start, end), cols, now);
-                self.open.push(q);
+                self.register(start, end, cols, now);
             }
-            LOAD => self.load(now, &mut released)?,
-            GRANT if !self.open.is_empty() => {
-                let q = self.open[arg as usize % self.open.len()];
-                if !self.held.iter().any(|&(h, _)| h == q) {
-                    self.grant(q, now)?;
-                }
-            }
+            LOAD => self.load(now, &mut released, &mut shrunk_then_evicted)?,
             RELEASE | REJECT if self.held.len() > self.kept_grants => {
                 let i = self.kept_grants + arg as usize % (self.held.len() - self.kept_grants);
                 let (q, chunk) = self.held.remove(i);
@@ -453,49 +465,120 @@ impl PoolModel {
                 pins.retain(|&p| p != q);
                 self.stats.unpins += 1;
                 if op == RELEASE {
-                    self.abm.release_delivered(q, chunk);
+                    self.core.release(q, chunk, now);
+                    if let Some((_, chunks)) = self.needs.get_mut(&q) {
+                        chunks.remove(&chunk.index());
+                    }
                 } else {
                     // A rejected chunk is evicted once nobody else holds it.
-                    self.abm.reject_delivered(q, chunk);
+                    self.core.reject(q, chunk, StoreError::Corrupted, now);
                     if pins.is_empty() {
                         released.extend(self.slots[c].0.take());
                         self.stats.evictions += 1;
                     }
                 }
-                if self.abm.is_query_finished(q) {
-                    prop_assert!(self.abm.finish_query(q).is_some());
-                    self.open.retain(|&o| o != q);
-                }
             }
-            EVICT => match self.abm.force_evict_one() {
-                Some(chunk) => {
-                    let (tags, pins) = &mut self.slots[chunk.as_usize()];
-                    prop_assert!(pins.is_empty(), "pinned {:?} was evicted", chunk);
-                    prop_assert!(tags.is_some(), "{:?} was not resident", chunk);
+            EVICT => {
+                let evicted = self.core.force_evict();
+                let state = self.core.state();
+                let gone: Vec<usize> = (0..self.slots.len())
+                    .filter(|&c| {
+                        let chunk = ChunkId::new(c as u32);
+                        self.slots[c].0.is_some() && state.buffered_chunk(chunk).is_none()
+                    })
+                    .collect();
+                if evicted {
+                    prop_assert_eq!(gone.len(), 1, "one chunk is evicted");
+                    let (tags, pins) = &mut self.slots[gone[0]];
+                    prop_assert!(pins.is_empty(), "pinned chunk#{} was evicted", gone[0]);
                     released.extend(tags.take());
                     self.stats.evictions += 1;
-                }
-                None => {
+                } else {
+                    prop_assert!(gone.is_empty());
                     let evictable = self.slots.iter().any(|(t, p)| t.is_some() && p.is_empty());
                     prop_assert!(!evictable, "an unpinned chunk was left resident");
                 }
-            },
+            }
             _ => {}
         }
-        let mut let_go: Vec<Tags> = self.abm.drain_released().map(|p| tags_of(&p)).collect();
-        let_go.sort();
+        let mut let_go = self.apply()?;
+        for shrunk in shrunk_then_evicted {
+            if let Some(at) = let_go.iter().position(|p| *p == shrunk) {
+                let_go.remove(at);
+            }
+        }
         released.sort();
         prop_assert_eq!(let_go, released);
         self.check_all()
     }
 
+    /// Applies the core's effects to the reference: each grant must be of
+    /// a resident chunk, carry exactly the data the reference holds for it
+    /// and go to a query holding none, and it pins the chunk (a hit); a
+    /// closed query leaves `open`.  Returns the tags of the payloads the
+    /// buffer let go of, sorted.
+    fn apply(&mut self) -> Result<Vec<Tags>, TestCaseError> {
+        self.core.swap_effects(&mut self.effects);
+        let mut let_go = Vec::new();
+        for effect in std::mem::take(&mut self.effects) {
+            match effect {
+                Effect::Grant {
+                    query,
+                    chunk,
+                    payload,
+                    ..
+                } => {
+                    prop_assert!(
+                        self.held.iter().all(|&(h, _)| h != query),
+                        "{:?} holds two grants",
+                        query
+                    );
+                    let (tags, pins) = &mut self.slots[chunk.as_usize()];
+                    prop_assert!(tags.is_some(), "{:?} was granted but not resident", chunk);
+                    prop_assert_eq!(tags.as_ref(), Some(&tags_of(&payload)), "{:?}", chunk);
+                    pins.push(query);
+                    self.held.push((query, chunk));
+                    self.stats.pins += 1;
+                    self.stats.hits += 1;
+                }
+                Effect::Closed { query, .. } => {
+                    self.open.retain(|&o| o != query);
+                    self.needs.remove(&query);
+                }
+                Effect::Recycle(payload) => let_go.push(tags_of(&payload)),
+                Effect::Quarantined { .. } | Effect::InputsChanged => {}
+            }
+        }
+        let_go.sort();
+        Ok(let_go)
+    }
+
+    /// The columns the registered queries that still need `chunk` read,
+    /// if any does.
+    fn live_columns(&self, chunk: usize) -> Option<ColSet> {
+        self.needs
+            .values()
+            .filter(|(_, chunks)| chunks.contains(&(chunk as u32)))
+            .map(|&(cols, _)| cols)
+            .reduce(|a, b| a.union(b))
+    }
+
     /// Plans a load and commits it at once with fresh data for the columns
     /// it adds.  What the plan let go of — dead columns reclaimed and
-    /// victims evicted — goes into `released`.
-    fn load(&mut self, now: SimTime, released: &mut Vec<Tags>) -> Result<(), TestCaseError> {
+    /// victims evicted — goes into `released`; what a victim held after a
+    /// shrink it may have gone through first, into `shrunk_then_evicted`.
+    fn load(
+        &mut self,
+        now: SimTime,
+        released: &mut Vec<Tags>,
+        shrunk_then_evicted: &mut Vec<Tags>,
+    ) -> Result<(), TestCaseError> {
+        let live: Vec<Option<ColSet>> = (0..self.slots.len())
+            .map(|c| self.live_columns(c))
+            .collect();
         let mut plans = Vec::new();
-        self.abm.plan_loads(now, 1, &mut plans);
-        let state = self.abm.state();
+        self.core.plan(now, 1, &mut plans);
+        let state = self.core.state();
         let mut evicted = Vec::new();
         for (c, (tags, pins)) in self.slots.iter_mut().enumerate() {
             let Some(old) = tags else { continue };
@@ -506,12 +589,23 @@ impl PoolModel {
             }
             prop_assert!(pins.is_empty(), "pinned {:?} lost columns", chunk);
             released.push(old.clone());
+            // What a shrink keeps: the resident columns still read.
+            let old_cols = ColSet::from_columns(old.keys().copied());
+            let kept = live[c]
+                .map(|live| old_cols.intersect(live))
+                .filter(|kept| !kept.is_empty());
             match resident {
                 Some(cols) => {
-                    prop_assert!(cols.iter().all(|col| old.contains_key(&col)));
+                    // A shrink keeps exactly the columns still read.
+                    prop_assert_eq!(Some(cols), kept, "{:?} shrunk", chunk);
                     old.retain(|col, _| cols.contains(*col));
                 }
                 None => {
+                    if let Some(kept) = kept.filter(|&kept| kept != old_cols) {
+                        let mut shrunk = old.clone();
+                        shrunk.retain(|col, _| kept.contains(*col));
+                        shrunk_then_evicted.push(shrunk);
+                    }
                     *tags = None;
                     evicted.push(chunk);
                     self.stats.evictions += 1;
@@ -536,7 +630,7 @@ impl PoolModel {
             .collect();
         prop_assert!(!missing.is_empty(), "a load of {:?} adds nothing", chunk);
         prop_assert_eq!(
-            self.abm.state().missing_columns(chunk, plan.decision.cols),
+            self.core.state().missing_columns(chunk, plan.decision.cols),
             ColSet::from_columns(missing.iter().copied())
         );
         self.next_tag += 1;
@@ -546,8 +640,8 @@ impl PoolModel {
             .collect();
         let payload = ChunkData::from_parts(parts).into();
         let woken = self
-            .abm
-            .commit_load(chunk, plan.ticket, plan.epoch, payload);
+            .core
+            .commit(chunk, plan.ticket, plan.epoch, payload, now);
         prop_assert!(woken.is_some(), "the load of {:?} was stale", chunk);
         // The install pins for its own duration: a miss if it makes the
         // chunk resident, a hit if it merges into it.
@@ -567,23 +661,8 @@ impl PoolModel {
         Ok(())
     }
 
-    /// Asks for `q`'s next chunk; a grant pins a resident chunk (a hit) and
-    /// carries exactly the data its record holds.
-    fn grant(&mut self, q: QueryId, now: SimTime) -> Result<(), TestCaseError> {
-        let Some((chunk, payload)) = self.abm.acquire_chunk(q, now) else {
-            return Ok(());
-        };
-        let (tags, pins) = &mut self.slots[chunk.as_usize()];
-        prop_assert_eq!(tags.as_ref(), Some(&tags_of(&payload)), "{:?}", chunk);
-        pins.push(q);
-        self.held.push((q, chunk));
-        self.stats.pins += 1;
-        self.stats.hits += 1;
-        Ok(())
-    }
-
     fn check_all(&self) -> Result<(), TestCaseError> {
-        let state = self.abm.state();
+        let state = self.core.state();
         for (c, (tags, pins)) in self.slots.iter().enumerate() {
             let chunk = ChunkId::new(c as u32);
             let record = state.buffered_chunk(chunk);
@@ -628,15 +707,15 @@ fn arb_policy() -> impl Strategy<Value = PolicyKind> {
 }
 
 proptest! {
-    /// Any script of registrations, loads, grants, releases, rejections
-    /// and evictions, over any chunk count and buffer size, under every
-    /// policy.
+    /// Any script of registrations, loads, releases, rejections and
+    /// evictions — and the grants the core makes at each — over any chunk
+    /// count and buffer size, under every policy.
     #[test]
     fn pool_matches_reference_model(
         policy in arb_policy(),
         num_chunks in 1u32..40,
         buffer_chunks in 1u64..8,
-        script in prop::collection::vec((0u8..6, 0u32..1000), 1..400),
+        script in prop::collection::vec((0u8..5, 0u32..1000), 1..400),
     ) {
         let mut model = PoolModel::new(policy, num_chunks, buffer_chunks);
         for (op, arg) in script {
@@ -651,23 +730,17 @@ proptest! {
     fn pinned_pages_survive_pressure(
         policy in arb_policy(),
         num_chunks in 2u32..40,
-        pressure in prop::collection::vec((0u8..6, 0u32..1000), 10..200),
+        pressure in prop::collection::vec((0u8..5, 0u32..1000), 10..200),
     ) {
         let pinned = num_chunks / 2;
         let mut model = PoolModel::new(policy, num_chunks, u64::from(pinned) + 2);
-        // One scan of each of the first `pinned` chunks, asking for its
-        // chunk between loads until every scan holds it (a scan that waits
-        // gains relevance, so the relevance policy loads for it next).
-        let cols = model.abm.state().model().all_columns();
+        // One scan of each of the first `pinned` chunks, loaded one by one
+        // until every scan holds its chunk's grant (each commit grants the
+        // chunk to the scan that waits for it).
         for id in 0..pinned {
-            let ranges = ScanRanges::single(id, id + 1);
-            let q = model.abm.register_query("pin", ranges, cols, SimTime::ZERO);
-            model.open.push(q);
+            model.register(id, id + 1, ColSet::EMPTY, SimTime::ZERO);
         }
         for _ in 0..=pinned {
-            for i in 0..pinned {
-                model.step(GRANT, i)?;
-            }
             model.step(LOAD, 0)?;
         }
         let held = model.held.clone();
@@ -682,7 +755,7 @@ proptest! {
         for (op, arg) in pressure {
             model.step(op, arg)?;
             for &(q, chunk) in &held {
-                let b = model.abm.state().buffered_chunk(chunk);
+                let b = model.core.state().buffered_chunk(chunk);
                 prop_assert!(b.is_some_and(|b| b.pinned_by == [q]), "{:?}", chunk);
                 let c = chunk.as_usize();
                 prop_assert_eq!(&model.slots[c].0, &data[c]);

@@ -266,6 +266,35 @@ mod tests {
         assert_eq!(server.metrics().counter(Counter::UnconsumedDrops), 0);
     }
 
+    /// The leaf holds no buffer frame between batches: each pin completes
+    /// before its batch goes up, however long the caller keeps the batch.
+    /// The one frame the scan may pin meanwhile is its next chunk's grant,
+    /// which the core deposits as soon as the chunk is resident.
+    #[test]
+    fn a_session_source_holds_no_frame_between_batches() {
+        use cscan_core::policy::PolicyKind;
+        use cscan_core::threaded::ScanServer;
+        use cscan_core::{CScanPlan, ColSet, TableModel};
+        use cscan_storage::ScanRanges;
+
+        let table = MemTable::lineitem_demo(4_000, 1_000);
+        let server = ScanServer::builder(TableModel::nsm_uniform(4, 1_000, 16))
+            .policy(PolicyKind::Relevance)
+            .buffer_chunks(4)
+            .io_cost_per_page(std::time::Duration::ZERO)
+            .store(Arc::new(table))
+            .build();
+        let plan = CScanPlan::new("q", ScanRanges::full(4), ColSet::empty());
+        let mut source = SessionSource::new(server.cscan(plan), vec![ColumnId::new(0)]);
+        let mut held = Vec::new();
+        while let Some(batch) = source.next().expect("fault-free scan") {
+            held.push(batch);
+            assert!(server.pinned_frames() <= 1, "a frame is pinned across next");
+        }
+        assert_eq!(held.len(), 4);
+        assert_eq!(server.pinned_frames(), 0, "a held batch pins its frame");
+    }
+
     #[test]
     #[should_panic(expected = "unknown column")]
     fn unknown_name_panics() {
