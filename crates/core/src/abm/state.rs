@@ -277,6 +277,12 @@ impl AbmState {
         self.queries.iter()
     }
 
+    /// The active queries as a slice sorted by id, for walks that start
+    /// part-way through the id order.
+    pub(crate) fn query_slice(&self) -> &[QueryState] {
+        &self.queries
+    }
+
     /// The columns every active query reads when they all read the same
     /// ones — always, on a table of one column group — and `None` while
     /// their sets differ or none runs.  O(1): maintained at registration and

@@ -10,7 +10,7 @@
 
 use crate::abm::{AbmState, LoadDecision};
 use crate::policy::{lru_victim, round_robin_load, Policy, PolicyKind};
-use crate::query::QueryId;
+use crate::query::{QueryId, QueryState};
 use cscan_simdisk::SimTime;
 use cscan_storage::ChunkId;
 use std::collections::HashMap;
@@ -18,11 +18,21 @@ use std::collections::HashMap;
 /// Circular shared scans (see module docs).
 #[derive(Debug, Default)]
 pub struct AttachPolicy {
-    /// Per-query consumption order: the query's chunks rotated so that the
-    /// scan starts at the position it attached to.
-    orders: HashMap<QueryId, Vec<ChunkId>>,
+    /// Per-query consumption order and its cursor.
+    orders: HashMap<QueryId, Rotation>,
     /// Round-robin pointer for servicing loads.
     last_serviced: Option<QueryId>,
+}
+
+/// A query's consumption order: its chunks rotated so that the scan starts
+/// at the position it attached to.
+#[derive(Debug)]
+struct Rotation {
+    order: Vec<ChunkId>,
+    /// Nothing in `order` before this index is still needed.  It moves
+    /// forward when the consumption point is looked up; `needed` bits are
+    /// only ever cleared, so a stale cursor is merely a longer walk.
+    first_needed: usize,
 }
 
 impl AttachPolicy {
@@ -32,18 +42,37 @@ impl AttachPolicy {
     }
 
     /// The chunk the query will consume next: the first chunk in its
-    /// rotation order that it still needs.
-    fn consumption_point(&self, state: &AbmState, q: QueryId) -> Option<ChunkId> {
-        let order = self.orders.get(&q)?;
+    /// rotation order that it still needs.  Moves the rotation cursor up
+    /// to it.
+    fn consumption_point(&mut self, state: &AbmState, q: QueryId) -> Option<ChunkId> {
+        let rotation = self.orders.get_mut(&q)?;
         let query = state.query(q);
-        order.iter().copied().find(|&c| query.needs(c))
+        let skipped = rotation.order[rotation.first_needed..]
+            .iter()
+            .take_while(|&&c| !query.needs(c))
+            .count();
+        rotation.first_needed += skipped;
+        rotation.order.get(rotation.first_needed).copied()
     }
 
     /// The next chunk to read for `q`: the first still-needed chunk at or
     /// after the consumption point (in rotation order) that is missing and
     /// not already being fetched.
-    fn next_missing(&self, state: &AbmState, q: QueryId) -> Option<ChunkId> {
-        let order = self.orders.get(&q)?;
+    pub(super) fn next_missing(&self, state: &AbmState, q: QueryId) -> Option<ChunkId> {
+        let rotation = self.orders.get(&q)?;
+        let query = state.query(q);
+        rotation.order[rotation.first_needed..]
+            .iter()
+            .copied()
+            .filter(|&c| query.needs(c) && !state.is_inflight(c))
+            .find(|&c| state.pages_to_load(c, query.columns) > 0)
+    }
+
+    /// [`Self::next_missing`] walking the whole rotation order from its
+    /// first chunk: the reference the rotation cursor is tested against.
+    #[cfg(test)]
+    pub(super) fn next_missing_brute(&self, state: &AbmState, q: QueryId) -> Option<ChunkId> {
+        let order = &self.orders.get(&q)?.order;
         let query = state.query(q);
         order
             .iter()
@@ -53,15 +82,15 @@ impl AttachPolicy {
     }
 
     /// How much sharing `candidate` offers a newly arriving query: the number
-    /// of chunks both still need, weighted by the columns both read.
-    fn overlap_score(
-        newcomer: &crate::query::QueryState,
-        candidate: &crate::query::QueryState,
-    ) -> u64 {
-        let chunk_overlap = candidate
-            .remaining_chunks()
-            .filter(|&c| newcomer.needs(c))
-            .count() as u64;
+    /// of chunks both still need — the popcount of their `needed` words'
+    /// intersection — weighted by the columns both read.
+    pub(super) fn overlap_score(newcomer: &QueryState, candidate: &QueryState) -> u64 {
+        let chunk_overlap: u64 = newcomer
+            .needed_words()
+            .iter()
+            .zip(candidate.needed_words())
+            .map(|(a, b)| u64::from((a & b).count_ones()))
+            .sum();
         chunk_overlap * u64::from(newcomer.columns.intersect(candidate.columns).len())
     }
 }
@@ -105,7 +134,13 @@ impl Policy for AttachPolicy {
             }
             None => chunks,
         };
-        self.orders.insert(q, order);
+        self.orders.insert(
+            q,
+            Rotation {
+                order,
+                first_needed: 0,
+            },
+        );
     }
 
     fn on_query_finished(&mut self, q: QueryId, _state: &AbmState) {
@@ -189,8 +224,8 @@ mod tests {
         p.on_register(q2, &s);
         assert_eq!(p.consumption_point(&s, q2), Some(ChunkId::new(40)));
         // Its rotation wraps: the last chunk in its order is 39.
-        assert_eq!(p.orders[&q2].last(), Some(&ChunkId::new(39)));
-        assert_eq!(p.orders[&q2].len(), 100);
+        assert_eq!(p.orders[&q2].order.last(), Some(&ChunkId::new(39)));
+        assert_eq!(p.orders[&q2].order.len(), 100);
     }
 
     #[test]

@@ -22,6 +22,8 @@
 mod attach;
 mod elevator;
 mod normal;
+#[cfg(test)]
+mod proptests;
 mod relevance;
 
 pub use attach::AttachPolicy;
@@ -139,16 +141,42 @@ pub trait Policy: Send {
 }
 
 /// Shared helper: the load decision of the traditional policies (`normal`,
-/// `attach`), which service blocked queries round-robin.  Among the open
-/// queries with a chunk left to read — `next_missing` names it — the first
-/// strictly after `last_serviced` in id order is chosen, wrapping around
-/// to the lowest; the load fetches its chunk with its columns.  The caller
-/// records the chosen query, the decision's `trigger`, as its new
-/// `last_serviced`.
+/// `attach`), which service blocked queries round-robin.  The open queries
+/// are visited in rotation order — the ids strictly after `last_serviced`,
+/// then from the lowest — and the first with a chunk left to read
+/// (`next_missing` names it) is chosen; the load fetches that chunk with
+/// its columns.  The walk stops at that first hit, so `next_missing` runs
+/// once per query passed over plus once for the trigger, and nothing is
+/// allocated.  The caller records the chosen query, the decision's
+/// `trigger`, as its new `last_serviced`.
 pub(crate) fn round_robin_load(
     state: &AbmState,
     last_serviced: Option<QueryId>,
-    next_missing: impl Fn(QueryId) -> Option<ChunkId>,
+    mut next_missing: impl FnMut(QueryId) -> Option<ChunkId>,
+) -> Option<LoadDecision> {
+    let queries = state.query_slice();
+    let start = last_serviced.map_or(0, |last| queries.partition_point(|q| q.id <= last));
+    queries[start..]
+        .iter()
+        .chain(&queries[..start])
+        .filter(|q| !q.is_finished())
+        .find_map(|q| {
+            Some(LoadDecision {
+                trigger: q.id,
+                chunk: next_missing(q.id)?,
+                cols: q.columns,
+            })
+        })
+}
+
+/// Asks every open query, then takes the first after `last_serviced` in
+/// id order, wrapping around: the reference [`round_robin_load`] is tested
+/// against.
+#[cfg(test)]
+pub(crate) fn round_robin_load_brute(
+    state: &AbmState,
+    last_serviced: Option<QueryId>,
+    mut next_missing: impl FnMut(QueryId) -> Option<ChunkId>,
 ) -> Option<LoadDecision> {
     let (trigger, chunk) = state
         .queries()

@@ -35,10 +35,21 @@ impl NormalPolicy {
     /// Reading ahead of the consumption point models the sequential
     /// prefetching every real system performs for `normal` scans; with the
     /// async scheduler, successive decisions prefetch ever deeper.
-    fn next_missing(state: &AbmState, q: QueryId) -> Option<ChunkId> {
+    pub(super) fn next_missing(state: &AbmState, q: QueryId) -> Option<ChunkId> {
         let query = state.query(q);
         query
             .remaining_chunks()
+            .filter(|&c| !state.is_inflight(c))
+            .find(|&c| state.pages_to_load(c, query.columns) > 0)
+    }
+
+    /// [`Self::next_missing`] walking every requested chunk from the first:
+    /// the reference the consumption cursor is tested against.
+    #[cfg(test)]
+    pub(super) fn next_missing_brute(state: &AbmState, q: QueryId) -> Option<ChunkId> {
+        let query = state.query(q);
+        query
+            .remaining_chunks_brute()
             .filter(|&c| !state.is_inflight(c))
             .find(|&c| state.pages_to_load(c, query.columns) > 0)
     }

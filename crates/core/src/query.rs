@@ -42,9 +42,14 @@ pub struct QueryState {
     /// with the ABM's residency and starved-interest sets.
     needed: ChunkBitSet,
     /// The requested chunks in table order (fixed at registration); iteration
-    /// over the remaining chunks walks this list and filters by `needed`, so
-    /// it costs O(chunks requested), not O(chunks in the table).
+    /// over the remaining chunks walks this list from `first_needed` and
+    /// filters by `needed`.
     chunks: Vec<ChunkId>,
+    /// The consumption cursor: every chunk of `chunks` before this index
+    /// has been consumed.  `needed` bits are only ever cleared, so it only
+    /// moves forward, and it stays exact when chunks are consumed out of
+    /// order: it stops at the first chunk still needed.
+    first_needed: usize,
     /// Number of chunks still needed (kept in sync with `needed`).
     needed_count: u32,
     /// Total chunks originally requested.
@@ -96,6 +101,7 @@ impl QueryState {
             registered_at: now,
             needed,
             chunks,
+            first_needed: 0,
             needed_count: total,
             total,
             available: 0,
@@ -139,9 +145,22 @@ impl QueryState {
         self.needed_count == 0
     }
 
-    /// Iterator over the chunks still needed, in table order.  Costs
-    /// O(chunks requested) regardless of the table size.
+    /// Iterator over the chunks still needed, in table order.  It starts at
+    /// the consumption cursor, so a scan consumed in order finds its next
+    /// chunk in O(1); the full walk costs O(chunks requested past the
+    /// cursor), whatever the table size.
     pub fn remaining_chunks(&self) -> impl Iterator<Item = ChunkId> + '_ {
+        self.chunks[self.first_needed..]
+            .iter()
+            .copied()
+            .filter(|c| self.needed.contains(c.as_usize()))
+    }
+
+    /// Every requested chunk from the first, filtered by `needed`: the
+    /// reference the cursor walk of [`Self::remaining_chunks`] is tested
+    /// against.
+    #[cfg(test)]
+    pub(crate) fn remaining_chunks_brute(&self) -> impl Iterator<Item = ChunkId> + '_ {
         self.chunks
             .iter()
             .copied()
@@ -201,6 +220,15 @@ impl QueryState {
             self.needed.remove(chunk.as_usize());
             self.needed_count -= 1;
             self.processed += 1;
+            // Step past the consumed prefix only: a chunk consumed ahead of
+            // the cursor leaves it where it is.
+            while self
+                .chunks
+                .get(self.first_needed)
+                .is_some_and(|c| !self.needed.contains(c.as_usize()))
+            {
+                self.first_needed += 1;
+            }
         }
     }
 
@@ -302,6 +330,30 @@ mod tests {
         );
         assert_eq!(q.total_chunks(), 5);
         assert!(!q.needs(ChunkId::new(100)));
+    }
+
+    #[test]
+    fn cursor_stops_at_the_first_chunk_still_needed() {
+        let mut q = make(ScanRanges::single(0, 5));
+        let consume = |q: &mut QueryState, c| {
+            q.start_processing(ChunkId::new(c));
+            q.finish_processing(ChunkId::new(c));
+        };
+        // Out of order: chunk 0 is still needed, so the walk starts there.
+        consume(&mut q, 2);
+        consume(&mut q, 3);
+        let remaining =
+            |q: &QueryState| -> Vec<u32> { q.remaining_chunks().map(|c| c.index()).collect() };
+        assert_eq!(remaining(&q), vec![0, 1, 4]);
+        consume(&mut q, 0);
+        assert_eq!(remaining(&q), vec![1, 4]);
+        // Consuming chunk 1 moves the cursor past the consumed 2 and 3.
+        consume(&mut q, 1);
+        assert_eq!(q.first_needed, 4);
+        assert_eq!(remaining(&q), vec![4]);
+        consume(&mut q, 4);
+        assert_eq!(q.first_needed, 5);
+        assert_eq!(remaining(&q), Vec::<u32>::new());
     }
 
     #[test]
