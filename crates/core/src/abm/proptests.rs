@@ -6,6 +6,7 @@
 //! * every cached counter of [`AbmState`] (availability, starvation levels,
 //!   per-chunk interest split by starvation) must equal its brute-force
 //!   recomputation ([`AbmState::validate_counters`]), and
+//!   [`AbmState::misses_a_chunk`] the sweep over the queries, and
 //! * the index walks of [`RelevancePolicy`] — the chunk argmax, the
 //!   consumption argmax and the eviction argmin — must take exactly the
 //!   decisions of its brute-force twin.  `prop_assert` compares them, so a
@@ -195,6 +196,14 @@ fn check_ops(model: TableModel, ops: &[Op]) -> Result<(), TestCaseError> {
         }
         // (a) every cached counter equals its brute-force recomputation;
         s.validate_counters();
+        let sweep = s
+            .queries()
+            .any(|q| q.chunks_needed() > s.available_chunks_brute(q.id));
+        prop_assert_eq!(
+            s.misses_a_chunk(),
+            sweep,
+            "stale count of queries missing a chunk"
+        );
         // (b) the walks take exactly the brute-force decisions.
         let a = inc
             .next_load(&s, now, 0)

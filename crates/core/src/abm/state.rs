@@ -127,6 +127,8 @@ pub struct AbmState {
     /// Active queries, sorted by id (ids are assigned monotonically, so
     /// registration normally appends).
     queries: Vec<QueryState>,
+    /// How many active queries miss a chunk ([`QueryState::misses_a_chunk`]).
+    queries_missing: usize,
     /// The columns every active query reads (all of them while none runs).
     read_by_all: ColSet,
     /// The columns some active query reads.
@@ -197,6 +199,7 @@ impl AbmState {
             capacity_pages,
             used_pages: 0,
             queries: Vec::new(),
+            queries_missing: 0,
             buffered: vec![None; chunks],
             num_buffered: 0,
             index: ChunkIndex::new(chunks),
@@ -491,6 +494,13 @@ impl AbmState {
         self.query(q).available
     }
 
+    /// Whether some query needs a chunk that is not resident for its
+    /// columns.  Every load a plan can admit is such a chunk, so while this
+    /// is false no plan finds one.  O(1).
+    pub fn misses_a_chunk(&self) -> bool {
+        self.queries_missing > 0
+    }
+
     /// Whether query `q` is starved (fewer than two available chunks).  O(1).
     pub fn is_starved(&self, q: QueryId) -> bool {
         self.query(q).available < STARVATION_THRESHOLD
@@ -606,6 +616,11 @@ impl AbmState {
             );
         }
         assert_eq!(
+            self.queries_missing,
+            self.queries.iter().filter(|q| q.misses_a_chunk()).count(),
+            "stale count of queries missing a chunk"
+        );
+        assert_eq!(
             self.num_buffered,
             self.buffered().count(),
             "stale buffered-chunk count"
@@ -713,16 +728,19 @@ impl AbmState {
     // Incremental index maintenance.
     // ------------------------------------------------------------------
 
-    /// Updates query `idx`'s cached availability, propagating a starvation
-    /// *level* change to the per-chunk counters of every chunk the query
-    /// still needs.  O(1) when the level is unchanged, O(chunks the query
-    /// needs) when availability crosses the threshold.
+    /// Updates query `idx`'s cached availability and the count of queries
+    /// missing a chunk, propagating a starvation *level* change to the
+    /// per-chunk counters of every chunk the query still needs.  O(1) when
+    /// the level is unchanged, O(chunks the query needs) when availability
+    /// crosses the threshold.
     fn set_available(&mut self, idx: usize, new_available: u32) {
         let old_available = self.queries[idx].available;
         if old_available == new_available {
             return;
         }
+        let missed = self.queries[idx].misses_a_chunk();
         self.queries[idx].available = new_available;
+        self.count_missing(missed, idx);
         let old_level = level(old_available);
         let new_level = level(new_available);
         if old_level == new_level {
@@ -740,6 +758,16 @@ impl AbmState {
                 .shift_starvation(ChunkId::new(c), d_starved, d_almost);
         }
         self.chunk_scratch = scratch;
+    }
+
+    /// Moves query `idx` in or out of the count of queries missing a chunk,
+    /// given whether it missed one before its last change.
+    fn count_missing(&mut self, missed: bool, idx: usize) {
+        match (missed, self.queries[idx].misses_a_chunk()) {
+            (false, true) => self.queries_missing += 1,
+            (true, false) => self.queries_missing -= 1,
+            _ => {}
+        }
     }
 
     /// Keeps `payload` for the owner to recycle if it holds data.
@@ -823,6 +851,7 @@ impl AbmState {
             }
         }
         state.available = available;
+        self.queries_missing += usize::from(state.misses_a_chunk());
         let lvl = level(available);
         let chunks: Vec<ChunkId> = state.remaining_chunks().collect();
         self.queries.insert(pos, state);
@@ -846,6 +875,7 @@ impl AbmState {
             .query_index(id)
             .unwrap_or_else(|| panic!("unknown query {id:?}"));
         let state = self.queries.remove(idx);
+        self.queries_missing -= usize::from(state.misses_a_chunk());
         (self.read_by_all, self.read_by_any) = self.column_sets_brute();
         // A cancelled query may still have outstanding interest.
         let lvl = level(state.available);
@@ -1115,7 +1145,11 @@ impl AbmState {
     pub(crate) fn finish_processing(&mut self, q: QueryId, chunk: ChunkId) {
         if let Some(idx) = self.processing(q, chunk) {
             let old_level = level(self.queries[idx].available);
+            // The query needs one chunk fewer; `set_available` below counts
+            // the available one it consumed.
+            let missed = self.queries[idx].misses_a_chunk();
             self.queries[idx].finish_processing(chunk);
+            self.count_missing(missed, idx);
             // The query's interest in this chunk ends: remove its
             // contribution from the chunk's counters at its pre-transition
             // level.

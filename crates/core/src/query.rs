@@ -145,6 +145,12 @@ impl QueryState {
         self.needed_count == 0
     }
 
+    /// Whether the query needs a chunk that is not resident for its
+    /// columns: only such a chunk can be a load.
+    pub fn misses_a_chunk(&self) -> bool {
+        self.needed_count > self.available
+    }
+
     /// Iterator over the chunks still needed, in table order.  It starts at
     /// the consumption cursor, so a scan consumed in order finds its next
     /// chunk in O(1); the full walk costs O(chunks requested past the

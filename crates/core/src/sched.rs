@@ -24,8 +24,10 @@
 //!   it are closed with the error;
 //! * [`Effect::Recycle`] — a payload the buffer let go of (evicted, shrunk
 //!   away, or a stale load's);
-//! * [`Effect::InputsChanged`] — a scheduling input changed, so an idle
-//!   loader may now find a load to plan.
+//! * [`Effect::InputsChanged`] — a scheduling input changed while some
+//!   query misses a chunk ([`AbmState::misses_a_chunk`]), so an idle loader
+//!   may now find a load to plan.  With every chunk every query needs
+//!   resident no plan can find one, and nothing is pushed.
 //!
 //! A query is matched — granted its next chunk, or closed when it is done —
 //! at every point its availability can improve: registration, a commit of a
@@ -101,8 +103,8 @@ pub enum Effect<T> {
     },
     /// A payload the buffer no longer holds.
     Recycle(ChunkPayload),
-    /// A scheduling input changed: a loader with nothing to plan may now
-    /// find something.
+    /// A scheduling input changed while some query misses a chunk: a loader
+    /// with nothing to plan may now find something.
     InputsChanged,
 }
 
@@ -232,8 +234,18 @@ impl<T: Clone> Scheduler<T> {
             },
         );
         self.grant(q, now);
-        self.effects.push(Effect::InputsChanged);
+        self.inputs_changed();
         q
+    }
+
+    /// Tells an idle loader that a scheduling input changed — if a plan
+    /// could now find a load at all: every policy loads a chunk some query
+    /// needs and is missing, so while none misses one the loader stays
+    /// asleep.
+    fn inputs_changed(&mut self) {
+        if self.state.misses_a_chunk() {
+            self.effects.push(Effect::InputsChanged);
+        }
     }
 
     /// Matches `q`: grants it its next chunk — the paper's `selectChunk`,
@@ -418,7 +430,7 @@ impl<T: Clone> Scheduler<T> {
             entry.rejections = 0;
         }
         self.grant(q, now);
-        self.effects.push(Effect::InputsChanged);
+        self.inputs_changed();
     }
 
     /// Returns `q`'s pin of `chunk` *without* consuming it, because its
@@ -442,7 +454,7 @@ impl<T: Clone> Scheduler<T> {
         } else {
             self.grant(q, now);
         }
-        self.effects.push(Effect::InputsChanged);
+        self.inputs_changed();
     }
 
     /// Judges the `attempt`-th (1-based) failed read of `chunk` under
@@ -509,7 +521,7 @@ impl<T: Clone> Scheduler<T> {
         let closed = victims.len();
         self.scratch = victims;
         self.effects.push(Effect::Quarantined { chunk, closed });
-        self.effects.push(Effect::InputsChanged);
+        self.inputs_changed();
     }
 
     /// Deregisters `q`, with `error` if it failed.  A load in flight that
@@ -545,7 +557,7 @@ impl<T: Clone> Scheduler<T> {
                 blocked: state.total_blocked,
             },
         });
-        self.effects.push(Effect::InputsChanged);
+        self.inputs_changed();
         true
     }
 

@@ -28,7 +28,11 @@
 //!   planned: a query registered later that needs one is closed with the
 //!   stored error by the next plan instead;
 //! * a query's third rejected delivery since its last release closes it
-//!   with the rejection's cause.
+//!   with the rejection's cause;
+//! * a plan finds no load while no query misses a chunk
+//!   ([`crate::abm::AbmState::misses_a_chunk`]) — so an idle loader need
+//!   not be woken then — and a registration, release, rejection or close
+//!   that leaves one missing a chunk says so ([`Effect::InputsChanged`]).
 //!
 //! Drained to quiescence, no query, load, page reservation or pin is left.
 //! Replaying the same sequence takes the same decisions.
@@ -146,6 +150,8 @@ struct Outcome {
     quarantined: Vec<(ChunkId, usize)>,
     /// How many effects there were.
     effects: usize,
+    /// Whether one was [`Effect::InputsChanged`].
+    inputs_changed: bool,
 }
 
 /// The test as the core's driver.
@@ -187,6 +193,12 @@ impl Driver {
         // A close the step must make (a spent rejection budget), and a
         // failure that must change nothing (a retry, or a dead ticket's).
         let (mut must_err, mut must_keep) = (None, false);
+        let changes_inputs = match op {
+            Op::Register { .. } => true,
+            Op::Release { .. } | Op::Reject { .. } => !self.held.is_empty(),
+            Op::Close { .. } => !self.open.is_empty(),
+            _ => false,
+        };
         match *op {
             Op::Register {
                 start,
@@ -204,8 +216,14 @@ impl Driver {
             Op::Plan { k } => {
                 let inflight = self.core.state().num_inflight();
                 let room = (usize::from(k) + 1).saturating_sub(inflight);
+                let misses = self.core.state().misses_a_chunk();
                 let mut plans = Vec::new();
                 self.core.plan(now, room, &mut plans);
+                prop_assert!(
+                    misses || plans.is_empty(),
+                    "{:?} planned while no query missed a chunk",
+                    plans.iter().map(|p| p.decision.chunk).collect::<Vec<_>>()
+                );
                 for plan in plans {
                     let chunk = plan.decision.chunk;
                     prop_assert!(
@@ -311,6 +329,13 @@ impl Driver {
         let open_before: BTreeSet<QueryId> = self.open.keys().copied().collect();
         let outcome = self.apply(detached)?;
         self.check_buffer()?;
+        if changes_inputs && self.core.state().misses_a_chunk() {
+            prop_assert!(
+                outcome.inputs_changed,
+                "{:?} left a query missing a chunk and woke no loader",
+                op
+            );
+        }
         if must_keep {
             prop_assert_eq!(
                 outcome.effects,
@@ -440,7 +465,8 @@ impl Driver {
                     outcome.quarantined.push((chunk, closed));
                     self.trace.push(Decision::Quarantined(chunk, closed));
                 }
-                Effect::Recycle(_) | Effect::InputsChanged => {}
+                Effect::InputsChanged => outcome.inputs_changed = true,
+                Effect::Recycle(_) => {}
             }
         }
         Ok(outcome)

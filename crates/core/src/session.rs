@@ -208,6 +208,10 @@ impl PinnedChunk {
 
 impl Drop for PinnedChunk {
     fn drop(&mut self) {
+        // The payload clone goes before the pin: a load the release makes
+        // room for may evict the chunk at once and offer the buffer's
+        // payload back to the store, which reuses it only if it is the last.
+        self.payload = ChunkPayload::Missing;
         self.server
             .release_pin(self.query, self.chunk, self.consumed);
     }

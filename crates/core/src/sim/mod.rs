@@ -134,6 +134,9 @@ struct Runner<'a> {
     cpu: SharedCpu,
     queue: EventQueue<Event>,
     cpu_epoch: u64,
+    /// Whether the CPU's job set changed since its next completion was last
+    /// predicted ([`Runner::flush_cpu`]).
+    cpu_dirty: bool,
     stream_cursor: Vec<usize>,
     stream_starts: Vec<SimTime>,
     stream_ends: Vec<SimTime>,
@@ -165,6 +168,7 @@ impl<'a> Runner<'a> {
             cpu: SharedCpu::new(config.cores),
             queue: EventQueue::new(),
             cpu_epoch: 0,
+            cpu_dirty: false,
             stream_cursor: vec![0; streams.len()],
             stream_starts: vec![SimTime::ZERO; streams.len()],
             stream_ends: vec![SimTime::ZERO; streams.len()],
@@ -189,16 +193,19 @@ impl<'a> Runner<'a> {
 
         loop {
             match self.queue.pop() {
-                Some((now, event)) => match event {
-                    Event::StreamAdvance { stream } => self.on_stream_advance(now, stream),
-                    Event::DiskDone {
-                        chunk,
-                        ticket,
-                        epoch,
-                        trigger,
-                    } => self.on_disk_done(now, chunk, ticket, epoch, trigger),
-                    Event::CpuDone { job, epoch } => self.on_cpu_done(now, job, epoch),
-                },
+                Some((now, event)) => {
+                    match event {
+                        Event::StreamAdvance { stream } => self.on_stream_advance(now, stream),
+                        Event::DiskDone {
+                            chunk,
+                            ticket,
+                            epoch,
+                            trigger,
+                        } => self.on_disk_done(now, chunk, ticket, epoch, trigger),
+                        Event::CpuDone { job, epoch } => self.on_cpu_done(now, job, epoch),
+                    }
+                    self.flush_cpu(now);
+                }
                 None if self.core.has_pending_work() => {
                     // Pressure-relief valve: with DSM partial residency it is
                     // possible (mainly under `elevator`) for the buffer to be
@@ -331,9 +338,10 @@ impl<'a> Runner<'a> {
         self.core.release(query, chunk, now);
         self.apply(now);
         // Consumption changed starvation and residency interest: give the
-        // disk a chance to schedule, and re-predict CPU completions.
+        // disk a chance to schedule, then re-predict CPU completions — after
+        // the events this handler scheduled, not at `complete_job`.
         self.kick_disk(now);
-        self.reschedule_cpu(now);
+        self.cpu_dirty = true;
     }
 
     // ------------------------------------------------------------------
@@ -355,7 +363,7 @@ impl<'a> Runner<'a> {
                 } => {
                     let work = self.work(stream, index, chunk);
                     self.cpu.add_job(now, JobId(query.0), work);
-                    self.reschedule_cpu(now);
+                    self.cpu_dirty = true;
                 }
                 Effect::Closed {
                     query,
@@ -401,6 +409,7 @@ impl<'a> Runner<'a> {
                 done.max(io.completed_at)
             });
             debug_assert!(completed > now, "a load must take time");
+            self.flush_cpu(now);
             self.queue.schedule(
                 completed,
                 Event::DiskDone {
@@ -418,8 +427,17 @@ impl<'a> Runner<'a> {
         self.plan_scratch = plans;
     }
 
-    /// Re-predict the next CPU completion after any change to the job set.
-    fn reschedule_cpu(&mut self, now: SimTime) {
+    /// Re-predicts the next CPU completion if the CPU is marked dirty: by a
+    /// grant, and at the end of a CPU completion.  It is flushed before any
+    /// other event is scheduled and by the event loop after each handler,
+    /// so the one valid `CpuDone` keeps its place among the other events'
+    /// sequence numbers — the same as re-predicting at every mark — and
+    /// only predictions a later mark in the same handler made stale are
+    /// never scheduled.
+    fn flush_cpu(&mut self, now: SimTime) {
+        if !std::mem::take(&mut self.cpu_dirty) {
+            return;
+        }
         self.cpu.advance(now);
         self.cpu_epoch += 1;
         if let Some((at, job)) = self.cpu.next_completion() {
@@ -448,6 +466,7 @@ impl<'a> Runner<'a> {
         });
         self.stream_ends[stream] = now;
         if self.stream_cursor[stream] < self.streams[stream].len() {
+            self.flush_cpu(now);
             self.queue.schedule(now, Event::StreamAdvance { stream });
         }
     }

@@ -64,7 +64,8 @@
 //!   lock order `scheduler → slot` — so a `finish` can never race a grant
 //!   that is not yet deposited.  Each site that changes a mailbox moves the
 //!   slot's wakers to the guard's list; the guard's drop then unlocks,
-//!   wakes one idle I/O worker if a scheduling input changed, fires those
+//!   wakes one idle I/O worker if a scheduling input changed while some
+//!   query misses a chunk (`worker_wakeups` counts them), fires those
 //!   wakers, and offers the payloads let go of back to the store
 //!   ([`ChunkStore::recycle`]): a thread woken while the lock is held
 //!   preempts the holder and then queues behind it.
@@ -87,8 +88,10 @@
 //!   empty plan and its sleep are one critical section, and every change
 //!   to a scheduling input is made under the same lock — unless the plan
 //!   closed queries (it failed a quarantined chunk's load): it unlocks to
-//!   wake them first.  A worker that plans wakes the next one before its
-//!   read ("wake chaining").
+//!   wake them first.  A change wakes a sleeper only while some query
+//!   misses a chunk: with every needed chunk resident no plan finds a
+//!   load.  A worker that plans wakes the next one before its read ("wake
+//!   chaining").
 //!
 //! * **One wait bound.**  Every wait here — an idle worker's, a consumer's
 //!   doorbell — and the serving layer's connection waits keep one
@@ -465,8 +468,8 @@ impl Shared {
     /// Returns a pin to the server — Figure 3's `releaseChunk`, run by
     /// [`PinnedChunk`]'s `Drop`, applied by the core in one scheduler
     /// critical section, which also matches the query again and wakes an
-    /// idle worker.  A `try_lock` miss is counted as `hub_shard_conflicts`
-    /// before the release blocks.
+    /// idle worker if some query misses a chunk.  A `try_lock` miss is
+    /// counted as `hub_shard_conflicts` before the release blocks.
     pub(crate) fn release_pin(&self, query: QueryId, chunk: ChunkId, consumed: bool) {
         // Every scheduler guard forbids decoding on its thread for as long
         // as it lives, so this is "the thread holds no scheduler guard".
@@ -584,6 +587,7 @@ impl Drop for SchedGuard<'_> {
         drop((guard, no_decode));
         if wake_worker {
             self.shared.idle.notify_one();
+            obs.inc(Counter::WorkerWakeups);
         }
         wakers.into_iter().for_each(Waker::wake);
         if quarantined {
@@ -1270,9 +1274,10 @@ impl CScanHandle {
             0,
         );
         // Aborted loads release buffer pages, and one consumer fewer changes
-        // the relevance picture: the close wakes an idle worker, and a
-        // consumer of a shared handle blocked on this slot observes the
-        // detach at once.  A scan the core already closed is left as it is.
+        // the relevance picture: the close wakes an idle worker (if some
+        // query misses a chunk), and a consumer of a shared handle blocked
+        // on this slot observes the detach at once.  A scan the core
+        // already closed is left as it is.
         self.shared.lock_sched().core.close(self.query, None);
     }
 }
@@ -1342,6 +1347,45 @@ mod tests {
             "a drained scan stays drained"
         );
         handle.finish();
+    }
+
+    /// Short scans of a table the buffer holds wake no I/O worker: no query
+    /// misses a chunk, so no attach, release or close leaves a worker a load
+    /// to find.  A scan of an evicted chunk afterwards still wakes one.
+    #[test]
+    fn short_scans_of_a_resident_table_wake_no_worker() {
+        let model = TableModel::nsm_uniform(8, 1_000, 16);
+        let server = ScanServer::builder(model.clone())
+            .policy(PolicyKind::Relevance)
+            .buffer_chunks(4)
+            .io_threads(2)
+            .io_cost_per_page(Duration::ZERO)
+            .build();
+        let scan = |start: u32, end: u32| {
+            let plan = CScanPlan::new("short", ScanRanges::single(start, end), model.all_columns());
+            let handle = server.cscan(plan);
+            let mut chunks = 0;
+            while let Some(pin) = handle.next_chunk().expect("no faults injected") {
+                pin.complete();
+                chunks += 1;
+            }
+            handle.finish();
+            chunks
+        };
+        assert_eq!(scan(0, 4), 4, "the warm-up scan");
+        let wakeups = counter(&server, Counter::WorkerWakeups);
+        let loads = counter(&server, Counter::LoadsCompleted);
+        for i in 0..200 {
+            let start = i % 3;
+            assert_eq!(scan(start, start + 2), 2);
+        }
+        assert_eq!(counter(&server, Counter::WorkerWakeups), wakeups);
+        assert_eq!(counter(&server, Counter::LoadsCompleted), loads);
+        // Chunks 4–7 take the four frames; chunk 0 is then read again.
+        assert_eq!(scan(4, 8), 4);
+        assert_eq!(scan(0, 1), 1);
+        assert_eq!(counter(&server, Counter::LoadsCompleted), loads + 5);
+        assert_eq!(counter(&server, Counter::WorkerParkTimeouts), 0);
     }
 
     #[test]
@@ -1983,16 +2027,14 @@ mod tests {
         }
         let evictions = server.frame_pool_stats().evictions;
         assert!(evictions >= 14, "16 chunks went through 2 frames");
-        // The worker offers after it dropped the lock, so its last offer
-        // may trail the last delivery by a moment.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while offers.payloads.load(Ordering::Relaxed) < evictions && Instant::now() < deadline {
-            std::thread::yield_now();
-        }
+        // A worker offers after it dropped the lock, so its last offer may
+        // trail the last delivery: dropping the server joins the workers.
+        drop(scan);
+        drop(server);
         assert_eq!(offers.payloads.load(Ordering::Relaxed), evictions);
         assert!(!offers.under_lock.load(Ordering::Relaxed));
         // Whole payloads: what nothing shares any more is the store's to
-        // reuse (a pin that is still being dropped may keep one back).
+        // reuse.
         let vectors = offers.vectors.load(Ordering::Relaxed);
         assert!(vectors > 0 && vectors <= 3 * evictions, "{vectors}");
     }

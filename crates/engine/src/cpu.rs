@@ -10,7 +10,6 @@
 
 use cscan_simdisk::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Identifier of a CPU job (one job = one query processing one chunk).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -50,7 +49,9 @@ struct Job {
 #[derive(Debug, Clone)]
 pub struct SharedCpu {
     cores: usize,
-    jobs: HashMap<JobId, Job>,
+    /// The runnable jobs, in no particular order: a job is found by id, and
+    /// the next completion breaks ties by id.
+    jobs: Vec<(JobId, Job)>,
     last_update: SimTime,
     stats: CpuStats,
 }
@@ -64,7 +65,7 @@ impl SharedCpu {
         assert!(cores > 0, "a CPU needs at least one core");
         Self {
             cores,
-            jobs: HashMap::new(),
+            jobs: Vec::new(),
             last_update: SimTime::ZERO,
             stats: CpuStats::default(),
         }
@@ -101,7 +102,7 @@ impl SharedCpu {
         if !self.jobs.is_empty() {
             let elapsed_us = elapsed.as_micros() as f64;
             let consumed_per_job = elapsed_us * rate;
-            for job in self.jobs.values_mut() {
+            for (_, job) in &mut self.jobs {
                 job.remaining = (job.remaining - consumed_per_job).max(0.0);
             }
             let active = self.jobs.len().min(self.cores) as f64;
@@ -116,18 +117,20 @@ impl SharedCpu {
     /// Panics if the job id is already present.
     pub fn add_job(&mut self, now: SimTime, id: JobId, work: SimDuration) {
         self.advance(now);
-        let prev = self.jobs.insert(
-            id,
-            Job {
-                remaining: work.as_micros() as f64,
-            },
-        );
-        assert!(prev.is_none(), "job {id:?} added twice");
+        assert!(self.position(id).is_none(), "job {id:?} added twice");
+        let remaining = work.as_micros() as f64;
+        self.jobs.push((id, Job { remaining }));
+    }
+
+    /// Where job `id` is in the job list.
+    fn position(&self, id: JobId) -> Option<usize> {
+        self.jobs.iter().position(|&(job, _)| job == id)
     }
 
     /// True if the job exists and has (almost) no work left.
     pub fn is_done(&self, id: JobId) -> bool {
-        self.jobs.get(&id).is_some_and(|j| j.remaining < 0.5)
+        self.position(id)
+            .is_some_and(|at| self.jobs[at].1.remaining < 0.5)
     }
 
     /// Marks a finished job as completed, removing it and updating statistics.
@@ -136,10 +139,10 @@ impl SharedCpu {
     /// Panics if the job does not exist.
     pub fn complete_job(&mut self, now: SimTime, id: JobId, original_work: SimDuration) {
         self.advance(now);
-        let job = self
-            .jobs
-            .remove(&id)
+        let at = self
+            .position(id)
             .unwrap_or_else(|| panic!("completing unknown job {id:?}"));
+        let (_, job) = self.jobs.swap_remove(at);
         debug_assert!(
             job.remaining < 1.0,
             "job {id:?} completed with {}us left",
@@ -159,7 +162,7 @@ impl SharedCpu {
         }
         self.jobs
             .iter()
-            .map(|(&id, job)| {
+            .map(|&(id, job)| {
                 let micros = (job.remaining / rate).ceil() as u64;
                 (self.last_update + SimDuration::from_micros(micros), id)
             })

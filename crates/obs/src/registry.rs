@@ -113,11 +113,15 @@ pub enum Counter {
     /// run of the grant matcher then found a chunk nobody had granted it: a
     /// missed wake-up, survived.  Expected to stay 0.
     ConsumerWaitTimeouts,
+    /// Notifications sent to an idle I/O worker: a scheduling input changed
+    /// while some query missed a chunk, or a worker that planned a load
+    /// woke the next.
+    WorkerWakeups,
 }
 
 impl Counter {
     /// Every counter, in index order.
-    pub const ALL: [Counter; 34] = [
+    pub const ALL: [Counter; 35] = [
         Counter::LoadsCompleted,
         Counter::LoadsCancelled,
         Counter::LoadFaults,
@@ -152,6 +156,7 @@ impl Counter {
         Counter::BytesServed,
         Counter::WorkerParkTimeouts,
         Counter::ConsumerWaitTimeouts,
+        Counter::WorkerWakeups,
     ];
 
     /// The counter's stable metric name (snake case, no prefix).
@@ -191,6 +196,7 @@ impl Counter {
             Counter::BytesServed => "bytes_served",
             Counter::WorkerParkTimeouts => "worker_park_timeouts",
             Counter::ConsumerWaitTimeouts => "consumer_wait_timeouts",
+            Counter::WorkerWakeups => "worker_wakeups",
         }
     }
 }
