@@ -13,7 +13,8 @@
 //!   which chunk to load or evict next.
 //!
 //! Four scheduling policies are implemented behind one [`policy::Policy`]
-//! trait: [`policy::NormalPolicy`], [`policy::AttachPolicy`],
+//! trait: `normal` and `attach`, the in-order baselines that differ only in
+//! where a scan starts ([`policy::InOrderPolicy`]),
 //! [`policy::ElevatorPolicy`] and the paper's contribution,
 //! [`policy::RelevancePolicy`] (the column-aware relevance functions of
 //! Fig. 11, of which Fig. 3's row-store ones are the one-group case).
@@ -108,7 +109,7 @@ pub use abm::{AbmState, BufferedChunk, InflightLoad, LoadDecision};
 pub use colset::ColSet;
 pub use cscan::CScanPlan;
 pub use model::TableModel;
-pub use policy::{AttachPolicy, ElevatorPolicy, NormalPolicy, Policy, PolicyKind, RelevancePolicy};
+pub use policy::{ElevatorPolicy, InOrderPolicy, Policy, PolicyKind, RelevancePolicy};
 pub use query::{QueryId, QueryState};
 pub use retry::RetryPolicy;
 pub use session::{PinnedChunk, ScanError, ScanSession};

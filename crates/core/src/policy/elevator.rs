@@ -109,10 +109,6 @@ impl ElevatorPolicy {
 }
 
 impl Policy for ElevatorPolicy {
-    fn name(&self) -> &'static str {
-        "elevator"
-    }
-
     fn kind(&self) -> PolicyKind {
         PolicyKind::Elevator
     }

@@ -1,17 +1,19 @@
-//! Differential tests of the traditional policies' load decision.
+//! Differential tests of the in-order policy's load decision.
 //!
-//! `normal` and `attach` service blocked queries round-robin
-//! ([`round_robin_load`]), and each query's next missing chunk is found by
-//! a walk that starts at a cursor: the query's consumption cursor
-//! (`QueryState::remaining_chunks`) or `attach`'s rotation cursor.  For
-//! arbitrary interleavings of registrations, loads, in-flight marks,
-//! evictions and out-of-order finishes, every cursor walk must yield what
-//! the walk from the first chunk yields, and every decision must be the
-//! one the full walks take ([`round_robin_load_brute`] over the walks from
-//! each query's first chunk).  `prop_assert` compares them, so a release
-//! build checks the code that decides in production.
+//! `normal` and `attach` are one [`InOrderPolicy`]: its `next_load`
+//! services blocked queries round-robin, and each query's next missing
+//! chunk is found by a walk that starts at a cursor: the query's
+//! consumption cursor (`QueryState::remaining_chunks`), or an attached
+//! query's cursor from its start chunk.  For arbitrary interleavings of
+//! registrations, loads, in-flight marks, evictions and out-of-order
+//! finishes, every cursor walk must yield what the walk from the first
+//! chunk yields, every `attach` start must be the partner's position, and
+//! every decision of a `normal` and an `attach` instance must be the one
+//! the full walks take ([`InOrderPolicy::next_load_brute`] over each
+//! query's ranges rotated at its start).  `prop_assert` compares them, so
+//! a release build checks the code that decides in production.
 
-use super::{round_robin_load, round_robin_load_brute, AttachPolicy, NormalPolicy, Policy as _};
+use super::{InOrderPolicy, Policy as _, PolicyKind};
 use crate::abm::AbmState;
 use crate::colset::ColSet;
 use crate::model::TableModel;
@@ -19,7 +21,7 @@ use crate::query::QueryId;
 use cscan_simdisk::SimTime;
 use cscan_storage::{ChunkId, ChunkPayload, ChunkRange, ColumnId, ScanRanges};
 use proptest::prelude::*;
-use std::cell::Cell;
+use std::cmp::Reverse;
 
 /// More than one 64-chunk bitset word, so the overlap popcount crosses a
 /// word boundary.
@@ -54,8 +56,8 @@ enum Op {
     /// Have the `i`-th active query consume its `pick`-th resident chunk,
     /// in any order.
     Process { i: u8, pick: u8 },
-    /// Ask `attach` for the `i`-th active query's next chunk, which moves
-    /// its rotation cursor.
+    /// Ask both policies for the `i`-th active query's consumption point
+    /// and next chunk, which moves an attached query's cursor.
     Poll { i: u8 },
 }
 
@@ -97,12 +99,36 @@ fn col_set(model: &TableModel, mask: u8) -> ColSet {
     cols
 }
 
-/// Applies `ops` to one state shared by an `attach` policy, asserting
-/// after every step that the cursor walks and the round-robin rotation
-/// decide as the full walks do.
+/// Where `attach` starts the newly registered `q`, from the full walks:
+/// the first of its chunks at or after the consumption point of the open
+/// query with which it shares the most chunk-columns (ties to the lowest
+/// id), wrapping to its first chunk, or its first chunk if none overlaps.
+fn attach_start_brute(attach: &InOrderPolicy, s: &AbmState, q: QueryId) -> Option<ChunkId> {
+    let newcomer = s.query(q);
+    let partner = s
+        .queries()
+        .filter(|p| p.id != q && !p.is_finished())
+        .map(|p| {
+            let shared = p.remaining_chunks_brute().filter(|&c| newcomer.needs(c));
+            let cols = newcomer.columns.intersect(p.columns).len();
+            (shared.count() as u64 * u64::from(cols), Reverse(p.id), p)
+        })
+        .filter(|&(score, _, _)| score > 0)
+        .max_by_key(|&(score, id, _)| (score, id));
+    let Some((_, _, partner)) = partner else {
+        return newcomer.ranges.first();
+    };
+    let pos = attach.walk_brute(partner)[0];
+    let mut chunks = newcomer.ranges.iter();
+    chunks.find(|&c| c >= pos).or(newcomer.ranges.first())
+}
+
+/// Applies `ops` to one state shared by a `normal` and an `attach`
+/// policy, asserting after every step that the cursor walks and the
+/// round-robin rotation decide as the full walks do.
 fn check_ops(model: TableModel, ops: &[Op]) -> Result<(), TestCaseError> {
     let mut s = AbmState::new(model, 1_000_000);
-    let mut attach = AttachPolicy::new();
+    let mut policies = [PolicyKind::Normal, PolicyKind::Attach].map(InOrderPolicy::new);
     let mut next_id = 0u64;
     let mut active: Vec<QueryId> = Vec::new();
     for op in ops {
@@ -125,13 +151,24 @@ fn check_ops(model: TableModel, ops: &[Op]) -> Result<(), TestCaseError> {
                 ]);
                 let cols = col_set(s.model(), cols);
                 s.register_query(id, format!("q{}", id.0), ranges, cols, SimTime::ZERO);
-                attach.on_register(id, &s);
+                let start = attach_start_brute(&policies[1], &s, id);
+                for p in &mut policies {
+                    p.on_register(id, &s);
+                }
+                prop_assert_eq!(
+                    policies[1].consumption_point(&s, id),
+                    start,
+                    "attach's start of {:?} diverged",
+                    id
+                );
                 active.push(id);
             }
             Op::Remove { i } => {
                 if !active.is_empty() {
                     let q = active.remove(i as usize % active.len());
-                    attach.on_query_finished(q, &s);
+                    for p in &mut policies {
+                        p.on_query_finished(q, &s);
+                    }
                     s.remove_query(q);
                 }
             }
@@ -182,7 +219,9 @@ fn check_ops(model: TableModel, ops: &[Op]) -> Result<(), TestCaseError> {
                         s.finish_processing(q, chunk);
                         if s.query(q).is_finished() {
                             active.retain(|&a| a != q);
-                            attach.on_query_finished(q, &s);
+                            for p in &mut policies {
+                                p.on_query_finished(q, &s);
+                            }
                             s.remove_query(q);
                         }
                     }
@@ -190,7 +229,17 @@ fn check_ops(model: TableModel, ops: &[Op]) -> Result<(), TestCaseError> {
             }
             Op::Poll { i } => {
                 if !active.is_empty() {
-                    attach.next_chunk(active[i as usize % active.len()], &s);
+                    let q = active[i as usize % active.len()];
+                    for p in &mut policies {
+                        prop_assert_eq!(
+                            p.consumption_point(&s, q),
+                            p.walk_brute(s.query(q)).first().copied(),
+                            "{}'s consumption point of {:?} diverged",
+                            p.kind(),
+                            q
+                        );
+                        p.next_chunk(q, &s);
+                    }
                 }
             }
         }
@@ -203,29 +252,38 @@ fn check_ops(model: TableModel, ops: &[Op]) -> Result<(), TestCaseError> {
                 q.id
             );
         }
-        // (b) the rotation picks the full walk's trigger and chunk, after
-        // every possible last-serviced query, under both policies' walks;
-        let lasts = std::iter::once(None).chain((0..=next_id).map(|q| Some(QueryId(q))));
-        for last in lasts {
+        // (b) a query of `normal` consumes in table order from its cursor
+        // (it keeps no cursor of its own, so asking moves nothing);
+        for q in s.queries() {
             prop_assert_eq!(
-                round_robin_load(&s, last, |q| NormalPolicy::next_missing(&s, q)),
-                round_robin_load_brute(&s, last, |q| NormalPolicy::next_missing_brute(&s, q)),
-                "normal's decision after {:?} diverged",
-                last
-            );
-            prop_assert_eq!(
-                round_robin_load(&s, last, |q| attach.next_missing(&s, q)),
-                round_robin_load_brute(&s, last, |q| attach.next_missing_brute(&s, q)),
-                "attach's decision after {:?} diverged",
-                last
+                policies[0].consumption_point(&s, q.id),
+                q.remaining_chunks().next(),
+                "normal's consumption point of {:?} diverged",
+                q.id
             );
         }
-        // (c) `attach`'s overlap popcount counts the chunks both still need.
+        // (c) the rotation picks the full walk's trigger and chunk, after
+        // every possible last-serviced query, under both kinds' starts;
+        let lasts = std::iter::once(None).chain((0..=next_id).map(|q| Some(QueryId(q))));
+        for last in lasts {
+            for p in &mut policies {
+                p.last_serviced = last;
+                let brute = p.next_load_brute(&s);
+                prop_assert_eq!(
+                    p.next_load(&s, SimTime::ZERO, 0),
+                    brute,
+                    "{}'s decision after {:?} diverged",
+                    p.kind(),
+                    last
+                );
+            }
+        }
+        // (d) `attach`'s overlap popcount counts the chunks both still need.
         for a in s.queries() {
             for b in s.queries() {
                 let walked = b.remaining_chunks_brute().filter(|&c| a.needs(c)).count() as u64;
                 prop_assert_eq!(
-                    AttachPolicy::overlap_score(a, b),
+                    InOrderPolicy::overlap_score(a, b),
                     walked * u64::from(a.columns.intersect(b.columns).len()),
                     "overlap of {:?} with {:?} diverged",
                     a.id,
@@ -269,15 +327,13 @@ fn one_decision_asks_one_query() {
             SimTime::ZERO,
         );
     }
+    let mut p = InOrderPolicy::new(PolicyKind::Normal);
     for (last, trigger) in [(None, 0), (Some(0), 1), (Some(30), 31), (Some(63), 0)] {
-        let calls = Cell::new(0);
-        let counting = |q| {
-            calls.set(calls.get() + 1);
-            NormalPolicy::next_missing(&s, q)
-        };
-        let decision = round_robin_load(&s, last.map(QueryId), counting).unwrap();
+        p.last_serviced = last.map(QueryId);
+        p.asked.set(0);
+        let decision = p.next_load(&s, SimTime::ZERO, 0).unwrap();
         assert_eq!(decision.trigger, QueryId(trigger));
         assert_eq!(decision.chunk, ChunkId::new(0));
-        assert_eq!(calls.get(), 1, "after {last:?}");
+        assert_eq!(p.asked.get(), 1, "after {last:?}");
     }
 }

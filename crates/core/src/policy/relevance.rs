@@ -606,10 +606,6 @@ impl RelevancePolicy {
 }
 
 impl Policy for RelevancePolicy {
-    fn name(&self) -> &'static str {
-        "relevance"
-    }
-
     fn kind(&self) -> PolicyKind {
         PolicyKind::Relevance
     }

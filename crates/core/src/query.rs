@@ -156,10 +156,22 @@ impl QueryState {
     /// chunk in O(1); the full walk costs O(chunks requested past the
     /// cursor), whatever the table size.
     pub fn remaining_chunks(&self) -> impl Iterator<Item = ChunkId> + '_ {
-        self.chunks[self.first_needed..]
+        self.remaining_chunks_before(self.chunks.len())
+    }
+
+    /// [`Self::remaining_chunks`] among the first `end` requested chunks
+    /// ([`Self::requested_chunks`]).
+    pub(crate) fn remaining_chunks_before(&self, end: usize) -> impl Iterator<Item = ChunkId> + '_ {
+        self.chunks[self.first_needed.min(end)..end]
             .iter()
             .copied()
             .filter(|c| self.needed.contains(c.as_usize()))
+    }
+
+    /// The requested chunks in table order, fixed at registration, whether
+    /// still needed or not.
+    pub(crate) fn requested_chunks(&self) -> &[ChunkId] {
+        &self.chunks
     }
 
     /// Every requested chunk from the first, filtered by `needed`: the

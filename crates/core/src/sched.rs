@@ -187,7 +187,7 @@ impl<T: Clone> Scheduler<T> {
 
     /// The name of the scheduling policy.
     pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
+        self.policy.kind().name()
     }
 
     /// Whether a registered query still has chunks to consume.
