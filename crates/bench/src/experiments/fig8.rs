@@ -131,8 +131,8 @@ fn load_one(core: &mut Scheduler<()>) -> bool {
     let Some(plan) = plans.pop() else {
         return false;
     };
-    let (chunk, ticket, epoch) = (plan.decision.chunk, plan.ticket, plan.epoch);
-    core.commit(chunk, ticket, epoch, ChunkPayload::Missing, SimTime::ZERO);
+    let (chunk, ticket) = (plan.decision.chunk, plan.ticket);
+    core.commit(chunk, ticket, ChunkPayload::Missing, SimTime::ZERO);
     core.swap_effects(&mut Vec::new());
     true
 }
@@ -365,9 +365,9 @@ mod tests {
     /// the six-column column store of the same 2 GB, and on the row store
     /// whose last chunk is short — the one the walk scores before its bucket
     /// bound, which it would otherwise never reach.  Only meaningful in
-    /// release builds — under `debug_assertions` the walk re-runs the
-    /// brute-force sweep on every decision as a cross-check, so the ratio
-    /// collapses by design.
+    /// release builds — under `debug_assertions` every ABM mutation
+    /// re-counts the cached counters (`AbmState::validate_counters`), which
+    /// swamps what the walk saves.
     #[test]
     #[cfg_attr(
         debug_assertions,

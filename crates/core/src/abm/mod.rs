@@ -18,9 +18,9 @@
 //!
 //! A load is planned under the driver's lock — the policy's decision, the
 //! evictions that make room and the page reservation — and stamped with a
-//! unique ticket and the planning [`AbmState::epoch`].  The read runs
-//! outside the lock, in any order across loads; the commit revalidates the
-//! stamp ([`AbmState::check_commit`]) before it installs residency, so a
+//! unique ticket.  The read runs outside the lock, in any order across
+//! loads; the commit revalidates the ticket and the chunk's interest
+//! ([`AbmState::check_commit`]) before it installs residency, so a
 //! cancelled or superseded load's completion is dropped and a load whose
 //! last interested query detached mid-read is aborted.  A burst of `B`
 //! loads costs `B` policy decisions plus the evictions it needs, and slot
@@ -67,9 +67,7 @@ pub struct LoadPlan {
     pub regions: Vec<PhysRegion>,
     /// Chunks that were evicted to make room for this load.
     pub evicted: Vec<ChunkId>,
-    /// Unique identity of this load (see [`InflightLoad::ticket`]).
-    pub ticket: u64,
-    /// The [`AbmState::epoch`] the plan was taken under;
+    /// Unique identity of this load (see [`InflightLoad::ticket`]);
     /// [`crate::sched::Scheduler::commit`] revalidates against it.
-    pub epoch: u64,
+    pub ticket: u64,
 }

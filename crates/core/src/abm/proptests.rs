@@ -10,8 +10,7 @@
 //! * the index walks of [`RelevancePolicy`] — the chunk argmax, the
 //!   consumption argmax and the eviction argmin — must take exactly the
 //!   decisions of its brute-force twin.  `prop_assert` compares them, so a
-//!   release build checks the code that decides in production, with the
-//!   in-policy debug cross-checks compiled out.
+//!   release build checks the code that decides in production.
 //!
 //! These run the *internal* mutation API directly (the simulation-level
 //! property tests in `tests/properties.rs` cover the public surface).

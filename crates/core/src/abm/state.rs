@@ -33,12 +33,11 @@
 //! The threaded executor performs the "disk read" of a planned load outside
 //! the ABM lock, so by the time a load completes the world may have moved:
 //! queries detached, the load itself aborted, or a *newer* load of the same
-//! chunk issued.  [`AbmState::epoch`] stamps every plan (it advances on
-//! every query-set change) and [`AbmState::check_commit`] revalidates a
-//! `(chunk, ticket, epoch)` stamp before residency is installed: a stale
-//! ticket means the load was cancelled, and an epoch mismatch forces an
-//! interest re-check so a detached query's load is aborted instead of
-//! polluting the pool (never load a non-interesting chunk).
+//! chunk issued.  [`AbmState::check_commit`] revalidates the load's
+//! `(chunk, ticket)` before residency is installed: a stale ticket means
+//! the load was cancelled, and a live one whose chunk no query needs any
+//! more is aborted instead of polluting the pool (never load a
+//! non-interesting chunk).
 //!
 //! Every cached quantity has a `_brute` twin computing the original
 //! definition; debug builds cross-check them after every mutation
@@ -144,12 +143,6 @@ pub struct AbmState {
     chunk_scratch: Vec<u32>,
     /// Monotonic counter for load sequencing and LRU timestamps.
     seq: u64,
-    /// Plan-validation epoch: advances on every query-set change
-    /// (registration or removal).  A load planned at epoch E whose commit
-    /// sees a different epoch must revalidate its interest
-    /// ([`Self::check_commit`]); matching epochs guarantee the plan's
-    /// premises still hold.
-    epoch: u64,
     /// Ticket assigned to the next [`Self::begin_load`].
     next_ticket: u64,
     /// Loads currently in flight, oldest first.  A driver keeps up to K of
@@ -208,7 +201,6 @@ impl AbmState {
             // on the consumer's hot release path — never allocates.
             chunk_scratch: Vec::with_capacity(chunks),
             seq: 0,
-            epoch: 0,
             next_ticket: 0,
             inflight: Vec::new(),
             reserved_pages: 0,
@@ -391,42 +383,23 @@ impl AbmState {
             .map(|l| l.ticket)
     }
 
-    /// The current plan-validation epoch.  Advances on every query-set
-    /// change; plans are stamped with it and commits revalidate against it
-    /// (see [`Self::check_commit`]).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Revalidates a planned load at commit time.  The caller planned a
-    /// load of `chunk` that was assigned `ticket` at an epoch of
-    /// `planned_epoch`, performed the read outside the lock, and must now
-    /// decide what the completion means:
+    /// load of `chunk` that was assigned `ticket`, performed the read
+    /// outside the lock, and must now decide what the completion means:
     ///
     /// * [`CommitCheck::Cancelled`] — the ticket no longer matches: the load
     ///   was aborted (and possibly superseded by a newer load of the same
     ///   chunk).  The completion must be dropped.
     /// * [`CommitCheck::Uninteresting`] — the load is still in flight but a
-    ///   query-set change since planning left the chunk with no interested
-    ///   query.  The caller must `abort_load` it.
+    ///   detach since planning left the chunk with no interested query.
+    ///   The caller must `abort_load` it.
     /// * [`CommitCheck::Valid`] — install residency (`complete_load_of`).
-    ///
-    /// When `planned_epoch` still matches [`Self::epoch`], no query
-    /// registered or detached since planning; interest cannot have dropped
-    /// to zero (a non-resident chunk can only lose interest through query
-    /// removal — its trigger cannot consume it before it arrives), so the
-    /// re-check is skipped.
-    pub fn check_commit(&self, chunk: ChunkId, ticket: u64, planned_epoch: u64) -> CommitCheck {
+    pub fn check_commit(&self, chunk: ChunkId, ticket: u64) -> CommitCheck {
         match self.inflight_ticket(chunk) {
             None => CommitCheck::Cancelled,
             Some(t) if t != ticket => CommitCheck::Cancelled,
-            Some(_) => {
-                if planned_epoch != self.epoch && self.index.interested(chunk) == 0 {
-                    CommitCheck::Uninteresting
-                } else {
-                    CommitCheck::Valid
-                }
-            }
+            Some(_) if self.index.interested(chunk) == 0 => CommitCheck::Uninteresting,
+            Some(_) => CommitCheck::Valid,
         }
     }
 
@@ -860,7 +833,6 @@ impl AbmState {
             self.index.add_interest(chunk, lvl);
         }
         self.queries_registered += 1;
-        self.epoch += 1;
         self.debug_validate();
     }
 
@@ -882,7 +854,6 @@ impl AbmState {
         for chunk in state.remaining_chunks() {
             self.index.remove_interest(chunk, lvl);
         }
-        self.epoch += 1;
         self.debug_validate();
         state
     }
@@ -1483,27 +1454,19 @@ mod tests {
         let mut s = nsm_state(10, 4);
         register(&mut s, 1, 0, 5);
         let cols = s.model().all_columns();
-        let epoch = s.epoch();
         let ticket = s.begin_load(ChunkId::new(0), cols);
         assert_eq!(s.inflight_ticket(ChunkId::new(0)), Some(ticket));
         assert_eq!(s.inflight_ticket(ChunkId::new(1)), None);
         // Nothing changed: the commit is valid.
-        assert_eq!(
-            s.check_commit(ChunkId::new(0), ticket, epoch),
-            CommitCheck::Valid
-        );
-        // A registration moves the epoch but the chunk stays interesting.
+        assert_eq!(s.check_commit(ChunkId::new(0), ticket), CommitCheck::Valid);
+        // A registration leaves the chunk interesting.
         register(&mut s, 2, 0, 5);
-        assert_ne!(s.epoch(), epoch);
-        assert_eq!(
-            s.check_commit(ChunkId::new(0), ticket, epoch),
-            CommitCheck::Valid
-        );
+        assert_eq!(s.check_commit(ChunkId::new(0), ticket), CommitCheck::Valid);
         // Every interested query detaches mid-read: the load must be aborted.
         s.remove_query(QueryId(1));
         s.remove_query(QueryId(2));
         assert_eq!(
-            s.check_commit(ChunkId::new(0), ticket, epoch),
+            s.check_commit(ChunkId::new(0), ticket),
             CommitCheck::Uninteresting
         );
         s.abort_load(ChunkId::new(0));
@@ -1511,7 +1474,7 @@ mod tests {
         assert_eq!(s.reserved_pages(), 0);
         // The stale completion now reads as cancelled...
         assert_eq!(
-            s.check_commit(ChunkId::new(0), ticket, epoch),
+            s.check_commit(ChunkId::new(0), ticket),
             CommitCheck::Cancelled
         );
         // ...even if a newer load of the same chunk is issued meanwhile.
@@ -1519,12 +1482,9 @@ mod tests {
         let newer = s.begin_load(ChunkId::new(0), cols);
         assert_ne!(newer, ticket);
         assert_eq!(
-            s.check_commit(ChunkId::new(0), ticket, epoch),
+            s.check_commit(ChunkId::new(0), ticket),
             CommitCheck::Cancelled
         );
-        assert_eq!(
-            s.check_commit(ChunkId::new(0), newer, s.epoch()),
-            CommitCheck::Valid
-        );
+        assert_eq!(s.check_commit(ChunkId::new(0), newer), CommitCheck::Valid);
     }
 }

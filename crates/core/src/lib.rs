@@ -43,9 +43,8 @@
 //!   front-end whose reads fail: past its [`RetryPolicy`] budget, the core
 //!   quarantines the chunk.
 //!
-//! Every plan carries a `(ticket, epoch)` stamp that the commit
-//! revalidates, so loads whose queries detach mid-read are aborted rather
-//! than installed.
+//! Every plan carries a ticket that the commit revalidates, so loads whose
+//! queries detach mid-read are aborted rather than installed.
 //!
 //! Queries talk to the threaded server through one surface, the
 //! [`session::ScanSession`] trait (attach → `next_chunk()` → detach), and

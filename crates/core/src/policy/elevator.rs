@@ -44,8 +44,8 @@ impl ElevatorPolicy {
     /// `interested_any ∧ ¬inflight ∧ ¬(resident ∧ ¬partial)`, since a chunk
     /// resident with every column needs no read — so regions of the table
     /// nobody wants cost 1/64th of an AND instead of a per-chunk check.
-    /// Chooses identically to the original chunk-at-a-time sweep
-    /// (debug-asserted).
+    /// Chooses identically to the chunk-at-a-time sweep of the reference
+    /// ([`crate::policy::reference`]).
     fn next_wanted(&self, state: &AbmState) -> Option<(ChunkId, ColSet)> {
         let n = state.model().num_chunks();
         if n == 0 {
@@ -58,7 +58,7 @@ impl ElevatorPolicy {
         let partial = index.partial_words();
         let words = wanted.len();
         let start_word = (self.cursor / 64) as usize;
-        let found = 'sweep: {
+        'sweep: {
             // Visit every word once starting at the cursor's, then revisit
             // the start word for the indices below the cursor (the wrap).
             for step in 0..=words {
@@ -80,32 +80,44 @@ impl ElevatorPolicy {
                 }
             }
             None
-        };
-        debug_assert_eq!(
-            found,
-            self.next_wanted_brute(state),
-            "word-wise elevator sweep diverged from the chunk-at-a-time sweep"
-        );
-        found
-    }
-
-    /// The original chunk-at-a-time sweep (reference for
-    /// [`Self::next_wanted`]).
-    fn next_wanted_brute(&self, state: &AbmState) -> Option<(ChunkId, ColSet)> {
-        let n = state.model().num_chunks();
-        for step in 0..n {
-            let idx = (self.cursor + step) % n;
-            let chunk = ChunkId::new(idx);
-            if state.num_interested(chunk) == 0 || state.is_inflight(chunk) {
-                continue;
-            }
-            let cols = state.live_columns(chunk);
-            if state.pages_to_load(chunk, cols) > 0 {
-                return Some((chunk, cols));
-            }
         }
-        None
     }
+}
+
+/// The resident chunk `q` can consume that the elevator loaded first
+/// (FIFO), which preserves the global sequential delivery order.
+pub(super) fn fifo_chunk(state: &AbmState, q: QueryId) -> Option<ChunkId> {
+    let query = state.query(q);
+    state
+        .buffered()
+        .filter(|b| query.needs_and_not_processing(b.chunk))
+        .filter(|b| query.columns.is_subset_of(b.columns))
+        .min_by_key(|b| b.loaded_seq)
+        .map(|b| b.chunk)
+}
+
+/// The victim of a stuck buffer, a case a column store adds and a row store
+/// does not have: chunks somebody needs but nobody can consume as they
+/// stand, some of their columns missing — what an earlier, narrower scan
+/// left cached.  With the buffer full of those, no query holding or
+/// awaiting a chunk it can use and no load on its way, waiting frees
+/// nothing: the oldest of them goes, and its columns are read again along
+/// with the ones its queries were waiting for.  `None` while the buffer is
+/// not stuck.
+pub(super) fn stuck_victim(state: &AbmState, load: &LoadDecision) -> Option<ChunkId> {
+    if state.num_inflight() > 0 || state.queries().any(|q| q.available_chunks() > 0) {
+        return None;
+    }
+    state
+        .buffered()
+        .filter(|b| b.chunk != load.chunk && state.is_evictable(b.chunk))
+        .filter(|b| {
+            !state
+                .queries()
+                .any(|q| q.needs(b.chunk) && q.columns.is_subset_of(b.columns))
+        })
+        .min_by_key(|b| b.loaded_seq)
+        .map(|b| b.chunk)
 }
 
 impl Policy for ElevatorPolicy {
@@ -127,15 +139,7 @@ impl Policy for ElevatorPolicy {
     }
 
     fn next_chunk(&mut self, q: QueryId, state: &AbmState) -> Option<ChunkId> {
-        // Consume resident chunks in the order the elevator loaded them
-        // (FIFO), which preserves the global sequential delivery order.
-        let query = state.query(q);
-        state
-            .buffered()
-            .filter(|b| query.needs_and_not_processing(b.chunk))
-            .filter(|b| query.columns.is_subset_of(b.columns))
-            .min_by_key(|b| b.loaded_seq)
-            .map(|b| b.chunk)
+        fifo_chunk(state, q)
     }
 
     fn choose_victim(&mut self, state: &AbmState, load: &LoadDecision) -> Option<ChunkId> {
@@ -144,8 +148,7 @@ impl Policy for ElevatorPolicy {
         // "everyone picks it up as the cursor passes" contract and force a
         // re-read.  If nothing qualifies the elevator simply waits.  The
         // candidate set is `resident ∧ ¬interested_any`, walked word-wise
-        // over the shared index (identical to the former buffer sweep,
-        // debug-asserted below).
+        // over the shared index.  With none, the buffer may be stuck.
         let index = state.index();
         let interested = index.interested_any_words();
         let mut best: Option<(u64, ChunkId)> = None;
@@ -167,39 +170,7 @@ impl Policy for ElevatorPolicy {
                 }
             }
         }
-        let victim = best.map(|(_, c)| c);
-        debug_assert_eq!(
-            victim,
-            state
-                .buffered()
-                .filter(|b| b.chunk != load.chunk && state.is_evictable(b.chunk))
-                .filter(|b| state.num_interested(b.chunk) == 0)
-                .min_by_key(|b| b.loaded_seq)
-                .map(|b| b.chunk),
-            "index-backed elevator eviction diverged from the buffer sweep"
-        );
-        // A column store adds a case the row store does not have: a chunk
-        // somebody needs but nobody can consume as it stands, some of their
-        // columns missing — what an earlier, narrower scan left cached.  With
-        // the buffer full of those, no query holding or awaiting a chunk it
-        // can use and no load on its way, waiting frees nothing: the oldest
-        // of them goes, and its columns are read again along with the ones
-        // its queries were waiting for.
-        let stuck =
-            || state.num_inflight() == 0 && state.queries().all(|q| q.available_chunks() == 0);
-        if victim.is_some() || !stuck() {
-            return victim;
-        }
-        state
-            .buffered()
-            .filter(|b| b.chunk != load.chunk && state.is_evictable(b.chunk))
-            .filter(|b| {
-                !state
-                    .queries()
-                    .any(|q| q.needs(b.chunk) && q.columns.is_subset_of(b.columns))
-            })
-            .min_by_key(|b| b.loaded_seq)
-            .map(|b| b.chunk)
+        best.map(|(_, c)| c).or_else(|| stuck_victim(state, load))
     }
 }
 

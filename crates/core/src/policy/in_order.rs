@@ -112,51 +112,6 @@ impl InOrderPolicy {
             .find(|&c| state.pages_to_load(c, query.columns) > 0)
     }
 
-    /// The chunks `query` still needs, in the order it consumes them: its
-    /// ranges rotated at its start chunk, every chunk from the first.  The
-    /// reference [`Self::walk`] and its cursors are tested against.
-    #[cfg(test)]
-    pub(super) fn walk_brute(&self, query: &QueryState) -> Vec<ChunkId> {
-        let start = self
-            .starts
-            .get(&query.id)
-            .and_then(|s| query.requested_chunks().get(s.index).copied());
-        let (mut order, below): (Vec<_>, Vec<_>) = query
-            .ranges
-            .iter()
-            .filter(|&c| query.needs(c))
-            .partition(|&c| start.is_some_and(|s| c >= s));
-        order.extend(below);
-        order
-    }
-
-    /// [`Self::next_missing`] over [`Self::walk_brute`].
-    #[cfg(test)]
-    pub(super) fn next_missing_brute(&self, state: &AbmState, q: QueryId) -> Option<ChunkId> {
-        let query = state.query(q);
-        self.walk_brute(query)
-            .into_iter()
-            .filter(|&c| !state.is_inflight(c))
-            .find(|&c| state.pages_to_load(c, query.columns) > 0)
-    }
-
-    /// Asks every open query its [`Self::next_missing_brute`], then takes
-    /// the first after `last_serviced` in id order, wrapping around: the
-    /// reference `next_load` is tested against.
-    #[cfg(test)]
-    pub(super) fn next_load_brute(&self, state: &AbmState) -> Option<LoadDecision> {
-        let (trigger, chunk) = state
-            .queries()
-            .filter(|q| !q.is_finished())
-            .filter_map(|q| Some((q.id, self.next_missing_brute(state, q.id)?)))
-            .min_by_key(|&(q, _)| (self.last_serviced.is_none_or(|last| q <= last), q))?;
-        Some(LoadDecision {
-            trigger,
-            chunk,
-            cols: state.query(trigger).columns,
-        })
-    }
-
     /// How much sharing `candidate` offers a newly arriving query: the number
     /// of chunks both still need — the popcount of their `needed` words'
     /// intersection — weighted by the columns both read.
@@ -177,29 +132,14 @@ impl InOrderPolicy {
 /// Walks the [`crate::abm::ChunkIndex`] residency words instead of the
 /// buffer slot map, so empty table regions cost 1/64th of a comparison each.
 /// The walk is in chunk order, so ties on `last_touch` break towards the
-/// lowest chunk id, exactly like the original buffer sweep (which it is
-/// debug-asserted against).
+/// lowest chunk id, exactly like the buffer sweep of the reference
+/// ([`crate::policy::reference`]).
 fn lru_victim(state: &AbmState, protect: ChunkId) -> Option<ChunkId> {
-    let victim = state
+    state
         .index()
         .resident_chunks()
         .filter(|&c| c != protect && state.is_evictable(c))
-        .min_by_key(|&c| state.buffered_chunk(c).map_or(u64::MAX, |b| b.last_touch));
-    debug_assert_eq!(
-        victim,
-        lru_victim_brute(state, protect),
-        "index-backed LRU victim diverged from the buffer sweep"
-    );
-    victim
-}
-
-/// The original buffer-sweep LRU victim (reference for [`lru_victim`]).
-fn lru_victim_brute(state: &AbmState, protect: ChunkId) -> Option<ChunkId> {
-    state
-        .buffered()
-        .filter(|b| b.chunk != protect && state.is_evictable(b.chunk))
-        .min_by_key(|b| b.last_touch)
-        .map(|b| b.chunk)
+        .min_by_key(|&c| state.buffered_chunk(c).map_or(u64::MAX, |b| b.last_touch))
 }
 
 impl Policy for InOrderPolicy {

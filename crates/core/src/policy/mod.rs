@@ -24,6 +24,8 @@ mod elevator;
 mod in_order;
 #[cfg(test)]
 mod proptests;
+#[cfg(test)]
+pub(crate) mod reference;
 mod relevance;
 
 pub use elevator::ElevatorPolicy;

@@ -9,11 +9,12 @@
 //! finishes, every cursor walk must yield what the walk from the first
 //! chunk yields, every `attach` start must be the partner's position, and
 //! every decision of a `normal` and an `attach` instance must be the one
-//! the full walks take ([`InOrderPolicy::next_load_brute`] over each
-//! query's ranges rotated at its start).  `prop_assert` compares them, so
+//! its reference ([`reference::InOrder`], run beside it) takes over each
+//! query's ranges rotated at its start.  `prop_assert` compares them, so
 //! a release build checks the code that decides in production.
 
-use super::{InOrderPolicy, Policy as _, PolicyKind};
+use super::reference;
+use super::{InOrderPolicy, Policy, PolicyKind};
 use crate::abm::AbmState;
 use crate::colset::ColSet;
 use crate::model::TableModel;
@@ -21,7 +22,6 @@ use crate::query::QueryId;
 use cscan_simdisk::SimTime;
 use cscan_storage::{ChunkId, ChunkPayload, ChunkRange, ColumnId, ScanRanges};
 use proptest::prelude::*;
-use std::cmp::Reverse;
 
 /// More than one 64-chunk bitset word, so the overlap popcount crosses a
 /// word boundary.
@@ -99,36 +99,14 @@ fn col_set(model: &TableModel, mask: u8) -> ColSet {
     cols
 }
 
-/// Where `attach` starts the newly registered `q`, from the full walks:
-/// the first of its chunks at or after the consumption point of the open
-/// query with which it shares the most chunk-columns (ties to the lowest
-/// id), wrapping to its first chunk, or its first chunk if none overlaps.
-fn attach_start_brute(attach: &InOrderPolicy, s: &AbmState, q: QueryId) -> Option<ChunkId> {
-    let newcomer = s.query(q);
-    let partner = s
-        .queries()
-        .filter(|p| p.id != q && !p.is_finished())
-        .map(|p| {
-            let shared = p.remaining_chunks_brute().filter(|&c| newcomer.needs(c));
-            let cols = newcomer.columns.intersect(p.columns).len();
-            (shared.count() as u64 * u64::from(cols), Reverse(p.id), p)
-        })
-        .filter(|&(score, _, _)| score > 0)
-        .max_by_key(|&(score, id, _)| (score, id));
-    let Some((_, _, partner)) = partner else {
-        return newcomer.ranges.first();
-    };
-    let pos = attach.walk_brute(partner)[0];
-    let mut chunks = newcomer.ranges.iter();
-    chunks.find(|&c| c >= pos).or(newcomer.ranges.first())
-}
-
 /// Applies `ops` to one state shared by a `normal` and an `attach`
-/// policy, asserting after every step that the cursor walks and the
-/// round-robin rotation decide as the full walks do.
+/// policy and their references, asserting after every step that the
+/// cursor walks and the round-robin rotation decide as the full walks do.
 fn check_ops(model: TableModel, ops: &[Op]) -> Result<(), TestCaseError> {
     let mut s = AbmState::new(model, 1_000_000);
-    let mut policies = [PolicyKind::Normal, PolicyKind::Attach].map(InOrderPolicy::new);
+    let kinds = [PolicyKind::Normal, PolicyKind::Attach];
+    let mut policies = kinds.map(InOrderPolicy::new);
+    let mut refs = kinds.map(reference::InOrder::new);
     let mut next_id = 0u64;
     let mut active: Vec<QueryId> = Vec::new();
     for op in ops {
@@ -151,10 +129,9 @@ fn check_ops(model: TableModel, ops: &[Op]) -> Result<(), TestCaseError> {
                 ]);
                 let cols = col_set(s.model(), cols);
                 s.register_query(id, format!("q{}", id.0), ranges, cols, SimTime::ZERO);
-                let start = attach_start_brute(&policies[1], &s, id);
-                for p in &mut policies {
-                    p.on_register(id, &s);
-                }
+                let start = refs[1].attach_start(&s, id);
+                policies.iter_mut().for_each(|p| p.on_register(id, &s));
+                refs.iter_mut().for_each(|r| r.on_register(id, &s));
                 prop_assert_eq!(
                     policies[1].consumption_point(&s, id),
                     start,
@@ -166,9 +143,8 @@ fn check_ops(model: TableModel, ops: &[Op]) -> Result<(), TestCaseError> {
             Op::Remove { i } => {
                 if !active.is_empty() {
                     let q = active.remove(i as usize % active.len());
-                    for p in &mut policies {
-                        p.on_query_finished(q, &s);
-                    }
+                    policies.iter_mut().for_each(|p| p.on_query_finished(q, &s));
+                    refs.iter_mut().for_each(|r| r.on_query_finished(q, &s));
                     s.remove_query(q);
                 }
             }
@@ -219,9 +195,8 @@ fn check_ops(model: TableModel, ops: &[Op]) -> Result<(), TestCaseError> {
                         s.finish_processing(q, chunk);
                         if s.query(q).is_finished() {
                             active.retain(|&a| a != q);
-                            for p in &mut policies {
-                                p.on_query_finished(q, &s);
-                            }
+                            policies.iter_mut().for_each(|p| p.on_query_finished(q, &s));
+                            refs.iter_mut().for_each(|r| r.on_query_finished(q, &s));
                             s.remove_query(q);
                         }
                     }
@@ -230,10 +205,10 @@ fn check_ops(model: TableModel, ops: &[Op]) -> Result<(), TestCaseError> {
             Op::Poll { i } => {
                 if !active.is_empty() {
                     let q = active[i as usize % active.len()];
-                    for p in &mut policies {
+                    for (p, r) in policies.iter_mut().zip(&refs) {
                         prop_assert_eq!(
                             p.consumption_point(&s, q),
-                            p.walk_brute(s.query(q)).first().copied(),
+                            r.walk(s.query(q)).first().copied(),
                             "{}'s consumption point of {:?} diverged",
                             p.kind(),
                             q
@@ -266,9 +241,9 @@ fn check_ops(model: TableModel, ops: &[Op]) -> Result<(), TestCaseError> {
         // every possible last-serviced query, under both kinds' starts;
         let lasts = std::iter::once(None).chain((0..=next_id).map(|q| Some(QueryId(q))));
         for last in lasts {
-            for p in &mut policies {
-                p.last_serviced = last;
-                let brute = p.next_load_brute(&s);
+            for (p, r) in policies.iter_mut().zip(&mut refs) {
+                (p.last_serviced, r.last_serviced) = (last, last);
+                let brute = r.next_load(&s, SimTime::ZERO, 0);
                 prop_assert_eq!(
                     p.next_load(&s, SimTime::ZERO, 0),
                     brute,

@@ -67,10 +67,10 @@
 //! ¬needed(trigger) ∧ ¬starved_any` (strict pass) or `resident` (relaxed
 //! pass) reading `keepRelevance` from the cached counters.
 //!
-//! All of them choose bit-identically to the original sweep (debug builds
-//! assert this on every decision), which is preserved behind
-//! [`RelevancePolicy::brute_force`] — the reference the property tests
-//! compare against and the baseline the Figure 8 microbenchmark measures.
+//! All of them choose bit-identically to the original sweep, which is
+//! preserved behind [`RelevancePolicy::brute_force`]: the reference the
+//! scheduler core is run against in lockstep (`crate::policy::reference`)
+//! and the baseline the Figure 8 microbenchmark measures.
 //!
 //! Cost model: picking the trigger is O(active queries), each
 //! `queryRelevance` reading the cached starvation index in O(1).  The chunk
@@ -415,8 +415,8 @@ impl RelevancePolicy {
         best.map(|(_, c)| c)
     }
 
-    /// `chooseChunkToLoad` for one trigger: dispatches to the brute-force
-    /// sweep or the bucket walk, cross-checking them in debug builds.
+    /// `chooseChunkToLoad` for one trigger: the brute-force sweep or the
+    /// bucket walk.
     fn choose_chunk_for(&self, state: &AbmState, trigger: QueryId) -> Option<ChunkId> {
         if self.brute {
             return Self::choose_chunk_brute(state, trigger);
@@ -425,17 +425,10 @@ impl RelevancePolicy {
         // Everything the query still needs is in the buffer with every
         // column it reads (a short scan of a hot table, mostly): there is no
         // candidate, and no reason to walk the index to find none.
-        let chunk = if query.available_chunks() == query.chunks_needed() {
-            None
-        } else {
-            Self::choose_chunk_walk(state, query)
-        };
-        debug_assert_eq!(
-            chunk,
-            Self::choose_chunk_brute(state, trigger),
-            "chunk argmax walk diverged from the brute-force sweep for {trigger:?}"
-        );
-        chunk
+        if query.available_chunks() == query.chunks_needed() {
+            return None;
+        }
+        Self::choose_chunk_walk(state, query)
     }
 
     // ------------------------------------------------------------------
@@ -662,13 +655,7 @@ impl Policy for RelevancePolicy {
         if self.brute {
             return Self::choose_use_chunk_brute(state, q);
         }
-        let chunk = Self::choose_use_chunk(state, q);
-        debug_assert_eq!(
-            chunk,
-            Self::choose_use_chunk_brute(state, q),
-            "use-relevance argmax diverged from the brute-force sweep for {q:?}"
-        );
-        chunk
+        Self::choose_use_chunk(state, q)
     }
 
     fn choose_victim(&mut self, state: &AbmState, load: &LoadDecision) -> Option<ChunkId> {
@@ -678,14 +665,7 @@ impl Policy for RelevancePolicy {
         if self.brute {
             return Self::choose_victim_brute(state, load);
         }
-        let victim = Self::choose_victim_walk(state, load);
-        debug_assert_eq!(
-            victim,
-            Self::choose_victim_brute(state, load),
-            "keep-relevance argmin diverged from the brute-force sweep for {:?}",
-            load.trigger
-        );
-        victim
+        Self::choose_victim_walk(state, load)
     }
 }
 
@@ -919,9 +899,7 @@ mod tests {
     fn incremental_matches_brute_through_mutations() {
         // Drive the state through loads, consumption, eviction and query
         // churn; after every step the index walks must pick exactly the chunk
-        // the brute-force sweep picks (the in-policy debug assert checks this
-        // too; here the two are separate instances, and release builds check
-        // it as well).
+        // the brute-force sweep picks.
         let mut s = state(40, 6);
         let mut inc = RelevancePolicy::new();
         let mut brute = RelevancePolicy::brute_force();

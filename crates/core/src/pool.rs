@@ -80,7 +80,7 @@ mod tests {
             let payload = ChunkData::from_parts(parts).into();
             let woken = self
                 .core
-                .commit(chunk(c), plan.ticket, plan.epoch, payload, SimTime::ZERO);
+                .commit(chunk(c), plan.ticket, payload, SimTime::ZERO);
             assert!(woken.is_some(), "the load of chunk {c} was stale");
         }
 

@@ -62,7 +62,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 #[cfg(test)]
-mod proptests;
+pub(crate) mod proptests;
 
 /// One decision of the core, for the driver to apply.
 #[derive(Debug)]
@@ -161,9 +161,21 @@ impl<T: Clone> Scheduler<T> {
         retry: RetryPolicy,
         obs: Arc<Registry>,
     ) -> Self {
+        Self::from_policy(model, capacity_pages, policy.build(), retry, obs)
+    }
+
+    /// [`Self::new`] over a policy already built: the policy's own, or the
+    /// test-only reference of its kind.
+    fn from_policy(
+        model: TableModel,
+        capacity_pages: u64,
+        policy: Box<dyn Policy>,
+        retry: RetryPolicy,
+        obs: Arc<Registry>,
+    ) -> Self {
         Self {
             state: AbmState::with_metrics(model, capacity_pages, Arc::clone(&obs)),
-            policy: policy.build(),
+            policy,
             retry,
             obs,
             quarantined: HashMap::new(),
@@ -372,11 +384,10 @@ impl<T: Clone> Scheduler<T> {
             regions,
             evicted,
             ticket,
-            epoch: self.state.epoch(),
         })
     }
 
-    /// Retires a load under its plan's stamp ([`AbmState::check_commit`]):
+    /// Retires a load under its plan's ticket ([`AbmState::check_commit`]):
     /// a current one installs `payload` into the chunk's buffer record and
     /// matches the blocked queries that need the chunk (`signalQuery`).  A
     /// stale one — aborted or superseded while the read ran, or whose last
@@ -388,11 +399,10 @@ impl<T: Clone> Scheduler<T> {
         &mut self,
         chunk: ChunkId,
         ticket: u64,
-        epoch: u64,
         payload: ChunkPayload,
         now: SimTime,
     ) -> Option<usize> {
-        match self.state.check_commit(chunk, ticket, epoch) {
+        match self.state.check_commit(chunk, ticket) {
             CommitCheck::Valid => {}
             check => {
                 if check == CommitCheck::Uninteresting {
@@ -609,8 +619,8 @@ mod tests {
         let mut plans = Vec::new();
         core.plan(SimTime::ZERO, 1, &mut plans);
         let plan = plans.pop()?;
-        let (chunk, ticket, epoch) = (plan.decision.chunk, plan.ticket, plan.epoch);
-        let woken = core.commit(chunk, ticket, epoch, ChunkPayload::Missing, SimTime::ZERO);
+        let (chunk, ticket) = (plan.decision.chunk, plan.ticket);
+        let woken = core.commit(chunk, ticket, ChunkPayload::Missing, SimTime::ZERO);
         Some((plan, woken.expect("nothing races a K = 1 driver")))
     }
 
@@ -697,8 +707,8 @@ mod tests {
         core.plan(SimTime::ZERO, 1, &mut more);
         assert!(more.is_empty());
         let plan = &plans[0];
-        let (chunk, ticket, epoch) = (plan.decision.chunk, plan.ticket, plan.epoch);
-        core.commit(chunk, ticket, epoch, ChunkPayload::Missing, SimTime::ZERO);
+        let (chunk, ticket) = (plan.decision.chunk, plan.ticket);
+        core.commit(chunk, ticket, ChunkPayload::Missing, SimTime::ZERO);
         // The query consumes its only chunk; nothing further to load.
         let (consumed, closed) = consume(&mut core);
         assert_eq!(consumed, 1);
@@ -820,13 +830,8 @@ mod tests {
             let values = ColumnChunk::Plain(Arc::new(vec![plan.decision.chunk.index() as i64]));
             let payload: ChunkPayload =
                 ChunkData::from_parts(vec![(ColumnId::new(0), values)]).into();
-            core.commit(
-                plan.decision.chunk,
-                plan.ticket,
-                plan.epoch,
-                payload.clone(),
-                SimTime::ZERO,
-            );
+            let chunk = plan.decision.chunk;
+            core.commit(chunk, plan.ticket, payload.clone(), SimTime::ZERO);
             core.swap_effects(&mut effects);
             let grant = effects.drain(..).find_map(|effect| match effect {
                 Effect::Grant { query, chunk, .. } => Some((query, chunk)),

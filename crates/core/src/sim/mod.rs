@@ -50,14 +50,12 @@ enum Event {
     /// Start the next query of stream `stream`.
     StreamAdvance { stream: usize },
     /// The load of `chunk` planned for `trigger` finished (loads may
-    /// complete in any order when several are in flight).  The
-    /// `(ticket, epoch)` stamp lets the commit reject completions of loads
-    /// that were aborted — and possibly re-issued — while the event sat in
-    /// the queue.
+    /// complete in any order when several are in flight).  The ticket
+    /// lets the commit reject completions of loads that were aborted — and
+    /// possibly re-issued — while the event sat in the queue.
     DiskDone {
         chunk: ChunkId,
         ticket: u64,
-        epoch: u64,
         trigger: QueryId,
     },
     /// A CPU job (query × chunk) predicted to finish; stale epochs are ignored.
@@ -199,9 +197,8 @@ impl<'a> Runner<'a> {
                         Event::DiskDone {
                             chunk,
                             ticket,
-                            epoch,
                             trigger,
-                        } => self.on_disk_done(now, chunk, ticket, epoch, trigger),
+                        } => self.on_disk_done(now, chunk, ticket, trigger),
                         Event::CpuDone { job, epoch } => self.on_cpu_done(now, job, epoch),
                     }
                     self.flush_cpu(now);
@@ -289,21 +286,11 @@ impl<'a> Runner<'a> {
         self.kick_disk(now);
     }
 
-    fn on_disk_done(
-        &mut self,
-        now: SimTime,
-        chunk: ChunkId,
-        ticket: u64,
-        epoch: u64,
-        trigger: QueryId,
-    ) {
+    fn on_disk_done(&mut self, now: SimTime, chunk: ChunkId, ticket: u64, trigger: QueryId) {
         // A completion whose load was aborted mid-read (its last interested
-        // query detached) is stale: the stamp check drops it.
+        // query detached) is stale: the ticket check drops it.
         let payload = ChunkPayload::Missing;
-        let committed = self
-            .core
-            .commit(chunk, ticket, epoch, payload, now)
-            .is_some();
+        let committed = self.core.commit(chunk, ticket, payload, now).is_some();
         if committed && self.config.record_trace {
             self.trace.record(now, chunk.index(), trigger.0);
         }
@@ -415,7 +402,6 @@ impl<'a> Runner<'a> {
                 Event::DiskDone {
                     chunk: plan.decision.chunk,
                     ticket: plan.ticket,
-                    epoch: plan.epoch,
                     trigger: plan.decision.trigger,
                 },
             );

@@ -52,9 +52,9 @@
 //!   and the effects it still owes.  An I/O worker holds it to *plan* a
 //!   load, to report a failed read and to *commit* the completed one; the
 //!   read itself — the part that takes milliseconds — runs with the lock
-//!   released.  Every plan carries a `(ticket, epoch)` stamp that the
-//!   commit revalidates: a load whose last interested query detached
-//!   mid-read is aborted, never installed.  Hold times land in the
+//!   released.  Every plan carries a ticket that the commit revalidates:
+//!   a load whose last interested query detached mid-read is aborted,
+//!   never installed.  Hold times land in the
 //!   `lock_hold` span histogram of [`ScanServer::metrics`].
 //!
 //! * **Effects under the lock, wake-ups after it.**  The critical section
@@ -835,9 +835,7 @@ fn io_worker_main(shared: Arc<Shared>) {
         let commit_started = Instant::now();
         // Installed, the load grants to the scans it unblocks (signalQuery);
         // stale — the last interested query detached mid-read — nothing is.
-        let woken = sched
-            .core
-            .commit(chunk, plan.ticket, plan.epoch, payload, shared.now());
+        let woken = sched.core.commit(chunk, plan.ticket, payload, shared.now());
         let (counter, event) = match woken {
             Some(_) => (Counter::LoadsCompleted, EventKind::LoadCommitted),
             None => (Counter::LoadsCancelled, EventKind::LoadCancelled),

@@ -138,9 +138,7 @@ impl Side {
                 let plan = self.pending.remove(i as usize % self.pending.len());
                 let chunk = plan.decision.chunk;
                 let payload = ChunkPayload::Missing;
-                let woken = self
-                    .core
-                    .commit(chunk, plan.ticket, plan.epoch, payload, now);
+                let woken = self.core.commit(chunk, plan.ticket, payload, now);
                 decided.push(Decided::Committed(chunk, woken));
             }
             Op::Consume { i } if !active.is_empty() => {

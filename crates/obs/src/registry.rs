@@ -723,13 +723,9 @@ impl Registry {
 
     /// Dumps the flight recorder (the automatic response to quarantine,
     /// scan errors and worker panics): renders the ring, stores the text as
-    /// [`Registry::last_flight_dump`], optionally echoes it to stderr when
-    /// `CSCAN_OBS_DUMP` is set in the environment, and returns it.
+    /// [`Registry::last_flight_dump`] and returns it.
     pub fn dump_flight(&self, reason: &str) -> String {
         let dump = self.recorder.dump(reason);
-        if std::env::var_os("CSCAN_OBS_DUMP").is_some() {
-            eprintln!("{dump}");
-        }
         *self.last_dump.lock() = Some(dump.clone());
         dump
     }
