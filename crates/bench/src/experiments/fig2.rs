@@ -43,36 +43,9 @@ pub fn run(seed: u64) -> Fig2Result {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
+    /// `fig2_reuse_probability`'s claims hold at quick scale.
     #[test]
     fn curves_match_paper_shape() {
-        let r = run(1);
-        assert_eq!(r.curves.len(), 5);
-        // The paper's headline point: >50% reuse probability for a 10% scan
-        // with a 10% buffer.
-        let ten_pct = r.curves.iter().find(|c| c.buffer_chunks == 10).unwrap();
-        let p_at_10 = ten_pct.points.iter().find(|(cq, _)| *cq == 10).unwrap().1;
-        assert!(p_at_10 > 0.5 && p_at_10 < 0.8, "got {p_at_10}");
-        // The 50% buffer curve saturates very quickly.
-        let fifty = r.curves.iter().find(|c| c.buffer_chunks == 50).unwrap();
-        assert!(
-            fifty.points[9].1 > 0.99,
-            "10-chunk demand against a 50% buffer is near certain"
-        );
-        // The 1% buffer curve grows roughly linearly with demand.
-        let one = r.curves.iter().find(|c| c.buffer_chunks == 1).unwrap();
-        assert!((one.points[49].1 - 0.5).abs() < 0.02);
-    }
-
-    #[test]
-    fn monte_carlo_validates_the_formula() {
-        let r = run(7);
-        for (cb, cq, exact, mc) in r.cross_checks {
-            assert!(
-                (exact - mc).abs() < 0.02,
-                "cb={cb} cq={cq}: exact={exact} mc={mc}"
-            );
-        }
+        crate::figures::assert_claims_hold("fig2_reuse_probability");
     }
 }

@@ -67,35 +67,9 @@ pub fn sequentiality(trace: &IoTrace) -> f64 {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
+    /// `fig4_traces`'s claims hold at quick scale.
     #[test]
     fn traces_have_paper_like_shapes() {
-        let traces = run(Scale::Quick, 9);
-        assert_eq!(traces.len(), 4);
-        let get = |p: PolicyKind| traces.iter().find(|t| t.policy == p).unwrap();
-        let normal = get(PolicyKind::Normal);
-        let elevator = get(PolicyKind::Elevator);
-        let relevance = get(PolicyKind::Relevance);
-        // Every policy recorded one event per I/O.
-        for t in &traces {
-            assert!(!t.trace.is_empty(), "{:?}", t.policy);
-            assert!(t.total_time > 0.0);
-        }
-        // Normal needs the most loads, elevator's pattern is the most
-        // sequential, relevance is dynamic but still cheaper than normal.
-        assert!(normal.trace.len() >= relevance.trace.len());
-        assert!(
-            sequentiality(&elevator.trace) > sequentiality(&normal.trace),
-            "elevator {} vs normal {}",
-            sequentiality(&elevator.trace),
-            sequentiality(&normal.trace)
-        );
-        // The ASCII rendering works on real traces.
-        let plot = relevance.trace.to_ascii(60, 16);
-        assert_eq!(plot.lines().count(), 16);
-        assert!(plot.contains('*'));
-        let gnuplot = normal.trace.to_gnuplot();
-        assert_eq!(gnuplot.lines().count(), normal.trace.len() + 1);
+        crate::figures::assert_claims_hold("fig4_traces");
     }
 }

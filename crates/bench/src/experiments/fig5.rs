@@ -61,45 +61,9 @@ pub fn run(scale: Scale, seed: u64, limit: Option<usize>) -> Vec<ScatterPoint> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
+    /// `fig5_query_mixes`'s claims hold at quick scale.
     #[test]
     fn relevance_is_the_reference_point_and_rarely_beaten() {
-        // A subset of mixes keeps the test fast while covering all speeds.
-        let points = run(Scale::Quick, 21, Some(6));
-        assert_eq!(points.len(), 6 * 4);
-        let relevance: Vec<&ScatterPoint> = points
-            .iter()
-            .filter(|p| p.policy == PolicyKind::Relevance)
-            .collect();
-        for p in &relevance {
-            assert!((p.stream_time_ratio - 1.0).abs() < 1e-9);
-            assert!((p.latency_ratio - 1.0).abs() < 1e-9);
-        }
-        // Figure 5's conclusion: the other policies land at >= (1,1) on at
-        // least one axis for the vast majority of mixes; normal is worse on
-        // both axes for every mix.
-        for p in points.iter().filter(|p| p.policy == PolicyKind::Normal) {
-            assert!(
-                p.stream_time_ratio > 0.95 && p.latency_ratio > 0.95,
-                "normal should not beat relevance on {}: ({}, {})",
-                p.mix,
-                p.stream_time_ratio,
-                p.latency_ratio
-            );
-        }
-        let worse_count = points
-            .iter()
-            .filter(|p| p.policy != PolicyKind::Relevance)
-            .filter(|p| p.stream_time_ratio >= 0.95 || p.latency_ratio >= 0.95)
-            .count();
-        let total = points
-            .iter()
-            .filter(|p| p.policy != PolicyKind::Relevance)
-            .count();
-        assert!(
-            worse_count as f64 >= total as f64 * 0.9,
-            "{worse_count}/{total} competitor points should not dominate relevance"
-        );
+        crate::figures::assert_claims_hold("fig5_query_mixes");
     }
 }

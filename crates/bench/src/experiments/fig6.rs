@@ -116,54 +116,9 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Fig6Point> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    fn find(points: &[Fig6Point], set: QuerySet, fraction: f64, policy: PolicyKind) -> &Fig6Point {
-        points
-            .iter()
-            .find(|p| {
-                p.set == set && (p.buffer_fraction - fraction).abs() < 1e-9 && p.policy == policy
-            })
-            .expect("point missing")
-    }
-
-    #[test]
-    fn io_drops_as_the_buffer_grows() {
-        let points = run(Scale::Quick, 17);
-        assert_eq!(points.len(), 2 * BUFFER_FRACTIONS.len() * 4);
-        for set in [QuerySet::CpuIntensive, QuerySet::IoIntensive] {
-            for policy in PolicyKind::ALL {
-                let small = find(&points, set, 0.125, policy);
-                let large = find(&points, set, 1.0, policy);
-                assert!(
-                    large.io_requests <= small.io_requests,
-                    "{policy} {}: {} -> {}",
-                    set.name(),
-                    small.io_requests,
-                    large.io_requests
-                );
-            }
-        }
-    }
-
+    /// `fig6_buffer_scaling`'s claims hold at quick scale.
     #[test]
     fn relevance_advantage_is_largest_with_small_buffers() {
-        let points = run(Scale::Quick, 17);
-        // At the smallest buffer, relevance needs fewer I/Os than normal for
-        // the I/O-intensive set (the regime the paper highlights).
-        let rel = find(&points, QuerySet::IoIntensive, 0.125, PolicyKind::Relevance);
-        let norm = find(&points, QuerySet::IoIntensive, 0.125, PolicyKind::Normal);
-        assert!(rel.io_requests < norm.io_requests);
-        assert!(rel.system_time <= norm.system_time * 1.02);
-        // With the whole table buffered every policy converges: I/O counts
-        // are close to the table size and times are similar.
-        let rel_full = find(&points, QuerySet::IoIntensive, 1.0, PolicyKind::Relevance);
-        let norm_full = find(&points, QuerySet::IoIntensive, 1.0, PolicyKind::Normal);
-        assert!(
-            (norm_full.io_requests as f64) <= rel_full.io_requests as f64 * 2.0,
-            "with a table-sized buffer the gap closes: {} vs {}",
-            norm_full.io_requests,
-            rel_full.io_requests
-        );
+        crate::figures::assert_claims_hold("fig6_buffer_scaling");
     }
 }

@@ -318,44 +318,16 @@ pub fn run_threaded_once(
 mod tests {
     use super::*;
 
-    fn find(points: &[Fig7Point], percent: u32, n: usize, policy: PolicyKind) -> f64 {
-        points
-            .iter()
-            .find(|p| p.percent == percent && p.queries == n && p.policy == policy)
-            .expect("missing point")
-            .avg_latency
-    }
-
+    /// `fig7_concurrency`'s claims hold at quick scale.
     #[test]
     fn relevance_gains_grow_with_concurrency() {
-        let points = run(Scale::Quick, 23, Some(8));
-        // With a single query all policies are (nearly) identical.
-        for percent in PERCENTS {
-            let rel = find(&points, percent, 1, PolicyKind::Relevance);
-            let norm = find(&points, percent, 1, PolicyKind::Normal);
-            assert!(
-                (rel - norm).abs() / norm.max(1e-9) < 0.15,
-                "single-query latencies should roughly agree: {rel} vs {norm}"
-            );
-        }
-        // At 8 concurrent 50% scans, relevance is clearly better than normal,
-        // and the advantage at 8 queries exceeds the advantage at 2.
-        let rel8 = find(&points, 50, 8, PolicyKind::Relevance);
-        let norm8 = find(&points, 50, 8, PolicyKind::Normal);
-        assert!(rel8 < norm8, "relevance {rel8} vs normal {norm8}");
-        let ratio2 = find(&points, 50, 2, PolicyKind::Normal)
-            / find(&points, 50, 2, PolicyKind::Relevance).max(1e-9);
-        let ratio8 = norm8 / rel8.max(1e-9);
-        assert!(
-            ratio8 >= ratio2 * 0.9,
-            "the advantage should grow (or at least not collapse): {ratio2} -> {ratio8}"
-        );
-        // Without sharing, latency can only grow with concurrency; the
-        // cooperative policies are allowed to beat their standalone time
-        // because later queries reuse buffered chunks.
-        let one = find(&points, 50, 1, PolicyKind::Normal);
-        let eight = find(&points, 50, 8, PolicyKind::Normal);
-        assert!(eight >= one * 0.9, "normal: {one} -> {eight}");
+        crate::figures::assert_claims_hold("fig7_concurrency");
+    }
+
+    /// `fig7_io_sweep`'s claims hold (on the sweep `BENCH_io.json` records).
+    #[test]
+    fn outstanding_loads_raise_throughput() {
+        crate::figures::assert_claims_hold("fig7_io_sweep");
     }
 
     #[test]
@@ -378,7 +350,7 @@ mod tests {
     /// byte for byte: the sweep is virtual time, and this fails when either
     /// the file or anything under `run_io_sweep` (policy, scheduler, disk
     /// model, workload generator) drifts.  Regenerate with
-    /// `cargo run --release -p cscan_bench --bin fig7_io_sweep`.
+    /// `cargo run --release -p cscan_bench --bin figures fig7_io_sweep`.
     #[test]
     fn committed_bench_io_json_is_what_the_sweep_renders() {
         let points = run_io_sweep(Scale::Quick, TRACKED_IO_QUERIES, TRACKED_IO_SEED);

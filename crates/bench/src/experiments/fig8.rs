@@ -319,7 +319,7 @@ mod tests {
     #[test]
     fn scheduling_cost_grows_with_chunk_count() {
         // Only two chunk counts and few iterations to keep the test quick
-        // (and debug builds are slow); the full sweep runs in the binary.
+        // (and debug builds are slow); the full sweep is `figures`' entry.
         let small = measure_scheduling_step(128, 10, QUERIES, 30);
         let large = measure_scheduling_step(1024, 10, QUERIES, 30);
         assert!(small >= 0.0 && large >= 0.0);

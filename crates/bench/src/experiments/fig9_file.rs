@@ -19,7 +19,7 @@
 //! answered by [`crossover`]: compressed wins when the ~4x smaller file
 //! (see [`run_file_mix_volume`]) buys more than the decode costs.  On a
 //! page-cache-warm tmpfs the disk is effectively RAM and plain may keep
-//! winning; the bin prints whichever way it lands.
+//! winning; `figures fig9_file` prints whichever way it lands.
 //!
 //! The sim front-end is wired metadata-faithfully: [`model_from_segment`]
 //! derives a DSM `TableModel` from the segment *directory* (real on-disk
@@ -250,8 +250,6 @@ pub struct FileCrossover {
     pub compressed_best_mib_s: f64,
     /// compressed / plain best-point ratio (> 1 means compression pays).
     pub speedup: f64,
-    /// Whether the compressed file out-delivered the plain one anywhere.
-    pub crossover_observed: bool,
 }
 
 /// Computes the plain-vs-compressed crossover from a sweep's points.
@@ -269,7 +267,6 @@ pub fn crossover(points: &[FilePoint]) -> FileCrossover {
         plain_best_mib_s: plain,
         compressed_best_mib_s: compressed,
         speedup: compressed / plain.max(1e-9),
-        crossover_observed: compressed > plain,
     }
 }
 

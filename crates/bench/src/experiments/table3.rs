@@ -22,8 +22,6 @@ pub struct Table3Result {
     pub comparison: PolicyComparison,
     /// Standalone cold times per query class label.
     pub base_times: HashMap<String, f64>,
-    /// The DSM model the experiment ran against.
-    pub model: TableModel,
 }
 
 /// The columns TPC-H Q6 touches (the FAST query).
@@ -113,14 +111,12 @@ pub fn run(scale: Scale, seed: u64) -> Table3Result {
     Table3Result {
         comparison,
         base_times: base,
-        model,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cscan_core::policy::PolicyKind;
 
     #[test]
     fn column_sets_match_the_queries() {
@@ -134,23 +130,9 @@ mod tests {
         assert_eq!(class_columns(&QueryClass::fast(10)), fast);
     }
 
+    /// `table3_dsm`'s claims hold at quick scale.
     #[test]
     fn quick_scale_dsm_ordering() {
-        let r = run(Scale::Quick, 11);
-        let cmp = &r.comparison;
-        let normal = cmp.row(PolicyKind::Normal);
-        let relevance = cmp.row(PolicyKind::Relevance);
-        let elevator = cmp.row(PolicyKind::Elevator);
-        assert_eq!(r.model.groups().len(), usize::from(r.model.num_columns()));
-        // The DSM headline: relevance clearly beats normal on both axes.
-        assert!(relevance.avg_stream_time < normal.avg_stream_time);
-        assert!(relevance.avg_normalized_latency < normal.avg_normalized_latency);
-        assert!(relevance.io_requests < normal.io_requests);
-        // Elevator still suffers on latency relative to relevance.
-        assert!(relevance.avg_normalized_latency <= elevator.avg_normalized_latency * 1.05);
-        for row in &cmp.rows {
-            assert_eq!(row.result.queries.len(), cmp.rows[0].result.queries.len());
-            assert!(row.result.pages_read > 0);
-        }
+        crate::figures::assert_claims_hold("table3_dsm");
     }
 }

@@ -9,7 +9,6 @@
 //! the `normal` and `relevance` policies.
 
 use crate::harness::Scale;
-use cscan_core::model::TableModel;
 use cscan_core::policy::PolicyKind;
 use cscan_core::sim::{SimConfig, Simulation};
 use cscan_engine::Summary;
@@ -33,8 +32,6 @@ pub struct Table4Cell {
 pub struct Table4Result {
     /// One cell per (query set, policy) combination, normal first.
     pub cells: Vec<Table4Cell>,
-    /// The synthetic model used.
-    pub model: TableModel,
 }
 
 /// Number of tuples in the synthetic table at the given scale.
@@ -90,7 +87,7 @@ pub fn run(scale: Scale, seed: u64) -> Table4Result {
             });
         }
     }
-    Table4Result { cells, model }
+    Table4Result { cells }
 }
 
 impl Table4Result {
@@ -108,42 +105,9 @@ impl Table4Result {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
+    /// `table4_overlap`'s claims hold at quick scale.
     #[test]
     fn overlap_drives_sharing() {
-        let r = run(Scale::Quick, 5);
-        assert_eq!(r.cells.len(), 10, "5 query sets × 2 policies");
-
-        // Relevance always beats normal on I/O and latency for the
-        // single-window workload (maximum overlap).
-        let rel_abc = r.cell("ABC", PolicyKind::Relevance);
-        let norm_abc = r.cell("ABC", PolicyKind::Normal);
-        assert!(rel_abc.io_requests < norm_abc.io_requests);
-        assert!(rel_abc.latency.mean() < norm_abc.latency.mean());
-
-        // Adding a disjoint window reduces sharing: relevance needs more I/O
-        // for ABC,DEF than for ABC alone (the paper's ~2x effect).
-        let rel_abc_def = r.cell("ABC,DEF", PolicyKind::Relevance);
-        assert!(
-            rel_abc_def.io_requests > rel_abc.io_requests,
-            "{} vs {}",
-            rel_abc_def.io_requests,
-            rel_abc.io_requests
-        );
-
-        // Even with fully disjoint column sets relevance still beats normal.
-        let norm_abc_def = r.cell("ABC,DEF", PolicyKind::Normal);
-        assert!(rel_abc_def.io_requests < norm_abc_def.io_requests);
-
-        // Partial overlap sits in between: ABC,BCD needs no more I/O than
-        // ABC,DEF under relevance (more shared columns, more reuse).
-        let rel_abc_bcd = r.cell("ABC,BCD", PolicyKind::Relevance);
-        assert!(
-            rel_abc_bcd.io_requests <= rel_abc_def.io_requests,
-            "{} vs {}",
-            rel_abc_bcd.io_requests,
-            rel_abc_def.io_requests
-        );
+        crate::figures::assert_claims_hold("table4_overlap");
     }
 }

@@ -11,45 +11,21 @@ use std::collections::HashMap;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Small data (TPC-H SF-1-like), few streams; finishes in well under a
-    /// second per policy.  Used by the integration tests and `--quick`.
+    /// second per policy.  The default scale of the `figures` binary and
+    /// the one its claims are tested at.
     Quick,
     /// The paper's setup (SF-10 NSM / SF-40 DSM, 16 streams of 4 queries).
     Paper,
 }
 
 impl Scale {
-    /// Parses `"quick"` / `"paper"` (also accepts `"full"`).
+    /// Parses `"quick"` / `"paper"`.
     pub fn parse(s: &str) -> Option<Scale> {
-        match s.to_ascii_lowercase().as_str() {
-            "quick" | "small" | "test" => Some(Scale::Quick),
-            "paper" | "full" => Some(Scale::Paper),
+        match s {
+            "quick" => Some(Scale::Quick),
+            "paper" => Some(Scale::Paper),
             _ => None,
         }
-    }
-
-    /// Reads the scale from the command line (`--quick` / `--paper` or a bare
-    /// word), defaulting to `Quick` when no argument is given.  An argument
-    /// that is not a scale prints a usage line and exits with status 2, so a
-    /// mistyped or removed option cannot quietly run the quick figure.
-    pub fn from_args() -> Scale {
-        Scale::parse_args(std::env::args().skip(1)).unwrap_or_else(|bad| {
-            let bin = std::env::args().next().unwrap_or_default();
-            eprintln!("unknown argument `{bad}`; usage: {bin} [quick|paper]");
-            std::process::exit(2)
-        })
-    }
-
-    /// The first argument's scale (`Quick` for no arguments), or the first
-    /// argument that is not a scale.
-    fn parse_args(args: impl Iterator<Item = String>) -> Result<Scale, String> {
-        let mut scale = None;
-        for arg in args {
-            match Scale::parse(arg.trim_start_matches('-')) {
-                Some(s) => scale = scale.or(Some(s)),
-                None => return Err(arg),
-            }
-        }
-        Ok(scale.unwrap_or(Scale::Quick))
     }
 
     /// TPC-H scale factor for the NSM experiments.
@@ -148,11 +124,6 @@ impl PolicyComparison {
             .find(|r| r.policy == policy)
             .expect("policy missing from comparison")
     }
-
-    /// Ratio of a metric between two policies (`a / b`).
-    pub fn ratio(&self, a: PolicyKind, b: PolicyKind, metric: impl Fn(&PolicyRow) -> f64) -> f64 {
-        metric(self.row(a)) / metric(self.row(b)).max(1e-9)
-    }
 }
 
 /// Computes the standalone cold run time of each query class, used as the
@@ -223,14 +194,10 @@ mod tests {
     #[test]
     fn scale_parsing() {
         assert_eq!(Scale::parse("quick"), Some(Scale::Quick));
-        assert_eq!(Scale::parse("PAPER"), Some(Scale::Paper));
-        assert_eq!(Scale::parse("full"), Some(Scale::Paper));
-        assert_eq!(Scale::parse("bogus"), None);
-        let args = |a: &[&str]| Scale::parse_args(a.iter().map(|s| s.to_string()));
-        assert_eq!(args(&[]), Ok(Scale::Quick));
-        assert_eq!(args(&["--paper"]), Ok(Scale::Paper));
-        assert_eq!(args(&["--live"]), Err("--live".to_string()));
-        assert_eq!(args(&["paper", "fast"]), Err("fast".to_string()));
+        assert_eq!(Scale::parse("paper"), Some(Scale::Paper));
+        for alias in ["PAPER", "full", "small", "test", "--paper", "bogus"] {
+            assert_eq!(Scale::parse(alias), None, "{alias}");
+        }
         assert!(Scale::Quick.streams() < Scale::Paper.streams());
         assert!(Scale::Quick.nsm_scale_factor() < Scale::Paper.nsm_scale_factor());
     }
@@ -275,13 +242,10 @@ mod tests {
             assert!(row.io_requests > 0);
             assert!(row.cpu_use > 0.0 && row.cpu_use <= 1.0);
         }
-        // The relevance row is accessible and the ratio helper works.
-        let ratio = cmp.ratio(PolicyKind::Normal, PolicyKind::Relevance, |r| {
-            r.io_requests as f64
-        });
+        let (normal, relevance) = (cmp.row(PolicyKind::Normal), cmp.row(PolicyKind::Relevance));
         assert!(
-            ratio >= 1.0,
-            "normal should never need fewer I/Os, got {ratio}"
+            normal.io_requests >= relevance.io_requests,
+            "normal should never need fewer I/Os"
         );
     }
 }

@@ -30,11 +30,6 @@ impl TextTable {
         self
     }
 
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders the table.
     pub fn render(&self) -> String {
         let ncols = self.header.len();
@@ -94,7 +89,6 @@ mod tests {
         assert!(lines[3].contains("relevance"));
         // Numeric columns are right aligned: the shorter number is padded.
         assert!(lines[3].contains(" 99.55"));
-        assert_eq!(t.num_rows(), 2);
     }
 
     #[test]

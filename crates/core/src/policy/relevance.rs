@@ -83,7 +83,7 @@
 //! still needs).  On the Figure 8 2 GB/2048-chunk mix a `plan_load`
 //! decision is 10–70× cheaper than the brute-force sweep at 16–128
 //! concurrent queries (wall-clock, printed by `cargo run --release -p
-//! cscan_bench --bin fig8_scheduling_cost`; the release-only
+//! cscan_bench --bin figures fig8_scheduling_cost`; the release-only
 //! `incremental_speedup_at_64_queries` gate in `cscan_bench` holds it to
 //! ≥ 5× at 64 on a row store, on a six-column column store and on a row
 //! store whose last chunk is short).

@@ -149,7 +149,7 @@ use crate::sched::{Effect, Scheduler};
 use crate::session::{PinnedChunk, ScanError, ScanSession};
 use cscan_bufman::PoolStats;
 use cscan_obs::{
-    Counter, EventKind, Gauge, QueryCounter, QueryScope, Registry, SpanKind, NO_QUERY,
+    Counter, EventKind, Gauge, QueryCounter, QueryScope, Registry, SpanKind, NO_CHUNK, NO_QUERY,
 };
 use cscan_simdisk::SimTime;
 use cscan_storage::codec::{self, DecodeForbidden};
@@ -405,12 +405,12 @@ impl Shared {
         SchedGuard::adopt(self.sched.lock(), self)
     }
 
-    /// Records a contained panic of the data plane on `chunk`: the counter,
+    /// Records a contained panic of the data plane on chunk index `chunk`
+    /// (`NO_CHUNK` for a payload offered back to the store): the counter,
     /// the flight event and an automatic dump of the run-up.
-    fn worker_panicked(&self, chunk: ChunkId, query: u64) {
+    fn worker_panicked(&self, chunk: u32, query: u64) {
         self.obs.inc(Counter::WorkerPanics);
-        self.obs
-            .event(EventKind::WorkerPanic, chunk.index(), query, 0);
+        self.obs.event(EventKind::WorkerPanic, chunk, query, 0);
         self.obs.dump_flight("worker panic");
     }
 
@@ -451,7 +451,7 @@ impl Shared {
                 Ok(())
             }
             Err(_panic) => {
-                self.worker_panicked(chunk, query.0);
+                self.worker_panicked(chunk.index(), query.0);
                 let error = ScanError {
                     chunk,
                     cause: StoreError::Corrupted,
@@ -863,10 +863,17 @@ fn io_worker_main(shared: Arc<Shared>) {
 /// ([`ChunkStore::recycle`]), or just drops them.  Called with no lock
 /// held: the store may keep the memory for its next load, and whatever it
 /// does not keep is freed here rather than inside a critical section.
+/// Each offer runs under `catch_unwind`: a panicking store loses that
+/// payload (it is dropped) and counts a worker panic, and the I/O worker
+/// or consumer that made the offer carries on.
 fn recycle(shared: &Shared, unused: &mut Vec<ChunkPayload>) {
     for payload in unused.drain(..) {
         if let Some(store) = &shared.store {
-            store.recycle(payload);
+            let offer =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| store.recycle(payload)));
+            if offer.is_err() {
+                shared.worker_panicked(NO_CHUNK, NO_QUERY);
+            }
         }
     }
 }
@@ -901,7 +908,7 @@ fn read_payload(
             result
         }
         Err(_panic) => {
-            shared.worker_panicked(chunk, NO_QUERY);
+            shared.worker_panicked(chunk.index(), NO_QUERY);
             // Without knowing what broke, retrying a panicking data plane
             // is gambling; fail permanently so the chunk quarantines and
             // its queries get a clean error instead of repeated panics.
@@ -1186,7 +1193,7 @@ impl CScanHandle {
                 payload.verify_checksums()
             }))
             .unwrap_or_else(|_panic| {
-                self.shared.worker_panicked(chunk, self.query.0);
+                self.shared.worker_panicked(chunk.index(), self.query.0);
                 Err(StoreError::Corrupted)
             });
             self.scope
@@ -2035,6 +2042,62 @@ mod tests {
         // reuse.
         let vectors = offers.vectors.load(Ordering::Relaxed);
         assert!(vectors > 0 && vectors <= 3 * evictions, "{vectors}");
+    }
+
+    /// A store whose `recycle` panics loses the payload it was offered and
+    /// counts a worker panic; the one I/O worker lives on, so a scan that
+    /// churns 16 chunks through 2 frames still ends.
+    #[test]
+    fn a_panicking_recycle_costs_the_payload_not_the_worker() {
+        struct PanickingRecycle(SeededStore);
+        impl ChunkStore for PanickingRecycle {
+            fn materialize(
+                &self,
+                chunk: ChunkId,
+                cols: Option<&[ColumnId]>,
+            ) -> Result<ChunkPayload, StoreError> {
+                self.0.materialize(chunk, cols)
+            }
+            fn recycle(&self, _payload: ChunkPayload) {
+                panic!("recycle fails as arranged");
+            }
+        }
+        let model = TableModel::nsm_uniform(16, 100, 16);
+        let server = ScanServer::builder(model.clone())
+            .policy(PolicyKind::Relevance)
+            .buffer_chunks(2)
+            .io_cost_per_page(Duration::ZERO)
+            .io_threads(1)
+            .store(Arc::new(PanickingRecycle(SeededStore::new(100, 3, 7))))
+            .build();
+        let scan = server.cscan(CScanPlan::new(
+            "churn",
+            ScanRanges::full(16),
+            model.all_columns(),
+        ));
+        let (done, delivered) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut seen = 0;
+            while let Some(pin) = scan.next_chunk().unwrap() {
+                pin.complete();
+                seen += 1;
+            }
+            let _ = done.send(seen);
+        });
+        // 16 loads take milliseconds; a dead worker leaves the scan waiting
+        // for ever, so the bound only has to be far above that.
+        let seen = delivered
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the scan ends within 10 s");
+        assert_eq!(seen, 16);
+        assert!(server.frame_pool_stats().evictions >= 14);
+        assert!(counter(&server, Counter::WorkerPanics) >= 1);
+        let dump = server
+            .metrics()
+            .last_flight_dump()
+            .expect("a contained panic dumps the flight recorder");
+        assert!(dump.contains("worker_panic"), "dump: {dump}");
+        assert_eq!(server.pinned_frames(), 0);
     }
 
     /// Satellite regression: a `CScanPlan::from_zonemap` + `with_chunk_limit`

@@ -3,7 +3,7 @@
 //! like the paper's Table 2 benchmark, compared across all four scheduling
 //! policies.
 //!
-//! Run with: `cargo run --example data_warehouse_mix [--paper]`
+//! Run with: `cargo run --example data_warehouse_mix [paper]`
 
 use cscan_bench::{base_times, compare_policies, Scale};
 use cscan_core::sim::SimConfig;
@@ -12,7 +12,12 @@ use cscan_workload::queries::table2_classes;
 use cscan_workload::streams::{build_streams, StreamSetup};
 
 fn main() {
-    let scale = Scale::from_args();
+    let arg = std::env::args().nth(1);
+    let scale = arg.as_deref().map_or(Some(Scale::Quick), Scale::parse);
+    let Some(scale) = scale else {
+        eprintln!("usage: data_warehouse_mix [quick|paper]");
+        std::process::exit(2)
+    };
     let model = lineitem_nsm_model(scale.nsm_scale_factor());
     let config = SimConfig::default().with_buffer_chunks(scale.nsm_buffer_chunks());
 
