@@ -67,9 +67,25 @@ pub fn sequentiality(trace: &IoTrace) -> f64 {
 
 #[cfg(test)]
 mod tests {
-    /// `fig4_traces`'s claims hold at quick scale.
+    use crate::figures::{FIG4, RELEVANCE_SCATTERS, SEED};
+
+    /// `fig4_traces`'s claims hold at the manifest's seed, with one trace
+    /// per policy that renders.  At this test's old seed relevance's walk
+    /// is the more sequential (0.43 against elevator's 0.39), so that claim
+    /// is pinned as failing there and every other one must hold.
     #[test]
     fn traces_have_paper_like_shapes() {
-        crate::figures::assert_claims_hold("fig4_traces");
+        let traces = FIG4.assert_claims_hold(SEED);
+        assert_eq!(traces.len(), 4);
+        for t in &traces {
+            assert!(!t.trace.is_empty(), "{:?}", t.policy);
+            assert!(t.total_time > 0.0);
+        }
+        let plot = traces[0].trace.to_ascii(60, 16);
+        assert_eq!(plot.lines().count(), 16);
+        assert!(plot.contains('*'));
+        let gnuplot = traces[0].trace.to_gnuplot();
+        assert_eq!(gnuplot.lines().count(), traces[0].trace.len() + 1);
+        assert_eq!(FIG4.run_quick(9).1, [RELEVANCE_SCATTERS]);
     }
 }

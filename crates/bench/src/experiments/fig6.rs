@@ -116,9 +116,16 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Fig6Point> {
 
 #[cfg(test)]
 mod tests {
-    /// `fig6_buffer_scaling`'s claims hold at quick scale.
+    use super::*;
+    use crate::figures::{FIG6, SEED};
+
+    /// `fig6_buffer_scaling`'s claims hold at the manifest's seed and at
+    /// this test's, on every point of the sweep.
     #[test]
     fn relevance_advantage_is_largest_with_small_buffers() {
-        crate::figures::assert_claims_hold("fig6_buffer_scaling");
+        for seed in [SEED, 17] {
+            let points = FIG6.assert_claims_hold(seed);
+            assert_eq!(points.len(), 2 * BUFFER_FRACTIONS.len() * 4);
+        }
     }
 }

@@ -317,17 +317,18 @@ pub fn run_threaded_once(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::{FIG7, FIG7_IO_SWEEP, SEED};
 
-    /// `fig7_concurrency`'s claims hold at quick scale.
+    /// `fig7_concurrency`'s claims hold at the manifest's seed, and at this
+    /// test's on the sweep up to the 8 queries they read.
     #[test]
     fn relevance_gains_grow_with_concurrency() {
-        crate::figures::assert_claims_hold("fig7_concurrency");
-    }
-
-    /// `fig7_io_sweep`'s claims hold (on the sweep `BENCH_io.json` records).
-    #[test]
-    fn outstanding_loads_raise_throughput() {
-        crate::figures::assert_claims_hold("fig7_io_sweep");
+        FIG7.assert_claims_hold(SEED);
+        let failed = FIG7.failed_claims(&run(Scale::Quick, 23, Some(8)));
+        assert!(
+            failed.is_empty(),
+            "`fig7_concurrency` at seed 23: FAIL {failed:?}"
+        );
     }
 
     #[test]
@@ -351,6 +352,7 @@ mod tests {
     /// the file or anything under `run_io_sweep` (policy, scheduler, disk
     /// model, workload generator) drifts.  Regenerate with
     /// `cargo run --release -p cscan_bench --bin figures fig7_io_sweep`.
+    /// The same points bear out `fig7_io_sweep`'s claims.
     #[test]
     fn committed_bench_io_json_is_what_the_sweep_renders() {
         let points = run_io_sweep(Scale::Quick, TRACKED_IO_QUERIES, TRACKED_IO_SEED);
@@ -359,6 +361,9 @@ mod tests {
             include_str!("../../../../BENCH_io.json"),
             "BENCH_io.json is stale, or the simulated sweep changed"
         );
+        assert_eq!(points.len(), OUTSTANDING.len());
+        let failed = FIG7_IO_SWEEP.failed_claims(&points);
+        assert!(failed.is_empty(), "`fig7_io_sweep`: FAIL {failed:?}");
     }
 
     #[test]

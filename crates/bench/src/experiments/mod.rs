@@ -9,7 +9,7 @@
 //! |----------|------------|--------------------------|
 //! | [`fig2`]   | Figure 2 — buffer-reuse probability (Eq. 1) | `fig2_reuse_probability` (4) |
 //! | [`table2`] | Table 2 — NSM/PAX policy comparison, 16×4 query streams | `table2_nsm` (6) |
-//! | [`fig4`]   | Figure 4 — chunk-access-over-time traces per policy | `fig4_traces` (3) |
+//! | [`fig4`]   | Figure 4 — chunk-access-over-time traces per policy | `fig4_traces` (4) |
 //! | [`fig5`]   | Figure 5 — throughput/latency scatter over 15 query mixes | `fig5_query_mixes` (3) |
 //! | [`fig6`]   | Figure 6 — sweep over buffer-pool capacity | `fig6_buffer_scaling` (3) |
 //! | [`fig7`]   | Figure 7 — sweep over the number of concurrent queries; outstanding-I/O sweep (`BENCH_io.json`); thread-scaling gate | `fig7_concurrency` (4), `fig7_io_sweep` (2) |

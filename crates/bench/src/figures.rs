@@ -4,7 +4,8 @@
 //! run's output.  `cargo run --release -p cscan_bench --bin figures --
 //! [name ...] [quick|paper]` prints the entries named (every entry by
 //! default) with a PASS or FAIL line per claim; each virtual-time entry's
-//! claims are checked at quick scale by its experiment module's test.
+//! claims are checked at quick scale by its experiment module's test, at
+//! seed 42 and at the test's own seed, beside the output's shape.
 //!
 //! An entry keeps the name of the binary it replaced (`fig7_io_sweep` is
 //! the `"experiment"` of `BENCH_io.json`).  Claims are made on
@@ -32,8 +33,8 @@ pub type Verdict = (&'static str, bool);
 pub struct Entry<T: 'static> {
     /// The name it is run by (the name of the binary it replaced).
     pub name: &'static str,
-    /// Runs the experiment at a scale.
-    pub run: fn(Scale) -> io::Result<T>,
+    /// Runs the experiment at a scale and seed.
+    pub run: fn(Scale, u64) -> io::Result<T>,
     /// Prints the output as the paper lays it out, and writes the files
     /// the figure keeps.
     pub print: fn(&T, Scale),
@@ -55,7 +56,7 @@ impl<T: 'static> Figure for Entry<T> {
     }
 
     fn run(&self, scale: Scale, print: bool) -> io::Result<Vec<Verdict>> {
-        let out = (self.run)(scale)?;
+        let out = (self.run)(scale, SEED)?;
         if print {
             (self.print)(&out, scale);
         }
@@ -111,19 +112,39 @@ pub fn parse_args(args: &[String]) -> Result<(Vec<&'static dyn Figure>, Scale), 
     Ok((entries, scale.unwrap_or(Scale::Quick)))
 }
 
-/// Runs entry `name` at quick scale without printing it, and panics naming
-/// the claims that fail (or if it makes none).
 #[cfg(test)]
-pub(crate) fn assert_claims_hold(name: &str) {
-    let figure = entry(name).unwrap_or_else(|| panic!("no manifest entry `{name}`"));
-    let verdicts = figure.run(Scale::Quick, false).expect("entry runs");
-    assert!(!verdicts.is_empty(), "`{name}` checks no claim");
-    let failed: Vec<&str> = verdicts
-        .iter()
-        .filter(|(_, holds)| !holds)
-        .map(|(text, _)| *text)
-        .collect();
-    assert!(failed.is_empty(), "`{name}`: FAIL {failed:?}");
+impl<T> Entry<T> {
+    /// Runs the entry at quick scale and `seed` without printing it, and
+    /// returns its output and the claims that fail on it.
+    pub(crate) fn run_quick(&self, seed: u64) -> (T, Vec<&'static str>) {
+        let out = (self.run)(Scale::Quick, seed).expect("entry runs");
+        let failed = self.failed_claims(&out);
+        (out, failed)
+    }
+
+    /// The claims that fail on `out` (and a panic if the entry makes none).
+    pub(crate) fn failed_claims(&self, out: &T) -> Vec<&'static str> {
+        let verdicts = (self.claims)(out);
+        assert!(!verdicts.is_empty(), "`{}` checks no claim", self.name);
+        verdicts
+            .into_iter()
+            .filter(|(_, holds)| !holds)
+            .map(|(text, _)| text)
+            .collect()
+    }
+
+    /// Runs the entry at quick scale and `seed`, panics naming the claims
+    /// that fail, and returns the output for the caller's own checks of
+    /// its shape.
+    pub(crate) fn assert_claims_hold(&self, seed: u64) -> T {
+        let (out, failed) = self.run_quick(seed);
+        assert!(
+            failed.is_empty(),
+            "`{}` at seed {seed}: FAIL {failed:?}",
+            self.name
+        );
+        out
+    }
 }
 
 /// The claims of a wall-clock entry: none.
@@ -143,18 +164,18 @@ fn reuse_at(r: &fig2::Fig2Result, buffered: u64, demand: u64) -> f64 {
         .map_or(0.0, |(_, p)| *p)
 }
 
-static FIG2: Entry<fig2::Fig2Result> = Entry {
+pub(crate) static FIG2: Entry<fig2::Fig2Result> = Entry {
     name: "fig2_reuse_probability",
-    run: |_| Ok(fig2::run(SEED)),
+    run: |_, seed| Ok(fig2::run(seed)),
     print: print_fig2,
     claims: |r| {
         let p = |buffered, demand| reuse_at(r, buffered, demand);
         let mc_error = |&(_, _, exact, mc): &(u64, u64, f64, f64)| (exact - mc).abs();
         vec![
             (
-                "a 10% scan against a 10% buffer finds a useful chunk with p in 0.5-0.8 \
+                "a 10% scan against a 10% buffer finds a useful chunk with 0.5 < p < 0.8 \
                  (paper: over 50%)",
-                (0.5..0.8).contains(&p(10, 10)),
+                p(10, 10) > 0.5 && p(10, 10) < 0.8,
             ),
             (
                 "a 10-chunk scan against a 50% buffer is all but certain to (p > 0.99)",
@@ -230,9 +251,9 @@ fn print_system_statistics(cmp: &PolicyComparison) {
     println!("System statistics\n{}", system.render());
 }
 
-static TABLE2: Entry<table2::Table2Result> = Entry {
+pub(crate) static TABLE2: Entry<table2::Table2Result> = Entry {
     name: "table2_nsm",
-    run: |scale| Ok(table2::run(scale, SEED)),
+    run: |scale, seed| Ok(table2::run(scale, seed)),
     print: print_table2,
     claims: |r| {
         let [normal, attach, elevator, relevance] = rows(&r.comparison);
@@ -305,9 +326,9 @@ fn print_table2(result: &table2::Table2Result, scale: Scale) {
     }
 }
 
-static TABLE3: Entry<table3::Table3Result> = Entry {
+pub(crate) static TABLE3: Entry<table3::Table3Result> = Entry {
     name: "table3_dsm",
-    run: |scale| Ok(table3::run(scale, SEED)),
+    run: |scale, seed| Ok(table3::run(scale, seed)),
     print: print_table3,
     claims: |r| {
         let [normal, _, elevator, relevance] = rows(&r.comparison);
@@ -354,9 +375,13 @@ fn print_table3(result: &table3::Table3Result, scale: Scale) {
 
 // Figure 4 — chunk accesses over time.
 
-static FIG4: Entry<Vec<fig4::PolicyTrace>> = Entry {
+/// Figure 4's claim on relevance's access pattern.
+pub(crate) const RELEVANCE_SCATTERS: &str =
+    "relevance's dynamic pattern is less sequential than elevator's staircase";
+
+pub(crate) static FIG4: Entry<Vec<fig4::PolicyTrace>> = Entry {
     name: "fig4_traces",
-    run: |scale| Ok(fig4::run(scale, SEED)),
+    run: |scale, seed| Ok(fig4::run(scale, seed)),
     print: |traces, scale| print_fig4(traces, scale),
     claims: |traces| {
         let trace = |policy| &traces.iter().find(|t| t.policy == policy).unwrap().trace;
@@ -368,10 +393,15 @@ static FIG4: Entry<Vec<fig4::PolicyTrace>> = Entry {
                 ios(Attach) < ios(Normal),
             ),
             (
-                "elevator's one staircase is the most sequential access pattern of the four",
-                PolicyKind::ALL
+                "elevator's one staircase is more sequential than normal's and attach's \
+                 interleaved scans",
+                [Normal, Attach]
                     .iter()
-                    .all(|&p| sequentiality(p) <= sequentiality(Elevator)),
+                    .all(|&p| sequentiality(p) < sequentiality(Elevator)),
+            ),
+            (
+                RELEVANCE_SCATTERS,
+                sequentiality(Relevance) < sequentiality(Elevator),
             ),
             (
                 "relevance issues the fewest I/Os of the four (the fewest re-reads)",
@@ -403,9 +433,9 @@ fn print_fig4(traces: &[fig4::PolicyTrace], scale: Scale) {
 
 // Figure 5 — the fifteen query mixes, relative to relevance.
 
-static FIG5: Entry<Vec<fig5::ScatterPoint>> = Entry {
+pub(crate) static FIG5: Entry<Vec<fig5::ScatterPoint>> = Entry {
     name: "fig5_query_mixes",
-    run: |scale| Ok(fig5::run(scale, SEED, (scale == Scale::Quick).then_some(6))),
+    run: |scale, seed| Ok(fig5::run(scale, seed, (scale == Scale::Quick).then_some(6))),
     print: |points, scale| print_fig5(points, scale),
     claims: |points| {
         let of = |policy| points.iter().filter(move |p| p.policy == policy);
@@ -486,9 +516,9 @@ fn fig6_at(
 
 const SETS: [fig6::QuerySet; 2] = [fig6::QuerySet::CpuIntensive, fig6::QuerySet::IoIntensive];
 
-static FIG6: Entry<Vec<fig6::Fig6Point>> = Entry {
+pub(crate) static FIG6: Entry<Vec<fig6::Fig6Point>> = Entry {
     name: "fig6_buffer_scaling",
-    run: |scale| Ok(fig6::run(scale, SEED)),
+    run: |scale, seed| Ok(fig6::run(scale, seed)),
     print: |points, scale| print_fig6(points, scale),
     claims: |points| {
         let io_set = |fraction, policy| fig6_at(points, SETS[1], fraction, policy);
@@ -558,12 +588,12 @@ fn fig7_latency(points: &[fig7::Fig7Point], percent: u32, n: usize, policy: Poli
         .avg_latency
 }
 
-static FIG7: Entry<Vec<fig7::Fig7Point>> = Entry {
+pub(crate) static FIG7: Entry<Vec<fig7::Fig7Point>> = Entry {
     name: "fig7_concurrency",
-    run: |scale| {
+    run: |scale, seed| {
         Ok(fig7::run(
             scale,
-            SEED,
+            seed,
             (scale == Scale::Quick).then_some(16),
         ))
     },
@@ -626,9 +656,10 @@ fn mib_s_at(points: &[fig7::IoSweepPoint], k: usize) -> f64 {
         .map_or(0.0, |p| p.throughput_mib_s)
 }
 
-static FIG7_IO_SWEEP: Entry<Vec<fig7::IoSweepPoint>> = Entry {
+/// The sweep runs at the seed `BENCH_io.json` records, not at [`SEED`].
+pub(crate) static FIG7_IO_SWEEP: Entry<Vec<fig7::IoSweepPoint>> = Entry {
     name: "fig7_io_sweep",
-    run: |scale| {
+    run: |scale, _| {
         let (queries, seed) = (fig7::TRACKED_IO_QUERIES, fig7::TRACKED_IO_SEED);
         Ok(fig7::run_io_sweep(scale, queries, seed))
     },
@@ -702,7 +733,7 @@ struct Fig8Output {
 
 static FIG8: Entry<Fig8Output> = Entry {
     name: "fig8_scheduling_cost",
-    run: |scale| {
+    run: |scale, _| {
         let iterations = if scale == Scale::Quick { 50 } else { 500 };
         let points = fig8::run(iterations);
         let mut comparison = Vec::new();
@@ -786,7 +817,7 @@ const MIX_ROWS_PER_CHUNK: u64 = 2_000;
 
 static FIG9: Entry<(Vec<fig9::CodecPoint>, fig9::MixVolume)> = Entry {
     name: "fig9_compression",
-    run: |_| {
+    run: |_, _| {
         let codecs = fig9::run_codec_sweep(SWEEP_ROWS);
         Ok((codecs, fig9::run_mix_volume(MIX_CHUNKS, MIX_ROWS_PER_CHUNK)))
     },
@@ -841,7 +872,7 @@ struct Fig9FileOutput {
 
 static FIG9_FILE: Entry<Fig9FileOutput> = Entry {
     name: "fig9_file",
-    run: |_| {
+    run: |_, _| {
         // Distinct per run and removed when the run returns.
         let dir = ScratchPath::new("fig9_file");
         let cfg = FileSweepConfig {
@@ -946,9 +977,9 @@ fn print_fig9_file(out: &Fig9FileOutput, _: Scale) {
 
 // Table 4 — column overlap.
 
-static TABLE4: Entry<table4::Table4Result> = Entry {
+pub(crate) static TABLE4: Entry<table4::Table4Result> = Entry {
     name: "table4_overlap",
-    run: |scale| Ok(table4::run(scale, SEED)),
+    run: |scale, seed| Ok(table4::run(scale, seed)),
     print: print_table4,
     claims: |r| {
         let ios = |set: &str, policy| r.cell(set, policy).io_requests;

@@ -12,8 +12,12 @@ use cscan_workload::queries::table2_classes;
 use cscan_workload::streams::{build_streams, StreamSetup};
 
 fn main() {
-    let arg = std::env::args().nth(1);
-    let scale = arg.as_deref().map_or(Some(Scale::Quick), Scale::parse);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let scale = match args.as_slice() {
+        [] => Some(Scale::Quick),
+        [one] => Scale::parse(one),
+        _ => None,
+    };
     let Some(scale) = scale else {
         eprintln!("usage: data_warehouse_mix [quick|paper]");
         std::process::exit(2)
