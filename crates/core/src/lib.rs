@@ -102,6 +102,7 @@ pub mod reuse;
 pub mod sched;
 pub mod session;
 pub mod sim;
+mod sync;
 pub mod threaded;
 
 pub use abm::{AbmState, BufferedChunk, InflightLoad, LoadDecision};
@@ -115,3 +116,7 @@ pub use session::{PinnedChunk, ScanError, ScanSession};
 
 // Re-export the identifiers that appear throughout the public API.
 pub use cscan_storage::{ChunkId, ColumnId, ScanRanges};
+
+#[cfg(test)]
+#[path = "../tests/support/deadline.rs"]
+mod deadline;

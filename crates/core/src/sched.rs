@@ -166,7 +166,7 @@ impl<T: Clone> Scheduler<T> {
 
     /// [`Self::new`] over a policy already built: the policy's own, or the
     /// test-only reference of its kind.
-    fn from_policy(
+    pub(crate) fn from_policy(
         model: TableModel,
         capacity_pages: u64,
         policy: Box<dyn Policy>,

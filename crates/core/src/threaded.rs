@@ -15,106 +15,82 @@
 //!
 //! # The data plane
 //!
-//! With a [`ScanServerBuilder::store`] configured, delivery carries *data*,
-//! not just chunk ids: each committed load's payload (materialized by the
-//! [`ChunkStore`] on the I/O worker, **outside** the scheduler lock) is
-//! installed into the chunk's buffer record in the ABM
-//! ([`crate::abm::BufferedChunk`]), and every [`PinnedChunk`] a query
-//! receives holds the record's processing pin and a clone of its payload,
-//! so eviction can never reclaim a chunk a query is still reading.
-//! A payload is a [`ChunkPayload`] — the resident columns of the chunk, the
-//! whole row when a load covers every column; [`PinnedChunk::column`] views
-//! them zero-copy — the hot consume path (acquire → read views → release)
+//! With a [`ScanServerBuilder::store`] configured, each committed load's
+//! payload (materialized by the [`ChunkStore`] on the I/O worker,
+//! **outside** the scheduler lock) is installed into the chunk's buffer
+//! record in the ABM ([`crate::abm::BufferedChunk`]), and every
+//! [`PinnedChunk`] a query receives holds the record's processing pin and a
+//! clone of its payload, so eviction can never reclaim a chunk a query is
+//! still reading.  A [`ChunkPayload`] holds the chunk's resident columns;
+//! [`PinnedChunk::column`] views them zero-copy, so the hot consume path
 //! performs no per-chunk heap allocation and no data copies.  Without a
-//! store the server delivers [`ChunkPayload::Missing`]: chunk ids and
-//! nothing else.
+//! store the server delivers [`ChunkPayload::Missing`]: chunk ids alone.
 //!
 //! Payloads may arrive *compressed* (a
 //! [`cscan_storage::CompressingStore`] encodes mini-columns as PDICT /
-//! PFOR / PFOR-DELTA bytes on the I/O worker): the commit installs the
-//! encoded bytes, every pin of a payload that still holds some verifies
-//! their checksums, and a column is decompressed — once per residency —
-//! when a consumer **first touches** it through [`PinnedChunk::column`],
-//! with no executor lock held (the codec debug-asserts this), which flips
-//! that column to its decoded state for every later reader.  A plan pays
-//! for the columns it reads and no others.  Eviction drops both states; a
-//! re-load re-installs fresh encoded bytes.  Decode time is accounted as
-//! pin-wait and surfaced separately (the `decode_nanos` and
-//! `values_decoded` counters of [`ScanServer::metrics`]).
+//! PFOR / PFOR-DELTA bytes on the I/O worker): every pin of a payload that
+//! still holds encoded bytes verifies their checksums, and a column is
+//! decoded — once per residency — when a consumer **first touches** it
+//! through [`PinnedChunk::column`], with no executor lock held (the codec
+//! debug-asserts this).  Decode time is accounted as pin-wait and surfaced
+//! separately (the `decode_nanos` and `values_decoded` counters of
+//! [`ScanServer::metrics`]).
 //!
 //! # Concurrency architecture
 //!
 //! One **scheduler lock** guards the core; the consume path around it
-//! touches only per-query leaf locks (see `ARCHITECTURE.md` for the
-//! diagram):
+//! touches only per-query leaf locks (`ARCHITECTURE.md` has the diagram):
 //!
 //! * **The scheduler lock** (one mutex around `Sched`) protects the core
 //!   and the effects it still owes.  An I/O worker holds it to *plan* a
 //!   load, to report a failed read and to *commit* the completed one; the
-//!   read itself — the part that takes milliseconds — runs with the lock
-//!   released.  Every plan carries a ticket that the commit revalidates:
-//!   a load whose last interested query detached mid-read is aborted,
-//!   never installed.  Hold times land in the
-//!   `lock_hold` span histogram of [`ScanServer::metrics`].
+//!   read itself runs with the lock released, and the commit's ticket
+//!   check drops a load whose last interested query detached mid-read.
+//!   Hold times land in the `lock_hold` span of [`ScanServer::metrics`].
 //!
 //! * **Effects under the lock, wake-ups after it.**  The critical section
 //!   that called the core deposits its grants (the chunk, already pinned,
-//!   and its payload cloned) into the queries' `QuerySlot`
-//!   mailboxes and closes the slots of closed queries before it unlocks —
-//!   lock order `scheduler → slot` — so a `finish` can never race a grant
-//!   that is not yet deposited.  Each site that changes a mailbox moves the
-//!   slot's wakers to the guard's list; the guard's drop then unlocks,
-//!   wakes one idle I/O worker if a scheduling input changed while some
-//!   query misses a chunk (`worker_wakeups` counts them), fires those
-//!   wakers, and offers the payloads let go of back to the store
-//!   ([`ChunkStore::recycle`]): a thread woken while the lock is held
-//!   preempts the holder and then queues behind it.
+//!   and its payload cloned) into the queries' `QuerySlot` mailboxes and
+//!   closes the slots of closed queries before it unlocks, so a `finish`
+//!   can never race a grant that is not yet deposited.  Each site that
+//!   changes a mailbox moves the slot's wakers to the guard's list; the
+//!   guard's drop then unlocks, wakes one idle I/O worker if a scheduling
+//!   input changed while some query misses a chunk (`worker_wakeups`),
+//!   fires those wakers, and offers the payloads let go of back to the
+//!   store ([`ChunkStore::recycle`]).
 //!
-//! * **Consumers.**  There is one way to wait for a chunk.
-//!   [`CScanHandle::poll_next_chunk`] takes the grant under the slot's own
-//!   mutex (shared-handle racers serialize there) or, finding the mailbox
-//!   empty, leaves its [`Waker`] in the slot and returns `Pending`;
-//!   [`CScanHandle::next_chunk`] is that poll in a loop, waiting between
-//!   polls on its thread's [`Doorbell`] (`waitForChunk`).  A slot keeps one
-//!   list of wakers, deduplicated with [`Waker::will_wake`], so every
-//!   thread blocked on a shared handle is woken.  Dropping a
-//!   [`PinnedChunk`] is Figure 3's `releaseChunk`: one scheduler critical
-//!   section hands it to the core, which matches the query again (or
-//!   closes it at its last chunk or its limit).  The release try-locks
-//!   first and counts a miss as `hub_shard_conflicts` before it blocks.
+//! * **Consumers.**  [`CScanHandle::poll_next_chunk`] takes the grant under
+//!   the slot's own mutex or, finding the mailbox empty, leaves its
+//!   [`Waker`] in the slot (once, [`Waker::will_wake`]) and returns
+//!   `Pending`; [`CScanHandle::next_chunk`] is that poll in a loop, waiting
+//!   between polls on its thread's [`Doorbell`] (`waitForChunk`).  Dropping
+//!   a [`PinnedChunk`] is Figure 3's `releaseChunk`: one scheduler critical
+//!   section hands it to the core, which matches the query again or closes
+//!   it at its last chunk or its limit.
 //!
 //! * **Idle workers.**  A worker whose plan comes back empty waits on a
 //!   condvar bound to the scheduler mutex (`blockForNextQuery`), so its
 //!   empty plan and its sleep are one critical section, and every change
-//!   to a scheduling input is made under the same lock — unless the plan
-//!   closed queries (it failed a quarantined chunk's load): it unlocks to
-//!   wake them first.  A change wakes a sleeper only while some query
-//!   misses a chunk: with every needed chunk resident no plan finds a
-//!   load.  A worker that plans wakes the next one before its read ("wake
-//!   chaining").
+//!   to a scheduling input is made under the same lock.  A change wakes a
+//!   sleeper only while some query misses a chunk; a worker that plans
+//!   wakes the next one before its read ("wake chaining").  A panic of the
+//!   core on a worker stops the server: every scan, open or later, errs.
 //!
-//! * **One wait bound.**  Every wait here — an idle worker's, a consumer's
-//!   doorbell — and the serving layer's connection waits keep one
-//!   belt-and-braces bound, [`WAIT_BOUND`]: grants are *state* in the
-//!   mailbox and a ring is state in the doorbell, so a timed-out waiter
-//!   re-checks and proceeds, and a bound that expires with no wake-up
-//!   while work was waiting is counted (`worker_park_timeouts`,
-//!   `consumer_wait_timeouts`).
+//! * **No timers.**  No wait here ends by a timer, only by the thread that
+//!   changed what it waits for.  The locks, condvars, spawns, sleeps and
+//!   the clock go through the crate's `sync` module, under which this
+//!   module's tests run scenarios on a seeded schedule controller
+//!   (`ARCHITECTURE.md`, Invariants).
 //!
 //! * **Lock ordering.**  `scheduler → slot`, never the reverse.  Nothing
-//!   is awaited while holding the scheduler except its own idle condvar,
-//!   which releases it; no waker is called while holding it (a
-//!   [`Doorbell`] refuses to ring on a thread that holds it, in debug
-//!   builds), and no payload is ever *materialized or decoded* under it.
-//!   A pin therefore must not drop on a thread that holds the scheduler
-//!   lock — its release would wait for that lock forever — and debug
-//!   builds refuse that too.
+//!   is awaited under the scheduler lock but its own idle condvar, which
+//!   releases it; no waker is called, no pin released and no payload
+//!   decoded under it (debug builds refuse each), nor materialized.
 //!
 //! Each of the [`ScanServerBuilder::io_threads`] workers holds at most one
-//! load outstanding, so a pool of `k` workers keeps up to `k` chunk loads
-//! in flight against the shared ABM — the threaded analogue of the
-//! simulator's `max_outstanding_io`.  The default of one worker reproduces
-//! the paper's sequential main loop.
+//! load outstanding, so `k` workers keep up to `k` chunk loads in flight —
+//! the threaded analogue of the simulator's `max_outstanding_io`.  The
+//! default of one worker reproduces the paper's sequential main loop.
 //!
 //! ```
 //! use cscan_core::model::TableModel;
@@ -147,6 +123,7 @@ use crate::query::QueryId;
 use crate::retry::RetryPolicy;
 use crate::sched::{Effect, Scheduler};
 use crate::session::{PinnedChunk, ScanError, ScanSession};
+use crate::sync::{self, Condvar, JoinHandle, Mutex, MutexGuard};
 use cscan_bufman::PoolStats;
 use cscan_obs::{
     Counter, EventKind, Gauge, QueryCounter, QueryScope, Registry, SpanKind, NO_CHUNK, NO_QUERY,
@@ -154,12 +131,10 @@ use cscan_obs::{
 use cscan_simdisk::SimTime;
 use cscan_storage::codec::{self, DecodeForbidden};
 use cscan_storage::{ChunkId, ChunkPayload, ChunkStore, ColumnChunk, ColumnId, StoreError};
-use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// A query's grant mailbox: consumers wait here, the scheduler deposits
@@ -184,12 +159,6 @@ struct QuerySlot {
     /// out by whichever site changes it (deposit, close, shutdown).
     wakers: Vec<Waker>,
 }
-
-/// The longest any wait stays blocked without looking up: an idle I/O
-/// worker's, a consumer's doorbell, and the serving layer's connection
-/// waits.  A belt-and-braces bound on a missed wake-up — counted, when it
-/// happens — never an interval anything is polled at.
-pub const WAIT_BOUND: Duration = Duration::from_millis(50);
 
 /// A thread's wake-up: a flag under a mutex plus a condvar.  The flag
 /// makes a ring *state*: one delivered while its thread is busy is consumed
@@ -218,15 +187,18 @@ impl Doorbell {
     }
 
     /// Waits for a ring — one since the last wait counts — and consumes
-    /// it.  `true` if `bound` ran out first.
-    pub fn wait(&self, bound: Duration) -> bool {
+    /// it; given a `deadline`, waits no longer.  This crate passes none:
+    /// its waits end by a ring alone.
+    pub fn wait(&self, deadline: Option<Instant>) {
         let mut rung = self.rung.lock();
-        let mut timed_out = false;
-        if !*rung {
-            timed_out = self.cv.wait_for(&mut rung, bound).timed_out();
+        while !*rung {
+            match deadline.map(|at| at.saturating_duration_since(Instant::now())) {
+                None => self.cv.wait(&mut rung),
+                Some(left) if left.is_zero() => break,
+                Some(left) => _ = self.cv.wait_for(&mut rung, left),
+            }
         }
-        // A ring that raced the bound wins.
-        !std::mem::take(&mut *rung) && timed_out
+        *rung = false;
     }
 }
 
@@ -245,6 +217,12 @@ thread_local! {
     };
 }
 
+/// The error of every scan a core panic ended ([`Shared::core_panicked`]).
+const CORE_PANICKED: ScanError = ScanError {
+    chunk: ChunkId::new(NO_CHUNK),
+    cause: StoreError::Permanent,
+};
+
 /// Everything the scheduler lock protects: the scheduler core and what its
 /// decisions still owe the threads.
 struct Sched {
@@ -259,9 +237,6 @@ struct Sched {
     untaken: Vec<(QueryId, ChunkId)>,
     /// I/O workers asleep in [`SchedGuard::wait_idle`].
     idle_workers: usize,
-    /// Wake-ups sent to idle workers so far.  A worker whose bounded wait
-    /// ends with this unchanged was woken by nothing.
-    worker_wakeups: u64,
     /// Whether this critical section owes a sleeping worker a wake-up,
     /// sent by [`SchedGuard`]'s drop after it unlocks, like the wakers.
     wake_pending: bool,
@@ -284,7 +259,6 @@ impl Sched {
     /// a busy core and then queues behind it.
     fn wake_worker(&mut self) {
         if self.idle_workers > 0 {
-            self.worker_wakeups += 1;
             self.wake_pending = true;
         }
     }
@@ -397,7 +371,7 @@ pub(crate) struct Shared {
 
 impl Shared {
     fn now(&self) -> SimTime {
-        SimTime::from_micros(self.started.elapsed().as_micros() as u64)
+        SimTime::from_micros(sync::elapsed(self.started).as_micros() as u64)
     }
 
     /// Locks the scheduler, instrumenting how long the guard is held.
@@ -412,6 +386,19 @@ impl Shared {
         self.obs.inc(Counter::WorkerPanics);
         self.obs.event(EventKind::WorkerPanic, chunk, query, 0);
         self.obs.dump_flight("worker panic");
+    }
+
+    /// A panic of the scheduler core on an I/O worker: the server stops and
+    /// every scan errs, rather than wait for loads no worker will make.
+    fn core_panicked(&self) {
+        self.worker_panicked(NO_CHUNK, NO_QUERY);
+        let mut sched = self.lock_sched();
+        self.shutdown.store(true, Ordering::Release);
+        self.idle.notify_all();
+        let open: Vec<QueryId> = sched.core.state().queries().map(|q| q.id).collect();
+        for query in open {
+            sched.core.close(query, Some(CORE_PANICKED));
+        }
     }
 
     /// Decode at first touch — the slow half of [`PinnedChunk::column`],
@@ -531,10 +518,9 @@ impl SchedGuard<'_> {
     }
 
     /// `blockForNextQuery`: sleeps on [`Shared::idle`] until a worker
-    /// wake-up or `timeout`, the lock released meanwhile.  The sleep is not
-    /// hold time: the hold span ends before it and restarts after.  Returns
-    /// whether the bound expired with no wake-up sent while it slept.
-    fn wait_idle(&mut self, timeout: Duration) -> bool {
+    /// wake-up, the lock released meanwhile.  The sleep is not hold time:
+    /// the hold span ends before it and restarts after.
+    fn wait_idle(&mut self) {
         let guard = &mut self.held.as_mut().expect("held until drop").0;
         guard.apply(self.shared);
         self.shared.obs.record_span_ns(
@@ -545,12 +531,10 @@ impl SchedGuard<'_> {
             !guard.owes_wakeups(),
             "a wake-up queued before the sleep would wait for it"
         );
-        let wakeups = guard.worker_wakeups;
         guard.idle_workers += 1;
-        let timed_out = self.shared.idle.wait_for(guard, timeout).timed_out();
+        self.shared.idle.wait(guard);
         guard.idle_workers -= 1;
         self.acquired = Instant::now();
-        timed_out && guard.worker_wakeups == wakeups
     }
 }
 
@@ -704,7 +688,6 @@ impl ScanServerBuilder {
                 effects: Vec::new(),
                 untaken: Vec::new(),
                 idle_workers: 0,
-                worker_wakeups: 0,
                 wake_pending: false,
                 wakers: Vec::new(),
                 quarantined: false,
@@ -722,10 +705,7 @@ impl ScanServerBuilder {
         let io_threads = (0..workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("cscan-abm-io-{i}"))
-                    .spawn(move || io_worker_main(shared))
-                    .expect("failed to spawn an ABM I/O worker")
+                sync::spawn(format!("cscan-abm-io-{i}"), move || io_worker_main(shared))
             })
             .collect();
         ScanServer { shared, io_threads }
@@ -736,15 +716,22 @@ impl ScanServerBuilder {
 /// plan through the core under the scheduler lock, or sleep on its idle
 /// condvar; read with no lock held; commit through the core, whose stamp
 /// check drops a load whose queries detached mid-read.  A failed read is
-/// the core's to judge ([`Scheduler::load_failed`]).
+/// the core's to judge ([`Scheduler::load_failed`]).  A panic of the core
+/// is contained ([`Shared::core_panicked`]).
 fn io_worker_main(shared: Arc<Shared>) {
+    let worker = std::panic::AssertUnwindSafe(|| io_worker_loop(&shared));
+    if std::panic::catch_unwind(worker).is_err() {
+        shared.core_panicked();
+    }
+}
+
+fn io_worker_loop(shared: &Shared) {
     let mut plans = Vec::with_capacity(1);
     // Payloads this worker's critical sections let go of, offered back to
     // the store once the lock is dropped.
     let mut unused: Vec<ChunkPayload> = Vec::new();
     'work: loop {
         let mut sched = shared.lock_sched();
-        let mut unwoken = false;
         let plan = loop {
             // Shutdown sets the flag under this lock, so it is seen here
             // or wakes the wait below.
@@ -759,22 +746,17 @@ fn io_worker_main(shared: Arc<Shared>) {
                 .obs
                 .record_span_ns(SpanKind::Plan, plan_started.elapsed().as_nanos() as u64);
             if let Some(plan) = plans.pop() {
-                if unwoken {
-                    shared.obs.inc(Counter::WorkerParkTimeouts);
-                }
                 break plan;
             }
             // A plan that failed a quarantined chunk's load closed the
             // queries that registered since: they are woken, and the flight
             // recorder dumped, as the lock drops — not after a sleep.
-            sched.apply(&shared);
+            sched.apply(shared);
             if sched.owes_wakeups() {
                 continue 'work;
             }
             // blockForNextQuery: sleep until a scheduling input changes.
-            // The bound is a belt-and-braces guard; correctness does not
-            // depend on it.
-            unwoken = sched.wait_idle(WAIT_BOUND);
+            sched.wait_idle();
         };
         let chunk = plan.decision.chunk;
         // The columns to materialize: exactly the missing ones (what this
@@ -789,10 +771,10 @@ fn io_worker_main(shared: Arc<Shared>) {
         sched.wake_worker();
         // The payloads the plan evicted — a megabyte each to free or
         // recycle — leave the lock with the worker.
-        sched.apply(&shared);
+        sched.apply(shared);
         unused.append(&mut sched.recycled);
         drop(sched);
-        recycle(&shared, &mut unused);
+        recycle(shared, &mut unused);
         // The plan's flight event is recorded after the scheduler guard
         // dropped: the recorder has its own (uncontended) mutex.
         shared
@@ -805,10 +787,10 @@ fn io_worker_main(shared: Arc<Shared>) {
         let mut attempt = 0;
         let payload = loop {
             let read_started = Instant::now();
-            let result = read_payload(&shared, chunk, cols.as_deref());
+            let result = read_payload(shared, chunk, cols.as_deref());
             let nanos = plan.pages.saturating_mul(shared.io_cost_per_page_nanos);
             if nanos > 0 {
-                std::thread::sleep(Duration::from_nanos(nanos));
+                sync::sleep(Duration::from_nanos(nanos));
             }
             shared.obs.record_span_ns(
                 SpanKind::Materialize,
@@ -828,7 +810,7 @@ fn io_worker_main(shared: Arc<Shared>) {
             };
             if !delay.is_zero() {
                 let _backoff = shared.obs.time(SpanKind::Backoff);
-                std::thread::sleep(delay);
+                sync::sleep(delay);
             }
         };
         let mut sched = shared.lock_sched();
@@ -843,13 +825,13 @@ fn io_worker_main(shared: Arc<Shared>) {
         // Counted before the grants are deposited, so a consumer that sees
         // its chunk sees the load counted.
         shared.obs.inc(counter);
-        sched.apply(&shared);
+        sched.apply(shared);
         shared
             .obs
             .record_span_ns(SpanKind::Commit, commit_started.elapsed().as_nanos() as u64);
         unused.append(&mut sched.recycled);
         drop(sched);
-        recycle(&shared, &mut unused);
+        recycle(shared, &mut unused);
         let woken = woken.unwrap_or(0) as u64;
         shared.obs.event(event, chunk.index(), NO_QUERY, woken);
         // The worker loops straight back into planning: a completion changes
@@ -951,12 +933,16 @@ impl ScanServer {
         let slot = Arc::new(Mutex::new(QuerySlot::default()));
         // The core grants at once if something the query wants is already
         // resident (or closes an empty scan straight away); otherwise the
-        // query is marked blocked so the next commit matches it.
-        let id =
-            self.shared
-                .lock_sched()
-                .core
-                .register(&plan, Arc::clone(&slot), self.shared.now());
+        // query is marked blocked so the next commit matches it.  A live
+        // server is shut down only by a core panic: the scan errs too.
+        let mut sched = self.shared.lock_sched();
+        let id = sched
+            .core
+            .register(&plan, Arc::clone(&slot), self.shared.now());
+        if self.shared.shutdown.load(Ordering::Acquire) {
+            sched.core.close(id, Some(CORE_PANICKED));
+        }
+        drop(sched);
         let scope = self
             .shared
             .obs
@@ -970,8 +956,6 @@ impl ScanServer {
             query: id,
             scope,
             attached: Instant::now(),
-            limit: plan.limit_chunks,
-            delivered: AtomicU32::new(0),
             finished: AtomicBool::new(false),
         }
     }
@@ -1052,10 +1036,6 @@ pub struct CScanHandle {
     scope: Arc<QueryScope>,
     /// When the scan registered (the time-to-first-chunk origin).
     attached: Instant,
-    /// LIMIT-style chunk budget from [`CScanPlan::with_chunk_limit`].
-    limit: Option<u32>,
-    /// Chunks delivered so far (compared against `limit`).
-    delivered: AtomicU32,
     finished: AtomicBool,
 }
 
@@ -1077,54 +1057,40 @@ impl CScanHandle {
     /// [`Doorbell`] as the waker and a wait on it between polls —
     /// `waitForChunk`.  When the mailbox holds a grant the first poll
     /// returns it, touching only this query's slot mutex and allocating
-    /// nothing.  A wait that runs out its [`WAIT_BOUND`] unrung and is
-    /// followed by an answer — a chunk, the end, or the error — is a missed
-    /// wake-up, counted as `consumer_wait_timeouts`.
+    /// nothing.
     pub fn next_chunk(&self) -> Result<Option<PinnedChunk>, ScanError> {
         BELL.with(|(bell, waker)| {
             let mut cx = Context::from_waker(waker);
-            let mut unrung = false;
             loop {
-                let next = match self.poll_next_chunk(&mut cx) {
-                    Ok(Poll::Ready(next)) => Ok(next),
-                    Err(error) => Err(error),
-                    Ok(Poll::Pending) => {
-                        let waited = Instant::now();
-                        unrung = bell.wait(WAIT_BOUND);
-                        let ns = waited.elapsed().as_nanos() as u64;
-                        self.scope.record_pin_wait(ns);
-                        self.shared.obs.record_span_ns(SpanKind::PinWait, ns);
-                        continue;
-                    }
-                };
-                if unrung {
-                    // The answer was there and nothing had said so.
-                    self.shared.obs.inc(Counter::ConsumerWaitTimeouts);
+                if let Poll::Ready(next) = self.poll_next_chunk(&mut cx)? {
+                    return Ok(next);
                 }
-                return next;
+                let waited = Instant::now();
+                bell.wait(None);
+                let ns = waited.elapsed().as_nanos() as u64;
+                self.scope.record_pin_wait(ns);
+                self.shared.obs.record_span_ns(SpanKind::PinWait, ns);
             }
         })
     }
 
-    /// The one place a delivery is decided.  In order: the scan's failure
+    /// The one place a delivery is taken.  In order: the scan's failure
     /// (surfaced — flight dump and detach — by the first call that finds
-    /// it), the chunk limit, the grant, and the reasons there will never be
-    /// one (slot closed, scan finished, server shutting down).  Otherwise
-    /// the mailbox is empty: `cx`'s waker is left in it and the call
-    /// returns `Ok(Poll::Pending)`.  Whatever next changes the mailbox — a
-    /// grant deposited, the scan closed by [`CScanHandle::finish`], its
-    /// limit or a failure, the server shut down — wakes it, after which
-    /// polling again makes progress.  The serving layer multiplexes a
-    /// connection's scans on one thread through this.
+    /// it), the grant, and the reasons there will never be one (slot
+    /// closed, scan finished, server shutting down).  Otherwise the mailbox
+    /// is empty: `cx`'s waker is left in it and the call returns
+    /// `Ok(Poll::Pending)`.  Whatever next changes the mailbox — a grant
+    /// deposited, the scan closed by [`CScanHandle::finish`], by the
+    /// release of its last chunk or of the last its limit allows, or by a
+    /// failure, the server shut down — wakes it, after which polling again
+    /// makes progress.  The serving layer multiplexes a connection's scans
+    /// on one thread through this.
     ///
-    /// The limit check and the grant take share the slot critical section,
-    /// so consumers racing on a shared handle serialize there and a LIMIT-n
-    /// scan delivers exactly n.  The waker is stored in that same section,
-    /// so a deposit either precedes the check (and is returned) or follows
-    /// the store (and fires the waker).  The only lock this may *block* on
-    /// is the query's own slot mutex, held for nanoseconds.  (Dropping the
-    /// pins it returns does take the scheduler lock: a release is applied
-    /// where it happens.)
+    /// Consumers racing on a shared handle serialize on the slot mutex, the
+    /// only lock this may block on, and the core grants a LIMIT-n scan n
+    /// chunks.  The waker is stored in the critical section that found the
+    /// slot empty, so a deposit either precedes the check (and is
+    /// returned) or follows the store (and fires the waker).
     ///
     /// If the chunk's payload still holds encoded columns, their checksums
     /// are verified — with no executor lock held — before it is returned; a
@@ -1142,16 +1108,6 @@ impl CScanHandle {
                 drop(st);
                 return Err(self.surface(error));
             }
-            if self
-                .limit
-                .is_some_and(|limit| self.delivered.load(Ordering::Relaxed) >= limit)
-            {
-                // LIMIT-style early termination: detach mid-scan, aborting
-                // loads in flight solely on this query's behalf.
-                drop(st);
-                self.finish();
-                return Ok(Poll::Ready(None));
-            }
             let Some((chunk, payload)) = st.grant.take() else {
                 if st.closed
                     || self.finished.load(Ordering::Acquire)
@@ -1164,7 +1120,6 @@ impl CScanHandle {
                 }
                 return Ok(Poll::Pending);
             };
-            self.delivered.fetch_add(1, Ordering::Relaxed);
             drop(st);
             // `None` is a rejected delivery: look again.
             if let Some(pin) = self.consume_grant(chunk, payload) {
@@ -1209,7 +1164,6 @@ impl CScanHandle {
                 self.shared
                     .obs
                     .event(EventKind::ChecksumFailure, chunk.index(), self.query.0, 0);
-                self.delivered.fetch_sub(1, Ordering::Relaxed);
                 self.shared
                     .lock_sched()
                     .core
@@ -1310,21 +1264,45 @@ impl Drop for CScanHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deadline::Deadline;
     use cscan_storage::ScanRanges;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU32, AtomicU64};
 
     /// A counter of `server`'s registry.
     fn counter(server: &ScanServer, counter: Counter) -> u64 {
         server.metrics().counter(counter)
     }
 
-    fn server(policy: PolicyKind, chunks: u32, buffer_chunks: u64) -> (ScanServer, TableModel) {
+    /// A server whose test runs under the deadline: one still running at
+    /// the deadline aborts, printing the server's flight dump.
+    struct Watched {
+        server: ScanServer,
+        _deadline: Deadline,
+    }
+
+    impl Deref for Watched {
+        type Target = ScanServer;
+        fn deref(&self) -> &ScanServer {
+            &self.server
+        }
+    }
+
+    impl ScanServerBuilder {
+        /// [`ScanServerBuilder::build`] under the deadline.
+        fn watched(self) -> Watched {
+            let server = self.build();
+            let _deadline = Deadline::arm(&server.metrics());
+            Watched { server, _deadline }
+        }
+    }
+
+    fn server(policy: PolicyKind, chunks: u32, buffer_chunks: u64) -> (Watched, TableModel) {
         let model = TableModel::nsm_uniform(chunks, 1_000, 16);
         let server = ScanServer::builder(model.clone())
             .policy(policy)
             .buffer_chunks(buffer_chunks)
             .io_cost_per_page(Duration::ZERO)
-            .build();
+            .watched();
         (server, model)
     }
 
@@ -1365,7 +1343,7 @@ mod tests {
             .buffer_chunks(4)
             .io_threads(2)
             .io_cost_per_page(Duration::ZERO)
-            .build();
+            .watched();
         let scan = |start: u32, end: u32| {
             let plan = CScanPlan::new("short", ScanRanges::single(start, end), model.all_columns());
             let handle = server.cscan(plan);
@@ -1390,7 +1368,6 @@ mod tests {
         assert_eq!(scan(4, 8), 4);
         assert_eq!(scan(0, 1), 1);
         assert_eq!(counter(&server, Counter::LoadsCompleted), loads + 5);
-        assert_eq!(counter(&server, Counter::WorkerParkTimeouts), 0);
     }
 
     #[test]
@@ -1537,7 +1514,7 @@ mod tests {
             .buffer_chunks(8)
             .io_cost_per_page(Duration::from_micros(5))
             .io_threads(4)
-            .build();
+            .watched();
         assert_eq!(server.io_threads(), 4);
         let handles: Vec<CScanHandle> = (0..4)
             .map(|i| {
@@ -1588,7 +1565,7 @@ mod tests {
             .policy(PolicyKind::Elevator)
             .buffer_chunks(2)
             .io_cost_per_page(Duration::from_micros(10))
-            .build();
+            .watched();
         let handle = server.cscan(CScanPlan::new(
             "t",
             ScanRanges::full(6),
@@ -1615,7 +1592,7 @@ mod tests {
             .buffer_chunks(4)
             // 16 pages × 2 ms = a 32 ms read: plenty of time to detach.
             .io_cost_per_page(Duration::from_millis(2))
-            .build();
+            .watched();
         let handle = server.cscan(CScanPlan::new(
             "doomed",
             ScanRanges::full(8),
@@ -1666,7 +1643,7 @@ mod tests {
                 .buffer_chunks(8)
                 .io_cost_per_page(Duration::from_micros(20))
                 .io_threads(4)
-                .build(),
+                .watched(),
         );
         let workers: Vec<_> = (0..8)
             .map(|t: u32| {
@@ -1753,7 +1730,7 @@ mod tests {
         chunks: u32,
         buffer_chunks: u64,
         columns: u16,
-    ) -> (ScanServer, TableModel, SeededStore) {
+    ) -> (Watched, TableModel, SeededStore) {
         let model = TableModel::nsm_uniform(chunks, 100, 16);
         let store = SeededStore::new(100, columns, 7);
         let server = ScanServer::builder(model.clone())
@@ -1761,7 +1738,7 @@ mod tests {
             .buffer_chunks(buffer_chunks)
             .io_cost_per_page(Duration::ZERO)
             .store(Arc::new(store.clone()))
-            .build();
+            .watched();
         (server, model, store)
     }
 
@@ -1806,7 +1783,7 @@ mod tests {
             .io_cost_per_page(Duration::ZERO)
             .store(Arc::new(SeededStore::new(100, 1, 7)))
             .table_label("t")
-            .build();
+            .watched();
         let handle = server.cscan(CScanPlan::new(
             "observed",
             ScanRanges::full(8),
@@ -1924,7 +1901,7 @@ mod tests {
             .buffer_chunks(4)
             .io_cost_per_page(Duration::ZERO)
             .store(Arc::new(store.clone()))
-            .build();
+            .watched();
         // Frames whose payload is column 0 alone; panics on a frame that
         // disagrees with the ABM's account of its chunk.
         let shrunk_frames = |server: &ScanServer| -> usize {
@@ -1980,7 +1957,10 @@ mod tests {
     }
 
     /// Every payload a plan evicts is offered back to the store exactly
-    /// once, by a thread that holds no scheduler guard at that moment.
+    /// once, by a thread that holds no scheduler guard at that moment, and
+    /// whole: a consumer lets go of its clone before its pin.  Run under the
+    /// schedule controller, so the worker's plan lands at each point of
+    /// the consumer's release.
     #[test]
     fn evicted_payloads_are_offered_back_to_the_store_outside_the_lock() {
         #[derive(Default)]
@@ -2011,37 +1991,46 @@ mod tests {
                 });
             }
         }
-        let offers = Arc::new(Offers::default());
-        let model = TableModel::nsm_uniform(16, 100, 16);
-        let server = ScanServer::builder(model.clone())
-            .policy(PolicyKind::Relevance)
-            .buffer_chunks(2)
-            .io_cost_per_page(Duration::ZERO)
-            .store(Arc::new(Recycling(
-                SeededStore::new(100, 3, 7),
-                Arc::clone(&offers),
-            )))
-            .build();
-        let scan = server.cscan(CScanPlan::new(
-            "churn",
-            ScanRanges::full(16),
-            model.all_columns(),
-        ));
-        while let Some(pin) = scan.next_chunk().unwrap() {
-            pin.complete();
+        for seed in 0..32 {
+            crate::sync::explore(seed, 600, move || {
+                let offers = Arc::new(Offers::default());
+                let model = TableModel::nsm_uniform(16, 100, 16);
+                let server = ScanServer::builder(model.clone())
+                    .policy(PolicyKind::Relevance)
+                    .buffer_chunks(2)
+                    .io_cost_per_page(Duration::ZERO)
+                    .store(Arc::new(Recycling(
+                        SeededStore::new(100, 3, 7),
+                        Arc::clone(&offers),
+                    )))
+                    .build();
+                let scan = server.cscan(CScanPlan::new(
+                    "churn",
+                    ScanRanges::full(16),
+                    model.all_columns(),
+                ));
+                while let Some(pin) = scan.next_chunk().unwrap() {
+                    pin.complete();
+                }
+                let evictions = server.frame_pool_stats().evictions;
+                assert!(evictions >= 14, "16 chunks went through 2 frames");
+                // A worker offers after it dropped the lock, so its last offer
+                // may trail the last delivery: dropping the server joins the
+                // workers.
+                drop(scan);
+                drop(server);
+                assert_eq!(offers.payloads.load(Ordering::Relaxed), evictions);
+                assert!(!offers.under_lock.load(Ordering::Relaxed));
+                // Whole payloads, all three columns of each: nothing shares
+                // them any more, so they are the store's to reuse.
+                let vectors = offers.vectors.load(Ordering::Relaxed);
+                assert_eq!(
+                    vectors,
+                    3 * evictions,
+                    "seed {seed}: shared payloads offered"
+                );
+            });
         }
-        let evictions = server.frame_pool_stats().evictions;
-        assert!(evictions >= 14, "16 chunks went through 2 frames");
-        // A worker offers after it dropped the lock, so its last offer may
-        // trail the last delivery: dropping the server joins the workers.
-        drop(scan);
-        drop(server);
-        assert_eq!(offers.payloads.load(Ordering::Relaxed), evictions);
-        assert!(!offers.under_lock.load(Ordering::Relaxed));
-        // Whole payloads: what nothing shares any more is the store's to
-        // reuse.
-        let vectors = offers.vectors.load(Ordering::Relaxed);
-        assert!(vectors > 0 && vectors <= 3 * evictions, "{vectors}");
     }
 
     /// A store whose `recycle` panics loses the payload it was offered and
@@ -2069,7 +2058,7 @@ mod tests {
             .io_cost_per_page(Duration::ZERO)
             .io_threads(1)
             .store(Arc::new(PanickingRecycle(SeededStore::new(100, 3, 7))))
-            .build();
+            .watched();
         let scan = server.cscan(CScanPlan::new(
             "churn",
             ScanRanges::full(16),
@@ -2119,7 +2108,7 @@ mod tests {
             .io_cost_per_page(Duration::from_millis(1))
             .io_threads(4)
             .store(Arc::new(store))
-            .build();
+            .watched();
         // A zonemap whose entries put chunks 2..14 in range.
         let zm = ZoneMap::new(
             ColumnId::new(0),
@@ -2181,8 +2170,8 @@ mod tests {
     /// A LIMIT-n scan of a resident table pins exactly n frames: the core
     /// closes it at the release of its n-th chunk, so no grant goes past
     /// the limit, and a scan that runs out of chunks is deregistered at
-    /// its last release, before its handle finishes.  The handle answers
-    /// `None` after its n-th grant without waiting for that pin's release.
+    /// its last release, before its handle finishes.  The answer after the
+    /// n-th grant is the core's, so it waits for that pin's release.
     #[test]
     fn a_limited_scan_is_granted_exactly_its_limit() {
         use std::task::Poll;
@@ -2221,16 +2210,17 @@ mod tests {
             );
             assert_eq!(server.pinned_frames(), 0);
         }
-        // Holding the last pin: the answer is known without its release.
+        // Holding the last pin: the core closes the scan at its release.
         let handle = server.cscan(full().with_chunk_limit(2));
         handle.next_chunk().unwrap().expect("first").complete();
         let held = handle.next_chunk().unwrap().expect("second");
         let mut cx = Context::from_waker(Waker::noop());
+        assert!(matches!(handle.poll_next_chunk(&mut cx), Ok(Poll::Pending)));
+        held.complete();
         assert!(matches!(
             handle.poll_next_chunk(&mut cx),
             Ok(Poll::Ready(None))
         ));
-        held.complete();
         assert_eq!(server.pinned_frames(), 0);
         assert_eq!(
             server.io_requests(),
@@ -2239,12 +2229,11 @@ mod tests {
         );
     }
 
-    /// Regression: the chunk-limit check and the grant take share one slot
-    /// critical section, so consumers racing on a shared handle, blocking
-    /// or polling, never deliver more than `limit_chunks` chunks.  The two
-    /// blocking racers wait on one slot with different doorbells, and every
-    /// change must ring both: a missed one runs out its wait bound and is
-    /// counted.
+    /// Regression: consumers racing on a shared handle, blocking or
+    /// polling, never deliver more than `limit_chunks` chunks: the core
+    /// grants no more.  The two blocking racers wait on one slot with
+    /// different doorbells, and every change must ring both: a missed one
+    /// leaves its racer waiting until the deadline aborts the run.
     #[test]
     fn shared_handle_never_exceeds_its_chunk_limit() {
         use std::sync::Barrier;
@@ -2303,11 +2292,6 @@ mod tests {
                 0,
                 "round {round}"
             );
-            assert_eq!(
-                counter(&server, Counter::ConsumerWaitTimeouts),
-                0,
-                "round {round}: a blocked racer was not rung"
-            );
         }
     }
 
@@ -2318,8 +2302,8 @@ mod tests {
     /// every site that ends a wait took the waker: the grant deposit, a
     /// `finish()` from another thread, and a quarantine.  The blocking
     /// `next_chunk` is driven through the same three cases: it waits on its
-    /// thread's doorbell, and a ring that never came shows as a wait that
-    /// ran out its bound (`consumer_wait_timeouts`).
+    /// thread's doorbell, and a ring that never came leaves it waiting until
+    /// the deadline aborts the run.
     #[test]
     fn poll_next_chunk_is_woken_by_the_deposit() {
         use std::task::Wake;
@@ -2366,7 +2350,7 @@ mod tests {
                 .buffer_chunks(4)
                 .io_cost_per_page(Duration::from_micros(125))
                 .store(store)
-                .build()
+                .watched()
         };
         let server = slow_server(Arc::new(SeededStore::new(100, 1, 7)));
         let full = || CScanPlan::new("polled", ScanRanges::full(32), model.all_columns());
@@ -2408,7 +2392,6 @@ mod tests {
             "only {} waits: the doorbell barely rang",
             waits()
         );
-        assert_eq!(counter(&server, Counter::ConsumerWaitTimeouts), 0);
         drop(handle);
 
         // 2. `finish()` from another thread ends a parked poll with `None`.
@@ -2453,7 +2436,6 @@ mod tests {
         drop(handle);
         assert_eq!(server.pinned_frames(), 0);
         assert_eq!(counter(&server, Counter::UnconsumedDrops), 0);
-        assert_eq!(counter(&server, Counter::ConsumerWaitTimeouts), 0);
 
         // 3. A quarantine ends a parked poll with the error.
         let doomed = FaultConfig {
@@ -2494,7 +2476,6 @@ mod tests {
         assert_eq!(error.chunk, cscan_storage::ChunkId::new(3));
         assert_eq!(server.pinned_frames(), 0);
         assert_eq!(counter(&server, Counter::UnconsumedDrops), 0);
-        assert_eq!(counter(&server, Counter::ConsumerWaitTimeouts), 0);
     }
 
     #[test]
@@ -2531,7 +2512,7 @@ mod tests {
                 .io_cost_per_page(Duration::from_micros(20))
                 .io_threads(4)
                 .store(Arc::new(store.clone()))
-                .build(),
+                .watched(),
         );
         let workers: Vec<_> = (0..8)
             .map(|t: u32| {
@@ -2622,7 +2603,7 @@ mod tests {
             .buffer_chunks(CHUNKS as u64) // everything stays resident
             .io_cost_per_page(Duration::ZERO)
             .store(Arc::new(store))
-            .build();
+            .watched();
         let scan = |label: &str| {
             let handle = server.cscan(CScanPlan::new(
                 label.to_string(),
@@ -2680,7 +2661,7 @@ mod tests {
             .buffer_chunks(2) // a tiny pool: scans churn through evictions
             .io_cost_per_page(Duration::ZERO)
             .store(Arc::new(store))
-            .build();
+            .watched();
         for round in 0..2 {
             let handle = server.cscan(CScanPlan::new(
                 format!("round-{round}"),
@@ -2726,7 +2707,7 @@ mod tests {
             .buffer_chunks(CHUNKS as u64) // everything stays resident
             .io_cost_per_page(Duration::ZERO)
             .store(Arc::new(store))
-            .build();
+            .watched();
         let handle = server.cscan(CScanPlan::new(
             "two-of-six",
             ScanRanges::full(CHUNKS),
@@ -2792,7 +2773,7 @@ mod tests {
                 .buffer_chunks(1)
                 .io_cost_per_page(Duration::ZERO)
                 .store(Arc::new(store))
-                .build();
+                .watched();
             let pinned = std::sync::Barrier::new(2);
             let read = |label: &str| {
                 let handle = server.cscan(CScanPlan::new(
@@ -2847,7 +2828,7 @@ mod tests {
             .buffer_pages(30)
             .io_cost_per_page(Duration::ZERO)
             .store(Arc::new(store))
-            .build();
+            .watched();
         let col0 = ColumnId::new(0);
         let columns_of = |payload: &ChunkPayload| -> Vec<u16> {
             match payload {
@@ -3010,7 +2991,7 @@ mod tests {
                 bad_chunk: BAD_CHUNK,
                 bad_column: 2,
             }))
-            .build();
+            .watched();
         let scan = |label: &str, column: u16| {
             let col = ColumnId::new(column);
             let handle = server.cscan(CScanPlan::new(
@@ -3101,7 +3082,7 @@ mod tests {
                 ..RetryPolicy::default()
             })
             .store(Arc::new(store))
-            .build();
+            .watched();
         let handle = server.cscan(CScanPlan::new(
             "flaky",
             ScanRanges::full(20),
@@ -3145,7 +3126,7 @@ mod tests {
             .buffer_chunks(4)
             .io_cost_per_page(Duration::ZERO)
             .store(Arc::new(FaultInjectingStore::new(inner, config)))
-            .build();
+            .watched();
         let doomed = server.cscan(CScanPlan::new(
             "doomed",
             ScanRanges::single(0, 6),
@@ -3230,7 +3211,7 @@ mod tests {
                 ..RetryPolicy::default()
             })
             .store(Arc::new(FaultInjectingStore::new(compressed, config)))
-            .build();
+            .watched();
         let handle = server.cscan(CScanPlan::new(
             "torn",
             ScanRanges::full(16),
@@ -3279,7 +3260,7 @@ mod tests {
             .buffer_chunks(1)
             .io_cost_per_page(Duration::ZERO)
             .store(Arc::new(store))
-            .build();
+            .watched();
         let scan = || {
             server.cscan(CScanPlan::new(
                 "lifecycle",
@@ -3371,7 +3352,7 @@ mod tests {
                 .io_cost_per_page(Duration::ZERO)
                 .retry_policy(RetryPolicy::no_retries())
                 .store(store)
-                .build()
+                .watched()
         };
         let scan = |server: &ScanServer, ranges: ScanRanges| {
             server.cscan(CScanPlan::new("erring", ranges, model.all_columns()))
@@ -3460,7 +3441,7 @@ mod tests {
             .buffer_chunks(4)
             .io_cost_per_page(Duration::ZERO)
             .store(Arc::new(store))
-            .build();
+            .watched();
         let doomed = server.cscan(CScanPlan::new(
             "doomed",
             ScanRanges::full(8),
@@ -3521,7 +3502,7 @@ mod tests {
                     ..RetryPolicy::default()
                 })
                 .store(Arc::new(FaultInjectingStore::new(compressed, config)))
-                .build(),
+                .watched(),
         );
         let workers: Vec<_> = (0..8)
             .map(|t: u32| {
@@ -3641,5 +3622,314 @@ mod tests {
         let p99 = snap.quantile_upper(0.99);
         assert!(p50 <= p99 && p99 <= snap.max_value());
         assert_eq!(snap.counts().len(), cscan_obs::HISTOGRAM_BUCKETS);
+    }
+
+    /// Scenarios run under the seeded schedule controller of the crate's
+    /// `sync` module: one thread at a time, switching at the executor's
+    /// synchronisation points by PCT's rule, so a seed replays its
+    /// schedule, and a run fails the moment every live thread waits — a
+    /// deadlock, or a wake-up nobody sent.
+    mod explored {
+        use super::*;
+        use crate::policy::Policy;
+        use crate::sync::{explore, spawn};
+        use cscan_storage::{FaultConfig, FaultInjectingStore, SeededStore};
+
+        /// Seeds per scenario.
+        const SEEDS: u64 = 64;
+
+        fn lcg(state: &mut u64) -> u64 {
+            *state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            *state >> 33
+        }
+
+        /// Scanner threads whose scripts — consume, drop a pin without
+        /// completing it, abandon the scan, detach by drop, yield — a
+        /// per-thread PRNG picks, over a server of a seed-derived shape
+        /// (policy, buffer, workers); every run must drain to no pinned
+        /// frame, no erred query, no panicked worker and a consistent
+        /// snapshot.
+        fn scanner_scripts(seed: u64) {
+            const CHUNKS: u32 = 16;
+            let mut rng = seed;
+            let policy = PolicyKind::ALL[(lcg(&mut rng) % 4) as usize];
+            let buffer_chunks = 2 + lcg(&mut rng) % 6;
+            let io_threads = 1 + (lcg(&mut rng) % 4) as usize;
+            let scanners = 4 + (lcg(&mut rng) % 12) as usize;
+            let obs = Arc::new(Registry::new());
+            let model = TableModel::nsm_uniform(CHUNKS, 64, 4);
+            let server = Arc::new(
+                ScanServer::builder(model.clone())
+                    .policy(policy)
+                    .buffer_chunks(buffer_chunks)
+                    .io_threads(io_threads)
+                    .io_cost_per_page(Duration::ZERO)
+                    .observability(Arc::clone(&obs))
+                    .build(),
+            );
+            let threads: Vec<_> = (0..scanners)
+                .map(|i| {
+                    let server = Arc::clone(&server);
+                    let model = model.clone();
+                    let mut rng = seed ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i as u64 + 1);
+                    spawn(format!("scanner-{i}"), move || {
+                        let start = (lcg(&mut rng) % CHUNKS as u64) as u32;
+                        let end = start + 1 + (lcg(&mut rng) % (CHUNKS - start) as u64) as u32;
+                        let handle = server.cscan(CScanPlan::new(
+                            format!("script-{i}"),
+                            ScanRanges::single(start, end),
+                            model.all_columns(),
+                        ));
+                        loop {
+                            match lcg(&mut rng) % 16 {
+                                0 => return handle.finish(),
+                                1 => return,
+                                2 => sync::sleep(Duration::ZERO),
+                                _ => {}
+                            }
+                            match handle.next_chunk().expect("no faults injected") {
+                                Some(pin) if lcg(&mut rng).is_multiple_of(4) => drop(pin),
+                                Some(pin) => pin.complete(),
+                                None => return handle.finish(),
+                            }
+                        }
+                    })
+                })
+                .collect();
+            for thread in threads {
+                thread.join().expect("scanner panicked");
+            }
+            assert_eq!(server.pinned_frames(), 0, "seed {seed}: leaked pins");
+            drop(server);
+            let snap = obs.snapshot();
+            assert!(snap.is_consistent(), "seed {seed}: inconsistent snapshot");
+            assert_eq!(snap.counter("worker_panics"), 0, "seed {seed}");
+            assert_eq!(snap.counter("queries_erred"), 0, "seed {seed}");
+        }
+
+        #[test]
+        fn scanner_scripts_drain_clean() {
+            for seed in 0..48 {
+                explore(seed, 2_000, move || scanner_scripts(seed));
+            }
+        }
+
+        #[test]
+        fn a_seed_replays_its_schedule() {
+            for seed in 0..4 {
+                let first = explore(seed, 2_000, move || scanner_scripts(seed));
+                assert_eq!(explore(seed, 2_000, move || scanner_scripts(seed)), first);
+            }
+        }
+
+        /// Three blocking racers on one LIMIT-3 handle, each waiting on its
+        /// own thread's doorbell: together they take exactly three chunks,
+        /// and whichever wait last ends when the core closes the scan at
+        /// the third release — every change to the slot rings every waiter.
+        #[test]
+        fn racers_on_a_limited_shared_handle_are_each_rung() {
+            for seed in 0..SEEDS {
+                explore(seed, 100, || {
+                    let model = TableModel::nsm_uniform(8, 100, 16);
+                    let server = ScanServer::builder(model.clone())
+                        .buffer_chunks(8)
+                        .io_cost_per_page(Duration::ZERO)
+                        .store(Arc::new(SeededStore::new(100, 1, 7)))
+                        .build();
+                    let plan =
+                        CScanPlan::new("shared-limit", ScanRanges::full(8), model.all_columns());
+                    let handle = Arc::new(server.cscan(plan.with_chunk_limit(3)));
+                    let racers: Vec<_> = (0..3)
+                        .map(|i| {
+                            let handle = Arc::clone(&handle);
+                            spawn(format!("racer-{i}"), move || {
+                                let mut taken = 0;
+                                while let Some(pin) = handle.next_chunk().unwrap() {
+                                    taken += 1;
+                                    pin.complete();
+                                }
+                                taken
+                            })
+                        })
+                        .collect();
+                    let taken: u32 = racers.into_iter().map(|r| r.join().unwrap()).sum();
+                    assert_eq!(taken, 3);
+                    drop(handle);
+                    assert_eq!(server.pinned_frames(), 0);
+                    assert_eq!(counter(&server, Counter::UnconsumedDrops), 0);
+                });
+            }
+        }
+
+        /// A consumer blocked in `next_chunk` is rung by each site that
+        /// ends its wait: a grant deposited by a commit, a `finish` from
+        /// another thread, and a quarantine of the chunk it needs.
+        #[test]
+        fn a_deposit_a_finish_and_a_quarantine_each_ring_a_waiting_consumer() {
+            for seed in 0..SEEDS {
+                explore(seed, 120, || {
+                    let model = TableModel::nsm_uniform(8, 100, 16);
+                    let doomed = FaultConfig {
+                        permanent_chunks: vec![3],
+                        ..FaultConfig::default()
+                    };
+                    let store = FaultInjectingStore::new(SeededStore::new(100, 1, 7), doomed);
+                    let server = ScanServer::builder(model.clone())
+                        .buffer_chunks(2)
+                        .io_cost_per_page(Duration::from_micros(125))
+                        .store(Arc::new(store))
+                        .build();
+                    let scan = |start, end| {
+                        let plan = CScanPlan::new(
+                            "rung",
+                            ScanRanges::single(start, end),
+                            model.all_columns(),
+                        );
+                        Arc::new(server.cscan(plan))
+                    };
+                    // A commit's deposit, every chunk once.
+                    let deposits = scan(0, 3);
+                    let mut seen = [false; 3];
+                    while let Some(pin) = deposits.next_chunk().unwrap() {
+                        let at = pin.chunk().index() as usize;
+                        assert!(!std::mem::replace(&mut seen[at], true), "chunk {at} twice");
+                        pin.complete();
+                    }
+                    assert_eq!(seen, [true; 3]);
+                    // A finish from another thread.
+                    let finished = scan(4, 8);
+                    let consumer = Arc::clone(&finished);
+                    let consumer = spawn("consumer".into(), move || {
+                        while let Some(pin) = consumer.next_chunk().unwrap() {
+                            pin.complete();
+                        }
+                    });
+                    finished.finish();
+                    consumer.join().unwrap();
+                    // A quarantine.
+                    let error = scan(3, 4).next_chunk().expect_err("chunk 3 is unreadable");
+                    assert_eq!(error.chunk, ChunkId::new(3));
+                    assert_eq!(server.pinned_frames(), 0);
+                    assert_eq!(counter(&server, Counter::UnconsumedDrops), 0);
+                });
+            }
+        }
+
+        /// A policy whose `next_load` panics once three queries are
+        /// registered and it has decided two loads.
+        struct PanicsAfterTwoLoads {
+            inner: Box<dyn Policy>,
+            loads: u32,
+        }
+
+        impl Policy for PanicsAfterTwoLoads {
+            fn kind(&self) -> PolicyKind {
+                self.inner.kind()
+            }
+            fn on_register(&mut self, q: QueryId, state: &crate::AbmState) {
+                self.inner.on_register(q, state);
+            }
+            fn on_query_finished(&mut self, q: QueryId, state: &crate::AbmState) {
+                self.inner.on_query_finished(q, state);
+            }
+            fn next_load(
+                &mut self,
+                state: &crate::AbmState,
+                now: SimTime,
+                slot: usize,
+            ) -> Option<crate::LoadDecision> {
+                if state.num_queries() == 3 && self.loads >= 2 {
+                    panic!("the policy fails as arranged");
+                }
+                let decision = self.inner.next_load(state, now, slot);
+                self.loads += u32::from(decision.is_some());
+                decision
+            }
+            fn next_chunk(&mut self, q: QueryId, state: &crate::AbmState) -> Option<ChunkId> {
+                self.inner.next_chunk(q, state)
+            }
+            fn choose_victim(
+                &mut self,
+                state: &crate::AbmState,
+                load: &crate::LoadDecision,
+            ) -> Option<ChunkId> {
+                self.inner.choose_victim(state, load)
+            }
+        }
+
+        /// A panic of the scheduler core on an I/O worker ends every open
+        /// scan with an error: counted, dumped, and every `next_chunk`
+        /// returns it.  Without the containment the worker dies and its
+        /// scans wait for ever, which the controller reports.
+        #[test]
+        fn a_core_panic_on_a_worker_errs_every_open_scan() {
+            for seed in 0..SEEDS {
+                explore(seed, 100, || {
+                    let model = TableModel::nsm_uniform(16, 100, 16);
+                    let server = ScanServer::builder(model.clone())
+                        .buffer_chunks(2)
+                        .io_threads(2)
+                        .io_cost_per_page(Duration::ZERO)
+                        .build();
+                    {
+                        let mut sched = server.shared.lock_sched();
+                        let pages = sched.core.state().capacity_pages();
+                        let policy = PanicsAfterTwoLoads {
+                            inner: PolicyKind::Relevance.build(),
+                            loads: 0,
+                        };
+                        let retry = RetryPolicy::default();
+                        sched.core = Scheduler::from_policy(
+                            model.clone(),
+                            pages,
+                            Box::new(policy),
+                            retry,
+                            server.metrics(),
+                        );
+                    }
+                    let server = Arc::new(server);
+                    let scans: Vec<_> = (0..3)
+                        .map(|i| {
+                            let plan = CScanPlan::new(
+                                format!("doomed-{i}"),
+                                ScanRanges::full(16),
+                                model.all_columns(),
+                            );
+                            server.cscan(plan)
+                        })
+                        .collect();
+                    let consumers: Vec<_> = scans
+                        .into_iter()
+                        .enumerate()
+                        .map(|(i, scan)| {
+                            spawn(format!("consumer-{i}"), move || loop {
+                                match scan.next_chunk() {
+                                    Ok(Some(pin)) => pin.complete(),
+                                    Ok(None) => return None,
+                                    Err(error) => return Some(error),
+                                }
+                            })
+                        })
+                        .collect();
+                    for consumer in consumers {
+                        let error = consumer.join().unwrap().expect("the scan errs");
+                        assert_eq!(error.cause, StoreError::Permanent);
+                    }
+                    let late = CScanPlan::new("late", ScanRanges::full(16), model.all_columns());
+                    let late = server
+                        .cscan(late)
+                        .next_chunk()
+                        .expect_err("a late scan errs");
+                    assert_eq!(late.cause, StoreError::Permanent);
+                    assert!(counter(&server, Counter::WorkerPanics) >= 1);
+                    assert_eq!(counter(&server, Counter::QueriesErred), 4);
+                    let dump = server.metrics().last_flight_dump().expect("a dump");
+                    assert!(dump.contains("worker_panic"), "dump: {dump}");
+                    assert_eq!(server.pinned_frames(), 0);
+                });
+            }
+        }
     }
 }

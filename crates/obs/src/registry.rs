@@ -97,22 +97,10 @@ pub enum Counter {
     /// Connections shed because the consumer stalled (stopped reading or
     /// stopped requesting batches while holding open scans).
     ConnectionsShed,
-    /// Times a connection's serving thread found a batch to send only
-    /// because its belt-and-braces wait bound expired, not because anything
-    /// woke it: a missed wake-up, survived.  Expected to stay 0.
-    ServeWaitTimeouts,
     /// Column batches served over the wire protocol.
     BatchesServed,
     /// Payload bytes served over the wire protocol (encoded frame bodies).
     BytesServed,
-    /// Times an idle I/O worker slept through its belt-and-braces wait
-    /// bound with nothing notifying it, and then found a load to plan: a
-    /// missed wake-up, survived.  Expected to stay 0.
-    WorkerParkTimeouts,
-    /// Times a consumer's belt-and-braces wait bound expired and its own
-    /// run of the grant matcher then found a chunk nobody had granted it: a
-    /// missed wake-up, survived.  Expected to stay 0.
-    ConsumerWaitTimeouts,
     /// Notifications sent to an idle I/O worker: a scheduling input changed
     /// while some query missed a chunk, or a worker that planned a load
     /// woke the next.
@@ -121,7 +109,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in index order.
-    pub const ALL: [Counter; 35] = [
+    pub const ALL: [Counter; 32] = [
         Counter::LoadsCompleted,
         Counter::LoadsCancelled,
         Counter::LoadFaults,
@@ -151,11 +139,8 @@ impl Counter {
         Counter::AdmissionShed,
         Counter::ConnectionsOpened,
         Counter::ConnectionsShed,
-        Counter::ServeWaitTimeouts,
         Counter::BatchesServed,
         Counter::BytesServed,
-        Counter::WorkerParkTimeouts,
-        Counter::ConsumerWaitTimeouts,
         Counter::WorkerWakeups,
     ];
 
@@ -191,11 +176,8 @@ impl Counter {
             Counter::AdmissionShed => "admission_shed",
             Counter::ConnectionsOpened => "connections_opened",
             Counter::ConnectionsShed => "connections_shed",
-            Counter::ServeWaitTimeouts => "serve_wait_timeouts",
             Counter::BatchesServed => "batches_served",
             Counter::BytesServed => "bytes_served",
-            Counter::WorkerParkTimeouts => "worker_park_timeouts",
-            Counter::ConsumerWaitTimeouts => "consumer_wait_timeouts",
             Counter::WorkerWakeups => "worker_wakeups",
         }
     }

@@ -96,14 +96,13 @@ fn main() -> ExitCode {
     let pinned = catalog.pinned_frames();
     println!(
         "{{\"admitted\": {}, \"queued\": {}, \"shed\": {}, \"connections\": {}, \
-         \"connections_shed\": {}, \"serve_wait_timeouts\": {}, \"batches_served\": {}, \
+         \"connections_shed\": {}, \"batches_served\": {}, \
          \"bytes_served\": {}, \"pinned_frames\": {}, \"open_connections\": {}}}",
         obs.counter(Counter::AdmissionAdmitted),
         obs.counter(Counter::AdmissionQueued),
         obs.counter(Counter::AdmissionShed),
         obs.counter(Counter::ConnectionsOpened),
         obs.counter(Counter::ConnectionsShed),
-        obs.counter(Counter::ServeWaitTimeouts),
         obs.counter(Counter::BatchesServed),
         obs.counter(Counter::BytesServed),
         pinned,

@@ -13,11 +13,11 @@
 //! [`Doorbell`] — the executor's, whose ring is state — which is rung by
 //! the reader (a frame, end of stream, a framing error), by the executor
 //! through every scan's waker (a chunk was deposited for a scan that found
-//! none), and by server stop.  That wait and each socket write block for
-//! no longer than the executor's [`WAIT_BOUND`] at a time, so a `Cancel`,
-//! a stop and the stall clock are all observed while a peer is slow; a
-//! wait that runs out unrung with a chunk waiting is a missed wake-up,
-//! counted as [`Counter::ServeWaitTimeouts`].
+//! none), and by server stop.  Only a slow peer is timed: a socket write
+//! blocks for at most `WRITE_SLICE`, so a `Cancel`, a stop and the stall
+//! clock are observed while the peer does not read, and a connection
+//! holding scans waits on its doorbell no later than its stall deadline.
+//! An idle connection waits for a ring alone.
 //!
 //! The send queue ([`SendQueue`]) holds a batch's header bytes and, by
 //! reference count, the column vectors the buffer manager loaded; one
@@ -39,7 +39,7 @@
 
 use crate::catalog::Catalog;
 use crate::service::{Pump, ServerScan};
-use cscan_core::threaded::{Doorbell, WAIT_BOUND};
+use cscan_core::threaded::Doorbell;
 use cscan_obs::{Counter, Gauge, Registry};
 use cscan_proto::{Decoder, FrameSink, Message, ProtoError, SendQueue, ServeError};
 use parking_lot::{Condvar, Mutex};
@@ -54,6 +54,15 @@ use std::time::{Duration, Instant};
 /// Decoded frames the reader may run ahead of the serving thread before
 /// it stops reading the socket.
 const INBOX_FRAMES: usize = 64;
+
+/// The longest one socket write blocks: the serving thread of a peer that
+/// does not read looks at its inbox, the stop flag and the stall clock
+/// this often.
+const WRITE_SLICE: Duration = Duration::from_millis(50);
+
+/// The pause after a failed `accept` (a peer gone mid-handshake, or no
+/// descriptors left), so that a failure that persists cannot spin.
+const ACCEPT_PAUSE: Duration = Duration::from_millis(50);
 
 /// Network-layer knobs.
 #[derive(Debug, Clone)]
@@ -185,10 +194,7 @@ pub fn serve(
                             // long-lived server does not accumulate handles.
                             conns.retain(|(_, t)| !t.is_finished());
                         }
-                        // The peer gave up mid-handshake, or descriptors
-                        // ran out: nothing to do but accept again — after
-                        // a pause, so a failure that persists cannot spin.
-                        Err(_) => thread::park_timeout(WAIT_BOUND),
+                        Err(_) => thread::park_timeout(ACCEPT_PAUSE),
                     }
                 }
                 for (bell, _) in &conns {
@@ -347,7 +353,7 @@ impl Connection {
 
     fn run(mut self) {
         let _ = self.stream.set_nodelay(true);
-        let _ = self.stream.set_write_timeout(Some(WAIT_BOUND));
+        let _ = self.stream.set_write_timeout(Some(WRITE_SLICE));
         let reader = self.stream.try_clone().and_then(|stream| {
             let (inbox, bell) = (Arc::clone(&self.inbox), Arc::clone(&self.bell));
             thread::Builder::new()
@@ -382,8 +388,6 @@ impl Connection {
 
     fn serve_loop(&mut self) -> Exit {
         let mut frames = Vec::new();
-        // Whether the pass under way follows a wait nobody ended.
-        let mut unrung = false;
         loop {
             let mut progressed = false;
 
@@ -431,12 +435,7 @@ impl Connection {
             // 3. Pump scans while there is credit, data and buffer room.
             if self.pump_round() {
                 progressed = true;
-                if unrung {
-                    // A chunk was waiting and nothing had said so.
-                    self.obs.inc(Counter::ServeWaitTimeouts);
-                }
             }
-            unrung = false;
 
             // 4. Push bytes to the socket.
             match self.write_some() {
@@ -477,12 +476,8 @@ impl Connection {
             // connection rings the doorbell, so wait there — not past the
             // stall deadline, which rings nothing.
             if self.unsent() == 0 {
-                let bound = if holding {
-                    WAIT_BOUND.min(self.cfg.stall_timeout.saturating_sub(stalled))
-                } else {
-                    WAIT_BOUND
-                };
-                unrung = self.bell.wait(bound);
+                let deadline = holding.then(|| self.last_progress + self.cfg.stall_timeout);
+                self.bell.wait(deadline);
             }
         }
     }
@@ -624,7 +619,7 @@ impl Connection {
     }
 
     /// One vectored write of the queue's front, which blocks until the
-    /// socket has taken it or [`WAIT_BOUND`] has passed; `Ok(true)` if any
+    /// socket has taken it or `WRITE_SLICE` has passed; `Ok(true)` if any
     /// bytes drained.
     fn write_some(&mut self) -> Result<bool, ()> {
         if self.unsent() == 0 {
