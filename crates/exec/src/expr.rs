@@ -165,19 +165,15 @@ impl Expr {
             a.select(chunk, sel, all, scratch);
             b.select(chunk, sel, false, scratch);
         } else if let Some((c, lo, hi)) = self.as_column_range() {
-            if lo > hi {
+            let Some(range) = ColumnRange::new(c, lo, hi) else {
                 sel.clear();
                 return;
-            }
-            // `lo <= v <= hi` iff `v - lo`, wrapped and read unsigned, is at
-            // most `hi - lo`.
-            let span = hi.wrapping_sub(lo) as u64;
-            let within = move |v: Value| v.wrapping_sub(lo) as u64 <= span;
+            };
             let col = chunk.physical_column(c);
             if all {
-                select_all(sel, col, within);
+                select_all(sel, col, |v| range.contains(v));
             } else {
-                narrow(sel, |_, r| within(col[r]));
+                narrow(sel, |_, r| range.contains(col[r]));
             }
         } else {
             let mut values = scratch.take();
@@ -194,7 +190,7 @@ impl Expr {
 
     /// `(c, lo, hi)` if the predicate is `lo <= Col(c) <= hi`: `Between` on
     /// a column, or a column compared with a constant.
-    fn as_column_range(&self) -> Option<(usize, Value, Value)> {
+    pub(crate) fn as_column_range(&self) -> Option<(usize, Value, Value)> {
         let (a, b) = match self {
             Expr::Between(e, lo, hi) => return Some((e.as_col()?, *lo, *hi)),
             Expr::Eq(a, b) | Expr::Lt(a, b) | Expr::Le(a, b) | Expr::Ge(a, b) => (a, b),
@@ -219,6 +215,40 @@ impl Expr {
             Expr::Col(c) => Some(*c),
             _ => None,
         }
+    }
+}
+
+/// A non-empty range predicate `lo <= Col(col) <= hi`, tested as one
+/// unsigned compare a row: `v` is inside iff `v - lo`, wrapped and read
+/// unsigned, is at most `hi - lo`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ColumnRange {
+    pub(crate) col: usize,
+    lo: Value,
+    span: u64,
+}
+
+impl ColumnRange {
+    /// The range, or `None` if it is empty (`lo > hi`).
+    pub(crate) fn new(col: usize, lo: Value, hi: Value) -> Option<Self> {
+        (lo <= hi).then(|| Self {
+            col,
+            lo,
+            span: hi.wrapping_sub(lo) as u64,
+        })
+    }
+
+    #[inline(always)]
+    pub(crate) fn contains(self, v: Value) -> bool {
+        v.wrapping_sub(self.lo) as u64 <= self.span
+    }
+
+    /// All ones if the range holds `v`, 0 if not: the borrow out of
+    /// `(v - lo) - (hi - lo + 1)`, computed without a compare.
+    #[inline(always)]
+    pub(crate) fn mask(self, v: Value) -> Value {
+        let offset = v.wrapping_sub(self.lo) as u64 as u128;
+        (offset.wrapping_sub(self.span as u128 + 1) >> 64) as Value
     }
 }
 
@@ -270,7 +300,7 @@ fn binary(
 /// time: every row is written to a block buffer whose cursor advances by
 /// the verdict, so no branch depends on a verdict, and the block's kept
 /// rows are appended at once — `sel` is never zeroed first.
-fn select_all(sel: &mut Vec<u32>, values: &[Value], pred: impl Fn(Value) -> bool) {
+pub(crate) fn select_all(sel: &mut Vec<u32>, values: &[Value], pred: impl Fn(Value) -> bool) {
     const BLOCK: usize = 64;
     sel.clear();
     sel.reserve(values.len());

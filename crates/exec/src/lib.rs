@@ -25,11 +25,11 @@
 //! * [`ops`] — operators: chunk sources (including [`ops::SessionSource`],
 //!   which turns any [`cscan_core::session::ScanSession`] into a leaf of
 //!   the operator tree without copying a value), filter, project, hash
-//!   aggregation (one key column through a per-batch remap to group ids,
-//!   folds over interleaved partial states when groups are few), and the
-//!   order-aware operators of Section 7: chunk-ordered aggregation with
-//!   boundary stitching and the (cooperative) merge join over multi-table
-//!   clustering.
+//!   aggregation (one loop a batch: a key column's remap to the group's
+//!   slot, every aggregate folded there, a filter's column range folded as
+//!   a mask), and the order-aware operators of Section 7: chunk-ordered
+//!   aggregation with boundary stitching and the (cooperative) merge join
+//!   over multi-table clustering.
 //!
 //! The kernels' speed is gated in release CI against the same query written
 //! as plain loops (`cscan_bench/tests/exec_gate.rs`); ARCHITECTURE.md's

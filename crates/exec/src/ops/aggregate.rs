@@ -7,34 +7,49 @@
 //! out of order, emitting interior groups immediately and stitching the
 //! groups that straddle chunk boundaries at the end.
 //!
-//! Both work a vector at a time: first every (selected) row of the batch is
-//! mapped to a dense group id, then each aggregate runs one tight loop over
-//! `(group ids, its column, the selection)` updating a flat array of its own
-//! state.
+//! Both work a batch at a time, in one loop over its rows: each row finds
+//! its group's *slot* — its row count, then one value a sum, min or max,
+//! side by side in one flat array — and folds into all of it.
 //!
-//! * **Group ids.**  `HashAggregate` keeps a `GroupTable`: keys in one
-//!   arena, open-addressed slots of group ids.  With one key column a row
-//!   does not probe it: it reads its group from a *remap*, an array of
-//!   group ids indexed by `key - base`.  Keys the remap does not hold yet
-//!   are resolved after the pass — each probed once, the remap moved over
-//!   the batch's keys when they span at most 16 384 values — and a batch
-//!   whose keys span more (or overflow `max - min`) probes per row.
-//!   Several key columns probe per row; none make one group.
-//!   `ChunkOrderedAggregate` counts key runs instead.
-//! * **Folds.**  Count, sum, min and max are associative and commutative.
-//!   With at most 64 groups, row `i` folds into lane `i % 4` of its
-//!   group's four interleaved partial states, and the lanes are merged
-//!   into the group's state after the batch: neighbouring rows of one
-//!   group no longer wait on each other's store to one slot.  More groups
-//!   fold straight into the state, where such collisions are rare.
+//! * **Groups.**  `HashAggregate` keeps a `GroupTable`: keys in one arena,
+//!   open-addressed slots of group ids.  With one key column a row does
+//!   not probe it: it reads its slot from a *remap*, an array indexed by
+//!   `key - base`.  A row the remap has no group for folds into slot 0, a
+//!   sink never read; if any row that counts went there, those rows alone
+//!   are then resolved (each new key probed once, the remap moved over the
+//!   counting keys when they span at most 16 384 values) and folded.
+//!   A batch that finds the remap empty (the first, or the first after
+//!   a wide one) remaps the keys of its first 1 024 rows before its loop,
+//!   rejected rows' keys included: a group no counting row reaches keeps
+//!   a zero count and is not emitted.  A batch whose keys
+//!   span more (or overflow `max - min`) probes per row, and so do the
+//!   batches after it until one fits again.  Several key columns probe per
+//!   row; none make one group.  `ChunkOrderedAggregate` counts key runs
+//!   instead.
+//! * **Folds.**  Count, sum, min and max are associative and commutative,
+//!   so a row folds straight into its slot.  A max is kept complemented,
+//!   so it folds as a min does.  With at most two sums, mins and maxes
+//!   their kinds are compile-time constants of the loop and their columns
+//!   are read out of the batch once (`Fixed`); longer lists read the list
+//!   per row (`Listed`).  Behind a [`Filter`] whose predicate is a column
+//!   range, over a dense batch, the filter builds no selection: the loop
+//!   reads every row and folds it under a mask of the range's verdict
+//!   (all ones or 0, the borrow of one subtraction), so no branch depends
+//!   on it — a rejected row adds 0 to the count and the sums and offers
+//!   `MAX` to a min.  Only the probing pass skips a rejected row, lest it
+//!   make a group.
 //!
-//! Every buffer (group ids, remap, lanes, key runs) is kept across batches:
-//! nothing is allocated per row.
+//! Every buffer (remap, slots, key runs, missed rows) is kept across
+//! batches: nothing is allocated per row.
+//!
+//! [`Filter`]: crate::Filter
 
-use crate::ops::scan::Operator;
+use crate::expr::{select_all, ColumnRange};
+use crate::ops::scan::{Deferred, Operator};
 use crate::vector::{DataChunk, Value};
 use cscan_core::session::ScanError;
 use cscan_storage::ChunkId;
+use std::hint::{cold_path, select_unpredictable};
 
 /// An aggregate function over an input column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,29 +64,99 @@ pub enum AggFunc {
     Max(usize),
 }
 
-impl AggFunc {
-    /// The state of a group no row has reached yet.
-    fn identity(self) -> Value {
-        match self {
-            AggFunc::Sum(_) | AggFunc::Count => 0,
-            AggFunc::Min(_) => Value::MAX,
-            AggFunc::Max(_) => Value::MIN,
+/// The rows of a batch an aggregate folds, each with whether it counts:
+/// a row a deferred range rejects is still read, and counts for nothing.
+#[derive(Clone, Copy)]
+struct Rows<'a> {
+    /// The batch's physical length (less for a [`Rows::head`]): every
+    /// column a loop reads is cut to it.
+    len: usize,
+    pick: Pick<'a>,
+}
+
+#[derive(Clone, Copy)]
+enum Pick<'a> {
+    /// Every physical row.
+    All,
+    /// The selected physical rows.
+    Selected(&'a [u32]),
+    /// Every physical row, counting if the range holds its value.
+    Masked(&'a [Value], ColumnRange),
+}
+
+impl<'a> Rows<'a> {
+    fn of(batch: &'a DataChunk, range: Option<ColumnRange>) -> Self {
+        let len = batch.physical_len();
+        let pick = match (batch.selection(), range) {
+            (Some(sel), _) => {
+                debug_assert!(range.is_none(), "a range is deferred over dense batches");
+                Pick::Selected(sel)
+            }
+            (None, Some(range)) => Pick::Masked(batch.physical_column(range.col), range),
+            (None, None) => Pick::All,
+        };
+        Rows { len, pick }
+    }
+
+    /// The physical rows `rows` of a batch of `len` rows.
+    fn selected(len: usize, rows: &'a [u32]) -> Self {
+        Rows {
+            len,
+            pick: Pick::Selected(rows),
         }
     }
 
-    /// Combines two partial states of the same group.
-    fn merge(self, a: Value, b: Value) -> Value {
-        match self {
-            AggFunc::Sum(_) | AggFunc::Count => a.wrapping_add(b),
-            AggFunc::Min(_) => a.min(b),
-            AggFunc::Max(_) => a.max(b),
+    /// Calls `f(row, mask)` for every row, in order: the mask is all ones
+    /// if the row counts, 0 if not.
+    #[inline(always)]
+    fn for_each(self, mut f: impl FnMut(usize, Value)) {
+        match self.pick {
+            Pick::All => (0..self.len).for_each(|row| f(row, -1)),
+            Pick::Selected(sel) => sel.iter().for_each(|&row| f(row as usize, -1)),
+            Pick::Masked(values, range) => {
+                let values = &values[..self.len];
+                (0..self.len).for_each(|row| f(row, range.mask(values[row])));
+            }
+        }
+    }
+
+    /// The first `n` of the rows (all, if fewer).
+    fn head(self, n: usize) -> Self {
+        match self.pick {
+            Pick::Selected(sel) => Self::selected(self.len, &sel[..n.min(sel.len())]),
+            Pick::All => Rows {
+                len: n.min(self.len),
+                pick: Pick::All,
+            },
+            Pick::Masked(values, range) => {
+                let len = n.min(self.len);
+                Rows {
+                    len,
+                    pick: Pick::Masked(&values[..len], range),
+                }
+            }
+        }
+    }
+
+    /// An upper bound on the rows that count.
+    fn count(self) -> usize {
+        match self.pick {
+            Pick::Selected(sel) => sel.len(),
+            Pick::All | Pick::Masked(..) => self.len,
         }
     }
 }
 
+/// `hi - lo` if a remap over `lo..=hi` fits [`GroupTable::REMAP_DOMAIN`].
+fn remap_span(lo: Value, hi: Value) -> Option<usize> {
+    hi.checked_sub(lo)
+        .and_then(|span| usize::try_from(span).ok())
+        .filter(|&span| span < GroupTable::REMAP_DOMAIN)
+}
+
 /// Group keys → dense group ids: a flat open-addressed table whose keys
 /// live in one arena (stride = key width; zero key columns make one group),
-/// and, for one key column, a per-batch remap in front of it.
+/// and, for one key column, a remap in front of it.
 struct GroupTable {
     width: usize,
     /// Group `g`'s key is `keys[g * width..][..width]`.
@@ -80,10 +165,13 @@ struct GroupTable {
     /// Linear-probed slots holding group ids, [`GroupTable::FREE`] when
     /// unused; a power of two, at least twice `groups`.
     slots: Vec<u32>,
-    /// One key column: the group of key `remap_base + i` is `remap[i]`,
-    /// [`GroupTable::FREE`] until a batch holding that key looked it up.
+    /// One key column: key `remap_base + i` is group `remap[i] - 1`; 0
+    /// until a batch holding that key looked it up.
     remap: Vec<u32>,
     remap_base: Value,
+    /// The last batch's keys spanned more than the remap takes: batches
+    /// probe per row until one fits again.
+    wide: bool,
 }
 
 impl GroupTable {
@@ -93,6 +181,11 @@ impl GroupTable {
     /// per row.  Measured: a remap over 4 097–16 384 values assigns ids
     /// 2–5× faster than probing, and one over 65 536 gains nothing certain.
     const REMAP_DOMAIN: usize = 16_384;
+    /// The rows of a batch that finds the remap empty whose keys are
+    /// remapped before its loop: enough to find every key of a small
+    /// domain, and a twentieth of the benchmark's batch.  Keys it misses
+    /// go through the sink.
+    const HEAD: usize = 1_024;
 
     fn new(width: usize) -> Self {
         Self {
@@ -102,6 +195,7 @@ impl GroupTable {
             slots: vec![Self::FREE; 16],
             remap: Vec::new(),
             remap_base: 0,
+            wide: false,
         }
     }
 
@@ -175,77 +269,21 @@ impl GroupTable {
         self.slots[slot] = group;
     }
 
-    /// Writes the group id of every (selected) row of `batch` into `gids`,
-    /// creating groups as new keys appear.
-    fn assign(&mut self, batch: &DataChunk, key_cols: &[usize], gids: &mut Vec<u32>) {
-        gids.clear();
-        match key_cols {
-            [] => {
-                if !batch.is_empty() {
-                    self.find_or_insert(&[]);
-                }
-                gids.resize(batch.len(), 0);
-            }
-            [col] => self.assign_one(batch.physical_column(*col), batch.selection(), gids),
-            _ => {
-                gids.reserve(batch.len());
-                let cols: Vec<&[Value]> =
-                    key_cols.iter().map(|&c| batch.physical_column(c)).collect();
-                let mut key = vec![0; cols.len()];
-                batch.for_each_row(|r| {
-                    for (k, col) in key.iter_mut().zip(&cols) {
-                        *k = col[r];
-                    }
-                    gids.push(self.find_or_insert(&key).0);
-                });
-            }
+    /// The remap as it stands, for a loop to read.
+    fn remap(&self) -> Remap<'_> {
+        Remap {
+            base: self.remap_base,
+            slots: &self.remap,
         }
     }
 
-    /// [`GroupTable::assign`] for one key column: `keys` is the column,
-    /// `sel` the batch's selection.  Each row reads its group from the
-    /// remap; the rows it has no group for yet are resolved after.
-    fn assign_one(&mut self, keys: &[Value], sel: Option<&[u32]>, gids: &mut Vec<u32>) {
-        let (base, remap) = (self.remap_base, self.remap.as_slice());
-        let lookup = |k: Value| {
-            let slot = k.wrapping_sub(base) as usize;
-            remap.get(slot).copied().unwrap_or(Self::FREE)
-        };
-        match sel {
-            None => gids.extend(keys.iter().map(|&k| lookup(k))),
-            Some(sel) => gids.extend(sel.iter().map(|&r| lookup(keys[r as usize]))),
-        }
-        // A separate pass: folded into the lookups it costs more.
-        if gids
-            .iter()
-            .fold(false, |missing, &g| missing | (g == Self::FREE))
-        {
-            self.resolve(keys, sel, gids);
-        }
-    }
-
-    /// Finds the groups of the rows the remap had none for.  If the
-    /// batch's keys span at most [`GroupTable::REMAP_DOMAIN`] values the
-    /// remap is moved over them (kept if it covers them already) and each
-    /// missing key is probed once; otherwise every row probes.  Not cold:
-    /// a key column whose batches are too wide comes here every batch.
-    fn resolve(&mut self, keys: &[Value], sel: Option<&[u32]>, gids: &mut [u32]) {
-        let row = |i: usize| sel.map_or(i, |sel| sel[i] as usize);
-        let (lo, hi) = (0..gids.len())
-            .map(|i| keys[row(i)])
-            .fold((Value::MAX, Value::MIN), |(lo, hi), k| {
-                (lo.min(k), hi.max(k))
-            });
-        let span = hi
-            .checked_sub(lo)
-            .and_then(|span| usize::try_from(span).ok())
-            .filter(|&span| span < Self::REMAP_DOMAIN);
-        let Some(span) = span else {
-            // Too wide to remap: probe per row until a batch fits again.
+    /// Points the remap at `lo..=hi`, unless it covers them already; if
+    /// they span more than [`GroupTable::REMAP_DOMAIN`] values (or none),
+    /// turns to probing per row instead.
+    fn cover(&mut self, lo: Value, hi: Value) {
+        let Some(span) = remap_span(lo, hi) else {
             self.remap.clear();
-            for (i, group) in gids.iter_mut().enumerate() {
-                *group = self.find_or_insert(&[keys[row(i)]]).0;
-            }
+            self.wide = true;
             return;
         };
         let covered = lo
@@ -255,147 +293,446 @@ impl GroupTable {
         if !covered {
             self.remap_base = lo;
             self.remap.clear();
-            self.remap.resize(span + 1, Self::FREE);
+            self.remap.resize(span + 1, 0);
         }
-        for (i, group) in gids.iter_mut().enumerate() {
-            let key = keys[row(i)];
-            let slot = key.wrapping_sub(self.remap_base) as usize;
-            if self.remap[slot] == Self::FREE {
-                self.remap[slot] = self.find_or_insert(&[key]).0;
+    }
+
+    /// Writes the slot of every row of `rows` into `slots` (indexed by
+    /// physical row), probing for its key in `cols`: the pass for keys no
+    /// remap takes — several columns, or one too wide.  A pass of its own,
+    /// not inlined into the fold, and measured faster so.  With one column
+    /// it watches the keys' span and turns back to the remap once a batch
+    /// fits it.
+    fn probe(&mut self, cols: &[&[Value]], rows: Rows, slots: &mut Vec<u32>) {
+        slots.clear();
+        slots.resize(rows.len, 0);
+        if let [keys] = cols {
+            let (mut lo, mut hi) = (Value::MAX, Value::MIN);
+            rows.for_each(|row, _| {
+                let key = keys[row];
+                (lo, hi) = (lo.min(key), hi.max(key));
+                slots[row] = self.find_or_insert(&[key]).0 + 1;
+            });
+            self.wide = remap_span(lo, hi).is_none();
+        } else {
+            let mut key = vec![0; cols.len()];
+            rows.for_each(|row, _| {
+                for (k, col) in key.iter_mut().zip(cols) {
+                    *k = col[row];
+                }
+                slots[row] = self.find_or_insert(&key).0 + 1;
+            });
+        }
+    }
+
+    /// The state slot of one-column `key`, through the remap if it covers
+    /// the key (filling its entry on first sight), by a probe otherwise.
+    fn slot_of(&mut self, key: Value) -> usize {
+        let i = key.wrapping_sub(self.remap_base) as usize;
+        match self.remap.get(i) {
+            Some(0) => {
+                let slot = self.find_or_insert(&[key]).0 + 1;
+                self.remap[i] = slot;
+                slot as usize
             }
-            *group = self.remap[slot];
+            Some(&slot) => slot as usize,
+            None => self.find_or_insert(&[key]).0 as usize + 1,
         }
     }
 }
 
-/// The running state of a list of aggregates: one flat array per
-/// aggregate, indexed by group id.
+/// A sum, min or max of a column: one value of each group's slot.  A
+/// max is kept complemented (`!v` reverses the order of `i64`), so it
+/// folds as a min does.
+#[derive(Debug, Clone, Copy)]
+struct Lane {
+    col: usize,
+    sum: bool,
+    /// `-1` for a max (values are complemented on the way in and out), else 0.
+    flip: Value,
+}
+
+impl Lane {
+    /// The lane's value in a slot no row has reached.
+    fn identity(self) -> Value {
+        if self.sum {
+            0
+        } else {
+            Value::MAX
+        }
+    }
+
+    /// Folds `value` (flipped) into `state` under `mask` — all ones if the
+    /// row counts, 0 if not — without a branch.
+    #[inline(always)]
+    fn fold(sum: bool, state: Value, value: Value, mask: Value) -> Value {
+        if sum {
+            state.wrapping_add(value & mask)
+        } else {
+            state.min(select_unpredictable(mask != 0, value, Value::MAX))
+        }
+    }
+}
+
+/// How a row folds into its slot: the inner step of the one loop.
+trait Lanes: Copy {
+    /// Values in a slot: the count and one a lane.
+    fn width(&self) -> usize;
+
+    /// The same lanes over columns cut to `len` rows, the batch's length.
+    fn cut(self, _len: usize) -> Self {
+        self
+    }
+
+    /// Folds physical row `row` into slot `slot` of `states`: one more in
+    /// the count and the row's value in each lane if it counts, nothing
+    /// if not.
+    fn fold(&self, states: &mut [Value], slot: usize, row: usize, mask: Value);
+}
+
+/// `S` sums, then `L` mins and maxes — at most four lanes, the kinds in
+/// that order — their columns read out of the batch once, so the loop
+/// does no dispatch per row.
+#[derive(Clone, Copy)]
+struct Fixed<'a, const S: usize, const L: usize> {
+    sums: [&'a [Value]; S],
+    leasts: [&'a [Value]; L],
+    flips: [Value; L],
+}
+
+impl<'a, const S: usize, const L: usize> Fixed<'a, S, L> {
+    fn new(lanes: &[Lane], batch: &'a DataChunk) -> Self {
+        debug_assert!(lanes.len() == S + L && (0..S + L).all(|a| lanes[a].sum == (a < S)));
+        Self {
+            sums: std::array::from_fn(|a| batch.physical_column(lanes[a].col)),
+            leasts: std::array::from_fn(|b| batch.physical_column(lanes[S + b].col)),
+            flips: std::array::from_fn(|b| lanes[S + b].flip),
+        }
+    }
+}
+
+impl<const S: usize, const L: usize> Lanes for Fixed<'_, S, L> {
+    fn width(&self) -> usize {
+        1 + S + L
+    }
+
+    #[inline(always)]
+    fn cut(self, len: usize) -> Self {
+        Self {
+            sums: self.sums.map(|values| &values[..len]),
+            leasts: self.leasts.map(|values| &values[..len]),
+            ..self
+        }
+    }
+
+    #[inline(always)]
+    fn fold(&self, states: &mut [Value], slot: usize, row: usize, mask: Value) {
+        let state = &mut states[slot * (1 + S + L)..(slot + 1) * (1 + S + L)];
+        state[0] = state[0].wrapping_sub(mask);
+        for a in 0..S {
+            state[1 + a] = Lane::fold(true, state[1 + a], self.sums[a][row], mask);
+        }
+        for b in 0..L {
+            let value = self.leasts[b][row] ^ self.flips[b];
+            state[1 + S + b] = Lane::fold(false, state[1 + S + b], value, mask);
+        }
+    }
+}
+
+/// Any number of lanes, read as a list: aggregations of more than four
+/// sums, mins and maxes.  The first [`Listed::HOISTED`] lanes' columns
+/// are read out of the batch once; any beyond, each row.
+#[derive(Clone, Copy)]
+struct Listed<'a> {
+    lanes: &'a [Lane],
+    values: [&'a [Value]; Listed::HOISTED],
+    batch: &'a DataChunk,
+}
+
+impl<'a> Listed<'a> {
+    /// Measured on six aggregates: hoisting sixteen read slower than
+    /// eight.
+    const HOISTED: usize = 8;
+
+    fn new(lanes: &'a [Lane], batch: &'a DataChunk) -> Self {
+        let column = |a| {
+            lanes
+                .get(a)
+                .map_or(&[][..], |lane: &Lane| batch.physical_column(lane.col))
+        };
+        Self {
+            lanes,
+            values: std::array::from_fn(column),
+            batch,
+        }
+    }
+}
+
+impl Lanes for Listed<'_> {
+    fn width(&self) -> usize {
+        self.lanes.len() + 1
+    }
+
+    #[inline(always)]
+    fn fold(&self, states: &mut [Value], slot: usize, row: usize, mask: Value) {
+        let state = &mut states[slot * self.width()..][..self.width()];
+        state[0] = state[0].wrapping_sub(mask);
+        let hoisted = self.lanes.len().min(Listed::HOISTED);
+        let (near, far) = state[1..].split_at_mut(hoisted);
+        let lanes = self.lanes[..hoisted].iter().zip(&self.values);
+        for (s, (lane, values)) in near.iter_mut().zip(lanes) {
+            *s = Lane::fold(lane.sum, *s, values[row] ^ lane.flip, mask);
+        }
+        for (s, lane) in far.iter_mut().zip(&self.lanes[hoisted..]) {
+            let value = self.batch.physical_column(lane.col)[row] ^ lane.flip;
+            *s = Lane::fold(lane.sum, *s, value, mask);
+        }
+    }
+}
+
+/// Where the one loop finds a row's slot.
+trait Slots {
+    /// The same source over columns cut to `len` rows, the batch's length.
+    fn cut(self, _len: usize) -> Self
+    where
+        Self: Sized,
+    {
+        self
+    }
+
+    /// The slot of physical row `row`; 0, the sink, if it has no group.
+    fn slot(&mut self, row: usize, mask: Value) -> usize;
+}
+
+impl<F: FnMut(usize, Value) -> usize> Slots for F {
+    #[inline(always)]
+    fn slot(&mut self, row: usize, mask: Value) -> usize {
+        self(row, mask)
+    }
+}
+
+/// One key column read through the remap: the loop of most batches.
+#[derive(Clone, Copy)]
+struct Remapped<'a> {
+    keys: &'a [Value],
+    remap: Remap<'a>,
+}
+
+impl Slots for Remapped<'_> {
+    #[inline(always)]
+    fn cut(self, len: usize) -> Self {
+        Self {
+            keys: &self.keys[..len],
+            ..self
+        }
+    }
+
+    #[inline(always)]
+    fn slot(&mut self, row: usize, _: Value) -> usize {
+        self.remap.slot(self.keys[row])
+    }
+}
+
+/// The one loop: every row of `rows` folds into the slot `slots` names
+/// for it.  With `GROWS`, `states` grows for a slot not seen yet;
+/// without, every slot must exist.  `true` if a row that counts went to
+/// the sink: the sink's count moved.  Not inlined: each source of slots
+/// and set of lanes gets a loop of its own.
+#[inline(never)]
+fn fold_rows<const GROWS: bool>(
+    states: &mut Vec<Value>,
+    identity: &[Value],
+    lanes: impl Lanes,
+    rows: Rows,
+    slots: impl Slots,
+) -> bool {
+    debug_assert_eq!(lanes.width(), identity.len());
+    // Every column cut to the loop's bound: no bounds check per row.
+    let (lanes, mut slots) = (lanes.cut(rows.len), slots.cut(rows.len));
+    let sunk = states[0];
+    // The closures are forced inline: big lane sets would leave them a
+    // call a row.
+    if GROWS {
+        rows.for_each(
+            #[inline(always)]
+            |row, mask| {
+                let slot = slots.slot(row, mask);
+                if (slot + 1) * identity.len() > states.len() {
+                    grow(states, identity, slot + 1);
+                }
+                lanes.fold(states, slot, row, mask);
+            },
+        );
+    } else {
+        let states = &mut states[..];
+        rows.for_each(
+            #[inline(always)]
+            |row, mask| lanes.fold(states, slots.slot(row, mask), row, mask),
+        );
+    }
+    states[0] != sunk
+}
+
+/// Appends identity slots to `states` until it holds `slots`.
+#[cold]
+fn grow(states: &mut Vec<Value>, identity: &[Value], slots: usize) {
+    while states.len() < slots * identity.len() {
+        states.extend_from_slice(identity);
+    }
+}
+
+/// A one-column remap's view for a loop: the state slot (group + 1) of
+/// `key` is `slots[key - base]`, 0 (the sink) where it holds none.
+#[derive(Clone, Copy)]
+struct Remap<'a> {
+    base: Value,
+    slots: &'a [u32],
+}
+
+impl Remap<'_> {
+    #[inline(always)]
+    fn slot(self, key: Value) -> usize {
+        let i = key.wrapping_sub(self.base) as usize;
+        match self.slots.get(i) {
+            Some(&slot) => slot as usize,
+            None => {
+                cold_path();
+                0
+            }
+        }
+    }
+}
+
+/// The running state of a list of aggregates over a number of groups:
+/// one flat array of slots, one a group, each holding its row count and
+/// then one value a lane (a sum, min or max) side by side; every `Count`
+/// reads the count.  Slot 0 is a sink for rows whose group is not known
+/// yet and is never read; group `g` is slot `g + 1`.
 struct Accumulators {
     funcs: Vec<AggFunc>,
-    states: Vec<Vec<Value>>,
-    /// Per-batch partial states of few groups: row `i` of group `g` folds
-    /// into `lanes[g * LANES + i % LANES]`, so neighbouring rows of one
-    /// group do not wait on each other's update of one slot.
-    lanes: Vec<Value>,
+    /// The sums, then the mins and maxes, each in list order.
+    lanes: Vec<Lane>,
+    /// Where each aggregate's value sits in a slot: 0 for a count.
+    outputs: Vec<usize>,
+    /// A slot no row has reached: a zero count, then each lane's identity.
+    identity: Vec<Value>,
+    states: Vec<Value>,
 }
 
 impl Accumulators {
-    /// Partial states kept per group when groups are few.
-    const LANES: usize = 4;
-    /// The most groups an aggregate folds through lanes.  Measured on
-    /// uniform group ids: lanes halve a fold's time at one group and save
-    /// about a tenth at three; from 8 to 256 groups both folds read alike,
-    /// and at 1 024 the lanes' per-batch reset and merge cost up to a
-    /// quarter more.  Any cutoff from 8 to 256 would do.
-    const LANED_GROUPS: usize = 64;
-
     fn new(funcs: &[AggFunc]) -> Self {
         assert!(
             !funcs.is_empty(),
             "an aggregation needs at least one aggregate"
         );
+        let lane = |func| match func {
+            AggFunc::Count => None,
+            AggFunc::Sum(col) => Some(Lane {
+                col,
+                sum: true,
+                flip: 0,
+            }),
+            AggFunc::Min(col) => Some(Lane {
+                col,
+                sum: false,
+                flip: 0,
+            }),
+            AggFunc::Max(col) => Some(Lane {
+                col,
+                sum: false,
+                flip: -1,
+            }),
+        };
+        let mut order: Vec<usize> = (0..funcs.len())
+            .filter(|&a| lane(funcs[a]).is_some())
+            .collect();
+        order.sort_by_key(|&a| !lane(funcs[a]).is_some_and(|l| l.sum));
+        let lanes: Vec<Lane> = order.iter().filter_map(|&a| lane(funcs[a])).collect();
+        let mut outputs = vec![0; funcs.len()];
+        for (i, &a) in order.iter().enumerate() {
+            outputs[a] = 1 + i;
+        }
+        let identity: Vec<Value> = std::iter::once(0)
+            .chain(lanes.iter().map(|lane| lane.identity()))
+            .collect();
         Self {
             funcs: funcs.to_vec(),
-            states: vec![Vec::new(); funcs.len()],
-            lanes: Vec::new(),
+            states: identity.clone(),
+            lanes,
+            outputs,
+            identity,
         }
     }
 
-    /// Makes room for `groups` groups; new ones start at the identity.
+    /// Keeps the sink and the first `groups` groups, starting any new one
+    /// at the identity.
     fn resize(&mut self, groups: usize) {
-        for (state, func) in self.states.iter_mut().zip(&self.funcs) {
-            state.resize(groups, func.identity());
+        self.states.truncate((groups + 1) * self.identity.len());
+        grow(&mut self.states, &self.identity, groups + 1);
+    }
+
+    /// Makes room for `groups` groups without growing.
+    fn reserve(&mut self, groups: usize) {
+        let slots = (groups + 1) * self.identity.len();
+        self.states.reserve(slots.saturating_sub(self.states.len()));
+    }
+
+    /// The rows that counted into group `group`.
+    fn count(&self, group: usize) -> Value {
+        self.states[(group + 1) * self.identity.len()]
+    }
+
+    /// Group `group`'s value of aggregate `a`.
+    fn state(&self, group: usize, a: usize) -> Value {
+        let at = self.outputs[a];
+        let value = self.states[(group + 1) * self.identity.len() + at];
+        match at {
+            0 => value,
+            _ => value ^ self.lanes[at - 1].flip,
         }
     }
 
-    /// Folds every (selected) row of `batch` into the group `gids` names
-    /// for it, one loop per aggregate.
-    fn update(&mut self, batch: &DataChunk, gids: &[u32]) {
-        debug_assert_eq!(gids.len(), batch.len());
-        let sel = batch.selection();
-        for (state, &func) in self.states.iter_mut().zip(&self.funcs) {
-            let fold = Fold {
-                state,
-                lanes: &mut self.lanes,
-                identity: func.identity(),
-                gids,
+    /// Folds `rows` of `batch` into the slots `slots` names, in one loop
+    /// (see [`fold_rows`]) whose lanes fit the aggregate list.
+    fn fold<const GROWS: bool>(
+        &mut self,
+        batch: &DataChunk,
+        rows: Rows,
+        slots: impl Slots,
+    ) -> bool {
+        let Self {
+            lanes,
+            identity,
+            states,
+            ..
+        } = self;
+        let sums = lanes.iter().filter(|lane| lane.sum).count();
+        macro_rules! fixed {
+            ($(($s:literal, $l:literal))*) => {
+                match (sums, lanes.len() - sums) {
+                    $(($s, $l) => {
+                        let lanes = Fixed::<$s, $l>::new(lanes, batch);
+                        fold_rows::<GROWS>(states, identity, lanes, rows, slots)
+                    })*
+                    _ => fold_rows::<GROWS>(states, identity, Listed::new(lanes, batch), rows, slots),
+                }
             };
-            match func {
-                AggFunc::Count => fold.run(|_| 1, Value::wrapping_add),
-                AggFunc::Sum(c) => fold.gather(batch, c, sel, Value::wrapping_add),
-                AggFunc::Min(c) => fold.gather(batch, c, sel, Value::min),
-                AggFunc::Max(c) => fold.gather(batch, c, sel, Value::max),
-            }
         }
+        fixed!(
+            (0, 0)(1, 0)(0, 1)(2, 0)(1, 1)(0, 2)(3, 0)(2, 1)(1, 2)(0, 3)(4, 0)(3, 1)(2, 2)(1, 3)(
+                0, 4
+            )
+        )
     }
 
     /// Merges group `from` of `other` (same aggregate list) into `into`.
     fn merge_group(&mut self, into: usize, other: &Accumulators, from: usize) {
-        for ((state, func), theirs) in self.states.iter_mut().zip(&self.funcs).zip(&other.states) {
-            state[into] = func.merge(state[into], theirs[from]);
-        }
-    }
-}
-
-/// One aggregate's update over one batch: `state[gids[i]] =
-/// f(state[gids[i]], value(i))` for every position `i`, with `f`
-/// associative and commutative, so partial states merge bit-identically.
-struct Fold<'a> {
-    state: &'a mut [Value],
-    lanes: &'a mut Vec<Value>,
-    identity: Value,
-    gids: &'a [u32],
-}
-
-impl Fold<'_> {
-    /// Folds column `col` of the (selected) rows.
-    fn gather(
-        self,
-        batch: &DataChunk,
-        col: usize,
-        sel: Option<&[u32]>,
-        f: impl Fn(Value, Value) -> Value,
-    ) {
-        let values = batch.physical_column(col);
-        match sel {
-            None => self.run(|i| values[i], f),
-            Some(sel) => self.run(|i| values[sel[i] as usize], f),
-        }
-    }
-
-    /// Few groups fold through [`Accumulators::LANES`] partial states
-    /// each, merged at the end; many fold straight into `state`.
-    #[inline(always)]
-    fn run(self, value: impl Fn(usize) -> Value, f: impl Fn(Value, Value) -> Value) {
-        const LANES: usize = Accumulators::LANES;
-        let Fold {
-            state,
-            lanes,
-            identity,
-            gids,
-        } = self;
-        if state.len() > Accumulators::LANED_GROUPS {
-            for (i, &g) in gids.iter().enumerate() {
-                state[g as usize] = f(state[g as usize], value(i));
-            }
-            return;
-        }
-        lanes.clear();
-        lanes.resize(state.len() * LANES, identity);
-        let mut quads = gids.chunks_exact(LANES);
-        for (q, quad) in (&mut quads).enumerate() {
-            for (lane, &g) in quad.iter().enumerate() {
-                let slot = &mut lanes[g as usize * LANES + lane];
-                *slot = f(*slot, value(q * LANES + lane));
-            }
-        }
-        let done = gids.len() - quads.remainder().len();
-        for (i, &g) in quads.remainder().iter().enumerate() {
-            let slot = &mut lanes[g as usize * LANES];
-            *slot = f(*slot, value(done + i));
-        }
-        for (s, partial) in state.iter_mut().zip(lanes.chunks_exact(LANES)) {
-            *s = partial.iter().fold(*s, |a, &b| f(a, b));
+        let width = self.identity.len();
+        let theirs = &other.states[(from + 1) * width..][..width];
+        let ours = &mut self.states[(into + 1) * width..][..width];
+        ours[0] = ours[0].wrapping_add(theirs[0]);
+        for ((s, &t), lane) in ours[1..].iter_mut().zip(&theirs[1..]).zip(&self.lanes) {
+            *s = Lane::fold(lane.sum, *s, t, -1);
         }
     }
 }
@@ -403,13 +740,11 @@ impl Fold<'_> {
 /// One output row per group — the key columns, then one column per
 /// aggregate — ordered by key.
 fn emit_sorted(table: &GroupTable, acc: &Accumulators) -> DataChunk {
-    let mut order: Vec<usize> = (0..table.len()).collect();
+    // A group no counting row reached was made for a rejected row's key.
+    let mut order: Vec<usize> = (0..table.len()).filter(|&g| acc.count(g) > 0).collect();
     order.sort_unstable_by(|&a, &b| table.key(a).cmp(table.key(b)));
     let keys = (0..table.width).map(|k| order.iter().map(|&g| table.key(g)[k]).collect());
-    let aggregates = acc
-        .states
-        .iter()
-        .map(|state| order.iter().map(|&g| state[g]).collect());
+    let aggregates = (0..acc.funcs.len()).map(|a| order.iter().map(|&g| acc.state(g, a)).collect());
     DataChunk::new(ChunkId::new(0), keys.chain(aggregates).collect())
 }
 
@@ -422,7 +757,11 @@ pub struct HashAggregate<O> {
     key_cols: Vec<usize>,
     table: GroupTable,
     acc: Accumulators,
-    gids: Vec<u32>,
+    /// The physical rows of the batch being folded that went to the sink,
+    /// or that a probed batch keeps.
+    missed: Vec<u32>,
+    /// A probed batch's slot of each physical row.
+    slots: Vec<u32>,
     done: bool,
 }
 
@@ -434,9 +773,112 @@ impl<O: Operator> HashAggregate<O> {
             table: GroupTable::new(key_cols.len()),
             key_cols,
             acc: Accumulators::new(&funcs),
-            gids: Vec::new(),
+            missed: Vec::new(),
+            slots: Vec::new(),
             done: false,
         }
+    }
+
+    /// Folds the rows of `batch` that `range` (if any) keeps.
+    fn fold(&mut self, batch: &DataChunk, range: Option<ColumnRange>) {
+        let rows = Rows::of(batch, range);
+        let (table, acc) = (&mut self.table, &mut self.acc);
+        match self.key_cols[..] {
+            [] => {
+                if table.len() == 0 {
+                    table.find_or_insert(&[]);
+                    acc.resize(1);
+                }
+                acc.fold::<false>(batch, rows, |_: usize, _: Value| 1);
+            }
+            [col] if !table.wide => {
+                let keys = &batch.physical_column(col)[..rows.len];
+                if table.remap.is_empty() {
+                    // Nothing remapped yet: remap the keys of the batch's
+                    // first rows before the loop, so that it finds most of
+                    // its keys; the rest go through the sink like any new key.
+                    let head = rows.head(GroupTable::HEAD);
+                    let (mut lo, mut hi) = (Value::MAX, Value::MIN);
+                    head.for_each(|row, _| (lo, hi) = (lo.min(keys[row]), hi.max(keys[row])));
+                    if lo > hi {
+                        return; // an empty batch
+                    }
+                    table.cover(lo, hi);
+                    if table.wide {
+                        return self.probe(batch, rows);
+                    }
+                    head.for_each(|row, _| {
+                        table.slot_of(keys[row]);
+                    });
+                    acc.resize(table.len());
+                }
+                let remapped = Remapped {
+                    keys,
+                    remap: table.remap(),
+                };
+                if acc.fold::<false>(batch, rows, remapped) {
+                    // New keys went to the sink: learn them, fold their rows.
+                    self.learn(rows, keys);
+                    let table = &mut self.table;
+                    self.acc.fold::<true>(
+                        batch,
+                        Rows::selected(rows.len, &self.missed),
+                        |row: usize, _: Value| table.slot_of(keys[row]),
+                    );
+                }
+            }
+            _ => self.probe(batch, rows),
+        }
+    }
+
+    /// Lists in `missed` the counting rows of `rows` whose key the remap
+    /// has no group for, and points the remap at the counting keys.
+    fn learn(&mut self, rows: Rows, keys: &[Value]) {
+        let (table, missed) = (&mut self.table, &mut self.missed);
+        missed.clear();
+        missed.reserve(rows.count());
+        let remap = table.remap();
+        let (mut lo, mut hi) = (Value::MAX, Value::MIN);
+        rows.for_each(|row, mask| {
+            if mask != 0 {
+                let key = keys[row];
+                (lo, hi) = (lo.min(key), hi.max(key));
+                if remap.slot(key) == 0 {
+                    missed.push(row as u32);
+                }
+            }
+        });
+        table.cover(lo, hi);
+    }
+
+    /// Folds the rows of a batch whose keys no remap takes — several key
+    /// columns, or one too wide — after a pass that probes their groups.
+    fn probe(&mut self, batch: &DataChunk, rows: Rows) {
+        // A probe would give a rejected row's key a group: probe the kept
+        // rows only, picked out without a branch, as a filter would.
+        let rows = match rows.pick {
+            Pick::Masked(values, range) => {
+                select_all(&mut self.missed, &values[..rows.len], |v| range.contains(v));
+                Rows::selected(rows.len, &self.missed)
+            }
+            _ => rows,
+        };
+        let (table, slots) = (&mut self.table, &mut self.slots);
+        match self.key_cols[..] {
+            [col] => table.probe(&[batch.physical_column(col)], rows, slots),
+            _ => {
+                let cols: Vec<&[Value]> = self
+                    .key_cols
+                    .iter()
+                    .map(|&c| batch.physical_column(c))
+                    .collect();
+                table.probe(&cols, rows, slots);
+            }
+        }
+        self.acc.resize(table.len());
+        let slots = &slots[..];
+        self.acc
+            .fold::<false>(batch, rows, |row: usize, _: Value| slots[row] as usize);
     }
 }
 
@@ -446,10 +888,12 @@ impl<O: Operator> Operator for HashAggregate<O> {
             return Ok(None);
         }
         self.done = true;
-        while let Some(batch) = self.input.next()? {
-            self.table.assign(&batch, &self.key_cols, &mut self.gids);
-            self.acc.resize(self.table.len());
-            self.acc.update(&batch, &self.gids);
+        loop {
+            let mut deferred = Deferred::default();
+            let Some(batch) = self.input.next_deferring(&mut deferred)? else {
+                break;
+            };
+            self.fold(&batch, deferred.0);
         }
         Ok(Some(emit_sorted(&self.table, &self.acc)))
     }
@@ -472,7 +916,6 @@ pub struct ChunkOrderedAggregate<O> {
     /// `run_keys[i]` and is group `i` of `runs`.
     run_keys: Vec<Value>,
     runs: Accumulators,
-    gids: Vec<u32>,
     /// Number of border groups that were merged with an already-pending one
     /// (i.e. actually continued across a chunk boundary).
     boundary_merges: u64,
@@ -489,7 +932,6 @@ impl<O: Operator> ChunkOrderedAggregate<O> {
             pending: Accumulators::new(&funcs),
             run_keys: Vec::new(),
             runs: Accumulators::new(&funcs),
-            gids: Vec::new(),
             boundary_merges: 0,
             flushed: false,
         }
@@ -505,28 +947,28 @@ impl<O: Operator> ChunkOrderedAggregate<O> {
         self.boundary_merges
     }
 
-    /// Numbers the key runs of `batch` (sorted on the key within the
-    /// chunk) and aggregates each run as a group of its own.
+    /// Aggregates each key run of `batch` (sorted on the key within the
+    /// chunk) as a group of its own, in one loop over its rows.
     fn aggregate_runs(&mut self, batch: &DataChunk) {
+        let rows = Rows::of(batch, None);
         let keys = batch.physical_column(self.key_col);
-        self.run_keys.clear();
-        self.run_keys.reserve(batch.len());
-        self.gids.clear();
-        self.gids.reserve(batch.len());
-        batch.for_each_row(|r| {
-            if self.run_keys.last() != Some(&keys[r]) {
-                self.run_keys.push(keys[r]);
+        let run_keys = &mut self.run_keys;
+        run_keys.clear();
+        self.runs.resize(0);
+        // Room for a run a row, so the buffers grow once, not per run.
+        run_keys.reserve(batch.len());
+        self.runs.reserve(batch.len());
+        self.runs.fold::<true>(batch, rows, |row: usize, _: Value| {
+            if run_keys.last() != Some(&keys[row]) {
+                run_keys.push(keys[row]);
             }
-            self.gids.push(self.run_keys.len() as u32 - 1);
+            run_keys.len()
         });
         debug_assert!(
-            self.run_keys.windows(2).all(|w| w[0] < w[1]),
+            run_keys.windows(2).all(|w| w[0] < w[1]),
             "input is not clustered on the key column within chunk {:?}",
             batch.chunk
         );
-        self.runs.resize(0);
-        self.runs.resize(self.run_keys.len());
-        self.runs.update(batch, &self.gids);
     }
 
     /// Folds run `run` of the current chunk into the pending border groups.
@@ -554,9 +996,11 @@ impl<O: Operator> Operator for ChunkOrderedAggregate<O> {
             }
             if last > 1 {
                 // Runs are in key order already.
-                let interior = |column: &[Value]| column[1..last].to_vec();
-                let columns = std::iter::once(interior(&self.run_keys))
-                    .chain(self.runs.states.iter().map(|s| interior(s)))
+                let runs = &self.runs;
+                let aggregates =
+                    (0..runs.funcs.len()).map(|a| (1..last).map(|r| runs.state(r, a)).collect());
+                let columns = std::iter::once(self.run_keys[1..last].to_vec())
+                    .chain(aggregates)
                     .collect();
                 return Ok(Some(DataChunk::new(ChunkId::new(0), columns)));
             }

@@ -14,7 +14,10 @@
 //! through the selection.  Only the consumers that need dense rows —
 //! [`Project`], [`merge_join`] and [`collect`]/[`try_collect`] — compact,
 //! once, and every operator's output other than [`Filter`]'s is dense.
-//! Operators keep their scratch (selection buffer, group ids, expression
+//! An aggregate asks a filter for its batches so that a column-range
+//! predicate over a dense batch reaches it as a mask instead of a
+//! selection; every other consumer sees only the selection.  Operators
+//! keep their scratch (selection buffer, remap, group slots, expression
 //! intermediates) across batches, so steady state allocates per chunk, never
 //! per row.
 

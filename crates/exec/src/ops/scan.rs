@@ -32,7 +32,27 @@ pub trait Operator {
     /// Returns the next batch, `Ok(None)` when exhausted, or the scan
     /// error that killed the pipeline.
     fn next(&mut self) -> Result<Option<DataChunk>, ScanError>;
+
+    /// [`Operator::next`] for a consumer that folds a column range as a
+    /// mask: the operator may hand over a dense batch and put in
+    /// `deferred` the range its rows still have to pass.  Nothing outside
+    /// this crate can build a [`Deferred`], so only its operators call or
+    /// override this; every other reader sees logical rows only.
+    #[doc(hidden)]
+    fn next_deferring(&mut self, _deferred: &mut Deferred) -> Result<Option<DataChunk>, ScanError> {
+        self.next()
+    }
 }
+
+mod sealed {
+    use crate::expr::ColumnRange;
+
+    /// The range a [`Filter`](crate::Filter) left for its consumer to
+    /// fold; `None` if the batch's rows are all its rows.
+    #[derive(Debug, Default)]
+    pub struct Deferred(pub(crate) Option<ColumnRange>);
+}
+pub(crate) use sealed::Deferred;
 
 /// The live leaf operator: adapts any [`ScanSession`] into an [`Operator`],
 /// so a scan → filter → aggregate pipeline runs end-to-end over a live

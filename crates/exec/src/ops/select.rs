@@ -1,7 +1,7 @@
 //! Filter (selection) operator.
 
-use crate::expr::{Expr, Scratch};
-use crate::ops::scan::Operator;
+use crate::expr::{ColumnRange, Expr, Scratch};
+use crate::ops::scan::{Deferred, Operator};
 use crate::vector::{DataChunk, Selection};
 use cscan_core::session::ScanError;
 use std::sync::Arc;
@@ -9,10 +9,16 @@ use std::sync::Arc;
 /// Keeps only the rows for which a predicate evaluates to true.
 ///
 /// The predicate writes a selection vector; the columns pass through
-/// untouched and uncopied (see [`crate::vector`]).
+/// untouched and uncopied (see [`crate::vector`]).  An aggregate of this
+/// crate asks for its batches through `Operator::next_deferring`: when
+/// the predicate is a column range and the batch is dense, the filter
+/// hands over the batch with the range instead, and the aggregate folds
+/// the range as a mask in its one pass, so no selection is built.
 pub struct Filter<O> {
     input: O,
     predicate: Expr,
+    /// The predicate as a non-empty column range, if it is one.
+    range: Option<ColumnRange>,
     /// The selection buffer, shared with the batch handed out last.  A
     /// pull-model consumer has dropped that batch by the time it asks for
     /// the next one, so the buffer is unique again and is reused.
@@ -23,11 +29,37 @@ pub struct Filter<O> {
 impl<O: Operator> Filter<O> {
     /// Creates a filter over `input`.
     pub fn new(input: O, predicate: Expr) -> Self {
+        let range = predicate
+            .as_column_range()
+            .and_then(|(c, lo, hi)| ColumnRange::new(c, lo, hi));
         Self {
             input,
             predicate,
+            range,
             selection: Selection::default(),
             scratch: Scratch::default(),
+        }
+    }
+
+    /// The rows of `batch` the predicate keeps, `None` if none.
+    fn select(&mut self, batch: DataChunk) -> Option<DataChunk> {
+        // Copies only if the consumer kept the previous batch.
+        let sel = Arc::make_mut(&mut self.selection);
+        let all = match batch.selection() {
+            Some(input) => {
+                sel.clear();
+                sel.extend_from_slice(input);
+                false
+            }
+            None => true,
+        };
+        self.predicate.select(&batch, sel, all, &mut self.scratch);
+        if sel.is_empty() {
+            None
+        } else if sel.len() == batch.len() {
+            Some(batch)
+        } else {
+            Some(batch.with_selection(Arc::clone(&self.selection)))
         }
     }
 }
@@ -36,30 +68,28 @@ impl<O: Operator> Operator for Filter<O> {
     fn next(&mut self) -> Result<Option<DataChunk>, ScanError> {
         // Skip over batches that filter down to nothing so callers see a
         // steady stream of useful data (but preserve operator termination).
-        loop {
-            let Some(batch) = self.input.next()? else {
-                return Ok(None);
-            };
-            // Copies only if the consumer kept the previous batch.
-            let sel = Arc::make_mut(&mut self.selection);
-            let all = match batch.selection() {
-                Some(input) => {
-                    sel.clear();
-                    sel.extend_from_slice(input);
-                    false
-                }
-                None => true,
-            };
-            self.predicate.select(&batch, sel, all, &mut self.scratch);
-            if sel.is_empty() {
-                continue;
+        while let Some(batch) = self.input.next()? {
+            if let Some(batch) = self.select(batch) {
+                return Ok(Some(batch));
             }
-            return Ok(Some(if sel.len() == batch.len() {
-                batch
-            } else {
-                batch.with_selection(Arc::clone(&self.selection))
-            }));
         }
+        Ok(None)
+    }
+
+    fn next_deferring(&mut self, deferred: &mut Deferred) -> Result<Option<DataChunk>, ScanError> {
+        let Some(range) = self.range else {
+            return self.next();
+        };
+        while let Some(batch) = self.input.next()? {
+            if batch.selection().is_none() {
+                deferred.0 = Some(range);
+                return Ok(Some(batch));
+            }
+            if let Some(batch) = self.select(batch) {
+                return Ok(Some(batch));
+            }
+        }
+        Ok(None)
     }
 }
 

@@ -178,14 +178,6 @@ impl DataChunk {
         &self.columns[col]
     }
 
-    /// Calls `f` with the physical index of every (selected) row, in order.
-    pub(crate) fn for_each_row(&self, mut f: impl FnMut(usize)) {
-        match self.selection() {
-            Some(sel) => sel.iter().for_each(|&r| f(r as usize)),
-            None => (0..self.physical_len()).for_each(f),
-        }
-    }
-
     /// Replaces the selection.  `selection` must hold ascending physical
     /// row indices of this batch.
     pub(crate) fn with_selection(mut self, selection: Selection) -> DataChunk {

@@ -1,7 +1,7 @@
 //! Kernel correctness: the vectorised `Filter`, `HashAggregate` and
-//! `ChunkOrderedAggregate` (selection vectors, the flat group table, the
-//! per-aggregate loops) property-tested against a row-at-a-time oracle that
-//! lives only here.
+//! `ChunkOrderedAggregate` (selection vectors, a filter's range folded as
+//! a mask, the flat group table and its remap, the one-pass fold)
+//! property-tested against a row-at-a-time oracle that lives only here.
 //!
 //! The oracle works on materialized rows (`Vec<Vec<i64>>`): it evaluates an
 //! [`Expr`] by recursion on one row, groups through a `BTreeMap` keyed by
@@ -267,7 +267,7 @@ fn arb_funcs() -> impl Strategy<Value = Vec<AggFunc>> {
             col().prop_map(AggFunc::Min),
             col().prop_map(AggFunc::Max),
         ],
-        1..5,
+        1..8,
     )
 }
 
@@ -473,7 +473,7 @@ fn aggregates_of_nothing_are_empty() {
 
 // ----------------------------------------------------------------------
 // The edges of the kernels: the range select's 64-row blocks, the
-// one-key-column remap and its domain cutoff, and the folds' lanes.
+// one-key-column remap and its domain cutoff, and group counts.
 // ----------------------------------------------------------------------
 
 /// Every aggregate, over column 2.
@@ -591,9 +591,9 @@ fn a_key_first_seen_later_keeps_one_group() {
     assert_eq!(out.column(1).iter().sum::<i64>(), 900);
 }
 
-/// Group counts below, at and above the lane count and the most groups
-/// the folds keep lanes for, over batches whose length is not a multiple
-/// of the lane count.
+/// Group counts from one to thousands, around 4 and 64 (where earlier
+/// folds changed shape), over batches whose length is not a multiple of
+/// 4.
 #[test]
 fn more_groups_than_any_lane_width() {
     for groups in [1usize, 2, 3, 4, 5, 63, 64, 65, 66, 300, 5_000] {
@@ -623,8 +623,8 @@ fn zero_and_multi_key_groupings() {
     }
 }
 
-/// The ordered aggregate shares the folds: runs few enough to take the
-/// lanes, and many, straddling chunk borders.
+/// The ordered aggregate shares the one-pass fold: few runs and many,
+/// straddling chunk borders.
 #[test]
 fn chunk_ordered_aggregate_folds_few_and_many_runs() {
     for run in [1usize, 3, 250, 1_000] {
@@ -641,5 +641,209 @@ fn chunk_ordered_aggregate_folds_few_and_many_runs() {
                 "runs of {run}, {pred:?}"
             );
         }
+    }
+}
+
+// ----------------------------------------------------------------------
+// The benchmark's batch size: 20 000-row batches through the one-pass
+// fold, with the filter's range folded as a mask, checked against the
+// row oracle.
+// ----------------------------------------------------------------------
+
+/// Rows a batch in the benchmark.
+const BIG: usize = 20_000;
+
+/// Row counts around the benchmark's, none a multiple of 4 or 64.
+const BIG_LENGTHS: [usize; 3] = [BIG - 1, BIG + 1, BIG + 3];
+
+#[test]
+fn big_batches_of_few_and_many_groups() {
+    for groups in [1usize, 3, 64, 65, 1_024] {
+        for n in BIG_LENGTHS {
+            let batches = vec![
+                keyed_rows(n, |i| ((i * 2_654_435_761) % groups) as i64),
+                keyed_rows(n, |i| (i % groups) as i64 - 5),
+            ];
+            for pred in [
+                most_rows(),
+                Expr::col(2).le(Expr::lit(45)),
+                Expr::col(2).between(-100, 100),
+                Expr::col(0).ge(Expr::lit(1)).and(most_rows()),
+            ] {
+                assert_hash_aggregate_matches(&batches, &pred, &[0], &ALL_FUNCS);
+            }
+        }
+    }
+}
+
+/// A key whose rows the predicate rejects, every one, makes no group —
+/// in the first batch, and in a later one that brings only it.
+#[test]
+fn a_key_only_in_rejected_rows_makes_no_group() {
+    // Column 2 of key 7's rows is 2 000, which `most_rows` keeps but
+    // `v <= 1_500` rejects.
+    let rows = |n: usize| -> Vec<Row> {
+        keyed_rows(n, |i| (i % 5) as i64)
+            .into_iter()
+            .enumerate()
+            .map(|(i, mut r)| {
+                if i % 9 == 4 {
+                    (r[0], r[2]) = (7, 2_000);
+                }
+                r
+            })
+            .collect()
+    };
+    let only_seven = vec![vec![7, 1, 2_000]; BIG + 1];
+    let batches = vec![rows(BIG), only_seven, rows(BIG + 3)];
+    let pred = Expr::col(2).le(Expr::lit(1_500));
+    for key_cols in [vec![0], vec![], vec![0, 1]] {
+        assert_hash_aggregate_matches(&batches, &pred, &key_cols, &ALL_FUNCS);
+    }
+    let filtered = Filter::new(Replay::new(&batches), pred);
+    let mut agg = HashAggregate::new(filtered, vec![0], vec![AggFunc::Count]);
+    let out = agg.next().unwrap().unwrap();
+    assert_eq!(out.column(0), &[0, 1, 2, 3, 4], "no group for key 7");
+}
+
+/// Every range comparison at the ends of `i64`, over values at and next
+/// to both ends, as filters and folded into the aggregates.
+#[test]
+fn range_predicates_at_the_ends_of_the_domain() {
+    let ends = [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX];
+    let batch: Vec<Row> = (0..BIG + 1)
+        .map(|i| {
+            let v = ends[(i * 7) % ends.len()];
+            vec![(i % 3) as i64, v, ends[(i * 5 + 1) % ends.len()]]
+        })
+        .collect();
+    let batches = vec![batch];
+    for c in [i64::MIN, i64::MIN + 1, i64::MAX - 1, i64::MAX] {
+        for pred in [
+            Expr::col(1).le(Expr::lit(c)),
+            Expr::col(1).lt(Expr::lit(c)),
+            Expr::col(1).ge(Expr::lit(c)),
+            Expr::col(1).eq(Expr::lit(c)),
+            Expr::col(1).between(c, i64::MAX),
+            Expr::col(1).between(i64::MIN, c),
+            Expr::col(1).between(c, c),
+        ] {
+            let got = collect(&mut Filter::new(Replay::new(&batches), pred.clone()));
+            assert_eq!(rows_of(&got), oracle_filter(&batches[0], &pred), "{pred:?}");
+            for key_cols in [vec![0], vec![]] {
+                assert_hash_aggregate_matches(&batches, &pred, &key_cols, &ALL_FUNCS);
+            }
+        }
+    }
+}
+
+/// The smallest and largest value of every group sit in rows the
+/// predicate rejects: a min or max that folded a rejected row would
+/// report them.
+#[test]
+fn min_and_max_ignore_their_extremes_in_rejected_rows() {
+    for n in BIG_LENGTHS {
+        let rows: Vec<Row> = (0..n)
+            .map(|i| {
+                let extreme = match i % 10 {
+                    3 => i64::MIN,
+                    6 => i64::MAX,
+                    _ => (i % 1_000) as i64,
+                };
+                // Column 1 rejects exactly the extreme rows.
+                vec![
+                    (i % 4) as i64,
+                    (extreme != (i % 1_000) as i64) as i64,
+                    extreme,
+                ]
+            })
+            .collect();
+        let batches = vec![rows];
+        let pred = Expr::col(1).eq(Expr::lit(0));
+        let funcs = [AggFunc::Min(2), AggFunc::Max(2)];
+        assert_hash_aggregate_matches(&batches, &pred, &[0], &funcs);
+        let filtered = Filter::new(Replay::new(&batches), pred);
+        let out = collect(&mut HashAggregate::new(filtered, vec![0], funcs.to_vec()));
+        assert!(
+            out.column(1).iter().all(|&m| m >= 0),
+            "min took a rejected row"
+        );
+        assert!(
+            out.column(2).iter().all(|&m| m < 1_000),
+            "max took a rejected row"
+        );
+    }
+}
+
+/// A filter over a filter: the outer range meets batches the inner one
+/// already selected (and, where the inner keeps every row, dense ones).
+#[test]
+fn stacked_filters_under_an_aggregate() {
+    let batches: Vec<Vec<Row>> = BIG_LENGTHS
+        .iter()
+        .map(|&n| keyed_rows(n, |i| (i % 65) as i64))
+        .collect();
+    let keep_all = Expr::col(1).ge(Expr::lit(0));
+    for (inner, outer) in [
+        (most_rows(), Expr::col(0).le(Expr::lit(40))),
+        (
+            Expr::col(0).ge(Expr::lit(10)),
+            Expr::col(2).between(-500, 500),
+        ),
+        (keep_all.clone(), most_rows()),
+        (most_rows(), keep_all),
+    ] {
+        let expected = oracle_filter(&oracle_filter(&flat(&batches), &inner), &outer);
+        for key_cols in [vec![0], vec![], vec![0, 1]] {
+            let stacked = Filter::new(
+                Filter::new(Replay::new(&batches), inner.clone()),
+                outer.clone(),
+            );
+            let out = collect(&mut HashAggregate::new(
+                stacked,
+                key_cols.clone(),
+                ALL_FUNCS.to_vec(),
+            ));
+            assert_eq!(
+                rows_of(&out),
+                oracle_aggregate(&expected, &key_cols, &ALL_FUNCS),
+                "{inner:?} then {outer:?}, keys {key_cols:?}"
+            );
+        }
+    }
+}
+
+/// Lists longer than the loop specialises (more than four sums, mins and
+/// maxes), and longer than it reads out of the batch once (eight).
+#[test]
+fn long_aggregate_lists() {
+    // Six aggregates make five lanes; twenty-four make eighteen.
+    let lists: Vec<Vec<AggFunc>> = [6usize, 24]
+        .iter()
+        .map(|&n| {
+            (0..n)
+                .map(|i| match i % 4 {
+                    0 => AggFunc::Sum(i % WIDTH),
+                    1 => AggFunc::Max(i % WIDTH),
+                    2 => AggFunc::Min(i % WIDTH),
+                    _ => AggFunc::Count,
+                })
+                .collect()
+        })
+        .collect();
+    let batches = vec![
+        keyed_rows(BIG + 1, |i| (i % 3) as i64),
+        keyed_rows(BIG - 1, |i| ((i * 7) % 1_000) as i64 * 1_000_003),
+    ];
+    for funcs in &lists {
+        for key_cols in [vec![0], vec![], vec![0, 1]] {
+            assert_hash_aggregate_matches(&batches, &most_rows(), &key_cols, funcs);
+        }
+        let rows = keyed_rows(4_003, |i| (i / 5) as i64);
+        let chunks: Vec<Vec<Row>> = rows.chunks(999).map(<[Row]>::to_vec).collect();
+        let mut agg = ChunkOrderedAggregate::new(Replay::new(&chunks), 0, funcs.clone());
+        let mut got = rows_of(&collect(&mut agg));
+        got.sort();
+        assert_eq!(got, oracle_aggregate(&rows, &[0], funcs));
     }
 }
