@@ -1,13 +1,17 @@
 //! Release-only acceptance gates for the compressed payload path (wired
 //! into CI's `speedup-acceptance` job):
 //!
-//! 1. PFOR and PDICT decode must each sustain at least
-//!    [`DECODE_FLOOR_GIB_S`] GiB/s of decoded output on one thread.
+//! 1. PFOR and PDICT decode must each run at least
+//!    [`DECODE_SPEEDUP_FLOOR`] times as fast as the per-value reference
+//!    decoder, timed side by side on one thread.
 //! 2. PFOR and PDICT encode must each run at least
 //!    [`ENCODE_SPEEDUP_FLOOR`] times as fast as the byte-at-a-time
 //!    reference encoder, timed side by side on one thread.
 //! 3. The Figure 9 mix (lineitem demo columns under their matched PDICT /
 //!    PFOR / PFOR-DELTA schemes) must shrink I/O volume at least 2×.
+//!
+//! A gate times the codecs against a reference kept in this file, in
+//! alternating windows, so a slow runner or a slow phase slows both alike.
 
 use cscan_bench::experiments::fig9;
 use cscan_storage::codec::{checksum64, EncodedColumn, BLOCK_LEN};
@@ -25,47 +29,202 @@ fn measuring() -> MutexGuard<'static, ()> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// The decode floor, in GiB/s of decoded output on a single thread, for
-/// the figure's PFOR 21-bit column (~2% exceptions) and its PDICT 2-bit
-/// column, 32 MiB of output each.  A third of what the word-at-a-time
-/// unpack sustains on this repo's 2-core dev box (six runs of this test:
-/// PFOR 3.0–6.1, median 4.6; PDICT 2.4–5.1, median 4.5), which leaves a
-/// shared CI runner its noise and still sits above the 0.9–1.4 GiB/s PFOR
-/// got from a reader that refills a byte and pushes a value at a time —
-/// so a return of that reader fails here, not as a percentile in a
-/// benchmark.
-const DECODE_FLOOR_GIB_S: f64 = 1.5;
+/// Rows of one column of one chunk.
+const CHUNK_ROWS: i64 = 20_000;
 
-fn assert_decode_sustains_floor(codec: &str, values: &[i64], scheme: Compression) {
+/// SplitMix64 of `i`: deterministic column contents.
+fn mix(i: i64) -> u64 {
+    let mut z = (i as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Passes per second of `pass`, over one window of at least 25 ms and
+/// three passes.
+fn passes_per_s(pass: &impl Fn() -> usize) -> f64 {
+    let started = Instant::now();
+    let mut passes = 0u64;
+    while passes < 3 || started.elapsed() < Duration::from_millis(25) {
+        std::hint::black_box(pass());
+        passes += 1;
+    }
+    passes as f64 / started.elapsed().as_secs_f64()
+}
+
+/// How many times as fast as `theirs` `ours` runs over `values`, the best
+/// of twenty windows a side, alternating, under the measuring lock: a busy
+/// neighbour only ever slows a window down, and short windows interleaved
+/// finely see the same phases of a shared host.  Prints both rates in
+/// GiB/s of `values`.
+fn speedup(
+    column: &str,
+    values: &[i64],
+    ours: impl Fn() -> usize,
+    theirs: impl Fn() -> usize,
+) -> f64 {
+    let (mut best_ours, mut best_theirs) = (0.0f64, 0.0f64);
+    {
+        let _measuring = measuring();
+        for _ in 0..20 {
+            best_ours = best_ours.max(passes_per_s(&ours));
+            best_theirs = best_theirs.max(passes_per_s(&theirs));
+        }
+    }
+    let gib_s = |per_s: f64| per_s * values.len() as f64 * 8.0 / (1u64 << 30) as f64;
+    let speedup = best_ours / best_theirs;
+    println!(
+        "{column}: {:.2} GiB/s against the reference's {:.2}: {speedup:.2}x",
+        gib_s(best_ours),
+        gib_s(best_theirs)
+    );
+    speedup
+}
+
+/// How many times as fast as [`reference_decode_into`] the codecs must
+/// decode a chunk-sized column (20 000 values, as a consumer decodes one
+/// at first touch).  Eight runs of these tests on this repo's 2-core dev
+/// box read PDICT 2.32–2.56× and PFOR 1.84–1.94×; with the per-value
+/// unpack put back under the decoders, sixteen read 0.96–1.15× on either.
+/// The floor sits between: a return of the per-value unpack fails here,
+/// on a fast runner or a slow one.
+const DECODE_SPEEDUP_FLOOR: f64 = 1.5;
+
+/// Appends the first `count` `bits`-wide values packed in `bytes`, each
+/// passed through `map`, one value at a time: the load-shift-mask unpack
+/// the codecs shipped with before they decoded eight values per step.
+/// Each value copies the `W` bytes from its first one into a 16-byte
+/// word, shifts it by the value's bit offset in that byte and masks it;
+/// values closer than `W` bytes to the end of `bytes` go through a
+/// zero-padded copy.
+fn reference_unpack(
+    bytes: &[u8],
+    bits: usize,
+    count: usize,
+    out: &mut Vec<i64>,
+    map: impl Fn(u64) -> i64,
+) {
+    fn words<const W: usize>(
+        bytes: &[u8],
+        bits: usize,
+        count: usize,
+        out: &mut Vec<i64>,
+        map: impl Fn(u64) -> i64,
+    ) {
+        let mask = u64::MAX >> (64 - bits);
+        let value = |bytes: &[u8], bit: usize| -> u64 {
+            let at = bit >> 3;
+            let mut word = [0u8; 16];
+            word[..W].copy_from_slice(&bytes[at..at + W]);
+            (u128::from_le_bytes(word) >> (bit & 7)) as u64 & mask
+        };
+        let whole = match bytes.len().checked_sub(W) {
+            Some(last) => ((last * 8 + 7) / bits + 1).min(count),
+            None => 0,
+        };
+        out.extend((0..whole).map(|i| map(value(bytes, i * bits))));
+        if whole < count {
+            let from = (whole * bits) >> 3;
+            let mut tail = [0u8; 32];
+            tail[..bytes.len() - from].copy_from_slice(&bytes[from..]);
+            out.extend((whole..count).map(|i| map(value(&tail, i * bits - from * 8))));
+        }
+    }
+    assert!(bytes.len() >= (count * bits).div_ceil(8));
+    if bits <= 56 {
+        words::<8>(bytes, bits, count, out, map);
+    } else {
+        words::<16>(bytes, bits, count, out, map);
+    }
+}
+
+/// Decodes a PFOR or PDICT column into `out` as the codecs did before the
+/// group kernel: [`reference_unpack`] under the same block walk, patch
+/// list and dictionary lookup.
+fn reference_decode_into(enc: &EncodedColumn, out: &mut Vec<i64>) {
+    out.clear();
+    out.reserve(enc.rows());
+    let bytes = enc.as_bytes();
+    let u16_at = |at: usize| u16::from_le_bytes([bytes[at], bytes[at + 1]]) as usize;
+    let i64_at = |at: usize| i64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    match bytes[0] {
+        1 => {
+            let entries = u32::from_le_bytes(bytes[1..5].try_into().unwrap()) as usize;
+            let dict: Vec<i64> = (0..entries).map(|e| i64_at(5 + 8 * e)).collect();
+            let packed_at = 5 + 8 * entries + 1;
+            let width = bytes[packed_at - 1] as usize;
+            reference_unpack(&bytes[packed_at..], width, enc.rows(), out, |code| {
+                dict[code as usize]
+            });
+        }
+        2 => {
+            let bits = bytes[1] as usize;
+            let mut at = 2;
+            while out.len() < enc.rows() {
+                let (len, base, n_exc) = (u16_at(at), i64_at(at + 2), u16_at(at + 10));
+                let start = out.len();
+                reference_unpack(&bytes[at + 12..], bits, len, out, |off| {
+                    base.wrapping_add(off as i64)
+                });
+                at += 12 + (len * bits).div_ceil(8);
+                for _ in 0..n_exc {
+                    out[start + u16_at(at)] = i64_at(at + 2);
+                    at += 10;
+                }
+            }
+        }
+        tag => unreachable!("the decode gates time PFOR and PDICT, not tag {tag}"),
+    }
+}
+
+fn assert_decode_sustains_floor(column: &str, values: &[i64], scheme: Compression) {
     let enc = EncodedColumn::encode(values, scheme);
     assert_eq!(enc.decode(), values, "the gate only counts correct decodes");
-    let _measuring = measuring();
-    let gib_s = fig9::measure_decode_gib_s(&enc, Duration::from_millis(500));
+    let mut reference = Vec::new();
+    reference_decode_into(&enc, &mut reference);
+    assert_eq!(
+        reference, values,
+        "the reference must do the decoder's work"
+    );
+    let out = std::cell::RefCell::new(Vec::with_capacity(values.len()));
+    let decode = || {
+        let mut out = out.borrow_mut();
+        std::hint::black_box(&enc).decode_into(&mut out);
+        out.len()
+    };
+    let reference = || {
+        let mut out = out.borrow_mut();
+        reference_decode_into(std::hint::black_box(&enc), &mut out);
+        out.len()
+    };
+    let speedup = speedup(column, values, decode, reference);
     assert!(
-        gib_s >= DECODE_FLOOR_GIB_S,
-        "{codec} decode fell below the floor: {gib_s:.2} GiB/s < {DECODE_FLOOR_GIB_S} GiB/s"
+        speedup >= DECODE_SPEEDUP_FLOOR,
+        "{column} fell below the floor: {speedup:.2}x the reference decoder < \
+         {DECODE_SPEEDUP_FLOOR}x"
     );
 }
 
 #[test]
 #[cfg_attr(
     debug_assertions,
-    ignore = "decode bandwidth is measured in release builds only"
+    ignore = "decode speed is measured in release builds only"
 )]
 fn compression_pfor_decode_sustains_floor() {
-    // 2^22 values = 32 MiB decoded; figure-shaped 21-bit data with 2%
-    // full-width outliers.
-    let values: Vec<i64> = (0..1i64 << 22)
+    // Figure-shaped 21-bit offsets with a full-width outlier every
+    // 1 000th value: most blocks unpack and patch nothing, as the
+    // benchmark's do, and one in eight patches an exception.
+    let values: Vec<i64> = (0..CHUNK_ROWS)
         .map(|i| {
-            if i % 50 == 0 {
+            if i % 1_000 == 0 {
                 i64::MAX - i
             } else {
-                i.wrapping_mul(2_654_435_761) % (1 << 21)
+                (mix(i) % (1 << 21)) as i64
             }
         })
         .collect();
     assert_decode_sustains_floor(
-        "PFOR",
+        "PFOR decode",
         &values,
         Compression::Pfor {
             bits: 21,
@@ -77,12 +236,12 @@ fn compression_pfor_decode_sustains_floor() {
 #[test]
 #[cfg_attr(
     debug_assertions,
-    ignore = "decode bandwidth is measured in release builds only"
+    ignore = "decode speed is measured in release builds only"
 )]
 fn compression_pdict_decode_sustains_floor() {
     // A three-valued flag column, like `l_returnflag`: 2-bit codes.
-    let values: Vec<i64> = (0..1i64 << 22).map(|i| i % 3).collect();
-    assert_decode_sustains_floor("PDICT", &values, Compression::Dictionary { bits: 2 });
+    let values: Vec<i64> = (0..CHUNK_ROWS).map(|i| (mix(i) % 3) as i64).collect();
+    assert_decode_sustains_floor("PDICT decode", &values, Compression::Dictionary { bits: 2 });
 }
 
 /// How many times as fast as [`reference_encode`] the encoder must encode
@@ -91,24 +250,14 @@ fn compression_pdict_decode_sustains_floor() {
 /// alternating windows on one thread, so a slow runner or a slow phase
 /// slows both alike.  Runs of these tests on this repo's 2-core dev box
 /// read PFOR 2.7–4.4× (sixteen) and PDICT 5.2–6.2× (eight, on the
-/// 50-valued column).  With the byte-at-a-time packer put back under the
-/// encoder,
+/// 50-valued column) over five 100 ms windows a side, and PFOR 3.2–3.9×
+/// and PDICT 4.8–7.5× (thirty-two) over [`speedup`]'s twenty.  With the
+/// byte-at-a-time packer put back under the encoder,
 /// PFOR read 1.4–1.7× (sixteen runs); with the dictionary sorted from a
 /// copy of the column and binary-searched for every value, PDICT read
 /// 0.9–1.2× (four).  The floor sits between: a return of either old half
 /// fails here, on a fast runner or a slow one.
 const ENCODE_SPEEDUP_FLOOR: f64 = 2.0;
-
-/// Rows of one column of one chunk.
-const CHUNK_ROWS: i64 = 20_000;
-
-/// SplitMix64 of `i`: deterministic column contents.
-fn mix(i: i64) -> u64 {
-    let mut z = (i as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Appends `bits`-wide fields in little-endian bit order a byte at a
 /// time: each field is shifted into a `u128`, whose completed bytes are
@@ -205,18 +354,6 @@ fn reference_encode(values: &[i64], scheme: Compression) -> Vec<u8> {
     out
 }
 
-/// Encodes per second of `encode`, over one window of at least 100 ms and
-/// three encodes.
-fn encodes_per_s(encode: impl Fn() -> usize) -> f64 {
-    let started = Instant::now();
-    let mut passes = 0u64;
-    while passes < 3 || started.elapsed() < Duration::from_millis(100) {
-        std::hint::black_box(encode());
-        passes += 1;
-    }
-    passes as f64 / started.elapsed().as_secs_f64()
-}
-
 fn assert_encode_sustains_floor(column: &str, values: &[i64], scheme: Compression) {
     let enc = EncodedColumn::encode(values, scheme);
     assert_eq!(enc.decode(), values, "the gate only counts correct encodes");
@@ -227,26 +364,10 @@ fn assert_encode_sustains_floor(column: &str, values: &[i64], scheme: Compressio
     );
     let encode = || EncodedColumn::encode(std::hint::black_box(values), scheme).encoded_bytes();
     let reference = || reference_encode(std::hint::black_box(values), scheme).len();
-    // The best of five windows a side, alternating: a busy neighbour only
-    // ever slows a window down.
-    let (mut ours, mut theirs) = (0.0f64, 0.0f64);
-    {
-        let _measuring = measuring();
-        for _ in 0..5 {
-            ours = ours.max(encodes_per_s(encode));
-            theirs = theirs.max(encodes_per_s(reference));
-        }
-    }
-    let gib_s = |per_s: f64| per_s * values.len() as f64 * 8.0 / (1u64 << 30) as f64;
-    let speedup = ours / theirs;
-    println!(
-        "{column}: {:.2} GiB/s against the reference's {:.2}: {speedup:.2}x",
-        gib_s(ours),
-        gib_s(theirs)
-    );
+    let speedup = speedup(column, values, encode, reference);
     assert!(
         speedup >= ENCODE_SPEEDUP_FLOOR,
-        "{column} encode fell below the floor: {speedup:.2}x the reference encoder < \
+        "{column} fell below the floor: {speedup:.2}x the reference encoder < \
          {ENCODE_SPEEDUP_FLOOR}x"
     );
 }
@@ -270,7 +391,7 @@ fn compression_pfor_encode_sustains_floor() {
         })
         .collect();
     assert_encode_sustains_floor(
-        "PFOR",
+        "PFOR encode",
         &values,
         Compression::Pfor {
             bits: 21,
@@ -287,7 +408,7 @@ fn compression_pfor_encode_sustains_floor() {
 fn compression_pdict_encode_sustains_floor() {
     // Quantities 1..=50, like `l_quantity`: 6-bit codes.
     let values: Vec<i64> = (0..CHUNK_ROWS).map(|i| (mix(i) % 50 + 1) as i64).collect();
-    assert_encode_sustains_floor("PDICT", &values, Compression::Dictionary { bits: 6 });
+    assert_encode_sustains_floor("PDICT encode", &values, Compression::Dictionary { bits: 6 });
 }
 
 /// The mix-volume half of the gate.  Deterministic (no timing), so it runs

@@ -44,9 +44,13 @@
 //!   sorts a copy of any other column;
 //! * a raw column is one bulk little-endian copy.
 //!
-//! Packed offsets and codes are unpacked a word at a time (`unpack`): one
-//! unaligned little-endian load, a shift and a mask per value, written
-//! straight into the output vector.  Decoding trusts nothing it reads —
+//! Packed offsets and codes are unpacked eight at a time (`unpack`).
+//! Eight `bits`-wide values take exactly `bits` bytes, so every group of
+//! eight starts on a byte boundary; `unpack` matches the width once, to a
+//! kernel compiled for it, in which a value is one load at a constant byte
+//! offset, a constant shift and a mask, written straight into the output
+//! vector.  A body's last values go through the same kernel over a
+//! zero-padded copy.  Decoding trusts nothing it reads —
 //! every length, width and position taken from the body is checked before
 //! it sizes an allocation or indexes a slice, so a checksum-valid body from
 //! a buggy writer panics (and is contained by the executor as
@@ -155,12 +159,10 @@ fn checked_width(byte: u8) -> usize {
 }
 
 /// Appends to `out` the first `count` values of `bits` width packed in
-/// `bytes` (little-endian bit order, the inverse of [`pack`]), each
-/// passed through `map`.  `bytes` starts at the first value and may run on
-/// past the last one: a value is one unaligned word load, a shift and a
-/// mask, and the loads of a block's last values simply read into whatever
-/// follows it.  Only values closer than a word to the end of `bytes` go
-/// through a zero-padded copy.
+/// `bytes` (little-endian bit order, the inverse of [`pack`]), each passed
+/// through `map`.  `bytes` starts at the first value and may run on past
+/// the last one.  The width is matched once, to the copy of the group
+/// kernel ([`unpack_groups`]) compiled for it.
 ///
 /// # Panics
 /// Panics if `bytes` is shorter than `count` packed values.
@@ -169,43 +171,87 @@ fn unpack(bytes: &[u8], bits: usize, count: usize, out: &mut Vec<i64>, map: impl
         bytes.len() >= packed_len(count, bits),
         "corrupt encoded column: packed values run past the body"
     );
-    // A value starts at bit 0..=7 of its first byte, so up to 56 bits fit
-    // one 8-byte load; wider values take a 16-byte one.
-    if bits <= 56 {
-        unpack_words::<8>(bytes, bits, count, out, map);
-    } else {
-        unpack_words::<16>(bytes, bits, count, out, map);
+    macro_rules! by_width {
+        ($($b:literal)*) => {
+            match bits {
+                $($b => unpack_groups::<$b>(bytes, count, out, map),)*
+                _ => unreachable!("a packed width is 1..=64"),
+            }
+        };
     }
+    by_width!(
+        1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32
+        33 34 35 36 37 38 39 40 41 42 43 44 45 46 47 48 49 50 51 52 53 54 55 56 57 58 59 60 61
+        62 63 64
+    );
 }
 
-/// [`unpack`] with `W`-byte loads (`8·W ≥ bits + 7`).
-fn unpack_words<const W: usize>(
+/// Bytes the loads of a group of eight `b`-bit values span from the
+/// group's first byte: its last value starts in byte `7·b / 8`, at bit
+/// 0..=7 of it, so a `u64` load holds it up to 56 bits and a `u128` one
+/// above.
+const fn group_reach(b: usize) -> usize {
+    7 * b / 8 + if b <= 56 { 8 } else { 16 }
+}
+
+/// [`unpack`] at width `B`.  Eight `B`-bit values take exactly `B` bytes,
+/// so every group of eight starts on a byte boundary and decodes the same
+/// way: a value is one load at a byte offset fixed at compile time, a
+/// constant shift and a mask.  Groups are decoded straight from `bytes`
+/// while their loads stay inside it; the rest — fewer than
+/// [`group_reach`] bytes — goes through the same kernel over a
+/// zero-padded copy, of which a last, partial group keeps the values
+/// asked for.  Each value is written to `out` once.
+fn unpack_groups<const B: usize>(
     bytes: &[u8],
-    bits: usize,
     count: usize,
     out: &mut Vec<i64>,
     map: impl Fn(u64) -> i64,
 ) {
-    let mask = u64::MAX >> (64 - bits);
-    let value = |bytes: &[u8], bit: usize| -> u64 {
-        let at = bit >> 3;
-        let mut word = [0u8; 16];
-        word[..W].copy_from_slice(&bytes[at..at + W]);
-        (u128::from_le_bytes(word) >> (bit & 7)) as u64 & mask
+    let group = |bytes: &[u8]| -> [i64; 8] {
+        let bytes = &bytes[..group_reach(B)];
+        let mask = u64::MAX >> (64 - B);
+        let mut values = [0i64; 8];
+        for (k, v) in values.iter_mut().enumerate() {
+            let (at, shift) = (k * B / 8, k * B % 8);
+            let value = if B <= 56 {
+                u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) >> shift
+            } else {
+                (u128::from_le_bytes(bytes[at..at + 16].try_into().unwrap()) >> shift) as u64
+            };
+            *v = map(value & mask);
+        }
+        values
     };
-    // Values whose whole load lies inside `bytes`: value `i` loads from
-    // byte `i·bits / 8`, which must not exceed `len − W`.
-    let whole = match bytes.len().checked_sub(W) {
-        Some(last) => ((last * 8 + 7) / bits + 1).min(count),
+    // Decodes `n` groups from `bytes`, first cut to their loads' extent so
+    // that one bounds check up front covers the loop's.
+    let groups = |bytes: &[u8], n: usize, out: &mut Vec<i64>| {
+        if n == 0 {
+            return;
+        }
+        let bytes = &bytes[..(n - 1) * B + group_reach(B)];
+        for at in (0..n).map(|g| g * B) {
+            out.extend_from_slice(&group(&bytes[at..]));
+        }
+    };
+    // Group g loads bytes g·B .. g·B + reach.
+    let full = count / 8;
+    let direct = match bytes.len().checked_sub(group_reach(B)) {
+        Some(last) => (last / B + 1).min(full),
         None => 0,
     };
-    out.extend((0..whole).map(|i| map(value(bytes, i * bits))));
-    if whole < count {
-        // Fewer than `W` bytes are left from the first such value on.
-        let from = (whole * bits) >> 3;
-        let mut tail = [0u8; 32];
-        tail[..bytes.len() - from].copy_from_slice(&bytes[from..]);
-        out.extend((whole..count).map(|i| map(value(&tail, i * bits - from * 8))));
+    groups(bytes, direct, out);
+    if direct * 8 < count {
+        // Fewer than `reach` bytes are left, and the last group starts
+        // among them, so its loads end inside twice that.
+        let (from, end) = (direct * B, packed_len(count, B));
+        let mut tail = [0u8; 2 * group_reach(64)];
+        tail[..end - from].copy_from_slice(&bytes[from..end]);
+        groups(&tail, full - direct, out);
+        let rest = count % 8;
+        if rest > 0 {
+            out.extend_from_slice(&group(&tail[(full - direct) * B..])[..rest]);
+        }
     }
 }
 
@@ -1521,7 +1567,17 @@ mod tests {
     }
 
     fn decode_panics(enc: &EncodedColumn) -> bool {
-        std::panic::catch_unwind(|| enc.decode()).is_err()
+        decode_panic_message(enc).is_some()
+    }
+
+    /// The message `decode` panics with, or `None` if it returns.
+    fn decode_panic_message(enc: &EncodedColumn) -> Option<String> {
+        let payload = std::panic::catch_unwind(|| enc.decode()).err()?;
+        let text = payload.downcast_ref::<&str>().map(|s| s.to_string());
+        Some(
+            text.or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_default(),
+        )
     }
 
     /// Lengths and widths read from the body are checked before they size
@@ -1602,6 +1658,50 @@ mod tests {
         put_i64(&mut raw, 5);
         assert_eq!(hand_built(1, raw.clone()).decode(), vec![5]);
         assert!(decode_panics(&hand_built(2, raw)));
+        // A body cut at each byte of its last group of packed values — at
+        // widths of both load sizes, with full and partial last groups —
+        // fails the length check before any load could run past it.
+        for bits in [1u8, 3, 8, 13, 56, 57, 64] {
+            for rows in [1usize, 8, 13, 128, 200] {
+                let mut codes = vec![];
+                let mut w = BitWriter::new(&mut codes);
+                (0..rows).for_each(|i| w.push(i as u64 % 2, bits.into()));
+                w.finish();
+                // Offsets of 0 and 1, and differences of 0 and 1.
+                let flips: Vec<i64> = (0..rows as i64).map(|i| i % 2).collect();
+                let steps: Vec<i64> = (0..rows as i64).map(|i| i / 2).collect();
+                let pfor = Compression::Pfor {
+                    bits,
+                    exception_rate: 0.0,
+                };
+                let delta = Compression::PforDelta {
+                    bits,
+                    exception_rate: 0.0,
+                };
+                // No body holds exceptions: each ends at its last packed
+                // byte, that of a last block of `rows % BLOCK_LEN` values.
+                let last_block = (rows - 1) % BLOCK_LEN + 1;
+                for (body, in_last) in [
+                    (dict(2, &[7, 9], bits, &codes), rows),
+                    (EncodedColumn::encode(&flips, pfor).bytes, last_block),
+                    (EncodedColumn::encode(&steps, delta).bytes, last_block),
+                ] {
+                    assert!(!decode_panics(&hand_built(rows, body.clone())));
+                    let packed_at = body.len() - packed_len(in_last, bits.into());
+                    let last_group = packed_at + (in_last - 1) / 8 * bits as usize;
+                    for cut in last_group..body.len() {
+                        let torn = hand_built(rows, body[..cut].to_vec());
+                        let msg = decode_panic_message(&torn);
+                        assert!(
+                            msg.as_deref()
+                                .is_some_and(|m| m.contains("packed values run past the body")),
+                            "{bits} bits, {rows} rows, cut at {cut} of {}: {msg:?}",
+                            body.len()
+                        );
+                    }
+                }
+            }
+        }
         // `truncated` is that writer on demand, for the executor's tests.
         let values: Vec<i64> = (0..300).map(|i| i % 11).collect();
         for scheme in [
@@ -1733,7 +1833,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(2))]
 
-        /// The word-at-a-time unpack against the byte-at-a-time oracle, for
+        /// The group kernel against the byte-at-a-time oracle, for
         /// every width and every length up to 300 (so blocks of every
         /// length, and tails shorter than a word): first on bare packed
         /// fields — alone, and followed by other bytes as inside a body —
@@ -1792,6 +1892,65 @@ mod tests {
                     let decoded = enc.decode();
                     prop_assert_eq!(&decoded, &oracle_decode(&enc));
                     prop_assert_eq!(&decoded, &values);
+                }
+            }
+        }
+
+        /// Each decode map — a dictionary's, a PFOR base's, and a PFOR
+        /// base's under PFOR-DELTA's prefix sum — against the
+        /// byte-at-a-time oracle, at every width and every count up to 200
+        /// (every count mod 8; one block, or a full one and a partial one),
+        /// on bodies that end at their last packed byte and on the same
+        /// bodies with slack after it.  Dictionary codes at widths over 6
+        /// index 64 entries; the PFOR offsets fill their width.
+        #[test]
+        fn every_decode_map_agrees_with_the_oracle_at_every_width_and_count(
+            seed in i64::MIN..i64::MAX,
+        ) {
+            let mut state = seed as u64;
+            for bits in 1..=64u8 {
+                let mask = u64::MAX >> (64 - bits);
+                let entries = 1u64 << bits.min(6);
+                let dict: Vec<i64> = (0..entries).map(|_| splitmix(&mut state) as i64).collect();
+                for count in 0..=200usize {
+                    let fields: Vec<u64> =
+                        (0..count).map(|_| splitmix(&mut state) & mask).collect();
+                    let mut dict_body = vec![WireCodec::Dict.tag()];
+                    put_u32(&mut dict_body, entries as u32);
+                    dict.iter().for_each(|&v| put_i64(&mut dict_body, v));
+                    dict_body.push(bits);
+                    let mut w = BitWriter::new(&mut dict_body);
+                    fields.iter().for_each(|&f| w.push(f % entries, bits.into()));
+                    w.finish();
+                    // Offsets from a random base; under PFOR-DELTA the
+                    // fields are the differences of a running sum.
+                    let base = splitmix(&mut state) as i64;
+                    let offsets: Vec<i64> =
+                        fields.iter().map(|&f| base.wrapping_add(f as i64)).collect();
+                    let mut sum = 0i64;
+                    let sums: Vec<i64> = fields
+                        .iter()
+                        .map(|&f| (sum = sum.wrapping_add(f as i64), sum).1)
+                        .collect();
+                    let pfor = Compression::Pfor { bits, exception_rate: 0.0 };
+                    let delta = Compression::PforDelta { bits, exception_rate: 0.0 };
+                    for (body, values) in [
+                        (dict_body, None),
+                        (EncodedColumn::encode(&offsets, pfor).bytes, Some(&offsets)),
+                        (EncodedColumn::encode(&sums, delta).bytes, Some(&sums)),
+                    ] {
+                        let slack = (0..1 + splitmix(&mut state) % 24)
+                            .map(|_| splitmix(&mut state) as u8);
+                        let loose: Vec<u8> = body.iter().copied().chain(slack).collect();
+                        for body in [body, loose] {
+                            let enc = hand_built(count, body);
+                            let decoded = enc.decode();
+                            prop_assert_eq!(&decoded, &oracle_decode(&enc), "{} bits", bits);
+                            if let Some(values) = values {
+                                prop_assert_eq!(&decoded, values, "{} bits", bits);
+                            }
+                        }
+                    }
                 }
             }
         }
