@@ -724,11 +724,10 @@ fn print_fig7_io_sweep(points: &[fig7::IoSweepPoint], scale: Scale) {
 
 // Figure 8 — scheduling cost (wall clock).
 
-/// Figure 8's sweep and the incremental-vs-brute-force comparison.
+/// Figure 8's sweep.
 struct Fig8Output {
     iterations: u32,
     points: Vec<fig8::Fig8Point>,
-    comparison: Vec<(&'static str, fig8::SpeedupPoint)>,
 }
 
 static FIG8: Entry<Fig8Output> = Entry {
@@ -736,18 +735,7 @@ static FIG8: Entry<Fig8Output> = Entry {
     run: |scale, _| {
         let iterations = if scale == Scale::Quick { 50 } else { 500 };
         let points = fig8::run(iterations);
-        let mut comparison = Vec::new();
-        for (layout, model) in fig8::layouts(2048) {
-            for &queries in &fig8::QUERY_MIXES {
-                let p = fig8::compare_plan_load(&model, 100, queries, iterations);
-                comparison.push((layout, p));
-            }
-        }
-        Ok(Fig8Output {
-            iterations,
-            points,
-            comparison,
-        })
+        Ok(Fig8Output { iterations, points })
     },
     print: print_fig8,
     claims: no_claims,
@@ -781,29 +769,6 @@ fn print_fig8(out: &Fig8Output, _: Scale) {
         "Scheduling time as parts per million of execution time\n{}",
         frac_table.render()
     );
-
-    println!("plan_load per decision: incremental scheduling index vs brute-force sweep");
-    let mut cmp_table = TextTable::new([
-        "layout",
-        "queries",
-        "chunks",
-        "scan",
-        "brute (ns)",
-        "incremental (ns)",
-        "speedup",
-    ]);
-    for (layout, p) in &out.comparison {
-        cmp_table.row([
-            layout.to_string(),
-            p.queries.to_string(),
-            p.num_chunks.to_string(),
-            format!("{}%", p.percent),
-            format!("{:.0}", p.brute_ns),
-            format!("{:.0}", p.incremental_ns),
-            format!("{:.1}x", p.speedup()),
-        ]);
-    }
-    println!("{}", cmp_table.render());
 }
 
 // Figure 9 — compression, in memory and over segment files (wall clock;

@@ -9,8 +9,10 @@
 //!   [`AbmState::misses_a_chunk`] the sweep over the queries, and
 //! * the index walks of [`RelevancePolicy`] — the chunk argmax, the
 //!   consumption argmax and the eviction argmin — must take exactly the
-//!   decisions of its brute-force twin.  `prop_assert` compares them, so a
-//!   release build checks the code that decides in production.
+//!   decisions of the reference written from the paper
+//!   ([`crate::policy::reference`]), which counts availability, starvation
+//!   and interest afresh at every decision.  `prop_assert` compares them,
+//!   so a release build checks the code that decides in production.
 //!
 //! These run the *internal* mutation API directly (the simulation-level
 //! property tests in `tests/properties.rs` cover the public surface).
@@ -18,6 +20,7 @@
 use crate::abm::AbmState;
 use crate::colset::ColSet;
 use crate::model::TableModel;
+use crate::policy::reference::Relevance;
 use crate::policy::{Policy as _, RelevancePolicy};
 use crate::query::QueryId;
 use cscan_simdisk::SimTime;
@@ -94,12 +97,12 @@ fn col_set(model: &TableModel, mask: u8) -> ColSet {
 }
 
 /// Applies `ops`, asserting after every step that the cached counters match
-/// the brute-force definitions and that the walking and brute-force
-/// relevance policies agree on every decision.
+/// the brute-force definitions and that the walking relevance policy and
+/// the reference agree on every decision.
 fn check_ops(model: TableModel, ops: &[Op]) -> Result<(), TestCaseError> {
     let mut s = AbmState::new(model, 1_000_000);
     let mut inc = RelevancePolicy::new();
-    let mut brute = RelevancePolicy::brute_force();
+    let mut reference = Relevance;
     let mut next_id = 0u64;
     let mut active: Vec<QueryId> = Vec::new();
     let mut clock = 0u64;
@@ -203,14 +206,14 @@ fn check_ops(model: TableModel, ops: &[Op]) -> Result<(), TestCaseError> {
             sweep,
             "stale count of queries missing a chunk"
         );
-        // (b) the walks take exactly the brute-force decisions.
+        // (b) the walks take exactly the reference's decisions.
         let a = inc
             .next_load(&s, now, 0)
             .map(|d| (d.trigger, d.chunk, d.cols));
-        let b = brute
+        let b = reference
             .next_load(&s, now, 0)
             .map(|d| (d.trigger, d.chunk, d.cols));
-        prop_assert_eq!(a, b, "walk and brute-force next_load diverged");
+        prop_assert_eq!(a, b, "walk and reference next_load diverged");
         // (c) so do the eviction and consumption argmaxes, for every query.
         if let Some((trigger, chunk, cols)) = a {
             let load = crate::abm::LoadDecision {
@@ -220,15 +223,15 @@ fn check_ops(model: TableModel, ops: &[Op]) -> Result<(), TestCaseError> {
             };
             prop_assert_eq!(
                 inc.choose_victim(&s, &load),
-                brute.choose_victim(&s, &load),
-                "walk and brute-force choose_victim diverged"
+                reference.choose_victim(&s, &load),
+                "walk and reference choose_victim diverged"
             );
         }
         for &q in &active {
             prop_assert_eq!(
                 inc.next_chunk(q, &s),
-                brute.next_chunk(q, &s),
-                "walk and brute-force next_chunk diverged"
+                reference.next_chunk(q, &s),
+                "walk and reference next_chunk diverged"
             );
         }
     }

@@ -516,10 +516,10 @@ impl AbmState {
     //
     // These recompute the cached quantities from first principles (the seed
     // semantics).  They exist so that (a) debug builds can cross-check every
-    // cached counter after every transition, (b) the property tests can
-    // assert cache/brute equality under arbitrary operation sequences, and
-    // (c) the Figure 8 benchmark can measure the incremental scheduler
-    // against the original cost model.
+    // cached counter after every transition, and (b) the property tests can
+    // assert cache/brute equality under arbitrary operation sequences.  No
+    // policy decision reads them: the relevance reference of
+    // `policy/reference.rs` counts what it needs itself.
     // ------------------------------------------------------------------
 
     /// [`Self::available_chunks`] recomputed by scanning the buffer.

@@ -27,6 +27,8 @@ mod proptests;
 #[cfg(test)]
 pub(crate) mod reference;
 mod relevance;
+#[cfg(test)]
+mod speedup;
 
 pub use elevator::ElevatorPolicy;
 pub use in_order::InOrderPolicy;

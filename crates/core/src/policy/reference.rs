@@ -14,12 +14,19 @@
 //! * `elevator` ([`Elevator`]): the cursor sweeps chunk by chunk; the
 //!   victim is the oldest evictable chunk nobody needs, else the one the
 //!   policy gives up when the buffer is stuck;
-//! * `relevance`: [`RelevancePolicy::brute_force`], whose argmaxes sweep
-//!   the trigger's chunks and the buffer.
+//! * `relevance` ([`Relevance`]): Figure 3's four functions with Figure
+//!   11's page normalisation, written from the paper and the rules of
+//!   `policy/relevance.rs`'s module doc, not from its code.  Every decision
+//!   counts afresh, from each query's needed chunks and columns and from
+//!   the buffer's records, which queries are available, starved or
+//!   interested; none reads the `AbmState`'s cached counters, its chunk
+//!   index or a function of the policy it checks.
 
 use super::elevator::{fifo_chunk, stuck_victim};
-use super::{Policy, PolicyKind, RelevancePolicy};
-use crate::abm::{AbmState, LoadDecision};
+use super::{Policy, PolicyKind};
+use crate::abm::{AbmState, BufferedChunk, LoadDecision};
+use crate::colset::ColSet;
+use crate::model::TableModel;
 use crate::query::{QueryId, QueryState};
 use cscan_simdisk::SimTime;
 use cscan_storage::ChunkId;
@@ -31,7 +38,7 @@ pub(crate) fn build(kind: PolicyKind) -> Box<dyn Policy> {
     match kind {
         PolicyKind::Normal | PolicyKind::Attach => Box::new(InOrder::new(kind)),
         PolicyKind::Elevator => Box::new(Elevator::default()),
-        PolicyKind::Relevance => Box::new(RelevancePolicy::brute_force()),
+        PolicyKind::Relevance => Box::new(Relevance),
     }
 }
 
@@ -191,5 +198,205 @@ impl Policy for Elevator {
             .min_by_key(|b| b.loaded_seq)
             .map(|b| b.chunk)
             .or_else(|| stuck_victim(state, load))
+    }
+}
+
+/// The paper's `Qmax`, an upper bound on the queries that run at once: it
+/// weighs a starved (or almost starved) query's interest above any number
+/// of other queries', while fewer than `QMAX` run.
+const QMAX: u64 = 1024;
+
+/// Figure 3: a query with fewer available chunks than this is starved, and
+/// one with exactly this many almost starved.
+const STARVED_BELOW: u32 = 2;
+
+/// `relevance` from Figures 3 and 11 (see the module docs).
+pub(crate) struct Relevance;
+
+/// What one relevance decision reads: each active query with its available
+/// chunks, counted from the buffer's records — the buffered chunks it still
+/// needs that hold every column it reads, the one it processes included.
+struct View<'a> {
+    state: &'a AbmState,
+    model: &'a TableModel,
+    queries: Vec<(&'a QueryState, u32)>,
+}
+
+impl<'a> View<'a> {
+    fn of(state: &'a AbmState) -> Self {
+        let available = |q: &QueryState| {
+            let held = |b: &&BufferedChunk| q.needs(b.chunk) && q.columns.is_subset_of(b.columns);
+            state.buffered().filter(held).count() as u32
+        };
+        let queries = state.queries().map(|q| (q, available(q))).collect();
+        View {
+            state,
+            model: state.model(),
+            queries,
+        }
+    }
+
+    /// The chunks `q` still needs, in table order.
+    fn needed(&self, q: &'a QueryState) -> impl Iterator<Item = ChunkId> + 'a {
+        let chunks = (0..self.model.num_chunks()).map(ChunkId::new);
+        chunks.filter(move |&c| q.needs(c))
+    }
+
+    /// The queries that still need `chunk` and read a column of `cols`,
+    /// each with its available chunks.
+    fn wanting(
+        &self,
+        chunk: ChunkId,
+        cols: ColSet,
+    ) -> impl Iterator<Item = (&'a QueryState, u32)> + '_ {
+        let overlap = move |q: &QueryState| q.needs(chunk) && q.columns.overlaps(cols);
+        self.queries
+            .iter()
+            .copied()
+            .filter(move |&(q, _)| overlap(q))
+    }
+
+    fn loading(&self, chunk: ChunkId) -> bool {
+        self.state.inflight_loads().iter().any(|l| l.chunk == chunk)
+    }
+
+    /// Pages a load of `cols` of `chunk` reads: the groups not buffered.
+    fn pages_to_read(&self, chunk: ChunkId, cols: ColSet) -> u64 {
+        let held = self.state.buffered_chunk(chunk).map(|b| b.columns);
+        self.model
+            .chunk_pages(chunk, cols.difference(held.unwrap_or(ColSet::EMPTY)))
+    }
+
+    /// `queryRelevance(q)`, for a starved query that needs a chunk: the
+    /// shorter its scan the higher, raised by the time it has waited, shared
+    /// out among the running queries.
+    fn query_relevance(&self, q: &QueryState, available: u32, now: SimTime) -> Option<f64> {
+        let needed = self.needed(q).count();
+        if needed == 0 || available >= STARVED_BELOW {
+            return None;
+        }
+        let running = self.queries.len().max(1) as f64;
+        Some(-(needed as f64) + q.waiting_time(now).as_secs_f64() / running)
+    }
+
+    /// `loadRelevance(chunk)` for `trigger`, over the queries that need the
+    /// chunk and share a column with it: `starved · QMAX + interested` per
+    /// page a load of all their columns reads.  Returns those columns too.
+    fn load_relevance(&self, trigger: &QueryState, chunk: ChunkId) -> (f64, ColSet) {
+        let (mut starved, mut interested, mut cols) = (0, 0, trigger.columns);
+        for (q, available) in self.wanting(chunk, trigger.columns) {
+            starved += u64::from(available < STARVED_BELOW);
+            interested += 1;
+            cols = cols.union(q.columns);
+        }
+        let pages = self.pages_to_read(chunk, cols).max(1);
+        ((starved * QMAX + interested) as f64 / pages as f64, cols)
+    }
+
+    /// `useRelevance(b)` for `q`: the pages the chunk holds for `q`, per
+    /// query that needs it and shares a column with `q`.
+    fn use_relevance(&self, q: &QueryState, b: &BufferedChunk) -> f64 {
+        let interested = self.wanting(b.chunk, q.columns).count().max(1);
+        let pages = self
+            .model
+            .chunk_pages(b.chunk, b.columns.intersect(q.columns));
+        pages as f64 / interested as f64
+    }
+
+    /// `keepRelevance(b)`, over every query that needs the chunk:
+    /// `almost_starved · QMAX + interested` per page it occupies.
+    fn keep_relevance(&self, b: &BufferedChunk) -> f64 {
+        let (mut almost_starved, mut interested) = (0, 0);
+        for (_, available) in self.wanting(b.chunk, self.model.all_columns()) {
+            almost_starved += u64::from(available <= STARVED_BELOW);
+            interested += 1;
+        }
+        let pages = self.model.chunk_pages(b.chunk, b.columns).max(1);
+        (almost_starved * QMAX + interested) as f64 / pages as f64
+    }
+
+    /// `chooseChunkToLoad` for `trigger`: of the chunks it needs that no
+    /// load is reading and that miss one of its columns, the highest
+    /// `loadRelevance`, with the columns of the queries it counted.
+    fn chunk_to_load(&self, trigger: &QueryState) -> Option<LoadDecision> {
+        let candidates = self.needed(trigger).filter(|&c| !self.loading(c));
+        let candidates = candidates.filter(|&c| self.pages_to_read(c, trigger.columns) > 0);
+        let scored = candidates.map(|c| {
+            let (score, cols) = self.load_relevance(trigger, c);
+            (score, (c, cols))
+        });
+        let (chunk, cols) = best_of(scored, |a, b| a > b)?;
+        Some(LoadDecision {
+            trigger: trigger.id,
+            chunk,
+            cols,
+        })
+    }
+}
+
+/// The first item of the best score (`wins(new, best)`): every sweep here
+/// runs in chunk order, so ties go to the lowest chunk id.
+fn best_of<T, I: Iterator<Item = (f64, T)>>(scored: I, wins: fn(f64, f64) -> bool) -> Option<T> {
+    let mut best: Option<(f64, T)> = None;
+    for (score, item) in scored {
+        if best.as_ref().is_none_or(|&(b, _)| wins(score, b)) {
+            best = Some((score, item));
+        }
+    }
+    best.map(|(_, item)| item)
+}
+
+impl Policy for Relevance {
+    fn kind(&self) -> PolicyKind {
+        PolicyKind::Relevance
+    }
+
+    /// `chooseQueryToProcess` by `queryRelevance`, ties to the lower id,
+    /// then its `chooseChunkToLoad`.  Slot 0 is the paper's main loop: the
+    /// top query or nothing; a later slot takes the first query, in that
+    /// order, that has a chunk to load.
+    fn next_load(&mut self, state: &AbmState, now: SimTime, slot: usize) -> Option<LoadDecision> {
+        let view = View::of(state);
+        let mut triggers: Vec<(f64, &QueryState)> = view
+            .queries
+            .iter()
+            .filter_map(|&(q, available)| Some((view.query_relevance(q, available, now)?, q)))
+            .collect();
+        triggers.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.id.cmp(&b.1.id)));
+        let tried = if slot == 0 { 1 } else { triggers.len() };
+        let mut triggers = triggers.into_iter().take(tried);
+        triggers.find_map(|(_, q)| view.chunk_to_load(q))
+    }
+
+    /// `chooseAvailableChunk`: of the buffered chunks `q` needs, is not
+    /// processing and holds every column of, the highest `useRelevance`.
+    fn next_chunk(&mut self, q: QueryId, state: &AbmState) -> Option<ChunkId> {
+        let (view, query) = (View::of(state), state.query(q));
+        let available = state.buffered().filter(|b| {
+            query.needs(b.chunk)
+                && query.processing != Some(b.chunk)
+                && query.columns.is_subset_of(b.columns)
+        });
+        let scored = available.map(|b| (view.use_relevance(query, b), b.chunk));
+        best_of(scored, |a, b| a > b)
+    }
+
+    /// `findFreeSlot`'s victim: the lowest `keepRelevance` of the unpinned
+    /// buffered chunks no load is reading, sparing first the trigger's
+    /// chunks and any a starved query needs, and failing that none.
+    fn choose_victim(&mut self, state: &AbmState, load: &LoadDecision) -> Option<ChunkId> {
+        let (view, trigger) = (View::of(state), state.query(load.trigger));
+        let all = state.model().all_columns();
+        let spared =
+            |c: ChunkId| trigger.needs(c) || view.wanting(c, all).any(|(_, a)| a < STARVED_BELOW);
+        let victim = |strict: bool| {
+            let evictable = state
+                .buffered()
+                .filter(|b| b.chunk != load.chunk && !b.is_pinned() && !view.loading(b.chunk));
+            let candidates = evictable.filter(|b| !(strict && spared(b.chunk)));
+            let scored = candidates.map(|b| (view.keep_relevance(b), b.chunk));
+            best_of(scored, |a, b| a < b)
+        };
+        victim(true).or_else(|| victim(false))
     }
 }

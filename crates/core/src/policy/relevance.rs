@@ -35,12 +35,11 @@
 //!
 //! # One walk per decision point
 //!
-//! `chooseChunkToLoad` is the hot spot of a scheduling step: the seed
-//! implementation swept every chunk the triggering query still needs and
-//! recomputed `loadRelevance` for each, an O(scan length) walk per decision
-//! that dominates Figure 8's cost curve.  The default
-//! ([`RelevancePolicy::new`]) argmax instead walks the bitset index of
-//! [`AbmState`], the same code for row and column stores:
+//! `chooseChunkToLoad` is the hot spot of a scheduling step: written as
+//! the paper states it, it sweeps every chunk the triggering query still
+//! needs and scores each, an O(scan length) walk per decision that
+//! dominates Figure 8's cost curve.  The argmax here instead walks the
+//! bitset index of [`AbmState`], the same code for row and column stores:
 //!
 //! * first the chunks a load may cost fewer pages than a full chunk of the
 //!   trigger's columns: resident chunks that miss some column, and the
@@ -57,8 +56,9 @@
 //!   bound — on a row store, a chunk every running query wants.
 //!
 //! Scores are exact `Ratio`s and ties go to the lowest chunk id, so the
-//! walk chooses what the sweep chooses for any number of queries, past
-//! `QMAX` too, where the starved count alone no longer orders the buckets.
+//! walk chooses what a sweep over every candidate chooses for any number
+//! of queries, past `QMAX` too, where the starved count alone no longer
+//! orders the buckets.
 //!
 //! The other two decision points walk the same index: `chooseAvailableChunk`
 //! takes the `useRelevance` argmax over `resident ∧ needed` (checking that
@@ -67,10 +67,12 @@
 //! ¬needed(trigger) ∧ ¬starved_any` (strict pass) or `resident` (relaxed
 //! pass) reading `keepRelevance` from the cached counters.
 //!
-//! All of them choose bit-identically to the original sweep, which is
-//! preserved behind [`RelevancePolicy::brute_force`]: the reference the
-//! scheduler core is run against in lockstep (`crate::policy::reference`)
-//! and the baseline the Figure 8 microbenchmark measures.
+//! All of them must choose bit-identically to the sweeps of the paper's
+//! functions in `policy/reference.rs`, a test-only reference written from
+//! the rules above that counts availability, starvation and interest
+//! afresh from the queries and the buffer's records at every decision; the
+//! scheduler core is run against it in lockstep (`sched::proptests`), and
+//! scripted cases in this module's tests flip a decision for each score.
 //!
 //! Cost model: picking the trigger is O(active queries), each
 //! `queryRelevance` reading the cached starvation index in O(1).  The chunk
@@ -81,12 +83,10 @@
 //! decisions.  State transitions pay O(1) per interest-counter
 //! change, with a starvation *level* crossing costing O(chunks the query
 //! still needs).  On the Figure 8 2 GB/2048-chunk mix a `plan_load`
-//! decision is 10–70× cheaper than the brute-force sweep at 16–128
-//! concurrent queries (wall-clock, printed by `cargo run --release -p
-//! cscan_bench --bin figures fig8_scheduling_cost`; the release-only
-//! `incremental_speedup_at_64_queries` gate in `cscan_bench` holds it to
-//! ≥ 5× at 64 on a row store, on a six-column column store and on a row
-//! store whose last chunk is short).
+//! decision at 64 concurrent queries is held by the release-only
+//! `incremental_speedup_at_64_queries` gate (`policy/speedup.rs`) to ≥ 200×
+//! cheaper than the reference's sweeps, on a row store, on a six-column
+//! column store and on a row store whose last chunk is short.
 
 use crate::abm::{AbmState, BufferedChunk, LoadDecision, STARVATION_THRESHOLD};
 use crate::colset::ColSet;
@@ -103,11 +103,11 @@ const QMAX: u64 = 1024;
 
 /// A relevance value as the exact ratio it is — a benefit per page, or
 /// pages per query — so the per-candidate walks compare two products
-/// instead of dividing.  As long as those products stay below 2⁵³ (under
-/// `QMAX` queries weighted by `QMAX` against 2³² pages: any table this
-/// engine can hold) two different ratios are two different `f64`s, so
-/// ordering ratios and ordering their [`Ratio::value`]s — what the
-/// brute-force sweeps do — agree.
+/// instead of dividing, and equal scores tie exactly.  As long as those
+/// products stay below 2⁵³ (under `QMAX` queries weighted by `QMAX`
+/// against 2³² pages: any table this engine can hold) two different ratios
+/// are two different `f64` quotients, which is how the reference in
+/// `policy/reference.rs` scores.
 #[derive(Debug, Clone, Copy)]
 struct Ratio {
     num: u64,
@@ -115,10 +115,6 @@ struct Ratio {
 }
 
 impl Ratio {
-    fn value(self) -> f64 {
-        self.num as f64 / self.den as f64
-    }
-
     /// Both sides of `self ⋛ other`, cross-multiplied.
     fn cross(self, other: Ratio) -> (u128, u128) {
         (
@@ -186,51 +182,24 @@ impl Overlap {
 /// The relevance-based Cooperative Scans policy (see module docs).
 #[derive(Debug, Default)]
 pub struct RelevancePolicy {
-    /// When set, every decision uses the original full sweep instead of the
-    /// index walks (reference + benchmark baseline).
-    brute: bool,
     /// Reused trigger list for the pipelined fallback walk, so deep-slot
     /// decisions allocate nothing on the scheduling hot path.
     trigger_scratch: Vec<(f64, QueryId)>,
 }
 
 impl RelevancePolicy {
-    /// Creates the policy with the index walks (the default).
+    /// Creates the policy.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates the policy with the original O(scan length)-per-decision
-    /// brute-force chunk selection.  Decisions are identical to [`Self::new`];
-    /// only the cost differs.  Used as the reference implementation by the
-    /// property tests and as the baseline of the Figure 8 microbenchmark.
-    pub fn brute_force() -> Self {
-        Self {
-            brute: true,
-            ..Self::default()
-        }
-    }
-
-    /// Whether this instance uses the brute-force chunk selection.
-    pub fn is_brute_force(&self) -> bool {
-        self.brute
-    }
-
     // ------------------------------------------------------------------
-    // Relevance functions.  Public (crate) visibility so the benchmark that
-    // reproduces Figure 8 can measure their cost in isolation.
+    // Relevance functions.
     // ------------------------------------------------------------------
 
-    /// `queryRelevance(q)`: priority of scheduling a load on behalf of `q`.
-    pub fn query_relevance(state: &AbmState, q: QueryId, now: SimTime) -> f64 {
-        let running = state.num_queries().max(1) as f64;
-        Self::query_relevance_of(state.query(q), running, now)
-    }
-
-    /// The `queryRelevance` formula over a query reference — the shared
-    /// implementation behind [`Self::query_relevance`] and the trigger scan
-    /// of `next_load` (which already holds `&QueryState` and the hoisted
-    /// query count, avoiding a per-query id lookup).
+    /// `queryRelevance(q)`: priority of scheduling a load on behalf of
+    /// `query`, over the query count the trigger scan of `next_load`
+    /// hoists; `-∞` unless the query is starved.
     fn query_relevance_of(query: &QueryState, running: f64, now: SimTime) -> f64 {
         if query.available_chunks() >= STARVATION_THRESHOLD {
             return f64::NEG_INFINITY;
@@ -241,15 +210,7 @@ impl RelevancePolicy {
 
     /// `useRelevance(c, q)`: priority of *consuming* resident chunk `c` —
     /// the pages it holds for `q` per query that wants them, so poorly
-    /// shared and big chunks become evictable early.
-    pub fn use_relevance(state: &AbmState, q: QueryId, chunk: ChunkId) -> f64 {
-        state
-            .buffered_chunk(chunk)
-            .map_or(0.0, |b| Self::use_ratio(state, state.query(q), b).value())
-    }
-
-    /// [`Self::use_relevance`] as a ratio, over the query and the buffer
-    /// entry the walk of `chooseAvailableChunk` holds.  A chunk holding
+    /// shared and big chunks become evictable early.  A chunk holding
     /// nothing but the query's columns, wanted by the query alone — the
     /// common case of a short scan — costs two counter reads.
     fn use_ratio(state: &AbmState, query: &QueryState, b: &BufferedChunk) -> Ratio {
@@ -275,11 +236,6 @@ impl RelevancePolicy {
     /// triggering query — starved interest first, any interest second, per
     /// page that has to be read to serve all of it (`load_columns`, which is
     /// what the load then asks for).
-    pub fn load_relevance(state: &AbmState, trigger: QueryId, chunk: ChunkId) -> f64 {
-        Self::load_ratio(state, state.query(trigger), chunk).value()
-    }
-
-    /// [`Self::load_relevance`] as a ratio, over a query reference.
     fn load_ratio(state: &AbmState, trigger: &QueryState, chunk: ChunkId) -> Ratio {
         let o = Overlap::of(state, chunk, trigger.columns);
         let pages = state.pages_to_load(chunk, trigger.columns.union(o.cols));
@@ -294,11 +250,6 @@ impl RelevancePolicy {
     /// interest first, any interest second, per page the chunk occupies.
     /// By the time a victim is chosen no evictable chunk holds a dead
     /// column, so every occupied page serves an interested query.
-    pub fn keep_relevance(state: &AbmState, chunk: ChunkId) -> f64 {
-        Self::keep_ratio(state, chunk).value()
-    }
-
-    /// [`Self::keep_relevance`] as a ratio.
     fn keep_ratio(state: &AbmState, chunk: ChunkId) -> Ratio {
         let pages = state.buffered_chunk(chunk).map_or(1, |b| b.pages.max(1));
         Ratio {
@@ -318,29 +269,15 @@ impl RelevancePolicy {
     }
 
     // ------------------------------------------------------------------
-    // chooseChunkToLoad: brute-force sweep and the bucket walk.
+    // The three decision points, each a walk over the chunk index.
     // ------------------------------------------------------------------
 
-    /// The seed implementation of `chooseChunkToLoad`: sweep every chunk the
-    /// trigger still needs and take the `loadRelevance` argmax (ties towards
-    /// the lowest chunk id).  O(scan length) per call.
-    pub fn choose_chunk_brute(state: &AbmState, trigger: QueryId) -> Option<ChunkId> {
-        let query = state.query(trigger);
-        query
-            .remaining_chunks()
-            .filter(|&c| !state.is_inflight(c) && state.pages_to_load(c, query.columns) > 0)
-            .map(|c| (Self::load_ratio(state, query, c).value(), c))
-            .max_by(|a, b| {
-                a.0.partial_cmp(&b.0)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(b.1.cmp(&a.1))
-            })
-            .map(|(_, c)| c)
-    }
-
     /// `chooseChunkToLoad` over the bitset index (see the module docs): the
-    /// resident chunks missing some column and the ragged chunks, then the starved-interest buckets from the highest
-    /// down, each bounded by `(s · QMAX + active queries) / floor`.
+    /// resident chunks missing some column and the ragged chunks, then the
+    /// starved-interest buckets from the highest down, each bounded by
+    /// `(s · QMAX + active queries) / floor`: the `loadRelevance` argmax
+    /// over the chunks the trigger needs that miss one of its columns and
+    /// no load is reading, ties towards the lowest chunk id.
     ///
     /// A starved trigger counts itself in the starved interest of every
     /// chunk it needs, so every missing candidate lies in some bucket
@@ -348,7 +285,6 @@ impl RelevancePolicy {
     /// most every active query interested, and a load of a chunk that is
     /// neither resident nor ragged reads every group of the trigger's at its
     /// widest: at least `floor` pages.
-    /// Chooses bit-identically to [`Self::choose_chunk_brute`].
     fn choose_chunk_walk(state: &AbmState, trigger: &QueryState) -> Option<ChunkId> {
         let cols = trigger.columns;
         let needed = trigger.needed_words();
@@ -397,8 +333,7 @@ impl RelevancePolicy {
                 while w != 0 {
                     let chunk = ChunkId::new((wi * 64) as u32 + w.trailing_zeros());
                     w &= w - 1;
-                    // Mirror the brute-force candidate filter exactly (a
-                    // zero-page chunk is never worth a load decision).
+                    // A zero-page chunk is never worth a load decision.
                     if state.pages_to_load(chunk, cols) == 0 {
                         continue;
                     }
@@ -415,12 +350,8 @@ impl RelevancePolicy {
         best.map(|(_, c)| c)
     }
 
-    /// `chooseChunkToLoad` for one trigger: the brute-force sweep or the
-    /// bucket walk.
-    fn choose_chunk_for(&self, state: &AbmState, trigger: QueryId) -> Option<ChunkId> {
-        if self.brute {
-            return Self::choose_chunk_brute(state, trigger);
-        }
+    /// `chooseChunkToLoad` for one trigger.
+    fn choose_chunk_for(state: &AbmState, trigger: QueryId) -> Option<ChunkId> {
         let query = state.query(trigger);
         // Everything the query still needs is in the buffer with every
         // column it reads (a short scan of a hot table, mostly): there is no
@@ -431,36 +362,12 @@ impl RelevancePolicy {
         Self::choose_chunk_walk(state, query)
     }
 
-    // ------------------------------------------------------------------
-    // chooseAvailableChunk and findFreeSlot: brute-force sweeps and the
-    // word-wise walks over the same bitset index.
-    // ------------------------------------------------------------------
-
-    /// The seed implementation of `chooseAvailableChunk`: sweep the buffer
-    /// and take the `useRelevance` argmax (ties towards the lowest chunk
-    /// id).  O(buffered chunks) per call, with a per-chunk query sweep when
-    /// the active queries' columns differ.  Reference for the word-wise walk.
-    pub fn choose_use_chunk_brute(state: &AbmState, q: QueryId) -> Option<ChunkId> {
-        let query = state.query(q);
-        state
-            .buffered()
-            .filter(|b| query.needs_and_not_processing(b.chunk))
-            .filter(|b| query.columns.is_subset_of(b.columns))
-            .map(|b| (Self::use_ratio(state, query, b).value(), b.chunk))
-            .max_by(|a, b| {
-                a.0.partial_cmp(&b.0)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(b.1.cmp(&a.1))
-            })
-            .map(|(_, c)| c)
-    }
-
     /// Word-wise `chooseAvailableChunk`: the `useRelevance` argmax over
     /// `resident ∧ needed`, 64 chunks per word, skipping the chunk being
-    /// processed and chunks that do not hold every column the query reads.  Ascending order and a strict comparison break ties towards
-    /// the lowest chunk id, and the walk stops at the first chunk nothing can
+    /// processed and chunks that do not hold every column the query reads.
+    /// Ascending order and a strict comparison break ties towards the
+    /// lowest chunk id, and the walk stops at the first chunk nothing can
     /// beat: the query's columns at their widest, wanted by the query alone.
-    /// Chooses bit-identically to the brute sweep.
     fn choose_use_chunk(state: &AbmState, q: QueryId) -> Option<ChunkId> {
         let query = state.query(q);
         let resident = state.index().resident_words();
@@ -492,40 +399,6 @@ impl RelevancePolicy {
         best.map(|(_, c)| c)
     }
 
-    /// The seed implementation of the eviction half of `findFreeSlot`: the
-    /// strict pass (protecting the trigger's chunks and anything useful to a
-    /// starved query) followed by the relaxed pass, each a full
-    /// `keepRelevance` argmin sweep over the buffer.  Reference for the
-    /// word-wise walk.
-    pub fn choose_victim_brute(state: &AbmState, load: &LoadDecision) -> Option<ChunkId> {
-        let trigger = state.query(load.trigger);
-        let strict = state
-            .buffered()
-            .filter(|b| b.chunk != load.chunk && state.is_evictable(b.chunk))
-            .filter(|b| !trigger.needs(b.chunk))
-            .filter(|b| !state.useful_for_starved_query(b.chunk))
-            .map(|b| (Self::keep_relevance(state, b.chunk), b.chunk))
-            .min_by(|a, b| {
-                a.0.partial_cmp(&b.0)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.1.cmp(&b.1))
-            })
-            .map(|(_, c)| c);
-        if strict.is_some() {
-            return strict;
-        }
-        state
-            .buffered()
-            .filter(|b| b.chunk != load.chunk && state.is_evictable(b.chunk))
-            .map(|b| (Self::keep_relevance(state, b.chunk), b.chunk))
-            .min_by(|a, b| {
-                a.0.partial_cmp(&b.0)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.1.cmp(&b.1))
-            })
-            .map(|(_, c)| c)
-    }
-
     /// Word-wise victim selection over the bitset index.
     ///
     /// The strict pass intersects `resident ∧ ¬needed(trigger) ∧
@@ -534,7 +407,6 @@ impl RelevancePolicy {
     /// the `keepRelevance` argmin, ties towards the lowest chunk id by
     /// walking in ascending order.  Per-candidate work is the evictability
     /// check and a few O(1) reads; non-candidates cost 1/64th of an AND.
-    /// Chooses bit-identically to [`Self::choose_victim_brute`].
     fn choose_victim_walk(state: &AbmState, load: &LoadDecision) -> Option<ChunkId> {
         let trigger = state.query(load.trigger);
         let resident = state.index().resident_words();
@@ -570,7 +442,7 @@ impl RelevancePolicy {
     /// with the highest relevance, and its missing chunk with the highest
     /// load relevance.  `None` if no query is starved or the top one has
     /// nothing loadable.
-    fn top_trigger_load(&mut self, state: &AbmState, now: SimTime) -> Option<LoadDecision> {
+    fn top_trigger_load(state: &AbmState, now: SimTime) -> Option<LoadDecision> {
         // chooseQueryToProcess: the starved query with the highest relevance.
         // O(active queries): every term of queryRelevance reads the cached
         // starvation index in O(1), and only starved queries have finite
@@ -588,7 +460,7 @@ impl RelevancePolicy {
             })
             .map(|(_, id)| id)?;
         // chooseChunkToLoad: the missing chunk with the highest load relevance.
-        let chunk = self.choose_chunk_for(state, trigger)?;
+        let chunk = Self::choose_chunk_for(state, trigger)?;
         let cols = Self::load_columns(state, trigger, chunk);
         Some(LoadDecision {
             trigger,
@@ -608,7 +480,7 @@ impl Policy for RelevancePolicy {
         // only the top-relevance query may trigger, even if it has nothing
         // loadable.  Later slots take the same decision when the top
         // trigger has a loadable chunk, which it usually has.
-        let top = self.top_trigger_load(state, now);
+        let top = Self::top_trigger_load(state, now);
         if top.is_some() || slot == 0 {
             return top;
         }
@@ -635,7 +507,7 @@ impl Policy for RelevancePolicy {
         triggers.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
         let mut found = None;
         for &(_, trigger) in triggers.iter().skip(1) {
-            if let Some(chunk) = self.choose_chunk_for(state, trigger) {
+            if let Some(chunk) = Self::choose_chunk_for(state, trigger) {
                 let cols = Self::load_columns(state, trigger, chunk);
                 found = Some(LoadDecision {
                     trigger,
@@ -652,9 +524,6 @@ impl Policy for RelevancePolicy {
     fn next_chunk(&mut self, q: QueryId, state: &AbmState) -> Option<ChunkId> {
         // chooseAvailableChunk: the resident chunk with the highest use
         // relevance, word-wise over the residency bitset.
-        if self.brute {
-            return Self::choose_use_chunk_brute(state, q);
-        }
         Self::choose_use_chunk(state, q)
     }
 
@@ -662,9 +531,6 @@ impl Policy for RelevancePolicy {
         // findFreeSlot: strict pass protecting the trigger's chunks and
         // anything useful to a starved query, then the relaxed pass —
         // word-wise over the residency / needed / starved-any bitsets.
-        if self.brute {
-            return Self::choose_victim_brute(state, load);
-        }
         Self::choose_victim_walk(state, load)
     }
 }
@@ -674,7 +540,9 @@ mod tests {
     use super::*;
     use crate::abm::AbmState;
     use crate::model::TableModel;
+    use crate::policy::reference::Relevance;
     use cscan_storage::{ChunkPayload, ColumnId, ScanRanges};
+    use std::fmt::Debug;
 
     fn state(chunks: u32, buffer_chunks: u64) -> AbmState {
         AbmState::new(
@@ -684,14 +552,12 @@ mod tests {
     }
 
     fn register(s: &mut AbmState, id: u64, start: u32, end: u32) -> QueryId {
+        scan(s, id, ScanRanges::single(start, end))
+    }
+
+    fn scan(s: &mut AbmState, id: u64, ranges: ScanRanges) -> QueryId {
         let cols = s.model().all_columns();
-        s.register_query(
-            QueryId(id),
-            format!("q{id}"),
-            ScanRanges::single(start, end),
-            cols,
-            SimTime::ZERO,
-        );
+        s.register_query(QueryId(id), format!("q{id}"), ranges, cols, SimTime::ZERO);
         QueryId(id)
     }
 
@@ -701,23 +567,29 @@ mod tests {
         s.complete_load_of(ChunkId::new(chunk), ChunkPayload::Missing);
     }
 
+    /// What the walks decide, asserted equal to what the reference written
+    /// from the paper decides on the same state.
+    fn both<T: PartialEq + Debug>(decide: impl Fn(&mut dyn Policy) -> T) -> T {
+        let walk = decide(&mut RelevancePolicy::new());
+        let reference = decide(&mut Relevance);
+        assert_eq!(walk, reference, "the walk and the reference disagree");
+        walk
+    }
+
+    /// The load decision of slot 0 at `now`, from both.
+    fn next_load(s: &AbmState, now: SimTime) -> Option<(QueryId, ChunkId)> {
+        both(|p| p.next_load(s, now, 0).map(|d| (d.trigger, d.chunk)))
+    }
+
     #[test]
     fn short_starved_queries_win() {
         let mut s = state(100, 10);
         let short = register(&mut s, 1, 0, 5);
         let long = register(&mut s, 2, 0, 80);
-        let now = SimTime::ZERO;
-        let r_short = RelevancePolicy::query_relevance(&s, short, now);
-        let r_long = RelevancePolicy::query_relevance(&s, long, now);
-        assert!(
-            r_short > r_long,
-            "short queries get priority: {r_short} vs {r_long}"
-        );
-        let mut p = RelevancePolicy::new();
-        let d = p.next_load(&s, now, 0).unwrap();
-        assert_eq!(d.trigger, short);
+        let (trigger, chunk) = next_load(&s, SimTime::ZERO).unwrap();
+        assert_eq!(trigger, short, "short queries get priority");
         // The chosen chunk is shared by both queries (chunks 0..5 are).
-        assert!(s.query(long).needs(d.chunk));
+        assert!(s.query(long).needs(chunk));
     }
 
     #[test]
@@ -739,14 +611,7 @@ mod tests {
         let q = register(&mut s, 1, 0, 2);
         // One starved query wants both: the same interest buys a quarter of
         // the pages on the short chunk.
-        let d = RelevancePolicy::new()
-            .next_load(&s, SimTime::ZERO, 0)
-            .unwrap();
-        assert_eq!((d.trigger, d.chunk), (q, ChunkId::new(1)));
-        assert_eq!(
-            RelevancePolicy::choose_chunk_brute(&s, q),
-            Some(ChunkId::new(1))
-        );
+        assert_eq!(next_load(&s, SimTime::ZERO), Some((q, ChunkId::new(1))));
     }
 
     #[test]
@@ -757,17 +622,11 @@ mod tests {
         load(&mut s, 1);
         load(&mut s, 2);
         assert!(!s.is_starved(q));
-        assert_eq!(
-            RelevancePolicy::query_relevance(&s, q, SimTime::ZERO),
-            f64::NEG_INFINITY
-        );
-        let mut p = RelevancePolicy::new();
-        assert!(
-            p.next_load(&s, SimTime::ZERO, 0).is_none(),
-            "nobody is starved"
-        );
+        assert_eq!(next_load(&s, SimTime::ZERO), None, "nobody is starved");
     }
 
+    /// The waiting-time boost of `queryRelevance`: without it the short
+    /// query would trigger every load.
     #[test]
     fn waiting_time_eventually_boosts_long_queries() {
         let mut s = state(100, 10);
@@ -775,12 +634,12 @@ mod tests {
         let long = register(&mut s, 2, 0, 80);
         // The long query has been blocked for a very long time.
         s.block_query(long, SimTime::ZERO);
-        let later = SimTime::from_secs(1000);
-        let r_short = RelevancePolicy::query_relevance(&s, short, later);
-        let r_long = RelevancePolicy::query_relevance(&s, long, later);
-        assert!(
-            r_long > r_short,
-            "waiting time must eventually win: {r_long} vs {r_short}"
+        let trigger = |now| next_load(&s, now).map(|(q, _)| q);
+        assert_eq!(trigger(SimTime::ZERO), Some(short));
+        assert_eq!(
+            trigger(SimTime::from_secs(1000)),
+            Some(long),
+            "waiting time must eventually win"
         );
     }
 
@@ -791,31 +650,76 @@ mod tests {
         let _q2 = register(&mut s, 2, 5, 10);
         load(&mut s, 0); // only q1 wants chunk 0
         load(&mut s, 7); // both want chunk 7
-        let mut p = RelevancePolicy::new();
         assert_eq!(
-            p.next_chunk(q1, &s),
+            both(|p| p.next_chunk(q1, &s)),
             Some(ChunkId::new(0)),
             "consume the chunk fewer queries are interested in first"
         );
     }
 
+    /// `useRelevance`'s interested denominator: of two equal chunks the one
+    /// fewer queries want goes first, though the other has the lower id.
+    #[test]
+    fn use_relevance_divides_by_the_interested_queries() {
+        let mut s = state(20, 10);
+        let q1 = register(&mut s, 1, 0, 10);
+        let _q2 = register(&mut s, 2, 0, 5);
+        load(&mut s, 2); // both want chunk 2
+        load(&mut s, 7); // only q1 wants chunk 7
+        assert_eq!(both(|p| p.next_chunk(q1, &s)), Some(ChunkId::new(7)));
+    }
+
     #[test]
     fn load_relevance_prefers_widely_wanted_chunks() {
         let mut s = state(20, 10);
-        let q1 = register(&mut s, 1, 0, 10);
+        let _q1 = register(&mut s, 1, 0, 10);
         let _q2 = register(&mut s, 2, 5, 10);
         let _q3 = register(&mut s, 3, 5, 10);
         // All three queries are starved; chunks 5..10 serve three of them.
-        let mut p = RelevancePolicy::new();
-        let d = p.next_load(&s, SimTime::ZERO, 0).unwrap();
+        let (_, chunk) = next_load(&s, SimTime::ZERO).unwrap();
         assert!(
-            d.chunk.index() >= 5,
-            "chunk {:?} should be in the shared range",
-            d.chunk
+            chunk.index() >= 5,
+            "chunk {chunk:?} should be in the shared range"
         );
-        let shared = RelevancePolicy::load_relevance(&s, q1, ChunkId::new(6));
-        let private = RelevancePolicy::load_relevance(&s, q1, ChunkId::new(1));
-        assert!(shared > private);
+    }
+
+    /// `loadRelevance`'s starved term: a chunk two starved queries want
+    /// beats one that three queries want, of whom only the trigger starves.
+    #[test]
+    fn load_relevance_weighs_starved_interest_above_any() {
+        let mut s = state(20, 20);
+        let t = scan(&mut s, 1, ScanRanges::from_chunk_indices([0, 1, 2, 3]));
+        let _starved = scan(
+            &mut s,
+            2,
+            ScanRanges::from_chunk_indices([3, 8, 9, 10, 11, 12]),
+        );
+        for id in [3, 4] {
+            scan(&mut s, id, ScanRanges::from_chunk_indices([1, 15, 16]));
+        }
+        load(&mut s, 15);
+        load(&mut s, 16);
+        assert!(!s.is_starved(QueryId(3)) && s.is_starved(QueryId(2)));
+        // Chunk 1 scores 1 · QMAX + 3 a page, chunk 3 2 · QMAX + 2.
+        assert_eq!(next_load(&s, SimTime::ZERO), Some((t, ChunkId::new(3))));
+    }
+
+    /// `loadRelevance`'s page denominator: of two partly resident chunks the
+    /// one missing fewer pages is loaded first, though the other has the
+    /// lower id.
+    #[test]
+    fn load_relevance_is_per_page_to_read() {
+        let model = TableModel::dsm_uniform(10, 1000, &[2, 4, 8]);
+        let mut s = AbmState::new(model, 10_000);
+        let [a, b, c] = [0, 1, 2].map(|i| ColSet::from_columns([ColumnId::new(i)]));
+        let q = register(&mut s, 1, 0, 4);
+        for (chunk, cols) in [(0, a), (1, c)] {
+            s.begin_load(ChunkId::new(chunk), cols);
+            s.complete_load_of(ChunkId::new(chunk), ChunkPayload::Missing);
+        }
+        // Chunk 0 misses 12 pages, chunk 1 misses 6, the others 14.
+        assert_eq!(s.pages_to_load(ChunkId::new(1), a.union(b).union(c)), 6);
+        assert_eq!(next_load(&s, SimTime::ZERO), Some((q, ChunkId::new(1))));
     }
 
     #[test]
@@ -828,14 +732,33 @@ mod tests {
         // Process chunk 0 for q1 so it is no longer needed by anyone.
         s.start_processing(q1, ChunkId::new(0));
         s.finish_processing(q1, ChunkId::new(0));
-        let mut p = RelevancePolicy::new();
         let d = LoadDecision {
             trigger: q1,
             chunk: ChunkId::new(1),
             cols: s.model().all_columns(),
         };
         // Chunk 15 is needed by the starved q2 and must not be the victim.
-        assert_eq!(p.choose_victim(&s, &d), Some(ChunkId::new(0)));
+        assert_eq!(both(|p| p.choose_victim(&s, &d)), Some(ChunkId::new(0)));
+    }
+
+    /// `keepRelevance`'s almost-starved term: a chunk that keeps a query one
+    /// chunk from starving stays, and one two fed queries want goes.
+    #[test]
+    fn keep_relevance_spares_an_almost_starved_querys_chunk() {
+        let mut s = state(20, 20);
+        let _almost = register(&mut s, 1, 0, 2);
+        let _fed = [register(&mut s, 2, 10, 14), register(&mut s, 3, 10, 14)];
+        let trigger = register(&mut s, 4, 15, 20);
+        for chunk in [0, 1, 10, 11, 12] {
+            load(&mut s, chunk);
+        }
+        assert!(s.is_almost_starved(QueryId(1)) && !s.is_starved(QueryId(1)));
+        let d = RelevancePolicy::new()
+            .next_load(&s, SimTime::ZERO, 0)
+            .unwrap();
+        assert_eq!((d.trigger, d.chunk), (trigger, ChunkId::new(15)));
+        // Chunks 0 and 1 keep 1 · QMAX + 1 a page, chunks 10 to 12 keep 2.
+        assert_eq!(both(|p| p.choose_victim(&s, &d)), Some(ChunkId::new(10)));
     }
 
     #[test]
@@ -846,13 +769,12 @@ mod tests {
         load(&mut s, 1);
         // Both resident chunks are still wanted by the (starved) q1, but the
         // pool is full: the relaxed pass must still find a victim.
-        let mut p = RelevancePolicy::new();
         let d = LoadDecision {
             trigger: q1,
             chunk: ChunkId::new(2),
             cols: s.model().all_columns(),
         };
-        assert!(p.choose_victim(&s, &d).is_some());
+        assert!(both(|p| p.choose_victim(&s, &d)).is_some());
     }
 
     #[test]
@@ -862,29 +784,11 @@ mod tests {
         let cols_a = ColSet::from_columns([ColumnId::new(0), ColumnId::new(1)]);
         let cols_b = ColSet::from_columns([ColumnId::new(1), ColumnId::new(2)]);
         let cols_c = ColSet::from_columns([ColumnId::new(3)]);
-        s.register_query(
-            QueryId(1),
-            "a",
-            ScanRanges::single(0, 5),
-            cols_a,
-            SimTime::ZERO,
-        );
-        s.register_query(
-            QueryId(2),
-            "b",
-            ScanRanges::single(0, 5),
-            cols_b,
-            SimTime::ZERO,
-        );
-        s.register_query(
-            QueryId(3),
-            "c",
-            ScanRanges::single(0, 5),
-            cols_c,
-            SimTime::ZERO,
-        );
-        let mut p = RelevancePolicy::new();
-        let d = p.next_load(&s, SimTime::ZERO, 0).unwrap();
+        for (id, cols) in [(1, cols_a), (2, cols_b), (3, cols_c)] {
+            let ranges = ScanRanges::single(0, 5);
+            s.register_query(QueryId(id), format!("q{id}"), ranges, cols, SimTime::ZERO);
+        }
+        let d = both(|p| p.next_load(&s, SimTime::ZERO, 0)).unwrap();
         // Whoever triggers, the loaded columns must include the trigger's
         // columns and may include the overlapping starved partner's, but not
         // the disjoint query's column 3 unless query 3 itself triggered.
@@ -898,43 +802,37 @@ mod tests {
     #[test]
     fn incremental_matches_brute_through_mutations() {
         // Drive the state through loads, consumption, eviction and query
-        // churn; after every step the index walks must pick exactly the chunk
-        // the brute-force sweep picks.
+        // churn; after every step the index walks must decide exactly what
+        // the reference's sweeps decide.
         let mut s = state(40, 6);
-        let mut inc = RelevancePolicy::new();
-        let mut brute = RelevancePolicy::brute_force();
-        assert!(!inc.is_brute_force());
-        assert!(brute.is_brute_force());
         let q1 = register(&mut s, 1, 0, 25);
         let _q2 = register(&mut s, 2, 10, 35);
-        let check = |inc: &mut RelevancePolicy, brute: &mut RelevancePolicy, s: &AbmState| {
-            let a = inc
-                .next_load(s, SimTime::ZERO, 0)
-                .map(|d| (d.trigger, d.chunk));
-            let b = brute
-                .next_load(s, SimTime::ZERO, 0)
-                .map(|d| (d.trigger, d.chunk));
-            assert_eq!(a, b, "incremental and brute-force disagree");
+        let check = |s: &AbmState| {
+            let decided = both(|p| p.next_load(s, SimTime::ZERO, 0));
             // Decisions are read-only: asking again changes nothing.
-            let again = inc
-                .next_load(s, SimTime::ZERO, 0)
-                .map(|d| (d.trigger, d.chunk));
-            assert_eq!(a, again, "an unapplied decision must change nothing");
+            let again = RelevancePolicy::new().next_load(s, SimTime::ZERO, 0);
+            assert_eq!(decided, again, "an unapplied decision must change nothing");
+            if let Some(d) = decided {
+                both(|p| p.choose_victim(s, &d));
+            }
+            for q in s.queries() {
+                both(|p| p.next_chunk(q.id, s));
+            }
         };
-        check(&mut inc, &mut brute, &s);
+        check(&s);
         for c in [10u32, 11, 12, 0, 1] {
             load(&mut s, c);
-            check(&mut inc, &mut brute, &s);
+            check(&s);
         }
         s.start_processing(q1, ChunkId::new(0));
         s.finish_processing(q1, ChunkId::new(0));
-        check(&mut inc, &mut brute, &s);
+        check(&s);
         s.evict(ChunkId::new(11));
-        check(&mut inc, &mut brute, &s);
+        check(&s);
         let q3 = register(&mut s, 3, 20, 40);
-        check(&mut inc, &mut brute, &s);
+        check(&s);
         s.remove_query(q3);
-        check(&mut inc, &mut brute, &s);
+        check(&s);
     }
 
     #[test]
@@ -954,14 +852,7 @@ mod tests {
         assert!(!s.is_starved(QueryId(3)), "chunks 5 and 6 feed the rest");
         assert_eq!(s.num_interested_starved(ChunkId::new(3)), 2);
         assert_eq!(s.num_interested(ChunkId::new(4)), 1101);
-        let d = RelevancePolicy::new()
-            .next_load(&s, SimTime::ZERO, 0)
-            .unwrap();
-        assert_eq!((d.trigger, d.chunk), (t, ChunkId::new(4)));
-        assert_eq!(
-            RelevancePolicy::choose_chunk_brute(&s, t),
-            Some(ChunkId::new(4))
-        );
+        assert_eq!(next_load(&s, SimTime::ZERO), Some((t, ChunkId::new(4))));
     }
 
     #[test]
@@ -990,8 +881,10 @@ mod tests {
         s.complete_load_of(ChunkId::new(0), ChunkPayload::Missing);
         s.begin_load(ChunkId::new(1), narrow);
         s.complete_load_of(ChunkId::new(1), ChunkPayload::Missing);
-        let mut p = RelevancePolicy::new();
         // The wide query consumes the expensive chunk first to free it sooner.
-        assert_eq!(p.next_chunk(QueryId(1), &s), Some(ChunkId::new(0)));
+        assert_eq!(
+            both(|p| p.next_chunk(QueryId(1), &s)),
+            Some(ChunkId::new(0))
+        );
     }
 }
