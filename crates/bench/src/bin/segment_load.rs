@@ -30,8 +30,9 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 use cscan_exec::MemTable;
-use cscan_storage::{ChunkId, Compression, SegmentWriter};
-use std::path::PathBuf;
+use cscan_storage::{Compression, SegmentSummary, SegmentWriter};
+use std::io;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// Rows per NSM chunk by default: ~4.6 MiB of six-column tuples.
@@ -140,6 +141,30 @@ fn synthetic_value(seed: u64, col: usize, row: u64) -> i64 {
     }
 }
 
+/// Writes the synthetic table as a segment at `out`, one chunk of columns
+/// in memory at a time.
+fn write_synthetic(
+    out: &Path,
+    schemes: Vec<Compression>,
+    args: &Args,
+    rows_per_chunk: u64,
+) -> io::Result<SegmentSummary> {
+    let mut writer = SegmentWriter::create(out, schemes)?;
+    for c in 0..args.chunks {
+        let base = c as u64 * rows_per_chunk;
+        let columns: Vec<Vec<i64>> = (0..args.width)
+            .map(|col| {
+                (0..rows_per_chunk)
+                    .map(|r| synthetic_value(args.seed, col, base + r))
+                    .collect()
+            })
+            .collect();
+        let refs: Vec<&[i64]> = columns.iter().map(Vec::as_slice).collect();
+        writer.append_chunk(&refs)?;
+    }
+    writer.finish()
+}
+
 fn main() {
     let args = parse_args();
     let rows_per_chunk = args.rows_per_chunk.unwrap_or(match args.layout.as_str() {
@@ -187,42 +212,19 @@ fn main() {
         out.display()
     );
 
-    let lineitem = MemTable::lineitem_demo(num_tuples, rows_per_chunk);
     let started = Instant::now();
-    let mut writer = match SegmentWriter::create(&out, schemes) {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("cannot create {}: {e}", out.display());
-            std::process::exit(1);
-        }
+    // Either writer targets <out>.tmp and its finish() fsyncs the data,
+    // renames <out>.tmp -> <out> and fsyncs the parent directory: the
+    // segment is durably installed or not present.
+    let written = if args.table == "lineitem" {
+        MemTable::lineitem_demo(num_tuples, rows_per_chunk).write_segment(&out, schemes)
+    } else {
+        write_synthetic(&out, schemes, &args, rows_per_chunk)
     };
-    for c in 0..args.chunks {
-        // One chunk of columns in memory at a time; the rest is streamed.
-        let columns: Vec<Vec<i64>> = if args.table == "lineitem" {
-            let data = lineitem.read_chunk_all(ChunkId::new(c));
-            (0..width).map(|i| data.column(i).to_vec()).collect()
-        } else {
-            let base = c as u64 * rows_per_chunk;
-            (0..width)
-                .map(|col| {
-                    (0..rows_per_chunk)
-                        .map(|r| synthetic_value(args.seed, col, base + r))
-                        .collect()
-                })
-                .collect()
-        };
-        let refs: Vec<&[i64]> = columns.iter().map(|v| v.as_slice()).collect();
-        if let Err(e) = writer.append_chunk(&refs) {
-            eprintln!("append chunk {c}: {e}");
-            std::process::exit(1);
-        }
-    }
-    // finish() fsyncs the data, renames <out>.tmp -> <out>, and fsyncs the
-    // parent directory: the segment is durably installed or not present.
-    let summary = match writer.finish() {
+    let summary = match written {
         Ok(s) => s,
         Err(e) => {
-            eprintln!("finish {}: {e}", out.display());
+            eprintln!("cannot write {}: {e}", out.display());
             std::process::exit(1);
         }
     };

@@ -7,12 +7,13 @@
 //! read failures are retried with backoff by the I/O workers, corrupted
 //! payloads are caught by the install-time checksum and retried, and the
 //! delivered rows are counted.  The checksum
-//! overhead measurement times [`verify_checksums`] against the
-//! materialize-and-decode work it rides on, which is the quantity the
-//! release fault gate bounds at 5%.
+//! overhead measurement times materialize, [`verify_checksums`] and decode
+//! against materialize and decode alone, through [`measure::compare`]: the
+//! quantity the release fault gate bounds at 5%.
 //!
 //! [`verify_checksums`]: cscan_storage::ChunkPayload::verify_checksums
 
+use crate::measure;
 use cscan_core::policy::PolicyKind;
 use cscan_core::threaded::ScanServer;
 use cscan_core::RetryPolicy;
@@ -23,7 +24,7 @@ use cscan_storage::{
     ChunkId, ChunkStore, CompressingStore, FaultConfig, FaultInjectingStore, ScanRanges,
 };
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One point of the fault-rate sweep.
 #[derive(Debug, Clone, Copy)]
@@ -109,52 +110,32 @@ pub fn run_fault_sweep(chunks: u32, rows_per_chunk: u64, rates: &[f64]) -> Vec<F
         .collect()
 }
 
-/// The clean-path cost of payload checksumming.
-#[derive(Debug, Clone, Copy)]
-pub struct ChecksumOverhead {
-    /// Chunks measured.
-    pub chunks: u32,
-    /// Seconds spent materializing + decoding the payloads (the work the
-    /// consume path would do with checksums compiled out).
-    pub baseline_secs: f64,
-    /// Seconds spent verifying the same payloads' checksums (the
-    /// install-time verification the I/O worker adds).
-    pub verify_secs: f64,
-    /// `verify_secs / baseline_secs` — the fractional slowdown checksums
-    /// add to a fault-free consume path.
-    pub overhead_frac: f64,
-}
-
-/// Times checksum verification against the materialize-and-decode work of
-/// `chunks` compressed lineitem chunks.  The release fault gate requires
-/// `overhead_frac <= 0.05`.
-pub fn run_checksum_overhead(chunks: u32, rows_per_chunk: u64) -> ChecksumOverhead {
+/// Times materialize + verify + decode of `chunks` compressed lineitem
+/// chunks (ours) against materialize + decode of the same chunks (the
+/// reference): the clean-path cost of payload checksumming, which the
+/// release fault gate bounds at 1.05× the reference's time.
+pub fn run_checksum_overhead(chunks: u32, rows_per_chunk: u64) -> measure::Comparison {
     let table = MemTable::lineitem_demo(chunks as u64 * rows_per_chunk, rows_per_chunk);
     let store = CompressingStore::new(table, MemTable::lineitem_demo_schemes());
-    let (mut baseline, mut verify) = (Duration::ZERO, Duration::ZERO);
-    let mut decoded = 0usize;
-    for c in 0..chunks {
-        let t0 = Instant::now();
-        let payload = store
-            .materialize(ChunkId::new(c), None)
-            .expect("in-memory store cannot fail");
-        let t1 = Instant::now();
-        payload.verify_checksums().expect("clean payloads verify");
-        let t2 = Instant::now();
-        decoded += payload.try_decode_all().expect("clean payloads decode");
-        let t3 = Instant::now();
-        baseline += (t1 - t0) + (t3 - t2);
-        verify += t2 - t1;
-    }
-    assert!(decoded > 0, "the overhead run must decode real data");
-    let baseline_secs = baseline.as_secs_f64().max(1e-9);
-    let verify_secs = verify.as_secs_f64();
-    ChecksumOverhead {
-        chunks,
-        baseline_secs,
-        verify_secs,
-        overhead_frac: verify_secs / baseline_secs,
-    }
+    let pass = |verify: bool| {
+        let mut decoded = 0usize;
+        for c in 0..chunks {
+            let payload = store
+                .materialize(ChunkId::new(c), None)
+                .expect("in-memory store cannot fail");
+            if verify {
+                payload.verify_checksums().expect("clean payloads verify");
+            }
+            decoded += payload.try_decode_all().expect("clean payloads decode");
+        }
+        assert!(decoded > 0, "the overhead run must decode real data");
+        decoded
+    };
+    measure::compare(
+        "materialize + verify + decode against materialize + decode",
+        || pass(true),
+        || pass(false),
+    )
 }
 
 #[cfg(test)]
@@ -199,10 +180,10 @@ mod tests {
     #[test]
     fn checksum_overhead_is_measurable() {
         let o = run_checksum_overhead(8, 500);
-        assert!(o.verify_secs >= 0.0);
-        assert!(o.baseline_secs > 0.0);
+        assert!(o.ours_s > 0.0);
+        assert!(o.theirs_s > 0.0);
         assert!(
-            o.overhead_frac < 1.0,
+            o.cost_ratio() < 2.0,
             "verify cannot dominate the consume path"
         );
     }

@@ -4,8 +4,9 @@
 //!
 //! The simulated experiments (fig2..fig9) charge a modelled per-page I/O
 //! cost; this module replaces the model with the real thing.  A table is
-//! written twice through [`SegmentWriter`] — once with every column plain,
-//! once with the Figure 9 codec mix ([`MemTable::lineitem_demo_schemes`]) —
+//! written twice through [`MemTable::write_segment`] — once with every
+//! column plain, once with the Figure 9 codec mix
+//! ([`MemTable::lineitem_demo_schemes`]) —
 //! and the sweep reruns the fig5 policy comparison and the fig7-style
 //! I/O-thread scaling over both files, reporting for every point:
 //!
@@ -34,7 +35,7 @@ use cscan_core::{CScanPlan, ColSet};
 use cscan_exec::{AggFunc, Expr, Filter, HashAggregate, MemTable, Operator, SessionSource};
 use cscan_obs::Registry;
 use cscan_server::model_from_segment;
-use cscan_storage::segment::{FileStore, SegmentSummary, SegmentWriter};
+use cscan_storage::segment::{FileStore, SegmentSummary};
 use cscan_storage::{ChunkId, ChunkStore, ColumnId, Compression, ScanRanges};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -61,13 +62,7 @@ pub fn write_lineitem_segment(
     } else {
         vec![Compression::None; table.width()]
     };
-    let mut writer = SegmentWriter::create(path, schemes)?;
-    for c in 0..table.num_chunks() {
-        let data = table.read_chunk_all(ChunkId::new(c));
-        let cols: Vec<&[i64]> = (0..table.width()).map(|i| data.column(i)).collect();
-        writer.append_chunk(&cols)?;
-    }
-    writer.finish()
+    table.write_segment(path, schemes)
 }
 
 /// The buffer both halves of the sweep give a table of `chunks` chunks, in

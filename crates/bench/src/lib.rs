@@ -10,8 +10,9 @@
 //! What is kept where: the one committed number, `BENCH_io.json`, is
 //! virtual time and a test holds a re-run to it byte for byte; bounds on the
 //! live engine are gate tests (`tests/*_gate.rs` and the release-only tests
-//! in [`experiments`]); wall-clock measurements of the live engine are
-//! `BENCHMARK.json` workloads and live nowhere else.
+//! in [`experiments`]), and a timed gate reads its ratio from [`measure`];
+//! wall-clock measurements of the live engine are `BENCHMARK.json`
+//! workloads and live nowhere else.
 //!
 //! Most experiments accept a [`Scale`]: `Quick` shrinks the data and
 //! stream counts so the whole suite runs in seconds (the scale the claims
@@ -23,6 +24,7 @@
 pub mod experiments;
 pub mod figures;
 pub mod harness;
+pub mod measure;
 pub mod report;
 
 pub use harness::{base_times, compare_policies, PolicyComparison, PolicyRow, Scale};

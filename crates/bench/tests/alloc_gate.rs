@@ -1,5 +1,8 @@
 //! Release-mode gates on consumer-thread heap allocations:
 //!
+//! * recording an observability sample — counter increment, span
+//!   duration, per-query scope bump, flight event — performs **zero heap
+//!   allocations**;
 //! * the hot consume path of the data plane — acquire a resident chunk,
 //!   read its zero-copy column views, release the pin — performs **zero
 //!   per-chunk allocations**;
@@ -72,6 +75,41 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "allocation gates are measured in release builds only"
+)]
+fn recording_a_sample_performs_zero_allocations() {
+    use cscan_obs::{Counter, EventKind, Gauge, QueryCounter, Registry, SpanKind};
+    use std::sync::Arc;
+
+    let registry = Arc::new(Registry::new());
+    let scope = registry.attach_query("gate", "gate_table");
+    // Fill the flight ring once so recording below only overwrites slots.
+    for i in 0..600 {
+        registry.event(EventKind::LoadCommitted, i, 1, 0);
+    }
+
+    let before = thread_allocs();
+    for i in 0..10_000u64 {
+        registry.inc(Counter::LoadsCompleted);
+        registry.add(Counter::ExecRows, 1_024);
+        registry.record_span_ns(SpanKind::PinWait, i + 1);
+        scope.add(QueryCounter::ChunksDelivered, 1);
+        scope.record_pin_wait(i + 1);
+        registry.event(EventKind::LoadCommitted, i as u32, 1, 0);
+        registry.gauge_set(Gauge::PinnedFrames, i);
+    }
+    let allocs = thread_allocs() - before;
+    assert_eq!(
+        allocs, 0,
+        "recording samples must not allocate: {allocs} allocation events \
+         over 10k iterations"
+    );
+    registry.detach_query(&scope);
+}
 
 #[test]
 #[cfg_attr(

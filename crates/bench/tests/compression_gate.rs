@@ -10,24 +10,13 @@
 //! 3. The Figure 9 mix (lineitem demo columns under their matched PDICT /
 //!    PFOR / PFOR-DELTA schemes) must shrink I/O volume at least 2×.
 //!
-//! A gate times the codecs against a reference kept in this file, in
-//! alternating windows, so a slow runner or a slow phase slows both alike.
+//! A gate times the codecs against a reference kept in this file through
+//! [`measure::compare`], so a slow runner or a slow phase slows both alike.
 
 use cscan_bench::experiments::fig9;
+use cscan_bench::measure;
 use cscan_storage::codec::{checksum64, EncodedColumn, BLOCK_LEN};
 use cscan_storage::Compression;
-use std::sync::{Mutex, MutexGuard};
-use std::time::{Duration, Instant};
-
-/// Held while a gate measures: the timed gates run one at a time, as two
-/// side by side on a 2-core box take each other's core.
-static MEASURING: Mutex<()> = Mutex::new(());
-
-fn measuring() -> MutexGuard<'static, ()> {
-    MEASURING
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 /// Rows of one column of one chunk.
 const CHUNK_ROWS: i64 = 20_000;
@@ -40,54 +29,13 @@ fn mix(i: i64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Passes per second of `pass`, over one window of at least 25 ms and
-/// three passes.
-fn passes_per_s(pass: &impl Fn() -> usize) -> f64 {
-    let started = Instant::now();
-    let mut passes = 0u64;
-    while passes < 3 || started.elapsed() < Duration::from_millis(25) {
-        std::hint::black_box(pass());
-        passes += 1;
-    }
-    passes as f64 / started.elapsed().as_secs_f64()
-}
-
-/// How many times as fast as `theirs` `ours` runs over `values`, the best
-/// of twenty windows a side, alternating, under the measuring lock: a busy
-/// neighbour only ever slows a window down, and short windows interleaved
-/// finely see the same phases of a shared host.  Prints both rates in
-/// GiB/s of `values`.
-fn speedup(
-    column: &str,
-    values: &[i64],
-    ours: impl Fn() -> usize,
-    theirs: impl Fn() -> usize,
-) -> f64 {
-    let (mut best_ours, mut best_theirs) = (0.0f64, 0.0f64);
-    {
-        let _measuring = measuring();
-        for _ in 0..20 {
-            best_ours = best_ours.max(passes_per_s(&ours));
-            best_theirs = best_theirs.max(passes_per_s(&theirs));
-        }
-    }
-    let gib_s = |per_s: f64| per_s * values.len() as f64 * 8.0 / (1u64 << 30) as f64;
-    let speedup = best_ours / best_theirs;
-    println!(
-        "{column}: {:.2} GiB/s against the reference's {:.2}: {speedup:.2}x",
-        gib_s(best_ours),
-        gib_s(best_theirs)
-    );
-    speedup
-}
-
 /// How many times as fast as [`reference_decode_into`] the codecs must
 /// decode a chunk-sized column (20 000 values, as a consumer decodes one
-/// at first touch).  Eight runs of these tests on this repo's 2-core dev
-/// box read PDICT 2.32–2.56× and PFOR 1.84–1.94×; with the per-value
-/// unpack put back under the decoders, sixteen read 0.96–1.15× on either.
-/// The floor sits between: a return of the per-value unpack fails here,
-/// on a fast runner or a slow one.
+/// at first touch).  Ten runs of these tests under [`measure::compare`] on
+/// a 2-core x86-64 VM read PDICT 1.85–2.51× and PFOR 1.78–2.38×; with the
+/// per-value unpack put back under the decoders, eight read 0.93–1.04× on
+/// either.  The floor sits between: a return of the per-value unpack fails
+/// here, on a fast runner or a slow one.
 const DECODE_SPEEDUP_FLOOR: f64 = 1.5;
 
 /// Appends the first `count` `bits`-wide values packed in `bytes`, each
@@ -197,7 +145,7 @@ fn assert_decode_sustains_floor(column: &str, values: &[i64], scheme: Compressio
         reference_decode_into(std::hint::black_box(&enc), &mut out);
         out.len()
     };
-    let speedup = speedup(column, values, decode, reference);
+    let speedup = measure::compare(column, decode, reference).speedup();
     assert!(
         speedup >= DECODE_SPEEDUP_FLOOR,
         "{column} fell below the floor: {speedup:.2}x the reference decoder < \
@@ -246,17 +194,14 @@ fn compression_pdict_decode_sustains_floor() {
 
 /// How many times as fast as [`reference_encode`] the encoder must encode
 /// a chunk-sized column (20 000 values, as the segment writer and an
-/// in-memory compressed store encode them).  The two are timed in
-/// alternating windows on one thread, so a slow runner or a slow phase
-/// slows both alike.  Runs of these tests on this repo's 2-core dev box
-/// read PFOR 2.7–4.4× (sixteen) and PDICT 5.2–6.2× (eight, on the
-/// 50-valued column) over five 100 ms windows a side, and PFOR 3.2–3.9×
-/// and PDICT 4.8–7.5× (thirty-two) over [`speedup`]'s twenty.  With the
-/// byte-at-a-time packer put back under the encoder,
-/// PFOR read 1.4–1.7× (sixteen runs); with the dictionary sorted from a
-/// copy of the column and binary-searched for every value, PDICT read
-/// 0.9–1.2× (four).  The floor sits between: a return of either old half
-/// fails here, on a fast runner or a slow one.
+/// in-memory compressed store encode them).  Ten runs of these tests under
+/// [`measure::compare`] on a 2-core x86-64 VM read PFOR 3.21–3.63× and
+/// PDICT 5.08–6.46× (on the 50-valued column).  With the encoder of
+/// before the word-at-a-time packer put back — fields packed a byte at a
+/// time, the dictionary sorted from a copy of the column and
+/// binary-searched for every value — four read PFOR 1.06–1.17× and PDICT
+/// 0.98–1.03×.  The floor sits between: a return of either old half fails
+/// here, on a fast runner or a slow one.
 const ENCODE_SPEEDUP_FLOOR: f64 = 2.0;
 
 /// Appends `bits`-wide fields in little-endian bit order a byte at a
@@ -364,7 +309,7 @@ fn assert_encode_sustains_floor(column: &str, values: &[i64], scheme: Compressio
     );
     let encode = || EncodedColumn::encode(std::hint::black_box(values), scheme).encoded_bytes();
     let reference = || reference_encode(std::hint::black_box(values), scheme).len();
-    let speedup = speedup(column, values, encode, reference);
+    let speedup = measure::compare(column, encode, reference).speedup();
     assert!(
         speedup >= ENCODE_SPEEDUP_FLOOR,
         "{column} fell below the floor: {speedup:.2}x the reference encoder < \

@@ -2,11 +2,15 @@
 //! into CI's `speedup-acceptance` job): payload checksumming must cost the
 //! fault-free consume path at most [`MAX_OVERHEAD_FRAC`] of its
 //! materialize-and-decode work — integrity is not allowed to tax the happy
-//! path by more than 5%.
+//! path by more than 5%.  [`faults::run_checksum_overhead`] times the two
+//! through `cscan_bench::measure`.
 
 use cscan_bench::experiments::faults;
 
-/// The documented ceiling on the clean-path checksum overhead.
+/// The documented ceiling on the clean-path checksum overhead.  The verify
+/// is about 1.4 % of the pass, inside the timer's run-to-run spread on a
+/// shared 2-core VM: thirty runs there read 0.94–1.16× (five over), and
+/// with every checksum verified twice, 1.01–1.19×.
 const MAX_OVERHEAD_FRAC: f64 = 0.05;
 
 #[test]
@@ -15,23 +19,17 @@ const MAX_OVERHEAD_FRAC: f64 = 0.05;
     ignore = "checksum overhead is measured in release builds only"
 )]
 fn checksum_overhead_stays_under_five_percent() {
-    // Warm-up pass so neither measurement pays first-touch costs, then
-    // take the best of three to shake off scheduler noise on shared CI
-    // runners.
-    let _ = faults::run_checksum_overhead(16, 2_000);
-    let best = (0..3)
-        .map(|_| faults::run_checksum_overhead(64, 2_000))
-        .min_by(|a, b| a.overhead_frac.total_cmp(&b.overhead_frac))
-        .expect("three runs");
+    const CHUNKS: u32 = 64;
+    let timed = faults::run_checksum_overhead(CHUNKS, 2_000);
+    let overhead = timed.cost_ratio() - 1.0;
     assert!(
-        best.overhead_frac <= MAX_OVERHEAD_FRAC,
+        overhead <= MAX_OVERHEAD_FRAC,
         "checksumming taxes the clean consume path too much: {:.2}% > {:.0}% \
-         ({:.4}s verify vs {:.4}s materialize+decode over {} chunks)",
-        best.overhead_frac * 100.0,
+         ({:.4}s with verify vs {:.4}s materialize+decode over {CHUNKS} chunks)",
+        overhead * 100.0,
         MAX_OVERHEAD_FRAC * 100.0,
-        best.verify_secs,
-        best.baseline_secs,
-        best.chunks
+        timed.ours_s,
+        timed.theirs_s,
     );
 }
 

@@ -496,12 +496,6 @@ impl AbmState {
         self.index.interested_almost_starved(chunk)
     }
 
-    /// Whether `chunk` is needed by at least one starved query — the
-    /// `usefulForStarvedQuery` guard of `findFreeSlot`.  O(1) — cached.
-    pub fn useful_for_starved_query(&self, chunk: ChunkId) -> bool {
-        self.index.interested_starved(chunk) > 0
-    }
-
     /// Whether `chunk` may be evicted right now: resident, not pinned and not
     /// the target of any in-flight load.
     pub fn is_evictable(&self, chunk: ChunkId) -> bool {
@@ -1281,7 +1275,6 @@ mod tests {
         assert_eq!(s.available_chunks(QueryId(1)), 2);
         assert!(!s.is_starved(QueryId(1)));
         assert!(s.is_almost_starved(QueryId(1)));
-        assert!(!s.useful_for_starved_query(ChunkId::new(5)));
     }
 
     #[test]

@@ -940,3 +940,37 @@ proptest! {
         lockstep(&setup, |driver| driver.pin_then_press(pinned, &pressure))?;
     }
 }
+
+/// `keepRelevance`'s almost-starved term decides a victim: a query one chunk
+/// from starving keeps chunk 1, and a fed query's chunk 11 goes, where
+/// interest alone (one query each) would pick the lower chunk id.  No
+/// random sequence at the default seed reaches such a choice.
+#[test]
+fn an_almost_starved_querys_chunk_outlives_a_fed_querys() {
+    let setup = Setup(table(true, 20), 5, PolicyKind::Relevance, 3);
+    let scan = |start, len| Op::Register {
+        start,
+        len,
+        cols: 0,
+        limit: 0,
+    };
+    let commit = || Op::Commit { i: 0 };
+    let (almost, fed) = (QueryId(0), QueryId(1));
+    let checked = lockstep(&setup, |driver| {
+        // Chunks 0 and 1 for the first scan, 10 to 12 for the second: the
+        // buffer is full, and each scan holds the grant of its first chunk.
+        driver.run(&[scan(0, 2), Op::Plan, commit(), commit()])?;
+        driver.run(&[scan(10, 4), Op::Plan, commit(), commit(), commit()])?;
+        let state = driver.core.state();
+        prop_assert!(state.is_almost_starved(almost) && !state.is_starved(almost));
+        prop_assert!(!state.is_almost_starved(fed));
+        driver.run(&[scan(15, 5), Op::Plan])?;
+        let victims = driver.trace.iter().find_map(|decision| match decision {
+            Decision::Planned(load, victims) if load.chunk == ChunkId::new(15) => Some(victims),
+            _ => None,
+        });
+        prop_assert_eq!(victims, Some(&vec![ChunkId::new(11)]));
+        Ok(())
+    });
+    checked.unwrap();
+}

@@ -7,7 +7,10 @@
 
 use crate::vector::{DataChunk, Value};
 use cscan_storage::chunkdata::{ChunkData, ChunkPayload, ChunkStore, ColumnChunk};
+use cscan_storage::segment::{SegmentSummary, SegmentWriter};
 use cscan_storage::{ChunkId, ColumnId, Compression, StoreError};
+use std::io;
+use std::path::Path;
 use std::sync::Arc;
 
 /// A generator producing the values of one column for a given range of row ids.
@@ -103,6 +106,23 @@ impl MemTable {
     pub fn read_chunk_all(&self, chunk: ChunkId) -> DataChunk {
         let all: Vec<usize> = (0..self.width()).collect();
         self.read_chunk(chunk, &all)
+    }
+
+    /// Writes every chunk of the table, in order, as a segment file at
+    /// `path` with one compression scheme per column, one chunk in memory
+    /// at a time.
+    pub fn write_segment(
+        &self,
+        path: &Path,
+        schemes: Vec<Compression>,
+    ) -> io::Result<SegmentSummary> {
+        let mut writer = SegmentWriter::create(path, schemes)?;
+        for c in 0..self.num_chunks() {
+            let data = self.read_chunk_all(ChunkId::new(c));
+            let cols: Vec<&[i64]> = (0..self.width()).map(|i| data.column(i)).collect();
+            writer.append_chunk(&cols)?;
+        }
+        writer.finish()
     }
 
     /// A small `lineitem`-flavoured table clustered on `l_orderkey`, with the

@@ -547,11 +547,6 @@ impl Registry {
         }
     }
 
-    /// False for [`Registry::disabled`] registries.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Nanoseconds since the registry was created — the timestamp source
     /// the threaded front-end stamps flight events with.
     #[inline]
@@ -843,7 +838,6 @@ mod tests {
         scope.add(QueryCounter::ChunksDelivered, 9);
         scope.record_pin_wait(100);
         scope.record_first_chunk(10);
-        assert!(!r.is_enabled());
         assert_eq!(r.counter(Counter::LoadsCompleted), 0);
         assert_eq!(r.gauge(Gauge::PinnedFrames), 0);
         assert_eq!(r.query_total(QueryCounter::ChunksDelivered), 0);

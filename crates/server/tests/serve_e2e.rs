@@ -7,7 +7,7 @@ use cscan_exec::MemTable;
 use cscan_obs::Counter;
 use cscan_proto::{frame, Decoder, Message, ServeError};
 use cscan_server::{serve, AdmissionConfig, Catalog, ServerConfig, TableConfig};
-use cscan_storage::{ChunkId, ColumnId, Compression, ScanRanges, ScratchPath, SegmentWriter};
+use cscan_storage::{ChunkId, ColumnId, Compression, ScanRanges, ScratchPath};
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -312,14 +312,9 @@ fn admission_cap_sheds_excess_with_retryable_error() {
 fn segment_catalog(name: &str) -> (ScratchPath, MemTable, Catalog) {
     let table = MemTable::lineitem_demo(8_000, 500);
     let path = ScratchPath::new(name);
-    let mut writer =
-        SegmentWriter::create(&path, vec![Compression::None; table.width()]).expect("create");
-    for c in 0..table.num_chunks() {
-        let data = table.read_chunk_all(ChunkId::new(c));
-        let cols: Vec<&[i64]> = (0..table.width()).map(|i| data.column(i)).collect();
-        writer.append_chunk(&cols).expect("append");
-    }
-    writer.finish().expect("finish");
+    table
+        .write_segment(&path, vec![Compression::None; table.width()])
+        .expect("write segment");
     let mut catalog = Catalog::new();
     let cfg = TableConfig {
         buffer_chunks: 4,

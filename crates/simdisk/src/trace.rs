@@ -175,16 +175,6 @@ impl QueueDepthTrace {
     pub fn max_depth(&self) -> u32 {
         self.events.iter().map(|e| e.depth).max().unwrap_or(0)
     }
-
-    /// The sampled depths as a shared log2 histogram snapshot, for p50/p99
-    /// queries and for merging into an engine-wide metrics report.
-    pub fn depth_histogram(&self) -> cscan_obs::HistogramSnapshot {
-        let h = cscan_obs::Log2Histogram::new();
-        for e in &self.events {
-            h.record(e.depth as u64);
-        }
-        h.snapshot()
-    }
 }
 
 #[cfg(test)]
@@ -258,10 +248,6 @@ mod tests {
         assert_eq!(t.max_depth(), 4);
         let arm1 = t.events().iter().filter(|e| e.spindle == 1);
         assert_eq!(arm1.map(|e| e.depth).collect::<Vec<_>>(), vec![0, 4]);
-        let h = t.depth_histogram();
-        assert_eq!(h.count(), 8);
-        assert_eq!(h.sum(), 11);
-        assert!(h.max_value() >= 4);
         t.clear();
         assert!(t.is_empty());
     }

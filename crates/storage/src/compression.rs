@@ -125,37 +125,6 @@ impl Compression {
         let natural = ty.uncompressed_width() as f64 * 8.0;
         self.physical_bits(ty) as f64 / natural
     }
-
-    /// The compression schemes used for the paper's Figure 9 example columns.
-    ///
-    /// Returns `(description, scheme)` pairs mirroring the figure:
-    /// `orderkey` PFOR-DELTA 3-bit, `partkey` PFOR 21-bit, `returnflag`
-    /// PDICT 2-bit, `extendedprice` uncompressed decimal, `comment`
-    /// uncompressed string.
-    pub fn figure9_examples() -> Vec<(&'static str, Compression)> {
-        vec![
-            (
-                "orderkey: PFOR-DELTA 3-bit",
-                Compression::PforDelta {
-                    bits: 3,
-                    exception_rate: 0.02,
-                },
-            ),
-            (
-                "partkey: PFOR 21-bit",
-                Compression::Pfor {
-                    bits: 21,
-                    exception_rate: 0.02,
-                },
-            ),
-            (
-                "returnflag: PDICT 2-bit",
-                Compression::Dictionary { bits: 2 },
-            ),
-            ("extendedprice: none (decimal 64)", Compression::None),
-            ("comment: none (str 256-bit)", Compression::None),
-        ]
-    }
 }
 
 #[cfg(test)]
@@ -211,18 +180,6 @@ mod tests {
         };
         let bits = c.physical_bits(ColumnType::Int64);
         assert!((3..=6).contains(&bits), "got {bits}");
-    }
-
-    #[test]
-    fn figure9_examples_shrink_where_expected() {
-        let examples = Compression::figure9_examples();
-        assert_eq!(examples.len(), 5);
-        // orderkey compresses dramatically, comment not at all.
-        assert!(examples[0].1.ratio(ColumnType::Int64) < 0.1);
-        assert_eq!(
-            examples[4].1.ratio(ColumnType::Varchar { avg_len: 32 }),
-            1.0
-        );
     }
 
     #[test]

@@ -26,16 +26,6 @@ pub struct StreamSetup {
 }
 
 impl StreamSetup {
-    /// The paper's default setup: 16 streams of 4 queries.
-    pub fn paper_default(classes: Vec<QueryClass>, seed: u64) -> Self {
-        Self {
-            streams: 16,
-            queries_per_stream: 4,
-            classes,
-            seed,
-        }
-    }
-
     /// Total number of queries across all streams.
     pub fn total_queries(&self) -> usize {
         self.streams * self.queries_per_stream
@@ -93,11 +83,19 @@ mod tests {
         TableModel::nsm_uniform(100, 100_000, 256)
     }
 
+    /// Table 2's setup: 16 streams of 4 queries.
+    fn table2_setup(seed: u64) -> StreamSetup {
+        StreamSetup {
+            streams: 16,
+            queries_per_stream: 4,
+            classes: table2_classes(),
+            seed,
+        }
+    }
+
     #[test]
     fn paper_default_shape() {
-        let setup = StreamSetup::paper_default(table2_classes(), 42);
-        assert_eq!(setup.streams, 16);
-        assert_eq!(setup.queries_per_stream, 4);
+        let setup = table2_setup(42);
         assert_eq!(setup.total_queries(), 64);
         let streams = build_streams(&setup, &model(), None);
         assert_eq!(streams.len(), 16);
@@ -116,7 +114,7 @@ mod tests {
 
     #[test]
     fn same_seed_same_streams() {
-        let setup = StreamSetup::paper_default(table2_classes(), 7);
+        let setup = table2_setup(7);
         let a = build_streams(&setup, &model(), None);
         let b = build_streams(&setup, &model(), None);
         assert_eq!(a, b);

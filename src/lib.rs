@@ -1,11 +1,3 @@
-//! Workspace facade crate: re-exports the Cooperative Scans sub-crates so the
-//! top-level integration tests and examples can address them uniformly.
-
-pub use cscan_bench as bench;
-pub use cscan_bufman as bufman;
-pub use cscan_core as core;
-pub use cscan_engine as engine;
-pub use cscan_exec as exec;
-pub use cscan_simdisk as simdisk;
-pub use cscan_storage as storage;
-pub use cscan_workload as workload;
+//! Workspace root package: it holds the top-level integration tests
+//! (`tests/`) and examples (`examples/`), which name the sub-crates
+//! (`cscan_core`, `cscan_exec`, ...) directly.

@@ -26,7 +26,7 @@ use cscan_exec::{
 use cscan_obs::Counter;
 use cscan_storage::{
     ChunkId, ColumnId, CompressingStore, Compression, FaultConfig, FaultInjectingStore, FileStore,
-    ScanRanges, ScratchPath, SegmentWriter, StoreError,
+    ScanRanges, ScratchPath, StoreError,
 };
 use std::path::Path;
 use std::sync::Arc;
@@ -381,13 +381,7 @@ fn write_segment(tag: &str, compressed: bool) -> ScratchPath {
     } else {
         vec![Compression::None; table.width()]
     };
-    let mut w = SegmentWriter::create(&path, schemes).unwrap();
-    for c in 0..table.num_chunks() {
-        let data = table.read_chunk_all(ChunkId::new(c));
-        let cols: Vec<&[i64]> = (0..table.width()).map(|i| data.column(i)).collect();
-        w.append_chunk(&cols).unwrap();
-    }
-    w.finish().unwrap();
+    table.write_segment(&path, schemes).unwrap();
     path
 }
 

@@ -17,7 +17,7 @@ use cscan_obs::{Counter, Registry};
 use cscan_server::model_from_segment;
 use cscan_storage::{
     ChunkId, ChunkPayload, ChunkStore, ColumnId, CompressingStore, Compression, FileStore,
-    ScanRanges, ScratchPath, SeededStore, SegmentWriter,
+    ScanRanges, ScratchPath, SeededStore,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -42,13 +42,7 @@ fn write_segment(compressed: bool) -> ScratchPath {
     } else {
         vec![Compression::None; table.width()]
     };
-    let mut w = SegmentWriter::create(&path, schemes).unwrap();
-    for c in 0..table.num_chunks() {
-        let data = table.read_chunk_all(ChunkId::new(c));
-        let cols: Vec<&[i64]> = (0..table.width()).map(|i| data.column(i)).collect();
-        w.append_chunk(&cols).unwrap();
-    }
-    w.finish().unwrap();
+    table.write_segment(&path, schemes).unwrap();
     path
 }
 
