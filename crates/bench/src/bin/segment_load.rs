@@ -29,10 +29,11 @@
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
+use cscan_exec::table::ColumnGen;
 use cscan_exec::MemTable;
-use cscan_storage::{Compression, SegmentSummary, SegmentWriter};
-use std::io;
-use std::path::{Path, PathBuf};
+use cscan_storage::Compression;
+use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Rows per NSM chunk by default: ~4.6 MiB of six-column tuples.
@@ -141,28 +142,16 @@ fn synthetic_value(seed: u64, col: usize, row: u64) -> i64 {
     }
 }
 
-/// Writes the synthetic table as a segment at `out`, one chunk of columns
-/// in memory at a time.
-fn write_synthetic(
-    out: &Path,
-    schemes: Vec<Compression>,
-    args: &Args,
-    rows_per_chunk: u64,
-) -> io::Result<SegmentSummary> {
-    let mut writer = SegmentWriter::create(out, schemes)?;
-    for c in 0..args.chunks {
-        let base = c as u64 * rows_per_chunk;
-        let columns: Vec<Vec<i64>> = (0..args.width)
-            .map(|col| {
-                (0..rows_per_chunk)
-                    .map(|r| synthetic_value(args.seed, col, base + r))
-                    .collect()
-            })
-            .collect();
-        let refs: Vec<&[i64]> = columns.iter().map(Vec::as_slice).collect();
-        writer.append_chunk(&refs)?;
-    }
-    writer.finish()
+/// The synthetic table: `width` columns of [`synthetic_value`]s.
+fn synthetic_table(args: &Args, num_tuples: u64, rows_per_chunk: u64) -> MemTable {
+    let seed = args.seed;
+    let columns: Vec<(String, ColumnGen)> = (0..args.width)
+        .map(|col| {
+            let gen: ColumnGen = Arc::new(move |row| synthetic_value(seed, col, row));
+            (format!("c{col}"), gen)
+        })
+        .collect();
+    MemTable::new(columns, num_tuples, rows_per_chunk)
 }
 
 fn main() {
@@ -213,15 +202,15 @@ fn main() {
     );
 
     let started = Instant::now();
-    // Either writer targets <out>.tmp and its finish() fsyncs the data,
+    // The writer targets <out>.tmp and its finish() fsyncs the data,
     // renames <out>.tmp -> <out> and fsyncs the parent directory: the
     // segment is durably installed or not present.
-    let written = if args.table == "lineitem" {
-        MemTable::lineitem_demo(num_tuples, rows_per_chunk).write_segment(&out, schemes)
+    let table = if args.table == "lineitem" {
+        MemTable::lineitem_demo(num_tuples, rows_per_chunk)
     } else {
-        write_synthetic(&out, schemes, &args, rows_per_chunk)
+        synthetic_table(&args, num_tuples, rows_per_chunk)
     };
-    let summary = match written {
+    let summary = match table.write_segment(&out, schemes) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("cannot write {}: {e}", out.display());

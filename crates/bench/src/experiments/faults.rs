@@ -7,9 +7,9 @@
 //! read failures are retried with backoff by the I/O workers, corrupted
 //! payloads are caught by the install-time checksum and retried, and the
 //! delivered rows are counted.  The checksum
-//! overhead measurement times materialize, [`verify_checksums`] and decode
-//! against materialize and decode alone, through [`measure::compare`]: the
-//! quantity the release fault gate bounds at 5%.
+//! overhead measurement times [`verify_checksums`] against materialize and
+//! decode, through [`measure::compare_prepared`]: the share of the
+//! consume path's work the release fault gate bounds at 5%.
 //!
 //! [`verify_checksums`]: cscan_storage::ChunkPayload::verify_checksums
 
@@ -21,7 +21,8 @@ use cscan_core::{CScanPlan, ColSet, TableModel};
 use cscan_exec::MemTable;
 use cscan_obs::Registry;
 use cscan_storage::{
-    ChunkId, ChunkStore, CompressingStore, FaultConfig, FaultInjectingStore, ScanRanges,
+    ChunkId, ChunkPayload, ChunkStore, CompressingStore, FaultConfig, FaultInjectingStore,
+    ScanRanges,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -110,31 +111,45 @@ pub fn run_fault_sweep(chunks: u32, rows_per_chunk: u64, rates: &[f64]) -> Vec<F
         .collect()
 }
 
-/// Times materialize + verify + decode of `chunks` compressed lineitem
-/// chunks (ours) against materialize + decode of the same chunks (the
-/// reference): the clean-path cost of payload checksumming, which the
-/// release fault gate bounds at 1.05× the reference's time.
+/// Times checksum verification of `chunks` compressed lineitem chunks
+/// (ours) against materializing and decoding the same chunks (the
+/// reference): the clean-path cost of payload checksumming as a share of
+/// the consume path's work, which the release fault gate bounds at 5%.
+///
+/// Ours verifies payloads materialized once before the clock starts:
+/// verifying an undecoded column caches nothing, so every pass checks
+/// every byte again.
 pub fn run_checksum_overhead(chunks: u32, rows_per_chunk: u64) -> measure::Comparison {
     let table = MemTable::lineitem_demo(chunks as u64 * rows_per_chunk, rows_per_chunk);
     let store = CompressingStore::new(table, MemTable::lineitem_demo_schemes());
-    let pass = |verify: bool| {
-        let mut decoded = 0usize;
-        for c in 0..chunks {
-            let payload = store
-                .materialize(ChunkId::new(c), None)
-                .expect("in-memory store cannot fail");
-            if verify {
-                payload.verify_checksums().expect("clean payloads verify");
-            }
-            decoded += payload.try_decode_all().expect("clean payloads decode");
-        }
-        assert!(decoded > 0, "the overhead run must decode real data");
-        decoded
+    let materialize = |c| {
+        store
+            .materialize(ChunkId::new(c), None)
+            .expect("in-memory store cannot fail")
     };
-    measure::compare(
-        "materialize + verify + decode against materialize + decode",
-        || pass(true),
-        || pass(false),
+    let payloads: Vec<ChunkPayload> = (0..chunks).map(materialize).collect();
+    measure::compare_prepared(
+        "checksum verify against materialize + decode",
+        || {
+            let payloads = payloads.clone();
+            move || {
+                for payload in &payloads {
+                    payload.verify_checksums().expect("clean payloads verify");
+                }
+                payloads
+            }
+        },
+        || {
+            move || {
+                let decoded = |c| {
+                    let payload = materialize(c);
+                    let values = payload.try_decode_all().expect("clean payloads decode");
+                    assert!(values > 0, "the overhead run must decode real data");
+                    payload
+                };
+                (0..chunks).map(decoded).collect::<Vec<_>>()
+            }
+        },
     )
 }
 
@@ -183,7 +198,7 @@ mod tests {
         assert!(o.ours_s > 0.0);
         assert!(o.theirs_s > 0.0);
         assert!(
-            o.cost_ratio() < 2.0,
+            o.cost_ratio() < 1.0,
             "verify cannot dominate the consume path"
         );
     }

@@ -2,15 +2,14 @@
 //! into CI's `speedup-acceptance` job): payload checksumming must cost the
 //! fault-free consume path at most [`MAX_OVERHEAD_FRAC`] of its
 //! materialize-and-decode work — integrity is not allowed to tax the happy
-//! path by more than 5%.  [`faults::run_checksum_overhead`] times the two
-//! through `cscan_bench::measure`.
+//! path by more than 5%.  [`faults::run_checksum_overhead`] times the
+//! verify against materialize and decode through `cscan_bench::measure`.
 
 use cscan_bench::experiments::faults;
 
-/// The documented ceiling on the clean-path checksum overhead.  The verify
-/// is about 1.4 % of the pass, inside the timer's run-to-run spread on a
-/// shared 2-core VM: thirty runs there read 0.94–1.16× (five over), and
-/// with every checksum verified twice, 1.01–1.19×.
+/// The documented ceiling on the clean-path checksum overhead.  On a
+/// shared 2-core VM the gate reads 0.008–0.012, and 0.09–0.15 with a
+/// byte-at-a-time checksum in place of the lane-parallel one.
 const MAX_OVERHEAD_FRAC: f64 = 0.05;
 
 #[test]
@@ -21,15 +20,14 @@ const MAX_OVERHEAD_FRAC: f64 = 0.05;
 fn checksum_overhead_stays_under_five_percent() {
     const CHUNKS: u32 = 64;
     let timed = faults::run_checksum_overhead(CHUNKS, 2_000);
-    let overhead = timed.cost_ratio() - 1.0;
     assert!(
-        overhead <= MAX_OVERHEAD_FRAC,
+        timed.cost_ratio() <= MAX_OVERHEAD_FRAC,
         "checksumming taxes the clean consume path too much: {:.2}% > {:.0}% \
-         ({:.4}s with verify vs {:.4}s materialize+decode over {CHUNKS} chunks)",
-        overhead * 100.0,
+         ({:.1} µs verify vs {:.1} µs materialize+decode over {CHUNKS} chunks)",
+        timed.cost_ratio() * 100.0,
         MAX_OVERHEAD_FRAC * 100.0,
-        timed.ours_s,
-        timed.theirs_s,
+        timed.ours_s * 1e6,
+        timed.theirs_s * 1e6,
     );
 }
 

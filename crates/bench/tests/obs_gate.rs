@@ -71,9 +71,9 @@ fn consume(handle: CScanHandle) -> CScanHandle {
 fn instrumentation_overhead_is_bounded() {
     #[cfg(not(debug_assertions))]
     {
-        // The server built second reads a percent or two slower, so the
-        // two are compared once in each build order and the gate reads the
-        // geometric mean of the two ratios.
+        // Two identical servers read a few percent apart in one run, so
+        // the two are compared once in each build order and the gate reads
+        // the geometric mean of the two ratios.
         let ratios = [true, false].map(|instrumented_first| {
             let build = |registry| resident_server(Arc::new(registry));
             let ((on, plan), (off, _)) = if instrumented_first {
