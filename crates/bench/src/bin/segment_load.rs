@@ -1,7 +1,7 @@
 //! Bulk loader: writes a table as an on-disk segment file.
 //!
-//! Streams chunks straight from the deterministic generators into a
-//! `SegmentWriter`, so memory stays bounded by one chunk regardless of
+//! Streams chunks straight from the deterministic generators through
+//! `write_store` into a `SegmentWriter`, so memory stays bounded by one chunk regardless of
 //! table size — multi-GiB loads are just `--chunks`:
 //!
 //! ```text
@@ -31,7 +31,7 @@
 
 use cscan_exec::table::ColumnGen;
 use cscan_exec::MemTable;
-use cscan_storage::Compression;
+use cscan_storage::{write_store, Compression};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
@@ -210,7 +210,7 @@ fn main() {
     } else {
         synthetic_table(&args, num_tuples, rows_per_chunk)
     };
-    let summary = match table.write_segment(&out, schemes) {
+    let summary = match write_store(&out, &table, table.num_chunks(), schemes) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("cannot write {}: {e}", out.display());

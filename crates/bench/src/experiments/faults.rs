@@ -2,27 +2,28 @@
 //! and fault counts as the transient fault rate rises, and the clean-path
 //! cost of payload checksumming.
 //!
-//! Every point drives a real threaded [`ScanServer`] over a
-//! [`FaultInjectingStore`] wrapping compressed lineitem chunks: transient
-//! read failures are retried with backoff by the I/O workers, corrupted
-//! payloads are caught by the install-time checksum and retried, and the
-//! delivered rows are counted.  The checksum
-//! overhead measurement times [`verify_checksums`] against materialize and
-//! decode, through [`measure::compare_prepared`]: the share of the
-//! consume path's work the release fault gate bounds at 5%.
+//! Both read the lineitem demo table from a segment file written once
+//! under the Figure 9 codec mix.  Every point drives a real threaded
+//! [`ScanServer`] over a [`FaultInjectingStore`] wrapping the file's
+//! [`FileStore`]: transient read failures are retried with backoff by the
+//! I/O workers, corrupted payloads are caught by the install-time checksum
+//! and retried, and the delivered rows are counted.  The checksum overhead
+//! measurement times [`verify_checksums`] against reading and decoding the
+//! same chunks, through [`measure::compare_prepared`]: the share of the
+//! consume path's work the release fault gate bounds.
 //!
 //! [`verify_checksums`]: cscan_storage::ChunkPayload::verify_checksums
 
+use super::fig9_file::write_lineitem_segment;
 use crate::measure;
 use cscan_core::policy::PolicyKind;
 use cscan_core::threaded::ScanServer;
 use cscan_core::RetryPolicy;
 use cscan_core::{CScanPlan, ColSet, TableModel};
-use cscan_exec::MemTable;
 use cscan_obs::Registry;
 use cscan_storage::{
-    ChunkId, ChunkPayload, ChunkStore, CompressingStore, FaultConfig, FaultInjectingStore,
-    ScanRanges,
+    ChunkId, ChunkPayload, ChunkStore, FaultConfig, FaultInjectingStore, FileStore, ScanRanges,
+    ScratchPath,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -57,7 +58,7 @@ pub struct FaultSweepPoint {
 /// counters from [`Registry::snapshot_and_reset`], so a point reports only
 /// its own window and nothing accumulates across rates.
 pub fn run_fault_sweep(chunks: u32, rows_per_chunk: u64, rates: &[f64]) -> Vec<FaultSweepPoint> {
-    let table = MemTable::lineitem_demo(chunks as u64 * rows_per_chunk, rows_per_chunk);
+    let segment = compressed_segment(chunks, rows_per_chunk);
     let registry = Arc::new(Registry::new());
     rates
         .iter()
@@ -66,11 +67,9 @@ pub fn run_fault_sweep(chunks: u32, rows_per_chunk: u64, rates: &[f64]) -> Vec<F
                 corruption_rate: rate / 2.0,
                 ..FaultConfig::transient_only(0xFA11_5EED ^ rate.to_bits(), rate)
             };
-            let store = FaultInjectingStore::new(
-                CompressingStore::new(table.clone(), MemTable::lineitem_demo_schemes()),
-                config,
-            )
-            .with_observability(Arc::clone(&registry));
+            let file = FileStore::open(&segment).expect("open the segment");
+            let store =
+                FaultInjectingStore::new(file, config).with_observability(Arc::clone(&registry));
             let model = TableModel::nsm_uniform(chunks, rows_per_chunk, 16);
             let server = ScanServer::builder(model)
                 .policy(PolicyKind::Relevance)
@@ -112,24 +111,24 @@ pub fn run_fault_sweep(chunks: u32, rows_per_chunk: u64, rates: &[f64]) -> Vec<F
 }
 
 /// Times checksum verification of `chunks` compressed lineitem chunks
-/// (ours) against materializing and decoding the same chunks (the
-/// reference): the clean-path cost of payload checksumming as a share of
-/// the consume path's work, which the release fault gate bounds at 5%.
+/// (ours) against reading the same chunks from the segment file and
+/// decoding them (the reference): the clean-path cost of payload
+/// checksumming as a share of the consume path's work, which the release
+/// fault gate bounds.
 ///
-/// Ours verifies payloads materialized once before the clock starts:
-/// verifying an undecoded column caches nothing, so every pass checks
-/// every byte again.
+/// Ours verifies payloads read once before the clock starts: verifying an
+/// undecoded column caches nothing, so every pass checks every byte again.
 pub fn run_checksum_overhead(chunks: u32, rows_per_chunk: u64) -> measure::Comparison {
-    let table = MemTable::lineitem_demo(chunks as u64 * rows_per_chunk, rows_per_chunk);
-    let store = CompressingStore::new(table, MemTable::lineitem_demo_schemes());
-    let materialize = |c| {
+    let segment = compressed_segment(chunks, rows_per_chunk);
+    let store = FileStore::open(&segment).expect("open the segment");
+    let read = |c| {
         store
             .materialize(ChunkId::new(c), None)
-            .expect("in-memory store cannot fail")
+            .expect("a clean segment reads")
     };
-    let payloads: Vec<ChunkPayload> = (0..chunks).map(materialize).collect();
+    let payloads: Vec<ChunkPayload> = (0..chunks).map(read).collect();
     measure::compare_prepared(
-        "checksum verify against materialize + decode",
+        "checksum verify against read + decode",
         || {
             let payloads = payloads.clone();
             move || {
@@ -142,7 +141,7 @@ pub fn run_checksum_overhead(chunks: u32, rows_per_chunk: u64) -> measure::Compa
         || {
             move || {
                 let decoded = |c| {
-                    let payload = materialize(c);
+                    let payload = read(c);
                     let values = payload.try_decode_all().expect("clean payloads decode");
                     assert!(values > 0, "the overhead run must decode real data");
                     payload
@@ -151,6 +150,14 @@ pub fn run_checksum_overhead(chunks: u32, rows_per_chunk: u64) -> measure::Compa
             }
         },
     )
+}
+
+/// The lineitem demo table of `chunks` chunks under the Figure 9 codec
+/// mix, written as a segment file whose path removes it when dropped.
+fn compressed_segment(chunks: u32, rows_per_chunk: u64) -> ScratchPath {
+    let path = ScratchPath::new("faults");
+    write_lineitem_segment(&path, chunks, rows_per_chunk, true).expect("write the segment");
+    path
 }
 
 #[cfg(test)]

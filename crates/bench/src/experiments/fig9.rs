@@ -8,14 +8,16 @@
 //! * per-scheme decode bandwidth (GiB/s of decoded output) and effective
 //!   compression ratio (decoded bytes / encoded bytes);
 //! * the I/O volume of the lineitem demo mix with every column stored
-//!   under its matched scheme, against the same columns uncompressed.
+//!   under its matched scheme in a segment file, against the same columns
+//!   uncompressed.
 //!
 //! The live engine's side of the question — what a scan over compressed
 //! chunks delivers — is the `scan_compressed` workload of `BENCHMARK.json`.
 
-use cscan_exec::MemTable;
+use super::fig9_file::write_lineitem_segment;
 use cscan_storage::codec::EncodedColumn;
-use cscan_storage::{ChunkId, ChunkStore, CompressingStore, Compression};
+use cscan_storage::{Compression, FileStore, ScratchPath};
+use std::io;
 use std::time::{Duration, Instant};
 
 /// One codec measurement point.
@@ -125,25 +127,20 @@ pub struct MixVolume {
     pub ratio: f64,
 }
 
-/// Materializes every chunk of a lineitem demo table through a
-/// [`CompressingStore`] and sums physical (encoded) vs logical bytes.
-pub fn run_mix_volume(chunks: u32, rows_per_chunk: u64) -> MixVolume {
-    let table = MemTable::lineitem_demo(chunks as u64 * rows_per_chunk, rows_per_chunk);
-    let store = CompressingStore::new(table, MemTable::lineitem_demo_schemes());
-    let (mut physical, mut logical) = (0usize, 0usize);
-    for c in 0..chunks {
-        let payload = store
-            .materialize(ChunkId::new(c), None)
-            .expect("in-memory store cannot fail");
-        physical += payload.physical_bytes();
-        logical += payload.logical_bytes();
-    }
-    let mib = |b: usize| b as f64 / (1 << 20) as f64;
-    MixVolume {
+/// Writes a lineitem demo table under the mix as a segment file and reads
+/// its encoded bytes from the segment's directory, against the same
+/// columns' plain bytes.
+pub fn run_mix_volume(chunks: u32, rows_per_chunk: u64) -> io::Result<MixVolume> {
+    let path = ScratchPath::new("fig9_mix");
+    let summary = write_lineitem_segment(&path, chunks, rows_per_chunk, true)?;
+    let physical = FileStore::open(&path)?.directory().data_bytes();
+    let logical = summary.rows * 8 * u64::from(summary.columns);
+    let mib = |b: u64| b as f64 / (1 << 20) as f64;
+    Ok(MixVolume {
         uncompressed_mib: mib(logical),
         compressed_mib: mib(physical),
         ratio: logical as f64 / physical.max(1) as f64,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -168,7 +165,7 @@ mod tests {
 
     #[test]
     fn mix_volume_matches_the_paper_regime() {
-        let mix = run_mix_volume(8, 1_000);
+        let mix = run_mix_volume(8, 1_000).expect("mix volume");
         assert!(
             mix.ratio >= 2.0,
             "the fig9 mix must at least halve I/O volume, got {:.2}x",

@@ -4,7 +4,7 @@
 //!
 //! The simulated experiments (fig2..fig9) charge a modelled per-page I/O
 //! cost; this module replaces the model with the real thing.  A table is
-//! written twice through [`MemTable::write_segment`] — once with every
+//! written twice through [`write_store`] — once with every
 //! column plain, once with the Figure 9 codec mix
 //! ([`MemTable::lineitem_demo_schemes`]) —
 //! and the sweep reruns the fig5 policy comparison and the fig7-style
@@ -35,7 +35,7 @@ use cscan_core::{CScanPlan, ColSet};
 use cscan_exec::{AggFunc, Expr, Filter, HashAggregate, MemTable, Operator, SessionSource};
 use cscan_obs::Registry;
 use cscan_server::model_from_segment;
-use cscan_storage::segment::{FileStore, SegmentSummary};
+use cscan_storage::segment::{write_store, FileStore, SegmentSummary};
 use cscan_storage::{ChunkId, ChunkStore, ColumnId, Compression, ScanRanges};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -62,7 +62,7 @@ pub fn write_lineitem_segment(
     } else {
         vec![Compression::None; table.width()]
     };
-    table.write_segment(path, schemes)
+    write_store(path, &table, table.num_chunks(), schemes)
 }
 
 /// The buffer both halves of the sweep give a table of `chunks` chunks, in

@@ -776,7 +776,7 @@ fn print_fig8(out: &Fig8Output, _: Scale) {
 
 /// Values per codec point in the sweep (8 MiB of decoded data each).
 const SWEEP_ROWS: usize = 1 << 20;
-/// Geometry of the in-memory mix-volume measurement.
+/// Geometry of the mix-volume measurement's segment.
 const MIX_CHUNKS: u32 = 64;
 const MIX_ROWS_PER_CHUNK: u64 = 2_000;
 
@@ -784,7 +784,8 @@ static FIG9: Entry<(Vec<fig9::CodecPoint>, fig9::MixVolume)> = Entry {
     name: "fig9_compression",
     run: |_, _| {
         let codecs = fig9::run_codec_sweep(SWEEP_ROWS);
-        Ok((codecs, fig9::run_mix_volume(MIX_CHUNKS, MIX_ROWS_PER_CHUNK)))
+        let mix = fig9::run_mix_volume(MIX_CHUNKS, MIX_ROWS_PER_CHUNK)?;
+        Ok((codecs, mix))
     },
     print: print_fig9,
     claims: no_claims,

@@ -326,8 +326,10 @@ fn chunk_ordered_pipeline_allocates_per_chunk_never_per_row() {
     ignore = "allocation gates are measured in release builds only"
 )]
 fn plain_load_path_allocates_headers_only_once_the_buffer_recycles() {
-    use cscan_storage::segment::{FileStore, SegmentWriter};
-    use cscan_storage::{ChunkId, ChunkPayload, ChunkStore, ColumnId, Compression, ScratchPath};
+    use cscan_storage::segment::{write_store, FileStore};
+    use cscan_storage::{
+        ChunkId, ChunkPayload, ChunkStore, ColumnId, Compression, ScratchPath, SeededStore,
+    };
     use std::collections::VecDeque;
 
     const CHUNKS: u32 = 8;
@@ -338,19 +340,10 @@ fn plain_load_path_allocates_headers_only_once_the_buffer_recycles() {
     const RING: usize = 24;
     const MEASURED: u32 = 200;
 
-    let value =
-        |chunk: u32, col: u16, row: usize| (chunk as i64) << 32 | (col as i64) << 16 | row as i64;
+    let table = SeededStore::new(ROWS as u64, COLUMNS, 3);
     let path = ScratchPath::new("alloc_gate_plain");
-    let mut writer = SegmentWriter::create(&*path, vec![Compression::None; COLUMNS as usize])
-        .expect("scratch segment");
-    for chunk in 0..CHUNKS {
-        let columns: Vec<Vec<i64>> = (0..COLUMNS)
-            .map(|col| (0..ROWS).map(|row| value(chunk, col, row)).collect())
-            .collect();
-        let views: Vec<&[i64]> = columns.iter().map(Vec::as_slice).collect();
-        writer.append_chunk(&views).expect("append");
-    }
-    writer.finish().expect("finish");
+    let schemes = vec![Compression::None; COLUMNS as usize];
+    write_store(&path, &table, CHUNKS, schemes).expect("scratch segment");
     let store = FileStore::open(&*path).expect("open");
     let extent_bytes = (ROWS * 8 * COLUMNS as usize) as u64;
 
@@ -365,11 +358,12 @@ fn plain_load_path_allocates_headers_only_once_the_buffer_recycles() {
             .expect("clean read");
         // The recycled vectors hold this chunk now, not what they held.
         for col in 0..COLUMNS {
-            let values = payload.column(ColumnId::new(col)).expect("column");
+            let col = ColumnId::new(col);
+            let values = payload.column(col).expect("column");
             assert!(values
                 .iter()
                 .enumerate()
-                .all(|(row, &v)| v == value(chunk, col, row)));
+                .all(|(row, &v)| v == table.value(ChunkId::new(chunk), row as u64, col)));
         }
         ring.push_back(payload);
     };
@@ -396,7 +390,7 @@ fn plain_load_path_allocates_headers_only_once_the_buffer_recycles() {
     assert!(held
         .iter()
         .enumerate()
-        .all(|(row, &v)| v == value(chunk, 3, row)));
+        .all(|(row, &v)| v == table.value(ChunkId::new(chunk), row as u64, ColumnId::new(3))));
 }
 
 /// Bytes the pumping thread allocates per batch while a full scan of a

@@ -360,7 +360,7 @@ fn compression_pdict_encode_sustains_floor() {
 /// in every build — CI's release filter picks it up alongside the floor.
 #[test]
 fn compression_fig9_mix_io_volume_at_least_halved() {
-    let mix = fig9::run_mix_volume(64, 2_000);
+    let mix = fig9::run_mix_volume(64, 2_000).expect("mix volume");
     assert!(
         mix.ratio >= 2.0,
         "the fig9 mix's compressed I/O volume must be >= 2x smaller than \

@@ -26,9 +26,9 @@
 //! performs no per-chunk heap allocation and no data copies.  Without a
 //! store the server delivers [`ChunkPayload::Missing`]: chunk ids alone.
 //!
-//! Payloads may arrive *compressed* (a
-//! [`cscan_storage::CompressingStore`] encodes mini-columns as PDICT /
-//! PFOR / PFOR-DELTA bytes on the I/O worker): every pin of a payload that
+//! Payloads may arrive *compressed* (a [`cscan_storage::FileStore`] reads
+//! a segment's PDICT / PFOR / PFOR-DELTA extents as encoded bytes on the
+//! I/O worker): every pin of a payload that
 //! still holds encoded bytes verifies their checksums, and a column is
 //! decoded — once per residency — when a consumer **first touches** it
 //! through [`PinnedChunk::column`], with no executor lock held (the codec
@@ -2579,13 +2579,22 @@ mod tests {
     // Compressed payloads: verify at pin, decode at first touch.
     // ------------------------------------------------------------------
 
-    use cscan_storage::{CompressingStore, Compression};
+    use cscan_storage::{write_store, Compression, FileStore, ScratchPath};
 
     fn pfor21() -> Compression {
         Compression::Pfor {
             bits: 21,
             exception_rate: 0.02,
         }
+    }
+
+    /// Chunks `0..chunks` of `inner`, column `i` under `schemes[i]`,
+    /// written once as a segment file and served by a [`FileStore`]; the
+    /// open file outlives its path.
+    fn compressed(inner: &SeededStore, chunks: u32, schemes: Vec<Compression>) -> FileStore {
+        let path = ScratchPath::new("threaded");
+        write_store(&path, inner, chunks, schemes).expect("write the segment");
+        FileStore::open(&path).expect("open the segment")
     }
 
     /// The first touch of a column decodes it once; every later pin of the
@@ -2597,7 +2606,7 @@ mod tests {
         const ROWS: u64 = 256;
         let model = TableModel::nsm_uniform(CHUNKS, ROWS, 16);
         let inner = SeededStore::new(ROWS, 2, 13);
-        let store = CompressingStore::new(inner.clone(), vec![pfor21(), pfor21()]);
+        let store = compressed(&inner, CHUNKS, vec![pfor21(), pfor21()]);
         let server = ScanServer::builder(model.clone())
             .policy(PolicyKind::Relevance)
             .buffer_chunks(CHUNKS as u64) // everything stays resident
@@ -2655,7 +2664,7 @@ mod tests {
         const CHUNKS: u32 = 8;
         const ROWS: u64 = 128;
         let model = TableModel::nsm_uniform(CHUNKS, ROWS, 16);
-        let store = CompressingStore::new(SeededStore::new(ROWS, 1, 29), vec![pfor21()]);
+        let store = compressed(&SeededStore::new(ROWS, 1, 29), CHUNKS, vec![pfor21()]);
         let server = ScanServer::builder(model.clone())
             .policy(PolicyKind::Relevance)
             .buffer_chunks(2) // a tiny pool: scans churn through evictions
@@ -2701,7 +2710,7 @@ mod tests {
         const TOUCHED: [u16; 2] = [1, 4];
         let model = TableModel::nsm_uniform(CHUNKS, ROWS, 16);
         let inner = SeededStore::new(ROWS, 6, 31);
-        let store = CompressingStore::new(inner.clone(), vec![pfor21(); 6]);
+        let store = compressed(&inner, CHUNKS, vec![pfor21(); 6]);
         let server = ScanServer::builder(model.clone())
             .policy(PolicyKind::Relevance)
             .buffer_chunks(CHUNKS as u64) // everything stays resident
@@ -2767,7 +2776,7 @@ mod tests {
         const ROWS: u64 = 512;
         let model = TableModel::nsm_uniform(1, ROWS, 16);
         for round in 0..16 {
-            let store = CompressingStore::new(SeededStore::new(ROWS, 3, round), vec![pfor21(); 3]);
+            let store = compressed(&SeededStore::new(ROWS, 3, round), 1, vec![pfor21(); 3]);
             let server = ScanServer::builder(model.clone())
                 .policy(PolicyKind::Relevance)
                 .buffer_chunks(1)
@@ -2820,7 +2829,7 @@ mod tests {
         const ROWS: u64 = 256;
         let model = TableModel::dsm_uniform(4, ROWS, &[3; 3]);
         let inner = SeededStore::new(ROWS, 3, 41);
-        let store = CompressingStore::new(inner.clone(), vec![pfor21(); 3]);
+        let store = compressed(&inner, 4, vec![pfor21(); 3]);
         let server = ScanServer::builder(model.clone())
             .policy(PolicyKind::Relevance)
             // Three full-width chunks and one column of a fourth: the four
@@ -2940,7 +2949,7 @@ mod tests {
     /// body cut short by a buggy writer: the checksum was computed over the
     /// bytes as written, so it verifies; the codec cannot decode it.
     struct MalformedColumn {
-        inner: CompressingStore<SeededStore>,
+        inner: FileStore,
         bad_chunk: u32,
         bad_column: usize,
     }
@@ -2987,7 +2996,7 @@ mod tests {
             .buffer_chunks(3)
             .io_cost_per_page(Duration::ZERO)
             .store(Arc::new(MalformedColumn {
-                inner: CompressingStore::new(inner.clone(), vec![pfor21(); 3]),
+                inner: compressed(&inner, CHUNKS, vec![pfor21(); 3]),
                 bad_chunk: BAD_CHUNK,
                 bad_column: 2,
             }))
@@ -3196,7 +3205,7 @@ mod tests {
         const ROWS: u64 = 128;
         let model = TableModel::nsm_uniform(16, ROWS, 16);
         let inner = SeededStore::new(ROWS, 2, 17);
-        let compressed = CompressingStore::new(inner.clone(), vec![pfor21(), pfor21()]);
+        let store = compressed(&inner, 16, vec![pfor21(), pfor21()]);
         let config = FaultConfig {
             seed: 0xC0FFEE,
             corruption_rate: 0.4,
@@ -3210,7 +3219,7 @@ mod tests {
                 backoff_base: Duration::from_micros(10),
                 ..RetryPolicy::default()
             })
-            .store(Arc::new(FaultInjectingStore::new(compressed, config)))
+            .store(Arc::new(FaultInjectingStore::new(store, config)))
             .watched();
         let handle = server.cscan(CScanPlan::new(
             "torn",
@@ -3254,7 +3263,7 @@ mod tests {
         const ROWS: u64 = 128;
         let model = TableModel::nsm_uniform(1, ROWS, 16);
         let inner = SeededStore::new(ROWS, 1, 23);
-        let store = CompressingStore::new(inner.clone(), vec![pfor21()]);
+        let store = compressed(&inner, 1, vec![pfor21()]);
         let server = ScanServer::builder(model.clone())
             .policy(PolicyKind::Relevance)
             .buffer_chunks(1)
@@ -3393,7 +3402,7 @@ mod tests {
 
         let malformed = build(
             Arc::new(MalformedColumn {
-                inner: CompressingStore::new(inner.clone(), vec![pfor21()]),
+                inner: compressed(&inner, 8, vec![pfor21()]),
                 bad_chunk: 5,
                 bad_column: 0,
             }),
@@ -3401,7 +3410,7 @@ mod tests {
         );
         fails_once(&malformed, scan(&malformed, ScanRanges::full(8)), 5);
 
-        let torn = build(Arc::new(CompressingStore::new(inner, vec![pfor21()])), 1);
+        let torn = build(Arc::new(compressed(&inner, 8, vec![pfor21()])), 1);
         scan(&torn, ScanRanges::single(0, 1))
             .next_chunk()
             .unwrap()
@@ -3482,7 +3491,7 @@ mod tests {
         const ROWS: u64 = 64;
         let model = TableModel::nsm_uniform(32, ROWS, 16);
         let inner = SeededStore::new(ROWS, 1, 41);
-        let compressed = CompressingStore::new(inner.clone(), vec![pfor21()]);
+        let store = compressed(&inner, 32, vec![pfor21()]);
         let config = FaultConfig {
             seed: 0x57AB1E,
             fault_rate: 0.15,
@@ -3501,7 +3510,7 @@ mod tests {
                     backoff_base: Duration::from_micros(20),
                     ..RetryPolicy::default()
                 })
-                .store(Arc::new(FaultInjectingStore::new(compressed, config)))
+                .store(Arc::new(FaultInjectingStore::new(store, config)))
                 .watched(),
         );
         let workers: Vec<_> = (0..8)

@@ -7,10 +7,7 @@
 
 use crate::vector::{DataChunk, Value};
 use cscan_storage::chunkdata::{ChunkData, ChunkPayload, ChunkStore, ColumnChunk};
-use cscan_storage::segment::{SegmentSummary, SegmentWriter};
 use cscan_storage::{ChunkId, ColumnId, Compression, StoreError};
-use std::io;
-use std::path::Path;
 use std::sync::Arc;
 
 /// A generator producing the values of one column for a given range of row ids.
@@ -108,23 +105,6 @@ impl MemTable {
         self.read_chunk(chunk, &all)
     }
 
-    /// Writes every chunk of the table, in order, as a segment file at
-    /// `path` with one compression scheme per column, one chunk in memory
-    /// at a time.
-    pub fn write_segment(
-        &self,
-        path: &Path,
-        schemes: Vec<Compression>,
-    ) -> io::Result<SegmentSummary> {
-        let mut writer = SegmentWriter::create(path, schemes)?;
-        for c in 0..self.num_chunks() {
-            let data = self.read_chunk_all(ChunkId::new(c));
-            let cols: Vec<&[i64]> = (0..self.width()).map(|i| data.column(i)).collect();
-            writer.append_chunk(&cols)?;
-        }
-        writer.finish()
-    }
-
     /// A small `lineitem`-flavoured table clustered on `l_orderkey`, with the
     /// columns used by the example queries:
     /// `l_orderkey`, `l_quantity`, `l_extendedprice`, `l_discount`,
@@ -175,8 +155,8 @@ impl MemTable {
     /// [`MemTable::lineitem_demo`] data — the Figure 9 configuration: the
     /// clustered `l_orderkey` under PFOR-DELTA, the small-domain columns
     /// (`l_quantity`, `l_discount`, `l_returnflag`) under PDICT, and the
-    /// wider numeric columns under PFOR.  Wrap the table in a
-    /// [`cscan_storage::CompressingStore`] with these schemes to serve its
+    /// wider numeric columns under PFOR.  Write the table through
+    /// [`cscan_storage::write_store`] with these schemes to serve its
     /// chunks compressed.
     pub fn lineitem_demo_schemes() -> Vec<Compression> {
         vec![

@@ -13,7 +13,9 @@ use cscan_exec::{
     Filter, HashAggregate, MemTable, Operator, Project, SessionSource,
 };
 use cscan_obs::Counter;
-use cscan_storage::{ChunkId, ColumnId, CompressingStore, ScanRanges};
+use cscan_storage::{
+    write_store, ChunkId, ChunkStore, ColumnId, FileStore, ScanRanges, ScratchPath,
+};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -34,40 +36,26 @@ enum Layout {
 /// reads through the session API is exactly what the baseline reads
 /// directly.
 fn live_server(table: &MemTable, policy: PolicyKind, layout: Layout) -> ScanServer {
-    live_server_with(table, policy, layout, false)
+    live_server_over(Arc::new(table.clone()), table, policy, layout)
 }
 
-/// The compressed variant: chunks travel as PFOR/PFOR-DELTA/PDICT bytes
-/// (per-column schemes matched to the lineitem demo data) and decode at
-/// first touch — the results must stay bit-identical to the plain baseline.
-fn live_server_compressed(table: &MemTable, policy: PolicyKind, layout: Layout) -> ScanServer {
-    live_server_with(table, policy, layout, true)
-}
-
-fn live_server_with(
+fn live_server_over(
+    store: Arc<dyn ChunkStore>,
     table: &MemTable,
     policy: PolicyKind,
     layout: Layout,
-    compressed: bool,
 ) -> ScanServer {
     let model = match layout {
         Layout::Nsm => TableModel::nsm_uniform(CHUNKS, ROWS_PER_CHUNK, 16),
         Layout::Dsm => TableModel::dsm_uniform(CHUNKS, ROWS_PER_CHUNK, &vec![1; table.width()]),
     };
-    let builder = ScanServer::builder(model)
+    ScanServer::builder(model)
         .policy(policy)
         .buffer_chunks(5)
         .io_cost_per_page(Duration::ZERO)
-        .io_threads(2);
-    let builder = if compressed {
-        builder.store(Arc::new(CompressingStore::new(
-            table.clone(),
-            MemTable::lineitem_demo_schemes(),
-        )))
-    } else {
-        builder.store(Arc::new(table.clone()))
-    };
-    builder.build()
+        .io_threads(2)
+        .store(store)
+        .build()
 }
 
 /// Resolves column names to ids and opens a live session source over them.
@@ -253,8 +241,8 @@ fn merge_join_pipeline_matches_baseline() {
 
 /// The tentpole acceptance criterion: every pipeline result stays
 /// bit-identical when chunk payloads travel *compressed* (PFOR /
-/// PFOR-DELTA / PDICT mini-columns, decoded at first touch) — across all
-/// four policies and both layouts.
+/// PFOR-DELTA / PDICT mini-columns read from a segment file, decoded at
+/// first touch) — across all four policies and both layouts.
 #[test]
 fn compressed_payload_pipelines_are_bit_identical() {
     let table = lineitem();
@@ -271,8 +259,14 @@ fn compressed_payload_pipelines_are_bit_identical() {
         predicate(),
     ));
     assert!(!filter_reference.is_empty());
+    // The table written once as a segment under per-column schemes matched
+    // to the lineitem demo data.
+    let segment = ScratchPath::new("differential");
+    let schemes = MemTable::lineitem_demo_schemes();
+    write_store(&segment, &table, table.num_chunks(), schemes).expect("write the segment");
     for (policy, layout) in all_cases() {
-        let server = live_server_compressed(&table, policy, layout);
+        let store = Arc::new(FileStore::open(&segment).expect("open the segment"));
+        let server = live_server_over(store, &table, policy, layout);
         // Aggregate pipeline: group-by output is key-ordered, so equality
         // here is bit-identical regardless of delivery order.
         let src = live_source(&server, &table, &names, layout, "z-agg");

@@ -297,7 +297,7 @@ pub fn model_from_segment(store: &FileStore) -> TableModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cscan_storage::{Compression, ScanRanges, ScratchPath, SegmentWriter};
+    use cscan_storage::{write_store, Compression, ScanRanges, ScratchPath, SeededStore};
 
     fn demo_catalog() -> Catalog {
         let mut cat = Catalog::new();
@@ -366,10 +366,8 @@ mod tests {
     #[test]
     fn a_segment_wider_than_a_column_set_is_refused() {
         let path = ScratchPath::new("catalog_65_columns");
-        let mut writer = SegmentWriter::create(&path, vec![Compression::None; 65]).unwrap();
-        let column = [7i64; 4];
-        writer.append_chunk(&[&column[..]; 65]).unwrap();
-        writer.finish().unwrap();
+        let wide = SeededStore::new(4, 65, 7);
+        write_store(&path, &wide, 1, vec![Compression::None; 65]).unwrap();
         let mut cat = Catalog::new();
         let err = cat
             .add_segment("wide", &path, TableConfig::default())

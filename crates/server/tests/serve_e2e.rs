@@ -7,7 +7,7 @@ use cscan_exec::MemTable;
 use cscan_obs::Counter;
 use cscan_proto::{frame, Decoder, Message, ServeError};
 use cscan_server::{serve, AdmissionConfig, Catalog, ServerConfig, TableConfig};
-use cscan_storage::{ChunkId, ColumnId, Compression, ScanRanges, ScratchPath};
+use cscan_storage::{write_store, ChunkId, ColumnId, Compression, ScanRanges, ScratchPath};
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -312,9 +312,8 @@ fn admission_cap_sheds_excess_with_retryable_error() {
 fn segment_catalog(name: &str) -> (ScratchPath, MemTable, Catalog) {
     let table = MemTable::lineitem_demo(8_000, 500);
     let path = ScratchPath::new(name);
-    table
-        .write_segment(&path, vec![Compression::None; table.width()])
-        .expect("write segment");
+    let schemes = vec![Compression::None; table.width()];
+    write_store(&path, &table, table.num_chunks(), schemes).expect("write segment");
     let mut catalog = Catalog::new();
     let cfg = TableConfig {
         buffer_chunks: 4,

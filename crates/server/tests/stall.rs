@@ -20,7 +20,7 @@ use cscan_exec::MemTable;
 use cscan_obs::Counter;
 use cscan_proto::{frame, Decoder, Message, ServeError};
 use cscan_server::{serve, AdmissionConfig, Catalog, ServerConfig, TableConfig};
-use cscan_storage::{ChunkId, Compression, ScratchPath};
+use cscan_storage::{write_store, ChunkId, Compression, ScratchPath};
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -173,9 +173,8 @@ fn batches_queued_for_a_stalled_client_survive_eviction_and_reload() {
     // A plain segment file of six columns; a batch of all six is 960 KB.
     let table = MemTable::lineitem_demo(CHUNKS as u64 * ROWS, ROWS);
     let path = ScratchPath::new("stall_evict");
-    table
-        .write_segment(&path, vec![Compression::None; table.width()])
-        .expect("write segment");
+    let schemes = vec![Compression::None; table.width()];
+    write_store(&path, &table, table.num_chunks(), schemes).expect("write segment");
     let mut catalog = Catalog::new();
     let cfg = TableConfig {
         buffer_chunks: 4,

@@ -30,9 +30,7 @@
 //! Eviction drops the whole column (both states); a re-load re-installs
 //! fresh compressed bytes and the next reader re-decodes.  This is the
 //! two-state frame lifecycle the paper's Figure 9 experiments rely on: I/O
-//! moves *encoded* bytes, the CPU pays for decoding what is used, and
-//! [`ChunkPayload::physical_bytes`] vs [`ChunkPayload::logical_bytes`]
-//! exposes the traded volumes.
+//! moves *encoded* bytes, and the CPU pays for decoding what is used.
 //!
 //! Column vectors are individually reference-counted, so cloning a
 //! [`ChunkPayload`] (handing it to a pinned chunk) and merging partial
@@ -40,7 +38,6 @@
 //! heap allocation and no data copies once a column is decoded.
 
 use crate::codec::EncodedColumn;
-use crate::compression::Compression;
 use crate::fault::StoreError;
 use crate::ids::{ChunkId, ColumnId};
 use std::sync::Arc;
@@ -76,11 +73,6 @@ impl LazyColumn {
     /// Number of values (known without decoding).
     pub fn rows(&self) -> usize {
         self.encoded.rows()
-    }
-
-    /// Encoded size in bytes — the column's physical I/O volume.
-    pub fn encoded_bytes(&self) -> usize {
-        self.encoded.encoded_bytes()
     }
 
     /// The encoded form itself (state-preserving access; used by the fault
@@ -146,18 +138,6 @@ pub enum ColumnChunk {
 }
 
 impl ColumnChunk {
-    /// Encodes `values` under `scheme` into a compressed column
-    /// (`Compression::None` stays plain — no codec detour for the common
-    /// uncompressed case).
-    pub fn encode(values: &[i64], scheme: Compression) -> ColumnChunk {
-        match scheme {
-            Compression::None => ColumnChunk::Plain(Arc::new(values.to_vec())),
-            _ => ColumnChunk::Compressed(Arc::new(LazyColumn::new(EncodedColumn::encode(
-                values, scheme,
-            )))),
-        }
-    }
-
     /// Number of values (without triggering a decode).
     pub fn len(&self) -> usize {
         match self {
@@ -222,15 +202,6 @@ impl ColumnChunk {
         match self {
             ColumnChunk::Plain(_) => Ok(0),
             ColumnChunk::Compressed(l) => l.try_ensure_decoded(),
-        }
-    }
-
-    /// The column's physical size in bytes: encoded size when compressed,
-    /// `8 × len` when plain.
-    pub fn physical_bytes(&self) -> usize {
-        match self {
-            ColumnChunk::Plain(d) => d.len() * 8,
-            ColumnChunk::Compressed(l) => l.encoded_bytes(),
         }
     }
 }
@@ -478,17 +449,6 @@ impl ChunkPayload {
         self.parts().all(ColumnChunk::is_decoded)
     }
 
-    /// Physical bytes of the payload: encoded sizes for compressed columns,
-    /// `8 × rows` for plain ones — the I/O volume this payload cost.
-    pub fn physical_bytes(&self) -> usize {
-        self.parts().map(ColumnChunk::physical_bytes).sum()
-    }
-
-    /// Logical (decoded) bytes of the payload: `8 × rows × columns`.
-    pub fn logical_bytes(&self) -> usize {
-        self.rows() * 8 * self.parts().count()
-    }
-
     /// Consumes the payload and passes `keep` every plain column vector
     /// that nothing else shares any more — the memory a store may reuse
     /// for its next load ([`ChunkStore::recycle`]).  `Arc::try_unwrap` has
@@ -553,60 +513,6 @@ pub trait ChunkStore: Send + Sync {
     /// [`ChunkPayload::reclaim_plain`] yields — memory nothing else can
     /// still read; the default just drops the payload.
     fn recycle(&self, _payload: ChunkPayload) {}
-}
-
-/// A [`ChunkStore`] adapter that stores its inner store's chunks
-/// *compressed*: each materialized mini-column is encoded under the
-/// per-column [`Compression`] scheme, so what travels to the buffer pool is
-/// the encoded bytes and the decompression CPU cost lands on whoever first
-/// reads a column (the Figure 9 trade-off, for real).
-///
-/// Columns beyond the scheme list — and columns mapped to
-/// [`Compression::None`] — stay plain.
-#[derive(Debug, Clone)]
-pub struct CompressingStore<S> {
-    inner: S,
-    schemes: Vec<Compression>,
-}
-
-impl<S: ChunkStore> CompressingStore<S> {
-    /// Wraps `inner`, compressing column `i` under `schemes[i]` (missing
-    /// entries mean uncompressed).
-    pub fn new(inner: S, schemes: Vec<Compression>) -> Self {
-        Self { inner, schemes }
-    }
-
-    /// The scheme applied to `col`.
-    pub fn scheme(&self, col: ColumnId) -> Compression {
-        self.schemes
-            .get(col.as_usize())
-            .copied()
-            .unwrap_or(Compression::None)
-    }
-}
-
-impl<S: ChunkStore> ChunkStore for CompressingStore<S> {
-    fn materialize(
-        &self,
-        chunk: ChunkId,
-        cols: Option<&[ColumnId]>,
-    ) -> Result<ChunkPayload, StoreError> {
-        Ok(match self.inner.materialize(chunk, cols)? {
-            ChunkPayload::Missing => ChunkPayload::Missing,
-            ChunkPayload::Data(data) => {
-                let parts = data
-                    .parts()
-                    .iter()
-                    .map(|(id, c)| (*id, ColumnChunk::encode(c.as_slice(), self.scheme(*id))))
-                    .collect();
-                ChunkData::from_parts(parts).into()
-            }
-        })
-    }
-
-    fn recycle(&self, payload: ChunkPayload) {
-        self.inner.recycle(payload);
-    }
 }
 
 /// A deterministic synthetic store: value = mix(chunk, row, column, seed).
@@ -677,6 +583,7 @@ impl ChunkStore for SeededStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compression::Compression;
 
     fn col(i: u16) -> ColumnId {
         ColumnId::new(i)
@@ -741,8 +648,6 @@ mod tests {
         assert_eq!(p.column(col(0)), None);
         assert_eq!(p.decode_all(), 0);
         assert!(p.is_fully_decoded());
-        assert_eq!(p.physical_bytes(), 0);
-        assert_eq!(p.logical_bytes(), 0);
         // A load of real data over a metadata placeholder wins.
         let n = ChunkPayload::from(dense(vec![plain(&[7])]));
         assert_eq!(p.merged_with(&n), n);
@@ -761,7 +666,7 @@ mod tests {
 
         // Sole owner: every plain vector comes back; an encoded column (and
         // its decode cache) does not.
-        let encoded = ColumnChunk::encode(&[3; 4], pfor21());
+        let encoded = encoded(&[3; 4], pfor21());
         assert_eq!(encoded.as_slice(), &[3; 4], "decoded, still not plain");
         let got = reclaimed(nsm(vec![plain(1), encoded, plain(2)]));
         assert_eq!(got, vec![vec![1; 4], vec![2; 4]]);
@@ -826,10 +731,17 @@ mod tests {
         }
     }
 
+    /// `values` as a compressed mini-column under `scheme`.
+    fn encoded(values: &[i64], scheme: Compression) -> ColumnChunk {
+        ColumnChunk::Compressed(Arc::new(LazyColumn::new(EncodedColumn::encode(
+            values, scheme,
+        ))))
+    }
+
     #[test]
     fn compressed_column_decodes_once_and_is_shared() {
         let values: Vec<i64> = (0..500).map(|i| i * 3).collect();
-        let c = ColumnChunk::encode(&values, pfor21());
+        let c = encoded(&values, pfor21());
         assert_eq!(c.len(), 500);
         assert!(!c.is_decoded(), "encoding must not decode");
         let clone = c.clone();
@@ -843,19 +755,11 @@ mod tests {
     }
 
     #[test]
-    fn none_scheme_stays_plain() {
-        let c = ColumnChunk::encode(&[1, 2, 3], Compression::None);
-        assert!(matches!(c, ColumnChunk::Plain(_)));
-        assert_eq!(c.ensure_decoded(), 0);
-        assert_eq!(c.physical_bytes(), 24);
-    }
-
-    #[test]
     fn column_equality_is_logical() {
         let values: Vec<i64> = (0..300).map(|i| i % 7).collect();
         let plain = ColumnChunk::Plain(Arc::new(values.clone()));
-        let dict = ColumnChunk::encode(&values, Compression::Dictionary { bits: 3 });
-        let pfor = ColumnChunk::encode(&values, pfor21());
+        let dict = encoded(&values, Compression::Dictionary { bits: 3 });
+        let pfor = encoded(&values, pfor21());
         assert_eq!(plain, dict, "same values, different physical form");
         assert_eq!(dict, pfor);
         let other = ColumnChunk::Plain(Arc::new(vec![9; 300]));
@@ -863,62 +767,11 @@ mod tests {
     }
 
     #[test]
-    fn compressing_store_round_trips_and_shrinks() {
-        let inner = SeededStore::new(256, 2, 9);
-        // Column 0 dictionary-compressed would not shrink random data, so
-        // compress column 1 only... both under PFOR: random 64-bit data is
-        // all exceptions, which is the lossless worst case.
-        let store = CompressingStore::new(inner.clone(), vec![Compression::None, pfor21()]);
-        let chunk = ChunkId::new(3);
-        let plain = inner.materialize(chunk, None).unwrap();
-        let compressed = store.materialize(chunk, None).unwrap();
-        assert!(!compressed.is_fully_decoded());
-        assert!(compressed.verify_checksums().is_ok());
-        assert_eq!(
-            compressed.try_decode_all(),
-            Ok(256),
-            "one compressed column"
-        );
-        assert_eq!(compressed.decode_all(), 0, "second pass is free");
-        assert_eq!(compressed, plain, "lossless through the store");
-        // DSM subsets keep per-column schemes.
-        let subset = store.materialize(chunk, Some(&[col(1)])).unwrap();
-        assert!(!subset.is_fully_decoded());
-        assert_eq!(subset.column(col(1)), plain.column(col(1)));
-    }
-
-    #[test]
-    fn compressing_store_shrinks_compressible_data() {
-        /// A store whose column values are small (dictionary-friendly).
-        #[derive(Clone)]
-        struct SmallValues;
-        impl ChunkStore for SmallValues {
-            fn materialize(
-                &self,
-                _chunk: ChunkId,
-                _cols: Option<&[ColumnId]>,
-            ) -> Result<ChunkPayload, StoreError> {
-                let values: Vec<i64> = (0..4096).map(|i| i % 3).collect();
-                Ok(dense(vec![plain(&values)]).into())
-            }
-        }
-        let store = CompressingStore::new(SmallValues, vec![Compression::Dictionary { bits: 2 }]);
-        let p = store.materialize(ChunkId::new(0), None).unwrap();
-        assert!(
-            p.physical_bytes() * 4 < p.logical_bytes(),
-            "2-bit codes over 64-bit values must shrink >=4x: {} vs {}",
-            p.physical_bytes(),
-            p.logical_bytes()
-        );
-        assert_eq!(p.decode_all(), 4096);
-    }
-
-    #[test]
     fn dsm_merge_preserves_decode_state() {
-        let a = ChunkData::from_parts(vec![(col(0), ColumnChunk::encode(&[1, 2, 3], pfor21()))]);
+        let a = ChunkData::from_parts(vec![(col(0), encoded(&[1, 2, 3], pfor21()))]);
         // Decode a's column, then merge a new compressed column in.
         assert_eq!(a.column(col(0)), Some(&[1, 2, 3][..]));
-        let b = ChunkData::from_parts(vec![(col(1), ColumnChunk::encode(&[7, 8, 9], pfor21()))]);
+        let b = ChunkData::from_parts(vec![(col(1), encoded(&[7, 8, 9], pfor21()))]);
         let merged = a.merged_with(&b);
         let states: Vec<bool> = merged.parts().iter().map(|(_, c)| c.is_decoded()).collect();
         assert_eq!(

@@ -9,8 +9,8 @@
 //!   bits-per-value a column stored under the scheme occupies, which is
 //!   what the I/O scheduling layers (the DSM table model's page counts,
 //!   relevance decisions) consume.
-//! * **Codec selector** — [`crate::codec::EncodedColumn::encode`] and
-//!   [`crate::chunkdata::CompressingStore`] use the same value to pick the
+//! * **Codec selector** — [`crate::codec::EncodedColumn::encode`] (and so
+//!   [`crate::segment::SegmentWriter`]) uses the same value to pick the
 //!   *real* encoder, so chunk payloads actually travel as PDICT / PFOR /
 //!   PFOR-DELTA bytes and decompress at first touch.  The codec tests check
 //!   that real encoded sizes track this model's predictions.

@@ -336,8 +336,10 @@ impl<S: ChunkStore> ChunkStore for FaultInjectingStore<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chunkdata::{CompressingStore, SeededStore};
+    use crate::chunkdata::SeededStore;
     use crate::compression::Compression;
+    use crate::scratch::ScratchPath;
+    use crate::segment::{write_store, FileStore};
 
     fn base() -> SeededStore {
         SeededStore::new(64, 2, 7)
@@ -434,7 +436,8 @@ mod tests {
             .expect("corruption is not a read failure");
         assert!(p.verify_checksums().is_ok());
         assert_eq!(plain.corruptions_injected(), 0);
-        // Compressed inner store: the flip lands and verification fails.
+        // A compressed segment underneath: the flip lands and verification
+        // fails.
         let schemes = vec![
             Compression::Pfor {
                 bits: 21,
@@ -442,7 +445,9 @@ mod tests {
             };
             2
         ];
-        let compressed = FaultInjectingStore::new(CompressingStore::new(base(), schemes), cfg);
+        let path = ScratchPath::new("fault_compressed");
+        write_store(&path, &base(), 2, schemes).unwrap();
+        let compressed = FaultInjectingStore::new(FileStore::open(&path).unwrap(), cfg);
         let p = compressed
             .materialize(ChunkId::new(1), None)
             .expect("corruption is not a read failure");
@@ -467,10 +472,7 @@ mod tests {
             }
         }
         let seen = Arc::new(AtomicU64::new(0));
-        let store = FaultInjectingStore::new(
-            CompressingStore::new(Sink(Arc::clone(&seen)), Vec::new()),
-            FaultConfig::default(),
-        );
+        let store = FaultInjectingStore::new(Sink(Arc::clone(&seen)), FaultConfig::default());
         store.recycle(ChunkPayload::Missing);
         assert_eq!(seen.load(Ordering::Relaxed), 1);
         // A store with nothing to reuse takes the default: the payload drops.

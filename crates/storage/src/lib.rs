@@ -20,10 +20,11 @@
 //! is what a pinned chunk hands to the query operators.  Mini-columns may
 //! be stored *compressed*: [`codec`] implements the real PDICT / PFOR /
 //! PFOR-DELTA encoders ([`compression`] keeps the width model they are
-//! validated against), and [`chunkdata::CompressingStore`] wraps any store
-//! so its payloads travel as encoded bytes that decode lazily, a column at
-//! its first touch.  [`segment`] keeps a table on disk: one file, one
-//! checksummed extent per (chunk, column), read by [`segment::FileStore`].
+//! validated against).  [`segment`] keeps a table on disk: one file, one
+//! checksummed extent per (chunk, column), written once by
+//! [`segment::write_store`] and read by [`segment::FileStore`], whose
+//! payloads travel as encoded bytes that decode lazily, a column at its
+//! first touch.
 
 #![warn(missing_docs)]
 
@@ -38,9 +39,7 @@ pub mod scratch;
 pub mod segment;
 pub mod zonemap;
 
-pub use chunkdata::{
-    ChunkData, ChunkPayload, ChunkStore, ColumnChunk, CompressingStore, LazyColumn, SeededStore,
-};
+pub use chunkdata::{ChunkData, ChunkPayload, ChunkStore, ColumnChunk, LazyColumn, SeededStore};
 pub use codec::{checksum64, EncodedColumn};
 pub use compression::Compression;
 pub use fault::{FaultConfig, FaultInjectingStore, FaultOutcome, StoreError};
@@ -48,7 +47,7 @@ pub use ids::{ChunkId, ColumnId, PageId};
 pub use scan::{ChunkRange, ScanRanges};
 pub use schema::{ColumnDef, ColumnType, TableSchema};
 pub use scratch::ScratchPath;
-pub use segment::{FileStore, PreadFile, SegmentIo, SegmentSummary, SegmentWriter};
+pub use segment::{write_store, FileStore, PreadFile, SegmentIo, SegmentSummary, SegmentWriter};
 pub use zonemap::ZoneMap;
 
 use cscan_simdisk::IoRequest;

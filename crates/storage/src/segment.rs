@@ -21,8 +21,8 @@
 //!   [`Compression`] scheme is `None` is stored as raw little-endian `i64`s;
 //!   any other scheme stores the [`EncodedColumn`] byte stream verbatim
 //!   (leading wire-codec tag included), so what travels from disk into the
-//!   buffer pool is *still compressed* and [`CompressingStore`] semantics —
-//!   decode at first touch, never under the scheduler lock — hold end to end.
+//!   buffer pool is *still compressed*: a column decodes at its first
+//!   touch, never under the scheduler lock.
 //! * **Directory (footer)** — per extent: byte offset, byte length, row
 //!   count, [`checksum64`], and a codec id ([`CODEC_PLAIN`] or the encoded
 //!   column's wire tag).  For encoded extents the recorded checksum is the
@@ -107,8 +107,6 @@
 //! the I/O workers.  Every read records the `file_read` span plus the
 //! `file_read_calls` (extents read) / `file_bytes_read` (bytes delivered)
 //! counters on the attached [`Registry`].
-//!
-//! [`CompressingStore`]: crate::chunkdata::CompressingStore
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
@@ -615,6 +613,30 @@ impl SegmentWriter {
     }
 }
 
+/// Writes chunks `0..chunks` of `store`, every column, as a segment file
+/// at `path` with one compression scheme per column, one chunk in memory
+/// at a time: the one way a table that lives in a [`ChunkStore`] becomes a
+/// file that [`FileStore`] serves.
+pub fn write_store(
+    path: impl Into<PathBuf>,
+    store: &dyn ChunkStore,
+    chunks: u32,
+    schemes: Vec<Compression>,
+) -> io::Result<SegmentSummary> {
+    let mut writer = SegmentWriter::create(path, schemes)?;
+    for c in 0..chunks {
+        let payload = store
+            .materialize(ChunkId::new(c), None)
+            .map_err(|e| io::Error::other(format!("chunk {c}: {e}")))?;
+        let ChunkPayload::Data(data) = payload else {
+            return Err(invalid(format!("chunk {c} carries no data")));
+        };
+        let columns: Vec<&[i64]> = data.parts().iter().map(|(_, c)| c.as_slice()).collect();
+        writer.append_chunk(&columns)?;
+    }
+    writer.finish()
+}
+
 // ----------------------------------------------------------------------
 // Reader
 // ----------------------------------------------------------------------
@@ -956,15 +978,29 @@ mod tests {
         ]
     }
 
+    /// The test table as a store, `width` columns of `rows` rows a chunk.
+    struct TestTable {
+        rows: usize,
+        width: u16,
+    }
+
+    impl ChunkStore for TestTable {
+        fn materialize(
+            &self,
+            chunk: ChunkId,
+            cols: Option<&[ColumnId]>,
+        ) -> Result<ChunkPayload, StoreError> {
+            let data = ChunkData::load(cols, self.width, |c| {
+                let values = column_values(chunk.index(), c.index(), self.rows);
+                Ok(ColumnChunk::Plain(Arc::new(values)))
+            })?;
+            Ok(data.into())
+        }
+    }
+
     fn write_segment(path: &Path, chunks: u32, rows: usize, schemes: Vec<Compression>) {
         let width = schemes.len() as u16;
-        let mut w = SegmentWriter::create(path, schemes).unwrap();
-        for chunk in 0..chunks {
-            let cols: Vec<Vec<i64>> = (0..width).map(|c| column_values(chunk, c, rows)).collect();
-            let refs: Vec<&[i64]> = cols.iter().map(|c| c.as_slice()).collect();
-            w.append_chunk(&refs).unwrap();
-        }
-        w.finish().unwrap();
+        write_store(path, &TestTable { rows, width }, chunks, schemes).unwrap();
     }
 
     #[test]

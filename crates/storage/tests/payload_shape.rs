@@ -6,8 +6,9 @@
 //! and a fault injector tears a partial payload exactly as a whole one.
 
 use cscan_storage::{
-    ChunkData, ChunkId, ChunkPayload, ChunkStore, ColumnChunk, ColumnId, CompressingStore,
-    Compression, FaultConfig, FaultInjectingStore, SeededStore, StoreError,
+    write_store, ChunkData, ChunkId, ChunkPayload, ChunkStore, ColumnChunk, ColumnId, Compression,
+    EncodedColumn, FaultConfig, FaultInjectingStore, FileStore, LazyColumn, ScratchPath,
+    SeededStore, StoreError,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -32,7 +33,8 @@ fn part(c: u16, version: i64, compressed: bool) -> ColumnChunk {
         .map(|r| version * 10_000 + c as i64 * 100 + r)
         .collect();
     if compressed {
-        ColumnChunk::encode(&values, pfor21())
+        let encoded = EncodedColumn::encode(&values, pfor21());
+        ColumnChunk::Compressed(Arc::new(LazyColumn::new(encoded)))
     } else {
         ColumnChunk::Plain(Arc::new(values))
     }
@@ -180,18 +182,17 @@ proptest! {
 fn corruption_tears_the_first_compressed_column_of_any_payload() {
     let pfor = pfor21();
     let chunk = ChunkId::new(1);
-    // Column 0 plain, 1 and 2 compressed.  A fresh store per read, so
+    // Column 0 plain, 1 and 2 compressed.  A fresh injector per read, so
     // every read is attempt 0 and rolls the same selector.
+    let path = ScratchPath::new("payload_shape");
+    let schemes = vec![Compression::None, pfor, pfor];
+    write_store(&path, &SeededStore::new(64, 3, 7), 2, schemes).unwrap();
     let read = |cols: Option<&[ColumnId]>| {
         let cfg = FaultConfig {
             corruption_rate: 1.0,
             ..FaultConfig::default()
         };
-        let inner = CompressingStore::new(
-            SeededStore::new(64, 3, 7),
-            vec![Compression::None, pfor, pfor],
-        );
-        let store = FaultInjectingStore::new(inner, cfg);
+        let store = FaultInjectingStore::new(FileStore::open(&path).unwrap(), cfg);
         let payload = store.materialize(chunk, cols).unwrap();
         assert_eq!(store.corruptions_injected(), 1);
         payload

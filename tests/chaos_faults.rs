@@ -2,18 +2,15 @@
 //!
 //! Seeded fault sweeps drive real exec pipelines over the threaded
 //! `ScanServer` with a [`FaultInjectingStore`] underneath — across all four
-//! scheduling policies, both storage layouts (NSM and DSM) and both plain
-//! and compressed payloads.  Transient-only fault streams must be invisible
-//! to results (bit-identical to a fault-free baseline, zero leaked pins or
-//! reservations); a 100%-permanent chunk must surface as a `ScanError` to
+//! scheduling policies, both storage layouts (NSM and DSM) and three
+//! sources: the in-memory table, a plain segment file and a compressed
+//! one.  Transient-only fault streams must be invisible to results
+//! (bit-identical to a fault-free baseline, zero leaked pins or
+//! reservations; in-flight faults heal on retry because the bytes on disk
+//! are clean); a 100%-permanent chunk must surface as a `ScanError` to
 //! exactly the queries that need it while unaffected queries finish
-//! normally.
-//!
-//! The file-backed tests at the bottom run the same machinery over *real*
-//! segment files: a `FaultInjectingStore` wrapping a `FileStore` (in-flight
-//! faults heal on retry because the bytes on disk are clean), and a
-//! genuine on-disk bit flip that must quarantine exactly the damaged chunk
-//! through the install-time checksum.
+//! normally; and a genuine on-disk bit flip must quarantine exactly the
+//! damaged chunk through the install-time checksum.
 
 use cscan_core::policy::PolicyKind;
 use cscan_core::threaded::{CScanHandle, ScanServer};
@@ -25,10 +22,9 @@ use cscan_exec::{
 };
 use cscan_obs::Counter;
 use cscan_storage::{
-    ChunkId, ColumnId, CompressingStore, Compression, FaultConfig, FaultInjectingStore, FileStore,
-    ScanRanges, ScratchPath, StoreError,
+    write_store, ChunkId, ChunkStore, ColumnId, Compression, FaultConfig, FaultInjectingStore,
+    FileStore, ScanRanges, ScratchPath, StoreError,
 };
-use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -45,6 +41,61 @@ enum Layout {
     Dsm,
 }
 
+/// Where a server's chunks come from: the `MemTable` itself, or a segment
+/// file of it, written plain or under the Figure 9 codec mix.
+enum Source {
+    Memory,
+    Segment { path: ScratchPath, compressed: bool },
+}
+
+impl Source {
+    /// The chaos table written as a segment file.
+    fn segment(compressed: bool) -> Source {
+        let path = ScratchPath::new(if compressed {
+            "chaos_comp"
+        } else {
+            "chaos_plain"
+        });
+        let table = lineitem();
+        let schemes = if compressed {
+            MemTable::lineitem_demo_schemes()
+        } else {
+            vec![Compression::None; table.width()]
+        };
+        write_store(&path, &table, table.num_chunks(), schemes).expect("write the segment");
+        Source::Segment { path, compressed }
+    }
+
+    /// Every source: memory, a plain segment, a compressed segment.
+    fn all() -> [Source; 3] {
+        [
+            Source::Memory,
+            Source::segment(false),
+            Source::segment(true),
+        ]
+    }
+
+    fn compressed(&self) -> bool {
+        matches!(
+            self,
+            Source::Segment {
+                compressed: true,
+                ..
+            }
+        )
+    }
+
+    fn name(&self) -> &'static str {
+        match self {
+            Source::Memory => "memory",
+            Source::Segment {
+                compressed: false, ..
+            } => "plain segment",
+            Source::Segment { .. } => "compressed segment",
+        }
+    }
+}
+
 /// Fast retries so the sweep stays quick: the *number* of retries is what
 /// the assertions care about, not their wall-clock spacing.
 fn fast_retry() -> RetryPolicy {
@@ -55,32 +106,35 @@ fn fast_retry() -> RetryPolicy {
     }
 }
 
+/// A threaded server over `FaultInjectingStore(source)`: injected faults
+/// and payload corruption in flight, over the table's generators or real
+/// positioned reads.
 fn faulty_server(
     table: &MemTable,
+    source: &Source,
     policy: PolicyKind,
     layout: Layout,
-    compressed: bool,
     config: FaultConfig,
 ) -> ScanServer {
     let model = match layout {
         Layout::Nsm => TableModel::nsm_uniform(CHUNKS, ROWS_PER_CHUNK, 16),
         Layout::Dsm => TableModel::dsm_uniform(CHUNKS, ROWS_PER_CHUNK, &vec![1; table.width()]),
     };
-    let builder = ScanServer::builder(model)
+    let store: Arc<dyn ChunkStore> = match source {
+        Source::Memory => Arc::new(FaultInjectingStore::new(table.clone(), config)),
+        Source::Segment { path, .. } => {
+            let file = FileStore::open(path).expect("segment must open");
+            Arc::new(FaultInjectingStore::new(file, config))
+        }
+    };
+    ScanServer::builder(model)
         .policy(policy)
         .buffer_chunks(5)
         .io_cost_per_page(Duration::ZERO)
         .io_threads(2)
-        .retry_policy(fast_retry());
-    let builder = if compressed {
-        builder.store(Arc::new(FaultInjectingStore::new(
-            CompressingStore::new(table.clone(), MemTable::lineitem_demo_schemes()),
-            config,
-        )))
-    } else {
-        builder.store(Arc::new(FaultInjectingStore::new(table.clone(), config)))
-    };
-    builder.build()
+        .retry_policy(fast_retry())
+        .store(store)
+        .build()
 }
 
 fn live_source(
@@ -108,26 +162,33 @@ fn baseline_source<'a>(table: &'a MemTable, names: &[&str]) -> ChunkSource<'a> {
     ChunkSource::with_names(table, names, order)
 }
 
-fn all_cases() -> Vec<(PolicyKind, Layout, bool)> {
+/// Every (policy, layout, source) case over `sources`.
+fn all_cases(sources: &[Source]) -> Vec<(PolicyKind, Layout, &Source)> {
     let mut cases = Vec::new();
     for policy in PolicyKind::ALL {
         for layout in [Layout::Nsm, Layout::Dsm] {
-            for compressed in [false, true] {
-                cases.push((policy, layout, compressed));
+            for source in sources {
+                cases.push((policy, layout, source));
             }
         }
     }
     cases
 }
 
-/// The tentpole acceptance sweep: at a ≥10% per-attempt transient fault
-/// rate (plus payload corruption for the compressed cases, caught by the
-/// install-time checksum), every pipeline completes with results
-/// bit-identical to the fault-free baseline, nothing is quarantined, and
-/// no pins or deliveries leak — across 4 policies × 2 layouts × 2 payload
-/// encodings.
-#[test]
-fn transient_fault_sweep_is_bit_identical_to_fault_free_baseline() {
+/// Fault, retry and checksum-failure totals over a transient sweep.
+#[derive(Default)]
+struct SweepTotals {
+    faults: u64,
+    retries: u64,
+    checksum_failures: u64,
+}
+
+/// Runs every (policy, layout, source) case over `sources` at each
+/// `(seed, rate)` transient-only stream (plus payload corruption at 0.10
+/// for compressed sources, caught by the install-time checksum) and
+/// asserts each case's results bit-identical to the fault-free baseline,
+/// nothing quarantined or erred, and no pins or deliveries leaked.
+fn transient_sweep(sources: &[Source], streams: &[(u64, f64)], label: &str) -> SweepTotals {
     let table = lineitem();
     let names = ["l_returnflag", "l_quantity"];
     let aggs = || vec![AggFunc::Count, AggFunc::Sum(1), AggFunc::Max(1)];
@@ -135,71 +196,95 @@ fn transient_fault_sweep_is_bit_identical_to_fault_free_baseline() {
         let mut agg = HashAggregate::new(baseline_source(&table, &names), vec![0], aggs());
         agg.next().unwrap().unwrap()
     };
-    let mut total_faults = 0u64;
-    let mut total_retries = 0u64;
-    let mut total_checksum_failures = 0u64;
-    for (rate_seed, fault_rate) in [(0xC4A0_5A11u64, 0.10), (0xC4A0_5A22, 0.25)] {
-        for (case, (policy, layout, compressed)) in all_cases().into_iter().enumerate() {
+    let mut totals = SweepTotals::default();
+    for &(rate_seed, fault_rate) in streams {
+        for (case, (policy, layout, source)) in all_cases(sources).into_iter().enumerate() {
             let config = FaultConfig {
                 // A different deterministic stream per case.
-                corruption_rate: if compressed { 0.10 } else { 0.0 },
+                corruption_rate: if source.compressed() { 0.10 } else { 0.0 },
                 ..FaultConfig::transient_only(rate_seed ^ case as u64, fault_rate)
             };
-            let server = faulty_server(&table, policy, layout, compressed, config);
+            let server = faulty_server(&table, source, policy, layout, config);
             let src = live_source(
                 &server,
                 &table,
                 &names,
                 layout,
                 ScanRanges::full(CHUNKS),
-                "chaos-q1",
+                label,
             );
+            let case = format!("{policy}/{layout:?}/{}@{fault_rate}", source.name());
             let mut agg = HashAggregate::new(src, vec![0], aggs());
             let live = agg
                 .next()
-                .unwrap_or_else(|e| {
-                    panic!("{policy}/{layout:?}/compressed={compressed}: transient-only stream erred: {e}")
-                })
+                .unwrap_or_else(|e| panic!("{case}: transient-only stream erred: {e}"))
                 .unwrap();
-            assert_eq!(
-                live, reference,
-                "{policy}/{layout:?}/compressed={compressed}@{fault_rate}: results diverged under faults"
-            );
+            assert_eq!(live, reference, "{case}: results diverged under faults");
             assert_eq!(
                 server.metrics().counter(Counter::ChunksQuarantined),
                 0,
-                "{policy}/{layout:?}: transient faults must never quarantine"
+                "{case}: transient faults must never quarantine"
             );
-            assert_eq!(
-                server.metrics().counter(Counter::QueriesErred),
-                0,
-                "{policy}/{layout:?}"
-            );
-            assert_eq!(
-                server.pinned_frames(),
-                0,
-                "{policy}/{layout:?}: leaked pins"
-            );
+            assert_eq!(server.metrics().counter(Counter::QueriesErred), 0, "{case}");
+            assert_eq!(server.pinned_frames(), 0, "{case}: leaked pins");
             assert_eq!(
                 server.metrics().counter(Counter::UnconsumedDrops),
                 0,
-                "{policy}/{layout:?}: leaked deliveries"
+                "{case}: leaked deliveries"
             );
-            total_faults += server.metrics().counter(Counter::LoadFaults);
-            total_retries += server.metrics().counter(Counter::LoadRetries);
-            total_checksum_failures += server.metrics().counter(Counter::ChecksumFailures);
+            totals.faults += server.metrics().counter(Counter::LoadFaults);
+            totals.retries += server.metrics().counter(Counter::LoadRetries);
+            totals.checksum_failures += server.metrics().counter(Counter::ChecksumFailures);
         }
     }
+    totals
+}
+
+/// The acceptance sweep: at a ≥10% per-attempt transient fault rate (plus
+/// payload corruption for the compressed cases, caught by the
+/// install-time checksum), every pipeline completes with results
+/// bit-identical to the fault-free baseline, nothing is quarantined, and
+/// no pins or deliveries leak — across 4 policies × 2 layouts × the
+/// in-memory table and a compressed segment.
+#[test]
+fn transient_fault_sweep_is_bit_identical_to_fault_free_baseline() {
+    let sources = [Source::Memory, Source::segment(true)];
+    let totals = transient_sweep(
+        &sources,
+        &[(0xC4A0_5A11, 0.10), (0xC4A0_5A22, 0.25)],
+        "chaos-q1",
+    );
     assert!(
-        total_faults > 50,
-        "the sweep must actually inject faults (saw {total_faults})"
+        totals.faults > 50,
+        "the sweep must actually inject faults (saw {})",
+        totals.faults
     );
     assert_eq!(
-        total_faults, total_retries,
+        totals.faults, totals.retries,
         "every transient fault is retried, none quarantined"
     );
     assert!(
-        total_checksum_failures > 0,
+        totals.checksum_failures > 0,
+        "corrupted compressed payloads must trip the install-time checksum"
+    );
+}
+
+/// File-backed transient sweep: in-flight faults and corrupted payloads
+/// over a real segment file must heal on retry (the bytes on disk are
+/// clean), leaving results bit-identical to the in-memory baseline across
+/// 4 policies × 2 layouts × plain and compressed segments.
+#[test]
+fn file_backed_transient_faults_recover_bit_identically() {
+    let sources = [Source::segment(false), Source::segment(true)];
+    let totals = transient_sweep(&sources, &[(0xF11E_5EED, 0.15)], "file-chaos-q1");
+    assert!(
+        totals.faults > 20,
+        "the file-backed sweep must actually inject faults (saw {})",
+        totals.faults
+    );
+    assert_eq!(totals.faults, totals.retries, "every fault retried");
+    assert!(
+        totals.checksum_failures > 0,
         "corrupted compressed payloads must trip the install-time checksum"
     );
 }
@@ -221,12 +306,13 @@ fn permanent_chunk_errs_interested_queries_and_spares_the_rest() {
         ))
     };
     assert!(!healthy_reference.is_empty());
-    for (policy, layout, compressed) in all_cases() {
+    let sources = Source::all();
+    for (policy, layout, source) in all_cases(&sources) {
         let config = FaultConfig {
             permanent_chunks: vec![BAD],
             ..FaultConfig::transient_only(0xDEAD_0000 ^ BAD as u64, 0.05)
         };
-        let server = faulty_server(&table, policy, layout, compressed, config);
+        let server = faulty_server(&table, source, policy, layout, config);
         // The doomed query needs the bad chunk.
         let mut doomed = HashAggregate::new(
             live_source(
@@ -246,7 +332,8 @@ fn permanent_chunk_errs_interested_queries_and_spares_the_rest() {
         assert_eq!(
             error,
             ScanError::new(ChunkId::new(BAD), StoreError::Permanent),
-            "{policy}/{layout:?}/compressed={compressed}"
+            "{policy}/{layout:?}/{}",
+            source.name()
         );
         // A query over the healthy prefix is untouched.
         let mut healthy = Filter::new(
@@ -270,7 +357,8 @@ fn permanent_chunk_errs_interested_queries_and_spares_the_rest() {
         assert_eq!(
             sort(&lived),
             sort(&healthy_reference),
-            "{policy}/{layout:?}/compressed={compressed}: healthy results diverged"
+            "{policy}/{layout:?}/{}: healthy results diverged",
+            source.name()
         );
         assert!(
             server.metrics().counter(Counter::ChunksQuarantined) >= 1,
@@ -309,9 +397,9 @@ fn concurrent_chaos_mixes_errors_and_successes_without_leaks() {
     };
     let server = Arc::new(faulty_server(
         &table,
+        &Source::segment(true),
         PolicyKind::Relevance,
         Layout::Nsm,
-        true,
         config,
     ));
     let workers: Vec<_> = (0..8u32)
@@ -365,130 +453,6 @@ fn concurrent_chaos_mixes_errors_and_successes_without_leaks() {
     );
 }
 
-// ----------------------------------------------------------------------
-// File-backed chaos: real segment files under the same fault machinery.
-// ----------------------------------------------------------------------
-
-/// Writes the chaos lineitem table as a segment file and returns its path.
-fn write_segment(tag: &str, compressed: bool) -> ScratchPath {
-    let path = ScratchPath::new(&format!(
-        "chaos_{tag}_{}",
-        if compressed { "comp" } else { "plain" }
-    ));
-    let table = lineitem();
-    let schemes = if compressed {
-        MemTable::lineitem_demo_schemes()
-    } else {
-        vec![Compression::None; table.width()]
-    };
-    table.write_segment(&path, schemes).unwrap();
-    path
-}
-
-/// A threaded server over `FaultInjectingStore(FileStore)`: real positioned
-/// reads underneath, injected faults and payload corruption in flight.
-fn file_backed_server(
-    path: &Path,
-    policy: PolicyKind,
-    layout: Layout,
-    config: FaultConfig,
-) -> ScanServer {
-    let table = lineitem();
-    let model = match layout {
-        Layout::Nsm => TableModel::nsm_uniform(CHUNKS, ROWS_PER_CHUNK, 16),
-        Layout::Dsm => TableModel::dsm_uniform(CHUNKS, ROWS_PER_CHUNK, &vec![1; table.width()]),
-    };
-    let store = FileStore::open(path).expect("segment must open");
-    ScanServer::builder(model)
-        .policy(policy)
-        .buffer_chunks(5)
-        .io_cost_per_page(Duration::ZERO)
-        .io_threads(2)
-        .retry_policy(fast_retry())
-        .store(Arc::new(FaultInjectingStore::new(store, config)))
-        .build()
-}
-
-/// File-backed transient sweep: in-flight faults and corrupted payloads
-/// over a real segment file must heal on retry (the bytes on disk are
-/// clean), leaving results bit-identical to the in-memory baseline across
-/// 4 policies × 2 layouts × 2 encodings.
-#[test]
-fn file_backed_transient_faults_recover_bit_identically() {
-    let table = lineitem();
-    let names = ["l_returnflag", "l_quantity"];
-    let aggs = || vec![AggFunc::Count, AggFunc::Sum(1), AggFunc::Max(1)];
-    let reference = {
-        let mut agg = HashAggregate::new(baseline_source(&table, &names), vec![0], aggs());
-        agg.next().unwrap().unwrap()
-    };
-    let paths = [
-        write_segment("transient", false),
-        write_segment("transient", true),
-    ];
-    let mut total_faults = 0u64;
-    let mut total_retries = 0u64;
-    let mut total_checksum_failures = 0u64;
-    for (case, (policy, layout, compressed)) in all_cases().into_iter().enumerate() {
-        let config = FaultConfig {
-            corruption_rate: if compressed { 0.10 } else { 0.0 },
-            ..FaultConfig::transient_only(0xF11E_5EED ^ case as u64, 0.15)
-        };
-        let server = file_backed_server(&paths[compressed as usize], policy, layout, config);
-        let src = live_source(
-            &server,
-            &table,
-            &names,
-            layout,
-            ScanRanges::full(CHUNKS),
-            "file-chaos-q1",
-        );
-        let mut agg = HashAggregate::new(src, vec![0], aggs());
-        let live = agg
-            .next()
-            .unwrap_or_else(|e| {
-                panic!("{policy}/{layout:?}/compressed={compressed}: file-backed transient stream erred: {e}")
-            })
-            .unwrap();
-        assert_eq!(
-            live, reference,
-            "{policy}/{layout:?}/compressed={compressed}: file-backed results diverged"
-        );
-        assert_eq!(
-            server.metrics().counter(Counter::ChunksQuarantined),
-            0,
-            "{policy}/{layout:?}"
-        );
-        assert_eq!(
-            server.metrics().counter(Counter::QueriesErred),
-            0,
-            "{policy}/{layout:?}"
-        );
-        assert_eq!(
-            server.pinned_frames(),
-            0,
-            "{policy}/{layout:?}: leaked pins"
-        );
-        assert_eq!(
-            server.metrics().counter(Counter::UnconsumedDrops),
-            0,
-            "{policy}/{layout:?}"
-        );
-        total_faults += server.metrics().counter(Counter::LoadFaults);
-        total_retries += server.metrics().counter(Counter::LoadRetries);
-        total_checksum_failures += server.metrics().counter(Counter::ChecksumFailures);
-    }
-    assert!(
-        total_faults > 20,
-        "the file-backed sweep must actually inject faults (saw {total_faults})"
-    );
-    assert_eq!(total_faults, total_retries, "every fault retried");
-    assert!(
-        total_checksum_failures > 0,
-        "corrupted compressed payloads must trip the install-time checksum"
-    );
-}
-
 /// The targeted bit-flip: damage one byte of one compressed extent *on
 /// disk*.  Every read attempt re-reads the same damaged bytes, so the
 /// install-time checksum fails deterministically, the retry budget
@@ -500,18 +464,21 @@ fn on_disk_bit_flip_quarantines_only_the_damaged_chunk() {
     const BAD: u32 = 5;
     let table = lineitem();
     let names = ["l_orderkey", "l_quantity"];
-    let path = write_segment("bitflip", true);
+    let source = Source::segment(true);
+    let Source::Segment { path, .. } = &source else {
+        unreachable!("a segment source");
+    };
     // Locate the l_quantity extent of the bad chunk via the footer
     // directory and flip a mid-extent byte on disk.
     let qty = ColumnId::new(table.column_index("l_quantity").unwrap() as u16);
     let extent = {
-        let store = FileStore::open(&path).unwrap();
+        let store = FileStore::open(path).unwrap();
         *store.directory().extent(ChunkId::new(BAD), qty).unwrap()
     };
     let flip_at = (extent.offset + extent.len / 2) as usize;
-    let mut bytes = std::fs::read(&path).unwrap();
+    let mut bytes = std::fs::read(path).unwrap();
     bytes[flip_at] ^= 0x10;
-    std::fs::write(&path, &bytes).unwrap();
+    std::fs::write(path, &bytes).unwrap();
 
     let healthy_reference = {
         let order = (0..BAD).map(ChunkId::new).collect();
@@ -519,7 +486,7 @@ fn on_disk_bit_flip_quarantines_only_the_damaged_chunk() {
     };
     for policy in PolicyKind::ALL {
         // No injected faults: the only fault is the real damage on disk.
-        let server = file_backed_server(&path, policy, Layout::Nsm, FaultConfig::default());
+        let server = faulty_server(&table, &source, policy, Layout::Nsm, FaultConfig::default());
         let mut doomed = HashAggregate::new(
             live_source(
                 &server,
