@@ -21,9 +21,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// The ceiling on the recording's share of the consume loop.  On a shared
-/// 2-core VM the gate reads 0.010–0.012, and 0.049–0.059 with a lock and
-/// a formatted `String` in `Registry::add` and `QueryScope::add`.
-const MAX_RECORDING_FRAC: f64 = 0.025;
+/// 2-core VM the gate reads 0.010–0.014, 0.016–0.024 with an uncontended
+/// lock alone in `Registry::add`, and 0.049–0.059 with a lock and a
+/// formatted `String` in `Registry::add` and `QueryScope::add`.
+const MAX_RECORDING_FRAC: f64 = 0.015;
 
 /// A threaded server recording into `registry` over `chunks` chunks of
 /// `rows` rows, its table made resident by one warm-up scan, and the plan

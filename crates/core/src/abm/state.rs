@@ -335,13 +335,6 @@ impl AbmState {
         self.buffered.get(chunk.as_usize()).and_then(|b| b.as_ref())
     }
 
-    /// The payload of `chunk`, if resident, for tests that damage it.
-    #[cfg(test)]
-    pub(crate) fn payload_mut(&mut self, chunk: ChunkId) -> Option<&mut ChunkPayload> {
-        let b = self.buffered.get_mut(chunk.as_usize())?.as_mut()?;
-        Some(&mut b.payload)
-    }
-
     /// The buffer's pin, install and eviction counters.
     pub fn frame_stats(&self) -> PoolStats {
         self.frames
@@ -835,7 +828,7 @@ impl AbmState {
     /// If the query was still processing a chunk (a `PinnedChunk` is
     /// outstanding), that chunk's pin is deliberately *left in place* so the
     /// frame cannot be evicted under the reader; the driver returns it later
-    /// through [`Self::finish_processing`] or [`Self::abandon_processing`].
+    /// through [`Self::finish_processing`].
     pub(crate) fn remove_query(&mut self, id: QueryId) -> QueryState {
         let idx = self
             .query_index(id)
@@ -1125,19 +1118,6 @@ impl AbmState {
             let available = self.queries[idx].available;
             debug_assert!(available > 0, "{q:?} consumed {chunk:?} unavailable");
             self.set_available(idx, available - 1);
-        }
-        self.release_pin(q, chunk);
-        self.debug_validate();
-    }
-
-    /// Un-starts `q`'s processing of `chunk` *without* consuming it: the
-    /// pin returns but interest and availability stay untouched, so the
-    /// chunk will be chosen for `q` again.  Used when a delivered payload
-    /// fails checksum verification and must be re-loaded.  If `q` was
-    /// removed meanwhile, only the pin it left returns.
-    pub(crate) fn abandon_processing(&mut self, q: QueryId, chunk: ChunkId) {
-        if let Some(idx) = self.processing(q, chunk) {
-            self.queries[idx].abandon_processing(chunk);
         }
         self.release_pin(q, chunk);
         self.debug_validate();

@@ -205,23 +205,6 @@ impl QueryState {
         self.processing = Some(chunk);
     }
 
-    /// Un-starts processing of `chunk` *without* consuming it: the pin is
-    /// being returned because the delivered payload could not be used (it
-    /// failed checksum verification), so the chunk stays needed and will be
-    /// delivered again after a re-load.
-    ///
-    /// # Panics
-    /// Panics if the query was not processing `chunk`.
-    pub fn abandon_processing(&mut self, chunk: ChunkId) {
-        assert_eq!(
-            self.processing,
-            Some(chunk),
-            "{:?} was not processing {chunk:?}",
-            self.id
-        );
-        self.processing = None;
-    }
-
     /// Marks the end of processing of `chunk`; the chunk is no longer needed.
     ///
     /// # Panics

@@ -9,10 +9,9 @@ use std::time::Duration;
 /// corrupted) are retried up to `max_attempts` times with exponential
 /// backoff; a permanent error — or exhausting the attempt budget —
 /// quarantines the chunk.  The scheduler core applies it
-/// ([`crate::sched::Scheduler::load_failed`], and the same budget for
-/// deliveries rejected at pin, [`crate::sched::Scheduler::reject`]); the
-/// backoff it returns is a wall-clock [`Duration`] the threaded executor's
-/// I/O worker sleeps with no lock held (the simulation injects no faults).
+/// ([`crate::sched::Scheduler::load_failed`]); the backoff it returns is a
+/// wall-clock [`Duration`] the threaded executor's I/O worker sleeps with
+/// no lock held (the simulation injects no faults).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total read attempts allowed per load (including the first).

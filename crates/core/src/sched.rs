@@ -1,5 +1,5 @@
 //! The scheduler core: the Active Buffer Manager's decisions — grant,
-//! plan, commit, release, reject and close — made in one place for both
+//! plan, commit, release and close — made in one place for both
 //! front-ends, and what a failed load does.
 //!
 //! [`Scheduler`] is the paper's ABM (Figure 3) as one component: it holds
@@ -15,9 +15,8 @@
 //! * [`Effect::Grant`] — the policy chose a resident chunk for a query
 //!   (`selectChunk`), and the core pinned it and cloned its payload for it;
 //! * [`Effect::Closed`] — a query is over and deregistered: it consumed
-//!   every chunk it needs or as many as its limit allows, it detached, a
-//!   chunk it needs failed for good, or its deliveries of one were
-//!   rejected past the retry budget ([`Scheduler::reject`]) (the error);
+//!   every chunk it needs or as many as its limit allows, it detached, or
+//!   a chunk it needs failed for good (the error);
 //! * [`Effect::Quarantined`] — a chunk failed for good: a permanent error
 //!   or a spent retry budget ([`Scheduler::load_failed`]), or a plan of a
 //!   chunk that already had ([`Scheduler::plan`]); the queries that needed
@@ -123,12 +122,10 @@ pub struct QueryTotals {
     pub blocked: SimDuration,
 }
 
-/// A registered query: the driver's value, the chunk limit and the
-/// deliveries rejected at pin since its last release.
+/// A registered query: the driver's value and the chunk limit.
 struct Entry<T> {
     to: T,
     limit: Option<u32>,
-    rejections: u32,
 }
 
 /// The ABM's state and policy, the retry policy, the quarantine map and
@@ -237,14 +234,7 @@ impl<T: Clone> Scheduler<T> {
             .register_query(q, plan.label.clone(), ranges, columns, now);
         self.policy.on_register(q, &self.state);
         let limit = plan.limit_chunks;
-        self.queries.insert(
-            q,
-            Entry {
-                to,
-                limit,
-                rejections: 0,
-            },
-        );
+        self.queries.insert(q, Entry { to, limit });
         self.grant(q, now);
         self.inputs_changed();
         q
@@ -436,34 +426,7 @@ impl<T: Clone> Scheduler<T> {
     /// plan needs its pages.
     pub fn release(&mut self, q: QueryId, chunk: ChunkId, now: SimTime) {
         self.state.finish_processing(q, chunk);
-        if let Some(entry) = self.queries.get_mut(&q) {
-            entry.rejections = 0;
-        }
         self.grant(q, now);
-        self.inputs_changed();
-    }
-
-    /// Returns `q`'s pin of `chunk` *without* consuming it, because its
-    /// payload proved unusable (`cause`): the chunk stays needed, and it is
-    /// evicted unless another pin holds it, so the next load fetches fresh
-    /// bytes.  `q` is matched again — unless this was its
-    /// [`RetryPolicy::max_attempts`]-th rejection since its last release,
-    /// which closes it with `ScanError { chunk, cause }`.
-    pub fn reject(&mut self, q: QueryId, chunk: ChunkId, cause: StoreError, now: SimTime) {
-        self.state.abandon_processing(q, chunk);
-        if self.state.is_evictable(chunk) {
-            self.state.evict(chunk);
-        }
-        let budget = self.retry.max_attempts.max(1);
-        let spent = self.queries.get_mut(&q).is_some_and(|entry| {
-            entry.rejections += 1;
-            entry.rejections >= budget
-        });
-        if spent {
-            self.close(q, Some(ScanError { chunk, cause }));
-        } else {
-            self.grant(q, now);
-        }
         self.inputs_changed();
     }
 

@@ -1,21 +1,21 @@
 //! Property tests of the scheduler core, driven the way both front-ends
 //! drive it: the one random-op driver of the core.
 //!
-//! Random register, plan, load, commit, release, reject, failed-read, close
-//! and forced-eviction steps run on a [`Scheduler`] with a three-attempt
+//! Random register, plan, load, commit, release, failed-read, close and
+//! forced-eviction steps run on a [`Scheduler`] with a three-attempt
 //! [`RetryPolicy`] and a budget of 1–6 loads in flight, over a row store or
 //! a column store of groups of 1, 2 and 3 pages.  The test is the driver:
 //! it holds the loads in flight, the grants (a closed query's stays a pin
 //! until released) and a reference of the buffer, per chunk the load each
 //! resident column came from (a tag in its data).  After every step:
 //!
-//! * each chunk a query needs is granted once (a rejected one again), never
-//!   to a closed query, one holding a grant or one past its limit, and a
-//!   query closed without an error or a detach is done;
+//! * each chunk a query needs is granted once, never to a closed query,
+//!   one holding a grant or one past its limit, and a query closed
+//!   without an error or a detach is done;
 //! * the buffer is the reference — columns, data, pins, payloads let go of,
 //!   frame counters predicted from the steps, gauges — and only a plan
-//!   (dead columns, then the victims it lists), a rejection (unless pinned
-//!   or loading) or a forced eviction takes from it, never a pinned chunk;
+//!   (dead columns, then the victims it lists) or a forced eviction takes
+//!   from it, never a pinned chunk;
 //! * at most the budget is in flight, no two loads of a chunk, no ticket
 //!   twice, their pages reserved, each of a chunk some query needs: a
 //!   commit never installs one nobody needs, nor is stale right after its
@@ -24,10 +24,9 @@
 //!   first permanent failure, which quarantines the chunk and closes, with
 //!   its error, exactly the queries that need it; a dead ticket's failure
 //!   changes nothing, and no load of a quarantined chunk reaches the driver;
-//! * a query's third rejected delivery since its last release closes it;
 //! * no plan finds a load while no query misses a chunk, and a
-//!   registration, release, rejection or close that leaves one missing
-//!   says so ([`Effect::InputsChanged`]).
+//!   registration, release or close that leaves one missing says so
+//!   ([`Effect::InputsChanged`]).
 //!
 //! Drained, nothing is left.  Each sequence runs twice on the core, which
 //! must replay its decisions, and once on a core over the reference of the
@@ -57,7 +56,7 @@ use std::time::Duration;
 
 pub(crate) type Checked<T = ()> = Result<T, TestCaseError>;
 
-/// Three attempts a load, three rejected deliveries a query.
+/// Three attempts a load.
 const RETRY: RetryPolicy = RetryPolicy {
     max_attempts: 3,
     backoff_base: Duration::from_micros(10),
@@ -88,8 +87,6 @@ pub(crate) enum Op {
     Commit { i: u8 },
     /// The `i`-th held grant is released.
     Release { i: u8 },
-    /// The `i`-th held grant is rejected as unreadable.
-    Reject { i: u8 },
     /// A read of the `i`-th load in flight fails, for good if `permanent`.
     Fail { i: u8, permanent: bool },
     /// The `i`-th open query detaches.
@@ -100,17 +97,17 @@ pub(crate) enum Op {
 
 /// How often each op comes up, in [`Op`]'s order, and the longest scan.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Mix([u32; 9], u32);
+pub(crate) struct Mix([u32; 8], u32);
 
 /// Every op, pipeline and consumption steps outnumbering query churn.
-const EVERY_OP: Mix = Mix([2, 3, 1, 3, 5, 1, 2, 1, 1], 40);
+const EVERY_OP: Mix = Mix([2, 3, 1, 3, 5, 2, 1, 1], 40);
 
 /// Registrations, detaches, out-of-order completions and releases.
-pub(crate) const PIPELINE: Mix = Mix([1, 0, 0, 2, 1, 0, 0, 1, 0], 40);
+pub(crate) const PIPELINE: Mix = Mix([1, 0, 0, 2, 1, 0, 1, 0], 40);
 
-/// Short scans, loads committed at once, releases, rejections and forced
-/// evictions: pressure on the buffer.
-const BUFFER: Mix = Mix([1, 0, 1, 0, 1, 1, 0, 0, 1], 3);
+/// Short scans, loads committed at once, releases and forced evictions:
+/// pressure on the buffer.
+const BUFFER: Mix = Mix([1, 0, 1, 0, 1, 0, 0, 1], 3);
 
 /// `len` ops drawn from `mix`.
 pub(crate) fn arb_ops(mix: Mix, len: Range<usize>) -> impl Strategy<Value = Vec<Op>> {
@@ -119,7 +116,7 @@ pub(crate) fn arb_ops(mix: Mix, len: Range<usize>) -> impl Strategy<Value = Vec<
     let register = (0u32..64, 1..=max_len, 0u8..8, 0u8..10);
     let op = (0..total, register, any::<u8>(), 0u8..4).prop_map(move |(pick, reg, i, fail)| {
         let ((start, len, cols, limit), permanent) = (reg, fail == 0);
-        match (0..9).find(|&k| pick < weights[..=k].iter().sum()).unwrap() {
+        match (0..8).find(|&k| pick < weights[..=k].iter().sum()).unwrap() {
             0 => Op::Register {
                 start,
                 len,
@@ -130,9 +127,8 @@ pub(crate) fn arb_ops(mix: Mix, len: Range<usize>) -> impl Strategy<Value = Vec<
             2 => Op::Load,
             3 => Op::Commit { i },
             4 => Op::Release { i },
-            5 => Op::Reject { i },
-            6 => Op::Fail { i, permanent },
-            7 => Op::Close { i },
+            5 => Op::Fail { i, permanent },
+            6 => Op::Close { i },
             _ => Op::Evict,
         }
     });
@@ -193,8 +189,6 @@ struct Open {
     columns: ColSet,
     limit: Option<u32>,
     holds: bool,
-    /// Deliveries rejected since its last release.
-    rejections: u32,
     /// Whether the driver closed it.
     detached: bool,
 }
@@ -207,8 +201,6 @@ enum Leaves {
     /// freed, and lists it nowhere); with each chunk's live columns before
     /// the plan.
     Room(Vec<ChunkId>, bool, Vec<ColSet>),
-    /// The rejected chunk, if nothing pins or loads it.
-    Rejected(ChunkId, bool),
     /// One chunk, if the forced eviction took one.
     Forced(bool),
 }
@@ -291,18 +283,16 @@ impl Driver {
         self.clock += 1;
         let now = SimTime::from_micros(self.clock * 5);
         self.outcome = Outcome::default();
-        // A close the step must make (a spent rejection budget), and a
-        // failure that must change nothing (a retry, or a dead ticket's).
-        let (mut must_err, mut must_keep) = (None, false);
+        // A failure that must change nothing (a retry, or a dead ticket's).
+        let mut must_keep = false;
         let registers = self.open.len() < self.kept + MAX_OPEN;
         let returns = self.held.len() > self.kept;
         let changes_inputs = match op {
             Op::Register { .. } => registers,
-            Op::Release { .. } | Op::Reject { .. } => returns,
+            Op::Release { .. } => returns,
             Op::Close { .. } => !self.open.is_empty(),
             _ => false,
         };
-        let open_before = self.open.len();
         let room = self.budget - self.core.state().num_inflight();
         match *op {
             Op::Register {
@@ -338,23 +328,6 @@ impl Driver {
             Op::Release { i } if returns => {
                 let at = self.kept + usize::from(i) % (self.held.len() - self.kept);
                 self.release(at, now)?;
-            }
-            Op::Reject { i } if returns => {
-                let at = self.kept + usize::from(i) % (self.held.len() - self.kept);
-                let (q, chunk) = self.held.remove(at);
-                self.stats.unpins += 1;
-                let cause = StoreError::Corrupted;
-                if let Some(open) = self.open.get_mut(&q) {
-                    open.holds = false;
-                    open.rejections += 1;
-                    if open.rejections >= RETRY.max_attempts {
-                        must_err = Some((q, ScanError { chunk, cause }));
-                    }
-                }
-                let pinned = self.held.iter().any(|&(_, h)| h == chunk);
-                let goes = !pinned && !self.core.state().is_inflight(chunk);
-                self.core.reject(q, chunk, cause, now);
-                self.settle(Leaves::Rejected(chunk, goes), Vec::new())?;
             }
             Op::Fail { i, permanent } if !self.pending.is_empty() => {
                 let at = usize::from(i) % self.pending.len();
@@ -410,17 +383,10 @@ impl Driver {
             let spared = self.open.values().any(|open| needs(open, chunk));
             prop_assert!(!spared, "a query that needs {:?} outlived it", chunk);
         }
-        // Nothing but a quarantine or a spent rejection budget errs a query,
-        // and a rejection within the budget closes nothing.
+        // Nothing but a quarantine errs a query.
         for (q, error) in &outcome.erred {
             let quarantined = outcome.quarantined.iter().any(|&(c, _)| c == error.chunk);
-            let rejected = must_err == Some((*q, *error));
-            prop_assert!(quarantined || rejected, "{:?} erred with {:?}", q, error);
-        }
-        if let Some((q, error)) = must_err {
-            prop_assert_eq!(outcome.erred.get(&q), Some(&error), "{:?}'s budget", q);
-        } else if let Op::Reject { .. } = op {
-            prop_assert_eq!(self.open.len(), open_before, "a rejection closed a query");
+            prop_assert!(quarantined, "{:?} erred with {:?}", q, error);
         }
         Ok(())
     }
@@ -515,7 +481,6 @@ impl Driver {
         if let Some(open) = self.open.get_mut(&q) {
             prop_assert!(open.consumed.insert(chunk), "{:?} consumed twice", chunk);
             open.holds = false;
-            open.rejections = 0;
         }
         self.core.release(q, chunk, now);
         self.settle(Leaves::Nothing, Vec::new())
@@ -737,10 +702,6 @@ impl Driver {
                     prop_assert_eq!(kept.count(), 0, "a listed victim stayed");
                 }
             }
-            &Leaves::Rejected(chunk, goes) => {
-                let expected = if goes { vec![chunk] } else { vec![] };
-                prop_assert_eq!(gone, expected, "the rejected chunk");
-            }
             &Leaves::Forced(evicted) => {
                 prop_assert_eq!(gone.len(), usize::from(evicted), "a forced eviction");
                 let free =
@@ -909,9 +870,9 @@ proptest! {
 }
 
 proptest! {
-    /// Any script of registrations, loads, releases, rejections and
-    /// evictions — and the grants the core makes at each — over any chunk
-    /// count and buffer size, under every policy.
+    /// Any script of registrations, loads, releases and evictions — and
+    /// the grants the core makes at each — over any chunk count and buffer
+    /// size, under every policy.
     #[test]
     fn pool_matches_reference_model(
         policy in arb_policy(),
@@ -925,8 +886,8 @@ proptest! {
     }
 
     /// Chunks pinned by grants that are never returned stay resident, with
-    /// their pins and their data, through every load, eviction and
-    /// rejection the other chunks see.
+    /// their pins and their data, through every load and eviction the
+    /// other chunks see.
     #[test]
     fn pinned_pages_survive_pressure(
         policy in arb_policy(),

@@ -23,9 +23,9 @@
 //! the pin releases it and tells the scheduler the chunk was consumed.
 //!
 //! A payload may arrive *compressed* (encoded PDICT/PFOR/PFOR-DELTA
-//! mini-columns).  The server verifies every still-encoded column's
-//! checksum when it pins the chunk, and decodes nothing: a column is
-//! decoded when a consumer first touches it through
+//! mini-columns).  The server verifies every encoded column's checksum
+//! when the load installs it, and decodes nothing: a column is decoded
+//! when a consumer first touches it through
 //! [`PinnedChunk::column`] / [`PinnedChunk::shared_column`] — once per
 //! residency, on the consumer's thread, under no executor lock — so a plan
 //! pays for the columns it reads and for no others.  The views returned are
@@ -167,9 +167,9 @@ impl PinnedChunk {
 
     /// [`PinnedChunk::column`], telling "the payload does not carry the
     /// column" (`Ok(None)`) from "its bytes cannot be decoded" (`Err`).
-    /// The bytes passed their checksum when the chunk was pinned, so the
-    /// latter is a malformed body: the codec's panic is contained here, the
-    /// scan is closed, and this error is what its next
+    /// The bytes passed their checksum when the load installed them, so
+    /// the latter is a malformed body: the codec's panic is contained
+    /// here, the scan is closed, and this error is what its next
     /// [`ScanSession::next_chunk`] returns too.
     pub fn try_column(&self, col: ColumnId) -> Result<Option<&[i64]>, ScanError> {
         Ok(self.touch(col)?.map(ColumnChunk::as_slice))

@@ -28,13 +28,12 @@
 //!
 //! Payloads may arrive *compressed* (a [`cscan_storage::FileStore`] reads
 //! a segment's PDICT / PFOR / PFOR-DELTA extents as encoded bytes on the
-//! I/O worker): every pin of a payload that
-//! still holds encoded bytes verifies their checksums, and a column is
-//! decoded — once per residency — when a consumer **first touches** it
-//! through [`PinnedChunk::column`], with no executor lock held (the codec
-//! debug-asserts this).  Decode time is accounted as pin-wait and surfaced
-//! separately (the `decode_nanos` and `values_decoded` counters of
-//! [`ScanServer::metrics`]).
+//! I/O worker): their checksums are verified once, when the load installs
+//! them, and a column is decoded — once per residency — when a consumer
+//! **first touches** it through [`PinnedChunk::column`], with no executor
+//! lock held (the codec debug-asserts this).  Decode time is accounted as
+//! pin-wait and surfaced separately (the `decode_nanos` and
+//! `values_decoded` counters of [`ScanServer::metrics`]).
 //!
 //! # Concurrency architecture
 //!
@@ -412,11 +411,11 @@ impl Shared {
     /// same column (0 values for the loser) — so both are pin-wait; only
     /// the winner's work counts as decode output.
     ///
-    /// The bytes passed their checksum at pin, so a codec panic here means
-    /// a malformed body, and reading it again would panic again: the panic
-    /// is contained, nothing is retried, and the scan that touched the
-    /// column ends with [`StoreError::Corrupted`].  Scans that do not touch
-    /// it are unaffected.
+    /// The bytes passed their checksum at install, so a codec panic here
+    /// means a malformed body, and reading it again would panic again: the
+    /// panic is contained, nothing is retried, and the scan that touched
+    /// the column ends with [`StoreError::Corrupted`].  Scans that do not
+    /// touch it are unaffected.
     pub(crate) fn decode_column(
         &self,
         query: QueryId,
@@ -641,10 +640,11 @@ impl ScanServerBuilder {
         self
     }
 
-    /// Sets the bounded-retry policy for failed chunk reads and rejected
-    /// deliveries (default: [`RetryPolicy::default`] — 8 attempts with
-    /// exponential backoff), which the scheduler core applies.  Retries
-    /// sleep real time on the I/O worker, with no lock held.
+    /// Sets the bounded-retry policy for failed chunk reads, a checksum
+    /// mismatch at install among them (default: [`RetryPolicy::default`] —
+    /// 8 attempts with exponential backoff), which the scheduler core
+    /// applies.  Retries sleep real time on the I/O worker, with no lock
+    /// held.
     pub fn retry_policy(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
         self
@@ -1092,97 +1092,53 @@ impl CScanHandle {
     /// slot empty, so a deposit either precedes the check (and is
     /// returned) or follows the store (and fires the waker).
     ///
-    /// If the chunk's payload still holds encoded columns, their checksums
-    /// are verified — with no executor lock held — before it is returned; a
-    /// mismatch rejects the delivery: the torn frame is dropped and the
-    /// chunk re-fetched from the store.  Decoding waits for the consumer to
-    /// touch a column ([`PinnedChunk::column`]); that time is accounted as
+    /// A chunk's encoded columns are returned as installed, their checksums
+    /// verified once by the load.  Decoding waits for the consumer to touch
+    /// a column ([`PinnedChunk::column`]); that time is accounted as
     /// pin-wait (and separately as the `decode_nanos` counter).
     pub fn poll_next_chunk(
         &self,
         cx: &mut Context<'_>,
     ) -> Result<Poll<Option<PinnedChunk>>, ScanError> {
-        loop {
-            let mut st = self.slot.lock();
-            if let Some(error) = st.error {
-                drop(st);
-                return Err(self.surface(error));
-            }
-            let Some((chunk, payload)) = st.grant.take() else {
-                if st.closed
-                    || self.finished.load(Ordering::Acquire)
-                    || self.shared.shutdown.load(Ordering::Acquire)
-                {
-                    return Ok(Poll::Ready(None));
-                }
-                if !st.wakers.iter().any(|w| w.will_wake(cx.waker())) {
-                    st.wakers.push(cx.waker().clone());
-                }
-                return Ok(Poll::Pending);
-            };
+        let mut st = self.slot.lock();
+        if let Some(error) = st.error {
             drop(st);
-            // `None` is a rejected delivery: look again.
-            if let Some(pin) = self.consume_grant(chunk, payload) {
-                return Ok(Poll::Ready(Some(pin)));
-            }
+            return Err(self.surface(error));
         }
+        let Some((chunk, payload)) = st.grant.take() else {
+            if st.closed
+                || self.finished.load(Ordering::Acquire)
+                || self.shared.shutdown.load(Ordering::Acquire)
+            {
+                return Ok(Poll::Ready(None));
+            }
+            if !st.wakers.iter().any(|w| w.will_wake(cx.waker())) {
+                st.wakers.push(cx.waker().clone());
+            }
+            return Ok(Poll::Pending);
+        };
+        drop(st);
+        Ok(Poll::Ready(Some(self.consume_grant(chunk, payload))))
     }
 
-    /// Turns a taken grant into a [`PinnedChunk`] — the payload it carries,
-    /// checksums verified, per-query metrics — or rejects the delivery
-    /// (`None`) through the core, which evicts the torn frame and
-    /// re-requests the chunk, or closes the scan with the error once the
-    /// retry budget is spent ([`Scheduler::reject`]).
-    /// Nothing is decoded here: a column decodes when the consumer first
-    /// touches it ([`PinnedChunk::column`]).
-    fn consume_grant(&self, chunk: ChunkId, payload: ChunkPayload) -> Option<PinnedChunk> {
-        // Verify at pin: every column that is still encoded bytes is
-        // checked against its recorded checksum (the second integrity
-        // point, after install) before a consumer can decode it — outside
-        // every executor lock, and under catch_unwind so a panic is
-        // contained as a rejected delivery, not an unwinding consumer.
-        // A plain or fully decoded payload skips straight past this.
-        if !payload.is_fully_decoded() {
-            let started = Instant::now();
-            let verdict = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                payload.verify_checksums()
-            }))
-            .unwrap_or_else(|_panic| {
-                self.shared.worker_panicked(chunk.index(), self.query.0);
-                Err(StoreError::Corrupted)
-            });
-            self.scope
-                .record_pin_wait(started.elapsed().as_nanos() as u64);
-            if let Err(cause) = verdict {
-                // The installed bytes are torn: reject the delivery
-                // *without* consuming — the chunk stays needed — evict the
-                // poisoned frame, and let the caller loop back so a fresh
-                // load fetches clean bytes — or, the retry budget spent,
-                // finds the scan's error.  This is the rare recovery path,
-                // so taking the scheduler lock here is fine.
-                self.shared.obs.inc(Counter::ChecksumFailures);
-                self.shared
-                    .obs
-                    .event(EventKind::ChecksumFailure, chunk.index(), self.query.0, 0);
-                self.shared
-                    .lock_sched()
-                    .core
-                    .reject(self.query, chunk, cause, self.shared.now());
-                return None;
-            }
-        }
+    /// Turns a taken grant into a [`PinnedChunk`]: the payload it carries
+    /// and the per-query metrics.  Nothing is verified or decoded here: the
+    /// bytes passed their checksums when the load installed them, and a
+    /// column decodes when the consumer first touches it
+    /// ([`PinnedChunk::column`]).
+    fn consume_grant(&self, chunk: ChunkId, payload: ChunkPayload) -> PinnedChunk {
         self.scope
             .record_first_chunk(self.attached.elapsed().as_nanos() as u64);
         self.scope.add(QueryCounter::ChunksDelivered, 1);
         self.scope
             .add(QueryCounter::RowsDelivered, payload.rows() as u64);
-        Some(PinnedChunk::new(
+        PinnedChunk::new(
             self.query,
             chunk,
             payload,
             Arc::clone(&self.shared),
             Arc::clone(&self.scope),
-        ))
+        )
     }
 
     /// Returns the scan's failure; the first consumer to find it dumps the
@@ -2576,7 +2532,7 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Compressed payloads: verify at pin, decode at first touch.
+    // Compressed payloads: verify at install, decode at first touch.
     // ------------------------------------------------------------------
 
     use cscan_storage::{write_store, Compression, FileStore, ScratchPath};
@@ -2699,10 +2655,10 @@ mod tests {
         );
     }
 
-    /// Verify at pin, decode at first touch: a plan pays for the columns it
-    /// reads.  Six compressed columns, a consumer that reads two — exactly
-    /// two columns' worth of values is decoded, and the other four are
-    /// still encoded bytes in the buffer when the scan is over.
+    /// Verify at install, decode at first touch: a plan pays for the
+    /// columns it reads.  Six compressed columns, a consumer that reads two
+    /// — exactly two columns' worth of values is decoded, and the other
+    /// four are still encoded bytes in the buffer when the scan is over.
     #[test]
     fn only_the_columns_a_consumer_touches_are_decoded() {
         const CHUNKS: u32 = 6;
@@ -3231,7 +3187,7 @@ mod tests {
             .next_chunk()
             .expect("corruption must be retried away")
         {
-            // Every delivered value survived two checksum points bit-exact.
+            // Every delivered value survived the install-time checksum bit-exact.
             for c in 0..2u16 {
                 let col = ColumnId::new(c);
                 let values = pin.column(col).expect("column present");
@@ -3251,105 +3207,12 @@ mod tests {
         assert_eq!(counter(&server, Counter::UnconsumedDrops), 0);
     }
 
-    /// The full torn-frame lifecycle: a cached chunk's payload fails its
-    /// checksum when it is pinned, the delivery is rejected without
-    /// consuming, the poisoned frame is evicted, and the re-load
-    /// re-installs clean bytes, which then decode.  A grant carries the
-    /// payload it pinned, so the frame is torn while it sits in the
-    /// buffer with no grant on it, before the scan that will pin it
-    /// registers.
-    #[test]
-    fn torn_frame_is_rejected_re_loaded_and_re_decoded() {
-        const ROWS: u64 = 128;
-        let model = TableModel::nsm_uniform(1, ROWS, 16);
-        let inner = SeededStore::new(ROWS, 1, 23);
-        let store = compressed(&inner, 1, vec![pfor21()]);
-        let server = ScanServer::builder(model.clone())
-            .policy(PolicyKind::Relevance)
-            .buffer_chunks(1)
-            .io_cost_per_page(Duration::ZERO)
-            .store(Arc::new(store))
-            .watched();
-        let scan = || {
-            server.cscan(CScanPlan::new(
-                "lifecycle",
-                ScanRanges::full(1),
-                model.all_columns(),
-            ))
-        };
-        // A first scan loads the chunk and releases it without touching
-        // its column: the cached frame still holds encoded bytes.
-        let first = scan();
-        first
-            .next_chunk()
-            .unwrap()
-            .expect("the one chunk")
-            .complete();
-        first.finish();
-        assert_eq!(server.compressed_frames(), 1);
-        tear_resident_frame(&server, ChunkId::new(0));
-        // The second scan is granted the torn frame at registration.  The
-        // pin fails verification, rejects the delivery, and the retry
-        // delivers the re-loaded clean payload — all inside one call.
-        let handle = scan();
-        let pin = handle
-            .next_chunk()
-            .expect("the torn frame must be recovered, not fatal")
-            .expect("the chunk is still needed");
-        let values = pin.column(ColumnId::new(0)).expect("decoded after re-load");
-        for (row, &v) in values.iter().enumerate() {
-            assert_eq!(v, inner.value(pin.chunk(), row as u64, ColumnId::new(0)));
-        }
-        pin.complete();
-        assert!(handle.next_chunk().unwrap().is_none());
-        assert!(
-            counter(&server, Counter::ChecksumFailures) >= 1,
-            "the pin-time verification must have fired"
-        );
-        assert!(
-            server.io_requests() >= 2,
-            "recovery requires a fresh load of the chunk"
-        );
-        assert_eq!(counter(&server, Counter::ChunksQuarantined), 0);
-        assert_eq!(server.pinned_frames(), 0);
-        assert_eq!(counter(&server, Counter::UnconsumedDrops), 0);
-    }
-
-    /// Tears `chunk`'s resident frame in place — a flipped byte in every
-    /// encoded column, the recorded checksums kept — under the scheduler
-    /// lock, so no grant can pin it half-way.
-    fn tear_resident_frame(server: &ScanServer, chunk: ChunkId) {
-        use cscan_storage::{ChunkData, LazyColumn};
-        let mut sched = server.shared.lock_sched();
-        let state = sched.core.state_mut();
-        let Some(ChunkPayload::Data(data)) =
-            state.buffered_chunk(chunk).map(|b| &b.payload).cloned()
-        else {
-            panic!("the chunk stays cached");
-        };
-        let parts = data
-            .parts()
-            .iter()
-            .map(|(id, part)| match part {
-                ColumnChunk::Compressed(lazy) => {
-                    let torn = lazy.encoded().with_flipped_byte(99);
-                    (
-                        *id,
-                        ColumnChunk::Compressed(Arc::new(LazyColumn::new(torn))),
-                    )
-                }
-                plain => (*id, plain.clone()),
-            })
-            .collect();
-        *state.payload_mut(chunk).unwrap() = ChunkData::from_parts(parts).into();
-    }
-
     /// Every way a scan fails closes it through the core with its error, so
     /// each erred scan is counted once in `queries_erred` and writes one
     /// `query_erred` flight event, however often its handle reports the
     /// error: a quarantined chunk, a column that cannot be decoded at first
-    /// touch, and a torn resident frame whose pin-time rejections spend the
-    /// retry budget (here, one attempt).
+    /// touch, and a chunk whose every read fails its install-time checksum,
+    /// past the retry budget (here, one attempt).
     #[test]
     fn every_erred_scan_is_counted_and_logged_once() {
         const ROWS: u64 = 128;
@@ -3367,13 +3230,16 @@ mod tests {
             server.cscan(CScanPlan::new("erring", ranges, model.all_columns()))
         };
         // Drives `handle` to its error, touching column 0 of every chunk,
-        // and checks the error was recorded once.
+        // checks the error was recorded once, and returns it with the
+        // number of chunks delivered.
         let fails_once = |server: &ScanServer, handle: CScanHandle, chunk: u32| {
+            let mut delivered = 0;
             let error = loop {
                 match handle.next_chunk() {
                     Ok(Some(pin)) => {
                         let _ = pin.try_column(ColumnId::new(0));
                         pin.complete();
+                        delivered += 1;
                     }
                     Ok(None) => panic!("the scan must err"),
                     Err(error) => break error,
@@ -3386,6 +3252,7 @@ mod tests {
             let dump = server.metrics().dump_flight("test");
             assert_eq!(dump.matches("query_erred").count(), 1, "dump: {dump}");
             assert_eq!(server.pinned_frames(), 0);
+            (error, delivered)
         };
 
         let doomed = FaultConfig {
@@ -3410,15 +3277,22 @@ mod tests {
         );
         fails_once(&malformed, scan(&malformed, ScanRanges::full(8)), 5);
 
-        let torn = build(Arc::new(compressed(&inner, 8, vec![pfor21()])), 1);
-        scan(&torn, ScanRanges::single(0, 1))
-            .next_chunk()
-            .unwrap()
-            .expect("the chunk")
-            .complete();
-        tear_resident_frame(&torn, ChunkId::new(0));
-        fails_once(&torn, scan(&torn, ScanRanges::single(0, 1)), 0);
-        assert_eq!(counter(&torn, Counter::ChecksumFailures), 1);
+        let tearing = FaultConfig {
+            corruption_rate: 1.0,
+            ..FaultConfig::default()
+        };
+        let torn_store = Arc::new(FaultInjectingStore::new(
+            compressed(&inner, 8, vec![pfor21()]),
+            tearing,
+        ));
+        let torn = build(torn_store.clone(), 4);
+        let (error, delivered) = fails_once(&torn, scan(&torn, ScanRanges::single(0, 1)), 0);
+        assert_eq!(error.cause, StoreError::Corrupted);
+        assert_eq!(delivered, 0, "no torn value is delivered");
+        // Every read is torn, so each read made is one corruption injected.
+        let reads = torn_store.corruptions_injected();
+        assert_eq!(reads, 1, "one attempt, no retry");
+        assert_eq!(counter(&torn, Counter::ChecksumFailures), reads);
     }
 
     /// A store that panics on one chunk: the worker must contain the panic

@@ -15,8 +15,7 @@
 //! * a bounded ring-buffer **flight recorder** ([`FlightRecorder`]) of
 //!   recent control-plane events, dumped automatically on quarantine,
 //!   scan error, or worker panic;
-//! * two snapshot sinks: [`MetricsSnapshot::render_json`] for the bench
-//!   harness and [`MetricsSnapshot::render_prometheus`] for text
+//! * a snapshot sink: [`MetricsSnapshot::render_prometheus`] for text
 //!   exposition.
 //!
 //! The threaded `ScanServer` stamps real elapsed time.  Explicit

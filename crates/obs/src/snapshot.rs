@@ -1,6 +1,5 @@
-//! Point-in-time metric snapshots and their two render sinks: hand-rolled
-//! JSON (the workspace deliberately carries no JSON dependency) and
-//! Prometheus-style text exposition.
+//! Point-in-time metric snapshots and their render sink, Prometheus-style
+//! text exposition.
 
 use crate::hist::HistogramSnapshot;
 use std::collections::BTreeMap;
@@ -159,64 +158,6 @@ impl MetricsSnapshot {
         }
         out
     }
-
-    /// Renders the snapshot as a JSON object (hand-rolled; the workspace
-    /// carries no JSON dependency).  Shape:
-    /// `{"counters": {...}, "query_totals": {...}, "gauges": {...},
-    /// "spans": {name: {count, sum, p50, p99, max}}, "ttfc": {...},
-    /// "pin_wait": {...}, "queries": [{label, table, detached, counters,
-    /// ttfc_ns, pin_wait}]}`.
-    pub fn render_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(2048);
-        out.push_str("{\n  \"counters\": {");
-        render_json_pairs(&mut out, &self.counters);
-        out.push_str("},\n  \"query_totals\": {");
-        render_json_pairs(&mut out, &self.query_totals);
-        out.push_str("},\n  \"gauges\": {");
-        render_json_pairs(&mut out, &self.gauges);
-        out.push_str("},\n  \"spans\": {");
-        for (i, (name, hist)) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "\"{name}\": ");
-            render_json_histogram(&mut out, hist);
-        }
-        out.push_str("},\n  \"ttfc\": ");
-        render_json_histogram(&mut out, &self.ttfc);
-        out.push_str(",\n  \"pin_wait\": ");
-        render_json_histogram(&mut out, &self.pin_wait);
-        out.push_str(",\n  \"queries\": [");
-        for (i, q) in self.queries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"label\": \"{}\", \"table\": \"{}\", \"detached\": {}, \"counters\": {{",
-                escape_json(&q.label),
-                escape_json(&q.table),
-                q.detached
-            );
-            render_json_pairs(&mut out, &q.counters);
-            out.push_str("}, \"ttfc_ns\": ");
-            match q.ttfc_ns {
-                Some(ns) => {
-                    let _ = write!(out, "{ns}");
-                }
-                None => out.push_str("null"),
-            }
-            out.push_str(", \"pin_wait\": ");
-            render_json_histogram(&mut out, &q.pin_wait);
-            out.push('}');
-        }
-        if !self.queries.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
-        out
-    }
 }
 
 fn lookup(pairs: &[(&'static str, u64)], name: &str) -> u64 {
@@ -261,36 +202,7 @@ fn render_prom_histogram(out: &mut String, family: &str, labels: &str, hist: &Hi
     let _ = writeln!(out, "{family}_count{{{labels}}} {}", hist.count());
 }
 
-fn render_json_pairs(out: &mut String, pairs: &[(&'static str, u64)]) {
-    use std::fmt::Write as _;
-    for (i, (name, value)) in pairs.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "\"{name}\": {value}");
-    }
-}
-
-fn render_json_histogram(out: &mut String, hist: &HistogramSnapshot) {
-    use std::fmt::Write as _;
-    let _ = write!(
-        out,
-        "{{\"count\": {}, \"sum\": {}, \"p50\": {}, \"p99\": {}, \"max\": {}}}",
-        hist.count(),
-        hist.sum(),
-        hist.p50(),
-        hist.p99(),
-        hist.max_value()
-    );
-}
-
 fn escape_label(s: &str) -> String {
-    s.replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
-}
-
-fn escape_json(s: &str) -> String {
     s.replace('\\', "\\\\")
         .replace('"', "\\\"")
         .replace('\n', "\\n")
@@ -330,22 +242,6 @@ mod tests {
         ));
         // Cumulative bucket counts end with the +Inf bucket == count.
         assert!(text.contains("cscan_pin_wait_ns_bucket{le=\"+Inf\"} 1"));
-    }
-
-    #[test]
-    fn json_snapshot_is_well_formed_enough() {
-        let json = sample_registry().snapshot().render_json();
-        assert!(json.contains("\"loads_completed\": 12"));
-        assert!(json.contains("\"label\": \"scan-0\""));
-        assert!(json.contains("\"table\": \"lineitem\""));
-        assert!(json.contains("\"ttfc_ns\": 42000"));
-        // Balanced braces/brackets (cheap structural sanity check).
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "{json}"
-        );
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 
     #[test]

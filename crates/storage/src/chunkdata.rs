@@ -24,9 +24,9 @@
 //! decompression CPU cost, every later reader — including later pins of
 //! the same buffered chunk, which share the column `Arc` — hits the decoded
 //! form, and a column nobody reads stays encoded bytes.  Integrity is
-//! checked separately and earlier ([`ChunkPayload::verify_checksums`], at
-//! install and at every pin of a payload that still holds encoded
-//! columns), so decoding never runs over bytes that failed their checksum.
+//! checked separately and earlier ([`ChunkPayload::verify_checksums`], once,
+//! when a load installs the bytes), so decoding never runs over bytes that
+//! failed their checksum.
 //! Eviction drops the whole column (both states); a re-load re-installs
 //! fresh compressed bytes and the next reader re-decodes.  This is the
 //! two-state frame lifecycle the paper's Figure 9 experiments rely on: I/O
@@ -82,9 +82,9 @@ impl LazyColumn {
     }
 
     /// Verifies the encoded bytes against the checksum recorded at encode
-    /// time.  An already-decoded column verified once and is trusted.
+    /// time.
     pub fn verify_checksum(&self) -> Result<(), StoreError> {
-        if self.is_decoded() || self.encoded.verify_checksum() {
+        if self.encoded.verify_checksum() {
             Ok(())
         } else {
             Err(StoreError::Corrupted)
@@ -424,12 +424,10 @@ impl ChunkPayload {
         self.parts().map(ColumnChunk::ensure_decoded).sum()
     }
 
-    /// Verifies every still-encoded column's integrity checksum without
-    /// decoding anything.  The executor calls it twice: on the I/O worker
-    /// before committing a load (torn reads are retried as transient
-    /// faults instead of entering the buffer), and on the consumer's thread
-    /// at every pin of a payload that is not yet fully decoded (a frame
-    /// damaged while resident is rejected and re-loaded).
+    /// Verifies every compressed column's integrity checksum without
+    /// decoding anything.  The executor calls it once, on the I/O worker
+    /// before committing a load: torn reads are retried as transient faults
+    /// instead of entering the buffer.
     pub fn verify_checksums(&self) -> Result<(), StoreError> {
         self.parts().try_for_each(ColumnChunk::verify_checksum)
     }

@@ -346,8 +346,7 @@ fn mix_tail(mut h: u64, bytes: &[u8]) -> u64 {
 /// accidents, not adversaries.
 ///
 /// Chosen over a table-driven CRC32 because the load path verifies every
-/// byte it reads and the consume path every still-encoded column at pin,
-/// and a word-at-a-time mix runs an order of magnitude faster than a
+/// byte it reads, and a word-at-a-time mix runs an order of magnitude faster than a
 /// byte-wise table walk (the 5% overhead budget of the fault-free path is
 /// real).
 pub fn checksum64(bytes: &[u8]) -> u64 {
@@ -481,9 +480,8 @@ pub struct EncodedColumn {
     rows: usize,
     bytes: Vec<u8>,
     /// [`checksum64`] of `bytes` as computed at encode time.  Verified at
-    /// payload install and again at pin, before anything is decoded, so a
-    /// corrupted read surfaces as a retryable fault instead of a decoder
-    /// panic.
+    /// payload install, before anything is decoded, so a corrupted read
+    /// surfaces as a retryable fault instead of a decoder panic.
     checksum: u64,
 }
 
