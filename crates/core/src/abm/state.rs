@@ -782,10 +782,10 @@ impl AbmState {
     /// or none of it.
     ///
     /// # Panics
-    /// Panics if the query is already registered or reads no columns (an
-    /// empty column set would make "all needed columns resident" vacuously
-    /// true and desync the availability cache from its brute-force
-    /// definition).
+    /// Panics if the query is already registered, reads a column the model
+    /// lacks, or reads no columns (an empty column set would make "all
+    /// needed columns resident" vacuously true and desync the availability
+    /// cache from its brute-force definition).
     pub(crate) fn register_query(
         &mut self,
         id: QueryId,
@@ -794,6 +794,12 @@ impl AbmState {
         columns: ColSet,
         now: SimTime,
     ) {
+        let past = columns.difference(self.model.all_columns());
+        assert!(
+            past.is_empty(),
+            "{id:?} reads columns {past:?}, past the model's {}",
+            self.model.num_columns()
+        );
         let columns = self.model.whole_groups(columns);
         assert!(!columns.is_empty(), "{id:?} must read at least one column");
         let pos = match self.queries.binary_search_by_key(&id, |s| s.id) {

@@ -260,17 +260,10 @@ impl TableModel {
     }
 
     /// `cols` widened to whole column groups — what reading `cols` costs,
-    /// loads and makes resident.  A column past the table's last belongs to
-    /// its last group: a store may be wider than the model scheduling it,
-    /// and a row store's load then brings the whole row.
+    /// loads and makes resident.
     pub(crate) fn whole_groups(&self, cols: ColSet) -> ColSet {
-        let mut whole = self
-            .groups_of(cols)
-            .fold(ColSet::EMPTY, |acc, g| acc.union(self.groups[g]));
-        if !cols.is_subset_of(self.all_columns()) {
-            whole = whole.union(*self.groups.last().expect("a table has a column"));
-        }
-        whole
+        self.groups_of(cols)
+            .fold(ColSet::EMPTY, |acc, g| acc.union(self.groups[g]))
     }
 
     /// The groups storing any of `cols`, each once, in column order.
@@ -405,10 +398,12 @@ mod tests {
 
     #[test]
     fn a_group_is_read_whole() {
-        let row = TableModel::nsm_uniform(4, 100, 16);
+        let six = (0..6)
+            .map(|c| ColumnDef::new(format!("c{c}"), ColumnType::Int64))
+            .collect();
+        let row = TableModel::nsm(&TableSchema::new("t", six), 1_000, PAGE, 16 * PAGE);
         let one = ColSet::from_columns([col(0)]);
         assert_eq!(row.whole_groups(one), row.all_columns());
-        // A store wider than the model: its extra columns ride in the row.
         let wide = ColSet::from_columns([col(0), col(5)]);
         assert_eq!(row.whole_groups(wide), row.all_columns());
         assert_eq!(

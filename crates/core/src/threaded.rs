@@ -964,7 +964,7 @@ impl ScanServer {
     /// counter, span histogram and flight event of this server lands in —
     /// loads, faults, decodes, unconsumed drops, lock hold times and the
     /// rest are read from here.  Snapshot it ([`Registry::snapshot`]) for
-    /// JSON/Prometheus export, or share it across servers via
+    /// Prometheus export, or share it across servers via
     /// [`ScanServerBuilder::observability`].
     pub fn metrics(&self) -> Arc<Registry> {
         Arc::clone(&self.shared.obs)
@@ -1286,6 +1286,17 @@ mod tests {
             "a drained scan stays drained"
         );
         handle.finish();
+    }
+
+    /// A plan is scheduled by the model's columns only: one naming a column
+    /// the model lacks is refused at registration, by name, not widened.
+    #[test]
+    #[should_panic(expected = "reads columns ColSet{5}, past the model's 2")]
+    fn a_plan_naming_a_column_past_the_model_panics() {
+        let model = TableModel::dsm_uniform(4, 1_000, &[1, 1]);
+        let server = ScanServer::builder(model).watched();
+        let wide = ColSet::from_columns([ColumnId::new(0), ColumnId::new(5)]);
+        let _scan = server.cscan(CScanPlan::new("wide", ScanRanges::full(4), wide));
     }
 
     /// Short scans of a table the buffer holds wake no I/O worker: no query

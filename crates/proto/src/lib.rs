@@ -222,6 +222,10 @@ const COLUMN_HEAD: usize = 2 + 4;
 /// Bytes of a `Batch` frame up to its first value.
 const BATCH_HEAD: usize = BATCH_FIXED + COLUMN_HEAD;
 
+/// Whether a `Batch`'s values are read through the vector's byte view,
+/// which holds them in wire order on a little-endian target only.
+const IN_PLACE: bool = cfg!(target_endian = "little");
+
 /// A column a `Batch` frame can be laid out from, however it is held.
 trait Values {
     fn values(&self) -> &[i64];
@@ -546,6 +550,7 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// Parses every frame but a `Batch`, which [`Decoder::read_batch`] parses.
 fn decode_body(type_byte: u8, body: &[u8]) -> Result<Message, ProtoError> {
     let mut r = Reader { buf: body, at: 0 };
     let msg = match type_byte {
@@ -561,37 +566,6 @@ fn decode_body(type_byte: u8, body: &[u8]) -> Result<Message, ProtoError> {
             scan_id: r.u64()?,
             credits: r.u32()?,
         },
-        BATCH_TYPE => {
-            let scan_id = r.u64()?;
-            let chunk = r.u32()?;
-            let rows = r.u32()?;
-            let num_cols = r.u16()? as usize;
-            let mut columns = Vec::with_capacity(num_cols.min(64));
-            for _ in 0..num_cols {
-                let col = r.u16()?;
-                let count = r.u32()? as usize;
-                if count > body.len().saturating_sub(r.at) / 8 {
-                    return Err(ProtoError::Malformed("value count past body end"));
-                }
-                if count != rows as usize {
-                    // Consumers zip a batch's columns: a short one would
-                    // silently truncate the answer.
-                    return Err(ProtoError::Malformed("column length is not the row count"));
-                }
-                let values = r
-                    .take(count * 8)?
-                    .chunks_exact(8)
-                    .map(|word| i64::from_le_bytes(word.try_into().expect("8 bytes")))
-                    .collect();
-                columns.push((col, values));
-            }
-            Message::Batch {
-                scan_id,
-                chunk,
-                rows,
-                columns,
-            }
-        }
         5 => Message::ScanDone { scan_id: r.u64()? },
         6 => Message::Cancel { scan_id: r.u64()? },
         7 => Message::CancelOk { scan_id: r.u64()? },
@@ -713,21 +687,29 @@ impl Decoder {
         if avail.len() < total {
             return Ok(None);
         }
+        if avail[4] == BATCH_TYPE {
+            // The frame is whole, so `read_batch` reads nothing from a
+            // source that has nothing to give.
+            return match self.read_batch(&mut io::empty(), total, IN_PLACE) {
+                Ok(msg) => Ok(Some(msg)),
+                Err(ReadError::Proto(e)) => Err(e),
+                Err(ReadError::Io(_)) => Err(ProtoError::Malformed("body truncated")),
+            };
+        }
         let msg = decode_body(avail[4], &avail[5..total])?;
         self.at += total;
         Ok(Some(msg))
     }
 
-    /// Reads from `src` until one whole message has arrived and returns it.
-    /// A frame already buffered whole decodes as in
-    /// [`Decoder::next_message`].  A `Batch` still on its way is read
-    /// column by column straight into the vectors it returns: only the
+    /// Reads from `src` until one whole message has arrived and returns it,
+    /// as [`Decoder::next_message`] would.  A `Batch` still on its way is
+    /// read column by column straight into the vectors it returns: only the
     /// values that arrived in the same read as their column's header are
-    /// copied, every check `next_message` makes is made, and a vector grows
-    /// as its bytes arrive, never more than 1 MiB ahead of them.  The source
-    /// ending anywhere is [`io::ErrorKind::UnexpectedEof`].
+    /// copied, and a vector grows as its bytes arrive, never more than
+    /// 1 MiB ahead of them.  The source ending anywhere is
+    /// [`io::ErrorKind::UnexpectedEof`].
     pub fn read_message(&mut self, src: &mut impl Read) -> Result<Message, ReadError> {
-        self.read_message_with(src, cfg!(target_endian = "little"))
+        self.read_message_with(src, IN_PLACE)
     }
 
     /// [`Decoder::read_message`]; `in_place` reads values through the
@@ -741,11 +723,13 @@ impl Decoder {
         loop {
             let pending = self.pending_bytes();
             let missing = match self.frame_len()? {
+                Some(total)
+                    if pending >= total.min(BATCH_FIXED) && self.buf[self.at + 4] == BATCH_TYPE =>
+                {
+                    return self.read_batch(src, total, in_place)
+                }
                 Some(total) if pending >= total => {
                     return Ok(self.next_message()?.expect("a whole frame is buffered"))
-                }
-                Some(total) if pending >= BATCH_FIXED && self.buf[self.at + 4] == BATCH_TYPE => {
-                    return self.read_batch(src, total, in_place)
                 }
                 Some(total) => total - pending,
                 None => 0,
@@ -754,14 +738,18 @@ impl Decoder {
         }
     }
 
-    /// Reads the rest of the `Batch` frame of `total` bytes whose first
-    /// [`BATCH_FIXED`] bytes are buffered.
+    /// Parses the `Batch` frame of `total` bytes whose first
+    /// [`BATCH_FIXED`] bytes (or all, if it is shorter) are buffered,
+    /// reading the rest from `src`.
     fn read_batch(
         &mut self,
         src: &mut impl Read,
         total: usize,
         in_place: bool,
     ) -> Result<Message, ReadError> {
+        if total < BATCH_FIXED {
+            return Err(ProtoError::Malformed("body truncated").into());
+        }
         let mut head = Reader {
             buf: &self.buf[self.at + 5..self.at + BATCH_FIXED],
             at: 0,
@@ -786,11 +774,12 @@ impl Decoder {
             let (col, count) = (head.u16()?, head.u32()? as usize);
             self.at += COLUMN_HEAD;
             left -= COLUMN_HEAD;
-            // The checks and messages of `decode_body`.
             if count > left / 8 {
                 return Err(ProtoError::Malformed("value count past body end").into());
             }
             if count != rows as usize {
+                // Consumers zip a batch's columns: a short one would
+                // silently truncate the answer.
                 return Err(ProtoError::Malformed("column length is not the row count").into());
             }
             columns.push((col, self.read_values(src, count, in_place)?));

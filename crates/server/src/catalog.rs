@@ -3,14 +3,14 @@
 //! Each table owns a full threaded [`ScanServer`] (its own buffer pool,
 //! I/O threads and ABM scheduler) plus an [`Admission`] gate, all
 //! reporting into one shared [`Registry`] so the service's metrics read
-//! as a single plane.  A table can be backed by anything that implements
-//! [`ChunkStore`]: an in-memory [`MemTable`], a segment file on disk
-//! ([`FileStore`]), or a caller-supplied store.
+//! as a single plane.  A table is an in-memory [`MemTable`] or a segment
+//! file on disk ([`FileStore`]), and either is scheduled as the column
+//! store it is: one column group per column, sized by its bytes.
 
 use crate::admission::{Admission, AdmissionConfig, AdmissionTotals, Permit};
 use cscan_core::threaded::{CScanHandle, ScanServer};
 use cscan_core::{CScanPlan, ColSet, PolicyKind, TableModel};
-use cscan_exec::MemTable;
+use cscan_exec::{MemTable, Value};
 use cscan_obs::Registry;
 use cscan_proto::ServeError;
 use cscan_storage::segment::FileStore;
@@ -26,8 +26,8 @@ pub struct TableConfig {
     /// Scheduling policy for the table's ABM.
     pub policy: PolicyKind,
     /// Buffer-pool size: a page budget worth this many full-width chunks.
-    /// A segment table spends it per column, so it holds proportionally
-    /// more chunks of the scans that read fewer.
+    /// A table spends it per column, so it holds proportionally more
+    /// chunks of the scans that read fewer.
     pub buffer_chunks: u64,
     /// I/O worker threads.
     pub io_threads: usize,
@@ -53,11 +53,6 @@ impl Default for TableConfig {
 pub struct TableEntry {
     name: String,
     model: TableModel,
-    /// The columns the *store* can materialize.  The same as the model's
-    /// for a segment table; a mem table's synthetic model is one group of
-    /// one column for scheduling while the store still delivers the real
-    /// width.
-    columns: ColSet,
     server: ScanServer,
     admission: Admission,
 }
@@ -86,7 +81,7 @@ impl TableEntry {
     /// The columns the table can serve (an empty plan column set resolves
     /// to all of these).
     pub fn served_columns(&self) -> ColSet {
-        self.columns
+        self.model.all_columns()
     }
 
     /// Admits the scan (FIFO, may block up to the queue timeout) and
@@ -95,10 +90,6 @@ impl TableEntry {
     pub fn open_scan(&self, plan: &CScanPlan) -> Result<(Permit, CScanHandle), ServeError> {
         self.validate(plan)?;
         let permit = self.admission.admit()?;
-        // A mem table's one-column model keeps a store column past it in
-        // its one group (`TableModel::whole_groups`), so its loads
-        // materialize the whole row; the wire-level column selection is
-        // applied at encode time from the plan.
         let handle = self.server.cscan(plan.clone());
         Ok((permit, handle))
     }
@@ -119,11 +110,11 @@ impl TableEntry {
                 }
             }
         }
-        if !plan.columns.is_subset_of(self.columns) {
+        if !plan.columns.is_subset_of(self.served_columns()) {
             return Err(ServeError::BadRequest(format!(
                 "column set {:?} not within the table's {} columns",
                 plan.columns,
-                self.columns.len()
+                self.model.num_columns()
             )));
         }
         Ok(())
@@ -158,29 +149,23 @@ impl Catalog {
         Arc::clone(&self.obs)
     }
 
-    /// Serves `table` (an in-memory chunk store) under `name`.  The model
-    /// is derived from the table's own shape.
+    /// Serves `table` (an in-memory chunk store) under `name`, as a column
+    /// store of its columns: each a chunk's rows of 8-byte values.
     pub fn add_mem_table(&mut self, name: impl Into<String>, table: MemTable, cfg: TableConfig) {
-        let chunks = table.num_chunks();
         let (start, end) = table.chunk_rows(ChunkId::new(0));
-        let tuples_per_chunk = (end - start).max(1);
-        // 16 pages/chunk matches the in-memory benches: enough that the
-        // scheduler's page accounting is meaningful, cheap enough that
-        // admission — not I/O modelling — is what's under test.
-        let model = TableModel::nsm_uniform(chunks, tuples_per_chunk, 16);
-        let columns = ColSet::first_n(table.width() as u16);
-        self.add_store(name, Arc::new(table), model, columns, cfg);
+        let rows = (end - start).max(1);
+        let bytes = rows * std::mem::size_of::<Value>() as u64;
+        let model = column_store(table.num_chunks(), rows, vec![bytes; table.width()]);
+        self.add_store(name, Arc::new(table), model, cfg);
     }
 
-    /// Serves an explicit `store`/`model` pair under `name`.  `columns`
-    /// is the set the store can materialize ([`ChunkStore`] itself does
-    /// not expose a width, and synthetic models under-report it).
-    pub fn add_store(
+    /// Serves `store` under `name`, scheduled by `model`, which names every
+    /// column the store can materialize.
+    pub(crate) fn add_store(
         &mut self,
         name: impl Into<String>,
         store: Arc<dyn ChunkStore>,
         model: TableModel,
-        columns: ColSet,
         cfg: TableConfig,
     ) {
         let name = name.into();
@@ -201,7 +186,6 @@ impl Catalog {
         self.tables.push(Arc::new(TableEntry {
             name,
             model,
-            columns,
             server,
             admission,
         }));
@@ -235,8 +219,7 @@ impl Catalog {
         }
         let store = store.with_observability(Arc::clone(&self.obs));
         let model = model_from_segment(&store);
-        let columns = ColSet::first_n(store.num_columns());
-        self.add_store(name, Arc::new(store), model, columns, cfg);
+        self.add_store(name, Arc::new(store), model, cfg);
         Ok(())
     }
 
@@ -278,18 +261,25 @@ pub fn model_from_segment(store: &FileStore) -> TableModel {
     let dir = store.directory();
     let chunks = dir.num_chunks();
     let rows = dir.chunk_rows(ChunkId::new(0)).unwrap_or(1).max(1);
-    let pages: Vec<u64> = (0..dir.num_columns())
+    let bytes = (0..dir.num_columns())
         .map(|col| {
             let col = [ColumnId::new(col)];
             (0..chunks)
-                .map(|c| {
-                    dir.chunk_bytes(ChunkId::new(c), Some(&col))
-                        .div_ceil(DEFAULT_PAGE_SIZE)
-                })
+                .map(|c| dir.chunk_bytes(ChunkId::new(c), Some(&col)))
                 .max()
-                .unwrap_or(1)
-                .max(1)
+                .unwrap_or(0)
         })
+        .collect();
+    column_store(chunks, rows, bytes)
+}
+
+/// The model every served table is scheduled by: `chunks` chunks of `rows`
+/// rows, one group per column, column `c` spanning `bytes[c]` rounded up to
+/// whole pages (at least one) in every chunk.
+fn column_store(chunks: u32, rows: u64, bytes: Vec<u64>) -> TableModel {
+    let pages: Vec<u64> = bytes
+        .iter()
+        .map(|b| b.div_ceil(DEFAULT_PAGE_SIZE).max(1))
         .collect();
     TableModel::dsm_uniform(chunks, rows, &pages)
 }
@@ -340,6 +330,31 @@ mod tests {
         drop(permit);
         assert_eq!(t.admission().active(), 0, "permit released");
         assert_eq!(cat.pinned_frames(), 0, "no leaked pins");
+    }
+
+    /// A mem table is scheduled by the columns it stores, one page each
+    /// here: a two-column scan's loads materialize those two and no more.
+    #[test]
+    fn a_two_column_scan_of_a_mem_table_loads_only_its_columns() {
+        let cat = demo_catalog();
+        let t = cat.get("lineitem").unwrap();
+        let plan = CScanPlan::full_table("two", ColSet::first_n(2));
+        let (_permit, handle) = t.open_scan(&plan).expect("admitted");
+        let mut chunks = 0;
+        while let Some(pin) = handle.next_chunk().expect("clean scan") {
+            let loaded: Vec<u16> = ColSet::first_n(6)
+                .iter()
+                .filter(|&c| pin.payload().part(c).is_some())
+                .map(|c| c.index())
+                .collect();
+            assert_eq!(loaded, [0, 1], "{:?}", pin.chunk());
+            pin.complete();
+            chunks += 1;
+        }
+        assert_eq!(chunks, t.model().num_chunks());
+        let all = t.model().all_columns();
+        assert_eq!(all, ColSet::first_n(6));
+        assert_eq!(t.model().chunk_pages(ChunkId::new(0), all), 6);
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //!
 //! Two bounds protect the server from a misbehaving peer:
 //!
-//! * **The output cap** ([`ServerConfig::outbuf_cap`]) — once a connection
+//! * **The output cap** (`OUTBUF_CAP`) — once a connection
 //!   has that many queued-but-unsent bytes, pumping stops.  Combined with
 //!   the pin discipline of [`crate::service::ServerScan`] (a pin ends
 //!   before its batch is queued), a stalled client holds zero pinned
@@ -64,14 +64,16 @@ const WRITE_SLICE: Duration = Duration::from_millis(50);
 /// descriptors left), so that a failure that persists cannot spin.
 const ACCEPT_PAUSE: Duration = Duration::from_millis(50);
 
+/// Concurrent open scans allowed per connection.
+const MAX_SCANS_PER_CONN: usize = 16;
+
+/// Queued-but-unsent bytes a connection may hold before pumping pauses
+/// (the per-connection memory bound).
+const OUTBUF_CAP: usize = 8 * 1024 * 1024;
+
 /// Network-layer knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Concurrent open scans allowed per connection.
-    pub max_scans_per_conn: usize,
-    /// Queued-but-unsent bytes a connection may hold before pumping
-    /// pauses (the per-connection memory bound).
-    pub outbuf_cap: usize,
     /// How long a connection may make no progress (no reads, no write
     /// drain) while holding scans or unsent bytes before being shed.
     pub stall_timeout: Duration,
@@ -83,8 +85,6 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            max_scans_per_conn: 16,
-            outbuf_cap: 8 * 1024 * 1024,
             stall_timeout: Duration::from_secs(5),
             exit_on_shutdown: true,
         }
@@ -487,7 +487,7 @@ impl Connection {
     fn handle(&mut self, msg: Message) -> Result<bool, ()> {
         match msg {
             Message::OpenScan { table, plan } => {
-                if self.scans.len() >= self.cfg.max_scans_per_conn {
+                if self.scans.len() >= MAX_SCANS_PER_CONN {
                     self.push(&Message::serve_error(0, &ServeError::TooManyScans));
                     return Ok(true);
                 }
@@ -574,13 +574,13 @@ impl Connection {
     fn pump_round(&mut self) -> bool {
         let mut any = false;
         loop {
-            if self.scans.is_empty() || self.unsent() >= self.cfg.outbuf_cap {
+            if self.scans.is_empty() || self.unsent() >= OUTBUF_CAP {
                 return any;
             }
             let mut delivered = false;
             let mut idx = 0;
             while idx < self.scans.len() {
-                if self.unsent() >= self.cfg.outbuf_cap {
+                if self.unsent() >= OUTBUF_CAP {
                     break;
                 }
                 let at = (self.pump_at + idx) % self.scans.len();

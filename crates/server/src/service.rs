@@ -339,8 +339,7 @@ mod tests {
         cat.add_store(
             "t",
             Arc::new(CutShort),
-            TableModel::nsm_uniform(1, 10, 16),
-            ColSet::first_n(2),
+            TableModel::dsm_uniform(1, 10, &[1, 1]),
             TableConfig::default(),
         );
         let obs = cat.observability();

@@ -56,7 +56,6 @@ fn stalled_consumer_is_shed_while_victims_stream() {
         ServerConfig {
             stall_timeout: Duration::from_millis(400),
             exit_on_shutdown: false,
-            ..ServerConfig::default()
         },
     )
     .expect("bind loopback");
@@ -189,7 +188,6 @@ fn batches_queued_for_a_stalled_client_survive_eviction_and_reload() {
             // The stalled client must outlast the victims, not be shed.
             stall_timeout: Duration::from_secs(120),
             exit_on_shutdown: false,
-            ..ServerConfig::default()
         },
     )
     .expect("bind loopback");
